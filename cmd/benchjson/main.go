@@ -30,9 +30,12 @@ import (
 	"strings"
 )
 
-// Result is one parsed benchmark line.
+// Result is one parsed benchmark line. Pkg is the package whose `pkg:`
+// header preceded it: one `go test -bench` run over several packages
+// prints one header per package, so the label belongs to the row.
 type Result struct {
 	Name        string             `json:"name"`
+	Pkg         string             `json:"pkg,omitempty"`
 	Iterations  int64              `json:"iterations"`
 	NsPerOp     float64            `json:"ns_per_op"`
 	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
@@ -46,7 +49,6 @@ type Result struct {
 type Report struct {
 	Goos       string   `json:"goos,omitempty"`
 	Goarch     string   `json:"goarch,omitempty"`
-	Pkg        string   `json:"pkg,omitempty"`
 	CPU        string   `json:"cpu,omitempty"`
 	Benchmarks []Result `json:"benchmarks"`
 	Baseline   []Result `json:"baseline,omitempty"`
@@ -177,6 +179,7 @@ func runCompare(basePath, candPath string, threshold float64, w io.Writer) (regr
 
 func parse(sc *bufio.Scanner) (*Report, error) {
 	rep := &Report{Benchmarks: []Result{}}
+	pkg := ""
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {
@@ -185,12 +188,13 @@ func parse(sc *bufio.Scanner) (*Report, error) {
 		case strings.HasPrefix(line, "goarch:"):
 			rep.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
 		case strings.HasPrefix(line, "pkg:"):
-			rep.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 		case strings.HasPrefix(line, "cpu:"):
 			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "Benchmark"):
 			r, ok := parseBench(line)
 			if ok {
+				r.Pkg = pkg
 				rep.Benchmarks = append(rep.Benchmarks, r)
 			}
 		}

@@ -45,6 +45,37 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// One `go test -bench` run over two packages prints a pkg: header before
+// each package's rows; every row must keep its own package's label.
+func TestParseLabelsRowsPerPackage(t *testing.T) {
+	const twoPkgs = `goos: linux
+pkg: github.com/vanetlab/relroute/internal/linkstate
+BenchmarkMonitorUpdate-2   	  500000	       111.5 ns/op	       0 B/op	       0 allocs/op
+PASS
+ok  	github.com/vanetlab/relroute/internal/linkstate	1.9s
+pkg: github.com/vanetlab/relroute/internal/radio
+BenchmarkRebuildSweep-2    	     100	   3100000 ns/op
+BenchmarkLinks-2           	     100	        12.0 ns/op
+`
+	rep, err := parse(bufio.NewScanner(strings.NewReader(twoPkgs)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"github.com/vanetlab/relroute/internal/linkstate",
+		"github.com/vanetlab/relroute/internal/radio",
+		"github.com/vanetlab/relroute/internal/radio",
+	}
+	if len(rep.Benchmarks) != len(want) {
+		t.Fatalf("parsed %d benchmarks, want %d", len(rep.Benchmarks), len(want))
+	}
+	for i, b := range rep.Benchmarks {
+		if b.Pkg != want[i] {
+			t.Errorf("%s labelled %q, want %q", b.Name, b.Pkg, want[i])
+		}
+	}
+}
+
 func TestParseIgnoresGarbage(t *testing.T) {
 	rep, err := parse(bufio.NewScanner(strings.NewReader("BenchmarkBroken\nnonsense line\n")))
 	if err != nil {

@@ -263,11 +263,14 @@ func (r *TicketRouter) candidates(dst netstack.NodeID, path []netstack.NodeID) [
 		selfD = r.API.Pos().Dist(dstPos)
 	}
 	var out []candidate
-	for _, nb := range r.API.LinkStates() {
+	var buf [routing.NeighborBuf]netstack.LinkState
+	states := r.API.AppendLinkStates(buf[:0])
+	for i := range states {
+		nb := &states[i]
 		if onPath(path, nb.ID) {
 			continue
 		}
-		s := r.stability(nb)
+		s := r.stability(*nb)
 		if s < r.threshold {
 			continue
 		}

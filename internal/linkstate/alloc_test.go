@@ -63,3 +63,86 @@ func TestFeedbackAllocFree(t *testing.T) {
 		t.Fatalf("feedback recording allocated %v times per run, want 0", allocs)
 	}
 }
+
+// The beacon and tick paths of the flat table: refreshing a known link and
+// sweeping a table with nothing stale touch no allocator, and an ordered
+// read allocates exactly the slice it returns — or nothing, into a buffer
+// the caller owns.
+
+func TestUpdateRefreshAllocFree(t *testing.T) {
+	m := warmMonitor()
+	now := 1.0
+	allocs := testing.AllocsPerRun(200, func() {
+		now += 0.1
+		for id := NodeID(0); id < 32; id++ {
+			m.Update(id, Vehicle, geom.V(float64(id)*20, 0), geom.V(5, 0), -61, now)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("refresh Update allocated %v times per run, want 0", allocs)
+	}
+}
+
+func TestExpireAllocs(t *testing.T) {
+	m := warmMonitor()
+	sweeps := m.FullSweeps()
+	// nothing stale: first answered by the oldest-entry bound, then — the
+	// bound left stale-low by a refresh — by a sweep that finds nothing
+	allocs := testing.AllocsPerRun(100, func() { m.Expire(1) })
+	if allocs != 0 || m.FullSweeps() != sweeps {
+		t.Fatalf("short-circuited Expire: %v allocs, %d sweeps; want 0 and none", allocs, m.FullSweeps()-sweeps)
+	}
+	hear := func(id NodeID, now float64) {
+		m.Update(id, Vehicle, geom.V(float64(id)*20, 0), geom.V(5, 0), -60, now)
+	}
+	for id := NodeID(1); id < 32; id++ {
+		hear(id, 2.4)
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		hear(0, 0)   // pulls the bound down …
+		hear(0, 2.4) // … and the refresh leaves it there
+		if gone := m.Expire(2.6); gone != nil {
+			t.Fatalf("expired %v from a fresh table", gone)
+		}
+	})
+	if allocs != 0 || m.FullSweeps() != sweeps+101 {
+		t.Fatalf("empty-handed sweep: %v allocs, %d sweeps; want 0 and 101", allocs, m.FullSweeps()-sweeps)
+	}
+	// one link goes stale per run and is heard again into its freed slot:
+	// the only allocation is the slice of expired IDs handed to the caller
+	now := 2.4
+	allocs = testing.AllocsPerRun(100, func() {
+		now += 1
+		for id := NodeID(1); id < 32; id++ {
+			hear(id, now)
+		}
+		if gone := m.Expire(now + 2); len(gone) != 1 || gone[0] != 0 {
+			t.Fatalf("expired %v, want [0]", gone)
+		}
+		hear(0, now-1)
+	})
+	if allocs != 1 {
+		t.Fatalf("compacting Expire allocated %v times per run, want 1 (the returned IDs)", allocs)
+	}
+}
+
+func TestOrderedReadAllocs(t *testing.T) {
+	m := warmMonitor()
+	obs := Observer{Pos: geom.V(300, 10), Vel: geom.V(-5, 0), Now: 0.7, Epoch: 1}
+	var buf []LinkState
+	for name, read := range map[string]func(){
+		"AppendSnapshot": func() { buf = m.AppendSnapshot(buf[:0]) },
+		"AppendStates":   func() { buf = m.AppendStates(buf[:0], obs) },
+	} {
+		read() // warm the caller's buffer
+		if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
+			t.Errorf("%s into a warm buffer allocated %v times per run, want 0", name, allocs)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { m.Snapshot() }); allocs != 1 {
+		t.Errorf("Snapshot allocated %v times per run, want 1 (the returned slice)", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { m.States(obs) }); allocs != 1 {
+		t.Errorf("States allocated %v times per run, want 1 (the returned slice)", allocs)
+	}
+}

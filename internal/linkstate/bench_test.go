@@ -1,0 +1,79 @@
+package linkstate
+
+import (
+	"testing"
+
+	"github.com/vanetlab/relroute/internal/geom"
+)
+
+// The macro world's shape, not one hot table: 5 000 monitors of 25 entries
+// each (≈ 20 MB of table state), visited round-robin so every operation
+// starts cache-cold like a beacon reaching its next receiver.
+const (
+	benchMonitors = 5000
+	benchEntries  = 25
+	benchTTL      = 2.5
+)
+
+// benchWorld fills monitor i with the 25 neighbours i … i+24 of a 50 veh/km
+// highway, entry k last heard at 0.1·k s — staggered like real beacons, all
+// inside one TTL.
+func benchWorld() []*Monitor {
+	est := MustNew("", Config{Range: 250})
+	mons := make([]*Monitor, benchMonitors)
+	for i := range mons {
+		mons[i] = NewMonitor(benchTTL, 250, est)
+		for k := 0; k < benchEntries; k++ {
+			benchHear(mons[i], i, k, 0.1*float64(k))
+		}
+	}
+	return mons
+}
+
+// benchHear is monitor i hearing its k-th neighbour's beacon.
+func benchHear(m *Monitor, i, k int, now float64) {
+	id := NodeID(i + k)
+	m.Update(id, Vehicle, geom.V(float64(id)*20, 0), geom.V(25, 0), -70, now)
+}
+
+var benchSink int
+
+// BenchmarkMonitorUpdate is the refresh path: one beacon folded into an
+// existing entry of the next monitor.
+func BenchmarkMonitorUpdate(b *testing.B) {
+	mons := benchWorld()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round := i / benchMonitors
+		benchHear(mons[i%benchMonitors], i%benchMonitors, round%benchEntries, 3+0.04*float64(round))
+	}
+}
+
+// BenchmarkMonitorExpire is the sweep that finds work: on each visit the
+// clock has moved just far enough that the monitor's oldest entry is
+// stale, so Expire walks the table and compacts one entry away, and the
+// neighbour is then heard again (one insert) to keep the table at 25.
+func BenchmarkMonitorExpire(b *testing.B) {
+	mons := benchWorld()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		at, round := i%benchMonitors, i/benchMonitors
+		m := mons[at]
+		// entry round%25 was last heard at 0.1·round
+		benchSink += len(m.Expire(0.1*float64(round) + benchTTL + 0.05))
+		benchHear(m, at, round%benchEntries, 0.1*float64(round+benchEntries))
+	}
+}
+
+// BenchmarkMonitorSnapshot is a routing decision's ordered read of the
+// next monitor's whole table: ns/op is per 25-entry table.
+func BenchmarkMonitorSnapshot(b *testing.B) {
+	mons := benchWorld()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += len(mons[i%benchMonitors].Snapshot())
+	}
+}

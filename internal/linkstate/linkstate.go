@@ -87,13 +87,6 @@ type LinkState struct {
 	Age         float64 // seconds since the last beacon
 	Lifetime    float64 // predicted residual link lifetime in seconds
 	ReceiptProb float64 // predicted per-frame receipt probability in [0,1]
-
-	// kinematic-lifetime memo: the Eqn (4) solution is reused while the
-	// observer's mobility epoch and this entry's beacon count are unchanged.
-	lifeOK      bool
-	lifeEpoch   uint64
-	lifeBeacons int
-	lifeVal     float64
 }
 
 // Observer is the monitoring node's own state at estimation time. Epoch is

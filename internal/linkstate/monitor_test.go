@@ -110,8 +110,8 @@ func TestMonitorLifetimeMemo(t *testing.T) {
 		t.Fatalf("memoized lifetime changed: %v vs %v", first.Lifetime, again.Lifetime)
 	}
 	// same epoch, same beacons → the kinematic solve ran once
-	e := m.entries[1]
-	if !e.lifeOK || e.lifeEpoch != 10 {
+	_, e := m.find(1)
+	if e.lifeBeacons != e.Beacons || e.lifeEpoch != 10 {
 		t.Fatalf("memo not recorded: %+v", e)
 	}
 	// a new beacon invalidates the memo even within the epoch

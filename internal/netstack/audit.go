@@ -1,10 +1,6 @@
 package netstack
 
-import (
-	"sort"
-
-	"github.com/vanetlab/relroute/internal/digest"
-)
+import "github.com/vanetlab/relroute/internal/digest"
 
 // Ground-truth link auditing: the world watches true geometry to measure
 // how good the reliability plane's lifetime predictions are. When a node
@@ -59,9 +55,9 @@ func (w *World) EnableLinkAudit(horizon float64) {
 // samples whose link broke in truth (or aged past the horizon), then open
 // samples for table entries without one. The close pass stays serial (it
 // feeds float accumulation in the collector, which must stay node-ID
-// ordered); the open scan — membership filter, candidate sort, estimator
-// reads — shards per node, since it only reads frozen kinematics, the
-// idx map (written solely at the merge), and each node's own monitor.
+// ordered); the open scan — membership filter, estimator reads — shards
+// per node, since it only reads frozen kinematics, the idx map (written
+// solely at the merge), and each node's own monitor.
 // Per-shard sample lists concatenate in shard order, which is node-ID
 // order, so a.open grows in exactly the sequential sequence.
 func (w *World) auditStep(now float64) {
@@ -91,14 +87,13 @@ func (w *World) auditStep(now float64) {
 		sh.samples = sh.samples[:0]
 		lo, hi := pool.Range(len(actives), shard)
 		for _, n := range actives[lo:hi] {
-			// Filter first in map order (the filter is pure, so the order
-			// is unobservable), then sort only the usually-empty candidate
-			// set and run the estimator just for those — most steps form
-			// no new links, and the fast path touches no allocation or
-			// sort. Two observers never share a pairKey (the key leads
+			// The IDs come in ascending order from the table's layout, and
+			// the estimator runs only for the links that pass the filter:
+			// most steps form no new links, and that path allocates
+			// nothing. Two observers never share a pairKey (the key leads
 			// with n.id), so deferring idx writes to the merge cannot
 			// change any node's filter result within the step.
-			sh.cand = sh.cand[:0]
+			obs := w.observer(n)
 			sh.ids = n.mon.AppendIDs(sh.ids[:0])
 			for _, id := range sh.ids {
 				if a.idx[pairKey(n.id, id)] {
@@ -108,18 +103,7 @@ func (w *World) auditStep(now float64) {
 				if peer == nil || !peer.active || n.pos.Dist(peer.pos) > r {
 					continue // never open a sample on a link that is already down
 				}
-				sh.cand = append(sh.cand, id)
-			}
-			if len(sh.cand) == 0 {
-				continue
-			}
-			sort.Slice(sh.cand, func(i, j int) bool { return sh.cand[i] < sh.cand[j] })
-			obs := w.observer(n)
-			for _, id := range sh.cand {
-				st, ok := n.mon.State(id, obs)
-				if !ok {
-					continue
-				}
+				st, _ := n.mon.State(id, obs)
 				pred := st.Lifetime
 				if pred > a.horizon {
 					pred = a.horizon

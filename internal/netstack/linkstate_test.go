@@ -49,6 +49,26 @@ func TestLinkStateMatchesBeaconKinematics(t *testing.T) {
 	if _, ok := api.LinkState(99); ok {
 		t.Fatal("link state resolved for an unknown node")
 	}
+	// the Append reads hand the same entries to the caller's buffer — a
+	// stack array in the routers' per-packet loops, which must not escape —
+	// for no allocation; the plain reads stay fresh slices
+	nbuf, lbuf := api.AppendNeighbors(nil), api.AppendLinkStates(nil)
+	if !reflect.DeepEqual(nbuf, nbs) || !reflect.DeepEqual(lbuf, states) || api.NeighborCount() != len(nbs) {
+		t.Fatalf("Append reads differ: %+v / %+v, want %+v / %+v", nbuf, lbuf, nbs, states)
+	}
+	read := 0
+	allocs := testing.AllocsPerRun(50, func() {
+		var nb [4]Neighbor
+		var ls [4]LinkState
+		read += len(api.AppendNeighbors(nb[:0])) + len(api.AppendLinkStates(ls[:0]))
+	})
+	if allocs != 0 || read == 0 {
+		t.Fatalf("Append reads into stack arrays: %v allocs per run reading %d entries, want 0 and some", allocs, read)
+	}
+	nbs[0].ID, states[0].ID = 99, 99
+	if api.Neighbors()[0].ID == 99 || api.LinkStates()[0].ID == 99 {
+		t.Fatal("a returned slice aliases the table or a later read")
+	}
 }
 
 // TestSendFailureFeedsMonitor verifies the MAC ARQ failure upcall lands in

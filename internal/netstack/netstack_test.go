@@ -50,7 +50,7 @@ func (e *echoRouter) Originate(dst NodeID, size int) {
 	e.API.Send(dst, pkt)
 }
 
-func (e *echoRouter) OnBeacon(nb Neighbor)              { e.beacons = append(e.beacons, nb) }
+func (e *echoRouter) OnBeacon(nb *Neighbor)             { e.beacons = append(e.beacons, *nb) }
 func (e *echoRouter) OnNeighborExpired(id NodeID)       { e.expired = append(e.expired, id) }
 func (e *echoRouter) OnSendFailed(p *Packet, to NodeID) { e.failures = append(e.failures, to) }
 

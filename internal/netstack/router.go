@@ -25,8 +25,11 @@ type Router interface {
 	// queueing and discovery; undeliverable data is dropped by the
 	// router.
 	Originate(dst NodeID, size int)
-	// OnBeacon fires after the stack refreshed the neighbor entry.
-	OnBeacon(nb Neighbor)
+	// OnBeacon fires after the stack refreshed the neighbor entry. nb
+	// (observed fields only) points into the neighbor table and is valid
+	// only for the duration of the callback — the table's next change may
+	// reuse the entry: copy *nb to keep it.
+	OnBeacon(nb *Neighbor)
 	// OnNeighborExpired fires when a neighbor times out — the stack-level
 	// link-break signal routers use for RERR/repair logic.
 	OnNeighborExpired(id NodeID)
@@ -55,7 +58,7 @@ type Base struct {
 func (b *Base) Attach(api *API) { b.API = api }
 
 // OnBeacon is a no-op by default.
-func (b *Base) OnBeacon(Neighbor) {}
+func (b *Base) OnBeacon(*Neighbor) {}
 
 // OnNeighborExpired is a no-op by default.
 func (b *Base) OnNeighborExpired(NodeID) {}
@@ -87,9 +90,19 @@ func (a *API) Pos() geom.Vec2 { return a.node.pos }
 // Vel returns this node's current velocity.
 func (a *API) Vel() geom.Vec2 { return a.node.vel }
 
-// Neighbors returns a sorted snapshot of the live neighbor table (observed
-// fields only; use LinkStates for the reliability plane's predictions).
+// Neighbors returns a snapshot of the live neighbor table in ascending ID
+// order (from the table's layout), in a fresh slice the caller may keep
+// (observed fields only; use LinkStates for the reliability plane's
+// predictions).
 func (a *API) Neighbors() []Neighbor { return a.node.mon.Snapshot() }
+
+// AppendNeighbors appends what Neighbors returns to dst: the allocation-free
+// read for per-packet loops, into a buffer the caller owns (a stack array
+// of routing.NeighborBuf entries in the routers that use it).
+func (a *API) AppendNeighbors(dst []Neighbor) []Neighbor { return a.node.mon.AppendSnapshot(dst) }
+
+// NeighborCount returns the number of live neighbors.
+func (a *API) NeighborCount() int { return a.node.mon.Len() }
 
 // Neighbor looks up one neighbor entry (observed fields only).
 func (a *API) Neighbor(id NodeID) (Neighbor, bool) { return a.node.mon.Get(id) }
@@ -113,10 +126,17 @@ func (a *API) LinkState(id NodeID) (LinkState, bool) {
 	return a.node.mon.State(id, a.world.observer(a.node))
 }
 
-// LinkStates returns the estimate for every live neighbor, sorted by ID —
-// the same iteration order as Neighbors, with predictions filled.
+// LinkStates returns the estimate for every live neighbor in ascending ID
+// order (from the table's layout) — the same iteration order as Neighbors,
+// with predictions filled — in a fresh slice the caller may keep.
 func (a *API) LinkStates() []LinkState {
 	return a.node.mon.States(a.world.observer(a.node))
+}
+
+// AppendLinkStates appends what LinkStates returns to dst, allocation-free
+// like AppendNeighbors.
+func (a *API) AppendLinkStates(dst []LinkState) []LinkState {
+	return a.node.mon.AppendStates(dst, a.world.observer(a.node))
 }
 
 // Send transmits pkt on the link layer. to is a node ID or Broadcast. The

@@ -96,7 +96,7 @@ type node struct {
 	id      NodeID
 	kind    NodeKind
 	router  Router
-	mon     *linkstate.Monitor
+	mon     linkstate.Monitor
 	pos     geom.Vec2
 	vel     geom.Vec2
 	rngSeed int64              // drawn at addNode; see random
@@ -124,7 +124,6 @@ type stepShard struct {
 	expired  []expiredLinks // expiry phase: per-node expired neighbor sets
 	samples  []linkSample   // audit phase: new ground-truth samples
 	ids      []linkstate.NodeID
-	cand     []linkstate.NodeID
 }
 
 // stepOp is one staged observable mutation from the kinematics phase,
@@ -418,7 +417,7 @@ func (w *World) addNode(kind NodeKind, pos, vel geom.Vec2, r Router, vehID mobil
 	id := NodeID(len(w.nodes))
 	n := &node{
 		id: id, kind: kind, router: r,
-		mon: linkstate.NewMonitor(w.cfg.neighborTTL(), w.ch.MeanRange(), w.est),
+		mon: *linkstate.NewMonitor(w.cfg.neighborTTL(), w.ch.MeanRange(), w.est),
 		pos: pos, vel: vel,
 		rngSeed: w.eng.RandSeed(),
 		vehID:   vehID,
@@ -1118,8 +1117,7 @@ func (w *World) dispatch(to int32, f mac.Frame) {
 		}
 		d := n.pos.Dist(b.pos)
 		rssi := w.ch.RSSI(d, n.random())
-		nb := n.mon.Update(pkt.From, b.kind, b.pos, b.vel, rssi, w.eng.Now())
-		n.router.OnBeacon(*nb)
+		n.router.OnBeacon(n.mon.Update(pkt.From, b.kind, b.pos, b.vel, rssi, w.eng.Now()))
 		if w.faultBeaconHeard != nil {
 			// someone heard pkt.From beaconing — the fault plane closes
 			// its recovery-latency clock for that node, if one is open

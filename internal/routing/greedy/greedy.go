@@ -139,7 +139,10 @@ func (r *Router) bestNextHop(dstPos geom.Vec2) (netstack.NodeID, bool) {
 	var best netstack.NodeID
 	bestDist := myDist // must strictly improve
 	found := false
-	for _, nb := range r.API.Neighbors() {
+	var buf [routing.NeighborBuf]netstack.Neighbor
+	nbs := r.API.AppendNeighbors(buf[:0])
+	for i := range nbs {
+		nb := &nbs[i]
 		d := nb.Pos.Dist(dstPos)
 		if d >= bestDist {
 			continue
@@ -156,7 +159,8 @@ func (r *Router) bestNextHop(dstPos geom.Vec2) (netstack.NodeID, bool) {
 	threshold := bestDist + 0.1*(myDist-bestDist)
 	bestScore := -math.MaxFloat64
 	refined := best
-	for _, nb := range r.API.Neighbors() {
+	for i := range nbs {
+		nb := &nbs[i]
 		d := nb.Pos.Dist(dstPos)
 		if d >= threshold || d >= myDist {
 			continue

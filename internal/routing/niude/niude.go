@@ -127,7 +127,7 @@ func (r *Router) linkAvailability(ls netstack.LinkState) float64 {
 // input of the NiuDe model).
 func (r *Router) hopDelay() float64 {
 	const base = 2e-3 // airtime + processing
-	n := float64(len(r.API.Neighbors()))
+	n := float64(r.API.NeighborCount())
 	return base * (1 + n/8)
 }
 

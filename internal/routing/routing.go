@@ -15,6 +15,13 @@ import (
 // VANET diameters in the experiments stay well below it.
 const DefaultTTL = 32
 
+// NeighborBuf sizes the stack array a per-packet loop reads the neighbor
+// table into (var buf [NeighborBuf]netstack.Neighbor, then
+// API.AppendNeighbors(buf[:0])): 25 neighbors is a 50 veh/km highway, and a
+// denser table only costs that call a heap slice. A buffer kept in every
+// router instead measured +10 % peak RSS on a 1,500-vehicle city world.
+const NeighborBuf = 48
+
 // DupKey identifies a flooded packet instance: origin plus origin-local
 // sequence number.
 type DupKey struct {

@@ -142,7 +142,7 @@ func (u *UnitRouter) Attach(api *netstack.API) {
 
 // OnBeacon implements netstack.Router: every vehicle beacon an RSU hears
 // synchronizes the location registry.
-func (u *UnitRouter) OnBeacon(nb netstack.Neighbor) {
+func (u *UnitRouter) OnBeacon(nb *netstack.Neighbor) {
 	if nb.Kind == netstack.Vehicle || nb.Kind == netstack.BusNode {
 		u.backbone.noteVehicle(nb.ID, u.API.Self())
 	}
