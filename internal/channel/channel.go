@@ -110,39 +110,41 @@ func (u UnitDisk) RSSI(d float64, _ *rand.Rand) float64 {
 // distributed in dB around the log-distance path loss, and a frame is
 // decodable when it exceeds the receiver threshold.
 type Shadowing struct {
-	Receipt prob.ReceiptModel
-	// CutoffProb prunes the model's unbounded tail: distances whose
+	receipt prob.ReceiptModel
+	// cutoffProb prunes the model's unbounded tail: distances whose
 	// receipt probability falls below it are treated as out of range.
-	// Zero means 0.01.
-	CutoffProb float64
+	cutoffProb float64
 
-	maxRange float64 // cached
+	// both ranges are bisections of the receipt model, done once here:
+	// the model cannot change after NewShadowing
+	maxRange, meanRange float64
 }
 
-// NewShadowing returns a shadowing channel for the given receipt model.
+// NewShadowing returns a shadowing channel for the given receipt model,
+// with the tail cut off at a receipt probability of 0.01.
 func NewShadowing(m prob.ReceiptModel) *Shadowing {
-	s := &Shadowing{Receipt: m, CutoffProb: 0.01}
+	s := &Shadowing{receipt: m, cutoffProb: 0.01, meanRange: m.MedianRange()}
 	s.maxRange = s.computeMaxRange()
 	return s
 }
 
 var _ Model = (*Shadowing)(nil)
 
-func (s *Shadowing) cutoff() float64 {
-	if s.CutoffProb <= 0 {
-		return 0.01
-	}
-	return s.CutoffProb
-}
+// Receipt returns the receipt model the channel was built from.
+func (s *Shadowing) Receipt() prob.ReceiptModel { return s.receipt }
+
+// CutoffProb returns the receipt probability below which a distance
+// counts as out of range.
+func (s *Shadowing) CutoffProb() float64 { return s.cutoffProb }
 
 func (s *Shadowing) computeMaxRange() float64 {
 	lo, hi := 1.0, 20000.0
-	if s.Receipt.Prob(hi) > s.cutoff() {
+	if s.receipt.Prob(hi) > s.cutoffProb {
 		return hi
 	}
 	for i := 0; i < 60; i++ {
 		mid := 0.5 * (lo + hi)
-		if s.Receipt.Prob(mid) > s.cutoff() {
+		if s.receipt.Prob(mid) > s.cutoffProb {
 			lo = mid
 		} else {
 			hi = mid
@@ -155,7 +157,7 @@ func (s *Shadowing) computeMaxRange() float64 {
 func (s *Shadowing) MaxRange() float64 { return s.maxRange }
 
 // MeanRange implements Model.
-func (s *Shadowing) MeanRange() float64 { return s.Receipt.MedianRange() }
+func (s *Shadowing) MeanRange() float64 { return s.meanRange }
 
 // Decodable implements Model: Bernoulli draw with the distance-dependent
 // receipt probability. Defined as the composition of the Precomputed pair
@@ -172,7 +174,7 @@ var _ Precomputed = (*Shadowing)(nil)
 // leaves only a uniform draw per frame. (Comparing a Gaussian shadowing
 // sample against the threshold would be distribution-equivalent but would
 // consume different RNG draws than Decodable; see the interface contract.)
-func (s *Shadowing) PathLoss(d float64) float64 { return s.Receipt.Prob(d) }
+func (s *Shadowing) PathLoss(d float64) float64 { return s.receipt.Prob(d) }
 
 // DecodableAt implements Precomputed: the stochastic tail of Decodable,
 // draw for draw.
@@ -196,15 +198,15 @@ func (s *Shadowing) PathLossInto(dst, dists []float64) {
 	}
 	_ = dst[len(dists)-1] // one bounds check for the loop
 	for i, d := range dists {
-		dst[i] = s.Receipt.Prob(d)
+		dst[i] = s.receipt.Prob(d)
 	}
 }
 
 // RSSI implements Model: mean path-loss power plus a shadowing draw.
 func (s *Shadowing) RSSI(d float64, rng *rand.Rand) float64 {
-	mean := s.Receipt.MeanRxPower(d)
-	if s.Receipt.ShadowSigmaDB <= 0 || rng == nil {
+	mean := s.receipt.MeanRxPower(d)
+	if s.receipt.ShadowSigmaDB <= 0 || rng == nil {
 		return mean
 	}
-	return mean + s.Receipt.ShadowSigmaDB*rng.NormFloat64()
+	return mean + s.receipt.ShadowSigmaDB*rng.NormFloat64()
 }

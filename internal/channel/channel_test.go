@@ -39,8 +39,12 @@ func TestShadowingRanges(t *testing.T) {
 		t.Fatalf("max range %v should exceed median range %v", s.MaxRange(), s.MeanRange())
 	}
 	// beyond max range reception probability is below the cutoff
-	if p := s.Receipt.Prob(s.MaxRange() * 1.01); p > s.CutoffProb {
+	if p := s.Receipt().Prob(s.MaxRange() * 1.01); p > s.CutoffProb() {
 		t.Fatalf("prob beyond max range = %v", p)
+	}
+	// the range computed once at construction is the model's, to the bit
+	if got, want := s.MeanRange(), s.Receipt().MedianRange(); got != want {
+		t.Fatalf("MeanRange = %v, receipt model's median range %v", got, want)
 	}
 }
 
@@ -163,5 +167,16 @@ func TestBatchPathLossContract(t *testing.T) {
 			}
 			batch.PathLossInto(nil, nil) // empty batch is a no-op, not a panic
 		})
+	}
+}
+
+var benchRange float64
+
+// BenchmarkShadowingMeanRange is API.RangeEstimate on a shadowed world:
+// every analytic lifetime and stability evaluation reads it.
+func BenchmarkShadowingMeanRange(b *testing.B) {
+	var m Model = NewShadowing(prob.DefaultReceiptModel())
+	for i := 0; i < b.N; i++ {
+		benchRange += m.MeanRange()
 	}
 }

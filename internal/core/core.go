@@ -26,7 +26,6 @@ import (
 	"github.com/vanetlab/relroute/internal/link"
 	"github.com/vanetlab/relroute/internal/linkstate"
 	"github.com/vanetlab/relroute/internal/netstack"
-	"github.com/vanetlab/relroute/internal/prob"
 )
 
 // Metric selects the link-stability estimator used by the ticket router.
@@ -89,6 +88,14 @@ func (p StabilityParams) driftSigma() float64 {
 	return p.DriftSigma
 }
 
+// sigma is the relative-speed σ of the probability metric m.
+func (p StabilityParams) sigma(m Metric) float64 {
+	if m == MetricMeanDuration {
+		return p.driftSigma()
+	}
+	return p.speedSigma()
+}
+
 func (p StabilityParams) horizon() float64 {
 	if p.Horizon <= 0 {
 		return 300
@@ -111,28 +118,9 @@ func LinkStability(m Metric, params StabilityParams, aPos, aVel, bPos, bVel geom
 		}
 		return t
 	case MetricExpectedDuration, MetricMeanDuration:
-		axis := bPos.Sub(aPos)
-		gap := axis.Len()
-		if gap > r {
-			return 0
-		}
-		// Signed relative speed of a w.r.t. b along the axis a→b:
-		// positive means a closes on b.
-		rel := geom.Project(aVel.Sub(bVel), axis)
-		sigma := params.speedSigma()
-		if m == MetricMeanDuration {
-			sigma = params.driftSigma()
-		}
-		model := prob.LinkDurationModel{
-			// Duration() treats positive Δv as the sender pulling ahead;
-			// a closing on b means the gap shrinks, i.e. Δv < 0 with the
-			// convention of a signed gap +gap.
-			RelSpeed: prob.Normal{Mu: -rel, Sigma: sigma},
-			Gap:      gap,
-			Range:    r,
-			Horizon:  params.horizon(),
-		}
-		return model.Expected()
+		obs := linkstate.Observer{Pos: aPos, Vel: aVel}
+		nb := linkstate.LinkState{Pos: bPos, Vel: bVel}
+		return linkstate.ExpectedDuration(obs, nb, params.sigma(m), r, params.horizon())
 	default:
 		return 0
 	}
@@ -157,12 +145,8 @@ func linkStateStability(api *netstack.API, m Metric, params StabilityParams, ls 
 		}
 		return t
 	case MetricExpectedDuration, MetricMeanDuration:
-		sigma := params.speedSigma()
-		if m == MetricMeanDuration {
-			sigma = params.driftSigma()
-		}
 		obs := linkstate.Observer{Pos: api.Pos(), Vel: api.Vel(), Now: api.Now()}
-		return linkstate.ExpectedDuration(obs, ls, sigma, api.RangeEstimate(), params.horizon())
+		return linkstate.ExpectedDuration(obs, ls, params.sigma(m), api.RangeEstimate(), params.horizon())
 	default:
 		return 0
 	}

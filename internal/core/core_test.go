@@ -37,6 +37,19 @@ func TestLinkStabilityOutOfRange(t *testing.T) {
 	}
 }
 
+func TestLinkStabilityAllocFree(t *testing.T) {
+	for _, m := range []Metric{MetricExpectedDuration, MetricMeanDuration, MetricDeterministic} {
+		var sink float64
+		allocs := testing.AllocsPerRun(50, func() {
+			sink += LinkStability(m, StabilityParams{},
+				geom.V(0, 0), geom.V(30, 0), geom.V(120, 3), geom.V(25, 0), 250)
+		})
+		if allocs != 0 || sink <= 0 {
+			t.Errorf("%v: %v allocations per call (sum %v), want 0", m, allocs, sink)
+		}
+	}
+}
+
 func TestDeterministicMetricMatchesSolver(t *testing.T) {
 	params := StabilityParams{Horizon: 1e6}
 	aPos, aVel := geom.V(0, 0), geom.V(33, 0)

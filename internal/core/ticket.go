@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"github.com/vanetlab/relroute/internal/geom"
 	"github.com/vanetlab/relroute/internal/link"
 	"github.com/vanetlab/relroute/internal/netstack"
 	"github.com/vanetlab/relroute/internal/routing"
@@ -77,6 +78,27 @@ type TicketRouter struct {
 	paths map[netstack.NodeID]*activePath
 	// destination-side probe collection
 	collect map[routing.DupKey]*probeSet
+
+	// memo holds what the probability metrics returned while this node was
+	// at memoPos moving at memoVel, one entry per neighbor scored; it grows
+	// on the first probe a router scores for and is emptied, not freed,
+	// when the node moves. A cache only: no Summary, digest or checkpoint
+	// sees it.
+	memo             []stabilityMemo
+	memoPos, memoVel geom.Vec2
+}
+
+// stabilityMemo is one remembered link stability. A neighbor's beaconed
+// position and velocity — with this node's own, all a probability metric
+// reads — change only with a beacon, and every beacon advances Beacons and
+// LastSeen (a link forgotten and heard again restarts Beacons, at a later
+// LastSeen), so the three key fields stand for them in 24 bytes instead
+// of 40.
+type stabilityMemo struct {
+	id       netstack.NodeID
+	beacons  int32
+	lastSeen float64
+	val      float64
 }
 
 type activePath struct {
@@ -246,12 +268,39 @@ type candidate struct {
 }
 
 // stability evaluates one reliability-plane link state with the
-// configured metric or scorer.
+// configured metric or scorer. The probability metrics are 400-panel
+// integrals and probes arrive in bursts, so their results are remembered
+// for as long as both ends of the link stay as they are (see
+// stabilityMemo); a scorer may read anything, and the deterministic metric
+// is a field of ls, so neither goes through the memo.
 func (r *TicketRouter) stability(ls netstack.LinkState) float64 {
 	if r.scorer != nil {
 		return r.scorer(r.API, ls)
 	}
-	return linkStateStability(r.API, r.metric, r.params, ls)
+	if r.metric == MetricDeterministic {
+		return linkStateStability(r.API, r.metric, r.params, ls)
+	}
+	if pos, vel := r.API.Pos(), r.API.Vel(); pos != r.memoPos || vel != r.memoVel {
+		r.memo, r.memoPos, r.memoVel = r.memo[:0], pos, vel
+	}
+	var m *stabilityMemo
+	for i := range r.memo {
+		if r.memo[i].id == ls.ID {
+			m = &r.memo[i]
+			break
+		}
+	}
+	beacons := int32(ls.Beacons)
+	if m != nil && m.beacons == beacons && m.lastSeen == ls.LastSeen {
+		return m.val
+	}
+	e := stabilityMemo{ls.ID, beacons, ls.LastSeen, linkStateStability(r.API, r.metric, r.params, ls)}
+	if m != nil {
+		*m = e
+	} else {
+		r.memo = append(r.memo, e)
+	}
+	return e.val
 }
 
 // candidates ranks admissible next hops for a probe: live neighbors not on

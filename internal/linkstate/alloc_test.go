@@ -146,3 +146,18 @@ func TestOrderedReadAllocs(t *testing.T) {
 		t.Errorf("States allocated %v times per run, want 1 (the returned slice)", allocs)
 	}
 }
+
+// The Sec. VII integrals run per candidate per probe: the relative-speed
+// distribution is a concrete prob.Normal, so nothing is boxed.
+func TestDurationIntegralsAllocFree(t *testing.T) {
+	var sink float64
+	if allocs := testing.AllocsPerRun(50, func() { sink += ExpectedDuration(benchObs, benchLink, 5, 250, 300) }); allocs != 0 {
+		t.Errorf("ExpectedDuration allocated %v times per run, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { sink += Survival(benchObs, benchLink, 4, 250, 600, 10) }); allocs != 0 {
+		t.Errorf("Survival allocated %v times per run, want 0", allocs)
+	}
+	if sink <= 0 {
+		t.Fatalf("integrals summed to %v", sink)
+	}
+}

@@ -77,3 +77,29 @@ func BenchmarkMonitorSnapshot(b *testing.B) {
 		benchSink += len(mons[i%benchMonitors].Snapshot())
 	}
 }
+
+// benchLink is one link of a TBP-SS decision: a neighbour 120 m ahead,
+// closing at 5 m/s, scored with the mean-duration σ over the DSRC range.
+var (
+	benchObs  = Observer{Pos: geom.V(0, 0), Vel: geom.V(30, 0)}
+	benchLink = LinkState{Pos: geom.V(120, 3), Vel: geom.V(25, 0)}
+	benchF64  float64
+)
+
+// BenchmarkExpectedDuration is one Sec. VII stability integral: the window
+// of the relative-speed normal plus a 400-panel Simpson sum.
+func BenchmarkExpectedDuration(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchF64 += ExpectedDuration(benchObs, benchLink, 5, 250, 300)
+	}
+}
+
+// BenchmarkSurvival is the NiuDe-style availability integral over the same
+// window.
+func BenchmarkSurvival(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchF64 += Survival(benchObs, benchLink, 4, 250, 600, 10)
+	}
+}

@@ -24,7 +24,7 @@ import (
 // T over it numerically.
 type LinkDurationModel struct {
 	// RelSpeed is the distribution of the relative speed Δv in m/s.
-	RelSpeed Dist
+	RelSpeed Normal
 	// Gap is the current signed axis distance d₀ in meters.
 	Gap float64
 	// Range is the communication range r in meters.
@@ -108,13 +108,14 @@ func (m LinkDurationModel) SampleDuration(rng *rand.Rand) float64 {
 }
 
 // integrate computes E[f(Δv)] over the relative-speed density with a
-// composite Simpson rule over ±8σ-ish support. For distributions without a
-// finite PDF support hint the integration window is found by scanning the
-// CDF.
+// composite Simpson rule between its 1e-6 tail quantiles, μ ± 4.75σ. A
+// relative speed without spread (σ ≤ 0) is a point mass at its mean.
 func (m LinkDurationModel) integrate(f func(dv float64) float64) float64 {
 	d := m.RelSpeed
-	lo := quantileBisect(d, 1e-6, -1e4, 1e4)
-	hi := quantileBisect(d, 1-1e-6, -1e4, 1e4)
+	if !(d.Sigma > 0) {
+		return f(d.Mean())
+	}
+	lo, hi := d.tailWindow()
 	if hi <= lo {
 		return f(d.Mean())
 	}

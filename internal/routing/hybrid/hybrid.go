@@ -49,10 +49,11 @@ func (c Config) withDefaults() Config {
 // tests.
 func Score(api *netstack.API, cfg Config, nb netstack.Neighbor) float64 {
 	cfg = cfg.withDefaults()
+	r := api.RangeEstimate()
 	prob := core.LinkStability(core.MetricMeanDuration, cfg.Params,
-		api.Pos(), api.Vel(), nb.Pos, nb.Vel, api.RangeEstimate())
+		api.Pos(), api.Vel(), nb.Pos, nb.Vel, r)
 	det := core.LinkStability(core.MetricDeterministic, cfg.Params,
-		api.Pos(), api.Vel(), nb.Pos, nb.Vel, api.RangeEstimate())
+		api.Pos(), api.Vel(), nb.Pos, nb.Vel, r)
 	score := cfg.Blend*prob + (1-cfg.Blend)*det
 	if link.Classify(api.Pos(), api.Vel(), nb.Pos, nb.Vel) == link.OppositeDirection {
 		score = math.Min(score, det)

@@ -78,6 +78,13 @@ func topologyFor(k Kind) Topology {
 // Seed+7) is frozen — reordering it would silently change every golden
 // experiment output.
 func BuildSpec(protocol string, spec Spec, opts Options) (*Scenario, error) {
+	return buildSpec(protocol, spec, opts, nil)
+}
+
+// buildSpec is BuildSpec with, when vehicles is not nil, that factory in
+// place of the named protocol's vehicle routers: tests run a protocol
+// against a variant of itself in the very same world.
+func buildSpec(protocol string, spec Spec, opts Options, vehicles netstack.RouterFactory) (*Scenario, error) {
 	opts.setDefaults()
 	if !linkstate.Known(opts.Estimator) {
 		return nil, fmt.Errorf("scenario: unknown link estimator %q (known: %v)", opts.Estimator, linkstate.Names())
@@ -137,6 +144,9 @@ func BuildSpec(protocol string, spec Spec, opts Options) (*Scenario, error) {
 	factory, static, err := sc.protocolFactory(protocol)
 	if err != nil {
 		return nil, err
+	}
+	if vehicles != nil {
+		factory = vehicles
 	}
 	sc.factory = factory
 	sc.Vehicles = world.AddVehicleNodes(factory)

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/vanetlab/relroute/internal/channel"
 	"github.com/vanetlab/relroute/internal/metrics"
 )
 
@@ -133,6 +134,15 @@ func TestShadowingChannelOption(t *testing.T) {
 	}
 	if _, err := sc.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestShadowingMeanRangeIsTheCalibratedMedian(t *testing.T) {
+	for _, r := range []float64{100, 250, 500} {
+		m := channelReceiptFor(r)
+		if got, want := channel.NewShadowing(m).MeanRange(), m.MedianRange(); got != want {
+			t.Errorf("range %v: MeanRange = %v, MedianRange = %v", r, got, want)
+		}
 	}
 }
 
