@@ -1,0 +1,81 @@
+package scenario
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+var updateProtocolGolden = flag.Bool("update-protocol-golden", false,
+	"rewrite testdata/golden_protocols.txt (only for an INTENTIONAL behaviour change)")
+
+// TestProtocolGolden pins every runnable protocol, not only the ones an
+// experiment table happens to print: one line per protocol and seed —
+// world digest plus the packet-conservation counters — on the default
+// 60-vehicle highway for 20 simulated seconds. The sharded engine must
+// reproduce the same line, so Shards is not part of it. A refactor of
+// router scaffolding must leave testdata/golden_protocols.txt untouched.
+// Not skipped in -short: 80 runs take 2 s (13 s under -race), and they are
+// the only place every router meets the race detector at Shards=4.
+func TestProtocolGolden(t *testing.T) {
+	path := filepath.Join("testdata", "golden_protocols.txt")
+	want := map[string]string{}
+	if !*updateProtocolGolden {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing golden file (run with -update-protocol-golden to create): %v", err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+			f := strings.Fields(line)
+			want[f[0]+" "+f[1]] = line
+		}
+	}
+	var out strings.Builder
+	for _, proto := range Protocols() {
+		for _, seed := range []int64{1, 2} {
+			var serial string
+			for _, shards := range []int{1, 4} {
+				opts := Options{Seed: seed, Duration: 20, Shards: shards}
+				switch proto {
+				case "Bus":
+					opts.Buses = 3
+				case "DRR":
+					opts.RSUs = 2
+				}
+				sc, err := Build(proto, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum, err := sc.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				line := fmt.Sprintf("%s %d %#016x %d %d %d %d", proto, seed, sc.World.Digest(),
+					sum.DataSent, sum.DataDelivered, sc.World.Collector().DataDropped, sum.ControlTotal)
+				if shards == 1 {
+					serial = line
+					out.WriteString(line + "\n")
+				} else if line != serial {
+					t.Errorf("Shards=%d diverged from serial:\n got %s\nwant %s", shards, line, serial)
+				}
+				if *updateProtocolGolden {
+					continue
+				}
+				if w := want[fmt.Sprintf("%s %d", proto, seed)]; line != w {
+					t.Errorf("Shards=%d diverged from the golden capture:\n got %s\nwant %s", shards, line, w)
+				}
+			}
+		}
+	}
+	if *updateProtocolGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
