@@ -61,7 +61,7 @@ func WithScorer(f func(api *netstack.API, nb netstack.Neighbor) float64) TicketO
 // ticket probing on a link-stability metric, source-routed data, and
 // stability-driven preemptive maintenance.
 type TicketRouter struct {
-	netstack.Base
+	routing.Discovery
 	tickets       int
 	metric        Metric
 	threshold     float64
@@ -70,14 +70,10 @@ type TicketRouter struct {
 	rebuildMargin float64
 	scorer        func(api *netstack.API, nb netstack.Neighbor) float64
 
-	reqID   uint64
-	dup     *routing.DupCache
-	pending *routing.PendingQueue
-	trying  map[netstack.NodeID]int
 	// source-side active paths: dst → source route + predicted stability
 	paths map[netstack.NodeID]*activePath
-	// destination-side probe collection
-	collect map[routing.DupKey]*probeSet
+	// destination-side probe collection: the most stable path wins
+	sel routing.Selection[bestPath]
 
 	// memo holds what the probability metrics returned while this node was
 	// at memoPos moving at memoVel, one entry per neighbor scored; it grows
@@ -107,10 +103,9 @@ type activePath struct {
 	built     float64
 }
 
-type probeSet struct {
-	bestStability float64
-	bestPath      []netstack.NodeID
-	armed         bool
+type bestPath struct {
+	hops      []netstack.NodeID // origin ... target inclusive
+	stability float64
 }
 
 // probe is the ticket-carrying control payload.
@@ -146,15 +141,13 @@ func NewTicketRouter(opts ...TicketOption) netstack.RouterFactory {
 			threshold:     3,
 			window:        0.3,
 			rebuildMargin: 1,
-			dup:           routing.NewDupCache(15),
-			pending:       routing.NewPendingQueue(16, 10),
-			trying:        make(map[netstack.NodeID]int),
 			paths:         make(map[netstack.NodeID]*activePath),
-			collect:       make(map[routing.DupKey]*probeSet),
 		}
 		for _, o := range opts {
 			o(r)
 		}
+		r.Init(r.Name(), 1.0, r.routed, r.forward, r.sendProbes)
+		r.sel = routing.NewSelection(r.window, r.answer)
 		return r
 	}
 }
@@ -167,52 +160,27 @@ func (r *TicketRouter) Name() string {
 	return "TBP-SS"
 }
 
-// Originate implements netstack.Router.
-func (r *TicketRouter) Originate(dst netstack.NodeID, size int) {
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindData, Data: true, Proto: r.Name(),
-		Src: r.API.Self(), Dst: dst, TTL: routing.DefaultTTL, Size: size,
-		Created: r.API.Now(),
-	}
-	if dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	if ap, ok := r.paths[dst]; ok && len(ap.hops) >= 2 {
-		r.sendAlong(pkt, ap.hops)
-		return
-	}
-	if ev := r.pending.Push(dst, pkt); ev != nil {
-		r.API.Drop(ev)
-	}
-	r.startProbing(dst)
+func (r *TicketRouter) routed(dst netstack.NodeID) bool {
+	ap, ok := r.paths[dst]
+	return ok && len(ap.hops) >= 2
 }
 
-func (r *TicketRouter) sendAlong(pkt *netstack.Packet, path []netstack.NodeID) {
+// forward stamps the active source route on a data packet and sends it.
+func (r *TicketRouter) forward(pkt *netstack.Packet) {
+	path := r.paths[pkt.Dst].hops
 	pkt.Payload = srcHeader{Path: append([]netstack.NodeID(nil), path...), Next: 1}
 	pkt.Size += 4 * len(path)
 	r.API.Send(path[1], pkt)
-}
-
-func (r *TicketRouter) startProbing(dst netstack.NodeID) {
-	if _, inFlight := r.trying[dst]; inFlight {
-		return
-	}
-	r.trying[dst] = 2
-	r.sendProbes(dst)
 }
 
 // sendProbes performs the source's ticket split: rank neighbors by link
 // stability (filtered by the threshold and, when the destination position
 // is known, by forward progress), then distribute the L tickets over the
 // best candidates.
-func (r *TicketRouter) sendProbes(dst netstack.NodeID) {
-	r.API.Metrics().RouteDiscoveries++
-	r.reqID++
+func (r *TicketRouter) sendProbes(dst netstack.NodeID, reqID uint64) bool {
 	cands := r.candidates(dst, []netstack.NodeID{r.API.Self()})
 	if len(cands) == 0 {
-		r.probesFailed(dst)
-		return
+		return false
 	}
 	split := splitTickets(r.tickets, len(cands))
 	for i, c := range cands {
@@ -220,45 +188,14 @@ func (r *TicketRouter) sendProbes(dst netstack.NodeID) {
 			continue
 		}
 		pl := probe{
-			Origin: r.API.Self(), ReqID: r.reqID, Target: dst,
+			Origin: r.API.Self(), ReqID: reqID, Target: dst,
 			Tickets:   split[i],
 			Path:      []netstack.NodeID{r.API.Self()},
 			Stability: c.stability,
 		}
-		pkt := &netstack.Packet{
-			UID: r.API.NewUID(), Kind: netstack.KindProbe, Proto: r.Name(),
-			Src: r.API.Self(), Dst: dst, TTL: routing.DefaultTTL,
-			Size: 48 + 4*len(pl.Path), Created: r.API.Now(), Payload: pl,
-		}
-		r.API.Send(c.id, pkt)
+		r.API.Send(c.id, r.Control(netstack.KindProbe, dst, 48+4*len(pl.Path), pl))
 	}
-	dstCopy := dst
-	r.API.After(1.0, func() { r.probeDeadline(dstCopy) })
-}
-
-func (r *TicketRouter) probeDeadline(dst netstack.NodeID) {
-	retries, inFlight := r.trying[dst]
-	if !inFlight {
-		return
-	}
-	if _, ok := r.paths[dst]; ok {
-		delete(r.trying, dst)
-		return
-	}
-	if retries <= 0 {
-		r.probesFailed(dst)
-		return
-	}
-	r.trying[dst] = retries - 1
-	r.sendProbes(dst)
-}
-
-func (r *TicketRouter) probesFailed(dst netstack.NodeID) {
-	delete(r.trying, dst)
-	fresh, expired := r.pending.PopAll(dst, r.API.Now())
-	for _, p := range append(fresh, expired...) {
-		r.API.Drop(p)
-	}
+	return true
 }
 
 type candidate struct {
@@ -401,21 +338,8 @@ func (r *TicketRouter) handleProbe(pkt *netstack.Packet) {
 	}
 	path := append(append([]netstack.NodeID(nil), pr.Path...), r.API.Self())
 	if pr.Target == r.API.Self() {
-		key := routing.DupKey{Origin: pr.Origin, Seq: pr.ReqID}
-		set, okSet := r.collect[key]
-		if !okSet {
-			set = &probeSet{bestStability: -1}
-			r.collect[key] = set
-		}
-		if inStab > set.bestStability {
-			set.bestStability = inStab
-			set.bestPath = path
-		}
-		if !set.armed {
-			set.armed = true
-			origin := pr.Origin
-			r.API.After(r.window, func() { r.answer(key, origin) })
-		}
+		r.sel.Offer(r.API, routing.DupKey{Origin: pr.Origin, Seq: pr.ReqID}, inStab,
+			bestPath{hops: path, stability: inStab})
 		return
 	}
 	pkt.TTL--
@@ -451,23 +375,13 @@ func (r *TicketRouter) handleProbe(pkt *netstack.Packet) {
 }
 
 // answer returns the best probed path to the origin.
-func (r *TicketRouter) answer(key routing.DupKey, origin netstack.NodeID) {
-	set, ok := r.collect[key]
-	if !ok || set.bestStability < 0 {
-		return
-	}
-	delete(r.collect, key)
-	path := set.bestPath
+func (r *TicketRouter) answer(origin netstack.NodeID, best bestPath) {
+	path := best.hops
 	if len(path) < 2 {
 		return
 	}
-	rep := reply{Origin: origin, Target: r.API.Self(), Path: path, Stability: set.bestStability}
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindRREP, Proto: r.Name(),
-		Src: r.API.Self(), Dst: origin, TTL: routing.DefaultTTL,
-		Size: 32 + 4*len(path), Created: r.API.Now(), Payload: rep,
-	}
-	r.API.Send(path[len(path)-2], pkt)
+	r.API.Send(path[len(path)-2], r.Control(netstack.KindRREP, origin, 32+4*len(path),
+		reply{Origin: origin, Target: r.API.Self(), Path: path, Stability: best.stability}))
 }
 
 func (r *TicketRouter) handleReply(pkt *netstack.Packet) {
@@ -486,21 +400,20 @@ func (r *TicketRouter) handleReply(pkt *netstack.Packet) {
 			hops: append([]netstack.NodeID(nil), rep.Path...), stability: stab,
 			built: r.API.Now(),
 		}
-		delete(r.trying, rep.Target)
-		r.API.Metrics().OnPathLifetime(capStability(stab))
-		r.flushPending(rep.Target)
+		r.API.Metrics().OnPathLifetime(routing.CapLife(stab))
+		r.Answered(rep.Target)
 		// stability-driven preemptive rebuild
 		if stab != link.Forever {
-			lead := capStability(stab) - r.rebuildMargin
+			lead := routing.CapLife(stab) - r.rebuildMargin
 			if lead < 0.1 {
 				lead = 0.1
 			}
 			target := rep.Target
 			r.API.After(lead, func() {
-				if _, okP := r.paths[target]; okP || r.pending.Waiting(target) {
+				if _, okP := r.paths[target]; okP || r.Waiting(target) {
 					delete(r.paths, target)
 					r.API.Metrics().RouteRepairs++
-					r.startProbing(target)
+					r.Start(target)
 				}
 			})
 		}
@@ -530,7 +443,7 @@ func (r *TicketRouter) handleBreak(pkt *netstack.Packet) {
 	if _, okP := r.paths[bn.Target]; okP {
 		delete(r.paths, bn.Target)
 		r.API.Metrics().RouteBreaks++
-		r.startProbing(bn.Target)
+		r.Start(bn.Target)
 	}
 }
 
@@ -576,13 +489,8 @@ func (r *TicketRouter) reportBreak(path []netstack.NodeID, selfIdx int) {
 	}
 	origin := path[0]
 	target := path[len(path)-1]
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindRERR, Proto: r.Name(),
-		Src: r.API.Self(), Dst: origin, TTL: routing.DefaultTTL, Size: 24,
-		Created: r.API.Now(),
-		Payload: breakNotice{Origin: origin, Target: target},
-	}
-	r.API.Send(path[selfIdx-1], pkt)
+	r.API.Send(path[selfIdx-1], r.Control(netstack.KindRERR, origin, 24,
+		breakNotice{Origin: origin, Target: target}))
 }
 
 // OnSendFailed implements netstack.Router: a probed path broke under data
@@ -602,10 +510,7 @@ func (r *TicketRouter) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
 			r.API.Metrics().RouteBreaks++
 		}
 		pkt.Payload = nil
-		if ev := r.pending.Push(target, pkt); ev != nil {
-			r.API.Drop(ev)
-		}
-		r.startProbing(target)
+		r.Queue(pkt)
 		return
 	}
 	r.API.Metrics().RouteBreaks++
@@ -620,27 +525,10 @@ func (r *TicketRouter) OnNeighborExpired(id netstack.NodeID) {
 		if len(ap.hops) >= 2 && ap.hops[1] == id {
 			delete(r.paths, dst)
 			r.API.Metrics().RouteBreaks++
-			if r.pending.Waiting(dst) {
-				r.startProbing(dst)
+			if r.Waiting(dst) {
+				r.Start(dst)
 			}
 		}
-	}
-}
-
-func (r *TicketRouter) flushPending(dst netstack.NodeID) {
-	fresh, expired := r.pending.PopAll(dst, r.API.Now())
-	for _, p := range expired {
-		r.API.Drop(p)
-	}
-	ap, ok := r.paths[dst]
-	if !ok {
-		for _, p := range fresh {
-			r.API.Drop(p)
-		}
-		return
-	}
-	for _, p := range fresh {
-		r.sendAlong(p, ap.hops)
 	}
 }
 
@@ -651,14 +539,6 @@ func (r *TicketRouter) ActivePath(dst netstack.NodeID) ([]netstack.NodeID, float
 		return nil, 0, false
 	}
 	return append([]netstack.NodeID(nil), ap.hops...), ap.stability, true
-}
-
-func capStability(s float64) float64 {
-	const maxHold = 120
-	if s > maxHold {
-		return maxHold
-	}
-	return s
 }
 
 func onPath(path []netstack.NodeID, id netstack.NodeID) bool {

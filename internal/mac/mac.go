@@ -31,14 +31,10 @@
 // arrival times, since the query always runs at e = now. See transmit and
 // finishTx for the exact equivalence argument.
 //
-// Reception work is split into a serial RNG lane and a fan-out stage:
-// every stochastic draw (channel decodability, fault-plane loss) happens
-// serially in candidate order — the draw-order contract pinned by
-// TestRNGDrawOrderContract — and only then does the draw-free per-receiver
-// bookkeeping (carrier sense, collision marking) fan out across the
-// intra-run worker pool; each candidate receiver appears exactly once per
-// frame, so shards touch disjoint node states and the result is
-// byte-identical at every shard count.
+// Every stochastic draw of a reception (channel decodability, fault-plane
+// loss) happens in candidate order — the draw-order contract pinned by
+// TestRNGDrawOrderContract. The MAC runs on the event path only: a world
+// with Shards > 1 shards its per-tick phases, never a frame.
 package mac
 
 import (
@@ -46,7 +42,6 @@ import (
 
 	"github.com/vanetlab/relroute/internal/digest"
 	"github.com/vanetlab/relroute/internal/metrics"
-	"github.com/vanetlab/relroute/internal/par"
 	"github.com/vanetlab/relroute/internal/radio"
 	"github.com/vanetlab/relroute/internal/sim"
 )
@@ -224,10 +219,6 @@ type Layer struct {
 	fail    func(from int32, f Frame)
 	done    func(f Frame)
 	nodes   []*nodeState // dense, keyed by node id
-	// pool fans the draw-free per-receiver reception bookkeeping of large
-	// frames across shards (see transmit). par.Seq by default; the network
-	// stack installs its intra-run pool for the duration of a run.
-	pool *par.Pool
 	// linkFault, when set, returns an extra loss probability the fault
 	// plane imposes on the (from, to) link right now: 0 is a clean link,
 	// ≥1 severs it outright, anything between draws one extra uniform.
@@ -245,20 +236,7 @@ func NewLayer(eng *sim.Engine, rc *radio.Cache, cfg Config, col *metrics.Collect
 	return &Layer{
 		eng: eng, radio: rc, cfg: cfg,
 		rng: eng.Rand(), col: col, deliver: deliver, fail: fail,
-		pool: par.Seq,
 	}
-}
-
-// SetPool installs the worker pool the reception fan-out stage runs on,
-// or par.Seq (the default) to keep everything inline. The sharded stage
-// is draw-free and touches each receiver exactly once per frame, so the
-// simulation is byte-identical at every pool size; callers that close
-// their pool must reset the layer to par.Seq first.
-func (l *Layer) SetPool(p *par.Pool) {
-	if p == nil {
-		p = par.Seq
-	}
-	l.pool = p
 }
 
 // SetLinkFault installs the fault plane's per-link loss hook. The RNG
@@ -385,11 +363,6 @@ func (l *Layer) mediumBusy(st *nodeState) bool {
 	return st.txUntil > now || st.maxEnd > now
 }
 
-// fanMin is the candidate count below which the reception fan-out stays
-// inline: the per-receiver bookkeeping is a handful of stores, so small
-// neighborhoods never amortize a pool barrier.
-const fanMin = 32
-
 // transmit puts the frame on the air: for every candidate receiver in the
 // sender's cached neighborhood the frame becomes an in-flight reception
 // record; when the airtime ends, one event at the sender resolves them
@@ -400,18 +373,14 @@ const fanMin = 32
 // the current mobility epoch, so no grid scan, position lookup, or
 // path-loss math runs here.
 //
-// The walk is split into the serial RNG lane and the fan-out stage. The
-// lane makes every stochastic draw — channel decodability, then the
-// optional fault-plane loss — in neighborhood order, identical to the
-// order the uncached grid scan produced, which keeps every RNG stream
-// byte-identical; it also pre-creates receiver states, so the fan-out
-// never mutates the dense node table. The fan-out then updates each
-// receiver's arrival history: collAtArr is whether anything was still on
-// the air when this frame arrived (maxEnd beyond now, recorded before
-// folding in our own end), and the (t1,c1)/(t0,c0) pair shifts exactly
-// when a new distinct arrival instant appears. Each receiver appears once
-// per frame, so shards write disjoint states and the values are
-// independent of the shard layout.
+// Every stochastic draw — channel decodability, then the optional
+// fault-plane loss — is made in neighborhood order, identical to the order
+// the uncached grid scan produced, which keeps every RNG stream
+// byte-identical. Each receiver's arrival history is updated as its record
+// is written: collAtArr is whether anything was still on the air when this
+// frame arrived (maxEnd beyond now, recorded before folding in our own
+// end), and the (t1,c1)/(t0,c0) pair shifts exactly when a new distinct
+// arrival instant appears.
 func (l *Layer) transmit(from int32, st *nodeState, f Frame) {
 	now := l.eng.Now()
 	airtime := float64(f.Size*8) / l.cfg.bitRate()
@@ -445,34 +414,20 @@ func (l *Layer) transmit(from int32, st *nodeState, f Frame) {
 				}
 			}
 		}
-		recs[i] = txRec{rx: lk.To, decoded: decoded}
 		if f.To == lk.To {
 			st.txUnicastIdx = i
 		}
-		l.state(lk.To) // ensure receiver state before the draw-free fan
-	}
-	mark := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			rx := l.nodes[recs[i].rx]
-			recs[i].collAtArr = rx.maxEnd > now
-			if rx.maxEnd < end {
-				rx.maxEnd = end
-			}
-			if rx.t1 == now {
-				rx.c1++
-			} else {
-				rx.t0, rx.c0 = rx.t1, rx.c1
-				rx.t1, rx.c1 = now, 1
-			}
+		rx := l.state(lk.To)
+		recs[i] = txRec{rx: lk.To, decoded: decoded, collAtArr: rx.maxEnd > now}
+		if rx.maxEnd < end {
+			rx.maxEnd = end
 		}
-	}
-	if pool := l.pool; len(recs) >= fanMin {
-		pool.Run(func(shard int) {
-			lo, hi := pool.Range(len(recs), shard)
-			mark(lo, hi)
-		})
-	} else {
-		mark(0, len(recs))
+		if rx.t1 == now {
+			rx.c1++
+		} else {
+			rx.t0, rx.c0 = rx.t1, rx.c1
+			rx.t1, rx.c1 = now, 1
+		}
 	}
 	// One event resolves the whole frame: all its receptions end at the
 	// same instant, and the engine fires same-time events in scheduling
@@ -498,9 +453,7 @@ func (l *Layer) transmit(from int32, st *nodeState, f Frame) {
 // histories only change at transmit events and none can run mid-resolve
 // (Send only arms timers), so the verdicts are fixed before the first
 // upcall; computing them up front and then delivering in creation order
-// reproduces the interleaved resolve loop exactly. The serial merge
-// below keeps counters and upcalls in that deterministic order whatever
-// the fan-out's shard layout did.
+// reproduces the interleaved resolve loop exactly.
 func (l *Layer) finishTx(from int32) {
 	st := l.state(from)
 	f := st.txFrame
@@ -557,9 +510,8 @@ func (l *Layer) finishTx(from int32) {
 // process-local pointers re-derived on restore), backoff/ARQ counters,
 // the carrier-sense arrival history, and the in-flight frame's reception
 // records in candidate order. The MAC runs entirely on the
-// single-threaded event path and the fan-out stage writes shard-
-// independent values, so all of this is a deterministic function of the
-// event history at any shard count.
+// single-threaded event path, so all of this is a deterministic function
+// of the event history at any shard count.
 func (l *Layer) DigestInto(d *digest.Writer) {
 	digestFrame := func(f *Frame) {
 		d.U32(uint32(f.From))

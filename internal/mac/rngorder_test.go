@@ -38,10 +38,10 @@ import (
 //	  (incl. unicast ARQ retry)
 //
 // The serial RNG lane rule follows from this table: all transmit-side
-// draws happen serially in candidate order before any fanned-out
-// reception bookkeeping, so the stream is byte-identical at every shard
-// count. The same order must hold for every frame kind — broadcast and
-// unicast differ only in the ARQ tail, never in the per-receiver lane.
+// draws happen on the event path in candidate order, so the stream is
+// byte-identical at every shard count. The same order must hold for every
+// frame kind — broadcast and unicast differ only in the ARQ tail, never
+// in the per-receiver lane.
 func TestRNGDrawOrderContract(t *testing.T) {
 	eng := sim.NewEngine(7)
 	grid := spatial.NewGrid(250)

@@ -597,7 +597,6 @@ func (w *World) StartRun() {
 	if s := w.cfg.shards(); s > 1 {
 		w.pool = par.New(s)
 		w.poolOwned = true
-		w.mac.SetPool(w.pool)
 		w.shards = make([]stepShard, s)
 		if needBeacons {
 			// prewarm the per-node RNG streams across the shards: seeds
@@ -650,7 +649,6 @@ func (w *World) CompleteRun() { w.finishAudit() }
 // whether or not the run completed.
 func (w *World) EndRun() {
 	if w.poolOwned {
-		w.mac.SetPool(par.Seq)
 		w.pool.Close()
 		w.pool = par.Seq
 		w.poolOwned = false

@@ -19,12 +19,7 @@ import (
 
 // Router is a per-node Abedi instance.
 type Router struct {
-	netstack.Base
-	table   *routing.Table
-	pending *routing.PendingQueue
-	dup     *routing.DupCache
-	reqID   uint64
-	trying  map[netstack.NodeID]int
+	routing.OnDemand
 	// MaxDelay scales the rank-based rebroadcast delay (default 0.12 s).
 	MaxDelay float64
 }
@@ -47,82 +42,18 @@ type rrep struct {
 // New returns an Abedi router factory.
 func New() netstack.RouterFactory {
 	return func() netstack.Router {
-		return &Router{
-			table:    routing.NewTable(),
-			pending:  routing.NewPendingQueue(16, 10),
-			dup:      routing.NewDupCache(15),
-			trying:   make(map[netstack.NodeID]int),
-			MaxDelay: 0.12,
-		}
+		r := &Router{MaxDelay: 0.12}
+		r.Init(r.Name(), 1.0, r.request)
+		return r
 	}
 }
 
 // Name implements netstack.Router.
 func (r *Router) Name() string { return "Abedi" }
 
-// Originate implements netstack.Router.
-func (r *Router) Originate(dst netstack.NodeID, size int) {
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindData, Data: true, Proto: r.Name(),
-		Src: r.API.Self(), Dst: dst, TTL: routing.DefaultTTL, Size: size,
-		Created: r.API.Now(),
-	}
-	if dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	if rt, ok := r.table.Lookup(dst, r.API.Now()); ok {
-		r.API.Send(rt.NextHop, pkt)
-		return
-	}
-	if ev := r.pending.Push(dst, pkt); ev != nil {
-		r.API.Drop(ev)
-	}
-	r.startDiscovery(dst)
-}
-
-func (r *Router) startDiscovery(dst netstack.NodeID) {
-	if _, inFlight := r.trying[dst]; inFlight {
-		return
-	}
-	r.trying[dst] = 2
-	r.sendRREQ(dst)
-}
-
-func (r *Router) sendRREQ(dst netstack.NodeID) {
-	r.API.Metrics().RouteDiscoveries++
-	r.reqID++
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindRREQ, Proto: r.Name(),
-		Src: r.API.Self(), Dst: netstack.Broadcast, TTL: routing.DefaultTTL,
-		Size: 56, Created: r.API.Now(),
-		Payload: rreq{Origin: r.API.Self(), ReqID: r.reqID, Target: dst, OriginVel: r.API.Vel()},
-	}
-	r.dup.Seen(routing.DupKey{Origin: pkt.Src, Seq: r.reqID}, r.API.Now())
-	r.API.Send(netstack.Broadcast, pkt)
-	dstCopy := dst
-	r.API.After(1.0, func() { r.deadline(dstCopy) })
-}
-
-func (r *Router) deadline(dst netstack.NodeID) {
-	retries, inFlight := r.trying[dst]
-	if !inFlight {
-		return
-	}
-	if _, ok := r.table.Lookup(dst, r.API.Now()); ok {
-		delete(r.trying, dst)
-		return
-	}
-	if retries <= 0 {
-		delete(r.trying, dst)
-		fresh, expired := r.pending.PopAll(dst, r.API.Now())
-		for _, p := range append(fresh, expired...) {
-			r.API.Drop(p)
-		}
-		return
-	}
-	r.trying[dst] = retries - 1
-	r.sendRREQ(dst)
+func (r *Router) request(dst netstack.NodeID, reqID uint64) *netstack.Packet {
+	return r.Control(netstack.KindRREQ, netstack.Broadcast, 56,
+		rreq{Origin: r.API.Self(), ReqID: reqID, Target: dst, OriginVel: r.API.Vel()})
 }
 
 // relayDelay converts this node's suitability as a relay into a forwarding
@@ -158,7 +89,7 @@ func (r *Router) HandlePacket(pkt *netstack.Packet) {
 	case netstack.KindRREP:
 		r.handleRREP(pkt)
 	case netstack.KindData:
-		r.handleData(pkt)
+		r.HandleData(pkt)
 	}
 }
 
@@ -167,24 +98,19 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	if !ok || req.Origin == r.API.Self() {
 		return
 	}
-	now := r.API.Now()
-	// Reverse route; prefer same-direction previous hops on replacement.
-	r.mergeReverse(pkt.From, req, pkt.Hops, now)
-	if r.dup.Seen(routing.DupKey{Origin: req.Origin, Seq: req.ReqID}, now) {
+	// Reverse route; among equal-hop alternatives the longer-lived link
+	// wins, which prefers stable same-direction previous hops.
+	r.MergeReverse(r.route(req.Origin, pkt.From, pkt.Hops))
+	if r.Duplicate(req.Origin, req.ReqID) {
 		return
 	}
 	if req.Target == r.API.Self() {
-		rt, okRt := r.table.Lookup(req.Origin, now)
+		rt, okRt := r.Table().Lookup(req.Origin, r.API.Now())
 		if !okRt {
 			return
 		}
-		out := &netstack.Packet{
-			UID: r.API.NewUID(), Kind: netstack.KindRREP, Proto: r.Name(),
-			Src: r.API.Self(), Dst: req.Origin, TTL: routing.DefaultTTL,
-			Size: 44, Created: now,
-			Payload: rrep{Origin: req.Origin, Target: r.API.Self()},
-		}
-		r.API.Send(rt.NextHop, out)
+		r.API.Send(rt.NextHop, r.Control(netstack.KindRREP, req.Origin, 44,
+			rrep{Origin: req.Origin, Target: r.API.Self()}))
 		return
 	}
 	pkt.TTL--
@@ -196,21 +122,12 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	r.API.After(delay, func() { r.API.Send(netstack.Broadcast, fwd) })
 }
 
-// mergeReverse records/updates the reverse route to the RREQ origin.
-// Replacement requires strictly fewer hops, with link lifetime breaking
-// ties among equal-hop alternatives: hop-count monotonicity keeps the
-// reverse paths loop-free while still preferring stable same-direction
-// previous hops.
-func (r *Router) mergeReverse(from netstack.NodeID, req rreq, hops int, now float64) {
-	lifetime := routing.LinkLifetime(r.API, from)
-	nr := routing.Route{
-		Dst: req.Origin, NextHop: from, Hops: hops,
-		Expiry: now + 6, Valid: true, Lifetime: lifetime,
-	}
-	cur, ok := r.table.Get(req.Origin)
-	if !ok || !cur.Valid || nr.Hops < cur.Hops ||
-		(nr.Hops == cur.Hops && nr.Lifetime > cur.Lifetime) {
-		r.table.Upsert(nr)
+// route is a 6-second table entry through via, annotated with the
+// predicted lifetime of the link to it.
+func (r *Router) route(dst, via netstack.NodeID, hops int) routing.Route {
+	return routing.Route{
+		Dst: dst, NextHop: via, Hops: hops,
+		Expiry: r.API.Now() + 6, Valid: true, Lifetime: routing.LinkLifetime(r.API, via),
 	}
 }
 
@@ -219,76 +136,10 @@ func (r *Router) handleRREP(pkt *netstack.Packet) {
 	if !ok {
 		return
 	}
-	now := r.API.Now()
-	r.table.Upsert(routing.Route{
-		Dst: rep.Target, NextHop: pkt.From, Hops: rep.Hops + pkt.Hops,
-		Expiry: now + 6, Valid: true,
-		Lifetime: routing.LinkLifetime(r.API, pkt.From),
-	})
+	r.Table().Upsert(r.route(rep.Target, pkt.From, rep.Hops+pkt.Hops))
 	if rep.Origin == r.API.Self() {
-		delete(r.trying, rep.Target)
-		r.flushPending(rep.Target)
+		r.Answered(rep.Target)
 		return
 	}
-	rt, okRt := r.table.Lookup(rep.Origin, now)
-	if !okRt {
-		return
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		return
-	}
-	r.API.Send(rt.NextHop, pkt)
+	r.Relay(pkt, rep.Origin)
 }
-
-func (r *Router) handleData(pkt *netstack.Packet) {
-	if pkt.Dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		r.API.Drop(pkt)
-		return
-	}
-	if rt, ok := r.table.Lookup(pkt.Dst, r.API.Now()); ok {
-		r.API.Send(rt.NextHop, pkt)
-		return
-	}
-	r.API.Drop(pkt)
-}
-
-// OnNeighborExpired implements netstack.Router.
-func (r *Router) OnNeighborExpired(id netstack.NodeID) {
-	broken := r.table.InvalidateVia(id)
-	r.API.Metrics().RouteBreaks += len(broken)
-}
-
-// OnSendFailed implements netstack.Router.
-func (r *Router) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
-	r.API.ForgetNeighbor(to)
-	r.OnNeighborExpired(to)
-	if pkt.Data {
-		r.API.Drop(pkt)
-	}
-}
-
-func (r *Router) flushPending(dst netstack.NodeID) {
-	fresh, expired := r.pending.PopAll(dst, r.API.Now())
-	for _, p := range expired {
-		r.API.Drop(p)
-	}
-	rt, ok := r.table.Lookup(dst, r.API.Now())
-	if !ok {
-		for _, p := range fresh {
-			r.API.Drop(p)
-		}
-		return
-	}
-	for _, p := range fresh {
-		r.API.Send(rt.NextHop, p)
-	}
-}
-
-// Table exposes the route table for tests.
-func (r *Router) Table() *routing.Table { return r.table }

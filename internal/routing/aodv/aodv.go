@@ -34,14 +34,8 @@ func WithDiscoveryTimeout(d float64) Option {
 
 // Router is a per-node AODV instance.
 type Router struct {
-	netstack.Base
-	table   *routing.Table
-	pending *routing.PendingQueue
-	dup     *routing.DupCache
-
-	seq    uint32                  // own destination sequence number
-	reqID  uint64                  // route-request counter
-	trying map[netstack.NodeID]int // dst → remaining discovery retries
+	routing.OnDemand
+	seq uint32 // own destination sequence number
 
 	netDiameter      int
 	routeLifetime    float64
@@ -75,18 +69,11 @@ type rerr struct {
 // New returns an AODV router factory.
 func New(opts ...Option) netstack.RouterFactory {
 	return func() netstack.Router {
-		r := &Router{
-			table:            routing.NewTable(),
-			pending:          routing.NewPendingQueue(16, 10),
-			dup:              routing.NewDupCache(15),
-			trying:           make(map[netstack.NodeID]int),
-			netDiameter:      routing.DefaultTTL,
-			routeLifetime:    6,
-			discoveryTimeout: 1,
-		}
+		r := &Router{netDiameter: routing.DefaultTTL, routeLifetime: 6, discoveryTimeout: 1}
 		for _, o := range opts {
 			o(r)
 		}
+		r.Init(r.Name(), r.discoveryTimeout, r.request)
 		return r
 	}
 }
@@ -94,82 +81,35 @@ func New(opts ...Option) netstack.RouterFactory {
 // Name implements netstack.Router.
 func (r *Router) Name() string { return "AODV" }
 
-// Originate implements netstack.Router.
+// Originate implements netstack.Router: using a route extends it.
 func (r *Router) Originate(dst netstack.NodeID, size int) {
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindData, Data: true, Proto: r.Name(),
-		Src: r.API.Self(), Dst: dst, TTL: routing.DefaultTTL, Size: size,
-		Created: r.API.Now(),
+	if dst != r.API.Self() {
+		if rt, ok := r.Table().Lookup(dst, r.API.Now()); ok {
+			r.refresh(rt)
+		}
 	}
-	if dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	if rt, ok := r.table.Lookup(dst, r.API.Now()); ok {
-		r.refresh(rt)
-		r.API.Send(rt.NextHop, pkt)
-		return
-	}
-	if ev := r.pending.Push(dst, pkt); ev != nil {
-		r.API.Drop(ev)
-	}
-	r.startDiscovery(dst)
+	r.OnDemand.Originate(dst, size)
 }
 
-// startDiscovery floods an RREQ for dst unless one is already in flight.
-func (r *Router) startDiscovery(dst netstack.NodeID) {
-	if _, inFlight := r.trying[dst]; inFlight {
-		return
-	}
-	r.trying[dst] = 2 // retries remaining
-	r.sendRREQ(dst)
+// control is Control with the configured network diameter as TTL.
+func (r *Router) control(kind string, dst netstack.NodeID, size int, payload any) *netstack.Packet {
+	pkt := r.Control(kind, dst, size, payload)
+	pkt.TTL = r.netDiameter
+	return pkt
 }
 
-func (r *Router) sendRREQ(dst netstack.NodeID) {
-	r.API.Metrics().RouteDiscoveries++
+func (r *Router) request(dst netstack.NodeID, reqID uint64) *netstack.Packet {
 	r.seq++
-	r.reqID++
 	var tseq uint32
 	hasTSeq := false
-	if rt, ok := r.table.Get(dst); ok {
+	if rt, ok := r.Table().Get(dst); ok {
 		tseq = rt.Seq
 		hasTSeq = true
 	}
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindRREQ, Proto: r.Name(),
-		Src: r.API.Self(), Dst: netstack.Broadcast, TTL: r.netDiameter,
-		Size: 48, Created: r.API.Now(),
-		Payload: rreq{
-			Origin: r.API.Self(), OriginSeq: r.seq, ReqID: r.reqID,
-			Target: dst, TargetSeq: tseq, HasTSeq: hasTSeq,
-		},
-	}
-	r.dup.Seen(routing.DupKey{Origin: pkt.Src, Seq: r.reqID}, r.API.Now())
-	r.API.Send(netstack.Broadcast, pkt)
-	// arm discovery timeout
-	dstCopy := dst
-	r.API.After(r.discoveryTimeout, func() { r.discoveryDeadline(dstCopy) })
-}
-
-func (r *Router) discoveryDeadline(dst netstack.NodeID) {
-	retries, inFlight := r.trying[dst]
-	if !inFlight {
-		return // answered
-	}
-	if _, ok := r.table.Lookup(dst, r.API.Now()); ok {
-		delete(r.trying, dst)
-		return
-	}
-	if retries <= 0 {
-		delete(r.trying, dst)
-		fresh, expired := r.pending.PopAll(dst, r.API.Now())
-		for _, p := range append(fresh, expired...) {
-			r.API.Drop(p)
-		}
-		return
-	}
-	r.trying[dst] = retries - 1
-	r.sendRREQ(dst)
+	return r.control(netstack.KindRREQ, netstack.Broadcast, 48, rreq{
+		Origin: r.API.Self(), OriginSeq: r.seq, ReqID: reqID,
+		Target: dst, TargetSeq: tseq, HasTSeq: hasTSeq,
+	})
 }
 
 // HandlePacket implements netstack.Router.
@@ -197,7 +137,7 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 		Dst: req.Origin, NextHop: pkt.From, Hops: pkt.Hops,
 		Seq: req.OriginSeq, Expiry: now + r.routeLifetime, Valid: true,
 	})
-	if r.dup.Seen(routing.DupKey{Origin: req.Origin, Seq: req.ReqID}, now) {
+	if r.Duplicate(req.Origin, req.ReqID) {
 		return
 	}
 	// Can we answer? Destination itself, or fresh-enough cached route.
@@ -209,7 +149,7 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 		r.sendRREP(req.Origin, req.Target, r.seq, 0)
 		return
 	}
-	if rt, okRt := r.table.Lookup(req.Target, now); okRt && req.HasTSeq && routing.SeqNewer(rt.Seq+1, req.TargetSeq) {
+	if rt, okRt := r.Table().Lookup(req.Target, now); okRt && req.HasTSeq && routing.SeqNewer(rt.Seq+1, req.TargetSeq) {
 		r.sendRREP(req.Origin, req.Target, rt.Seq, rt.Hops)
 		return
 	}
@@ -222,17 +162,12 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 
 // sendRREP unicasts a reply toward origin along the reverse route.
 func (r *Router) sendRREP(origin, target netstack.NodeID, targetSeq uint32, hopsToDst int) {
-	rt, ok := r.table.Lookup(origin, r.API.Now())
+	rt, ok := r.Table().Lookup(origin, r.API.Now())
 	if !ok {
 		return
 	}
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindRREP, Proto: r.Name(),
-		Src: r.API.Self(), Dst: origin, TTL: r.netDiameter, Size: 44,
-		Created: r.API.Now(),
-		Payload: rrep{Origin: origin, Target: target, TargetSeq: targetSeq, HopsToDst: hopsToDst},
-	}
-	r.API.Send(rt.NextHop, pkt)
+	r.API.Send(rt.NextHop, r.control(netstack.KindRREP, origin, 44,
+		rrep{Origin: origin, Target: target, TargetSeq: targetSeq, HopsToDst: hopsToDst}))
 }
 
 func (r *Router) handleRREP(pkt *netstack.Packet) {
@@ -240,31 +175,17 @@ func (r *Router) handleRREP(pkt *netstack.Packet) {
 	if !ok {
 		return
 	}
-	now := r.API.Now()
-	// Forward route to the target through the previous hop.
+	// Forward route to the target through the previous hop; the hops the
+	// reply has travelled are in pkt.Hops.
 	r.mergeRoute(routing.Route{
 		Dst: rep.Target, NextHop: pkt.From, Hops: rep.HopsToDst + pkt.Hops,
-		Seq: rep.TargetSeq, Expiry: now + r.routeLifetime, Valid: true,
+		Seq: rep.TargetSeq, Expiry: r.API.Now() + r.routeLifetime, Valid: true,
 	})
 	if rep.Origin == r.API.Self() {
-		delete(r.trying, rep.Target)
-		r.flushPending(rep.Target)
+		r.Answered(rep.Target)
 		return
 	}
-	// Relay toward the origin along the reverse route.
-	rt, okRt := r.table.Lookup(rep.Origin, now)
-	if !okRt {
-		return
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		return
-	}
-	// Payload hop count must grow as the RREP travels; copy-on-write.
-	cp := rep
-	cp.HopsToDst = rep.HopsToDst
-	pkt.Payload = cp
-	r.API.Send(rt.NextHop, pkt)
+	r.Relay(pkt, rep.Origin)
 }
 
 func (r *Router) handleRERR(pkt *netstack.Packet) {
@@ -274,7 +195,7 @@ func (r *Router) handleRERR(pkt *netstack.Packet) {
 	}
 	var cascade []netstack.NodeID
 	for _, dst := range er.Unreachable {
-		if rt, okRt := r.table.Get(dst); okRt && rt.Valid && rt.NextHop == pkt.From {
+		if rt, okRt := r.Table().Get(dst); okRt && rt.Valid && rt.NextHop == pkt.From {
 			rt.Valid = false
 			cascade = append(cascade, dst)
 		}
@@ -285,6 +206,9 @@ func (r *Router) handleRERR(pkt *netstack.Packet) {
 	}
 }
 
+// handleData is the core's hop-by-hop forwarding plus AODV's own two
+// rules: forwarding on a route extends it, and a relay without one reports
+// the destination unreachable.
 func (r *Router) handleData(pkt *netstack.Packet) {
 	if pkt.Dst == r.API.Self() {
 		r.API.Deliver(pkt)
@@ -295,7 +219,7 @@ func (r *Router) handleData(pkt *netstack.Packet) {
 		r.API.Drop(pkt)
 		return
 	}
-	if rt, ok := r.table.Lookup(pkt.Dst, r.API.Now()); ok {
+	if rt, ok := r.Table().Lookup(pkt.Dst, r.API.Now()); ok {
 		r.refresh(rt)
 		r.API.Send(rt.NextHop, pkt)
 		return
@@ -306,19 +230,15 @@ func (r *Router) handleData(pkt *netstack.Packet) {
 }
 
 func (r *Router) broadcastRERR(unreachable []netstack.NodeID) {
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindRERR, Proto: r.Name(),
-		Src: r.API.Self(), Dst: netstack.Broadcast, TTL: 1, Size: 20 + 4*len(unreachable),
-		Created: r.API.Now(),
-		Payload: rerr{Unreachable: unreachable},
-	}
+	pkt := r.Control(netstack.KindRERR, netstack.Broadcast, 20+4*len(unreachable), rerr{Unreachable: unreachable})
+	pkt.TTL = 1
 	r.API.Send(netstack.Broadcast, pkt)
 }
 
 // OnNeighborExpired implements netstack.Router: losing a neighbor breaks
-// every route through it.
+// every route through it, and the breaks are reported.
 func (r *Router) OnNeighborExpired(id netstack.NodeID) {
-	broken := r.table.InvalidateVia(id)
+	broken := r.Table().InvalidateVia(id)
 	if len(broken) == 0 {
 		return
 	}
@@ -339,7 +259,7 @@ func (r *Router) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
 // mergeRoute applies the AODV update rule: fresher sequence number wins;
 // equal sequence with fewer hops wins.
 func (r *Router) mergeRoute(nr routing.Route) {
-	cur, ok := r.table.Get(nr.Dst)
+	cur, ok := r.Table().Get(nr.Dst)
 	if ok && cur.Valid {
 		if !routing.SeqNewer(nr.Seq, cur.Seq) && !(nr.Seq == cur.Seq && nr.Hops < cur.Hops) {
 			// keep current, but refresh expiry on confirmation via same hop
@@ -349,7 +269,7 @@ func (r *Router) mergeRoute(nr routing.Route) {
 			return
 		}
 	}
-	r.table.Upsert(nr)
+	r.Table().Upsert(nr)
 }
 
 // refresh extends an in-use route's expiry.
@@ -359,24 +279,3 @@ func (r *Router) refresh(rt *routing.Route) {
 		rt.Expiry = exp
 	}
 }
-
-// flushPending releases queued data after a successful discovery.
-func (r *Router) flushPending(dst netstack.NodeID) {
-	fresh, expired := r.pending.PopAll(dst, r.API.Now())
-	for _, p := range expired {
-		r.API.Drop(p)
-	}
-	rt, ok := r.table.Lookup(dst, r.API.Now())
-	if !ok {
-		for _, p := range fresh {
-			r.API.Drop(p)
-		}
-		return
-	}
-	for _, p := range fresh {
-		r.API.Send(rt.NextHop, p)
-	}
-}
-
-// Table exposes the route table for tests and the harness.
-func (r *Router) Table() *routing.Table { return r.table }

@@ -13,12 +13,9 @@ import (
 
 // Router is a per-node DSR instance.
 type Router struct {
-	netstack.Base
-	cache   map[netstack.NodeID][]netstack.NodeID // dst → full path self→...→dst
-	pending *routing.PendingQueue
-	dup     *routing.DupCache
-	reqID   uint64
-	trying  map[netstack.NodeID]int
+	routing.Discovery
+	cache map[netstack.NodeID][]netstack.NodeID // dst → full path self→...→dst
+	dup   *routing.DupCache
 }
 
 // rreq accumulates the traversed route.
@@ -51,91 +48,37 @@ type srcHeader struct {
 // New returns a DSR router factory.
 func New() netstack.RouterFactory {
 	return func() netstack.Router {
-		return &Router{
-			cache:   make(map[netstack.NodeID][]netstack.NodeID),
-			pending: routing.NewPendingQueue(16, 10),
-			dup:     routing.NewDupCache(15),
-			trying:  make(map[netstack.NodeID]int),
+		r := &Router{
+			cache: make(map[netstack.NodeID][]netstack.NodeID),
+			dup:   routing.NewDupCache(15),
 		}
+		r.Init(r.Name(), 1.0, r.routed, r.forward, r.request)
+		return r
 	}
 }
 
 // Name implements netstack.Router.
 func (r *Router) Name() string { return "DSR" }
 
-// Originate implements netstack.Router.
-func (r *Router) Originate(dst netstack.NodeID, size int) {
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindData, Data: true, Proto: r.Name(),
-		Src: r.API.Self(), Dst: dst, TTL: routing.DefaultTTL, Size: size,
-		Created: r.API.Now(),
-	}
-	if dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	if path, ok := r.cache[dst]; ok && len(path) >= 2 {
-		r.sendAlong(pkt, path)
-		return
-	}
-	if ev := r.pending.Push(dst, pkt); ev != nil {
-		r.API.Drop(ev)
-	}
-	r.startDiscovery(dst)
-}
+// routed: a cached path always runs from this node to another one.
+func (r *Router) routed(dst netstack.NodeID) bool { return len(r.cache[dst]) >= 2 }
 
-func (r *Router) sendAlong(pkt *netstack.Packet, path []netstack.NodeID) {
-	hdr := srcHeader{Path: append([]netstack.NodeID(nil), path...), Next: 1}
-	pkt.Payload = hdr
+// forward stamps the cached source route on a data packet and sends it.
+func (r *Router) forward(pkt *netstack.Packet) {
+	path := r.cache[pkt.Dst]
+	pkt.Payload = srcHeader{Path: append([]netstack.NodeID(nil), path...), Next: 1}
 	pkt.Size += 4 * len(path) // source route inflates the header
 	r.API.Send(path[1], pkt)
 }
 
-func (r *Router) startDiscovery(dst netstack.NodeID) {
-	if _, inFlight := r.trying[dst]; inFlight {
-		return
-	}
-	r.trying[dst] = 2
-	r.sendRREQ(dst)
-}
-
-func (r *Router) sendRREQ(dst netstack.NodeID) {
-	r.API.Metrics().RouteDiscoveries++
-	r.reqID++
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindRREQ, Proto: r.Name(),
-		Src: r.API.Self(), Dst: netstack.Broadcast, TTL: routing.DefaultTTL,
-		Size: 40, Created: r.API.Now(),
-		Payload: rreq{
-			Origin: r.API.Self(), ReqID: r.reqID, Target: dst,
-			Path: []netstack.NodeID{r.API.Self()},
-		},
-	}
-	r.dup.Seen(routing.DupKey{Origin: pkt.Src, Seq: r.reqID}, r.API.Now())
+func (r *Router) request(dst netstack.NodeID, reqID uint64) bool {
+	pkt := r.Control(netstack.KindRREQ, netstack.Broadcast, 40, rreq{
+		Origin: r.API.Self(), ReqID: reqID, Target: dst,
+		Path: []netstack.NodeID{r.API.Self()},
+	})
+	r.dup.Seen(routing.DupKey{Origin: pkt.Src, Seq: reqID}, r.API.Now())
 	r.API.Send(netstack.Broadcast, pkt)
-	dstCopy := dst
-	r.API.After(1.0, func() { r.discoveryDeadline(dstCopy) })
-}
-
-func (r *Router) discoveryDeadline(dst netstack.NodeID) {
-	retries, inFlight := r.trying[dst]
-	if !inFlight {
-		return
-	}
-	if _, ok := r.cache[dst]; ok {
-		delete(r.trying, dst)
-		return
-	}
-	if retries <= 0 {
-		delete(r.trying, dst)
-		fresh, expired := r.pending.PopAll(dst, r.API.Now())
-		for _, p := range append(fresh, expired...) {
-			r.API.Drop(p)
-		}
-		return
-	}
-	r.trying[dst] = retries - 1
-	r.sendRREQ(dst)
+	return true
 }
 
 // HandlePacket implements netstack.Router.
@@ -168,16 +111,11 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	path = append(path, req.Path...)
 	path = append(path, r.API.Self())
 	if req.Target == r.API.Self() {
-		// cache the reverse route and reply with the full path
+		// cache the reverse route and reply with the full path, unicast
+		// back along it
 		r.cache[req.Origin] = reverse(path)
-		rep := rrep{Origin: req.Origin, Target: req.Target, Path: path}
-		out := &netstack.Packet{
-			UID: r.API.NewUID(), Kind: netstack.KindRREP, Proto: r.Name(),
-			Src: r.API.Self(), Dst: req.Origin, TTL: routing.DefaultTTL,
-			Size: 24 + 4*len(path), Created: r.API.Now(), Payload: rep,
-		}
-		// unicast back along the accumulated path
-		r.API.Send(path[len(path)-2], out)
+		r.API.Send(path[len(path)-2], r.Control(netstack.KindRREP, req.Origin, 24+4*len(path),
+			rrep{Origin: req.Origin, Target: req.Target, Path: path}))
 		return
 	}
 	cp := req
@@ -204,14 +142,7 @@ func (r *Router) handleRREP(pkt *netstack.Packet) {
 	// learn the downstream sub-path
 	r.cache[rep.Target] = append([]netstack.NodeID(nil), rep.Path[idx:]...)
 	if self == rep.Origin {
-		delete(r.trying, rep.Target)
-		fresh, expired := r.pending.PopAll(rep.Target, r.API.Now())
-		for _, p := range expired {
-			r.API.Drop(p)
-		}
-		for _, p := range fresh {
-			r.sendAlong(p, rep.Path)
-		}
+		r.Answered(rep.Target)
 		return
 	}
 	if idx == 0 {
@@ -282,12 +213,7 @@ func (r *Router) handleData(pkt *netstack.Packet) {
 func (r *Router) reportBreak(origin, from, to netstack.NodeID) {
 	r.truncateCaches(from, to)
 	path, ok := r.cache[origin]
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindRERR, Proto: r.Name(),
-		Src: r.API.Self(), Dst: origin, TTL: routing.DefaultTTL, Size: 28,
-		Created: r.API.Now(),
-		Payload: rerr{From: from, To: to, Origin: origin},
-	}
+	pkt := r.Control(netstack.KindRERR, origin, 28, rerr{From: from, To: to, Origin: origin})
 	if ok && len(path) >= 2 {
 		r.API.Send(path[1], pkt)
 		return

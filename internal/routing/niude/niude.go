@@ -51,26 +51,12 @@ func WithSpeedSigma(s float64) Option {
 
 // Router is a per-node NiuDe/DeReQ instance.
 type Router struct {
-	netstack.Base
-	table   *routing.Table
-	pending *routing.PendingQueue
-	dup     *routing.DupCache
-	reqID   uint64
-	trying  map[netstack.NodeID]int
-	collect map[routing.DupKey]*candidate
+	routing.OnDemand
+	sel routing.Selection[routing.Candidate] // Metric: path reliability
 
 	delayBound float64
 	horizon    float64
 	speedSigma float64
-	window     float64
-}
-
-type candidate struct {
-	bestReliability float64
-	bestDelay       float64
-	bestFrom        netstack.NodeID
-	hops            int
-	armed           bool
 }
 
 // rreq accumulates the QoS path metrics.
@@ -93,20 +79,12 @@ type rrep struct {
 // New returns a NiuDe router factory.
 func New(opts ...Option) netstack.RouterFactory {
 	return func() netstack.Router {
-		r := &Router{
-			table:      routing.NewTable(),
-			pending:    routing.NewPendingQueue(16, 10),
-			dup:        routing.NewDupCache(15),
-			trying:     make(map[netstack.NodeID]int),
-			collect:    make(map[routing.DupKey]*candidate),
-			delayBound: 0.5,
-			horizon:    4,
-			speedSigma: 4,
-			window:     0.3,
-		}
+		r := &Router{delayBound: 0.5, horizon: 4, speedSigma: 4}
 		for _, o := range opts {
 			o(r)
 		}
+		r.Init(r.Name(), 1.0, r.request)
+		r.sel = routing.NewSelection(0.3, r.answer)
 		return r
 	}
 }
@@ -131,69 +109,9 @@ func (r *Router) hopDelay() float64 {
 	return base * (1 + n/8)
 }
 
-// Originate implements netstack.Router.
-func (r *Router) Originate(dst netstack.NodeID, size int) {
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindData, Data: true, Proto: r.Name(),
-		Src: r.API.Self(), Dst: dst, TTL: routing.DefaultTTL, Size: size,
-		Created: r.API.Now(),
-	}
-	if dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	if rt, ok := r.table.Lookup(dst, r.API.Now()); ok {
-		r.API.Send(rt.NextHop, pkt)
-		return
-	}
-	if ev := r.pending.Push(dst, pkt); ev != nil {
-		r.API.Drop(ev)
-	}
-	r.startDiscovery(dst)
-}
-
-func (r *Router) startDiscovery(dst netstack.NodeID) {
-	if _, inFlight := r.trying[dst]; inFlight {
-		return
-	}
-	r.trying[dst] = 2
-	r.sendRREQ(dst)
-}
-
-func (r *Router) sendRREQ(dst netstack.NodeID) {
-	r.API.Metrics().RouteDiscoveries++
-	r.reqID++
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindRREQ, Proto: r.Name(),
-		Src: r.API.Self(), Dst: netstack.Broadcast, TTL: routing.DefaultTTL,
-		Size: 56, Created: r.API.Now(),
-		Payload: rreq{Origin: r.API.Self(), ReqID: r.reqID, Target: dst, Reliability: 1},
-	}
-	r.dup.Seen(routing.DupKey{Origin: pkt.Src, Seq: r.reqID}, r.API.Now())
-	r.API.Send(netstack.Broadcast, pkt)
-	dstCopy := dst
-	r.API.After(1.0, func() { r.deadline(dstCopy) })
-}
-
-func (r *Router) deadline(dst netstack.NodeID) {
-	retries, inFlight := r.trying[dst]
-	if !inFlight {
-		return
-	}
-	if _, ok := r.table.Lookup(dst, r.API.Now()); ok {
-		delete(r.trying, dst)
-		return
-	}
-	if retries <= 0 {
-		delete(r.trying, dst)
-		fresh, expired := r.pending.PopAll(dst, r.API.Now())
-		for _, p := range append(fresh, expired...) {
-			r.API.Drop(p)
-		}
-		return
-	}
-	r.trying[dst] = retries - 1
-	r.sendRREQ(dst)
+func (r *Router) request(dst netstack.NodeID, reqID uint64) *netstack.Packet {
+	return r.Control(netstack.KindRREQ, netstack.Broadcast, 56,
+		rreq{Origin: r.API.Self(), ReqID: reqID, Target: dst, Reliability: 1})
 }
 
 // HandlePacket implements netstack.Router.
@@ -204,7 +122,7 @@ func (r *Router) HandlePacket(pkt *netstack.Packet) {
 	case netstack.KindRREP:
 		r.handleRREP(pkt)
 	case netstack.KindData:
-		r.handleData(pkt)
+		r.HandleData(pkt)
 	}
 }
 
@@ -213,7 +131,6 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	if !ok || req.Origin == r.API.Self() {
 		return
 	}
-	now := r.API.Now()
 	// fold in the link just traversed
 	avail := 0.0
 	if ls, okLs := r.API.LinkState(pkt.From); okLs {
@@ -222,32 +139,20 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	reliability := req.Reliability * avail
 	delay := req.Delay + r.hopDelay()
 	// reverse route: keep the most reliable, loop-free by hop monotonicity
-	r.mergeReverse(routing.Route{
-		Dst: req.Origin, NextHop: pkt.From, Hops: pkt.Hops,
-		Expiry: now + 6, Valid: true, Lifetime: reliability * 100,
-	})
+	r.MergeReverse(r.route(req.Origin, pkt.From, pkt.Hops, reliability))
 	if req.Target == r.API.Self() {
-		key := routing.DupKey{Origin: req.Origin, Seq: req.ReqID}
-		c, okC := r.collect[key]
-		if !okC {
-			c = &candidate{bestReliability: -1}
-			r.collect[key] = c
+		// QoS admission: delay bound first, then reliability. A copy over
+		// the bound still opens the window; if none meets it, nobody is
+		// answered.
+		score := -1.0
+		if delay <= r.delayBound {
+			score = reliability
 		}
-		// QoS admission: delay bound first, then reliability
-		if delay <= r.delayBound && reliability > c.bestReliability {
-			c.bestReliability = reliability
-			c.bestDelay = delay
-			c.bestFrom = pkt.From
-			c.hops = pkt.Hops
-		}
-		if !c.armed {
-			c.armed = true
-			origin := req.Origin
-			r.API.After(r.window, func() { r.answer(key, origin) })
-		}
+		r.sel.Offer(r.API, routing.DupKey{Origin: req.Origin, Seq: req.ReqID}, score,
+			routing.Candidate{From: pkt.From, Hops: pkt.Hops, Metric: reliability})
 		return
 	}
-	if r.dup.Seen(routing.DupKey{Origin: req.Origin, Seq: req.ReqID}, now) {
+	if r.Duplicate(req.Origin, req.ReqID) {
 		return
 	}
 	// relays with zero availability in would only poison the product
@@ -265,26 +170,18 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	r.API.Send(netstack.Broadcast, pkt)
 }
 
-func (r *Router) answer(key routing.DupKey, origin netstack.NodeID) {
-	c, ok := r.collect[key]
-	if !ok {
-		return
+// route is a 6-second table entry ranked by path reliability.
+func (r *Router) route(dst, via netstack.NodeID, hops int, reliability float64) routing.Route {
+	return routing.Route{
+		Dst: dst, NextHop: via, Hops: hops,
+		Expiry: r.API.Now() + 6, Valid: true, Lifetime: reliability * 100,
 	}
-	delete(r.collect, key)
-	if c.bestReliability < 0 {
-		return // nothing met the delay bound
-	}
-	r.table.Upsert(routing.Route{
-		Dst: origin, NextHop: c.bestFrom, Hops: c.hops,
-		Expiry: r.API.Now() + 6, Valid: true, Lifetime: c.bestReliability * 100,
-	})
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindRREP, Proto: r.Name(),
-		Src: r.API.Self(), Dst: origin, TTL: routing.DefaultTTL, Size: 48,
-		Created: r.API.Now(),
-		Payload: rrep{Origin: origin, Target: r.API.Self(), Reliability: c.bestReliability},
-	}
-	r.API.Send(c.bestFrom, pkt)
+}
+
+func (r *Router) answer(origin netstack.NodeID, c routing.Candidate) {
+	r.Table().Upsert(r.route(origin, c.From, c.Hops, c.Metric))
+	r.API.Send(c.From, r.Control(netstack.KindRREP, origin, 48,
+		rrep{Origin: origin, Target: r.API.Self(), Reliability: c.Metric}))
 }
 
 func (r *Router) handleRREP(pkt *netstack.Packet) {
@@ -292,96 +189,20 @@ func (r *Router) handleRREP(pkt *netstack.Packet) {
 	if !ok {
 		return
 	}
-	now := r.API.Now()
-	r.table.Upsert(routing.Route{
-		Dst: rep.Target, NextHop: pkt.From, Hops: rep.Hops + pkt.Hops,
-		Expiry: now + 6, Valid: true, Lifetime: rep.Reliability * 100,
-	})
-	if rep.Origin == r.API.Self() {
-		delete(r.trying, rep.Target)
-		r.API.Metrics().OnPathLifetime(r.horizon * math.Max(rep.Reliability, 0.01))
-		r.flushPending(rep.Target)
-		// proactive maintenance: rebuild before the reliability horizon
-		// elapses ("the route will be rebuilt before the link breaks")
-		target := rep.Target
-		lead := math.Max(r.horizon-1, 0.5)
-		r.API.After(lead, func() {
-			if _, okRt := r.table.Lookup(target, r.API.Now()); okRt || r.pending.Waiting(target) {
-				r.API.Metrics().RouteRepairs++
-				r.startDiscovery(target)
-			}
-		})
+	r.Table().Upsert(r.route(rep.Target, pkt.From, rep.Hops+pkt.Hops, rep.Reliability))
+	if rep.Origin != r.API.Self() {
+		r.Relay(pkt, rep.Origin)
 		return
 	}
-	rt, okRt := r.table.Lookup(rep.Origin, now)
-	if !okRt {
-		return
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		return
-	}
-	r.API.Send(rt.NextHop, pkt)
-}
-
-func (r *Router) handleData(pkt *netstack.Packet) {
-	if pkt.Dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		r.API.Drop(pkt)
-		return
-	}
-	if rt, ok := r.table.Lookup(pkt.Dst, r.API.Now()); ok {
-		r.API.Send(rt.NextHop, pkt)
-		return
-	}
-	r.API.Drop(pkt)
-}
-
-// OnNeighborExpired implements netstack.Router.
-func (r *Router) OnNeighborExpired(id netstack.NodeID) {
-	broken := r.table.InvalidateVia(id)
-	r.API.Metrics().RouteBreaks += len(broken)
-}
-
-// OnSendFailed implements netstack.Router.
-func (r *Router) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
-	r.API.ForgetNeighbor(to)
-	r.OnNeighborExpired(to)
-	if pkt.Data {
-		r.API.Drop(pkt)
-	}
-}
-
-// mergeReverse keeps the more reliable reverse route among those not
-// increasing the hop count (loop freedom via hop monotonicity).
-func (r *Router) mergeReverse(nr routing.Route) {
-	cur, ok := r.table.Get(nr.Dst)
-	if ok && cur.Valid && !(nr.Hops < cur.Hops || (nr.Hops == cur.Hops && nr.Lifetime > cur.Lifetime)) {
-		return
-	}
-	r.table.Upsert(nr)
-}
-
-func (r *Router) flushPending(dst netstack.NodeID) {
-	fresh, expired := r.pending.PopAll(dst, r.API.Now())
-	for _, p := range expired {
-		r.API.Drop(p)
-	}
-	rt, ok := r.table.Lookup(dst, r.API.Now())
-	if !ok {
-		for _, p := range fresh {
-			r.API.Drop(p)
+	r.API.Metrics().OnPathLifetime(r.horizon * math.Max(rep.Reliability, 0.01))
+	r.Answered(rep.Target)
+	// proactive maintenance: rebuild before the reliability horizon
+	// elapses ("the route will be rebuilt before the link breaks")
+	target := rep.Target
+	r.API.After(math.Max(r.horizon-1, 0.5), func() {
+		if _, okRt := r.Table().Lookup(target, r.API.Now()); okRt || r.Waiting(target) {
+			r.API.Metrics().RouteRepairs++
+			r.Start(target)
 		}
-		return
-	}
-	for _, p := range fresh {
-		r.API.Send(rt.NextHop, p)
-	}
+	})
 }
-
-// Table exposes the route table for tests.
-func (r *Router) Table() *routing.Table { return r.table }

@@ -32,24 +32,11 @@ func WithRebuildMargin(d float64) Option {
 
 // Router is a per-node PBR instance.
 type Router struct {
-	netstack.Base
-	table   *routing.Table
-	pending *routing.PendingQueue
-	dup     *routing.DupCache
-	reqID   uint64
-	trying  map[netstack.NodeID]int
-	// destination-side candidate collection per (origin, reqID)
-	collect map[routing.DupKey]*candidate
+	routing.OnDemand
+	sel routing.Selection[routing.Candidate] // Metric: predicted path lifetime
 
 	window        float64
 	rebuildMargin float64
-}
-
-type candidate struct {
-	bestLifetime float64
-	bestFrom     netstack.NodeID
-	hops         int
-	armed        bool
 }
 
 // rreq carries the accumulated path lifetime.
@@ -71,18 +58,12 @@ type rrep struct {
 // New returns a PBR router factory.
 func New(opts ...Option) netstack.RouterFactory {
 	return func() netstack.Router {
-		r := &Router{
-			table:         routing.NewTable(),
-			pending:       routing.NewPendingQueue(16, 10),
-			dup:           routing.NewDupCache(15),
-			trying:        make(map[netstack.NodeID]int),
-			collect:       make(map[routing.DupKey]*candidate),
-			window:        0.25,
-			rebuildMargin: 1,
-		}
+		r := &Router{window: 0.25, rebuildMargin: 1}
 		for _, o := range opts {
 			o(r)
 		}
+		r.Init(r.Name(), 1.0, r.request)
+		r.sel = routing.NewSelection(r.window, r.answer)
 		return r
 	}
 }
@@ -90,69 +71,9 @@ func New(opts ...Option) netstack.RouterFactory {
 // Name implements netstack.Router.
 func (r *Router) Name() string { return "PBR" }
 
-// Originate implements netstack.Router.
-func (r *Router) Originate(dst netstack.NodeID, size int) {
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindData, Data: true, Proto: r.Name(),
-		Src: r.API.Self(), Dst: dst, TTL: routing.DefaultTTL, Size: size,
-		Created: r.API.Now(),
-	}
-	if dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	if rt, ok := r.table.Lookup(dst, r.API.Now()); ok {
-		r.API.Send(rt.NextHop, pkt)
-		return
-	}
-	if ev := r.pending.Push(dst, pkt); ev != nil {
-		r.API.Drop(ev)
-	}
-	r.startDiscovery(dst)
-}
-
-func (r *Router) startDiscovery(dst netstack.NodeID) {
-	if _, inFlight := r.trying[dst]; inFlight {
-		return
-	}
-	r.trying[dst] = 2
-	r.sendRREQ(dst)
-}
-
-func (r *Router) sendRREQ(dst netstack.NodeID) {
-	r.API.Metrics().RouteDiscoveries++
-	r.reqID++
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindRREQ, Proto: r.Name(),
-		Src: r.API.Self(), Dst: netstack.Broadcast, TTL: routing.DefaultTTL,
-		Size: 52, Created: r.API.Now(),
-		Payload: rreq{Origin: r.API.Self(), ReqID: r.reqID, Target: dst, Lifetime: link.Forever},
-	}
-	r.dup.Seen(routing.DupKey{Origin: pkt.Src, Seq: r.reqID}, r.API.Now())
-	r.API.Send(netstack.Broadcast, pkt)
-	dstCopy := dst
-	r.API.After(1.0, func() { r.discoveryDeadline(dstCopy) })
-}
-
-func (r *Router) discoveryDeadline(dst netstack.NodeID) {
-	retries, inFlight := r.trying[dst]
-	if !inFlight {
-		return
-	}
-	if _, ok := r.table.Lookup(dst, r.API.Now()); ok {
-		delete(r.trying, dst)
-		return
-	}
-	if retries <= 0 {
-		delete(r.trying, dst)
-		fresh, expired := r.pending.PopAll(dst, r.API.Now())
-		for _, p := range append(fresh, expired...) {
-			r.API.Drop(p)
-		}
-		return
-	}
-	r.trying[dst] = retries - 1
-	r.sendRREQ(dst)
+func (r *Router) request(dst netstack.NodeID, reqID uint64) *netstack.Packet {
+	return r.Control(netstack.KindRREQ, netstack.Broadcast, 52,
+		rreq{Origin: r.API.Self(), ReqID: reqID, Target: dst, Lifetime: link.Forever})
 }
 
 // HandlePacket implements netstack.Router.
@@ -163,7 +84,7 @@ func (r *Router) HandlePacket(pkt *netstack.Packet) {
 	case netstack.KindRREP:
 		r.handleRREP(pkt)
 	case netstack.KindData:
-		r.handleData(pkt)
+		r.HandleData(pkt)
 	}
 }
 
@@ -172,43 +93,19 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	if !ok || req.Origin == r.API.Self() {
 		return
 	}
-	now := r.API.Now()
 	// Fold in the lifetime of the link we just traversed (From → self),
 	// as predicted by the reliability plane (absent neighbor = dead link).
-	lifeFrom := 0.0
-	if ls, okLs := r.API.LinkState(pkt.From); okLs {
-		lifeFrom = ls.Lifetime
-	}
-	lt := routing.MinLifetime(req.Lifetime, lifeFrom)
+	lt := routing.MinLifetime(req.Lifetime, routing.LinkLifetime(r.API, pkt.From))
 	// Reverse route to origin, annotated with the predicted lifetime.
-	r.mergeReverse(routing.Route{
-		Dst: req.Origin, NextHop: pkt.From, Hops: pkt.Hops,
-		Expiry: r.expiryFrom(now, lt), Valid: true, Lifetime: lt,
-	})
+	r.MergeReverse(r.LifetimeRoute(req.Origin, pkt.From, pkt.Hops, lt))
 	if req.Target == r.API.Self() {
-		// Collect candidates for a window, then answer the best one.
-		key := routing.DupKey{Origin: req.Origin, Seq: req.ReqID}
-		c, okC := r.collect[key]
-		if !okC {
-			c = &candidate{bestLifetime: -1}
-			r.collect[key] = c
-		}
-		if lt > c.bestLifetime {
-			c.bestLifetime = lt
-			c.bestFrom = pkt.From
-			c.hops = pkt.Hops
-		}
-		if !c.armed {
-			c.armed = true
-			origin := req.Origin
-			r.API.After(r.window, func() { r.answer(key, origin) })
-		}
+		// Collect candidates for a window, then answer the longest-lived.
+		r.sel.Offer(r.API, routing.DupKey{Origin: req.Origin, Seq: req.ReqID}, lt,
+			routing.Candidate{From: pkt.From, Hops: pkt.Hops, Metric: lt})
 		return
 	}
-	// Intermediate: forward the first copy, and also strictly better ones
-	// (bounded by the dup cache granularity: one improvement pass).
-	key := routing.DupKey{Origin: req.Origin, Seq: req.ReqID}
-	if r.dup.Seen(key, now) {
+	// Intermediate: forward the first copy only.
+	if r.Duplicate(req.Origin, req.ReqID) {
 		return
 	}
 	cp := req
@@ -221,25 +118,12 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	r.API.Send(netstack.Broadcast, pkt)
 }
 
-// answer sends the RREP for the best collected candidate.
-func (r *Router) answer(key routing.DupKey, origin netstack.NodeID) {
-	c, ok := r.collect[key]
-	if !ok || c.bestLifetime < 0 {
-		return
-	}
-	delete(r.collect, key)
-	// route back through the best previous hop
-	r.table.Upsert(routing.Route{
-		Dst: origin, NextHop: c.bestFrom, Hops: c.hops,
-		Expiry: r.expiryFrom(r.API.Now(), c.bestLifetime), Valid: true, Lifetime: c.bestLifetime,
-	})
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindRREP, Proto: r.Name(),
-		Src: r.API.Self(), Dst: origin, TTL: routing.DefaultTTL, Size: 48,
-		Created: r.API.Now(),
-		Payload: rrep{Origin: origin, Target: r.API.Self(), Lifetime: c.bestLifetime, Hops: 0},
-	}
-	r.API.Send(c.bestFrom, pkt)
+// answer sends the RREP for the best collected candidate, back through
+// the hop it arrived by.
+func (r *Router) answer(origin netstack.NodeID, c routing.Candidate) {
+	r.Table().Upsert(r.LifetimeRoute(origin, c.From, c.Hops, c.Metric))
+	r.API.Send(c.From, r.Control(netstack.KindRREP, origin, 48,
+		rrep{Origin: origin, Target: r.API.Self(), Lifetime: c.Metric}))
 }
 
 func (r *Router) handleRREP(pkt *netstack.Packet) {
@@ -247,122 +131,31 @@ func (r *Router) handleRREP(pkt *netstack.Packet) {
 	if !ok {
 		return
 	}
-	now := r.API.Now()
-	r.table.Upsert(routing.Route{
-		Dst: rep.Target, NextHop: pkt.From, Hops: rep.Hops + pkt.Hops,
-		Expiry: r.expiryFrom(now, rep.Lifetime), Valid: true, Lifetime: rep.Lifetime,
-	})
-	if rep.Origin == r.API.Self() {
-		delete(r.trying, rep.Target)
-		r.API.Metrics().OnPathLifetime(capLife(rep.Lifetime))
-		r.flushPending(rep.Target)
-		// Preemptive rebuild before predicted expiry: the PBR idea.
-		if rep.Lifetime != link.Forever {
-			lead := math.Max(rep.Lifetime-r.rebuildMargin, 0.1)
-			target := rep.Target
-			r.API.After(lead, func() {
-				if r.pendingOrActive(target) {
-					r.API.Metrics().RouteRepairs++
-					r.startDiscovery(target)
-				}
-			})
-		}
+	r.Table().Upsert(r.LifetimeRoute(rep.Target, pkt.From, rep.Hops+pkt.Hops, rep.Lifetime))
+	if rep.Origin != r.API.Self() {
+		r.Relay(pkt, rep.Origin)
 		return
 	}
-	rt, okRt := r.table.Lookup(rep.Origin, now)
-	if !okRt {
-		return
+	r.API.Metrics().OnPathLifetime(routing.CapLife(rep.Lifetime))
+	r.Answered(rep.Target)
+	// Preemptive rebuild before predicted expiry: the PBR idea.
+	if rep.Lifetime != link.Forever {
+		target := rep.Target
+		r.API.After(math.Max(rep.Lifetime-r.rebuildMargin, 0.1), func() {
+			if r.pendingOrActive(target) {
+				r.API.Metrics().RouteRepairs++
+				r.Start(target)
+			}
+		})
 	}
-	pkt.TTL--
-	if pkt.Expired() {
-		return
-	}
-	r.API.Send(rt.NextHop, pkt)
 }
 
 // pendingOrActive reports whether the route to target is still in use
 // (valid route entry or queued data), gating preemptive rebuilds.
 func (r *Router) pendingOrActive(target netstack.NodeID) bool {
-	if r.pending.Waiting(target) {
+	if r.Waiting(target) {
 		return true
 	}
-	_, ok := r.table.Lookup(target, r.API.Now())
+	_, ok := r.Table().Lookup(target, r.API.Now())
 	return ok
 }
-
-func (r *Router) handleData(pkt *netstack.Packet) {
-	if pkt.Dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		r.API.Drop(pkt)
-		return
-	}
-	if rt, ok := r.table.Lookup(pkt.Dst, r.API.Now()); ok {
-		r.API.Send(rt.NextHop, pkt)
-		return
-	}
-	r.API.Drop(pkt)
-}
-
-// OnNeighborExpired implements netstack.Router.
-func (r *Router) OnNeighborExpired(id netstack.NodeID) {
-	broken := r.table.InvalidateVia(id)
-	r.API.Metrics().RouteBreaks += len(broken)
-}
-
-// OnSendFailed implements netstack.Router.
-func (r *Router) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
-	r.API.ForgetNeighbor(to)
-	r.OnNeighborExpired(to)
-	if pkt.Data {
-		r.API.Drop(pkt)
-	}
-}
-
-// mergeReverse keeps the longer-lived of the competing reverse routes
-// among those that do not increase the hop count: hop monotonicity keeps
-// the reverse forwarding graph loop-free.
-func (r *Router) mergeReverse(nr routing.Route) {
-	cur, ok := r.table.Get(nr.Dst)
-	if ok && cur.Valid && !(nr.Hops < cur.Hops || (nr.Hops == cur.Hops && nr.Lifetime > cur.Lifetime)) {
-		return
-	}
-	r.table.Upsert(nr)
-}
-
-// expiryFrom converts a predicted lifetime into an absolute route expiry,
-// capped to keep Forever representable.
-func (r *Router) expiryFrom(now, lifetime float64) float64 {
-	return now + capLife(lifetime)
-}
-
-func capLife(lifetime float64) float64 {
-	const maxHold = 120
-	if lifetime > maxHold {
-		return maxHold
-	}
-	return lifetime
-}
-
-func (r *Router) flushPending(dst netstack.NodeID) {
-	fresh, expired := r.pending.PopAll(dst, r.API.Now())
-	for _, p := range expired {
-		r.API.Drop(p)
-	}
-	rt, ok := r.table.Lookup(dst, r.API.Now())
-	if !ok {
-		for _, p := range fresh {
-			r.API.Drop(p)
-		}
-		return
-	}
-	for _, p := range fresh {
-		r.API.Send(rt.NextHop, p)
-	}
-}
-
-// Table exposes the route table for tests.
-func (r *Router) Table() *routing.Table { return r.table }

@@ -1,6 +1,7 @@
 // Package routing holds the building blocks shared by every protocol
 // implementation: duplicate caches, distance-vector route tables, pending
-// data queues, and sequence-number arithmetic. The concrete protocols live
+// data queues, sequence-number arithmetic, and the on-demand discovery core
+// the reactive protocols embed (ondemand.go). The concrete protocols live
 // in the subpackages (one per surveyed protocol family) and in
 // internal/core for the paper's own ticket-probing protocol.
 package routing

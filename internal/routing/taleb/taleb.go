@@ -27,24 +27,10 @@ func WithCrossGroupDelay(d float64) Option {
 
 // Router is a per-node Taleb instance.
 type Router struct {
-	netstack.Base
-	table   *routing.Table
-	pending *routing.PendingQueue
-	dup     *routing.DupCache
-	reqID   uint64
-	trying  map[netstack.NodeID]int
-	collect map[routing.DupKey]*candidate
+	routing.OnDemand
+	sel routing.Selection[routing.Candidate] // Metric: shortest link duration
 
 	crossDelay float64
-	window     float64
-}
-
-type candidate struct {
-	bestScore float64
-	bestLife  float64
-	bestFrom  netstack.NodeID
-	hops      int
-	armed     bool
 }
 
 // rreq carries the origin's velocity group and accumulated path stability.
@@ -69,18 +55,12 @@ type rrep struct {
 // New returns a Taleb router factory.
 func New(opts ...Option) netstack.RouterFactory {
 	return func() netstack.Router {
-		r := &Router{
-			table:      routing.NewTable(),
-			pending:    routing.NewPendingQueue(16, 10),
-			dup:        routing.NewDupCache(15),
-			trying:     make(map[netstack.NodeID]int),
-			collect:    make(map[routing.DupKey]*candidate),
-			crossDelay: 0.08,
-			window:     0.3,
-		}
+		r := &Router{crossDelay: 0.08}
 		for _, o := range opts {
 			o(r)
 		}
+		r.Init(r.Name(), 1.2, r.request)
+		r.sel = routing.NewSelection(0.3, r.answer)
 		return r
 	}
 }
@@ -91,72 +71,11 @@ func (r *Router) Name() string { return "Taleb" }
 // group returns this node's velocity group.
 func (r *Router) group() int { return link.HeadingGroup(r.API.Vel()) }
 
-// Originate implements netstack.Router.
-func (r *Router) Originate(dst netstack.NodeID, size int) {
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindData, Data: true, Proto: r.Name(),
-		Src: r.API.Self(), Dst: dst, TTL: routing.DefaultTTL, Size: size,
-		Created: r.API.Now(),
-	}
-	if dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	if rt, ok := r.table.Lookup(dst, r.API.Now()); ok {
-		r.API.Send(rt.NextHop, pkt)
-		return
-	}
-	if ev := r.pending.Push(dst, pkt); ev != nil {
-		r.API.Drop(ev)
-	}
-	r.startDiscovery(dst)
-}
-
-func (r *Router) startDiscovery(dst netstack.NodeID) {
-	if _, inFlight := r.trying[dst]; inFlight {
-		return
-	}
-	r.trying[dst] = 2
-	r.sendRREQ(dst)
-}
-
-func (r *Router) sendRREQ(dst netstack.NodeID) {
-	r.API.Metrics().RouteDiscoveries++
-	r.reqID++
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindRREQ, Proto: r.Name(),
-		Src: r.API.Self(), Dst: netstack.Broadcast, TTL: routing.DefaultTTL,
-		Size: 56, Created: r.API.Now(),
-		Payload: rreq{
-			Origin: r.API.Self(), ReqID: r.reqID, Target: dst,
-			OriginGroup: r.group(), MinLife: link.Forever,
-		},
-	}
-	r.dup.Seen(routing.DupKey{Origin: pkt.Src, Seq: r.reqID}, r.API.Now())
-	r.API.Send(netstack.Broadcast, pkt)
-	dstCopy := dst
-	r.API.After(1.2, func() { r.deadline(dstCopy) })
-}
-
-func (r *Router) deadline(dst netstack.NodeID) {
-	retries, inFlight := r.trying[dst]
-	if !inFlight {
-		return
-	}
-	if _, ok := r.table.Lookup(dst, r.API.Now()); ok {
-		delete(r.trying, dst)
-		return
-	}
-	if retries <= 0 {
-		delete(r.trying, dst)
-		fresh, expired := r.pending.PopAll(dst, r.API.Now())
-		for _, p := range append(fresh, expired...) {
-			r.API.Drop(p)
-		}
-		return
-	}
-	r.trying[dst] = retries - 1
-	r.sendRREQ(dst)
+func (r *Router) request(dst netstack.NodeID, reqID uint64) *netstack.Packet {
+	return r.Control(netstack.KindRREQ, netstack.Broadcast, 56, rreq{
+		Origin: r.API.Self(), ReqID: reqID, Target: dst,
+		OriginGroup: r.group(), MinLife: link.Forever,
+	})
 }
 
 // HandlePacket implements netstack.Router.
@@ -167,7 +86,7 @@ func (r *Router) HandlePacket(pkt *netstack.Packet) {
 	case netstack.KindRREP:
 		r.handleRREP(pkt)
 	case netstack.KindData:
-		r.handleData(pkt)
+		r.HandleData(pkt)
 	}
 }
 
@@ -176,7 +95,6 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	if !ok || req.Origin == r.API.Self() {
 		return
 	}
-	now := r.API.Now()
 	// one reliability-plane read serves both the lifetime fold and the
 	// velocity-group comparison of the previous hop
 	lifeFrom := 0.0
@@ -188,36 +106,17 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 		}
 	}
 	lt := routing.MinLifetime(req.MinLife, lifeFrom)
-	r.mergeReverse(routing.Route{
-		Dst: req.Origin, NextHop: pkt.From, Hops: pkt.Hops,
-		Expiry: now + capLife(lt), Valid: true, Lifetime: lt,
-	})
+	r.MergeReverse(r.LifetimeRoute(req.Origin, pkt.From, pkt.Hops, lt))
 	if req.Target == r.API.Self() {
-		key := routing.DupKey{Origin: req.Origin, Seq: req.ReqID}
-		c, okC := r.collect[key]
-		if !okC {
-			c = &candidate{bestScore: -1}
-			r.collect[key] = c
-		}
 		// Stability score: same-group fraction dominates, predicted
 		// lifetime breaks ties (the protocol's velocity-vector heuristic).
 		links := float64(req.Links + 1)
-		score := float64(req.SameGroup+sameGroup)/links*1e6 + math.Min(capLife(lt), 1e5)
-		if score > c.bestScore {
-			c.bestScore = score
-			c.bestLife = lt
-			c.bestFrom = pkt.From
-			c.hops = pkt.Hops
-		}
-		if !c.armed {
-			c.armed = true
-			origin := req.Origin
-			r.API.After(r.window, func() { r.answer(key, origin) })
-		}
+		score := float64(req.SameGroup+sameGroup)/links*1e6 + math.Min(routing.CapLife(lt), 1e5)
+		r.sel.Offer(r.API, routing.DupKey{Origin: req.Origin, Seq: req.ReqID}, score,
+			routing.Candidate{From: pkt.From, Hops: pkt.Hops, Metric: lt})
 		return
 	}
-	key := routing.DupKey{Origin: req.Origin, Seq: req.ReqID}
-	if r.dup.Seen(key, now) {
+	if r.Duplicate(req.Origin, req.ReqID) {
 		return
 	}
 	cp := req
@@ -239,23 +138,10 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	r.API.After(r.crossDelay, func() { r.API.Send(netstack.Broadcast, fwd) })
 }
 
-func (r *Router) answer(key routing.DupKey, origin netstack.NodeID) {
-	c, ok := r.collect[key]
-	if !ok || c.bestScore < 0 {
-		return
-	}
-	delete(r.collect, key)
-	r.table.Upsert(routing.Route{
-		Dst: origin, NextHop: c.bestFrom, Hops: c.hops,
-		Expiry: r.API.Now() + capLife(c.bestLife), Valid: true, Lifetime: c.bestLife,
-	})
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindRREP, Proto: r.Name(),
-		Src: r.API.Self(), Dst: origin, TTL: routing.DefaultTTL, Size: 44,
-		Created: r.API.Now(),
-		Payload: rrep{Origin: origin, Target: r.API.Self(), MinLife: c.bestLife},
-	}
-	r.API.Send(c.bestFrom, pkt)
+func (r *Router) answer(origin netstack.NodeID, c routing.Candidate) {
+	r.Table().Upsert(r.LifetimeRoute(origin, c.From, c.Hops, c.Metric))
+	r.API.Send(c.From, r.Control(netstack.KindRREP, origin, 44,
+		rrep{Origin: origin, Target: r.API.Self(), MinLife: c.Metric}))
 }
 
 func (r *Router) handleRREP(pkt *netstack.Packet) {
@@ -263,105 +149,22 @@ func (r *Router) handleRREP(pkt *netstack.Packet) {
 	if !ok {
 		return
 	}
-	now := r.API.Now()
-	r.table.Upsert(routing.Route{
-		Dst: rep.Target, NextHop: pkt.From, Hops: rep.Hops + pkt.Hops,
-		Expiry: now + capLife(rep.MinLife), Valid: true, Lifetime: rep.MinLife,
-	})
-	if rep.Origin == r.API.Self() {
-		delete(r.trying, rep.Target)
-		r.API.Metrics().OnPathLifetime(capLife(rep.MinLife))
-		r.flushPending(rep.Target)
-		// Re-discover prior to the shortest link duration elapsing.
-		if rep.MinLife != link.Forever {
-			lead := math.Max(capLife(rep.MinLife)-0.8, 0.1)
-			target := rep.Target
-			r.API.After(lead, func() {
-				if _, okRt := r.table.Lookup(target, r.API.Now()); okRt || r.pending.Waiting(target) {
-					r.API.Metrics().RouteRepairs++
-					r.startDiscovery(target)
-				}
-			})
-		}
+	r.Table().Upsert(r.LifetimeRoute(rep.Target, pkt.From, rep.Hops+pkt.Hops, rep.MinLife))
+	if rep.Origin != r.API.Self() {
+		r.Relay(pkt, rep.Origin)
 		return
 	}
-	rt, okRt := r.table.Lookup(rep.Origin, now)
-	if !okRt {
-		return
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		return
-	}
-	r.API.Send(rt.NextHop, pkt)
-}
-
-func (r *Router) handleData(pkt *netstack.Packet) {
-	if pkt.Dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		r.API.Drop(pkt)
-		return
-	}
-	if rt, ok := r.table.Lookup(pkt.Dst, r.API.Now()); ok {
-		r.API.Send(rt.NextHop, pkt)
-		return
-	}
-	r.API.Drop(pkt)
-}
-
-// OnNeighborExpired implements netstack.Router.
-func (r *Router) OnNeighborExpired(id netstack.NodeID) {
-	broken := r.table.InvalidateVia(id)
-	r.API.Metrics().RouteBreaks += len(broken)
-}
-
-// OnSendFailed implements netstack.Router.
-func (r *Router) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
-	r.API.ForgetNeighbor(to)
-	r.OnNeighborExpired(to)
-	if pkt.Data {
-		r.API.Drop(pkt)
+	r.API.Metrics().OnPathLifetime(routing.CapLife(rep.MinLife))
+	r.Answered(rep.Target)
+	// Re-discover prior to the shortest link duration elapsing.
+	if rep.MinLife != link.Forever {
+		lead := math.Max(routing.CapLife(rep.MinLife)-0.8, 0.1)
+		target := rep.Target
+		r.API.After(lead, func() {
+			if _, okRt := r.Table().Lookup(target, r.API.Now()); okRt || r.Waiting(target) {
+				r.API.Metrics().RouteRepairs++
+				r.Start(target)
+			}
+		})
 	}
 }
-
-// mergeReverse prefers longer-lived reverse routes among those that do not
-// increase the hop count (loop freedom via hop monotonicity).
-func (r *Router) mergeReverse(nr routing.Route) {
-	cur, ok := r.table.Get(nr.Dst)
-	if ok && cur.Valid && !(nr.Hops < cur.Hops || (nr.Hops == cur.Hops && nr.Lifetime > cur.Lifetime)) {
-		return
-	}
-	r.table.Upsert(nr)
-}
-
-func (r *Router) flushPending(dst netstack.NodeID) {
-	fresh, expired := r.pending.PopAll(dst, r.API.Now())
-	for _, p := range expired {
-		r.API.Drop(p)
-	}
-	rt, ok := r.table.Lookup(dst, r.API.Now())
-	if !ok {
-		for _, p := range fresh {
-			r.API.Drop(p)
-		}
-		return
-	}
-	for _, p := range fresh {
-		r.API.Send(rt.NextHop, p)
-	}
-}
-
-func capLife(lifetime float64) float64 {
-	const maxHold = 120
-	if lifetime > maxHold {
-		return maxHold
-	}
-	return lifetime
-}
-
-// Table exposes the route table for tests.
-func (r *Router) Table() *routing.Table { return r.table }
