@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/vanetlab/relroute/internal/geom"
@@ -521,13 +522,19 @@ func (r *TicketRouter) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
 // OnNeighborExpired implements netstack.Router: source-side paths whose
 // first hop died are rebuilt immediately.
 func (r *TicketRouter) OnNeighborExpired(id netstack.NodeID) {
+	var broken []netstack.NodeID
 	for dst, ap := range r.paths {
 		if len(ap.hops) >= 2 && ap.hops[1] == id {
-			delete(r.paths, dst)
-			r.API.Metrics().RouteBreaks++
-			if r.Waiting(dst) {
-				r.Start(dst)
-			}
+			broken = append(broken, dst)
+		}
+	}
+	// Start draws a UID and broadcasts probes: map order would reach the MAC
+	slices.Sort(broken)
+	for _, dst := range broken {
+		delete(r.paths, dst)
+		r.API.Metrics().RouteBreaks++
+		if r.Waiting(dst) {
+			r.Start(dst)
 		}
 	}
 }

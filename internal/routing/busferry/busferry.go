@@ -15,10 +15,10 @@ import (
 
 // Router runs on both cars and buses; behaviour switches on the node kind.
 // Cars keep a small buffer and opportunistically hand packets to buses;
-// buses keep a large buffer and deliver/exchange.
+// buses keep a large buffer and deliver/exchange. Custody is the
+// carry-and-forward core's buffer, bounded here, behind a duplicate cache.
 type Router struct {
-	netstack.Base
-	buffer []*entry
+	routing.Carrier
 	// CarBufferTTL and BusBufferTTL bound packet custody (defaults 10 s
 	// and 60 s: "buses are assumed to have larger storage").
 	CarBufferTTL float64
@@ -26,13 +26,7 @@ type Router struct {
 	// CarBufferCap and BusBufferCap bound custody counts (32 / 512).
 	CarBufferCap int
 	BusBufferCap int
-	started      bool
 	dup          *routing.DupCache
-}
-
-type entry struct {
-	pkt   *netstack.Packet
-	since float64
 }
 
 // New returns a bus-ferry router factory.
@@ -49,117 +43,88 @@ func New() netstack.RouterFactory {
 // Name implements netstack.Router.
 func (r *Router) Name() string { return "Bus" }
 
-// Attach implements netstack.Router.
+// Attach implements netstack.Router. The core is bound here, not in New:
+// how long custody lasts depends on the node kind, which only api knows.
 func (r *Router) Attach(api *netstack.API) {
-	r.Base.Attach(api)
-	if r.started {
-		return
+	ttl := r.CarBufferTTL
+	if api.Kind() == netstack.BusNode {
+		ttl = r.BusBufferTTL
 	}
-	r.started = true
-	var sweep func()
-	sweep = func() {
-		r.tryDeliverAll()
-		r.API.After(0.5, sweep)
-	}
-	api.After(0.5+api.Rand().Float64()*0.1, sweep)
+	r.Init(r.Name(), ttl, r.accept, r.handOff)
+	r.Carrier.Attach(api)
 }
 
 func (r *Router) isBus() bool { return r.API.Kind() == netstack.BusNode }
 
-func (r *Router) bufferTTL() float64 {
-	if r.isBus() {
-		return r.BusBufferTTL
-	}
-	return r.CarBufferTTL
-}
-
-func (r *Router) bufferCap() int {
-	if r.isBus() {
-		return r.BusBufferCap
-	}
-	return r.CarBufferCap
-}
-
-// Originate implements netstack.Router.
-func (r *Router) Originate(dst netstack.NodeID, size int) {
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindData, Data: true, Proto: r.Name(),
-		Src: r.API.Self(), Dst: dst, TTL: routing.DefaultTTL, Size: size,
-		Created: r.API.Now(),
-	}
-	if dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	r.custody(pkt)
-	r.tryDeliver(pkt)
-}
-
-// HandlePacket implements netstack.Router.
+// HandlePacket implements netstack.Router: a packet this node already had
+// in custody once is not taken again.
 func (r *Router) HandlePacket(pkt *netstack.Packet) {
-	if pkt.Kind != netstack.KindData {
+	if pkt.Kind == netstack.KindData && pkt.Dst != r.API.Self() &&
+		r.dup.Seen(routing.DupKey{Origin: pkt.Src, Seq: pkt.UID}, r.API.Now()) {
 		return
 	}
-	if pkt.Dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	if r.dup.Seen(routing.DupKey{Origin: pkt.Src, Seq: pkt.UID}, r.API.Now()) {
-		return // already in custody once
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		r.API.Drop(pkt)
-		return
-	}
-	r.custody(pkt)
-	r.tryDeliver(pkt)
+	r.Carrier.HandlePacket(pkt)
 }
 
-// custody stores the packet, evicting the oldest if over cap.
-func (r *Router) custody(pkt *netstack.Packet) {
-	if len(r.buffer) >= r.bufferCap() {
-		r.API.Drop(r.buffer[0].pkt)
-		r.buffer = r.buffer[1:]
+// makeRoom evicts the oldest packet from a full buffer.
+func (r *Router) makeRoom() {
+	limit := r.CarBufferCap
+	if r.isBus() {
+		limit = r.BusBufferCap
 	}
-	r.buffer = append(r.buffer, &entry{pkt: pkt, since: r.API.Now()})
+	if r.Carried() >= limit {
+		r.DropOldest()
+	}
 }
 
-// tryDeliver attempts to move one packet toward delivery; it reports
-// whether the packet left this node.
-func (r *Router) tryDeliver(pkt *netstack.Packet) bool {
-	// 1. direct delivery
+// accept takes custody of a fresh packet unless it can leave at once: to
+// its destination or, from a car, to a bus ("buses collect as much traffic
+// information as possible from cars in the communication region").
+func (r *Router) accept(pkt *netstack.Packet) routing.Hop {
+	r.makeRoom()
 	if r.API.HasNeighbor(pkt.Dst) {
-		r.API.Send(pkt.Dst, pkt)
-		r.forget(pkt)
-		return true
+		return routing.Forward(pkt.Dst)
 	}
-	// 2. cars hand custody to a bus ("buses collect as much traffic
-	// information as possible from cars in the communication region")
 	if !r.isBus() {
-		for _, nb := range r.API.Neighbors() {
-			if nb.Kind == netstack.BusNode {
-				r.API.Send(nb.ID, pkt)
-				r.forget(pkt)
-				return true
-			}
-		}
+		return r.toBus()
 	}
-	return false
+	return routing.Carry()
 }
 
-// forget removes the packet from custody after handing it off.
-func (r *Router) forget(pkt *netstack.Packet) {
-	for i, e := range r.buffer {
-		if e.pkt == pkt {
-			r.buffer = append(r.buffer[:i], r.buffer[i+1:]...)
-			return
+// toBus hands off to the first bus in range.
+func (r *Router) toBus() routing.Hop {
+	for _, nb := range r.API.Neighbors() {
+		if nb.Kind == netstack.BusNode {
+			return routing.Forward(nb.ID)
 		}
 	}
+	return routing.Carry()
+}
+
+// handOff retries a packet in custody; a bus also exchanges it with a bus
+// clearly closer to the destination's last known position.
+func (r *Router) handOff(pkt *netstack.Packet) routing.Hop {
+	if r.API.HasNeighbor(pkt.Dst) {
+		return routing.Forward(pkt.Dst)
+	}
+	if !r.isBus() {
+		return r.toBus()
+	}
+	dstPos, _, ok := r.API.LookupPosition(pkt.Dst)
+	if !ok {
+		return routing.Carry()
+	}
+	selfD := r.API.Pos().Dist(dstPos)
+	for _, nb := range r.API.Neighbors() {
+		if nb.Kind == netstack.BusNode && nb.Pos.Dist(dstPos) < selfD*0.8 {
+			return routing.Forward(nb.ID)
+		}
+	}
+	return routing.Carry()
 }
 
 // OnSendFailed implements netstack.Router: custody handoff failed — take
-// the packet back.
+// the packet back and leave the next try to the sweep.
 func (r *Router) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
 	r.API.ForgetNeighbor(to)
 	if pkt.Kind != netstack.KindData {
@@ -170,63 +135,6 @@ func (r *Router) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
 		r.API.Drop(pkt)
 		return
 	}
-	r.custody(pkt)
+	r.makeRoom()
+	r.Hold(pkt)
 }
-
-// tryDeliverAll retries every buffered packet and expires stale ones.
-func (r *Router) tryDeliverAll() {
-	if len(r.buffer) == 0 {
-		return
-	}
-	now := r.API.Now()
-	keep := r.buffer[:0]
-	for _, e := range r.buffer {
-		if now-e.since > r.bufferTTL() {
-			r.API.Drop(e.pkt)
-			continue
-		}
-		if r.tryDeliverBuffered(e.pkt) {
-			continue
-		}
-		keep = append(keep, e)
-	}
-	r.buffer = keep
-}
-
-// tryDeliverBuffered is tryDeliver without the forget bookkeeping (the
-// caller owns buffer mutation).
-func (r *Router) tryDeliverBuffered(pkt *netstack.Packet) bool {
-	if r.API.HasNeighbor(pkt.Dst) {
-		r.API.Send(pkt.Dst, pkt)
-		return true
-	}
-	if !r.isBus() {
-		for _, nb := range r.API.Neighbors() {
-			if nb.Kind == netstack.BusNode {
-				r.API.Send(nb.ID, pkt)
-				return true
-			}
-		}
-		return false
-	}
-	// bus-to-bus exchange: hand off to a bus moving closer to the
-	// destination's last known position
-	dstPos, _, ok := r.API.LookupPosition(pkt.Dst)
-	if !ok {
-		return false
-	}
-	selfD := r.API.Pos().Dist(dstPos)
-	for _, nb := range r.API.Neighbors() {
-		if nb.Kind != netstack.BusNode {
-			continue
-		}
-		if nb.Pos.Dist(dstPos) < selfD*0.8 {
-			r.API.Send(nb.ID, pkt)
-			return true
-		}
-	}
-	return false
-}
-
-// Buffered exposes custody depth for tests.
-func (r *Router) Buffered() int { return len(r.buffer) }

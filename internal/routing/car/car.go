@@ -119,49 +119,28 @@ func pathLen(src geom.Vec2, anchors []geom.Vec2, dst geom.Vec2) float64 {
 	return total + prev.Dist(dst)
 }
 
-// Router is a per-node CAR instance.
+// Router is a per-node CAR instance: the carry-and-forward core steered
+// through the anchors its Originate stamps on each packet.
 type Router struct {
-	netstack.Base
-	dmap    *DensityMap
-	carried []*carriedPacket
-	started bool
-}
-
-type carriedPacket struct {
-	pkt   *netstack.Packet
-	since float64
+	routing.Carrier
+	dmap *DensityMap
 }
 
 // New returns a CAR router factory over the shared density map.
 func New(dmap *DensityMap) netstack.RouterFactory {
-	return func() netstack.Router { return &Router{dmap: dmap} }
+	return func() netstack.Router {
+		r := &Router{dmap: dmap}
+		r.Init(r.Name(), 8, r.route, r.retry)
+		return r
+	}
 }
 
 // Name implements netstack.Router.
 func (r *Router) Name() string { return "CAR" }
 
-// Attach implements netstack.Router.
-func (r *Router) Attach(api *netstack.API) {
-	r.Base.Attach(api)
-	if r.started {
-		return
-	}
-	r.started = true
-	var sweep func()
-	sweep = func() {
-		r.retryCarried()
-		r.API.After(0.5, sweep)
-	}
-	api.After(0.5+api.Rand().Float64()*0.1, sweep)
-}
-
 // Originate implements netstack.Router.
 func (r *Router) Originate(dst netstack.NodeID, size int) {
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindData, Data: true, Proto: r.Name(),
-		Src: r.API.Self(), Dst: dst, TTL: routing.DefaultTTL, Size: size,
-		Created: r.API.Now(),
-	}
+	pkt := routing.NewData(r.API, r.Name(), dst, size)
 	if dst == r.API.Self() {
 		r.API.Deliver(pkt)
 		return
@@ -183,24 +162,7 @@ func (r *Router) Originate(dst netstack.NodeID, size int) {
 			pkt.Size += 8 * len(anchors)
 		}
 	}
-	r.route(pkt)
-}
-
-// HandlePacket implements netstack.Router.
-func (r *Router) HandlePacket(pkt *netstack.Packet) {
-	if pkt.Kind != netstack.KindData {
-		return
-	}
-	if pkt.Dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		r.API.Drop(pkt)
-		return
-	}
-	r.route(pkt)
+	r.Route(pkt)
 }
 
 // currentTarget returns the position forwarding currently aims at: the
@@ -228,15 +190,14 @@ func (r *Router) currentTarget(pkt *netstack.Packet) (geom.Vec2, bool) {
 	return dstPos, okD
 }
 
-func (r *Router) route(pkt *netstack.Packet) {
+// route geo-forwards to the neighbor closest to the current target.
+func (r *Router) route(pkt *netstack.Packet) routing.Hop {
 	if r.API.HasNeighbor(pkt.Dst) {
-		r.API.Send(pkt.Dst, pkt)
-		return
+		return routing.Forward(pkt.Dst)
 	}
 	target, ok := r.currentTarget(pkt)
 	if !ok {
-		r.API.Drop(pkt)
-		return
+		return routing.Drop()
 	}
 	selfD := r.API.Pos().Dist(target)
 	best := netstack.Broadcast
@@ -248,60 +209,19 @@ func (r *Router) route(pkt *netstack.Packet) {
 		}
 	}
 	if best != netstack.Broadcast {
-		r.API.Send(best, pkt)
-		return
+		return routing.Forward(best)
 	}
-	r.carried = append(r.carried, &carriedPacket{pkt: pkt, since: r.API.Now()})
+	return routing.Carry()
 }
 
-// OnSendFailed implements netstack.Router.
-func (r *Router) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
-	r.API.ForgetNeighbor(to)
-	if pkt.Kind != netstack.KindData {
-		return
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		r.API.Drop(pkt)
-		return
-	}
-	r.route(pkt)
-}
-
-func (r *Router) retryCarried() {
-	if len(r.carried) == 0 {
-		return
-	}
-	now := r.API.Now()
-	keep := r.carried[:0]
-	for _, c := range r.carried {
-		if now-c.since > 8 {
-			r.API.Drop(c.pkt)
-			continue
-		}
-		if r.tryOnce(c.pkt) {
-			continue
-		}
-		keep = append(keep, c)
-	}
-	r.carried = keep
-}
-
-func (r *Router) tryOnce(pkt *netstack.Packet) bool {
+// retry settles for any neighbor closer to the current target.
+func (r *Router) retry(pkt *netstack.Packet) routing.Hop {
 	if r.API.HasNeighbor(pkt.Dst) {
-		r.API.Send(pkt.Dst, pkt)
-		return true
+		return routing.Forward(pkt.Dst)
 	}
 	target, ok := r.currentTarget(pkt)
 	if !ok {
-		return false
+		return routing.Carry()
 	}
-	selfD := r.API.Pos().Dist(target)
-	for _, nb := range r.API.Neighbors() {
-		if nb.Pos.Dist(target) < selfD {
-			r.API.Send(nb.ID, pkt)
-			return true
-		}
-	}
-	return false
+	return routing.FirstCloser(r.API, target)
 }

@@ -85,11 +85,7 @@ func (r *Router) isGateway() bool {
 
 // Originate implements netstack.Router.
 func (r *Router) Originate(dst netstack.NodeID, size int) {
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindData, Data: true, Proto: r.Name(),
-		Src: r.API.Self(), Dst: dst, TTL: routing.DefaultTTL, Size: size,
-		Created: r.API.Now(),
-	}
+	pkt := routing.NewData(r.API, r.Name(), dst, size)
 	if dst == r.API.Self() {
 		r.API.Deliver(pkt)
 		return

@@ -16,7 +16,6 @@ import (
 	"github.com/vanetlab/relroute/internal/geom"
 	"github.com/vanetlab/relroute/internal/netstack"
 	"github.com/vanetlab/relroute/internal/routing"
-	"github.com/vanetlab/relroute/internal/sim"
 )
 
 // Option configures the router factory.
@@ -34,19 +33,12 @@ func WithDirectionBias(on bool) Option {
 	return func(r *Router) { r.directionBias = on }
 }
 
-// Router is a per-node greedy geographic router.
+// Router is a per-node greedy geographic router: the carry-and-forward
+// core with maximum-progress next-hop selection.
 type Router struct {
-	netstack.Base
-	carried       []*carriedPacket
+	routing.Carrier
 	carryTimeout  float64
 	directionBias bool
-	sweep         sim.TimerID
-	started       bool
-}
-
-type carriedPacket struct {
-	pkt   *netstack.Packet
-	since float64
 }
 
 // New returns a greedy router factory.
@@ -56,6 +48,8 @@ func New(opts ...Option) netstack.RouterFactory {
 		for _, o := range opts {
 			o(r)
 		}
+		// a carried packet is retried by the rule it was routed by
+		r.Init(r.Name(), r.carryTimeout, r.route, r.route)
 		return r
 	}
 }
@@ -63,71 +57,21 @@ func New(opts ...Option) netstack.RouterFactory {
 // Name implements netstack.Router.
 func (r *Router) Name() string { return "Greedy" }
 
-// Attach implements netstack.Router and starts the carry-buffer sweep.
-func (r *Router) Attach(api *netstack.API) {
-	r.Base.Attach(api)
-	if r.started {
-		return
-	}
-	r.started = true
-	var tickFn func()
-	tickFn = func() {
-		r.retryCarried()
-		r.API.After(0.5, tickFn)
-	}
-	api.After(0.5+api.Rand().Float64()*0.1, tickFn)
-}
-
-// Originate implements netstack.Router.
-func (r *Router) Originate(dst netstack.NodeID, size int) {
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindData, Data: true, Proto: r.Name(),
-		Src: r.API.Self(), Dst: dst, TTL: routing.DefaultTTL, Size: size,
-		Created: r.API.Now(),
-	}
-	if dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	r.route(pkt)
-}
-
-// HandlePacket implements netstack.Router.
-func (r *Router) HandlePacket(pkt *netstack.Packet) {
-	if pkt.Kind != netstack.KindData {
-		return
-	}
-	if pkt.Dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		r.API.Drop(pkt)
-		return
-	}
-	r.route(pkt)
-}
-
-// route forwards greedily or buffers the packet for carry-and-forward.
-func (r *Router) route(pkt *netstack.Packet) {
+// route forwards greedily; at a local maximum (no neighbor closer than
+// self) the packet is stored, carried and forwarded later. A destination
+// the location service cannot place is given up, carried or not.
+func (r *Router) route(pkt *netstack.Packet) routing.Hop {
 	if r.API.HasNeighbor(pkt.Dst) {
-		r.API.Send(pkt.Dst, pkt)
-		return
+		return routing.Forward(pkt.Dst)
 	}
-	dstPos, dstVel, ok := r.API.LookupPosition(pkt.Dst)
+	dstPos, _, ok := r.API.LookupPosition(pkt.Dst)
 	if !ok {
-		r.API.Drop(pkt)
-		return
+		return routing.Drop()
 	}
-	_ = dstVel
-	next, found := r.bestNextHop(dstPos)
-	if found {
-		r.API.Send(next, pkt)
-		return
+	if next, found := r.bestNextHop(dstPos); found {
+		return routing.Forward(next)
 	}
-	// local maximum: store, carry, forward later
-	r.carried = append(r.carried, &carriedPacket{pkt: pkt, since: r.API.Now()})
+	return routing.Carry()
 }
 
 // bestNextHop picks the neighbor with maximum progress toward dst,
@@ -174,52 +118,3 @@ func (r *Router) bestNextHop(dstPos geom.Vec2) (netstack.NodeID, bool) {
 	}
 	return refined, true
 }
-
-// OnSendFailed implements netstack.Router: blacklist the stale neighbor
-// and re-route the packet — the GPSR-style reaction to a failed unicast.
-func (r *Router) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
-	r.API.ForgetNeighbor(to)
-	if pkt.Kind != netstack.KindData {
-		return
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		r.API.Drop(pkt)
-		return
-	}
-	r.route(pkt)
-}
-
-// retryCarried re-attempts forwarding for buffered packets and expires old
-// ones.
-func (r *Router) retryCarried() {
-	if len(r.carried) == 0 {
-		return
-	}
-	now := r.API.Now()
-	keep := r.carried[:0]
-	for _, c := range r.carried {
-		if now-c.since > r.carryTimeout {
-			r.API.Drop(c.pkt)
-			continue
-		}
-		if r.API.HasNeighbor(c.pkt.Dst) {
-			r.API.Send(c.pkt.Dst, c.pkt)
-			continue
-		}
-		dstPos, _, ok := r.API.LookupPosition(c.pkt.Dst)
-		if !ok {
-			r.API.Drop(c.pkt)
-			continue
-		}
-		if next, found := r.bestNextHop(dstPos); found {
-			r.API.Send(next, c.pkt)
-			continue
-		}
-		keep = append(keep, c)
-	}
-	r.carried = keep
-}
-
-// Carried exposes the carry-buffer length for tests.
-func (r *Router) Carried() int { return len(r.carried) }

@@ -37,19 +37,13 @@ func WithDelayBound(d float64) Option {
 	return func(r *Router) { r.delayBound = d }
 }
 
-// Router is a per-node GVGrid instance.
+// Router is a per-node GVGrid instance: the carry-and-forward core with
+// grid-walk next-hop selection.
 type Router struct {
-	netstack.Base
+	routing.Carrier
 	cellSize   float64
 	speedStd   float64
 	delayBound float64
-	carried    []*carriedPacket
-	started    bool
-}
-
-type carriedPacket struct {
-	pkt   *netstack.Packet
-	since float64
 }
 
 // New returns a GVGrid router factory.
@@ -59,27 +53,13 @@ func New(opts ...Option) netstack.RouterFactory {
 		for _, o := range opts {
 			o(r)
 		}
+		r.Init(r.Name(), 8, r.route, r.retry)
 		return r
 	}
 }
 
 // Name implements netstack.Router.
 func (r *Router) Name() string { return "GVGrid" }
-
-// Attach implements netstack.Router.
-func (r *Router) Attach(api *netstack.API) {
-	r.Base.Attach(api)
-	if r.started {
-		return
-	}
-	r.started = true
-	var sweep func()
-	sweep = func() {
-		r.retryCarried()
-		r.API.After(0.5, sweep)
-	}
-	api.After(0.5+api.Rand().Float64()*0.1, sweep)
-}
 
 // linkReliability returns P(link to the beaconed neighbor survives the
 // delay bound) under the protocol's probability model: relative speed
@@ -99,53 +79,21 @@ func (r *Router) linkReliability(ls netstack.LinkState) float64 {
 	return model.SurvivalProb(r.delayBound)
 }
 
-// Originate implements netstack.Router.
-func (r *Router) Originate(dst netstack.NodeID, size int) {
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindData, Data: true, Proto: r.Name(),
-		Src: r.API.Self(), Dst: dst, TTL: routing.DefaultTTL, Size: size,
-		Created: r.API.Now(),
-	}
-	if dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	r.route(pkt)
-}
-
-// HandlePacket implements netstack.Router.
-func (r *Router) HandlePacket(pkt *netstack.Packet) {
-	if pkt.Kind != netstack.KindData {
-		return
-	}
-	if pkt.Dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		r.API.Drop(pkt)
-		return
-	}
-	r.route(pkt)
-}
-
 // cellOf returns the integer grid cell of p.
 func (r *Router) cellOf(p geom.Vec2) (int, int) {
 	return int(math.Floor(p.X / r.cellSize)), int(math.Floor(p.Y / r.cellSize))
 }
 
 // route forwards to the most reliable neighbor that advances the grid-cell
-// walk toward the destination.
-func (r *Router) route(pkt *netstack.Packet) {
+// walk toward the destination; with none, route repair from the break
+// point is to carry briefly, then retry.
+func (r *Router) route(pkt *netstack.Packet) routing.Hop {
 	if r.API.HasNeighbor(pkt.Dst) {
-		r.API.Send(pkt.Dst, pkt)
-		return
+		return routing.Forward(pkt.Dst)
 	}
 	dstPos, _, ok := r.API.LookupPosition(pkt.Dst)
 	if !ok {
-		r.API.Drop(pkt)
-		return
+		return routing.Drop()
 	}
 	cx, cy := r.cellOf(r.API.Pos())
 	dx, dy := r.cellOf(dstPos)
@@ -183,62 +131,19 @@ func (r *Router) route(pkt *netstack.Packet) {
 		}
 	}
 	if best != netstack.Broadcast {
-		r.API.Send(best, pkt)
-		return
+		return routing.Forward(best)
 	}
-	// route repair from the break point: carry briefly, then retry
-	r.carried = append(r.carried, &carriedPacket{pkt: pkt, since: r.API.Now()})
+	return routing.Carry()
 }
 
-// OnSendFailed implements netstack.Router: the reliability estimate missed
-// — blacklist the neighbor and repair from the break point.
-func (r *Router) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
-	r.API.ForgetNeighbor(to)
-	if pkt.Kind != netstack.KindData {
-		return
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		r.API.Drop(pkt)
-		return
-	}
-	r.route(pkt)
-}
-
-func (r *Router) retryCarried() {
-	if len(r.carried) == 0 {
-		return
-	}
-	now := r.API.Now()
-	keep := r.carried[:0]
-	for _, c := range r.carried {
-		if now-c.since > 8 {
-			r.API.Drop(c.pkt)
-			continue
-		}
-		if r.tryOnce(c.pkt) {
-			continue
-		}
-		keep = append(keep, c)
-	}
-	r.carried = keep
-}
-
-func (r *Router) tryOnce(pkt *netstack.Packet) bool {
+// retry settles for any neighbor geographically closer to the destination.
+func (r *Router) retry(pkt *netstack.Packet) routing.Hop {
 	if r.API.HasNeighbor(pkt.Dst) {
-		r.API.Send(pkt.Dst, pkt)
-		return true
+		return routing.Forward(pkt.Dst)
 	}
 	dstPos, _, ok := r.API.LookupPosition(pkt.Dst)
 	if !ok {
-		return false
+		return routing.Carry()
 	}
-	selfD := r.API.Pos().Dist(dstPos)
-	for _, nb := range r.API.Neighbors() {
-		if nb.Pos.Dist(dstPos) < selfD {
-			r.API.Send(nb.ID, pkt)
-			return true
-		}
-	}
-	return false
+	return routing.FirstCloser(r.API, dstPos)
 }

@@ -49,11 +49,7 @@ func (d *Discovery) Control(kind string, dst netstack.NodeID, size int, payload 
 // Originate implements netstack.Router: send on the route there is, or
 // queue and discover.
 func (d *Discovery) Originate(dst netstack.NodeID, size int) {
-	pkt := &netstack.Packet{
-		UID: d.API.NewUID(), Kind: netstack.KindData, Data: true, Proto: d.name,
-		Src: d.API.Self(), Dst: dst, TTL: DefaultTTL, Size: size,
-		Created: d.API.Now(),
-	}
+	pkt := NewData(d.API, d.name, dst, size)
 	if dst == d.API.Self() {
 		d.API.Deliver(pkt)
 		return

@@ -31,18 +31,12 @@ func WithMinReceipt(p float64) Option {
 	return func(r *Router) { r.minReceipt = p }
 }
 
-// Router is a per-node REAR instance.
+// Router is a per-node REAR instance: the carry-and-forward core with
+// receipt-probability next-hop selection.
 type Router struct {
-	netstack.Base
+	routing.Carrier
 	model      *prob.ReceiptModel // nil: use the reliability plane's estimate
 	minReceipt float64
-	carried    []*carriedPacket
-	started    bool
-}
-
-type carriedPacket struct {
-	pkt   *netstack.Packet
-	since float64
 }
 
 // New returns a REAR router factory.
@@ -52,27 +46,14 @@ func New(opts ...Option) netstack.RouterFactory {
 		for _, o := range opts {
 			o(r)
 		}
+		// alarm messages must survive short voids: carry for up to 6 s
+		r.Init(r.Name(), 6, r.route, r.retry)
 		return r
 	}
 }
 
 // Name implements netstack.Router.
 func (r *Router) Name() string { return "REAR" }
-
-// Attach implements netstack.Router.
-func (r *Router) Attach(api *netstack.API) {
-	r.Base.Attach(api)
-	if r.started {
-		return
-	}
-	r.started = true
-	var sweep func()
-	sweep = func() {
-		r.retryCarried()
-		r.API.After(0.5, sweep)
-	}
-	api.After(0.5+api.Rand().Float64()*0.1, sweep)
-}
 
 // receiptProb estimates the probability that a frame sent to the neighbor
 // is received. ls must come from API.LinkState/LinkStates: by default the
@@ -85,49 +66,15 @@ func (r *Router) receiptProb(ls netstack.LinkState) float64 {
 	return ls.ReceiptProb
 }
 
-// Originate implements netstack.Router.
-func (r *Router) Originate(dst netstack.NodeID, size int) {
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindData, Data: true, Proto: r.Name(),
-		Src: r.API.Self(), Dst: dst, TTL: routing.DefaultTTL, Size: size,
-		Created: r.API.Now(),
-	}
-	if dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	r.route(pkt)
-}
-
-// HandlePacket implements netstack.Router.
-func (r *Router) HandlePacket(pkt *netstack.Packet) {
-	if pkt.Kind != netstack.KindData {
-		return
-	}
-	if pkt.Dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		r.API.Drop(pkt)
-		return
-	}
-	r.route(pkt)
-}
-
 // route picks the progress-making neighbor with the highest receipt
-// probability; with no candidate it carries briefly (alarm messages must
-// survive short voids).
-func (r *Router) route(pkt *netstack.Packet) {
+// probability; with no candidate the packet is carried.
+func (r *Router) route(pkt *netstack.Packet) routing.Hop {
 	if ls, ok := r.API.LinkState(pkt.Dst); ok && r.receiptProb(ls) >= r.minReceipt {
-		r.API.Send(pkt.Dst, pkt)
-		return
+		return routing.Forward(pkt.Dst)
 	}
 	dstPos, _, ok := r.API.LookupPosition(pkt.Dst)
 	if !ok {
-		r.API.Drop(pkt)
-		return
+		return routing.Drop()
 	}
 	selfD := r.API.Pos().Dist(dstPos)
 	best := netstack.Broadcast
@@ -146,61 +93,26 @@ func (r *Router) route(pkt *netstack.Packet) {
 		}
 	}
 	if best != netstack.Broadcast {
-		r.API.Send(best, pkt)
-		return
+		return routing.Forward(best)
 	}
-	r.carried = append(r.carried, &carriedPacket{pkt: pkt, since: r.API.Now()})
+	return routing.Carry()
 }
 
-// OnSendFailed implements netstack.Router: the RSSI estimate was too
-// optimistic — blacklist and re-route.
-func (r *Router) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
-	r.API.ForgetNeighbor(to)
-	if pkt.Kind != netstack.KindData {
-		return
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		r.API.Drop(pkt)
-		return
-	}
-	r.route(pkt)
-}
-
-func (r *Router) retryCarried() {
-	if len(r.carried) == 0 {
-		return
-	}
-	now := r.API.Now()
-	keep := r.carried[:0]
-	for _, c := range r.carried {
-		if now-c.since > 6 {
-			r.API.Drop(c.pkt)
-			continue
-		}
-		if r.tryOnce(c.pkt) {
-			continue
-		}
-		keep = append(keep, c)
-	}
-	r.carried = keep
-}
-
-func (r *Router) tryOnce(pkt *netstack.Packet) bool {
+// retry takes the first progress-making neighbor that is reliable enough
+// rather than the best one: a carried packet is already late.
+func (r *Router) retry(pkt *netstack.Packet) routing.Hop {
 	if r.API.HasNeighbor(pkt.Dst) {
-		r.API.Send(pkt.Dst, pkt)
-		return true
+		return routing.Forward(pkt.Dst)
 	}
 	dstPos, _, ok := r.API.LookupPosition(pkt.Dst)
 	if !ok {
-		return false
+		return routing.Carry()
 	}
 	selfD := r.API.Pos().Dist(dstPos)
 	for _, nb := range r.API.LinkStates() {
 		if nb.Pos.Dist(dstPos) < selfD && r.receiptProb(nb) >= r.minReceipt {
-			r.API.Send(nb.ID, pkt)
-			return true
+			return routing.Forward(nb.ID)
 		}
 	}
-	return false
+	return routing.Carry()
 }

@@ -72,3 +72,27 @@ func MustDeliverAll(t *testing.T, w *netstack.World, src, dst netstack.NodeID, c
 			delivered, count, w.Collector().DataDropped)
 	}
 }
+
+// Heard is one packet a Recorder node received.
+type Heard struct {
+	At       netstack.NodeID // the receiving node
+	Src, Dst netstack.NodeID
+}
+
+// Recorder returns a factory of routers that beacon, route nothing and
+// append every packet handed to them to log. A sender's MAC queue is FIFO,
+// so what one sender's receivers log is the order of its API.Send calls.
+func Recorder(log *[]Heard) netstack.RouterFactory {
+	return func() netstack.Router { return &recorder{log: log} }
+}
+
+type recorder struct {
+	netstack.Base
+	log *[]Heard
+}
+
+func (r *recorder) Name() string                   { return "recorder" }
+func (r *recorder) Originate(netstack.NodeID, int) {}
+func (r *recorder) HandlePacket(pkt *netstack.Packet) {
+	*r.log = append(*r.log, Heard{At: r.API.Self(), Src: pkt.Src, Dst: pkt.Dst})
+}

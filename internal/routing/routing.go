@@ -1,7 +1,8 @@
 // Package routing holds the building blocks shared by every protocol
 // implementation: duplicate caches, distance-vector route tables, pending
-// data queues, sequence-number arithmetic, and the on-demand discovery core
-// the reactive protocols embed (ondemand.go). The concrete protocols live
+// data queues, sequence-number arithmetic, the on-demand discovery core the
+// reactive protocols embed (ondemand.go) and the carry-and-forward core the
+// position-based ones embed (carry.go). The concrete protocols live
 // in the subpackages (one per surveyed protocol family) and in
 // internal/core for the paper's own ticket-probing protocol.
 package routing
@@ -15,6 +16,16 @@ import (
 // DefaultTTL is the hop budget given to flooded control packets and data;
 // VANET diameters in the experiments stay well below it.
 const DefaultTTL = 32
+
+// NewData builds the data packet a router originates for dst: a fresh UID,
+// the full hop budget, stamped with the node and the current time.
+func NewData(api *netstack.API, proto string, dst netstack.NodeID, size int) *netstack.Packet {
+	return &netstack.Packet{
+		UID: api.NewUID(), Kind: netstack.KindData, Data: true, Proto: proto,
+		Src: api.Self(), Dst: dst, TTL: DefaultTTL, Size: size,
+		Created: api.Now(),
+	}
+}
 
 // NeighborBuf sizes the stack array a per-packet loop reads the neighbor
 // table into (var buf [NeighborBuf]netstack.Neighbor, then

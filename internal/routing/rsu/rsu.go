@@ -10,7 +10,9 @@
 package rsu
 
 import (
+	"maps"
 	"math"
+	"slices"
 
 	"github.com/vanetlab/relroute/internal/geom"
 	"github.com/vanetlab/relroute/internal/netstack"
@@ -47,6 +49,11 @@ func (b *Backbone) delay() float64 {
 // register adds an RSU router to the backbone.
 func (b *Backbone) register(u *UnitRouter) { b.rsus[u.API.Self()] = u }
 
+// ordered lists the RSUs by ascending node ID. What a loop over them
+// schedules or prefers reaches the event queue, so it may not follow map
+// order.
+func (b *Backbone) ordered() []netstack.NodeID { return slices.Sorted(maps.Keys(b.rsus)) }
+
 // noteVehicle updates the location registry. On a handover (the vehicle
 // surfaced under a different RSU) every packet buffered for it elsewhere
 // is re-transferred to the new owner — the "position information is
@@ -61,10 +68,11 @@ func (b *Backbone) noteVehicle(vehicle, rsu netstack.NodeID) {
 	if !ok {
 		return
 	}
-	for id, u := range b.rsus {
+	for _, id := range b.ordered() {
 		if id == rsu {
 			continue
 		}
+		u := b.rsus[id]
 		for _, pkt := range u.takeBuffered(vehicle) {
 			b.transfer(u, owner, pkt)
 		}
@@ -72,7 +80,8 @@ func (b *Backbone) noteVehicle(vehicle, rsu netstack.NodeID) {
 }
 
 // rsuFor returns the RSU that last heard the vehicle, or the RSU closest
-// to the vehicle's registered position.
+// to the vehicle's registered position (the lowest ID among equally close
+// ones).
 func (b *Backbone) rsuFor(vehicle netstack.NodeID, fallbackPos geom.Vec2, hasPos bool) (*UnitRouter, bool) {
 	if id, ok := b.lastSeen[vehicle]; ok {
 		if u, okU := b.rsus[id]; okU {
@@ -84,7 +93,8 @@ func (b *Backbone) rsuFor(vehicle netstack.NodeID, fallbackPos geom.Vec2, hasPos
 	}
 	var best *UnitRouter
 	bd := math.Inf(1)
-	for _, u := range b.rsus {
+	for _, id := range b.ordered() {
+		u := b.rsus[id]
 		if d := u.API.Pos().DistSq(fallbackPos); d < bd {
 			bd = d
 			best = u
@@ -151,12 +161,7 @@ func (u *UnitRouter) OnBeacon(nb *netstack.Neighbor) {
 // Originate implements netstack.Router: RSUs do not originate app data in
 // the experiments; treat as deliver-to-self or drop.
 func (u *UnitRouter) Originate(dst netstack.NodeID, size int) {
-	pkt := &netstack.Packet{
-		UID: u.API.NewUID(), Kind: netstack.KindData, Data: true, Proto: u.Name(),
-		Src: u.API.Self(), Dst: dst, TTL: routing.DefaultTTL, Size: size,
-		Created: u.API.Now(),
-	}
-	u.handleData(pkt)
+	u.handleData(routing.NewData(u.API, u.Name(), dst, size))
 }
 
 // HandlePacket implements netstack.Router.
@@ -220,10 +225,12 @@ func (u *UnitRouter) takeBuffered(dst netstack.NodeID) []*netstack.Packet {
 }
 
 // flushBuffers delivers buffered packets whose destinations have arrived
-// and expires stale ones.
+// and expires stale ones, destination by destination in ID order: the
+// sends reach the MAC queue in the order of this loop.
 func (u *UnitRouter) flushBuffers() {
 	now := u.API.Now()
-	for dst, list := range u.buffered {
+	for _, dst := range slices.Sorted(maps.Keys(u.buffered)) {
+		list := u.buffered[dst]
 		if u.API.HasNeighbor(dst) {
 			for _, pkt := range list {
 				pkt.TTL--
@@ -275,76 +282,24 @@ func (u *UnitRouter) Buffered() int {
 // RSU in range (the differentiated reliable path), falling back to a short
 // carry while neither works.
 type VehicleRouter struct {
-	netstack.Base
-	carried []*carriedPacket
-	// CarryTimeout bounds the local buffer (default 5 s).
-	CarryTimeout float64
-	started      bool
-}
-
-type carriedPacket struct {
-	pkt   *netstack.Packet
-	since float64
+	routing.Carrier
 }
 
 // NewVehicle returns a factory for DRR vehicle routers.
 func NewVehicle() netstack.RouterFactory {
-	return func() netstack.Router { return &VehicleRouter{CarryTimeout: 5} }
+	return func() netstack.Router {
+		v := &VehicleRouter{}
+		v.Init(v.Name(), 5, v.route, v.retry)
+		return v
+	}
 }
 
 // Name implements netstack.Router.
 func (v *VehicleRouter) Name() string { return "DRR" }
 
-// Attach implements netstack.Router.
-func (v *VehicleRouter) Attach(api *netstack.API) {
-	v.Base.Attach(api)
-	if v.started {
-		return
-	}
-	v.started = true
-	var sweep func()
-	sweep = func() {
-		v.retryCarried()
-		v.API.After(0.5, sweep)
-	}
-	api.After(0.5+api.Rand().Float64()*0.1, sweep)
-}
-
-// Originate implements netstack.Router.
-func (v *VehicleRouter) Originate(dst netstack.NodeID, size int) {
-	pkt := &netstack.Packet{
-		UID: v.API.NewUID(), Kind: netstack.KindData, Data: true, Proto: v.Name(),
-		Src: v.API.Self(), Dst: dst, TTL: routing.DefaultTTL, Size: size,
-		Created: v.API.Now(),
-	}
-	if dst == v.API.Self() {
-		v.API.Deliver(pkt)
-		return
-	}
-	v.route(pkt)
-}
-
-// HandlePacket implements netstack.Router.
-func (v *VehicleRouter) HandlePacket(pkt *netstack.Packet) {
-	if pkt.Kind != netstack.KindData {
-		return
-	}
-	if pkt.Dst == v.API.Self() {
-		v.API.Deliver(pkt)
-		return
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		v.API.Drop(pkt)
-		return
-	}
-	v.route(pkt)
-}
-
-func (v *VehicleRouter) route(pkt *netstack.Packet) {
+func (v *VehicleRouter) route(pkt *netstack.Packet) routing.Hop {
 	if v.API.HasNeighbor(pkt.Dst) {
-		v.API.Send(pkt.Dst, pkt)
-		return
+		return routing.Forward(pkt.Dst)
 	}
 	// greedy V2V progress through vehicles only
 	if dstPos, _, ok := v.API.LookupPosition(pkt.Dst); ok {
@@ -363,8 +318,7 @@ func (v *VehicleRouter) route(pkt *netstack.Packet) {
 			}
 		}
 		if found {
-			v.API.Send(best, pkt)
-			return
+			return routing.Forward(best)
 		}
 	}
 	// no vehicular progress: differentiated path through the nearest RSU
@@ -382,69 +336,30 @@ func (v *VehicleRouter) route(pkt *netstack.Packet) {
 		}
 	}
 	if rsuFound {
-		v.API.Send(rsuID, pkt)
-		return
+		return routing.Forward(rsuID)
 	}
-	v.carried = append(v.carried, &carriedPacket{pkt: pkt, since: v.API.Now()})
+	return routing.Carry()
 }
 
-// OnSendFailed implements netstack.Router.
-func (v *VehicleRouter) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
-	v.API.ForgetNeighbor(to)
-	if pkt.Kind != netstack.KindData {
-		return
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		v.API.Drop(pkt)
-		return
-	}
-	v.route(pkt)
-}
-
-func (v *VehicleRouter) retryCarried() {
-	if len(v.carried) == 0 {
-		return
-	}
-	now := v.API.Now()
-	keep := v.carried[:0]
-	for _, c := range v.carried {
-		if now-c.since > v.CarryTimeout {
-			v.API.Drop(c.pkt)
-			continue
-		}
-		// retry the full decision ladder
-		before := len(v.carried)
-		_ = before
-		if v.tryOnce(c.pkt) {
-			continue
-		}
-		keep = append(keep, c)
-	}
-	v.carried = keep
-}
-
-// tryOnce attempts one routing step; it reports whether the packet left
-// this node.
-func (v *VehicleRouter) tryOnce(pkt *netstack.Packet) bool {
+// retry climbs the ladder the other way round for a packet V2V progress
+// already failed once: any RSU in range first, then any vehicle closer to
+// the destination.
+func (v *VehicleRouter) retry(pkt *netstack.Packet) routing.Hop {
 	if v.API.HasNeighbor(pkt.Dst) {
-		v.API.Send(pkt.Dst, pkt)
-		return true
+		return routing.Forward(pkt.Dst)
 	}
 	for _, nb := range v.API.Neighbors() {
 		if nb.Kind == netstack.RSU {
-			v.API.Send(nb.ID, pkt)
-			return true
+			return routing.Forward(nb.ID)
 		}
 	}
 	if dstPos, _, ok := v.API.LookupPosition(pkt.Dst); ok {
 		self := v.API.Pos().Dist(dstPos)
 		for _, nb := range v.API.Neighbors() {
 			if nb.Kind != netstack.RSU && nb.Pos.Dist(dstPos) < self {
-				v.API.Send(nb.ID, pkt)
-				return true
+				return routing.Forward(nb.ID)
 			}
 		}
 	}
-	return false
+	return routing.Carry()
 }

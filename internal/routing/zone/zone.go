@@ -64,11 +64,7 @@ func (r *Router) Name() string { return "Zone" }
 // Originate implements netstack.Router: stamp the zone and flood within
 // it.
 func (r *Router) Originate(dst netstack.NodeID, size int) {
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindData, Data: true, Proto: r.Name(),
-		Src: r.API.Self(), Dst: dst, TTL: routing.DefaultTTL, Size: size,
-		Created: r.API.Now(),
-	}
+	pkt := routing.NewData(r.API, r.Name(), dst, size)
 	if dst == r.API.Self() {
 		r.API.Deliver(pkt)
 		return
