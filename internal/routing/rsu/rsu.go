@@ -353,13 +353,9 @@ func (v *VehicleRouter) retry(pkt *netstack.Packet) routing.Hop {
 			return routing.Forward(nb.ID)
 		}
 	}
+	// no RSU among the neighbors from here on
 	if dstPos, _, ok := v.API.LookupPosition(pkt.Dst); ok {
-		self := v.API.Pos().Dist(dstPos)
-		for _, nb := range v.API.Neighbors() {
-			if nb.Kind != netstack.RSU && nb.Pos.Dist(dstPos) < self {
-				return routing.Forward(nb.ID)
-			}
-		}
+		return routing.FirstCloser(v.API, dstPos)
 	}
 	return routing.Carry()
 }
