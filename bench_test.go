@@ -123,25 +123,6 @@ func BenchmarkScaleVehicles(b *testing.B) {
 	}
 }
 
-// BenchmarkScaleVehiclesSharded is the same worst case with the step loop
-// fanned over four shards — the intra-run parallelism axis. Output is
-// byte-identical to the sequential rows (the shard tests pin that); only
-// wall-clock may differ, by up to the core count.
-func BenchmarkScaleVehiclesSharded(b *testing.B) {
-	for _, n := range []int{1000, 2000, 5000, 10000} {
-		b.Run(strconv.Itoa(n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := relroute.Run("Flooding", relroute.Options{
-					Seed: 1, Vehicles: n, HighwayLength: 2000,
-					Duration: 20, Flows: 2, FlowPackets: 5, Shards: 4,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkLinkLifetime measures the Eqn (4) closed-form solver.
 func BenchmarkLinkLifetime(b *testing.B) {
 	i := link.Kinematics1D{X: -100, V: 33, A: 0.5}

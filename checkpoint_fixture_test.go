@@ -2,13 +2,12 @@ package relroute_test
 
 // The committed checkpoint fixture pins cross-version restore: the
 // snapshot in testdata was captured by a binary running the event queue
-// heap-only (eventq.ForceHeap) — the pre-calendar layout — and a current
-// binary, whose queue fronts the same slab with a calendar ring, must
-// rebuild it, pass digest and RNG-stream verification, and finish to the
-// exact summary of an uninterrupted run. That only holds because the
-// queue's pop order and DigestInto are canonical (time, seq) contracts,
-// independent of the internal layout; if either ever leaks layout, this
-// test is the tripwire.
+// heap-only — the pre-calendar layout — and a current binary, whose queue
+// fronts the same slab with a calendar ring, must rebuild it, pass digest
+// and RNG-stream verification, and finish to the exact summary of an
+// uninterrupted run. That only holds because the queue's pop order and
+// DigestInto are canonical (time, seq) contracts, independent of the
+// internal layout; if either ever leaks layout, this test is the tripwire.
 
 import (
 	"os"
@@ -17,7 +16,6 @@ import (
 	"testing"
 
 	"github.com/vanetlab/relroute"
-	"github.com/vanetlab/relroute/internal/eventq"
 )
 
 const heapFixturePath = "testdata/fixture_heapq.ckpt"
@@ -25,9 +23,10 @@ const heapFixturePath = "testdata/fixture_heapq.ckpt"
 // Regenerate with: RELROUTE_REGEN_FIXTURES=1 go test -run HeapFixture .
 // Only needed if the snapshot schema version bumps; the point of the
 // fixture is that it is NOT regenerated when the queue internals change.
+// The heap-only layout is reachable only from eventq's own tests, so a
+// regenerated snapshot is captured under the calendar queue — the same
+// bytes, by the layout invariance eventq's TestDigestLayoutInvariant pins.
 func regenHeapFixture(t *testing.T) {
-	eventq.ForceHeap = true
-	defer func() { eventq.ForceHeap = false }()
 	sc, err := relroute.BuildScenario("TBP-SS", relroute.Options{
 		Seed: 9, Vehicles: 30, Duration: 24, Flows: 3, FlowPackets: 8,
 	})

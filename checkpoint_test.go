@@ -1,10 +1,10 @@
 package relroute_test
 
 // Checkpoint/restore integration tests at the public API: a mid-run
-// snapshot restored in a "fresh process" — at a different shard count —
-// must continue to the exact summary of the uninterrupted run, and a
-// campaign resumed from its manifest must reproduce the golden experiment
-// tables without re-executing journaled runs, at any worker count.
+// snapshot restored in a "fresh process" must continue to the exact
+// summary of the uninterrupted run, and a campaign resumed from its
+// manifest must reproduce the golden experiment tables without
+// re-executing journaled runs, at any worker count.
 
 import (
 	"fmt"
@@ -37,13 +37,11 @@ func TestCheckpointRoundTripPublicAPI(t *testing.T) {
 		t.Fatal("StopAt run reported completion")
 	}
 
-	// "Fresh process": reload the snapshot, restore at a different shard
-	// count, and run to the end.
+	// "Fresh process": reload the snapshot, restore, and run to the end.
 	snap, err := relroute.ReadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap.Opts.Shards = 4
 	restored, err := relroute.RestoreCheckpoint(snap)
 	if err != nil {
 		t.Fatal(err)

@@ -9,8 +9,6 @@
 //	vanetbench -list            # list experiment IDs
 //	vanetbench -quick           # smaller populations / shorter runs
 //	vanetbench -parallel 8      # bound the simulation worker pool
-//	vanetbench -shards 4        # shard each simulation's step loop
-//	                            # (outputs identical at any shard count)
 //
 //	vanetbench sweep -protocols Greedy,TBP-SS -vehicles 20,60 -seeds 5
 //	                            # protocol × density × seed grid with
@@ -148,7 +146,6 @@ func run(args []string) error {
 		seed      = fs.Int64("seed", 1, "random seed")
 		quick     = fs.Bool("quick", false, "reduced populations and durations")
 		parallel  = fs.Int("parallel", 0, "simulation workers (0 = GOMAXPROCS)")
-		shards    = fs.Int("shards", 1, "intra-run worker shards per simulation (output is identical for any value)")
 		manifest  = fs.String("manifest", "", "durable campaign manifest directory: completed runs are journaled there, and an interrupted invocation re-run with the same -manifest resumes instead of re-executing them")
 		ckptDir   = fs.String("checkpoint-dir", "", "auto-checkpoint every simulation into this directory (post-mortem snapshots for failed runs)")
 		ckptEvery = fs.Float64("checkpoint-every", 0, "simulated seconds between checkpoint boundaries (0 = default)")
@@ -175,7 +172,7 @@ func run(args []string) error {
 	ctx, cancel := interruptContext()
 	defer cancel()
 	cfg := relroute.ExperimentConfig{
-		Seed: *seed, Quick: *quick, Workers: *parallel, Shards: *shards,
+		Seed: *seed, Quick: *quick, Workers: *parallel,
 		Context: ctx, ManifestDir: *manifest,
 		CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery,
 	}
@@ -331,7 +328,6 @@ type scaleCell struct {
 	DensityKm float64 `json:"density_veh_per_km"`
 	LengthM   float64 `json:"highway_length_m"`
 	Seeds     int     `json:"seeds"`
-	Shards    int     `json:"shards"`
 	MeanMs    float64 `json:"mean_ms"`
 	MinMs     float64 `json:"min_ms"`
 	// EventsPerSec is simulator throughput: executed engine events per
@@ -368,7 +364,6 @@ func runScale(args []string) error {
 		seed0     = fs.Int64("seed", 1, "first replication seed")
 		duration  = fs.Float64("duration", 20, "simulated seconds per run")
 		churn     = fs.Bool("churn", false, "add an open-world churn column (Poisson arrivals + departures) per cell")
-		shards    = fs.Int("shards", 1, "intra-run worker shards per simulation (output is identical for any value)")
 		jsonOut   = fs.String("json", "", "write a machine-readable report to this file")
 	)
 	startProfiles := profileFlags(fs)
@@ -406,11 +401,8 @@ func runScale(args []string) error {
 		}
 	}
 
-	if *shards < 1 {
-		*shards = 1
-	}
 	rep := scaleReport{Protocol: *protocol, Duration: *duration}
-	columns := []string{"vehicles", "veh/km", "length(m)", "shards", "mean ms/run", "min ms/run", "events/s", "PDR"}
+	columns := []string{"vehicles", "veh/km", "length(m)", "mean ms/run", "min ms/run", "events/s", "PDR"}
 	if *churn {
 		columns = append(columns, "churn ms/run", "churn PDR", "joins/leaves")
 	}
@@ -422,13 +414,13 @@ func runScale(args []string) error {
 	for _, d := range dens {
 		for _, v := range counts {
 			length := float64(v) / d * 1000
-			cell := scaleCell{Vehicles: v, DensityKm: d, LengthM: length, Seeds: *seeds, Shards: *shards, MinMs: math.Inf(1)}
+			cell := scaleCell{Vehicles: v, DensityKm: d, LengthM: length, Seeds: *seeds, MinMs: math.Inf(1)}
 			var pdrSum float64
 			for s := 0; s < *seeds; s++ {
 				opts := relroute.Options{
 					Seed: *seed0 + int64(s), Vehicles: v,
 					HighwayLength: length, Duration: *duration,
-					Flows: 2, FlowPackets: 5, Shards: *shards,
+					Flows: 2, FlowPackets: 5,
 				}
 				t0 := time.Now()
 				sum, err := relroute.Run(*protocol, opts)
@@ -450,7 +442,7 @@ func runScale(args []string) error {
 					opts := relroute.Options{
 						Seed: *seed0 + int64(s), Vehicles: v,
 						HighwayLength: length, Duration: *duration,
-						Flows: 2, FlowPackets: 5, Shards: *shards,
+						Flows: 2, FlowPackets: 5,
 						// replace the population roughly once over the run
 						ArrivalRate:  float64(v) / *duration,
 						MeanLifetime: *duration / 2,
@@ -475,7 +467,6 @@ func runScale(args []string) error {
 				strconv.Itoa(v),
 				fmt.Sprintf("%g", d),
 				fmt.Sprintf("%.0f", length),
-				strconv.Itoa(cell.Shards),
 				fmt.Sprintf("%.1f", cell.MeanMs),
 				fmt.Sprintf("%.1f", cell.MinMs),
 				fmt.Sprintf("%.0f", cell.EventsPerSec),
@@ -525,7 +516,6 @@ func runLinkAcc(args []string) error {
 		seed     = fs.Int64("seed", 1, "random seed")
 		quick    = fs.Bool("quick", false, "reduced populations and durations")
 		parallel = fs.Int("parallel", 0, "simulation workers (0 = GOMAXPROCS)")
-		shards   = fs.Int("shards", 1, "intra-run worker shards per simulation (output is identical for any value)")
 		jsonOut  = fs.String("json", "", "write a machine-readable report to this file")
 	)
 	startProfiles := profileFlags(fs)
@@ -543,7 +533,7 @@ func runLinkAcc(args []string) error {
 	}()
 	ctx, cancel := interruptContext()
 	defer cancel()
-	cfg := relroute.ExperimentConfig{Seed: *seed, Quick: *quick, Workers: *parallel, Shards: *shards, Context: ctx}
+	cfg := relroute.ExperimentConfig{Seed: *seed, Quick: *quick, Workers: *parallel, Context: ctx}
 	cells, err := relroute.LinkAccuracy(cfg)
 	if err != nil {
 		return fmt.Errorf("linkacc: %w", err)
@@ -581,7 +571,6 @@ func runChaos(args []string) error {
 		seed     = fs.Int64("seed", 1, "random seed")
 		quick    = fs.Bool("quick", false, "reduced populations and durations")
 		parallel = fs.Int("parallel", 0, "simulation workers (0 = GOMAXPROCS)")
-		shards   = fs.Int("shards", 1, "intra-run worker shards per simulation (output is identical for any value)")
 		jsonOut  = fs.String("json", "", "write a machine-readable report to this file")
 	)
 	startProfiles := profileFlags(fs)
@@ -599,7 +588,7 @@ func runChaos(args []string) error {
 	}()
 	ctx, cancel := interruptContext()
 	defer cancel()
-	cfg := relroute.ExperimentConfig{Seed: *seed, Quick: *quick, Workers: *parallel, Shards: *shards, Context: ctx}
+	cfg := relroute.ExperimentConfig{Seed: *seed, Quick: *quick, Workers: *parallel, Context: ctx}
 	cells, err := relroute.Chaos(cfg)
 	if err != nil {
 		return fmt.Errorf("chaos: %w", err)

@@ -12,14 +12,13 @@
 //
 // Crash safety: -checkpoint snapshots the run periodically, -stop-at
 // stops it early with a final snapshot, and -resume continues from a
-// snapshot — byte-identical to the uninterrupted run, at any -shards
-// value. A first Ctrl-C interrupts the run gracefully (leaving the last
-// boundary snapshot resumable); a second hard-exits.
+// snapshot — byte-identical to the uninterrupted run. A first Ctrl-C
+// interrupts the run gracefully (leaving the last boundary snapshot
+// resumable); a second hard-exits.
 //
 //	vanetsim -proto TBP-SS -checkpoint run.ckpt -checkpoint-every 10
 //	vanetsim -proto TBP-SS -checkpoint run.ckpt -stop-at 30
 //	vanetsim -resume run.ckpt -checkpoint run.ckpt
-//	vanetsim -resume run.ckpt -shards 4               # restore sharded
 package main
 
 import (
@@ -68,7 +67,6 @@ func run(args []string) error {
 		listEst   = fs.Bool("list-estimators", false, "list link estimators and exit")
 		faults    = fs.String("faults", "", "chaos profile injecting failures (see -list-faults; empty = none)")
 		listFault = fs.Bool("list-faults", false, "list fault profiles and exit")
-		shards    = fs.Int("shards", 1, "intra-run worker shards for the step loop (output is identical for any value)")
 		ckptPath  = fs.String("checkpoint", "", "snapshot the run to this file at every checkpoint boundary")
 		ckptEvery = fs.Float64("checkpoint-every", 10, "simulated seconds between checkpoint boundaries")
 		stopAt    = fs.Float64("stop-at", 0, "stop at this simulated time after writing a final checkpoint (0 = run to the end)")
@@ -111,7 +109,6 @@ func run(args []string) error {
 		TicketBudget: *tickets, Estimator: *estimator, Faults: *faults,
 		Scenario: *scen, TracePath: *trace,
 		ArrivalRate: *arrival, MeanLifetime: *lifetime,
-		Shards: *shards,
 	}
 	if *city {
 		opts.Kind = relroute.CityKind
@@ -125,17 +122,6 @@ func run(args []string) error {
 		snap, err := relroute.ReadCheckpoint(*resume)
 		if err != nil {
 			return err
-		}
-		// The run's identity comes from the snapshot; -shards is the one
-		// flag that still applies, because shard count is not part of it.
-		shardsSet := false
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "shards" {
-				shardsSet = true
-			}
-		})
-		if shardsSet {
-			snap.Opts.Shards = *shards
 		}
 		fmt.Fprintf(os.Stderr, "vanetsim: resuming %s/%s from t=%.2fs of %.2fs\n",
 			snap.Protocol, snap.Name, snap.T, snap.Duration)

@@ -9,7 +9,7 @@
 // rewriting every subsystem around serializable event descriptors. The
 // repository's determinism contract offers a stronger primitive instead:
 // a run is a pure function of (protocol, Options), byte-identical at
-// every worker and shard count. A snapshot therefore stores the run's
+// every worker count. A snapshot therefore stores the run's
 // *identity* and *progress*, not its object graph:
 //
 //   - identity: protocol name plus the post-adjustment scenario Options
@@ -96,9 +96,7 @@ type Snapshot struct {
 	// Duration is the run's target end time, so a resume knows how far is
 	// left without consulting anything else.
 	Duration float64 `json:"duration"`
-	// Digest is the world state digest at T (netstack.World.Digest):
-	// shard- and worker-invariant, so a snapshot captured at Shards=1
-	// verifies when restored at Shards=4 and vice versa.
+	// Digest is the world state digest at T (netstack.World.Digest).
 	Digest uint64 `json:"digest"`
 	// Streams is the full RNG stream table at T: every generator the run
 	// consumes, with its seed and draw position.
@@ -199,12 +197,7 @@ func ReadFile(path string) (*Snapshot, error) {
 // it to the checkpoint, verifying digest and stream table. On success the
 // returned scenario's engine sits at snap.T with the run's periodic
 // machinery armed (StartRun has run); continue with sc.World.AdvanceTo /
-// CompleteRun / EndRun, or Complete. On failure the world's pool is torn
-// down before returning.
-//
-// Shards is not part of a run's identity: mutate snap.Opts.Shards before
-// calling to restore at a different shard count — the digest still
-// verifies, and the continuation stays byte-identical.
+// CompleteRun / EndRun, or Complete.
 func Restore(snap *Snapshot) (*scenario.Scenario, error) {
 	if snap.HasSetup {
 		return nil, fmt.Errorf("checkpoint: snapshot of %s/%s was captured under a run-specific Setup hook; rebuild the scenario in-process and use Resume", snap.Protocol, snap.Name)
@@ -224,8 +217,8 @@ func Restore(snap *Snapshot) (*scenario.Scenario, error) {
 // and verifies it reached the captured state: event count, then every
 // stream's (owner, seed, position) — which pinpoints the diverging
 // component on mismatch — then the full state digest. The scenario must
-// be a fresh build of the snapshot's identity (same protocol and Opts,
-// any Shards), with any Setup hook already re-applied.
+// be a fresh build of the snapshot's identity (same protocol and Opts),
+// with any Setup hook already re-applied.
 func Resume(sc *scenario.Scenario, snap *Snapshot) error {
 	w := sc.World
 	w.StartRun()

@@ -43,8 +43,8 @@ func captureAt(t *testing.T, protocol string, opts scenario.Options, at float64)
 
 // roundTrip asserts that capture-at-mid-run → write → read → restore in a
 // "fresh process" → run-to-end reproduces the uninterrupted summary
-// exactly, at the given restore shard count.
-func roundTrip(t *testing.T, protocol string, opts scenario.Options, restoreShards int) {
+// exactly.
+func roundTrip(t *testing.T, protocol string, opts scenario.Options) {
 	t.Helper()
 	want := runClean(t, protocol, opts)
 	snap := captureAt(t, protocol, opts, opts.Duration/2)
@@ -56,7 +56,6 @@ func roundTrip(t *testing.T, protocol string, opts scenario.Options, restoreShar
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	loaded.Opts.Shards = restoreShards
 	sc, err := Restore(loaded)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
@@ -75,39 +74,26 @@ func baseOpts() scenario.Options {
 }
 
 func TestRoundTripHighwayTBPSS(t *testing.T) {
-	roundTrip(t, "TBP-SS", baseOpts(), 0)
+	roundTrip(t, "TBP-SS", baseOpts())
 }
 
 func TestRoundTripCityRushGreedy(t *testing.T) {
 	o := baseOpts()
 	o.Scenario = "city-rush"
-	roundTrip(t, "Greedy", o, 0)
+	roundTrip(t, "Greedy", o)
 }
 
 func TestRoundTripOpenWorldChurn(t *testing.T) {
 	o := baseOpts()
 	o.ArrivalRate = 0.5
 	o.MeanLifetime = 15
-	roundTrip(t, "Greedy", o, 0)
+	roundTrip(t, "Greedy", o)
 }
 
 func TestRoundTripFaultProfile(t *testing.T) {
 	o := baseOpts()
 	o.Faults = "rolling-crashes"
-	roundTrip(t, "AODV", o, 0)
-}
-
-func TestRoundTripCrossShards(t *testing.T) {
-	// Capture at Shards=1, restore at Shards=4: Shards is not part of a
-	// run's identity, so the digest must verify and the continuation must
-	// match byte for byte.
-	roundTrip(t, "TBP-SS", baseOpts(), 4)
-}
-
-func TestRoundTripCaptureShardedRestoreSequential(t *testing.T) {
-	o := baseOpts()
-	o.Shards = 4
-	roundTrip(t, "TBP-SS", o, 0)
+	roundTrip(t, "AODV", o)
 }
 
 func TestCaptureRefusesInMemoryChannel(t *testing.T) {

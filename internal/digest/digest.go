@@ -5,8 +5,8 @@
 // of a serialized object graph, and a restored process proves it reached
 // the exact same state by recomputing the digest after fast-forwarding.
 // For that to work the digest must be a pure function of logical state —
-// independent of process, pointer values, map iteration order, shard
-// count, and worker count. Every DigestInto implementation in the
+// independent of process, pointer values, map iteration order, and
+// worker count. Every DigestInto implementation in the
 // repository therefore walks its state in a canonical order (node ID,
 // vehicle ID, sorted map keys, heap layout) and feeds only semantic
 // fields through the typed writers below.

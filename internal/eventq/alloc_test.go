@@ -86,12 +86,10 @@ func TestCalendarScheduleCancelAllocFree(t *testing.T) {
 }
 
 // TestForceHeapSchedulePopAllocFree pins the heap-only layout (the
-// ForceHeap escape hatch used by layout-invariance fixtures) to the same
-// zero-alloc contract.
+// newHeapOnly reference the layout-invariance tests compare against) to
+// the same zero-alloc contract.
 func TestForceHeapSchedulePopAllocFree(t *testing.T) {
-	defer func(prev bool) { ForceHeap = prev }(ForceHeap)
-	ForceHeap = true
-	var q Queue
+	q := newHeapOnly()
 	fn := func() {}
 	for i := 0; i < 512; i++ {
 		q.Schedule(float64(i), fn)
@@ -103,10 +101,10 @@ func TestForceHeapSchedulePopAllocFree(t *testing.T) {
 		q.Pop()
 	})
 	if allocs != 0 {
-		t.Fatalf("ForceHeap Schedule+Pop allocates %.1f objects/op, want 0", allocs)
+		t.Fatalf("heap-only Schedule+Pop allocates %.1f objects/op, want 0", allocs)
 	}
 	if q.width != 0 {
-		t.Fatal("ForceHeap queue built a calendar")
+		t.Fatal("heap-only queue built a calendar")
 	}
 }
 

@@ -37,8 +37,7 @@ func BenchmarkSchedulePop(b *testing.B) {
 // after scheduling, and a timer that is armed and immediately cancelled
 // every 8th op (ARQ style). One benchmark op = one pop + the reschedules
 // it triggers.
-func benchMixedWorkload(b *testing.B, producers int) {
-	var q Queue
+func benchMixedWorkload(b *testing.B, q *Queue, producers int) {
 	period := 1.0
 	phase := period / float64(producers)
 	for i := 0; i < producers; i++ {
@@ -84,19 +83,17 @@ func benchMixedWorkload(b *testing.B, producers int) {
 func BenchmarkEventqCalendar(b *testing.B) {
 	for _, producers := range []int{1000, 10000} {
 		b.Run(strconv.Itoa(producers), func(b *testing.B) {
-			benchMixedWorkload(b, producers)
+			benchMixedWorkload(b, new(Queue), producers)
 		})
 	}
 }
 
 // BenchmarkEventqHeap is the identical workload pinned to the heap-only
-// layout via ForceHeap — the before/after pair for the calendar front end.
+// layout (newHeapOnly) — the before/after pair for the calendar front end.
 func BenchmarkEventqHeap(b *testing.B) {
-	defer func(prev bool) { ForceHeap = prev }(ForceHeap)
-	ForceHeap = true
 	for _, producers := range []int{1000, 10000} {
 		b.Run(strconv.Itoa(producers), func(b *testing.B) {
-			benchMixedWorkload(b, producers)
+			benchMixedWorkload(b, newHeapOnly(), producers)
 		})
 	}
 }

@@ -30,12 +30,6 @@ import (
 	"github.com/vanetlab/relroute/internal/digest"
 )
 
-// ForceHeap disables the calendar layer so the queue runs heap-only, the
-// pre-calendar layout. It is a test hook — checkpoint layout-invariance
-// tests capture a snapshot under one layout and restore it under the other
-// — and must be set before the queue is first used.
-var ForceHeap bool
-
 // ID identifies a scheduled event so it can be cancelled. The zero ID is
 // never issued. An ID packs the slot index (high 32 bits) and the slot's
 // generation at scheduling time (low 32 bits); generations start at 1 and
@@ -134,6 +128,11 @@ type Queue struct {
 	gapSum  float64
 	gapCnt  int
 	sincChk int
+
+	// heapOnly keeps the calendar off for good — the pre-calendar layout.
+	// Only this package's tests set it (newHeapOnly), as the reference
+	// side of the layout-invariance and before/after comparisons.
+	heapOnly bool
 
 	// cancelPending counts cancelled entries still sitting in a bucket
 	// or the heap. While zero — the overwhelmingly common case — bucket
@@ -497,7 +496,7 @@ func (q *Queue) targetWidth() float64 {
 // heap-only when the queue empties out, and rebuild when the bucket width
 // has drifted an order of magnitude from target.
 func (q *Queue) maintain() {
-	if ForceHeap {
+	if q.heapOnly {
 		return
 	}
 	if q.width == 0 {

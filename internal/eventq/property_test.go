@@ -204,14 +204,11 @@ func FuzzInterleavings(f *testing.F) {
 
 // TestDigestLayoutInvariant pins the canonical-digest contract: the same
 // logical pending set must digest identically whether it lives in the
-// heap-only layout (ForceHeap) or the calendar layout, regardless of the
+// heap-only layout (newHeapOnly) or the calendar layout, regardless of the
 // cancel/pop history that shaped the internal arrays.
 func TestDigestLayoutInvariant(t *testing.T) {
-	build := func(forceHeap bool) ([]float64, uint64, float64) {
-		defer func(prev bool) { ForceHeap = prev }(ForceHeap)
-		ForceHeap = forceHeap
+	build := func(q *Queue) ([]float64, uint64, float64) {
 		rng := rand.New(rand.NewSource(99))
-		var q Queue
 		var ids []ID
 		for i := 0; i < 2000; i++ {
 			ids = append(ids, q.Schedule(rng.Float64()*100, func() {}))
@@ -243,10 +240,10 @@ func TestDigestLayoutInvariant(t *testing.T) {
 		q.DigestInto(d)
 		return times, d.Sum(), q.width
 	}
-	ht, hd, hw := build(true)
-	ct, cd, cw := build(false)
+	ht, hd, hw := build(newHeapOnly())
+	ct, cd, cw := build(new(Queue))
 	if hw != 0.0 {
-		t.Fatalf("ForceHeap run still built a calendar")
+		t.Fatalf("heap-only run still built a calendar")
 	}
 	if cw == 0 {
 		t.Fatalf("calendar run never built a calendar; threshold drifted?")

@@ -1,6 +1,6 @@
 // Package faults_test exercises the fault engine from outside: directly
 // against hand-built worlds (event semantics, RNG draw order) and through
-// the scenario layer (profile wiring, shard invariance). It is an external
+// the scenario layer (profile wiring). It is an external
 // test package because the scenario package imports faults.
 package faults_test
 
@@ -203,33 +203,6 @@ func TestRSUBlackoutCrashesEveryRSU(t *testing.T) {
 	}
 	if sum.Crashes != 3 || sum.Recoveries != 0 {
 		t.Errorf("crashes/recoveries = %d/%d, want 3/0", sum.Crashes, sum.Recoveries)
-	}
-}
-
-// TestFaultedRunIsShardInvariant is the chaos determinism contract at the
-// scenario level: the same faulted run produces an identical summary
-// whether the step loop is sequential or sharded.
-func TestFaultedRunIsShardInvariant(t *testing.T) {
-	base := scenario.Options{
-		Seed: 3, Vehicles: 24, HighwayLength: 1500, SpeedMean: 28,
-		Duration: 20, Flows: 3, FlowPackets: 6,
-		Faults: "rolling-crashes",
-	}
-	seq, err := scenario.RunProtocol("Greedy", base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Crashes == 0 {
-		t.Fatal("rolling-crashes crashed nothing — the schedule never fired")
-	}
-	sharded := base
-	sharded.Shards = 4
-	par, err := scenario.RunProtocol("Greedy", sharded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Errorf("sharded faulted run diverged:\nseq: %+v\npar: %+v", seq, par)
 	}
 }
 

@@ -29,12 +29,6 @@ type Config struct {
 	// Tables are byte-identical for any worker count: the runner returns
 	// results in submission order and each run is seeded independently.
 	Workers int
-	// Shards is the intra-run parallelism applied to every scenario of
-	// the experiment (scenario.Options.Shards): each simulation's step
-	// loop fans out over this many worker shards. The second determinism
-	// axis next to Workers — tables are byte-identical for any fixed
-	// value of either. Zero or one means sequential worlds.
-	Shards int
 	// Context, when non-nil, cancels in-flight simulation work: pending
 	// runs fail fast and running engines are interrupted at their next
 	// event boundary (the CLI's Ctrl-C path).
@@ -76,7 +70,6 @@ func (c Config) submit(camp runner.Campaign) ([]metrics.Summary, error) {
 // the single execution path every experiment goes through, so the
 // config's context, checkpoint, and manifest plumbing apply uniformly.
 func (c Config) submitResults(camp runner.Campaign) ([]runner.Result, error) {
-	camp = c.stampShards(camp)
 	pool := runner.Pool{
 		Workers:         c.Workers,
 		CheckpointDir:   c.CheckpointDir,
@@ -102,20 +95,6 @@ func (c Config) submitResults(camp runner.Campaign) ([]runner.Result, error) {
 		return nil, fmt.Errorf("harness: campaign manifest: %w", err)
 	}
 	return results, nil
-}
-
-// stampShards propagates the config's intra-run shard count onto every
-// run that does not choose its own — the single choke point through which
-// each experiment's scenarios inherit the Shards axis.
-func (c Config) stampShards(camp runner.Campaign) runner.Campaign {
-	if c.Shards > 1 {
-		for i := range camp.Runs {
-			if camp.Runs[i].Opts.Shards == 0 {
-				camp.Runs[i].Opts.Shards = c.Shards
-			}
-		}
-	}
-	return camp
 }
 
 // Table is the render unit: experiment output as labelled rows.

@@ -40,14 +40,6 @@ const feedbackAlpha = 0.25
 // a world holds thousands of monitors), and only when no slot is free. A
 // pointer into slots (what Update returns) is good until the monitor is
 // next modified.
-//
-// Shard safety: a Monitor is confined to its owning node. The sharded
-// world engine calls Expire and State on different nodes' monitors
-// concurrently, but never the same monitor from two shards; every
-// mutation (including the kinematic memo write-back in derive) stays
-// inside this monitor's own entries, so that confinement is the only
-// requirement. The shared Estimator must be stateless (the registry
-// contract) for the same reason.
 type Monitor struct {
 	keys   []key
 	n      int // live links
@@ -313,7 +305,7 @@ func (m *Monitor) kinematic(e *entry, obs Observer) float64 {
 // live entry's observed evidence in ascending ID order, plus the expiry
 // lower bound and the instrumentation counters (all deterministic
 // functions of the event history). The kinematic-lifetime memo fields
-// are a pure cache keyed on shard-invariant inputs and re-derived on
+// are a pure cache of the entry's evidence and re-derived on
 // first read after restore, so they are excluded — like the radio cache.
 func (m *Monitor) DigestInto(d *digest.Writer) {
 	d.Int(m.n)

@@ -33,8 +33,7 @@
 //
 // Every stochastic draw of a reception (channel decodability, fault-plane
 // loss) happens in candidate order — the draw-order contract pinned by
-// TestRNGDrawOrderContract. The MAC runs on the event path only: a world
-// with Shards > 1 shards its per-tick phases, never a frame.
+// TestRNGDrawOrderContract.
 package mac
 
 import (
@@ -509,9 +508,8 @@ func (l *Layer) finishTx(from int32) {
 // node in ID order, the transmit queue (frame headers — payloads are
 // process-local pointers re-derived on restore), backoff/ARQ counters,
 // the carrier-sense arrival history, and the in-flight frame's reception
-// records in candidate order. The MAC runs entirely on the
-// single-threaded event path, so all of this is a deterministic function
-// of the event history at any shard count.
+// records in candidate order — all of it a deterministic function of the
+// event history.
 func (l *Layer) DigestInto(d *digest.Writer) {
 	digestFrame := func(f *Frame) {
 		d.U32(uint32(f.From))

@@ -37,9 +37,9 @@ import (
 //	finishTx, queue non-empty      1 uniform: backoff for the next frame
 //	  (incl. unicast ARQ retry)
 //
-// The serial RNG lane rule follows from this table: all transmit-side
-// draws happen on the event path in candidate order, so the stream is
-// byte-identical at every shard count. The same order must hold for every
+// The RNG lane rule follows from this table: all transmit-side draws
+// happen on the event path in candidate order. The same order must hold
+// for every
 // frame kind — broadcast and unicast differ only in the ARQ tail, never
 // in the per-receiver lane.
 func TestRNGDrawOrderContract(t *testing.T) {

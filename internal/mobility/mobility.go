@@ -18,7 +18,6 @@ import (
 
 	"github.com/vanetlab/relroute/internal/digest"
 	"github.com/vanetlab/relroute/internal/geom"
-	"github.com/vanetlab/relroute/internal/par"
 	"github.com/vanetlab/relroute/internal/prng"
 	"github.com/vanetlab/relroute/internal/roadnet"
 )
@@ -61,19 +60,6 @@ type Model interface {
 	StatesInto(dst []State) []State
 	// Len returns the number of active vehicles.
 	Len() int
-}
-
-// ShardedModel is implemented by models whose per-tick work can fan out
-// over a par.Pool. The contract is strict determinism: for any fixed
-// input state, AdvanceShards and StatesIntoShards must produce results
-// byte-identical to Advance and StatesInto on any pool — the sharded
-// world engine runs the same golden experiments at every shard count.
-type ShardedModel interface {
-	Model
-	// AdvanceShards is Advance with its per-vehicle phases run per shard.
-	AdvanceShards(dt float64, pool *par.Pool)
-	// StatesIntoShards is StatesInto with the snapshot filled per shard.
-	StatesIntoShards(dst []State, pool *par.Pool) []State
 }
 
 // IDMParams are the Intelligent Driver Model parameters.
@@ -144,10 +130,10 @@ type vehicle struct {
 }
 
 // memberMove records one vehicle leaving the lane list it occupied at the
-// start of a sharded phase — because it changed lane, crossed a junction,
-// or despawned. Shards only record; the serial merge after the phase
-// barrier performs the ordered remove (and, unless gone, the ordered
-// reinsert under the vehicle's new key), so list mutation never races.
+// start of the lane-change or junction phase — because it changed lane,
+// crossed a junction, or despawned. The phase only records; applyMoves
+// performs the ordered remove (and, unless gone, the ordered reinsert
+// under the vehicle's new key) once the phase has seen every vehicle.
 type memberMove struct {
 	v      *vehicle
 	oldKey int32 // index into order the vehicle is being removed from
@@ -158,9 +144,7 @@ type memberMove struct {
 // first use: seeding a math/rand generator costs ~600 mixing steps, and a
 // vehicle only draws when it crosses a junction with an empty route. The
 // seed is drawn eagerly in AddVehicle, so the model's root stream is
-// byte-identical whether or when this one materializes — and since the
-// only draws happen inside the junction phase, materialization lands on
-// whichever shard owns the vehicle instead of on the serial spawn path.
+// byte-identical whether or when this one materializes.
 func (v *vehicle) random() *rand.Rand {
 	if v.rng == nil {
 		v.rng, v.rngSrc = prng.Rand(v.rngSeed)
@@ -184,20 +168,18 @@ type RoadModel struct {
 	// persist across ticks and are maintained incrementally: integration
 	// only perturbs order (fixed by the near-linear insertion resort), and
 	// every membership change — lane change, junction transition, spawn,
-	// despawn — is applied as an ordered remove/insert at a serial merge
-	// point. Rebuilding and fully sorting from scratch each tick was the
-	// single largest cost in dense worlds. vehBefore is a total order, so
-	// the incrementally maintained lists are byte-identical to
-	// scratch-built ones.
+	// despawn — is applied as an ordered remove/insert between phases.
+	// Rebuilding and fully sorting from scratch each tick was the single
+	// largest cost in dense worlds. vehBefore is a total order, so the
+	// incrementally maintained lists are byte-identical to scratch-built
+	// ones.
 	order     [][]*vehicle
 	maxLanes  int
 	listsLive bool
-	// moves holds the per-shard membership-change buffers the lane-change
-	// and junction phases fill; the serial merge drains them in shard
-	// order (= vehicle index order). Backing arrays are reused.
-	moves [][]memberMove
-	// shardStart is StatesIntoShards' reused output-offset scratch.
-	shardStart []int
+	// moves is the membership-change buffer the lane-change and junction
+	// phases fill in vehicle index order and applyMoves drains. The backing
+	// array is reused.
+	moves []memberMove
 	// rngSrc is the counting source behind rng when the model was built
 	// through NewRoadModelSeeded; nil for an externally supplied rng. The
 	// model draws from it at runtime (one seed per spawned vehicle), so
@@ -339,188 +321,144 @@ func (m *RoadModel) Len() int {
 	return n
 }
 
-// Advance implements Model: one IDM step for every vehicle, then lane
-// changes, then junction handling.
-func (m *RoadModel) Advance(dt float64) { m.advance(dt, par.Seq) }
-
-// AdvanceShards implements ShardedModel: the same step with each
-// per-vehicle phase fanned out over the pool. Byte-identical to Advance —
-// both are the same phased implementation, only the pool differs.
-func (m *RoadModel) AdvanceShards(dt float64, pool *par.Pool) { m.advance(dt, pool) }
-
-// advance is one mobility step as a sequence of per-vehicle phases with a
-// full barrier between them. Every phase reads only state frozen at the
-// previous barrier and writes only vehicle-private fields (or, for the
-// sort phases, disjoint lane lists), so the phase bodies may run per
-// shard over disjoint index ranges in any interleaving:
+// Advance implements Model: one mobility step as a sequence of per-vehicle
+// phases. Every phase reads only state the previous phase left final, and
+// the phase order is semantics, not scheduling:
 //
-//   - sort: each (segment, lane) list is sorted independently; membership
-//     was fixed by the serial bucket pass.
-//   - accel: reads leaders' frozen offset/speed, writes only v.accel.
+//   - accel: reads leaders' offset/speed as they stood before anyone
+//     moved, writes only v.accel.
 //   - integrate: reads only v.accel, writes v.speed/v.offset/cooldown.
 //   - resort + lane changes + junctions: lane changes write only v.lane
-//     (list membership stays stale through the phase, exactly as in the
-//     sequential formulation; the serial merge after the barrier splices
-//     the lists), and junction transitions touch only the vehicle's own
-//     record and slot, drawing only its private RNG.
+//     (list membership stays stale through the phase, so every decision
+//     sees the same pre-change lists; applyMoves splices them afterwards),
+//     and junction transitions touch only the vehicle's own record and
+//     slot, drawing only its private RNG.
 //
 // Lane changes and junctions stay separate phases: a junction transition
-// rewrites v.offset relative to a new segment, and the sequential
-// formulation let every lane-change decision observe pre-transition
-// offsets.
+// rewrites v.offset relative to a new segment, and every lane-change
+// decision observes pre-transition offsets.
 //
 // The lane lists are rebuilt from scratch only on the first tick after
 // construction (or restore). Every later tick inherits lists that are
-// already membership-exact and sorted: the previous tick's surgery merges
+// already membership-exact and sorted: the previous tick's applyMoves
 // applied every lane change, junction move, and despawn, and AddVehicle/
 // RemoveVehicle splice between ticks. Since vehBefore is a total order,
 // "maintained incrementally" and "rebuilt from scratch" denote the same
 // unique permutation — the skip changes no observable state.
-func (m *RoadModel) advance(dt float64, pool *par.Pool) {
+func (m *RoadModel) Advance(dt float64) {
 	m.now += dt
-	for len(m.moves) < pool.Shards() {
-		m.moves = append(m.moves, nil)
-	}
 	if !m.listsLive {
 		m.bucketOrder()
-		pool.Run(func(shard int) {
-			lo, hi := pool.Range(len(m.order), shard)
-			for _, list := range m.order[lo:hi] {
-				sortVehicles(list)
-				for i, o := range list {
-					o.orderIdx = int32(i)
-				}
-			}
-		})
-		m.listsLive = true
-	}
-	// 1. accelerations from current leaders
-	pool.Run(func(shard int) {
-		lo, hi := pool.Range(len(m.vs), shard)
-		for _, v := range m.vs[lo:hi] {
-			if v == nil {
-				continue
-			}
-			gap, leadSpeed := m.gapAhead(v, v.lane)
-			limit := m.net.Segment(v.seg).SpeedLimit
-			a := v.params.accel(v.speed, gap, v.speed-leadSpeed)
-			// respect the speed limit as the v_m clamp
-			if v.speed > limit {
-				a = math.Min(a, -v.params.ComfortDecel)
-			}
-			v.accel = clampF(a, -8, v.params.MaxAccel)
-		}
-	})
-	// 2. integrate
-	pool.Run(func(shard int) {
-		lo, hi := pool.Range(len(m.vs), shard)
-		for _, v := range m.vs[lo:hi] {
-			if v == nil {
-				continue
-			}
-			v.speed = clampF(v.speed+v.accel*dt, 0, m.net.Segment(v.seg).SpeedLimit)
-			v.offset += v.speed * dt
-			if v.laneCooldown > 0 {
-				v.laneCooldown -= dt
-			}
-		}
-	})
-	// 3. lane changes (after movement so gaps reflect fresh positions).
-	// Integration never moves a vehicle across a (segment, lane) list, so
-	// membership is unchanged since the rebuild above — re-sorting the
-	// nearly-sorted lists in place is enough (and ~linear).
-	pool.Run(func(shard int) {
-		lo, hi := pool.Range(len(m.order), shard)
-		for _, list := range m.order[lo:hi] {
-			insertionSortVehicles(list)
+		for _, list := range m.order {
+			sortVehicles(list)
 			for i, o := range list {
 				o.orderIdx = int32(i)
 			}
 		}
-	})
-	pool.Run(func(shard int) {
-		buf := m.moves[shard]
-		lo, hi := pool.Range(len(m.vs), shard)
-		for _, v := range m.vs[lo:hi] {
-			if v == nil {
-				continue
-			}
-			oldLane := v.lane
-			m.maybeChangeLane(v)
-			if v.lane != oldLane {
-				buf = append(buf, memberMove{v: v, oldKey: int32(int(v.seg)*m.maxLanes + oldLane)})
-			}
+		m.listsLive = true
+	}
+	// 1. accelerations from current leaders
+	for _, v := range m.vs {
+		if v == nil {
+			continue
 		}
-		m.moves[shard] = buf
-	})
+		gap, leadSpeed := m.gapAhead(v, v.lane)
+		limit := m.net.Segment(v.seg).SpeedLimit
+		a := v.params.accel(v.speed, gap, v.speed-leadSpeed)
+		// respect the speed limit as the v_m clamp
+		if v.speed > limit {
+			a = math.Min(a, -v.params.ComfortDecel)
+		}
+		v.accel = clampF(a, -8, v.params.MaxAccel)
+	}
+	// 2. integrate
+	for _, v := range m.vs {
+		if v == nil {
+			continue
+		}
+		v.speed = clampF(v.speed+v.accel*dt, 0, m.net.Segment(v.seg).SpeedLimit)
+		v.offset += v.speed * dt
+		if v.laneCooldown > 0 {
+			v.laneCooldown -= dt
+		}
+	}
+	// 3. lane changes (after movement so gaps reflect fresh positions).
+	// Integration never moves a vehicle across a (segment, lane) list, so
+	// membership is unchanged since the rebuild above — re-sorting the
+	// nearly-sorted lists in place is enough (and ~linear).
+	for _, list := range m.order {
+		insertionSortVehicles(list)
+		for i, o := range list {
+			o.orderIdx = int32(i)
+		}
+	}
+	for _, v := range m.vs {
+		if v == nil {
+			continue
+		}
+		oldLane := v.lane
+		m.maybeChangeLane(v)
+		if v.lane != oldLane {
+			m.moves = append(m.moves, memberMove{v: v, oldKey: int32(int(v.seg)*m.maxLanes + oldLane)})
+		}
+	}
 	// The lane merge runs before the junction phase so junction records
 	// capture the post-lane-change key; nothing in the junction phase
 	// reads the lists, so the mid-tick splice is unobservable.
 	m.applyMoves()
 	// 4. junction transitions
-	pool.Run(func(shard int) {
-		buf := m.moves[shard]
-		lo, hi := pool.Range(len(m.vs), shard)
-		for i := lo; i < hi; i++ {
-			v := m.vs[i]
-			if v == nil {
-				continue
-			}
-			seg := m.net.Segment(v.seg)
-			if v.offset < seg.Length() {
-				continue
-			}
-			// The vehicle leaves its current list: it either enters a new
-			// segment, despawns, or parks at a dead end (same key, new
-			// offset — still a remove+reinsert to keep the list sorted).
-			oldKey := int32(int(v.seg)*m.maxLanes + v.lane)
-			for v.offset >= seg.Length() {
-				over := v.offset - seg.Length()
-				next, ok := m.nextSegment(v)
-				if !ok {
-					if m.exitP == Despawn {
-						m.vs[i] = nil
-					} else {
-						v.offset = seg.Length()
-						v.speed = 0
-					}
-					break
-				}
-				v.seg = next
-				seg = m.net.Segment(next)
-				if v.lane >= seg.Lanes {
-					v.lane = seg.Lanes - 1
-				}
-				v.offset = over
-			}
-			buf = append(buf, memberMove{v: v, oldKey: oldKey, gone: m.vs[i] == nil})
+	for i, v := range m.vs {
+		if v == nil {
+			continue
 		}
-		m.moves[shard] = buf
-	})
+		seg := m.net.Segment(v.seg)
+		if v.offset < seg.Length() {
+			continue
+		}
+		// The vehicle leaves its current list: it either enters a new
+		// segment, despawns, or parks at a dead end (same key, new
+		// offset — still a remove+reinsert to keep the list sorted).
+		oldKey := int32(int(v.seg)*m.maxLanes + v.lane)
+		for v.offset >= seg.Length() {
+			over := v.offset - seg.Length()
+			next, ok := m.nextSegment(v)
+			if !ok {
+				if m.exitP == Despawn {
+					m.vs[i] = nil
+				} else {
+					v.offset = seg.Length()
+					v.speed = 0
+				}
+				break
+			}
+			v.seg = next
+			seg = m.net.Segment(next)
+			if v.lane >= seg.Lanes {
+				v.lane = seg.Lanes - 1
+			}
+			v.offset = over
+		}
+		m.moves = append(m.moves, memberMove{v: v, oldKey: oldKey, gone: m.vs[i] == nil})
+	}
 	m.applyMoves()
 }
 
-// applyMoves drains the per-shard membership-move buffers in shard order.
-// pool.Range splits the vehicle slice into contiguous index windows, so
-// shard order concatenates to vehicle-ID order — the merge is byte-
-// deterministic at every shard count. Runs serially: list splices and the
-// orderIdx fixups they imply must not race.
+// applyMoves drains the membership-move buffer in the order it was filled
+// (vehicle index order): list splices and the orderIdx fixups they imply.
 func (m *RoadModel) applyMoves() {
-	for s, buf := range m.moves {
-		for _, mv := range buf {
-			m.removeOrdered(mv.oldKey, mv.v)
-			if !mv.gone {
-				m.insertOrdered(mv.v)
-			}
+	for _, mv := range m.moves {
+		m.removeOrdered(mv.oldKey, mv.v)
+		if !mv.gone {
+			m.insertOrdered(mv.v)
 		}
-		clear(buf) // don't pin despawned vehicles through the reused arena
-		m.moves[s] = buf[:0]
 	}
+	clear(m.moves) // don't pin despawned vehicles through the reused buffer
+	m.moves = m.moves[:0]
 }
 
 // removeOrdered splices v out of the lane list at key, preserving order
 // and restoring the orderIdx invariant for every shifted entry. v.orderIdx
-// is trusted: it is exact at every merge point and between ticks.
+// is trusted: it is exact whenever applyMoves runs and between ticks.
 func (m *RoadModel) removeOrdered(key int32, v *vehicle) {
 	list := m.order[key]
 	i := int(v.orderIdx)
@@ -588,7 +526,7 @@ func (m *RoadModel) nextSegment(v *vehicle) (roadnet.SegmentID, bool) {
 
 // bucketOrder refills the per-(segment, lane) lists from the live vehicle
 // set, leaving them unsorted — the sort (plus orderIdx refresh) runs as
-// the first parallel phase of the one rebuild tick; every later tick
+// the first phase of the one rebuild tick; every later tick
 // maintains the lists incrementally and skips both. Lane lists are
 // truncated and refilled in place (instead of reallocated) so their
 // backing arrays are reused. Equal-offset vehicles order by ID because
@@ -831,53 +769,6 @@ func (m *RoadModel) StatesInto(dst []State) []State {
 		}
 		dst = append(dst, m.stateOf(v))
 	}
-	return dst
-}
-
-// StatesIntoShards implements ShardedModel: the same snapshot, filled per
-// shard. A serial counting pass assigns each shard's output window (the
-// snapshot keeps vehicle-index order, so the result is byte-identical to
-// StatesInto), then every shard projects its own vehicles — the per-
-// vehicle geometry (PosAt, Heading) is the actual cost, and it is pure.
-func (m *RoadModel) StatesIntoShards(dst []State, pool *par.Pool) []State {
-	if pool.Shards() == 1 {
-		return m.StatesInto(dst)
-	}
-	n := pool.Shards()
-	if cap(m.shardStart) < n+1 {
-		m.shardStart = make([]int, n+1)
-	}
-	starts := m.shardStart[:n+1]
-	base := len(dst)
-	total := base
-	for s := 0; s < n; s++ {
-		starts[s] = total
-		lo, hi := pool.Range(len(m.vs), s)
-		for _, v := range m.vs[lo:hi] {
-			if v != nil {
-				total++
-			}
-		}
-	}
-	starts[n] = total
-	if cap(dst) < total {
-		grown := make([]State, total)
-		copy(grown, dst)
-		dst = grown
-	} else {
-		dst = dst[:total]
-	}
-	pool.Run(func(shard int) {
-		out := starts[shard]
-		lo, hi := pool.Range(len(m.vs), shard)
-		for _, v := range m.vs[lo:hi] {
-			if v == nil {
-				continue
-			}
-			dst[out] = m.stateOf(v)
-			out++
-		}
-	})
 	return dst
 }
 

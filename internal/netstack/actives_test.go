@@ -1,11 +1,9 @@
 package netstack
 
 import (
-	"reflect"
 	"testing"
 
 	"github.com/vanetlab/relroute/internal/geom"
-	"github.com/vanetlab/relroute/internal/metrics"
 	"github.com/vanetlab/relroute/internal/mobility"
 )
 
@@ -63,7 +61,7 @@ func TestQuietWorldSweepsNothing(t *testing.T) {
 
 // TestActiveSliceBookkeeping pins the membership index the sweeps iterate:
 // it mirrors failure injection and recovery exactly and stays sorted by
-// node ID (the merge order of every sharded sweep).
+// node ID (the order every sweep visits nodes in).
 func TestActiveSliceBookkeeping(t *testing.T) {
 	w := NewWorld(Config{Seed: 17}, mobility.NewPlayback(longTracks(10, 30)))
 	ids := w.AddVehicleNodes(newQuietRouter)
@@ -92,31 +90,4 @@ func TestActiveSliceBookkeeping(t *testing.T) {
 		t.Fatalf("active after recovery = %d, want 7", w.ActiveNodes())
 	}
 	checkSorted()
-}
-
-// TestShardedChurnMatchesSequential runs the staggered open-world churn
-// scenario — joins, leaves, beacons, flows — at several shard counts and
-// requires the entire metrics summary to match the sequential run: the
-// membership machinery, expiry sweeps, and departure detection must be
-// shard-count-invariant down to every counter.
-func TestShardedChurnMatchesSequential(t *testing.T) {
-	run := func(shards int) metrics.Summary {
-		t.Helper()
-		const n = 10
-		w := NewWorld(Config{Seed: 7, Shards: shards}, mobility.NewPlayback(staggeredTracks(n)))
-		w.SetJoinFactory(newChurnRouter)
-		initial := w.AddVehicleNodes(newChurnRouter)
-		w.AddFlow(initial[0], initial[0]+1, 5, 2.0, 12, 256)
-		w.AddVehicleFlow(3, 6, 1, 1.0, 30, 128)
-		if err := w.Run(40.5); err != nil {
-			t.Fatal(err)
-		}
-		return w.Collector().Summarize("churn-test", "staggered")
-	}
-	want := run(1)
-	for _, shards := range []int{2, 4} {
-		if got := run(shards); !reflect.DeepEqual(got, want) {
-			t.Fatalf("shards=%d summary diverged from sequential:\ngot  %+v\nwant %+v", shards, got, want)
-		}
-	}
 }

@@ -27,14 +27,14 @@ type linkSample struct {
 
 // linkAudit tracks open samples. The slice preserves deterministic
 // open/close ordering (map iteration never decides anything observable);
-// idx provides O(1) membership. The per-step open scan's scratch buffers
-// live in the world's per-shard stepShard records, so a step that forms
-// no new links costs no allocations, sorting, or estimator work — on any
-// shard count.
+// idx provides O(1) membership. ids is the per-step open scan's reused
+// scratch, so a step that forms no new links costs no allocations,
+// sorting, or estimator work.
 type linkAudit struct {
 	horizon float64
 	open    []linkSample
 	idx     map[uint64]bool
+	ids     []NodeID
 }
 
 func pairKey(a, b NodeID) uint64 {
@@ -53,13 +53,9 @@ func (w *World) EnableLinkAudit(horizon float64) {
 
 // auditStep advances the audit at the end of one mobility step: close
 // samples whose link broke in truth (or aged past the horizon), then open
-// samples for table entries without one. The close pass stays serial (it
-// feeds float accumulation in the collector, which must stay node-ID
-// ordered); the open scan — membership filter, estimator reads — shards
-// per node, since it only reads frozen kinematics, the idx map (written
-// solely at the merge), and each node's own monitor.
-// Per-shard sample lists concatenate in shard order, which is node-ID
-// order, so a.open grows in exactly the sequential sequence.
+// samples for table entries without one. Both passes run in node-ID order:
+// the close pass feeds float accumulation in the collector, and a.open
+// grows in the order the digest folds it.
 func (w *World) auditStep(now float64) {
 	a := w.audit
 	r := w.ch.MeanRange()
@@ -80,42 +76,27 @@ func (w *World) auditStep(now float64) {
 		delete(a.idx, pairKey(s.a, s.b))
 	}
 	a.open = keep
-	pool := w.pool
-	actives := w.actives
-	pool.Run(func(shard int) {
-		sh := &w.shards[shard]
-		sh.samples = sh.samples[:0]
-		lo, hi := pool.Range(len(actives), shard)
-		for _, n := range actives[lo:hi] {
-			// The IDs come in ascending order from the table's layout, and
-			// the estimator runs only for the links that pass the filter:
-			// most steps form no new links, and that path allocates
-			// nothing. Two observers never share a pairKey (the key leads
-			// with n.id), so deferring idx writes to the merge cannot
-			// change any node's filter result within the step.
-			obs := w.observer(n)
-			sh.ids = n.mon.AppendIDs(sh.ids[:0])
-			for _, id := range sh.ids {
-				if a.idx[pairKey(n.id, id)] {
-					continue
-				}
-				peer := w.nodeByID(id)
-				if peer == nil || !peer.active || n.pos.Dist(peer.pos) > r {
-					continue // never open a sample on a link that is already down
-				}
-				st, _ := n.mon.State(id, obs)
-				pred := st.Lifetime
-				if pred > a.horizon {
-					pred = a.horizon
-				}
-				sh.samples = append(sh.samples, linkSample{a: n.id, b: id, t0: now, pred: pred})
+	for _, n := range w.actives {
+		// The IDs come in ascending order from the table's layout, and the
+		// estimator runs only for the links that pass the filter: most
+		// steps form no new links, and that path allocates nothing.
+		obs := w.observer(n)
+		a.ids = n.mon.AppendIDs(a.ids[:0])
+		for _, id := range a.ids {
+			if a.idx[pairKey(n.id, id)] {
+				continue
 			}
-		}
-	})
-	for si := range w.shards {
-		for _, s := range w.shards[si].samples {
-			a.idx[pairKey(s.a, s.b)] = true
-			a.open = append(a.open, s)
+			peer := w.nodeByID(id)
+			if peer == nil || !peer.active || n.pos.Dist(peer.pos) > r {
+				continue // never open a sample on a link that is already down
+			}
+			st, _ := n.mon.State(id, obs)
+			pred := st.Lifetime
+			if pred > a.horizon {
+				pred = a.horizon
+			}
+			a.idx[pairKey(n.id, id)] = true
+			a.open = append(a.open, linkSample{a: n.id, b: id, t0: now, pred: pred})
 		}
 	}
 }

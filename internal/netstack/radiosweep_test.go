@@ -14,13 +14,13 @@ import (
 // beacons, flows, plus mid-run crash/recover faults — must produce a
 // byte-identical run (full metrics summary AND state digest) whether the
 // radio cache is forced to sweep every epoch, forced fully lazy, or left
-// on the demand heuristic, at every shard count. Where and when a
-// neighborhood is built may differ; nothing observable may.
+// on the demand heuristic. Where and when a neighborhood is built may
+// differ; nothing observable may.
 func TestSweepModeInvariantUnderChurnAndFaults(t *testing.T) {
-	run := func(mode radio.EagerMode, shards int) (metrics.Summary, uint64) {
+	run := func(mode radio.EagerMode) (metrics.Summary, uint64) {
 		t.Helper()
 		const n = 10
-		w := NewWorld(Config{Seed: 7, Shards: shards}, mobility.NewPlayback(staggeredTracks(n)))
+		w := NewWorld(Config{Seed: 7}, mobility.NewPlayback(staggeredTracks(n)))
 		w.SetJoinFactory(newChurnRouter)
 		w.Radio().SetEagerMode(mode)
 		initial := w.AddVehicleNodes(newChurnRouter)
@@ -36,19 +36,14 @@ func TestSweepModeInvariantUnderChurnAndFaults(t *testing.T) {
 		}
 		return w.Collector().Summarize("sweep-mode-test", "staggered"), w.Digest()
 	}
-	wantSum, wantDig := run(radio.EagerNever, 1)
-	for _, shards := range []int{1, 4} {
-		for _, mode := range []radio.EagerMode{radio.EagerAuto, radio.EagerAlways, radio.EagerNever} {
-			if mode == radio.EagerNever && shards == 1 {
-				continue // the reference run
-			}
-			gotSum, gotDig := run(mode, shards)
-			if !reflect.DeepEqual(gotSum, wantSum) {
-				t.Fatalf("mode=%v shards=%d summary diverged from lazy sequential:\ngot  %+v\nwant %+v", mode, shards, gotSum, wantSum)
-			}
-			if gotDig != wantDig {
-				t.Fatalf("mode=%v shards=%d digest %x, want %x", mode, shards, gotDig, wantDig)
-			}
+	wantSum, wantDig := run(radio.EagerNever)
+	for _, mode := range []radio.EagerMode{radio.EagerAuto, radio.EagerAlways} {
+		gotSum, gotDig := run(mode)
+		if !reflect.DeepEqual(gotSum, wantSum) {
+			t.Fatalf("mode=%v summary diverged from lazy:\ngot  %+v\nwant %+v", mode, gotSum, wantSum)
+		}
+		if gotDig != wantDig {
+			t.Fatalf("mode=%v digest %x, want %x", mode, gotDig, wantDig)
 		}
 	}
 }

@@ -45,15 +45,6 @@ type Config struct {
 	// kinematic Eqn (4) lifetime plus the RSSI receipt model — exactly the
 	// predictions the protocols computed before the plane existed.
 	Estimator string
-	// Shards is the intra-run parallelism: the per-tick phases of the
-	// step loop (mobility kinematics, the spatial refresh, the radio
-	// prefetch, and the per-node sweeps) fan out over this many worker
-	// shards. Zero or one means today's fully sequential engine. Output
-	// is byte-identical at every fixed shard count: RNG draws stay on the
-	// single-threaded event path, parallel phases compute pure functions
-	// of positions, and merges replay in node/vehicle order — see the
-	// README's "Parallel engine" section.
-	Shards int
 }
 
 func (c Config) tick() float64 {
@@ -84,13 +75,6 @@ func (c Config) beaconSize() int {
 	return c.BeaconSize
 }
 
-func (c Config) shards() int {
-	if c.Shards < 1 {
-		return 1
-	}
-	return c.Shards
-}
-
 // node is the internal per-node record.
 type node struct {
 	id      NodeID
@@ -110,42 +94,6 @@ type node struct {
 	// which clears active but not left).
 	seenStep uint64
 	left     bool
-}
-
-// stepShard is one shard's private buffers for the parallel phases of
-// World.step. Parallel phases only append to their own shard's buffers;
-// the serial sections between barriers drain them in shard order, which —
-// because shards own contiguous index ranges — replays every observable
-// mutation in exactly the order the sequential engine performs it.
-type stepShard struct {
-	ops      []stepOp       // kinematics phase: staged grid/membership work
-	changed  bool           // kinematics phase: any position changed
-	departed []*node        // departure phase: active vehicles gone from the snapshot
-	expired  []expiredLinks // expiry phase: per-node expired neighbor sets
-	samples  []linkSample   // audit phase: new ground-truth samples
-	ids      []linkstate.NodeID
-}
-
-// stepOp is one staged observable mutation from the kinematics phase,
-// replayed serially in stateBuf order.
-type stepOp struct {
-	kind uint8 // opMove, opJoin, opRejoin, opInsert
-	idx  int32 // index into stateBuf (opJoin/opRejoin/opInsert)
-	mv   spatial.Move
-}
-
-const (
-	opMove uint8 = iota + 1
-	opJoin
-	opRejoin
-	opInsert
-)
-
-// expiredLinks records one node's expired neighbors; router callbacks run
-// at the serial merge.
-type expiredLinks struct {
-	n    *node
-	gone []linkstate.NodeID
 }
 
 // random returns the node's private RNG stream, materializing it on first
@@ -183,14 +131,9 @@ type World struct {
 	byVeh []*node // vehicle ID → node; vehicle IDs are dense from 0
 	uid   uint64
 
-	// intra-run parallelism: pool fans the step loop's per-tick phases
-	// out over Config.Shards shards (par.Seq — inline, no goroutines —
-	// until Run upgrades it); actives is the sorted-by-ID slice of nodes
-	// with active == true, so sweeps iterate members instead of scanning
-	// every node ever created; shards holds each shard's merge buffers.
-	pool    *par.Pool
+	// actives is the sorted-by-ID slice of nodes with active == true, so
+	// sweeps iterate members instead of scanning every node ever created.
 	actives []*node
-	shards  []stepShard
 
 	// est is the shared link-quality estimator every node's Monitor
 	// predicts with (Config.Estimator); audit is the optional ground-truth
@@ -240,7 +183,6 @@ type World struct {
 	// whether StartRun armed the tickers (segmented runs call it once).
 	extStreams []namedStream
 	started    bool
-	poolOwned  bool
 }
 
 // namedStream is one externally owned RNG stream the checkpoint stream
@@ -273,14 +215,12 @@ func NewWorld(cfg Config, model mobility.Model) *World {
 		cell = 250
 	}
 	w := &World{
-		cfg:    cfg,
-		eng:    eng,
-		model:  model,
-		grid:   spatial.NewGrid(cell),
-		ch:     ch,
-		col:    col,
-		pool:   par.Seq,
-		shards: make([]stepShard, 1),
+		cfg:   cfg,
+		eng:   eng,
+		model: model,
+		grid:  spatial.NewGrid(cell),
+		ch:    ch,
+		col:   col,
 	}
 	// The reliability plane's estimator is shared by every node's Monitor.
 	// Unknown names are a programmer error (scenario.Build validates user
@@ -554,13 +494,12 @@ func (w *World) vehicleNode(id mobility.VehicleID) *node {
 }
 
 // Run executes the simulation for duration seconds. It is equivalent to
-// StartRun, AdvanceTo(duration), CompleteRun, EndRun — the segmented form
-// the checkpoint plane drives so it can snapshot at event-free
-// boundaries; a single Run(d) and any sequence of AdvanceTo calls ending
-// at d execute the identical event sequence.
+// StartRun, AdvanceTo(duration), CompleteRun — the segmented form the
+// checkpoint plane drives so it can snapshot at event-free boundaries; a
+// single Run(d) and any sequence of AdvanceTo calls ending at d execute
+// the identical event sequence.
 func (w *World) Run(duration float64) error {
 	w.StartRun()
-	defer w.EndRun()
 	if err := w.AdvanceTo(duration); err != nil {
 		return err
 	}
@@ -569,10 +508,9 @@ func (w *World) Run(duration float64) error {
 }
 
 // StartRun arms the run's periodic machinery — the mobility tick, per-node
-// beaconing, the location-service refresh, and the intra-run worker pool —
-// without executing any events. Calling it more than once is a no-op, so
-// segmented drivers need no state of their own. Callers that bypass Run
-// must pair it with EndRun to release the worker pool.
+// beaconing and the location-service refresh — without executing any
+// events. Calling it more than once is a no-op, so segmented drivers need
+// no state of their own.
 func (w *World) StartRun() {
 	if w.started {
 		return
@@ -589,28 +527,6 @@ func (w *World) StartRun() {
 		// an open world may start empty (a trace whose first track begins
 		// after t=0); probe a throwaway router so joiners still get beacons
 		needBeacons = w.joinFactory().NeedsBeacons()
-	}
-	// intra-run worker pool: created here (not NewWorld) so worlds that
-	// are built but never run own no goroutines, and torn down when the
-	// run ends (EndRun). The workers block between phases — no spinning —
-	// so Shards > core count degrades to sequential speed, not livelock.
-	if s := w.cfg.shards(); s > 1 {
-		w.pool = par.New(s)
-		w.poolOwned = true
-		w.shards = make([]stepShard, s)
-		if needBeacons {
-			// prewarm the per-node RNG streams across the shards: seeds
-			// were drawn eagerly at addNode, so materializing generators
-			// early is unobservable — it only moves the ~600 mixing steps
-			// per node off the serial beacon-arming loop below.
-			pool := w.pool
-			pool.Run(func(shard int) {
-				lo, hi := pool.Range(len(w.nodes), shard)
-				for _, n := range w.nodes[lo:hi] {
-					n.random()
-				}
-			})
-		}
 	}
 	// mobility + housekeeping tick
 	tick := w.cfg.tick()
@@ -645,15 +561,10 @@ func (w *World) AdvanceTo(t float64) error {
 // still-open samples). Call once, after the final AdvanceTo.
 func (w *World) CompleteRun() { w.finishAudit() }
 
-// EndRun tears down the intra-run worker pool. Idempotent; safe to call
-// whether or not the run completed.
-func (w *World) EndRun() {
-	if w.poolOwned {
-		w.pool.Close()
-		w.pool = par.Seq
-		w.poolOwned = false
-	}
-}
+// EndRun is a no-op: a world owns no goroutines or other resources to
+// release. It remains because the segmented drivers (the checkpoint plane
+// and bench/) pair every StartRun with it.
+func (w *World) EndRun() {}
 
 // step advances mobility and refreshes node kinematics and the spatial
 // index. The grid updates below advance the grid epoch, which is what
@@ -667,145 +578,81 @@ func (w *World) EndRun() {
 // path, so the bookkeeping is two integer stamps per vehicle per tick.
 func (w *World) step(dt float64) {
 	w.stepSeq++
-	pool := w.pool
-	sharded, isSharded := w.model.(mobility.ShardedModel)
-	if isSharded {
-		w.stateBuf = sharded.StatesIntoShards(w.stateBuf[:0], pool)
-	} else {
-		w.stateBuf = w.model.StatesInto(w.stateBuf[:0])
-	}
-	// Kinematics phase, per shard over disjoint stateBuf ranges: write
-	// each node's pos/vel and stage its grid move (a write to the node's
-	// private slot in the dense position array). Everything whose order
-	// is observable — cell-list surgery, joins, re-entries — is recorded
-	// in the shard's op list and replayed serially below in stateBuf
-	// order, exactly the mutation sequence of the sequential engine.
-	pool.Run(func(shard int) {
-		sh := &w.shards[shard]
-		sh.ops = sh.ops[:0]
-		sh.changed = false
-		lo, hi := pool.Range(len(w.stateBuf), shard)
-		for i := lo; i < hi; i++ {
-			s := &w.stateBuf[i]
-			var n *node
-			if int(s.ID) < len(w.byVeh) {
-				n = w.byVeh[s.ID]
+	w.stateBuf = w.model.StatesInto(w.stateBuf[:0])
+	// Kinematics, in stateBuf order: write each node's pos/vel and move it
+	// in the grid. Position-only movement is staged and the epoch advanced
+	// once for the whole tick below — the radio cache and the kinematic
+	// memo see a single geometry change per tick instead of one per moved
+	// vehicle. Joins, re-entries and inserts bump the epoch themselves
+	// (they change membership, not just positions).
+	changed := false
+	for i := range w.stateBuf {
+		s := &w.stateBuf[i]
+		var n *node
+		if int(s.ID) < len(w.byVeh) {
+			n = w.byVeh[s.ID]
+		}
+		if n == nil {
+			if w.joinFactory != nil {
+				w.joinVehicle(s)
 			}
-			if n == nil {
-				if w.joinFactory != nil {
-					sh.ops = append(sh.ops, stepOp{kind: opJoin, idx: int32(i)})
-				}
-				continue
-			}
-			n.seenStep = w.stepSeq
-			if n.left {
-				// the vehicle re-entered the world (e.g. a gap in its
-				// trace); membership changes are serial-merge work
-				sh.ops = append(sh.ops, stepOp{kind: opRejoin, idx: int32(i)})
-				continue
-			}
+			continue
+		}
+		n.seenStep = w.stepSeq
+		if n.left {
+			// the vehicle re-entered the world (e.g. a gap in its trace)
+			n.left = false
+			n.active = true
+			w.markActive(n)
+			w.joins++
+			w.col.NodeJoins++
 			n.pos = s.Pos
 			n.vel = s.Vel
-			if !n.active {
-				continue
-			}
-			changed, mv, cross, ok := w.grid.Stage(int32(n.id), n.pos)
-			if !ok {
-				sh.ops = append(sh.ops, stepOp{kind: opInsert, idx: int32(i)})
-				continue
-			}
-			sh.changed = sh.changed || changed
-			if cross {
-				sh.ops = append(sh.ops, stepOp{kind: opMove, mv: mv})
-			}
+			w.grid.Update(int32(n.id), n.pos)
+			continue
 		}
-	})
-	// Serial merge in shard (= stateBuf) order, then one epoch advance
-	// for the whole tick's staged movement — the radio cache and the
-	// kinematic memo see a single geometry change per tick instead of
-	// one per moved vehicle. Joins and removals below still bump the
-	// epoch themselves (they change membership, not just positions).
-	changed := false
-	for si := range w.shards {
-		sh := &w.shards[si]
-		changed = changed || sh.changed
-		for _, op := range sh.ops {
-			switch op.kind {
-			case opMove:
-				w.grid.Commit(op.mv)
-			case opJoin:
-				w.joinVehicle(&w.stateBuf[op.idx])
-			case opRejoin:
-				s := &w.stateBuf[op.idx]
-				n := w.byVeh[s.ID]
-				n.left = false
-				n.active = true
-				w.markActive(n)
-				w.joins++
-				w.col.NodeJoins++
-				n.pos = s.Pos
-				n.vel = s.Vel
-				w.grid.Update(int32(n.id), n.pos)
-			case opInsert:
-				n := w.byVeh[w.stateBuf[op.idx].ID]
-				w.grid.Update(int32(n.id), n.pos)
-			}
+		n.pos = s.Pos
+		n.vel = s.Vel
+		if !n.active {
+			continue
+		}
+		moved, mv, cross, ok := w.grid.Stage(int32(n.id), n.pos)
+		if !ok {
+			w.grid.Update(int32(n.id), n.pos)
+			continue
+		}
+		changed = changed || moved
+		if cross {
+			w.grid.Commit(mv)
 		}
 	}
 	if changed {
 		w.grid.AdvanceEpoch()
 	}
-	if isSharded {
-		sharded.AdvanceShards(dt, pool)
-	} else {
-		w.model.Advance(dt)
-	}
+	w.model.Advance(dt)
 	// departure sweep — only in open worlds (SetJoinFactory): an active
 	// vehicle node absent from this step's snapshot left the mobility
 	// model (trace window closed, lifetime expired, drove off the map).
 	// Worlds that never opted into open membership keep the legacy
-	// fixed-population behaviour and report zero joins/leaves. Detection
-	// (a flag comparison per active node) shards; leaveNode runs at the
-	// merge, in node-ID order.
+	// fixed-population behaviour and report zero joins/leaves. leaveNode
+	// splices n out of w.actives, so the index only advances past nodes
+	// that stay.
 	if w.joinFactory != nil {
-		actives := w.actives
-		pool.Run(func(shard int) {
-			sh := &w.shards[shard]
-			sh.departed = sh.departed[:0]
-			lo, hi := pool.Range(len(actives), shard)
-			for _, n := range actives[lo:hi] {
-				if n.vehID >= 0 && n.seenStep != w.stepSeq {
-					sh.departed = append(sh.departed, n)
-				}
-			}
-		})
-		for si := range w.shards {
-			for _, n := range w.shards[si].departed {
+		for i := 0; i < len(w.actives); {
+			if n := w.actives[i]; n.vehID >= 0 && n.seenStep != w.stepSeq {
 				w.leaveNode(n)
+				continue
 			}
+			i++
 		}
 	}
-	// Neighbor expiry sweep over the active slice: Expire mutates only
-	// its own node's monitor and draws nothing, so it shards per node;
-	// the router callbacks — which may transmit, enqueueing onto the
-	// serial MAC path — replay at the merge in node-ID order.
+	// Neighbor expiry sweep over the active slice, in node-ID order. The
+	// router callbacks may transmit but never change membership, so
+	// w.actives is stable under the loop.
 	now := w.eng.Now()
-	actives := w.actives
-	pool.Run(func(shard int) {
-		sh := &w.shards[shard]
-		sh.expired = sh.expired[:0]
-		lo, hi := pool.Range(len(actives), shard)
-		for _, n := range actives[lo:hi] {
-			if gone := n.mon.Expire(now); len(gone) > 0 {
-				sh.expired = append(sh.expired, expiredLinks{n: n, gone: gone})
-			}
-		}
-	})
-	for si := range w.shards {
-		for _, ex := range w.shards[si].expired {
-			for _, gone := range ex.gone {
-				ex.n.router.OnNeighborExpired(gone)
-			}
+	for _, n := range w.actives {
+		for _, gone := range n.mon.Expire(now) {
+			n.router.OnNeighborExpired(gone)
 		}
 	}
 	if w.audit != nil {
@@ -813,13 +660,14 @@ func (w *World) step(dt float64) {
 	}
 	// Radio rebuild: when enough of the population transmitted during
 	// the previous epoch that the lazy per-transmitter rebuilds would
-	// dominate the serial event path anyway, rebuild every neighborhood
-	// here — the symmetric cell-pair sweep over the grid's CSR snapshot,
-	// sharded by cell stripes — while the geometry is final for the tick.
-	// Pure prefetch — identical lists, identical outputs; sparse-demand
-	// worlds stay on the lazy per-node path.
-	if w.links.SweepWorthwhile(len(w.actives), pool.Shards()) {
-		w.links.RebuildSweep(pool)
+	// dominate the event path anyway, rebuild every neighborhood here —
+	// the symmetric cell-pair sweep over the grid's CSR snapshot — while
+	// the geometry is final for the tick. Pure prefetch — identical lists,
+	// identical outputs; sparse-demand worlds stay on the lazy per-node
+	// path. The sweep runs inline: the pool parameter survives only because
+	// bench/ calls RebuildSweep by that signature (ROADMAP item 2(c)).
+	if w.links.SweepWorthwhile(len(w.actives)) {
+		w.links.RebuildSweep(par.Seq)
 	}
 }
 
@@ -843,11 +691,10 @@ type streamSource interface {
 // membership and location-service planes, the metrics collector, the link
 // audit, and every registered external stream.
 //
-// Excluded by design: the radio cache (pure memoization, shard-variant
-// population), the worker pool and its shard buffers, the packet free
+// Excluded by design: the radio cache (pure memoization), the packet free
 // lists, and stateBuf — all process-local scratch that a restored world
-// re-derives. The result is identical across processes, worker counts,
-// and shard counts for the same event history.
+// re-derives. The result is identical across processes and worker counts
+// for the same event history.
 func (w *World) DigestInto(d *digest.Writer) {
 	w.eng.DigestInto(d)
 	w.grid.DigestInto(d)

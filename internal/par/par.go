@@ -1,13 +1,13 @@
-// Package par provides the fixed-size fork-join pool the sharded world
-// engine fans its per-tick phases over.
+// Package par provides a fixed-size fork-join pool. Nothing in the
+// simulator forks: the package survives only because bench/replay.go
+// spells par.New and par.Seq and radio.Cache.RebuildSweep takes a *Pool
+// (the simulator passes Seq, which runs inline). ROADMAP item 2(c)'s
+// benchmark PR deletes it.
 //
 // A Pool owns shards−1 long-lived worker goroutines (shard 0 always runs
 // on the caller's goroutine, so a one-shard pool is plain inline
 // execution with zero synchronisation). Run hands every shard the same
-// function and blocks until all of them return — a full barrier, which is
-// what makes the sharded engine deterministic: each parallel phase only
-// computes pure functions of state frozen at the previous barrier, and
-// every cross-shard merge happens serially between barriers.
+// function and blocks until all of them return — a full barrier.
 //
 // Workers block on their job channel between phases; they never spin, so
 // an oversubscribed machine (shards > cores, including the degenerate
@@ -29,9 +29,7 @@ type Pool struct {
 }
 
 // Seq is the shared one-shard pool: Run executes inline on the caller's
-// goroutine with no synchronisation. It is the pool every unsharded world
-// (Config.Shards <= 1) phases over, so the sharded and sequential engines
-// share one code path.
+// goroutine with no synchronisation.
 var Seq = New(1)
 
 // New returns a pool with the given shard count (values below 1 mean 1).

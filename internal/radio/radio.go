@@ -28,8 +28,9 @@
 //     stencil walks, over contiguous arrays instead of per-cell map
 //     probes, with the link budget evaluated through the channel's batch
 //     API (channel.BatchPrecomputed) instead of an interface call per
-//     pair. Pair discovery shards over cell stripes through par.Pool; a
-//     serial scatter then fills the hoods. Right when most of the
+//     pair. Pair discovery shards over cell stripes through the pool
+//     RebuildSweep is handed (the simulator always hands it the inline
+//     one); a serial scatter then fills the hoods. Right when most of the
 //     population transmits every epoch — beaconing protocols at any
 //     density. The world picks per epoch via SweepWorthwhile.
 //
@@ -61,7 +62,7 @@
 //
 // Checkpoint contract: the cache is pure memoization — every entry is a
 // function of the grid epoch and node positions, and which entries are
-// populated can differ by shard count and build path. It is therefore
+// populated can differ by build path. It is therefore
 // excluded from the world's state digest and never serialized; a restored
 // world starts with a cold cache and repopulates it on first transmit or
 // first sweep, byte-identically.
@@ -249,29 +250,19 @@ func (c *Cache) PrevEpochUse() int { return c.prevReq }
 
 // SweepWorthwhile reports whether the world should run RebuildSweep for
 // the current epoch instead of letting neighborhoods build lazily, given
-// the active population and the pool's shard count. The auto policy sweeps
-// when the previous epoch's demand, amortized by the sweep's fan-out
-// across shards, covers the population: demand·shards ≥ actives. Serially
-// that means full saturation — every active transmitted last epoch — the
-// one regime where halved pair math beats lazy even though demand is a
-// one-epoch-stale predictor; bursty flooding and idle worlds stay lazy,
-// where untransmitting nodes never pay anything. Sharded worlds engage
-// earlier because pair discovery spreads over the pool while lazy
-// rebuilds ride the serial event path.
-func (c *Cache) SweepWorthwhile(actives, shards int) bool {
+// the active population. The auto policy sweeps only at full saturation —
+// every active transmitted last epoch — the one regime where halved pair
+// math beats lazy even though demand is a one-epoch-stale predictor;
+// bursty flooding and idle worlds stay lazy, where untransmitting nodes
+// never pay anything.
+func (c *Cache) SweepWorthwhile(actives int) bool {
 	switch c.mode {
 	case EagerAlways:
 		return actives > 0
 	case EagerNever:
 		return false
 	}
-	if actives == 0 {
-		return false
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	return c.prevReq*shards >= actives
+	return actives > 0 && c.prevReq >= actives
 }
 
 // RebuildSweep eagerly rebuilds every grid member's neighborhood for the
@@ -286,6 +277,11 @@ func (c *Cache) SweepWorthwhile(actives, shards int) bool {
 // them every golden output — are unaffected at any shard count. Nodes the
 // grid does not track are left to the lazy path, which rebuilds them
 // empty on first use.
+//
+// The pool parameter, the per-shard arenas and internal/par survive only
+// because bench/replay.go calls RebuildSweep with the inline pool by name,
+// as the simulator's one call site does. ROADMAP item 2(c)'s benchmark PR
+// folds them to one buffer.
 func (c *Cache) RebuildSweep(pool *par.Pool) {
 	e := c.grid.Epoch()
 	if c.sweepEpoch == e {

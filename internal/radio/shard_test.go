@@ -123,9 +123,9 @@ func TestRebuildSweepSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestSweepWorthwhile pins the eager heuristic: auto mode weighs
-// previous-epoch demand times max(3, shards) against the population, and
-// the forced modes override it in both directions.
+// TestSweepWorthwhile pins the eager heuristic: auto mode sweeps only when
+// the previous epoch's demand covers the whole population, and the forced
+// modes override it in both directions.
 func TestSweepWorthwhile(t *testing.T) {
 	grid, lazy, _, _ := shardWorld(12, channel.UnitDisk{Range: 250})
 	for id := int32(0); id < 4; id++ {
@@ -133,30 +133,24 @@ func TestSweepWorthwhile(t *testing.T) {
 	}
 	grid.Update(0, geom.V(9999, 0)) // epoch turns over; prevReq becomes 4
 	lazy.Links(0)
-	if !lazy.SweepWorthwhile(4, 1) {
-		t.Fatal("demand 4 of 4 at shards=1 (full saturation), want sweep")
+	if !lazy.SweepWorthwhile(4) {
+		t.Fatal("demand 4 of 4 (full saturation), want sweep")
 	}
-	if lazy.SweepWorthwhile(5, 1) {
-		t.Fatal("demand 4 of 5 at shards=1: below saturation, want lazy")
+	if lazy.SweepWorthwhile(5) {
+		t.Fatal("demand 4 of 5: below saturation, want lazy")
 	}
-	if !lazy.SweepWorthwhile(16, 4) {
-		t.Fatal("demand 4 of 16 at shards=4: 4*4 >= 16, want sweep")
-	}
-	if lazy.SweepWorthwhile(17, 4) {
-		t.Fatal("demand 4 of 17 at shards=4: 4*4 < 17, want lazy")
-	}
-	if lazy.SweepWorthwhile(0, 4) {
+	if lazy.SweepWorthwhile(0) {
 		t.Fatal("empty population must never sweep")
 	}
 	lazy.SetEagerMode(EagerNever)
-	if lazy.SweepWorthwhile(1, 8) {
+	if lazy.SweepWorthwhile(1) {
 		t.Fatal("EagerNever swept")
 	}
 	lazy.SetEagerMode(EagerAlways)
-	if !lazy.SweepWorthwhile(1, 1) {
+	if !lazy.SweepWorthwhile(1) {
 		t.Fatal("EagerAlways stayed lazy")
 	}
-	if lazy.SweepWorthwhile(0, 1) {
+	if lazy.SweepWorthwhile(0) {
 		t.Fatal("EagerAlways swept an empty population")
 	}
 }

@@ -39,11 +39,11 @@ type journalRecord struct {
 
 // CampaignHash fingerprints a campaign's run list: protocol, label, and
 // the JSON encoding of each run's Options with the identity-irrelevant
-// fields zeroed (Shards is an execution knob, not part of what a run
-// computes; Channel is not serializable and campaigns that inject one
-// must keep it consistent themselves). Setup hooks cannot be hashed —
-// callers resuming a campaign with hooks are responsible for passing the
-// same hooks again.
+// fields zeroed (Shards is ignored by the engine, and journals written
+// when it was an execution knob must still resume; Channel is not
+// serializable and campaigns that inject one must keep it consistent
+// themselves). Setup hooks cannot be hashed — callers resuming a campaign
+// with hooks are responsible for passing the same hooks again.
 func CampaignHash(c Campaign) uint64 {
 	var buf []byte
 	for _, r := range c.Runs {

@@ -209,6 +209,51 @@ func TestJournalResumeCompletesRemainder(t *testing.T) {
 	}
 }
 
+// TestJournalWrittenWithShardsResumes: journals written while Shards was an
+// execution knob belong to campaigns whose Options carried it. The field
+// is ignored and CampaignHash zeroes it, so the same campaign without it
+// adopts such a journal, executes nothing, and reproduces a clean run's
+// table.
+func TestJournalWrittenWithShardsResumes(t *testing.T) {
+	want, err := Summaries(Execute(testCampaign(), 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := testCampaign()
+	for i := range old.Runs {
+		old.Runs[i].Opts.Shards = 4
+	}
+	path := filepath.Join(t.TempDir(), "campaign.jsonl")
+	j, err := OpenJournal(path, old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	Pool{Workers: 2}.ExecuteResumable(context.Background(), old, j)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c := testCampaign()
+	j2, err := OpenJournal(path, c)
+	if err != nil {
+		t.Fatalf("journal of the Shards=4 campaign rejected: %v", err)
+	}
+	if left := j2.Remaining(len(c.Runs)); left != 0 {
+		t.Fatalf("resume would re-execute %d journaled runs", left)
+	}
+	resumed := Pool{Workers: 2}.ExecuteResumable(context.Background(), c, j2)
+	if err := j2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Summaries(resumed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Shards=4 journal resumed to a different table:\ngot  %+v\nwant %+v", got, want)
+	}
+}
+
 // TestJournalRejectsForeignCampaign: resuming a journal against a
 // different run list must fail loudly, never silently mix results.
 func TestJournalRejectsForeignCampaign(t *testing.T) {

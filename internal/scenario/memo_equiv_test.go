@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -15,7 +14,7 @@ import (
 // same metric handed in as a WithScorer function, which the memo never
 // sees (core.LinkStability is the integral linkStateStability runs, over
 // the same positions, velocities and range). Every summary field and the
-// world digest must agree, sharded or not.
+// world digest must agree.
 func TestTicketMemoChangesNothing(t *testing.T) {
 	worlds := map[string]Options{
 		"highway":   {Seed: 3},
@@ -44,33 +43,30 @@ func TestTicketMemoChangesNothing(t *testing.T) {
 	}
 	for world, opts := range worlds {
 		for proto, metric := range metricsOf {
-			for _, shards := range []int{1, 4} {
-				opts.Shards = shards
-				t.Run(fmt.Sprintf("%s/%s/shards=%d", world, proto, shards), func(t *testing.T) {
-					o := opts
-					o.setDefaults()
-					unmemoized := core.NewTicketRouter(
-						core.WithMetric(metric),
-						core.WithTickets(o.TicketBudget),
-						core.WithStabilityThreshold(o.StabilityThreshold),
-						core.WithScorer(func(api *netstack.API, nb netstack.Neighbor) float64 {
-							return core.LinkStability(metric, core.StabilityParams{},
-								api.Pos(), api.Vel(), nb.Pos, nb.Vel, api.RangeEstimate())
-						}),
-					)
-					shipped, shippedDigest := run(proto, opts, nil)
-					plain, plainDigest := run(proto, opts, unmemoized)
-					if shipped.Discoveries == 0 || shipped.DataDelivered == 0 {
-						t.Fatalf("nothing probed or delivered: %+v", shipped)
-					}
-					if !reflect.DeepEqual(shipped, plain) {
-						t.Errorf("summaries differ:\nmemo    %+v\nno memo %+v", shipped, plain)
-					}
-					if shippedDigest != plainDigest {
-						t.Errorf("world digest %#x with the memo, %#x without", shippedDigest, plainDigest)
-					}
-				})
-			}
+			t.Run(world+"/"+proto, func(t *testing.T) {
+				o := opts
+				o.setDefaults()
+				unmemoized := core.NewTicketRouter(
+					core.WithMetric(metric),
+					core.WithTickets(o.TicketBudget),
+					core.WithStabilityThreshold(o.StabilityThreshold),
+					core.WithScorer(func(api *netstack.API, nb netstack.Neighbor) float64 {
+						return core.LinkStability(metric, core.StabilityParams{},
+							api.Pos(), api.Vel(), nb.Pos, nb.Vel, api.RangeEstimate())
+					}),
+				)
+				shipped, shippedDigest := run(proto, opts, nil)
+				plain, plainDigest := run(proto, opts, unmemoized)
+				if shipped.Discoveries == 0 || shipped.DataDelivered == 0 {
+					t.Fatalf("nothing probed or delivered: %+v", shipped)
+				}
+				if !reflect.DeepEqual(shipped, plain) {
+					t.Errorf("summaries differ:\nmemo    %+v\nno memo %+v", shipped, plain)
+				}
+				if shippedDigest != plainDigest {
+					t.Errorf("world digest %#x with the memo, %#x without", shippedDigest, plainDigest)
+				}
+			})
 		}
 	}
 }

@@ -18,12 +18,10 @@ var updateProtocolGolden = flag.Bool("update-protocol-golden", false,
 // 60-vehicle highway for 20 simulated seconds. That world never strands a
 // packet, so the carry-and-forward routers run a second time on a sparse
 // highway (24 vehicles on 3000 m, 40 s: 12–21 of 40 packets arrive) where
-// the carry buffer, its timeout and the retry order decide the line. The
-// sharded engine must reproduce the same line, so Shards is not part of
-// it. A refactor of router scaffolding must leave
-// testdata/golden_protocols.txt untouched. Not skipped in -short: 104 runs
-// take 3 s (17 s under -race), and they are the only place every router
-// meets the race detector at Shards=4.
+// the carry buffer, its timeout and the retry order decide the line. A
+// refactor of router scaffolding must leave testdata/golden_protocols.txt
+// untouched. Not skipped in -short: 52 runs take under 2 s, and they are
+// the only place every router runs under the race detector.
 func TestProtocolGolden(t *testing.T) {
 	path := filepath.Join("testdata", "golden_protocols.txt")
 	want := map[string]string{}
@@ -54,38 +52,30 @@ func TestProtocolGolden(t *testing.T) {
 	for _, wd := range worlds {
 		for _, proto := range wd.protos {
 			for _, seed := range []int64{1, 2} {
-				var serial string
-				for _, shards := range []int{1, 4} {
-					opts := wd.opts
-					opts.Seed, opts.Shards = seed, shards
-					switch proto {
-					case "Bus":
-						opts.Buses = 3
-					case "DRR":
-						opts.RSUs = 2
-					}
-					sc, err := Build(proto, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sum, err := sc.Run()
-					if err != nil {
-						t.Fatal(err)
-					}
-					line := fmt.Sprintf("%s%s %d %#016x %d %d %d %d", wd.label, proto, seed, sc.World.Digest(),
-						sum.DataSent, sum.DataDelivered, sc.World.Collector().DataDropped, sum.ControlTotal)
-					if shards == 1 {
-						serial = line
-						out.WriteString(line + "\n")
-					} else if line != serial {
-						t.Errorf("Shards=%d diverged from serial:\n got %s\nwant %s", shards, line, serial)
-					}
-					if *updateProtocolGolden {
-						continue
-					}
-					if w := want[fmt.Sprintf("%s%s %d", wd.label, proto, seed)]; line != w {
-						t.Errorf("Shards=%d diverged from the golden capture:\n got %s\nwant %s", shards, line, w)
-					}
+				opts := wd.opts
+				opts.Seed = seed
+				switch proto {
+				case "Bus":
+					opts.Buses = 3
+				case "DRR":
+					opts.RSUs = 2
+				}
+				sc, err := Build(proto, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum, err := sc.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				line := fmt.Sprintf("%s%s %d %#016x %d %d %d %d", wd.label, proto, seed, sc.World.Digest(),
+					sum.DataSent, sum.DataDelivered, sc.World.Collector().DataDropped, sum.ControlTotal)
+				out.WriteString(line + "\n")
+				if *updateProtocolGolden {
+					continue
+				}
+				if w := want[fmt.Sprintf("%s%s %d", wd.label, proto, seed)]; line != w {
+					t.Errorf("diverged from the golden capture:\n got %s\nwant %s", line, w)
 				}
 			}
 		}

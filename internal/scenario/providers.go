@@ -125,7 +125,6 @@ func buildSpec(protocol string, spec Spec, opts Options, vehicles netstack.Route
 		Seed:      rng.Int63(),
 		Channel:   ch,
 		Estimator: opts.Estimator,
-		Shards:    opts.Shards,
 	}, model)
 
 	label := spec.Name

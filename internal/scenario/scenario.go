@@ -156,12 +156,10 @@ type Options struct {
 	StabilityThreshold float64
 	// DirectionBias toggles greedy's direction tie-break (default true).
 	DirectionBiasOff bool
-	// Shards is the world's intra-run parallelism (netstack.Config.Shards):
-	// the step loop's per-tick phases fan out over this many worker shards
-	// within one simulation. Zero or one keeps the fully sequential
-	// engine. Output is byte-identical at every fixed shard count, so —
-	// unlike Seed — Shards is not part of the scenario's identity and
-	// does not appear in its name.
+	// Shards is accepted and ignored: intra-run sharding was measured
+	// slower than the serial step loop and deleted. The field survives
+	// only because bench/ sets it and old journals and snapshots carry
+	// it; ROADMAP item 2(c)'s benchmark PR removes it.
 	Shards int
 	// Faults installs the named chaos profile from the fault-plane
 	// registry (see faults.Names): a deterministic, seeded schedule of

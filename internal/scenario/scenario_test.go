@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/vanetlab/relroute/internal/channel"
@@ -151,5 +152,55 @@ func TestDefaultsApplied(t *testing.T) {
 	o.setDefaults()
 	if o.Vehicles != 60 || o.Duration != 60 || o.Range != 250 || o.Kind != HighwayKind {
 		t.Fatalf("defaults = %+v", o)
+	}
+}
+
+// TestShardsOptionIsInert fails if Options.Shards ever becomes live again:
+// it is accepted for old journals, snapshots and bench/, and ignored. Any
+// value must give the same summary and world digest, and neither building
+// nor running a scenario may start a goroutine (sampled after Build,
+// mid-run from an engine event, and after Run).
+func TestShardsOptionIsInert(t *testing.T) {
+	worlds := []struct {
+		name, proto string
+		opts        Options
+	}{
+		{"highway", "Greedy", quickOpts()},
+		{"churn", "TBP-SS", Options{Seed: 42, Vehicles: 30, Duration: 20, Flows: 3, FlowPackets: 12, ArrivalRate: 0.5, MeanLifetime: 15}},
+	}
+	for _, w := range worlds {
+		t.Run(w.name, func(t *testing.T) {
+			type outcome struct {
+				sum    metrics.Summary
+				digest uint64
+			}
+			var want outcome
+			for _, shards := range []int{0, 1, 4} {
+				opts := w.opts
+				opts.Shards = shards
+				before := runtime.NumGoroutine()
+				sc, err := Build(w.proto, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				peak := runtime.NumGoroutine()
+				sc.World.Engine().At(opts.Duration/2, func() { peak = max(peak, runtime.NumGoroutine()) })
+				sum, err := sc.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if peak = max(peak, runtime.NumGoroutine()); peak > before {
+					t.Errorf("Shards=%d: goroutines grew from %d to %d", shards, before, peak)
+				}
+				if sum.DataDelivered == 0 {
+					t.Fatalf("Shards=%d: nothing delivered: %+v", shards, sum)
+				}
+				if got := (outcome{sum, sc.World.Digest()}); shards == 0 {
+					want = got
+				} else if !reflect.DeepEqual(got, want) {
+					t.Errorf("Shards=%d differs from Shards=0:\ngot  %+v\nwant %+v", shards, got, want)
+				}
+			}
+		})
 	}
 }

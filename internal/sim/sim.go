@@ -87,8 +87,8 @@ func (e *Engine) RandSeed() int64 { return e.root.Int63() }
 // canonical (time, scheduling-order) pop order — see eventq.DigestInto,
 // which is invariant to the queue's internal layout (heap vs calendar).
 // Two engines that executed the same event history digest identically,
-// regardless of process, shard count, wall-clock interleaving, or event
-// storage layout.
+// regardless of process, wall-clock interleaving, or event storage
+// layout.
 func (e *Engine) DigestInto(d *digest.Writer) {
 	d.F64(e.now)
 	d.U64(e.events)

@@ -107,17 +107,15 @@ type Move struct {
 }
 
 // Stage writes the indexed position of an item without touching cell
-// membership or the epoch. It is the concurrent half of the bulk-update
-// protocol the sharded world engine uses for its per-tick refresh:
-// distinct items live in distinct slots of the dense position array, so
-// Stage may be called concurrently for distinct ids (and for nothing
-// else — no query or mutation may overlap it). The serial half then
-// applies every returned cross-cell Move in a deterministic order and
-// advances the epoch once with AdvanceEpoch.
+// membership or the epoch. It is the first half of the bulk-update
+// protocol the world engine uses for its per-tick refresh: the caller
+// applies every returned cross-cell Move with Commit, in a deterministic
+// order, and advances the epoch once for the whole tick with
+// AdvanceEpoch.
 //
-// ok is false when the item is not indexed — the caller falls back to a
-// serial Update. changed reports whether the position differed (the
-// signal to advance the epoch at the barrier); cross reports that mv
+// ok is false when the item is not indexed — the caller falls back to
+// Update. changed reports whether the position differed (the signal to
+// advance the epoch after the tick's last move); cross reports that mv
 // holds a cell transition to Commit. Between a Stage that returns a move
 // and its Commit, range queries over the item are undefined.
 func (g *Grid) Stage(id int32, p geom.Vec2) (changed bool, mv Move, cross, ok bool) {
@@ -139,7 +137,7 @@ func (g *Grid) Stage(id int32, p geom.Vec2) (changed bool, mv Move, cross, ok bo
 // Commit applies a staged cross-cell move: the same remove-then-append
 // cell surgery Update performs, in whatever order the caller replays the
 // moves — cell list order is observable (it decides range-query order),
-// so callers must replay in a deterministic order. Serial only.
+// so callers must replay in a deterministic order.
 func (g *Grid) Commit(mv Move) {
 	g.removeFromCell(mv.from, mv.id)
 	g.cells[mv.to] = append(g.cells[mv.to], mv.id)
@@ -182,9 +180,8 @@ func (g *Grid) removeFromCell(k cellKey, id int32) {
 // DigestInto folds the index's logical state into d for checkpoint
 // verification: the epoch, the dense position/presence arrays in ID
 // order, and every cell's member list in list order (cell list order is
-// observable — it decides range-query candidate order — and the sharded
-// commit protocol keeps it byte-identical at every shard count). Cells
-// are visited in sorted key order so the map's iteration order never
+// observable — it decides range-query candidate order). Cells are
+// visited in sorted key order so the map's iteration order never
 // reaches the digest.
 func (g *Grid) DigestInto(d *digest.Writer) {
 	d.U64(g.epoch)
@@ -314,9 +311,7 @@ func (s *Snapshot) Search(cx, cy int32) int {
 // Snapshot returns the CSR view of the grid at the current epoch, building
 // it on first use per epoch in O(n + cells·log cells) and memoizing it —
 // repeat calls within an epoch are one comparison. The backing arrays are
-// reused across epochs, so steady-state rebuilds do not allocate. Serial
-// only (it mutates the memo); the returned value may then be read from
-// concurrent shards as long as no grid mutation overlaps.
+// reused across epochs, so steady-state rebuilds do not allocate.
 func (g *Grid) Snapshot() *Snapshot {
 	s := g.snap
 	if s == nil {

@@ -8,8 +8,8 @@ import (
 )
 
 // TestStageCommitMatchesUpdate drives two grids through the same random
-// walk — one via Update, one via the two-phase Stage/Commit protocol the
-// sharded step loop uses — and checks they answer every query the same.
+// walk — one via Update, one via the Stage/Commit protocol the world's
+// step loop uses — and checks they answer every query the same.
 // The only sanctioned difference is the epoch counter: Update bumps it per
 // geometric change, Stage/Commit leaves it for one AdvanceEpoch per tick.
 func TestStageCommitMatchesUpdate(t *testing.T) {

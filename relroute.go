@@ -221,8 +221,7 @@ func WriteCheckpoint(path string, snap *Checkpoint) error { return checkpoint.Wr
 
 // RestoreCheckpoint rebuilds the snapshot's run and fast-forwards it to
 // the checkpoint boundary, verifying the state digest and every RNG
-// stream. Mutate snap.Opts.Shards first to restore at a different shard
-// count — shard count is not part of a run's identity.
+// stream.
 func RestoreCheckpoint(snap *Checkpoint) (*Scenario, error) { return checkpoint.Restore(snap) }
 
 // RunCheckpointed executes a scenario (fresh or restored) in
