@@ -8,7 +8,7 @@
 // The layer is allocation-free in steady state: reception records are
 // plain values in a reused per-sender slice, end-of-airtime events reuse
 // one pre-bound callback per node (instead of a fresh closure per receiver
-// per frame), per-node state lives in a dense slice keyed by node ID, and
+// per frame), per-node state lives in dense slices keyed by node ID, and
 // transmit queues are ring buffers. The simulation engine is
 // single-threaded, so none of it needs synchronisation.
 //
@@ -23,7 +23,10 @@
 // a per-node list of in-flight reception records that every arrival scans
 // and every resolution compacts, each node keeps a tiny arrival history —
 // the latest airtime end plus the last two distinct arrival instants with
-// their multiplicities. Because a reception is destroyed exactly when
+// their multiplicities — in Layer.arr, a slice of 32-byte values apart from
+// the sender-side nodeState: a frame's fan-out reads and writes one of them
+// per receiver, and at highway density those receivers are adjacent IDs.
+// Because a reception is destroyed exactly when
 // another frame's energy overlaps it at the same receiver, the verdict at
 // its end time e for a frame that arrived at s reduces to: was anything
 // still on the air at s (recorded at arrival), or did any arrival land in
@@ -127,7 +130,9 @@ type txRec struct {
 }
 
 // frameDeque is a ring-buffer queue of frames with O(1) push-front, so ARQ
-// retransmissions cut the line without reallocating the queue.
+// retransmissions cut the line without reallocating the queue. Indices wrap
+// with a mask, not a division per frame: grow is the only place the capacity
+// changes and it only ever produces 8·2ᵏ.
 type frameDeque struct {
 	buf  []Frame
 	head int
@@ -136,6 +141,9 @@ type frameDeque struct {
 
 func (d *frameDeque) len() int { return d.n }
 
+// at returns the i-th queued frame, counted from the front.
+func (d *frameDeque) at(i int) *Frame { return &d.buf[(d.head+i)&(len(d.buf)-1)] }
+
 func (d *frameDeque) grow() {
 	newCap := 2 * len(d.buf)
 	if newCap == 0 {
@@ -143,7 +151,7 @@ func (d *frameDeque) grow() {
 	}
 	nb := make([]Frame, newCap)
 	for i := 0; i < d.n; i++ {
-		nb[i] = d.buf[(d.head+i)%len(d.buf)]
+		nb[i] = *d.at(i)
 	}
 	d.buf = nb
 	d.head = 0
@@ -153,7 +161,7 @@ func (d *frameDeque) pushBack(f Frame) {
 	if d.n == len(d.buf) {
 		d.grow()
 	}
-	d.buf[(d.head+d.n)%len(d.buf)] = f
+	*d.at(d.n) = f
 	d.n++
 }
 
@@ -161,7 +169,7 @@ func (d *frameDeque) pushFront(f Frame) {
 	if d.n == len(d.buf) {
 		d.grow()
 	}
-	d.head = (d.head - 1 + len(d.buf)) % len(d.buf)
+	d.head = (d.head - 1) & (len(d.buf) - 1)
 	d.buf[d.head] = f
 	d.n++
 }
@@ -169,29 +177,32 @@ func (d *frameDeque) pushFront(f Frame) {
 func (d *frameDeque) popFront() Frame {
 	f := d.buf[d.head]
 	d.buf[d.head] = Frame{} // drop payload reference
-	d.head = (d.head + 1) % len(d.buf)
+	d.head = (d.head + 1) & (len(d.buf) - 1)
 	d.n--
 	return f
 }
 
-// nodeState is the per-node MAC state.
+// arrivals is one node's receiver-side arrival history — the O(1)
+// carrier-sense state. maxEnd is the latest airtime end over every
+// reception that ever arrived here (an unresolved reception exists iff
+// maxEnd > now, since resolution fires exactly at the end instant).
+// (t1, c1) is the latest distinct arrival instant and how many receptions
+// arrived at it; (t0, c0) the previous distinct instant. Two suffice:
+// collision queries always run at a resolving frame's end e = now, so the
+// only arrivals that matter are the latest one strictly before e — which
+// is t1, or t0 when t1 == e. c1 is zero exactly until the first arrival.
+type arrivals struct {
+	maxEnd float64
+	t1, t0 float64
+	c1, c0 int32
+}
+
+// nodeState is the per-node sender-side MAC state.
 type nodeState struct {
 	queue   frameDeque
 	sending bool
 	txUntil float64 // sender busy until (own transmission)
 	retries int
-
-	// Arrival history — the O(1) carrier-sense state. maxEnd is the
-	// latest airtime end over every reception that ever arrived here (an
-	// unresolved reception exists iff maxEnd > now, since resolution fires
-	// exactly at the end instant). (t1, c1) is the latest distinct arrival
-	// instant and how many receptions arrived at it; (t0, c0) the previous
-	// distinct instant. Two suffice: collision queries always run at a
-	// resolving frame's end e = now, so the only arrivals that matter are
-	// the latest one strictly before e — which is t1, or t0 when t1 == e.
-	maxEnd float64
-	t1, t0 float64
-	c1, c0 int32
 
 	// in-flight transmission state; a node transmits one frame at a time
 	// (sending serialises), so it lives here instead of in a closure.
@@ -217,7 +228,12 @@ type Layer struct {
 	deliver func(to int32, f Frame)
 	fail    func(from int32, f Frame)
 	done    func(f Frame)
-	nodes   []*nodeState // dense, keyed by node id
+	// nodes and arr are dense, keyed by node id, and always the same
+	// length (cover is the one place they grow). A nodes entry stays nil
+	// until the node sends or is flushed; a node that only ever receives
+	// touches arr alone.
+	nodes []*nodeState
+	arr   []arrivals
 	// linkFault, when set, returns an extra loss probability the fault
 	// plane imposes on the (from, to) link right now: 0 is a clean link,
 	// ≥1 severs it outright, anything between draws one extra uniform.
@@ -280,12 +296,18 @@ func (l *Layer) frameDone(f Frame) {
 	}
 }
 
-// state returns the per-node state, creating it (with its pre-bound
-// callbacks) on first use. Node IDs are dense from 0.
-func (l *Layer) state(id int32) *nodeState {
+// cover extends the per-node slices to hold id. Node IDs are dense from 0.
+func (l *Layer) cover(id int32) {
 	for int(id) >= len(l.nodes) {
 		l.nodes = append(l.nodes, nil)
+		l.arr = append(l.arr, arrivals{})
 	}
+}
+
+// state returns the per-node sender state, creating it (with its pre-bound
+// callbacks) on first use.
+func (l *Layer) state(id int32) *nodeState {
+	l.cover(id)
 	st := l.nodes[id]
 	if st == nil {
 		st = &nodeState{txUnicastIdx: -1}
@@ -326,7 +348,7 @@ func (l *Layer) attempt(id int32) {
 		st.sending = false
 		return
 	}
-	if l.mediumBusy(st) {
+	if l.mediumBusy(id, st) {
 		st.retries++
 		if st.retries > l.cfg.maxRetries() {
 			// give up on this frame; unicast drops surface to the router
@@ -357,9 +379,9 @@ func (l *Layer) attempt(id int32) {
 // reception is unresolved iff its end lies in the future, so the whole
 // carrier-sense question collapses to one comparison against the
 // arrival history's high-water end.
-func (l *Layer) mediumBusy(st *nodeState) bool {
+func (l *Layer) mediumBusy(id int32, st *nodeState) bool {
 	now := l.eng.Now()
-	return st.txUntil > now || st.maxEnd > now
+	return st.txUntil > now || l.arr[id].maxEnd > now
 }
 
 // transmit puts the frame on the air: for every candidate receiver in the
@@ -416,7 +438,8 @@ func (l *Layer) transmit(from int32, st *nodeState, f Frame) {
 		if f.To == lk.To {
 			st.txUnicastIdx = i
 		}
-		rx := l.state(lk.To)
+		l.cover(lk.To)
+		rx := &l.arr[lk.To]
 		recs[i] = txRec{rx: lk.To, decoded: decoded, collAtArr: rx.maxEnd > now}
 		if rx.maxEnd < end {
 			rx.maxEnd = end
@@ -460,7 +483,7 @@ func (l *Layer) finishTx(from int32) {
 	now := l.eng.Now()
 	start := st.txStart
 	for i, tr := range st.txRecs {
-		rx := l.nodes[tr.rx]
+		rx := &l.arr[tr.rx]
 		t, c := rx.t1, rx.c1
 		if t == now {
 			t, c = rx.t0, rx.c0
@@ -509,7 +532,9 @@ func (l *Layer) finishTx(from int32) {
 // process-local pointers re-derived on restore), backoff/ARQ counters,
 // the carrier-sense arrival history, and the in-flight frame's reception
 // records in candidate order — all of it a deterministic function of the
-// event history.
+// event history. A node is present once it has sent, been flushed or been a
+// candidate receiver; one that only received digests as idle sender state
+// around its arrival history.
 func (l *Layer) DigestInto(d *digest.Writer) {
 	digestFrame := func(f *Frame) {
 		d.U32(uint32(f.From))
@@ -517,26 +542,31 @@ func (l *Layer) DigestInto(d *digest.Writer) {
 		d.Int(f.Size)
 		d.Int(f.attempts)
 	}
+	idle := nodeState{txUnicastIdx: -1} // what state() would have created
 	d.Int(len(l.nodes))
 	for id, st := range l.nodes {
+		arr := &l.arr[id]
 		if st == nil {
-			d.Bool(false)
-			continue
+			if arr.c1 == 0 {
+				d.Bool(false)
+				continue
+			}
+			st = &idle
 		}
 		d.Bool(true)
 		d.Int(id)
 		d.Int(st.queue.len())
 		for i := 0; i < st.queue.n; i++ {
-			digestFrame(&st.queue.buf[(st.queue.head+i)%len(st.queue.buf)])
+			digestFrame(st.queue.at(i))
 		}
 		d.Bool(st.sending)
 		d.F64(st.txUntil)
 		d.Int(st.retries)
-		d.F64(st.maxEnd)
-		d.F64(st.t1)
-		d.U32(uint32(st.c1))
-		d.F64(st.t0)
-		d.U32(uint32(st.c0))
+		d.F64(arr.maxEnd)
+		d.F64(arr.t1)
+		d.U32(uint32(arr.c1))
+		d.F64(arr.t0)
+		d.U32(uint32(arr.c0))
 		digestFrame(&st.txFrame)
 		d.F64(st.txStart)
 		d.Int(len(st.txRecs))

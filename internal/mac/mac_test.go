@@ -242,3 +242,44 @@ func TestAirtimeScalesWithSize(t *testing.T) {
 		t.Fatalf("delivery at %v, want ≈8 ms airtime", deliveredAt)
 	}
 }
+
+// The deque wraps indices with a mask, which is only right while its
+// capacity is a power of two: drive it against a plain slice through
+// growth, wrap-around and push-fronts at head 0.
+func TestFrameDequeMatchesSlice(t *testing.T) {
+	var d frameDeque
+	var want []Frame
+	next := 0
+	frame := func() Frame { next++; return Frame{Size: next} }
+	for step := 0; step < 400; step++ {
+		switch {
+		case step%7 == 3:
+			f := frame()
+			d.pushFront(f)
+			want = append([]Frame{f}, want...)
+		case step%3 == 2 && len(want) > 0:
+			if got := d.popFront(); got.Size != want[0].Size {
+				t.Fatalf("step %d: popFront = frame %d, want %d", step, got.Size, want[0].Size)
+			}
+			want = want[1:]
+		default:
+			f := frame()
+			d.pushBack(f)
+			want = append(want, f)
+		}
+		if d.len() != len(want) {
+			t.Fatalf("step %d: len = %d, want %d", step, d.len(), len(want))
+		}
+		for i := range want {
+			if d.at(i).Size != want[i].Size {
+				t.Fatalf("step %d: at(%d) = frame %d, want %d", step, i, d.at(i).Size, want[i].Size)
+			}
+		}
+		if c := len(d.buf); c&(c-1) != 0 {
+			t.Fatalf("step %d: capacity %d is not a power of two", step, c)
+		}
+	}
+	if len(d.buf) < 64 {
+		t.Fatalf("the run ended at capacity %d; it was meant to grow the ring several times", len(d.buf))
+	}
+}

@@ -166,7 +166,7 @@ func TestDispatchClonesPerReceiver(t *testing.T) {
 			UID: 99, Kind: KindData, Data: true, Proto: "echo",
 			Src: ids[0], Dst: Broadcast, TTL: 8, Size: 64, Created: w.eng.Now(),
 		}
-		w.sendFrame(n, Broadcast, pkt)
+		w.sendFrame(n, Broadcast, pkt, false)
 	})
 	if err := w.Run(2); err != nil {
 		t.Fatal(err)
@@ -244,7 +244,7 @@ func TestSendFailedPropagates(t *testing.T) {
 			UID: 5, Kind: KindData, Data: true, Proto: "echo",
 			Src: ids[0], Dst: far, TTL: 8, Size: 64, Created: 1,
 		}
-		w.sendFrame(n, far, pkt)
+		w.sendFrame(n, far, pkt, false)
 	})
 	if err := w.Run(3); err != nil {
 		t.Fatal(err)

@@ -63,6 +63,11 @@ type Packet struct {
 	Size    int     // bytes
 	Created float64 // origination time, seconds
 	Payload any     // protocol-private extension; treat as immutable
+
+	// final is set while the packet sits in the MAC after API.SendFinal:
+	// the stack recycles it when the frame is done. Send clears it and
+	// dispatch clears it on every per-receiver copy.
+	final bool
 }
 
 // Clone returns a shallow copy. The stack clones packets per receiver on

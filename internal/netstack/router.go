@@ -143,7 +143,18 @@ func (a *API) AppendLinkStates(dst []LinkState) []LinkState {
 // stack fills From/To, charges metrics by packet type, and hands the frame
 // to the MAC.
 func (a *API) Send(to NodeID, pkt *Packet) {
-	a.world.sendFrame(a.node, to, pkt)
+	a.world.sendFrame(a.node, to, pkt, false)
+}
+
+// SendFinal is Send for a packet the router keeps no reference to: not in
+// a retry or carry buffer, not in a timer closure, not already queued by an
+// earlier Send. The stack takes ownership and recycles the packet through
+// the free list once the MAC reports the frame done — after every receiver
+// has been handed its own copy — or at once when this node cannot transmit.
+// The caller must not touch pkt after the call. A flooder's rebroadcast of
+// the copy HandlePacket gave it is the intended use.
+func (a *API) SendFinal(to NodeID, pkt *Packet) {
+	a.world.sendFrame(a.node, to, pkt, true)
 }
 
 // After schedules fn after d seconds; the returned timer can be cancelled.
@@ -188,8 +199,8 @@ func (a *API) Drop(pkt *Packet) {
 // owner may call it, and only when the packet's journey provably ends at
 // this node (duplicate discard, delivery at the destination, terminal
 // drop). The caller must hold no other reference: in particular a packet
-// that was passed to Send, stored in a retry buffer, or shared with a
-// timer callback must NOT be released. Releasing is optional — packets
+// that was passed to Send or SendFinal, stored in a retry buffer, or shared
+// with a timer callback must NOT be released. Releasing is optional — packets
 // that are never released are simply garbage collected. The engine is
 // single-threaded, so the free list needs no synchronisation.
 func (a *API) Release(pkt *Packet) { a.world.putPacket(pkt) }

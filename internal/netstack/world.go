@@ -172,8 +172,9 @@ type World struct {
 
 	// free lists: the engine is single-threaded, so recycling needs no
 	// synchronisation. pktFree recycles per-receiver dispatch clones that
-	// routers hand back via API.Release; helloFree recycles beacon packets
-	// (payload *beacon included) once the MAC reports the frame done.
+	// routers hand back via API.Release or send with API.SendFinal;
+	// helloFree recycles beacon packets (payload *beacon included). Both
+	// kinds of sent packet come back once the MAC reports the frame done.
 	pktFree   []*Packet
 	helloFree []*Packet
 
@@ -261,14 +262,19 @@ func (w *World) putPacket(p *Packet) {
 }
 
 // frameDone is the MAC's frame-lifecycle hook: by the time it fires, every
-// receiver upcall for the frame has run, so stack-owned payloads (beacons)
-// can be recycled.
+// receiver upcall for the frame has run, so the packets nobody but the
+// stack still holds — beacons, and what a router sent with SendFinal — can
+// be recycled.
 func (w *World) frameDone(f mac.Frame) {
 	pkt, ok := f.Payload.(*Packet)
-	if !ok || pkt.Kind != KindHello {
+	if !ok {
 		return
 	}
-	w.helloFree = append(w.helloFree, pkt)
+	if pkt.Kind == KindHello {
+		w.helloFree = append(w.helloFree, pkt)
+	} else if pkt.final {
+		w.putPacket(pkt)
+	}
 }
 
 // Engine exposes the underlying engine (used by the harness for extra
@@ -900,12 +906,18 @@ func (w *World) sendBeacon(n *node) {
 	w.mac.Send(mac.Frame{From: int32(n.id), To: mac.Broadcast, Size: pkt.Size, Payload: pkt})
 }
 
-// sendFrame is API.Send: it stamps link addresses, charges metrics, and
-// hands the packet to the MAC.
-func (w *World) sendFrame(n *node, to NodeID, pkt *Packet) {
+// sendFrame is API.Send and API.SendFinal: it stamps link addresses,
+// charges metrics, and hands the packet to the MAC. final marks a packet
+// the router gave up for good: frameDone recycles it when the MAC is done
+// with the frame, and a sender that cannot transmit recycles it here.
+func (w *World) sendFrame(n *node, to NodeID, pkt *Packet, final bool) {
 	if !n.active {
+		if final {
+			w.putPacket(pkt)
+		}
 		return
 	}
+	pkt.final = final
 	pkt.From = n.id
 	pkt.To = to
 	if pkt.Data {
@@ -978,6 +990,7 @@ func (w *World) dispatch(to int32, f mac.Frame) {
 	// journey provably ends.
 	cp := w.getPacket()
 	*cp = *pkt
+	cp.final = false // the mark belongs to the sender's packet, not the copies
 	cp.Hops++
 	n.router.HandlePacket(cp)
 }

@@ -195,10 +195,11 @@ func (c *Cache) Links(id int32) []Link {
 }
 
 // rebuildInto recomputes one node's neighborhood by walking the same cell
-// stencil Grid.Within covers, in the same order, fused into a single pass:
-// a counting sweep first sizes the link slice exactly (one allocation per
-// growth instead of an append-doubling chain on every cold rebuild), then
-// the fill sweep reads each candidate's position once.
+// stencil Grid.Within covers, in the same order. Each stencil cell is looked
+// up once: the counting pass keeps the non-empty member lists, which sizes
+// the link slice exactly (one allocation per growth instead of an
+// append-doubling chain on every cold rebuild), and the fill pass walks the
+// kept lists, reading each candidate's position once.
 func (c *Cache) rebuildInto(id int32, h *hood) {
 	h.links = h.links[:0]
 	pos, ok := c.grid.Position(id)
@@ -208,10 +209,17 @@ func (c *Cache) rebuildInto(id int32, h *hood) {
 	r := c.model.MaxRange()
 	r2 := r * r
 	minCX, minCY, maxCX, maxCY := c.grid.CellBounds(pos, r)
+	// The world's grid cell is the radio range, so the stencil is 3×3 and
+	// the lists stay on the stack; a finer grid spills to the heap.
+	var stencil [9][]int32
+	lists := stencil[:0]
 	total := 0
 	for cx := minCX; cx <= maxCX; cx++ {
 		for cy := minCY; cy <= maxCY; cy++ {
-			total += len(c.grid.CellList(cx, cy))
+			if l := c.grid.CellList(cx, cy); len(l) > 0 {
+				lists = append(lists, l)
+				total += len(l)
+			}
 		}
 	}
 	// total counts the transmitter itself and out-of-range candidates, so
@@ -219,25 +227,23 @@ func (c *Cache) rebuildInto(id int32, h *hood) {
 	if total > 1 && cap(h.links) < total-1 {
 		h.links = make([]Link, 0, total-1)
 	}
-	for cx := minCX; cx <= maxCX; cx++ {
-		for cy := minCY; cy <= maxCY; cy++ {
-			for _, rx := range c.grid.CellList(cx, cy) {
-				if rx == id {
-					continue
-				}
-				// Cell members are always indexed, so the unchecked read
-				// is safe.
-				rxPos := c.grid.At(rx)
-				if rxPos.DistSq(pos) > r2 {
-					continue
-				}
-				d := rxPos.Dist(pos)
-				lk := Link{To: rx, Dist: d}
-				if c.pre != nil {
-					lk.Loss = c.pre.PathLoss(d)
-				}
-				h.links = append(h.links, lk)
+	for _, l := range lists {
+		for _, rx := range l {
+			if rx == id {
+				continue
 			}
+			// Cell members are always indexed, so the unchecked read is
+			// safe.
+			rxPos := c.grid.At(rx)
+			if rxPos.DistSq(pos) > r2 {
+				continue
+			}
+			d := rxPos.Dist(pos)
+			lk := Link{To: rx, Dist: d}
+			if c.pre != nil {
+				lk.Loss = c.pre.PathLoss(d)
+			}
+			h.links = append(h.links, lk)
 		}
 	}
 }

@@ -42,10 +42,10 @@ func (r *Router) Originate(dst netstack.NodeID, size int) {
 }
 
 // HandlePacket implements netstack.Router: deliver if addressed to us,
-// rebroadcast the first copy otherwise. Every terminal path hands the
-// received copy back to the stack's pool — in a broadcast storm the
-// overwhelming majority of receptions are duplicates, so recycling them
-// is what keeps the flood allocation-free in steady state.
+// rebroadcast the first copy otherwise. Every path hands the received copy
+// back to the stack's pool — the terminal ones through Release, the
+// rebroadcast through SendFinal — which is what keeps the flood
+// allocation-free in steady state.
 func (r *Router) HandlePacket(pkt *netstack.Packet) {
 	if pkt.Kind != netstack.KindData {
 		r.API.Release(pkt)
@@ -69,7 +69,7 @@ func (r *Router) HandlePacket(pkt *netstack.Packet) {
 		r.API.Release(pkt)
 		return
 	}
-	r.API.Send(netstack.Broadcast, pkt)
+	r.API.SendFinal(netstack.Broadcast, pkt)
 }
 
 // Biswas is the acknowledged flooding router of Biswas et al. [9]: after
@@ -132,9 +132,12 @@ func (b *Biswas) Originate(dst netstack.NodeID, size int) {
 	b.broadcastWithAck(pkt)
 }
 
-// HandlePacket implements netstack.Router.
+// HandlePacket implements netstack.Router. Only the copies that end before
+// the forwarding decision go back to the pool: a forwarded packet lives on
+// in the retry state, so it is sent with Send and never released.
 func (b *Biswas) HandlePacket(pkt *netstack.Packet) {
 	if pkt.Kind != netstack.KindData {
+		b.API.Release(pkt)
 		return
 	}
 	// Any overheard copy acknowledges our pending rebroadcast.
@@ -143,6 +146,7 @@ func (b *Biswas) HandlePacket(pkt *netstack.Packet) {
 		delete(b.retry, pkt.UID)
 	}
 	if b.dup.Seen(routing.DupKey{Origin: pkt.Src, Seq: pkt.UID}, b.API.Now()) {
+		b.API.Release(pkt)
 		return
 	}
 	if pkt.Dst == b.API.Self() || pkt.Dst == netstack.Broadcast {

@@ -95,29 +95,36 @@ func (r *Router) Originate(dst netstack.NodeID, size int) {
 	r.API.Send(netstack.Broadcast, pkt)
 }
 
-// HandlePacket implements netstack.Router.
+// HandlePacket implements netstack.Router. The router keeps no packet, so
+// every path returns the received copy to the stack's pool: Release where
+// its journey ends here, SendFinal for the gateway's retransmission.
 func (r *Router) HandlePacket(pkt *netstack.Packet) {
 	if pkt.Kind != netstack.KindData && pkt.Kind != netstack.KindLREQ {
+		r.API.Release(pkt)
 		return
 	}
 	if r.dup.Seen(routing.DupKey{Origin: pkt.Src, Seq: pkt.UID}, r.API.Now()) {
+		r.API.Release(pkt)
 		return
 	}
 	// Members read and process...
 	if pkt.Dst == r.API.Self() || pkt.Dst == netstack.Broadcast {
 		r.API.Deliver(pkt)
 		if pkt.Dst == r.API.Self() {
+			r.API.Release(pkt)
 			return
 		}
 	}
 	// ...but only gateways retransmit between zones.
 	if !r.isGateway() {
+		r.API.Release(pkt)
 		return
 	}
 	pkt.TTL--
 	if pkt.Expired() {
 		r.API.Drop(pkt)
+		r.API.Release(pkt)
 		return
 	}
-	r.API.Send(netstack.Broadcast, pkt)
+	r.API.SendFinal(netstack.Broadcast, pkt)
 }

@@ -1,5 +1,7 @@
 // Package routing holds the building blocks shared by every protocol
-// implementation: duplicate caches, distance-vector route tables, pending
+// implementation: the duplicate cache every flooder and discovery flood
+// consults once per reception (dupcache.go: a last-key check in front of a
+// flat open-addressed table), distance-vector route tables, pending
 // data queues, sequence-number arithmetic, the on-demand discovery core the
 // reactive protocols embed (ondemand.go) and the carry-and-forward core the
 // position-based ones embed (carry.go). The concrete protocols live
@@ -33,49 +35,6 @@ func NewData(api *netstack.API, proto string, dst netstack.NodeID, size int) *ne
 // denser table only costs that call a heap slice. A buffer kept in every
 // router instead measured +10 % peak RSS on a 1,500-vehicle city world.
 const NeighborBuf = 48
-
-// DupKey identifies a flooded packet instance: origin plus origin-local
-// sequence number.
-type DupKey struct {
-	Origin netstack.NodeID
-	Seq    uint64
-}
-
-// DupCache remembers recently seen flooded packets so they are forwarded
-// at most once. Entries expire after TTL seconds to bound memory.
-type DupCache struct {
-	ttl     float64
-	seen    map[DupKey]float64 // key → insertion time
-	sweepAt float64
-}
-
-// NewDupCache returns a cache whose entries persist for ttl seconds.
-func NewDupCache(ttl float64) *DupCache {
-	if ttl <= 0 {
-		ttl = 30
-	}
-	return &DupCache{ttl: ttl, seen: make(map[DupKey]float64)}
-}
-
-// Seen records the key and reports whether it was already present.
-func (c *DupCache) Seen(k DupKey, now float64) bool {
-	if now >= c.sweepAt {
-		for key, at := range c.seen {
-			if now-at > c.ttl {
-				delete(c.seen, key)
-			}
-		}
-		c.sweepAt = now + c.ttl
-	}
-	if _, ok := c.seen[k]; ok {
-		return true
-	}
-	c.seen[k] = now
-	return false
-}
-
-// Len returns the number of live entries (after lazily expiring on Seen).
-func (c *DupCache) Len() int { return len(c.seen) }
 
 // SeqNewer implements the circular sequence-number comparison used by
 // AODV/DSDV: a is fresher than b. Equal numbers are not newer.

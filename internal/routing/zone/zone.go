@@ -80,33 +80,37 @@ func (r *Router) Originate(dst netstack.NodeID, size int) {
 }
 
 // HandlePacket implements netstack.Router: deliver to the destination;
-// rebroadcast only inside the zone.
+// rebroadcast only inside the zone. The router keeps no packet, so every
+// path returns the received copy to the stack's pool: Release where its
+// journey ends here, SendFinal for the rebroadcast.
 func (r *Router) HandlePacket(pkt *netstack.Packet) {
-	if pkt.Kind != netstack.KindData {
-		return
-	}
 	pl, ok := pkt.Payload.(payload)
-	if !ok {
+	if pkt.Kind != netstack.KindData || !ok {
+		r.API.Release(pkt)
 		return
 	}
 	if r.dup.Seen(routing.DupKey{Origin: pkt.Src, Seq: pkt.UID}, r.API.Now()) {
+		r.API.Release(pkt)
 		return
 	}
 	if pkt.Dst == r.API.Self() || pkt.Dst == netstack.Broadcast {
 		r.API.Deliver(pkt)
 		if pkt.Dst == r.API.Self() {
+			r.API.Release(pkt)
 			return
 		}
 	}
 	if !pl.Zone.Contains(r.API.Pos()) {
-		return // outside the zone: drop silently
+		r.API.Release(pkt) // outside the zone: drop silently
+		return
 	}
 	pkt.TTL--
 	if pkt.Expired() {
 		r.API.Drop(pkt)
+		r.API.Release(pkt)
 		return
 	}
-	r.API.Send(netstack.Broadcast, pkt)
+	r.API.SendFinal(netstack.Broadcast, pkt)
 }
 
 // NeedsBeacons implements netstack.Router: zone flooding needs only own
