@@ -1,8 +1,8 @@
 package core
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"github.com/vanetlab/relroute/internal/geom"
 	"github.com/vanetlab/relroute/internal/link"
@@ -242,7 +242,9 @@ func (r *TicketRouter) stability(ls netstack.LinkState) float64 {
 }
 
 // candidates ranks admissible next hops for a probe: live neighbors not on
-// the path, stability ≥ threshold, ordered by stability and progress.
+// the path, stability ≥ threshold, ordered by stability and progress. The
+// tests run cheapest first — a neighbor the path or geography rules out is
+// never scored, which for the probability metrics is an integral saved.
 func (r *TicketRouter) candidates(dst netstack.NodeID, path []netstack.NodeID) []candidate {
 	dstPos, _, havePos := r.API.LookupPosition(dst)
 	selfD := 0.0
@@ -257,10 +259,6 @@ func (r *TicketRouter) candidates(dst netstack.NodeID, path []netstack.NodeID) [
 		if onPath(path, nb.ID) {
 			continue
 		}
-		s := r.stability(*nb)
-		if s < r.threshold {
-			continue
-		}
 		prog := 0.0
 		if havePos {
 			prog = selfD - nb.Pos.Dist(dstPos)
@@ -268,16 +266,21 @@ func (r *TicketRouter) candidates(dst netstack.NodeID, path []netstack.NodeID) [
 				continue // require forward progress when geography is known
 			}
 		}
+		s := r.stability(*nb)
+		if s < r.threshold {
+			continue
+		}
 		out = append(out, candidate{id: nb.ID, stability: s, progress: prog})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].stability != out[j].stability {
-			return out[i].stability > out[j].stability
+	// a strict total order: IDs are unique
+	slices.SortFunc(out, func(a, b candidate) int {
+		if a.stability != b.stability {
+			return cmp.Compare(b.stability, a.stability)
 		}
-		if out[i].progress != out[j].progress {
-			return out[i].progress > out[j].progress
+		if a.progress != b.progress {
+			return cmp.Compare(b.progress, a.progress)
 		}
-		return out[i].id < out[j].id
+		return cmp.Compare(a.id, b.id)
 	})
 	return out
 }

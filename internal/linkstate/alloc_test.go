@@ -151,10 +151,10 @@ func TestOrderedReadAllocs(t *testing.T) {
 // distribution is a concrete prob.Normal, so nothing is boxed.
 func TestDurationIntegralsAllocFree(t *testing.T) {
 	var sink float64
-	if allocs := testing.AllocsPerRun(50, func() { sink += ExpectedDuration(benchObs, benchLink, 5, 250, 300) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(50, func() { sink += ExpectedDuration(benchObs, benchLinks[0], 5, 250, 300) }); allocs != 0 {
 		t.Errorf("ExpectedDuration allocated %v times per run, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(50, func() { sink += Survival(benchObs, benchLink, 4, 250, 600, 10) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(50, func() { sink += Survival(benchObs, benchLinks[0], 4, 250, 600, 10) }); allocs != 0 {
 		t.Errorf("Survival allocated %v times per run, want 0", allocs)
 	}
 	if sink <= 0 {

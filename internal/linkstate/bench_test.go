@@ -1,6 +1,7 @@
 package linkstate
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/vanetlab/relroute/internal/geom"
@@ -78,12 +79,24 @@ func BenchmarkMonitorSnapshot(b *testing.B) {
 	}
 }
 
-// benchLink is one link of a TBP-SS decision: a neighbour 120 m ahead,
-// closing at 5 m/s, scored with the mean-duration σ over the DSRC range.
+// benchLinks are the links a TBP-SS router scores, drawn once: neighbours
+// up to 240 m away on either side and two lanes across, 20–35 m/s both
+// ends. The integral's branches (which side of Δv = 0 a node lies on, where
+// the horizon cuts in) follow the model, so one fixed link would measure a
+// trained predictor.
 var (
-	benchObs  = Observer{Pos: geom.V(0, 0), Vel: geom.V(30, 0)}
-	benchLink = LinkState{Pos: geom.V(120, 3), Vel: geom.V(25, 0)}
-	benchF64  float64
+	benchObs   = Observer{Pos: geom.V(0, 0), Vel: geom.V(30, 0)}
+	benchLinks = func() (ls [64]LinkState) {
+		rng := rand.New(rand.NewSource(18))
+		for i := range ls {
+			ls[i] = LinkState{
+				Pos: geom.V(480*rng.Float64()-240, 7*rng.Float64()-3.5),
+				Vel: geom.V(20+15*rng.Float64(), 0),
+			}
+		}
+		return ls
+	}()
+	benchF64 float64
 )
 
 // BenchmarkExpectedDuration is one Sec. VII stability integral: the window
@@ -91,7 +104,7 @@ var (
 func BenchmarkExpectedDuration(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		benchF64 += ExpectedDuration(benchObs, benchLink, 5, 250, 300)
+		benchF64 += ExpectedDuration(benchObs, benchLinks[i%len(benchLinks)], 5, 250, 300)
 	}
 }
 
@@ -100,6 +113,6 @@ func BenchmarkExpectedDuration(b *testing.B) {
 func BenchmarkSurvival(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		benchF64 += Survival(benchObs, benchLink, 4, 250, 600, 10)
+		benchF64 += Survival(benchObs, benchLinks[i%len(benchLinks)], 4, 250, 600, 10)
 	}
 }

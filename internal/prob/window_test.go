@@ -118,6 +118,30 @@ func TestTailWindowOutsideTheUsualModels(t *testing.T) {
 	}
 }
 
+// checkIntegrals requires Expected and SurvivalProb(at) of m to be the old
+// integrals to the bit; a NaN (a NaN gap, or 0·∞ where a subnormal σ
+// overflows the density) must stay one.
+func checkIntegrals(t *testing.T, m LinkDurationModel, at float64) {
+	t.Helper()
+	same := func(a, b float64) bool { return a == b || a != a && b != b }
+	want := integrateOracle(m.RelSpeed, m.Duration)
+	if got := m.Expected(); !same(got, want) {
+		t.Fatalf("%+v: Expected = %v (%#x), old integral %v (%#x)", m, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+	if at <= 0 {
+		return // answered without an integral
+	}
+	want = integrateOracle(m.RelSpeed, func(dv float64) float64 {
+		if m.Duration(dv) > at {
+			return 1
+		}
+		return 0
+	})
+	if got := m.SurvivalProb(at); !same(got, want) {
+		t.Fatalf("%+v: SurvivalProb(%v) = %v (%#x), old integral %v (%#x)", m, at, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
 func TestIntegralsMatchTheOldWindowExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	sigmas := []float64{0.5, 2, 3.3, 5, 0, -1, math.NaN()}
@@ -135,20 +159,44 @@ func TestIntegralsMatchTheOldWindowExactly(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			m.Gap = -m.Gap
 		}
-		want := integrateOracle(m.RelSpeed, m.Duration)
-		if got := m.Expected(); got != want {
-			t.Fatalf("%+v: Expected = %v (%#x), old integral %v (%#x)", m, got, math.Float64bits(got), want, math.Float64bits(want))
+		checkIntegrals(t, m, 60*rng.Float64())
+	}
+
+	// The corners: spreads wider than the bracket, and so narrow that the
+	// window is a few adjacent floats (a subnormal one overflows the density
+	// at the mean, so the old sums hold ∞ and 0·∞); means that are no
+	// number; a gap on the edge of the range, where T is 0 on one side of
+	// Δv = 0, and a NaN one; survival asked at the smallest times and at or
+	// past the horizon.
+	sigmas = []float64{1e-300, 5e-324, 1e3, math.Inf(1), 2, 5}
+	cases /= 4
+	for i := 0; i < cases; i++ {
+		m := LinkDurationModel{
+			RelSpeed: Normal{Mu: 120*rng.Float64() - 60, Sigma: sigmas[i%len(sigmas)]},
+			Range:    []float64{100, 250, 500}[rng.Intn(3)],
+			Horizon:  []float64{0, 300, 600}[rng.Intn(3)],
 		}
-		at := 60 * rng.Float64()
-		want = integrateOracle(m.RelSpeed, func(dv float64) float64 {
-			if m.Duration(dv) > at {
-				return 1
-			}
-			return 0
-		})
-		if got := m.SurvivalProb(at); got != want {
-			t.Fatalf("%+v: SurvivalProb(%v) = %v (%#x), old integral %v (%#x)", m, at, got, math.Float64bits(got), want, math.Float64bits(want))
+		switch rng.Intn(16) {
+		case 0, 1:
+			m.RelSpeed.Mu = 0 // the one mean a narrow window can straddle
+		case 2:
+			m.RelSpeed.Mu = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)] // no window at all
 		}
+		switch rng.Intn(5) {
+		case 0:
+			m.Gap = m.Range
+		case 1:
+			m.Gap = -m.Range
+		case 2:
+			m.Gap = math.NaN()
+		case 3:
+			m.Gap = 1.5 * m.Range
+		default:
+			m.Gap = (2*rng.Float64() - 1) * m.Range
+		}
+		h := m.horizon()
+		ats := []float64{5e-324, 1e-300, 1e-9, 60 * rng.Float64(), math.Nextafter(h, 0), h, 2 * h, math.Inf(1), math.NaN()}
+		checkIntegrals(t, m, ats[rng.Intn(len(ats))])
 	}
 }
 
