@@ -1,18 +1,20 @@
 package relroute_test
 
 // Benchmarks regenerating every figure and table of the paper (one bench
-// per artifact — see DESIGN.md's per-experiment index), the ablations
-// backing Table I's qualitative claims, and micro-benchmarks of the
-// simulator's hot paths. Run with:
+// per artifact; `vanetbench -list` is the index), the ablations backing
+// Table I's qualitative claims, and micro-benchmarks of the simulator's
+// hot paths. Run with:
 //
 //	go test -bench=. -benchmem
+//
+// They are for measuring while you work. How fast the simulator is, and
+// whether a change made it slower, is bench/'s job (bash bench/run.sh).
 //
 // The experiment benches execute in Quick mode inside the timing loop and
 // report headline metrics (PDR, collision rate, ...) via b.ReportMetric so
 // the "who wins where" shape is visible straight from the bench output.
 
 import (
-	"strconv"
 	"testing"
 
 	"github.com/vanetlab/relroute"
@@ -102,23 +104,6 @@ func BenchmarkProtocolHighway(b *testing.B) {
 				pdr = sum.PDR
 			}
 			b.ReportMetric(pdr, "PDR")
-		})
-	}
-}
-
-// BenchmarkScaleVehicles measures how simulation cost grows with world
-// size under the flooding worst case.
-func BenchmarkScaleVehicles(b *testing.B) {
-	for _, n := range []int{25, 50, 100, 200, 500, 1000, 2000, 5000, 10000} {
-		b.Run(strconv.Itoa(n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := relroute.Run("Flooding", relroute.Options{
-					Seed: 1, Vehicles: n, HighwayLength: 2000,
-					Duration: 20, Flows: 2, FlowPackets: 5,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
 		})
 	}
 }

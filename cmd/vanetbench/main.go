@@ -14,12 +14,6 @@
 //	                            # protocol × density × seed grid with
 //	                            # mean ± 95% CI per cell
 //
-//	vanetbench scale -vehicles 100,200,500,1000 -densities 50,100 -seeds 3
-//	                            # simulator-throughput sweep: vehicles ×
-//	                            # density (veh/km; highway length scales to
-//	                            # hold it), wall-clock per run, optional
-//	                            # -json report for CI archival
-//
 //	vanetbench linkacc -json BENCH_linkacc.json
 //	                            # reliability plane accuracy: every link
 //	                            # estimator × {highway, city-rush, trace},
@@ -31,7 +25,7 @@
 //	                            # profile × protocol, fault-window PDR,
 //	                            # time-to-reroute, recovery latency
 //
-// Profiling: both modes accept -cpuprofile and -memprofile to capture
+// Profiling: every mode accepts -cpuprofile and -memprofile to capture
 // pprof profiles of the run, e.g.
 //
 //	vanetbench -exp abl-storm -cpuprofile cpu.out -memprofile mem.out
@@ -44,7 +38,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -53,7 +46,6 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"github.com/vanetlab/relroute"
 )
@@ -76,45 +68,70 @@ func interruptContext() (context.Context, context.CancelFunc) {
 	return ctx, cancel
 }
 
-// profileFlags registers -cpuprofile/-memprofile on fs and returns a
-// start function whose returned stop function must run before exit.
-func profileFlags(fs *flag.FlagSet) (start func() (stop func() error, err error)) {
+// parseFlags is the front half of every vanetbench mode: it adds
+// -cpuprofile/-memprofile to fs, parses args, rejects leftover
+// positionals (the flag package stops at the first one, so every flag
+// after it would be silently ignored), and starts the profiles. The
+// returned stop function must run before exit.
+func parseFlags(fs *flag.FlagSet, args []string) (stop func(), err error) {
 	cpu := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	mem := fs.String("memprofile", "", "write an allocation profile to this file on exit")
-	return func() (func() error, error) {
-		var cpuF *os.File
-		if *cpu != "" {
-			f, err := os.Create(*cpu)
-			if err != nil {
-				return nil, fmt.Errorf("cpuprofile: %w", err)
-			}
-			if err := pprof.StartCPUProfile(f); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("cpuprofile: %w", err)
-			}
-			cpuF = f
-		}
-		return func() error {
-			if cpuF != nil {
-				pprof.StopCPUProfile()
-				if err := cpuF.Close(); err != nil {
-					return err
-				}
-			}
-			if *mem != "" {
-				f, err := os.Create(*mem)
-				if err != nil {
-					return fmt.Errorf("memprofile: %w", err)
-				}
-				defer f.Close()
-				runtime.GC() // up-to-date allocation statistics
-				if err := pprof.WriteHeapProfile(f); err != nil {
-					return fmt.Errorf("memprofile: %w", err)
-				}
-			}
-			return nil
-		}, nil
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
+	if fs.NArg() > 0 {
+		return nil, fmt.Errorf("unexpected argument %q: the subcommands are sweep, linkacc and chaos, and no mode takes positional arguments", fs.Arg(0))
+	}
+	var cpuF *os.File
+	if *cpu != "" {
+		f, err := os.Create(*cpu)
+		if err != nil {
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+		cpuF = f
+	}
+	return func() {
+		if err := stopProfiles(cpuF, *mem); err != nil {
+			fmt.Fprintln(os.Stderr, "vanetbench:", err)
+		}
+	}, nil
+}
+
+// stopProfiles finishes the CPU profile started into cpuF (nil = none)
+// and writes the allocation profile to memPath ("" = none).
+func stopProfiles(cpuF *os.File, memPath string) error {
+	if cpuF != nil {
+		pprof.StopCPUProfile()
+		if err := cpuF.Close(); err != nil {
+			return err
+		}
+	}
+	if memPath == "" {
+		return nil
+	}
+	f, err := os.Create(memPath)
+	if err != nil {
+		return fmt.Errorf("memprofile: %w", err)
+	}
+	defer f.Close()
+	runtime.GC() // up-to-date allocation statistics
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		return fmt.Errorf("memprofile: %w", err)
+	}
+	return nil
+}
+
+// writeJSON writes v, indented, as the -json report at path.
+func writeJSON(path string, v any) error {
+	enc, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(enc, '\n'), 0o644)
 }
 
 func main() {
@@ -123,8 +140,6 @@ func main() {
 	switch {
 	case len(args) > 0 && args[0] == "sweep":
 		err = runSweep(args[1:])
-	case len(args) > 0 && args[0] == "scale":
-		err = runScale(args[1:])
 	case len(args) > 0 && args[0] == "linkacc":
 		err = runLinkAcc(args[1:])
 	case len(args) > 0 && args[0] == "chaos":
@@ -150,19 +165,11 @@ func run(args []string) error {
 		ckptDir   = fs.String("checkpoint-dir", "", "auto-checkpoint every simulation into this directory (post-mortem snapshots for failed runs)")
 		ckptEvery = fs.Float64("checkpoint-every", 0, "simulated seconds between checkpoint boundaries (0 = default)")
 	)
-	startProfiles := profileFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	stopProfiles, err := startProfiles()
+	stop, err := parseFlags(fs, args)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if perr := stopProfiles(); perr != nil {
-			fmt.Fprintln(os.Stderr, "vanetbench:", perr)
-		}
-	}()
+	defer stop()
 	if *list {
 		for _, e := range relroute.Experiments() {
 			fmt.Printf("%-14s %s\n", e.ID, e.Title)
@@ -216,19 +223,11 @@ func runSweep(args []string) error {
 		parallel  = fs.Int("parallel", 0, "simulation workers (0 = GOMAXPROCS)")
 		manifest  = fs.String("manifest", "", "durable campaign manifest directory; re-running an interrupted sweep with the same -manifest resumes it")
 	)
-	startProfiles := profileFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	stopProfiles, err := startProfiles()
+	stop, err := parseFlags(fs, args)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if perr := stopProfiles(); perr != nil {
-			fmt.Fprintln(os.Stderr, "vanetbench:", perr)
-		}
-	}()
+	defer stop()
 	protos := splitList(*protocols)
 	counts, err := splitInts(*vehicles)
 	if err != nil {
@@ -320,186 +319,8 @@ func runSweep(args []string) error {
 	return nil
 }
 
-// scaleCell is one (vehicles, density) point of the scale sweep, averaged
-// over seeds. The churn fields are populated by -churn: the same cell run
-// as an open world with Poisson arrivals and lifetime-bounded departures.
-type scaleCell struct {
-	Vehicles  int     `json:"vehicles"`
-	DensityKm float64 `json:"density_veh_per_km"`
-	LengthM   float64 `json:"highway_length_m"`
-	Seeds     int     `json:"seeds"`
-	MeanMs    float64 `json:"mean_ms"`
-	MinMs     float64 `json:"min_ms"`
-	// EventsPerSec is simulator throughput: executed engine events per
-	// wall-clock second, averaged over seeds — the scheduling-plane figure
-	// that stays comparable when scenario geometry changes ms/run.
-	EventsPerSec float64 `json:"events_per_sec"`
-	PDR          float64 `json:"pdr"`
-	ChurnMeanMs  float64 `json:"churn_mean_ms,omitempty"`
-	ChurnPDR     float64 `json:"churn_pdr,omitempty"`
-	ChurnJoins   float64 `json:"churn_joins,omitempty"`
-	ChurnLeaves  float64 `json:"churn_leaves,omitempty"`
-}
-
-// scaleReport is the -json document CI archives next to BENCH_core.json.
-type scaleReport struct {
-	Protocol string      `json:"protocol"`
-	Duration float64     `json:"sim_duration_s"`
-	Results  []scaleCell `json:"results"`
-}
-
-// runScale executes the simulator-throughput sweep the scale benchmarks
-// are built on: a vehicles × density grid of flooding (or any protocol)
-// runs, timed wall-clock. The highway length scales with the vehicle count
-// so each density column holds vehicles-per-km constant — doubling n
-// doubles the world instead of compressing it. Runs execute sequentially
-// so per-run timings aren't polluted by sibling runs.
-func runScale(args []string) error {
-	fs := flag.NewFlagSet("vanetbench scale", flag.ContinueOnError)
-	var (
-		protocol  = fs.String("protocol", "Flooding", "protocol to scale")
-		vehicles  = fs.String("vehicles", "100,200,500,1000", "comma-separated vehicle counts")
-		densities = fs.String("densities", "100", "comma-separated densities in vehicles/km")
-		seeds     = fs.Int("seeds", 1, "replication seeds per cell")
-		seed0     = fs.Int64("seed", 1, "first replication seed")
-		duration  = fs.Float64("duration", 20, "simulated seconds per run")
-		churn     = fs.Bool("churn", false, "add an open-world churn column (Poisson arrivals + departures) per cell")
-		jsonOut   = fs.String("json", "", "write a machine-readable report to this file")
-	)
-	startProfiles := profileFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	stopProfiles, err := startProfiles()
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if perr := stopProfiles(); perr != nil {
-			fmt.Fprintln(os.Stderr, "vanetbench:", perr)
-		}
-	}()
-	counts, err := splitInts(*vehicles)
-	if err != nil {
-		return fmt.Errorf("scale: -vehicles: %w", err)
-	}
-	dens, err := splitFloats(*densities)
-	if err != nil {
-		return fmt.Errorf("scale: -densities: %w", err)
-	}
-	if len(counts) == 0 || len(dens) == 0 || *seeds < 1 {
-		return fmt.Errorf("scale: need at least one vehicle count, one density, and one seed")
-	}
-	for _, v := range counts {
-		if v < 2 {
-			return fmt.Errorf("scale: -vehicles: count %d below the 2 needed for a flow", v)
-		}
-	}
-	for _, d := range dens {
-		if d <= 0 {
-			return fmt.Errorf("scale: -densities: density must be positive, got %g", d)
-		}
-	}
-
-	rep := scaleReport{Protocol: *protocol, Duration: *duration}
-	columns := []string{"vehicles", "veh/km", "length(m)", "mean ms/run", "min ms/run", "events/s", "PDR"}
-	if *churn {
-		columns = append(columns, "churn ms/run", "churn PDR", "joins/leaves")
-	}
-	tab := &relroute.Table{
-		ID:      "scale",
-		Title:   fmt.Sprintf("%s simulator throughput (vehicles × density, %d seed(s))", *protocol, *seeds),
-		Columns: columns,
-	}
-	for _, d := range dens {
-		for _, v := range counts {
-			length := float64(v) / d * 1000
-			cell := scaleCell{Vehicles: v, DensityKm: d, LengthM: length, Seeds: *seeds, MinMs: math.Inf(1)}
-			var pdrSum float64
-			for s := 0; s < *seeds; s++ {
-				opts := relroute.Options{
-					Seed: *seed0 + int64(s), Vehicles: v,
-					HighwayLength: length, Duration: *duration,
-					Flows: 2, FlowPackets: 5,
-				}
-				t0 := time.Now()
-				sum, err := relroute.Run(*protocol, opts)
-				if err != nil {
-					return fmt.Errorf("scale: %d vehicles at %g veh/km: %w", v, d, err)
-				}
-				ms := float64(time.Since(t0)) / float64(time.Millisecond)
-				cell.MeanMs += ms
-				cell.MinMs = math.Min(cell.MinMs, ms)
-				cell.EventsPerSec += float64(sum.Events) / (ms / 1000)
-				pdrSum += sum.PDR
-			}
-			cell.MeanMs /= float64(*seeds)
-			cell.EventsPerSec /= float64(*seeds)
-			cell.PDR = pdrSum / float64(*seeds)
-			if *churn {
-				var churnPDR, joins, leaves float64
-				for s := 0; s < *seeds; s++ {
-					opts := relroute.Options{
-						Seed: *seed0 + int64(s), Vehicles: v,
-						HighwayLength: length, Duration: *duration,
-						Flows: 2, FlowPackets: 5,
-						// replace the population roughly once over the run
-						ArrivalRate:  float64(v) / *duration,
-						MeanLifetime: *duration / 2,
-					}
-					t0 := time.Now()
-					sum, err := relroute.Run(*protocol, opts)
-					if err != nil {
-						return fmt.Errorf("scale: churn %d vehicles at %g veh/km: %w", v, d, err)
-					}
-					cell.ChurnMeanMs += float64(time.Since(t0)) / float64(time.Millisecond)
-					churnPDR += sum.PDR
-					joins += float64(sum.Joins)
-					leaves += float64(sum.Leaves)
-				}
-				cell.ChurnMeanMs /= float64(*seeds)
-				cell.ChurnPDR = churnPDR / float64(*seeds)
-				cell.ChurnJoins = joins / float64(*seeds)
-				cell.ChurnLeaves = leaves / float64(*seeds)
-			}
-			rep.Results = append(rep.Results, cell)
-			row := []string{
-				strconv.Itoa(v),
-				fmt.Sprintf("%g", d),
-				fmt.Sprintf("%.0f", length),
-				fmt.Sprintf("%.1f", cell.MeanMs),
-				fmt.Sprintf("%.1f", cell.MinMs),
-				fmt.Sprintf("%.0f", cell.EventsPerSec),
-				fmt.Sprintf("%.1f%%", cell.PDR*100),
-			}
-			if *churn {
-				row = append(row,
-					fmt.Sprintf("%.1f", cell.ChurnMeanMs),
-					fmt.Sprintf("%.1f%%", cell.ChurnPDR*100),
-					fmt.Sprintf("%.0f/%.0f", cell.ChurnJoins, cell.ChurnLeaves),
-				)
-			}
-			tab.AddRow(row...)
-		}
-	}
-	tab.Notes = append(tab.Notes,
-		fmt.Sprintf("%g simulated seconds per run; wall-clock timings, sequential execution", *duration))
-	tab.Render(os.Stdout)
-	if *jsonOut != "" {
-		enc, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return fmt.Errorf("scale: %w", err)
-		}
-		enc = append(enc, '\n')
-		if err := os.WriteFile(*jsonOut, enc, 0o644); err != nil {
-			return fmt.Errorf("scale: %w", err)
-		}
-	}
-	return nil
-}
-
 // linkAccReport is the linkacc -json document CI archives as
-// BENCH_linkacc.json alongside the performance benchmarks.
+// BENCH_linkacc.json.
 type linkAccReport struct {
 	HorizonS float64                     `json:"audit_horizon_s"`
 	Seed     int64                       `json:"seed"`
@@ -518,19 +339,11 @@ func runLinkAcc(args []string) error {
 		parallel = fs.Int("parallel", 0, "simulation workers (0 = GOMAXPROCS)")
 		jsonOut  = fs.String("json", "", "write a machine-readable report to this file")
 	)
-	startProfiles := profileFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	stopProfiles, err := startProfiles()
+	stop, err := parseFlags(fs, args)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if perr := stopProfiles(); perr != nil {
-			fmt.Fprintln(os.Stderr, "vanetbench:", perr)
-		}
-	}()
+	defer stop()
 	ctx, cancel := interruptContext()
 	defer cancel()
 	cfg := relroute.ExperimentConfig{Seed: *seed, Quick: *quick, Workers: *parallel, Context: ctx}
@@ -541,20 +354,14 @@ func runLinkAcc(args []string) error {
 	relroute.LinkAccuracyTable(cells).Render(os.Stdout)
 	if *jsonOut != "" {
 		rep := linkAccReport{HorizonS: relroute.LinkAuditHorizon, Seed: *seed, Quick: *quick, Results: cells}
-		enc, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return fmt.Errorf("linkacc: %w", err)
-		}
-		enc = append(enc, '\n')
-		if err := os.WriteFile(*jsonOut, enc, 0o644); err != nil {
+		if err := writeJSON(*jsonOut, rep); err != nil {
 			return fmt.Errorf("linkacc: %w", err)
 		}
 	}
 	return nil
 }
 
-// chaosReport is the chaos -json document CI archives as BENCH_chaos.json
-// alongside the other benchmark artifacts.
+// chaosReport is the chaos -json document CI archives as BENCH_chaos.json.
 type chaosReport struct {
 	Seed     int64                `json:"seed"`
 	Quick    bool                 `json:"quick"`
@@ -573,19 +380,11 @@ func runChaos(args []string) error {
 		parallel = fs.Int("parallel", 0, "simulation workers (0 = GOMAXPROCS)")
 		jsonOut  = fs.String("json", "", "write a machine-readable report to this file")
 	)
-	startProfiles := profileFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	stopProfiles, err := startProfiles()
+	stop, err := parseFlags(fs, args)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if perr := stopProfiles(); perr != nil {
-			fmt.Fprintln(os.Stderr, "vanetbench:", perr)
-		}
-	}()
+	defer stop()
 	ctx, cancel := interruptContext()
 	defer cancel()
 	cfg := relroute.ExperimentConfig{Seed: *seed, Quick: *quick, Workers: *parallel, Context: ctx}
@@ -596,28 +395,11 @@ func runChaos(args []string) error {
 	relroute.ChaosTable(cells).Render(os.Stdout)
 	if *jsonOut != "" {
 		rep := chaosReport{Seed: *seed, Quick: *quick, Profiles: relroute.FaultProfiles(), Results: cells}
-		enc, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return fmt.Errorf("chaos: %w", err)
-		}
-		enc = append(enc, '\n')
-		if err := os.WriteFile(*jsonOut, enc, 0o644); err != nil {
+		if err := writeJSON(*jsonOut, rep); err != nil {
 			return fmt.Errorf("chaos: %w", err)
 		}
 	}
 	return nil
-}
-
-func splitFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, p := range splitList(s) {
-		v, err := strconv.ParseFloat(p, 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 func fmtCI(s relroute.Stat, pct bool) string {

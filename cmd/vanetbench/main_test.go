@@ -1,9 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -56,72 +56,44 @@ func TestSweepRejectsBadGrid(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "scale.json")
-	err := runScale([]string{
-		"-vehicles", "10,15", "-densities", "50", "-seeds", "1",
-		"-duration", "5", "-json", out,
-	})
-	if err != nil {
-		t.Fatal(err)
+// A positional argument stops flag parsing, so everything after it used
+// to be ignored: "vanetbench bogus -list" ran the whole suite. Every mode
+// must refuse instead, before it simulates or prints anything.
+func TestRejectsPositionalArguments(t *testing.T) {
+	cases := []struct {
+		name string
+		mode func([]string) error
+		args []string
+	}{
+		{"retired subcommand", run, []string{"scale"}},
+		{"unknown subcommand before a flag", run, []string{"bogus", "-list"}},
+		{"sweep", runSweep, []string{"x"}},
+		{"linkacc", runLinkAcc, []string{"-quick", "x"}},
+		{"chaos", runChaos, []string{"x", "-quick"}},
 	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep scaleReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("scale JSON does not parse: %v", err)
-	}
-	if rep.Protocol != "Flooding" || len(rep.Results) != 2 {
-		t.Fatalf("report = %+v, want 2 Flooding cells", rep)
-	}
-	for _, c := range rep.Results {
-		if c.MeanMs <= 0 || c.MinMs <= 0 || c.LengthM <= 0 {
-			t.Fatalf("cell not populated: %+v", c)
-		}
-	}
-}
-
-func TestScaleChurnColumn(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "scale_churn.json")
-	err := runScale([]string{
-		"-vehicles", "12", "-densities", "50", "-seeds", "1",
-		"-duration", "10", "-churn", "-json", out,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep scaleReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("scale JSON does not parse: %v", err)
-	}
-	if len(rep.Results) != 1 {
-		t.Fatalf("results = %+v", rep.Results)
-	}
-	c := rep.Results[0]
-	if c.ChurnMeanMs <= 0 {
-		t.Fatalf("churn column not timed: %+v", c)
-	}
-	if c.ChurnJoins == 0 || c.ChurnLeaves == 0 {
-		t.Fatalf("churn run had no membership changes: %+v", c)
-	}
-}
-
-func TestScaleRejectsBadGrid(t *testing.T) {
-	if err := runScale([]string{"-vehicles", "ten"}); err == nil {
-		t.Fatal("non-numeric vehicle list accepted")
-	}
-	if err := runScale([]string{"-densities", "0"}); err == nil {
-		t.Fatal("zero density accepted")
-	}
-	if err := runScale([]string{"-vehicles", "1"}); err == nil {
-		t.Fatal("single-vehicle world accepted")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "stdout")
+			f, err := os.Create(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stdout := os.Stdout
+			os.Stdout = f
+			err = tc.mode(tc.args)
+			os.Stdout = stdout
+			f.Close()
+			if err == nil {
+				t.Fatalf("%q accepted", tc.args)
+			}
+			for _, sub := range []string{"sweep", "linkacc", "chaos"} {
+				if !strings.Contains(err.Error(), sub) {
+					t.Errorf("error %q does not name subcommand %s", err, sub)
+				}
+			}
+			if printed, _ := os.ReadFile(out); len(printed) > 0 {
+				t.Errorf("printed to stdout before failing:\n%s", printed)
+			}
+		})
 	}
 }

@@ -75,6 +75,11 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// flag parsing stops at the first positional, so every flag after it
+	// would silently keep its default
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q: vanetsim takes flags only", fs.Arg(0))
+	}
 	if *list {
 		for _, p := range relroute.Protocols() {
 			fmt.Println(p)

@@ -40,6 +40,13 @@ func TestRunBadFlag(t *testing.T) {
 	}
 }
 
+func TestRunRejectsPositionalArgument(t *testing.T) {
+	// would otherwise ignore the flags and run the 60-vehicle, 60 s default
+	if err := run([]string{"bogus", "-vehicles", "10", "-duration", "2"}); err == nil {
+		t.Fatal("positional argument accepted")
+	}
+}
+
 func TestRunListScenarios(t *testing.T) {
 	if err := run([]string{"-list-scenarios"}); err != nil {
 		t.Fatal(err)

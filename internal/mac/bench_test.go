@@ -15,8 +15,8 @@ import (
 // Send, backoff, carrier sense, per-receiver receptions, collision
 // resolution — with 50 nodes each broadcasting into a dense segment. One
 // op is a full 50-frame storm wave, drained. This is the per-frame hot
-// path behind BenchmarkScaleVehicles; after the pools warm up it must not
-// allocate.
+// path of a flooding run (bench/'s hwy-flood); after the pools warm up it
+// must not allocate.
 func BenchmarkBroadcastStorm(b *testing.B) {
 	const nodes = 50
 	eng := sim.NewEngine(1)
