@@ -18,10 +18,16 @@ var updateProtocolGolden = flag.Bool("update-protocol-golden", false,
 // 60-vehicle highway for 20 simulated seconds. That world never strands a
 // packet, so the carry-and-forward routers run a second time on a sparse
 // highway (24 vehicles on 3000 m, 40 s: 12–21 of 40 packets arrive) where
-// the carry buffer, its timeout and the retry order decide the line. A
-// refactor of router scaffolding must leave testdata/golden_protocols.txt
-// untouched. Not skipped in -short: 52 runs take under 2 s, and they are
-// the only place every router runs under the race detector.
+// the carry buffer, its timeout and the retry order decide the line. Nor
+// does it ever run a flood out of hops, so the four flooders run a third
+// time on a highway longer than DefaultTTL reaches (300 vehicles on 12 km,
+// 20 s): Flooding, Biswas and Zone count 57–232 TTL drops a seed,
+// LORA-DCBF 2 on seed 1, Biswas gives up on 6 and 10 unacknowledged
+// rebroadcasts at the ends, and what a node outside the zone or a
+// non-gateway does with its copy shows in the digest. A refactor of router
+// scaffolding must leave testdata/golden_protocols.txt untouched. Not
+// skipped in -short: 60 runs take under 2 s, and they are the only place
+// every router runs under the race detector.
 func TestProtocolGolden(t *testing.T) {
 	path := filepath.Join("testdata", "golden_protocols.txt")
 	want := map[string]string{}
@@ -46,6 +52,11 @@ func TestProtocolGolden(t *testing.T) {
 			label:  "sparse/",
 			protos: []string{"Greedy", "REAR", "GVGrid", "CAR", "DRR", "Bus"},
 			opts:   Options{Vehicles: 24, HighwayLength: 3000, Duration: 40, Flows: 4, FlowPackets: 10},
+		},
+		{
+			label:  "storm/",
+			protos: []string{"Flooding", "Biswas", "Zone", "LORA-DCBF"},
+			opts:   Options{Vehicles: 300, HighwayLength: 12000, Duration: 20, Flows: 4, FlowPackets: 10},
 		},
 	}
 	var out strings.Builder
