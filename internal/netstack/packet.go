@@ -44,7 +44,6 @@ const (
 	KindRERR   = "RERR"
 	KindProbe  = "PROBE"  // TBP-SS tickets
 	KindUpdate = "UPDATE" // proactive table dumps (DSDV)
-	KindLREQ   = "LREQ"   // gateway cluster location requests
 )
 
 // Packet is the network-layer unit. From/To are link-layer addresses set

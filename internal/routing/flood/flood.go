@@ -14,171 +14,77 @@ import (
 	"github.com/vanetlab/relroute/internal/sim"
 )
 
-// Router is the pure flooding router.
-type Router struct {
-	netstack.Base
-	dup *routing.DupCache
-}
+// Router is the pure flooding router: routing.Flooder with nothing bound.
+// Needing no neighbor state is exactly why Table I calls it "simple".
+type Router struct{ routing.Flooder }
 
 // New returns a flooding router factory.
 func New() netstack.RouterFactory {
 	return func() netstack.Router {
-		return &Router{dup: routing.NewDupCache(30)}
+		r := &Router{}
+		r.Init(r.Name(), nil, nil)
+		return r
 	}
 }
 
 // Name implements netstack.Router.
 func (r *Router) Name() string { return "Flooding" }
 
-// NeedsBeacons implements netstack.Router: flooding needs no neighbor
-// state, which is exactly why Table I calls it "simple".
-func (r *Router) NeedsBeacons() bool { return false }
-
-// Originate implements netstack.Router: data is simply broadcast.
-func (r *Router) Originate(dst netstack.NodeID, size int) {
-	pkt := routing.NewData(r.API, r.Name(), dst, size)
-	r.dup.Seen(routing.DupKey{Origin: pkt.Src, Seq: pkt.UID}, r.API.Now())
-	r.API.Send(netstack.Broadcast, pkt)
-}
-
-// HandlePacket implements netstack.Router: deliver if addressed to us,
-// rebroadcast the first copy otherwise. Every path hands the received copy
-// back to the stack's pool — the terminal ones through Release, the
-// rebroadcast through SendFinal — which is what keeps the flood
-// allocation-free in steady state.
-func (r *Router) HandlePacket(pkt *netstack.Packet) {
-	if pkt.Kind != netstack.KindData {
-		r.API.Release(pkt)
-		return
-	}
-	if r.dup.Seen(routing.DupKey{Origin: pkt.Src, Seq: pkt.UID}, r.API.Now()) {
-		r.API.Release(pkt)
-		return
-	}
-	if pkt.Dst == r.API.Self() || pkt.Dst == netstack.Broadcast {
-		r.API.Deliver(pkt)
-		if pkt.Dst == r.API.Self() {
-			// unicast semantics: the destination does not rebroadcast
-			r.API.Release(pkt)
-			return
-		}
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		r.API.Drop(pkt)
-		r.API.Release(pkt)
-		return
-	}
-	r.API.SendFinal(netstack.Broadcast, pkt)
-}
-
 // Biswas is the acknowledged flooding router of Biswas et al. [9]: after
 // rebroadcasting, a node listens for the same packet from another node; if
-// no copy is overheard within AckTimeout it rebroadcasts again, up to
-// MaxRetries times. ("If the vehicle does not receive the acknowledgment,
+// no copy is overheard within ackTimeout it rebroadcasts again, up to
+// maxRetries times. ("If the vehicle does not receive the acknowledgment,
 // it will periodically rebroadcast the packet until the acknowledgment is
 // received.")
 type Biswas struct {
-	netstack.Base
-	dup   *routing.DupCache
-	retry map[uint64]*retryState
-	// AckTimeout is the implicit-ack wait; zero means 0.5 s.
-	AckTimeout float64
-	// MaxRetries bounds retransmissions; zero means 3.
-	MaxRetries int
+	routing.Flooder
+	retry map[uint64]sim.TimerID // packet UID → pending retransmission
 }
 
-type retryState struct {
-	timer sim.TimerID
-	tries int
-	pkt   *netstack.Packet
-}
+const (
+	ackTimeout = 0.5 // seconds a rebroadcast waits for its implicit ack
+	maxRetries = 3
+)
 
 // NewBiswas returns a factory for the acknowledged flooding router.
 func NewBiswas() netstack.RouterFactory {
 	return func() netstack.Router {
-		return &Biswas{
-			dup:   routing.NewDupCache(30),
-			retry: make(map[uint64]*retryState),
-		}
+		b := &Biswas{retry: make(map[uint64]sim.TimerID)}
+		b.Init(b.Name(), nil, b.sendWithAck)
+		return b
 	}
 }
 
 // Name implements netstack.Router.
 func (b *Biswas) Name() string { return "Biswas" }
 
-// NeedsBeacons implements netstack.Router: implicit-ack flooding needs no
-// neighbor state.
-func (b *Biswas) NeedsBeacons() bool { return false }
-
-func (b *Biswas) ackTimeout() float64 {
-	if b.AckTimeout <= 0 {
-		return 0.5
-	}
-	return b.AckTimeout
-}
-
-func (b *Biswas) maxRetries() int {
-	if b.MaxRetries <= 0 {
-		return 3
-	}
-	return b.MaxRetries
-}
-
-// Originate implements netstack.Router.
-func (b *Biswas) Originate(dst netstack.NodeID, size int) {
-	pkt := routing.NewData(b.API, b.Name(), dst, size)
-	b.dup.Seen(routing.DupKey{Origin: pkt.Src, Seq: pkt.UID}, b.API.Now())
-	b.broadcastWithAck(pkt)
-}
-
-// HandlePacket implements netstack.Router. Only the copies that end before
-// the forwarding decision go back to the pool: a forwarded packet lives on
-// in the retry state, so it is sent with Send and never released.
+// HandlePacket implements netstack.Router: any overheard copy, duplicate
+// or not, acknowledges our pending rebroadcast; the rest is the flood's.
 func (b *Biswas) HandlePacket(pkt *netstack.Packet) {
-	if pkt.Kind != netstack.KindData {
-		b.API.Release(pkt)
-		return
-	}
-	// Any overheard copy acknowledges our pending rebroadcast.
-	if st, ok := b.retry[pkt.UID]; ok {
-		b.API.Cancel(st.timer)
+	if timer, ok := b.retry[pkt.UID]; ok {
+		b.API.Cancel(timer)
 		delete(b.retry, pkt.UID)
 	}
-	if b.dup.Seen(routing.DupKey{Origin: pkt.Src, Seq: pkt.UID}, b.API.Now()) {
-		b.API.Release(pkt)
-		return
-	}
-	if pkt.Dst == b.API.Self() || pkt.Dst == netstack.Broadcast {
-		b.API.Deliver(pkt)
-		if pkt.Dst == b.API.Self() {
-			return
-		}
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		b.API.Drop(pkt)
-		return
-	}
-	b.broadcastWithAck(pkt)
+	b.Flooder.HandlePacket(pkt)
 }
 
-// broadcastWithAck transmits and arms the implicit-ack retry timer.
-func (b *Biswas) broadcastWithAck(pkt *netstack.Packet) {
+// sendWithAck transmits and arms the implicit-ack retry timer. It takes
+// custody (see routing.Flooder.Init): the retry keeps the packet, whose first
+// transmission may still be queued when the ack arrives, so it is sent with
+// Send and never released.
+func (b *Biswas) sendWithAck(pkt *netstack.Packet, _ bool) bool {
 	b.API.Send(netstack.Broadcast, pkt)
-	st := &retryState{pkt: pkt}
-	b.retry[pkt.UID] = st
-	var arm func()
-	arm = func() {
-		st.timer = b.API.After(b.ackTimeout(), func() {
-			if st.tries >= b.maxRetries() {
-				delete(b.retry, pkt.UID)
-				return
-			}
-			st.tries++
-			b.API.Send(netstack.Broadcast, st.pkt.Clone())
-			arm()
-		})
+	tries := 0
+	var retry func()
+	retry = func() {
+		if tries >= maxRetries {
+			delete(b.retry, pkt.UID)
+			return
+		}
+		tries++
+		b.API.Send(netstack.Broadcast, pkt.Clone())
+		b.retry[pkt.UID] = b.API.After(ackTimeout, retry)
 	}
-	arm()
+	b.retry[pkt.UID] = b.API.After(ackTimeout, retry)
+	return true
 }

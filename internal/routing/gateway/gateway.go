@@ -25,26 +25,31 @@ func WithCellSize(m float64) Option {
 	return func(r *Router) { r.cellSize = m }
 }
 
-// Router is a per-node gateway-clustered flooding router.
+// Router is a per-node gateway-clustered flooding router: routing.Flooder
+// with the gateway election as its rebroadcast rule.
 type Router struct {
-	netstack.Base
-	dup      *routing.DupCache
+	routing.Flooder
 	cellSize float64
 }
 
 // New returns a gateway router factory.
 func New(opts ...Option) netstack.RouterFactory {
 	return func() netstack.Router {
-		r := &Router{dup: routing.NewDupCache(30)}
+		r := &Router{}
 		for _, o := range opts {
 			o(r)
 		}
+		r.Init(r.Name(), r.isGateway, nil)
 		return r
 	}
 }
 
 // Name implements netstack.Router.
 func (r *Router) Name() string { return "LORA-DCBF" }
+
+// NeedsBeacons implements netstack.Router: unlike the other flooders, the
+// gateway election reads the neighbor table.
+func (r *Router) NeedsBeacons() bool { return true }
 
 func (r *Router) cell() float64 {
 	if r.cellSize > 0 {
@@ -56,17 +61,15 @@ func (r *Router) cell() float64 {
 // cellCenter returns the center of the cell containing p.
 func (r *Router) cellCenter(p geom.Vec2) geom.Vec2 {
 	c := r.cell()
-	return geom.V(
-		(math.Floor(p.X/c)+0.5)*c,
-		(math.Floor(p.Y/c)+0.5)*c,
-	)
+	return geom.V((math.Floor(p.X/c)+0.5)*c, (math.Floor(p.Y/c)+0.5)*c)
 }
 
-// isGateway elects this node the gateway of its cell: closest to the cell
-// center among itself and its same-cell neighbors, ties broken by lowest
-// ID. The election is recomputed per packet from fresh beacon state, so
-// gateways rotate naturally as vehicles move.
-func (r *Router) isGateway() bool {
+// isGateway is the rebroadcast rule (members read, only gateways retransmit;
+// a source always transmits). It elects this node the gateway of its cell:
+// closest to the cell center among itself and its same-cell neighbors, ties
+// broken by lowest ID. The election is recomputed per packet from fresh
+// beacon state, so gateways rotate naturally as vehicles move.
+func (r *Router) isGateway(*netstack.Packet) bool {
 	self := r.API.Pos()
 	center := r.cellCenter(self)
 	myDist := self.Dist(center)
@@ -81,50 +84,4 @@ func (r *Router) isGateway() bool {
 		}
 	}
 	return true
-}
-
-// Originate implements netstack.Router.
-func (r *Router) Originate(dst netstack.NodeID, size int) {
-	pkt := routing.NewData(r.API, r.Name(), dst, size)
-	if dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	// The source always transmits, gateway or not.
-	r.dup.Seen(routing.DupKey{Origin: pkt.Src, Seq: pkt.UID}, r.API.Now())
-	r.API.Send(netstack.Broadcast, pkt)
-}
-
-// HandlePacket implements netstack.Router. The router keeps no packet, so
-// every path returns the received copy to the stack's pool: Release where
-// its journey ends here, SendFinal for the gateway's retransmission.
-func (r *Router) HandlePacket(pkt *netstack.Packet) {
-	if pkt.Kind != netstack.KindData && pkt.Kind != netstack.KindLREQ {
-		r.API.Release(pkt)
-		return
-	}
-	if r.dup.Seen(routing.DupKey{Origin: pkt.Src, Seq: pkt.UID}, r.API.Now()) {
-		r.API.Release(pkt)
-		return
-	}
-	// Members read and process...
-	if pkt.Dst == r.API.Self() || pkt.Dst == netstack.Broadcast {
-		r.API.Deliver(pkt)
-		if pkt.Dst == r.API.Self() {
-			r.API.Release(pkt)
-			return
-		}
-	}
-	// ...but only gateways retransmit between zones.
-	if !r.isGateway() {
-		r.API.Release(pkt)
-		return
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		r.API.Drop(pkt)
-		r.API.Release(pkt)
-		return
-	}
-	r.API.SendFinal(netstack.Broadcast, pkt)
 }

@@ -36,14 +36,13 @@ func FixedZone(r geom.Rect) Policy {
 }
 
 // payload carries the zone with the data.
-type payload struct {
-	Zone geom.Rect
-}
+type payload struct{ Zone geom.Rect }
 
-// Router is a per-node zone-flooding router.
+// Router is a per-node zone-flooding router: routing.Flooder, with the zone
+// stamped at the origin and only nodes inside it rebroadcasting. It needs
+// its own position, not neighbor state.
 type Router struct {
-	netstack.Base
-	dup    *routing.DupCache
+	routing.Flooder
 	policy Policy
 }
 
@@ -54,65 +53,32 @@ func New(policy Policy) netstack.RouterFactory {
 		policy = CorridorPolicy(0)
 	}
 	return func() netstack.Router {
-		return &Router{dup: routing.NewDupCache(30), policy: policy}
+		r := &Router{policy: policy}
+		r.Init(r.Name(), r.inZone, r.stamp)
+		return r
 	}
 }
 
 // Name implements netstack.Router.
 func (r *Router) Name() string { return "Zone" }
 
-// Originate implements netstack.Router: stamp the zone and flood within
-// it.
-func (r *Router) Originate(dst netstack.NodeID, size int) {
-	pkt := routing.NewData(r.API, r.Name(), dst, size)
-	if dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	srcPos := r.API.Pos()
-	dstPos := srcPos
-	if p, _, ok := r.API.LookupPosition(dst); ok {
-		dstPos = p
-	}
-	pkt.Payload = payload{Zone: r.policy(srcPos, dstPos, r.API.RangeEstimate())}
-	r.dup.Seen(routing.DupKey{Origin: pkt.Src, Seq: pkt.UID}, r.API.Now())
-	r.API.Send(netstack.Broadcast, pkt)
-}
-
-// HandlePacket implements netstack.Router: deliver to the destination;
-// rebroadcast only inside the zone. The router keeps no packet, so every
-// path returns the received copy to the stack's pool: Release where its
-// journey ends here, SendFinal for the rebroadcast.
-func (r *Router) HandlePacket(pkt *netstack.Packet) {
-	pl, ok := pkt.Payload.(payload)
-	if pkt.Kind != netstack.KindData || !ok {
-		r.API.Release(pkt)
-		return
-	}
-	if r.dup.Seen(routing.DupKey{Origin: pkt.Src, Seq: pkt.UID}, r.API.Now()) {
-		r.API.Release(pkt)
-		return
-	}
-	if pkt.Dst == r.API.Self() || pkt.Dst == netstack.Broadcast {
-		r.API.Deliver(pkt)
-		if pkt.Dst == r.API.Self() {
-			r.API.Release(pkt)
-			return
+// stamp gives the packet this node originates its zone; sending stays the
+// core's.
+func (r *Router) stamp(pkt *netstack.Packet, origin bool) bool {
+	if origin {
+		src := r.API.Pos()
+		dst, _, ok := r.API.LookupPosition(pkt.Dst)
+		if !ok {
+			dst = src
 		}
+		pkt.Payload = payload{r.policy(src, dst, r.API.RangeEstimate())}
 	}
-	if !pl.Zone.Contains(r.API.Pos()) {
-		r.API.Release(pkt) // outside the zone: drop silently
-		return
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		r.API.Drop(pkt)
-		r.API.Release(pkt)
-		return
-	}
-	r.API.SendFinal(netstack.Broadcast, pkt)
+	return false
 }
 
-// NeedsBeacons implements netstack.Router: zone flooding needs only own
-// position, not neighbor state.
-func (r *Router) NeedsBeacons() bool { return false }
+// inZone is the rebroadcast rule: nodes outside the packet's zone stay
+// silent.
+func (r *Router) inZone(pkt *netstack.Packet) bool {
+	pl, ok := pkt.Payload.(payload)
+	return ok && pl.Zone.Contains(r.API.Pos())
+}
