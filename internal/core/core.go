@@ -135,8 +135,10 @@ func PathStability(links []float64) float64 { return link.PathLifetime(links) }
 // reliability-plane link state (from API.LinkState/LinkStates): the
 // deterministic metric consumes the plane's memoized residual-lifetime
 // prediction directly, and the probability metrics run the shared
-// Sec. VII expected-duration helper over the beaconed kinematics.
-func linkStateStability(api *netstack.API, m Metric, params StabilityParams, ls netstack.LinkState) float64 {
+// Sec. VII expected-duration helper over the beaconed kinematics. The
+// router always runs the model on its default parameters.
+func linkStateStability(api *netstack.API, m Metric, ls netstack.LinkState) float64 {
+	var params StabilityParams
 	switch m {
 	case MetricDeterministic:
 		t := ls.Lifetime

@@ -51,7 +51,7 @@ func TestStabilityMemoInvalidation(t *testing.T) {
 	w, routers := memoWorld(t, 12, []geom.Vec2{geom.V(100, 0), geom.V(-120, 3)}, geom.V(0.5, 0))
 	r := routers[0]
 	fresh := func(ls netstack.LinkState) float64 {
-		return linkStateStability(r.API, r.metric, r.params, ls)
+		return linkStateStability(r.API, r.metric, ls)
 	}
 	// scoreAll scores every link, requires the fresh value, then poisons;
 	// the memo holds one entry per neighbor scored since the observer moved.

@@ -33,11 +33,6 @@ func WithStabilityThreshold(s float64) TicketOption {
 	return func(r *TicketRouter) { r.threshold = s }
 }
 
-// WithStabilityParams overrides the probability-model parameters.
-func WithStabilityParams(p StabilityParams) TicketOption {
-	return func(r *TicketRouter) { r.params = p }
-}
-
 // WithSelectionWindow sets how long the destination collects probes before
 // answering with the best path (default 0.3 s).
 func WithSelectionWindow(d float64) TicketOption {
@@ -66,7 +61,6 @@ type TicketRouter struct {
 	tickets       int
 	metric        Metric
 	threshold     float64
-	params        StabilityParams
 	window        float64
 	rebuildMargin float64
 	scorer        func(api *netstack.API, nb netstack.Neighbor) float64
@@ -216,7 +210,7 @@ func (r *TicketRouter) stability(ls netstack.LinkState) float64 {
 		return r.scorer(r.API, ls)
 	}
 	if r.metric == MetricDeterministic {
-		return linkStateStability(r.API, r.metric, r.params, ls)
+		return linkStateStability(r.API, r.metric, ls)
 	}
 	if pos, vel := r.API.Pos(), r.API.Vel(); pos != r.memoPos || vel != r.memoVel {
 		r.memo, r.memoPos, r.memoVel = r.memo[:0], pos, vel
@@ -232,7 +226,7 @@ func (r *TicketRouter) stability(ls netstack.LinkState) float64 {
 	if m != nil && m.beacons == beacons && m.lastSeen == ls.LastSeen {
 		return m.val
 	}
-	e := stabilityMemo{ls.ID, beacons, ls.LastSeen, linkStateStability(r.API, r.metric, r.params, ls)}
+	e := stabilityMemo{ls.ID, beacons, ls.LastSeen, linkStateStability(r.API, r.metric, ls)}
 	if m != nil {
 		*m = e
 	} else {

@@ -97,7 +97,7 @@ func (r *Router) HandlePacket(pkt *netstack.Packet) {
 	case netstack.KindUpdate:
 		r.handleUpdate(pkt)
 	case netstack.KindData:
-		r.handleData(pkt)
+		routing.ForwardData(r.API, r.table, pkt)
 	}
 }
 
@@ -132,23 +132,6 @@ func (r *Router) handleUpdate(pkt *netstack.Packet) {
 			r.table.Upsert(cand)
 		}
 	}
-}
-
-func (r *Router) handleData(pkt *netstack.Packet) {
-	if pkt.Dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		r.API.Drop(pkt)
-		return
-	}
-	if rt, ok := r.table.Lookup(pkt.Dst, r.API.Now()); ok {
-		r.API.Send(rt.NextHop, pkt)
-		return
-	}
-	r.API.Drop(pkt)
 }
 
 // Originate implements netstack.Router: proactive routing either has the
@@ -192,11 +175,7 @@ func (r *Router) OnNeighborExpired(id netstack.NodeID) {
 
 // OnSendFailed implements netstack.Router: treat like a neighbor loss.
 func (r *Router) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
-	r.API.ForgetNeighbor(to)
-	r.OnNeighborExpired(to)
-	if pkt.Data {
-		r.API.Drop(pkt)
-	}
+	routing.SendFailed(r.API, pkt, to, r.OnNeighborExpired)
 }
 
 // Table exposes the route table for tests.

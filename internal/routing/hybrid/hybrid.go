@@ -25,12 +25,11 @@ type Config struct {
 	// StabilityThreshold is the minimum blended link score in seconds
 	// (default 3).
 	StabilityThreshold float64
-	// Blend is the weight of the probability-model metric; the remainder
-	// comes from the deterministic mobility prediction (default 0.5).
-	Blend float64
-	// Params tunes the probability model.
-	Params core.StabilityParams
 }
+
+// blend is the weight of the probability-model metric; the remainder comes
+// from the deterministic mobility prediction.
+const blend = 0.5
 
 func (c Config) withDefaults() Config {
 	if c.Tickets <= 0 {
@@ -39,22 +38,18 @@ func (c Config) withDefaults() Config {
 	if c.StabilityThreshold <= 0 {
 		c.StabilityThreshold = 3
 	}
-	if c.Blend <= 0 || c.Blend > 1 {
-		c.Blend = 0.5
-	}
 	return c
 }
 
 // Score is the hybrid link metric, exported for the ablation benches and
 // tests.
-func Score(api *netstack.API, cfg Config, nb netstack.Neighbor) float64 {
-	cfg = cfg.withDefaults()
+func Score(api *netstack.API, nb netstack.Neighbor) float64 {
 	r := api.RangeEstimate()
-	prob := core.LinkStability(core.MetricMeanDuration, cfg.Params,
+	prob := core.LinkStability(core.MetricMeanDuration, core.StabilityParams{},
 		api.Pos(), api.Vel(), nb.Pos, nb.Vel, r)
-	det := core.LinkStability(core.MetricDeterministic, cfg.Params,
+	det := core.LinkStability(core.MetricDeterministic, core.StabilityParams{},
 		api.Pos(), api.Vel(), nb.Pos, nb.Vel, r)
-	score := cfg.Blend*prob + (1-cfg.Blend)*det
+	score := blend*prob + (1-blend)*det
 	if link.Classify(api.Pos(), api.Vel(), nb.Pos, nb.Vel) == link.OppositeDirection {
 		score = math.Min(score, det)
 	}
@@ -76,10 +71,7 @@ func New(cfg Config) netstack.RouterFactory {
 	inner := core.NewTicketRouter(
 		core.WithTickets(cfg.Tickets),
 		core.WithStabilityThreshold(cfg.StabilityThreshold),
-		core.WithStabilityParams(cfg.Params),
-		core.WithScorer(func(api *netstack.API, nb netstack.Neighbor) float64 {
-			return Score(api, cfg, nb)
-		}),
+		core.WithScorer(Score),
 	)
 	return func() netstack.Router {
 		return &hybridRouter{Router: inner()}

@@ -43,8 +43,7 @@ func TestScoreGatesOppositeDirectionLinks(t *testing.T) {
 	if len(nbs) != 1 {
 		t.Fatalf("neighbors = %d", len(nbs))
 	}
-	cfg := hybrid.Config{}
-	got := hybrid.Score(api, cfg, nbs[0])
+	got := hybrid.Score(api, nbs[0])
 	det := core.LinkStability(core.MetricDeterministic, core.StabilityParams{},
 		api.Pos(), api.Vel(), nbs[0].Pos, nbs[0].Vel, api.RangeEstimate())
 	if got > det+1e-9 {
@@ -66,10 +65,9 @@ func TestScorePrefersCoMovingNeighbor(t *testing.T) {
 	if err := w.Run(3); err != nil {
 		t.Fatal(err)
 	}
-	cfg := hybrid.Config{}
 	var co, opp float64
 	for _, nb := range api.Neighbors() {
-		s := hybrid.Score(api, cfg, nb)
+		s := hybrid.Score(api, nb)
 		if nb.ID == ids[1] {
 			co = s
 		} else {

@@ -38,16 +38,13 @@ func WithDelayBound(d float64) Option {
 	return func(r *Router) { r.delayBound = d }
 }
 
-// WithReliabilityHorizon sets the survival time links are scored against
-// in seconds (default 4): reliability = P(link lives ≥ horizon).
-func WithReliabilityHorizon(h float64) Option {
-	return func(r *Router) { r.horizon = h }
-}
-
-// WithSpeedSigma sets the σ of the relative-speed uncertainty (default 4).
-func WithSpeedSigma(s float64) Option {
-	return func(r *Router) { r.speedSigma = s }
-}
+const (
+	// horizon is the survival time links are scored against in seconds:
+	// reliability = P(link lives ≥ horizon).
+	horizon = 4.0
+	// speedSigma is the σ of the relative-speed uncertainty in m/s.
+	speedSigma = 4.0
+)
 
 // Router is a per-node NiuDe/DeReQ instance.
 type Router struct {
@@ -55,8 +52,6 @@ type Router struct {
 	sel routing.Selection[routing.Candidate] // Metric: path reliability
 
 	delayBound float64
-	horizon    float64
-	speedSigma float64
 }
 
 // rreq accumulates the QoS path metrics.
@@ -79,7 +74,7 @@ type rrep struct {
 // New returns a NiuDe router factory.
 func New(opts ...Option) netstack.RouterFactory {
 	return func() netstack.Router {
-		r := &Router{delayBound: 0.5, horizon: 4, speedSigma: 4}
+		r := &Router{delayBound: 0.5}
 		for _, o := range opts {
 			o(r)
 		}
@@ -97,7 +92,7 @@ func (r *Router) Name() string { return "NiuDe" }
 // plane's shared survival helper.
 func (r *Router) linkAvailability(ls netstack.LinkState) float64 {
 	obs := linkstate.Observer{Pos: r.API.Pos(), Vel: r.API.Vel(), Now: r.API.Now()}
-	return linkstate.Survival(obs, ls, r.speedSigma, r.API.RangeEstimate(), 600, r.horizon)
+	return linkstate.Survival(obs, ls, speedSigma, r.API.RangeEstimate(), 600, horizon)
 }
 
 // hopDelay estimates this relay's forwarding delay: base transmission plus
@@ -194,12 +189,12 @@ func (r *Router) handleRREP(pkt *netstack.Packet) {
 		r.Relay(pkt, rep.Origin)
 		return
 	}
-	r.API.Metrics().OnPathLifetime(r.horizon * math.Max(rep.Reliability, 0.01))
+	r.API.Metrics().OnPathLifetime(horizon * math.Max(rep.Reliability, 0.01))
 	r.Answered(rep.Target)
 	// proactive maintenance: rebuild before the reliability horizon
 	// elapses ("the route will be rebuilt before the link breaks")
 	target := rep.Target
-	r.API.After(math.Max(r.horizon-1, 0.5), func() {
+	r.API.After(math.Max(horizon-1, 0.5), func() {
 		if _, okRt := r.Table().Lookup(target, r.API.Now()); okRt || r.Waiting(target) {
 			r.API.Metrics().RouteRepairs++
 			r.Start(target)

@@ -186,21 +186,27 @@ func (c *OnDemand) Duplicate(origin netstack.NodeID, reqID uint64) bool {
 
 // HandleData forwards a data packet one hop along the table, or delivers
 // it here.
-func (c *OnDemand) HandleData(pkt *netstack.Packet) {
-	if pkt.Dst == c.API.Self() {
-		c.API.Deliver(pkt)
+func (c *OnDemand) HandleData(pkt *netstack.Packet) { ForwardData(c.API, c.table, pkt) }
+
+// ForwardData is hop-by-hop table forwarding, for every router that keeps a
+// Table (OnDemand's, DSDV): deliver a data packet addressed to this node,
+// otherwise spend one TTL and send it to the next hop t holds for its
+// destination; out of hops or without a route it is dropped.
+func ForwardData(api *netstack.API, t *Table, pkt *netstack.Packet) {
+	if pkt.Dst == api.Self() {
+		api.Deliver(pkt)
 		return
 	}
 	pkt.TTL--
 	if pkt.Expired() {
-		c.API.Drop(pkt)
+		api.Drop(pkt)
 		return
 	}
-	if rt, ok := c.table.Lookup(pkt.Dst, c.API.Now()); ok {
-		c.API.Send(rt.NextHop, pkt)
+	if rt, ok := t.Lookup(pkt.Dst, api.Now()); ok {
+		api.Send(rt.NextHop, pkt)
 		return
 	}
-	c.API.Drop(pkt)
+	api.Drop(pkt)
 }
 
 // Relay passes a unicast control packet one hop toward dst along the
@@ -235,13 +241,20 @@ func (c *OnDemand) OnNeighborExpired(id netstack.NodeID) {
 	c.API.Metrics().RouteBreaks += len(c.table.InvalidateVia(id))
 }
 
-// OnSendFailed implements netstack.Router: a failed unicast is a detected
-// link break.
+// OnSendFailed implements netstack.Router.
 func (c *OnDemand) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
-	c.API.ForgetNeighbor(to)
-	c.OnNeighborExpired(to)
+	SendFailed(c.API, pkt, to, c.OnNeighborExpired)
+}
+
+// SendFailed is what a failed unicast means to a table-driven router, a
+// detected link break: forget the neighbor, let the router's own
+// neighbor-loss handling (lost) break the routes through it, and drop the
+// data packet that could not leave.
+func SendFailed(api *netstack.API, pkt *netstack.Packet, to netstack.NodeID, lost func(netstack.NodeID)) {
+	api.ForgetNeighbor(to)
+	lost(to)
 	if pkt.Data {
-		c.API.Drop(pkt)
+		api.Drop(pkt)
 	}
 }
 

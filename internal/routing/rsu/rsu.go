@@ -22,9 +22,7 @@ import (
 // Backbone is the wired interconnect shared by all RSU routers of a
 // scenario, including the synchronized vehicle location registry.
 type Backbone struct {
-	// Delay is the one-way backbone latency in seconds (default 2 ms).
-	Delay float64
-	rsus  map[netstack.NodeID]*UnitRouter
+	rsus map[netstack.NodeID]*UnitRouter
 	// lastSeen maps a vehicle to the RSU that most recently heard its
 	// beacon — the "position synchronized to all related RSU" registry.
 	lastSeen map[netstack.NodeID]netstack.NodeID
@@ -33,17 +31,9 @@ type Backbone struct {
 // NewBackbone returns an empty backbone.
 func NewBackbone() *Backbone {
 	return &Backbone{
-		Delay:    2e-3,
 		rsus:     make(map[netstack.NodeID]*UnitRouter),
 		lastSeen: make(map[netstack.NodeID]netstack.NodeID),
 	}
-}
-
-func (b *Backbone) delay() float64 {
-	if b.Delay <= 0 {
-		return 2e-3
-	}
-	return b.Delay
 }
 
 // register adds an RSU router to the backbone.
@@ -103,10 +93,11 @@ func (b *Backbone) rsuFor(vehicle netstack.NodeID, fallbackPos geom.Vec2, hasPos
 	return best, best != nil
 }
 
-// transfer moves a packet over the backbone to the target RSU with the
-// configured delay.
+// transfer moves a packet over the backbone to the target RSU, 2 ms one
+// way.
 func (b *Backbone) transfer(from *UnitRouter, to *UnitRouter, pkt *netstack.Packet) {
-	from.API.After(b.delay(), func() { to.receiveFromBackbone(pkt) })
+	const delay = 2e-3
+	from.API.After(delay, func() { to.receiveFromBackbone(pkt) })
 }
 
 // UnitRouter runs on an RSU node: it delivers buffered packets to
