@@ -22,7 +22,7 @@ type scoredWorld struct {
 func newScoredWorld(t *testing.T, vehicles []routetest.Vehicle) *scoredWorld {
 	t.Helper()
 	sw := &scoredWorld{scores: make(map[netstack.NodeID]float64)}
-	factory := NewTicketRouter(WithScorer(func(_ *netstack.API, nb netstack.Neighbor) float64 {
+	factory := NewTicketRouter(WithScorer("scored", func(_ *netstack.API, nb netstack.Neighbor) float64 {
 		sw.scored = append(sw.scored, nb.ID)
 		return sw.scores[nb.ID]
 	}))

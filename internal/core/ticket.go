@@ -46,11 +46,12 @@ func WithRebuildMargin(d float64) TicketOption {
 }
 
 // WithScorer replaces the link-stability estimator with a custom function
-// (used by the hybrid probability+mobility router the paper's conclusion
-// proposes). The scorer must return seconds of predicted usable lifetime;
-// the threshold and path-min composition still apply.
-func WithScorer(f func(api *netstack.API, nb netstack.Neighbor) float64) TicketOption {
-	return func(r *TicketRouter) { r.scorer = f }
+// and names the protocol that makes (the hybrid probability+mobility router
+// the paper's conclusion proposes is the one user). The scorer must return
+// seconds of predicted usable lifetime; the threshold and path-min
+// composition still apply.
+func WithScorer(name string, f func(api *netstack.API, nb netstack.Neighbor) float64) TicketOption {
+	return func(r *TicketRouter) { r.name, r.scorer = name, f }
 }
 
 // TicketRouter is the Yan/TBP-SS probability-model-based router: selective
@@ -63,6 +64,7 @@ type TicketRouter struct {
 	threshold     float64
 	window        float64
 	rebuildMargin float64
+	name          string // of a WithScorer protocol; the metric names the others
 	scorer        func(api *netstack.API, nb netstack.Neighbor) float64
 
 	// source-side active paths: dst → source route + predicted stability
@@ -149,7 +151,10 @@ func NewTicketRouter(opts ...TicketOption) netstack.RouterFactory {
 
 // Name implements netstack.Router.
 func (r *TicketRouter) Name() string {
-	if r.metric == MetricExpectedDuration {
+	switch {
+	case r.name != "":
+		return r.name
+	case r.metric == MetricExpectedDuration:
 		return "Yan-TBP"
 	}
 	return "TBP-SS"

@@ -56,24 +56,14 @@ func Score(api *netstack.API, nb netstack.Neighbor) float64 {
 	return score
 }
 
-// hybridRouter wraps the core ticket router only to change its Name, so
-// metrics and taxonomy listings distinguish the hybrid from plain TBP-SS.
-type hybridRouter struct {
-	netstack.Router
-}
-
-// Name implements netstack.Router.
-func (h *hybridRouter) Name() string { return "Hybrid" }
-
-// New returns a hybrid probability+mobility router factory.
+// New returns a hybrid probability+mobility router factory: the core ticket
+// router under its own name, so metrics and taxonomy listings distinguish it
+// from plain TBP-SS.
 func New(cfg Config) netstack.RouterFactory {
 	cfg = cfg.withDefaults()
-	inner := core.NewTicketRouter(
+	return core.NewTicketRouter(
 		core.WithTickets(cfg.Tickets),
 		core.WithStabilityThreshold(cfg.StabilityThreshold),
-		core.WithScorer(Score),
+		core.WithScorer("Hybrid", Score),
 	)
-	return func() netstack.Router {
-		return &hybridRouter{Router: inner()}
-	}
 }
