@@ -45,9 +45,10 @@ func WithRebuildMargin(d float64) TicketOption {
 	return func(r *TicketRouter) { r.rebuildMargin = d }
 }
 
-// WithScorer replaces the link-stability estimator with a custom function
-// and names the protocol that makes (the hybrid probability+mobility router
-// the paper's conclusion proposes is the one user). The scorer must return
+// WithScorer replaces the link-stability estimator with a custom function,
+// which makes a protocol of its own: name is what the router answers to
+// and labels its packets with (the hybrid probability+mobility router the
+// paper's conclusion proposes is the one user). The scorer must return
 // seconds of predicted usable lifetime; the threshold and path-min
 // composition still apply.
 func WithScorer(name string, f func(api *netstack.API, nb netstack.Neighbor) float64) TicketOption {

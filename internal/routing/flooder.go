@@ -9,9 +9,8 @@ import "github.com/vanetlab/relroute/internal/netstack"
 // never rebroadcasts) or to everyone; spend one TTL per hop, the only Drop a
 // flood counts; rebroadcast with SendFinal, so a reception allocates
 // nothing. A packet addressed to its own source is delivered locally and
-// never sent — Carrier.Originate's rule, which only Zone and LORA-DCBF
-// followed before this core; no workload draws dst == src, so no golden
-// moved.
+// never sent, Carrier.Originate's rule; no workload draws dst == src, so
+// no golden shows it.
 type Flooder struct {
 	netstack.Base
 	name     string
