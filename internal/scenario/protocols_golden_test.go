@@ -24,10 +24,16 @@ var updateProtocolGolden = flag.Bool("update-protocol-golden", false,
 // 20 s): Flooding, Biswas and Zone count 57–232 TTL drops a seed,
 // LORA-DCBF 2 on seed 1, Biswas gives up on 6 and 10 unacknowledged
 // rebroadcasts at the ends, and what a node outside the zone or a
-// non-gateway does with its copy shows in the digest. A refactor of router
-// scaffolding must leave testdata/golden_protocols.txt untouched. Not
-// skipped in -short: 60 runs take under 2 s, and they are the only place
-// every router runs under the race detector.
+// non-gateway does with its copy shows in the digest. And none of the three
+// runs the log-normal shadowing channel, so four protocols run a fourth
+// time on a shadowed city grid (60 vehicles, 20 s): Flooding makes the most
+// reception draws, Greedy and REAR read per-beacon RSSI, TBP-SS runs the
+// stability kernel over links that come and go with the draws — a change
+// to the channel or the radio cache that moves one verdict or one RNG
+// stream position moves these digests. A refactor of router scaffolding
+// must leave testdata/golden_protocols.txt untouched. Not skipped in
+// -short: 68 runs take under 2 s, and they are the only place every router
+// runs under the race detector.
 func TestProtocolGolden(t *testing.T) {
 	path := filepath.Join("testdata", "golden_protocols.txt")
 	want := map[string]string{}
@@ -57,6 +63,11 @@ func TestProtocolGolden(t *testing.T) {
 			label:  "storm/",
 			protos: []string{"Flooding", "Biswas", "Zone", "LORA-DCBF"},
 			opts:   Options{Vehicles: 300, HighwayLength: 12000, Duration: 20, Flows: 4, FlowPackets: 10},
+		},
+		{
+			label:  "shadow/",
+			protos: []string{"Flooding", "Greedy", "REAR", "TBP-SS"},
+			opts:   Options{Kind: CityKind, Shadowing: true, Duration: 20},
 		},
 	}
 	var out strings.Builder
