@@ -27,37 +27,20 @@ type Model interface {
 	MeanRange() float64
 }
 
-// Precomputed is implemented by models whose per-receiver reception
-// decision splits into a deterministic per-distance term and a cheap
-// stochastic decision. The deterministic term — the link budget at a given
-// distance — is what the radio neighborhood cache precomputes once per
-// mobility epoch, so the MAC's transmit loop never re-runs the path-loss
-// math (Log10/Erfc) per frame.
-//
-// The contract is strict: DecodableAt(PathLoss(d), rng) must consume
-// exactly the same RNG draws and return exactly the same result as
-// Decodable(d, rng) for every d, so the cached and uncached transmit paths
-// are byte-identical run for run (the golden-file tests rely on this).
+// Precomputed is the former split of Decodable into a cached per-distance
+// term and a draw. Nothing is cached any more — Decodable is the one
+// reception path — so PathLoss is the identity and DecodableAt is
+// Decodable. Kept for bench/replay.go only, which type-asserts it by name;
+// see ROADMAP item 5.
 type Precomputed interface {
-	// PathLoss returns the deterministic part of the link budget at
-	// distance d. The value is opaque to callers and only meaningful to
-	// DecodableAt of the same model: UnitDisk returns the distance itself,
-	// Shadowing folds the log-distance path loss through the receiver
-	// threshold into a receipt probability.
+	// PathLoss returns d.
 	PathLoss(d float64) float64
-	// DecodableAt decides reception from a value PathLoss returned.
-	DecodableAt(loss float64, rng *rand.Rand) bool
+	// DecodableAt is Model.Decodable.
+	DecodableAt(d float64, rng *rand.Rand) bool
 }
 
-// BatchPrecomputed is implemented by Precomputed models that can fill a
-// whole slice of link budgets in one call. The radio sweep's inner loop
-// uses it so the per-pair cost is a concrete method dispatched once per
-// batch instead of an interface call per pair.
-//
-// PathLossInto must write exactly PathLoss(dists[i]) into dst[i] for every
-// i — same expression, bit for bit — so batch-built neighborhoods are
-// indistinguishable from per-pair ones. dst and dists must have the same
-// length and may not overlap.
+// BatchPrecomputed is Precomputed over a slice: PathLossInto copies dists
+// into dst. Kept for bench/replay.go only, see ROADMAP item 5.
 type BatchPrecomputed interface {
 	Precomputed
 	PathLossInto(dst, dists []float64)
@@ -81,19 +64,15 @@ func (u UnitDisk) MeanRange() float64 { return u.Range }
 // Decodable implements Model.
 func (u UnitDisk) Decodable(d float64, _ *rand.Rand) bool { return d <= u.Range }
 
-var _ Precomputed = UnitDisk{}
+var _ BatchPrecomputed = UnitDisk{}
 
-// PathLoss implements Precomputed: the unit disk's only link-budget input
-// is the distance itself.
+// PathLoss implements Precomputed.
 func (u UnitDisk) PathLoss(d float64) float64 { return d }
 
 // DecodableAt implements Precomputed.
-func (u UnitDisk) DecodableAt(loss float64, _ *rand.Rand) bool { return loss <= u.Range }
+func (u UnitDisk) DecodableAt(d float64, rng *rand.Rand) bool { return u.Decodable(d, rng) }
 
-var _ BatchPrecomputed = UnitDisk{}
-
-// PathLossInto implements BatchPrecomputed: the unit disk's link budget is
-// the distance itself, so the batch is a copy.
+// PathLossInto implements BatchPrecomputed.
 func (u UnitDisk) PathLossInto(dst, dists []float64) { copy(dst, dists) }
 
 // RSSI implements Model with a deterministic log-distance curve so RSSI
@@ -118,13 +97,36 @@ type Shadowing struct {
 	// both ranges are bisections of the receipt model, done once here:
 	// the model cannot change after NewShadowing
 	maxRange, meanRange float64
+
+	// table[i] brackets receipt.Prob over [i·bucketWidth, (i+1)·bucketWidth)
+	// out to maxRange, so Decodable settles most draws without the
+	// Log10 → Erfc chain; see buildTable.
+	table []bracket
 }
+
+// bracket bounds the receipt probability over one distance bucket:
+// lo < receipt.Prob(d) < hi for every d in it. The zero value marks a
+// bucket the table cannot decide.
+type bracket struct{ lo, hi float64 }
+
+const (
+	// bucketWidth is the table's resolution in meters. At one meter the
+	// widest bracket of the default model spans 0.005, so one draw in two
+	// hundred at most still evaluates the exact probability.
+	bucketWidth = 1.0
+	// bracketEps widens every bracket. Prob is monotone in d as mathematics
+	// but is computed through Log10 and Erfc with a rounding error near
+	// 1e-14; five orders of slack make the bracket of the curve's values at
+	// the bucket edges bound the computed value at every d between them.
+	bracketEps = 1e-9
+)
 
 // NewShadowing returns a shadowing channel for the given receipt model,
 // with the tail cut off at a receipt probability of 0.01.
 func NewShadowing(m prob.ReceiptModel) *Shadowing {
 	s := &Shadowing{receipt: m, cutoffProb: 0.01, meanRange: m.MedianRange()}
 	s.maxRange = s.computeMaxRange()
+	s.buildTable()
 	return s
 }
 
@@ -153,54 +155,80 @@ func (s *Shadowing) computeMaxRange() float64 {
 	return hi
 }
 
+// buildTable fills one bracket per bucket out to maxRange from receipt.Prob
+// at the bucket edges, which bound it in between because Prob falls with
+// distance when the path-loss exponent is not negative. A bracket is kept
+// only when it lies strictly inside (0, 1): there the exact decision always
+// draws exactly one uniform, so Decodable may draw it before knowing the
+// probability. Every other bucket — Prob within bracketEps of 0 or 1, where
+// the exact path may draw nothing, or NaN — keeps the zero bracket and is
+// decided exactly, as is every distance of a σ ≤ 0 step model.
+func (s *Shadowing) buildTable() {
+	if !(s.receipt.ShadowSigmaDB > 0 && s.receipt.PathLossExp >= 0) {
+		return
+	}
+	s.table = make([]bracket, int(s.maxRange/bucketWidth)+1)
+	hi := s.receipt.Prob(0) + bracketEps
+	for i := range s.table {
+		p := s.receipt.Prob(float64(i+1) * bucketWidth)
+		if lo := p - bracketEps; 0 < lo && hi < 1 {
+			s.table[i] = bracket{lo, hi}
+		}
+		hi = p + bracketEps
+	}
+}
+
 // MaxRange implements Model.
 func (s *Shadowing) MaxRange() float64 { return s.maxRange }
 
 // MeanRange implements Model.
 func (s *Shadowing) MeanRange() float64 { return s.meanRange }
 
-// Decodable implements Model: Bernoulli draw with the distance-dependent
-// receipt probability. Defined as the composition of the Precomputed pair
-// so the split API can never drift from it.
+// Decodable implements Model: a Bernoulli draw with the distance-dependent
+// receipt probability p, decided as decodeExact decides it — the same
+// verdict from the same single uniform u — but usually without computing
+// p: in a bucket whose bracket lo < p < hi is known, u < lo is a reception
+// and u ≥ hi a loss whatever p is, and only a u inside the band needs it.
 func (s *Shadowing) Decodable(d float64, rng *rand.Rand) bool {
-	return s.DecodableAt(s.PathLoss(d), rng)
+	// written so that NaN, like a negative d or one past the table, fails
+	if i := d / bucketWidth; i >= 0 && i < float64(len(s.table)) {
+		if b := s.table[int(i)]; b.lo > 0 {
+			u := rng.Float64()
+			if u < b.lo {
+				return true
+			}
+			if u >= b.hi {
+				return false
+			}
+			return u < s.receipt.Prob(d)
+		}
+	}
+	return s.decodeExact(d, rng)
 }
 
-var _ Precomputed = (*Shadowing)(nil)
-
-// PathLoss implements Precomputed. The whole deterministic chain — mean
-// path loss at d, received power, threshold margin — folds into a single
-// number, the receipt probability, so it is returned directly: caching it
-// leaves only a uniform draw per frame. (Comparing a Gaussian shadowing
-// sample against the threshold would be distribution-equivalent but would
-// consume different RNG draws than Decodable; see the interface contract.)
-func (s *Shadowing) PathLoss(d float64) float64 { return s.receipt.Prob(d) }
-
-// DecodableAt implements Precomputed: the stochastic tail of Decodable,
-// draw for draw.
-func (s *Shadowing) DecodableAt(loss float64, rng *rand.Rand) bool {
-	if loss >= 1 {
+// decodeExact evaluates the receipt probability first and draws only when
+// it is strictly inside (0, 1).
+func (s *Shadowing) decodeExact(d float64, rng *rand.Rand) bool {
+	p := s.receipt.Prob(d)
+	if p >= 1 {
 		return true
 	}
-	if loss <= 0 {
+	if p <= 0 {
 		return false
 	}
-	return rng.Float64() < loss
+	return rng.Float64() < p
 }
 
 var _ BatchPrecomputed = (*Shadowing)(nil)
 
-// PathLossInto implements BatchPrecomputed: the same receipt-probability
-// chain as PathLoss, evaluated as a direct concrete-method loop.
-func (s *Shadowing) PathLossInto(dst, dists []float64) {
-	if len(dists) == 0 {
-		return
-	}
-	_ = dst[len(dists)-1] // one bounds check for the loop
-	for i, d := range dists {
-		dst[i] = s.receipt.Prob(d)
-	}
-}
+// PathLoss implements Precomputed.
+func (s *Shadowing) PathLoss(d float64) float64 { return d }
+
+// DecodableAt implements Precomputed.
+func (s *Shadowing) DecodableAt(d float64, rng *rand.Rand) bool { return s.Decodable(d, rng) }
+
+// PathLossInto implements BatchPrecomputed.
+func (s *Shadowing) PathLossInto(dst, dists []float64) { copy(dst, dists) }
 
 // RSSI implements Model: mean path-loss power plus a shadowing draw.
 func (s *Shadowing) RSSI(d float64, rng *rand.Rand) float64 {

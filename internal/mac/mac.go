@@ -13,11 +13,11 @@
 // single-threaded, so none of it needs synchronisation.
 //
 // The transmit path is amortized over mobility epochs: candidate
-// receivers, their distances, and the deterministic part of the link
-// budget come from the shared radio.Cache instead of a per-frame grid
-// scan, and a frame's receptions are resolved by one end-of-airtime event
-// at the sender instead of one event per receiver. Both transformations
-// are exactly order-preserving — see transmit and finishTx.
+// receivers and their distances come from the shared radio.Cache instead
+// of a per-frame grid scan, and a frame's receptions are resolved by one
+// end-of-airtime event at the sender instead of one event per receiver.
+// Both transformations are exactly order-preserving — see transmit and
+// finishTx.
 //
 // Carrier sense and collision marking are O(1) per reception: instead of
 // a per-node list of in-flight reception records that every arrival scans
@@ -390,9 +390,11 @@ func (l *Layer) mediumBusy(id int32, st *nodeState) bool {
 // all.
 //
 // The per-frame cost is one cached-slice walk: the radio.Cache already
-// holds the receiver IDs, distances, and deterministic link budgets for
-// the current mobility epoch, so no grid scan, position lookup, or
-// path-loss math runs here.
+// holds the receiver IDs and distances for the current mobility epoch, so
+// no grid scan or position lookup runs here, and the channel's decision at
+// a cached distance is a comparison (UnitDisk) or a table lookup and one
+// uniform (Shadowing, which computes its Log10 → Erfc receipt probability
+// only for a draw that lands inside the bucket's bracket).
 //
 // Every stochastic draw — channel decodability, then the optional
 // fault-plane loss — is made in neighborhood order, identical to the order

@@ -23,7 +23,7 @@ import (
 //	                               deferral, up to MaxRetries, none on
 //	                               the drop that exhausts them
 //	transmit, per candidate        in neighborhood order, per receiver:
-//	  receiver                       1. channel DecodableAt — exactly the
+//	  receiver                       1. channel Decodable — exactly the
 //	                                    model's draws (Shadowing: 1
 //	                                    uniform when the receipt
 //	                                    probability is strictly inside
@@ -50,7 +50,7 @@ func TestRNGDrawOrderContract(t *testing.T) {
 	// inside (0,1) so each costs exactly one channel uniform.
 	for id, x := range map[int32]float64{1: 150, 2: 160, 3: 170} {
 		grid.Update(id, geom.V(x, 0))
-		if p := ch.PathLoss(x); p <= 0 || p >= 1 {
+		if p := ch.Receipt().Prob(x); p <= 0 || p >= 1 {
 			t.Fatalf("receipt prob at %gm = %v, need strictly interior for the draw count", x, p)
 		}
 	}

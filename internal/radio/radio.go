@@ -1,11 +1,12 @@
 // Package radio caches per-mobility-epoch link state between the spatial
 // index and the channel model: for every transmitter, the candidate
-// receiver list with precomputed distances and the deterministic part of
-// the channel's link budget at those distances.
+// receiver list with precomputed distances. What the channel makes of a
+// distance — a comparison for the unit disk, a table lookup and a draw for
+// shadowing — is cheap enough to run per frame, so nothing of it is cached.
 //
-// The MAC's transmit path used to be O(candidates) grid-scan + path-loss
-// math per frame; with beacon storms every node transmits every interval,
-// making that the dominant cost at city density. Positions only change at
+// The MAC's transmit path used to be an O(candidates) grid scan per frame;
+// with beacon storms every node transmits every interval, making that the
+// dominant cost at city density. Positions only change at
 // mobility-tick boundaries (plus node join/leave), so all of it is a pure
 // function of the grid's epoch. The cache memoizes neighborhoods per epoch
 // and reuses them — one comparison against spatial.Grid.Epoch — for every
@@ -23,12 +24,10 @@
 //     over the grid's CSR snapshot (spatial.Snapshot — occupied cells
 //     sorted by (CX, CY), members packed contiguously). The sweep
 //     enumerates each unordered in-range cell pair once, computes each
-//     in-range pair's distance and path loss once, and writes the link
-//     into both endpoints' hoods — half the pair math of n per-node
-//     stencil walks, over contiguous arrays instead of per-cell map
-//     probes, with the link budget evaluated through the channel's batch
-//     API (channel.BatchPrecomputed) instead of an interface call per
-//     pair. Pair discovery shards over cell stripes through the pool
+//     in-range pair's distance once, and writes the link into both
+//     endpoints' hoods — half the pair math of n per-node stencil walks,
+//     over contiguous arrays instead of per-cell map probes. Pair
+//     discovery shards over cell stripes through the pool
 //     RebuildSweep is handed (the simulator always hands it the inline
 //     one); a serial scatter then fills the hoods. Right when most of the
 //     population transmits every epoch — beaconing protocols at any
@@ -49,10 +48,10 @@
 //
 // Determinism contract: both paths produce identical link lists, with
 // distances computed by the same expression the uncached MAC used, and
-// channel.Precomputed guarantees DecodableAt(PathLoss(d)) consumes the
-// same RNG draws as Decodable(d). A cached transmit — lazy or swept — is
-// therefore byte-identical to an uncached one at every shard count; the
-// golden-file and sweep property tests pin this.
+// the reception decision is the channel's own Decodable at that distance.
+// A cached transmit — lazy or swept — is therefore byte-identical to an
+// uncached one at every shard count; the golden-file and sweep property
+// tests pin this.
 //
 // The cache is shared: the netstack world owns invalidation (its mobility
 // step's grid updates advance the epoch; join/leave and failure injection
@@ -81,7 +80,6 @@ import (
 type Link struct {
 	To   int32   // receiver node ID
 	Dist float64 // meters at the epoch the neighborhood was built
-	Loss float64 // channel.Precomputed.PathLoss(Dist); unset for plain Models
 }
 
 // Cache memoizes candidate receiver lists per transmitter. It is built
@@ -92,10 +90,8 @@ type Link struct {
 type Cache struct {
 	grid   *spatial.Grid
 	model  channel.Model
-	pre    channel.Precomputed      // non-nil when model supports the split API
-	batch  channel.BatchPrecomputed // non-nil when model supports bulk path loss
-	hoods  []hood                   // dense, keyed by node ID
-	builds uint64                   // rebuild counter (instrumentation/tests)
+	hoods  []hood // dense, keyed by node ID
+	builds uint64 // rebuild counter (instrumentation/tests)
 
 	// usage accounting for the eager-sweep heuristic: how many distinct
 	// transmitters requested their neighborhood during the current and the
@@ -117,11 +113,10 @@ type Cache struct {
 }
 
 // sweepShard is one shard's pair buffer: parallel arrays of endpoint node
-// IDs, pair distance, and the batched link budget at that distance.
+// IDs and pair distance.
 type sweepShard struct {
 	a, b []int32
 	d    []float64
-	loss []float64
 }
 
 // hood is one node's cached neighborhood. epoch 0 means never built
@@ -148,14 +143,7 @@ const (
 
 // NewCache returns a cache over the given index and propagation model.
 func NewCache(grid *spatial.Grid, model channel.Model) *Cache {
-	c := &Cache{grid: grid, model: model}
-	if pre, ok := model.(channel.Precomputed); ok {
-		c.pre = pre
-	}
-	if batch, ok := model.(channel.BatchPrecomputed); ok {
-		c.batch = batch
-	}
-	return c
+	return &Cache{grid: grid, model: model}
 }
 
 // SetEagerMode forces the sweep-vs-lazy decision. Both paths build
@@ -238,12 +226,7 @@ func (c *Cache) rebuildInto(id int32, h *hood) {
 			if rxPos.DistSq(pos) > r2 {
 				continue
 			}
-			d := rxPos.Dist(pos)
-			lk := Link{To: rx, Dist: d}
-			if c.pre != nil {
-				lk.Loss = c.pre.PathLoss(d)
-			}
-			h.links = append(h.links, lk)
+			h.links = append(h.links, Link{To: rx, Dist: rxPos.Dist(pos)})
 		}
 	}
 }
@@ -275,7 +258,7 @@ func (c *Cache) SweepWorthwhile(actives int) bool {
 // current epoch in one symmetric pass over the CSR snapshot: each
 // unordered pair of in-range cells is visited by exactly one shard (the
 // one owning the lower-ranked cell), each in-range node pair's distance
-// and link budget are computed once, and the serial scatter appends the
+// is computed once, and the serial scatter appends the
 // link into both endpoints' hoods. Scattering the per-shard buffers in
 // shard order replays the exact serial enumeration order, which in turn
 // reproduces Grid.Within's candidate order in every hood (see the package
@@ -348,31 +331,15 @@ func (c *Cache) RebuildSweep(pool *par.Pool) {
 				}
 			}
 		}
-		// link budget for the shard's pairs, batched when the model can
-		if cap(sh.loss) < len(sh.d) {
-			sh.loss = make([]float64, len(sh.d))
-		}
-		sh.loss = sh.loss[:len(sh.d)]
-		switch {
-		case c.batch != nil:
-			c.batch.PathLossInto(sh.loss, sh.d)
-		case c.pre != nil:
-			for k, d := range sh.d {
-				sh.loss[k] = c.pre.PathLoss(d)
-			}
-		default:
-			clear(sh.loss)
-		}
 	})
 	for s := 0; s < n; s++ {
 		sh := &c.sweep[s]
 		for k := range sh.a {
-			i, j := sh.a[k], sh.b[k]
-			d, ls := sh.d[k], sh.loss[k]
+			i, j, d := sh.a[k], sh.b[k], sh.d[k]
 			hi := &c.hoods[i]
-			hi.links = append(hi.links, Link{To: j, Dist: d, Loss: ls})
+			hi.links = append(hi.links, Link{To: j, Dist: d})
 			hj := &c.hoods[j]
-			hj.links = append(hj.links, Link{To: i, Dist: d, Loss: ls})
+			hj.links = append(hj.links, Link{To: i, Dist: d})
 		}
 	}
 	c.builds += uint64(len(snap.IDs))
@@ -394,13 +361,9 @@ func (sh *sweepShard) pairCells(snap *spatial.Snapshot, ca, cb spatial.CellSpan,
 	}
 }
 
-// Decodable draws the stochastic part of the reception decision for a
-// cached link, consuming exactly the RNG draws Model.Decodable would for
-// the same distance.
+// Decodable decides reception over a cached link: Model.Decodable at the
+// link's distance.
 func (c *Cache) Decodable(lk Link, rng *rand.Rand) bool {
-	if c.pre != nil {
-		return c.pre.DecodableAt(lk.Loss, rng)
-	}
 	return c.model.Decodable(lk.Dist, rng)
 }
 

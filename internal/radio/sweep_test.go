@@ -13,26 +13,19 @@ import (
 
 // referenceLinks is an independent reimplementation of the pre-sweep lazy
 // rebuild — Grid.Within into a scratch slice, then per-candidate distance
-// and path loss — so the property test cannot share a bug with either
-// production path.
+// — so the property test cannot share a bug with either production path.
 func referenceLinks(grid *spatial.Grid, model channel.Model, id int32) []Link {
 	pos, ok := grid.Position(id)
 	if !ok {
 		return nil
 	}
-	pre, _ := model.(channel.Precomputed)
 	var links []Link
 	for _, rx := range grid.Within(pos, model.MaxRange(), nil) {
 		if rx == id {
 			continue
 		}
 		rxPos, _ := grid.Position(rx)
-		d := rxPos.Dist(pos)
-		lk := Link{To: rx, Dist: d}
-		if pre != nil {
-			lk.Loss = pre.PathLoss(d)
-		}
-		links = append(links, lk)
+		links = append(links, Link{To: rx, Dist: rxPos.Dist(pos)})
 	}
 	return links
 }
@@ -41,7 +34,7 @@ func referenceLinks(grid *spatial.Grid, model channel.Model, id int32) []Link {
 // under churn (moves, joins) and faults (removals — a failed node leaves
 // the grid exactly like a crashed one does), swept at several shard
 // counts, must yield for EVERY node — present or departed — links deeply
-// equal (order, To, Dist, Loss) to the reference per-node Within rebuild,
+// equal (order, To, Dist) to the reference per-node Within rebuild,
 // epoch after epoch.
 func TestSweepPropertyRandomChurn(t *testing.T) {
 	models := map[string]channel.Model{
