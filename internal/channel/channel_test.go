@@ -106,11 +106,10 @@ func TestShadowingRSSIVariance(t *testing.T) {
 	}
 }
 
-// TestPrecomputedContract pins the split-API guarantee for both models:
-// DecodableAt(PathLoss(d), rng) must return the same verdict and consume
-// the same RNG draws as Decodable(d, rng) at every distance — that
-// equivalence is what makes the epoch-cached transmit path byte-identical
-// to a per-frame evaluation.
+// TestPrecomputedContract pins the Precomputed wrappers bench/replay.go
+// still calls, for both models: DecodableAt(PathLoss(d), rng) must return
+// the same verdict and consume the same RNG draws as Decodable(d, rng) at
+// every distance.
 func TestPrecomputedContract(t *testing.T) {
 	models := map[string]Model{
 		"unitdisk":  UnitDisk{Range: 250},
@@ -140,9 +139,9 @@ func TestPrecomputedContract(t *testing.T) {
 	}
 }
 
-// TestBatchPathLossContract pins the bulk API for both models: PathLossInto
-// must write exactly PathLoss(d) — bit for bit — for every distance, so a
-// batch-built radio neighborhood is indistinguishable from a per-pair one.
+// TestBatchPathLossContract pins the bulk wrapper for both models:
+// PathLossInto must write exactly PathLoss(d) — bit for bit — for every
+// distance.
 func TestBatchPathLossContract(t *testing.T) {
 	models := map[string]Model{
 		"unitdisk":  UnitDisk{Range: 250},

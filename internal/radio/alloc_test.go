@@ -2,6 +2,7 @@ package radio
 
 import (
 	"testing"
+	"unsafe"
 
 	"github.com/vanetlab/relroute/internal/channel"
 	"github.com/vanetlab/relroute/internal/geom"
@@ -56,5 +57,14 @@ func TestRebuildAllocFree(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("%T: post-move rebuild allocated %v times per run, want 0", model, allocs)
 		}
+	}
+}
+
+// TestLinkIs16Bytes pins the hood's element: a receiver ID and a distance.
+// Every rebuild writes one per candidate and every transmit reads them all,
+// so a field added here is paid for in cache lines on both paths.
+func TestLinkIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Link{}); got != 16 {
+		t.Fatalf("radio.Link is %d bytes, want 16", got)
 	}
 }

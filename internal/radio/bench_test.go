@@ -23,8 +23,8 @@ func BenchmarkLinksHit(b *testing.B) {
 }
 
 // BenchmarkLinksRebuild measures the once-per-epoch slow path: every
-// iteration moves a node and rebuilds one neighborhood (64 nodes, ~16
-// receivers each under shadowing path-loss precomputation).
+// iteration moves a node and rebuilds one neighborhood (64 nodes on a
+// line, 30 m apart, shadowing's 545 m reach).
 func BenchmarkLinksRebuild(b *testing.B) {
 	model := channel.NewShadowing(prob.DefaultReceiptModel())
 	grid, c := warmCache(model)
@@ -34,6 +34,43 @@ func BenchmarkLinksRebuild(b *testing.B) {
 		grid.Update(0, geom.V(float64(n%100), 0))
 		c.Links(32)
 	}
+}
+
+var benchDecoded int
+
+// BenchmarkLinksShadowedCity is what one beacon costs the radio plane on a
+// shadowed city grid at bench/'s city-probe density: the world has moved
+// since the sender last transmitted, so its neighborhood is rebuilt lazily
+// (≈ 90 candidates on the streets within reach), then every candidate's
+// reception is drawn once, as mac.transmit does.
+func BenchmarkLinksShadowedCity(b *testing.B) {
+	model := channel.NewShadowing(prob.DefaultReceiptModel())
+	grid := spatial.NewGrid(model.MaxRange())
+	rng := rand.New(rand.NewSource(5))
+	// ten streets each way, 400 m blocks
+	const n = 1500
+	for id := int32(0); id < n; id++ {
+		street, along := float64(rng.Intn(10))*400, rng.Float64()*3600
+		if id%2 == 0 {
+			street, along = along, street
+		}
+		grid.Update(id, geom.V(street, along))
+	}
+	c := NewCache(grid, model)
+	links := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		grid.AdvanceEpoch()
+		hood := c.Links(int32(i % n))
+		links += len(hood)
+		for _, lk := range hood {
+			if c.Decodable(lk, rng) {
+				benchDecoded++
+			}
+		}
+	}
+	b.ReportMetric(float64(links)/float64(b.N), "links/op")
 }
 
 // sweepBenchWorld is a 512-node highway cloud dense enough that every
@@ -49,8 +86,8 @@ func sweepBenchWorld(model channel.Model) (*spatial.Grid, *Cache) {
 }
 
 // BenchmarkRebuildSweep measures rebuilding EVERY neighborhood via the
-// symmetric cell-pair sweep: each unordered pair's distance and path loss
-// computed once, written to both endpoints.
+// symmetric cell-pair sweep: each unordered pair's distance computed once,
+// written to both endpoints.
 func BenchmarkRebuildSweep(b *testing.B) {
 	model := channel.NewShadowing(prob.DefaultReceiptModel())
 	grid, c := sweepBenchWorld(model)

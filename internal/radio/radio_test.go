@@ -145,10 +145,9 @@ func TestRemovedNodeLeavesNeighborhoods(t *testing.T) {
 	}
 }
 
-// TestDecodableMatchesModel pins the split-API contract end to end: for
-// both channel models, deciding a cached link must consume exactly the
-// same RNG draws and give exactly the same verdicts as the un-split
-// Decodable path.
+// TestDecodableMatchesModel pins that deciding a cached link is the
+// model's own Decodable at the link's distance, for both channel models:
+// exactly the same verdicts from exactly the same RNG draws.
 func TestDecodableMatchesModel(t *testing.T) {
 	models := map[string]channel.Model{
 		"unitdisk":  channel.UnitDisk{Range: 250},

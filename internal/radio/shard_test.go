@@ -28,9 +28,9 @@ func shardWorld(n int, model channel.Model) (*spatial.Grid, *Cache, *Cache, []in
 
 // TestRebuildSweepMatchesLazy pins the prefetch contract: after a sweep,
 // every neighborhood is exactly — same receivers, same order, same
-// distances and losses — what the lazy Links path computes on demand,
-// across epochs, shard counts, and channel models (the unit disk takes the
-// batch path-loss path, shadowing exercises the receipt-probability math).
+// distances — what the lazy Links path computes on demand, across epochs,
+// shard counts, and channel models (which differ in reach: 250 m and the
+// shadowing tail's 545 m).
 func TestRebuildSweepMatchesLazy(t *testing.T) {
 	models := map[string]channel.Model{
 		"unitdisk":  channel.UnitDisk{Range: 250},
