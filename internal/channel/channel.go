@@ -2,6 +2,15 @@
 // frame transmitted at one position is decodable at another, the received
 // signal strength (for protocols like REAR that act on RSSI), and the
 // carrier-sense range (for the MAC's collision bookkeeping).
+//
+// Model.Decodable is the one reception path: the radio cache stores
+// distances only, and the MAC calls Decodable per candidate receiver per
+// frame. UnitDisk compares; Shadowing settles most draws from a per-meter
+// bracket table of its receipt probability and evaluates the Log10 → Erfc
+// formula only for a draw that lands inside a bucket's bracket — verdict
+// for verdict and draw for draw what the formula alone decides (see
+// Shadowing.Decodable). Precomputed and BatchPrecomputed are kept for
+// bench/replay.go only, see ROADMAP item 5.
 package channel
 
 import (
@@ -27,11 +36,10 @@ type Model interface {
 	MeanRange() float64
 }
 
-// Precomputed is the former split of Decodable into a cached per-distance
-// term and a draw. Nothing is cached any more — Decodable is the one
-// reception path — so PathLoss is the identity and DecodableAt is
-// Decodable. Kept for bench/replay.go only, which type-asserts it by name;
-// see ROADMAP item 5.
+// Precomputed is Model.Decodable under two more names: PathLoss is the
+// identity and DecodableAt is Decodable. Nothing in the simulator calls
+// them; kept for bench/replay.go only, which type-asserts the interface by
+// name — see ROADMAP item 5.
 type Precomputed interface {
 	// PathLoss returns d.
 	PathLoss(d float64) float64
@@ -112,7 +120,9 @@ type bracket struct{ lo, hi float64 }
 const (
 	// bucketWidth is the table's resolution in meters. At one meter the
 	// widest bracket of the default model spans 0.005, so one draw in two
-	// hundred at most still evaluates the exact probability.
+	// hundred at most still evaluates the exact probability. A power of
+	// two keeps d/bucketWidth and i·bucketWidth exact: no distance is
+	// looked up in its neighbor's bucket.
 	bucketWidth = 1.0
 	// bracketEps widens every bracket. Prob is monotone in d as mathematics
 	// but is computed through Log10 and Erfc with a rounding error near

@@ -318,10 +318,10 @@ type Summary struct {
 	DataForwarded int
 	MACTransmits  int
 	ControlTotal  int
-	// Events is the number of simulator events the run executed — the
-	// numerator of the events/sec throughput figure the scale benchmarks
-	// report. The collector never sees the engine, so the scenario layer
-	// stamps it after Summarize.
+	// Events is the number of simulator events the run executed — what
+	// bench/ reports as sim.events and divides into sim.events_per_s. The
+	// collector never sees the engine, so the scenario layer stamps it
+	// after Summarize.
 	Events int
 	// Joins and Leaves count open-world membership changes: nodes that
 	// entered or left the world mid-run. Both are zero for closed worlds.
