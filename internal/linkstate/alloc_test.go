@@ -2,6 +2,7 @@ package linkstate
 
 import (
 	"testing"
+	"unsafe"
 
 	"github.com/vanetlab/relroute/internal/geom"
 )
@@ -64,36 +65,60 @@ func TestFeedbackAllocFree(t *testing.T) {
 	}
 }
 
-// The beacon and tick paths of the flat table: refreshing a known link and
-// sweeping a table with nothing stale touch no allocator, and an ordered
-// read allocates exactly the slice it returns — or nothing, into a buffer
-// the caller owns.
+// The beacon and tick paths of the flat table: recording a beacon, folding
+// a full inbox into known links, reading with nothing to fold and sweeping
+// a table with nothing stale touch no allocator, and an ordered read
+// allocates exactly the slice it returns — or nothing, into a buffer the
+// caller owns.
+
+// TestTableRecordSizes pins what a fold pulls through the cache: two lines
+// per link, one per unread beacon.
+func TestTableRecordSizes(t *testing.T) {
+	if got := unsafe.Sizeof(entry{}); got > 128 {
+		t.Errorf("entry is %d bytes, want at most 128", got)
+	}
+	if got := unsafe.Sizeof(heard{}); got > 64 {
+		t.Errorf("an inbox record is %d bytes, want at most 64", got)
+	}
+}
 
 func TestUpdateRefreshAllocFree(t *testing.T) {
 	m := warmMonitor()
 	now := 1.0
+	folded := false
 	allocs := testing.AllocsPerRun(200, func() {
 		now += 0.1
-		for id := NodeID(0); id < 32; id++ {
+		// one more beacon than the inbox holds: every run crosses a fold
+		for id := NodeID(0); id <= inboxCap; id++ {
 			m.Update(id, Vehicle, geom.V(float64(id)*20, 0), geom.V(5, 0), -61, now)
+			folded = folded || len(m.inbox) == 1
 		}
 	})
-	if allocs != 0 {
-		t.Fatalf("refresh Update allocated %v times per run, want 0", allocs)
+	if allocs != 0 || !folded {
+		t.Fatalf("refresh Update allocated %v times per run (folded: %v), want 0 across a fold", allocs, folded)
+	}
+	m.Len() // fold what is left
+	var sink LinkState
+	if allocs := testing.AllocsPerRun(200, func() { sink, _ = m.Get(3) }); allocs != 0 || sink.Beacons < 200 {
+		t.Fatalf("Get with nothing to fold: %v allocs, entry %+v; want 0 and every beacon counted", allocs, sink)
 	}
 }
 
 func TestExpireAllocs(t *testing.T) {
 	m := warmMonitor()
 	sweeps := m.FullSweeps()
-	// nothing stale: first answered by the oldest-entry bound, then — the
-	// bound left stale-low by a refresh — by a sweep that finds nothing
-	allocs := testing.AllocsPerRun(100, func() { m.Expire(1) })
-	if allocs != 0 || m.FullSweeps() != sweeps {
-		t.Fatalf("short-circuited Expire: %v allocs, %d sweeps; want 0 and none", allocs, m.FullSweeps()-sweeps)
-	}
 	hear := func(id NodeID, now float64) {
 		m.Update(id, Vehicle, geom.V(float64(id)*20, 0), geom.V(5, 0), -60, now)
+	}
+	// nothing stale: first answered by the oldest-entry bound — which leaves
+	// the beacons it finds unread where they are — then, the bound left
+	// stale-low by a refresh, by a sweep that finds nothing
+	hear(1, 0.6)
+	hear(2, 0.6)
+	allocs := testing.AllocsPerRun(100, func() { m.Expire(1) })
+	if allocs != 0 || m.FullSweeps() != sweeps || len(m.inbox) != 2 {
+		t.Fatalf("short-circuited Expire: %v allocs, %d sweeps, %d beacons unread; want 0, none and 2",
+			allocs, m.FullSweeps()-sweeps, len(m.inbox))
 	}
 	for id := NodeID(1); id < 32; id++ {
 		hear(id, 2.4)

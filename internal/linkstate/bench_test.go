@@ -8,7 +8,7 @@ import (
 )
 
 // The macro world's shape, not one hot table: 5 000 monitors of 25 entries
-// each (≈ 20 MB of table state), visited round-robin so every operation
+// each (≈ 20 MB of table state), built and visited so that every operation
 // starts cache-cold like a beacon reaching its next receiver.
 const (
 	benchMonitors = 5000
@@ -18,17 +18,26 @@ const (
 
 // benchWorld fills monitor i with the 25 neighbours i … i+24 of a 50 veh/km
 // highway, entry k last heard at 0.1·k s — staggered like real beacons, all
-// inside one TTL.
-func benchWorld() []*Monitor {
+// inside one TTL — and returns the order to visit them in. Every monitor
+// hears its k-th neighbour before any hears its (k+1)-th, as a world's
+// first second goes, so the tables grow interleaved on the heap; and the
+// visiting order is shuffled: in index order over tables allocated back to
+// back, the stride prefetcher hides the miss a reception pays.
+func benchWorld() (mons []*Monitor, order []int) {
 	est := MustNew("", Config{Range: 250})
-	mons := make([]*Monitor, benchMonitors)
+	mons = make([]*Monitor, benchMonitors)
 	for i := range mons {
 		mons[i] = NewMonitor(benchTTL, 250, est)
-		for k := 0; k < benchEntries; k++ {
-			benchHear(mons[i], i, k, 0.1*float64(k))
+	}
+	for k := 0; k < benchEntries; k++ {
+		for i, m := range mons {
+			benchHear(m, i, k, 0.1*float64(k))
 		}
 	}
-	return mons
+	for _, m := range mons {
+		m.Len() // fold what is left, so no benchmark times the last growth step
+	}
+	return mons, rand.New(rand.NewSource(23)).Perm(benchMonitors)
 }
 
 // benchHear is monitor i hearing its k-th neighbour's beacon.
@@ -39,15 +48,35 @@ func benchHear(m *Monitor, i, k int, now float64) {
 
 var benchSink int
 
-// BenchmarkMonitorUpdate is the refresh path: one beacon folded into an
-// existing entry of the next monitor.
+// BenchmarkMonitorUpdate is the refresh path: one beacon of a known link
+// recorded by the next monitor, which folds every sixteenth.
 func BenchmarkMonitorUpdate(b *testing.B) {
-	mons := benchWorld()
+	mons, order := benchWorld()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		round := i / benchMonitors
-		benchHear(mons[i%benchMonitors], i%benchMonitors, round%benchEntries, 3+0.04*float64(round))
+		at, round := order[i%benchMonitors], i/benchMonitors
+		benchHear(mons[at], at, round%benchEntries, 3+0.04*float64(round))
+	}
+}
+
+// BenchmarkMonitorStatesAfterBeacons is the routing read of a probing
+// protocol: sixteen beacons, then the next monitor's whole table with
+// predictions, which folds them first. ns/op is per 16 beacons and one
+// 25-entry read.
+func BenchmarkMonitorStatesAfterBeacons(b *testing.B) {
+	mons, order := benchWorld()
+	var buf []LinkState
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		at, round := order[i%benchMonitors], i/benchMonitors
+		now := 3 + 0.04*float64(round)
+		for k := 0; k < inboxCap; k++ {
+			benchHear(mons[at], at, (round+k)%benchEntries, now)
+		}
+		buf = mons[at].AppendStates(buf[:0], Observer{Pos: geom.V(float64(at)*20, 0), Vel: geom.V(25, 0), Now: now, Epoch: uint64(round)})
+		benchSink += len(buf)
 	}
 }
 
@@ -56,11 +85,11 @@ func BenchmarkMonitorUpdate(b *testing.B) {
 // stale, so Expire walks the table and compacts one entry away, and the
 // neighbour is then heard again (one insert) to keep the table at 25.
 func BenchmarkMonitorExpire(b *testing.B) {
-	mons := benchWorld()
+	mons, order := benchWorld()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		at, round := i%benchMonitors, i/benchMonitors
+		at, round := order[i%benchMonitors], i/benchMonitors
 		m := mons[at]
 		// entry round%25 was last heard at 0.1·round
 		benchSink += len(m.Expire(0.1*float64(round) + benchTTL + 0.05))
@@ -71,11 +100,11 @@ func BenchmarkMonitorExpire(b *testing.B) {
 // BenchmarkMonitorSnapshot is a routing decision's ordered read of the
 // next monitor's whole table: ns/op is per 25-entry table.
 func BenchmarkMonitorSnapshot(b *testing.B) {
-	mons := benchWorld()
+	mons, order := benchWorld()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink += len(mons[i%benchMonitors].Snapshot())
+		benchSink += len(mons[order[i%benchMonitors]].Snapshot())
 	}
 }
 

@@ -61,8 +61,8 @@ func (k NodeKind) String() string {
 // one neighbor. The observed fields are refreshed by the Monitor from
 // beacons and MAC feedback; the derived fields (Age, Lifetime,
 // ReceiptProb) are filled by the configured Estimator when the state is
-// read through Monitor.State/States — they are zero on entries delivered
-// through the raw beacon path (Router.OnBeacon, API.Neighbor).
+// read through Monitor.State/States — they are zero on entries read
+// through the raw accessors (Monitor.Get/Snapshot, API.Neighbor).
 type LinkState struct {
 	ID       NodeID
 	Kind     NodeKind

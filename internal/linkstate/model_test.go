@@ -1,8 +1,10 @@
 package linkstate
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -172,86 +174,288 @@ func (m *refMonitor) digestInto(d *digest.Writer) {
 	d.U64(m.fullScan)
 }
 
+// modelPair is a Monitor and the reference fed the same operations.
+type modelPair struct {
+	t    testing.TB
+	m    *Monitor
+	ref  *refMonitor
+	now  float64
+	step int
+}
+
+const modelTTL, modelRange = 2.5, 250
+
+func newModelPair(t testing.TB) *modelPair {
+	est := MustNew("", Config{Range: modelRange})
+	return &modelPair{t: t, m: NewMonitor(modelTTL, modelRange, est), ref: newRefMonitor(modelTTL, modelRange, est)}
+}
+
+// hear is one beacon from id at p.now. It reads nothing back: the beacon
+// stays in the monitor's inbox while the reference applies it at once.
+func (p *modelPair) hear(id NodeID, arg float64) {
+	pos, vel := geom.V(float64(id)*9+arg, arg/32), geom.V(arg/8-16, 0)
+	kind := Vehicle + NodeKind(int(arg)%3)
+	p.m.Update(id, kind, pos, vel, -40-arg/4, p.now)
+	p.ref.update(id, kind, pos, vel, -40-arg/4, p.now)
+}
+
+func (p *modelPair) expire(now float64) {
+	p.t.Helper()
+	if got, want := p.m.Expire(now), p.ref.expire(now); !slices.Equal(got, want) {
+		p.t.Fatalf("step %d: Expire(%v) = %v, want %v", p.step, now, got, want)
+	}
+}
+
+// check requires every observable of the two to agree.
+func (p *modelPair) check(id NodeID, obs Observer) {
+	p.t.Helper()
+	t, m, ref, step := p.t, p.m, p.ref, p.step
+	if m.Len() != len(ref.entries) {
+		t.Fatalf("step %d: Len = %d, want %d", step, m.Len(), len(ref.entries))
+	}
+	got, ok := m.Get(id)
+	want, wantOK := ref.get(id)
+	if ok != wantOK || m.Has(id) != wantOK || got != want {
+		t.Fatalf("step %d: Get(%d) = %+v %v, want %+v %v", step, id, got, ok, want, wantOK)
+	}
+	if got, want := m.Snapshot(), ref.snapshot(); !slices.Equal(got, want) {
+		t.Fatalf("step %d: Snapshot = %+v, want %+v", step, got, want)
+	}
+	if got, want := m.States(obs), ref.states(obs); !slices.Equal(got, want) {
+		t.Fatalf("step %d: States = %+v, want %+v", step, got, want)
+	}
+	ids := m.AppendIDs(nil)
+	for i, e := range ref.sorted() {
+		if i >= len(ids) || ids[i] != e.ID {
+			t.Fatalf("step %d: AppendIDs = %v, want ID %d at %d", step, ids, e.ID, i)
+		}
+	}
+	hits, misses := m.MemoStats()
+	if hits != ref.hits || misses != ref.misses || m.FullSweeps() != ref.fullScan {
+		t.Fatalf("step %d: memo %d/%d sweeps %d, want %d/%d and %d",
+			step, hits, misses, m.FullSweeps(), ref.hits, ref.misses, ref.fullScan)
+	}
+	d, refD := digest.New(), digest.New()
+	m.DigestInto(d)
+	ref.digestInto(refD)
+	if d.Sum() != refD.Sum() {
+		t.Fatalf("step %d: digest %x, want %x", step, d.Sum(), refD.Sum())
+	}
+}
+
 // runMonitorTrace decodes data into a trace of monitor operations — three
 // bytes each: opcode, neighbour, argument — applies it to a Monitor and to
-// the reference, and requires every observable to agree after every step.
-// IDs come from a space of 48 so traces collide, refill freed slots and
-// grow the table several times; the clock only moves forward.
+// the reference, and requires every observable to agree after every step
+// that is not a beacon: a check reads, and so folds, and beacons must pile
+// up unread for the inbox to fill. IDs come from a space of 48 so traces
+// collide, refill freed slots and grow the table several times; the clock
+// only moves forward.
 func runMonitorTrace(t testing.TB, data []byte) {
-	const ttl, rangeM = 2.5, 250
-	est := MustNew("", Config{Range: rangeM})
-	m, ref := NewMonitor(ttl, rangeM, est), newRefMonitor(ttl, rangeM, est)
-	now := 0.0
-	for step := 0; len(data) >= 3; step++ {
-		op, id, arg := data[0]%12, NodeID(data[1]%48), float64(data[2])
+	p := newModelPair(t)
+	for ; len(data) >= 3; p.step++ {
+		op, id, arg := data[0]%13, NodeID(data[1]%48), float64(data[2])
 		data = data[3:]
-		now += arg / 256
-		obs := Observer{Pos: geom.V(arg, 3), Vel: geom.V(arg/16-8, 0), Now: now, Epoch: uint64(arg) / 32}
+		p.now += arg / 256
+		obs := Observer{Pos: geom.V(arg, 3), Vel: geom.V(arg/16-8, 0), Now: p.now, Epoch: uint64(arg) / 32}
 		switch op {
 		case 0, 1, 2, 3, 4, 5: // beacons dominate, as in a run
-			pos, vel := geom.V(float64(id)*9+arg, arg/32), geom.V(arg/8-16, 0)
-			kind := Vehicle + NodeKind(int(arg)%3)
-			got := *m.Update(id, kind, pos, vel, -40-arg/4, now)
-			if want := ref.update(id, kind, pos, vel, -40-arg/4, now); got != want {
-				t.Fatalf("step %d: Update(%d) = %+v, want %+v", step, id, got, want)
-			}
+			p.hear(id, arg)
+			continue
 		case 6:
-			m.RecordReceived(id)
-			ref.recordReceived(id)
+			p.m.RecordReceived(id)
+			p.ref.recordReceived(id)
 		case 7:
-			m.RecordSendFailed(id)
-			ref.recordSendFailed(id)
+			p.m.RecordSendFailed(id)
+			p.ref.recordSendFailed(id)
 		case 8:
-			m.Remove(id)
-			delete(ref.entries, id)
+			p.m.Remove(id)
+			delete(p.ref.entries, id)
 		case 9:
-			now += ttl * arg / 256 // let some, all or none of the table go stale
-			got, want := m.Expire(now), ref.expire(now)
-			if !slices.Equal(got, want) {
-				t.Fatalf("step %d: Expire(%v) = %v, want %v", step, now, got, want)
-			}
+			p.now += modelTTL * arg / 256 // let some, all or none of the table go stale
+			p.expire(p.now)
 		case 10:
-			got, ok := m.State(id, obs)
-			want, wantOK := ref.state(id, obs)
+			got, ok := p.m.State(id, obs)
+			want, wantOK := p.ref.state(id, obs)
 			if ok != wantOK || got != want {
-				t.Fatalf("step %d: State(%d) = %+v %v, want %+v %v", step, id, got, ok, want, wantOK)
+				t.Fatalf("step %d: State(%d) = %+v %v, want %+v %v", p.step, id, got, ok, want, wantOK)
 			}
 		case 11:
 			if arg < 32 { // a crash recovery is rare
-				m.Reset()
-				ref.reset()
+				p.m.Reset()
+				p.ref.reset()
+			}
+		case 12: // a burst: up to two inboxes' worth of beacons, unread
+			for k := 0; k < int(arg)%(2*inboxCap+2); k++ {
+				p.now += 1.0 / 1024
+				p.hear((id+NodeID(k)*5)%48, arg+float64(k))
+			}
+			continue
+		}
+		p.check(id, obs)
+	}
+	p.check(0, Observer{Now: p.now})
+}
+
+// TestMonitorFoldsAtEveryInboxLevel leaves 0, 1, 15, 16 and 17 beacons
+// unread — an empty inbox, one record, one short of full, full, and one
+// past the fold a full inbox forces — before each kind of operation, and
+// requires the reference's answer: a beacon in the inbox is as heard as
+// one in the table.
+func TestMonitorFoldsAtEveryInboxLevel(t *testing.T) {
+	const stranger = NodeID(40) // heard only by beacons still in the inbox
+	obs := Observer{Pos: geom.V(100, 3), Vel: geom.V(20, 0), Epoch: 7}
+	ops := map[string]func(p *modelPair){
+		"Get": func(p *modelPair) {
+			got, _ := p.m.Get(stranger)
+			if want, _ := p.ref.get(stranger); got != want {
+				p.t.Fatalf("Get = %+v, want %+v", got, want)
+			}
+		},
+		"Has": func(p *modelPair) {
+			if _, want := p.ref.get(stranger); p.m.Has(stranger) != want {
+				p.t.Fatalf("Has = %v, want %v", !want, want)
+			}
+		},
+		"Len": func(p *modelPair) {
+			if p.m.Len() != len(p.ref.entries) {
+				p.t.Fatalf("Len = %d, want %d", p.m.Len(), len(p.ref.entries))
+			}
+		},
+		"State": func(p *modelPair) {
+			got, _ := p.m.State(stranger, obs)
+			if want, _ := p.ref.state(stranger, obs); got != want {
+				p.t.Fatalf("State = %+v, want %+v", got, want)
+			}
+		},
+		"AppendIDs": func(p *modelPair) {
+			if got := p.m.AppendIDs(nil); len(got) != len(p.ref.entries) {
+				p.t.Fatalf("AppendIDs = %v, want %d IDs", got, len(p.ref.entries))
+			}
+		},
+		"Snapshot": func(p *modelPair) {
+			if got, want := p.m.Snapshot(), p.ref.snapshot(); !slices.Equal(got, want) {
+				p.t.Fatalf("Snapshot = %+v, want %+v", got, want)
+			}
+		},
+		"States": func(p *modelPair) {
+			if got, want := p.m.States(obs), p.ref.states(obs); !slices.Equal(got, want) {
+				p.t.Fatalf("States = %+v, want %+v", got, want)
+			}
+		},
+		"DigestInto": func(p *modelPair) {
+			d, refD := digest.New(), digest.New()
+			p.m.DigestInto(d)
+			p.ref.digestInto(refD)
+			if d.Sum() != refD.Sum() {
+				p.t.Fatalf("digest %x, want %x", d.Sum(), refD.Sum())
+			}
+		},
+		"RecordReceived": func(p *modelPair) {
+			p.m.RecordReceived(stranger)
+			p.ref.recordReceived(stranger)
+			if got, ok := p.m.Get(stranger); ok && got.Received != 1 {
+				p.t.Fatalf("reception from a neighbour still in the inbox was lost: %+v", got)
+			}
+		},
+		"RecordSendFailed": func(p *modelPair) {
+			p.m.RecordSendFailed(stranger)
+			p.ref.recordSendFailed(stranger)
+			if got, ok := p.m.Get(stranger); ok && got.TxFails != 1 {
+				p.t.Fatalf("failure towards a neighbour still in the inbox was lost: %+v", got)
+			}
+		},
+		"Remove then a fresh beacon": func(p *modelPair) {
+			p.m.Remove(stranger)
+			delete(p.ref.entries, stranger)
+			p.now += 0.01
+			p.hear(stranger, 9)
+			if got, _ := p.m.Get(stranger); got.Beacons != 1 || got.FirstSeen != p.now {
+				p.t.Fatalf("re-heard after Remove: %+v, want Beacons 1 and FirstSeen %v", got, p.now)
+			}
+		},
+		"Reset": func(p *modelPair) {
+			p.m.Reset()
+			p.ref.reset()
+			if p.m.Len() != 0 {
+				p.t.Fatalf("Len = %d after Reset", p.m.Len())
+			}
+			p.now += 0.01
+			p.hear(3, 9) // the next fold must apply this beacon and nothing older
+			if got := p.m.AppendIDs(nil); !slices.Equal(got, []NodeID{3}) {
+				p.t.Fatalf("table after Reset and one beacon = %v, want [3]", got)
+			}
+		},
+		"Expire that early-outs": func(p *modelPair) {
+			pending, sweeps := len(p.m.inbox), p.m.FullSweeps()
+			p.expire(p.now + 0.01)
+			if len(p.m.inbox) != pending || p.m.FullSweeps() != sweeps {
+				p.t.Fatalf("early-out folded or swept: inbox %d → %d, sweeps %d → %d",
+					pending, len(p.m.inbox), sweeps, p.m.FullSweeps())
+			}
+		},
+		"Expire that sweeps": func(p *modelPair) {
+			p.expire(modelTTL + 0.05) // the warm-up beacons of t = 0 are stale, the unread ones are not
+			if len(p.m.inbox) != 0 {
+				p.t.Fatalf("sweep left %d beacons unread", len(p.m.inbox))
+			}
+		},
+	}
+	for _, level := range []int{0, 1, inboxCap - 1, inboxCap, inboxCap + 1} {
+		for name, op := range ops {
+			t.Run(fmt.Sprintf("%d unread/%s", level, name), func(t *testing.T) {
+				p := newModelPair(t)
+				for id := NodeID(0); id < 6; id++ { // a table to refresh
+					p.hear(id, float64(id))
+				}
+				p.check(0, obs)
+				p.now = 0.2
+				for k := 0; k < level; k++ {
+					p.now += 0.01
+					id := NodeID(k % 10) // refreshes and four new links …
+					if k == 0 {
+						id = stranger // … after one nobody has read about
+					}
+					p.hear(id, float64(k))
+				}
+				if want := (level-1)%inboxCap + 1; len(p.m.inbox) != want {
+					t.Fatalf("%d beacons in the inbox, want %d", len(p.m.inbox), want)
+				}
+				obs := obs
+				obs.Now = p.now
+				op(p)
+				p.check(stranger, obs)
+			})
+		}
+	}
+}
+
+// TestExportedMethodsFold guards the methods added later: every exported
+// method of *Monitor either is listed here as not looking at the table, or
+// leaves the inbox empty when called with a beacon unread.
+func TestExportedMethodsFold(t *testing.T) {
+	tableBlind := map[string]bool{"Update": true, "Estimator": true, "MemoStats": true, "FullSweeps": true, "Reset": true}
+	typ := reflect.TypeOf(&Monitor{})
+	for i := 0; i < typ.NumMethod(); i++ {
+		meth := typ.Method(i)
+		if tableBlind[meth.Name] {
+			continue
+		}
+		m := NewMonitor(modelTTL, modelRange, nil)
+		m.Update(1, Vehicle, geom.V(10, 0), geom.V(5, 0), -60, 0)
+		args := []reflect.Value{reflect.ValueOf(m)}
+		for j := 1; j < meth.Type.NumIn(); j++ {
+			switch in := meth.Type.In(j); in {
+			case reflect.TypeOf(digest.New()):
+				args = append(args, reflect.ValueOf(digest.New()))
+			case reflect.TypeOf(0.0):
+				args = append(args, reflect.ValueOf(100.0)) // Expire's now: past the TTL, so past its early-out
+			default:
+				args = append(args, reflect.Zero(in))
 			}
 		}
-		if m.Len() != len(ref.entries) {
-			t.Fatalf("step %d: Len = %d, want %d", step, m.Len(), len(ref.entries))
-		}
-		got, ok := m.Get(id)
-		want, wantOK := ref.get(id)
-		if ok != wantOK || m.Has(id) != wantOK || got != want {
-			t.Fatalf("step %d: Get(%d) = %+v %v, want %+v %v", step, id, got, ok, want, wantOK)
-		}
-		if got, want := m.Snapshot(), ref.snapshot(); !slices.Equal(got, want) {
-			t.Fatalf("step %d: Snapshot = %+v, want %+v", step, got, want)
-		}
-		if got, want := m.States(obs), ref.states(obs); !slices.Equal(got, want) {
-			t.Fatalf("step %d: States = %+v, want %+v", step, got, want)
-		}
-		ids := m.AppendIDs(nil)
-		for i, e := range ref.sorted() {
-			if i >= len(ids) || ids[i] != e.ID {
-				t.Fatalf("step %d: AppendIDs = %v, want ID %d at %d", step, ids, e.ID, i)
-			}
-		}
-		hits, misses := m.MemoStats()
-		if hits != ref.hits || misses != ref.misses || m.FullSweeps() != ref.fullScan {
-			t.Fatalf("step %d: memo %d/%d sweeps %d, want %d/%d and %d",
-				step, hits, misses, m.FullSweeps(), ref.hits, ref.misses, ref.fullScan)
-		}
-		d, refD := digest.New(), digest.New()
-		m.DigestInto(d)
-		ref.digestInto(refD)
-		if d.Sum() != refD.Sum() {
-			t.Fatalf("step %d: digest %x, want %x", step, d.Sum(), refD.Sum())
+		meth.Func.Call(args)
+		if len(m.inbox) != 0 {
+			t.Errorf("%s left the beacon unread: it must call sync before it looks at the table", meth.Name)
 		}
 	}
 }
@@ -270,6 +474,7 @@ func TestMonitorMatchesMapModel(t *testing.T) {
 func FuzzMonitorOps(f *testing.F) {
 	f.Add([]byte{0, 1, 10, 0, 2, 10, 9, 0, 255, 0, 3, 1})
 	f.Add([]byte{0, 5, 0, 8, 5, 0, 0, 6, 0, 11, 0, 0, 0, 7, 0})
+	f.Add([]byte{12, 3, 33, 6, 3, 0, 9, 0, 200, 12, 7, 17, 11, 0, 1, 0, 4, 9})
 	f.Fuzz(func(t *testing.T, data []byte) { runMonitorTrace(t, data) })
 }
 

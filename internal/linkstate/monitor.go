@@ -30,35 +30,56 @@ const feedbackAlpha = 0.25
 // (mobility epoch, beacon count) so repeated routing decisions within one
 // epoch cost no recomputation and no allocations.
 //
+// A beacon is recorded, not applied: Update appends it to inbox, and fold
+// applies the inbox in reception order when it is full and before the
+// table is next read, edited or swept. Every method that looks at keys or
+// slots calls sync first, so the deferral is invisible — but a world of
+// thousands of tables pulls each into cache once per batch of beacons
+// instead of once per beacon.
+//
 // Layout: keys[:n] is a small array of (ID, slot) pairs kept in ascending
 // ID order and bisected without hashing; slots holds the entries
 // themselves, which stay where they are — an insert or expiry shifts 8
 // bytes per neighbor — and every ordered read (Snapshot, States,
 // AppendIDs, DigestInto, Expire's result) gets its ascending-ID order
 // from the layout. keys[n:] name the slots that are free, so the two
-// arrays are equally long: they grow as links are heard (never pre-sized:
-// a world holds thousands of monitors), and only when no slot is free. A
-// pointer into slots (what Update returns) is good until the monitor is
-// next modified.
+// arrays are equally long: they grow together as links are heard (never
+// pre-sized: a world holds thousands of monitors), and only when no slot
+// is free.
 type Monitor struct {
+	inbox []heard // beacons recorded since the last fold; nil until the first
+	// oldest is a lower bound on the minimum LastSeen of any entry, pending
+	// beacons included. The per-tick expiry sweep compares it against now
+	// before folding or iterating: a table whose oldest possible entry is
+	// still fresh cannot hold anything to expire, which skips the scan on
+	// almost every tick. Refreshing an entry may leave the bound
+	// stale-low; that only costs one full sweep, which recomputes it
+	// exactly.
+	oldest float64
+	ttl    float64
 	keys   []key
 	n      int // live links
 	slots  []entry
-	ttl    float64
 	rangeM float64 // communication range r for Eqn (4)
 	est    Estimator
-	// oldest is a lower bound on the minimum LastSeen of any entry. The
-	// per-tick expiry sweep compares it against now before iterating: a
-	// table whose oldest possible entry is still fresh cannot hold anything
-	// to expire, which skips the scan on almost every tick. Refreshing
-	// an entry may leave the bound stale-low; that only costs one full
-	// sweep, which recomputes it exactly.
-	oldest float64
 	// instrumentation: kinematic-memo effectiveness and how often the
 	// expiry sweep actually walked the table (tests pin both).
 	memoHits   uint64
 	memoMisses uint64
 	fullSweeps uint64
+}
+
+// inboxCap is how many beacons a monitor records before it folds them: 8,
+// 16 and 32 measured alike on the 5,000-table highway, and 16 records are
+// under 1 KB per beaconing node.
+const inboxCap = 16
+
+// heard is one recorded beacon.
+type heard struct {
+	id        NodeID
+	kind      uint8
+	pos, vel  geom.Vec2
+	rssi, now float64
 }
 
 // key addresses one entry: keys are sorted by id, slot indexes Monitor.slots.
@@ -67,15 +88,39 @@ type key struct {
 	slot int32
 }
 
-// entry is one stored link: the observed LinkState (derived fields zero)
-// and the kinematic-lifetime memo — the Eqn (4) solution is reused while
-// the observer's mobility epoch is lifeEpoch and Beacons is still
-// lifeBeacons (0: nothing memoized).
+// entry is one stored link: the observed fields of LinkState, packed — a
+// table is read a cache line at a time, so counters are 32 bits, the kind
+// one byte, and the derived fields (never stored) are absent — and the
+// kinematic-lifetime memo: the Eqn (4) solution is reused while the
+// observer's mobility epoch is lifeEpoch and beacons is still lifeBeacons
+// (0: nothing memoized).
 type entry struct {
-	LinkState
-	lifeBeacons int
+	id          NodeID
+	kind        uint8
+	beacons     int32
+	lifeBeacons int32
+	pos, vel    geom.Vec2
+	rssi        float64
+	meanRSSI    float64
+	lastSeen    float64
+	rssiTrend   float64
+	feedback    float64
+	firstSeen   float64
 	lifeEpoch   uint64
 	lifeVal     float64
+	received    int32
+	txFails     int32
+}
+
+// put writes the entry into ls as the public record, derived fields zero.
+// It writes in place because returning a LinkState built here costs every
+// read a zeroing and a copy of 152 bytes on top of the fill.
+func (e *entry) put(ls *LinkState) {
+	ls.ID, ls.Kind, ls.Pos, ls.Vel = e.id, NodeKind(e.kind), e.pos, e.vel
+	ls.RSSI, ls.MeanRSSI, ls.LastSeen, ls.Beacons = e.rssi, e.meanRSSI, e.lastSeen, int(e.beacons)
+	ls.FirstSeen, ls.RSSITrend = e.firstSeen, e.rssiTrend
+	ls.Received, ls.TxFails, ls.FeedbackProb = int(e.received), int(e.txFails), e.feedback
+	ls.Age, ls.Lifetime, ls.ReceiptProb = 0, 0, 0
 }
 
 // NewMonitor returns a monitor whose links expire ttl seconds after the
@@ -119,7 +164,9 @@ func (m *Monitor) insert(i int, id NodeID) *entry {
 		if n := len(m.slots); n == cap(m.slots) {
 			// by half, from 8: append's doubling would leave a 33-link
 			// table holding 64 entries, in every table of a dense world
-			m.slots = append(make([]entry, 0, max(8, n+n/2)), m.slots...)
+			c := max(8, n+n/2)
+			m.slots = append(make([]entry, 0, c), m.slots...)
+			m.keys = append(make([]key, 0, c), m.keys...)
 		}
 		m.keys = append(m.keys, key{slot: int32(len(m.slots))})
 		m.slots = append(m.slots, entry{})
@@ -131,74 +178,108 @@ func (m *Monitor) insert(i int, id NodeID) *entry {
 	return &m.slots[slot]
 }
 
-// Update inserts or refreshes an entry from a received beacon and returns
-// the stored entry (observed fields only; derived fields are not computed
-// here — read through State for predictions). The pointer is into the
-// table: it is valid until the monitor is next modified.
-func (m *Monitor) Update(id NodeID, kind NodeKind, pos, vel geom.Vec2, rssi, now float64) *LinkState {
-	i, e := m.find(id)
-	if e == nil {
-		e = m.insert(i, id)
-		*e = entry{LinkState: LinkState{ID: id, MeanRSSI: rssi, FirstSeen: now, FeedbackProb: 1}}
-	} else if now > e.LastSeen {
-		// slope of the raw RSSI between consecutive beacons, smoothed
-		inst := (rssi - e.RSSI) / (now - e.LastSeen)
-		e.RSSITrend = (1-trendAlpha)*e.RSSITrend + trendAlpha*inst
+// Update records a received beacon. It is applied to the table — the
+// entry inserted or refreshed — by the next fold: when the inbox is full,
+// or before anything reads, edits or sweeps the table. kind must fit a
+// byte.
+func (m *Monitor) Update(id NodeID, kind NodeKind, pos, vel geom.Vec2, rssi, now float64) {
+	if len(m.inbox) == cap(m.inbox) {
+		if m.inbox == nil {
+			m.inbox = make([]heard, 0, inboxCap)
+		} else {
+			m.fold()
+		}
 	}
+	m.inbox = m.inbox[:len(m.inbox)+1]
+	b := &m.inbox[len(m.inbox)-1] // written in place: append builds the record, then copies it
+	b.id, b.kind, b.pos, b.vel, b.rssi, b.now = id, uint8(kind), pos, vel, rssi, now
 	if now < m.oldest {
-		m.oldest = now
+		m.oldest = now // here, not in fold: Expire reads it before folding
 	}
-	e.Kind = kind
-	e.Pos = pos
-	e.Vel = vel
-	e.RSSI = rssi
-	// EWMA over beacons smooths shadowing; alpha 0.3 tracks mobility.
-	e.MeanRSSI = (1-rssiAlpha)*e.MeanRSSI + rssiAlpha*rssi
-	e.LastSeen = now
-	e.Beacons++
-	// a beacon got through: positive link feedback
-	e.FeedbackProb = (1-feedbackAlpha)*e.FeedbackProb + feedbackAlpha
-	return &e.LinkState
+}
+
+// sync folds what Update recorded, so the caller sees the table the
+// beacons heard so far make.
+func (m *Monitor) sync() {
+	if len(m.inbox) != 0 {
+		m.fold()
+	}
+}
+
+// fold applies the recorded beacons to the table in reception order.
+func (m *Monitor) fold() {
+	for i := range m.inbox {
+		b := &m.inbox[i]
+		at, e := m.find(b.id)
+		if e == nil {
+			e = m.insert(at, b.id)
+			*e = entry{id: b.id, meanRSSI: b.rssi, firstSeen: b.now, feedback: 1}
+		} else if b.now > e.lastSeen {
+			// slope of the raw RSSI between consecutive beacons, smoothed
+			inst := (b.rssi - e.rssi) / (b.now - e.lastSeen)
+			e.rssiTrend = (1-trendAlpha)*e.rssiTrend + trendAlpha*inst
+		}
+		e.kind = b.kind
+		e.pos = b.pos
+		e.vel = b.vel
+		e.rssi = b.rssi
+		// EWMA over beacons smooths shadowing; alpha 0.3 tracks mobility.
+		e.meanRSSI = (1-rssiAlpha)*e.meanRSSI + rssiAlpha*b.rssi
+		e.lastSeen = b.now
+		e.beacons++
+		// a beacon got through: positive link feedback
+		e.feedback = (1-feedbackAlpha)*e.feedback + feedbackAlpha
+	}
+	m.inbox = m.inbox[:0]
 }
 
 // RecordReceived folds a successfully received non-beacon frame from id
 // into the link's feedback evidence. Unknown links (no beacon heard yet)
 // are ignored — the table stays beacon-driven.
 func (m *Monitor) RecordReceived(id NodeID) {
+	m.sync()
 	if _, e := m.find(id); e != nil {
-		e.Received++
-		e.FeedbackProb = (1-feedbackAlpha)*e.FeedbackProb + feedbackAlpha
+		e.received++
+		e.feedback = (1-feedbackAlpha)*e.feedback + feedbackAlpha
 	}
 }
 
 // RecordSendFailed folds a MAC transmission failure (unicast ARQ budget
 // exhausted sending to id) into the link's feedback evidence.
 func (m *Monitor) RecordSendFailed(id NodeID) {
+	m.sync()
 	if _, e := m.find(id); e != nil {
-		e.TxFails++
-		e.FeedbackProb = (1 - feedbackAlpha) * e.FeedbackProb
+		e.txFails++
+		e.feedback = (1 - feedbackAlpha) * e.feedback
 	}
 }
 
 // Get returns the raw observed entry for id (derived fields zero).
-func (m *Monitor) Get(id NodeID) (LinkState, bool) {
+func (m *Monitor) Get(id NodeID) (ls LinkState, ok bool) {
+	m.sync()
 	if _, e := m.find(id); e != nil {
-		return e.LinkState, true
+		e.put(&ls)
+		return ls, true
 	}
-	return LinkState{}, false
+	return ls, false
 }
 
 // Has reports whether id is currently a live link.
 func (m *Monitor) Has(id NodeID) bool {
+	m.sync()
 	_, e := m.find(id)
 	return e != nil
 }
 
 // Len returns the number of live links.
-func (m *Monitor) Len() int { return m.n }
+func (m *Monitor) Len() int {
+	m.sync()
+	return m.n
+}
 
 // Remove deletes the entry for id, if present, discarding its evidence.
 func (m *Monitor) Remove(id NodeID) {
+	m.sync()
 	if i, e := m.find(id); e != nil {
 		k := m.keys[i]
 		copy(m.keys[i:], m.keys[i+1:m.n])
@@ -207,14 +288,15 @@ func (m *Monitor) Remove(id NodeID) {
 	}
 }
 
-// Reset discards every entry and its accumulated evidence, returning the
-// monitor to its freshly-constructed state. A node recovering from a
-// crash calls this so it re-enters the network with no stale neighbors or
-// feedback history — everything it knows must be re-learned from beacons.
-// Instrumentation counters survive; they describe the monitor's lifetime,
-// not the current table.
+// Reset discards every entry, every beacon not yet folded and the
+// accumulated evidence, returning the monitor to its freshly-constructed
+// state. A node recovering from a crash calls this so it re-enters the
+// network with no stale neighbors or feedback history — everything it
+// knows must be re-learned from beacons. Instrumentation counters
+// survive; they describe the monitor's lifetime, not the current table.
 func (m *Monitor) Reset() {
 	m.n = 0
+	m.inbox = m.inbox[:0]
 	m.oldest = math.Inf(1)
 }
 
@@ -222,6 +304,7 @@ func (m *Monitor) Reset() {
 // (from the layout) and returns it. Periodic scanners (the netstack's
 // link audit) check membership with it without paying Snapshot's copy.
 func (m *Monitor) AppendIDs(dst []NodeID) []NodeID {
+	m.sync()
 	for _, k := range m.keys[:m.n] {
 		dst = append(dst, k.id)
 	}
@@ -232,9 +315,11 @@ func (m *Monitor) AppendIDs(dst []NodeID) []NodeID {
 // (from the layout) and returns it; it allocates only to grow dst.
 // Derived fields are zero; use AppendStates for predictions.
 func (m *Monitor) AppendSnapshot(dst []LinkState) []LinkState {
-	dst = slices.Grow(dst, m.n)
-	for _, k := range m.keys[:m.n] {
-		dst = append(dst, m.slots[k.slot].LinkState)
+	m.sync()
+	at := len(dst)
+	dst = slices.Grow(dst, m.n)[:at+m.n]
+	for i, k := range m.keys[:m.n] {
+		m.slots[k.slot].put(&dst[at+i])
 	}
 	return dst
 }
@@ -243,24 +328,28 @@ func (m *Monitor) AppendSnapshot(dst []LinkState) []LinkState {
 // iteration for reproducible routing decisions) in a fresh slice the
 // caller may keep.
 func (m *Monitor) Snapshot() []LinkState {
-	return m.AppendSnapshot(make([]LinkState, 0, m.n))
+	return m.AppendSnapshot(make([]LinkState, 0, m.Len()))
 }
 
 // State returns the link state for id with derived predictions filled by
 // the estimator. It allocates nothing in steady state: the kinematic
 // lifetime is memoized per (epoch, beacon count) inside the entry.
-func (m *Monitor) State(id NodeID, obs Observer) (LinkState, bool) {
+func (m *Monitor) State(id NodeID, obs Observer) (ls LinkState, ok bool) {
+	m.sync()
 	if _, e := m.find(id); e != nil {
-		return m.derive(e, obs), true
+		m.derive(e, obs, &ls)
+		return ls, true
 	}
-	return LinkState{}, false
+	return ls, false
 }
 
 // AppendStates is AppendSnapshot with the derived predictions filled.
 func (m *Monitor) AppendStates(dst []LinkState, obs Observer) []LinkState {
-	dst = slices.Grow(dst, m.n)
-	for _, k := range m.keys[:m.n] {
-		dst = append(dst, m.derive(&m.slots[k.slot], obs))
+	m.sync()
+	at := len(dst)
+	dst = slices.Grow(dst, m.n)[:at+m.n]
+	for i, k := range m.keys[:m.n] {
+		m.derive(&m.slots[k.slot], obs, &dst[at+i])
 	}
 	return dst
 }
@@ -268,19 +357,18 @@ func (m *Monitor) AppendStates(dst []LinkState, obs Observer) []LinkState {
 // States returns the link state of every live link in ascending ID order
 // with derived predictions filled, in a fresh slice the caller may keep.
 func (m *Monitor) States(obs Observer) []LinkState {
-	return m.AppendStates(make([]LinkState, 0, m.n), obs)
+	return m.AppendStates(make([]LinkState, 0, m.Len()), obs)
 }
 
-// derive copies the entry and fills the estimator-derived fields. The
-// kinematic memo is written back into the stored entry.
-func (m *Monitor) derive(e *entry, obs Observer) LinkState {
+// derive writes the entry into ls and fills the estimator-derived fields.
+// The kinematic memo is written back into the stored entry.
+func (m *Monitor) derive(e *entry, obs Observer, ls *LinkState) {
 	kin := m.kinematic(e, obs)
-	ls := e.LinkState
+	e.put(ls)
 	ls.Age = obs.Now - ls.LastSeen
-	p := m.est.Estimate(ls, obs, kin)
+	p := m.est.Estimate(*ls, obs, kin)
 	ls.Lifetime = p.Lifetime
 	ls.ReceiptProb = p.ReceiptProb
-	return ls
 }
 
 // kinematic returns the memoized Eqn (4) residual lifetime of the link,
@@ -289,14 +377,14 @@ func (m *Monitor) derive(e *entry, obs Observer) LinkState {
 // mobility epoch and the entry's beacon count are both unchanged — the
 // only events that can move either endpoint's kinematics.
 func (m *Monitor) kinematic(e *entry, obs Observer) float64 {
-	if e.lifeBeacons == e.Beacons && e.lifeEpoch == obs.Epoch {
+	if e.lifeBeacons == e.beacons && e.lifeEpoch == obs.Epoch {
 		m.memoHits++
 		return e.lifeVal
 	}
 	m.memoMisses++
-	v := link.LifetimeVec(e.Pos, e.Vel, obs.Pos, obs.Vel, m.rangeM)
+	v := link.LifetimeVec(e.pos, e.vel, obs.Pos, obs.Vel, m.rangeM)
 	e.lifeEpoch = obs.Epoch
-	e.lifeBeacons = e.Beacons
+	e.lifeBeacons = e.beacons
 	e.lifeVal = v
 	return v
 }
@@ -308,24 +396,25 @@ func (m *Monitor) kinematic(e *entry, obs Observer) float64 {
 // are a pure cache of the entry's evidence and re-derived on
 // first read after restore, so they are excluded — like the radio cache.
 func (m *Monitor) DigestInto(d *digest.Writer) {
+	m.sync()
 	d.Int(m.n)
 	for _, k := range m.keys[:m.n] {
 		e := &m.slots[k.slot]
-		d.U32(uint32(e.ID))
-		d.Int(int(e.Kind))
-		d.F64(e.Pos.X)
-		d.F64(e.Pos.Y)
-		d.F64(e.Vel.X)
-		d.F64(e.Vel.Y)
-		d.F64(e.RSSI)
-		d.F64(e.MeanRSSI)
-		d.F64(e.LastSeen)
-		d.Int(e.Beacons)
-		d.F64(e.FirstSeen)
-		d.F64(e.RSSITrend)
-		d.Int(e.Received)
-		d.Int(e.TxFails)
-		d.F64(e.FeedbackProb)
+		d.U32(uint32(e.id))
+		d.Int(int(e.kind))
+		d.F64(e.pos.X)
+		d.F64(e.pos.Y)
+		d.F64(e.vel.X)
+		d.F64(e.vel.Y)
+		d.F64(e.rssi)
+		d.F64(e.meanRSSI)
+		d.F64(e.lastSeen)
+		d.Int(int(e.beacons))
+		d.F64(e.firstSeen)
+		d.F64(e.rssiTrend)
+		d.Int(int(e.received))
+		d.Int(int(e.txFails))
+		d.F64(e.feedback)
 	}
 	d.F64(m.oldest)
 	d.U64(m.memoHits)
@@ -340,12 +429,13 @@ func (m *Monitor) Expire(now float64) []NodeID {
 	if now-m.oldest <= m.ttl {
 		return nil // even the oldest possible entry is still fresh
 	}
+	m.sync()
 	m.fullSweeps++
 	var gone []NodeID
 	min := math.Inf(1)
 	kept := 0
 	for i, k := range m.keys[:m.n] {
-		seen := m.slots[k.slot].LastSeen
+		seen := m.slots[k.slot].lastSeen
 		if now-seen > m.ttl {
 			gone = append(gone, k.id)
 			continue

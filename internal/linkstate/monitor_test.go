@@ -111,7 +111,7 @@ func TestMonitorLifetimeMemo(t *testing.T) {
 	}
 	// same epoch, same beacons → the kinematic solve ran once
 	_, e := m.find(1)
-	if e.lifeBeacons != e.Beacons || e.lifeEpoch != 10 {
+	if e.lifeBeacons != e.beacons || e.lifeEpoch != 10 {
 		t.Fatalf("memo not recorded: %+v", e)
 	}
 	// a new beacon invalidates the memo even within the epoch
@@ -203,8 +203,8 @@ func TestMonitorReset(t *testing.T) {
 		t.Fatalf("reset table swept: %d sweeps, want %d", m.FullSweeps(), sweepsBefore)
 	}
 	// evidence re-accumulates from scratch
-	e := m.Update(1, Vehicle, geom.V(25, 0), geom.V(5, 0), -63, 10)
-	if e.Beacons != 1 || e.FirstSeen != 10 || e.FeedbackProb != 1 {
+	m.Update(1, Vehicle, geom.V(25, 0), geom.V(5, 0), -63, 10)
+	if e, _ := m.Get(1); e.Beacons != 1 || e.FirstSeen != 10 || e.FeedbackProb != 1 {
 		t.Fatalf("re-learned entry carries stale evidence: %+v", e)
 	}
 }

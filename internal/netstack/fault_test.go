@@ -107,6 +107,42 @@ func TestRecoveredNodeHasFreshMonitor(t *testing.T) {
 	}
 }
 
+// TestCrashWithBeaconsUnreadRecoversEmpty crashes a node whose monitor has
+// only recorded its neighbours' beacons — nothing has read its table, and
+// the expiry sweep's early-out folds nothing — and recovers it: Reset must
+// drop the unread beacons with the table, or the first read after recovery
+// folds pre-crash neighbours back in.
+func TestCrashWithBeaconsUnreadRecoversEmpty(t *testing.T) {
+	w, routers, ids := newTestWorld(t, 3, 100)
+	n := w.nodeByID(ids[1])
+	w.Engine().At(2.05, func() {
+		if len(routers[1].beacons) < 2 {
+			t.Errorf("node 1 heard %d beacons before the crash, want some to leave unread", len(routers[1].beacons))
+		}
+		w.SetNodeActive(ids[1], false)
+	})
+	w.Engine().At(2.06, func() {
+		if !w.RecoverNode(ids[1]) {
+			t.Error("RecoverNode failed on a node taken down with SetNodeActive")
+		}
+		if got := n.mon.Snapshot(); len(got) != 0 {
+			t.Errorf("table right after recovery = %+v, want empty", got)
+		}
+	})
+	if err := w.Run(3.5); err != nil {
+		t.Fatal(err)
+	}
+	nbs := routers[1].API.Neighbors()
+	if len(nbs) != 2 {
+		t.Fatalf("recovered node re-learned %d neighbours, want 2", len(nbs))
+	}
+	for _, nb := range nbs {
+		if nb.FirstSeen < 2.06 || nb.Beacons > 2 {
+			t.Errorf("entry carries pre-crash evidence: %+v", nb)
+		}
+	}
+}
+
 // TestCrashedNodeAgesOutOfLocationService checks the directory semantics:
 // a crashed node's entry survives only until the next location refresh
 // (the directory is allowed to be staleness-bounded), then disappears,

@@ -71,6 +71,43 @@ func TestLinkStateMatchesBeaconKinematics(t *testing.T) {
 	}
 }
 
+// listeningChurnRouter is churnRouter with the beacon hook.
+type listeningChurnRouter struct {
+	churnRouter
+	heard int
+}
+
+func (r *listeningChurnRouter) OnBeacon(NodeID, NodeKind) { r.heard++ }
+
+// TestBeaconListenerIsInvisible runs one world with routers that listen
+// for beacons and one with routers that do not: the listener is told of
+// every reception, and nothing else about the run differs.
+func TestBeaconListenerIsInvisible(t *testing.T) {
+	run := func(factory RouterFactory) uint64 {
+		w := NewWorld(Config{Seed: 31}, mobility.NewPlayback(parallelTracks(4, 30)))
+		ids := w.AddVehicleNodes(factory)
+		w.AddFlow(ids[0], ids[3], 1, 0.5, 8, 256)
+		if err := w.Run(6); err != nil {
+			t.Fatal(err)
+		}
+		return w.Digest()
+	}
+	var listeners []*listeningChurnRouter
+	listening := run(func() Router {
+		r := &listeningChurnRouter{churnRouter: churnRouter{seen: make(map[uint64]bool)}}
+		listeners = append(listeners, r)
+		return r
+	})
+	if deaf := run(newChurnRouter); listening != deaf {
+		t.Fatalf("world digest %x with beacon listeners, %x without", listening, deaf)
+	}
+	for i, r := range listeners {
+		if r.heard < 3*5 { // three neighbours, a beacon a second each
+			t.Errorf("listener %d was told of %d beacons in 6 s, want at least 15", i, r.heard)
+		}
+	}
+}
+
 // TestSendFailureFeedsMonitor verifies the MAC ARQ failure upcall lands in
 // the reliability plane before the router reacts: two nodes in range, the
 // peer is failure-injected mid-run, so unicasts to it exhaust ARQ.

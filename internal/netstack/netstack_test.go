@@ -28,7 +28,7 @@ func lineTracks(n int, gap, speed float64) []mobility.Track {
 type echoRouter struct {
 	Base
 	got      []*Packet
-	beacons  []Neighbor
+	beacons  []NodeID
 	expired  []NodeID
 	failures []NodeID
 }
@@ -50,7 +50,7 @@ func (e *echoRouter) Originate(dst NodeID, size int) {
 	e.API.Send(dst, pkt)
 }
 
-func (e *echoRouter) OnBeacon(nb *Neighbor)             { e.beacons = append(e.beacons, *nb) }
+func (e *echoRouter) OnBeacon(from NodeID, _ NodeKind)  { e.beacons = append(e.beacons, from) }
 func (e *echoRouter) OnNeighborExpired(id NodeID)       { e.expired = append(e.expired, id) }
 func (e *echoRouter) OnSendFailed(p *Packet, to NodeID) { e.failures = append(e.failures, to) }
 

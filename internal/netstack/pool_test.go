@@ -14,11 +14,11 @@ type countingRouter struct {
 	beacons int
 }
 
-func (r *countingRouter) Name() string          { return "counting" }
-func (r *countingRouter) HandlePacket(*Packet)  {}
-func (r *countingRouter) Originate(NodeID, int) {}
-func (r *countingRouter) OnBeacon(*Neighbor)    { r.beacons++ }
-func (r *countingRouter) NeedsBeacons() bool    { return true }
+func (r *countingRouter) Name() string              { return "counting" }
+func (r *countingRouter) HandlePacket(*Packet)      {}
+func (r *countingRouter) Originate(NodeID, int)     {}
+func (r *countingRouter) OnBeacon(NodeID, NodeKind) { r.beacons++ }
+func (r *countingRouter) NeedsBeacons() bool        { return true }
 
 // A warmed packet pool round-trip must not allocate: getPacket reuses what
 // putPacket recycled.

@@ -25,11 +25,6 @@ type Router interface {
 	// queueing and discovery; undeliverable data is dropped by the
 	// router.
 	Originate(dst NodeID, size int)
-	// OnBeacon fires after the stack refreshed the neighbor entry. nb
-	// (observed fields only) points into the neighbor table and is valid
-	// only for the duration of the callback — the table's next change may
-	// reuse the entry: copy *nb to keep it.
-	OnBeacon(nb *Neighbor)
 	// OnNeighborExpired fires when a neighbor times out — the stack-level
 	// link-break signal routers use for RERR/repair logic.
 	OnNeighborExpired(id NodeID)
@@ -45,6 +40,13 @@ type Router interface {
 	NeedsBeacons() bool
 }
 
+// BeaconListener is optional: a router that also implements it is told of
+// every beacon its node hears, at reception, with what the beacon itself
+// carries. The stack looks for it once, when the node is added.
+type BeaconListener interface {
+	OnBeacon(from NodeID, kind NodeKind)
+}
+
 // RouterFactory builds one router per node.
 type RouterFactory func() Router
 
@@ -56,9 +58,6 @@ type Base struct {
 
 // Attach stores the API.
 func (b *Base) Attach(api *API) { b.API = api }
-
-// OnBeacon is a no-op by default.
-func (b *Base) OnBeacon(*Neighbor) {}
 
 // OnNeighborExpired is a no-op by default.
 func (b *Base) OnNeighborExpired(NodeID) {}

@@ -75,25 +75,22 @@ func (c Config) beaconSize() int {
 	return c.BeaconSize
 }
 
-// node is the internal per-node record.
+// node is the internal per-node record. The fields a reception reads come
+// first and together: a broadcast touches ~25 nodes, each cold.
 type node struct {
-	id      NodeID
-	kind    NodeKind
-	router  Router
-	mon     linkstate.Monitor
-	pos     geom.Vec2
-	vel     geom.Vec2
-	rngSeed int64              // drawn at addNode; see random
-	rng     *rand.Rand         // materialized on first draw
-	rngSrc  *prng.Source       // counting source behind rng; nil until materialized
-	vehID   mobility.VehicleID // -1 for static nodes
-	active  bool
-	// open-world membership bookkeeping: seenStep is the last mobility step
-	// whose state snapshot contained this vehicle; left marks a node whose
-	// vehicle departed the mobility model (as opposed to failure injection,
-	// which clears active but not left).
-	seenStep uint64
-	left     bool
+	id       NodeID
+	active   bool
+	left     bool // the vehicle departed the mobility model; failure injection clears only active
+	kind     NodeKind
+	pos, vel geom.Vec2
+	heard    BeaconListener // router, if it listens for beacons
+	mon      linkstate.Monitor
+	router   Router
+	rngSeed  int64              // drawn at addNode; see random
+	rng      *rand.Rand         // materialized on first draw
+	rngSrc   *prng.Source       // counting source behind rng; nil until materialized
+	vehID    mobility.VehicleID // -1 for static nodes
+	seenStep uint64             // last mobility step whose snapshot held this vehicle (open worlds)
 }
 
 // random returns the node's private RNG stream, materializing it on first
@@ -377,6 +374,7 @@ func (w *World) addNode(kind NodeKind, pos, vel geom.Vec2, r Router, vehID mobil
 		}
 		w.byVeh[vehID] = n
 	}
+	n.heard, _ = r.(BeaconListener)
 	w.grid.Update(int32(id), pos)
 	r.Attach(&API{world: w, node: n})
 	return id
@@ -671,7 +669,7 @@ func (w *World) step(dt float64) {
 	// the geometry is final for the tick. Pure prefetch — identical lists,
 	// identical outputs; sparse-demand worlds stay on the lazy per-node
 	// path. The sweep runs inline: the pool parameter survives only because
-	// bench/ calls RebuildSweep by that signature (ROADMAP item 2(c)).
+	// bench/ calls RebuildSweep by that signature (ROADMAP item 5).
 	if w.links.SweepWorthwhile(len(w.actives)) {
 		w.links.RebuildSweep(par.Seq)
 	}
@@ -974,7 +972,10 @@ func (w *World) dispatch(to int32, f mac.Frame) {
 		}
 		d := n.pos.Dist(b.pos)
 		rssi := w.ch.RSSI(d, n.random())
-		n.router.OnBeacon(n.mon.Update(pkt.From, b.kind, b.pos, b.vel, rssi, w.eng.Now()))
+		n.mon.Update(pkt.From, b.kind, b.pos, b.vel, rssi, w.eng.Now())
+		if n.heard != nil {
+			n.heard.OnBeacon(pkt.From, b.kind)
+		}
 		if w.faultBeaconHeard != nil {
 			// someone heard pkt.From beaconing — the fault plane closes
 			// its recovery-latency clock for that node, if one is open

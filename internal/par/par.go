@@ -1,7 +1,7 @@
 // Package par provides a fixed-size fork-join pool. Nothing in the
 // simulator forks: the package survives only because bench/replay.go
 // spells par.New and par.Seq and radio.Cache.RebuildSweep takes a *Pool
-// (the simulator passes Seq, which runs inline). ROADMAP item 2(c)'s
+// (the simulator passes Seq, which runs inline). ROADMAP item 5's
 // benchmark PR deletes it.
 //
 // A Pool owns shards−1 long-lived worker goroutines (shard 0 always runs

@@ -269,7 +269,7 @@ func (c *Cache) SweepWorthwhile(actives int) bool {
 //
 // The pool parameter, the per-shard arenas and internal/par survive only
 // because bench/replay.go calls RebuildSweep with the inline pool by name,
-// as the simulator's one call site does. ROADMAP item 2(c)'s benchmark PR
+// as the simulator's one call site does. ROADMAP item 5's benchmark PR
 // folds them to one buffer.
 func (c *Cache) RebuildSweep(pool *par.Pool) {
 	e := c.grid.Epoch()

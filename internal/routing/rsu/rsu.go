@@ -141,11 +141,11 @@ func (u *UnitRouter) Attach(api *netstack.API) {
 	api.After(0.25, sweep)
 }
 
-// OnBeacon implements netstack.Router: every vehicle beacon an RSU hears
-// synchronizes the location registry.
-func (u *UnitRouter) OnBeacon(nb *netstack.Neighbor) {
-	if nb.Kind == netstack.Vehicle || nb.Kind == netstack.BusNode {
-		u.backbone.noteVehicle(nb.ID, u.API.Self())
+// OnBeacon implements netstack.BeaconListener: every vehicle beacon an RSU
+// hears synchronizes the location registry.
+func (u *UnitRouter) OnBeacon(from netstack.NodeID, kind netstack.NodeKind) {
+	if kind == netstack.Vehicle || kind == netstack.BusNode {
+		u.backbone.noteVehicle(from, u.API.Self())
 	}
 }
 

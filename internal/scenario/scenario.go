@@ -159,7 +159,7 @@ type Options struct {
 	// Shards is accepted and ignored: intra-run sharding was measured
 	// slower than the serial step loop and deleted. The field survives
 	// only because bench/ sets it and old journals and snapshots carry
-	// it; ROADMAP item 2(c)'s benchmark PR removes it.
+	// it; ROADMAP item 5's benchmark PR removes it.
 	Shards int
 	// Faults installs the named chaos profile from the fault-plane
 	// registry (see faults.Names): a deterministic, seeded schedule of
