@@ -13,9 +13,8 @@ import "github.com/vanetlab/relroute/internal/digest"
 // otherwise introduce. Samples feed metrics.Collector.OnLinkPrediction —
 // the MAE/bias/calibration block the link-accuracy experiment reports.
 //
-// The audit is opt-in (EnableLinkAudit): it draws no randomness, and when
-// disabled the per-step cost is one nil check, so default worlds — and
-// with them every golden experiment output — are unaffected.
+// The audit is opt-in (EnableLinkAudit) and draws no randomness; a world
+// without one pays a nil check per step.
 
 // linkSample is one open directed prediction: observer a sampled pred
 // seconds of residual lifetime for its link to b at time t0.
@@ -51,13 +50,16 @@ func (w *World) EnableLinkAudit(horizon float64) {
 	w.audit = &linkAudit{horizon: horizon, idx: make(map[uint64]bool)}
 }
 
-// auditStep advances the audit at the end of one mobility step: close
-// samples whose link broke in truth (or aged past the horizon), then open
-// samples for table entries without one. Both passes run in node-ID order:
-// the close pass feeds float accumulation in the collector, and a.open
-// grows in the order the digest folds it.
+// auditStep advances the audit, when one is armed, at the end of one
+// mobility step: close samples whose link broke in truth (or aged past the
+// horizon), then open samples for table entries without one. Both passes
+// run in node-ID order: the close pass feeds float accumulation in the
+// collector, and a.open grows in the order the digest folds it.
 func (w *World) auditStep(now float64) {
 	a := w.audit
+	if a == nil {
+		return
+	}
 	r := w.ch.MeanRange()
 	keep := a.open[:0]
 	for _, s := range a.open {

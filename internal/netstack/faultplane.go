@@ -3,11 +3,10 @@ package netstack
 import "math/rand"
 
 // This file is the world-side half of the fault plane: crash/recover
-// semantics layered on the existing SetNodeActive machinery, plus the
-// hook setters the internal/faults engine wires its schedule through.
-// Every hook is nil until a fault schedule installs it, so fault-free
-// runs cost one nil check per call site and draw no extra randomness —
-// the existing goldens stay byte-identical.
+// semantics on top of SetNodeActive, plus the hook setters the
+// internal/faults engine wires its schedule through. Every hook is nil
+// until a fault schedule installs it, so fault-free runs cost one nil check
+// per call site and draw no extra randomness.
 
 // CrashNode fails a node: it goes radio-dark (SetNodeActive false — out
 // of the spatial index, neither transmitting nor receiving), its queued
@@ -76,6 +75,12 @@ func (w *World) SetBeaconFilter(fn func(id NodeID, rng *rand.Rand) bool) {
 // accounting into inside/outside-window halves.
 func (w *World) SetFaultWindow(fn func(now float64) bool) {
 	w.faultWindow = fn
+}
+
+// inFaultWindow reports whether a fault schedule is installed and puts the
+// current instant inside one of its windows.
+func (w *World) inFaultWindow() bool {
+	return w.faultWindow != nil && w.faultWindow(w.eng.Now())
 }
 
 // SetDeliveryHook installs a callback invoked on every first-time data

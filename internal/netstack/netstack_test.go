@@ -256,7 +256,7 @@ func TestSendFailedPropagates(t *testing.T) {
 
 func TestLookupPositionStaleness(t *testing.T) {
 	model := mobility.NewPlayback(lineTracks(2, 100, 30))
-	w := NewWorld(Config{Seed: 1, LocationStaleness: 2}, model)
+	w := NewWorld(Config{Seed: 1}, model)
 	var routers []*echoRouter
 	ids := w.AddVehicleNodes(func() Router {
 		r := &echoRouter{}
@@ -271,10 +271,10 @@ func TestLookupPositionStaleness(t *testing.T) {
 		t.Fatal("lookup failed")
 	}
 	truth, _ := w.PositionOf(ids[1])
-	// with 2 s staleness and 30 m/s the oracle may lag up to 60 m but not
-	// more than ~90
+	// with 1 s staleness and 30 m/s the oracle may lag up to 30 m but not
+	// more than ~45
 	lag := truth.Dist(pos)
-	if lag > 90 {
+	if lag > 45 {
 		t.Fatalf("oracle lag = %v m", lag)
 	}
 }

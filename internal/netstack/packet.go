@@ -1,8 +1,3 @@
-// Package netstack is the node-level network substrate: packets, nodes,
-// HELLO beaconing, neighbor tables, application flows, and the Router
-// interface every protocol in internal/routing implements. It wires the
-// mobility model, spatial index, channel, and MAC into a World that runs on
-// the discrete-event engine.
 package netstack
 
 import (
@@ -73,10 +68,9 @@ type Packet struct {
 // broadcast so routers can mutate header fields freely; Payload is shared
 // and must be treated as immutable (copy-on-write in the protocol).
 //
-// Clone always heap-allocates. The per-receiver copies the stack itself
-// hands to Router.HandlePacket instead come from the World's free list and
-// can be recycled through API.Release when the packet's journey ends —
-// see the ownership rules on API.Release.
+// Clone always heap-allocates. The per-receiver copies the stack hands to
+// Router.HandlePacket come from the World's free list instead; see the
+// ownership rules on API.Release.
 func (p *Packet) Clone() *Packet {
 	cp := *p
 	return &cp

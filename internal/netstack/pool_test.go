@@ -57,15 +57,16 @@ func TestPacketPoolScrubs(t *testing.T) {
 // packets. This exercises the full loop: sendBeacon → MAC → receiver
 // dispatch → frame-done hook.
 func TestBeaconFramesRecycled(t *testing.T) {
-	w := NewWorld(Config{Seed: 1, BeaconInterval: 0.1}, mobility.NewPlayback(nil))
+	w := NewWorld(Config{Seed: 1}, mobility.NewPlayback(nil))
 	r1 := &countingRouter{}
 	r2 := &countingRouter{}
 	w.AddStaticNode(RSU, geom.V(0, 0), r1)
 	w.AddStaticNode(RSU, geom.V(100, 0), r2)
-	if err := w.Run(2); err != nil {
+	// twenty 1 s beacon periods per node
+	if err := w.Run(20); err != nil {
 		t.Fatal(err)
 	}
-	if r1.beacons == 0 || r2.beacons == 0 {
+	if r1.beacons < 10 || r2.beacons < 10 {
 		t.Fatalf("beaconing broken: %d/%d beacons seen", r1.beacons, r2.beacons)
 	}
 	// Each node has at most one beacon in flight at a time, so the free

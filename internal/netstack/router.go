@@ -220,13 +220,7 @@ func (a *API) LookupPosition(dst NodeID) (pos, vel geom.Vec2, ok bool) {
 
 // NodeKindOf returns the kind of an arbitrary node (directory information,
 // like knowing which addresses are RSUs).
-func (a *API) NodeKindOf(id NodeID) (NodeKind, bool) {
-	n := a.world.nodeByID(id)
-	if n == nil {
-		return 0, false
-	}
-	return n.kind, true
-}
+func (a *API) NodeKindOf(id NodeID) (NodeKind, bool) { return a.world.KindOf(id) }
 
 // Nodes returns the total node count (IDs are 0..Nodes()-1).
 func (a *API) Nodes() int { return len(a.world.nodes) }
