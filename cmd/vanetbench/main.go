@@ -149,8 +149,18 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vanetbench:", err)
-		os.Exit(1)
+		os.Exit(exitStatus(err))
 	}
+}
+
+// exitStatus is 2 for an option value the scenario builder rejected as
+// meaningless (NaN, a negative duration) and 1 for every other failure.
+func exitStatus(err error) int {
+	var bad *relroute.OptionError
+	if errors.As(err, &bad) {
+		return 2
+	}
+	return 1
 }
 
 func run(args []string) error {

@@ -97,3 +97,16 @@ func TestRejectsPositionalArguments(t *testing.T) {
 		})
 	}
 }
+
+// A non-finite sweep axis fails every run at scenario build; the typed
+// error survives the runner's wrapping, so the exit status is 2 and the
+// message names the option.
+func TestSweepMeaninglessOptionExitsTwo(t *testing.T) {
+	err := runSweep([]string{"-protocols", "Greedy", "-vehicles", "10", "-seeds", "1", "-duration", "2", "-speed", "NaN"})
+	if err == nil || exitStatus(err) != 2 || !strings.Contains(err.Error(), "SpeedMean") {
+		t.Fatalf("err = %v (exit status %d), want status 2 naming SpeedMean", err, exitStatus(err))
+	}
+	if err := runSweep([]string{"-vehicles", "ten"}); exitStatus(err) != 1 {
+		t.Errorf("malformed grid: exit status %d, want 1", exitStatus(err))
+	}
+}

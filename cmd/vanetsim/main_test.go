@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestRunList(t *testing.T) {
 	if err := run([]string{"-list"}); err != nil {
@@ -92,5 +95,34 @@ func TestRunOpenWorldFlags(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// An option value that means nothing is a usage error: exit status 2 and a
+// message naming the option the flag sets. Every other failure stays 1, and
+// the two negatives with a meaning of their own still run.
+func TestMeaninglessOptionExitsTwo(t *testing.T) {
+	for _, tc := range []struct {
+		args   []string
+		option string
+	}{
+		{[]string{"-range", "NaN"}, "Range"},
+		{[]string{"-speed", "Inf"}, "SpeedMean"},
+		{[]string{"-duration", "-5"}, "Duration"},
+		{[]string{"-vehicles", "-3"}, "Vehicles"},
+	} {
+		err := run(tc.args)
+		if err == nil || exitStatus(err) != 2 || !strings.Contains(err.Error(), tc.option) {
+			t.Errorf("%v: err = %v (exit status %d), want status 2 naming %s", tc.args, err, exitStatus(err), tc.option)
+		}
+	}
+	if err := run([]string{"-proto", "Bogus", "-duration", "5"}); exitStatus(err) != 1 {
+		t.Errorf("unknown protocol: exit status %d, want 1", exitStatus(err))
+	}
+	small := []string{"-vehicles", "12", "-duration", "5", "-flows", "1", "-packets", "2"}
+	for _, args := range [][]string{{"-proto", "DRR", "-rsus", "-1"}, {"-speedstd", "-1"}} {
+		if err := run(append(args, small...)); err != nil {
+			t.Errorf("%v: %v", args, err)
+		}
 	}
 }

@@ -85,6 +85,9 @@ func BuildSpec(protocol string, spec Spec, opts Options) (*Scenario, error) {
 // place of the named protocol's vehicle routers: tests run a protocol
 // against a variant of itself in the very same world.
 func buildSpec(protocol string, spec Spec, opts Options, vehicles netstack.RouterFactory) (*Scenario, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	opts.setDefaults()
 	if !linkstate.Known(opts.Estimator) {
 		return nil, fmt.Errorf("scenario: unknown link estimator %q (known: %v)", opts.Estimator, linkstate.Names())

@@ -253,6 +253,9 @@ type Scenario struct {
 // preset (Scenario), which wins over the Kind-selected closed world; a
 // positive ArrivalRate opens the Kind-selected world.
 func Build(protocol string, opts Options) (*Scenario, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	opts.setDefaults()
 	spec, opts, err := specFromOptions(opts)
 	if err != nil {

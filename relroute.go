@@ -48,6 +48,11 @@ import (
 // highway with four CBR flows for 60 simulated seconds.
 type Options = scenario.Options
 
+// OptionError is what Run and BuildScenario return for an Options field
+// holding a non-finite value, or a negative one where negative means
+// nothing; errors.As finds it under the wrapping the batch runner adds.
+type OptionError = scenario.OptionError
+
 // Summary is the metrics snapshot of one run: PDR, delays, hop counts,
 // control overhead, collision rate, and route-maintenance counters.
 type Summary = metrics.Summary
