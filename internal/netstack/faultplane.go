@@ -20,7 +20,7 @@ func (w *World) CrashNode(id NodeID) bool {
 	if n == nil || !n.active || n.left {
 		return false
 	}
-	w.SetNodeActive(id, false)
+	w.setActive(n, false)
 	w.mac.Flush(int32(id))
 	w.col.FaultCrashes++
 	return true
@@ -47,7 +47,7 @@ func (w *World) RecoverNode(id NodeID) bool {
 		return false
 	}
 	n.mon.Reset()
-	w.SetNodeActive(id, true)
+	w.setActive(n, true)
 	w.col.FaultRecoveries++
 	return true
 }
