@@ -11,10 +11,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 
 	"github.com/vanetlab/relroute/internal/mobility"
+	"github.com/vanetlab/relroute/internal/prng"
 	"github.com/vanetlab/relroute/internal/roadnet"
 	"github.com/vanetlab/relroute/internal/traces"
 )
@@ -44,7 +44,7 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	rng := rand.New(rand.NewSource(*seed))
+	rng, _ := prng.Rand(*seed)
 	var model *mobility.RoadModel
 	if *city {
 		net, err := roadnet.Grid(*gridN, *gridN, 400, 1, 14)

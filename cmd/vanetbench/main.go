@@ -271,6 +271,10 @@ func runSweep(args []string) error {
 			if proto == "Bus" {
 				opts.Buses = 2 // the ferry protocol needs ≥1 bus; DRR's RSU default is built in
 			}
+			// refuse before the manifest or the pool sees a run that cannot build
+			if err := opts.Validate(); err != nil {
+				return fmt.Errorf("sweep: %w", err)
+			}
 			grid = append(grid, opts)
 		}
 		camp.AddSpec(relroute.BatchSpec{Protocols: []string{proto}, Grid: grid, Seeds: seedList})

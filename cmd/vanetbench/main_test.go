@@ -98,9 +98,8 @@ func TestRejectsPositionalArguments(t *testing.T) {
 	}
 }
 
-// A non-finite sweep axis fails every run at scenario build; the typed
-// error survives the runner's wrapping, so the exit status is 2 and the
-// message names the option.
+// A non-finite sweep axis is refused while the campaign is built, with
+// the typed error: the exit status is 2 and the message names the option.
 func TestSweepMeaninglessOptionExitsTwo(t *testing.T) {
 	err := runSweep([]string{"-protocols", "Greedy", "-vehicles", "10", "-seeds", "1", "-duration", "2", "-speed", "NaN"})
 	if err == nil || exitStatus(err) != 2 || !strings.Contains(err.Error(), "SpeedMean") {
@@ -108,5 +107,18 @@ func TestSweepMeaninglessOptionExitsTwo(t *testing.T) {
 	}
 	if err := runSweep([]string{"-vehicles", "ten"}); exitStatus(err) != 1 {
 		t.Errorf("malformed grid: exit status %d, want 1", exitStatus(err))
+	}
+}
+
+// A refused sweep leaves nothing behind: no manifest directory, no
+// journal header for runs that could never execute.
+func TestSweepRefusedBeforeManifest(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "d")
+	err := runSweep([]string{"-speed", "NaN", "-manifest", dir, "-seeds", "2", "-vehicles", "20,40", "-protocols", "Greedy,AODV"})
+	if err == nil || exitStatus(err) != 2 || !strings.Contains(err.Error(), "SpeedMean") {
+		t.Fatalf("err = %v (exit status %d), want status 2 naming SpeedMean", err, exitStatus(err))
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("manifest directory %s exists after a refused sweep (stat: %v)", dir, err)
 	}
 }

@@ -69,6 +69,68 @@ func TestNoMapRangeOnTheEventPath(t *testing.T) {
 	}
 }
 
+// TestOneGenerator fails on a call to rand.NewSource in any non-test file
+// of the root package, internal/ or cmd/ outside internal/prng: every
+// stream is a prng.Source, which emits math/rand's sequence without its
+// 13 µs seeding and counts its draws for the checkpoint stream table.
+// bench/ is a module of its own and is not linted.
+func TestOneGenerator(t *testing.T) {
+	fset := token.NewFileSet()
+	check := func(path string) error {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && lastName(sel.X) == "rand" && sel.Sel.Name == "NewSource" {
+				t.Errorf("%s: rand.NewSource: use prng.Rand or prng.New", fset.Position(call.Pos()))
+			}
+			return true
+		})
+		return nil
+	}
+	goFile := func(path string) bool {
+		return strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go")
+	}
+	roots, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range roots {
+		if goFile(path) {
+			if err := check(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	parsed := 0
+	for _, tree := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(tree, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() && path == filepath.Join("internal", "prng") {
+				return filepath.SkipDir
+			}
+			if d.IsDir() || !goFile(path) {
+				return nil
+			}
+			parsed++
+			return check(path)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if parsed < 80 {
+		t.Fatalf("parsed only %d files — run from the repository root", parsed)
+	}
+}
+
 // lint is the syntactic type table: which names the linted files declare
 // as maps or as *rand.Rand, and which function names reach an
 // order-sensitive call (and through what).

@@ -7,6 +7,7 @@ import (
 
 	"github.com/vanetlab/relroute/internal/geom"
 	"github.com/vanetlab/relroute/internal/netstack"
+	"github.com/vanetlab/relroute/internal/prng"
 )
 
 // Context is what a chaos profile sees when materializing its Spec for a
@@ -86,7 +87,7 @@ func InstallNamed(name string, w *netstack.World, ctx Context) (*Engine, error) 
 		return nil, fmt.Errorf("faults: unknown profile %q (have %v)", name, Names())
 	}
 	if ctx.Rand == nil {
-		ctx.Rand = rand.New(rand.NewSource(ctx.Seed))
+		ctx.Rand, _ = prng.Rand(ctx.Seed)
 	}
 	return Install(w, p.Build(ctx), ctx.Duration)
 }

@@ -9,13 +9,17 @@ import (
 	"github.com/vanetlab/relroute/internal/link"
 	"github.com/vanetlab/relroute/internal/mobility"
 	"github.com/vanetlab/relroute/internal/netstack"
+	"github.com/vanetlab/relroute/internal/prng"
 	"github.com/vanetlab/relroute/internal/roadnet"
 	"github.com/vanetlab/relroute/internal/runner"
 	"github.com/vanetlab/relroute/internal/scenario"
 )
 
 // newRand derives a deterministic stream for harness-local sampling.
-func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+func newRand(seed int64) *rand.Rand {
+	r, _ := prng.Rand(seed)
+	return r
+}
 
 // Fig1Taxonomy regenerates Fig. 1: the five-category protocol taxonomy,
 // with the implementing package of every protocol this repository ships.

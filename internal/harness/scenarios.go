@@ -2,9 +2,9 @@ package harness
 
 import (
 	"fmt"
-	"math/rand"
 
 	"github.com/vanetlab/relroute/internal/mobility"
+	"github.com/vanetlab/relroute/internal/prng"
 	"github.com/vanetlab/relroute/internal/runner"
 	"github.com/vanetlab/relroute/internal/scenario"
 )
@@ -101,7 +101,7 @@ func ScenarioTraceReplay(cfg Config) (*Table, error) {
 // recordHighwayTrace generates a deterministic highway trace: the
 // in-process equivalent of cmd/tracegen, via the shared pipeline.
 func recordHighwayTrace(seed int64, vehicles int, duration float64) ([]mobility.Track, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng, _ := prng.Rand(seed)
 	model, err := mobility.NewHighwayModel(rng, vehicles, 2000, 28, 5)
 	if err != nil {
 		return nil, err

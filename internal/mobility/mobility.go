@@ -141,10 +141,11 @@ type memberMove struct {
 }
 
 // random returns the vehicle's private RNG stream, materializing it on
-// first use: seeding a math/rand generator costs ~600 mixing steps, and a
-// vehicle only draws when it crosses a junction with an empty route. The
-// seed is drawn eagerly in AddVehicle, so the model's root stream is
-// byte-identical whether or when this one materializes.
+// first use: the checkpoint stream table lists a vehicle's stream only
+// once the vehicle has taken it, and a vehicle only draws when it crosses
+// a junction with an empty route. The seed is drawn eagerly in AddVehicle,
+// so the model's root stream is byte-identical whether or when this one
+// materializes.
 func (v *vehicle) random() *rand.Rand {
 	if v.rng == nil {
 		v.rng, v.rngSrc = prng.Rand(v.rngSeed)

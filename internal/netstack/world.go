@@ -58,11 +58,11 @@ type node struct {
 }
 
 // random returns the node's private RNG stream, materializing it on first
-// use: seeding a math/rand generator costs ~600 mixing steps, and a node
-// that never draws (no beacons to jitter, no shadowing RSSI) should not
-// pay for one. The seed is drawn eagerly in addNode, so the root stream —
-// and with it every other component's stream — is byte-identical whether
-// or when this one materializes.
+// use: the checkpoint stream table lists a node's stream only once the
+// node has taken it, so a node that never draws (no beacons to jitter, no
+// shadowing RSSI) has no entry. The seed is drawn eagerly in addNode, so
+// the root stream — and with it every other component's stream — is
+// byte-identical whether or when this one materializes.
 func (n *node) random() *rand.Rand {
 	if n.rng == nil {
 		n.rng, n.rngSrc = prng.Rand(n.rngSeed)

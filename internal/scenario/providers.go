@@ -9,6 +9,7 @@ import (
 	"github.com/vanetlab/relroute/internal/linkstate"
 	"github.com/vanetlab/relroute/internal/mobility"
 	"github.com/vanetlab/relroute/internal/netstack"
+	"github.com/vanetlab/relroute/internal/prng"
 	"github.com/vanetlab/relroute/internal/roadnet"
 )
 
@@ -85,7 +86,7 @@ func BuildSpec(protocol string, spec Spec, opts Options) (*Scenario, error) {
 // place of the named protocol's vehicle routers: tests run a protocol
 // against a variant of itself in the very same world.
 func buildSpec(protocol string, spec Spec, opts Options, vehicles netstack.RouterFactory) (*Scenario, error) {
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	opts.setDefaults()
@@ -104,7 +105,7 @@ func buildSpec(protocol string, spec Spec, opts Options, vehicles netstack.Route
 	if spec.Workload == nil {
 		spec.Workload = CBRWorkload{}
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng, _ := prng.Rand(opts.Seed)
 
 	net, segs, err := spec.Topology.Build(&opts)
 	if err != nil {
@@ -156,7 +157,8 @@ func buildSpec(protocol string, spec Spec, opts Options, vehicles netstack.Route
 		static(sc)
 	}
 	spec.Traffic.Install(sc)
-	spec.Workload.Install(sc, rand.New(rand.NewSource(opts.Seed+7)))
+	workload, _ := prng.Rand(opts.Seed + 7)
+	spec.Workload.Install(sc, workload)
 	// Fault injection installs last, after the population and workload are
 	// final, so profiles see the complete node lists and their scheduled
 	// events fire before same-timestamp run-time events (a crash at t

@@ -253,7 +253,7 @@ type Scenario struct {
 // preset (Scenario), which wins over the Kind-selected closed world; a
 // positive ArrivalRate opens the Kind-selected world.
 func Build(protocol string, opts Options) (*Scenario, error) {
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	opts.setDefaults()

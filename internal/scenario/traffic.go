@@ -26,7 +26,8 @@ type ClosedTraffic struct{}
 // model, one for the population scatter.
 func (ClosedTraffic) BuildModel(net *roadnet.Network, segs []roadnet.SegmentID, rng *rand.Rand, opts *Options) (mobility.Model, error) {
 	model := mobility.NewRoadModelSeeded(net, rng.Int63(), mobility.ContinueRandom)
-	mobility.Populate(model, rand.New(rand.NewSource(rng.Int63())), mobility.PopulateOptions{
+	scatter, _ := prng.Rand(rng.Int63())
+	mobility.Populate(model, scatter, mobility.PopulateOptions{
 		Count:     opts.Vehicles,
 		SpeedMean: opts.SpeedMean,
 		SpeedStd:  opts.SpeedStd,
@@ -116,7 +117,8 @@ func (t OpenTraffic) initial(opts *Options) int {
 // ClosedTraffic with the reduced count.
 func (t OpenTraffic) BuildModel(net *roadnet.Network, segs []roadnet.SegmentID, rng *rand.Rand, opts *Options) (mobility.Model, error) {
 	model := mobility.NewRoadModelSeeded(net, rng.Int63(), mobility.ContinueRandom)
-	mobility.Populate(model, rand.New(rand.NewSource(rng.Int63())), mobility.PopulateOptions{
+	scatter, _ := prng.Rand(rng.Int63())
+	mobility.Populate(model, scatter, mobility.PopulateOptions{
 		Count:     t.initial(opts),
 		SpeedMean: opts.SpeedMean,
 		SpeedStd:  opts.SpeedStd,

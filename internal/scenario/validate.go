@@ -18,12 +18,14 @@ func (e *OptionError) Error() string {
 	return fmt.Sprintf("scenario: option %s = %v: %s", e.Field, e.Value, e.Reason)
 }
 
-// validate rejects what setDefaults would otherwise hide (a negative value
+// Validate rejects what setDefaults would otherwise hide (a negative value
 // silently becoming the default) or let through (NaN compares false with
 // everything, so it survives every "<= 0" and poisons the run). Zero still
 // means default. The two negatives with a meaning of their own stay legal:
-// RSUs = −1 is "explicitly none" and SpeedStd < 0 is "zero spread".
-func (o *Options) validate() error {
+// RSUs = −1 is "explicitly none" and SpeedStd < 0 is "zero spread". Build
+// and BuildSpec call it; a caller that fans one Options out into many runs
+// calls it first, so nothing is set up for runs that can never execute.
+func (o *Options) Validate() error {
 	for _, f := range []struct {
 		name  string
 		v     float64

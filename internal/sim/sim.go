@@ -75,10 +75,11 @@ func (e *Engine) Rand() *rand.Rand {
 }
 
 // RandSeed draws the next stream seed from the root source without
-// building a generator. Seeding math/rand costs ~600 mixing steps, so
-// components whose stream may never be drawn from take a seed eagerly
-// (keeping the root stream, and therefore every other component's stream,
-// byte-identical) and materialize the generator on first use.
+// building a generator. Components whose stream may never be drawn from
+// take a seed eagerly (keeping the root stream, and therefore every other
+// component's stream, byte-identical) and materialize the generator on
+// first use: the checkpoint stream table lists exactly the streams a
+// component has taken.
 func (e *Engine) RandSeed() int64 { return e.root.Int63() }
 
 // DigestInto folds the engine's checkpoint-relevant state into d: the
