@@ -1,21 +1,22 @@
 package relroute_test
 
 // The committed checkpoint fixture pins cross-version restore: the
-// snapshot in testdata was captured by a binary running the event queue
-// heap-only — the pre-calendar layout — and a current binary, whose queue
-// fronts the same slab with a calendar ring, must rebuild it, pass digest
-// and RNG-stream verification, and finish to the exact summary of an
-// uninterrupted run. That only holds because the queue's pop order and
-// DigestInto are canonical (time, seq) contracts, independent of the
-// internal layout; if either ever leaks layout, this test is the tripwire.
+// snapshot in testdata — mid-run, without a trail — was captured by a
+// binary running the event queue heap-only — the pre-calendar layout —
+// and a current binary, whose queue fronts the same slab with a calendar
+// ring, must rebuild it, pass digest and RNG-stream verification, and
+// finish to the exact summary of an uninterrupted run. That only holds
+// because the queue's pop order and DigestInto are canonical (time, seq)
+// contracts, independent of the internal layout; if either ever leaks
+// layout, this test is the tripwire.
 
 import (
 	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
 	"github.com/vanetlab/relroute"
+	"github.com/vanetlab/relroute/internal/checkpoint"
 )
 
 const heapFixturePath = "testdata/fixture_heapq.ckpt"
@@ -33,14 +34,16 @@ func regenHeapFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, done, err := relroute.RunCheckpointed(sc, relroute.CheckpointPolicy{
-		Path: heapFixturePath, Every: 4, StopAt: 12,
-	})
+	sc.World.StartRun()
+	if err := sc.World.AdvanceTo(12); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := checkpoint.Capture(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if done {
-		t.Fatal("fixture run completed instead of stopping at the snapshot")
+	if err := relroute.WriteCheckpoint(heapFixturePath, snap); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -52,8 +55,8 @@ func TestCheckpointHeapFixtureRestores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Events == 0 || snap.T == 0 {
-		t.Fatalf("fixture snapshot is empty: %+v", snap)
+	if snap.Events == 0 || snap.T == 0 || len(snap.Trail) != 0 {
+		t.Fatalf("fixture is not the trail-less mid-run snapshot: %+v", snap)
 	}
 
 	// Restore replays the first half under the calendar queue and
@@ -63,14 +66,9 @@ func TestCheckpointHeapFixtureRestores(t *testing.T) {
 	if err != nil {
 		t.Fatalf("heap-generated snapshot failed to restore under the calendar queue: %v", err)
 	}
-	got, done, err := relroute.RunCheckpointed(restored, relroute.CheckpointPolicy{
-		Path: filepath.Join(t.TempDir(), "resume.ckpt"), Every: 4,
-	})
+	got, err := relroute.CompleteRestored(restored)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !done {
-		t.Fatal("resumed run did not complete")
 	}
 
 	want, err := relroute.Run(snap.Protocol, snap.Opts)

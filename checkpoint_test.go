@@ -1,10 +1,10 @@
 package relroute_test
 
-// Checkpoint/restore integration tests at the public API: a mid-run
-// snapshot restored in a "fresh process" must continue to the exact
-// summary of the uninterrupted run, and a campaign resumed from its
-// manifest must reproduce the golden experiment tables without
-// re-executing journaled runs, at any worker count.
+// Run-record integration tests at the public API: a recorded run restored
+// in a "fresh process" must verify and complete to the exact summary of
+// the uninterrupted run, and a campaign resumed from its manifest must
+// reproduce the golden experiment tables without re-executing journaled
+// runs, at any worker count.
 
 import (
 	"fmt"
@@ -23,21 +23,24 @@ func TestCheckpointRoundTripPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Run the first half segmented, stopping with a final checkpoint.
 	sc, err := relroute.BuildScenario("TBP-SS", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	_, done, err := relroute.RunCheckpointed(sc, relroute.CheckpointPolicy{Path: path, Every: 5, StopAt: 15})
+	sum, rec, err := relroute.RecordRun(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if done {
-		t.Fatal("StopAt run reported completion")
+	if !reflect.DeepEqual(sum, want) {
+		t.Fatalf("recorded run diverged from the plain run:\ngot  %+v\nwant %+v", sum, want)
+	}
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	if err := relroute.WriteCheckpoint(path, rec); err != nil {
+		t.Fatal(err)
 	}
 
-	// "Fresh process": reload the snapshot, restore, and run to the end.
+	// "Fresh process": reload the record, restore (verifying the trail),
+	// and complete.
 	snap, err := relroute.ReadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
@@ -46,18 +49,12 @@ func TestCheckpointRoundTripPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, done, err := relroute.RunCheckpointed(restored, relroute.CheckpointPolicy{Path: path, Every: 5})
+	got, err := relroute.CompleteRestored(restored)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !done {
-		t.Fatal("resumed run did not complete")
-	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored run diverged from uninterrupted run:\ngot  %+v\nwant %+v", got, want)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Errorf("completed run left its checkpoint file behind: %v", err)
 	}
 }
 

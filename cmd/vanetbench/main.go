@@ -149,31 +149,19 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vanetbench:", err)
-		os.Exit(exitStatus(err))
+		os.Exit(relroute.ExitStatus(err))
 	}
-}
-
-// exitStatus is 2 for an option value the scenario builder rejected as
-// meaningless (NaN, a negative duration) and 1 for every other failure.
-func exitStatus(err error) int {
-	var bad *relroute.OptionError
-	if errors.As(err, &bad) {
-		return 2
-	}
-	return 1
 }
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("vanetbench", flag.ContinueOnError)
 	var (
-		exp       = fs.String("exp", "all", "experiment ID or \"all\"")
-		list      = fs.Bool("list", false, "list experiments and exit")
-		seed      = fs.Int64("seed", 1, "random seed")
-		quick     = fs.Bool("quick", false, "reduced populations and durations")
-		parallel  = fs.Int("parallel", 0, "simulation workers (0 = GOMAXPROCS)")
-		manifest  = fs.String("manifest", "", "durable campaign manifest directory: completed runs are journaled there, and an interrupted invocation re-run with the same -manifest resumes instead of re-executing them")
-		ckptDir   = fs.String("checkpoint-dir", "", "auto-checkpoint every simulation into this directory (post-mortem snapshots for failed runs)")
-		ckptEvery = fs.Float64("checkpoint-every", 0, "simulated seconds between checkpoint boundaries (0 = default)")
+		exp      = fs.String("exp", "all", "experiment ID or \"all\"")
+		list     = fs.Bool("list", false, "list experiments and exit")
+		seed     = fs.Int64("seed", 1, "random seed")
+		quick    = fs.Bool("quick", false, "reduced populations and durations")
+		parallel = fs.Int("parallel", 0, "simulation workers (0 = GOMAXPROCS)")
+		manifest = fs.String("manifest", "", "durable campaign manifest directory: completed runs are journaled there, and an interrupted invocation re-run with the same -manifest resumes instead of re-executing them")
 	)
 	stop, err := parseFlags(fs, args)
 	if err != nil {
@@ -191,7 +179,6 @@ func run(args []string) error {
 	cfg := relroute.ExperimentConfig{
 		Seed: *seed, Quick: *quick, Workers: *parallel,
 		Context: ctx, ManifestDir: *manifest,
-		CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery,
 	}
 	resumable := func(err error) error {
 		if (errors.Is(err, relroute.ErrInterrupted) || errors.Is(err, context.Canceled)) && *manifest != "" {

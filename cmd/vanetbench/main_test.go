@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/vanetlab/relroute"
 )
 
 func TestRunList(t *testing.T) {
@@ -102,11 +104,11 @@ func TestRejectsPositionalArguments(t *testing.T) {
 // the typed error: the exit status is 2 and the message names the option.
 func TestSweepMeaninglessOptionExitsTwo(t *testing.T) {
 	err := runSweep([]string{"-protocols", "Greedy", "-vehicles", "10", "-seeds", "1", "-duration", "2", "-speed", "NaN"})
-	if err == nil || exitStatus(err) != 2 || !strings.Contains(err.Error(), "SpeedMean") {
-		t.Fatalf("err = %v (exit status %d), want status 2 naming SpeedMean", err, exitStatus(err))
+	if err == nil || relroute.ExitStatus(err) != 2 || !strings.Contains(err.Error(), "SpeedMean") {
+		t.Fatalf("err = %v (exit status %d), want status 2 naming SpeedMean", err, relroute.ExitStatus(err))
 	}
-	if err := runSweep([]string{"-vehicles", "ten"}); exitStatus(err) != 1 {
-		t.Errorf("malformed grid: exit status %d, want 1", exitStatus(err))
+	if err := runSweep([]string{"-vehicles", "ten"}); relroute.ExitStatus(err) != 1 {
+		t.Errorf("malformed grid: exit status %d, want 1", relroute.ExitStatus(err))
 	}
 }
 
@@ -115,8 +117,8 @@ func TestSweepMeaninglessOptionExitsTwo(t *testing.T) {
 func TestSweepRefusedBeforeManifest(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "d")
 	err := runSweep([]string{"-speed", "NaN", "-manifest", dir, "-seeds", "2", "-vehicles", "20,40", "-protocols", "Greedy,AODV"})
-	if err == nil || exitStatus(err) != 2 || !strings.Contains(err.Error(), "SpeedMean") {
-		t.Fatalf("err = %v (exit status %d), want status 2 naming SpeedMean", err, exitStatus(err))
+	if err == nil || relroute.ExitStatus(err) != 2 || !strings.Contains(err.Error(), "SpeedMean") {
+		t.Fatalf("err = %v (exit status %d), want status 2 naming SpeedMean", err, relroute.ExitStatus(err))
 	}
 	if _, err := os.Stat(dir); !os.IsNotExist(err) {
 		t.Fatalf("manifest directory %s exists after a refused sweep (stat: %v)", dir, err)

@@ -10,19 +10,18 @@
 //	vanetsim -list
 //	vanetsim -list-scenarios
 //
-// Crash safety: -checkpoint snapshots the run periodically, -stop-at
-// stops it early with a final snapshot, and -resume continues from a
-// snapshot — byte-identical to the uninterrupted run. A first Ctrl-C
-// interrupts the run gracefully (leaving the last boundary snapshot
-// resumable); a second hard-exits.
+// Run records: -checkpoint writes the run's end-of-run record, with a
+// digest of every world layer at each simulated second, without changing
+// its output; -verify rebuilds the recorded run and checks it, naming the
+// first diverging time and layers. Record on one build and verify on
+// another to find where a change first moves a run. A first Ctrl-C
+// interrupts the run gracefully; a second hard-exits.
 //
-//	vanetsim -proto TBP-SS -checkpoint run.ckpt -checkpoint-every 10
-//	vanetsim -proto TBP-SS -checkpoint run.ckpt -stop-at 30
-//	vanetsim -resume run.ckpt -checkpoint run.ckpt
+//	vanetsim -proto TBP-SS -checkpoint run.ckpt
+//	vanetsim -verify run.ckpt
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -35,18 +34,8 @@ import (
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "vanetsim:", err)
-		os.Exit(exitStatus(err))
+		os.Exit(relroute.ExitStatus(err))
 	}
-}
-
-// exitStatus is 2 for an option value the scenario builder rejected as
-// meaningless (NaN, a negative duration) and 1 for every other failure.
-func exitStatus(err error) int {
-	var bad *relroute.OptionError
-	if errors.As(err, &bad) {
-		return 2
-	}
-	return 1
 }
 
 func run(args []string) error {
@@ -77,10 +66,8 @@ func run(args []string) error {
 		listEst   = fs.Bool("list-estimators", false, "list link estimators and exit")
 		faults    = fs.String("faults", "", "chaos profile injecting failures (see -list-faults; empty = none)")
 		listFault = fs.Bool("list-faults", false, "list fault profiles and exit")
-		ckptPath  = fs.String("checkpoint", "", "snapshot the run to this file at every checkpoint boundary")
-		ckptEvery = fs.Float64("checkpoint-every", 10, "simulated seconds between checkpoint boundaries")
-		stopAt    = fs.Float64("stop-at", 0, "stop at this simulated time after writing a final checkpoint (0 = run to the end)")
-		resume    = fs.String("resume", "", "resume from this checkpoint file instead of starting a new run")
+		ckptPath  = fs.String("checkpoint", "", "write the run's record (end state and per-second digest trail) to this file")
+		verify    = fs.String("verify", "", "rebuild the run recorded in this file and check it, instead of starting a new run")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -116,6 +103,9 @@ func run(args []string) error {
 		}
 		return nil
 	}
+	if *verify != "" {
+		return verifyRecord(*verify)
+	}
 	opts := relroute.Options{
 		Seed: *seed, Vehicles: *vehicles, HighwayLength: *length,
 		SpeedMean: *speed, SpeedStd: *speedStd, Duration: *duration,
@@ -128,31 +118,13 @@ func run(args []string) error {
 	if *city {
 		opts.Kind = relroute.CityKind
 	}
-	if *stopAt > 0 && *ckptPath == "" {
-		return fmt.Errorf("-stop-at needs -checkpoint (there is nowhere to write the final snapshot)")
+	sc, err := relroute.BuildScenario(*proto, opts)
+	if err != nil {
+		return err
 	}
 
-	var sc *relroute.Scenario
-	if *resume != "" {
-		snap, err := relroute.ReadCheckpoint(*resume)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "vanetsim: resuming %s/%s from t=%.2fs of %.2fs\n",
-			snap.Protocol, snap.Name, snap.T, snap.Duration)
-		if sc, err = relroute.RestoreCheckpoint(snap); err != nil {
-			return err
-		}
-	} else {
-		var err error
-		if sc, err = relroute.BuildScenario(*proto, opts); err != nil {
-			return err
-		}
-	}
-
-	// First Ctrl-C interrupts the engine at the next event boundary — the
-	// run unwinds cleanly and the last checkpoint stays resumable. A
-	// second Ctrl-C hard-exits.
+	// First Ctrl-C interrupts the engine at the next event boundary and the
+	// run unwinds cleanly. A second Ctrl-C hard-exits.
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigs)
@@ -164,24 +136,17 @@ func run(args []string) error {
 		os.Exit(130)
 	}()
 
-	sum, done, err := relroute.RunCheckpointed(sc, relroute.CheckpointPolicy{
-		Path:   *ckptPath,
-		Every:  *ckptEvery,
-		StopAt: *stopAt,
-	})
-	if err != nil {
-		if errors.Is(err, relroute.ErrInterrupted) && *ckptPath != "" {
-			if snap, rerr := relroute.ReadCheckpoint(*ckptPath); rerr == nil {
-				fmt.Fprintf(os.Stderr, "vanetsim: interrupted; last checkpoint at t=%.2fs of %.2fs — resumable with -resume %s\n",
-					snap.T, snap.Duration, *ckptPath)
-			}
+	var sum relroute.Summary
+	if *ckptPath != "" {
+		var rec *relroute.Checkpoint
+		if sum, rec, err = relroute.RecordRun(sc); err == nil {
+			err = relroute.WriteCheckpoint(*ckptPath, rec)
 		}
-		return err
+	} else {
+		sum, err = sc.Run()
 	}
-	if !done {
-		fmt.Fprintf(os.Stderr, "vanetsim: stopped at t=%.2fs as requested; resume with -resume %s\n",
-			*stopAt, *ckptPath)
-		return nil
+	if err != nil {
+		return err
 	}
 	fmt.Printf("protocol   %s\n", sum.Protocol)
 	fmt.Printf("scenario   %s\n", sum.Scenario)
@@ -210,5 +175,20 @@ func run(args []string) error {
 			fmt.Printf("recovery   %.3fs mean rejoin-to-heard\n", sum.RecoveryLatency)
 		}
 	}
+	return nil
+}
+
+// verifyRecord rebuilds the run recorded at path and checks it against the
+// record: every trail point, then the end state.
+func verifyRecord(path string) error {
+	rec, err := relroute.ReadCheckpoint(path)
+	if err != nil {
+		return err
+	}
+	if _, err := relroute.RestoreCheckpoint(rec); err != nil {
+		return err
+	}
+	fmt.Printf("verified   %s/%s: %d trail points and the state at t=%.2fs (%d events) match %s\n",
+		rec.Protocol, rec.Name, len(rec.Trail), rec.T, rec.Events, path)
 	return nil
 }

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"errors"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/vanetlab/relroute"
 )
 
 func TestRunList(t *testing.T) {
@@ -112,17 +116,47 @@ func TestMeaninglessOptionExitsTwo(t *testing.T) {
 		{[]string{"-vehicles", "-3"}, "Vehicles"},
 	} {
 		err := run(tc.args)
-		if err == nil || exitStatus(err) != 2 || !strings.Contains(err.Error(), tc.option) {
-			t.Errorf("%v: err = %v (exit status %d), want status 2 naming %s", tc.args, err, exitStatus(err), tc.option)
+		if err == nil || relroute.ExitStatus(err) != 2 || !strings.Contains(err.Error(), tc.option) {
+			t.Errorf("%v: err = %v (exit status %d), want status 2 naming %s", tc.args, err, relroute.ExitStatus(err), tc.option)
 		}
 	}
-	if err := run([]string{"-proto", "Bogus", "-duration", "5"}); exitStatus(err) != 1 {
-		t.Errorf("unknown protocol: exit status %d, want 1", exitStatus(err))
+	if err := run([]string{"-proto", "Bogus", "-duration", "5"}); relroute.ExitStatus(err) != 1 {
+		t.Errorf("unknown protocol: exit status %d, want 1", relroute.ExitStatus(err))
 	}
 	small := []string{"-vehicles", "12", "-duration", "5", "-flows", "1", "-packets", "2"}
 	for _, args := range [][]string{{"-proto", "DRR", "-rsus", "-1"}, {"-speedstd", "-1"}} {
 		if err := run(append(args, small...)); err != nil {
 			t.Errorf("%v: %v", args, err)
 		}
+	}
+}
+
+// -checkpoint writes a record that -verify accepts; a record whose identity
+// names a different seed than the run it holds fails verification with
+// exit status 1, at the first trail point.
+func TestVerifyRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	args := []string{"-proto", "Greedy", "-vehicles", "16", "-duration", "6", "-flows", "2", "-packets", "3", "-seed", "1"}
+	if err := run(append(args, "-checkpoint", path)); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-verify", path}); err != nil {
+		t.Fatalf("-verify on a record of the same binary: %v", err)
+	}
+
+	rec, err := relroute.ReadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Opts.Seed = 2
+	if err := relroute.WriteCheckpoint(path, rec); err != nil {
+		t.Fatal(err)
+	}
+	err = run([]string{"-verify", path})
+	if !errors.Is(err, relroute.ErrCheckpointVerify) || relroute.ExitStatus(err) != 1 {
+		t.Fatalf("-verify on a different seed: err = %v (exit status %d), want ErrCheckpointVerify and status 1", err, relroute.ExitStatus(err))
+	}
+	if !strings.Contains(err.Error(), "at t=1 ") {
+		t.Errorf("err = %v, want the divergence at the first trail point, t=1", err)
 	}
 }

@@ -1,5 +1,6 @@
-// Package checkpoint makes simulation runs crash-safe and resumable with
-// byte-identical recovery.
+// Package checkpoint records a simulation run and verifies that a rebuild
+// of it reproduces the run, naming the first simulated instant and the
+// subsystems at which it does not.
 //
 // # Design: logical snapshot + verified deterministic re-derivation
 //
@@ -14,35 +15,29 @@
 //
 //   - identity: protocol name plus the post-adjustment scenario Options
 //     (scenario.Build is idempotent on them);
-//   - progress: the simulation time T and executed-event count at the
-//     checkpoint boundary;
+//   - progress: the simulation time T and executed-event count;
 //   - verification: the full RNG stream table — (owner, seed, draw
 //     position) for every generator the run consumes — and a multi-layer
 //     FNV-1a digest of the live state (engine clock and event queue,
 //     spatial grid, mobility model, MAC, every node and its link-state
-//     monitor, membership, location service, metrics, link audit).
+//     monitor, membership, location service, metrics, link audit);
+//   - trail: for a Record, the event count and every layer's digest at
+//     each whole simulated second.
 //
-// Restore rebuilds the scenario from the identity, fast-forwards the
-// fresh engine to T, and then *proves* it reached the same state by
-// recomputing the digest and the stream table. A restored run is not
-// assumed identical — it is checked, and the continuation is
-// byte-identical to the uninterrupted run because checkpoint boundaries
-// are event-free: Engine.Run(t1); Run(t2) executes exactly the event
-// sequence of Run(t2).
-//
-// Serialized: identity, progress, stream table, digest. Re-derived on
-// restore: event-queue closures (by replay), the radio neighborhood
-// cache (pure memoization, rebuilt cold), kinematic-lifetime memos.
-// Checkpoints are constant-size — a few KB regardless of world size —
-// and capture costs one digest pass, never a serialization of the world.
+// Restore rebuilds the scenario from the identity, replays the fresh
+// engine through every trail point to T, and checks each on the way. A
+// rebuilt run is not assumed identical — it is checked, and the first
+// mismatch names its time and layers. Boundaries are event-free:
+// Engine.Run(t1); Run(t2) executes exactly the event sequence of Run(t2),
+// so recording a run does not change it.
 //
 // # On-disk format
 //
 // An 8-byte magic ("RRCKPT01", the version in the last two bytes), an
 // 8-byte little-endian payload length, an 8-byte FNV-1a checksum of the
 // payload, then the JSON-encoded Snapshot. Files are written atomically
-// (temp file + rename), so a crash mid-write leaves the previous
-// checkpoint intact, never a torn one.
+// (temp file + rename), so a crash mid-write leaves the previous file
+// intact, never a torn one.
 package checkpoint
 
 import (
@@ -52,9 +47,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"github.com/vanetlab/relroute/internal/digest"
 	"github.com/vanetlab/relroute/internal/metrics"
+	"github.com/vanetlab/relroute/internal/netstack"
 	"github.com/vanetlab/relroute/internal/prng"
 	"github.com/vanetlab/relroute/internal/scenario"
 )
@@ -63,6 +60,9 @@ import (
 // fields or any DigestInto implementation changes incompatibly; ReadFile
 // rejects mismatched files with ErrVersion.
 const FormatVersion = 1
+
+// trailEvery is the simulated time between Record's trail points.
+const trailEvery = 1.0
 
 var fileMagic = [8]byte{'R', 'R', 'C', 'K', 'P', 'T', '0', '1'}
 
@@ -73,13 +73,13 @@ var (
 	ErrChecksum = errors.New("checkpoint: payload checksum mismatch")
 	// ErrVersion marks a checkpoint from an incompatible format version.
 	ErrVersion = errors.New("checkpoint: unsupported format version")
-	// ErrVerify marks a restore whose fast-forwarded state failed
-	// verification against the snapshot (digest or stream divergence).
+	// ErrVerify marks a restore whose replayed state failed verification
+	// against the snapshot (trail, digest or stream divergence).
 	ErrVerify = errors.New("checkpoint: restored state does not match snapshot")
 )
 
-// Snapshot is one checkpoint: everything needed to rebuild a run, prove
-// the rebuild reached the captured state, and continue byte-identically.
+// Snapshot is one checkpoint: everything needed to rebuild a run and
+// prove the rebuild reached the captured state.
 type Snapshot struct {
 	Version  int    `json:"version"`
 	Protocol string `json:"protocol"`
@@ -89,12 +89,11 @@ type Snapshot struct {
 	// in-memory channel models are not serializable, and Capture refuses
 	// them.
 	Opts scenario.Options `json:"opts"`
-	// T is the simulation time of the checkpoint boundary; Events the
-	// executed-event count there.
+	// T is the simulation time of the snapshot (Duration for a Record);
+	// Events the executed-event count there.
 	T      float64 `json:"t"`
 	Events uint64  `json:"events"`
-	// Duration is the run's target end time, so a resume knows how far is
-	// left without consulting anything else.
+	// Duration is the run's target end time.
 	Duration float64 `json:"duration"`
 	// Digest is the world state digest at T (netstack.World.Digest).
 	Digest uint64 `json:"digest"`
@@ -106,6 +105,25 @@ type Snapshot struct {
 	// the process that owns the hook: Restore refuses, Resume (with the
 	// caller re-applying the hook to a fresh build) works.
 	HasSetup bool `json:"has_setup,omitempty"`
+	// Trail is Record's digest trail, one point per boundary up to T.
+	Trail []TrailPoint `json:"trail,omitempty"`
+}
+
+// TrailPoint is the world at one trail boundary: the time, the
+// executed-event count and the digest of every layer of
+// netstack.World.DigestInto.
+type TrailPoint struct {
+	T      float64          `json:"t"`
+	Events uint64           `json:"events"`
+	Layers []netstack.Layer `json:"layers"`
+}
+
+// selfContained refuses a scenario whose Options cannot be serialized.
+func selfContained(sc *scenario.Scenario) error {
+	if sc.Opts.Channel != nil {
+		return fmt.Errorf("checkpoint: scenario %s/%s uses an in-memory channel model; only options-derived channels are serializable", sc.Protocol, sc.Name)
+	}
+	return nil
 }
 
 // Capture snapshots a scenario at the current engine time. It must be
@@ -113,8 +131,8 @@ type Snapshot struct {
 // no events executed since — never from inside a running event. The
 // scenario's Options must be self-contained (Opts.Channel nil).
 func Capture(sc *scenario.Scenario) (*Snapshot, error) {
-	if sc.Opts.Channel != nil {
-		return nil, fmt.Errorf("checkpoint: scenario %s/%s uses an in-memory channel model; only options-derived channels are serializable", sc.Protocol, sc.Name)
+	if err := selfContained(sc); err != nil {
+		return nil, err
 	}
 	w := sc.World
 	return &Snapshot{
@@ -130,10 +148,65 @@ func Capture(sc *scenario.Scenario) (*Snapshot, error) {
 	}, nil
 }
 
+// Record runs a freshly built scenario to its Duration in segments
+// trailEvery apart, appending a TrailPoint at every boundary, and returns
+// the run's summary — Scenario.Run's, since boundaries are event-free —
+// with the snapshot captured at Duration, trail included. The scenario's
+// Options must be self-contained (Opts.Channel nil).
+func Record(sc *scenario.Scenario) (metrics.Summary, *Snapshot, error) {
+	if err := selfContained(sc); err != nil {
+		return metrics.Summary{}, nil, err
+	}
+	w := sc.World
+	w.StartRun()
+	defer w.EndRun()
+	var trail []TrailPoint
+	for t, end := w.Engine().Now(), sc.Opts.Duration; t < end; {
+		t = min(t+trailEvery, end)
+		if err := w.AdvanceTo(t); err != nil {
+			return metrics.Summary{}, nil, err
+		}
+		trail = append(trail, pointOf(w))
+	}
+	snap, err := Capture(sc)
+	if err != nil {
+		return metrics.Summary{}, nil, err
+	}
+	snap.Trail = trail
+	w.CompleteRun()
+	return sc.Summary(), snap, nil
+}
+
+// pointOf is the world's trail point at the current engine time.
+func pointOf(w *netstack.World) TrailPoint {
+	return TrailPoint{T: w.Engine().Now(), Events: w.Engine().EventCount(), Layers: w.Layers()}
+}
+
+// verify compares the world at the point's boundary with the point. On a
+// mismatch it returns ErrVerify naming the time and every layer that
+// differs.
+func (p TrailPoint) verify(w *netstack.World) error {
+	got := pointOf(w)
+	var differ []string
+	for i, l := range p.Layers {
+		if i >= len(got.Layers) || got.Layers[i] != l {
+			differ = append(differ, l.Name)
+		}
+	}
+	for _, l := range got.Layers[min(len(p.Layers), len(got.Layers)):] {
+		differ = append(differ, l.Name)
+	}
+	if got.Events == p.Events && len(differ) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%w: first divergence at t=%g (replay %d events, record %d): layers %s",
+		ErrVerify, p.T, got.Events, p.Events, strings.Join(differ, ", "))
+}
+
 // WriteFile atomically writes the snapshot to path: the payload lands in
 // a temp file in the same directory and is renamed into place, so readers
-// (and crashes) see either the old checkpoint or the new one, never a
-// torn write.
+// (and crashes) see either the old file or the new one, never a torn
+// write.
 func WriteFile(path string, snap *Snapshot) error {
 	payload, err := json.Marshal(snap)
 	if err != nil {
@@ -193,11 +266,10 @@ func ReadFile(path string) (*Snapshot, error) {
 	return &snap, nil
 }
 
-// Restore rebuilds the snapshot's scenario from scratch and fast-forwards
-// it to the checkpoint, verifying digest and stream table. On success the
-// returned scenario's engine sits at snap.T with the run's periodic
-// machinery armed (StartRun has run); continue with sc.World.AdvanceTo /
-// CompleteRun / EndRun, or Complete.
+// Restore rebuilds the snapshot's scenario from scratch and replays it to
+// the snapshot through Resume. On success the returned scenario's engine
+// sits at snap.T with the run's periodic machinery armed (StartRun has
+// run); continue with Complete.
 func Restore(snap *Snapshot) (*scenario.Scenario, error) {
 	if snap.HasSetup {
 		return nil, fmt.Errorf("checkpoint: snapshot of %s/%s was captured under a run-specific Setup hook; rebuild the scenario in-process and use Resume", snap.Protocol, snap.Name)
@@ -213,17 +285,27 @@ func Restore(snap *Snapshot) (*scenario.Scenario, error) {
 	return sc, nil
 }
 
-// Resume fast-forwards a freshly built scenario to the snapshot boundary
-// and verifies it reached the captured state: event count, then every
-// stream's (owner, seed, position) — which pinpoints the diverging
-// component on mismatch — then the full state digest. The scenario must
-// be a fresh build of the snapshot's identity (same protocol and Opts),
-// with any Setup hook already re-applied.
+// Resume replays a freshly built scenario to the snapshot and verifies it:
+// at each trail point in order, the event count and every layer's digest;
+// then at snap.T the event count, every stream's (owner, seed, position)
+// — which names the diverging stream — and the whole digest. It stops at
+// the first mismatch, so no earlier boundary diverged; a snapshot without
+// a trail is checked at snap.T alone. The scenario must be a fresh build
+// of the snapshot's identity (same protocol and Opts), with any Setup hook
+// already re-applied.
 func Resume(sc *scenario.Scenario, snap *Snapshot) error {
 	w := sc.World
 	w.StartRun()
+	for _, p := range snap.Trail {
+		if err := w.AdvanceTo(p.T); err != nil {
+			return fmt.Errorf("checkpoint: replay to t=%g: %w", p.T, err)
+		}
+		if err := p.verify(w); err != nil {
+			return err
+		}
+	}
 	if err := w.AdvanceTo(snap.T); err != nil {
-		return fmt.Errorf("checkpoint: fast-forward to t=%g: %w", snap.T, err)
+		return fmt.Errorf("checkpoint: replay to t=%g: %w", snap.T, err)
 	}
 	if got := w.Engine().EventCount(); got != snap.Events {
 		return fmt.Errorf("%w: executed %d events reaching t=%g, snapshot recorded %d", ErrVerify, got, snap.T, snap.Events)
@@ -254,88 +336,4 @@ func Complete(sc *scenario.Scenario) (metrics.Summary, error) {
 	}
 	sc.World.CompleteRun()
 	return sc.Summary(), nil
-}
-
-// Policy configures segmented execution with periodic checkpoints.
-type Policy struct {
-	// Path is the snapshot file, atomically rewritten at every boundary.
-	// Empty disables checkpoint writes (the run still executes segmented,
-	// which is unobservable).
-	Path string
-	// Every is the simulation-time spacing of checkpoint boundaries in
-	// seconds; <= 0 means 10.
-	Every float64
-	// StopAt, when positive and before the run's Duration, stops the run
-	// at that boundary after writing a final checkpoint — the "kill and
-	// resume later" path CLIs expose as -stop-at.
-	StopAt float64
-	// HasSetup stamps written snapshots as runner-rebuilt-only (see
-	// Snapshot.HasSetup).
-	HasSetup bool
-	// OnCheckpoint, if non-nil, is invoked after each successful snapshot
-	// write (progress reporting).
-	OnCheckpoint func(snap *Snapshot)
-}
-
-func (p Policy) every() float64 {
-	if p.Every <= 0 {
-		return 10
-	}
-	return p.Every
-}
-
-// Run executes the scenario in checkpoint-spaced segments: each boundary
-// is event-free, so the run's event sequence — and therefore its output —
-// is byte-identical to Scenario.Run. It works on fresh builds and on
-// scenarios positioned by Resume alike (segments start at the engine's
-// current time).
-//
-// done reports whether the run reached its Duration: true means the
-// summary is valid and any checkpoint file has been removed (the run
-// needs no resuming); false means the run stopped at Policy.StopAt with
-// a checkpoint on disk and a zero summary. An engine interruption (a
-// deadline or Ctrl-C) surfaces as an error; the last boundary snapshot
-// on disk is then the durable artifact — state mid-segment is never
-// captured.
-func Run(sc *scenario.Scenario, pol Policy) (sum metrics.Summary, done bool, err error) {
-	w := sc.World
-	w.StartRun()
-	defer w.EndRun()
-	end := sc.Opts.Duration
-	stop := end
-	if pol.StopAt > 0 && pol.StopAt < end {
-		stop = pol.StopAt
-	}
-	every := pol.every()
-	t := w.Engine().Now()
-	for t < stop {
-		t += every
-		if t > stop {
-			t = stop
-		}
-		if err := w.AdvanceTo(t); err != nil {
-			return metrics.Summary{}, false, err
-		}
-		if pol.Path != "" && (t < end || stop < end) {
-			snap, err := Capture(sc)
-			if err != nil {
-				return metrics.Summary{}, false, err
-			}
-			snap.HasSetup = pol.HasSetup
-			if err := WriteFile(pol.Path, snap); err != nil {
-				return metrics.Summary{}, false, err
-			}
-			if pol.OnCheckpoint != nil {
-				pol.OnCheckpoint(snap)
-			}
-		}
-	}
-	if stop < end {
-		return metrics.Summary{}, false, nil
-	}
-	w.CompleteRun()
-	if pol.Path != "" {
-		os.Remove(pol.Path) // completed runs need no resume artifact
-	}
-	return sc.Summary(), true, nil
 }

@@ -5,9 +5,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/vanetlab/relroute/internal/metrics"
+	"github.com/vanetlab/relroute/internal/netstack"
 	"github.com/vanetlab/relroute/internal/scenario"
 )
 
@@ -41,31 +43,43 @@ func captureAt(t *testing.T, protocol string, opts scenario.Options, at float64)
 	return snap
 }
 
-// roundTrip asserts that capture-at-mid-run → write → read → restore in a
-// "fresh process" → run-to-end reproduces the uninterrupted summary
-// exactly.
+// roundTrip asserts that Record's summary is the uninterrupted run's, and
+// that its record and a mid-run capture each survive write → read →
+// restore in a "fresh process" → run-to-end with that summary exactly.
 func roundTrip(t *testing.T, protocol string, opts scenario.Options) {
 	t.Helper()
 	want := runClean(t, protocol, opts)
-	snap := captureAt(t, protocol, opts, opts.Duration/2)
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	if err := WriteFile(path, snap); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	loaded, err := ReadFile(path)
+	sc, err := scenario.Build(protocol, opts)
 	if err != nil {
-		t.Fatalf("read: %v", err)
+		t.Fatalf("build: %v", err)
 	}
-	sc, err := Restore(loaded)
+	sum, rec, err := Record(sc)
 	if err != nil {
-		t.Fatalf("restore: %v", err)
+		t.Fatalf("record: %v", err)
 	}
-	got, err := Complete(sc)
-	if err != nil {
-		t.Fatalf("complete: %v", err)
+	if !reflect.DeepEqual(sum, want) {
+		t.Errorf("recorded run diverged from scenario.RunProtocol:\ngot  %+v\nwant %+v", sum, want)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("restored run diverged from uninterrupted run:\ngot  %+v\nwant %+v", got, want)
+	for _, snap := range []*Snapshot{captureAt(t, protocol, opts, opts.Duration/2), rec} {
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		if err := WriteFile(path, snap); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		loaded, err := ReadFile(path)
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		sc, err := Restore(loaded)
+		if err != nil {
+			t.Fatalf("restore at t=%g: %v", snap.T, err)
+		}
+		got, err := Complete(sc)
+		if err != nil {
+			t.Fatalf("complete: %v", err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("run restored at t=%g diverged from uninterrupted run:\ngot  %+v\nwant %+v", snap.T, got, want)
+		}
 	}
 }
 
@@ -169,67 +183,46 @@ func TestVerifyCatchesStreamTampering(t *testing.T) {
 	}
 }
 
-func TestPolicyRunMatchesUninterrupted(t *testing.T) {
+// TestTrailNamesFirstDivergence verifies a clean record against a build
+// that crashes one node at t=7.3: the first trail point that differs must
+// be t=8, and Resume stops there. The crash is armed from a beacon hook
+// once t > 7 because an event scheduled at build time would sit in the
+// engine's queue, and so in its digest layer, from t=1.
+func TestTrailNamesFirstDivergence(t *testing.T) {
 	o := baseOpts()
-	want := runClean(t, "TBP-SS", o)
-	sc, err := scenario.Build("TBP-SS", o)
+	sc, err := scenario.Build("Greedy", o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	boundaries := 0
-	got, done, err := Run(sc, Policy{Path: path, Every: 3, OnCheckpoint: func(*Snapshot) { boundaries++ }})
+	_, rec, err := Record(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !done {
-		t.Fatal("Run did not report completion")
+	if len(rec.Trail) != int(o.Duration) || rec.Trail[7].T != 8 {
+		t.Fatalf("trail has %d points, want one per simulated second", len(rec.Trail))
 	}
-	if boundaries == 0 {
-		t.Fatal("Run wrote no checkpoints")
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("segmented run diverged from Scenario.Run:\ngot  %+v\nwant %+v", got, want)
-	}
-	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("completed run left its checkpoint file behind: %v", err)
-	}
-}
 
-func TestStopAtThenResumeCompletes(t *testing.T) {
-	o := baseOpts()
-	want := runClean(t, "TBP-SS", o)
-	sc, err := scenario.Build("TBP-SS", o)
+	perturbed, err := scenario.Build("Greedy", o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	_, done, err := Run(sc, Policy{Path: path, Every: 4, StopAt: 10})
-	if err != nil {
-		t.Fatal(err)
+	w := perturbed.World
+	victim := w.NodeIDs(netstack.Vehicle)[0]
+	armed := false
+	w.SetBeaconHeardHook(func(netstack.NodeID) {
+		if !armed && w.Engine().Now() > 7 {
+			armed = true
+			w.Engine().At(7.3, func() { w.CrashNode(victim) })
+		}
+	})
+	err = Resume(perturbed, rec)
+	if !errors.Is(err, ErrVerify) {
+		t.Fatalf("Resume of the perturbed build: got %v, want ErrVerify", err)
 	}
-	if done {
-		t.Fatal("StopAt run reported completion")
+	if !strings.Contains(err.Error(), "first divergence at t=8 ") || !strings.Contains(err.Error(), "nodes") {
+		t.Fatalf("err = %v, want the divergence at t=8 naming the nodes layer", err)
 	}
-	snap, err := ReadFile(path)
-	if err != nil {
-		t.Fatalf("StopAt left no loadable checkpoint: %v", err)
-	}
-	if snap.T != 10 {
-		t.Fatalf("final checkpoint at t=%g, want 10", snap.T)
-	}
-	resumed, err := Restore(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, done, err := Run(resumed, Policy{Path: path, Every: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !done {
-		t.Fatal("resumed run did not complete")
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("stop/resume run diverged from uninterrupted run:\ngot  %+v\nwant %+v", got, want)
+	if now := w.Engine().Now(); now != 8 {
+		t.Fatalf("Resume stopped at t=%g, want 8: no earlier boundary may be flagged", now)
 	}
 }

@@ -41,11 +41,6 @@ type Config struct {
 	// The fingerprint keys the file, so experiments that submit several
 	// campaigns get one journal each.
 	ManifestDir string
-	// CheckpointDir, when non-empty, auto-checkpoints every run there
-	// (see runner.Pool.CheckpointDir); CheckpointEvery is the boundary
-	// spacing in simulated seconds (0 means the default).
-	CheckpointDir   string
-	CheckpointEvery float64
 }
 
 func (c Config) seed() int64 {
@@ -57,7 +52,7 @@ func (c Config) seed() int64 {
 
 // submit executes a campaign on the config's worker pool and unwraps the
 // summaries in submission order, threading through the config's
-// cancellation context, checkpoint policy, and campaign manifest.
+// cancellation context and campaign manifest.
 func (c Config) submit(camp runner.Campaign) ([]metrics.Summary, error) {
 	results, err := c.submitResults(camp)
 	if err != nil {
@@ -68,13 +63,9 @@ func (c Config) submit(camp runner.Campaign) ([]metrics.Summary, error) {
 
 // submitResults is submit for experiments that need the full results —
 // the single execution path every experiment goes through, so the
-// config's context, checkpoint, and manifest plumbing apply uniformly.
+// config's context and manifest plumbing apply uniformly.
 func (c Config) submitResults(camp runner.Campaign) ([]runner.Result, error) {
-	pool := runner.Pool{
-		Workers:         c.Workers,
-		CheckpointDir:   c.CheckpointDir,
-		CheckpointEvery: c.CheckpointEvery,
-	}
+	pool := runner.Pool{Workers: c.Workers}
 	ctx := c.Context
 	if ctx == nil {
 		ctx = context.Background()

@@ -41,12 +41,9 @@ func pairKey(a, b NodeID) uint64 {
 }
 
 // EnableLinkAudit arms ground-truth link-break tracking with the given
-// horizon in seconds (<= 0 means 30): predictions and observations are
-// capped there. Call before Run.
+// horizon in seconds: predictions and observations are capped there. Call
+// before Run.
 func (w *World) EnableLinkAudit(horizon float64) {
-	if horizon <= 0 {
-		horizon = 30
-	}
 	w.audit = &linkAudit{horizon: horizon, idx: make(map[uint64]bool)}
 }
 

@@ -13,7 +13,7 @@
 //	flow.go        CBR application flows, by node ID or by vehicle ID
 //	frame.go       Send → MAC → dispatch / txFailed / frameDone, and the packet pool
 //	location.go    the idealised location service
-//	digest.go      DigestInto and the RNG stream table
+//	digest.go      DigestInto by layer and the RNG stream table
 //	audit.go       ground-truth link audit (opt-in)
 //	faultplane.go  crash / recover and the hooks internal/faults installs
 //	router.go      Router, Base and the per-node API; packet.go, neighbor.go: the types

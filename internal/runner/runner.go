@@ -14,14 +14,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/vanetlab/relroute/internal/checkpoint"
 	"github.com/vanetlab/relroute/internal/metrics"
 	"github.com/vanetlab/relroute/internal/scenario"
 	"github.com/vanetlab/relroute/internal/sim"
@@ -117,33 +114,14 @@ type Pool struct {
 	Workers int
 	// Timeout bounds each run attempt's wall-clock time; zero means no
 	// limit. On expiry the attempt's engine is interrupted at the next
-	// event boundary and the attempt records a timeout error, so one hung
-	// simulation degrades to a recorded failure instead of wedging its
-	// worker.
+	// event boundary and the attempt records a timeout error naming the
+	// simulated time and event count reached, so one hung simulation
+	// degrades to a recorded failure instead of wedging its worker.
 	Timeout time.Duration
 	// Retries is how many extra attempts a transiently failed run (panic,
 	// timeout, or mid-run error — not a scenario-build error) is given
 	// before its error is recorded. Zero means a single attempt.
 	Retries int
-	// CheckpointDir, when non-empty, enables periodic auto-checkpointing:
-	// each run writes a snapshot to <dir>/runNNNN.ckpt at every checkpoint
-	// boundary. A run that completes removes its file; a run that fails —
-	// including one that exhausts Retries — leaves its last boundary
-	// snapshot on disk for post-mortem inspection. Retried attempts always
-	// start from a fresh build, never from the aborted attempt's
-	// checkpoint: an attempt is transiently failed precisely when its
-	// environment misbehaved, and resuming it would re-trust that
-	// environment's partial state. Runs whose Options carry an in-memory
-	// channel model are not capturable and run unsegmented.
-	CheckpointDir string
-	// CheckpointEvery is the simulation-time spacing of checkpoint
-	// boundaries in seconds; <= 0 means the checkpoint package default.
-	CheckpointEvery float64
-}
-
-// checkpointPath names run i's snapshot file inside CheckpointDir.
-func (p Pool) checkpointPath(i int) string {
-	return filepath.Join(p.CheckpointDir, fmt.Sprintf("run%04d.ckpt", i))
 }
 
 func (p Pool) workers(n int) int {
@@ -188,9 +166,6 @@ func (p Pool) ExecuteResumable(ctx context.Context, c Campaign, j *Journal) []Re
 	if n == 0 {
 		return results
 	}
-	if p.CheckpointDir != "" {
-		os.MkdirAll(p.CheckpointDir, 0o755)
-	}
 	runOne := func(i int) {
 		if j != nil {
 			if res, ok := j.Completed(i); ok {
@@ -203,7 +178,7 @@ func (p Pool) ExecuteResumable(ctx context.Context, c Campaign, j *Journal) []Re
 				return
 			}
 		}
-		results[i] = p.execute(ctx, i, c.Runs[i])
+		results[i] = p.execute(ctx, c.Runs[i])
 		if j != nil && results[i].Err == nil {
 			j.Record(i, results[i])
 		}
@@ -246,9 +221,9 @@ func Execute(c Campaign, workers int) []Result {
 // deterministic simulation, so a retry only helps against environmental
 // faults — OOM-killed goroutines, timeouts on a loaded machine), while
 // scenario-build errors and campaign cancellation fail immediately.
-func (p Pool) execute(ctx context.Context, idx int, r Run) Result {
+func (p Pool) execute(ctx context.Context, r Run) Result {
 	for attempt := 1; ; attempt++ {
-		res, transient := p.attempt(ctx, idx, r)
+		res, transient := p.attempt(ctx, r)
 		res.Attempts = attempt
 		if res.Err == nil || !transient || attempt > p.Retries {
 			return res
@@ -259,9 +234,9 @@ func (p Pool) execute(ctx context.Context, idx int, r Run) Result {
 // attempt builds and runs one scenario, recovering panics into errors so a
 // bad run cannot take down sibling workers. The transient flag reports
 // whether retrying could plausibly change the outcome. Every attempt
-// builds fresh; when checkpointing is on, the attempt executes segmented
-// and leaves its last boundary snapshot behind on failure.
-func (p Pool) attempt(ctx context.Context, idx int, r Run) (res Result, transient bool) {
+// builds fresh. An interrupted attempt's error says the simulated time and
+// event count at which its engine stopped.
+func (p Pool) attempt(ctx context.Context, r Run) (res Result, transient bool) {
 	res.Run = r
 	transient = true
 	defer func() {
@@ -293,24 +268,17 @@ func (p Pool) attempt(ctx context.Context, idx int, r Run) (res Result, transien
 		stop := context.AfterFunc(runCtx, sc.World.Engine().Interrupt)
 		defer stop()
 	}
-	var sum metrics.Summary
-	if p.CheckpointDir != "" && r.Opts.Channel == nil {
-		sum, _, err = checkpoint.Run(sc, checkpoint.Policy{
-			Path:     p.checkpointPath(idx),
-			Every:    p.CheckpointEvery,
-			HasSetup: r.Setup != nil,
-		})
-	} else {
-		sum, err = sc.Run()
-	}
+	sum, err := sc.Run()
 	if err != nil {
 		if errors.Is(err, sim.ErrInterrupted) {
+			eng := sc.World.Engine()
+			at := fmt.Sprintf("at t=%.2fs, %d events", eng.Now(), eng.EventCount())
 			switch {
 			case ctx.Err() != nil:
-				err = fmt.Errorf("%w (campaign cancelled)", err)
+				err = fmt.Errorf("%w (campaign cancelled %s)", err, at)
 				transient = false
 			case p.Timeout > 0:
-				err = fmt.Errorf("%w (timed out after %v)", err, p.Timeout)
+				err = fmt.Errorf("%w (timed out after %v %s)", err, p.Timeout, at)
 			}
 		}
 		res.Err = err

@@ -26,6 +26,7 @@
 package relroute
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/vanetlab/relroute/internal/checkpoint"
@@ -52,6 +53,17 @@ type Options = scenario.Options
 // holding a non-finite value, or a negative one where negative means
 // nothing; errors.As finds it under the wrapping the batch runner adds.
 type OptionError = scenario.OptionError
+
+// ExitStatus is the process exit status a command reports for a non-nil
+// err: 2 for an option value the scenario builder rejected as meaningless
+// (NaN, a negative duration) and 1 for every other failure.
+func ExitStatus(err error) int {
+	var bad *OptionError
+	if errors.As(err, &bad) {
+		return 2
+	}
+	return 1
+}
 
 // Summary is the metrics snapshot of one run: PDR, delays, hop counts,
 // control overhead, collision rate, and route-maintenance counters.
@@ -185,8 +197,8 @@ func Run(protocol string, opts Options) (Summary, error) {
 }
 
 // BuildScenario assembles a simulation of the named protocol without
-// running it — the entry point for checkpointed execution and for callers
-// that interrupt or instrument the run.
+// running it — the entry point for recorded runs (RecordRun) and for
+// callers that interrupt or instrument the run.
 func BuildScenario(protocol string, opts Options) (*Scenario, error) {
 	return scenario.Build(protocol, opts)
 }
@@ -195,17 +207,14 @@ func BuildScenario(protocol string, opts Options) (*Scenario, error) {
 // early via Interrupt — a timeout, a cancelled campaign, or Ctrl-C.
 var ErrInterrupted = sim.ErrInterrupted
 
-// Checkpoint is a point-in-time snapshot of a running simulation: the
-// run's identity (protocol + options), its progress (simulation time and
-// event count), the full RNG stream table, and a state digest. Restoring
-// rebuilds the run deterministically and proves — by digest and stream
-// verification — that the continuation is byte-identical to the
-// uninterrupted run. See internal/checkpoint for the design.
+// Checkpoint is a run record: the run's identity (protocol + options), its
+// progress (simulation time and event count), the full RNG stream table, a
+// state digest and, from RecordRun, a digest trail of every layer at each
+// simulated second. Restoring rebuilds the run deterministically and
+// proves — by trail, stream and digest verification — that the rebuild
+// reproduces it, or names the first time and layers at which it does not.
+// See internal/checkpoint for the design.
 type Checkpoint = checkpoint.Snapshot
-
-// CheckpointPolicy configures segmented execution with periodic snapshot
-// writes (RunCheckpointed).
-type CheckpointPolicy = checkpoint.Policy
 
 // Checkpoint error classes, for errors.Is: a non-checkpoint file, a
 // corrupted or truncated payload, an incompatible format version, and a
@@ -224,18 +233,18 @@ func ReadCheckpoint(path string) (*Checkpoint, error) { return checkpoint.ReadFi
 // WriteCheckpoint atomically writes a checkpoint file.
 func WriteCheckpoint(path string, snap *Checkpoint) error { return checkpoint.WriteFile(path, snap) }
 
-// RestoreCheckpoint rebuilds the snapshot's run and fast-forwards it to
-// the checkpoint boundary, verifying the state digest and every RNG
-// stream.
+// RestoreCheckpoint rebuilds the snapshot's run and replays it to the
+// snapshot's time, verifying every trail point, the state digest and
+// every RNG stream; a mismatch is ErrCheckpointVerify naming where.
 func RestoreCheckpoint(snap *Checkpoint) (*Scenario, error) { return checkpoint.Restore(snap) }
 
-// RunCheckpointed executes a scenario (fresh or restored) in
-// checkpoint-spaced segments, byte-identical to an unsegmented run. done
-// is false when the run stopped early at pol.StopAt with a checkpoint on
-// disk.
-func RunCheckpointed(sc *Scenario, pol CheckpointPolicy) (sum Summary, done bool, err error) {
-	return checkpoint.Run(sc, pol)
-}
+// CompleteRestored runs a restored scenario to its end and returns the
+// summary, byte-identical to the uninterrupted run's.
+func CompleteRestored(sc *Scenario) (Summary, error) { return checkpoint.Complete(sc) }
+
+// RecordRun runs a freshly built scenario to its end, returning its
+// summary — the same as an unrecorded run's — and its run record.
+func RecordRun(sc *Scenario) (Summary, *Checkpoint, error) { return checkpoint.Record(sc) }
 
 // Campaign is an ordered batch of simulation runs; see BatchRun and
 // BatchSpec for assembling one.
@@ -275,9 +284,8 @@ func RunBatch(c Campaign, workers int) []BatchResult {
 }
 
 // BatchPool executes campaigns with explicit policy: worker count,
-// per-run timeout, retry budget, auto-checkpointing (CheckpointDir), and
-// — via ExecuteContext / ExecuteResumable — cancellation and durable
-// campaign manifests.
+// per-run timeout, retry budget, and — via ExecuteContext /
+// ExecuteResumable — cancellation and durable campaign manifests.
 type BatchPool = runner.Pool
 
 // CampaignJournal is a durable campaign manifest: completed runs are
