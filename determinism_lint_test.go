@@ -20,7 +20,7 @@ var lintedTrees = []string{
 
 // TestNoMapRangeOnTheEventPath parses every non-test file under
 // lintedTrees and fails on a range over a map whose body calls Send*,
-// After, Ticker, NewUID or a *rand.Rand method, directly or through
+// After, Every, Ticker, NewUID or a *rand.Rand method, directly or through
 // another linted function. The fix is always the same: collect the keys,
 // sort them, range the slice.
 //
@@ -237,7 +237,7 @@ func lastName(e ast.Expr) string {
 func (l *lint) orderSensitive(call *ast.CallExpr) string {
 	name := lastName(call.Fun)
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if strings.HasPrefix(name, "Send") || name == "After" || name == "Ticker" || name == "NewUID" {
+		if strings.HasPrefix(name, "Send") || name == "After" || name == "Every" || name == "Ticker" || name == "NewUID" {
 			return name
 		}
 		// a *rand.Rand method: api.Rand().Intn, n.random().Float64, rng.Perm

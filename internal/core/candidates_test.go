@@ -87,7 +87,7 @@ func scoreEverything(r *TicketRouter, scores map[netstack.NodeID]float64, dst ne
 		}
 		scored++
 		s := scores[nb.ID]
-		if s < r.threshold {
+		if s < stabilityThreshold {
 			continue
 		}
 		prog := 0.0

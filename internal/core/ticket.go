@@ -26,47 +26,38 @@ func WithMetric(m Metric) TicketOption {
 	return func(r *TicketRouter) { r.metric = m }
 }
 
-// WithStabilityThreshold sets the minimum acceptable link stability in
-// seconds (default 3); probes never traverse weaker links — the "SS"
-// stability constraint.
-func WithStabilityThreshold(s float64) TicketOption {
-	return func(r *TicketRouter) { r.threshold = s }
-}
-
-// WithSelectionWindow sets how long the destination collects probes before
-// answering with the best path (default 0.3 s).
-func WithSelectionWindow(d float64) TicketOption {
-	return func(r *TicketRouter) { r.window = d }
-}
-
-// WithRebuildMargin sets how long before the predicted path expiry the
-// source re-probes (default 1 s).
-func WithRebuildMargin(d float64) TicketOption {
-	return func(r *TicketRouter) { r.rebuildMargin = d }
-}
-
 // WithScorer replaces the link-stability estimator with a custom function,
 // which makes a protocol of its own: name is what the router answers to
 // and labels its packets with (the hybrid probability+mobility router the
-// paper's conclusion proposes is the one user). The scorer must return
-// seconds of predicted usable lifetime; the threshold and path-min
-// composition still apply.
+// paper's conclusion proposes is the one user; tests use it to set link
+// scores). The scorer must return seconds of predicted usable lifetime;
+// the threshold and path-min composition still apply.
 func WithScorer(name string, f func(api *netstack.API, nb netstack.Neighbor) float64) TicketOption {
 	return func(r *TicketRouter) { r.name, r.scorer = name, f }
 }
+
+const (
+	// stabilityThreshold is the minimum acceptable link stability in
+	// seconds; probes never traverse weaker links — the "SS" stability
+	// constraint.
+	stabilityThreshold = 3.0
+	// selectionWindow is how long, in seconds, the destination collects
+	// probes before answering with the best path.
+	selectionWindow = 0.3
+	// rebuildMargin is how long before the predicted path expiry, in
+	// seconds, the source re-probes.
+	rebuildMargin = 1.0
+)
 
 // TicketRouter is the Yan/TBP-SS probability-model-based router: selective
 // ticket probing on a link-stability metric, source-routed data, and
 // stability-driven preemptive maintenance.
 type TicketRouter struct {
 	routing.Discovery
-	tickets       int
-	metric        Metric
-	threshold     float64
-	window        float64
-	rebuildMargin float64
-	name          string // of a WithScorer protocol; the metric names the others
-	scorer        func(api *netstack.API, nb netstack.Neighbor) float64
+	tickets int
+	metric  Metric
+	name    string // of a WithScorer protocol; the metric names the others
+	scorer  func(api *netstack.API, nb netstack.Neighbor) float64
 
 	// source-side active paths: dst → source route + predicted stability
 	paths map[netstack.NodeID]*activePath
@@ -134,18 +125,15 @@ type srcHeader struct {
 func NewTicketRouter(opts ...TicketOption) netstack.RouterFactory {
 	return func() netstack.Router {
 		r := &TicketRouter{
-			tickets:       3,
-			metric:        MetricMeanDuration,
-			threshold:     3,
-			window:        0.3,
-			rebuildMargin: 1,
-			paths:         make(map[netstack.NodeID]*activePath),
+			tickets: 3,
+			metric:  MetricMeanDuration,
+			paths:   make(map[netstack.NodeID]*activePath),
 		}
 		for _, o := range opts {
 			o(r)
 		}
 		r.Init(r.Name(), 1.0, r.routed, r.forward, r.sendProbes)
-		r.sel = routing.NewSelection(r.window, r.answer)
+		r.sel = routing.NewSelection(selectionWindow, r.answer)
 		return r
 	}
 }
@@ -267,7 +255,7 @@ func (r *TicketRouter) candidates(dst netstack.NodeID, path []netstack.NodeID) [
 			}
 		}
 		s := r.stability(*nb)
-		if s < r.threshold {
+		if s < stabilityThreshold {
 			continue
 		}
 		out = append(out, candidate{id: nb.ID, stability: s, progress: prog})
@@ -408,7 +396,7 @@ func (r *TicketRouter) handleReply(pkt *netstack.Packet) {
 		r.Answered(rep.Target)
 		// stability-driven preemptive rebuild
 		if stab != link.Forever {
-			lead := routing.CapLife(stab) - r.rebuildMargin
+			lead := routing.CapLife(stab) - rebuildMargin
 			if lead < 0.1 {
 				lead = 0.1
 			}

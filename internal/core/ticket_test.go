@@ -49,23 +49,47 @@ func TestProbingBeatsFloodingOnOverhead(t *testing.T) {
 	}
 }
 
+// scored is TBP-SS with the link scores the test sets: score(a, b) seconds
+// for the link from node a to neighbor b.
+func scored(score func(a, b netstack.NodeID) float64) netstack.RouterFactory {
+	return core.NewTicketRouter(core.WithScorer("TBP-SS", func(api *netstack.API, nb netstack.Neighbor) float64 {
+		return score(api.Self(), nb.ID)
+	}))
+}
+
+// shifted is TBP-SS scoring every link by the mean-duration metric plus by
+// seconds: under the 3 s threshold it admits exactly what a threshold of
+// 3 − by admits of the plain metric.
+func shifted(by float64, opts ...core.TicketOption) netstack.RouterFactory {
+	return core.NewTicketRouter(append(opts, core.WithScorer("TBP-SS", func(api *netstack.API, nb netstack.Neighbor) float64 {
+		return by + core.LinkStability(core.MetricMeanDuration, core.StabilityParams{},
+			api.Pos(), api.Vel(), nb.Pos, nb.Vel, api.RangeEstimate())
+	}))...)
+}
+
 func TestStabilityConstraintRejectsFleetingLinks(t *testing.T) {
-	// the only route to the destination crosses a link that dies almost
-	// immediately; with a high stability threshold TBP-SS must refuse it
-	vehicles := []routetest.Vehicle{
-		{Pos: geom.V(0, 0), Vel: geom.V(30, 0)},
-		{Pos: geom.V(240, 0), Vel: geom.V(-30, 0)}, // closing fast: fleeting
-		{Pos: geom.V(480, 0), Vel: geom.V(30, 0)},
+	// the only route to the destination crosses the relay, 0 → 1 → 2; the
+	// relay's links score fleeting, the others 60 s. TBP-SS must refuse a
+	// link scored below its 3 s threshold and take one scored at it.
+	delivered := func(fleeting float64) int {
+		t.Helper()
+		w, ids := routetest.World(t, 1, routetest.Chain(3, 200, 0), scored(func(a, b netstack.NodeID) float64 {
+			if a == 1 || b == 1 {
+				return fleeting
+			}
+			return 60
+		}))
+		w.AddFlow(ids[0], ids[2], 1, 1, 3, 256)
+		if err := w.Run(8); err != nil {
+			t.Fatal(err)
+		}
+		return w.Collector().DataDelivered
 	}
-	w, ids := routetest.World(t, 1, vehicles,
-		core.NewTicketRouter(core.WithStabilityThreshold(30)))
-	w.AddFlow(ids[0], ids[2], 1, 1, 3, 256)
-	if err := w.Run(8); err != nil {
-		t.Fatal(err)
+	if got := delivered(2.99); got != 0 {
+		t.Fatalf("delivered %d over links scored 2.99 s, below the 3 s stability constraint", got)
 	}
-	c := w.Collector()
-	if c.DataDelivered != 0 {
-		t.Fatalf("delivered %d over links violating the stability constraint", c.DataDelivered)
+	if got := delivered(3); got != 3 {
+		t.Fatalf("delivered %d of 3 over links scored exactly the 3 s threshold", got)
 	}
 }
 
@@ -80,7 +104,9 @@ func TestPicksStablePathAmongCandidates(t *testing.T) {
 		{Pos: geom.V(400, 0), Vel: geom.V(20, 0)},    // 3 destination
 	}
 	var routers []*core.TicketRouter
-	factory := core.NewTicketRouter(core.WithTickets(4), core.WithStabilityThreshold(0.1))
+	// both relays stay candidates (the threshold admits what 0.1 s would
+	// of the plain metric): the ranking, not the threshold, must pick
+	factory := shifted(2.9, core.WithTickets(4))
 	wrapped := func() netstack.Router {
 		r := factory().(*core.TicketRouter)
 		routers = append(routers, r)
@@ -112,7 +138,9 @@ func TestBreakRecoveryReprobes(t *testing.T) {
 		{Pos: geom.V(180, 0), Vel: geom.V(25, 0)},  // departing relay
 		{Pos: geom.V(420, 0), Vel: geom.V(-15, 0)}, // approaching destination
 	}
-	w, ids := routetest.World(t, 1, vehicles, core.NewTicketRouter(core.WithStabilityThreshold(0.5)))
+	// the departing relay's link is short-lived: admit what a 0.5 s
+	// threshold would of the plain metric
+	w, ids := routetest.World(t, 1, vehicles, shifted(2.5))
 	w.AddFlow(ids[0], ids[2], 1, 0.5, 26, 256)
 	if err := w.Run(14); err != nil {
 		t.Fatal(err)

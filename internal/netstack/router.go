@@ -159,6 +159,20 @@ func (a *API) SendFinal(to NodeID, pkt *Packet) {
 // After schedules fn after d seconds; the returned timer can be cancelled.
 func (a *API) After(d float64, fn func()) sim.TimerID { return a.world.eng.After(d, fn) }
 
+// Every runs fn first seconds from now and then every period seconds for
+// the rest of the run: one closure that calls fn and then reschedules
+// itself at now + period, the order sim.Engine.Ticker keeps. There is no
+// stop handle, because no periodic router job (a carry sweep, a table
+// dump, an RSU buffer flush) ever ends early.
+func (a *API) Every(first, period float64, fn func()) {
+	var tick func()
+	tick = func() {
+		fn()
+		a.world.eng.After(period, tick)
+	}
+	a.world.eng.After(first, tick)
+}
+
 // Cancel cancels a pending timer.
 func (a *API) Cancel(id sim.TimerID) { a.world.eng.Cancel(id) }
 

@@ -17,11 +17,12 @@ import (
 	"github.com/vanetlab/relroute/internal/routing"
 )
 
+// maxDelay is the rebroadcast delay, in seconds, of the worst-ranked relay.
+const maxDelay = 0.12
+
 // Router is a per-node Abedi instance.
 type Router struct {
 	routing.OnDemand
-	// MaxDelay scales the rank-based rebroadcast delay (default 0.12 s).
-	MaxDelay float64
 }
 
 // rreq carries the origin's velocity so relays can rank their direction
@@ -42,7 +43,7 @@ type rrep struct {
 // New returns an Abedi router factory.
 func New() netstack.RouterFactory {
 	return func() netstack.Router {
-		r := &Router{MaxDelay: 0.12}
+		r := &Router{}
 		r.Init(r.Name(), 1.0, r.request)
 		return r
 	}
@@ -57,7 +58,7 @@ func (r *Router) request(dst netstack.NodeID, reqID uint64) *netstack.Packet {
 }
 
 // relayDelay converts this node's suitability as a relay into a forwarding
-// delay in [0, MaxDelay]: direction agreement with the origin's motion is
+// delay in [0, maxDelay]: direction agreement with the origin's motion is
 // the most important parameter, then progress toward the target, then
 // speed similarity — Abedi's priority order.
 func (r *Router) relayDelay(req rreq) float64 {
@@ -78,7 +79,7 @@ func (r *Router) relayDelay(req rreq) float64 {
 	if frac < 0 {
 		frac = 0
 	}
-	return frac * r.MaxDelay
+	return frac * maxDelay
 }
 
 // HandlePacket implements netstack.Router.

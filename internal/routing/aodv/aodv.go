@@ -13,33 +13,16 @@ import (
 	"github.com/vanetlab/relroute/internal/routing"
 )
 
-// Option configures the router factory.
-type Option func(*Router)
+// routeLifetime is the active-route timeout in seconds: a route expires
+// this long after it was last learned or used.
+const routeLifetime = 6.0
 
-// WithNetDiameter sets the RREQ TTL (default routing.DefaultTTL).
-func WithNetDiameter(ttl int) Option {
-	return func(r *Router) { r.netDiameter = ttl }
-}
-
-// WithRouteLifetime sets the active-route timeout in seconds (default 6).
-func WithRouteLifetime(d float64) Option {
-	return func(r *Router) { r.routeLifetime = d }
-}
-
-// WithDiscoveryTimeout sets how long the source waits for an RREP before
-// retrying (default 1 s) and the retry budget (fixed at 2 retries).
-func WithDiscoveryTimeout(d float64) Option {
-	return func(r *Router) { r.discoveryTimeout = d }
-}
-
-// Router is a per-node AODV instance.
+// Router is a per-node AODV instance. Control packets carry the full
+// routing.DefaultTTL as the network diameter; a silent discovery is
+// repeated after 1 s, twice.
 type Router struct {
 	routing.OnDemand
 	seq uint32 // own destination sequence number
-
-	netDiameter      int
-	routeLifetime    float64
-	discoveryTimeout float64
 }
 
 // rreq is the route-request payload.
@@ -67,13 +50,10 @@ type rerr struct {
 }
 
 // New returns an AODV router factory.
-func New(opts ...Option) netstack.RouterFactory {
+func New() netstack.RouterFactory {
 	return func() netstack.Router {
-		r := &Router{netDiameter: routing.DefaultTTL, routeLifetime: 6, discoveryTimeout: 1}
-		for _, o := range opts {
-			o(r)
-		}
-		r.Init(r.Name(), r.discoveryTimeout, r.request)
+		r := &Router{}
+		r.Init(r.Name(), 1, r.request)
 		return r
 	}
 }
@@ -91,13 +71,6 @@ func (r *Router) Originate(dst netstack.NodeID, size int) {
 	r.OnDemand.Originate(dst, size)
 }
 
-// control is Control with the configured network diameter as TTL.
-func (r *Router) control(kind string, dst netstack.NodeID, size int, payload any) *netstack.Packet {
-	pkt := r.Control(kind, dst, size, payload)
-	pkt.TTL = r.netDiameter
-	return pkt
-}
-
 func (r *Router) request(dst netstack.NodeID, reqID uint64) *netstack.Packet {
 	r.seq++
 	var tseq uint32
@@ -106,7 +79,7 @@ func (r *Router) request(dst netstack.NodeID, reqID uint64) *netstack.Packet {
 		tseq = rt.Seq
 		hasTSeq = true
 	}
-	return r.control(netstack.KindRREQ, netstack.Broadcast, 48, rreq{
+	return r.Control(netstack.KindRREQ, netstack.Broadcast, 48, rreq{
 		Origin: r.API.Self(), OriginSeq: r.seq, ReqID: reqID,
 		Target: dst, TargetSeq: tseq, HasTSeq: hasTSeq,
 	})
@@ -135,7 +108,7 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	// Reverse route to the origin through the previous hop.
 	r.mergeRoute(routing.Route{
 		Dst: req.Origin, NextHop: pkt.From, Hops: pkt.Hops,
-		Seq: req.OriginSeq, Expiry: now + r.routeLifetime, Valid: true,
+		Seq: req.OriginSeq, Expiry: now + routeLifetime, Valid: true,
 	})
 	if r.Duplicate(req.Origin, req.ReqID) {
 		return
@@ -166,7 +139,7 @@ func (r *Router) sendRREP(origin, target netstack.NodeID, targetSeq uint32, hops
 	if !ok {
 		return
 	}
-	r.API.Send(rt.NextHop, r.control(netstack.KindRREP, origin, 44,
+	r.API.Send(rt.NextHop, r.Control(netstack.KindRREP, origin, 44,
 		rrep{Origin: origin, Target: target, TargetSeq: targetSeq, HopsToDst: hopsToDst}))
 }
 
@@ -179,7 +152,7 @@ func (r *Router) handleRREP(pkt *netstack.Packet) {
 	// reply has travelled are in pkt.Hops.
 	r.mergeRoute(routing.Route{
 		Dst: rep.Target, NextHop: pkt.From, Hops: rep.HopsToDst + pkt.Hops,
-		Seq: rep.TargetSeq, Expiry: r.API.Now() + r.routeLifetime, Valid: true,
+		Seq: rep.TargetSeq, Expiry: r.API.Now() + routeLifetime, Valid: true,
 	})
 	if rep.Origin == r.API.Self() {
 		r.Answered(rep.Target)
@@ -274,7 +247,7 @@ func (r *Router) mergeRoute(nr routing.Route) {
 
 // refresh extends an in-use route's expiry.
 func (r *Router) refresh(rt *routing.Route) {
-	exp := r.API.Now() + r.routeLifetime
+	exp := r.API.Now() + routeLifetime
 	if exp > rt.Expiry {
 		rt.Expiry = exp
 	}

@@ -100,17 +100,3 @@ func TestIntermediateNodeTablesPopulated(t *testing.T) {
 		t.Fatal("no forward route at relay")
 	}
 }
-
-func TestOptionsApply(t *testing.T) {
-	factory := aodv.New(
-		aodv.WithNetDiameter(2),
-		aodv.WithRouteLifetime(1),
-		aodv.WithDiscoveryTimeout(0.3),
-	)
-	// TTL 2 cannot cross a 4-hop chain
-	w, ids := routetest.World(t, 1, routetest.Chain(5, 240, 0), factory)
-	delivered := routetest.RunFlow(t, w, ids[0], ids[4], 1, 1, 10, 2)
-	if delivered != 0 {
-		t.Fatalf("delivered %d across 4 hops with RREQ TTL 2", delivered)
-	}
-}

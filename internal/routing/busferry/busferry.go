@@ -13,31 +13,27 @@ import (
 	"github.com/vanetlab/relroute/internal/routing"
 )
 
+// Custody bounds per node kind: "buses are assumed to have larger
+// storage", so they hold more packets for longer.
+const (
+	carBufferTTL = 10.0 // seconds
+	busBufferTTL = 60.0
+	carBufferCap = 32 // packets
+	busBufferCap = 512
+)
+
 // Router runs on both cars and buses; behaviour switches on the node kind.
 // Cars keep a small buffer and opportunistically hand packets to buses;
 // buses keep a large buffer and deliver/exchange. Custody is the
 // carry-and-forward core's buffer, bounded here, behind a duplicate cache.
 type Router struct {
 	routing.Carrier
-	// CarBufferTTL and BusBufferTTL bound packet custody (defaults 10 s
-	// and 60 s: "buses are assumed to have larger storage").
-	CarBufferTTL float64
-	BusBufferTTL float64
-	// CarBufferCap and BusBufferCap bound custody counts (32 / 512).
-	CarBufferCap int
-	BusBufferCap int
-	dup          *routing.DupCache
+	dup *routing.DupCache
 }
 
 // New returns a bus-ferry router factory.
 func New() netstack.RouterFactory {
-	return func() netstack.Router {
-		return &Router{
-			CarBufferTTL: 10, BusBufferTTL: 60,
-			CarBufferCap: 32, BusBufferCap: 512,
-			dup: routing.NewDupCache(60),
-		}
-	}
+	return func() netstack.Router { return &Router{dup: routing.NewDupCache(60)} }
 }
 
 // Name implements netstack.Router.
@@ -46,9 +42,9 @@ func (r *Router) Name() string { return "Bus" }
 // Attach implements netstack.Router. The core is bound here, not in New:
 // how long custody lasts depends on the node kind, which only api knows.
 func (r *Router) Attach(api *netstack.API) {
-	ttl := r.CarBufferTTL
+	ttl := carBufferTTL
 	if api.Kind() == netstack.BusNode {
-		ttl = r.BusBufferTTL
+		ttl = busBufferTTL
 	}
 	r.Init(r.Name(), ttl, r.accept, r.handOff)
 	r.Carrier.Attach(api)
@@ -68,9 +64,9 @@ func (r *Router) HandlePacket(pkt *netstack.Packet) {
 
 // makeRoom evicts the oldest packet from a full buffer.
 func (r *Router) makeRoom() {
-	limit := r.CarBufferCap
+	limit := carBufferCap
 	if r.isBus() {
-		limit = r.BusBufferCap
+		limit = busBufferCap
 	}
 	if r.Carried() >= limit {
 		r.DropOldest()

@@ -44,7 +44,6 @@ type Carrier struct {
 	route   func(*netstack.Packet) Hop
 	retry   func(*netstack.Packet) Hop
 	carried []carried
-	started bool
 }
 
 type carried struct {
@@ -60,20 +59,10 @@ func (c *Carrier) Init(name string, timeout float64, route, retry func(*netstack
 	c.name, c.timeout, c.route, c.retry = name, timeout, route, retry
 }
 
-// Attach implements netstack.Router and arms the sweep, once per router
-// however often the node is re-attached, at a per-node phase.
+// Attach implements netstack.Router and arms the sweep at a per-node phase.
 func (c *Carrier) Attach(api *netstack.API) {
 	c.Base.Attach(api)
-	if c.started {
-		return
-	}
-	c.started = true
-	var tick func()
-	tick = func() {
-		c.sweep()
-		c.API.After(0.5, tick)
-	}
-	api.After(0.5+api.Rand().Float64()*0.1, tick)
+	api.Every(0.5+api.Rand().Float64()*0.1, 0.5, c.sweep)
 }
 
 // Originate implements netstack.Router.

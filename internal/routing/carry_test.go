@@ -95,19 +95,6 @@ func TestCarriedPacketFate(t *testing.T) {
 	}
 }
 
-func TestSecondAttachArmsNoSecondSweep(t *testing.T) {
-	w, ids, s := stubWorld(t, pair(), 100, always(routing.Carry()), always(routing.Carry()))
-	s.Attach(s.API)
-	w.AddFlow(ids[0], ids[1], 0.1, 1, 1, 64)
-	if err := w.Run(5.3); err != nil {
-		t.Fatal(err)
-	}
-	// sweeps at φ+0.5k for a phase φ in [0.5, 0.6): ten of them by t = 5.3
-	if s.retried != 10 {
-		t.Fatalf("one carried packet was retried %d times in 5 s, want one sweep every 0.5 s (10)", s.retried)
-	}
-}
-
 func TestSendFailedForgetsThenReroutes(t *testing.T) {
 	w, ids, s := stubWorld(t, pair(), 100, always(routing.Carry()), always(routing.Carry()))
 	s.watch = ids[1]

@@ -12,22 +12,14 @@ import (
 	"github.com/vanetlab/relroute/internal/routing"
 )
 
-// Option configures the router factory.
-type Option func(*Router)
-
-// WithUpdateInterval sets the periodic full-dump interval in seconds
-// (default 2).
-func WithUpdateInterval(d float64) Option {
-	return func(r *Router) { r.updateInterval = d }
-}
+// updateInterval is the periodic full-dump interval in seconds.
+const updateInterval = 2.0
 
 // Router is a per-node DSDV instance.
 type Router struct {
 	netstack.Base
-	table          *routing.Table
-	seq            uint32 // own even sequence number
-	updateInterval float64
-	started        bool
+	table *routing.Table
+	seq   uint32 // own even sequence number
 }
 
 // advert is one advertised route.
@@ -43,14 +35,8 @@ type update struct {
 }
 
 // New returns a DSDV router factory.
-func New(opts ...Option) netstack.RouterFactory {
-	return func() netstack.Router {
-		r := &Router{table: routing.NewTable(), updateInterval: 2}
-		for _, o := range opts {
-			o(r)
-		}
-		return r
-	}
+func New() netstack.RouterFactory {
+	return func() netstack.Router { return &Router{table: routing.NewTable()} }
 }
 
 // Name implements netstack.Router.
@@ -59,18 +45,8 @@ func (r *Router) Name() string { return "DSDV" }
 // Attach implements netstack.Router and starts the periodic advertiser.
 func (r *Router) Attach(api *netstack.API) {
 	r.Base.Attach(api)
-	if r.started {
-		return
-	}
-	r.started = true
 	// Phase-shift the first dump so nodes don't synchronise.
-	phase := api.Rand().Float64() * r.updateInterval
-	var tickFn func()
-	tickFn = func() {
-		r.advertise()
-		r.API.After(r.updateInterval, tickFn)
-	}
-	api.After(phase, tickFn)
+	api.Every(api.Rand().Float64()*updateInterval, updateInterval, r.advertise)
 }
 
 // advertise broadcasts the full route table.

@@ -38,15 +38,16 @@ func TestProactiveDropsBeforeConvergence(t *testing.T) {
 }
 
 func TestUpdateIntervalOption(t *testing.T) {
-	w, ids := routetest.World(t, 1, routetest.Chain(3, 150, 20), dsdv.New(dsdv.WithUpdateInterval(0.5)))
-	w.AddFlow(ids[0], ids[2], 3, 0.5, 3, 256)
-	if err := w.Run(8); err != nil {
+	w, ids := routetest.World(t, 1, routetest.Chain(3, 150, 20), dsdv.New())
+	w.AddFlow(ids[0], ids[2], 6, 0.5, 3, 256)
+	if err := w.Run(40); err != nil {
 		t.Fatal(err)
 	}
 	c := w.Collector()
-	// 3 nodes × 8 s / 0.5 s ≈ 48 updates
-	if c.Control["UPDATE"] < 30 {
-		t.Fatalf("updates = %d with 0.5 s interval", c.Control["UPDATE"])
+	// one full dump every 2 s from a phase in (0, 2): twenty per node by
+	// t = 40, and no link breaks to add any
+	if c.Control["UPDATE"] != 60 {
+		t.Fatalf("updates = %d, want 3 nodes × 20 at a 2 s interval", c.Control["UPDATE"])
 	}
 	if c.DataDelivered != 3 {
 		t.Fatalf("delivered = %d", c.DataDelivered)

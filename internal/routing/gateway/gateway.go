@@ -16,29 +16,16 @@ import (
 	"github.com/vanetlab/relroute/internal/routing"
 )
 
-// Option configures the router factory.
-type Option func(*Router)
-
-// WithCellSize sets the gateway cell edge in meters (default half the
-// radio range at attach time, ~125 m).
-func WithCellSize(m float64) Option {
-	return func(r *Router) { r.cellSize = m }
-}
-
 // Router is a per-node gateway-clustered flooding router: routing.Flooder
 // with the gateway election as its rebroadcast rule.
 type Router struct {
 	routing.Flooder
-	cellSize float64
 }
 
 // New returns a gateway router factory.
-func New(opts ...Option) netstack.RouterFactory {
+func New() netstack.RouterFactory {
 	return func() netstack.Router {
 		r := &Router{}
-		for _, o := range opts {
-			o(r)
-		}
 		r.Init(r.Name(), r.isGateway, nil)
 		return r
 	}
@@ -51,16 +38,11 @@ func (r *Router) Name() string { return "LORA-DCBF" }
 // gateway election reads the neighbor table.
 func (r *Router) NeedsBeacons() bool { return true }
 
-func (r *Router) cell() float64 {
-	if r.cellSize > 0 {
-		return r.cellSize
-	}
-	return r.API.RangeEstimate() / 2
-}
-
-// cellCenter returns the center of the cell containing p.
+// cellCenter returns the center of the cell containing p. A cell's edge is
+// half the radio range, so the gateways of neighboring cells, each the node
+// nearest its cell's center, are usually in range of each other.
 func (r *Router) cellCenter(p geom.Vec2) geom.Vec2 {
-	c := r.cell()
+	c := r.API.RangeEstimate() / 2
 	return geom.V((math.Floor(p.X/c)+0.5)*c, (math.Floor(p.Y/c)+0.5)*c)
 }
 

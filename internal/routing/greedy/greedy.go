@@ -2,12 +2,13 @@
 // (Gong et al. / Lochert et al., Sec. VI-B): each node knows its own
 // position (GPS) and its neighbors' positions (beacons); data is forwarded
 // to the neighbor that makes the most progress toward the destination.
-// The direction of vehicle movement is taken into account — among
-// near-best candidates the one moving with the flow is preferred, which
-// "helps to select long-lived links". At a local maximum (no neighbor
-// closer than self) the packet is carried until the topology opens up —
-// the store-carry-forward escape VANET greedy variants use instead of
-// planar perimeter mode, because vehicles move along roads.
+// The direction of vehicle movement is always taken into account — among
+// candidates within 10 % of the best progress the one moving toward the
+// destination is preferred, which "helps to select long-lived links". At a
+// local maximum (no neighbor closer than self) the packet is carried for up
+// to 8 s until the topology opens up — the store-carry-forward escape VANET
+// greedy variants use instead of planar perimeter mode, because vehicles
+// move along roads.
 package greedy
 
 import (
@@ -18,38 +19,22 @@ import (
 	"github.com/vanetlab/relroute/internal/routing"
 )
 
-// Option configures the router factory.
-type Option func(*Router)
-
-// WithCarryTimeout sets how long a packet may be carried waiting for
-// progress before being dropped (default 8 s).
-func WithCarryTimeout(d float64) Option {
-	return func(r *Router) { r.carryTimeout = d }
-}
-
-// WithDirectionBias enables/disables the direction-aware tie-break
-// (default on); the ablation benches toggle it.
-func WithDirectionBias(on bool) Option {
-	return func(r *Router) { r.directionBias = on }
-}
+// carryTimeout is how long, in seconds, a packet may be carried waiting for
+// progress before it is dropped.
+const carryTimeout = 8.0
 
 // Router is a per-node greedy geographic router: the carry-and-forward
 // core with maximum-progress next-hop selection.
 type Router struct {
 	routing.Carrier
-	carryTimeout  float64
-	directionBias bool
 }
 
 // New returns a greedy router factory.
-func New(opts ...Option) netstack.RouterFactory {
+func New() netstack.RouterFactory {
 	return func() netstack.Router {
-		r := &Router{carryTimeout: 8, directionBias: true}
-		for _, o := range opts {
-			o(r)
-		}
+		r := &Router{}
 		// a carried packet is retried by the rule it was routed by
-		r.Init(r.Name(), r.carryTimeout, r.route, r.route)
+		r.Init(r.Name(), carryTimeout, r.route, r.route)
 		return r
 	}
 }
@@ -95,8 +80,8 @@ func (r *Router) bestNextHop(dstPos geom.Vec2) (netstack.NodeID, bool) {
 		bestDist = d
 		found = true
 	}
-	if !found || !r.directionBias {
-		return best, found
+	if !found {
+		return best, false
 	}
 	// direction-aware refinement: among candidates within 10% of the best
 	// progress, prefer one moving toward the destination.

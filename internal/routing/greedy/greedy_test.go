@@ -40,22 +40,21 @@ func TestGreedyTakesLongestStride(t *testing.T) {
 func TestCarryAndForwardAcrossVoid(t *testing.T) {
 	// a void: the carrier moves toward the destination and bridges it
 	vehicles := []routetest.Vehicle{
-		{Pos: geom.V(0, 0), Vel: geom.V(20, 0)},  // source drives east
-		{Pos: geom.V(600, 0), Vel: geom.V(0, 0)}, // destination parked beyond range
+		{Pos: geom.V(0, 0), Vel: geom.V(25, 0)},  // source drives east
+		{Pos: geom.V(400, 0), Vel: geom.V(0, 0)}, // destination parked beyond range
 	}
-	// the 350 m gap closes at 20 m/s ≈ 17.5 s: the carry budget must
-	// cover the drive
-	w, ids := routetest.World(t, 1, vehicles, greedy.New(greedy.WithCarryTimeout(25)))
+	// the 150 m gap closes at 25 m/s in 6 s, inside the 8 s carry budget
+	w, ids := routetest.World(t, 1, vehicles, greedy.New())
 	w.AddFlow(ids[0], ids[1], 1, 1, 2, 256)
-	if err := w.Run(30); err != nil {
+	if err := w.Run(15); err != nil {
 		t.Fatal(err)
 	}
 	if got := w.Collector().DataDelivered; got != 2 {
 		t.Fatalf("delivered = %d; store-carry-forward failed", got)
 	}
 	// delivery required carrying: delay must reflect the drive time
-	if d := w.Collector().MeanDelay(); d < 5 {
-		t.Fatalf("mean delay = %v s, too fast for a 350 m carry", d)
+	if d := w.Collector().MeanDelay(); d < 3 {
+		t.Fatalf("mean delay = %v s, too fast for a 150 m carry", d)
 	}
 }
 
@@ -64,17 +63,26 @@ func TestCarryTimeoutDropsStrandedPackets(t *testing.T) {
 		{Pos: geom.V(0, 0)},                        // parked source
 		{Pos: geom.V(10000, 0), Vel: geom.V(0, 0)}, // unreachable destination
 	}
-	w, ids := routetest.World(t, 1, vehicles, greedy.New(greedy.WithCarryTimeout(2)))
-	w.AddFlow(ids[0], ids[1], 1, 1, 3, 256)
-	if err := w.Run(15); err != nil {
+	w, ids := routetest.World(t, 1, vehicles, greedy.New())
+	w.AddFlow(ids[0], ids[1], 1, 1, 3, 256) // carried from t = 1, 2 and 3
+	w.StartRun()
+	defer w.EndRun()
+	// carried for 8 s, then dropped by the next 0.5 s sweep
+	if err := w.AdvanceTo(8.9); err != nil {
 		t.Fatal(err)
 	}
 	c := w.Collector()
+	if c.DataDropped != 0 {
+		t.Fatalf("dropped = %d by t = 8.9, before the 8 s carry timeout", c.DataDropped)
+	}
+	if err := w.AdvanceTo(11.7); err != nil {
+		t.Fatal(err)
+	}
 	if c.DataDelivered != 0 {
 		t.Fatal("delivered the undeliverable")
 	}
 	if c.DataDropped != 3 {
-		t.Fatalf("dropped = %d, want all after carry timeout", c.DataDropped)
+		t.Fatalf("dropped = %d by t = 11.7, want all three after the carry timeout", c.DataDropped)
 	}
 }
 

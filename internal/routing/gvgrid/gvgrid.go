@@ -17,42 +17,26 @@ import (
 	"github.com/vanetlab/relroute/internal/routing"
 )
 
-// Option configures the router factory.
-type Option func(*Router)
-
-// WithCellSize sets the grid cell edge in meters (default 100).
-func WithCellSize(m float64) Option {
-	return func(r *Router) { r.cellSize = m }
-}
-
-// WithSpeedStd sets the σ of the assumed normal relative-speed model in
-// m/s (default 6).
-func WithSpeedStd(s float64) Option {
-	return func(r *Router) { r.speedStd = s }
-}
-
-// WithDelayBound sets the QoS delay bound in seconds a selected link must
-// survive (default 2).
-func WithDelayBound(d float64) Option {
-	return func(r *Router) { r.delayBound = d }
-}
+const (
+	// cellSize is the grid cell edge in meters.
+	cellSize = 100.0
+	// speedStd is the σ of the assumed normal relative-speed model in m/s.
+	speedStd = 6.0
+	// delayBound is the QoS delay bound in seconds a selected link must
+	// survive.
+	delayBound = 2.0
+)
 
 // Router is a per-node GVGrid instance: the carry-and-forward core with
 // grid-walk next-hop selection.
 type Router struct {
 	routing.Carrier
-	cellSize   float64
-	speedStd   float64
-	delayBound float64
 }
 
 // New returns a GVGrid router factory.
-func New(opts ...Option) netstack.RouterFactory {
+func New() netstack.RouterFactory {
 	return func() netstack.Router {
-		r := &Router{cellSize: 100, speedStd: 6, delayBound: 2}
-		for _, o := range opts {
-			o(r)
-		}
+		r := &Router{}
 		r.Init(r.Name(), 8, r.route, r.retry)
 		return r
 	}
@@ -72,16 +56,16 @@ func (r *Router) linkReliability(ls netstack.LinkState) float64 {
 	gap := axis.Len()
 	relSpeed := geom.Project(r.API.Vel().Sub(ls.Vel), axis)
 	model := prob.LinkDurationModel{
-		RelSpeed: prob.Normal{Mu: relSpeed, Sigma: r.speedStd},
+		RelSpeed: prob.Normal{Mu: relSpeed, Sigma: speedStd},
 		Gap:      -gap, // self behind neighbor along the axis toward it
 		Range:    r.API.RangeEstimate(),
 	}
-	return model.SurvivalProb(r.delayBound)
+	return model.SurvivalProb(delayBound)
 }
 
 // cellOf returns the integer grid cell of p.
 func (r *Router) cellOf(p geom.Vec2) (int, int) {
-	return int(math.Floor(p.X / r.cellSize)), int(math.Floor(p.Y / r.cellSize))
+	return int(math.Floor(p.X / cellSize)), int(math.Floor(p.Y / cellSize))
 }
 
 // route forwards to the most reliable neighbor that advances the grid-cell

@@ -23,7 +23,7 @@ func TestPrefersReliableNeighborInNextCell(t *testing.T) {
 		{Pos: geom.V(165, -8), Vel: geom.V(-28, 0)}, // fleeting
 		{Pos: geom.V(340, 0), Vel: geom.V(20, 0)},
 	}
-	w, ids := routetest.World(t, 1, vehicles, gvgrid.New(gvgrid.WithDelayBound(4)))
+	w, ids := routetest.World(t, 1, vehicles, gvgrid.New())
 	w.AddFlow(ids[0], ids[3], 2, 0.5, 10, 256)
 	if err := w.Run(9); err != nil {
 		t.Fatal(err)
@@ -57,10 +57,4 @@ func TestCellWalkRequiresProgress(t *testing.T) {
 	if c.DataDropped != 2 {
 		t.Fatalf("dropped = %d", c.DataDropped)
 	}
-}
-
-func TestOptionsApply(t *testing.T) {
-	w, ids := routetest.World(t, 1, routetest.Chain(4, 150, 20),
-		gvgrid.New(gvgrid.WithCellSize(80), gvgrid.WithSpeedStd(3), gvgrid.WithDelayBound(1)))
-	routetest.MustDeliverAll(t, w, ids[0], ids[3], 3)
 }

@@ -18,31 +18,11 @@ import (
 	"github.com/vanetlab/relroute/internal/netstack"
 )
 
-// Config parameterises the hybrid router.
-type Config struct {
-	// Tickets is the probe budget (default 3).
-	Tickets int
-	// StabilityThreshold is the minimum blended link score in seconds
-	// (default 3).
-	StabilityThreshold float64
-}
-
 // blend is the weight of the probability-model metric; the remainder comes
 // from the deterministic mobility prediction.
 const blend = 0.5
 
-func (c Config) withDefaults() Config {
-	if c.Tickets <= 0 {
-		c.Tickets = 3
-	}
-	if c.StabilityThreshold <= 0 {
-		c.StabilityThreshold = 3
-	}
-	return c
-}
-
-// Score is the hybrid link metric, exported for the ablation benches and
-// tests.
+// Score is the hybrid link metric, exported for the tests.
 func Score(api *netstack.API, nb netstack.Neighbor) float64 {
 	r := api.RangeEstimate()
 	prob := core.LinkStability(core.MetricMeanDuration, core.StabilityParams{},
@@ -56,14 +36,10 @@ func Score(api *netstack.API, nb netstack.Neighbor) float64 {
 	return score
 }
 
-// New returns a hybrid probability+mobility router factory: the core ticket
-// router under its own name, so metrics and taxonomy listings distinguish it
-// from plain TBP-SS.
-func New(cfg Config) netstack.RouterFactory {
-	cfg = cfg.withDefaults()
-	return core.NewTicketRouter(
-		core.WithTickets(cfg.Tickets),
-		core.WithStabilityThreshold(cfg.StabilityThreshold),
-		core.WithScorer("Hybrid", Score),
-	)
+// New returns a hybrid probability+mobility router factory probing with the
+// given ticket budget: the core ticket router, with TBP-SS's stability
+// threshold applied to the blended score, under its own name, so metrics
+// and taxonomy listings distinguish it from plain TBP-SS.
+func New(tickets int) netstack.RouterFactory {
+	return core.NewTicketRouter(core.WithTickets(tickets), core.WithScorer("Hybrid", Score))
 }

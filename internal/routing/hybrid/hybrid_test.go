@@ -11,12 +11,12 @@ import (
 )
 
 func TestDeliversAcrossChain(t *testing.T) {
-	w, ids := routetest.World(t, 1, routetest.Chain(5, 150, 20), hybrid.New(hybrid.Config{}))
+	w, ids := routetest.World(t, 1, routetest.Chain(5, 150, 20), hybrid.New(3))
 	routetest.MustDeliverAll(t, w, ids[0], ids[4], 5)
 }
 
 func TestNameDistinguishesFromTBPSS(t *testing.T) {
-	r := hybrid.New(hybrid.Config{})()
+	r := hybrid.New(3)()
 	if r.Name() != "Hybrid" {
 		t.Fatalf("name = %q", r.Name())
 	}

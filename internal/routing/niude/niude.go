@@ -29,29 +29,21 @@ import (
 	"github.com/vanetlab/relroute/internal/routing"
 )
 
-// Option configures the router factory.
-type Option func(*Router)
-
-// WithDelayBound sets the QoS delay requirement in seconds a candidate
-// path must meet (default 0.5).
-func WithDelayBound(d float64) Option {
-	return func(r *Router) { r.delayBound = d }
-}
-
 const (
 	// horizon is the survival time links are scored against in seconds:
 	// reliability = P(link lives ≥ horizon).
 	horizon = 4.0
 	// speedSigma is the σ of the relative-speed uncertainty in m/s.
 	speedSigma = 4.0
+	// delayBound is the QoS delay requirement in seconds a candidate path
+	// must meet.
+	delayBound = 0.5
 )
 
 // Router is a per-node NiuDe/DeReQ instance.
 type Router struct {
 	routing.OnDemand
 	sel routing.Selection[routing.Candidate] // Metric: path reliability
-
-	delayBound float64
 }
 
 // rreq accumulates the QoS path metrics.
@@ -72,12 +64,9 @@ type rrep struct {
 }
 
 // New returns a NiuDe router factory.
-func New(opts ...Option) netstack.RouterFactory {
+func New() netstack.RouterFactory {
 	return func() netstack.Router {
-		r := &Router{delayBound: 0.5}
-		for _, o := range opts {
-			o(r)
-		}
+		r := &Router{}
 		r.Init(r.Name(), 1.0, r.request)
 		r.sel = routing.NewSelection(0.3, r.answer)
 		return r
@@ -136,14 +125,7 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	// reverse route: keep the most reliable, loop-free by hop monotonicity
 	r.MergeReverse(r.route(req.Origin, pkt.From, pkt.Hops, reliability))
 	if req.Target == r.API.Self() {
-		// QoS admission: delay bound first, then reliability. A copy over
-		// the bound still opens the window; if none meets it, nobody is
-		// answered.
-		score := -1.0
-		if delay <= r.delayBound {
-			score = reliability
-		}
-		r.sel.Offer(r.API, routing.DupKey{Origin: req.Origin, Seq: req.ReqID}, score,
+		r.sel.Offer(r.API, routing.DupKey{Origin: req.Origin, Seq: req.ReqID}, admit(delay, reliability),
 			routing.Candidate{From: pkt.From, Hops: pkt.Hops, Metric: reliability})
 		return
 	}
@@ -166,6 +148,17 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 }
 
 // route is a 6-second table entry ranked by path reliability.
+// admit is the destination's QoS admission: delay bound first, then
+// reliability. A copy over the bound scores −1, which still opens the
+// selection window but never wins it; if none meets the bound, nobody is
+// answered.
+func admit(delay, reliability float64) float64 {
+	if delay <= delayBound {
+		return reliability
+	}
+	return -1
+}
+
 func (r *Router) route(dst, via netstack.NodeID, hops int, reliability float64) routing.Route {
 	return routing.Route{
 		Dst: dst, NextHop: via, Hops: hops,

@@ -14,24 +14,6 @@ func TestDeliversAcrossChain(t *testing.T) {
 	routetest.MustDeliverAll(t, w, ids[0], ids[4], 5)
 }
 
-func TestDelayBoundRejectsLongPaths(t *testing.T) {
-	// an impossible delay bound: the destination admits no candidate and
-	// data is dropped after discovery fails
-	w, ids := routetest.World(t, 1, routetest.Chain(5, 150, 20),
-		niude.New(niude.WithDelayBound(1e-9)))
-	w.AddFlow(ids[0], ids[4], 3, 0.5, 3, 256)
-	if err := w.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	c := w.Collector()
-	if c.DataDelivered != 0 {
-		t.Fatalf("delivered %d despite an impossible delay bound", c.DataDelivered)
-	}
-	if c.DataDropped != 3 {
-		t.Fatalf("dropped = %d", c.DataDropped)
-	}
-}
-
 func TestPrefersReliableRelay(t *testing.T) {
 	// two relays at equal progress: the co-moving one has availability ≈1
 	// over the horizon, the crossing one ≈0 — the destination must answer

@@ -31,7 +31,7 @@ type Discovery struct {
 // round is repeated timeout seconds later.
 func (d *Discovery) Init(name string, timeout float64, routed func(netstack.NodeID) bool,
 	forward func(*netstack.Packet), request func(netstack.NodeID, uint64) bool) {
-	d.pending = NewPendingQueue(16, 10)
+	d.pending = NewPendingQueue()
 	d.trying = make(map[netstack.NodeID]int)
 	d.name, d.timeout = name, timeout
 	d.routed, d.forward, d.request = routed, forward, request

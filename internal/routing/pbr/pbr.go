@@ -15,28 +15,19 @@ import (
 	"github.com/vanetlab/relroute/internal/routing"
 )
 
-// Option configures the router factory.
-type Option func(*Router)
-
-// WithSelectionWindow sets how long the destination collects candidate
-// RREQs before answering (default 0.25 s).
-func WithSelectionWindow(d float64) Option {
-	return func(r *Router) { r.window = d }
-}
-
-// WithRebuildMargin sets how many seconds before predicted route expiry
-// the source re-discovers (default 1 s).
-func WithRebuildMargin(d float64) Option {
-	return func(r *Router) { r.rebuildMargin = d }
-}
+const (
+	// selectionWindow is how long, in seconds, the destination collects
+	// candidate RREQs before answering.
+	selectionWindow = 0.25
+	// rebuildMargin is how many seconds before predicted route expiry the
+	// source re-discovers.
+	rebuildMargin = 1.0
+)
 
 // Router is a per-node PBR instance.
 type Router struct {
 	routing.OnDemand
 	sel routing.Selection[routing.Candidate] // Metric: predicted path lifetime
-
-	window        float64
-	rebuildMargin float64
 }
 
 // rreq carries the accumulated path lifetime.
@@ -56,14 +47,11 @@ type rrep struct {
 }
 
 // New returns a PBR router factory.
-func New(opts ...Option) netstack.RouterFactory {
+func New() netstack.RouterFactory {
 	return func() netstack.Router {
-		r := &Router{window: 0.25, rebuildMargin: 1}
-		for _, o := range opts {
-			o(r)
-		}
+		r := &Router{}
 		r.Init(r.Name(), 1.0, r.request)
-		r.sel = routing.NewSelection(r.window, r.answer)
+		r.sel = routing.NewSelection(selectionWindow, r.answer)
 		return r
 	}
 }
@@ -141,7 +129,7 @@ func (r *Router) handleRREP(pkt *netstack.Packet) {
 	// Preemptive rebuild before predicted expiry: the PBR idea.
 	if rep.Lifetime != link.Forever {
 		target := rep.Target
-		r.API.After(math.Max(rep.Lifetime-r.rebuildMargin, 0.1), func() {
+		r.API.After(math.Max(rep.Lifetime-rebuildMargin, 0.1), func() {
 			if r.pendingOrActive(target) {
 				r.API.Metrics().RouteRepairs++
 				r.Start(target)

@@ -76,9 +76,3 @@ func TestPreemptiveRebuildBeforeExpiry(t *testing.T) {
 		t.Fatal("no path-lifetime predictions recorded")
 	}
 }
-
-func TestOptionsApply(t *testing.T) {
-	w, ids := routetest.World(t, 1, routetest.Chain(3, 150, 20),
-		pbr.New(pbr.WithSelectionWindow(0.05), pbr.WithRebuildMargin(0.5)))
-	routetest.MustDeliverAll(t, w, ids[0], ids[2], 3)
-}

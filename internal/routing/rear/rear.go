@@ -10,42 +10,23 @@ package rear
 
 import (
 	"github.com/vanetlab/relroute/internal/netstack"
-	"github.com/vanetlab/relroute/internal/prob"
 	"github.com/vanetlab/relroute/internal/routing"
 )
 
-// Option configures the router factory.
-type Option func(*Router)
-
-// WithReceiptModel overrides the signal model used to map RSSI to receipt
-// probability. Without it the router consumes the reliability plane's
-// estimate (API.LinkState.ReceiptProb), which under the default composite
-// estimator is the same prob.DefaultReceiptModel mapping REAR always used.
-func WithReceiptModel(m prob.ReceiptModel) Option {
-	return func(r *Router) { r.model = &m }
-}
-
-// WithMinReceipt sets the minimum acceptable per-hop receipt probability
-// (default 0.2); neighbors below it are not considered.
-func WithMinReceipt(p float64) Option {
-	return func(r *Router) { r.minReceipt = p }
-}
+// minReceipt is the minimum acceptable per-hop receipt probability;
+// neighbors below it are not considered.
+const minReceipt = 0.2
 
 // Router is a per-node REAR instance: the carry-and-forward core with
 // receipt-probability next-hop selection.
 type Router struct {
 	routing.Carrier
-	model      *prob.ReceiptModel // nil: use the reliability plane's estimate
-	minReceipt float64
 }
 
 // New returns a REAR router factory.
-func New(opts ...Option) netstack.RouterFactory {
+func New() netstack.RouterFactory {
 	return func() netstack.Router {
-		r := &Router{minReceipt: 0.2}
-		for _, o := range opts {
-			o(r)
-		}
+		r := &Router{}
 		// alarm messages must survive short voids: carry for up to 6 s
 		r.Init(r.Name(), 6, r.route, r.retry)
 		return r
@@ -55,21 +36,17 @@ func New(opts ...Option) netstack.RouterFactory {
 // Name implements netstack.Router.
 func (r *Router) Name() string { return "REAR" }
 
-// receiptProb estimates the probability that a frame sent to the neighbor
-// is received. ls must come from API.LinkState/LinkStates: by default the
-// reliability plane's prediction is consumed directly; a router-local
-// model (WithReceiptModel) overrides it from the same smoothed RSSI.
-func (r *Router) receiptProb(ls netstack.LinkState) float64 {
-	if r.model != nil {
-		return r.model.ProbFromRSSI(ls.MeanRSSI)
-	}
-	return ls.ReceiptProb
-}
+// reliable reports whether a frame sent to the neighbor is likely enough
+// to be received to consider it at all. ls must come from
+// API.LinkState/LinkStates: the receipt probability is the reliability
+// plane's, which under the default composite estimator is the
+// prob.DefaultReceiptModel mapping of the smoothed RSSI.
+func reliable(ls netstack.LinkState) bool { return ls.ReceiptProb >= minReceipt }
 
 // route picks the progress-making neighbor with the highest receipt
 // probability; with no candidate the packet is carried.
 func (r *Router) route(pkt *netstack.Packet) routing.Hop {
-	if ls, ok := r.API.LinkState(pkt.Dst); ok && r.receiptProb(ls) >= r.minReceipt {
+	if ls, ok := r.API.LinkState(pkt.Dst); ok && reliable(ls) {
 		return routing.Forward(pkt.Dst)
 	}
 	dstPos, _, ok := r.API.LookupPosition(pkt.Dst)
@@ -83,12 +60,8 @@ func (r *Router) route(pkt *netstack.Packet) routing.Hop {
 		if nb.Pos.Dist(dstPos) >= selfD {
 			continue // no progress
 		}
-		p := r.receiptProb(nb)
-		if p < r.minReceipt {
-			continue
-		}
-		if p > bestP {
-			bestP = p
+		if reliable(nb) && nb.ReceiptProb > bestP {
+			bestP = nb.ReceiptProb
 			best = nb.ID
 		}
 	}
@@ -110,7 +83,7 @@ func (r *Router) retry(pkt *netstack.Packet) routing.Hop {
 	}
 	selfD := r.API.Pos().Dist(dstPos)
 	for _, nb := range r.API.LinkStates() {
-		if nb.Pos.Dist(dstPos) < selfD && r.receiptProb(nb) >= r.minReceipt {
+		if nb.Pos.Dist(dstPos) < selfD && reliable(nb) {
 			return routing.Forward(nb.ID)
 		}
 	}

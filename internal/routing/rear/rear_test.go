@@ -49,29 +49,3 @@ func TestPrefersStrongLinkOverLongStride(t *testing.T) {
 		t.Fatalf("mean hops = %v; REAR should avoid edge-of-range strides", c.MeanHops())
 	}
 }
-
-func TestMinReceiptOptionFiltersWeakLinks(t *testing.T) {
-	// an extreme threshold rejects every neighbor: packets are carried
-	// then dropped
-	w, ids := routetest.World(t, 1, routetest.Chain(3, 200, 0),
-		rear.New(rear.WithMinReceipt(1.1)))
-	w.AddFlow(ids[0], ids[2], 1, 1, 2, 256)
-	if err := w.Run(12); err != nil {
-		t.Fatal(err)
-	}
-	c := w.Collector()
-	if c.DataDelivered != 0 {
-		t.Fatalf("delivered %d with an impossible receipt threshold", c.DataDelivered)
-	}
-	if c.DataDropped != 2 {
-		t.Fatalf("dropped = %d, want carried-then-dropped", c.DataDropped)
-	}
-}
-
-func TestReceiptModelOption(t *testing.T) {
-	m := prob.DefaultReceiptModel()
-	m.RxThreshDBm = -200 // everything decodable → behaves like greedy
-	w, ids := routetest.World(t, 1, routetest.Chain(4, 150, 20),
-		rear.New(rear.WithReceiptModel(m)))
-	routetest.MustDeliverAll(t, w, ids[0], ids[3], 3)
-}

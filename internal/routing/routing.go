@@ -61,22 +61,21 @@ type Route struct {
 	deadAt float64
 }
 
-// DefaultRouteRetention is how long an invalidated or expired route entry
-// is retained before the lazy sweep deletes it, in seconds. The retention
+// routeRetention is how long an invalidated or expired route entry is
+// retained before the lazy sweep deletes it, in seconds. The retention
 // mirrors AODV's DELETE_PERIOD: dead entries keep their sequence numbers
 // visible to Get for a bounded grace window (loop freedom across repair
 // races), then go away — without it, per-node tables grow for the whole
 // run, worst under open-world churn where departed destinations would
 // otherwise linger forever.
-const DefaultRouteRetention = 30.0
+const routeRetention = 30.0
 
 // Table is a per-node route table. Dead entries (invalidated or expired)
 // are garbage-collected by a lazy sweep driven off the time-bearing
 // accessors (Lookup, Destinations): once an entry has been dead for the
 // retention period it is deleted, bounding table growth under churn.
 type Table struct {
-	routes    map[netstack.NodeID]*Route
-	retention float64
+	routes map[netstack.NodeID]*Route
 	// lastNow is the latest sim time observed through any accessor;
 	// Invalidate (which takes no time argument) stamps death with it —
 	// exact whenever the protocol consults the table at the same event
@@ -85,15 +84,10 @@ type Table struct {
 	sweepAt float64
 }
 
-// NewTable returns an empty route table with the default retention.
+// NewTable returns an empty route table.
 func NewTable() *Table {
-	return &Table{routes: make(map[netstack.NodeID]*Route), retention: DefaultRouteRetention}
+	return &Table{routes: make(map[netstack.NodeID]*Route)}
 }
-
-// SetRetention changes how long dead entries are retained before the lazy
-// sweep removes them; zero or negative disables sweeping entirely (the
-// pre-plane unbounded behaviour).
-func (t *Table) SetRetention(seconds float64) { t.retention = seconds }
 
 // observe advances the table's time bound and runs the lazy sweep at most
 // once per retention period.
@@ -101,10 +95,10 @@ func (t *Table) observe(now float64) {
 	if now > t.lastNow {
 		t.lastNow = now
 	}
-	if t.retention <= 0 || now < t.sweepAt {
+	if now < t.sweepAt {
 		return
 	}
-	t.sweepAt = now + t.retention
+	t.sweepAt = now + routeRetention
 	for dst, r := range t.routes {
 		if r.Valid && (r.Expiry == 0 || now <= r.Expiry) {
 			r.deadAt = 0 // alive (possibly resurrected by direct mutation)
@@ -122,7 +116,7 @@ func (t *Table) observe(now float64) {
 				r.deadAt = now
 			}
 		}
-		if now-r.deadAt > t.retention {
+		if now-r.deadAt > routeRetention {
 			delete(t.routes, dst)
 		}
 	}
@@ -221,24 +215,23 @@ func (t *Table) LenValid(now float64) int {
 	return n
 }
 
+const (
+	// pendingCap is how many packets a PendingQueue holds per destination.
+	pendingCap = 16
+	// pendingWait is how long, in seconds, a queued packet stays fresh.
+	pendingWait = 10.0
+)
+
 // PendingQueue buffers data packets awaiting a route, per destination,
-// dropping the oldest beyond the cap and expiring packets after maxWait.
+// dropping the oldest beyond pendingCap and expiring packets after
+// pendingWait.
 type PendingQueue struct {
-	cap     int
-	maxWait float64
-	byDst   map[netstack.NodeID][]*netstack.Packet
+	byDst map[netstack.NodeID][]*netstack.Packet
 }
 
-// NewPendingQueue returns a queue holding at most capPerDst packets per
-// destination for at most maxWait seconds.
-func NewPendingQueue(capPerDst int, maxWait float64) *PendingQueue {
-	if capPerDst <= 0 {
-		capPerDst = 16
-	}
-	if maxWait <= 0 {
-		maxWait = 10
-	}
-	return &PendingQueue{cap: capPerDst, maxWait: maxWait, byDst: make(map[netstack.NodeID][]*netstack.Packet)}
+// NewPendingQueue returns an empty queue.
+func NewPendingQueue() *PendingQueue {
+	return &PendingQueue{byDst: make(map[netstack.NodeID][]*netstack.Packet)}
 }
 
 // Push buffers pkt for dst. When the per-destination cap is reached the
@@ -253,7 +246,7 @@ func NewPendingQueue(capPerDst int, maxWait float64) *PendingQueue {
 // dropped columns.
 func (q *PendingQueue) Push(dst netstack.NodeID, pkt *netstack.Packet) (evicted *netstack.Packet) {
 	list := q.byDst[dst]
-	if len(list) >= q.cap {
+	if len(list) >= pendingCap {
 		evicted = list[0]
 		list = list[1:]
 	}
@@ -262,12 +255,12 @@ func (q *PendingQueue) Push(dst netstack.NodeID, pkt *netstack.Packet) (evicted 
 }
 
 // PopAll removes and returns every buffered packet for dst that has not
-// exceeded maxWait by now; expired ones are returned separately.
+// exceeded pendingWait by now; expired ones are returned separately.
 func (q *PendingQueue) PopAll(dst netstack.NodeID, now float64) (fresh, expired []*netstack.Packet) {
 	list := q.byDst[dst]
 	delete(q.byDst, dst)
 	for _, p := range list {
-		if now-p.Created > q.maxWait {
+		if now-p.Created > pendingWait {
 			expired = append(expired, p)
 		} else {
 			fresh = append(fresh, p)

@@ -140,7 +140,6 @@ func TestTableLookupExpiryEdges(t *testing.T) {
 // sweep driven by Lookup deletes entries dead longer than the retention.
 func TestTableSweepBoundsGrowth(t *testing.T) {
 	tb := NewTable()
-	tb.SetRetention(30)
 	now := 0.0
 	for i := 0; i < 1000; i++ {
 		dst := netstack.NodeID(i)
@@ -162,21 +161,21 @@ func TestTableSweepBoundsGrowth(t *testing.T) {
 
 func TestTableSweepSparesLiveAndRecentRoutes(t *testing.T) {
 	tb := NewTable()
-	tb.SetRetention(10)
-	tb.Lookup(0, 0)                                                // establish the time bound
 	tb.Upsert(Route{Dst: 1, NextHop: 2, Valid: true})              // alive forever
-	tb.Upsert(Route{Dst: 2, NextHop: 2, Expiry: 100, Valid: true}) // alive until 100
+	tb.Upsert(Route{Dst: 2, NextHop: 2, Expiry: 200, Valid: true}) // alive until 200
 	tb.Upsert(Route{Dst: 3, NextHop: 2, Valid: true})
-	tb.Lookup(0, 50)
-	tb.Invalidate(3) // dies at 50
-	// at 55 the sweep may run, but dst 3 has only been dead 5 s
-	tb.Lookup(0, 55)
-	if tb.Len() != 3 {
-		t.Fatalf("recently dead entry collected early: len=%d", tb.Len())
+	// consulted every 0.5 s, the table sweeps at 0, 30 and 60; dst 3 dies
+	// at 29.5, so the sweep at 30 finds it dead 0.5 s and the one at 60
+	// dead 30.5 s, past the 30 s retention
+	for now := 0.0; now <= 60; now += 0.5 {
+		tb.Lookup(0, now)
+		if now == 29.5 {
+			tb.Invalidate(3)
+		}
+		if now == 59.5 && tb.Len() != 3 {
+			t.Fatalf("entry dead for 30 s collected early: len=%d", tb.Len())
+		}
 	}
-	// well past retention: dst 3 goes, the two live routes stay
-	tb.Lookup(0, 75)
-	tb.Lookup(0, 90)
 	if _, ok := tb.Get(3); ok {
 		t.Fatal("dead entry outlived retention")
 	}
@@ -186,15 +185,6 @@ func TestTableSweepSparesLiveAndRecentRoutes(t *testing.T) {
 	if _, ok := tb.Get(2); !ok {
 		t.Fatal("live route collected")
 	}
-	// retention <= 0 disables sweeping entirely
-	tb2 := NewTable()
-	tb2.SetRetention(0)
-	tb2.Upsert(Route{Dst: 1, NextHop: 2, Valid: true})
-	tb2.Invalidate(1)
-	tb2.Lookup(0, 1e6)
-	if tb2.Len() != 1 {
-		t.Fatal("disabled sweep still collected")
-	}
 }
 
 // TestTableSweepGraceFromDeath pins the DELETE_PERIOD semantics: the
@@ -203,7 +193,6 @@ func TestTableSweepSparesLiveAndRecentRoutes(t *testing.T) {
 // untouched while alive still gets the full grace window dead.
 func TestTableSweepGraceFromDeath(t *testing.T) {
 	tb := NewTable()
-	tb.SetRetention(30)
 	tb.Lookup(0, 0)                                               // arm the sweep clock
 	tb.Upsert(Route{Dst: 1, NextHop: 2, Expiry: 40, Valid: true}) // touched at 0
 	// dead only 5 s at the t=45 sweep: must survive
@@ -224,7 +213,6 @@ func TestTableSweepGraceFromDeath(t *testing.T) {
 // a full grace window measured from that observation.
 func TestTableSweepGraceAfterDirectMutation(t *testing.T) {
 	tb := NewTable()
-	tb.SetRetention(30)
 	tb.Lookup(0, 0) // arm the sweep clock
 	tb.Upsert(Route{Dst: 1, NextHop: 2, Seq: 7, Valid: true})
 	rt, _ := tb.Get(1)
@@ -280,26 +268,29 @@ func TestTableInvalidate(t *testing.T) {
 }
 
 func TestPendingQueue(t *testing.T) {
-	q := NewPendingQueue(2, 5)
+	q := NewPendingQueue()
 	mk := func(created float64) *netstack.Packet {
 		return &netstack.Packet{Created: created}
 	}
-	if ev := q.Push(1, mk(0)); ev != nil {
-		t.Fatal("eviction on first push")
+	for i := 0; i < 16; i++ { // created every 0.25 s from 0
+		if ev := q.Push(1, mk(float64(i)/4)); ev != nil {
+			t.Fatalf("eviction at push %d, below the cap of 16", i+1)
+		}
 	}
-	q.Push(1, mk(1))
-	ev := q.Push(1, mk(2)) // cap 2: oldest evicted
+	ev := q.Push(1, mk(4)) // cap 16: oldest evicted
 	if ev == nil || ev.Created != 0 {
 		t.Fatalf("evicted = %+v", ev)
 	}
 	if !q.Waiting(1) || q.Waiting(2) {
 		t.Fatal("Waiting wrong")
 	}
-	if q.Len() != 2 {
+	if q.Len() != 16 {
 		t.Fatalf("len = %d", q.Len())
 	}
-	fresh, expired := q.PopAll(1, 6.5)
-	if len(fresh) != 1 || len(expired) != 1 {
+	// at 10.5 the packet created at 0.25 has waited past 10 s; the one
+	// created at 0.5 has waited exactly 10 s and is still fresh
+	fresh, expired := q.PopAll(1, 10.5)
+	if len(fresh) != 15 || len(expired) != 1 || expired[0].Created != 0.25 {
 		t.Fatalf("fresh=%d expired=%d", len(fresh), len(expired))
 	}
 	if q.Waiting(1) {

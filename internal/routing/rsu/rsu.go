@@ -100,6 +100,10 @@ func (b *Backbone) transfer(from *UnitRouter, to *UnitRouter, pkt *netstack.Pack
 	from.API.After(delay, func() { to.receiveFromBackbone(pkt) })
 }
 
+// bufferTTL bounds how long, in seconds, an RSU holds a packet for an
+// absent vehicle.
+const bufferTTL = 30.0
+
 // UnitRouter runs on an RSU node: it delivers buffered packets to
 // destination vehicles entering its coverage and accepts handoffs from
 // vehicles and the backbone.
@@ -107,38 +111,21 @@ type UnitRouter struct {
 	netstack.Base
 	backbone *Backbone
 	buffered map[netstack.NodeID][]*netstack.Packet
-	// BufferTTL bounds how long a packet is held for an absent vehicle
-	// (default 30 s).
-	BufferTTL float64
-	started   bool
 }
 
 // NewUnit returns a router for one RSU attached to the backbone.
 func NewUnit(b *Backbone) *UnitRouter {
-	return &UnitRouter{
-		backbone:  b,
-		buffered:  make(map[netstack.NodeID][]*netstack.Packet),
-		BufferTTL: 30,
-	}
+	return &UnitRouter{backbone: b, buffered: make(map[netstack.NodeID][]*netstack.Packet)}
 }
 
 // Name implements netstack.Router.
 func (u *UnitRouter) Name() string { return "DRR-RSU" }
 
-// Attach implements netstack.Router.
+// Attach implements netstack.Router and arms the 0.25 s buffer flush.
 func (u *UnitRouter) Attach(api *netstack.API) {
 	u.Base.Attach(api)
 	u.backbone.register(u)
-	if u.started {
-		return
-	}
-	u.started = true
-	var sweep func()
-	sweep = func() {
-		u.flushBuffers()
-		u.API.After(0.25, sweep)
-	}
-	api.After(0.25, sweep)
+	api.Every(0.25, 0.25, u.flushBuffers)
 }
 
 // OnBeacon implements netstack.BeaconListener: every vehicle beacon an RSU
@@ -236,7 +223,7 @@ func (u *UnitRouter) flushBuffers() {
 		}
 		keep := list[:0]
 		for _, pkt := range list {
-			if now-pkt.Created > u.BufferTTL {
+			if now-pkt.Created > bufferTTL {
 				u.API.Drop(pkt)
 				continue
 			}

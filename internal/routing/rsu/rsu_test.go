@@ -88,17 +88,26 @@ func TestBufferTTLDropsStalePackets(t *testing.T) {
 	backbone := rsu.NewBackbone()
 	w, ids := routetest.World(t, 1, vehicles, rsu.NewVehicle())
 	unit := rsu.NewUnit(backbone)
-	unit.BufferTTL = 2
 	w.AddStaticNode(netstack.RSU, geom.V(100, 0), unit)
-	w.AddFlow(ids[0], ids[1], 1, 1, 2, 256)
-	if err := w.Run(10); err != nil {
+	w.AddFlow(ids[0], ids[1], 1, 1, 2, 256) // created at t = 1 and t = 2
+	w.StartRun()
+	defer w.EndRun()
+	// held 30 s from creation; the flush runs every 0.25 s
+	if err := w.AdvanceTo(30.9); err != nil {
+		t.Fatal(err)
+	}
+	if unit.Buffered() != 2 || w.Collector().DataDropped != 0 {
+		t.Fatalf("at t = 30.9: buffered %d, dropped %d; want both held for 30 s",
+			unit.Buffered(), w.Collector().DataDropped)
+	}
+	if err := w.AdvanceTo(32.4); err != nil {
 		t.Fatal(err)
 	}
 	if unit.Buffered() != 0 {
 		t.Fatalf("buffered = %d after TTL", unit.Buffered())
 	}
-	if got := w.Collector().DataDropped; got == 0 {
-		t.Fatal("stale buffered packets not counted as drops")
+	if got := w.Collector().DataDropped; got != 2 {
+		t.Fatalf("dropped = %d; stale buffered packets not counted as drops", got)
 	}
 }
 

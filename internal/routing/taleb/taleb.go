@@ -15,22 +15,15 @@ import (
 	"github.com/vanetlab/relroute/internal/routing"
 )
 
-// Option configures the router factory.
-type Option func(*Router)
-
-// WithCrossGroupDelay sets the extra rebroadcast delay imposed on
-// different-group relays (default 80 ms), biasing discovery toward
-// same-group paths without partitioning the network.
-func WithCrossGroupDelay(d float64) Option {
-	return func(r *Router) { r.crossDelay = d }
-}
+// crossGroupDelay is the extra rebroadcast delay in seconds imposed on
+// different-group relays, biasing discovery toward same-group paths
+// without partitioning the network.
+const crossGroupDelay = 0.08
 
 // Router is a per-node Taleb instance.
 type Router struct {
 	routing.OnDemand
 	sel routing.Selection[routing.Candidate] // Metric: shortest link duration
-
-	crossDelay float64
 }
 
 // rreq carries the origin's velocity group and accumulated path stability.
@@ -53,12 +46,9 @@ type rrep struct {
 }
 
 // New returns a Taleb router factory.
-func New(opts ...Option) netstack.RouterFactory {
+func New() netstack.RouterFactory {
 	return func() netstack.Router {
-		r := &Router{crossDelay: 0.08}
-		for _, o := range opts {
-			o(r)
-		}
+		r := &Router{}
 		r.Init(r.Name(), 1.2, r.request)
 		r.sel = routing.NewSelection(0.3, r.answer)
 		return r
@@ -135,7 +125,7 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 		return
 	}
 	fwd := pkt
-	r.API.After(r.crossDelay, func() { r.API.Send(netstack.Broadcast, fwd) })
+	r.API.After(crossGroupDelay, func() { r.API.Send(netstack.Broadcast, fwd) })
 }
 
 func (r *Router) answer(origin netstack.NodeID, c routing.Candidate) {

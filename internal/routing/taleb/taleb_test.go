@@ -66,9 +66,3 @@ func TestRediscoversBeforePathDuration(t *testing.T) {
 		t.Fatalf("delivered = %d", c.DataDelivered)
 	}
 }
-
-func TestCrossGroupDelayOption(t *testing.T) {
-	w, ids := routetest.World(t, 1, routetest.Chain(3, 150, 20),
-		taleb.New(taleb.WithCrossGroupDelay(0.01)))
-	routetest.MustDeliverAll(t, w, ids[0], ids[2], 3)
-}

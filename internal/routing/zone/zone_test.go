@@ -9,67 +9,43 @@ import (
 )
 
 func TestDeliversWithinCorridor(t *testing.T) {
-	w, ids := routetest.World(t, 1, routetest.Chain(6, 150, 20), zone.New(nil))
+	w, ids := routetest.World(t, 1, routetest.Chain(6, 150, 20), zone.New())
 	routetest.MustDeliverAll(t, w, ids[0], ids[5], 5)
 }
 
 func TestNodesOutsideZoneStaySilent(t *testing.T) {
-	// a corridor along the x axis plus a far-off-axis node: the latter
-	// must not rebroadcast
-	vehicles := append(routetest.Chain(4, 150, 0),
-		routetest.Vehicle{Pos: geom.V(225, 800)}) // way off the corridor
-	w, ids := routetest.World(t, 1, vehicles, zone.New(zone.CorridorPolicy(100)))
-	w.AddFlow(ids[0], ids[3], 1, 1, 1, 256)
-	if err := w.Run(5); err != nil {
-		t.Fatal(err)
+	// a flow along the x axis, whose zone reaches one radio range (250 m)
+	// either side of it. A relay 200 m off the axis is inside and
+	// rebroadcasts; a node 420 m off it hears only that relay and, being
+	// outside, must stay silent.
+	relay := routetest.Vehicle{Pos: geom.V(225, 200)}
+	outside := routetest.Vehicle{Pos: geom.V(225, 420)}
+	transmits := func(extra ...routetest.Vehicle) int {
+		t.Helper()
+		w, ids := routetest.World(t, 1, append(routetest.Chain(4, 150, 0), extra...), zone.New())
+		w.AddFlow(ids[0], ids[3], 1, 1, 1, 256)
+		if err := w.Run(5); err != nil {
+			t.Fatal(err)
+		}
+		c := w.Collector()
+		if c.DataDelivered != 1 {
+			t.Fatalf("delivered = %d", c.DataDelivered)
+		}
+		return c.MACTransmits
 	}
-	c := w.Collector()
-	if c.DataDelivered != 1 {
-		t.Fatalf("delivered = %d", c.DataDelivered)
+	axis := transmits()
+	withRelay := transmits(relay)
+	withOutside := transmits(relay, outside)
+	if withRelay != axis+1 {
+		t.Fatalf("transmissions: %d on the axis, %d with the off-axis relay; want it to rebroadcast once", axis, withRelay)
 	}
-	// transmissions: src + 2 relays inside the corridor at most; the
-	// off-axis node is out of range anyway — rebuild with it in range:
-	vehicles2 := append(routetest.Chain(4, 150, 0),
-		routetest.Vehicle{Pos: geom.V(225, 200)}) // in radio range, outside zone
-	w2, ids2 := routetest.World(t, 1, vehicles2, zone.New(zone.CorridorPolicy(100)))
-	w2.AddFlow(ids2[0], ids2[3], 1, 1, 1, 256)
-	if err := w2.Run(5); err != nil {
-		t.Fatal(err)
-	}
-	c2 := w2.Collector()
-	if c2.DataDelivered != 1 {
-		t.Fatalf("delivered = %d", c2.DataDelivered)
-	}
-	// zone discipline: ≤ 4 transmissions (no rebroadcast from the
-	// off-zone node)
-	if c2.MACTransmits > 4 {
-		t.Fatalf("transmissions = %d; off-zone node rebroadcast", c2.MACTransmits)
-	}
-}
-
-func TestFixedZoneConfinesDissemination(t *testing.T) {
-	// the paper's "500-meter section of a road": only vehicles inside the
-	// fixed rect may relay
-	fixed := zone.FixedZone(geom.NewRect(geom.V(0, -50), geom.V(500, 50)))
-	vehicles := routetest.Chain(8, 150, 0) // nodes at 0..1050
-	w, ids := routetest.World(t, 1, vehicles, zone.New(fixed))
-	// destination beyond the zone: reachable only while relays sit inside
-	w.AddFlow(ids[0], ids[7], 1, 1, 1, 256)
-	if err := w.Run(5); err != nil {
-		t.Fatal(err)
-	}
-	c := w.Collector()
-	if c.DataDelivered != 0 {
-		t.Fatal("delivered beyond the fixed zone")
-	}
-	// nodes at 0,150,300,450 are in-zone: at most those + source transmit
-	if c.MACTransmits > 4 {
-		t.Fatalf("transmissions = %d", c.MACTransmits)
+	if withOutside != withRelay {
+		t.Fatalf("transmissions = %d with the off-zone node, %d without; it rebroadcast", withOutside, withRelay)
 	}
 }
 
 func TestZoneNeedsNoBeacons(t *testing.T) {
-	w, ids := routetest.World(t, 1, routetest.Chain(3, 150, 20), zone.New(nil))
+	w, ids := routetest.World(t, 1, routetest.Chain(3, 150, 20), zone.New())
 	w.AddFlow(ids[0], ids[2], 1, 1, 1, 256)
 	if err := w.Run(4); err != nil {
 		t.Fatal(err)

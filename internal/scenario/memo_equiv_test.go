@@ -49,7 +49,6 @@ func TestTicketMemoChangesNothing(t *testing.T) {
 				unmemoized := core.NewTicketRouter(
 					core.WithMetric(metric),
 					core.WithTickets(o.TicketBudget),
-					core.WithStabilityThreshold(o.StabilityThreshold),
 					core.WithScorer(proto, func(api *netstack.API, nb netstack.Neighbor) float64 {
 						return core.LinkStability(metric, core.StabilityParams{},
 							api.Pos(), api.Vel(), nb.Pos, nb.Vel, api.RangeEstimate())

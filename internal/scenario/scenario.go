@@ -150,12 +150,9 @@ type Options struct {
 	// WarmUp delays the first flow packet (default 5 s) so beacons and
 	// proactive tables converge.
 	WarmUp float64
-	// TicketBudget overrides the TBP-SS ticket count (default 3).
+	// TicketBudget overrides the ticket count of Yan-TBP, TBP-SS and Hybrid
+	// (default 3).
 	TicketBudget int
-	// StabilityThreshold overrides the TBP-SS constraint (default 3 s).
-	StabilityThreshold float64
-	// DirectionBias toggles greedy's direction tie-break (default true).
-	DirectionBiasOff bool
 	// Shards is accepted and ignored: intra-run sharding was measured
 	// slower than the serial step loop and deleted. The field survives
 	// only because bench/ sets it and old journals and snapshots carry
@@ -216,9 +213,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.TicketBudget <= 0 {
 		o.TicketBudget = 3
-	}
-	if o.StabilityThreshold <= 0 {
-		o.StabilityThreshold = 3
 	}
 }
 
@@ -343,9 +337,9 @@ func (s *Scenario) protocolFactory(name string) (netstack.RouterFactory, func(*S
 	case "Abedi":
 		return abedi.New(), s.maybeRSUs(nil), nil
 	case "Greedy":
-		return greedy.New(greedy.WithDirectionBias(!s.Opts.DirectionBiasOff)), s.maybeRSUs(nil), nil
+		return greedy.New(), s.maybeRSUs(nil), nil
 	case "Zone":
-		return zone.New(nil), s.maybeRSUs(nil), nil
+		return zone.New(), s.maybeRSUs(nil), nil
 	case "LORA-DCBF":
 		return gateway.New(), s.maybeRSUs(nil), nil
 	case "REAR":
@@ -365,24 +359,15 @@ func (s *Scenario) protocolFactory(name string) (netstack.RouterFactory, func(*S
 	case "GVGrid":
 		return gvgrid.New(), s.maybeRSUs(nil), nil
 	case "Yan-TBP":
-		return core.NewTicketRouter(
-			core.WithMetric(core.MetricExpectedDuration),
-			core.WithTickets(s.Opts.TicketBudget),
-			core.WithStabilityThreshold(s.Opts.StabilityThreshold),
-		), s.maybeRSUs(nil), nil
+		return core.NewTicketRouter(core.WithMetric(core.MetricExpectedDuration), core.WithTickets(s.Opts.TicketBudget)),
+			s.maybeRSUs(nil), nil
 	case "TBP-SS":
-		return core.NewTicketRouter(
-			core.WithMetric(core.MetricMeanDuration),
-			core.WithTickets(s.Opts.TicketBudget),
-			core.WithStabilityThreshold(s.Opts.StabilityThreshold),
-		), s.maybeRSUs(nil), nil
+		return core.NewTicketRouter(core.WithMetric(core.MetricMeanDuration), core.WithTickets(s.Opts.TicketBudget)),
+			s.maybeRSUs(nil), nil
 	case "NiuDe":
 		return niude.New(), s.maybeRSUs(nil), nil
 	case "Hybrid":
-		return hybrid.New(hybrid.Config{
-			Tickets:            s.Opts.TicketBudget,
-			StabilityThreshold: s.Opts.StabilityThreshold,
-		}), s.maybeRSUs(nil), nil
+		return hybrid.New(s.Opts.TicketBudget), s.maybeRSUs(nil), nil
 	default:
 		return nil, nil, fmt.Errorf("scenario: unknown protocol %q (known: %v)", name, Protocols())
 	}

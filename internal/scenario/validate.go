@@ -40,7 +40,6 @@ func (o *Options) Validate() error {
 		{"FlowInterval", o.FlowInterval, false},
 		{"Duration", o.Duration, false},
 		{"WarmUp", o.WarmUp, false},
-		{"StabilityThreshold", o.StabilityThreshold, false},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return &OptionError{f.name, f.v, "must be finite"}

@@ -56,7 +56,7 @@ func TestOptionsRejectNegatives(t *testing.T) {
 	for _, name := range []string{
 		"Vehicles", "HighwayLength", "LanesPerDirection", "GridN", "SpeedMean",
 		"Range", "Buses", "Flows", "FlowPackets", "FlowInterval", "PacketSize",
-		"Duration", "WarmUp", "TicketBudget", "StabilityThreshold",
+		"Duration", "WarmUp", "TicketBudget",
 		"ArrivalRate", "MeanLifetime",
 	} {
 		opts := Options{Seed: 1, Vehicles: 10, Duration: 2}
