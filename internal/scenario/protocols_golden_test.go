@@ -30,10 +30,13 @@ var updateProtocolGolden = flag.Bool("update-protocol-golden", false,
 // reception draws, Greedy and REAR read per-beacon RSSI, TBP-SS runs the
 // stability kernel over links that come and go with the draws — a change
 // to the channel or the radio cache that moves one verdict or one RNG
-// stream position moves these digests. A refactor of router scaffolding
-// must leave testdata/golden_protocols.txt untouched. Not skipped in
-// -short: 68 runs take under 2 s, and they are the only place every router
-// runs under the race detector.
+// stream position moves these digests. Last, AODV runs on each named preset
+// that brings its own topology, traffic or workload (ring, highway-churn,
+// city-rush, emergency, v2i), so a change to a provider moves its rows. A
+// refactor of router scaffolding or of a provider must leave
+// testdata/golden_protocols.txt untouched. Not skipped in -short: 78 runs
+// take about 2 s, and they are the only place every router runs under the
+// race detector.
 func TestProtocolGolden(t *testing.T) {
 	path := filepath.Join("testdata", "golden_protocols.txt")
 	want := map[string]string{}
@@ -69,6 +72,12 @@ func TestProtocolGolden(t *testing.T) {
 			protos: []string{"Flooding", "Greedy", "REAR", "TBP-SS"},
 			opts:   Options{Kind: CityKind, Shadowing: true, Duration: 20},
 		},
+	}
+	// The named presets with a provider of their own (a ring, open traffic,
+	// a burst or V2I workload) run once each under AODV, labelled with the
+	// preset's name.
+	for _, preset := range []string{"ring", "highway-churn", "city-rush", "emergency", "v2i"} {
+		worlds = append(worlds, world{label: preset + "/", protos: []string{"AODV"}, opts: Options{Scenario: preset, Duration: 20}})
 	}
 	var out strings.Builder
 	for _, wd := range worlds {
