@@ -38,11 +38,7 @@ func regenHeapFixture(t *testing.T) {
 	if err := sc.World.AdvanceTo(12); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := checkpoint.Capture(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := relroute.WriteCheckpoint(heapFixturePath, snap); err != nil {
+	if err := relroute.WriteCheckpoint(heapFixturePath, checkpoint.Capture(sc)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -85,9 +85,7 @@ type Snapshot struct {
 	Protocol string `json:"protocol"`
 	Name     string `json:"name"`
 	// Opts are the post-adjustment scenario options (sc.Opts after Build),
-	// on which Build is idempotent. Opts.Channel must be nil — custom
-	// in-memory channel models are not serializable, and Capture refuses
-	// them.
+	// on which Build is idempotent.
 	Opts scenario.Options `json:"opts"`
 	// T is the simulation time of the snapshot (Duration for a Record);
 	// Events the executed-event count there.
@@ -100,11 +98,6 @@ type Snapshot struct {
 	// Streams is the full RNG stream table at T: every generator the run
 	// consumes, with its seed and draw position.
 	Streams []prng.State `json:"streams"`
-	// HasSetup marks a run built with an in-process Setup hook (failure
-	// injection, extra instrumentation). Such a run is only rebuildable by
-	// the process that owns the hook: Restore refuses, Resume (with the
-	// caller re-applying the hook to a fresh build) works.
-	HasSetup bool `json:"has_setup,omitempty"`
 	// Trail is Record's digest trail, one point per boundary up to T.
 	Trail []TrailPoint `json:"trail,omitempty"`
 }
@@ -118,22 +111,10 @@ type TrailPoint struct {
 	Layers []netstack.Layer `json:"layers"`
 }
 
-// selfContained refuses a scenario whose Options cannot be serialized.
-func selfContained(sc *scenario.Scenario) error {
-	if sc.Opts.Channel != nil {
-		return fmt.Errorf("checkpoint: scenario %s/%s uses an in-memory channel model; only options-derived channels are serializable", sc.Protocol, sc.Name)
-	}
-	return nil
-}
-
 // Capture snapshots a scenario at the current engine time. It must be
 // called at an event-free boundary — after an AdvanceTo(t) returned, with
-// no events executed since — never from inside a running event. The
-// scenario's Options must be self-contained (Opts.Channel nil).
-func Capture(sc *scenario.Scenario) (*Snapshot, error) {
-	if err := selfContained(sc); err != nil {
-		return nil, err
-	}
+// no events executed since — never from inside a running event.
+func Capture(sc *scenario.Scenario) *Snapshot {
 	w := sc.World
 	return &Snapshot{
 		Version:  FormatVersion,
@@ -145,18 +126,14 @@ func Capture(sc *scenario.Scenario) (*Snapshot, error) {
 		Duration: sc.Opts.Duration,
 		Digest:   w.Digest(),
 		Streams:  w.AppendStreamStates(nil),
-	}, nil
+	}
 }
 
 // Record runs a freshly built scenario to its Duration in segments
 // trailEvery apart, appending a TrailPoint at every boundary, and returns
 // the run's summary — Scenario.Run's, since boundaries are event-free —
-// with the snapshot captured at Duration, trail included. The scenario's
-// Options must be self-contained (Opts.Channel nil).
+// with the snapshot captured at Duration, trail included.
 func Record(sc *scenario.Scenario) (metrics.Summary, *Snapshot, error) {
-	if err := selfContained(sc); err != nil {
-		return metrics.Summary{}, nil, err
-	}
 	w := sc.World
 	w.StartRun()
 	defer w.EndRun()
@@ -168,10 +145,7 @@ func Record(sc *scenario.Scenario) (metrics.Summary, *Snapshot, error) {
 		}
 		trail = append(trail, pointOf(w))
 	}
-	snap, err := Capture(sc)
-	if err != nil {
-		return metrics.Summary{}, nil, err
-	}
+	snap := Capture(sc)
 	snap.Trail = trail
 	w.CompleteRun()
 	return sc.Summary(), snap, nil
@@ -271,9 +245,6 @@ func ReadFile(path string) (*Snapshot, error) {
 // sits at snap.T with the run's periodic machinery armed (StartRun has
 // run); continue with Complete.
 func Restore(snap *Snapshot) (*scenario.Scenario, error) {
-	if snap.HasSetup {
-		return nil, fmt.Errorf("checkpoint: snapshot of %s/%s was captured under a run-specific Setup hook; rebuild the scenario in-process and use Resume", snap.Protocol, snap.Name)
-	}
 	sc, err := scenario.Build(snap.Protocol, snap.Opts)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: rebuild: %w", err)

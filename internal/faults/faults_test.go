@@ -5,7 +5,6 @@
 package faults_test
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -153,39 +152,6 @@ func TestWindowsMerge(t *testing.T) {
 	}
 	if got := eng.Windows(); !reflect.DeepEqual(got, [][2]float64{{2, 9}}) {
 		t.Fatalf("windows = %v, want the merged [[2 9]]", got)
-	}
-}
-
-// TestProfilesBuildDeterministically: every registered profile, fed the
-// same context twice (fresh Rand each time, same seed), must produce
-// byte-identical schedules — the registry contract behind reproducible
-// chaos tables.
-func TestProfilesBuildDeterministically(t *testing.T) {
-	ctx := func() faults.Context {
-		vehicles := make([]netstack.NodeID, 16)
-		for i := range vehicles {
-			vehicles[i] = netstack.NodeID(i)
-		}
-		return faults.Context{
-			Seed: 99, Duration: 60,
-			Bounds:   geom.NewRect(geom.V(0, 0), geom.V(2000, 200)),
-			Vehicles: vehicles,
-			RSUs:     []netstack.NodeID{16, 17},
-			Rand:     rand.New(rand.NewSource(99)),
-		}
-	}
-	for _, name := range faults.Names() {
-		p, ok := faults.Named(name)
-		if !ok {
-			t.Fatalf("Names listed unknown profile %q", name)
-		}
-		a, b := p.Build(ctx()), p.Build(ctx())
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("profile %q is not deterministic:\n%+v\n%+v", name, a, b)
-		}
-		if len(a.Events) == 0 {
-			t.Errorf("profile %q built an empty schedule", name)
-		}
 	}
 }
 

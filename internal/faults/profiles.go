@@ -34,23 +34,17 @@ type Profile struct {
 
 var profiles = map[string]Profile{}
 
-// Register adds a profile to the registry. Registering a duplicate name
+// register adds a profile to the registry. Registering a duplicate name
 // panics: profiles are wired at init time and a collision is a
 // programmer error.
-func Register(p Profile) {
+func register(p Profile) {
 	if p.Name == "" || p.Build == nil {
-		panic("faults: Register needs a name and a build function")
+		panic("faults: register needs a name and a build function")
 	}
 	if _, dup := profiles[p.Name]; dup {
 		panic("faults: duplicate profile " + p.Name)
 	}
 	profiles[p.Name] = p
-}
-
-// Named returns the registered profile.
-func Named(name string) (Profile, bool) {
-	p, ok := profiles[name]
-	return p, ok
 }
 
 // Known reports whether name is a registered profile.
@@ -106,7 +100,7 @@ func pick(rng *rand.Rand, ids []netstack.NodeID, k int) []netstack.NodeID {
 }
 
 func init() {
-	Register(Profile{
+	register(Profile{
 		Name:        "rsu-blackout",
 		Description: "every RSU fails at half-time and stays down — the paper's disaster scenario",
 		Build: func(ctx Context) Spec {
@@ -115,7 +109,7 @@ func init() {
 			}}
 		},
 	})
-	Register(Profile{
+	register(Profile{
 		Name:        "rolling-crashes",
 		Description: "an eighth of the vehicles crash one after another, each down for a fifth of the run",
 		Build: func(ctx Context) Spec {
@@ -135,7 +129,7 @@ func init() {
 			return Spec{Events: evs}
 		},
 	})
-	Register(Profile{
+	register(Profile{
 		Name:        "jammed-corridor",
 		Description: "the middle third of the map is jammed (75% added loss) for the middle half of the run",
 		Build: func(ctx Context) Spec {
@@ -150,7 +144,7 @@ func init() {
 			}}
 		},
 	})
-	Register(Profile{
+	register(Profile{
 		Name:        "energy-depletion",
 		Description: "battery-powered relays (RSUs, else a sixth of the vehicles) deplete one by one and stay dark (arXiv:1704.07519)",
 		Build: func(ctx Context) Spec {
@@ -173,7 +167,7 @@ func init() {
 			return Spec{Events: evs}
 		},
 	})
-	Register(Profile{
+	register(Profile{
 		Name:        "partition",
 		Description: "a vertical cut through the map center severs every crossing link for [0.4, 0.75] of the run",
 		Build: func(ctx Context) Spec {
@@ -183,7 +177,7 @@ func init() {
 			}}
 		},
 	})
-	Register(Profile{
+	register(Profile{
 		Name:        "lossy-beacons",
 		Description: "half of all HELLO beacons are suppressed for [0.3, 0.7] of the run — a degraded control channel",
 		Build: func(ctx Context) Spec {

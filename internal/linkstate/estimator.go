@@ -30,59 +30,42 @@ type Estimator interface {
 	Estimate(ls LinkState, obs Observer, kinematic float64) Prediction
 }
 
-// Config parameterises estimator construction. The zero value of every
-// field takes the documented default.
+// Config parameterises estimator construction.
 type Config struct {
 	// Range is the communication range r in meters used by geometric
-	// predictions (default 250 — the nominal DSRC figure).
+	// predictions (zero means 250 — the nominal DSRC figure).
 	Range float64
-	// Receipt maps RSSI to receipt probability for the rssi and composite
-	// estimators (zero value means prob.DefaultReceiptModel).
-	Receipt prob.ReceiptModel
-	// TrendFloor is the minimum fading rate in dB/s the rssi estimator
-	// extrapolates; flatter trends predict an unbreakable link
-	// (default 1e-3).
-	TrendFloor float64
-	// MinAge floors the receipt estimator's age-based residual in seconds
-	// (default 1).
-	MinAge float64
 }
 
-func (c Config) withDefaults() Config {
-	if c.Range <= 0 {
-		c.Range = 250
-	}
-	if c.Receipt == (prob.ReceiptModel{}) {
-		c.Receipt = prob.DefaultReceiptModel()
-	}
-	if c.TrendFloor <= 0 {
-		c.TrendFloor = 1e-3
-	}
-	if c.MinAge <= 0 {
-		c.MinAge = 1
-	}
-	return c
-}
+// The estimators' fixed parameters. The rssi and composite estimators map
+// RSSI to receipt probability with prob.DefaultReceiptModel.
+const (
+	// trendFloor is the minimum fading rate in dB/s the rssi estimator
+	// extrapolates; flatter trends predict an unbreakable link.
+	trendFloor = 1e-3
+	// minAge floors the receipt estimator's age-based residual, s.
+	minAge = 1.0
+)
 
-// Factory builds an estimator from a config.
-type Factory func(Config) Estimator
-
-// registry maps estimator names to factories. Register before running
-// simulations; the map is read concurrently by runner workers.
-var registry = map[string]Factory{
-	"kinematic": func(c Config) Estimator { return kinematicEstimator{cfg: c.withDefaults()} },
-	"rssi":      func(c Config) Estimator { return rssiEstimator{cfg: c.withDefaults()} },
-	"receipt":   func(c Config) Estimator { return receiptEstimator{cfg: c.withDefaults()} },
-	"composite": func(c Config) Estimator { return compositeEstimator{cfg: c.withDefaults()} },
+// registry maps estimator names to their constructors. It is read
+// concurrently by runner workers and never written.
+var registry = map[string]func(Config) Estimator{
+	"kinematic": func(c Config) Estimator {
+		r := c.Range
+		if r <= 0 {
+			r = 250
+		}
+		return kinematicEstimator{rangeM: r}
+	},
+	"rssi":      func(Config) Estimator { return rssiEstimator{receipt: prob.DefaultReceiptModel()} },
+	"receipt":   func(Config) Estimator { return receiptEstimator{} },
+	"composite": func(Config) Estimator { return compositeEstimator{receipt: prob.DefaultReceiptModel()} },
 }
 
 // DefaultEstimator is the registry name resolved for an empty estimator
 // selection: the composite estimator, whose predictions reproduce exactly
 // what the protocols computed before the reliability plane existed.
 const DefaultEstimator = "composite"
-
-// Register adds a named estimator factory (call before building worlds).
-func Register(name string, f Factory) { registry[name] = f }
 
 // Known reports whether name resolves in the registry ("" is the default).
 func Known(name string) bool {
@@ -127,7 +110,7 @@ func MustNew(name string, cfg Config) Estimator {
 // kinematicEstimator is the paper's Sec. IV-A predictor: the residual
 // lifetime is the Eqn (4) solution on the beaconed kinematics, and receipt
 // is the unit-disk indicator of the current geometric distance.
-type kinematicEstimator struct{ cfg Config }
+type kinematicEstimator struct{ rangeM float64 }
 
 // Name implements Estimator.
 func (kinematicEstimator) Name() string { return "kinematic" }
@@ -135,7 +118,7 @@ func (kinematicEstimator) Name() string { return "kinematic" }
 // Estimate implements Estimator.
 func (e kinematicEstimator) Estimate(ls LinkState, obs Observer, kinematic float64) Prediction {
 	p := Prediction{Lifetime: kinematic}
-	if ls.Pos.Dist(obs.Pos) <= e.cfg.Range {
+	if ls.Pos.Dist(obs.Pos) <= e.rangeM {
 		p.ReceiptProb = 1
 	}
 	return p
@@ -144,19 +127,19 @@ func (e kinematicEstimator) Estimate(ls LinkState, obs Observer, kinematic float
 // rssiEstimator is the radio-only predictor (REAR's family): receipt from
 // the shadowing loss model over the smoothed beacon RSSI, and lifetime by
 // extrapolating the RSSI trend down to the receiver sensitivity.
-type rssiEstimator struct{ cfg Config }
+type rssiEstimator struct{ receipt prob.ReceiptModel }
 
 // Name implements Estimator.
 func (rssiEstimator) Name() string { return "rssi" }
 
 // Estimate implements Estimator.
 func (e rssiEstimator) Estimate(ls LinkState, obs Observer, kinematic float64) Prediction {
-	p := Prediction{ReceiptProb: e.cfg.Receipt.ProbFromRSSI(ls.MeanRSSI)}
-	margin := ls.MeanRSSI - e.cfg.Receipt.RxThreshDBm
+	p := Prediction{ReceiptProb: e.receipt.ProbFromRSSI(ls.MeanRSSI)}
+	margin := ls.MeanRSSI - e.receipt.RxThreshDBm
 	switch {
 	case margin <= 0:
 		p.Lifetime = 0 // already below sensitivity
-	case ls.RSSITrend < -e.cfg.TrendFloor:
+	case ls.RSSITrend < -trendFloor:
 		p.Lifetime = margin / -ls.RSSITrend
 	default:
 		p.Lifetime = link.Forever // flat or improving signal
@@ -169,17 +152,14 @@ func (e rssiEstimator) Estimate(ls LinkState, obs Observer, kinematic float64) P
 // the EWMA of observed per-frame outcomes, and the residual lifetime is
 // age-proportional (a link that has survived t tends to survive about t
 // more) discounted by that same feedback.
-type receiptEstimator struct{ cfg Config }
+type receiptEstimator struct{}
 
 // Name implements Estimator.
 func (receiptEstimator) Name() string { return "receipt" }
 
 // Estimate implements Estimator.
-func (e receiptEstimator) Estimate(ls LinkState, obs Observer, kinematic float64) Prediction {
-	age := obs.Now - ls.FirstSeen
-	if age < e.cfg.MinAge {
-		age = e.cfg.MinAge
-	}
+func (receiptEstimator) Estimate(ls LinkState, obs Observer, kinematic float64) Prediction {
+	age := max(obs.Now-ls.FirstSeen, minAge)
 	return Prediction{Lifetime: age * ls.FeedbackProb, ReceiptProb: ls.FeedbackProb}
 }
 
@@ -188,14 +168,14 @@ func (e receiptEstimator) Estimate(ls LinkState, obs Observer, kinematic float64
 // model for receipt probability. Its predictions are exactly what the
 // protocols hand-rolled before the plane existed, which is what keeps the
 // golden experiment outputs byte-identical.
-type compositeEstimator struct{ cfg Config }
+type compositeEstimator struct{ receipt prob.ReceiptModel }
 
 // Name implements Estimator.
 func (compositeEstimator) Name() string { return "composite" }
 
 // Estimate implements Estimator.
 func (e compositeEstimator) Estimate(ls LinkState, obs Observer, kinematic float64) Prediction {
-	return Prediction{Lifetime: kinematic, ReceiptProb: e.cfg.Receipt.ProbFromRSSI(ls.MeanRSSI)}
+	return Prediction{Lifetime: kinematic, ReceiptProb: e.receipt.ProbFromRSSI(ls.MeanRSSI)}
 }
 
 // durationModel builds the Sec. VII link-duration model for the link

@@ -58,7 +58,7 @@ func TestKinematicEstimator(t *testing.T) {
 
 func TestRSSIEstimator(t *testing.T) {
 	model := prob.DefaultReceiptModel()
-	e := MustNew("rssi", Config{Receipt: model})
+	e := MustNew("rssi", Config{})
 	// 20 dB above sensitivity, fading 2 dB/s → ~10 s predicted
 	ls := LinkState{MeanRSSI: model.RxThreshDBm + 20, RSSITrend: -2}
 	p := e.Estimate(ls, Observer{}, 123)
@@ -81,7 +81,7 @@ func TestRSSIEstimator(t *testing.T) {
 }
 
 func TestReceiptEstimator(t *testing.T) {
-	e := MustNew("receipt", Config{MinAge: 1})
+	e := MustNew("receipt", Config{})
 	p := e.Estimate(LinkState{FirstSeen: 2, FeedbackProb: 0.5}, Observer{Now: 10}, 999)
 	if p.ReceiptProb != 0.5 {
 		t.Fatalf("ReceiptProb = %v", p.ReceiptProb)

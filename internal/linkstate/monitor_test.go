@@ -98,9 +98,7 @@ func TestMonitorStateMatchesEqn4(t *testing.T) {
 
 func TestMonitorLifetimeMemo(t *testing.T) {
 	calls := 0
-	Register("counting", func(c Config) Estimator { return countingEstimator{calls: &calls} })
-	defer delete(registry, "counting")
-	m := NewMonitor(2.5, 250, MustNew("counting", Config{}))
+	m := NewMonitor(2.5, 250, countingEstimator{calls: &calls})
 	m.Update(1, Vehicle, geom.V(100, 0), geom.V(-1, 0), -60, 0)
 
 	obs := Observer{Pos: geom.Vec2{}, Vel: geom.V(2, 0), Now: 1, Epoch: 10}

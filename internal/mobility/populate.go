@@ -16,22 +16,16 @@ type PopulateOptions struct {
 	SpeedMean, SpeedStd float64
 	// Segments restricts placement to these segments; empty means all.
 	Segments []roadnet.SegmentID
-	// Class tags the spawned vehicles; zero means Car.
-	Class Class
 }
 
-// Populate scatters vehicles uniformly over segments and lanes with
-// normally distributed desired speeds. It returns the spawned IDs.
+// Populate scatters cars uniformly over segments and lanes with normally
+// distributed desired speeds. It returns the spawned IDs.
 func Populate(m *RoadModel, rng *rand.Rand, opts PopulateOptions) []VehicleID {
 	segs := opts.Segments
 	if len(segs) == 0 {
 		for i := 0; i < m.Network().Segments(); i++ {
 			segs = append(segs, roadnet.SegmentID(i))
 		}
-	}
-	class := opts.Class
-	if class == 0 {
-		class = Car
 	}
 	// weight segments by length so density is uniform per meter
 	total := 0.0
@@ -59,7 +53,7 @@ func Populate(m *RoadModel, rng *rand.Rand, opts PopulateOptions) []VehicleID {
 			speed = seg.SpeedLimit * 1.1
 		}
 		params := DefaultIDM(speed)
-		ids = append(ids, m.AddVehicle(segs[idx], lane, offset, params, class))
+		ids = append(ids, m.AddVehicle(segs[idx], lane, offset, params, Car))
 	}
 	return ids
 }

@@ -191,10 +191,13 @@ func TestFloodRebroadcastRecycled(t *testing.T) {
 }
 
 // finalWorld is two static sinks in range of each other, with a source of
-// pool packets to SendFinal.
+// pool packets to SendFinal, on a MAC layer with cfg in place of the
+// world's own.
 func finalWorld(t *testing.T, cfg mac.Config) (*World, []*sinkRouter, func() *Packet) {
 	t.Helper()
-	w := NewWorld(Config{Seed: 1, MAC: cfg}, mobility.NewPlayback(nil))
+	w := NewWorld(Config{Seed: 1}, mobility.NewPlayback(nil))
+	w.mac = mac.NewLayer(w.eng, w.links, cfg, w.col, w.dispatch, w.txFailed)
+	w.mac.OnFrameDone(w.frameDone)
 	routers := []*sinkRouter{{}, {}}
 	w.AddStaticNode(RSU, geom.V(0, 0), routers[0])
 	w.AddStaticNode(RSU, geom.V(100, 0), routers[1])

@@ -21,8 +21,6 @@ type Config struct {
 	Seed int64
 	// Channel is the propagation model. Nil means UnitDisk{250}.
 	Channel channel.Model
-	// MAC holds the MAC parameters.
-	MAC mac.Config
 	// Estimator selects the reliability plane's link-quality estimator by
 	// registry name (see linkstate.Names). Empty means "composite": the
 	// kinematic Eqn (4) lifetime plus the RSSI receipt model.
@@ -159,7 +157,7 @@ func NewWorld(cfg Config, model mobility.Model) *World {
 	// world owns its invalidation — the grid epoch it keys on advances with
 	// each mobility step's moves and each setActive.
 	w.links = radio.NewCache(w.grid, ch)
-	w.mac = mac.NewLayer(w.eng, w.links, cfg.MAC, w.col, w.dispatch, w.txFailed)
+	w.mac = mac.NewLayer(w.eng, w.links, mac.Config{}, w.col, w.dispatch, w.txFailed)
 	w.mac.OnFrameDone(w.frameDone)
 	return w
 }

@@ -27,29 +27,26 @@ type journalHeader struct {
 }
 
 // journalRecord is one completed run: its submission index, display
-// label, attempt count, and full summary — everything ExecuteResumable
-// needs to reproduce the Result without re-executing.
+// label and full summary — everything ExecuteResumable needs to reproduce
+// the Result without re-executing. An "attempts" count in an older
+// journal's records is ignored.
 type journalRecord struct {
-	Kind     string          `json:"kind"`
-	Index    int             `json:"index"`
-	Label    string          `json:"label"`
-	Attempts int             `json:"attempts"`
-	Summary  metrics.Summary `json:"summary"`
+	Kind    string          `json:"kind"`
+	Index   int             `json:"index"`
+	Label   string          `json:"label"`
+	Summary metrics.Summary `json:"summary"`
 }
 
 // CampaignHash fingerprints a campaign's run list: protocol, label, and
-// the JSON encoding of each run's Options with the identity-irrelevant
-// fields zeroed (Shards is ignored by the engine, and journals written
-// when it was an execution knob must still resume; Channel is not
-// serializable and campaigns that inject one must keep it consistent
-// themselves). Setup hooks cannot be hashed — callers resuming a campaign
-// with hooks are responsible for passing the same hooks again.
+// the JSON encoding of each run's Options with Shards zeroed (the engine
+// ignores it, and journals written when it was an execution knob must
+// still resume). Setup hooks cannot be hashed — callers resuming a
+// campaign with hooks are responsible for passing the same hooks again.
 func CampaignHash(c Campaign) uint64 {
 	var buf []byte
 	for _, r := range c.Runs {
 		o := r.Opts
 		o.Shards = 0
-		o.Channel = nil
 		js, err := json.Marshal(o)
 		if err != nil {
 			// Options is a plain data struct; this only fires if a future
@@ -163,11 +160,7 @@ func (j *Journal) Completed(i int) (Result, bool) {
 	if !ok {
 		return Result{}, false
 	}
-	return Result{
-		Run:      Run{Label: rec.Label},
-		Summary:  rec.Summary,
-		Attempts: rec.Attempts,
-	}, true
+	return Result{Run: Run{Label: rec.Label}, Summary: rec.Summary}, true
 }
 
 // Remaining counts the runs a campaign of n still has to execute.
@@ -181,13 +174,8 @@ func (j *Journal) Remaining(n int) int {
 // errors are sticky and surfaced by Close — a journaling failure must not
 // fail the run that produced the result.
 func (j *Journal) Record(i int, res Result) {
-	line, err := json.Marshal(journalRecord{
-		Kind:     "done",
-		Index:    i,
-		Label:    res.Run.Label,
-		Attempts: res.Attempts,
-		Summary:  res.Summary,
-	})
+	rec := journalRecord{Kind: "done", Index: i, Label: res.Run.Label, Summary: res.Summary}
+	line, err := json.Marshal(rec)
 	if err != nil {
 		j.mu.Lock()
 		if j.err == nil {
@@ -198,7 +186,7 @@ func (j *Journal) Record(i int, res Result) {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.done[i] = journalRecord{Kind: "done", Index: i, Label: res.Run.Label, Attempts: res.Attempts, Summary: res.Summary}
+	j.done[i] = rec
 	if err := j.appendLocked(line); err != nil && j.err == nil {
 		j.err = err
 	}

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,8 +17,8 @@ import (
 )
 
 // TestTimedOutRunNamesWhereItStopped wedges a run at t=6 and checks that
-// the timed-out attempt's error says where its engine stopped — simulated
-// time and event count — and that the retry re-ran from a fresh build.
+// the timed-out run's error says where its engine stopped — simulated time
+// and event count — and that the run was built once, not run again.
 func TestTimedOutRunNamesWhereItStopped(t *testing.T) {
 	var builds atomic.Int64
 	var c Campaign
@@ -28,7 +29,7 @@ func TestTimedOutRunNamesWhereItStopped(t *testing.T) {
 		spin = func() { eng.After(0, spin) }
 		eng.After(6, spin)
 	}})
-	results := Pool{Workers: 1, Timeout: 200 * time.Millisecond, Retries: 1}.Execute(c)
+	results := Pool{Workers: 1, Timeout: 200 * time.Millisecond}.Execute(c)
 
 	if results[0].Err == nil {
 		t.Fatal("wedged run reported success")
@@ -39,11 +40,8 @@ func TestTimedOutRunNamesWhereItStopped(t *testing.T) {
 	if !regexp.MustCompile(`timed out after 200ms at t=6\.00s, [1-9][0-9]* events`).MatchString(results[0].Err.Error()) {
 		t.Fatalf("err = %v, want it to name the timeout, t=6.00s and the event count", results[0].Err)
 	}
-	if results[0].Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2", results[0].Attempts)
-	}
-	if builds.Load() != 2 {
-		t.Fatalf("scenario built %d times, want 2 — every retry must start from a fresh build", builds.Load())
+	if builds.Load() != 1 {
+		t.Fatalf("scenario built %d times, want 1", builds.Load())
 	}
 }
 
@@ -67,9 +65,8 @@ func TestJournalResumeSkipsCompleted(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Resume in a "fresh process": reopen the journal and re-execute. A
-	// pool with zero retries and a poisoned Setup would fail any run that
-	// actually executes — instrument with a counter instead.
+	// Resume in a "fresh process": reopen the journal and re-execute,
+	// counting the runs that actually execute.
 	var executed atomic.Int64
 	c2 := testCampaign()
 	for i := range c2.Runs {
@@ -233,12 +230,11 @@ func TestJournalRejectsForeignCampaign(t *testing.T) {
 }
 
 // TestExecuteContextCancellation: a cancelled context fails pending runs
-// immediately — without burning the retry budget — and interrupts
-// in-flight ones.
+// immediately and interrupts in-flight ones.
 func TestExecuteContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	results := Pool{Workers: 2, Retries: 3}.ExecuteContext(ctx, testCampaign())
+	results := Pool{Workers: 2}.ExecuteContext(ctx, testCampaign())
 	for i, r := range results {
 		if r.Err == nil {
 			t.Fatalf("run %d executed under a cancelled context", i)
@@ -246,13 +242,10 @@ func TestExecuteContextCancellation(t *testing.T) {
 		if !errors.Is(r.Err, context.Canceled) {
 			t.Fatalf("run %d err = %v, want context.Canceled", i, r.Err)
 		}
-		if r.Attempts != 1 {
-			t.Fatalf("run %d burned %d attempts on a cancelled campaign", i, r.Attempts)
-		}
 	}
 
 	// Mid-run cancellation: wedge the engine, cancel shortly after, and
-	// expect an interrupt attributed to the campaign, not retried.
+	// expect an interrupt attributed to the campaign.
 	var c Campaign
 	c.Add(Run{Protocol: "Greedy", Opts: quickOpts(1), Setup: func(sc *scenario.Scenario) {
 		eng := sc.World.Engine()
@@ -265,11 +258,11 @@ func TestExecuteContextCancellation(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 		cancel2()
 	}()
-	results = Pool{Workers: 1, Retries: 3}.ExecuteContext(ctx2, c)
+	results = Pool{Workers: 1}.ExecuteContext(ctx2, c)
 	if !errors.Is(results[0].Err, sim.ErrInterrupted) {
 		t.Fatalf("err = %v, want wrapped sim.ErrInterrupted", results[0].Err)
 	}
-	if results[0].Attempts != 1 {
-		t.Fatalf("cancelled run was retried %d times", results[0].Attempts-1)
+	if !strings.Contains(results[0].Err.Error(), "campaign cancelled") {
+		t.Fatalf("err = %v, want the interrupt attributed to the campaign", results[0].Err)
 	}
 }

@@ -51,8 +51,6 @@ type Spec struct {
 	// Options.Seed for that replication. Empty means "one replication with
 	// the seed already in the options".
 	Seeds []int64
-	// Setup is applied to every built scenario of the spec (optional).
-	Setup func(*scenario.Scenario)
 }
 
 // Runs expands the spec into the ordered run list.
@@ -69,7 +67,7 @@ func (s Spec) Runs() []Run {
 				if len(s.Seeds) > 0 {
 					o.Seed = seed
 				}
-				out = append(out, Run{Protocol: proto, Opts: o, Setup: s.Setup})
+				out = append(out, Run{Protocol: proto, Opts: o})
 			}
 		}
 	}
@@ -103,25 +101,18 @@ type Result struct {
 	Run     Run
 	Summary metrics.Summary
 	Err     error
-	// Attempts is how many times the run was executed (> 1 only when the
-	// pool retried a transient failure).
-	Attempts int
 }
 
 // Pool executes campaigns on a bounded worker pool.
 type Pool struct {
 	// Workers is the goroutine count; <= 0 means GOMAXPROCS.
 	Workers int
-	// Timeout bounds each run attempt's wall-clock time; zero means no
-	// limit. On expiry the attempt's engine is interrupted at the next
-	// event boundary and the attempt records a timeout error naming the
-	// simulated time and event count reached, so one hung simulation
-	// degrades to a recorded failure instead of wedging its worker.
+	// Timeout bounds each run's wall-clock time; zero means no limit. On
+	// expiry the run's engine is interrupted at the next event boundary and
+	// the run records a timeout error naming the simulated time and event
+	// count reached, so one hung simulation degrades to a recorded failure
+	// instead of wedging its worker.
 	Timeout time.Duration
-	// Retries is how many extra attempts a transiently failed run (panic,
-	// timeout, or mid-run error — not a scenario-build error) is given
-	// before its error is recorded. Zero means a single attempt.
-	Retries int
 }
 
 func (p Pool) workers(n int) int {
@@ -216,29 +207,14 @@ func Execute(c Campaign, workers int) []Result {
 	return Pool{Workers: workers}.Execute(c)
 }
 
-// execute runs r under the pool's timeout and retry policy: transient
-// failures are re-attempted from a fresh build (every attempt is the same
-// deterministic simulation, so a retry only helps against environmental
-// faults — OOM-killed goroutines, timeouts on a loaded machine), while
-// scenario-build errors and campaign cancellation fail immediately.
-func (p Pool) execute(ctx context.Context, r Run) Result {
-	for attempt := 1; ; attempt++ {
-		res, transient := p.attempt(ctx, r)
-		res.Attempts = attempt
-		if res.Err == nil || !transient || attempt > p.Retries {
-			return res
-		}
-	}
-}
-
-// attempt builds and runs one scenario, recovering panics into errors so a
-// bad run cannot take down sibling workers. The transient flag reports
-// whether retrying could plausibly change the outcome. Every attempt
-// builds fresh. An interrupted attempt's error says the simulated time and
-// event count at which its engine stopped.
-func (p Pool) attempt(ctx context.Context, r Run) (res Result, transient bool) {
+// execute builds and runs one scenario under the pool's timeout,
+// recovering panics into errors so a bad run cannot take down sibling
+// workers. An interrupted run's error says the simulated time and event
+// count at which its engine stopped. A failed run is not retried: every
+// run is a deterministic simulation, so a second try would fail the same
+// way.
+func (p Pool) execute(ctx context.Context, r Run) (res Result) {
 	res.Run = r
-	transient = true
 	defer func() {
 		if pv := recover(); pv != nil {
 			res.Err = fmt.Errorf("runner: %s: panic: %v", r.Protocol, pv)
@@ -246,12 +222,12 @@ func (p Pool) attempt(ctx context.Context, r Run) (res Result, transient bool) {
 	}()
 	if err := ctx.Err(); err != nil {
 		res.Err = fmt.Errorf("runner: %s: %w", r.Protocol, err)
-		return res, false
+		return res
 	}
 	sc, err := scenario.Build(r.Protocol, r.Opts)
 	if err != nil {
 		res.Err = err
-		return res, false
+		return res
 	}
 	if r.Setup != nil {
 		r.Setup(sc)
@@ -276,19 +252,18 @@ func (p Pool) attempt(ctx context.Context, r Run) (res Result, transient bool) {
 			switch {
 			case ctx.Err() != nil:
 				err = fmt.Errorf("%w (campaign cancelled %s)", err, at)
-				transient = false
 			case p.Timeout > 0:
 				err = fmt.Errorf("%w (timed out after %v %s)", err, p.Timeout, at)
 			}
 		}
 		res.Err = err
-		return res, transient
+		return res
 	}
 	if res.Run.Label == "" {
 		res.Run.Label = r.Protocol + "/" + sc.Name
 	}
 	res.Summary = sum
-	return res, true
+	return res
 }
 
 // Replications groups results into consecutive blocks of k — one block

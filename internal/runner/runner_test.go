@@ -135,9 +135,6 @@ func TestTimeoutInterruptsHungRun(t *testing.T) {
 	if !strings.Contains(results[0].Err.Error(), "timed out") {
 		t.Fatalf("hung run error %q does not mention the timeout", results[0].Err)
 	}
-	if results[0].Attempts != 1 {
-		t.Fatalf("hung run attempts = %d, want 1 (no retries configured)", results[0].Attempts)
-	}
 	if results[1].Err != nil {
 		t.Fatalf("sibling run failed: %v", results[1].Err)
 	}
@@ -146,63 +143,38 @@ func TestTimeoutInterruptsHungRun(t *testing.T) {
 	}
 }
 
-// TestRetryRecoversTransientPanic panics a run's first attempt only; with
-// one retry the second attempt must succeed and be counted.
-func TestRetryRecoversTransientPanic(t *testing.T) {
+// TestFailedRunIsNotRetried: a run is a deterministic simulation, so a
+// second try would fail the same way. A run whose Setup panics records the
+// panic after one build, and a scenario-build error records before Setup.
+func TestFailedRunIsNotRetried(t *testing.T) {
 	var calls atomic.Int64
+	panics := func(*scenario.Scenario) {
+		calls.Add(1)
+		panic("persistent fault")
+	}
 	var c Campaign
-	c.Add(Run{Protocol: "Greedy", Opts: quickOpts(1), Setup: func(sc *scenario.Scenario) {
-		if calls.Add(1) == 1 {
-			panic("transient fault")
-		}
-	}})
-	results := Pool{Workers: 1, Retries: 1}.Execute(c)
-	if results[0].Err != nil {
-		t.Fatalf("retried run still failed: %v", results[0].Err)
+	c.Add(Run{Protocol: "Greedy", Opts: quickOpts(1), Setup: panics})
+	results := Pool{Workers: 1}.Execute(c)
+	if results[0].Err == nil || !strings.Contains(results[0].Err.Error(), "panic: persistent fault") {
+		t.Fatalf("err = %v, want the recovered panic", results[0].Err)
 	}
-	if results[0].Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2", results[0].Attempts)
-	}
-	if calls.Load() != 2 {
-		t.Fatalf("setup ran %d times, want 2", calls.Load())
-	}
-	if results[0].Summary.DataSent == 0 {
-		t.Fatal("retried run simulated nothing")
+	if calls.Load() != 1 {
+		t.Fatalf("setup ran %d times, want 1", calls.Load())
 	}
 }
 
-// TestBuildErrorsAreNotRetried: a bad configuration is deterministic, so
-// the pool must fail it once instead of burning its retry budget.
+// TestBuildErrorsAreNotRetried: a bad configuration fails its run at build
+// time, before any Setup hook sees a scenario.
 func TestBuildErrorsAreNotRetried(t *testing.T) {
+	var calls atomic.Int64
 	var c Campaign
-	c.Add(Run{Protocol: "NoSuchProto", Opts: quickOpts(1)})
-	results := Pool{Workers: 1, Retries: 3}.Execute(c)
+	c.Add(Run{Protocol: "NoSuchProto", Opts: quickOpts(1), Setup: func(*scenario.Scenario) { calls.Add(1) }})
+	results := Pool{Workers: 1}.Execute(c)
 	if results[0].Err == nil {
 		t.Fatal("unknown protocol did not error")
 	}
-	if results[0].Attempts != 1 {
-		t.Fatalf("attempts = %d, want 1 (build errors are permanent)", results[0].Attempts)
-	}
-}
-
-// TestRetryBudgetIsBounded: a run that always panics exhausts its retries
-// and records the error with the full attempt count.
-func TestRetryBudgetIsBounded(t *testing.T) {
-	var calls atomic.Int64
-	var c Campaign
-	c.Add(Run{Protocol: "Greedy", Opts: quickOpts(1), Setup: func(sc *scenario.Scenario) {
-		calls.Add(1)
-		panic("persistent fault")
-	}})
-	results := Pool{Workers: 1, Retries: 2}.Execute(c)
-	if results[0].Err == nil {
-		t.Fatal("always-panicking run reported success")
-	}
-	if results[0].Attempts != 3 {
-		t.Fatalf("attempts = %d, want 3 (1 + 2 retries)", results[0].Attempts)
-	}
-	if calls.Load() != 3 {
-		t.Fatalf("setup ran %d times, want 3", calls.Load())
+	if calls.Load() != 0 {
+		t.Fatalf("setup ran %d times on a scenario that failed to build", calls.Load())
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 
 // Topology builds the road network a scenario runs on. Implementations
 // are small value types (HighwayTopology, GridTopology, RingTopology,
-// TraceTopology, CustomTopology) so specs stay declarative.
+// TraceTopology) so specs stay declarative.
 type Topology interface {
 	// Name labels the topology in scenario names ("highway", "city", ...).
 	Name() string
@@ -79,17 +79,18 @@ func topologyFor(k Kind) Topology {
 // Seed+7) is frozen — reordering it would silently change every golden
 // experiment output.
 func BuildSpec(protocol string, spec Spec, opts Options) (*Scenario, error) {
-	return buildSpec(protocol, spec, opts, nil)
-}
-
-// buildSpec is BuildSpec with, when vehicles is not nil, that factory in
-// place of the named protocol's vehicle routers: tests run a protocol
-// against a variant of itself in the very same world.
-func buildSpec(protocol string, spec Spec, opts Options, vehicles netstack.RouterFactory) (*Scenario, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	opts.setDefaults()
+	return buildSpec(protocol, spec, opts, nil)
+}
+
+// buildSpec is BuildSpec on options already validated and defaulted, with,
+// when vehicles is not nil, that factory in place of the named protocol's
+// vehicle routers: tests run a protocol against a variant of itself in the
+// very same world.
+func buildSpec(protocol string, spec Spec, opts Options, vehicles netstack.RouterFactory) (*Scenario, error) {
 	if !linkstate.Known(opts.Estimator) {
 		return nil, fmt.Errorf("scenario: unknown link estimator %q (known: %v)", opts.Estimator, linkstate.Names())
 	}
@@ -116,14 +117,9 @@ func buildSpec(protocol string, spec Spec, opts Options, vehicles netstack.Route
 		return nil, err
 	}
 
-	ch := opts.Channel
-	if ch == nil {
-		if opts.Shadowing {
-			m := channelReceiptFor(opts.Range)
-			ch = channel.NewShadowing(m)
-		} else {
-			ch = channel.UnitDisk{Range: opts.Range}
-		}
+	var ch channel.Model = channel.UnitDisk{Range: opts.Range}
+	if opts.Shadowing {
+		ch = channel.NewShadowing(channelReceiptFor(opts.Range))
 	}
 	world := netstack.NewWorld(netstack.Config{
 		Seed:      rng.Int63(),

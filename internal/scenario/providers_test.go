@@ -271,29 +271,6 @@ func TestV2IWorkloadPlacesServers(t *testing.T) {
 	}
 }
 
-func TestCustomTopology(t *testing.T) {
-	net, _, _, err := roadnet.Highway(800, 1, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := quickOpts()
-	sc, err := BuildSpec("Greedy", Spec{
-		Topology: CustomTopology{Label: "bespoke", Network: net},
-	}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.Name != "bespoke/30-veh" {
-		t.Errorf("name = %q", sc.Name)
-	}
-	if _, err := sc.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := BuildSpec("Greedy", Spec{Topology: CustomTopology{}}, opts); err == nil {
-		t.Fatal("nil custom network accepted")
-	}
-}
-
 func TestRushHourProfile(t *testing.T) {
 	p := RushHour(1, 5, 50, 25)
 	if got := p.Rate(50); got != 5 {

@@ -20,11 +20,11 @@ type Definition struct {
 // locking.
 var registry = map[string]Definition{}
 
-// Register adds a named scenario. It panics on duplicate or empty names —
+// register adds a named scenario. It panics on duplicate or empty names —
 // registration is programmer-time wiring, not runtime input.
-func Register(def Definition) {
+func register(def Definition) {
 	if def.Name == "" || def.Build == nil {
-		panic("scenario: Register needs a name and a builder")
+		panic("scenario: register needs a name and a builder")
 	}
 	if _, dup := registry[def.Name]; dup {
 		panic(fmt.Sprintf("scenario: duplicate scenario %q", def.Name))
@@ -58,28 +58,28 @@ func Descriptions() map[string]string {
 }
 
 func init() {
-	Register(Definition{
+	register(Definition{
 		Name:        "highway",
 		Description: "closed-world bidirectional highway (the paper's default habitat)",
 		Build: func(Options) Spec {
 			return Spec{Name: "highway", Topology: HighwayTopology{}}
 		},
 	})
-	Register(Definition{
+	register(Definition{
 		Name:        "city",
 		Description: "closed-world Manhattan grid",
 		Build: func(Options) Spec {
 			return Spec{Name: "city", Topology: GridTopology{}}
 		},
 	})
-	Register(Definition{
+	register(Definition{
 		Name:        "ring",
 		Description: "closed-world ring road holding density constant",
 		Build: func(Options) Spec {
 			return Spec{Name: "ring", Topology: RingTopology{}}
 		},
 	})
-	Register(Definition{
+	register(Definition{
 		Name:        "highway-churn",
 		Description: "open-world highway: Poisson arrivals, lifetime-bounded departures",
 		Build: func(o Options) Spec {
@@ -95,7 +95,7 @@ func init() {
 			}
 		},
 	})
-	Register(Definition{
+	register(Definition{
 		Name:        "city-rush",
 		Description: "open-world city grid under a rush-hour arrival ramp",
 		Build: func(o Options) Spec {
@@ -114,18 +114,18 @@ func init() {
 			}
 		},
 	})
-	Register(Definition{
+	register(Definition{
 		Name:        "emergency",
 		Description: "closed highway with a bursty emergency-broadcast workload on top of CBR",
 		Build: func(Options) Spec {
 			return Spec{
 				Name:     "emergency",
 				Topology: HighwayTopology{},
-				Workload: Workloads{CBRWorkload{}, BurstWorkload{Sources: 2}},
+				Workload: Workloads{CBRWorkload{}, BurstWorkload{}},
 			}
 		},
 	})
-	Register(Definition{
+	register(Definition{
 		Name:        "v2i",
 		Description: "highway with roadside servers and V2I request/response traffic",
 		Build: func(Options) Spec {

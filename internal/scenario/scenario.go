@@ -12,18 +12,22 @@
 //     closed-world scenario the paper evaluates (the Options struct is a
 //     thin facade over the providers; equal options remain byte-identical
 //     to the pre-provider builder).
-//   - Named: Options.Scenario selects a registered preset ("city-rush",
-//     "highway-churn", ...) from the registry; see Names.
+//   - Named: Options.Scenario selects one of the package's presets
+//     ("city-rush", "highway-churn", ...); see Names.
 //   - Trace-driven: Options.TracePath (or Options.Tracks) replays a SUMO
 //     FCD trace through a playback mobility model with open-world
 //     membership — vehicles join the world when their trace begins and
 //     leave when it ends.
+//
+// Options sizes every provider. A provider's own fields are only those a
+// preset or a caller sets; every other parameter of a topology, traffic
+// source or workload (the ring's sides, the open world's population cap,
+// the burst's sources and fan-out, the V2I server count) is a constant.
 package scenario
 
 import (
 	"fmt"
 
-	"github.com/vanetlab/relroute/internal/channel"
 	"github.com/vanetlab/relroute/internal/core"
 	"github.com/vanetlab/relroute/internal/geom"
 	"github.com/vanetlab/relroute/internal/metrics"
@@ -115,18 +119,17 @@ type Options struct {
 	// (default 4) with 400 m blocks.
 	GridN int
 	// SpeedMean and SpeedStd parameterise desired speeds in m/s
-	// (defaults 30 and 6 — heterogeneous highway traffic).
+	// (defaults 30 and 6 — heterogeneous highway traffic). A negative
+	// SpeedStd means zero spread: every vehicle wants SpeedMean.
 	SpeedMean, SpeedStd float64
-	// Range is the unit-disk radio range in meters when Channel is nil
-	// (default 250).
+	// Range is the unit-disk radio range in meters, or with Shadowing the
+	// median range the log-normal channel is calibrated to (default 250).
 	Range float64
 	// Estimator selects the reliability plane's link-quality estimator by
 	// registry name ("kinematic", "receipt", "rssi", "composite"; see
 	// linkstate.Names). Empty means the composite default, whose
 	// predictions match the pre-plane protocol behaviour exactly.
 	Estimator string
-	// Channel overrides the propagation model.
-	Channel channel.Model
 	// Shadowing switches the default channel to log-normal shadowing.
 	Shadowing bool
 	// RSUs places this many road-side units evenly along the topology.
@@ -185,9 +188,7 @@ func (o *Options) setDefaults() {
 	if o.SpeedMean <= 0 {
 		o.SpeedMean = 30
 	}
-	if o.SpeedStd < 0 {
-		o.SpeedStd = 0
-	} else if o.SpeedStd == 0 {
+	if o.SpeedStd == 0 {
 		o.SpeedStd = 6
 	}
 	if o.Range <= 0 {
@@ -215,6 +216,11 @@ func (o *Options) setDefaults() {
 		o.TicketBudget = 3
 	}
 }
+
+// spread is the standard deviation of desired speeds: SpeedStd, with a
+// negative value meaning zero. SpeedStd itself keeps the sign, so the
+// options a Scenario carries rebuild the same run.
+func (o *Options) spread() float64 { return max(o.SpeedStd, 0) }
 
 // Scenario is an assembled, not-yet-run simulation.
 type Scenario struct {
@@ -255,7 +261,7 @@ func Build(protocol string, opts Options) (*Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	return BuildSpec(protocol, spec, opts)
+	return buildSpec(protocol, spec, opts, nil)
 }
 
 // specFromOptions resolves the facade options into a provider spec (and

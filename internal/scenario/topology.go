@@ -26,11 +26,9 @@ func (HighwayTopology) Build(opts *Options) (*roadnet.Network, []roadnet.Segment
 	return net, []roadnet.SegmentID{eb, wb}, nil
 }
 
-// GridTopology is a Manhattan street grid. The zero value takes the
-// junction count from Options.GridN with 400 m blocks.
+// GridTopology is a Manhattan street grid of Options.GridN junctions per
+// side.
 type GridTopology struct {
-	// N overrides Options.GridN when positive.
-	N int
 	// Spacing is the block edge in meters (default 400).
 	Spacing float64
 }
@@ -40,15 +38,11 @@ func (GridTopology) Name() string { return "city" }
 
 // Build implements Topology.
 func (t GridTopology) Build(opts *Options) (*roadnet.Network, []roadnet.SegmentID, error) {
-	n := t.N
-	if n <= 0 {
-		n = opts.GridN
-	}
 	spacing := t.Spacing
 	if spacing <= 0 {
 		spacing = 400
 	}
-	net, err := roadnet.Grid(n, n, spacing, 1, 14)
+	net, err := roadnet.Grid(opts.GridN, opts.GridN, spacing, 1, 14)
 	if err != nil {
 		return nil, nil, fmt.Errorf("scenario: build city: %w", err)
 	}
@@ -56,54 +50,22 @@ func (t GridTopology) Build(opts *Options) (*roadnet.Network, []roadnet.SegmentI
 }
 
 // RingTopology is a closed loop that holds density constant indefinitely
-// (circumference Options.HighwayLength).
-type RingTopology struct {
-	// Sides is the polygon side count approximating the circle (default 16).
-	Sides int
-}
+// (circumference Options.HighwayLength), a polygon of ringSides sides.
+type RingTopology struct{}
+
+// ringSides is the side count of the polygon approximating the ring.
+const ringSides = 16
 
 // Name implements Topology.
 func (RingTopology) Name() string { return "ring" }
 
 // Build implements Topology.
-func (t RingTopology) Build(opts *Options) (*roadnet.Network, []roadnet.SegmentID, error) {
-	sides := t.Sides
-	if sides <= 0 {
-		sides = 16
-	}
-	net, err := roadnet.Ring(opts.HighwayLength, sides, opts.LanesPerDirection, opts.SpeedMean+10)
+func (RingTopology) Build(opts *Options) (*roadnet.Network, []roadnet.SegmentID, error) {
+	net, err := roadnet.Ring(opts.HighwayLength, ringSides, opts.LanesPerDirection, opts.SpeedMean+10)
 	if err != nil {
 		return nil, nil, fmt.Errorf("scenario: build ring: %w", err)
 	}
 	return net, nil, nil
-}
-
-// CustomTopology wraps a caller-supplied road network, the escape hatch
-// for roadnets built programmatically (or imported from external map
-// data) that none of the presets cover.
-type CustomTopology struct {
-	// Label names the topology in scenario names (default "custom").
-	Label string
-	// Network is the prebuilt road graph (required).
-	Network *roadnet.Network
-	// Segments optionally restricts traffic placement.
-	Segments []roadnet.SegmentID
-}
-
-// Name implements Topology.
-func (t CustomTopology) Name() string {
-	if t.Label == "" {
-		return "custom"
-	}
-	return t.Label
-}
-
-// Build implements Topology.
-func (t CustomTopology) Build(*Options) (*roadnet.Network, []roadnet.SegmentID, error) {
-	if t.Network == nil {
-		return nil, nil, fmt.Errorf("scenario: custom topology has no network")
-	}
-	return t.Network, t.Segments, nil
 }
 
 // TraceTopology derives an envelope road network from the bounding box of

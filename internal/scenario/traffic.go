@@ -30,7 +30,7 @@ func (ClosedTraffic) BuildModel(net *roadnet.Network, segs []roadnet.SegmentID, 
 	mobility.Populate(model, scatter, mobility.PopulateOptions{
 		Count:     opts.Vehicles,
 		SpeedMean: opts.SpeedMean,
-		SpeedStd:  opts.SpeedStd,
+		SpeedStd:  opts.spread(),
 		Segments:  segs,
 	})
 	if opts.Buses > 0 {
@@ -98,9 +98,11 @@ type OpenTraffic struct {
 	// every vehicle (initial and spawned); 0 keeps vehicles until the run
 	// ends.
 	MeanLifetime float64
-	// MaxVehicles caps the live population (default 4 × Options.Vehicles).
-	MaxVehicles int
 }
+
+// maxPopulation caps an open world's live population at this many times
+// Options.Vehicles: an arrival that finds it full does not spawn.
+const maxPopulation = 4
 
 func (t OpenTraffic) initial(opts *Options) int {
 	if t.Initial > 0 {
@@ -121,7 +123,7 @@ func (t OpenTraffic) BuildModel(net *roadnet.Network, segs []roadnet.SegmentID, 
 	mobility.Populate(model, scatter, mobility.PopulateOptions{
 		Count:     t.initial(opts),
 		SpeedMean: opts.SpeedMean,
-		SpeedStd:  opts.SpeedStd,
+		SpeedStd:  opts.spread(),
 		Segments:  segs,
 	})
 	return model, nil
@@ -141,10 +143,6 @@ func (t OpenTraffic) Install(sc *Scenario) {
 	eng := sc.World.Engine()
 	sc.World.SetJoinFactory(sc.factory)
 
-	maxVehicles := t.MaxVehicles
-	if maxVehicles <= 0 {
-		maxVehicles = 4 * opts.Vehicles
-	}
 	scheduleDeparture := func(id mobility.VehicleID) {
 		if t.MeanLifetime <= 0 {
 			return
@@ -173,7 +171,7 @@ func (t OpenTraffic) Install(sc *Scenario) {
 		segID := spawnSegs[rng.Intn(len(spawnSegs))]
 		seg := sc.Net.Segment(segID)
 		lane := rng.Intn(seg.Lanes)
-		speed := opts.SpeedMean + opts.SpeedStd*rng.NormFloat64()
+		speed := opts.SpeedMean + opts.spread()*rng.NormFloat64()
 		if speed < 5 {
 			speed = 5
 		}
@@ -194,7 +192,7 @@ func (t OpenTraffic) Install(sc *Scenario) {
 		if rate != nil {
 			accept = rng.Float64()*peak <= rate(eng.Now())
 		}
-		if accept && road.Len() < maxVehicles {
+		if accept && road.Len() < maxPopulation*opts.Vehicles {
 			spawn()
 		}
 		eng.After(rng.ExpFloat64()/peak, arrive)

@@ -22,7 +22,8 @@ func (e *OptionError) Error() string {
 // silently becoming the default) or let through (NaN compares false with
 // everything, so it survives every "<= 0" and poisons the run). Zero still
 // means default. The two negatives with a meaning of their own stay legal:
-// RSUs = −1 is "explicitly none" and SpeedStd < 0 is "zero spread". Build
+// RSUs = −1 is "explicitly none" (any lower count is refused) and
+// SpeedStd < 0 is "zero spread". Build
 // and BuildSpec call it; a caller that fans one Options out into many runs
 // calls it first, so nothing is set up for runs that can never execute.
 func (o *Options) Validate() error {
@@ -64,6 +65,9 @@ func (o *Options) Validate() error {
 		if f.v < 0 {
 			return &OptionError{f.name, f.v, "must not be negative"}
 		}
+	}
+	if o.RSUs < -1 {
+		return &OptionError{"RSUs", o.RSUs, "must be -1 (none), 0 (the protocol's default) or a count"}
 	}
 	return nil
 }

@@ -71,6 +71,10 @@ func TestOptionsRejectNegatives(t *testing.T) {
 		}
 		wantOptionError(t, name+" = -1", opts, name)
 	}
+	// RSUs = -1 means "explicitly none"; below it nothing is meant
+	for _, rsus := range []int{-2, -5} {
+		wantOptionError(t, fmt.Sprintf("RSUs = %d", rsus), Options{Seed: 1, Vehicles: 10, Duration: 2, RSUs: rsus}, "RSUs")
+	}
 }
 
 // The two negatives that mean something still build, and so does zero

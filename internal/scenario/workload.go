@@ -66,81 +66,51 @@ func installTraceFlows(sc *Scenario, rng *rand.Rand) {
 	}
 }
 
-// BurstWorkload models bursty emergency broadcast: at the trigger time a
-// few alarm sources each fan a rapid packet train out to several
+// BurstWorkload models bursty emergency broadcast: at WarmUp + 2 s,
+// burstSources vehicles raise the alarm, and each fans a train of
+// Options.FlowPackets packets, burstGap apart, out to burstFanout
 // destinations at once — a sudden synchronized load spike on top of an
 // otherwise idle network, the accident-notification pattern safety
 // messaging papers stress.
-type BurstWorkload struct {
-	// At is the trigger time in seconds (default WarmUp + 2).
-	At float64
-	// Sources is how many vehicles raise the alarm (default 1).
-	Sources int
-	// Fanout is the destinations per source (default 3).
-	Fanout int
-	// Packets per (source, destination) train (default Options.FlowPackets).
-	Packets int
-	// Gap is the intra-train packet spacing in seconds (default 0.05).
-	Gap float64
-}
+type BurstWorkload struct{}
+
+const (
+	burstSources = 2    // vehicles raising the alarm
+	burstFanout  = 3    // destinations per source
+	burstGap     = 0.05 // packet spacing within a train, s
+)
 
 // Install implements Workload.
-func (w BurstWorkload) Install(sc *Scenario, rng *rand.Rand) {
+func (BurstWorkload) Install(sc *Scenario, rng *rand.Rand) {
 	n := len(sc.Vehicles)
 	if n < 2 {
 		return
 	}
-	at := w.At
-	if at <= 0 {
-		at = sc.Opts.WarmUp + 2
-	}
-	sources := w.Sources
-	if sources <= 0 {
-		sources = 1
-	}
-	fanout := w.Fanout
-	if fanout <= 0 {
-		fanout = 3
-	}
-	if fanout > n-1 {
-		fanout = n - 1
-	}
-	packets := w.Packets
-	if packets <= 0 {
-		packets = sc.Opts.FlowPackets
-	}
-	gap := w.Gap
-	if gap <= 0 {
-		gap = 0.05
-	}
-	for s := 0; s < sources; s++ {
+	at := sc.Opts.WarmUp + 2
+	fanout := min(burstFanout, n-1)
+	for s := 0; s < burstSources; s++ {
 		src := sc.Vehicles[rng.Intn(n)]
 		for f := 0; f < fanout; f++ {
 			dst := sc.Vehicles[rng.Intn(n)]
 			for dst == src {
 				dst = sc.Vehicles[rng.Intn(n)]
 			}
-			sc.World.AddFlow(src, dst, at, gap, packets, sc.Opts.PacketSize)
+			sc.World.AddFlow(src, dst, at, burstGap, sc.Opts.FlowPackets, sc.Opts.PacketSize)
 		}
 	}
 }
 
-// V2IWorkload models vehicle-to-infrastructure request/response: static
-// roadside servers (running the scenario's own protocol stack) spread
-// along the network, and vehicle clients exchanging small requests for
-// larger responses with them — the traffic-information-service pattern of
-// Sec. V, where reachability of fixed infrastructure is what matters.
-type V2IWorkload struct {
-	// Servers is the roadside server count (default 2).
-	Servers int
-	// Clients is the requesting vehicle count (default Options.Flows).
-	Clients int
-	// Requests per client (default Options.FlowPackets).
-	Requests int
-	// Interval between a client's requests in seconds (default
-	// Options.FlowInterval).
-	Interval float64
-}
+// V2IWorkload models vehicle-to-infrastructure request/response: v2iServers
+// static roadside servers (running the scenario's own protocol stack)
+// spread along the network, and Options.Flows vehicle clients exchanging
+// small requests for larger responses with them — the
+// traffic-information-service pattern of Sec. V, where reachability of
+// fixed infrastructure is what matters. Each client sends
+// Options.FlowPackets requests, Options.FlowInterval apart.
+type V2IWorkload struct{}
+
+// v2iServers is the roadside server count of a V2IWorkload.
+const v2iServers = 2
 
 // RequestSize is the fixed V2I request payload in bytes; responses use
 // Options.PacketSize.
@@ -149,13 +119,9 @@ const RequestSize = 64
 // Install implements Workload: it places the servers as RSU-kind static
 // nodes and wires, per client, a request flow to its server and the
 // server's response flow back, offset by half an interval.
-func (w V2IWorkload) Install(sc *Scenario, rng *rand.Rand) {
-	servers := w.Servers
-	if servers <= 0 {
-		servers = 2
-	}
-	ids := make([]netstack.NodeID, 0, servers)
-	for _, p := range rsuPositions(sc.Net, servers) {
+func (V2IWorkload) Install(sc *Scenario, rng *rand.Rand) {
+	ids := make([]netstack.NodeID, 0, v2iServers)
+	for _, p := range rsuPositions(sc.Net, v2iServers) {
 		id := sc.World.AddStaticNode(netstack.RSU, p, sc.factory())
 		ids = append(ids, id)
 	}
@@ -165,19 +131,8 @@ func (w V2IWorkload) Install(sc *Scenario, rng *rand.Rand) {
 	if n == 0 {
 		return
 	}
-	clients := w.Clients
-	if clients <= 0 {
-		clients = sc.Opts.Flows
-	}
-	requests := w.Requests
-	if requests <= 0 {
-		requests = sc.Opts.FlowPackets
-	}
-	interval := w.Interval
-	if interval <= 0 {
-		interval = sc.Opts.FlowInterval
-	}
-	for c := 0; c < clients; c++ {
+	interval, requests := sc.Opts.FlowInterval, sc.Opts.FlowPackets
+	for c := 0; c < sc.Opts.Flows; c++ {
 		v := sc.Vehicles[rng.Intn(n)]
 		srv := ids[c%len(ids)]
 		start := sc.Opts.WarmUp + rng.Float64()*2

@@ -284,8 +284,8 @@ func RunBatch(c Campaign, workers int) []BatchResult {
 }
 
 // BatchPool executes campaigns with explicit policy: worker count,
-// per-run timeout, retry budget, and — via ExecuteContext /
-// ExecuteResumable — cancellation and durable campaign manifests.
+// per-run timeout, and — via ExecuteContext / ExecuteResumable —
+// cancellation and durable campaign manifests.
 type BatchPool = runner.Pool
 
 // CampaignJournal is a durable campaign manifest: completed runs are
