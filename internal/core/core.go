@@ -21,6 +21,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/vanetlab/relroute/internal/geom"
 	"github.com/vanetlab/relroute/internal/link"
@@ -152,4 +153,16 @@ func linkStateStability(api *netstack.API, m Metric, ls netstack.LinkState) floa
 	default:
 		return 0
 	}
+}
+
+// linkStateStabilityBound is a number never below what linkStateStability
+// returns for the same link: the probability metrics' closed-form bound,
+// +Inf for any other metric.
+func linkStateStabilityBound(api *netstack.API, m Metric, ls netstack.LinkState) float64 {
+	if m != MetricExpectedDuration && m != MetricMeanDuration {
+		return math.Inf(1)
+	}
+	var params StabilityParams
+	obs := linkstate.Observer{Pos: api.Pos(), Vel: api.Vel(), Now: api.Now()}
+	return linkstate.ExpectedDurationBound(obs, ls, params.sigma(m), api.RangeEstimate(), params.horizon())
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"unsafe"
 
@@ -157,8 +158,9 @@ func TestStabilityMemoEntrySize(t *testing.T) {
 }
 
 // BenchmarkTicketCandidates is one candidates call over a 30-neighbor
-// table: cold (the observer moved since the last call, every link is
-// integrated) and repeated within a mobility epoch (every link remembered).
+// table: cold (the observer moved since the last call) for the best one,
+// the best three and every candidate, the last integrating every link; and
+// repeated within a mobility epoch (every link scored is remembered).
 func BenchmarkTicketCandidates(b *testing.B) {
 	var others []geom.Vec2
 	for i := 0; i < 30; i++ {
@@ -168,20 +170,29 @@ func BenchmarkTicketCandidates(b *testing.B) {
 	advance(b, w, 2.05)
 	r := routers[0]
 	path := []netstack.NodeID{r.API.Self()}
-	if n := len(r.candidates(31, path)); n < 25 {
+	if n := len(r.candidates(31, path, len(others))); n < 25 {
 		b.Fatalf("%d candidates of 30 neighbors", n)
+	}
+	for _, k := range []int{1, 3} {
+		b.Run(fmt.Sprintf("cold/k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r.memo = r.memo[:0]
+				r.candidates(31, path, k)
+			}
+		})
 	}
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			r.memo = r.memo[:0]
-			r.candidates(31, path)
+			r.candidates(31, path, len(others))
 		}
 	})
 	b.Run("repeat", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			r.candidates(31, path)
+			r.candidates(31, path, len(others))
 		}
 	})
 }

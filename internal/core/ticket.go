@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"github.com/vanetlab/relroute/internal/geom"
@@ -165,9 +166,9 @@ func (r *TicketRouter) forward(pkt *netstack.Packet) {
 // sendProbes performs the source's ticket split: rank neighbors by link
 // stability (filtered by the threshold and, when the destination position
 // is known, by forward progress), then distribute the L tickets over the
-// best candidates.
+// best L candidates.
 func (r *TicketRouter) sendProbes(dst netstack.NodeID, reqID uint64) bool {
-	cands := r.candidates(dst, []netstack.NodeID{r.API.Self()})
+	cands := r.candidates(dst, []netstack.NodeID{r.API.Self()}, r.tickets)
 	if len(cands) == 0 {
 		return false
 	}
@@ -206,21 +207,11 @@ func (r *TicketRouter) stability(ls netstack.LinkState) float64 {
 	if r.metric == MetricDeterministic {
 		return linkStateStability(r.API, r.metric, ls)
 	}
-	if pos, vel := r.API.Pos(), r.API.Vel(); pos != r.memoPos || vel != r.memoVel {
-		r.memo, r.memoPos, r.memoVel = r.memo[:0], pos, vel
-	}
-	var m *stabilityMemo
-	for i := range r.memo {
-		if r.memo[i].id == ls.ID {
-			m = &r.memo[i]
-			break
-		}
-	}
-	beacons := int32(ls.Beacons)
-	if m != nil && m.beacons == beacons && m.lastSeen == ls.LastSeen {
+	m := r.memoEntry(ls.ID)
+	if m.holds(ls) {
 		return m.val
 	}
-	e := stabilityMemo{ls.ID, beacons, ls.LastSeen, linkStateStability(r.API, r.metric, ls)}
+	e := stabilityMemo{ls.ID, int32(ls.Beacons), ls.LastSeen, linkStateStability(r.API, r.metric, ls)}
 	if m != nil {
 		*m = e
 	} else {
@@ -229,19 +220,68 @@ func (r *TicketRouter) stability(ls netstack.LinkState) float64 {
 	return e.val
 }
 
-// candidates ranks admissible next hops for a probe: live neighbors not on
-// the path, stability ≥ threshold, ordered by stability and progress. The
-// tests run cheapest first — a neighbor the path or geography rules out is
-// never scored, which for the probability metrics is an integral saved.
-func (r *TicketRouter) candidates(dst netstack.NodeID, path []netstack.NodeID) []candidate {
+// memoEntry returns the memo's entry for neighbor id, nil if it has none,
+// after emptying the memo if this node has moved since it was filled.
+func (r *TicketRouter) memoEntry(id netstack.NodeID) *stabilityMemo {
+	if pos, vel := r.API.Pos(), r.API.Vel(); pos != r.memoPos || vel != r.memoVel {
+		r.memo, r.memoPos, r.memoVel = r.memo[:0], pos, vel
+	}
+	for i := range r.memo {
+		if r.memo[i].id == id {
+			return &r.memo[i]
+		}
+	}
+	return nil
+}
+
+// holds reports whether m remembers the link as ls describes it.
+func (m *stabilityMemo) holds(ls netstack.LinkState) bool {
+	return m != nil && m.beacons == int32(ls.Beacons) && m.lastSeen == ls.LastSeen
+}
+
+// stabilityBound is a number never below stability(ls), and whether it is
+// stability(ls) itself: the memo's value where it holds the link, else the
+// probability metrics' closed-form bound. A scorer or the deterministic
+// metric gets +Inf, so every link is scored.
+func (r *TicketRouter) stabilityBound(ls netstack.LinkState) (bound float64, exact bool) {
+	if r.scorer != nil || r.metric == MetricDeterministic {
+		return math.Inf(1), false
+	}
+	if m := r.memoEntry(ls.ID); m.holds(ls) {
+		return m.val, true
+	}
+	return linkStateStabilityBound(r.API, r.metric, ls), false
+}
+
+// bounded is a neighbor that passed candidates' free tests, with what its
+// stability can at most be.
+type bounded struct {
+	idx      int // into the link states
+	progress float64
+	bound    float64
+	exact    bool // the bound is the stability
+}
+
+// candidates returns the best k admissible next hops for a probe, at
+// least one so that an empty list means there is none: live neighbors not
+// on the path, stability ≥ threshold, ranked by stability, progress and
+// ID. The tests run cheapest first — a neighbor the path or geography
+// rules out is never scored, nor one whose stability bound is below the
+// threshold — and the rest are scored best bound first until k are
+// admitted and the next bound is below the k-th best stability: no
+// neighbor left can then enter the top k. For the probability metrics
+// that is an integral saved per neighbor skipped.
+func (r *TicketRouter) candidates(dst netstack.NodeID, path []netstack.NodeID, k int) []candidate {
+	k = max(k, 1)
 	dstPos, _, havePos := r.API.LookupPosition(dst)
 	selfD := 0.0
 	if havePos {
 		selfD = r.API.Pos().Dist(dstPos)
 	}
-	var out []candidate
 	var buf [routing.NeighborBuf]netstack.LinkState
 	states := r.API.AppendLinkStates(buf[:0])
+	var admitBuf [routing.NeighborBuf]bounded
+	admissible := admitBuf[:0]
 	for i := range states {
 		nb := &states[i]
 		if onPath(path, nb.ID) {
@@ -254,23 +294,48 @@ func (r *TicketRouter) candidates(dst netstack.NodeID, path []netstack.NodeID) [
 				continue // require forward progress when geography is known
 			}
 		}
-		s := r.stability(*nb)
+		b, exact := r.stabilityBound(*nb)
+		if b < stabilityThreshold {
+			continue
+		}
+		admissible = append(admissible, bounded{i, prog, b, exact})
+	}
+	// stable: equal bounds — every one, for a scorer — score in table order
+	slices.SortStableFunc(admissible, func(a, b bounded) int { return cmp.Compare(b.bound, a.bound) })
+	var out []candidate
+	for _, a := range admissible {
+		if len(out) == k && a.bound < out[k-1].stability {
+			break
+		}
+		nb := &states[a.idx]
+		s := a.bound
+		if !a.exact {
+			s = r.stability(*nb)
+		}
 		if s < stabilityThreshold {
 			continue
 		}
-		out = append(out, candidate{id: nb.ID, stability: s, progress: prog})
+		c := candidate{id: nb.ID, stability: s, progress: a.progress}
+		i, _ := slices.BinarySearchFunc(out, c, rankCandidates)
+		if i == k {
+			continue // ranks below all k
+		}
+		if out = slices.Insert(out, i, c); len(out) > k {
+			out = out[:k]
+		}
 	}
-	// a strict total order: IDs are unique
-	slices.SortFunc(out, func(a, b candidate) int {
-		if a.stability != b.stability {
-			return cmp.Compare(b.stability, a.stability)
-		}
-		if a.progress != b.progress {
-			return cmp.Compare(b.progress, a.progress)
-		}
-		return cmp.Compare(a.id, b.id)
-	})
 	return out
+}
+
+// rankCandidates is a strict total order, best first: IDs are unique.
+func rankCandidates(a, b candidate) int {
+	if a.stability != b.stability {
+		return cmp.Compare(b.stability, a.stability)
+	}
+	if a.progress != b.progress {
+		return cmp.Compare(b.progress, a.progress)
+	}
+	return cmp.Compare(a.id, b.id)
 }
 
 // splitTickets distributes l tickets over n ranked candidates: the best
@@ -338,7 +403,7 @@ func (r *TicketRouter) handleProbe(pkt *netstack.Packet) {
 	if pkt.Expired() {
 		return
 	}
-	cands := r.candidates(pr.Target, path)
+	cands := r.candidates(pr.Target, path, pr.Tickets)
 	if len(cands) == 0 {
 		return // ticket dies here
 	}

@@ -221,3 +221,15 @@ func ExpectedDuration(obs Observer, ls LinkState, sigma, rangeM, horizon float64
 	}
 	return model.Expected()
 }
+
+// ExpectedDurationBound is a number never below what ExpectedDuration
+// returns for the same arguments, in closed form
+// (prob.LinkDurationModel.ExpectedBound): what a caller that keeps only
+// the best few links ranks them by before it integrates any.
+func ExpectedDurationBound(obs Observer, ls LinkState, sigma, rangeM, horizon float64) float64 {
+	model, up := durationModel(obs, ls, sigma, rangeM, horizon)
+	if !up {
+		return 0
+	}
+	return model.ExpectedBound()
+}

@@ -52,7 +52,7 @@ func TestExpectedMatchesMonteCarlo(t *testing.T) {
 	const n = 200000
 	sum := 0.0
 	for i := 0; i < n; i++ {
-		sum += m.SampleDuration(rng)
+		sum += m.Duration(m.RelSpeed.Sample(rng))
 	}
 	mc := sum / n
 	if math.Abs(analytic-mc) > 0.03*mc {
@@ -82,29 +82,6 @@ func TestSurvivalProbMonotone(t *testing.T) {
 	broken := LinkDurationModel{RelSpeed: Normal{Mu: 0, Sigma: 1}, Gap: 400, Range: 250}
 	if got := broken.SurvivalProb(0); got != 0 {
 		t.Fatalf("SurvivalProb(0) = %v for a down link", got)
-	}
-}
-
-func TestQuantileInvertsSurvival(t *testing.T) {
-	m := LinkDurationModel{
-		RelSpeed: Normal{Mu: 6, Sigma: 2},
-		Gap:      20, Range: 250, Horizon: 600,
-	}
-	for _, p := range []float64{0.25, 0.5, 0.75} {
-		q := m.Quantile(p)
-		if got := 1 - m.SurvivalProb(q); math.Abs(got-p) > 0.02 {
-			t.Errorf("1-Survival(Quantile(%v)) = %v", p, got)
-		}
-	}
-}
-
-func TestStabilityAliasesExpected(t *testing.T) {
-	m := LinkDurationModel{
-		RelSpeed: Normal{Mu: 3, Sigma: 2},
-		Gap:      10, Range: 250,
-	}
-	if m.Stability() != m.Expected() {
-		t.Fatal("Stability() must equal Expected() (the paper's naming)")
 	}
 }
 
