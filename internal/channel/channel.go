@@ -9,8 +9,8 @@
 // bracket table of its receipt probability and evaluates the Log10 → Erfc
 // formula only for a draw that lands inside a bucket's bracket — verdict
 // for verdict and draw for draw what the formula alone decides (see
-// Shadowing.Decodable). Precomputed and BatchPrecomputed are kept for
-// bench/replay.go only, see ROADMAP item 5.
+// Shadowing.Decodable). Precomputed is kept for bench/replay.go only, see
+// ROADMAP item 5.
 package channel
 
 import (
@@ -47,13 +47,6 @@ type Precomputed interface {
 	DecodableAt(d float64, rng *rand.Rand) bool
 }
 
-// BatchPrecomputed is Precomputed over a slice: PathLossInto copies dists
-// into dst. Kept for bench/replay.go only, see ROADMAP item 5.
-type BatchPrecomputed interface {
-	Precomputed
-	PathLossInto(dst, dists []float64)
-}
-
 // UnitDisk is the idealised model: every frame within Range is received,
 // nothing beyond. It keeps analytic results exact, so the Fig. 3 lifetime
 // validation uses it.
@@ -72,16 +65,11 @@ func (u UnitDisk) MeanRange() float64 { return u.Range }
 // Decodable implements Model.
 func (u UnitDisk) Decodable(d float64, _ *rand.Rand) bool { return d <= u.Range }
 
-var _ BatchPrecomputed = UnitDisk{}
-
 // PathLoss implements Precomputed.
 func (u UnitDisk) PathLoss(d float64) float64 { return d }
 
 // DecodableAt implements Precomputed.
 func (u UnitDisk) DecodableAt(d float64, rng *rand.Rand) bool { return u.Decodable(d, rng) }
-
-// PathLossInto implements BatchPrecomputed.
-func (u UnitDisk) PathLossInto(dst, dists []float64) { copy(dst, dists) }
 
 // RSSI implements Model with a deterministic log-distance curve so RSSI
 // ordering still reflects distance.
@@ -144,10 +132,6 @@ var _ Model = (*Shadowing)(nil)
 
 // Receipt returns the receipt model the channel was built from.
 func (s *Shadowing) Receipt() prob.ReceiptModel { return s.receipt }
-
-// CutoffProb returns the receipt probability below which a distance
-// counts as out of range.
-func (s *Shadowing) CutoffProb() float64 { return s.cutoffProb }
 
 func (s *Shadowing) computeMaxRange() float64 {
 	lo, hi := 1.0, 20000.0
@@ -229,16 +213,11 @@ func (s *Shadowing) decodeExact(d float64, rng *rand.Rand) bool {
 	return rng.Float64() < p
 }
 
-var _ BatchPrecomputed = (*Shadowing)(nil)
-
 // PathLoss implements Precomputed.
 func (s *Shadowing) PathLoss(d float64) float64 { return d }
 
 // DecodableAt implements Precomputed.
 func (s *Shadowing) DecodableAt(d float64, rng *rand.Rand) bool { return s.Decodable(d, rng) }
-
-// PathLossInto implements BatchPrecomputed.
-func (s *Shadowing) PathLossInto(dst, dists []float64) { copy(dst, dists) }
 
 // RSSI implements Model: mean path-loss power plus a shadowing draw.
 func (s *Shadowing) RSSI(d float64, rng *rand.Rand) float64 {

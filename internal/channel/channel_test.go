@@ -39,11 +39,11 @@ func TestShadowingRanges(t *testing.T) {
 		t.Fatalf("max range %v should exceed median range %v", s.MaxRange(), s.MeanRange())
 	}
 	// beyond max range reception probability is below the cutoff
-	if p := s.Receipt().Prob(s.MaxRange() * 1.01); p > s.CutoffProb() {
+	if p := s.receipt.Prob(s.MaxRange() * 1.01); p > s.cutoffProb {
 		t.Fatalf("prob beyond max range = %v", p)
 	}
 	// the range computed once at construction is the model's, to the bit
-	if got, want := s.MeanRange(), s.Receipt().MedianRange(); got != want {
+	if got, want := s.MeanRange(), s.receipt.MedianRange(); got != want {
 		t.Fatalf("MeanRange = %v, receipt model's median range %v", got, want)
 	}
 }
@@ -135,36 +135,6 @@ func TestPrecomputedContract(t *testing.T) {
 					t.Fatalf("RNG streams diverged: split path consumed different draws")
 				}
 			}
-		})
-	}
-}
-
-// TestBatchPathLossContract pins the bulk wrapper for both models:
-// PathLossInto must write exactly PathLoss(d) — bit for bit — for every
-// distance.
-func TestBatchPathLossContract(t *testing.T) {
-	models := map[string]Model{
-		"unitdisk":  UnitDisk{Range: 250},
-		"shadowing": NewShadowing(prob.DefaultReceiptModel()),
-	}
-	for name, m := range models {
-		t.Run(name, func(t *testing.T) {
-			batch, ok := m.(BatchPrecomputed)
-			if !ok {
-				t.Fatalf("%s does not implement BatchPrecomputed", name)
-			}
-			var dists []float64
-			for d := 0.0; d < 1200; d += 0.7 {
-				dists = append(dists, d)
-			}
-			dst := make([]float64, len(dists))
-			batch.PathLossInto(dst, dists)
-			for i, d := range dists {
-				if want := batch.PathLoss(d); dst[i] != want {
-					t.Fatalf("d=%v: batch loss %v, scalar %v", d, dst[i], want)
-				}
-			}
-			batch.PathLossInto(nil, nil) // empty batch is a no-op, not a panic
 		})
 	}
 }

@@ -84,7 +84,7 @@ func scoreEverything(r *TicketRouter, score func(netstack.LinkState) float64, ds
 		selfD = r.API.Pos().Dist(dstPos)
 	}
 	for _, nb := range r.API.LinkStates() {
-		if onPath(path, nb.ID) {
+		if slices.Contains(path, nb.ID) {
 			continue
 		}
 		prog := 0.0

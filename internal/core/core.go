@@ -127,11 +127,6 @@ func LinkStability(m Metric, params StabilityParams, aPos, aVel, bPos, bVel geom
 	}
 }
 
-// PathStability composes link stabilities with the paper's min rule: "the
-// lifetime of the routing path is the minimum lifetime of all links
-// involved in the routing path".
-func PathStability(links []float64) float64 { return link.PathLifetime(links) }
-
 // linkStateStability evaluates the metric for the link self→neighbor on a
 // reliability-plane link state (from API.LinkState/LinkStates): the
 // deterministic metric consumes the plane's memoized residual-lifetime

@@ -80,12 +80,6 @@ func TestMeanMetricWiderUncertainty(t *testing.T) {
 	}
 }
 
-func TestPathStabilityMinRule(t *testing.T) {
-	if got := PathStability([]float64{12, 3, 40}); got != 3 {
-		t.Fatalf("path stability = %v", got)
-	}
-}
-
 func TestSplitTickets(t *testing.T) {
 	tests := []struct {
 		l, n int

@@ -116,12 +116,6 @@ type reply struct {
 	Stability float64
 }
 
-// srcHeader is the source-route header for data.
-type srcHeader struct {
-	Path []netstack.NodeID
-	Next int
-}
-
 // NewTicketRouter returns a TBP-SS router factory.
 func NewTicketRouter(opts ...TicketOption) netstack.RouterFactory {
 	return func() netstack.Router {
@@ -157,10 +151,7 @@ func (r *TicketRouter) routed(dst netstack.NodeID) bool {
 
 // forward stamps the active source route on a data packet and sends it.
 func (r *TicketRouter) forward(pkt *netstack.Packet) {
-	path := r.paths[pkt.Dst].hops
-	pkt.Payload = srcHeader{Path: append([]netstack.NodeID(nil), path...), Next: 1}
-	pkt.Size += 4 * len(path)
-	r.API.Send(path[1], pkt)
+	routing.SendSourceRouted(r.API, pkt, r.paths[pkt.Dst].hops)
 }
 
 // sendProbes performs the source's ticket split: rank neighbors by link
@@ -284,7 +275,7 @@ func (r *TicketRouter) candidates(dst netstack.NodeID, path []netstack.NodeID, k
 	admissible := admitBuf[:0]
 	for i := range states {
 		nb := &states[i]
-		if onPath(path, nb.ID) {
+		if slices.Contains(path, nb.ID) {
 			continue
 		}
 		prog := 0.0
@@ -447,7 +438,7 @@ func (r *TicketRouter) handleReply(pkt *netstack.Packet) {
 		return
 	}
 	self := r.API.Self()
-	idx := indexOf(rep.Path, self)
+	idx := slices.Index(rep.Path, self)
 	if idx < 0 {
 		return
 	}
@@ -476,14 +467,7 @@ func (r *TicketRouter) handleReply(pkt *netstack.Packet) {
 		}
 		return
 	}
-	if idx == 0 {
-		return
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		return
-	}
-	r.API.Send(rep.Path[idx-1], pkt)
+	routing.RelayBack(r.API, pkt, rep.Path, idx)
 }
 
 // breakNotice reports a dead source route back to the origin.
@@ -505,37 +489,12 @@ func (r *TicketRouter) handleBreak(pkt *netstack.Packet) {
 }
 
 func (r *TicketRouter) handleData(pkt *netstack.Packet) {
-	if pkt.Dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	hdr, ok := pkt.Payload.(srcHeader)
-	if !ok {
-		r.API.Drop(pkt)
-		return
-	}
-	next := hdr.Next + 1
-	if next >= len(hdr.Path) {
-		r.API.Drop(pkt)
-		return
-	}
-	nextHop := hdr.Path[next]
-	if !r.API.HasNeighbor(nextHop) {
-		// link broke under the path: report upstream, drop here
-		r.API.Metrics().RouteBreaks++
-		r.API.Drop(pkt)
-		r.reportBreak(hdr.Path, hdr.Next)
-		return
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		r.API.Drop(pkt)
-		return
-	}
-	cp := hdr
-	cp.Next = next
-	pkt.Payload = cp
-	r.API.Send(nextHop, pkt)
+	routing.ForwardSourceRouted(r.API, pkt, r.brokenHop)
+}
+
+// brokenHop reports a source route whose link out of this node broke.
+func (r *TicketRouter) brokenHop(hdr routing.SourceRoute, _ netstack.NodeID) {
+	r.reportBreak(hdr.Path, hdr.Next)
 }
 
 // reportBreak unicasts a break notice back toward the origin along the
@@ -555,7 +514,7 @@ func (r *TicketRouter) reportBreak(path []netstack.NodeID, selfIdx int) {
 // count the break.
 func (r *TicketRouter) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
 	r.API.ForgetNeighbor(to)
-	hdr, ok := pkt.Payload.(srcHeader)
+	hdr, ok := pkt.Payload.(routing.SourceRoute)
 	if !ok || !pkt.Data {
 		return
 	}
@@ -602,17 +561,4 @@ func (r *TicketRouter) ActivePath(dst netstack.NodeID) ([]netstack.NodeID, float
 		return nil, 0, false
 	}
 	return append([]netstack.NodeID(nil), ap.hops...), ap.stability, true
-}
-
-func onPath(path []netstack.NodeID, id netstack.NodeID) bool {
-	return indexOf(path, id) >= 0
-}
-
-func indexOf(path []netstack.NodeID, id netstack.NodeID) int {
-	for i, v := range path {
-		if v == id {
-			return i
-		}
-	}
-	return -1
 }

@@ -272,15 +272,6 @@ func (e *Engine) InWindow(t float64) bool {
 	return false
 }
 
-// Windows returns the merged fault intervals (tests and instrumentation).
-func (e *Engine) Windows() [][2]float64 {
-	out := make([][2]float64, len(e.windows))
-	for i, iv := range e.windows {
-		out[i] = [2]float64{iv.From, iv.To}
-	}
-	return out
-}
-
 // crash takes the listed nodes down, opening one time-to-reroute clock
 // if any of them actually crashed.
 func (e *Engine) crash(nodes []netstack.NodeID) {

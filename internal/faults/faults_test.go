@@ -5,7 +5,6 @@
 package faults_test
 
 import (
-	"reflect"
 	"testing"
 
 	"github.com/vanetlab/relroute/internal/faults"
@@ -150,8 +149,10 @@ func TestWindowsMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.Windows(); !reflect.DeepEqual(got, [][2]float64{{2, 9}}) {
-		t.Fatalf("windows = %v, want the merged [[2 9]]", got)
+	for _, at := range []float64{1.99, 2, 5.5, 6, 8.99, 9} {
+		if got, want := eng.InWindow(at), at >= 2 && at < 9; got != want {
+			t.Errorf("InWindow(%v) = %v, want %v: the events merge into [2, 9)", at, got, want)
+		}
 	}
 }
 

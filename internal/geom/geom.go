@@ -1,5 +1,5 @@
 // Package geom provides the planar geometry primitives used throughout the
-// simulator: 2-D vectors, line segments, and the projection helpers that the
+// simulator: 2-D vectors, line segments, rectangles, and the projection the
 // paper's direction-decomposition rule (Sec. IV-A-2, Fig. 4) is built on.
 package geom
 
@@ -29,9 +29,6 @@ func (v Vec2) Scale(k float64) Vec2 { return Vec2{v.X * k, v.Y * k} }
 // Dot returns the dot product v · w.
 func (v Vec2) Dot(w Vec2) float64 { return v.X*w.X + v.Y*w.Y }
 
-// Cross returns the z-component of the 3-D cross product v × w.
-func (v Vec2) Cross(w Vec2) float64 { return v.X*w.Y - v.Y*w.X }
-
 // Len returns the Euclidean norm of v.
 func (v Vec2) Len() float64 { return math.Hypot(v.X, v.Y) }
 
@@ -55,15 +52,6 @@ func (v Vec2) Unit() Vec2 {
 	return Vec2{v.X / l, v.Y / l}
 }
 
-// Angle returns the angle of v in radians in (-π, π].
-func (v Vec2) Angle() float64 { return math.Atan2(v.Y, v.X) }
-
-// Rotate returns v rotated counter-clockwise by theta radians.
-func (v Vec2) Rotate(theta float64) Vec2 {
-	s, c := math.Sincos(theta)
-	return Vec2{v.X*c - v.Y*s, v.X*s + v.Y*c}
-}
-
 // IsZero reports whether both components are exactly zero.
 func (v Vec2) IsZero() bool { return v.X == 0 && v.Y == 0 }
 
@@ -82,32 +70,6 @@ func Project(v, axis Vec2) float64 {
 	return v.Dot(u)
 }
 
-// Decompose splits v into its component along axis and the residual
-// perpendicular component, implementing the speed decomposition of Fig. 4:
-// the horizontal line through two vehicles is the axis, and the projections
-// of both velocities onto it decide whether they travel the same direction.
-func Decompose(v, axis Vec2) (along, perp Vec2) {
-	u := axis.Unit()
-	along = u.Scale(v.Dot(u))
-	perp = v.Sub(along)
-	return along, perp
-}
-
-// SameDirection reports whether velocities va and vb point the same way
-// along the axis joining the two vehicles, per the paper's rule: both the
-// horizontal projections and the vertical projections must have positive
-// products. Zero projections count as agreeing (a stationary vehicle does
-// not force "opposite").
-func SameDirection(va, vb, axis Vec2) bool {
-	u := axis.Unit()
-	ah, bh := va.Dot(u), vb.Dot(u)
-	perp := Vec2{-u.Y, u.X}
-	av, bv := va.Dot(perp), vb.Dot(perp)
-	horizontalAgree := ah*bh >= 0
-	verticalAgree := av*bv >= 0
-	return horizontalAgree && verticalAgree
-}
-
 // Segment is a directed line segment from A to B.
 type Segment struct {
 	A, B Vec2
@@ -116,29 +78,9 @@ type Segment struct {
 // Len returns the length of the segment.
 func (s Segment) Len() float64 { return s.A.Dist(s.B) }
 
-// Dir returns the unit direction from A to B.
-func (s Segment) Dir() Vec2 { return s.B.Sub(s.A).Unit() }
-
 // At returns the point a fraction t along the segment (t in [0,1] stays on
 // the segment; values outside extrapolate).
 func (s Segment) At(t float64) Vec2 { return Lerp(s.A, s.B, t) }
-
-// PointAtDistance returns the point d meters from A toward B. Distances are
-// clamped to the segment.
-func (s Segment) PointAtDistance(d float64) Vec2 {
-	l := s.Len()
-	if l == 0 {
-		return s.A
-	}
-	t := d / l
-	if t < 0 {
-		t = 0
-	}
-	if t > 1 {
-		t = 1
-	}
-	return s.At(t)
-}
 
 // ClosestPoint returns the point on the segment closest to p and the
 // parameter t in [0,1] at which it occurs.
@@ -156,13 +98,6 @@ func (s Segment) ClosestPoint(p Vec2) (Vec2, float64) {
 		t = 1
 	}
 	return s.At(t), t
-}
-
-// DistToPoint returns the distance from p to the nearest point of the
-// segment.
-func (s Segment) DistToPoint(p Vec2) float64 {
-	q, _ := s.ClosestPoint(p)
-	return q.Dist(p)
 }
 
 // Rect is an axis-aligned rectangle, used for zones (Fig. 6) and world
@@ -208,13 +143,5 @@ func (r Rect) Union(o Rect) Rect {
 	return Rect{
 		Min: Vec2{math.Min(r.Min.X, o.Min.X), math.Min(r.Min.Y, o.Min.Y)},
 		Max: Vec2{math.Max(r.Max.X, o.Max.X), math.Max(r.Max.Y, o.Max.Y)},
-	}
-}
-
-// Clamp returns p moved to the nearest point inside the rectangle.
-func (r Rect) Clamp(p Vec2) Vec2 {
-	return Vec2{
-		X: math.Max(r.Min.X, math.Min(r.Max.X, p.X)),
-		Y: math.Max(r.Min.Y, math.Min(r.Max.Y, p.Y)),
 	}
 }

@@ -8,6 +8,9 @@
 //	I(i,j)= 1 if d_t > 0, −1 otherwise    (Eqn 3, ahead indicator)
 //	break when d_t = r · I(i,j)           (Eqn 4)
 //
+// Lifetime solves |d_t| = r, both signs of the indicator at once, and takes
+// the earlier root.
+//
 // The solver covers the constant-speed case in closed form, the
 // constant-acceleration case (with speeds clamped to [0, vmax], matching
 // the paper's speed-limit v_m) piecewise in closed form, and arbitrary
@@ -30,23 +33,6 @@ const Forever = math.MaxFloat64
 // and acceleration A in m/s².
 type Kinematics1D struct {
 	X, V, A float64
-}
-
-// Indicator implements Eqn (3): it reports +1 when vehicle i will be ahead
-// of j at the moment the link breaks and −1 otherwise. For an unbreakable
-// link it falls back to the sign of the current gap.
-func Indicator(i, j Kinematics1D, r, vmax float64) int {
-	t := Lifetime(i, j, r, vmax)
-	var d float64
-	if t == Forever {
-		d = i.X - j.X
-	} else {
-		d = displacement(i, t, vmax) - displacement(j, t, vmax) + (i.X - j.X)
-	}
-	if d > 0 {
-		return 1
-	}
-	return -1
 }
 
 // speedBounds returns the clamp interval of a vehicle's signed speed. The

@@ -131,6 +131,13 @@ func TestAnalyticMatchesNumericProperty(t *testing.T) {
 	}
 }
 
+// breakGap is d_t (Eqn 2) at the moment Lifetime says the i–j link breaks;
+// by Eqn (4) it is r·I(i,j), with I the ahead indicator of Eqn (3).
+func breakGap(i, j Kinematics1D) float64 {
+	t := Lifetime(i, j, testRange, testVMax)
+	return displacement(i, t, testVMax) - displacement(j, t, testVMax) + (i.X - j.X)
+}
+
 func TestIndicatorAntisymmetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 200; trial++ {
@@ -142,23 +149,26 @@ func TestIndicatorAntisymmetry(t *testing.T) {
 		if Lifetime(i, j, testRange, testVMax) == Forever {
 			continue
 		}
-		if Indicator(i, j, testRange, testVMax) != -Indicator(j, i, testRange, testVMax) {
-			t.Fatalf("trial %d: indicator not antisymmetric for i=%+v j=%+v", trial, i, j)
+		if tij, tji := Lifetime(i, j, testRange, testVMax), Lifetime(j, i, testRange, testVMax); math.Abs(tij-tji) > 1e-9*math.Max(tij, 1) {
+			t.Fatalf("trial %d: lifetime not symmetric for i=%+v j=%+v", trial, i, j)
+		}
+		if gi, gj := breakGap(i, j), breakGap(j, i); math.Abs(math.Abs(gi)-testRange) > 1e-6 || math.Signbit(gi) == math.Signbit(gj) {
+			t.Fatalf("trial %d: break gaps %v and %v, want ±r of opposite signs for i=%+v j=%+v", trial, gi, gj, i, j)
 		}
 	}
 }
 
 func TestIndicatorAheadSemantics(t *testing.T) {
-	// i pulls ahead: at break i must be in front → +1
+	// i pulls ahead: at break i is in front, d_t = +r
 	i := Kinematics1D{X: 0, V: 35}
 	j := Kinematics1D{X: 0, V: 25}
-	if got := Indicator(i, j, testRange, testVMax); got != 1 {
-		t.Fatalf("indicator = %d, want 1", got)
+	if got := breakGap(i, j); math.Abs(got-testRange) > 1e-9 {
+		t.Fatalf("break gap = %v, want +%v", got, testRange)
 	}
-	// i falls behind → -1
+	// i falls behind: d_t = −r
 	i, j = j, i
-	if got := Indicator(i, j, testRange, testVMax); got != -1 {
-		t.Fatalf("indicator = %d, want -1", got)
+	if got := breakGap(i, j); math.Abs(got+testRange) > 1e-9 {
+		t.Fatalf("break gap = %v, want -%v", got, testRange)
 	}
 }
 

@@ -98,9 +98,9 @@ func TestUpdateRefreshAllocFree(t *testing.T) {
 		t.Fatalf("refresh Update allocated %v times per run (folded: %v), want 0 across a fold", allocs, folded)
 	}
 	m.Len() // fold what is left
-	var sink LinkState
-	if allocs := testing.AllocsPerRun(200, func() { sink, _ = m.Get(3) }); allocs != 0 || sink.Beacons < 200 {
-		t.Fatalf("Get with nothing to fold: %v allocs, entry %+v; want 0 and every beacon counted", allocs, sink)
+	snap := make([]LinkState, 0, m.Len())
+	if allocs := testing.AllocsPerRun(200, func() { snap = m.AppendSnapshot(snap[:0]) }); allocs != 0 || snap[3].ID != 3 || snap[3].Beacons < 200 {
+		t.Fatalf("AppendSnapshot with nothing to fold: %v allocs, entry %+v; want 0 and every beacon counted", allocs, snap[3])
 	}
 }
 

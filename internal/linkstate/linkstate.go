@@ -62,7 +62,7 @@ func (k NodeKind) String() string {
 // beacons and MAC feedback; the derived fields (Age, Lifetime,
 // ReceiptProb) are filled by the configured Estimator when the state is
 // read through Monitor.State/States — they are zero on entries read
-// through the raw accessors (Monitor.Get/Snapshot, API.Neighbor).
+// through the raw accessors (Monitor.Snapshot, API.Neighbors).
 type LinkState struct {
 	ID       NodeID
 	Kind     NodeKind

@@ -213,10 +213,10 @@ func (p *modelPair) check(id NodeID, obs Observer) {
 	if m.Len() != len(ref.entries) {
 		t.Fatalf("step %d: Len = %d, want %d", step, m.Len(), len(ref.entries))
 	}
-	got, ok := m.Get(id)
+	got, ok := observed(m, id)
 	want, wantOK := ref.get(id)
 	if ok != wantOK || m.Has(id) != wantOK || got != want {
-		t.Fatalf("step %d: Get(%d) = %+v %v, want %+v %v", step, id, got, ok, want, wantOK)
+		t.Fatalf("step %d: entry %d = %+v %v, want %+v %v", step, id, got, ok, want, wantOK)
 	}
 	if got, want := m.Snapshot(), ref.snapshot(); !slices.Equal(got, want) {
 		t.Fatalf("step %d: Snapshot = %+v, want %+v", step, got, want)
@@ -305,12 +305,6 @@ func TestMonitorFoldsAtEveryInboxLevel(t *testing.T) {
 	const stranger = NodeID(40) // heard only by beacons still in the inbox
 	obs := Observer{Pos: geom.V(100, 3), Vel: geom.V(20, 0), Epoch: 7}
 	ops := map[string]func(p *modelPair){
-		"Get": func(p *modelPair) {
-			got, _ := p.m.Get(stranger)
-			if want, _ := p.ref.get(stranger); got != want {
-				p.t.Fatalf("Get = %+v, want %+v", got, want)
-			}
-		},
 		"Has": func(p *modelPair) {
 			if _, want := p.ref.get(stranger); p.m.Has(stranger) != want {
 				p.t.Fatalf("Has = %v, want %v", !want, want)
@@ -353,14 +347,14 @@ func TestMonitorFoldsAtEveryInboxLevel(t *testing.T) {
 		"RecordReceived": func(p *modelPair) {
 			p.m.RecordReceived(stranger)
 			p.ref.recordReceived(stranger)
-			if got, ok := p.m.Get(stranger); ok && got.Received != 1 {
+			if got, ok := observed(p.m, stranger); ok && got.Received != 1 {
 				p.t.Fatalf("reception from a neighbour still in the inbox was lost: %+v", got)
 			}
 		},
 		"RecordSendFailed": func(p *modelPair) {
 			p.m.RecordSendFailed(stranger)
 			p.ref.recordSendFailed(stranger)
-			if got, ok := p.m.Get(stranger); ok && got.TxFails != 1 {
+			if got, ok := observed(p.m, stranger); ok && got.TxFails != 1 {
 				p.t.Fatalf("failure towards a neighbour still in the inbox was lost: %+v", got)
 			}
 		},
@@ -369,7 +363,7 @@ func TestMonitorFoldsAtEveryInboxLevel(t *testing.T) {
 			delete(p.ref.entries, stranger)
 			p.now += 0.01
 			p.hear(stranger, 9)
-			if got, _ := p.m.Get(stranger); got.Beacons != 1 || got.FirstSeen != p.now {
+			if got, _ := observed(p.m, stranger); got.Beacons != 1 || got.FirstSeen != p.now {
 				p.t.Fatalf("re-heard after Remove: %+v, want Beacons 1 and FirstSeen %v", got, p.now)
 			}
 		},
@@ -433,7 +427,7 @@ func TestMonitorFoldsAtEveryInboxLevel(t *testing.T) {
 // method of *Monitor either is listed here as not looking at the table, or
 // leaves the inbox empty when called with a beacon unread.
 func TestExportedMethodsFold(t *testing.T) {
-	tableBlind := map[string]bool{"Update": true, "Estimator": true, "MemoStats": true, "FullSweeps": true, "Reset": true}
+	tableBlind := map[string]bool{"Update": true, "MemoStats": true, "FullSweeps": true, "Reset": true}
 	typ := reflect.TypeOf(&Monitor{})
 	for i := 0; i < typ.NumMethod(); i++ {
 		meth := typ.Method(i)
@@ -503,8 +497,8 @@ func TestNeighborOrderContract(t *testing.T) {
 			if ids[i] != want || snap[i].ID != want || states[i].ID != want {
 				t.Fatalf("n=%d: position %d holds %d/%d/%d, want %d", n, i, ids[i], snap[i].ID, states[i].ID, want)
 			}
-			if got, ok := m.Get(want); !ok || got.Pos.X != float64(want) {
-				t.Fatalf("n=%d: Get(%d) = %+v %v", n, want, got, ok)
+			if got, ok := observed(m, want); !ok || got.Pos.X != float64(want) {
+				t.Fatalf("n=%d: entry %d = %+v %v", n, want, got, ok)
 			}
 			if m.Has(want+1) || m.Has(want-1) {
 				t.Fatalf("n=%d: Has reports an ID between entries near %d", n, want)

@@ -133,9 +133,6 @@ func NewMonitor(ttl, rangeM float64, est Estimator) *Monitor {
 	return &Monitor{ttl: ttl, rangeM: rangeM, est: est, oldest: math.Inf(1)}
 }
 
-// Estimator returns the monitor's estimator.
-func (m *Monitor) Estimator() Estimator { return m.est }
-
 // find returns the position of id among the live keys — where it is, or
 // where it would be inserted — and its entry, nil when there is none. The
 // bisection is written out: slices.BinarySearchFunc measured 2.5× slower
@@ -252,16 +249,6 @@ func (m *Monitor) RecordSendFailed(id NodeID) {
 		e.txFails++
 		e.feedback = (1 - feedbackAlpha) * e.feedback
 	}
-}
-
-// Get returns the raw observed entry for id (derived fields zero).
-func (m *Monitor) Get(id NodeID) (ls LinkState, ok bool) {
-	m.sync()
-	if _, e := m.find(id); e != nil {
-		e.put(&ls)
-		return ls, true
-	}
-	return ls, false
 }
 
 // Has reports whether id is currently a live link.

@@ -503,19 +503,3 @@ func percentile(xs []float64, p float64) float64 {
 	}
 	return cp[idx]
 }
-
-// Series is a labelled sequence of (x, y) points, the unit the harness
-// renders figures from.
-type Series struct {
-	Name   string
-	XLabel string
-	YLabel string
-	X      []float64
-	Y      []float64
-}
-
-// Add appends a point.
-func (s *Series) Add(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}

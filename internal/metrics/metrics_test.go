@@ -118,15 +118,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestSeries(t *testing.T) {
-	var s Series
-	s.Add(1, 10)
-	s.Add(2, 20)
-	if len(s.X) != 2 || s.Y[1] != 20 {
-		t.Fatalf("series = %+v", s)
-	}
-}
-
 func TestPathLifetimes(t *testing.T) {
 	c := NewCollector()
 	if c.MeanPathLifetime() != 0 {

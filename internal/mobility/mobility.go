@@ -305,12 +305,6 @@ func (m *RoadModel) RemoveVehicle(id VehicleID) bool {
 	return true
 }
 
-// Has reports whether the vehicle is currently active (spawned and not
-// despawned).
-func (m *RoadModel) Has(id VehicleID) bool {
-	return id >= 0 && int(id) < len(m.vs) && m.vs[id] != nil
-}
-
 // Len implements Model: the number of active (non-despawned) vehicles.
 func (m *RoadModel) Len() int {
 	n := 0

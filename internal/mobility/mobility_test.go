@@ -263,7 +263,8 @@ func TestRemoveVehicleMidRun(t *testing.T) {
 	a := m.AddVehicle(eb, 0, 100, DefaultIDM(30), Car)
 	bID := m.AddVehicle(eb, 1, 300, DefaultIDM(25), Car)
 	m.Advance(0.1)
-	if !m.Has(a) || !m.Has(bID) {
+	has := func(id VehicleID) bool { return int(id) < len(m.vs) && m.vs[id] != nil }
+	if !has(a) || !has(bID) {
 		t.Fatal("vehicles missing before removal")
 	}
 	if !m.RemoveVehicle(a) {
@@ -272,7 +273,7 @@ func TestRemoveVehicleMidRun(t *testing.T) {
 	if m.RemoveVehicle(a) {
 		t.Fatal("double removal succeeded")
 	}
-	if m.Has(a) {
+	if has(a) {
 		t.Fatal("removed vehicle still present")
 	}
 	if m.Len() != 1 {

@@ -74,14 +74,8 @@ func (m *PlaybackModel) Len() int {
 	return n
 }
 
-// Tracks returns the number of tracks, active or not.
-func (m *PlaybackModel) Tracks() int { return len(m.tracks) }
-
 // Advance implements Model.
 func (m *PlaybackModel) Advance(dt float64) { m.now += dt }
-
-// Now returns the playback clock.
-func (m *PlaybackModel) Now() float64 { return m.now }
 
 // DigestInto folds the playback state into d. The tracks themselves are
 // immutable input data reproduced by the scenario rebuild, so only the

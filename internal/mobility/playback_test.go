@@ -108,8 +108,8 @@ func TestPlaybackEmptyTrackSkipped(t *testing.T) {
 	if m.Len() != 1 {
 		t.Fatalf("len = %d, want only the in-window track counted", m.Len())
 	}
-	if m.Tracks() != 2 {
-		t.Fatalf("tracks = %d", m.Tracks())
+	if len(m.tracks) != 2 {
+		t.Fatalf("tracks = %d", len(m.tracks))
 	}
 }
 

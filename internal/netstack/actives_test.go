@@ -76,16 +76,16 @@ func TestActiveSliceBookkeeping(t *testing.T) {
 	checkSorted()
 	// fail a scattered subset, including both ends
 	for _, i := range []int{0, 3, 4, 9} {
-		w.SetNodeActive(ids[i], false)
+		w.setActive(w.nodeByID(ids[i]), false)
 	}
 	if w.ActiveNodes() != 6 {
 		t.Fatalf("active after failures = %d, want 6", w.ActiveNodes())
 	}
 	checkSorted()
 	// double-fail and double-recover must be idempotent
-	w.SetNodeActive(ids[3], false)
-	w.SetNodeActive(ids[3], true)
-	w.SetNodeActive(ids[3], true)
+	w.setActive(w.nodeByID(ids[3]), false)
+	w.setActive(w.nodeByID(ids[3]), true)
+	w.setActive(w.nodeByID(ids[3]), true)
 	if w.ActiveNodes() != 7 {
 		t.Fatalf("active after recovery = %d, want 7", w.ActiveNodes())
 	}

@@ -208,7 +208,7 @@ func TestFailureInjectionIsNotDeparture(t *testing.T) {
 	w := NewWorld(Config{Seed: 11}, model)
 	w.SetJoinFactory(newChurnRouter)
 	ids := w.AddVehicleNodes(newChurnRouter)
-	w.Engine().At(5, func() { w.SetNodeActive(ids[0], false) })
+	w.Engine().At(5, func() { w.setActive(w.nodeByID(ids[0]), false) })
 	if err := w.Run(10); err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@
 // One file per job:
 //
 //	world.go       Config, the fixed timing constants, node, World, NewWorld, accessors
-//	membership.go  addNode, join / re-entry / leave, the active slice, SetNodeActive
+//	membership.go  addNode, join / re-entry / leave, the active slice, setActive
 //	run.go         Run / StartRun / AdvanceTo / CompleteRun and step, the per-tick phases
 //	beacon.go      the HELLO plane: ticker, send (with its packet pool), reception
 //	flow.go        CBR application flows, by node ID or by vehicle ID

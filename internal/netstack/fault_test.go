@@ -70,6 +70,16 @@ func TestCrashRecoverIsNotChurn(t *testing.T) {
 	}
 }
 
+// entryOf is n's raw link-table entry for id.
+func entryOf(n *node, id NodeID) (Neighbor, bool) {
+	for _, e := range n.mon.Snapshot() {
+		if e.ID == id {
+			return e, true
+		}
+	}
+	return Neighbor{}, false
+}
+
 // TestRecoveredNodeHasFreshMonitor checks the recovery contract on the
 // reliability plane: a node rejoining after a crash starts from an empty
 // link monitor and re-learns its neighborhood from scratch — its first
@@ -82,7 +92,7 @@ func TestRecoveredNodeHasFreshMonitor(t *testing.T) {
 	n := w.nodeByID(ids[0])
 	var preBeacons int
 	w.Engine().At(8, func() {
-		e, ok := n.mon.Get(ids[1])
+		e, ok := entryOf(n, ids[1])
 		if !ok || e.Beacons < 3 {
 			t.Errorf("pre-crash monitor entry missing or thin: %+v (ok=%v)", e, ok)
 		}
@@ -98,7 +108,7 @@ func TestRecoveredNodeHasFreshMonitor(t *testing.T) {
 	if err := w.Run(15); err != nil {
 		t.Fatal(err)
 	}
-	e, ok := n.mon.Get(ids[1])
+	e, ok := entryOf(n, ids[1])
 	if !ok {
 		t.Fatal("recovered node never re-learned its neighbor")
 	}
@@ -119,11 +129,11 @@ func TestCrashWithBeaconsUnreadRecoversEmpty(t *testing.T) {
 		if len(routers[1].beacons) < 2 {
 			t.Errorf("node 1 heard %d beacons before the crash, want some to leave unread", len(routers[1].beacons))
 		}
-		w.SetNodeActive(ids[1], false)
+		w.setActive(w.nodeByID(ids[1]), false)
 	})
 	w.Engine().At(2.06, func() {
 		if !w.RecoverNode(ids[1]) {
-			t.Error("RecoverNode failed on a node taken down with SetNodeActive")
+			t.Error("RecoverNode failed on a node taken down with setActive")
 		}
 		if got := n.mon.Snapshot(); len(got) != 0 {
 			t.Errorf("table right after recovery = %+v, want empty", got)

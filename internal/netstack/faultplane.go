@@ -3,12 +3,12 @@ package netstack
 import "math/rand"
 
 // This file is the world-side half of the fault plane: crash/recover
-// semantics on top of SetNodeActive, plus the hook setters the
+// semantics on top of setActive, plus the hook setters the
 // internal/faults engine wires its schedule through. Every hook is nil
 // until a fault schedule installs it, so fault-free runs cost one nil check
 // per call site and draw no extra randomness.
 
-// CrashNode fails a node: it goes radio-dark (SetNodeActive false — out
+// CrashNode fails a node: it goes radio-dark (setActive false — out
 // of the spatial index, neither transmitting nor receiving), its queued
 // MAC frames are discarded without failure upcalls (a dead radio reports
 // nothing), and it ages out of the location service at the next refresh.

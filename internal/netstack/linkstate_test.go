@@ -113,7 +113,7 @@ func TestBeaconListenerIsInvisible(t *testing.T) {
 // peer is failure-injected mid-run, so unicasts to it exhaust ARQ.
 func TestSendFailureFeedsMonitor(t *testing.T) {
 	w, routers, ids := newTestWorld(t, 2, 50)
-	w.Engine().At(1.9, func() { w.SetNodeActive(ids[1], false) })
+	w.Engine().At(1.9, func() { w.setActive(w.nodeByID(ids[1]), false) })
 	w.Engine().At(2.0, func() { routers[0].Originate(ids[1], 256) })
 	// sample before the silenced peer's entry expires (TTL 2.5 s)
 	var ls LinkState

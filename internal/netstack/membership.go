@@ -84,14 +84,6 @@ func (w *World) Leaves() int { return w.leaves }
 // departed, not failure-injected).
 func (w *World) ActiveNodes() int { return len(w.actives) }
 
-// SetNodeActive enables or disables a node (failure injection). Disabled
-// nodes neither transmit nor receive and vanish from the spatial index.
-func (w *World) SetNodeActive(id NodeID, active bool) {
-	if n := w.nodeByID(id); n != nil && n.active != active {
-		w.setActive(n, active)
-	}
-}
-
 // setActive is the one place a node's presence on the air changes: the
 // flag, its slot in the ID-sorted active slice and the spatial index (at
 // n.pos) move together, and the index advances the grid epoch, so every

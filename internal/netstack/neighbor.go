@@ -12,8 +12,8 @@ import "github.com/vanetlab/relroute/internal/linkstate"
 // beacons, MAC ARQ failure upcalls, and successful receptions, and the
 // configured Estimator derives residual-lifetime and receipt-probability
 // predictions from that evidence. Entries read through the raw accessors
-// (API.Neighbor, API.Neighbors) carry observed fields only; API.LinkState
-// and API.LinkStates fill the derived predictions.
+// (API.Neighbors, API.AppendNeighbors) carry observed fields only;
+// API.LinkState and API.LinkStates fill the derived predictions.
 type Neighbor = linkstate.LinkState
 
 // LinkState is the same record under its reliability-plane name: use it

@@ -77,7 +77,7 @@ func TestBeaconingPopulatesNeighborTables(t *testing.T) {
 	if got := len(api.Neighbors()); got != 2 {
 		t.Fatalf("node 1 neighbors = %d, want 2", got)
 	}
-	nb, ok := api.Neighbor(ids[0])
+	nb, ok := api.LinkState(ids[0])
 	if !ok {
 		t.Fatal("node 0 missing from table")
 	}
@@ -190,7 +190,7 @@ func TestDispatchClonesPerReceiver(t *testing.T) {
 
 func TestSetNodeActive(t *testing.T) {
 	w, _, ids := newTestWorld(t, 2, 100)
-	w.SetNodeActive(ids[1], false)
+	w.setActive(w.nodeByID(ids[1]), false)
 	w.AddFlow(ids[0], ids[1], 1, 0.5, 3, 256)
 	if err := w.Run(4); err != nil {
 		t.Fatal(err)
@@ -199,7 +199,7 @@ func TestSetNodeActive(t *testing.T) {
 		t.Fatalf("disabled node received %d packets", got)
 	}
 	// reactivate: traffic flows again
-	w.SetNodeActive(ids[1], true)
+	w.setActive(w.nodeByID(ids[1]), true)
 	w.AddFlow(ids[0], ids[1], 4.5, 0.5, 3, 256)
 	if err := w.Run(8); err != nil {
 		t.Fatal(err)

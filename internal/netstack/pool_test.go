@@ -299,7 +299,7 @@ func TestSendFinalRecycledOncePerExit(t *testing.T) {
 		w, routers, newPkt := finalWorld(t, mac.Config{})
 		var pkt *Packet
 		w.eng.At(1, func() {
-			w.SetNodeActive(0, false)
+			w.setActive(w.nodeByID(0), false)
 			pkt = newPkt()
 			routers[0].API.SendFinal(Broadcast, pkt)
 			checkFreeList(t, w, pkt)

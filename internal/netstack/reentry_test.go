@@ -110,7 +110,7 @@ func TestVehicleReentryReusesNode(t *testing.T) {
 	if len(watcher.expired) != 1 || watcher.expired[0] != back {
 		t.Errorf("neighbour expiries seen by vehicle 0 = %v, want [%d]", watcher.expired, back)
 	}
-	nb, ok := watcher.API.Neighbor(back)
+	nb, ok := watcher.API.LinkState(back)
 	if !ok {
 		t.Fatal("vehicle 0 never heard the re-entered node beacon")
 	}

@@ -103,9 +103,6 @@ func (a *API) AppendNeighbors(dst []Neighbor) []Neighbor { return a.node.mon.App
 // NeighborCount returns the number of live neighbors.
 func (a *API) NeighborCount() int { return a.node.mon.Len() }
 
-// Neighbor looks up one neighbor entry (observed fields only).
-func (a *API) Neighbor(id NodeID) (Neighbor, bool) { return a.node.mon.Get(id) }
-
 // HasNeighbor reports whether id is currently a live neighbor.
 func (a *API) HasNeighbor(id NodeID) bool { return a.node.mon.Has(id) }
 
@@ -160,17 +157,12 @@ func (a *API) SendFinal(to NodeID, pkt *Packet) {
 func (a *API) After(d float64, fn func()) sim.TimerID { return a.world.eng.After(d, fn) }
 
 // Every runs fn first seconds from now and then every period seconds for
-// the rest of the run: one closure that calls fn and then reschedules
-// itself at now + period, the order sim.Engine.Ticker keeps. There is no
-// stop handle, because no periodic router job (a carry sweep, a table
-// dump, an RSU buffer flush) ever ends early.
+// the rest of the run: sim.Engine.Ticker without jitter, which reschedules
+// at now + period once fn returns. There is no stop handle, because no
+// periodic router job (a carry sweep, a table dump, an RSU buffer flush)
+// ever ends early.
 func (a *API) Every(first, period float64, fn func()) {
-	var tick func()
-	tick = func() {
-		fn()
-		a.world.eng.After(period, tick)
-	}
-	a.world.eng.After(first, tick)
+	a.world.eng.Ticker(a.world.eng.Now()+first, period, 0, nil, fn)
 }
 
 // Cancel cancels a pending timer.
@@ -231,10 +223,3 @@ func (a *API) RangeEstimate() float64 { return a.world.ch.MeanRange() }
 func (a *API) LookupPosition(dst NodeID) (pos, vel geom.Vec2, ok bool) {
 	return a.world.lookupPosition(dst)
 }
-
-// NodeKindOf returns the kind of an arbitrary node (directory information,
-// like knowing which addresses are RSUs).
-func (a *API) NodeKindOf(id NodeID) (NodeKind, bool) { return a.world.KindOf(id) }
-
-// Nodes returns the total node count (IDs are 0..Nodes()-1).
-func (a *API) Nodes() int { return len(a.world.nodes) }

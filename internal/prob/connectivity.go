@@ -1,16 +1,13 @@
 package prob
 
-import (
-	"math"
-	"math/rand"
-)
+import "math"
 
 // SegmentConnectivity models the probability that a road segment is
 // multi-hop connected, the routing metric of the CAR protocol (Sec. VII-B):
-// the segment is partitioned into grid cells the length of a car and "the
-// probability of the connection between two vehicles is the probability
-// that their distance is within a certain value (transmission range)"; a
-// route over road segments with the highest connectivity product wins.
+// "the probability of the connection between two vehicles is the
+// probability that their distance is within a certain value (transmission
+// range)"; a route over road segments with the highest connectivity product
+// wins.
 type SegmentConnectivity struct {
 	// Length of the road segment in meters.
 	Length float64
@@ -18,16 +15,6 @@ type SegmentConnectivity struct {
 	Density float64
 	// Range is the communication range in meters.
 	Range float64
-	// CellSize is the grid granularity; CAR uses the average car length,
-	// 5 m. Zero means 5.
-	CellSize float64
-}
-
-func (s SegmentConnectivity) cell() float64 {
-	if s.CellSize <= 0 {
-		return 5
-	}
-	return s.CellSize
 }
 
 // PairProb returns the probability that two consecutive vehicles are within
@@ -56,92 +43,4 @@ func (s SegmentConnectivity) Prob() float64 {
 	}
 	gaps := n - 1
 	return math.Pow(s.PairProb(), gaps)
-}
-
-// MonteCarlo estimates the connectivity probability empirically by placing
-// Poisson(λL) vehicles uniformly on the segment and checking every gap
-// (including the distances from the segment ends to the first and last
-// vehicle, which a relaying endpoint must bridge). Tests compare it to the
-// analytic approximation.
-func (s SegmentConnectivity) MonteCarlo(trials int, rng *rand.Rand) float64 {
-	if trials <= 0 {
-		return 0
-	}
-	if s.Length <= s.Range {
-		return 1
-	}
-	mean := s.Density * s.Length
-	ok := 0
-	pos := make([]float64, 0, int(mean)+8)
-	for t := 0; t < trials; t++ {
-		n := poisson(mean, rng)
-		pos = pos[:0]
-		for i := 0; i < n; i++ {
-			pos = append(pos, rng.Float64()*s.Length)
-		}
-		sortInPlace(pos)
-		if connectedChain(pos, s.Length, s.Range) {
-			ok++
-		}
-	}
-	return float64(ok) / float64(trials)
-}
-
-// connectedChain reports whether a chain of relays at sorted positions
-// bridges [0, L] with hops of at most r (treating 0 and L as the
-// communicating endpoints).
-func connectedChain(sorted []float64, length, r float64) bool {
-	prev := 0.0
-	for _, p := range sorted {
-		if p-prev > r {
-			return false
-		}
-		prev = p
-	}
-	return length-prev <= r
-}
-
-// poisson draws a Poisson variate with the given mean (Knuth for small
-// means, normal approximation above 60).
-func poisson(mean float64, rng *rand.Rand) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 60 {
-		v := mean + math.Sqrt(mean)*rng.NormFloat64()
-		if v < 0 {
-			return 0
-		}
-		return int(v + 0.5)
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= rng.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
-func sortInPlace(s []float64) {
-	// insertion sort keeps this allocation-free; segments hold tens of
-	// vehicles at most.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-// RouteConnectivity composes per-segment connectivity probabilities along a
-// candidate road route, CAR's path selection metric.
-func RouteConnectivity(segments []SegmentConnectivity) float64 {
-	p := 1.0
-	for _, s := range segments {
-		p *= s.Prob()
-	}
-	return p
 }

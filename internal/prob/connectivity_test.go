@@ -103,16 +103,80 @@ func TestPoissonMean(t *testing.T) {
 	}
 }
 
-func TestRouteConnectivity(t *testing.T) {
-	segs := []SegmentConnectivity{
-		{Length: 100, Density: 0.05, Range: 250},  // 1 (short)
-		{Length: 2000, Density: 0.05, Range: 250}, // high
+// MonteCarlo estimates the connectivity probability empirically by placing
+// Poisson(λL) vehicles uniformly on the segment and checking every gap
+// (including the distances from the segment ends to the first and last
+// vehicle, which a relaying endpoint must bridge): the reference the analytic
+// approximation Prob is checked against.
+func (s SegmentConnectivity) MonteCarlo(trials int, rng *rand.Rand) float64 {
+	if trials <= 0 {
+		return 0
 	}
-	p := RouteConnectivity(segs)
-	if p <= 0 || p > 1 {
-		t.Fatalf("route connectivity = %v", p)
+	if s.Length <= s.Range {
+		return 1
 	}
-	if p != segs[0].Prob()*segs[1].Prob() {
-		t.Fatal("route connectivity is not the product of segments")
+	mean := s.Density * s.Length
+	ok := 0
+	pos := make([]float64, 0, int(mean)+8)
+	for t := 0; t < trials; t++ {
+		n := poisson(mean, rng)
+		pos = pos[:0]
+		for i := 0; i < n; i++ {
+			pos = append(pos, rng.Float64()*s.Length)
+		}
+		sortInPlace(pos)
+		if connectedChain(pos, s.Length, s.Range) {
+			ok++
+		}
+	}
+	return float64(ok) / float64(trials)
+}
+
+// connectedChain reports whether a chain of relays at sorted positions
+// bridges [0, L] with hops of at most r (treating 0 and L as the
+// communicating endpoints).
+func connectedChain(sorted []float64, length, r float64) bool {
+	prev := 0.0
+	for _, p := range sorted {
+		if p-prev > r {
+			return false
+		}
+		prev = p
+	}
+	return length-prev <= r
+}
+
+// poisson draws a Poisson variate with the given mean (Knuth for small
+// means, normal approximation above 60).
+func poisson(mean float64, rng *rand.Rand) int {
+	if mean <= 0 {
+		return 0
+	}
+	if mean > 60 {
+		v := mean + math.Sqrt(mean)*rng.NormFloat64()
+		if v < 0 {
+			return 0
+		}
+		return int(v + 0.5)
+	}
+	l := math.Exp(-mean)
+	k := 0
+	p := 1.0
+	for {
+		p *= rng.Float64()
+		if p <= l {
+			return k
+		}
+		k++
+	}
+}
+
+func sortInPlace(s []float64) {
+	// insertion sort keeps this allocation-free; segments hold tens of
+	// vehicles at most.
+	for i := 1; i < len(s); i++ {
+		for j := i; j > 0 && s[j] < s[j-1]; j-- {
+			s[j], s[j-1] = s[j-1], s[j]
+		}
 	}
 }

@@ -2,7 +2,6 @@ package prob
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -35,16 +34,6 @@ func TestNormalPDFIntegratesToOne(t *testing.T) {
 	}
 }
 
-func TestNormalQuantileInvertsCDF(t *testing.T) {
-	n := Normal{Mu: 5, Sigma: 2}
-	for _, p := range []float64{0.01, 0.25, 0.5, 0.9, 0.99} {
-		x := n.Quantile(p)
-		if got := n.CDF(x); math.Abs(got-p) > 1e-6 {
-			t.Errorf("CDF(Quantile(%v)) = %v", p, got)
-		}
-	}
-}
-
 func TestNormalDegenerateSigma(t *testing.T) {
 	n := Normal{Mu: 3, Sigma: 0}
 	if n.CDF(2.9) != 0 || n.CDF(3.1) != 1 {
@@ -55,45 +44,8 @@ func TestNormalDegenerateSigma(t *testing.T) {
 	}
 }
 
-func TestSampleMeans(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	dists := []struct {
-		name string
-		d    Dist
-		tol  float64
-	}{
-		{"normal", Normal{Mu: 4, Sigma: 2}, 0.05},
-		{"lognormal", LogNormal{Mu: 1, Sigma: 0.5}, 0.1},
-		{"gamma", Gamma{Shape: 3, Scale: 2}, 0.1},
-		{"gamma-sub1", Gamma{Shape: 0.5, Scale: 2}, 0.05},
-		{"exponential", Exponential{Rate: 0.25}, 0.1},
-		{"uniform", Uniform{Lo: -2, Hi: 6}, 0.05},
-	}
-	const n = 200000
-	for _, tc := range dists {
-		t.Run(tc.name, func(t *testing.T) {
-			sum := 0.0
-			for i := 0; i < n; i++ {
-				sum += tc.d.Sample(rng)
-			}
-			got := sum / n
-			want := tc.d.Mean()
-			if math.Abs(got-want) > tc.tol*math.Max(math.Abs(want), 1) {
-				t.Errorf("sample mean = %v, dist mean = %v", got, want)
-			}
-		})
-	}
-}
-
 func TestCDFMonotoneAndBounded(t *testing.T) {
-	dists := []Dist{
-		Normal{Mu: 0, Sigma: 3},
-		LogNormal{Mu: 0.5, Sigma: 1},
-		Gamma{Shape: 2.5, Scale: 1.5},
-		Exponential{Rate: 0.5},
-		Uniform{Lo: 1, Hi: 9},
-	}
-	for _, d := range dists {
+	for _, d := range []Normal{{Mu: 0, Sigma: 3}, {Mu: 20, Sigma: 0.5}, {Mu: 5, Sigma: 0}} {
 		prev := -1.0
 		for x := -10.0; x <= 50; x += 0.25 {
 			c := d.CDF(x)
@@ -105,59 +57,5 @@ func TestCDFMonotoneAndBounded(t *testing.T) {
 			}
 			prev = c
 		}
-	}
-}
-
-func TestCDFMatchesSampleFraction(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	dists := []Dist{
-		Gamma{Shape: 2, Scale: 3},
-		LogNormal{Mu: 0, Sigma: 0.8},
-		Exponential{Rate: 0.2},
-	}
-	const n = 100000
-	for _, d := range dists {
-		x := d.Mean()
-		count := 0
-		for i := 0; i < n; i++ {
-			if d.Sample(rng) <= x {
-				count++
-			}
-		}
-		frac := float64(count) / n
-		if got := d.CDF(x); math.Abs(got-frac) > 0.01 {
-			t.Errorf("%T: CDF(mean)=%v but sample fraction=%v", d, got, frac)
-		}
-	}
-}
-
-func TestGammaCDFKnownValues(t *testing.T) {
-	// Gamma(1, θ) is Exponential(1/θ)
-	g := Gamma{Shape: 1, Scale: 2}
-	e := Exponential{Rate: 0.5}
-	for _, x := range []float64{0.1, 1, 3, 10} {
-		if math.Abs(g.CDF(x)-e.CDF(x)) > 1e-9 {
-			t.Errorf("Gamma(1,2).CDF(%v)=%v, Exp(0.5)=%v", x, g.CDF(x), e.CDF(x))
-		}
-	}
-	// large-x regime exercises the continued fraction
-	g2 := Gamma{Shape: 3, Scale: 1}
-	if got := g2.CDF(30); math.Abs(got-1) > 1e-9 {
-		t.Errorf("Gamma(3,1).CDF(30) = %v", got)
-	}
-}
-
-func TestEdgeCases(t *testing.T) {
-	if got := (Exponential{Rate: 0}).Mean(); !math.IsInf(got, 1) {
-		t.Errorf("zero-rate exponential mean = %v", got)
-	}
-	if got := (Uniform{Lo: 5, Hi: 5}).PDF(5); got != 0 {
-		t.Errorf("degenerate uniform PDF = %v", got)
-	}
-	if got := (Gamma{Shape: 1, Scale: 1}).PDF(0); got != 1 {
-		t.Errorf("Gamma(1,1).PDF(0) = %v, want 1", got)
-	}
-	if got := (LogNormal{Mu: 0, Sigma: 1}).CDF(-1); got != 0 {
-		t.Errorf("lognormal CDF(-1) = %v", got)
 	}
 }

@@ -94,20 +94,3 @@ func (m ReceiptModel) MedianRange() float64 {
 	}
 	return 0.5 * (lo + hi)
 }
-
-// PathReceiptProb composes per-hop receipt probabilities into an
-// end-to-end delivery probability assuming hop independence, REAR's path
-// metric.
-func PathReceiptProb(hops []float64) float64 {
-	p := 1.0
-	for _, h := range hops {
-		if h < 0 {
-			h = 0
-		}
-		if h > 1 {
-			h = 1
-		}
-		p *= h
-	}
-	return p
-}

@@ -82,16 +82,3 @@ func TestMeanRxPowerLogDistance(t *testing.T) {
 		t.Error("power not clamped at reference distance")
 	}
 }
-
-func TestPathReceiptProb(t *testing.T) {
-	if got := PathReceiptProb(nil); got != 1 {
-		t.Errorf("empty path = %v", got)
-	}
-	if got := PathReceiptProb([]float64{0.9, 0.5}); math.Abs(got-0.45) > 1e-12 {
-		t.Errorf("product = %v", got)
-	}
-	// values clamped into [0,1]
-	if got := PathReceiptProb([]float64{2, -1}); got != 0 {
-		t.Errorf("clamped = %v", got)
-	}
-}

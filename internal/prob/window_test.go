@@ -10,7 +10,7 @@ import (
 // integrals found their window with before Normal.tailWindow: the
 // reference every window — and through it every golden — must match to
 // the bit.
-func quantileBisectOracle(d Dist, p, lo, hi float64) float64 {
+func quantileBisectOracle(d Normal, p, lo, hi float64) float64 {
 	if p <= 0 {
 		return lo
 	}
@@ -29,12 +29,12 @@ func quantileBisectOracle(d Dist, p, lo, hi float64) float64 {
 }
 
 // integrateOracle is LinkDurationModel.integrate as it was over the
-// oracle's window, for any Dist.
-func integrateOracle(d Dist, f func(dv float64) float64) float64 {
+// oracle's window.
+func integrateOracle(d Normal, f func(dv float64) float64) float64 {
 	lo := quantileBisectOracle(d, 1e-6, -1e4, 1e4)
 	hi := quantileBisectOracle(d, 1-1e-6, -1e4, 1e4)
 	if hi <= lo {
-		return f(d.Mean())
+		return f(d.Mu)
 	}
 	const n = 400
 	h := (hi - lo) / n
@@ -50,7 +50,7 @@ func integrateOracle(d Dist, f func(dv float64) float64) float64 {
 	val := sum * h / 3
 	mass := d.CDF(hi) - d.CDF(lo)
 	if mass <= 0 {
-		return f(d.Mean())
+		return f(d.Mu)
 	}
 	return val / mass
 }
@@ -71,8 +71,8 @@ func TestTailZIsTheTailQuantile(t *testing.T) {
 	if got := (Normal{Sigma: 1}).CDF(-tailZ); math.Abs(got-1e-6) > 1e-20 {
 		t.Fatalf("Φ(−tailZ) = %v, want 1e-6", got)
 	}
-	if got := (Normal{Sigma: 1}).Quantile(1e-6); math.Abs(got+tailZ) > 1e-10 {
-		t.Fatalf("Quantile(1e-6) = %v, want %v", got, -tailZ)
+	if got := math.Sqrt2 * math.Erfinv(2*1e-6-1); math.Abs(got+tailZ) > 1e-10 {
+		t.Fatalf("closed-form quantile of 1e-6 = %v, want %v", got, -tailZ)
 	}
 }
 

@@ -371,6 +371,3 @@ func (c *Cache) Decodable(lk Link, rng *rand.Rand) bool {
 // (node, epoch) pairs actually paid for, which tests compare against the
 // transmission count to prove amortization.
 func (c *Cache) Builds() uint64 { return c.builds }
-
-// Model returns the propagation model the cache decides receptions with.
-func (c *Cache) Model() channel.Model { return c.model }

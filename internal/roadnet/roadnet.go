@@ -1,5 +1,5 @@
 // Package roadnet models the road topology vehicles move on: junctions,
-// directed multi-lane segments, and shortest-path queries. The mobility
+// directed multi-lane segments, and least-cost path queries. The mobility
 // models (highway car-following, Manhattan grid) and the road-aware routers
 // (CAR's per-segment connectivity, GVGrid's grid paths) are built on it.
 package roadnet
@@ -69,7 +69,6 @@ type Network struct {
 	junctions []Junction
 	segments  []*Segment
 	out       map[JunctionID][]SegmentID // outgoing segments per junction
-	in        map[JunctionID][]SegmentID
 	bounds    geom.Rect
 }
 
@@ -81,10 +80,7 @@ type Builder struct {
 
 // NewBuilder returns an empty road network builder.
 func NewBuilder() *Builder {
-	return &Builder{n: &Network{
-		out: make(map[JunctionID][]SegmentID),
-		in:  make(map[JunctionID][]SegmentID),
-	}}
+	return &Builder{n: &Network{out: make(map[JunctionID][]SegmentID)}}
 }
 
 // AddJunction adds a junction at p and returns its ID.
@@ -127,7 +123,6 @@ func (b *Builder) AddSegment(from, to JunctionID, lanes int, laneWidth, speedLim
 	}
 	b.n.segments = append(b.n.segments, seg)
 	b.n.out[from] = append(b.n.out[from], seg.ID)
-	b.n.in[to] = append(b.n.in[to], seg.ID)
 	return seg.ID
 }
 
@@ -155,9 +150,6 @@ func (b *Builder) Build() (*Network, error) {
 	return b.n, nil
 }
 
-// Junctions returns the junction count.
-func (n *Network) Junctions() int { return len(n.junctions) }
-
 // Segments returns the segment count.
 func (n *Network) Segments() int { return len(n.segments) }
 
@@ -169,13 +161,6 @@ func (n *Network) Segment(id SegmentID) *Segment { return n.segments[id] }
 
 // Bounds returns the bounding rectangle of the network plus margin.
 func (n *Network) Bounds() geom.Rect { return n.bounds }
-
-// Outgoing returns the segments leaving junction j. The returned slice is
-// owned by the network; callers must not modify it.
-func (n *Network) Outgoing(j JunctionID) []SegmentID { return n.out[j] }
-
-// Incoming returns the segments arriving at junction j.
-func (n *Network) Incoming(j JunctionID) []SegmentID { return n.in[j] }
 
 // NextSegments returns the segments a vehicle can continue onto after s,
 // excluding the immediate U-turn back along s where an alternative exists.
@@ -197,26 +182,12 @@ func (n *Network) NextSegments(s SegmentID) []SegmentID {
 	return next
 }
 
-// ShortestPath returns the junction-to-junction path minimising total
-// length as a sequence of segment IDs, using Dijkstra. ok is false when no
-// path exists.
-func (n *Network) ShortestPath(from, to JunctionID) (segs []SegmentID, dist float64, ok bool) {
-	return n.shortest(from, to, func(s *Segment) float64 { return s.len })
-}
-
-// FastestPath is ShortestPath weighted by free-flow travel time.
-func (n *Network) FastestPath(from, to JunctionID) (segs []SegmentID, cost float64, ok bool) {
-	return n.shortest(from, to, func(s *Segment) float64 { return s.len / s.SpeedLimit })
-}
-
-// BestPath runs Dijkstra with an arbitrary non-negative segment cost. CAR
-// uses it with −log(connectivity) weights to maximise the product of
-// per-segment connectivity probabilities.
+// BestPath returns the junction-to-junction path minimising the total of an
+// arbitrary non-negative segment cost, as a sequence of segment IDs, using
+// Dijkstra; ok is false when no path exists. CAR uses it with
+// −log(connectivity) weights to maximise the product of per-segment
+// connectivity probabilities.
 func (n *Network) BestPath(from, to JunctionID, cost func(*Segment) float64) (segs []SegmentID, total float64, ok bool) {
-	return n.shortest(from, to, cost)
-}
-
-func (n *Network) shortest(from, to JunctionID, cost func(*Segment) float64) ([]SegmentID, float64, bool) {
 	const inf = math.MaxFloat64
 	dist := make([]float64, len(n.junctions))
 	prev := make([]SegmentID, len(n.junctions))

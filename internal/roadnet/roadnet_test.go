@@ -24,6 +24,9 @@ func buildT(t *testing.T) *Network {
 	return n
 }
 
+// length is the cost that makes BestPath the shortest path.
+func length(s *Segment) float64 { return s.Length() }
+
 func TestBuilderErrors(t *testing.T) {
 	b := NewBuilder()
 	if _, err := b.Build(); err == nil {
@@ -90,16 +93,18 @@ func TestSegmentGeometry(t *testing.T) {
 
 func TestAdjacency(t *testing.T) {
 	n := buildT(t)
-	if n.Junctions() != 3 || n.Segments() != 5 {
-		t.Fatalf("junctions=%d segments=%d", n.Junctions(), n.Segments())
+	if len(n.junctions) != 3 || n.Segments() != 5 {
+		t.Fatalf("junctions=%d segments=%d", len(n.junctions), n.Segments())
 	}
-	outs := n.Outgoing(0)
-	if len(outs) != 2 { // a→c and a→d
+	if outs := n.out[0]; len(outs) != 2 { // a→c and a→d
 		t.Fatalf("outgoing(a) = %v", outs)
 	}
-	ins := n.Incoming(0)
-	if len(ins) != 1 { // c→a
-		t.Fatalf("incoming(a) = %v", ins)
+	for i := 0; i < n.Segments(); i++ {
+		for _, next := range n.NextSegments(SegmentID(i)) {
+			if n.Segment(next).From != n.Segment(SegmentID(i)).To {
+				t.Fatalf("segment %d continues onto %d, which starts elsewhere", i, next)
+			}
+		}
 	}
 }
 
@@ -128,40 +133,36 @@ func TestNextSegmentsAvoidsUTurn(t *testing.T) {
 func TestShortestPath(t *testing.T) {
 	n := buildT(t)
 	// a→d direct chord is 1000; a→c→d is 1000+~1414
-	segs, dist, ok := n.ShortestPath(0, 2)
+	segs, dist, ok := n.BestPath(0, 2, length)
 	if !ok || len(segs) != 1 || math.Abs(dist-1000) > 1e-9 {
 		t.Fatalf("path=%v dist=%v ok=%v", segs, dist, ok)
 	}
 	// d→a has no chord back; must go d→c→a
-	segs, dist, ok = n.ShortestPath(2, 0)
+	segs, dist, ok = n.BestPath(2, 0, length)
 	if !ok || len(segs) != 2 {
 		t.Fatalf("reverse path=%v dist=%v", segs, dist)
 	}
 	// unknown junctions
-	if _, _, ok := n.ShortestPath(-1, 2); ok {
+	if _, _, ok := n.BestPath(-1, 2, length); ok {
 		t.Error("negative junction accepted")
 	}
 }
 
 func TestFastestPathPrefersFastRoad(t *testing.T) {
-	n := buildT(t)
-	// chord a→d is 10 m/s (100 s); a→c→d is 1000/30 + 1414/20 ≈ 104 s —
-	// close; shortest picks chord, fastest nearly indifferent but chord
-	// still wins. Build a sharper contrast instead:
+	// the least free-flow travel time takes the fast direct road over the
+	// slow, shorter-looking detour
 	b := NewBuilder()
 	a := b.AddJunction(geom.V(0, 0))
 	c := b.AddJunction(geom.V(1000, 0))
 	d := b.AddJunction(geom.V(500, 100))
 	b.AddSegment(a, c, 1, 3.5, 40) // fast direct
-	slow1 := b.AddSegment(a, d, 1, 3.5, 5)
-	slow2 := b.AddSegment(d, c, 1, 3.5, 5)
-	_ = slow1
-	_ = slow2
+	b.AddSegment(a, d, 1, 3.5, 5)
+	b.AddSegment(d, c, 1, 3.5, 5)
 	n, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs, _, ok := n.FastestPath(a, c)
+	segs, _, ok := n.BestPath(a, c, func(s *Segment) float64 { return s.Length() / s.SpeedLimit })
 	if !ok || len(segs) != 1 {
 		t.Fatalf("fastest path = %v", segs)
 	}
@@ -208,12 +209,12 @@ func TestHighwayPreset(t *testing.T) {
 		t.Fatal("carriageway directions wrong")
 	}
 	// crossovers make the graph strongly connected
-	for from := JunctionID(0); int(from) < n.Junctions(); from++ {
-		for to := JunctionID(0); int(to) < n.Junctions(); to++ {
+	for from := JunctionID(0); int(from) < len(n.junctions); from++ {
+		for to := JunctionID(0); int(to) < len(n.junctions); to++ {
 			if from == to {
 				continue
 			}
-			if _, _, ok := n.ShortestPath(from, to); !ok {
+			if _, _, ok := n.BestPath(from, to, length); !ok {
 				t.Fatalf("no path %d→%d: highway graph not strongly connected", from, to)
 			}
 		}
@@ -228,15 +229,15 @@ func TestGridPreset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Junctions() != 9 {
-		t.Fatalf("junctions = %d", n.Junctions())
+	if len(n.junctions) != 9 {
+		t.Fatalf("junctions = %d", len(n.junctions))
 	}
 	// 12 block edges × 2 directions
 	if n.Segments() != 24 {
 		t.Fatalf("segments = %d", n.Segments())
 	}
 	// corner to opposite corner is reachable
-	if _, dist, ok := n.ShortestPath(0, 8); !ok || math.Abs(dist-1600) > 1e-6 {
+	if _, dist, ok := n.BestPath(0, 8, length); !ok || math.Abs(dist-1600) > 1e-6 {
 		t.Fatalf("corner path dist = %v ok=%v", dist, ok)
 	}
 	// 1-wide grids are a supported degenerate line (see TestGridEdgeCases)
@@ -288,17 +289,17 @@ func TestGridEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if line.Junctions() != 5 {
-		t.Fatalf("1×5 junctions = %d", line.Junctions())
+	if len(line.junctions) != 5 {
+		t.Fatalf("1×5 junctions = %d", len(line.junctions))
 	}
 	if line.Segments() != 8 {
 		t.Fatalf("1×5 segments = %d, want 2×(5−1)", line.Segments())
 	}
 	// the line must stay strongly connected: a path exists between the ends
-	if _, _, ok := line.ShortestPath(0, 4); !ok {
+	if _, _, ok := line.BestPath(0, 4, length); !ok {
 		t.Fatal("no path along the 1×5 line")
 	}
-	if _, _, ok := line.ShortestPath(4, 0); !ok {
+	if _, _, ok := line.BestPath(4, 0, length); !ok {
 		t.Fatal("no return path along the 1×5 line")
 	}
 	// N×1 is the transposed line

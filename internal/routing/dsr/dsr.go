@@ -7,6 +7,8 @@
 package dsr
 
 import (
+	"slices"
+
 	"github.com/vanetlab/relroute/internal/netstack"
 	"github.com/vanetlab/relroute/internal/routing"
 )
@@ -39,12 +41,6 @@ type rerr struct {
 	Origin   netstack.NodeID
 }
 
-// srcHeader is the source-route header on data packets.
-type srcHeader struct {
-	Path []netstack.NodeID // origin ... destination inclusive
-	Next int               // index of the next hop in Path
-}
-
 // New returns a DSR router factory.
 func New() netstack.RouterFactory {
 	return func() netstack.Router {
@@ -65,10 +61,7 @@ func (r *Router) routed(dst netstack.NodeID) bool { return len(r.cache[dst]) >= 
 
 // forward stamps the cached source route on a data packet and sends it.
 func (r *Router) forward(pkt *netstack.Packet) {
-	path := r.cache[pkt.Dst]
-	pkt.Payload = srcHeader{Path: append([]netstack.NodeID(nil), path...), Next: 1}
-	pkt.Size += 4 * len(path) // source route inflates the header
-	r.API.Send(path[1], pkt)
+	routing.SendSourceRouted(r.API, pkt, r.cache[pkt.Dst])
 }
 
 func (r *Router) request(dst netstack.NodeID, reqID uint64) bool {
@@ -100,7 +93,7 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	if !ok || req.Origin == r.API.Self() {
 		return
 	}
-	if contains(req.Path, r.API.Self()) {
+	if slices.Contains(req.Path, r.API.Self()) {
 		return // loop
 	}
 	if r.dup.Seen(routing.DupKey{Origin: req.Origin, Seq: req.ReqID}, r.API.Now()) {
@@ -113,7 +106,9 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	if req.Target == r.API.Self() {
 		// cache the reverse route and reply with the full path, unicast
 		// back along it
-		r.cache[req.Origin] = reverse(path)
+		back := slices.Clone(path)
+		slices.Reverse(back)
+		r.cache[req.Origin] = back
 		r.API.Send(path[len(path)-2], r.Control(netstack.KindRREP, req.Origin, 24+4*len(path),
 			rrep{Origin: req.Origin, Target: req.Target, Path: path}))
 		return
@@ -135,7 +130,7 @@ func (r *Router) handleRREP(pkt *netstack.Packet) {
 		return
 	}
 	self := r.API.Self()
-	idx := indexOf(rep.Path, self)
+	idx := slices.Index(rep.Path, self)
 	if idx < 0 {
 		return
 	}
@@ -145,14 +140,7 @@ func (r *Router) handleRREP(pkt *netstack.Packet) {
 		r.Answered(rep.Target)
 		return
 	}
-	if idx == 0 {
-		return
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		return
-	}
-	r.API.Send(rep.Path[idx-1], pkt)
+	routing.RelayBack(r.API, pkt, rep.Path, idx)
 }
 
 func (r *Router) handleRERR(pkt *netstack.Packet) {
@@ -176,37 +164,12 @@ func (r *Router) truncateCaches(from, to netstack.NodeID) {
 }
 
 func (r *Router) handleData(pkt *netstack.Packet) {
-	if pkt.Dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	hdr, ok := pkt.Payload.(srcHeader)
-	if !ok {
-		r.API.Drop(pkt)
-		return
-	}
-	next := hdr.Next + 1
-	if next >= len(hdr.Path) {
-		r.API.Drop(pkt)
-		return
-	}
-	nextHop := hdr.Path[next]
-	// salvage check: is the next hop still a neighbor?
-	if !r.API.HasNeighbor(nextHop) {
-		r.API.Metrics().RouteBreaks++
-		r.API.Drop(pkt)
-		r.reportBreak(hdr.Path[0], r.API.Self(), nextHop)
-		return
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		r.API.Drop(pkt)
-		return
-	}
-	cp := hdr
-	cp.Next = next
-	pkt.Payload = cp
-	r.API.Send(nextHop, pkt)
+	routing.ForwardSourceRouted(r.API, pkt, r.brokenHop)
+}
+
+// brokenHop reports a source route that broke here, on the way to lost.
+func (r *Router) brokenHop(hdr routing.SourceRoute, lost netstack.NodeID) {
+	r.reportBreak(hdr.Path[0], r.API.Self(), lost)
 }
 
 // reportBreak unicasts an RERR toward the origin and truncates own caches.
@@ -232,7 +195,7 @@ func (r *Router) OnNeighborExpired(id netstack.NodeID) {
 // link and send the RERR the in-band salvage check would have sent.
 func (r *Router) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
 	r.API.ForgetNeighbor(to)
-	if hdr, ok := pkt.Payload.(srcHeader); ok && pkt.Data && len(hdr.Path) > 0 {
+	if hdr, ok := pkt.Payload.(routing.SourceRoute); ok && pkt.Data && len(hdr.Path) > 0 {
 		r.API.Metrics().RouteBreaks++
 		r.reportBreak(hdr.Path[0], r.API.Self(), to)
 	} else {
@@ -245,24 +208,3 @@ func (r *Router) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
 
 // CacheLen exposes the cache size for tests.
 func (r *Router) CacheLen() int { return len(r.cache) }
-
-func contains(s []netstack.NodeID, id netstack.NodeID) bool {
-	return indexOf(s, id) >= 0
-}
-
-func indexOf(s []netstack.NodeID, id netstack.NodeID) int {
-	for i, v := range s {
-		if v == id {
-			return i
-		}
-	}
-	return -1
-}
-
-func reverse(s []netstack.NodeID) []netstack.NodeID {
-	out := make([]netstack.NodeID, len(s))
-	for i, v := range s {
-		out[len(s)-1-i] = v
-	}
-	return out
-}

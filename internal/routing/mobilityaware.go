@@ -1,9 +1,6 @@
 package routing
 
-import (
-	"github.com/vanetlab/relroute/internal/link"
-	"github.com/vanetlab/relroute/internal/netstack"
-)
+import "github.com/vanetlab/relroute/internal/netstack"
 
 // LinkLifetime predicts the remaining lifetime of the link between this
 // node and neighbor id through the reliability plane: the value is the
@@ -19,19 +16,6 @@ func LinkLifetime(api *netstack.API, id netstack.NodeID) float64 {
 		return 0
 	}
 	return ls.Lifetime
-}
-
-// LinkLifetimeBetween predicts the lifetime of the link between two of
-// this node's neighbors a and b, from their beaconed kinematics. Third-
-// party links have no monitor entry, so this solves Eqn (4) directly.
-func LinkLifetimeBetween(api *netstack.API, a, b netstack.Neighbor) float64 {
-	return link.LifetimeVec(a.Pos, a.Vel, b.Pos, b.Vel, api.RangeEstimate())
-}
-
-// DirectionTo classifies the relative direction of a neighbor using the
-// Fig. 4 decomposition.
-func DirectionTo(api *netstack.API, nb netstack.Neighbor) link.DirectionClass {
-	return link.Classify(api.Pos(), api.Vel(), nb.Pos, nb.Vel)
 }
 
 // MinLifetime folds a new link lifetime into a path lifetime accumulator

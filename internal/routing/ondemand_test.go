@@ -156,7 +156,7 @@ func TestWorseReverseRouteNeverReplacesBetter(t *testing.T) {
 				}
 			}
 			// a broken route protects nothing
-			r.Table().Invalidate(dst)
+			r.Table().InvalidateVia(4)
 			r.MergeReverse(routing.Route{Dst: dst, NextHop: 5, Hops: 9, Valid: true})
 			if rt, _ := r.Table().Get(dst); rt.NextHop != 5 || !rt.Valid {
 				t.Fatalf("an invalid route blocked its replacement: %+v", rt)

@@ -156,21 +156,6 @@ func (t *Table) Upsert(r Route) *Route {
 	return &cp
 }
 
-// Remove deletes the entry for dst immediately, if present.
-func (t *Table) Remove(dst netstack.NodeID) { delete(t.routes, dst) }
-
-// Invalidate marks the route to dst broken; it reports whether a valid
-// route existed.
-func (t *Table) Invalidate(dst netstack.NodeID) bool {
-	r, ok := t.routes[dst]
-	if !ok || !r.Valid {
-		return false
-	}
-	r.Valid = false
-	r.deadAt = t.lastNow
-	return true
-}
-
 // InvalidateVia invalidates every valid route whose next hop is via and
 // returns the affected destinations (sorted, deterministic).
 func (t *Table) InvalidateVia(via netstack.NodeID) []netstack.NodeID {
@@ -200,20 +185,8 @@ func (t *Table) Destinations(now float64) []netstack.NodeID {
 }
 
 // Len returns the number of stored entries — valid routes plus dead ones
-// still inside the retention window. Use LenValid for the routable count.
+// still inside the retention window. Destinations lists the routable ones.
 func (t *Table) Len() int { return len(t.routes) }
-
-// LenValid returns the number of valid, unexpired routes at now (without
-// mutating any entry).
-func (t *Table) LenValid(now float64) int {
-	n := 0
-	for _, r := range t.routes {
-		if r.Valid && (r.Expiry == 0 || now <= r.Expiry) {
-			n++
-		}
-	}
-	return n
-}
 
 const (
 	// pendingCap is how many packets a PendingQueue holds per destination.

@@ -144,7 +144,7 @@ func TestTableSweepBoundsGrowth(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		dst := netstack.NodeID(i)
 		tb.Upsert(Route{Dst: dst, NextHop: 1, Expiry: now + 5, Valid: true})
-		tb.Invalidate(dst) // the destination departed
+		tb.InvalidateVia(1) // the destination departed
 		now += 1
 		tb.Lookup(dst, now) // any time-bearing access drives the sweep
 	}
@@ -154,8 +154,8 @@ func TestTableSweepBoundsGrowth(t *testing.T) {
 	if tb.Len() > 100 {
 		t.Fatalf("table grew to %d entries; sweep not collecting", tb.Len())
 	}
-	if got := tb.LenValid(now); got != 0 {
-		t.Fatalf("LenValid = %d, want 0 (everything invalidated)", got)
+	if got := tb.Destinations(now); len(got) != 0 {
+		t.Fatalf("Destinations = %v, want none (everything invalidated)", got)
 	}
 }
 
@@ -163,14 +163,14 @@ func TestTableSweepSparesLiveAndRecentRoutes(t *testing.T) {
 	tb := NewTable()
 	tb.Upsert(Route{Dst: 1, NextHop: 2, Valid: true})              // alive forever
 	tb.Upsert(Route{Dst: 2, NextHop: 2, Expiry: 200, Valid: true}) // alive until 200
-	tb.Upsert(Route{Dst: 3, NextHop: 2, Valid: true})
+	tb.Upsert(Route{Dst: 3, NextHop: 3, Valid: true})
 	// consulted every 0.5 s, the table sweeps at 0, 30 and 60; dst 3 dies
 	// at 29.5, so the sweep at 30 finds it dead 0.5 s and the one at 60
 	// dead 30.5 s, past the 30 s retention
 	for now := 0.0; now <= 60; now += 0.5 {
 		tb.Lookup(0, now)
 		if now == 29.5 {
-			tb.Invalidate(3)
+			tb.InvalidateVia(3)
 		}
 		if now == 59.5 && tb.Len() != 3 {
 			t.Fatalf("entry dead for 30 s collected early: len=%d", tb.Len())
@@ -233,30 +233,17 @@ func TestTableSweepGraceAfterDirectMutation(t *testing.T) {
 	}
 }
 
-func TestTableRemove(t *testing.T) {
-	tb := NewTable()
-	tb.Upsert(Route{Dst: 5, NextHop: 1, Valid: true})
-	tb.Remove(5)
-	if _, ok := tb.Get(5); ok || tb.Len() != 0 {
-		t.Fatal("Remove left the entry behind")
-	}
-	tb.Remove(5) // removing a missing entry is a no-op
-}
-
 func TestTableInvalidate(t *testing.T) {
 	tb := NewTable()
 	tb.Upsert(Route{Dst: 1, NextHop: 10, Valid: true})
 	tb.Upsert(Route{Dst: 2, NextHop: 10, Valid: true})
 	tb.Upsert(Route{Dst: 3, NextHop: 11, Valid: true})
-	if !tb.Invalidate(1) {
-		t.Fatal("invalidate reported false")
-	}
-	if tb.Invalidate(1) {
-		t.Fatal("double invalidate reported true")
-	}
 	broken := tb.InvalidateVia(10)
-	if len(broken) != 1 || broken[0] != 2 {
+	if len(broken) != 2 || broken[0] != 1 || broken[1] != 2 {
 		t.Fatalf("InvalidateVia = %v", broken)
+	}
+	if again := tb.InvalidateVia(10); len(again) != 0 {
+		t.Fatalf("second InvalidateVia = %v, want none", again)
 	}
 	dsts := tb.Destinations(0)
 	if len(dsts) != 1 || dsts[0] != 3 {

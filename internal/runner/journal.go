@@ -163,13 +163,6 @@ func (j *Journal) Completed(i int) (Result, bool) {
 	return Result{Run: Run{Label: rec.Label}, Summary: rec.Summary}, true
 }
 
-// Remaining counts the runs a campaign of n still has to execute.
-func (j *Journal) Remaining(n int) int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return n - len(j.done)
-}
-
 // Record appends run i's successful result and syncs the file. Write
 // errors are sticky and surfaced by Close — a journaling failure must not
 // fail the run that produced the result.

@@ -76,7 +76,7 @@ func TestJournalResumeSkipsCompleted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := j2.Remaining(len(c2.Runs)); got != 0 {
+	if got := len(c2.Runs) - len(j2.done); got != 0 {
 		t.Fatalf("journal reports %d remaining runs, want 0", got)
 	}
 	second := Pool{Workers: 4}.ExecuteResumable(context.Background(), c2, j2)
@@ -141,7 +141,7 @@ func TestJournalResumeCompletesRemainder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := j2.Remaining(len(c2.Runs)); got != 1 {
+	if got := len(c2.Runs) - len(j2.done); got != 1 {
 		t.Fatalf("journal reports %d remaining runs, want 1", got)
 	}
 	resumed := Pool{Workers: 1}.ExecuteResumable(context.Background(), c2, j2)
@@ -189,7 +189,7 @@ func TestJournalWrittenWithShardsResumes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("journal of the Shards=4 campaign rejected: %v", err)
 	}
-	if left := j2.Remaining(len(c.Runs)); left != 0 {
+	if left := len(c.Runs) - len(j2.done); left != 0 {
 		t.Fatalf("resume would re-execute %d journaled runs", left)
 	}
 	resumed := Pool{Workers: 2}.ExecuteResumable(context.Background(), c, j2)

@@ -15,10 +15,6 @@ import (
 	"github.com/vanetlab/relroute/internal/prng"
 )
 
-// ErrStopped is returned by Run when the engine was halted by Stop before
-// reaching the requested end time.
-var ErrStopped = errors.New("sim: engine stopped")
-
 // ErrInterrupted is returned by Run when the engine was aborted by
 // Interrupt — typically a per-run deadline firing on another goroutine.
 var ErrInterrupted = errors.New("sim: engine interrupted")
@@ -40,7 +36,6 @@ type Engine struct {
 	// they are the engine's share of the checkpoint stream table: each
 	// stream serializes as (seed, draw position).
 	streams []*prng.Source
-	stopped bool
 	events  uint64
 	// interrupted is the only cross-goroutine signal into the engine: a
 	// watchdog (the runner's per-run timeout) may flip it while Run is
@@ -136,24 +131,17 @@ func (e *Engine) After(d float64, fn func()) TimerID {
 // actually cancelled.
 func (e *Engine) Cancel(id TimerID) bool { return e.q.Cancel(id) }
 
-// Stop halts Run after the currently executing event returns.
-func (e *Engine) Stop() { e.stopped = true }
-
 // Interrupt aborts Run from any goroutine: the loop notices the flag
-// within a bounded number of events and returns ErrInterrupted. Unlike
-// Stop it is sticky, so a deadline that fires between runs still aborts
-// the next Run call.
+// within a bounded number of events and returns ErrInterrupted. It is
+// sticky, so a deadline that fires between runs still aborts the next Run
+// call.
 func (e *Engine) Interrupt() { e.interrupted.Store(true) }
 
 // Run executes events in time order until the clock reaches until (events
 // scheduled exactly at until still fire) or the queue drains. It returns
-// ErrStopped if Stop was called and ErrInterrupted if Interrupt was.
+// ErrInterrupted if Interrupt was called.
 func (e *Engine) Run(until float64) error {
-	e.stopped = false
 	for {
-		if e.stopped {
-			return ErrStopped
-		}
 		// The atomic load is amortized across 64 events so the hot loop
 		// stays branch-cheap; an interrupt lands within one batch.
 		if e.events&63 == 0 && e.interrupted.Load() {
@@ -171,43 +159,21 @@ func (e *Engine) Run(until float64) error {
 	}
 }
 
-// Drain executes every remaining event regardless of time. It is mainly
-// useful in tests that want to flush trailing timers.
-func (e *Engine) Drain() {
-	for {
-		at, fn, ok := e.q.Pop()
-		if !ok {
-			return
-		}
-		e.now = at
-		e.events++
-		fn()
-	}
-}
-
-// Ticker invokes fn every interval seconds starting at start, until the
-// returned stop function is called. A jitter fraction in [0,1) randomises
-// each period by ±jitter/2·interval to avoid global phase locking (real
-// beacon implementations do the same).
-func (e *Engine) Ticker(start, interval, jitter float64, rng *rand.Rand, fn func()) (stop func()) {
-	var id TimerID
-	stopped := false
+// Ticker invokes fn at start and then every interval seconds for the rest
+// of the run, rescheduling each period at now + interval once fn returns.
+// A jitter fraction in [0,1) randomises each period by ±jitter/2·interval
+// to avoid global phase locking (real beacon implementations do the same).
+// No periodic job of the simulator ends early, so there is no stop handle.
+func (e *Engine) Ticker(start, interval, jitter float64, rng *rand.Rand, fn func()) {
 	// One closure rescheduling itself keeps periodic work allocation-free.
 	var tick func()
 	tick = func() {
-		if stopped {
-			return
-		}
 		fn()
 		next := e.now + interval
 		if jitter > 0 && rng != nil {
 			next += interval * jitter * (rng.Float64() - 0.5)
 		}
-		id = e.At(next, tick)
+		e.At(next, tick)
 	}
-	id = e.At(start, tick)
-	return func() {
-		stopped = true
-		e.Cancel(id)
-	}
+	e.At(start, tick)
 }

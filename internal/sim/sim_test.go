@@ -60,27 +60,6 @@ func TestSchedulingInPastClamps(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	e := NewEngine(1)
-	count := 0
-	var again func()
-	again = func() {
-		count++
-		if count == 3 {
-			e.Stop()
-		}
-		e.After(1, again)
-	}
-	e.After(1, again)
-	err := e.Run(100)
-	if err != ErrStopped {
-		t.Fatalf("err = %v, want ErrStopped", err)
-	}
-	if count != 3 {
-		t.Fatalf("count = %d", count)
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	trace := func(seed int64) []float64 {
 		e := NewEngine(seed)
@@ -142,7 +121,7 @@ func TestRandStreamsIndependent(t *testing.T) {
 func TestTicker(t *testing.T) {
 	e := NewEngine(1)
 	var at []float64
-	stop := e.Ticker(1, 2, 0, nil, func() { at = append(at, e.Now()) })
+	e.Ticker(1, 2, 0, nil, func() { at = append(at, e.Now()) })
 	if err := e.Run(9); err != nil {
 		t.Fatal(err)
 	}
@@ -154,14 +133,6 @@ func TestTicker(t *testing.T) {
 		if at[i] != want[i] {
 			t.Fatalf("ticks = %v, want %v", at, want)
 		}
-	}
-	stop()
-	n := len(at)
-	if err := e.Run(20); err != nil {
-		t.Fatal(err)
-	}
-	if len(at) != n {
-		t.Fatal("ticker fired after stop")
 	}
 }
 
@@ -193,19 +164,5 @@ func TestEventCountAndPending(t *testing.T) {
 	}
 	if e.Pending() != 0 {
 		t.Fatalf("pending after run = %d", e.Pending())
-	}
-}
-
-func TestDrain(t *testing.T) {
-	e := NewEngine(1)
-	ran := 0
-	e.At(100, func() { ran++ })
-	e.At(200, func() { ran++ })
-	e.Drain()
-	if ran != 2 {
-		t.Fatalf("ran = %d", ran)
-	}
-	if e.Now() != 200 {
-		t.Fatalf("now = %v", e.Now())
 	}
 }

@@ -281,15 +281,12 @@ type CellSpan struct {
 // binary-search cell lookup replaces map probes.
 //
 // The fields are owned by the grid and read-only to callers; they are valid
-// until the grid's next geometric change. Min/Max bound the occupied cell
-// rectangle (meaningful only when Cells is non-empty).
+// until the grid's next geometric change.
 type Snapshot struct {
 	Epoch uint64
 	Cells []CellSpan
 	IDs   []int32
 	Pos   []geom.Vec2
-
-	MinCX, MaxCX, MinCY, MaxCY int32
 }
 
 // Search returns the index of the first cell with key >= (cx, cy) in the
@@ -350,97 +347,7 @@ func (g *Grid) Snapshot() *Snapshot {
 			s.Pos = append(s.Pos, g.pos[id])
 		}
 		c.End = int32(len(s.IDs))
-		if i == 0 {
-			s.MinCX, s.MaxCX = c.CX, c.CX
-			s.MinCY, s.MaxCY = c.CY, c.CY
-			continue
-		}
-		s.MaxCX = c.CX // cells are CX-sorted
-		if c.CY < s.MinCY {
-			s.MinCY = c.CY
-		}
-		if c.CY > s.MaxCY {
-			s.MaxCY = c.CY
-		}
 	}
 	s.Epoch = g.epoch
 	return s
-}
-
-// Nearest returns the indexed item closest to p, excluding the item with id
-// skip (pass a negative value to exclude nothing). ok is false when the
-// index is empty or holds only the skipped item. Ties break toward the
-// lowest ID (deterministic, unlike map iteration).
-//
-// The search expands cell rings outward from p's cell over the CSR
-// snapshot, stopping once no farther ring can beat the best candidate — a
-// point in a cell at Chebyshev ring distance k is at least (k-1) cell
-// widths away from p. Cost is O(rings visited) after the per-epoch
-// snapshot build, instead of a scan over every dense slot (including
-// tombstones) per call.
-func (g *Grid) Nearest(p geom.Vec2, skip int32) (id int32, dist float64, ok bool) {
-	if g.count == 0 {
-		return 0, 0, false
-	}
-	s := g.Snapshot()
-	ck := g.key(p)
-	maxRing := max(
-		absDelta(s.MinCX, ck.cx), absDelta(s.MaxCX, ck.cx),
-		absDelta(s.MinCY, ck.cy), absDelta(s.MaxCY, ck.cy),
-	)
-	best := int32(-1)
-	bestD2 := math.Inf(1)
-	for ring := int32(0); ring <= maxRing; ring++ {
-		if best >= 0 {
-			// Not strict: a ring at exactly bestD2 could still hold an
-			// equal-distance item with a lower ID, so only break when the
-			// ring's floor distance is strictly worse.
-			if lo := float64(ring-1) * g.cell; lo > 0 && lo*lo > bestD2 {
-				break
-			}
-		}
-		if ring == 0 {
-			s.scanRow(p, ck.cx, ck.cy, ck.cy, skip, &best, &bestD2)
-			continue
-		}
-		s.scanRow(p, ck.cx-ring, ck.cy-ring, ck.cy+ring, skip, &best, &bestD2)
-		for cx := ck.cx - ring + 1; cx <= ck.cx+ring-1; cx++ {
-			s.scanRow(p, cx, ck.cy-ring, ck.cy-ring, skip, &best, &bestD2)
-			s.scanRow(p, cx, ck.cy+ring, ck.cy+ring, skip, &best, &bestD2)
-		}
-		s.scanRow(p, ck.cx+ring, ck.cy-ring, ck.cy+ring, skip, &best, &bestD2)
-	}
-	if best < 0 {
-		return 0, 0, false
-	}
-	return best, math.Sqrt(bestD2), true
-}
-
-func absDelta(a, b int32) int32 {
-	if a > b {
-		return a - b
-	}
-	return b - a
-}
-
-// scanRow folds the members of cells (cx, cyLo..cyHi) into the running
-// nearest candidate: strictly closer wins, equal distance breaks to the
-// lower ID.
-func (s *Snapshot) scanRow(p geom.Vec2, cx, cyLo, cyHi, skip int32, best *int32, bestD2 *float64) {
-	for i := s.Search(cx, cyLo); i < len(s.Cells); i++ {
-		c := &s.Cells[i]
-		if c.CX != cx || c.CY > cyHi {
-			return
-		}
-		for k := c.Start; k < c.End; k++ {
-			id := s.IDs[k]
-			if id == skip {
-				continue
-			}
-			d2 := s.Pos[k].DistSq(p)
-			if d2 < *bestD2 || (d2 == *bestD2 && id < *best) {
-				*bestD2, *best = d2, id
-			}
-		}
-	}
 }

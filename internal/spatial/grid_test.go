@@ -88,25 +88,6 @@ func TestWithinNegativeRadius(t *testing.T) {
 	}
 }
 
-func TestNearest(t *testing.T) {
-	g := NewGrid(100)
-	if _, _, ok := g.Nearest(geom.V(0, 0), -1); ok {
-		t.Fatal("nearest on empty grid reported ok")
-	}
-	g.Update(1, geom.V(100, 0))
-	g.Update(2, geom.V(10, 0))
-	g.Update(3, geom.V(500, 500))
-	id, d, ok := g.Nearest(geom.V(0, 0), -1)
-	if !ok || id != 2 || d != 10 {
-		t.Fatalf("nearest = %v d=%v ok=%v", id, d, ok)
-	}
-	// skip the nearest
-	id, _, ok = g.Nearest(geom.V(0, 0), 2)
-	if !ok || id != 1 {
-		t.Fatalf("nearest with skip = %v", id)
-	}
-}
-
 func TestMoveWithinSameCell(t *testing.T) {
 	g := NewGrid(1000)
 	g.Update(1, geom.V(10, 10))

@@ -9,112 +9,257 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"os"
 	"path"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"strings"
+	"sync"
 	"testing"
-	"unicode"
 )
 
 // modulePath is this module's import path.
 const modulePath = "github.com/vanetlab/relroute"
 
-// TestNoTestOnlyOptions keeps protocol parameters constants. An exported
-// functional option — a top-level func With… under internal/ — must be
-// referenced from a non-test file outside its own package (a scenario, an
-// experiment, a CLI, another protocol); one that only tests reach is a
-// setting no run can change, and its value belongs in a constant of its
-// package.
+// testOnlyReached is the one exception to TestEveryDeclarationIsReached: a
+// declaration no run reaches that a test outside its package reads. Each key
+// is "package.Name" or "package.Type.Method"; its value is the test file,
+// relative to the repository root, that needs it. An entry whose
+// declaration is gone, or is now reached, fails the lint.
+var testOnlyReached = map[string]string{
+	"core.TicketRouter.ActivePath": "internal/core/ticket_test.go",
+	"rsu.UnitRouter.Buffered":      "internal/routing/rsu/rsu_test.go",
+	"dsr.Router.CacheLen":          "internal/routing/dsr/dsr_test.go",
+	"dsdv.Router.Table":            "internal/routing/dsdv/dsdv_test.go",
+	"car.DensityMap.Density":       "internal/routing/car/car_test.go",
+	"linkstate.Monitor.MemoStats":  "internal/netstack/actives_test.go",
+	"linkstate.Monitor.FullSweeps": "internal/netstack/actives_test.go",
+	"radio.Cache.SetEagerMode":     "internal/netstack/radiosweep_test.go",
+	"radio.EagerAuto":              "internal/netstack/radiosweep_test.go",
+	"channel.Shadowing.Receipt":    "internal/mac/rngorder_test.go",
+	"netstack.World.Joins":         "internal/scenario/providers_test.go",
+	"netstack.World.Leaves":        "internal/scenario/providers_test.go",
+}
+
+// TestEveryDeclarationIsReached keeps code that no run calls out of the
+// module. Every top-level declaration of a non-test file — func, method,
+// type, var or const, exported or not — must be reached by the non-test code
+// of the module or of bench/ from its roots: the main and init functions,
+// and the exported declarations of package relroute. A reference is a use
+// the type checker records; a blank assertion var _ I = T{} is not one. A
+// method is also reached when its receiver type is, if its name is a method
+// of some interface type in a loaded package (the standard library
+// included), since a call through that interface may land on it.
+// internal/routing/routetest, a helper package for tests, is exempt.
 //
-// It works on syntax alone, as TestNoMapRangeOnTheEventPath does: a
-// reference is a selector pkg.WithX whose pkg is the file's name for the
-// option's import path. bench/ is a module of its own and is not read.
-func TestNoTestOnlyOptions(t *testing.T) {
-	type option struct{ pkg, name string }
-	declared := map[option]string{} // → where
-	used := map[option]bool{}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(file string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if file != "." && (file == "bench" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
+// What only tests reach is either dead or a test's hook: delete it, or let
+// the test read the same value another way. The few accessors that tests
+// in other packages read are listed in testOnlyReached.
+func TestEveryDeclarationIsReached(t *testing.T) {
+	tree := loadTree(t)
+	type decl struct {
+		node ast.Node // the FuncDecl, TypeSpec or ValueSpec
+		pkg  *checkedPkg
+		dir  string
+	}
+	decls := map[types.Object]decl{}
+	methods := map[*types.TypeName][]*types.Func{} // by receiver type
+	ifaceMethods := map[string]bool{}              // names of interface methods
+	addInterface := func(typ types.Type) {
+		if it, ok := typ.Underlying().(*types.Interface); ok {
+			for i := 0; i < it.NumMethods(); i++ {
+				ifaceMethods[it.Method(i).Name()] = true
 			}
-			return nil
 		}
-		if !strings.HasSuffix(file, ".go") || strings.HasSuffix(file, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(file))
-		if strings.HasPrefix(dir, "internal/") {
-			for _, decl := range f.Decls {
-				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && isOption(fn.Name.Name) {
-					declared[option{modulePath + "/" + dir, fn.Name.Name}] = fset.Position(fn.Pos()).String()
+	}
+	var roots []types.Object
+	for _, dir := range tree.dirs {
+		c := tree.pkgs[dir]
+		main := c.pkg.Name() == "main"
+		for _, f := range c.files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					fn := c.info.Defs[d.Name].(*types.Func)
+					decls[fn] = decl{d, c, dir}
+					if d.Recv != nil {
+						recv := receiverOf(fn)
+						methods[recv] = append(methods[recv], fn)
+						if dir == "." && fn.Exported() && recv.Exported() {
+							roots = append(roots, fn)
+						}
+					} else if d.Name.Name == "init" || (main && d.Name.Name == "main") || (dir == "." && fn.Exported()) {
+						roots = append(roots, fn)
+					}
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						var names []*ast.Ident
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							names = []*ast.Ident{s.Name}
+						case *ast.ValueSpec:
+							names = s.Names
+						}
+						for _, id := range names {
+							if id.Name == "_" {
+								continue
+							}
+							o := c.info.Defs[id]
+							decls[o] = decl{s, c, dir}
+							if dir == "." && o.Exported() {
+								roots = append(roots, o)
+							}
+						}
+					}
 				}
 			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if it, ok := n.(*ast.InterfaceType); ok {
+					addInterface(c.info.TypeOf(it))
+				}
+				return true
+			})
 		}
-		imports := map[string]string{} // the file's name for a package → its import path
-		for _, imp := range f.Imports {
-			p, _ := strconv.Unquote(imp.Path.Value)
-			name := path.Base(p)
-			if imp.Name != nil {
-				name = imp.Name.Name
+	}
+	addInterface(types.Universe.Lookup("error").Type())
+	seen := map[*types.Package]bool{}
+	var visit func(*types.Package)
+	visit = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
+				addInterface(tn.Type())
 			}
-			imports[name] = p
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok && isOption(sel.Sel.Name) {
-				if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] != "" {
-					used[option{imports[x.Name], sel.Sel.Name}] = true
+		for _, imp := range p.Imports() {
+			visit(imp)
+		}
+	}
+	for _, c := range tree.pkgs {
+		visit(c.pkg)
+	}
+
+	reached := map[types.Object]bool{}
+	queue := []types.Object{}
+	reach := func(o types.Object) {
+		switch x := o.(type) {
+		case *types.Func:
+			o = x.Origin()
+		case *types.TypeName:
+			if n, ok := x.Type().(*types.Named); ok {
+				o = n.Origin().Obj()
+			}
+		}
+		if _, ok := decls[o]; ok && !reached[o] {
+			reached[o] = true
+			queue = append(queue, o)
+		}
+	}
+	for _, o := range roots {
+		reach(o)
+	}
+	for len(queue) > 0 {
+		o := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		d := decls[o]
+		ast.Inspect(d.node, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if u := d.pkg.info.Uses[id]; u != nil {
+					reach(u)
 				}
 			}
 			return true
 		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(declared) == 0 {
-		t.Fatal("found no option under internal/ — run from the repository root")
-	}
-	var unused []string
-	for o, where := range declared {
-		if !used[o] {
-			unused = append(unused, where+": "+path.Base(o.pkg)+"."+o.name)
+		switch o := o.(type) {
+		case *types.Const: // a const repeating its group's type and iota
+			if n, ok := o.Type().(*types.Named); ok {
+				reach(n.Obj())
+			}
+		case *types.TypeName:
+			for _, m := range methods[o] {
+				if ifaceMethods[m.Name()] {
+					reach(m)
+				}
+			}
 		}
 	}
-	slices.Sort(unused)
-	for _, u := range unused {
-		t.Errorf("%s is set only by tests, or by nobody: make its value a constant of its package", u)
+	type site struct{ where, dir string }
+	unreached := map[string]site{} // by qualified name
+	for o, d := range decls {
+		if reached[o] || d.dir == "internal/routing/routetest" {
+			continue
+		}
+		name := o.Pkg().Name() + "." + o.Name()
+		if fn, ok := o.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
+			name = o.Pkg().Name() + "." + receiverOf(fn).Name() + "." + o.Name()
+		}
+		at := tree.fset.Position(o.Pos())
+		file, _ := filepath.Rel(tree.root, at.Filename)
+		unreached[name] = site{fmt.Sprintf("%s:%d", filepath.ToSlash(file), at.Line), d.dir}
+	}
+	var report []string
+	for name, s := range unreached {
+		test, ok := testOnlyReached[name]
+		if !ok {
+			report = append(report, fmt.Sprintf("%s: %s is reached by no run: delete it, or list it in testOnlyReached with the test outside its package that reads it", s.where, name))
+			continue
+		}
+		if !readsFromOutside(tree.root, test, s.dir, name) {
+			report = append(report, fmt.Sprintf("%s: testOnlyReached names %s for %s, which does not read it from outside its package", s.where, test, name))
+		}
+	}
+	for name := range testOnlyReached {
+		if _, ok := unreached[name]; !ok {
+			report = append(report, fmt.Sprintf("testOnlyReached lists %s, which is gone or now reached: drop the entry", name))
+		}
+	}
+	slices.Sort(report)
+	for _, r := range report {
+		t.Error(r)
 	}
 }
 
-// isOption matches a functional option's name: With, then a capital.
-func isOption(name string) bool {
-	return len(name) > 4 && strings.HasPrefix(name, "With") && unicode.IsUpper(rune(name[4]))
+// readsFromOutside reports whether the test file names the declaration
+// qualified (pkg.Name or pkg.Type.Method) from outside the package in dir:
+// from another directory, or from the external test package beside it.
+func readsFromOutside(root, test, dir, qualified string) bool {
+	if !strings.HasSuffix(test, "_test.go") {
+		return false
+	}
+	src, err := os.ReadFile(filepath.Join(root, test))
+	if err != nil {
+		return false
+	}
+	f, err := parser.ParseFile(token.NewFileSet(), test, src, parser.PackageClauseOnly)
+	if err != nil {
+		return false
+	}
+	pkg, _, _ := strings.Cut(qualified, ".")
+	outside := path.Dir(test) != dir || f.Name.Name == pkg+"_test"
+	return outside && strings.Contains(string(src), qualified[strings.LastIndexByte(qualified, '.')+1:])
 }
 
-// TestNoTestOnlySettings is TestNoTestOnlyOptions for the settings below the
-// routers. Every exported field of the structs that configure a scenario, a
-// link estimator, a world, a campaign, a vehicle scatter or an experiment
-// must be written by some non-test file of the module or of bench/, other
-// than the type's own setDefaults or withDefaults. A write is a keyed field
-// of a composite literal, with its type written or elided, or the target of
-// an assignment. A field that only tests write is a setting no run can
-// change, and its value belongs in a constant.
-//
-// It type-checks every package from source with go/types. bench/ is a module
-// of its own whose path is this module's plus "/bench", and it replaces this
-// module with "..", so every import path below the module is its directory.
+// receiverOf is the named type a method is declared on.
+func receiverOf(fn *types.Func) *types.TypeName {
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	return recv.(*types.Named).Origin().Obj()
+}
+
+// TestNoTestOnlySettings keeps the settings below the routers constants.
+// Every exported field of the structs that configure a scenario, a link
+// estimator, a world, a campaign, a vehicle scatter or an experiment must be
+// written by some non-test file of the module or of bench/, other than the
+// type's own setDefaults or withDefaults. A write is a keyed field of a
+// composite literal, with its type written or elided, or the target of an
+// assignment. A field that only tests write is a setting no run can change,
+// and its value belongs in a constant. TestEveryDeclarationIsReached does
+// the same for declarations, which covers the routers' functional options.
 func TestNoTestOnlySettings(t *testing.T) {
 	settings := map[string][]string{ // package → struct types
 		"internal/scenario":  {"Options", "GridTopology", "OpenTraffic"},
@@ -124,20 +269,11 @@ func TestNoTestOnlySettings(t *testing.T) {
 		"internal/mobility":  {"PopulateOptions"},
 		"internal/harness":   {"Config"},
 	}
-	root, err := filepath.Abs(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree := &sourceTree{root: root, fset: token.NewFileSet(), pkgs: map[string]*checkedPkg{}}
-	tree.std = importer.ForCompiler(tree.fset, "source", nil)
-
+	tree := loadTree(t)
 	type setting struct{ owner, field string } // "pkg.Type", "Field"
 	declared := map[*types.Var]setting{}
 	for dir, names := range settings {
-		c, err := tree.check(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := tree.pkgs[dir]
 		for _, name := range names {
 			st := c.pkg.Scope().Lookup(name).Type().Underlying().(*types.Struct)
 			for i := 0; i < st.NumFields(); i++ {
@@ -148,18 +284,8 @@ func TestNoTestOnlySettings(t *testing.T) {
 		}
 	}
 	written := map[*types.Var]bool{}
-	err = filepath.WalkDir(root, func(file string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if file != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-			return filepath.SkipDir
-		}
-		rel, _ := filepath.Rel(root, file)
-		c, err := tree.check(filepath.ToSlash(rel))
-		if c == nil {
-			return err
-		}
+	for _, dir := range tree.dirs {
+		c := tree.pkgs[dir]
 		for _, f := range c.files {
 			for _, decl := range f.Decls {
 				defaults := "" // the type whose own defaults decl fills in
@@ -177,16 +303,12 @@ func TestNoTestOnlySettings(t *testing.T) {
 				})
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	var unset []string
 	for v, s := range declared {
 		if !written[v] {
 			at := tree.fset.Position(v.Pos())
-			file, _ := filepath.Rel(root, at.Filename)
+			file, _ := filepath.Rel(tree.root, at.Filename)
 			unset = append(unset, fmt.Sprintf("%s:%d: %s.%s", filepath.ToSlash(file), at.Line, s.owner, s.field))
 		}
 	}
@@ -237,14 +359,54 @@ func defaultsOf(decl ast.Decl) string {
 	return recv.(*ast.Ident).Name
 }
 
+// loadTree type-checks every package of the module and of bench/ once, for
+// all the lints that read it (about 1 s, most of it the standard library).
+func loadTree(t *testing.T) *sourceTree {
+	tree, err := checkedTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
+var checkedTree = sync.OnceValues(func() (*sourceTree, error) {
+	root, err := filepath.Abs(".")
+	if err != nil {
+		return nil, err
+	}
+	tree := &sourceTree{root: root, fset: token.NewFileSet(), pkgs: map[string]*checkedPkg{}}
+	tree.std = importer.ForCompiler(tree.fset, "source", nil)
+	err = filepath.WalkDir(root, func(file string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if file != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		rel, _ := filepath.Rel(root, file)
+		c, err := tree.check(filepath.ToSlash(rel))
+		if c != nil {
+			tree.dirs = append(tree.dirs, path.Clean(filepath.ToSlash(rel)))
+		}
+		return err
+	})
+	if err == nil && tree.pkgs["internal/scenario"] == nil {
+		err = fmt.Errorf("found no internal/scenario under %s — run from the repository root", root)
+	}
+	return tree, err
+})
+
 // sourceTree type-checks the packages of the module and of bench/ from
 // source, each once, and serves them as imports; the standard library comes
-// from std.
+// from std. bench/ is a module of its own whose path is this module's plus
+// "/bench", and it replaces this module with "..", so every import path
+// below the module is its directory.
 type sourceTree struct {
 	root string
 	fset *token.FileSet
 	std  types.Importer
 	pkgs map[string]*checkedPkg // by directory relative to root
+	dirs []string               // every package's directory, in walk order
 }
 
 type checkedPkg struct {
@@ -281,7 +443,11 @@ func (s *sourceTree) check(dir string) (*checkedPkg, error) {
 	} else if err != nil {
 		return nil, err
 	}
-	c := &checkedPkg{info: &types.Info{Uses: map[*ast.Ident]types.Object{}}}
+	c := &checkedPkg{info: &types.Info{
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+	}}
 	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(s.fset, filepath.Join(bp.Dir, name), nil, parser.SkipObjectResolution)
 		if err != nil {
