@@ -25,18 +25,19 @@ var updateProtocolGolden = flag.Bool("update-protocol-golden", false,
 // LORA-DCBF 2 on seed 1, Biswas gives up on 6 and 10 unacknowledged
 // rebroadcasts at the ends, and what a node outside the zone or a
 // non-gateway does with its copy shows in the digest. And none of the three
-// runs the log-normal shadowing channel, so five protocols run a fourth
+// runs the log-normal shadowing channel, so eight protocols run a fourth
 // time on a shadowed city grid (60 vehicles, 20 s): Flooding makes the most
-// reception draws, Greedy and REAR read per-beacon RSSI, TBP-SS and Yan-TBP
-// run the stability kernel over links that come and go with the draws — a
-// change to the channel or the radio cache that moves one verdict or one
-// RNG stream position moves these digests. The three ticket routers run
+// reception draws, Greedy and REAR read per-beacon RSSI, TBP-SS, Yan-TBP,
+// NiuDe, GVGrid and Hybrid run the Sec. VII link-duration integrals over
+// links that come and go with the draws — a change to the channel or the
+// radio cache that moves one verdict or one RNG stream position moves these
+// digests, and so does a change to which integrals those routers skip. The three ticket routers run
 // again on the default highway with one ticket and with eight, where the
 // candidate ranking decides the most and the least. Last, AODV runs on each
 // named preset that brings its own topology, traffic or workload (ring,
 // highway-churn, city-rush, emergency, v2i), so a change to a provider
 // moves its rows. A refactor of router scaffolding or of a provider must
-// leave testdata/golden_protocols.txt untouched. Not skipped in -short: 92
+// leave testdata/golden_protocols.txt untouched. Not skipped in -short: 98
 // runs take about 3 s, and they are the only place every router runs under
 // the race detector.
 func TestProtocolGolden(t *testing.T) {
@@ -71,7 +72,7 @@ func TestProtocolGolden(t *testing.T) {
 		},
 		{
 			label:  "shadow/",
-			protos: []string{"Flooding", "Greedy", "REAR", "TBP-SS", "Yan-TBP"},
+			protos: []string{"Flooding", "Greedy", "REAR", "TBP-SS", "Yan-TBP", "NiuDe", "GVGrid", "Hybrid"},
 			opts:   Options{Kind: CityKind, Shadowing: true, Duration: 20},
 		},
 		{
