@@ -8,12 +8,15 @@ import (
 	"testing"
 
 	"github.com/vanetlab/relroute/internal/geom"
+	"github.com/vanetlab/relroute/internal/link"
 	"github.com/vanetlab/relroute/internal/netstack"
 	"github.com/vanetlab/relroute/internal/routing/routetest"
 )
 
 // scoredWorld is a started world whose ticket routers score a link by
-// looking its neighbor up in scores, and log every neighbor they score.
+// looking its neighbor up in scores, whatever the metric reads, and log
+// every neighbor they score — once for its bound, and again if it is
+// integrated.
 type scoredWorld struct {
 	routers []*TicketRouter
 	scores  map[netstack.NodeID]float64
@@ -23,7 +26,7 @@ type scoredWorld struct {
 func newScoredWorld(t *testing.T, vehicles []routetest.Vehicle) *scoredWorld {
 	t.Helper()
 	sw := &scoredWorld{scores: make(map[netstack.NodeID]float64)}
-	factory := NewTicketRouter(WithScorer("scored", func(_ *netstack.API, nb netstack.Neighbor) float64 {
+	factory := NewTicketRouter(WithScorer("scored", func(_ *netstack.API, nb netstack.Neighbor, _ float64) float64 {
 		sw.scored = append(sw.scored, nb.ID)
 		return sw.scores[nb.ID]
 	}))
@@ -65,7 +68,7 @@ func TestCandidatesScoreOnlyWhatCanBeChosen(t *testing.T) {
 		sw.scored = sw.scored[:0]
 		cands := r.candidates(tc.dst, tc.path, len(vehicles))
 		slices.Sort(sw.scored)
-		if !slices.Equal(sw.scored, tc.scored) {
+		if sw.scored = slices.Compact(sw.scored); !slices.Equal(sw.scored, tc.scored) {
 			t.Errorf("%s: scored %v, want %v", tc.name, sw.scored, tc.scored)
 		}
 		if len(cands) != len(tc.scored) {
@@ -117,11 +120,11 @@ func scoreEverything(r *TicketRouter, score func(netstack.LinkState) float64, ds
 // scattered vehicles × 50 draws of scores (few values, so ties reach the
 // progress and ID keys), path and destination, its position known to the
 // location service or not — and requires, for k of 1, 3 and all, the
-// reference's first k. A scorer has no bound, so every admissible link is
-// scored whatever k is.
+// reference's first k. Every admissible link is scored for its bound,
+// whatever k is, and no more are integrated than the reference scores.
 func TestCandidatesMatchScoreEverything(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
-	var calls, scored, refScored int
+	var calls, integrals, refScored int
 	for world := 0; world < 20; world++ {
 		vehicles := make([]routetest.Vehicle, 12+rng.Intn(24))
 		for i := 1; i < len(vehicles); i++ {
@@ -144,33 +147,66 @@ func TestCandidatesMatchScoreEverything(t *testing.T) {
 			}
 			want, all := scoreEverything(r, score, dst, path)
 			for _, k := range []int{1, 3, len(vehicles)} {
-				sw.scored = sw.scored[:0]
+				sw.scored, r.memo = sw.scored[:0], r.memo[:0]
 				got := r.candidates(dst, path, k)
 				if !slices.Equal(got, want[:min(k, len(want))]) {
 					t.Fatalf("world %d draw %d k %d (dst %d, path %v):\n got %v\nwant %v", world, draw, k, dst, path, got, want)
 				}
-				if len(sw.scored) != all {
-					t.Fatalf("world %d draw %d k %d: scored %d links; %d are admissible", world, draw, k, len(sw.scored), all)
+				slices.Sort(sw.scored)
+				if n := len(slices.Compact(sw.scored)); n != all {
+					t.Fatalf("world %d draw %d k %d: scored %d links; %d are admissible", world, draw, k, n, all)
 				}
+				if len(r.memo) > all {
+					t.Fatalf("world %d draw %d k %d: %d integrals; the reference scores %d links", world, draw, k, len(r.memo), all)
+				}
+				integrals += len(r.memo)
 			}
-			calls, scored, refScored = calls+1, scored+len(sw.scored), refScored+len(want)
+			calls, refScored = calls+1, refScored+len(want)
 		}
 	}
-	t.Logf("%d calls: %.1f links scored per call, %.1f above the threshold", calls,
-		float64(scored)/float64(calls), float64(refScored)/float64(calls))
+	t.Logf("%d calls: %.1f links integrated per call over three k, %.1f above the threshold", calls,
+		float64(integrals)/float64(calls), float64(refScored)/float64(calls))
+}
+
+// hybridScore is the hybrid router's link score (hybrid.Score, which this
+// package's tests cannot import): the mean-duration stability s averaged
+// with the deterministic lifetime, and never above the latter on an
+// opposite-direction link.
+func hybridScore(api *netstack.API, nb netstack.Neighbor, s float64) float64 {
+	det := LinkStability(MetricDeterministic, StabilityParams{}, api.Pos(), api.Vel(), nb.Pos, nb.Vel, api.RangeEstimate())
+	score := 0.5*s + 0.5*det
+	if link.Classify(api.Pos(), api.Vel(), nb.Pos, nb.Vel) == link.OppositeDirection {
+		score = math.Min(score, det)
+	}
+	return score
 }
 
 // TestCandidatesTopKWithTheMetrics runs the shipped probability metrics,
-// whose bounds prune, over 20 worlds of scattered vehicles driving at
-// scattered speeds each, with destinations of known and unknown position:
-// for every k the ranked list must be the first min(k, n) of the reference,
-// which integrates every admissible neighbor, and the integrals the call
-// runs — the entries of a memo emptied first — never more than the
-// reference's.
+// whose bounds prune, and the hybrid scorer over the mean duration's bound,
+// over 20 worlds of scattered vehicles driving at scattered speeds each,
+// with destinations of known and unknown position: for every k the ranked
+// list must be the first min(k, n) of the reference, which integrates every
+// admissible neighbor, and the integrals the call runs — the entries of a
+// memo emptied first — never more than the reference's.
 func TestCandidatesTopKWithTheMetrics(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	ks := []int{1, 2, 3, 8, math.MaxInt}
-	for _, metric := range []Metric{MetricMeanDuration, MetricExpectedDuration} {
+	for _, tc := range []struct {
+		name  string
+		opt   TicketOption
+		score func(api *netstack.API, nb netstack.LinkState) float64
+	}{
+		{MetricMeanDuration.String(), WithMetric(MetricMeanDuration), func(api *netstack.API, nb netstack.LinkState) float64 {
+			return linkStateStability(api, MetricMeanDuration, nb)
+		}},
+		{MetricExpectedDuration.String(), WithMetric(MetricExpectedDuration), func(api *netstack.API, nb netstack.LinkState) float64 {
+			return linkStateStability(api, MetricExpectedDuration, nb)
+		}},
+		{"hybrid", WithScorer("Hybrid", hybridScore), func(api *netstack.API, nb netstack.LinkState) float64 {
+			return hybridScore(api, nb, LinkStability(MetricMeanDuration, StabilityParams{},
+				api.Pos(), api.Vel(), nb.Pos, nb.Vel, api.RangeEstimate()))
+		}},
+	} {
 		integrals := make([]int, len(ks))
 		var calls, refIntegrals int
 		for world := 0; world < 20; world++ {
@@ -181,7 +217,7 @@ func TestCandidatesTopKWithTheMetrics(t *testing.T) {
 				vehicles[i].Vel = geom.V(60*rng.Float64()-20, 4*rng.Float64()-2)
 			}
 			var routers []*TicketRouter
-			factory := NewTicketRouter(WithMetric(metric))
+			factory := NewTicketRouter(tc.opt)
 			w, _ := routetest.World(t, 1, vehicles, func() netstack.Router {
 				r := factory().(*TicketRouter)
 				routers = append(routers, r)
@@ -191,7 +227,7 @@ func TestCandidatesTopKWithTheMetrics(t *testing.T) {
 			t.Cleanup(w.EndRun)
 			advance(t, w, 2.05)
 			r := routers[0]
-			score := func(nb netstack.LinkState) float64 { return linkStateStability(r.API, metric, nb) }
+			score := func(nb netstack.LinkState) float64 { return tc.score(r.API, nb) }
 			for draw := 0; draw < 25; draw++ {
 				path := []netstack.NodeID{r.API.Self()}
 				for id := 1; id < len(vehicles); id++ {
@@ -208,10 +244,10 @@ func TestCandidatesTopKWithTheMetrics(t *testing.T) {
 					r.memo = r.memo[:0]
 					got := r.candidates(dst, path, k)
 					if !slices.Equal(got, want[:min(k, len(want))]) {
-						t.Fatalf("%v world %d draw %d k %d (dst %d, path %v):\n got %v\nwant %v", metric, world, draw, k, dst, path, got, want)
+						t.Fatalf("%s world %d draw %d k %d (dst %d, path %v):\n got %v\nwant %v", tc.name, world, draw, k, dst, path, got, want)
 					}
 					if len(r.memo) > all {
-						t.Fatalf("%v world %d draw %d k %d: %d integrals; the reference runs %d", metric, world, draw, k, len(r.memo), all)
+						t.Fatalf("%s world %d draw %d k %d: %d integrals; the reference runs %d", tc.name, world, draw, k, len(r.memo), all)
 					}
 					integrals[i] += len(r.memo)
 				}
@@ -219,7 +255,7 @@ func TestCandidatesTopKWithTheMetrics(t *testing.T) {
 			}
 		}
 		per := func(n int) float64 { return float64(n) / float64(calls) }
-		t.Logf("%v, %d calls: integrals per call %.2f at k=1, %.2f at k=3, %.2f at k=all; the reference %.2f",
-			metric, calls, per(integrals[0]), per(integrals[2]), per(integrals[len(ks)-1]), per(refIntegrals))
+		t.Logf("%s, %d calls: integrals per call %.2f at k=1, %.2f at k=3, %.2f at k=all; the reference %.2f",
+			tc.name, calls, per(integrals[0]), per(integrals[2]), per(integrals[len(ks)-1]), per(refIntegrals))
 	}
 }

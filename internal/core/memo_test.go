@@ -130,8 +130,9 @@ func TestStabilityMemoInvalidation(t *testing.T) {
 	}
 }
 
-// TestStabilityMemoOnlyForProbabilityMetrics: the deterministic metric and
-// a scorer read more than the memo's key stands for.
+// TestStabilityMemoOnlyForProbabilityMetrics: the deterministic metric
+// reads more than the memo's key stands for, so it never fills the memo; a
+// scorer is handed the probability metric through it.
 func TestStabilityMemoOnlyForProbabilityMetrics(t *testing.T) {
 	w, routers := memoWorld(t, 1000, []geom.Vec2{geom.V(100, 0)}, geom.V(0.5, 0))
 	advance(t, w, 2.05)
@@ -142,12 +143,16 @@ func TestStabilityMemoOnlyForProbabilityMetrics(t *testing.T) {
 	}
 	r.metric = MetricDeterministic
 	r.stability(ls)
-	r.metric, r.scorer = MetricMeanDuration, func(*netstack.API, netstack.Neighbor) float64 { return 7 }
-	if got := r.stability(ls); got != 7 {
-		t.Fatalf("scorer result %v, want 7", got)
-	}
 	if r.memo != nil {
-		t.Fatal("memo used outside the probability metrics")
+		t.Fatal("memo used by the deterministic metric")
+	}
+	r.metric, r.scorer = MetricMeanDuration, func(_ *netstack.API, _ netstack.Neighbor, s float64) float64 { return s + 7 }
+	want := linkStateStability(r.API, MetricMeanDuration, ls) + 7
+	if got := r.stability(ls); got != want {
+		t.Fatalf("scorer result %v, want %v", got, want)
+	}
+	if len(r.memo) != 1 || r.memo[0].val+7 != want {
+		t.Fatalf("memo %+v does not hold the metric the scorer read", r.memo)
 	}
 }
 

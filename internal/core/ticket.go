@@ -27,13 +27,16 @@ func WithMetric(m Metric) TicketOption {
 	return func(r *TicketRouter) { r.metric = m }
 }
 
-// WithScorer replaces the link-stability estimator with a custom function,
-// which makes a protocol of its own: name is what the router answers to
-// and labels its packets with (the hybrid probability+mobility router the
+// WithScorer scores links with a function of the router's metric, which
+// makes a protocol of its own: name is what the router answers to and
+// labels its packets with (the hybrid probability+mobility router the
 // paper's conclusion proposes is the one user; tests use it to set link
-// scores). The scorer must return seconds of predicted usable lifetime;
-// the threshold and path-min composition still apply.
-func WithScorer(name string, f func(api *netstack.API, nb netstack.Neighbor) float64) TicketOption {
+// scores). f gets the metric's value for the link, read through the
+// router's memo, and must return seconds of predicted usable lifetime; the
+// threshold and path-min composition still apply. f must be non-decreasing
+// in that value: the router ranks links by f over the metric's closed-form
+// bound, which may be +Inf, and integrates only those that can still win.
+func WithScorer(name string, f func(api *netstack.API, nb netstack.Neighbor, stability float64) float64) TicketOption {
 	return func(r *TicketRouter) { r.name, r.scorer = name, f }
 }
 
@@ -58,7 +61,7 @@ type TicketRouter struct {
 	tickets int
 	metric  Metric
 	name    string // of a WithScorer protocol; the metric names the others
-	scorer  func(api *netstack.API, nb netstack.Neighbor) float64
+	scorer  func(api *netstack.API, nb netstack.Neighbor, stability float64) float64
 
 	// source-side active paths: dst → source route + predicted stability
 	paths map[netstack.NodeID]*activePath
@@ -186,15 +189,25 @@ type candidate struct {
 }
 
 // stability evaluates one reliability-plane link state with the
-// configured metric or scorer. The probability metrics are 400-panel
-// integrals and probes arrive in bursts, so their results are remembered
-// for as long as both ends of the link stay as they are (see
-// stabilityMemo); a scorer may read anything, and the deterministic metric
-// is a field of ls, so neither goes through the memo.
+// configured metric, and the scorer over it if there is one.
 func (r *TicketRouter) stability(ls netstack.LinkState) float64 {
+	return r.score(ls, r.metricStability(ls))
+}
+
+// score is what the router ranks a link by when the metric reads s.
+func (r *TicketRouter) score(ls netstack.LinkState, s float64) float64 {
 	if r.scorer != nil {
-		return r.scorer(r.API, ls)
+		return r.scorer(r.API, ls, s)
 	}
+	return s
+}
+
+// metricStability evaluates the configured metric. The probability metrics
+// are 400-panel integrals and probes arrive in bursts, so their results
+// are remembered for as long as both ends of the link stay as they are
+// (see stabilityMemo); the deterministic metric is a field of ls, so it
+// does not go through the memo.
+func (r *TicketRouter) metricStability(ls netstack.LinkState) float64 {
 	if r.metric == MetricDeterministic {
 		return linkStateStability(r.API, r.metric, ls)
 	}
@@ -231,17 +244,20 @@ func (m *stabilityMemo) holds(ls netstack.LinkState) bool {
 }
 
 // stabilityBound is a number never below stability(ls), and whether it is
-// stability(ls) itself: the memo's value where it holds the link, else the
-// probability metrics' closed-form bound. A scorer or the deterministic
-// metric gets +Inf, so every link is scored.
+// stability(ls) itself: the score of the memo's value where it holds the
+// link, else of the probability metrics' closed-form bound — a scorer is
+// non-decreasing in the metric. The deterministic metric's bound is +Inf,
+// so every link is scored.
 func (r *TicketRouter) stabilityBound(ls netstack.LinkState) (bound float64, exact bool) {
-	if r.scorer != nil || r.metric == MetricDeterministic {
-		return math.Inf(1), false
+	s := math.Inf(1)
+	if r.metric != MetricDeterministic {
+		if m := r.memoEntry(ls.ID); m.holds(ls) {
+			s, exact = m.val, true
+		} else {
+			s = linkStateStabilityBound(r.API, r.metric, ls)
+		}
 	}
-	if m := r.memoEntry(ls.ID); m.holds(ls) {
-		return m.val, true
-	}
-	return linkStateStabilityBound(r.API, r.metric, ls), false
+	return r.score(ls, s), exact
 }
 
 // bounded is a neighbor that passed candidates' free tests, with what its
@@ -291,7 +307,8 @@ func (r *TicketRouter) candidates(dst netstack.NodeID, path []netstack.NodeID, k
 		}
 		admissible = append(admissible, bounded{i, prog, b, exact})
 	}
-	// stable: equal bounds — every one, for a scorer — score in table order
+	// stable: equal bounds — every one, for the deterministic metric — score
+	// in table order
 	slices.SortStableFunc(admissible, func(a, b bounded) int { return cmp.Compare(b.bound, a.bound) })
 	var out []candidate
 	for _, a := range admissible {

@@ -52,7 +52,7 @@ func TestProbingBeatsFloodingOnOverhead(t *testing.T) {
 // scored is TBP-SS with the link scores the test sets: score(a, b) seconds
 // for the link from node a to neighbor b.
 func scored(score func(a, b netstack.NodeID) float64) netstack.RouterFactory {
-	return core.NewTicketRouter(core.WithScorer("TBP-SS", func(api *netstack.API, nb netstack.Neighbor) float64 {
+	return core.NewTicketRouter(core.WithScorer("TBP-SS", func(api *netstack.API, nb netstack.Neighbor, _ float64) float64 {
 		return score(api.Self(), nb.ID)
 	}))
 }
@@ -61,9 +61,8 @@ func scored(score func(a, b netstack.NodeID) float64) netstack.RouterFactory {
 // seconds: under the 3 s threshold it admits exactly what a threshold of
 // 3 − by admits of the plain metric.
 func shifted(by float64, opts ...core.TicketOption) netstack.RouterFactory {
-	return core.NewTicketRouter(append(opts, core.WithScorer("TBP-SS", func(api *netstack.API, nb netstack.Neighbor) float64 {
-		return by + core.LinkStability(core.MetricMeanDuration, core.StabilityParams{},
-			api.Pos(), api.Vel(), nb.Pos, nb.Vel, api.RangeEstimate())
+	return core.NewTicketRouter(append(opts, core.WithScorer("TBP-SS", func(_ *netstack.API, _ netstack.Neighbor, s float64) float64 {
+		return by + s
 	}))...)
 }
 

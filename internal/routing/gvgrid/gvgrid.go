@@ -94,24 +94,28 @@ func (r *Router) route(pkt *netstack.Packet) routing.Hop {
 		}
 		return ay
 	}
-	myCellD := cellDist(cx, cy)
-	best := netstack.Broadcast
-	bestScore := -1.0
+	advance := func(nb netstack.Neighbor) int { return cellDist(cx, cy) - cellDist(r.cellOf(nb.Pos)) }
 	// raw snapshot: linkReliability runs GVGrid's own model over the
 	// observed fields, so paying the estimator derivation per packet
 	// would buy nothing
-	for _, nb := range r.API.Neighbors() {
-		nx, ny := r.cellOf(nb.Pos)
-		cd := cellDist(nx, ny)
-		if cd >= myCellD {
-			continue // must advance the cell walk
-		}
-		rel := r.linkReliability(nb)
-		// prefer fewer remaining cells, then reliability
-		score := float64(myCellD-cd)*10 + rel
-		if score > bestScore {
-			bestScore = score
-			best = nb.ID
+	nbs := r.API.Neighbors()
+	most := 0 // the cell walk must advance
+	for _, nb := range nbs {
+		most = max(most, advance(nb))
+	}
+	best := netstack.Broadcast
+	bestScore := -1.0
+	for _, nb := range nbs {
+		// A score is 10 per cell advanced plus a probability, which is
+		// never NaN and at most 1 + 1e-9 after Simpson rounding: only a
+		// neighbor at the best advance can win, so only those are
+		// integrated, in table order, which breaks ties as before.
+		if a := advance(nb); a == most && a > 0 {
+			// prefer fewer remaining cells, then reliability
+			if score := float64(a)*10 + r.linkReliability(nb); score > bestScore {
+				bestScore = score
+				best = nb.ID
+			}
 		}
 	}
 	if best != netstack.Broadcast {

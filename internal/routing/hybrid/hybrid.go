@@ -14,6 +14,7 @@ import (
 	"math"
 
 	"github.com/vanetlab/relroute/internal/core"
+	"github.com/vanetlab/relroute/internal/geom"
 	"github.com/vanetlab/relroute/internal/link"
 	"github.com/vanetlab/relroute/internal/netstack"
 )
@@ -22,15 +23,18 @@ import (
 // from the deterministic mobility prediction.
 const blend = 0.5
 
-// Score is the hybrid link metric, exported for the tests.
-func Score(api *netstack.API, nb netstack.Neighbor) float64 {
-	r := api.RangeEstimate()
-	prob := core.LinkStability(core.MetricMeanDuration, core.StabilityParams{},
-		api.Pos(), api.Vel(), nb.Pos, nb.Vel, r)
-	det := core.LinkStability(core.MetricDeterministic, core.StabilityParams{},
-		api.Pos(), api.Vel(), nb.Pos, nb.Vel, r)
-	score := blend*prob + (1-blend)*det
-	if link.Classify(api.Pos(), api.Vel(), nb.Pos, nb.Vel) == link.OppositeDirection {
+// Score is the hybrid link metric over the probability-model mean duration
+// stability the ticket router reads for the link, exported for the tests.
+// It is non-decreasing in stability, as core.WithScorer requires.
+func Score(api *netstack.API, nb netstack.Neighbor, stability float64) float64 {
+	return blended(api.Pos(), api.Vel(), nb.Pos, nb.Vel, api.RangeEstimate(), stability)
+}
+
+// blended is Score over the two ends' kinematics and the range r.
+func blended(aPos, aVel, bPos, bVel geom.Vec2, r, stability float64) float64 {
+	det := core.LinkStability(core.MetricDeterministic, core.StabilityParams{}, aPos, aVel, bPos, bVel, r)
+	score := blend*stability + (1-blend)*det
+	if link.Classify(aPos, aVel, bPos, bVel) == link.OppositeDirection {
 		score = math.Min(score, det)
 	}
 	return score

@@ -43,7 +43,7 @@ func TestScoreGatesOppositeDirectionLinks(t *testing.T) {
 	if len(nbs) != 1 {
 		t.Fatalf("neighbors = %d", len(nbs))
 	}
-	got := hybrid.Score(api, nbs[0])
+	got := hybrid.Score(api, nbs[0], meanDuration(api, nbs[0]))
 	det := core.LinkStability(core.MetricDeterministic, core.StabilityParams{},
 		api.Pos(), api.Vel(), nbs[0].Pos, nbs[0].Vel, api.RangeEstimate())
 	if got > det+1e-9 {
@@ -67,7 +67,7 @@ func TestScorePrefersCoMovingNeighbor(t *testing.T) {
 	}
 	var co, opp float64
 	for _, nb := range api.Neighbors() {
-		s := hybrid.Score(api, nb)
+		s := hybrid.Score(api, nb, meanDuration(api, nb))
 		if nb.ID == ids[1] {
 			co = s
 		} else {
@@ -77,6 +77,12 @@ func TestScorePrefersCoMovingNeighbor(t *testing.T) {
 	if co <= opp {
 		t.Fatalf("co-moving score %v not above head-on %v", co, opp)
 	}
+}
+
+// meanDuration is the metric the ticket router hands Score for the link.
+func meanDuration(api *netstack.API, nb netstack.Neighbor) float64 {
+	return core.LinkStability(core.MetricMeanDuration, core.StabilityParams{},
+		api.Pos(), api.Vel(), nb.Pos, nb.Vel, api.RangeEstimate())
 }
 
 // captureRouter only records its API; the first instance wins (node 0).

@@ -115,21 +115,32 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	if !ok || req.Origin == r.API.Self() {
 		return
 	}
+	// the read counts in the link table's memo statistics, which the world
+	// digest holds, so it is made for every copy
+	ls, okLs := r.API.LinkState(pkt.From)
+	target := req.Target == r.API.Self()
+	// A relay never forwards a duplicate, and a reverse route with more hops
+	// than a valid one the table holds never replaces it: such a copy
+	// changes nothing, so its link's survival integral is not run.
+	dup := !target && r.Duplicate(req.Origin, req.ReqID)
+	if dup && r.HoldsShorter(req.Origin, pkt.Hops) {
+		return
+	}
 	// fold in the link just traversed
 	avail := 0.0
-	if ls, okLs := r.API.LinkState(pkt.From); okLs {
+	if okLs {
 		avail = r.linkAvailability(ls)
 	}
 	reliability := req.Reliability * avail
 	delay := req.Delay + r.hopDelay()
 	// reverse route: keep the most reliable, loop-free by hop monotonicity
 	r.MergeReverse(r.route(req.Origin, pkt.From, pkt.Hops, reliability))
-	if req.Target == r.API.Self() {
+	if target {
 		r.sel.Offer(r.API, routing.DupKey{Origin: req.Origin, Seq: req.ReqID}, admit(delay, reliability),
 			routing.Candidate{From: pkt.From, Hops: pkt.Hops, Metric: reliability})
 		return
 	}
-	if r.Duplicate(req.Origin, req.ReqID) {
+	if dup {
 		return
 	}
 	// relays with zero availability in would only poison the product

@@ -224,15 +224,25 @@ func (c *OnDemand) Relay(pkt *netstack.Packet, dst netstack.NodeID) {
 }
 
 // MergeReverse installs a reverse route learned from an RREQ copy unless
-// the table holds a better one: fewer hops win, and among equal hop counts
-// the longer Lifetime. Never accepting more hops keeps the reverse
-// forwarding graph loop-free.
+// the table holds a better one: fewer hops win (HoldsShorter), and among
+// equal hop counts the longer Lifetime. Never accepting more hops keeps the
+// reverse forwarding graph loop-free.
 func (c *OnDemand) MergeReverse(nr Route) {
-	cur, ok := c.table.Get(nr.Dst)
-	if ok && cur.Valid && !(nr.Hops < cur.Hops || (nr.Hops == cur.Hops && nr.Lifetime > cur.Lifetime)) {
+	if c.HoldsShorter(nr.Dst, nr.Hops) {
+		return
+	}
+	if cur, ok := c.table.Get(nr.Dst); ok && cur.Valid && cur.Hops == nr.Hops && !(nr.Lifetime > cur.Lifetime) {
 		return
 	}
 	c.table.Upsert(nr)
+}
+
+// HoldsShorter reports whether the table holds a valid route to dst with
+// fewer hops than hops: MergeReverse never replaces it with a route of hops
+// hops, whatever that route's Lifetime, so a caller may skip computing one.
+func (c *OnDemand) HoldsShorter(dst netstack.NodeID, hops int) bool {
+	cur, ok := c.table.Get(dst)
+	return ok && cur.Valid && cur.Hops < hops
 }
 
 // OnNeighborExpired implements netstack.Router: losing a neighbor breaks

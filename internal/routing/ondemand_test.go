@@ -1,6 +1,8 @@
 package routing_test
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/vanetlab/relroute/internal/geom"
@@ -32,6 +34,7 @@ type onDemand interface {
 	netstack.Router
 	Table() *routing.Table
 	MergeReverse(routing.Route)
+	HoldsShorter(netstack.NodeID, int) bool
 }
 
 // capture wraps a factory so the test can reach the routers a world built.
@@ -162,5 +165,44 @@ func TestWorseReverseRouteNeverReplacesBetter(t *testing.T) {
 				t.Fatalf("an invalid route blocked its replacement: %+v", rt)
 			}
 		})
+	}
+}
+
+// TestHoldsShorterIsMergeReverseHopRule draws table states — no entry, an
+// invalid one, a valid one — and reverse routes of hop counts within one of
+// the entry's and lifetimes including NaN and ±Inf. Whenever HoldsShorter
+// says the route cannot replace the table's, MergeReverse must leave the
+// entry as it is; otherwise it replaces it exactly when the rule it
+// documents says so.
+func TestHoldsShorterIsMergeReverseHopRule(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	lifetimes := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 0, 5, 10, 99}
+	life := func() float64 { return lifetimes[rng.Intn(len(lifetimes))] }
+	r := aodv.New()().(onDemand)
+	var kept int
+	for i := 0; i < 20000; i++ {
+		dst := netstack.NodeID(i) // a fresh entry each draw
+		hops := 1 + rng.Intn(4)
+		if state := rng.Intn(3); state > 0 {
+			r.Table().Upsert(routing.Route{Dst: dst, NextHop: 1, Hops: hops, Lifetime: life(), Valid: state == 2})
+		}
+		cur, had := r.Table().Get(dst)
+		nr := routing.Route{Dst: dst, NextHop: 2, Hops: max(hops+rng.Intn(3)-1, 0), Lifetime: life(), Valid: true}
+		shorter := r.HoldsShorter(dst, nr.Hops)
+		r.MergeReverse(nr)
+		after, _ := r.Table().Get(dst)
+		replace := !had || !cur.Valid || nr.Hops < cur.Hops || nr.Hops == cur.Hops && nr.Lifetime > cur.Lifetime
+		switch {
+		case shorter && after != cur:
+			t.Fatalf("draw %d: HoldsShorter(%d) over %+v, yet MergeReverse installed %+v", i, nr.Hops, *cur, *after)
+		case replace != (after.NextHop == nr.NextHop):
+			t.Fatalf("draw %d: table had %+v (%v); offered %+v; now %+v, want replaced = %v", i, cur, had, nr, *after, replace)
+		}
+		if shorter {
+			kept++
+		}
+	}
+	if kept < 2000 {
+		t.Fatalf("HoldsShorter held on %d draws of 20000: the draws test little", kept)
 	}
 }

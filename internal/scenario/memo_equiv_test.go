@@ -1,28 +1,51 @@
 package scenario
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
 	"github.com/vanetlab/relroute/internal/core"
+	"github.com/vanetlab/relroute/internal/link"
 	"github.com/vanetlab/relroute/internal/metrics"
 	"github.com/vanetlab/relroute/internal/netstack"
 )
 
-// TestTicketMemoChangesNothing runs the two ticket-probing protocols as
-// shipped — scoring through the router's stability memo — and with the
-// same metric handed in as a WithScorer function, which the memo never
-// sees (core.LinkStability is the integral linkStateStability runs, over
-// the same positions, velocities and range). Every summary field and the
-// world digest must agree.
+// TestTicketMemoChangesNothing runs the three ticket-probing protocols as
+// shipped — scoring through the router's stability memo and ranking by its
+// bounds — and with a WithScorer function that ignores the metric the
+// router hands it and computes the link's score from scratch
+// (core.LinkStability is the integral linkStateStability runs, over the
+// same positions, velocities and range; for Hybrid the blend is
+// recomputed around it as hybrid.Score computed it before the router
+// passed the metric in). Every summary field and the world digest must
+// agree.
 func TestTicketMemoChangesNothing(t *testing.T) {
 	worlds := map[string]Options{
 		"highway":   {Seed: 3},
 		"city-rush": {Seed: 3, Scenario: "city-rush", Vehicles: 60, Duration: 40},
 	}
-	metricsOf := map[string]core.Metric{
-		"TBP-SS":  core.MetricMeanDuration,
-		"Yan-TBP": core.MetricExpectedDuration,
+	stability := func(m core.Metric, api *netstack.API, nb netstack.Neighbor) float64 {
+		return core.LinkStability(m, core.StabilityParams{}, api.Pos(), api.Vel(), nb.Pos, nb.Vel, api.RangeEstimate())
+	}
+	scorers := map[string]struct {
+		metric core.Metric
+		score  func(api *netstack.API, nb netstack.Neighbor) float64
+	}{
+		"TBP-SS": {core.MetricMeanDuration, func(api *netstack.API, nb netstack.Neighbor) float64 {
+			return stability(core.MetricMeanDuration, api, nb)
+		}},
+		"Yan-TBP": {core.MetricExpectedDuration, func(api *netstack.API, nb netstack.Neighbor) float64 {
+			return stability(core.MetricExpectedDuration, api, nb)
+		}},
+		"Hybrid": {core.MetricMeanDuration, func(api *netstack.API, nb netstack.Neighbor) float64 {
+			prob, det := stability(core.MetricMeanDuration, api, nb), stability(core.MetricDeterministic, api, nb)
+			score := 0.5*prob + 0.5*det
+			if link.Classify(api.Pos(), api.Vel(), nb.Pos, nb.Vel) == link.OppositeDirection {
+				score = math.Min(score, det)
+			}
+			return score
+		}},
 	}
 	run := func(proto string, opts Options, vehicles netstack.RouterFactory) (metrics.Summary, uint64) {
 		t.Helper()
@@ -42,16 +65,15 @@ func TestTicketMemoChangesNothing(t *testing.T) {
 		return sum, sc.World.Digest()
 	}
 	for world, opts := range worlds {
-		for proto, metric := range metricsOf {
+		for proto, ref := range scorers {
 			t.Run(world+"/"+proto, func(t *testing.T) {
 				o := opts
 				o.setDefaults()
 				unmemoized := core.NewTicketRouter(
-					core.WithMetric(metric),
+					core.WithMetric(ref.metric),
 					core.WithTickets(o.TicketBudget),
-					core.WithScorer(proto, func(api *netstack.API, nb netstack.Neighbor) float64 {
-						return core.LinkStability(metric, core.StabilityParams{},
-							api.Pos(), api.Vel(), nb.Pos, nb.Vel, api.RangeEstimate())
+					core.WithScorer(proto, func(api *netstack.API, nb netstack.Neighbor, _ float64) float64 {
+						return ref.score(api, nb)
 					}),
 				)
 				shipped, shippedDigest := run(proto, opts, nil)
