@@ -94,7 +94,8 @@ func (r *Router) route(pkt *netstack.Packet) routing.Hop {
 		}
 		return ay
 	}
-	advance := func(nb netstack.Neighbor) int { return cellDist(cx, cy) - cellDist(r.cellOf(nb.Pos)) }
+	myCellD := cellDist(cx, cy)
+	advance := func(nb netstack.Neighbor) int { return myCellD - cellDist(r.cellOf(nb.Pos)) }
 	// raw snapshot: linkReliability runs GVGrid's own model over the
 	// observed fields, so paying the estimator derivation per packet
 	// would buy nothing
@@ -109,7 +110,7 @@ func (r *Router) route(pkt *netstack.Packet) routing.Hop {
 		// A score is 10 per cell advanced plus a probability, which is
 		// never NaN and at most 1 + 1e-9 after Simpson rounding: only a
 		// neighbor at the best advance can win, so only those are
-		// integrated, in table order, which breaks ties as before.
+		// integrated, in table order, the first of equal scores winning.
 		if a := advance(nb); a == most && a > 0 {
 			// prefer fewer remaining cells, then reliability
 			if score := float64(a)*10 + r.linkReliability(nb); score > bestScore {
