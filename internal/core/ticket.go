@@ -93,7 +93,6 @@ type stabilityMemo struct {
 type activePath struct {
 	hops      []netstack.NodeID // self ... dst inclusive
 	stability float64
-	built     float64
 }
 
 type bestPath struct {
@@ -463,22 +462,15 @@ func (r *TicketRouter) handleReply(pkt *netstack.Packet) {
 		stab := rep.Stability
 		r.paths[rep.Target] = &activePath{
 			hops: append([]netstack.NodeID(nil), rep.Path...), stability: stab,
-			built: r.API.Now(),
 		}
 		r.API.Metrics().OnPathLifetime(routing.CapLife(stab))
 		r.Answered(rep.Target)
 		// stability-driven preemptive rebuild
 		if stab != link.Forever {
-			lead := routing.CapLife(stab) - rebuildMargin
-			if lead < 0.1 {
-				lead = 0.1
-			}
 			target := rep.Target
-			r.API.After(lead, func() {
-				if _, okP := r.paths[target]; okP || r.Waiting(target) {
+			r.API.After(math.Max(routing.CapLife(stab)-rebuildMargin, 0.1), func() {
+				if r.Renew(target) {
 					delete(r.paths, target)
-					r.API.Metrics().RouteRepairs++
-					r.Start(target)
 				}
 			})
 		}

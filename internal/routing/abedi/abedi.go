@@ -34,12 +34,6 @@ type rreq struct {
 	OriginVel geom.Vec2
 }
 
-type rrep struct {
-	Origin netstack.NodeID
-	Target netstack.NodeID
-	Hops   int
-}
-
 // New returns an Abedi router factory.
 func New() netstack.RouterFactory {
 	return func() netstack.Router {
@@ -88,7 +82,7 @@ func (r *Router) HandlePacket(pkt *netstack.Packet) {
 	case netstack.KindRREQ:
 		r.handleRREQ(pkt)
 	case netstack.KindRREP:
-		r.handleRREP(pkt)
+		r.HandleReply(pkt, r.route)
 	case netstack.KindData:
 		r.HandleData(pkt)
 	}
@@ -101,7 +95,7 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	}
 	// Reverse route; among equal-hop alternatives the longer-lived link
 	// wins, which prefers stable same-direction previous hops.
-	r.MergeReverse(r.route(req.Origin, pkt.From, pkt.Hops))
+	r.MergeReverse(r.route(req.Origin, pkt.From, pkt.Hops, 0))
 	if r.Duplicate(req.Origin, req.ReqID) {
 		return
 	}
@@ -110,8 +104,7 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 		if !okRt {
 			return
 		}
-		r.API.Send(rt.NextHop, r.Control(netstack.KindRREP, req.Origin, 44,
-			rrep{Origin: req.Origin, Target: r.API.Self()}))
+		r.Reply(rt.NextHop, req.Origin, 44, 0)
 		return
 	}
 	pkt.TTL--
@@ -124,23 +117,10 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 }
 
 // route is a 6-second table entry through via, annotated with the
-// predicted lifetime of the link to it.
-func (r *Router) route(dst, via netstack.NodeID, hops int) routing.Route {
+// predicted lifetime of the link to it; Abedi carries no path metric.
+func (r *Router) route(dst, via netstack.NodeID, hops int, _ float64) routing.Route {
 	return routing.Route{
 		Dst: dst, NextHop: via, Hops: hops,
 		Expiry: r.API.Now() + 6, Valid: true, Lifetime: routing.LinkLifetime(r.API, via),
 	}
-}
-
-func (r *Router) handleRREP(pkt *netstack.Packet) {
-	rep, ok := pkt.Payload.(rrep)
-	if !ok {
-		return
-	}
-	r.Table().Upsert(r.route(rep.Target, pkt.From, rep.Hops+pkt.Hops))
-	if rep.Origin == r.API.Self() {
-		r.Answered(rep.Target)
-		return
-	}
-	r.Relay(pkt, rep.Origin)
 }

@@ -222,11 +222,7 @@ func (r *Router) OnNeighborExpired(id netstack.NodeID) {
 // OnSendFailed implements netstack.Router: a failed unicast is a detected
 // link break — invalidate routes over it and report RERR (RFC 3561 §6.11).
 func (r *Router) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
-	r.API.ForgetNeighbor(to)
-	r.OnNeighborExpired(to)
-	if pkt.Data {
-		r.API.Drop(pkt)
-	}
+	routing.SendFailed(r.API, pkt, to, r.OnNeighborExpired)
 }
 
 // mergeRoute applies the AODV update rule: fresher sequence number wins;

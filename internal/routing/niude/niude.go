@@ -55,14 +55,6 @@ type rreq struct {
 	Delay       float64 // expected forwarding delay so far, seconds
 }
 
-// rrep returns the selection.
-type rrep struct {
-	Origin      netstack.NodeID
-	Target      netstack.NodeID
-	Reliability float64
-	Hops        int
-}
-
 // New returns a NiuDe router factory.
 func New() netstack.RouterFactory {
 	return func() netstack.Router {
@@ -104,7 +96,12 @@ func (r *Router) HandlePacket(pkt *netstack.Packet) {
 	case netstack.KindRREQ:
 		r.handleRREQ(pkt)
 	case netstack.KindRREP:
-		r.handleRREP(pkt)
+		if target, reliability, ok := r.HandleReply(pkt, r.route); ok {
+			r.API.Metrics().OnPathLifetime(horizon * math.Max(reliability, 0.01))
+			// proactive maintenance: rebuild before the reliability horizon
+			// elapses ("the route will be rebuilt before the link breaks")
+			r.API.After(math.Max(horizon-1, 0.5), func() { r.Renew(target) })
+		}
 	case netstack.KindData:
 		r.HandleData(pkt)
 	}
@@ -158,7 +155,6 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	r.API.Send(netstack.Broadcast, pkt)
 }
 
-// route is a 6-second table entry ranked by path reliability.
 // admit is the destination's QoS admission: delay bound first, then
 // reliability. A copy over the bound scores −1, which still opens the
 // selection window but never wins it; if none meets the bound, nobody is
@@ -170,6 +166,7 @@ func admit(delay, reliability float64) float64 {
 	return -1
 }
 
+// route is a 6-second table entry ranked by path reliability.
 func (r *Router) route(dst, via netstack.NodeID, hops int, reliability float64) routing.Route {
 	return routing.Route{
 		Dst: dst, NextHop: via, Hops: hops,
@@ -179,29 +176,5 @@ func (r *Router) route(dst, via netstack.NodeID, hops int, reliability float64) 
 
 func (r *Router) answer(origin netstack.NodeID, c routing.Candidate) {
 	r.Table().Upsert(r.route(origin, c.From, c.Hops, c.Metric))
-	r.API.Send(c.From, r.Control(netstack.KindRREP, origin, 48,
-		rrep{Origin: origin, Target: r.API.Self(), Reliability: c.Metric}))
-}
-
-func (r *Router) handleRREP(pkt *netstack.Packet) {
-	rep, ok := pkt.Payload.(rrep)
-	if !ok {
-		return
-	}
-	r.Table().Upsert(r.route(rep.Target, pkt.From, rep.Hops+pkt.Hops, rep.Reliability))
-	if rep.Origin != r.API.Self() {
-		r.Relay(pkt, rep.Origin)
-		return
-	}
-	r.API.Metrics().OnPathLifetime(horizon * math.Max(rep.Reliability, 0.01))
-	r.Answered(rep.Target)
-	// proactive maintenance: rebuild before the reliability horizon
-	// elapses ("the route will be rebuilt before the link breaks")
-	target := rep.Target
-	r.API.After(math.Max(horizon-1, 0.5), func() {
-		if _, okRt := r.Table().Lookup(target, r.API.Now()); okRt || r.Waiting(target) {
-			r.API.Metrics().RouteRepairs++
-			r.Start(target)
-		}
-	})
+	r.Reply(c.From, origin, 48, c.Metric)
 }

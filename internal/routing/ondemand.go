@@ -117,6 +117,18 @@ func (d *Discovery) giveUp(dst netstack.NodeID) {
 	}
 }
 
+// Renew starts a discovery for dst ahead of a predicted route break while
+// the route is still in use — data can leave on it or waits for it —
+// counting a route repair, and reports whether it did.
+func (d *Discovery) Renew(dst netstack.NodeID) bool {
+	if !d.routed(dst) && !d.Waiting(dst) {
+		return false
+	}
+	d.API.Metrics().RouteRepairs++
+	d.Start(dst)
+	return true
+}
+
 // Answered ends the discovery for dst and releases its queue onto the
 // route the answer installed.
 func (d *Discovery) Answered(dst netstack.NodeID) {
@@ -139,11 +151,12 @@ func (d *Discovery) Answered(dst netstack.NodeID) {
 // protocols (AODV, PBR, Taleb, Abedi, NiuDe): a Discovery whose route is a
 // next-hop table entry and whose request is a flooded RREQ. It owns the
 // route table and the duplicate cache and implements, once, flooding the
-// request, hop-by-hop data forwarding, relaying replies along the reverse
-// route, the reverse-route merge rule and link-break handling. A protocol
-// embeds it and keeps what the survey says distinguishes it: its payloads,
-// the link metric it folds into the RREQ at each hop, how the destination
-// chooses, and any relay delay.
+// request, hop-by-hop data forwarding, the route reply and how each hop
+// installs and relays it, the reverse-route merge rule and link-break
+// handling. A protocol embeds it and keeps what the survey says
+// distinguishes it: its request payload, the link metric it folds into the
+// RREQ at each hop, how the destination chooses, the route a reply
+// installs, any relay delay, and when it renews a route (Renew).
 type OnDemand struct {
 	Discovery
 	table *Table
@@ -266,6 +279,39 @@ func SendFailed(api *netstack.API, pkt *netstack.Packet, to netstack.NodeID, los
 	if pkt.Data {
 		api.Drop(pkt)
 	}
+}
+
+// reply is the route reply of the on-demand routers but AODV: the
+// discovery it answers and the path metric the target selected on.
+type reply struct {
+	Origin, Target netstack.NodeID
+	Metric         float64
+}
+
+// Reply answers origin's discovery of this node with a route reply of
+// size bytes carrying metric, sent to via, the first hop back.
+func (c *OnDemand) Reply(via, origin netstack.NodeID, size int, metric float64) {
+	c.API.Send(via, c.Control(netstack.KindRREP, origin, size,
+		reply{Origin: origin, Target: c.API.Self(), Metric: metric}))
+}
+
+// HandleReply installs the forward route a route reply carries, built by
+// route from the target, the hop it came from, the hops it travelled and
+// its metric. Away from the origin it relays the reply and reports false;
+// at the origin it ends the discovery and reports the target and metric.
+func (c *OnDemand) HandleReply(pkt *netstack.Packet,
+	route func(dst, via netstack.NodeID, hops int, metric float64) Route) (netstack.NodeID, float64, bool) {
+	rep, ok := pkt.Payload.(reply)
+	if !ok {
+		return 0, 0, false
+	}
+	c.table.Upsert(route(rep.Target, pkt.From, pkt.Hops, rep.Metric))
+	if rep.Origin != c.API.Self() {
+		c.Relay(pkt, rep.Origin)
+		return 0, 0, false
+	}
+	c.Answered(rep.Target)
+	return rep.Target, rep.Metric, true
 }
 
 // LifetimeRoute is a table entry that expires when its predicted lifetime

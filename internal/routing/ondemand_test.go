@@ -267,3 +267,40 @@ func TestRenewStopsWhenRouteOutOfUse(t *testing.T) {
 		})
 	}
 }
+
+// TestReplyInstallsForwardRouteAlongChain runs one discovery down a chain
+// of five vehicles 150 m apart, where only neighbours hear each other. The
+// reply installs the forward route at every hop it passes, so once the
+// first packet arrives each vehicle before the destination routes to it
+// through the next vehicle, with Hops its distance from the destination:
+// the hops the reply has travelled, which the packet itself counts.
+func TestReplyInstallsForwardRouteAlongChain(t *testing.T) {
+	for _, tc := range tableDriven {
+		t.Run(tc.name, func(t *testing.T) {
+			var routers []onDemand
+			w, ids := routetest.World(t, 1, routetest.Chain(5, 150, 20), capture(tc.factory, &routers))
+			w.AddFlow(ids[0], ids[4], 3, 1, 1, 256)
+			w.StartRun()
+			defer w.EndRun()
+			c := w.Collector()
+			for at := 3.0; c.DataDelivered == 0; at += 0.01 {
+				if at > 8 {
+					t.Fatal("the packet was never delivered")
+				}
+				if err := w.AdvanceTo(at); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dst, now := ids[4], w.Engine().Now()
+			for i, r := range routers[:4] {
+				rt, ok := r.Table().Lookup(dst, now)
+				if !ok {
+					t.Fatalf("vehicle %d has no route to the destination", i)
+				}
+				if rt.NextHop != ids[i+1] || rt.Hops != 4-i {
+					t.Errorf("vehicle %d routes via %d in %d hops, want via %d in %d", i, rt.NextHop, rt.Hops, ids[i+1], 4-i)
+				}
+			}
+		})
+	}
+}

@@ -38,14 +38,6 @@ type rreq struct {
 	Lifetime float64 // min link lifetime so far
 }
 
-// rrep returns the selected path lifetime to the origin.
-type rrep struct {
-	Origin   netstack.NodeID
-	Target   netstack.NodeID
-	Lifetime float64
-	Hops     int
-}
-
 // New returns a PBR router factory.
 func New() netstack.RouterFactory {
 	return func() netstack.Router {
@@ -70,7 +62,13 @@ func (r *Router) HandlePacket(pkt *netstack.Packet) {
 	case netstack.KindRREQ:
 		r.handleRREQ(pkt)
 	case netstack.KindRREP:
-		r.handleRREP(pkt)
+		if target, lt, ok := r.HandleReply(pkt, r.LifetimeRoute); ok {
+			r.API.Metrics().OnPathLifetime(routing.CapLife(lt))
+			// Preemptive rebuild before predicted expiry: the PBR idea.
+			if lt != link.Forever {
+				r.API.After(math.Max(lt-rebuildMargin, 0.1), func() { r.Renew(target) })
+			}
+		}
 	case netstack.KindData:
 		r.HandleData(pkt)
 	}
@@ -110,39 +108,5 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 // the hop it arrived by.
 func (r *Router) answer(origin netstack.NodeID, c routing.Candidate) {
 	r.Table().Upsert(r.LifetimeRoute(origin, c.From, c.Hops, c.Metric))
-	r.API.Send(c.From, r.Control(netstack.KindRREP, origin, 48,
-		rrep{Origin: origin, Target: r.API.Self(), Lifetime: c.Metric}))
-}
-
-func (r *Router) handleRREP(pkt *netstack.Packet) {
-	rep, ok := pkt.Payload.(rrep)
-	if !ok {
-		return
-	}
-	r.Table().Upsert(r.LifetimeRoute(rep.Target, pkt.From, rep.Hops+pkt.Hops, rep.Lifetime))
-	if rep.Origin != r.API.Self() {
-		r.Relay(pkt, rep.Origin)
-		return
-	}
-	r.API.Metrics().OnPathLifetime(routing.CapLife(rep.Lifetime))
-	r.Answered(rep.Target)
-	// Preemptive rebuild before predicted expiry: the PBR idea.
-	if rep.Lifetime != link.Forever {
-		target := rep.Target
-		r.API.After(math.Max(rep.Lifetime-rebuildMargin, 0.1), func() {
-			if r.pendingOrActive(target) {
-				r.API.Metrics().RouteRepairs++
-				r.Start(target)
-			}
-		})
-	}
-}
-
-// pendingOrActive reports whether the route to target is still in use
-// (valid route entry or queued data), gating preemptive rebuilds.
-func (r *Router) pendingOrActive(target netstack.NodeID) bool {
-	if _, ok := r.Table().Lookup(target, r.API.Now()); ok {
-		return true
-	}
-	return r.Waiting(target)
+	r.Reply(c.From, origin, 48, c.Metric)
 }

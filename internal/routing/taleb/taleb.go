@@ -37,14 +37,6 @@ type rreq struct {
 	Links       int
 }
 
-// rrep returns the selection to the origin.
-type rrep struct {
-	Origin  netstack.NodeID
-	Target  netstack.NodeID
-	MinLife float64
-	Hops    int
-}
-
 // New returns a Taleb router factory.
 func New() netstack.RouterFactory {
 	return func() netstack.Router {
@@ -74,7 +66,13 @@ func (r *Router) HandlePacket(pkt *netstack.Packet) {
 	case netstack.KindRREQ:
 		r.handleRREQ(pkt)
 	case netstack.KindRREP:
-		r.handleRREP(pkt)
+		if target, lt, ok := r.HandleReply(pkt, r.LifetimeRoute); ok {
+			r.API.Metrics().OnPathLifetime(routing.CapLife(lt))
+			// Re-discover prior to the shortest link duration elapsing.
+			if lt != link.Forever {
+				r.API.After(math.Max(routing.CapLife(lt)-0.8, 0.1), func() { r.Renew(target) })
+			}
+		}
 	case netstack.KindData:
 		r.HandleData(pkt)
 	}
@@ -130,31 +128,5 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 
 func (r *Router) answer(origin netstack.NodeID, c routing.Candidate) {
 	r.Table().Upsert(r.LifetimeRoute(origin, c.From, c.Hops, c.Metric))
-	r.API.Send(c.From, r.Control(netstack.KindRREP, origin, 44,
-		rrep{Origin: origin, Target: r.API.Self(), MinLife: c.Metric}))
-}
-
-func (r *Router) handleRREP(pkt *netstack.Packet) {
-	rep, ok := pkt.Payload.(rrep)
-	if !ok {
-		return
-	}
-	r.Table().Upsert(r.LifetimeRoute(rep.Target, pkt.From, rep.Hops+pkt.Hops, rep.MinLife))
-	if rep.Origin != r.API.Self() {
-		r.Relay(pkt, rep.Origin)
-		return
-	}
-	r.API.Metrics().OnPathLifetime(routing.CapLife(rep.MinLife))
-	r.Answered(rep.Target)
-	// Re-discover prior to the shortest link duration elapsing.
-	if rep.MinLife != link.Forever {
-		lead := math.Max(routing.CapLife(rep.MinLife)-0.8, 0.1)
-		target := rep.Target
-		r.API.After(lead, func() {
-			if _, okRt := r.Table().Lookup(target, r.API.Now()); okRt || r.Waiting(target) {
-				r.API.Metrics().RouteRepairs++
-				r.Start(target)
-			}
-		})
-	}
+	r.Reply(c.From, origin, 44, c.Metric)
 }
