@@ -7,6 +7,7 @@ import (
 
 	"github.com/vanetlab/relroute/internal/channel"
 	"github.com/vanetlab/relroute/internal/metrics"
+	"github.com/vanetlab/relroute/internal/netstack"
 )
 
 func quickOpts() Options {
@@ -117,6 +118,28 @@ func TestNonInfraProtocolsOmitRSUs(t *testing.T) {
 	}
 	if len(sc.RSUs) != 0 {
 		t.Fatalf("AODV scenario placed %d RSUs", len(sc.RSUs))
+	}
+}
+
+// TestOnlyDRRPlacesRSUs asks every protocol for three RSUs on the default
+// highway: DRR places them, and every other protocol builds a world with
+// no RSU node at all.
+func TestOnlyDRRPlacesRSUs(t *testing.T) {
+	for _, proto := range Protocols() {
+		sc, err := Build(proto, Options{RSUs: 3})
+		if err != nil {
+			t.Fatalf("%s: %v", proto, err)
+		}
+		want := 0
+		if proto == "DRR" {
+			want = 3
+		}
+		if len(sc.RSUs) != want {
+			t.Errorf("%s placed %d RSUs, want %d", proto, len(sc.RSUs), want)
+		}
+		if got := len(sc.World.NodeIDs(netstack.RSU)); got != want {
+			t.Errorf("%s world holds %d RSU nodes, want %d", proto, got, want)
+		}
 	}
 }
 
