@@ -136,7 +136,6 @@ func Capture(sc *scenario.Scenario) *Snapshot {
 func Record(sc *scenario.Scenario) (metrics.Summary, *Snapshot, error) {
 	w := sc.World
 	w.StartRun()
-	defer w.EndRun()
 	var trail []TrailPoint
 	for t, end := w.Engine().Now(), sc.Opts.Duration; t < end; {
 		t = min(t+trailEvery, end)
@@ -250,7 +249,6 @@ func Restore(snap *Snapshot) (*scenario.Scenario, error) {
 		return nil, fmt.Errorf("checkpoint: rebuild: %w", err)
 	}
 	if err := Resume(sc, snap); err != nil {
-		sc.World.EndRun()
 		return nil, err
 	}
 	return sc, nil
@@ -298,10 +296,9 @@ func Resume(sc *scenario.Scenario, snap *Snapshot) error {
 }
 
 // Complete finishes a restored scenario: advance to the run's end,
-// finalize accounting, tear down the pool, and summarize. The result is
+// finalize accounting, and summarize. The result is
 // byte-identical to the summary an uninterrupted run would have produced.
 func Complete(sc *scenario.Scenario) (metrics.Summary, error) {
-	defer sc.World.EndRun()
 	if err := sc.World.AdvanceTo(sc.Opts.Duration); err != nil {
 		return metrics.Summary{}, err
 	}

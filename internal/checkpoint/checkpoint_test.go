@@ -24,14 +24,13 @@ func runClean(t *testing.T, protocol string, opts scenario.Options) metrics.Summ
 }
 
 // captureAt builds the scenario, advances to t, captures, and returns the
-// snapshot (tearing the interrupted run down).
+// snapshot.
 func captureAt(t *testing.T, protocol string, opts scenario.Options, at float64) *Snapshot {
 	t.Helper()
 	sc, err := scenario.Build(protocol, opts)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	defer sc.World.EndRun()
 	sc.World.StartRun()
 	if err := sc.World.AdvanceTo(at); err != nil {
 		t.Fatalf("advance to %g: %v", at, err)

@@ -36,7 +36,6 @@ func newScoredWorld(t *testing.T, vehicles []routetest.Vehicle) *scoredWorld {
 		return r
 	})
 	w.StartRun()
-	t.Cleanup(w.EndRun)
 	advance(t, w, 2.05) // everyone has beaconed twice
 	return sw
 }
@@ -224,7 +223,6 @@ func TestCandidatesTopKWithTheMetrics(t *testing.T) {
 				return r
 			})
 			w.StartRun()
-			t.Cleanup(w.EndRun)
 			advance(t, w, 2.05)
 			r := routers[0]
 			score := func(nb netstack.LinkState) float64 { return tc.score(r.API, nb) }

@@ -33,7 +33,6 @@ func memoWorld(t testing.TB, moveAt float64, others []geom.Vec2, vel geom.Vec2) 
 		return r
 	})
 	w.StartRun()
-	t.Cleanup(w.EndRun)
 	return w, routers
 }
 

@@ -34,7 +34,6 @@ func TestNeighborExpiryRediscoversInDestinationOrder(t *testing.T) {
 		})
 		relay, dsts := ids[1], ids[2:]
 		w.StartRun()
-		t.Cleanup(w.EndRun)
 		if err := w.AdvanceTo(2); err != nil {
 			t.Fatal(err)
 		}

@@ -30,5 +30,4 @@
 //	sweepDepartures  open worlds: node left / active, actives, grid, counters
 //	expireNeighbors  link tables; routers hear OnNeighborExpired and may send
 //	auditStep        the audit's open samples, the collector's prediction block
-//	prefetchRadio    the radio cache
 package netstack

@@ -1,10 +1,6 @@
 package netstack
 
-import (
-	"fmt"
-
-	"github.com/vanetlab/relroute/internal/par"
-)
+import "fmt"
 
 // Run executes the simulation for duration seconds: StartRun,
 // AdvanceTo(duration), CompleteRun. The checkpoint plane and bench/ call
@@ -54,8 +50,8 @@ func (w *World) AdvanceTo(t float64) error {
 func (w *World) CompleteRun() { w.finishAudit() }
 
 // EndRun is a no-op: a world owns no goroutines or other resources to
-// release. It remains because the segmented drivers (the checkpoint plane
-// and bench/) pair every StartRun with it.
+// release. It remains only because bench/ still pairs every StartRun with
+// it.
 func (w *World) EndRun() {}
 
 // step is one tick of the world: the phases below, in this order. The
@@ -78,7 +74,6 @@ func (w *World) step() {
 	now := w.eng.Now()
 	w.expireNeighbors(now)
 	w.auditStep(now)
-	w.prefetchRadio()
 }
 
 // readStates stamps the tick and takes its snapshot of the mobility model.
@@ -145,17 +140,5 @@ func (w *World) expireNeighbors(now float64) {
 		for _, gone := range n.mon.Expire(now) {
 			n.router.OnNeighborExpired(gone)
 		}
-	}
-}
-
-// prefetchRadio rebuilds every radio neighborhood now, while the geometry
-// is final for the tick, if enough of the population transmitted during
-// the previous epoch that the lazy per-transmitter rebuilds would cost as
-// much on the event path. Pure prefetch: identical lists either way. The
-// pool parameter is there because bench/ calls RebuildSweep by that
-// signature (ROADMAP item 5).
-func (w *World) prefetchRadio() {
-	if w.links.SweepWorthwhile(len(w.actives)) {
-		w.links.RebuildSweep(par.Seq)
 	}
 }

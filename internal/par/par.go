@@ -1,8 +1,9 @@
 // Package par provides a fixed-size fork-join pool. Nothing in the
-// simulator forks: the package survives only because bench/replay.go
-// spells par.New and par.Seq and radio.Cache.RebuildSweep takes a *Pool
-// (the simulator passes Seq, which runs inline). ROADMAP item 5's
-// benchmark PR deletes it.
+// simulator forks or sweeps: the package survives only because
+// bench/replay.go spells par.New and par.Seq and times
+// radio.Cache.RebuildSweep, which takes a *Pool. Only internal/radio
+// imports it, and CI fails any other package of the module that does.
+// The benchmark's rework (ROADMAP item 5) deletes it.
 //
 // A Pool owns shards−1 long-lived worker goroutines (shard 0 always runs
 // on the caller's goroutine, so a one-shard pool is plain inline

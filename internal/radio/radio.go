@@ -12,26 +12,18 @@
 // and reuses them — one comparison against spatial.Grid.Epoch — for every
 // subsequent frame until the world moves again.
 //
-// Two build paths fill the same hoods:
+// The simulator builds every neighborhood lazily (Links): one node's
+// neighborhood on first use in an epoch, by walking the grid's 3×3 cell
+// stencil around the transmitter, so nodes that do not transmit in an
+// epoch never pay anything.
 //
-//   - Lazy (Links): one node's neighborhood on first use in an epoch, by
-//     walking the grid's 3×3 cell stencil around the transmitter. Right
-//     when only a sparse subset of the population transmits per epoch —
-//     flooding bursts, idle worlds — because untransmitting nodes never
-//     pay anything.
-//
-//   - Eager sweep (RebuildSweep): every neighborhood in one symmetric pass
-//     over the grid's CSR snapshot (spatial.Snapshot — occupied cells
-//     sorted by (CX, CY), members packed contiguously). The sweep
-//     enumerates each unordered in-range cell pair once, computes each
-//     in-range pair's distance once, and writes the link into both
-//     endpoints' hoods — half the pair math of n per-node stencil walks,
-//     over contiguous arrays instead of per-cell map probes. Pair
-//     discovery shards over cell stripes through the pool
-//     RebuildSweep is handed (the simulator always hands it the inline
-//     one); a serial scatter then fills the hoods. Right when most of the
-//     population transmits every epoch — beaconing protocols at any
-//     density. The world picks per epoch via SweepWorthwhile.
+// RebuildSweep fills the same hoods eagerly, for bench/replay.go alone,
+// which times it against the lazy build: every neighborhood in one
+// symmetric pass over the grid's CSR snapshot (spatial.Snapshot — occupied
+// cells sorted by (CX, CY), members packed contiguously). The sweep
+// enumerates each unordered in-range cell pair once, computes each
+// in-range pair's distance once, and writes the link into both endpoints'
+// hoods.
 //
 // Order reconstruction: Links must list candidates in exactly the order
 // spatial.Grid.Within returns them — ascending (cx, cy) cell rank, then
@@ -46,12 +38,11 @@
 // lazy build. Distances are bitwise symmetric (math.Hypot of negated
 // differences), so one computation serves both directions.
 //
-// Determinism contract: both paths produce identical link lists, with
+// Determinism contract: both builders produce identical link lists, with
 // distances computed by the same expression the uncached MAC used, and
 // the reception decision is the channel's own Decodable at that distance.
-// A cached transmit — lazy or swept — is therefore byte-identical to an
-// uncached one at every shard count; the golden-file and sweep property
-// tests pin this.
+// A cached transmit is therefore byte-identical to an uncached one; the
+// golden files and the sweep property tests pin this.
 //
 // The cache is shared: the netstack world owns invalidation (its mobility
 // step's grid updates advance the epoch; join/leave and failure injection
@@ -61,10 +52,9 @@
 //
 // Checkpoint contract: the cache is pure memoization — every entry is a
 // function of the grid epoch and node positions, and which entries are
-// populated can differ by build path. It is therefore
-// excluded from the world's state digest and never serialized; a restored
-// world starts with a cold cache and repopulates it on first transmit or
-// first sweep, byte-identically.
+// populated depends on who transmitted. It is therefore excluded from the
+// world's state digest and never serialized; a restored world starts with
+// a cold cache and repopulates it on first transmit, byte-identically.
 package radio
 
 import (
@@ -85,23 +75,21 @@ type Link struct {
 // Cache memoizes candidate receiver lists per transmitter. It is built
 // over a Grid and a channel Model once per world; the zero value is not
 // usable. Not safe for concurrent use — like every per-world structure,
-// it belongs to the single-threaded simulation engine (RebuildSweep fans
-// out internally over disjoint state).
+// it belongs to the single-threaded simulation engine.
 type Cache struct {
 	grid   *spatial.Grid
 	model  channel.Model
 	hoods  []hood // dense, keyed by node ID
 	builds uint64 // rebuild counter (instrumentation/tests)
 
-	// usage accounting for the eager-sweep heuristic: how many distinct
-	// transmitters requested their neighborhood during the current and the
-	// previous grid epoch. Requests ride the serial transmit path, so the
-	// counts are deterministic.
+	// demand accounting behind PrevEpochUse: how many distinct transmitters
+	// requested their neighborhood during the current and the previous grid
+	// epoch. Requests ride the serial transmit path, so the counts are
+	// deterministic.
 	reqEpoch uint64
 	reqCount int
 	prevReq  int
 
-	mode       EagerMode
 	sweepEpoch uint64 // last epoch RebuildSweep ran; repeat sweeps are no-ops
 
 	// sweep holds the per-shard pair arenas: each shard discovers pairs in
@@ -121,36 +109,17 @@ type sweepShard struct {
 
 // hood is one node's cached neighborhood. epoch 0 means never built
 // (grid epochs are 1-based); req is the last epoch the node requested it
-// (usage accounting, distinct from having it built eagerly).
+// (demand accounting, distinct from having it built by a sweep).
 type hood struct {
 	links []Link
 	epoch uint64
 	req   uint64
 }
 
-// EagerMode overrides the sweep-vs-lazy policy; see SetEagerMode.
-type EagerMode int
-
-const (
-	// EagerAuto (the default) weighs previous-epoch demand against the
-	// population size; see SweepWorthwhile.
-	EagerAuto EagerMode = iota
-	// EagerAlways sweeps every epoch regardless of demand.
-	EagerAlways
-	// EagerNever builds every neighborhood lazily.
-	EagerNever
-)
-
 // NewCache returns a cache over the given index and propagation model.
 func NewCache(grid *spatial.Grid, model channel.Model) *Cache {
 	return &Cache{grid: grid, model: model}
 }
-
-// SetEagerMode forces the sweep-vs-lazy decision. Both paths build
-// identical neighborhoods, so the mode never changes simulation output —
-// only where the rebuild cost is paid. Tests use it to drive full runs
-// down one path; production worlds leave EagerAuto.
-func (c *Cache) SetEagerMode(m EagerMode) { c.mode = m }
 
 // Links returns the candidate receiver list for a transmission from id,
 // rebuilding it only if the grid changed since it was last built. A node
@@ -232,27 +201,9 @@ func (c *Cache) rebuildInto(id int32, h *hood) {
 }
 
 // PrevEpochUse returns how many distinct transmitters requested their
-// neighborhood during the previous grid epoch — the demand signal the
-// world's eager-sweep heuristic weighs against the cost of rebuilding
-// every neighborhood at once.
+// neighborhood during the previous grid epoch: the demand bench/ladder.go
+// reports as a share of the population.
 func (c *Cache) PrevEpochUse() int { return c.prevReq }
-
-// SweepWorthwhile reports whether the world should run RebuildSweep for
-// the current epoch instead of letting neighborhoods build lazily, given
-// the active population. The auto policy sweeps only at full saturation —
-// every active transmitted last epoch — the one regime where halved pair
-// math beats lazy even though demand is a one-epoch-stale predictor;
-// bursty flooding and idle worlds stay lazy, where untransmitting nodes
-// never pay anything.
-func (c *Cache) SweepWorthwhile(actives int) bool {
-	switch c.mode {
-	case EagerAlways:
-		return actives > 0
-	case EagerNever:
-		return false
-	}
-	return actives > 0 && c.prevReq >= actives
-}
 
 // RebuildSweep eagerly rebuilds every grid member's neighborhood for the
 // current epoch in one symmetric pass over the CSR snapshot: each
@@ -267,10 +218,10 @@ func (c *Cache) SweepWorthwhile(actives int) bool {
 // grid does not track are left to the lazy path, which rebuilds them
 // empty on first use.
 //
-// The pool parameter, the per-shard arenas and internal/par survive only
-// because bench/replay.go calls RebuildSweep with the inline pool by name,
-// as the simulator's one call site does. ROADMAP item 5's benchmark PR
-// folds them to one buffer.
+// Only bench/replay.go calls RebuildSweep, with the inline pool, to time
+// it against the lazy build; the simulator never does. The pool
+// parameter, the per-shard arenas and internal/par survive because the
+// benchmark spells them by name (ROADMAP item 5).
 func (c *Cache) RebuildSweep(pool *par.Pool) {
 	e := c.grid.Epoch()
 	if c.sweepEpoch == e {

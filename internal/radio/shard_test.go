@@ -123,41 +123,9 @@ func TestRebuildSweepSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestSweepWorthwhile pins the eager heuristic: auto mode sweeps only when
-// the previous epoch's demand covers the whole population, and the forced
-// modes override it in both directions.
-func TestSweepWorthwhile(t *testing.T) {
-	grid, lazy, _, _ := shardWorld(12, channel.UnitDisk{Range: 250})
-	for id := int32(0); id < 4; id++ {
-		lazy.Links(id)
-	}
-	grid.Update(0, geom.V(9999, 0)) // epoch turns over; prevReq becomes 4
-	lazy.Links(0)
-	if !lazy.SweepWorthwhile(4) {
-		t.Fatal("demand 4 of 4 (full saturation), want sweep")
-	}
-	if lazy.SweepWorthwhile(5) {
-		t.Fatal("demand 4 of 5: below saturation, want lazy")
-	}
-	if lazy.SweepWorthwhile(0) {
-		t.Fatal("empty population must never sweep")
-	}
-	lazy.SetEagerMode(EagerNever)
-	if lazy.SweepWorthwhile(1) {
-		t.Fatal("EagerNever swept")
-	}
-	lazy.SetEagerMode(EagerAlways)
-	if !lazy.SweepWorthwhile(1) {
-		t.Fatal("EagerAlways stayed lazy")
-	}
-	if lazy.SweepWorthwhile(0) {
-		t.Fatal("EagerAlways swept an empty population")
-	}
-}
-
-// TestPrevEpochUseTracksDemand checks the demand signal behind the
-// world's eager heuristic: it reports how many distinct transmitters
-// asked for a neighborhood in the PREVIOUS epoch, not the current one.
+// TestPrevEpochUseTracksDemand checks the demand bench/ladder.go reports:
+// how many distinct transmitters asked for a neighborhood in the PREVIOUS
+// epoch, not the current one.
 func TestPrevEpochUseTracksDemand(t *testing.T) {
 	grid, lazy, _, _ := shardWorld(10, channel.UnitDisk{Range: 250})
 	if got := lazy.PrevEpochUse(); got != 0 {

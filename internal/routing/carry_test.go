@@ -73,7 +73,6 @@ func TestCarriedPacketFate(t *testing.T) {
 			w, ids, s := stubWorld(t, pair(), tc.timeout, always(routing.Carry()), always(tc.retry))
 			w.AddFlow(ids[0], ids[1], 1.2, 1, 1, 64) // one packet, carried from t = 1.2
 			w.StartRun()
-			defer w.EndRun()
 			if err := w.AdvanceTo(2); err != nil { // first sweep is in [0.5, 0.6), the third in [1.5, 1.6)
 				t.Fatal(err)
 			}
@@ -99,7 +98,6 @@ func TestSendFailedForgetsThenReroutes(t *testing.T) {
 	w, ids, s := stubWorld(t, pair(), 100, always(routing.Carry()), always(routing.Carry()))
 	s.watch = ids[1]
 	w.StartRun()
-	defer w.EndRun()
 	if err := w.AdvanceTo(2); err != nil {
 		t.Fatal(err)
 	}

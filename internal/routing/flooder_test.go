@@ -41,7 +41,6 @@ func floodWorld(t *testing.T) (*netstack.World, []netstack.NodeID, *stubFlooder)
 		return s
 	})
 	w.StartRun()
-	t.Cleanup(w.EndRun)
 	if err := w.AdvanceTo(0.5); err != nil {
 		t.Fatal(err)
 	}

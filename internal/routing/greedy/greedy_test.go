@@ -66,7 +66,6 @@ func TestCarryTimeoutDropsStrandedPackets(t *testing.T) {
 	w, ids := routetest.World(t, 1, vehicles, greedy.New())
 	w.AddFlow(ids[0], ids[1], 1, 1, 3, 256) // carried from t = 1, 2 and 3
 	w.StartRun()
-	defer w.EndRun()
 	// carried for 8 s, then dropped by the next 0.5 s sweep
 	if err := w.AdvanceTo(8.9); err != nil {
 		t.Fatal(err)

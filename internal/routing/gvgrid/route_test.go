@@ -88,7 +88,6 @@ func TestRouteMatchesScoringEveryNeighbor(t *testing.T) {
 				integrals += countAtBestAdvance(r, dst)
 			}
 		}
-		w.EndRun()
 	}
 	if forwards < asked/4 {
 		t.Fatalf("only %d of %d asks chose a relay: the worlds test little", forwards, asked)

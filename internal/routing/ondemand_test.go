@@ -81,7 +81,6 @@ func TestFullQueueDropsEvicted(t *testing.T) {
 			// 17 packets inside the first discovery round: the queue holds 16
 			w.AddFlow(ids[0], ids[1], 1, 0.01, 17, 256)
 			w.StartRun()
-			defer w.EndRun()
 			if err := w.AdvanceTo(1.5); err != nil {
 				t.Fatal(err)
 			}
@@ -243,7 +242,6 @@ func TestRenewStopsWhenRouteOutOfUse(t *testing.T) {
 			ids := w.AddVehicleNodes(tc.factory)
 			w.AddFlow(ids[0], ids[1], 1, 0.5, 40, 256)
 			w.StartRun()
-			defer w.EndRun()
 			c := w.Collector()
 			if err := w.AdvanceTo(150); err != nil {
 				t.Fatal(err)
@@ -281,7 +279,6 @@ func TestReplyInstallsForwardRouteAlongChain(t *testing.T) {
 			w, ids := routetest.World(t, 1, routetest.Chain(5, 150, 20), capture(tc.factory, &routers))
 			w.AddFlow(ids[0], ids[4], 3, 1, 1, 256)
 			w.StartRun()
-			defer w.EndRun()
 			c := w.Collector()
 			for at := 3.0; c.DataDelivered == 0; at += 0.01 {
 				if at > 8 {

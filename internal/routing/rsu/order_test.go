@@ -31,7 +31,6 @@ func rsuWorld(t *testing.T, vehPos, rsuPos []geom.Vec2) (*netstack.World, []nets
 		w.AddStaticNode(netstack.RSU, p, units[i])
 	}
 	w.StartRun()
-	t.Cleanup(w.EndRun)
 	if err := w.AdvanceTo(2); err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,6 @@ func TestBufferTTLDropsStalePackets(t *testing.T) {
 	w.AddStaticNode(netstack.RSU, geom.V(100, 0), unit)
 	w.AddFlow(ids[0], ids[1], 1, 1, 2, 256) // created at t = 1 and t = 2
 	w.StartRun()
-	defer w.EndRun()
 	// held 30 s from creation; the flush runs every 0.25 s
 	if err := w.AdvanceTo(30.9); err != nil {
 		t.Fatal(err)

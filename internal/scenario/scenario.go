@@ -55,16 +55,44 @@ import (
 	"github.com/vanetlab/relroute/internal/traces"
 )
 
-// Protocols lists every runnable protocol name accepted by Build.
+// Protocols lists every runnable protocol name accepted by Build, in the
+// order the campaigns and the harness expand runs.
 func Protocols() []string {
-	return []string{
-		"Flooding", "Biswas", "AODV", "DSDV", "DSR",
-		"PBR", "Taleb", "Abedi",
-		"DRR", "Bus",
-		"Greedy", "Zone", "LORA-DCBF",
-		"REAR", "CAR", "GVGrid", "Yan-TBP", "TBP-SS",
-		"NiuDe", "Hybrid",
+	names := make([]string, len(protocols))
+	for i, p := range protocols {
+		names[i] = p.name
 	}
+	return names
+}
+
+// protocols is the one table of runnable protocols: Protocols lists its
+// names and protocolFactory builds from its entries.
+var protocols = []struct {
+	name  string
+	build routers
+}{
+	{"Flooding", fixed(flood.New)},
+	{"Biswas", fixed(flood.NewBiswas)},
+	{"AODV", fixed(aodv.New)},
+	{"DSDV", fixed(dsdv.New)},
+	{"DSR", fixed(dsr.New)},
+	{"PBR", fixed(pbr.New)},
+	{"Taleb", fixed(taleb.New)},
+	{"Abedi", fixed(abedi.New)},
+	{"DRR", (*Scenario).drrRouters},
+	{"Bus", fixed(busferry.New)},
+	{"Greedy", fixed(greedy.New)},
+	{"Zone", fixed(zone.New)},
+	{"LORA-DCBF", fixed(gateway.New)},
+	{"REAR", fixed(rear.New)},
+	{"CAR", (*Scenario).carRouters},
+	{"GVGrid", fixed(gvgrid.New)},
+	{"Yan-TBP", tickets(core.MetricExpectedDuration)},
+	{"TBP-SS", tickets(core.MetricMeanDuration)},
+	{"NiuDe", fixed(niude.New)},
+	{"Hybrid", func(s *Scenario) (netstack.RouterFactory, func(*Scenario)) {
+		return hybrid.New(s.Opts.TicketBudget), nil
+	}},
 }
 
 // Kind selects the world topology.
@@ -322,76 +350,59 @@ func channelReceiptFor(r float64) prob.ReceiptModel {
 	return m
 }
 
-// protocolFactory resolves a protocol name to a vehicle router factory and
-// an optional static-node installer (for RSUs).
-func (s *Scenario) protocolFactory(name string) (netstack.RouterFactory, func(*Scenario), error) {
-	switch name {
-	case "Flooding":
-		return flood.New(), s.maybeRSUs(nil), nil
-	case "Biswas":
-		return flood.NewBiswas(), s.maybeRSUs(nil), nil
-	case "AODV":
-		return aodv.New(), s.maybeRSUs(nil), nil
-	case "DSDV":
-		return dsdv.New(), s.maybeRSUs(nil), nil
-	case "DSR":
-		return dsr.New(), s.maybeRSUs(nil), nil
-	case "PBR":
-		return pbr.New(), s.maybeRSUs(nil), nil
-	case "Taleb":
-		return taleb.New(), s.maybeRSUs(nil), nil
-	case "Abedi":
-		return abedi.New(), s.maybeRSUs(nil), nil
-	case "Greedy":
-		return greedy.New(), s.maybeRSUs(nil), nil
-	case "Zone":
-		return zone.New(), s.maybeRSUs(nil), nil
-	case "LORA-DCBF":
-		return gateway.New(), s.maybeRSUs(nil), nil
-	case "REAR":
-		return rear.New(), s.maybeRSUs(nil), nil
-	case "Bus":
-		return busferry.New(), s.maybeRSUs(nil), nil
-	case "DRR":
-		if s.Opts.RSUs == 0 {
-			s.Opts.RSUs = 2
-		}
-		backbone := rsu.NewBackbone()
-		return rsu.NewVehicle(), s.maybeRSUs(backbone), nil
-	case "CAR":
-		dmap := car.NewDensityMap(s.Net, s.World.Channel().MeanRange())
-		s.installDensityRefresh(dmap)
-		return car.New(dmap), s.maybeRSUs(nil), nil
-	case "GVGrid":
-		return gvgrid.New(), s.maybeRSUs(nil), nil
-	case "Yan-TBP":
-		return core.NewTicketRouter(core.WithMetric(core.MetricExpectedDuration), core.WithTickets(s.Opts.TicketBudget)),
-			s.maybeRSUs(nil), nil
-	case "TBP-SS":
-		return core.NewTicketRouter(core.WithMetric(core.MetricMeanDuration), core.WithTickets(s.Opts.TicketBudget)),
-			s.maybeRSUs(nil), nil
-	case "NiuDe":
-		return niude.New(), s.maybeRSUs(nil), nil
-	case "Hybrid":
-		return hybrid.New(s.Opts.TicketBudget), s.maybeRSUs(nil), nil
-	default:
-		return nil, nil, fmt.Errorf("scenario: unknown protocol %q (known: %v)", name, Protocols())
+// routers builds a protocol's vehicle router factory and, for DRR alone,
+// the installer of its RSUs, which Build runs once the vehicles are placed.
+type routers func(s *Scenario) (netstack.RouterFactory, func(*Scenario))
+
+// fixed is the entry of a protocol whose routers need nothing of the
+// scenario.
+func fixed(newFactory func() netstack.RouterFactory) routers {
+	return func(*Scenario) (netstack.RouterFactory, func(*Scenario)) { return newFactory(), nil }
+}
+
+// tickets is the entry of a ticket router ranking links by metric.
+func tickets(metric core.Metric) routers {
+	return func(s *Scenario) (netstack.RouterFactory, func(*Scenario)) {
+		return core.NewTicketRouter(core.WithMetric(metric), core.WithTickets(s.Opts.TicketBudget)), nil
 	}
 }
 
-// maybeRSUs returns the static-node installer: with a backbone it places
-// DRR RSU routers; without, RSUs are omitted (they only matter to DRR).
-func (s *Scenario) maybeRSUs(backbone *rsu.Backbone) func(*Scenario) {
-	return func(sc *Scenario) {
-		if sc.Opts.RSUs <= 0 || backbone == nil {
+// protocolFactory resolves a protocol name to a vehicle router factory and
+// an optional static-node installer (DRR's RSUs).
+func (s *Scenario) protocolFactory(name string) (netstack.RouterFactory, func(*Scenario), error) {
+	for _, p := range protocols {
+		if p.name == name {
+			factory, static := p.build(s)
+			return factory, static, nil
+		}
+	}
+	return nil, nil, fmt.Errorf("scenario: unknown protocol %q (known: %v)", name, Protocols())
+}
+
+// drrRouters places RSUs (two unless Options asks for a number) joined by
+// one backbone; vehicles run DRR's vehicle router.
+func (s *Scenario) drrRouters() (netstack.RouterFactory, func(*Scenario)) {
+	if s.Opts.RSUs == 0 {
+		s.Opts.RSUs = 2
+	}
+	backbone := rsu.NewBackbone()
+	return rsu.NewVehicle(), func(sc *Scenario) {
+		if sc.Opts.RSUs <= 0 {
 			return
 		}
-		positions := rsuPositions(sc.Net, sc.Opts.RSUs)
-		for _, p := range positions {
+		for _, p := range rsuPositions(sc.Net, sc.Opts.RSUs) {
 			id := sc.World.AddStaticNode(netstack.RSU, p, rsu.NewUnit(backbone))
 			sc.RSUs = append(sc.RSUs, id)
 		}
 	}
+}
+
+// carRouters feeds CAR's routers a density map of the road network,
+// refreshed from true positions.
+func (s *Scenario) carRouters() (netstack.RouterFactory, func(*Scenario)) {
+	dmap := car.NewDensityMap(s.Net, s.World.Channel().MeanRange())
+	s.installDensityRefresh(dmap)
+	return car.New(dmap), nil
 }
 
 // rsuPositions spreads n RSUs evenly over the network bounds' long axis.

@@ -34,8 +34,6 @@ var testOnlyReached = map[string]string{
 	"car.DensityMap.Density":       "internal/routing/car/car_test.go",
 	"linkstate.Monitor.MemoStats":  "internal/netstack/actives_test.go",
 	"linkstate.Monitor.FullSweeps": "internal/netstack/actives_test.go",
-	"radio.Cache.SetEagerMode":     "internal/netstack/radiosweep_test.go",
-	"radio.EagerAuto":              "internal/netstack/radiosweep_test.go",
 	"channel.Shadowing.Receipt":    "internal/mac/rngorder_test.go",
 	"netstack.World.Joins":         "internal/scenario/providers_test.go",
 	"netstack.World.Leaves":        "internal/scenario/providers_test.go",
