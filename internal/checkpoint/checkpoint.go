@@ -296,8 +296,8 @@ func Resume(sc *scenario.Scenario, snap *Snapshot) error {
 }
 
 // Complete finishes a restored scenario: advance to the run's end,
-// finalize accounting, and summarize. The result is
-// byte-identical to the summary an uninterrupted run would have produced.
+// finalize accounting, and summarize. The result is byte-identical to the
+// summary an uninterrupted run would have produced.
 func Complete(sc *scenario.Scenario) (metrics.Summary, error) {
 	if err := sc.World.AdvanceTo(sc.Opts.Duration); err != nil {
 		return metrics.Summary{}, err

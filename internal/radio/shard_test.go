@@ -26,11 +26,11 @@ func shardWorld(n int, model channel.Model) (*spatial.Grid, *Cache, *Cache, []in
 	return grid, lazy, eager, ids
 }
 
-// TestRebuildSweepMatchesLazy pins the prefetch contract: after a sweep,
-// every neighborhood is exactly — same receivers, same order, same
-// distances — what the lazy Links path computes on demand, across epochs,
-// shard counts, and channel models (which differ in reach: 250 m and the
-// shadowing tail's 545 m).
+// TestRebuildSweepMatchesLazy pins the contract bench/replay.go times the
+// sweep under: after a sweep, every neighborhood is exactly — same
+// receivers, same order, same distances — what the lazy Links path
+// computes on demand, across epochs, shard counts, and channel models
+// (which differ in reach: 250 m and the shadowing tail's 545 m).
 func TestRebuildSweepMatchesLazy(t *testing.T) {
 	models := map[string]channel.Model{
 		"unitdisk":  channel.UnitDisk{Range: 250},
