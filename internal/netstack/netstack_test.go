@@ -140,6 +140,42 @@ func TestFlowDeliveryAndMetrics(t *testing.T) {
 	}
 }
 
+// TestSendChargesByKind pins the stack's data/control split: a sent data
+// packet is charged to the data columns and any other kind to its control
+// counter, and API.Drop counts a dropped data packet but not a dropped
+// control one.
+func TestSendChargesByKind(t *testing.T) {
+	w := NewWorld(Config{Seed: 1}, mobility.NewPlayback(lineTracks(2, 100, 0)))
+	var routers []*quietRouter
+	ids := w.AddVehicleNodes(func() Router {
+		r := &quietRouter{}
+		routers = append(routers, r)
+		return r
+	})
+	data := &Packet{UID: 1, Kind: KindData, Data: true, Src: ids[0], Dst: ids[1], TTL: 8, Size: 256}
+	rreq := &Packet{UID: 2, Kind: KindRREQ, Src: ids[0], Dst: ids[1], TTL: 8, Size: 48}
+	w.Engine().At(1, func() {
+		api := routers[0].API
+		api.Send(Broadcast, data)
+		api.Send(Broadcast, rreq)
+		api.Drop(data)
+		api.Drop(rreq)
+	})
+	if err := w.Run(2); err != nil {
+		t.Fatal(err)
+	}
+	c := w.Collector()
+	if c.DataForwarded != 1 || c.DataBytes != data.Size {
+		t.Errorf("data charged %d packets, %d bytes; want 1, %d", c.DataForwarded, c.DataBytes, data.Size)
+	}
+	if c.Control[KindRREQ] != 1 || c.ControlBytes != rreq.Size {
+		t.Errorf("control charged %v, %d bytes; want RREQ 1, %d", c.Control, c.ControlBytes, rreq.Size)
+	}
+	if c.DataDropped != 1 {
+		t.Errorf("dropped = %d, want 1: only the data packet's drop counts", c.DataDropped)
+	}
+}
+
 func TestUnicastFilteredAtDispatch(t *testing.T) {
 	w, routers, ids := newTestWorld(t, 3, 50) // all in range of each other
 	w.AddFlow(ids[0], ids[1], 1, 1, 1, 256)
