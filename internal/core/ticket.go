@@ -28,10 +28,9 @@ func WithMetric(m Metric) TicketOption {
 }
 
 // WithScorer scores links with a function of the router's metric, which
-// makes a protocol of its own: name is what the router answers to and
-// labels its packets with (the hybrid probability+mobility router the
-// paper's conclusion proposes is the one user; tests use it to set link
-// scores). f gets the metric's value for the link, read through the
+// makes a protocol of its own: name is what the router answers to (the
+// hybrid probability+mobility router the paper's conclusion proposes is the
+// one user; tests use it to set link scores). f gets the metric's value for the link, read through the
 // router's memo, and must return seconds of predicted usable lifetime; the
 // threshold and path-min composition still apply. f must be non-decreasing
 // in that value: the router ranks links by f over the metric's closed-form
@@ -129,7 +128,7 @@ func NewTicketRouter(opts ...TicketOption) netstack.RouterFactory {
 		for _, o := range opts {
 			o(r)
 		}
-		r.Init(r.Name(), 1.0, r.routed, r.forward, r.sendProbes)
+		r.Init(1.0, r.routed, r.forward, r.sendProbes)
 		r.sel = routing.NewSelection(selectionWindow, r.answer)
 		return r
 	}
@@ -524,7 +523,7 @@ func (r *TicketRouter) reportBreak(path []netstack.NodeID, selfIdx int) {
 func (r *TicketRouter) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
 	r.API.ForgetNeighbor(to)
 	hdr, ok := pkt.Payload.(routing.SourceRoute)
-	if !ok || !pkt.Data {
+	if !ok || pkt.Kind != netstack.KindData {
 		return
 	}
 	if r.API.Self() == hdr.Path[0] {

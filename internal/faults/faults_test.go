@@ -25,7 +25,7 @@ func (r *floodRouter) Name() string { return "flood-test" }
 
 func (r *floodRouter) Originate(dst netstack.NodeID, size int) {
 	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindData, Data: true, Proto: "flood-test",
+		UID: r.API.NewUID(), Kind: netstack.KindData,
 		Src: r.API.Self(), Dst: dst, TTL: 4, Size: size, Created: r.API.Now(),
 	}
 	r.API.Send(netstack.Broadcast, pkt)

@@ -57,8 +57,7 @@ func (w *World) sendBeacon(n *node) {
 	b := pkt.Payload.(*beacon)
 	b.kind, b.pos, b.vel = n.kind, n.pos, n.vel
 	*pkt = Packet{ // unnumbered: UID stays 0
-		Kind: KindHello, Proto: "hello",
-		Src: n.id, Dst: Broadcast, From: n.id, To: Broadcast,
+		Kind: KindHello, Src: n.id, Dst: Broadcast, From: n.id, To: Broadcast,
 		TTL: 1, Size: beaconSize, Created: w.eng.Now(),
 		Payload: b,
 	}

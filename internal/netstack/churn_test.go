@@ -19,7 +19,7 @@ func (r *churnRouter) Name() string { return "churn-test" }
 
 func (r *churnRouter) Originate(dst NodeID, size int) {
 	pkt := &Packet{
-		UID: r.API.NewUID(), Kind: KindData, Data: true, Proto: "churn-test",
+		UID: r.API.NewUID(), Kind: KindData,
 		Src: r.API.Self(), Dst: dst, TTL: 6, Size: size, Created: r.API.Now(),
 	}
 	r.API.Send(Broadcast, pkt)

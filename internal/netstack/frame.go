@@ -35,7 +35,7 @@ func (w *World) sendFrame(n *node, to NodeID, pkt *Packet, final bool) {
 	pkt.final = final
 	pkt.From = n.id
 	pkt.To = to
-	if pkt.Data {
+	if pkt.Kind == KindData {
 		w.col.DataForwarded++
 		w.col.DataBytes += pkt.Size
 	} else {

@@ -21,7 +21,7 @@ func (r *invariantRouter) NeedsBeacons() bool { return false }
 
 func (r *invariantRouter) Originate(dst NodeID, size int) {
 	pkt := &Packet{
-		UID: r.API.NewUID(), Kind: KindData, Data: true, Proto: "invariant",
+		UID: r.API.NewUID(), Kind: KindData,
 		Src: r.API.Self(), Dst: dst, TTL: 8, Size: size, Created: r.API.Now(),
 	}
 	r.API.Send(Broadcast, pkt)

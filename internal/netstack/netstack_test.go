@@ -44,7 +44,7 @@ func (e *echoRouter) HandlePacket(pkt *Packet) {
 
 func (e *echoRouter) Originate(dst NodeID, size int) {
 	pkt := &Packet{
-		UID: e.API.NewUID(), Kind: KindData, Data: true, Proto: "echo",
+		UID: e.API.NewUID(), Kind: KindData,
 		Src: e.API.Self(), Dst: dst, TTL: 8, Size: size, Created: e.API.Now(),
 	}
 	e.API.Send(dst, pkt)
@@ -152,7 +152,7 @@ func TestSendChargesByKind(t *testing.T) {
 		routers = append(routers, r)
 		return r
 	})
-	data := &Packet{UID: 1, Kind: KindData, Data: true, Src: ids[0], Dst: ids[1], TTL: 8, Size: 256}
+	data := &Packet{UID: 1, Kind: KindData, Src: ids[0], Dst: ids[1], TTL: 8, Size: 256}
 	rreq := &Packet{UID: 2, Kind: KindRREQ, Src: ids[0], Dst: ids[1], TTL: 8, Size: 48}
 	w.Engine().At(1, func() {
 		api := routers[0].API
@@ -199,7 +199,7 @@ func TestDispatchClonesPerReceiver(t *testing.T) {
 	w.Engine().At(1, func() {
 		n := w.nodeByID(ids[0])
 		pkt := &Packet{
-			UID: 99, Kind: KindData, Data: true, Proto: "echo",
+			UID: 99, Kind: KindData,
 			Src: ids[0], Dst: Broadcast, TTL: 8, Size: 64, Created: w.eng.Now(),
 		}
 		w.sendFrame(n, Broadcast, pkt, false)
@@ -277,7 +277,7 @@ func TestSendFailedPropagates(t *testing.T) {
 	w.Engine().At(1, func() {
 		n := w.nodeByID(ids[0])
 		pkt := &Packet{
-			UID: 5, Kind: KindData, Data: true, Proto: "echo",
+			UID: 5, Kind: KindData,
 			Src: ids[0], Dst: far, TTL: 8, Size: 64, Created: 1,
 		}
 		w.sendFrame(n, far, pkt, false)

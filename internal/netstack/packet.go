@@ -28,9 +28,8 @@ const (
 	BusNode = linkstate.BusNode
 )
 
-// Common packet kind names used for metrics accounting. Protocols may
-// define additional kinds; these cover the survey's control packet
-// vocabulary (Sec. III-A).
+// Packet kinds: what a packet is. KindData is application data; every other
+// kind is control, from the survey's control packet vocabulary (Sec. III-A).
 const (
 	KindData   = "DATA"
 	KindHello  = "HELLO"
@@ -45,9 +44,7 @@ const (
 // per transmission; Src/Dst are end-to-end.
 type Packet struct {
 	UID     uint64 // unique per originated packet; forwarded copies share it
-	Kind    string // metrics label, e.g. KindData, KindRREQ
-	Data    bool   // true for application data, false for control
-	Proto   string // owning protocol name
+	Kind    string // what the packet is: KindData, or a control kind
 	Src     NodeID
 	Dst     NodeID // end-to-end destination; Broadcast for dissemination
 	From    NodeID // last-hop sender
@@ -81,6 +78,6 @@ func (p *Packet) Expired() bool { return p.TTL <= 0 }
 
 // String implements fmt.Stringer.
 func (p *Packet) String() string {
-	return fmt.Sprintf("%s[%s] uid=%d %d→%d (hop %d→%d ttl=%d)",
-		p.Proto, p.Kind, p.UID, p.Src, p.Dst, p.From, p.To, p.TTL)
+	return fmt.Sprintf("%s uid=%d %d→%d (hop %d→%d ttl=%d)",
+		p.Kind, p.UID, p.Src, p.Dst, p.From, p.To, p.TTL)
 }

@@ -41,7 +41,7 @@ func TestPacketPoolRoundTripAllocFree(t *testing.T) {
 // from its previous life.
 func TestPacketPoolScrubs(t *testing.T) {
 	w := NewWorld(Config{Seed: 1}, mobility.NewPlayback(nil))
-	p := &Packet{UID: 7, Kind: KindData, Data: true, TTL: 3, Hops: 2, Payload: "stale"}
+	p := &Packet{UID: 7, Kind: KindData, TTL: 3, Hops: 2, Payload: "stale"}
 	w.putPacket(p)
 	got := w.getPacket()
 	if got != p {
@@ -91,7 +91,7 @@ func (r *poolFlooder) NeedsBeacons() bool { return false }
 
 func (r *poolFlooder) Originate(dst NodeID, size int) {
 	pkt := &Packet{
-		UID: r.API.NewUID(), Kind: KindData, Data: true, Proto: r.Name(),
+		UID: r.API.NewUID(), Kind: KindData,
 		Src: r.API.Self(), Dst: dst, TTL: 16, Size: size, Created: r.API.Now(),
 	}
 	r.seen[pkt.UID] = true
@@ -205,7 +205,7 @@ func finalWorld(t *testing.T, cfg mac.Config) (*World, []*sinkRouter, func() *Pa
 	newPkt := func() *Packet {
 		uid++
 		p := w.getPacket()
-		*p = Packet{UID: uid, Kind: KindData, Data: true, Proto: "echo", Src: 0, Dst: Broadcast, TTL: 4, Size: 200, Created: w.eng.Now()}
+		*p = Packet{UID: uid, Kind: KindData, Src: 0, Dst: Broadcast, TTL: 4, Size: 200, Created: w.eng.Now()}
 		return p
 	}
 	return w, routers, newPkt
@@ -339,7 +339,7 @@ func TestSendFinalMarkStaysWithTheSender(t *testing.T) {
 	var sent *Packet
 	w.eng.At(1, func() {
 		sent = w.getPacket()
-		*sent = Packet{UID: 7, Kind: KindData, Data: true, Proto: "echo", Src: 0, Dst: Broadcast, TTL: 2, Size: 200}
+		*sent = Packet{UID: 7, Kind: KindData, Src: 0, Dst: Broadcast, TTL: 2, Size: 200}
 		sender.API.SendFinal(Broadcast, sent)
 	})
 	if err := w.Run(2); err != nil {

@@ -192,10 +192,11 @@ func (a *API) Deliver(pkt *Packet) bool {
 	return first
 }
 
-// Drop reports that a data packet was abandoned (no route, TTL, queue
-// overflow).
+// Drop reports that a packet was abandoned (no route, TTL, queue
+// overflow). Only data drops are counted, so a router may call it on any
+// packet it gives up.
 func (a *API) Drop(pkt *Packet) {
-	if pkt.Data {
+	if pkt.Kind == KindData {
 		a.world.col.DataDropped++
 	}
 }

@@ -38,7 +38,7 @@ type rreq struct {
 func New() netstack.RouterFactory {
 	return func() netstack.Router {
 		r := &Router{}
-		r.Init(r.Name(), 1.0, r.request)
+		r.Init(1.0, r.request)
 		return r
 	}
 }

@@ -53,7 +53,7 @@ type rerr struct {
 func New() netstack.RouterFactory {
 	return func() netstack.Router {
 		r := &Router{}
-		r.Init(r.Name(), 1, r.request)
+		r.Init(1, r.request)
 		return r
 	}
 }

@@ -46,7 +46,7 @@ func (r *Router) Attach(api *netstack.API) {
 	if api.Kind() == netstack.BusNode {
 		ttl = busBufferTTL
 	}
-	r.Init(r.Name(), ttl, r.accept, r.handOff)
+	r.Init(ttl, r.accept, r.handOff)
 	r.Carrier.Attach(api)
 }
 

@@ -130,7 +130,7 @@ type Router struct {
 func New(dmap *DensityMap) netstack.RouterFactory {
 	return func() netstack.Router {
 		r := &Router{dmap: dmap}
-		r.Init(r.Name(), 8, r.route, r.retry)
+		r.Init(8, r.route, r.retry)
 		return r
 	}
 }
@@ -140,7 +140,7 @@ func (r *Router) Name() string { return "CAR" }
 
 // Originate implements netstack.Router.
 func (r *Router) Originate(dst netstack.NodeID, size int) {
-	pkt := routing.NewData(r.API, r.Name(), dst, size)
+	pkt := routing.NewData(r.API, dst, size)
 	if dst == r.API.Self() {
 		r.API.Deliver(pkt)
 		return

@@ -39,7 +39,6 @@ func Drop() Hop { return Hop{verdict: drop} }
 // a packet being carried.
 type Carrier struct {
 	netstack.Base
-	name    string
 	timeout float64
 	route   func(*netstack.Packet) Hop
 	retry   func(*netstack.Packet) Hop
@@ -51,12 +50,11 @@ type carried struct {
 	since float64
 }
 
-// Init binds the protocol half. name labels the packets this router
-// builds; route decides for a packet that was just originated, received or
-// handed back by the MAC; retry decides, at each sweep, for a packet carried
-// for at most timeout seconds.
-func (c *Carrier) Init(name string, timeout float64, route, retry func(*netstack.Packet) Hop) {
-	c.name, c.timeout, c.route, c.retry = name, timeout, route, retry
+// Init binds the protocol half. route decides for a packet that was just
+// originated, received or handed back by the MAC; retry decides, at each
+// sweep, for a packet carried for at most timeout seconds.
+func (c *Carrier) Init(timeout float64, route, retry func(*netstack.Packet) Hop) {
+	c.timeout, c.route, c.retry = timeout, route, retry
 }
 
 // Attach implements netstack.Router and arms the sweep at a per-node phase.
@@ -67,7 +65,7 @@ func (c *Carrier) Attach(api *netstack.API) {
 
 // Originate implements netstack.Router.
 func (c *Carrier) Originate(dst netstack.NodeID, size int) {
-	pkt := NewData(c.API, c.name, dst, size)
+	pkt := NewData(c.API, dst, size)
 	if dst == c.API.Self() {
 		c.API.Deliver(pkt)
 		return

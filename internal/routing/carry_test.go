@@ -33,7 +33,7 @@ func stubWorld(t *testing.T, vehicles []routetest.Vehicle, timeout float64,
 	var stubs []*stubCarrier
 	w, ids := routetest.World(t, 1, vehicles, func() netstack.Router {
 		s := &stubCarrier{route: route, retry: retry}
-		s.Init(s.Name(), timeout, func(pkt *netstack.Packet) routing.Hop {
+		s.Init(timeout, func(pkt *netstack.Packet) routing.Hop {
 			s.routed++
 			s.knewWatched = s.API.HasNeighbor(s.watch)
 			return s.route(pkt)
@@ -106,7 +106,7 @@ func TestSendFailedForgetsThenReroutes(t *testing.T) {
 	}
 	c := w.Collector()
 
-	s.OnSendFailed(&netstack.Packet{Kind: netstack.KindData, Data: true, Dst: 9, TTL: 2}, ids[1])
+	s.OnSendFailed(&netstack.Packet{Kind: netstack.KindData, Dst: 9, TTL: 2}, ids[1])
 	if s.routed != 1 || s.knewWatched {
 		t.Fatalf("routed %d times, neighbor still known while routing: %v; want the neighbor forgotten first", s.routed, s.knewWatched)
 	}
@@ -114,7 +114,7 @@ func TestSendFailedForgetsThenReroutes(t *testing.T) {
 		t.Fatalf("carried %d, dropped %d; want the re-routed packet carried", s.Carried(), c.DataDropped)
 	}
 
-	s.OnSendFailed(&netstack.Packet{Kind: netstack.KindData, Data: true, Dst: 9, TTL: 1}, ids[1])
+	s.OnSendFailed(&netstack.Packet{Kind: netstack.KindData, Dst: 9, TTL: 1}, ids[1])
 	if s.routed != 1 || s.Carried() != 1 || c.DataDropped != 1 {
 		t.Fatalf("out of TTL: routed %d, carried %d, dropped %d; want it dropped, not routed or carried",
 			s.routed, s.Carried(), c.DataDropped)

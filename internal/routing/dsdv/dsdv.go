@@ -59,7 +59,7 @@ func (r *Router) advertise() {
 		routes = append(routes, advert{Dst: dst, Seq: rt.Seq, Hops: rt.Hops})
 	}
 	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindUpdate, Proto: r.Name(),
+		UID: r.API.NewUID(), Kind: netstack.KindUpdate,
 		Src: r.API.Self(), Dst: netstack.Broadcast, TTL: 1,
 		Size: 16 + 12*len(routes), Created: now,
 		Payload: update{Routes: routes},
@@ -113,7 +113,7 @@ func (r *Router) handleUpdate(pkt *netstack.Packet) {
 // Originate implements netstack.Router: proactive routing either has the
 // route or drops (no discovery latency, no buffering).
 func (r *Router) Originate(dst netstack.NodeID, size int) {
-	pkt := routing.NewData(r.API, r.Name(), dst, size)
+	pkt := routing.NewData(r.API, dst, size)
 	if dst == r.API.Self() {
 		r.API.Deliver(pkt)
 		return
@@ -141,7 +141,7 @@ func (r *Router) OnNeighborExpired(id netstack.NodeID) {
 		routes = append(routes, advert{Dst: dst, Seq: rt.Seq + 1, Hops: -1})
 	}
 	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindUpdate, Proto: r.Name(),
+		UID: r.API.NewUID(), Kind: netstack.KindUpdate,
 		Src: r.API.Self(), Dst: netstack.Broadcast, TTL: 1,
 		Size: 16 + 12*len(routes), Created: now,
 		Payload: update{Routes: routes},

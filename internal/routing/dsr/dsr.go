@@ -48,7 +48,7 @@ func New() netstack.RouterFactory {
 			cache: make(map[netstack.NodeID][]netstack.NodeID),
 			dup:   routing.NewDupCache(15),
 		}
-		r.Init(r.Name(), 1.0, r.routed, r.forward, r.request)
+		r.Init(1.0, r.routed, r.forward, r.request)
 		return r
 	}
 }
@@ -195,15 +195,13 @@ func (r *Router) OnNeighborExpired(id netstack.NodeID) {
 // link and send the RERR the in-band salvage check would have sent.
 func (r *Router) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
 	r.API.ForgetNeighbor(to)
-	if hdr, ok := pkt.Payload.(routing.SourceRoute); ok && pkt.Data && len(hdr.Path) > 0 {
+	if hdr, ok := pkt.Payload.(routing.SourceRoute); ok && pkt.Kind == netstack.KindData && len(hdr.Path) > 0 {
 		r.API.Metrics().RouteBreaks++
 		r.reportBreak(hdr.Path[0], r.API.Self(), to)
 	} else {
 		r.truncateCaches(r.API.Self(), to)
 	}
-	if pkt.Data {
-		r.API.Drop(pkt)
-	}
+	r.API.Drop(pkt)
 }
 
 // CacheLen exposes the cache size for tests.

@@ -22,7 +22,7 @@ type Router struct{ routing.Flooder }
 func New() netstack.RouterFactory {
 	return func() netstack.Router {
 		r := &Router{}
-		r.Init(r.Name(), nil, nil)
+		r.Init(nil, nil)
 		return r
 	}
 }
@@ -50,7 +50,7 @@ const (
 func NewBiswas() netstack.RouterFactory {
 	return func() netstack.Router {
 		b := &Biswas{retry: make(map[uint64]sim.TimerID)}
-		b.Init(b.Name(), nil, b.sendWithAck)
+		b.Init(nil, b.sendWithAck)
 		return b
 	}
 }

@@ -13,23 +13,21 @@ import "github.com/vanetlab/relroute/internal/netstack"
 // no golden shows it.
 type Flooder struct {
 	netstack.Base
-	name     string
 	dup      *DupCache
 	relay    func(*netstack.Packet) bool
 	outbound func(pkt *netstack.Packet, origin bool) (kept bool)
 }
 
-// Init binds the protocol half. name labels the packets this router
-// builds. relay answers whether this node rebroadcasts a first copy still
-// in flight (nil: always); a false is a silent release, not a Drop.
-// outbound, if not nil, sees every packet this node is about to put on the
-// air, its own (origin) or a rebroadcast. It may amend the packet and
-// report false, leaving the sending to the core, or take custody: transmit
-// it with API.Send, keep it, and report true. The core never releases a
-// packet in custody, and neither may the protocol while a transmission of
-// it can still sit in the MAC queue.
-func (f *Flooder) Init(name string, relay func(*netstack.Packet) bool, outbound func(pkt *netstack.Packet, origin bool) (kept bool)) {
-	f.name, f.relay, f.outbound = name, relay, outbound
+// Init binds the protocol half. relay answers whether this node
+// rebroadcasts a first copy still in flight (nil: always); a false is a
+// silent release, not a Drop. outbound, if not nil, sees every packet this
+// node is about to put on the air, its own (origin) or a rebroadcast. It
+// may amend the packet and report false, leaving the sending to the core,
+// or take custody: transmit it with API.Send, keep it, and report true. The
+// core never releases a packet in custody, and neither may the protocol
+// while a transmission of it can still sit in the MAC queue.
+func (f *Flooder) Init(relay func(*netstack.Packet) bool, outbound func(pkt *netstack.Packet, origin bool) (kept bool)) {
+	f.relay, f.outbound = relay, outbound
 	f.dup = NewDupCache(30)
 }
 
@@ -39,7 +37,7 @@ func (f *Flooder) NeedsBeacons() bool { return false }
 // Originate implements netstack.Router. The source always transmits,
 // whatever relay would say.
 func (f *Flooder) Originate(dst netstack.NodeID, size int) {
-	pkt := NewData(f.API, f.name, dst, size)
+	pkt := NewData(f.API, dst, size)
 	if dst == f.API.Self() {
 		f.API.Deliver(pkt)
 		return

@@ -27,7 +27,7 @@ func floodWorld(t *testing.T) (*netstack.World, []netstack.NodeID, *stubFlooder)
 	var stubs []*stubFlooder
 	w, ids := routetest.World(t, 1, pair(), func() netstack.Router {
 		s := &stubFlooder{relay: true}
-		s.Init(s.Name(), func(*netstack.Packet) bool {
+		s.Init(func(*netstack.Packet) bool {
 			s.asked++
 			return s.relay
 		}, func(_ *netstack.Packet, origin bool) bool {
@@ -49,7 +49,7 @@ func floodWorld(t *testing.T) (*netstack.World, []netstack.NodeID, *stubFlooder)
 
 // flooded is a copy of a flooded packet from a node outside the world.
 func flooded(uid uint64, dst netstack.NodeID, ttl int) netstack.Packet {
-	return netstack.Packet{UID: uid, Kind: netstack.KindData, Data: true, Proto: "stub", Src: 9, Dst: dst, TTL: ttl, Size: 64}
+	return netstack.Packet{UID: uid, Kind: netstack.KindData, Src: 9, Dst: dst, TTL: ttl, Size: 64}
 }
 
 func data(uid uint64, dst netstack.NodeID, ttl int) *netstack.Packet {
@@ -88,7 +88,6 @@ func TestFloodedPacketFate(t *testing.T) {
 			c := w.Collector()
 			pkt := data(7, tc.dst, tc.ttl)
 			pkt.Kind = tc.kind
-			pkt.Data = tc.kind == netstack.KindData
 			s.HandlePacket(pkt)
 			if c.DataDelivered != tc.delivered || c.DataForwarded != tc.sent || c.DataDropped != tc.dropped || s.asked != tc.asked {
 				t.Fatalf("delivered %d, sent %d, dropped %d, relay asked %d times; want %d, %d, %d, %d",

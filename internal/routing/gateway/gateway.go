@@ -26,7 +26,7 @@ type Router struct {
 func New() netstack.RouterFactory {
 	return func() netstack.Router {
 		r := &Router{}
-		r.Init(r.Name(), r.isGateway, nil)
+		r.Init(r.isGateway, nil)
 		return r
 	}
 }

@@ -34,7 +34,7 @@ func New() netstack.RouterFactory {
 	return func() netstack.Router {
 		r := &Router{}
 		// a carried packet is retried by the rule it was routed by
-		r.Init(r.Name(), carryTimeout, r.route, r.route)
+		r.Init(carryTimeout, r.route, r.route)
 		return r
 	}
 }

@@ -37,7 +37,7 @@ type Router struct {
 func New() netstack.RouterFactory {
 	return func() netstack.Router {
 		r := &Router{}
-		r.Init(r.Name(), 8, r.route, r.retry)
+		r.Init(8, r.route, r.retry)
 		return r
 	}
 }

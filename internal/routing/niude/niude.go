@@ -59,7 +59,7 @@ type rreq struct {
 func New() netstack.RouterFactory {
 	return func() netstack.Router {
 		r := &Router{}
-		r.Init(r.Name(), 1.0, r.request)
+		r.Init(1.0, r.request)
 		r.sel = routing.NewSelection(0.3, r.answer)
 		return r
 	}

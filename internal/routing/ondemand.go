@@ -16,31 +16,30 @@ type Discovery struct {
 	trying  map[netstack.NodeID]int // dst → requests left while a discovery is in flight
 	reqID   uint64
 
-	name    string
 	timeout float64
 	routed  func(dst netstack.NodeID) bool
 	forward func(pkt *netstack.Packet)
 	request func(dst netstack.NodeID, reqID uint64) bool
 }
 
-// Init binds the protocol half. name labels the packets this router
-// builds; routed reports whether data for dst can leave now; forward sends
+// Init binds the protocol half. routed reports whether data for dst can
+// leave now; forward sends
 // a packet whose destination routed just accepted; request sends one
 // discovery round for dst under the given request number and reports false
 // when there was nobody to ask, which ends the discovery at once. A silent
 // round is repeated timeout seconds later.
-func (d *Discovery) Init(name string, timeout float64, routed func(netstack.NodeID) bool,
+func (d *Discovery) Init(timeout float64, routed func(netstack.NodeID) bool,
 	forward func(*netstack.Packet), request func(netstack.NodeID, uint64) bool) {
 	d.pending = NewPendingQueue()
 	d.trying = make(map[netstack.NodeID]int)
-	d.name, d.timeout = name, timeout
+	d.timeout = timeout
 	d.routed, d.forward, d.request = routed, forward, request
 }
 
-// Control builds a control packet of this protocol from this node.
+// Control builds a control packet of the given kind from this node.
 func (d *Discovery) Control(kind string, dst netstack.NodeID, size int, payload any) *netstack.Packet {
 	return &netstack.Packet{
-		UID: d.API.NewUID(), Kind: kind, Proto: d.name,
+		UID: d.API.NewUID(), Kind: kind,
 		Src: d.API.Self(), Dst: dst, TTL: DefaultTTL, Size: size,
 		Created: d.API.Now(), Payload: payload,
 	}
@@ -49,7 +48,7 @@ func (d *Discovery) Control(kind string, dst netstack.NodeID, size int, payload 
 // Originate implements netstack.Router: send on the route there is, or
 // queue and discover.
 func (d *Discovery) Originate(dst netstack.NodeID, size int) {
-	pkt := NewData(d.API, d.name, dst, size)
+	pkt := NewData(d.API, dst, size)
 	if dst == d.API.Self() {
 		d.API.Deliver(pkt)
 		return
@@ -164,11 +163,11 @@ type OnDemand struct {
 	rreq  func(dst netstack.NodeID, reqID uint64) *netstack.Packet
 }
 
-// Init binds the protocol's name, its discovery timeout and rreq, which
-// builds (Control does most of it) the RREQ to flood for dst.
-func (c *OnDemand) Init(name string, timeout float64, rreq func(netstack.NodeID, uint64) *netstack.Packet) {
+// Init binds the protocol's discovery timeout and rreq, which builds
+// (Control does most of it) the RREQ to flood for dst.
+func (c *OnDemand) Init(timeout float64, rreq func(netstack.NodeID, uint64) *netstack.Packet) {
 	c.table, c.dup, c.rreq = NewTable(), NewDupCache(15), rreq
-	c.Discovery.Init(name, timeout, c.routed, c.forward, c.flood)
+	c.Discovery.Init(timeout, c.routed, c.forward, c.flood)
 }
 
 // Table exposes the route table.
@@ -276,9 +275,7 @@ func (c *OnDemand) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
 func SendFailed(api *netstack.API, pkt *netstack.Packet, to netstack.NodeID, lost func(netstack.NodeID)) {
 	api.ForgetNeighbor(to)
 	lost(to)
-	if pkt.Data {
-		api.Drop(pkt)
-	}
+	api.Drop(pkt)
 }
 
 // reply is the route reply of the on-demand routers but AODV: the

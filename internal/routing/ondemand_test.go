@@ -118,7 +118,7 @@ func TestSendFailureInvalidatesEveryRouteViaHop(t *testing.T) {
 			}
 			c := w.Collector()
 			breaks, dropped := c.RouteBreaks, c.DataDropped
-			src.OnSendFailed(&netstack.Packet{Kind: netstack.KindData, Data: true, Src: ids[0], Dst: ids[3]}, ids[1])
+			src.OnSendFailed(&netstack.Packet{Kind: netstack.KindData, Src: ids[0], Dst: ids[3]}, ids[1])
 			for _, dst := range ids[1:] {
 				if _, ok := src.Table().Lookup(dst, now); ok {
 					t.Errorf("route to %d survived the failure of its next hop", dst)

@@ -42,7 +42,7 @@ type rreq struct {
 func New() netstack.RouterFactory {
 	return func() netstack.Router {
 		r := &Router{}
-		r.Init(r.Name(), 1.0, r.request)
+		r.Init(1.0, r.request)
 		r.sel = routing.NewSelection(selectionWindow, r.answer)
 		return r
 	}

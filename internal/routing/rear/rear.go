@@ -28,7 +28,7 @@ func New() netstack.RouterFactory {
 	return func() netstack.Router {
 		r := &Router{}
 		// alarm messages must survive short voids: carry for up to 6 s
-		r.Init(r.Name(), 6, r.route, r.retry)
+		r.Init(6, r.route, r.retry)
 		return r
 	}
 }

@@ -77,7 +77,6 @@ func MustDeliverAll(t *testing.T, w *netstack.World, src, dst netstack.NodeID, c
 type Heard struct {
 	At       netstack.NodeID // the receiving node
 	Src, Dst netstack.NodeID
-	Proto    string
 }
 
 // Recorder returns a factory of routers that beacon, route nothing and
@@ -95,5 +94,5 @@ type recorder struct {
 func (r *recorder) Name() string                   { return "recorder" }
 func (r *recorder) Originate(netstack.NodeID, int) {}
 func (r *recorder) HandlePacket(pkt *netstack.Packet) {
-	*r.log = append(*r.log, Heard{At: r.API.Self(), Src: pkt.Src, Dst: pkt.Dst, Proto: pkt.Proto})
+	*r.log = append(*r.log, Heard{At: r.API.Self(), Src: pkt.Src, Dst: pkt.Dst})
 }

@@ -22,9 +22,9 @@ const DefaultTTL = 32
 
 // NewData builds the data packet a router originates for dst: a fresh UID,
 // the full hop budget, stamped with the node and the current time.
-func NewData(api *netstack.API, proto string, dst netstack.NodeID, size int) *netstack.Packet {
+func NewData(api *netstack.API, dst netstack.NodeID, size int) *netstack.Packet {
 	return &netstack.Packet{
-		UID: api.NewUID(), Kind: netstack.KindData, Data: true, Proto: proto,
+		UID: api.NewUID(), Kind: netstack.KindData,
 		Src: api.Self(), Dst: dst, TTL: DefaultTTL, Size: size,
 		Created: api.Now(),
 	}

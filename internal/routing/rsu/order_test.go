@@ -38,7 +38,7 @@ func rsuWorld(t *testing.T, vehPos, rsuPos []geom.Vec2) (*netstack.World, []nets
 }
 
 func data(src, dst netstack.NodeID) *netstack.Packet {
-	return &netstack.Packet{Kind: netstack.KindData, Data: true, Src: src, Dst: dst, TTL: 8, Size: 64}
+	return &netstack.Packet{Kind: netstack.KindData, Src: src, Dst: dst, TTL: 8, Size: 64}
 }
 
 func TestFlushBuffersSendsInDestinationOrder(t *testing.T) {

@@ -139,7 +139,7 @@ func (u *UnitRouter) OnBeacon(from netstack.NodeID, kind netstack.NodeKind) {
 // Originate implements netstack.Router: RSUs do not originate app data in
 // the experiments; treat as deliver-to-self or drop.
 func (u *UnitRouter) Originate(dst netstack.NodeID, size int) {
-	u.handleData(routing.NewData(u.API, u.Name(), dst, size))
+	u.handleData(routing.NewData(u.API, dst, size))
 }
 
 // HandlePacket implements netstack.Router.
@@ -241,7 +241,7 @@ func (u *UnitRouter) flushBuffers() {
 // mid-delivery — re-buffer and retry on the sweep.
 func (u *UnitRouter) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
 	u.API.ForgetNeighbor(to)
-	if pkt.Data && pkt.Dst == to {
+	if pkt.Kind == netstack.KindData && pkt.Dst == to {
 		u.buffer(pkt)
 	}
 }
@@ -267,7 +267,7 @@ type VehicleRouter struct {
 func NewVehicle() netstack.RouterFactory {
 	return func() netstack.Router {
 		v := &VehicleRouter{}
-		v.Init(v.Name(), 5, v.route, v.retry)
+		v.Init(5, v.route, v.retry)
 		return v
 	}
 }

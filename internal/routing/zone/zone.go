@@ -28,7 +28,7 @@ type Router struct {
 func New() netstack.RouterFactory {
 	return func() netstack.Router {
 		r := &Router{}
-		r.Init(r.Name(), r.inZone, r.stamp)
+		r.Init(r.inZone, r.stamp)
 		return r
 	}
 }
