@@ -51,7 +51,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		model = mobility.NewRoadModel(net, rng, mobility.ContinueRandom)
+		model = mobility.NewRoadModel(net, rng)
 		mobility.Populate(model, rng, mobility.PopulateOptions{
 			Count: *vehicles, SpeedMean: *speed, SpeedStd: *speedStd,
 		})

@@ -164,7 +164,7 @@ func Fig4Direction(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	rng := newRand(cfg.seed())
-	model := mobility.NewRoadModel(net, rng, mobility.ContinueRandom)
+	model := mobility.NewRoadModel(net, rng)
 	mobility.Populate(model, rng, mobility.PopulateOptions{
 		Count: vehicles / 2, SpeedMean: 28, SpeedStd: 5,
 		Segments: []roadnet.SegmentID{eb},

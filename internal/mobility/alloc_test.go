@@ -14,7 +14,7 @@ func TestStatesIntoAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewRoadModel(net, rand.New(rand.NewSource(1)), ContinueRandom)
+	m := NewRoadModel(net, rand.New(rand.NewSource(1)))
 	for i := 0; i < 100; i++ {
 		seg := eb
 		if i%2 == 1 {
@@ -41,7 +41,7 @@ func TestStatesIntoMatchesStates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewRoadModel(net, rand.New(rand.NewSource(2)), ContinueRandom)
+	m := NewRoadModel(net, rand.New(rand.NewSource(2)))
 	for i := 0; i < 20; i++ {
 		m.AddVehicle(eb, i%2, float64(i)*30, DefaultIDM(28), Car)
 	}

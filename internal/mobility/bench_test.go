@@ -13,7 +13,7 @@ func benchModel(b *testing.B, vehicles int) *RoadModel {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := NewRoadModel(net, rand.New(rand.NewSource(1)), ContinueRandom)
+	m := NewRoadModel(net, rand.New(rand.NewSource(1)))
 	for i := 0; i < vehicles; i++ {
 		seg := eb
 		if i%2 == 1 {

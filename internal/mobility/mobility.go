@@ -131,13 +131,12 @@ type vehicle struct {
 
 // memberMove records one vehicle leaving the lane list it occupied at the
 // start of the lane-change or junction phase — because it changed lane,
-// crossed a junction, or despawned. The phase only records; applyMoves
-// performs the ordered remove (and, unless gone, the ordered reinsert
-// under the vehicle's new key) once the phase has seen every vehicle.
+// crossed a junction, or parked at a dead end. The phase only records;
+// applyMoves performs the ordered remove and the ordered reinsert under
+// the vehicle's new key once the phase has seen every vehicle.
 type memberMove struct {
 	v      *vehicle
 	oldKey int32 // index into order the vehicle is being removed from
-	gone   bool  // despawned: remove without reinsert
 }
 
 // random returns the vehicle's private RNG stream, materializing it on
@@ -158,18 +157,17 @@ func (v *vehicle) random() *rand.Rand {
 // NextSegment policy picks a continuation (ring roads loop forever,
 // Manhattan grids turn randomly).
 type RoadModel struct {
-	net   *roadnet.Network
-	vs    []*vehicle
-	rng   *rand.Rand
-	now   float64
-	exitP ExitPolicy
+	net *roadnet.Network
+	vs  []*vehicle
+	rng *rand.Rand
+	now float64
 	// order holds the per (segment, lane) vehicle lists, sorted by
 	// (offset, ID) and indexed densely by seg*maxLanes+lane — no map
 	// hashing in the per-vehicle hot path. Once listsLive is set the lists
 	// persist across ticks and are maintained incrementally: integration
 	// only perturbs order (fixed by the near-linear insertion resort), and
 	// every membership change — lane change, junction transition, spawn,
-	// despawn — is applied as an ordered remove/insert between phases.
+	// removal — is applied as an ordered remove/insert between phases.
 	// Rebuilding and fully sorting from scratch each tick was the single
 	// largest cost in dense worlds. vehBefore is a total order, so the
 	// incrementally maintained lists are byte-identical to scratch-built
@@ -197,22 +195,10 @@ type RoadModel struct {
 	maxSpeedLimit float64
 }
 
-// ExitPolicy decides what happens when a vehicle reaches the end of its
-// current segment with an empty route.
-type ExitPolicy int
-
-const (
-	// ContinueRandom picks a random outgoing segment (straight-biased).
-	ContinueRandom ExitPolicy = iota + 1
-	// Despawn removes the vehicle from the simulation.
-	Despawn
-)
-
-// NewRoadModel returns an empty road mobility model.
-func NewRoadModel(net *roadnet.Network, rng *rand.Rand, exit ExitPolicy) *RoadModel {
-	if exit == 0 {
-		exit = ContinueRandom
-	}
+// NewRoadModel returns an empty road mobility model. A vehicle that
+// reaches the end of its segment with an empty route takes a random
+// outgoing segment (straight-biased), or parks where there is none.
+func NewRoadModel(net *roadnet.Network, rng *rand.Rand) *RoadModel {
 	maxLanes := 1
 	maxLimit := 0.0
 	for s := 0; s < net.Segments(); s++ {
@@ -225,7 +211,7 @@ func NewRoadModel(net *roadnet.Network, rng *rand.Rand, exit ExitPolicy) *RoadMo
 		}
 	}
 	return &RoadModel{
-		net: net, rng: rng, exitP: exit,
+		net: net, rng: rng,
 		order:         make([][]*vehicle, net.Segments()*maxLanes),
 		maxLanes:      maxLanes,
 		maxSpeedLimit: maxLimit,
@@ -236,10 +222,10 @@ func NewRoadModel(net *roadnet.Network, rng *rand.Rand, exit ExitPolicy) *RoadMo
 // from seed over a counting source, so checkpoints can record and verify
 // its draw position. Scenario builders should prefer it; the draw
 // sequence is identical to NewRoadModel(net, rand.New(rand.NewSource(
-// seed)), exit).
-func NewRoadModelSeeded(net *roadnet.Network, seed int64, exit ExitPolicy) *RoadModel {
+// seed))).
+func NewRoadModelSeeded(net *roadnet.Network, seed int64) *RoadModel {
 	r, src := prng.Rand(seed)
-	m := NewRoadModel(net, r, exit)
+	m := NewRoadModel(net, r)
 	m.rngSrc = src
 	return m
 }
@@ -402,7 +388,7 @@ func (m *RoadModel) Advance(dt float64) {
 	// reads the lists, so the mid-tick splice is unobservable.
 	m.applyMoves()
 	// 4. junction transitions
-	for i, v := range m.vs {
+	for _, v := range m.vs {
 		if v == nil {
 			continue
 		}
@@ -411,19 +397,15 @@ func (m *RoadModel) Advance(dt float64) {
 			continue
 		}
 		// The vehicle leaves its current list: it either enters a new
-		// segment, despawns, or parks at a dead end (same key, new
-		// offset — still a remove+reinsert to keep the list sorted).
+		// segment or parks at a dead end (same key, new offset — still a
+		// remove+reinsert to keep the list sorted).
 		oldKey := int32(int(v.seg)*m.maxLanes + v.lane)
 		for v.offset >= seg.Length() {
 			over := v.offset - seg.Length()
 			next, ok := m.nextSegment(v)
 			if !ok {
-				if m.exitP == Despawn {
-					m.vs[i] = nil
-				} else {
-					v.offset = seg.Length()
-					v.speed = 0
-				}
+				v.offset = seg.Length()
+				v.speed = 0
 				break
 			}
 			v.seg = next
@@ -433,7 +415,7 @@ func (m *RoadModel) Advance(dt float64) {
 			}
 			v.offset = over
 		}
-		m.moves = append(m.moves, memberMove{v: v, oldKey: oldKey, gone: m.vs[i] == nil})
+		m.moves = append(m.moves, memberMove{v: v, oldKey: oldKey})
 	}
 	m.applyMoves()
 }
@@ -443,11 +425,9 @@ func (m *RoadModel) Advance(dt float64) {
 func (m *RoadModel) applyMoves() {
 	for _, mv := range m.moves {
 		m.removeOrdered(mv.oldKey, mv.v)
-		if !mv.gone {
-			m.insertOrdered(mv.v)
-		}
+		m.insertOrdered(mv.v)
 	}
-	clear(m.moves) // don't pin despawned vehicles through the reused buffer
+	clear(m.moves) // don't pin removed vehicles through the reused buffer
 	m.moves = m.moves[:0]
 }
 
@@ -489,7 +469,8 @@ func (m *RoadModel) insertOrdered(v *vehicle) {
 	}
 }
 
-// nextSegment pops the route or applies the exit policy.
+// nextSegment pops the route or picks a continuation: straight-biased,
+// and none at a dead end.
 func (m *RoadModel) nextSegment(v *vehicle) (roadnet.SegmentID, bool) {
 	if len(v.route) > 0 {
 		next := v.route[0]
@@ -498,9 +479,6 @@ func (m *RoadModel) nextSegment(v *vehicle) (roadnet.SegmentID, bool) {
 	}
 	choices := m.net.NextSegments(v.seg)
 	if len(choices) == 0 {
-		return 0, false
-	}
-	if m.exitP == Despawn {
 		return 0, false
 	}
 	// straight bias: prefer the continuation with the closest heading
@@ -769,7 +747,7 @@ func (m *RoadModel) StatesInto(dst []State) []State {
 
 // DigestInto folds the model's checkpoint-relevant state into d: the
 // mobility clock and, for every vehicle slot in ID order, the full
-// kinematic record plus the private RNG stream position. Despawned slots
+// kinematic record plus the private RNG stream position. Removed slots
 // digest as a tombstone so "vehicle 7 left" and "vehicle 7 never existed"
 // cannot collide. orderIdx and the order lists are per-tick scratch
 // rebuilt from this state, so they are intentionally excluded.

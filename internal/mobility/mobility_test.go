@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/vanetlab/relroute/internal/geom"
 	"github.com/vanetlab/relroute/internal/roadnet"
 )
 
@@ -52,7 +51,7 @@ func TestIDMBrakesForLeader(t *testing.T) {
 
 func TestNoNegativeSpeeds(t *testing.T) {
 	net, eb := testNet(t)
-	m := NewRoadModel(net, rand.New(rand.NewSource(1)), ContinueRandom)
+	m := NewRoadModel(net, rand.New(rand.NewSource(1)))
 	// a stopped vehicle right behind another
 	m.AddVehicle(eb, 0, 100, DefaultIDM(30), Car)
 	m.AddVehicle(eb, 0, 95, DefaultIDM(30), Car)
@@ -68,7 +67,7 @@ func TestNoNegativeSpeeds(t *testing.T) {
 
 func TestNoRearEndPassThrough(t *testing.T) {
 	net, eb := testNet(t)
-	m := NewRoadModel(net, rand.New(rand.NewSource(2)), ContinueRandom)
+	m := NewRoadModel(net, rand.New(rand.NewSource(2)))
 	// fast follower behind slow leader in the same lane; keep one lane to
 	// forbid overtaking
 	net1, eb1, _, err := roadnet.Highway(5000, 1, 40)
@@ -77,7 +76,7 @@ func TestNoRearEndPassThrough(t *testing.T) {
 	}
 	_ = net
 	_ = eb
-	m = NewRoadModel(net1, rand.New(rand.NewSource(2)), ContinueRandom)
+	m = NewRoadModel(net1, rand.New(rand.NewSource(2)))
 	slow := DefaultIDM(10)
 	fast := DefaultIDM(40)
 	leader := m.AddVehicle(eb1, 0, 200, slow, Car)
@@ -106,7 +105,7 @@ func TestNoRearEndPassThrough(t *testing.T) {
 
 func TestVehiclesProgress(t *testing.T) {
 	net, eb := testNet(t)
-	m := NewRoadModel(net, rand.New(rand.NewSource(3)), ContinueRandom)
+	m := NewRoadModel(net, rand.New(rand.NewSource(3)))
 	id := m.AddVehicle(eb, 0, 0, DefaultIDM(30), Car)
 	for i := 0; i < 100; i++ {
 		m.Advance(0.1)
@@ -123,7 +122,7 @@ func TestJunctionTransitionKeepsMoving(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewRoadModel(net, rand.New(rand.NewSource(4)), ContinueRandom)
+	m := NewRoadModel(net, rand.New(rand.NewSource(4)))
 	m.AddVehicle(0, 0, 0, DefaultIDM(25), Car)
 	total := 0.0
 	prev := m.States()[0]
@@ -142,7 +141,7 @@ func TestJunctionTransitionKeepsMoving(t *testing.T) {
 
 func TestStatesFields(t *testing.T) {
 	net, eb := testNet(t)
-	m := NewRoadModel(net, rand.New(rand.NewSource(5)), ContinueRandom)
+	m := NewRoadModel(net, rand.New(rand.NewSource(5)))
 	m.AddVehicle(eb, 1, 100, DefaultIDM(25), Bus)
 	s := m.States()[0]
 	if s.Class != Bus {
@@ -161,7 +160,7 @@ func TestStatesFields(t *testing.T) {
 
 func TestAddVehicleClamping(t *testing.T) {
 	net, eb := testNet(t)
-	m := NewRoadModel(net, rand.New(rand.NewSource(6)), ContinueRandom)
+	m := NewRoadModel(net, rand.New(rand.NewSource(6)))
 	m.AddVehicle(eb, 99, 100, DefaultIDM(25), Car) // lane clamped
 	m.AddVehicle(eb, -1, 100, DefaultIDM(25), Car)
 	for _, s := range m.States() {
@@ -174,7 +173,7 @@ func TestAddVehicleClamping(t *testing.T) {
 func TestPopulateUniformAndDeterministic(t *testing.T) {
 	net, _ := testNet(t)
 	build := func(seed int64) []State {
-		m := NewRoadModel(net, rand.New(rand.NewSource(99)), ContinueRandom)
+		m := NewRoadModel(net, rand.New(rand.NewSource(99)))
 		Populate(m, rand.New(rand.NewSource(seed)), PopulateOptions{
 			Count: 40, SpeedMean: 30, SpeedStd: 5,
 		})
@@ -207,7 +206,7 @@ func TestAddBusLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewRoadModel(net, rand.New(rand.NewSource(1)), ContinueRandom)
+	m := NewRoadModel(net, rand.New(rand.NewSource(1)))
 	var route []roadnet.SegmentID
 	for i := 0; i < net.Segments(); i++ {
 		route = append(route, roadnet.SegmentID(i))
@@ -233,33 +232,12 @@ func TestAddBusLine(t *testing.T) {
 	}
 }
 
-func TestDespawnPolicy(t *testing.T) {
-	// on a plain two-junction one-way road, Despawn removes vehicles at
-	// the end
-	b := roadnet.NewBuilder()
-	a := b.AddJunction(geom.V(0, 0))
-	c := b.AddJunction(geom.V(500, 0))
-	seg := b.AddSegment(a, c, 1, 3.5, 30)
-	net, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewRoadModel(net, rand.New(rand.NewSource(1)), Despawn)
-	m.AddVehicle(seg, 0, 450, DefaultIDM(30), Car)
-	for i := 0; i < 200; i++ {
-		m.Advance(0.1)
-	}
-	if m.Len() != 0 {
-		t.Fatalf("vehicle not despawned at road end: %d left", m.Len())
-	}
-}
-
 func TestRemoveVehicleMidRun(t *testing.T) {
 	net, eb, _, err := roadnet.Highway(2000, 2, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewRoadModel(net, rand.New(rand.NewSource(1)), ContinueRandom)
+	m := NewRoadModel(net, rand.New(rand.NewSource(1)))
 	a := m.AddVehicle(eb, 0, 100, DefaultIDM(30), Car)
 	bID := m.AddVehicle(eb, 1, 300, DefaultIDM(25), Car)
 	m.Advance(0.1)

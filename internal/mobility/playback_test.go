@@ -118,7 +118,7 @@ func TestRecordRoundTripsThroughPlayback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := NewRoadModel(net, rand.New(rand.NewSource(1)), ContinueRandom)
+	src := NewRoadModel(net, rand.New(rand.NewSource(1)))
 	src.AddVehicle(eb, 0, 0, DefaultIDM(25), Car)
 	src.AddVehicle(eb, 1, 200, DefaultIDM(30), Car)
 	tracks := Record(src, 0.5, 20)

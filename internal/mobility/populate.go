@@ -69,7 +69,7 @@ func NewHighwayModel(rng *rand.Rand, count int, length, speedMean, speedStd floa
 	if err != nil {
 		return nil, err
 	}
-	m := NewRoadModel(net, rng, ContinueRandom)
+	m := NewRoadModel(net, rng)
 	Populate(m, rng, PopulateOptions{
 		Count: count, SpeedMean: speedMean, SpeedStd: speedStd,
 		Segments: []roadnet.SegmentID{eb, wb},
@@ -99,8 +99,8 @@ func AddBusLine(m *RoadModel, route []roadnet.SegmentID, count int, speed float6
 		params := DefaultIDM(speed)
 		params.Length = 12 // buses are longer
 		id := m.AddVehicle(route[segIdx], 0, target, params, Bus)
-		// Pin the remaining loop as the route; RoadModel re-loops via
-		// ContinueRandom exits, but buses keep an explicit cyclic route.
+		// Pin the remaining loop as the route; past a route's end a vehicle
+		// turns at random, but buses keep an explicit cyclic route.
 		var pending []roadnet.SegmentID
 		for k := 1; k < 64; k++ { // long enough horizon for any run
 			pending = append(pending, route[(segIdx+k)%len(route)])

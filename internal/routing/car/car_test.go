@@ -128,7 +128,7 @@ func TestMonteCarloAgreesWithModelUnderTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := mobility.NewRoadModel(net, rand.New(rand.NewSource(1)), mobility.ContinueRandom)
+	model := mobility.NewRoadModel(net, rand.New(rand.NewSource(1)))
 	mobility.Populate(model, rand.New(rand.NewSource(2)), mobility.PopulateOptions{
 		Count: 60, SpeedMean: 25, SpeedStd: 4,
 		Segments: []roadnet.SegmentID{eb},

@@ -137,7 +137,7 @@ func TestTraceReplayScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
-	model := mobility.NewRoadModel(net, rng, mobility.ContinueRandom)
+	model := mobility.NewRoadModel(net, rng)
 	mobility.Populate(model, rng, mobility.PopulateOptions{
 		Count: 12, SpeedMean: 25, SpeedStd: 4,
 		Segments: []roadnet.SegmentID{eb, wb},

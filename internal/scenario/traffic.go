@@ -25,7 +25,7 @@ type ClosedTraffic struct{}
 // BuildModel implements Traffic. Draw order: one stream seed for the road
 // model, one for the population scatter.
 func (ClosedTraffic) BuildModel(net *roadnet.Network, segs []roadnet.SegmentID, rng *rand.Rand, opts *Options) (mobility.Model, error) {
-	model := mobility.NewRoadModelSeeded(net, rng.Int63(), mobility.ContinueRandom)
+	model := mobility.NewRoadModelSeeded(net, rng.Int63())
 	scatter, _ := prng.Rand(rng.Int63())
 	mobility.Populate(model, scatter, mobility.PopulateOptions{
 		Count:     opts.Vehicles,
@@ -118,7 +118,7 @@ func (t OpenTraffic) initial(opts *Options) int {
 // BuildModel implements Traffic: the initial scatter mirrors
 // ClosedTraffic with the reduced count.
 func (t OpenTraffic) BuildModel(net *roadnet.Network, segs []roadnet.SegmentID, rng *rand.Rand, opts *Options) (mobility.Model, error) {
-	model := mobility.NewRoadModelSeeded(net, rng.Int63(), mobility.ContinueRandom)
+	model := mobility.NewRoadModelSeeded(net, rng.Int63())
 	scatter, _ := prng.Rand(rng.Int63())
 	mobility.Populate(model, scatter, mobility.PopulateOptions{
 		Count:     t.initial(opts),
