@@ -40,7 +40,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -268,23 +267,11 @@ func runSweep(args []string) error {
 	}
 	ctx, cancel := interruptContext()
 	defer cancel()
-	pool := relroute.BatchPool{Workers: *parallel}
-	var results []relroute.BatchResult
-	if *manifest != "" {
-		if err := os.MkdirAll(*manifest, 0o755); err != nil {
-			return fmt.Errorf("sweep: manifest: %w", err)
-		}
-		path := filepath.Join(*manifest, fmt.Sprintf("campaign-%016x.jsonl", relroute.CampaignFingerprint(camp)))
-		j, err := relroute.OpenCampaignJournal(path, camp)
-		if err != nil {
-			return fmt.Errorf("sweep: %w", err)
-		}
-		results = pool.ExecuteResumable(ctx, camp, j)
-		if err := j.Close(); err != nil {
-			return fmt.Errorf("sweep: manifest: %w", err)
-		}
-	} else {
-		results = pool.ExecuteContext(ctx, camp)
+	results, err := relroute.RunCampaign(relroute.ExperimentConfig{
+		Workers: *parallel, Context: ctx, ManifestDir: *manifest,
+	}, camp)
+	if err != nil {
+		return fmt.Errorf("sweep: %w", err)
 	}
 
 	tab := &relroute.Table{

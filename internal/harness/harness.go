@@ -54,36 +54,39 @@ func (c Config) seed() int64 {
 // summaries in submission order, threading through the config's
 // cancellation context and campaign manifest.
 func (c Config) submit(camp runner.Campaign) ([]metrics.Summary, error) {
-	results, err := c.submitResults(camp)
+	results, err := Execute(c, camp)
 	if err != nil {
 		return nil, err
 	}
 	return runner.Summaries(results)
 }
 
-// submitResults is submit for experiments that need the full results —
-// the single execution path every experiment goes through, so the
-// config's context and manifest plumbing apply uniformly.
-func (c Config) submitResults(camp runner.Campaign) ([]runner.Result, error) {
-	pool := runner.Pool{Workers: c.Workers}
-	ctx := c.Context
+// Execute runs a campaign on cfg's worker pool under its context and
+// returns one result per run, in submission order. With a ManifestDir it
+// journals the campaign to <dir>/campaign-<fingerprint>.jsonl, resuming
+// from what that file already records. It is the one execution path of
+// every experiment and of the sweep, so a manifest is named and opened in
+// one place.
+func Execute(cfg Config, camp runner.Campaign) ([]runner.Result, error) {
+	pool := runner.Pool{Workers: cfg.Workers}
+	ctx := cfg.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if c.ManifestDir == "" {
+	if cfg.ManifestDir == "" {
 		return pool.ExecuteContext(ctx, camp), nil
 	}
-	if err := os.MkdirAll(c.ManifestDir, 0o755); err != nil {
-		return nil, fmt.Errorf("harness: campaign manifest: %w", err)
+	if err := os.MkdirAll(cfg.ManifestDir, 0o755); err != nil {
+		return nil, fmt.Errorf("campaign manifest: %w", err)
 	}
-	path := filepath.Join(c.ManifestDir, fmt.Sprintf("campaign-%016x.jsonl", runner.CampaignHash(camp)))
+	path := filepath.Join(cfg.ManifestDir, fmt.Sprintf("campaign-%016x.jsonl", runner.CampaignHash(camp)))
 	j, err := runner.OpenJournal(path, camp)
 	if err != nil {
 		return nil, err
 	}
 	results := pool.ExecuteResumable(ctx, camp, j)
 	if err := j.Close(); err != nil {
-		return nil, fmt.Errorf("harness: campaign manifest: %w", err)
+		return nil, fmt.Errorf("campaign manifest: %w", err)
 	}
 	return results, nil
 }

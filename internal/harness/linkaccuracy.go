@@ -103,7 +103,7 @@ func LinkAccuracyData(cfg Config) ([]LinkAccCell, error) {
 			})
 		}
 	}
-	results, err := cfg.submitResults(camp)
+	results, err := Execute(cfg, camp)
 	if err != nil {
 		return nil, err
 	}

@@ -90,7 +90,7 @@ func Table1Summary(cfg Config) (*Table, error) {
 			camp.Add(runner.Run{Protocol: rep.protocol, Opts: opts})
 		}
 	}
-	results, err := cfg.submitResults(camp)
+	results, err := Execute(cfg, camp)
 	if err != nil {
 		return nil, err
 	}

@@ -110,7 +110,7 @@ func TestJournalResumeCompletesRemainder(t *testing.T) {
 		c.Add(run2)
 		return c
 	}
-	want, err := Summaries(Execute(mk(false), 1))
+	want, err := Summaries(Pool{Workers: 1}.Execute(mk(false)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestJournalResumeCompletesRemainder(t *testing.T) {
 // adopts such a journal, executes nothing, and reproduces a clean run's
 // table.
 func TestJournalWrittenWithShardsResumes(t *testing.T) {
-	want, err := Summaries(Execute(testCampaign(), 2))
+	want, err := Summaries(Pool{Workers: 2}.Execute(testCampaign()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -201,12 +201,6 @@ func (p Pool) ExecuteResumable(ctx context.Context, c Campaign, j *Journal) []Re
 	return results
 }
 
-// Execute is the package-level convenience: run a campaign with the given
-// worker count (<= 0 means GOMAXPROCS).
-func Execute(c Campaign, workers int) []Result {
-	return Pool{Workers: workers}.Execute(c)
-}
-
 // execute builds and runs one scenario under the pool's timeout,
 // recovering panics into errors so a bad run cannot take down sibling
 // workers. An interrupted run's error says the simulated time and event

@@ -55,11 +55,11 @@ func TestSpecExpansionOrder(t *testing.T) {
 // campaign produces identical summaries, in identical order, whether the
 // pool uses one worker or many.
 func TestParallelExecutionDeterministic(t *testing.T) {
-	seq, err := Summaries(Execute(testCampaign(), 1))
+	seq, err := Summaries(Pool{Workers: 1}.Execute(testCampaign()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Summaries(Execute(testCampaign(), 8))
+	par, err := Summaries(Pool{Workers: 8}.Execute(testCampaign()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestExecuteErrorIsolation(t *testing.T) {
 		Run{Protocol: "Greedy", Opts: quickOpts(1)},
 		Run{Protocol: "NoSuchProto", Opts: quickOpts(1)},
 	)
-	results := Execute(c, 2)
+	results := Pool{Workers: 2}.Execute(c)
 	if results[0].Err != nil {
 		t.Fatalf("healthy run failed: %v", results[0].Err)
 	}
@@ -103,7 +103,7 @@ func TestSetupHookRuns(t *testing.T) {
 			t.Error("setup hook received unbuilt scenario")
 		}
 	}})
-	if _, err := Summaries(Execute(c, 1)); err != nil {
+	if _, err := Summaries(Pool{Workers: 1}.Execute(c)); err != nil {
 		t.Fatal(err)
 	}
 	if !called {
@@ -208,7 +208,7 @@ func TestAggregateAcrossSeeds(t *testing.T) {
 		Grid:      []scenario.Options{quickOpts(0)},
 		Seeds:     []int64{1, 2, 3},
 	}
-	sums, err := Summaries(Execute(New(spec), 0))
+	sums, err := Summaries(Pool{}.Execute(New(spec)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func BenchmarkCampaign(b *testing.B) {
 	for _, workers := range workerCounts {
 		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Summaries(Execute(campaign(), workers)); err != nil {
+				if _, err := Summaries(Pool{Workers: workers}.Execute(campaign())); err != nil {
 					b.Fatal(err)
 				}
 			}

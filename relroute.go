@@ -280,30 +280,18 @@ type Stat = metrics.Stat
 // fixed per-run seed the results are identical for any worker count: each
 // run is a self-contained single-threaded simulation.
 func RunBatch(c Campaign, workers int) []BatchResult {
-	return runner.Execute(c, workers)
+	return runner.Pool{Workers: workers}.Execute(c)
 }
 
-// BatchPool executes campaigns with explicit policy: worker count,
-// per-run timeout, and — via ExecuteContext / ExecuteResumable —
-// cancellation and durable campaign manifests.
-type BatchPool = runner.Pool
-
-// CampaignJournal is a durable campaign manifest: completed runs are
-// recorded in an append-only JSONL file, and re-executing the same
-// campaign against it skips them, returning the recorded summaries
-// byte-identically.
-type CampaignJournal = runner.Journal
-
-// OpenCampaignJournal opens (or creates) the manifest at path for the
-// campaign. An existing file must belong to the same campaign — a
-// mismatched fingerprint is an error.
-func OpenCampaignJournal(path string, c Campaign) (*CampaignJournal, error) {
-	return runner.OpenJournal(path, c)
+// RunCampaign executes a campaign the way the experiments do: on
+// cfg.Workers workers, cancelled by cfg.Context, and, when cfg.ManifestDir
+// is set, journaled to a durable campaign manifest there. Re-running the
+// same campaign against the same directory skips the runs the manifest
+// records, returning their summaries byte-identically. Results come back
+// one per run, in submission order.
+func RunCampaign(cfg ExperimentConfig, c Campaign) ([]BatchResult, error) {
+	return harness.Execute(cfg, c)
 }
-
-// CampaignFingerprint hashes a campaign's run list — the identity a
-// CampaignJournal is keyed by.
-func CampaignFingerprint(c Campaign) uint64 { return runner.CampaignHash(c) }
 
 // Summaries unwraps batch results into summaries, surfacing the first
 // failed run as an error.
