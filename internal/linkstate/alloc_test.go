@@ -149,6 +149,43 @@ func TestExpireAllocs(t *testing.T) {
 	if allocs != 1 {
 		t.Fatalf("compacting Expire allocated %v times per run, want 1 (the returned IDs)", allocs)
 	}
+	// the same into a buffer the caller reuses, as the world's tick does:
+	// nothing at all
+	var buf []NodeID
+	allocs = testing.AllocsPerRun(100, func() {
+		now += 1
+		for id := NodeID(1); id < 32; id++ {
+			hear(id, now)
+		}
+		if buf = m.AppendExpired(buf[:0], now+2); len(buf) != 1 || buf[0] != 0 {
+			t.Fatalf("expired %v, want [0]", buf)
+		}
+		hear(0, now-1)
+	})
+	if allocs != 0 {
+		t.Fatalf("compacting AppendExpired into a reused buffer allocated %v times per run, want 0", allocs)
+	}
+}
+
+// TestTableGrowsFromInboxes hears 40 distinct neighbours, folded an
+// inbox at a time, the way a node entering a dense road fills its table:
+// the table grows at most twice and ends with room for at most 48 links.
+// One fold can grow the table more than once, so growths are counted as
+// allocations: the monitor, its inbox, and keys and slots per growth.
+func TestTableGrowsFromInboxes(t *testing.T) {
+	est := MustNew("", Config{Range: 250})
+	var m *Monitor
+	allocs := testing.AllocsPerRun(10, func() {
+		m = NewMonitor(2.5, 250, est)
+		for id := NodeID(0); id < 40; id++ {
+			m.Update(id, Vehicle, geom.V(float64(id)*20, 0), geom.V(5, 0), -60, 0.01*float64(id))
+		}
+		m.Len()
+	})
+	if growths := (allocs - 2) / 2; m.n != 40 || growths > 2 || cap(m.slots) > 48 || cap(m.keys) != cap(m.slots) {
+		t.Fatalf("40 links in %v growths to %d slots and %d keys, want at most 2 growths and 48 of each",
+			growths, cap(m.slots), cap(m.keys))
+	}
 }
 
 func TestOrderedReadAllocs(t *testing.T) {

@@ -82,17 +82,20 @@ func BenchmarkMonitorStatesAfterBeacons(b *testing.B) {
 
 // BenchmarkMonitorExpire is the sweep that finds work: on each visit the
 // clock has moved just far enough that the monitor's oldest entry is
-// stale, so Expire walks the table and compacts one entry away, and the
-// neighbour is then heard again (one insert) to keep the table at 25.
+// stale, so AppendExpired walks the table and compacts one entry away into
+// a reused buffer, as the world's tick does, and the neighbour is then
+// heard again (one insert) to keep the table at 25.
 func BenchmarkMonitorExpire(b *testing.B) {
 	mons, order := benchWorld()
+	var gone []NodeID
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		at, round := order[i%benchMonitors], i/benchMonitors
 		m := mons[at]
 		// entry round%25 was last heard at 0.1·round
-		benchSink += len(m.Expire(0.1*float64(round) + benchTTL + 0.05))
+		gone = m.AppendExpired(gone[:0], 0.1*float64(round)+benchTTL+0.05)
+		benchSink += len(gone)
 		benchHear(m, at, round%benchEntries, 0.1*float64(round+benchEntries))
 	}
 }

@@ -181,7 +181,12 @@ type modelPair struct {
 	ref  *refMonitor
 	now  float64
 	step int
+	gone []NodeID // the buffer every sweep appends to, reused
 }
+
+// sweptPrefix is what the sweep buffer holds before each sweep: IDs out of
+// order, so a sweep that sorted, cleared or overwrote its dst shows.
+var sweptPrefix = []NodeID{47, 0, 47}
 
 const modelTTL, modelRange = 2.5, 250
 
@@ -199,10 +204,14 @@ func (p *modelPair) hear(id NodeID, arg float64) {
 	p.ref.update(id, kind, pos, vel, -40-arg/4, p.now)
 }
 
+// expire sweeps both tables at now: the monitor appends to a reused buffer
+// that already holds sweptPrefix, which it must leave as it is.
 func (p *modelPair) expire(now float64) {
 	p.t.Helper()
-	if got, want := p.m.Expire(now), p.ref.expire(now); !slices.Equal(got, want) {
-		p.t.Fatalf("step %d: Expire(%v) = %v, want %v", p.step, now, got, want)
+	p.gone = p.m.AppendExpired(append(p.gone[:0], sweptPrefix...), now)
+	head, tail := p.gone[:len(sweptPrefix)], p.gone[len(sweptPrefix):]
+	if want := p.ref.expire(now); !slices.Equal(head, sweptPrefix) || !slices.Equal(tail, want) {
+		p.t.Fatalf("step %d: AppendExpired(%v, %v) = %v + %v, want %v + %v", p.step, sweptPrefix, now, head, tail, sweptPrefix, want)
 	}
 }
 
@@ -475,8 +484,9 @@ func FuzzMonitorOps(f *testing.F) {
 // TestNeighborOrderContract pins the ordering every reader relies on at
 // the table sizes where the layout changes shape: empty, one entry, either
 // side of the first growth step (8 slots), a dense city table that has
-// grown four times (33), and a table no road produces. IDs arrive in a scrambled order and come back ascending
-// from every ordered read, with lookups agreeing.
+// grown twice (33), and a table no road produces. IDs arrive in a
+// scrambled order and come back ascending from every ordered read, with
+// lookups agreeing.
 func TestNeighborOrderContract(t *testing.T) {
 	for _, n := range []int{0, 1, 8, 9, 33, 200} {
 		m := NewMonitor(2.5, 250, nil)

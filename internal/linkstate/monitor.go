@@ -41,11 +41,14 @@ const feedbackAlpha = 0.25
 // ID order and bisected without hashing; slots holds the entries
 // themselves, which stay where they are — an insert or expiry shifts 8
 // bytes per neighbor — and every ordered read (Snapshot, States,
-// AppendIDs, DigestInto, Expire's result) gets its ascending-ID order
-// from the layout. keys[n:] name the slots that are free, so the two
+// AppendIDs, DigestInto, AppendExpired's result) gets its ascending-ID
+// order from the layout. keys[n:] name the slots that are free, so the two
 // arrays are equally long: they grow together as links are heard (never
-// pre-sized: a world holds thousands of monitors), and only when no slot
-// is free.
+// pre-sized: a world holds thousands of monitors), only when no slot is
+// free, and at most once per fold: to the capacity growing by half from 8
+// would reach, but in one step sized from the strangers among the beacons
+// being folded. A table filled an inbox at a time grows twice on its way
+// to 40 links (18, 40), not five times, and ends exactly as large.
 type Monitor struct {
 	inbox []heard // beacons recorded since the last fold; nil until the first
 	// oldest is a lower bound on the minimum LastSeen of any entry, pending
@@ -154,14 +157,22 @@ func (m *Monitor) find(id NodeID) (int, *entry) {
 	return lo, nil
 }
 
-// insert files a key for id at position i and returns its slot: a free
-// one, or a new one when none is left.
-func (m *Monitor) insert(i int, id NodeID) *entry {
+// insert files a key for left[0].id, a stranger, at position i and returns
+// its slot: a free one, or a new one when none is left. left is what fold
+// has still to apply, this beacon first.
+func (m *Monitor) insert(i int, left []heard) *entry {
+	id := left[0].id
 	if m.n == len(m.keys) {
 		if n := len(m.slots); n == cap(m.slots) {
-			// by half, from 8: append's doubling would leave a 33-link
-			// table holding 64 entries, in every table of a dense world
-			c := max(8, n+n/2)
+			// by half, from 8 — append's doubling would leave a 33-link
+			// table holding 64 entries, in every table of a dense world —
+			// but as many steps at once as the fold's strangers need: one
+			// step per insert copies a table three times in a fold of 16
+			// strangers (8→12→18)
+			c, need := max(8, n+n/2), n+m.strangers(left)
+			for c < need {
+				c += c / 2
+			}
 			m.slots = append(make([]entry, 0, c), m.slots...)
 			m.keys = append(make([]key, 0, c), m.keys...)
 		}
@@ -173,6 +184,20 @@ func (m *Monitor) insert(i int, id NodeID) *entry {
 	m.keys[i] = key{id: id, slot: slot}
 	m.n++
 	return &m.slots[slot]
+}
+
+// strangers counts the distinct IDs among beacons that the table lacks.
+// It runs only when a table grows, so the quadratic dedup (an inbox is 16
+// records) costs nothing that matters.
+func (m *Monitor) strangers(beacons []heard) int {
+	c := 0
+	for j := range beacons {
+		id := beacons[j].id
+		if _, e := m.find(id); e == nil && !slices.ContainsFunc(beacons[:j], func(b heard) bool { return b.id == id }) {
+			c++
+		}
+	}
+	return c
 }
 
 // Update records a received beacon. It is applied to the table — the
@@ -191,7 +216,7 @@ func (m *Monitor) Update(id NodeID, kind NodeKind, pos, vel geom.Vec2, rssi, now
 	b := &m.inbox[len(m.inbox)-1] // written in place: append builds the record, then copies it
 	b.id, b.kind, b.pos, b.vel, b.rssi, b.now = id, uint8(kind), pos, vel, rssi, now
 	if now < m.oldest {
-		m.oldest = now // here, not in fold: Expire reads it before folding
+		m.oldest = now // here, not in fold: AppendExpired reads it before folding
 	}
 }
 
@@ -209,7 +234,7 @@ func (m *Monitor) fold() {
 		b := &m.inbox[i]
 		at, e := m.find(b.id)
 		if e == nil {
-			e = m.insert(at, b.id)
+			e = m.insert(at, m.inbox[i:])
 			*e = entry{id: b.id, meanRSSI: b.rssi, firstSeen: b.now, feedback: 1}
 		} else if b.now > e.lastSeen {
 			// slope of the raw RSSI between consecutive beacons, smoothed
@@ -409,22 +434,25 @@ func (m *Monitor) DigestInto(d *digest.Writer) {
 	d.U64(m.fullSweeps)
 }
 
-// Expire removes entries not refreshed since now−ttl and returns their IDs
-// in ascending order: one pass that moves the keys kept to the front, in
-// order, and so the keys of the freed slots behind them.
-func (m *Monitor) Expire(now float64) []NodeID {
+// Expire is AppendExpired into a fresh slice: nil when nothing expired.
+func (m *Monitor) Expire(now float64) []NodeID { return m.AppendExpired(nil, now) }
+
+// AppendExpired removes entries not refreshed since now−ttl, appends their
+// IDs to dst in ascending order and returns it; it allocates only to grow
+// dst. One pass moves the keys kept to the front, in order, and so the
+// keys of the freed slots behind them.
+func (m *Monitor) AppendExpired(dst []NodeID, now float64) []NodeID {
 	if now-m.oldest <= m.ttl {
-		return nil // even the oldest possible entry is still fresh
+		return dst // even the oldest possible entry is still fresh
 	}
 	m.sync()
 	m.fullSweeps++
-	var gone []NodeID
 	min := math.Inf(1)
 	kept := 0
 	for i, k := range m.keys[:m.n] {
 		seen := m.slots[k.slot].lastSeen
 		if now-seen > m.ttl {
-			gone = append(gone, k.id)
+			dst = append(dst, k.id)
 			continue
 		}
 		if seen < min {
@@ -435,7 +463,7 @@ func (m *Monitor) Expire(now float64) []NodeID {
 	}
 	m.n = kept
 	m.oldest = min
-	return gone
+	return dst
 }
 
 // MemoStats returns how often the kinematic lifetime memo hit and missed.
@@ -445,7 +473,7 @@ func (m *Monitor) MemoStats() (hits, misses uint64) {
 	return m.memoHits, m.memoMisses
 }
 
-// FullSweeps returns how many Expire calls actually walked the table
+// FullSweeps returns how many AppendExpired calls actually walked the table
 // (rather than being dismissed by the oldest-entry lower bound). A quiet
 // table — no links, or none old enough to expire — must keep this at
 // zero no matter how many ticks elapse.

@@ -41,6 +41,7 @@ package mac
 
 import (
 	"math/rand"
+	"slices"
 
 	"github.com/vanetlab/relroute/internal/digest"
 	"github.com/vanetlab/relroute/internal/metrics"
@@ -416,12 +417,10 @@ func (l *Layer) transmit(from int32, st *nodeState, f Frame) {
 	l.col.MACTransmits++
 
 	links := l.radio.Links(from)
-	// size the reception record list once: an append-doubling chain per
-	// cold transmit is pure GC pressure at city density
-	if cap(st.txRecs) < len(links) {
-		st.txRecs = make([]txRec, len(links))
-	}
-	st.txRecs = st.txRecs[:len(links)]
+	// grown by append's rule, not to the exact size: an exact size is
+	// reallocated each time a sender's neighbourhood outgrows its largest
+	// one so far by even one receiver
+	st.txRecs = slices.Grow(st.txRecs[:0], len(links))[:len(links)]
 	recs := st.txRecs
 	for i, lk := range links {
 		decoded := l.radio.Decodable(lk, l.rng)

@@ -230,3 +230,56 @@ func TestLinkAuditDeterministic(t *testing.T) {
 		t.Fatal("no samples resolved")
 	}
 }
+
+// expiryCountingRouter counts the neighbours the stack says timed out.
+type expiryCountingRouter struct {
+	countingRouter
+	expired int
+}
+
+func (r *expiryCountingRouter) OnNeighborExpired(NodeID) { r.expired++ }
+
+// TestExpireNeighborsAllocFree pins the tick's expiry phase on a warm
+// beaconing world: on every run each node's table holds only stale links,
+// the sweep expires them all and tells the routers, and nothing is
+// allocated — the expired IDs go into the world's reused buffer.
+func TestExpireNeighborsAllocFree(t *testing.T) {
+	const vehicles = 6
+	w := NewWorld(Config{Seed: 1}, mobility.NewPlayback(lineTracks(vehicles, 40, 0)))
+	var routers []*expiryCountingRouter
+	w.AddVehicleNodes(func() Router {
+		r := &expiryCountingRouter{}
+		routers = append(routers, r)
+		return r
+	})
+	if err := w.Run(3); err != nil {
+		t.Fatal(err)
+	}
+	now := w.eng.Now()
+	for _, n := range w.actives {
+		if n.mon.Len() != vehicles-1 {
+			t.Fatalf("node %d heard %d neighbours in 3 s, want %d", n.id, n.mon.Len(), vehicles-1)
+		}
+	}
+	runs := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		runs++
+		now += 2 * neighborTTL
+		w.expireNeighbors(now) // everything heard is older than the TTL
+		for _, n := range w.actives {
+			for _, m := range w.actives {
+				if m != n {
+					n.mon.Update(m.id, m.kind, m.pos, m.vel, -70, now)
+				}
+			}
+		}
+	})
+	expired := 0
+	for _, r := range routers {
+		expired += r.expired
+	}
+	if allocs != 0 || expired != runs*vehicles*(vehicles-1) {
+		t.Fatalf("expireNeighbors: %v allocs per run, %d expirations in %d runs; want 0 and %d",
+			allocs, expired, runs, runs*vehicles*(vehicles-1))
+	}
+}

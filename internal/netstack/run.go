@@ -134,11 +134,15 @@ func (w *World) sweepDepartures() {
 
 // expireNeighbors sweeps the active nodes' link tables in node-ID order and
 // tells each router which neighbors timed out. The callbacks may transmit
-// but never change membership, so w.actives is stable under the loop.
+// but never change membership, so w.actives is stable under the loop. The
+// expired IDs go into one reused buffer; each node's are ranged over as a
+// local slice, so nothing a callback does can move them.
 func (w *World) expireNeighbors(now float64) {
 	for _, n := range w.actives {
-		for _, gone := range n.mon.Expire(now) {
-			n.router.OnNeighborExpired(gone)
+		gone := n.mon.AppendExpired(w.expired[:0], now)
+		w.expired = gone
+		for _, id := range gone {
+			n.router.OnNeighborExpired(id)
 		}
 	}
 }

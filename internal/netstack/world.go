@@ -113,8 +113,10 @@ type World struct {
 	onFirstDelivery  func(created float64)
 	faultWindow      func(now float64) bool
 
-	// stateBuf is the reused mobility snapshot buffer for the tick loop.
+	// stateBuf is the reused mobility snapshot buffer for the tick loop,
+	// expired the one expireNeighbors collects each table's expired IDs in.
 	stateBuf []mobility.State
+	expired  []NodeID
 
 	// free lists, unsynchronised because the engine is single-threaded:
 	// pktFree holds the per-receiver copies dispatch hands to routers

@@ -7,6 +7,7 @@ package roadnet
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/vanetlab/relroute/internal/geom"
 )
@@ -69,6 +70,7 @@ type Network struct {
 	junctions []Junction
 	segments  []*Segment
 	out       map[JunctionID][]SegmentID // outgoing segments per junction
+	next      [][]SegmentID              // NextSegments per segment, filled by Build
 	bounds    geom.Rect
 }
 
@@ -147,6 +149,10 @@ func (b *Builder) Build() (*Network, error) {
 		bounds = bounds.Union(geom.NewRect(j.Pos, j.Pos))
 	}
 	b.n.bounds = bounds.Expand(20)
+	b.n.next = make([][]SegmentID, len(b.n.segments))
+	for i, seg := range b.n.segments {
+		b.n.next[i] = b.n.successors(seg)
+	}
 	return b.n, nil
 }
 
@@ -163,9 +169,13 @@ func (n *Network) Segment(id SegmentID) *Segment { return n.segments[id] }
 func (n *Network) Bounds() geom.Rect { return n.bounds }
 
 // NextSegments returns the segments a vehicle can continue onto after s,
-// excluding the immediate U-turn back along s where an alternative exists.
-func (n *Network) NextSegments(s SegmentID) []SegmentID {
-	seg := n.segments[s]
+// excluding the immediate U-turn back along s where an alternative exists,
+// in the order they were added. The slice is the network's own, built once
+// by Build: callers must not modify it.
+func (n *Network) NextSegments(s SegmentID) []SegmentID { return n.next[s] }
+
+// successors computes seg's NextSegments list.
+func (n *Network) successors(seg *Segment) []SegmentID {
 	outs := n.out[seg.To]
 	next := make([]SegmentID, 0, len(outs))
 	var uturn SegmentID = -1
@@ -179,7 +189,7 @@ func (n *Network) NextSegments(s SegmentID) []SegmentID {
 	if len(next) == 0 && uturn >= 0 {
 		return []SegmentID{uturn}
 	}
-	return next
+	return slices.Clip(next) // shared: an append by a caller must copy
 }
 
 // BestPath returns the junction-to-junction path minimising the total of an

@@ -2,6 +2,7 @@ package roadnet
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/vanetlab/relroute/internal/geom"
@@ -359,5 +360,51 @@ func TestNearestSegmentOnGridBoundaries(t *testing.T) {
 	sid2, _ := n.NearestSegment(geom.V(50, 50))
 	if sid1 != sid2 {
 		t.Errorf("block-center query not deterministic: %d vs %d", sid1, sid2)
+	}
+}
+
+// TestNextSegmentsBuiltOnce checks the successor lists Build stores on the
+// presets against a from-scratch derivation — every segment leaving s's end
+// junction in ID order, less the U-turn back to s's start unless it is the
+// only one — and that reading them allocates nothing. Mobility's draws
+// index into these lists, so order is part of the contract.
+func TestNextSegmentsBuiltOnce(t *testing.T) {
+	grid, err := Grid(10, 10, 200, 2, 14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hwy, _, _, err := Highway(5000, 3, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, n := range map[string]*Network{"Grid": grid, "Highway": hwy} {
+		for i := range n.Segments() {
+			s := n.Segment(SegmentID(i))
+			var want []SegmentID
+			uturn := SegmentID(-1)
+			for j := range n.Segments() {
+				switch o := n.Segment(SegmentID(j)); {
+				case o.From != s.To:
+				case o.To == s.From:
+					uturn = o.ID
+				default:
+					want = append(want, o.ID)
+				}
+			}
+			if len(want) == 0 && uturn >= 0 {
+				want = []SegmentID{uturn}
+			}
+			if got := n.NextSegments(s.ID); !slices.Equal(got, want) {
+				t.Fatalf("%s: NextSegments(%d) = %v, want %v", name, s.ID, got, want)
+			}
+		}
+		read := 0
+		if allocs := testing.AllocsPerRun(10, func() {
+			for i := range n.Segments() {
+				read += len(n.NextSegments(SegmentID(i)))
+			}
+		}); allocs != 0 || read == 0 {
+			t.Fatalf("%s: NextSegments allocated %v times per pass over %d successors, want 0", name, allocs, read)
+		}
 	}
 }
