@@ -12,7 +12,6 @@ package relroute_test
 
 import (
 	"os"
-	"reflect"
 	"testing"
 
 	"github.com/vanetlab/relroute"
@@ -71,7 +70,7 @@ func TestCheckpointHeapFixtureRestores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if got != want {
 		t.Fatalf("run resumed from the heap-generated snapshot diverged:\ngot  %+v\nwant %+v", got, want)
 	}
 }

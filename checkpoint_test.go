@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"github.com/vanetlab/relroute"
@@ -31,7 +30,7 @@ func TestCheckpointRoundTripPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sum, want) {
+	if sum != want {
 		t.Fatalf("recorded run diverged from the plain run:\ngot  %+v\nwant %+v", sum, want)
 	}
 	path := filepath.Join(t.TempDir(), "run.ckpt")
@@ -53,7 +52,7 @@ func TestCheckpointRoundTripPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if got != want {
 		t.Fatalf("restored run diverged from uninterrupted run:\ngot  %+v\nwant %+v", got, want)
 	}
 }

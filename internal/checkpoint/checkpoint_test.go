@@ -4,7 +4,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -52,7 +51,7 @@ func roundTrip(t *testing.T, protocol string, opts scenario.Options) {
 	if err != nil {
 		t.Fatalf("record: %v", err)
 	}
-	if !reflect.DeepEqual(sum, want) {
+	if sum != want {
 		t.Errorf("recorded run diverged from scenario.RunProtocol:\ngot  %+v\nwant %+v", sum, want)
 	}
 	for _, snap := range []*Snapshot{captureAt(t, protocol, opts, opts.Duration/2), rec} {
@@ -72,7 +71,7 @@ func roundTrip(t *testing.T, protocol string, opts scenario.Options) {
 		if err != nil {
 			t.Fatalf("complete: %v", err)
 		}
-		if !reflect.DeepEqual(got, want) {
+		if got != want {
 			t.Errorf("run restored at t=%g diverged from uninterrupted run:\ngot  %+v\nwant %+v", snap.T, got, want)
 		}
 	}

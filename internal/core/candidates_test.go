@@ -26,7 +26,7 @@ type scoredWorld struct {
 func newScoredWorld(t *testing.T, vehicles []routetest.Vehicle) *scoredWorld {
 	t.Helper()
 	sw := &scoredWorld{scores: make(map[netstack.NodeID]float64)}
-	factory := NewTicketRouter(WithScorer("scored", func(_ *netstack.API, nb netstack.Neighbor, _ float64) float64 {
+	factory := NewTicketRouter(WithScorer(func(_ *netstack.API, nb netstack.Neighbor, _ float64) float64 {
 		sw.scored = append(sw.scored, nb.ID)
 		return sw.scores[nb.ID]
 	}))
@@ -201,7 +201,7 @@ func TestCandidatesTopKWithTheMetrics(t *testing.T) {
 		{MetricExpectedDuration.String(), WithMetric(MetricExpectedDuration), func(api *netstack.API, nb netstack.LinkState) float64 {
 			return linkStateStability(api, MetricExpectedDuration, nb)
 		}},
-		{"hybrid", WithScorer("Hybrid", hybridScore), func(api *netstack.API, nb netstack.LinkState) float64 {
+		{"hybrid", WithScorer(hybridScore), func(api *netstack.API, nb netstack.LinkState) float64 {
 			return hybridScore(api, nb, LinkStability(MetricMeanDuration, StabilityParams{},
 				api.Pos(), api.Vel(), nb.Pos, nb.Vel, api.RangeEstimate()))
 		}},

@@ -28,16 +28,15 @@ func WithMetric(m Metric) TicketOption {
 }
 
 // WithScorer scores links with a function of the router's metric, which
-// makes a protocol of its own: name is what the router answers to (the
-// hybrid probability+mobility router the paper's conclusion proposes is the
-// one user; tests use it to set link scores). f gets the metric's value for
-// the link, read through the router's memo, and must return seconds of
-// predicted usable lifetime; the threshold and path-min composition still
-// apply. f must be non-decreasing in that value: the router ranks links by
-// f over the metric's closed-form bound, which may be +Inf, and integrates
-// only those that can still win.
-func WithScorer(name string, f func(api *netstack.API, nb netstack.Neighbor, stability float64) float64) TicketOption {
-	return func(r *TicketRouter) { r.name, r.scorer = name, f }
+// makes a protocol of its own (the hybrid probability+mobility router the
+// paper's conclusion proposes is the one user; tests use it to set link
+// scores). f gets the metric's value for the link, read through the
+// router's memo, and must return seconds of predicted usable lifetime; the
+// threshold and path-min composition still apply. f must be non-decreasing
+// in that value: the router ranks links by f over the metric's closed-form
+// bound, which may be +Inf, and integrates only those that can still win.
+func WithScorer(f func(api *netstack.API, nb netstack.Neighbor, stability float64) float64) TicketOption {
+	return func(r *TicketRouter) { r.scorer = f }
 }
 
 const (
@@ -60,7 +59,6 @@ type TicketRouter struct {
 	routing.Discovery
 	tickets int
 	metric  Metric
-	name    string // of a WithScorer protocol; the metric names the others
 	scorer  func(api *netstack.API, nb netstack.Neighbor, stability float64) float64
 
 	// source-side active paths: dst → source route + predicted stability
@@ -133,17 +131,6 @@ func NewTicketRouter(opts ...TicketOption) netstack.RouterFactory {
 		r.sel = routing.NewSelection(selectionWindow, r.answer)
 		return r
 	}
-}
-
-// Name implements netstack.Router.
-func (r *TicketRouter) Name() string {
-	switch {
-	case r.name != "":
-		return r.name
-	case r.metric == MetricExpectedDuration:
-		return "Yan-TBP"
-	}
-	return "TBP-SS"
 }
 
 func (r *TicketRouter) routed(dst netstack.NodeID) bool {

@@ -13,7 +13,7 @@ func TestTicketProbingDelivers(t *testing.T) {
 	w, ids := routetest.World(t, 1, routetest.Chain(5, 150, 20), core.NewTicketRouter())
 	routetest.MustDeliverAll(t, w, ids[0], ids[4], 5)
 	c := w.Collector()
-	if c.Control["PROBE"] == 0 {
+	if c.Control[netstack.KindProbe] == 0 {
 		t.Fatal("no probes sent")
 	}
 	if c.RouteDiscoveries == 0 {
@@ -42,7 +42,7 @@ func TestProbingBeatsFloodingOnOverhead(t *testing.T) {
 	if c.DataDelivered == 0 {
 		t.Fatal("nothing delivered")
 	}
-	probesPerRound := float64(c.Control["PROBE"]) / float64(c.RouteDiscoveries)
+	probesPerRound := float64(c.Control[netstack.KindProbe]) / float64(c.RouteDiscoveries)
 	if probesPerRound > float64(len(vehicles)) {
 		t.Fatalf("probes per discovery = %v ≥ node count %d; probing degenerated into flooding",
 			probesPerRound, len(vehicles))
@@ -52,7 +52,7 @@ func TestProbingBeatsFloodingOnOverhead(t *testing.T) {
 // scored is TBP-SS with the link scores the test sets: score(a, b) seconds
 // for the link from node a to neighbor b.
 func scored(score func(a, b netstack.NodeID) float64) netstack.RouterFactory {
-	return core.NewTicketRouter(core.WithScorer("TBP-SS", func(api *netstack.API, nb netstack.Neighbor, _ float64) float64 {
+	return core.NewTicketRouter(core.WithScorer(func(api *netstack.API, nb netstack.Neighbor, _ float64) float64 {
 		return score(api.Self(), nb.ID)
 	}))
 }
@@ -61,7 +61,7 @@ func scored(score func(a, b netstack.NodeID) float64) netstack.RouterFactory {
 // seconds: under the 3 s threshold it admits exactly what a threshold of
 // 3 − by admits of the plain metric.
 func shifted(by float64, opts ...core.TicketOption) netstack.RouterFactory {
-	return core.NewTicketRouter(append(opts, core.WithScorer("TBP-SS", func(_ *netstack.API, _ netstack.Neighbor, s float64) float64 {
+	return core.NewTicketRouter(append(opts, core.WithScorer(func(_ *netstack.API, _ netstack.Neighbor, s float64) float64 {
 		return by + s
 	}))...)
 }
@@ -161,22 +161,11 @@ func TestTicketBudgetControlsFanout(t *testing.T) {
 		if err := w.Run(8); err != nil {
 			t.Fatal(err)
 		}
-		return w.Collector().Control["PROBE"]
+		return w.Collector().Control[netstack.KindProbe]
 	}
 	one := run(1)
 	eight := run(8)
 	if eight <= one {
 		t.Fatalf("probe volume did not grow with ticket budget: L=1→%d, L=8→%d", one, eight)
-	}
-}
-
-func TestNamesByMetric(t *testing.T) {
-	tbp := core.NewTicketRouter(core.WithMetric(core.MetricExpectedDuration))()
-	tbpss := core.NewTicketRouter(core.WithMetric(core.MetricMeanDuration))()
-	if tbp.Name() != "Yan-TBP" {
-		t.Fatalf("expected-duration router name = %q", tbp.Name())
-	}
-	if tbpss.Name() != "TBP-SS" {
-		t.Fatalf("mean-duration router name = %q", tbpss.Name())
 	}
 }

@@ -21,8 +21,6 @@ type floodRouter struct {
 	seen map[uint64]bool
 }
 
-func (r *floodRouter) Name() string { return "flood-test" }
-
 func (r *floodRouter) Originate(dst netstack.NodeID, size int) {
 	pkt := &netstack.Packet{
 		UID: r.API.NewUID(), Kind: netstack.KindData,

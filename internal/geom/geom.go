@@ -75,9 +75,6 @@ type Segment struct {
 	A, B Vec2
 }
 
-// Len returns the length of the segment.
-func (s Segment) Len() float64 { return s.A.Dist(s.B) }
-
 // At returns the point a fraction t along the segment (t in [0,1] stays on
 // the segment; values outside extrapolate).
 func (s Segment) At(t float64) Vec2 { return Lerp(s.A, s.B, t) }

@@ -86,9 +86,6 @@ func TestDistanceProperties(t *testing.T) {
 
 func TestSegment(t *testing.T) {
 	s := Segment{A: V(0, 0), B: V(10, 0)}
-	if s.Len() != 10 {
-		t.Fatalf("len = %v", s.Len())
-	}
 	if got := s.At(0.3); !almostEq(got.X, 3, 1e-12) {
 		t.Errorf("At(0.3) = %v", got)
 	}

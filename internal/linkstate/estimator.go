@@ -24,8 +24,6 @@ type Prediction struct {
 // value-out shape keeps Monitor.State allocation-free (a pointer argument
 // would escape through the interface call).
 type Estimator interface {
-	// Name returns the registry name of the estimator.
-	Name() string
 	// Estimate predicts from the observed link evidence.
 	Estimate(ls LinkState, obs Observer, kinematic float64) Prediction
 }
@@ -112,9 +110,6 @@ func MustNew(name string, cfg Config) Estimator {
 // is the unit-disk indicator of the current geometric distance.
 type kinematicEstimator struct{ rangeM float64 }
 
-// Name implements Estimator.
-func (kinematicEstimator) Name() string { return "kinematic" }
-
 // Estimate implements Estimator.
 func (e kinematicEstimator) Estimate(ls LinkState, obs Observer, kinematic float64) Prediction {
 	p := Prediction{Lifetime: kinematic}
@@ -128,9 +123,6 @@ func (e kinematicEstimator) Estimate(ls LinkState, obs Observer, kinematic float
 // the shadowing loss model over the smoothed beacon RSSI, and lifetime by
 // extrapolating the RSSI trend down to the receiver sensitivity.
 type rssiEstimator struct{ receipt prob.ReceiptModel }
-
-// Name implements Estimator.
-func (rssiEstimator) Name() string { return "rssi" }
 
 // Estimate implements Estimator.
 func (e rssiEstimator) Estimate(ls LinkState, obs Observer, kinematic float64) Prediction {
@@ -154,9 +146,6 @@ func (e rssiEstimator) Estimate(ls LinkState, obs Observer, kinematic float64) P
 // more) discounted by that same feedback.
 type receiptEstimator struct{}
 
-// Name implements Estimator.
-func (receiptEstimator) Name() string { return "receipt" }
-
 // Estimate implements Estimator.
 func (receiptEstimator) Estimate(ls LinkState, obs Observer, kinematic float64) Prediction {
 	age := max(obs.Now-ls.FirstSeen, minAge)
@@ -169,9 +158,6 @@ func (receiptEstimator) Estimate(ls LinkState, obs Observer, kinematic float64) 
 // protocols hand-rolled before the plane existed, which is what keeps the
 // golden experiment outputs byte-identical.
 type compositeEstimator struct{ receipt prob.ReceiptModel }
-
-// Name implements Estimator.
-func (compositeEstimator) Name() string { return "composite" }
 
 // Estimate implements Estimator.
 func (e compositeEstimator) Estimate(ls LinkState, obs Observer, kinematic float64) Prediction {

@@ -23,16 +23,15 @@ func TestRegistry(t *testing.T) {
 		if !Known(name) {
 			t.Errorf("Known(%q) = false", name)
 		}
-		e, err := New(name, Config{})
-		if err != nil || e.Name() != name {
+		if e, err := New(name, Config{}); err != nil {
 			t.Errorf("New(%q) = %v, %v", name, e, err)
 		}
 	}
 	if !Known("") {
 		t.Error("empty name must resolve to the default")
 	}
-	if def := MustNew("", Config{}); def.Name() != DefaultEstimator {
-		t.Errorf("default estimator = %q", def.Name())
+	if def, want := MustNew("", Config{}), MustNew(DefaultEstimator, Config{}); def != want {
+		t.Errorf("default estimator = %#v, want %#v", def, want)
 	}
 	if _, err := New("nope", Config{}); err == nil {
 		t.Error("unknown estimator accepted")

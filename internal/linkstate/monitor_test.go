@@ -142,7 +142,6 @@ func TestMonitorLifetimeMemo(t *testing.T) {
 // countingEstimator passes the kinematic value through and counts calls.
 type countingEstimator struct{ calls *int }
 
-func (countingEstimator) Name() string { return "counting" }
 func (c countingEstimator) Estimate(ls LinkState, obs Observer, kin float64) Prediction {
 	*c.calls++
 	return Prediction{Lifetime: kin, ReceiptProb: 1}

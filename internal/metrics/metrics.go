@@ -7,10 +7,56 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 
 	"github.com/vanetlab/relroute/internal/digest"
 )
+
+// Kind is what a packet is. KindData is application data; every other kind
+// is control, from the survey's control packet vocabulary (Sec. III-A).
+// The kinds are declared in name order, so index order is name order: the
+// order DigestInto and KindCounts.String write them in.
+type Kind uint8
+
+// Packet kinds.
+const (
+	KindData Kind = iota
+	KindHello
+	KindProbe // TBP-SS tickets
+	KindRERR
+	KindRREP
+	KindRREQ
+	KindUpdate // proactive table dumps (DSDV)
+	numKinds
+)
+
+var kindNames = [numKinds]string{"DATA", "HELLO", "PROBE", "RERR", "RREP", "RREQ", "UPDATE"}
+
+// String implements fmt.Stringer.
+func (k Kind) String() string { return kindNames[k] }
+
+// KindCounts is a count per packet kind, indexed by Kind.
+type KindCounts [numKinds]int
+
+// String prints the non-zero counts as fmt prints a map from kind name to
+// count: map[HELLO:120 RREQ:3].
+func (k KindCounts) String() string {
+	b := []byte("map[")
+	for i, n := range k {
+		if n == 0 {
+			continue
+		}
+		if len(b) > len("map[") {
+			b = append(b, ' ')
+		}
+		b = append(b, kindNames[i]...)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(n), 10)
+	}
+	return string(append(b, ']'))
+}
 
 // Collector accumulates counters for one simulation run. It is not safe
 // for concurrent use; the single-threaded engine owns it.
@@ -22,8 +68,8 @@ type Collector struct {
 	DataDropped   int // data packets dropped (TTL, queue, no route)
 	DataForwarded int // data transmissions by intermediate nodes
 
-	// control plane, keyed by packet type name (RREQ, RREP, HELLO, ...)
-	Control map[string]int
+	// control plane, per packet kind (RREQ, RREP, HELLO, ...)
+	Control KindCounts
 	// ControlBytes accumulates control packet sizes.
 	ControlBytes int
 	// DataBytes accumulates data packet sizes (all transmissions).
@@ -67,16 +113,11 @@ type Collector struct {
 	hops      []int     // hop counts of delivered packets
 	pathLives []float64 // observed lifetimes of established paths
 
-	deliveredByUID map[uint64]bool
+	delivered []bool // by UID: whether a copy has reached the destination
 }
 
 // NewCollector returns an empty collector.
-func NewCollector() *Collector {
-	return &Collector{
-		Control:        make(map[string]int),
-		deliveredByUID: make(map[uint64]bool),
-	}
-}
+func NewCollector() *Collector { return &Collector{} }
 
 // OnDataSent records an application-layer origination.
 func (c *Collector) OnDataSent() { c.DataSent++ }
@@ -86,11 +127,13 @@ func (c *Collector) OnDataSent() { c.DataSent++ }
 // separately and do not skew delay statistics. It reports whether the
 // delivery was a first.
 func (c *Collector) OnDataDelivered(uid uint64, delay float64, hops int) bool {
-	if c.deliveredByUID[uid] {
+	if n := int(uid) + 1; n > len(c.delivered) {
+		c.delivered = slices.Grow(c.delivered, n-len(c.delivered))[:n]
+	} else if c.delivered[uid] {
 		c.DataDuplicate++
 		return false
 	}
-	c.deliveredByUID[uid] = true
+	c.delivered[uid] = true
 	c.DataDelivered++
 	c.delays = append(c.delays, delay)
 	c.hops = append(c.hops, hops)
@@ -99,7 +142,7 @@ func (c *Collector) OnDataDelivered(uid uint64, delay float64, hops int) bool {
 
 // OnControl records a control-plane transmission of the given type and
 // size in bytes.
-func (c *Collector) OnControl(kind string, bytes int) {
+func (c *Collector) OnControl(kind Kind, bytes int) {
 	c.Control[kind]++
 	c.ControlBytes += bytes
 }
@@ -297,8 +340,6 @@ func (c *Collector) CollisionRate() float64 {
 }
 
 // Summary is a flattened snapshot used by the experiment harness tables.
-// The Control map makes the struct non-comparable; compare summaries with
-// reflect.DeepEqual rather than ==.
 type Summary struct {
 	Protocol      string
 	Scenario      string
@@ -349,18 +390,14 @@ type Summary struct {
 	FaultCtlSpike   float64
 	TimeToReroute   float64
 	RecoveryLatency float64
-	// Control is the per-type control transmission count (RREQ, RREP, ...),
-	// a copy of the collector's map.
-	Control map[string]int
+	// Control is the per-kind control transmission count (RREQ, RREP, ...),
+	// a copy of the collector's.
+	Control KindCounts
 }
 
 // Summarize produces the snapshot, labelled with protocol and scenario
 // names.
 func (c *Collector) Summarize(protocol, scenario string) Summary {
-	ctl := make(map[string]int, len(c.Control))
-	for k, v := range c.Control {
-		ctl[k] = v
-	}
 	return Summary{
 		Protocol:        protocol,
 		Scenario:        scenario,
@@ -396,31 +433,33 @@ func (c *Collector) Summarize(protocol, scenario string) Summary {
 		FaultCtlSpike:   c.FaultControlSpike(),
 		TimeToReroute:   c.MeanTimeToReroute(),
 		RecoveryLatency: c.MeanRecoveryLatency(),
-		Control:         ctl,
+		Control:         c.Control,
 	}
 }
 
 // DigestInto folds the collector's full accumulated state into d: every
-// counter, the per-type control map in sorted key order, the sample
-// slices in append order (append order is event order, deterministic),
-// and the delivered-UID set as a size plus an order-independent fold
-// (XOR of per-element hashes — map iteration order never reaches the
-// digest).
+// counter, the non-zero control counts by kind name in name order, the
+// sample slices in append order (append order is event order,
+// deterministic), and the delivered-UID set as a size plus an
+// order-independent fold (XOR of per-element hashes).
 func (c *Collector) DigestInto(d *digest.Writer) {
 	d.Int(c.DataSent)
 	d.Int(c.DataDelivered)
 	d.Int(c.DataDuplicate)
 	d.Int(c.DataDropped)
 	d.Int(c.DataForwarded)
-	keys := make([]string, 0, len(c.Control))
-	for k := range c.Control {
-		keys = append(keys, k)
+	kinds := 0
+	for _, n := range c.Control {
+		if n != 0 {
+			kinds++
+		}
 	}
-	sort.Strings(keys)
-	d.Int(len(keys))
-	for _, k := range keys {
-		d.Str(k)
-		d.Int(c.Control[k])
+	d.Int(kinds)
+	for k, n := range c.Control {
+		if n != 0 {
+			d.Str(kindNames[k])
+			d.Int(n)
+		}
 	}
 	d.Int(c.ControlBytes)
 	d.Int(c.DataBytes)
@@ -463,11 +502,15 @@ func (c *Collector) DigestInto(d *digest.Writer) {
 		d.Int(h)
 	}
 	digestF64s(c.pathLives)
-	d.Int(len(c.deliveredByUID))
+	delivered := 0
 	var fold uint64
-	for uid := range c.deliveredByUID {
-		fold ^= digest.Mix(uid)
+	for uid, ok := range c.delivered {
+		if ok {
+			delivered++
+			fold ^= digest.Mix(uint64(uid))
+		}
 	}
+	d.Int(delivered)
 	d.U64(fold)
 }
 

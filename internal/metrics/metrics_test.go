@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -40,10 +41,10 @@ func TestPDRAndDelivery(t *testing.T) {
 
 func TestControlAccounting(t *testing.T) {
 	c := NewCollector()
-	c.OnControl("RREQ", 48)
-	c.OnControl("RREQ", 48)
-	c.OnControl("HELLO", 32)
-	if c.Control["RREQ"] != 2 || c.Control["HELLO"] != 1 {
+	c.OnControl(KindRREQ, 48)
+	c.OnControl(KindRREQ, 48)
+	c.OnControl(KindHello, 32)
+	if c.Control[KindRREQ] != 2 || c.Control[KindHello] != 1 {
 		t.Fatalf("control = %v", c.Control)
 	}
 	if c.ControlBytes != 128 {
@@ -60,6 +61,46 @@ func TestControlAccounting(t *testing.T) {
 	c.OnDataDelivered(9, 0.1, 1)
 	if got := c.OverheadRatio(); got != 3 {
 		t.Fatalf("overhead = %v", got)
+	}
+}
+
+// TestKindsInNameOrder pins the two facts that digests and printed counts
+// rely on: kind names ascend in index order, and KindCounts prints exactly
+// what fmt prints for the map of its non-zero counts by name.
+func TestKindsInNameOrder(t *testing.T) {
+	for k := KindData + 1; k < numKinds; k++ {
+		if k.String() <= (k - 1).String() {
+			t.Fatalf("kind %d is %q, after %q: not in name order", k, k, k-1)
+		}
+	}
+	for _, counts := range []KindCounts{
+		{},
+		{KindHello: 120, KindRREQ: 3},
+		{1, 2, 3, 4, 5, 6, 7},
+		{KindUpdate: -1, KindData: 1 << 40},
+	} {
+		m := map[string]int{}
+		for k, n := range counts {
+			if n != 0 {
+				m[Kind(k).String()] = n
+			}
+		}
+		if got, want := fmt.Sprintf("%+v", counts), fmt.Sprintf("%+v", m); got != want {
+			t.Errorf("KindCounts prints %s, the map %s", got, want)
+		}
+	}
+}
+
+// TestOnControlAllocFree: counting a kind allocates nothing, from the first
+// call on.
+func TestOnControlAllocFree(t *testing.T) {
+	c := NewCollector()
+	k := KindData
+	if allocs := testing.AllocsPerRun(100, func() {
+		k = k%(numKinds-1) + 1
+		c.OnControl(k, 32)
+	}); allocs != 0 {
+		t.Fatalf("OnControl allocates %.1f per call", allocs)
 	}
 }
 
@@ -95,7 +136,7 @@ func TestSummarize(t *testing.T) {
 	c := NewCollector()
 	c.OnDataSent()
 	c.OnDataDelivered(1, 0.25, 2)
-	c.OnControl("RREQ", 48)
+	c.OnControl(KindRREQ, 48)
 	c.OnPathLifetime(12)
 	c.RouteDiscoveries = 3
 	c.RouteBreaks = 2

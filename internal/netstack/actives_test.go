@@ -13,7 +13,6 @@ import (
 type quietRouter struct{ Base }
 
 func newQuietRouter() Router                  { return &quietRouter{} }
-func (r *quietRouter) Name() string           { return "quiet-test" }
 func (r *quietRouter) NeedsBeacons() bool     { return false }
 func (r *quietRouter) HandlePacket(p *Packet) { r.API.Release(p) }
 func (r *quietRouter) Originate(NodeID, int)  {}

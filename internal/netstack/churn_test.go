@@ -15,8 +15,6 @@ type churnRouter struct {
 
 func newChurnRouter() Router { return &churnRouter{seen: make(map[uint64]bool)} }
 
-func (r *churnRouter) Name() string { return "churn-test" }
-
 func (r *churnRouter) Originate(dst NodeID, size int) {
 	pkt := &Packet{
 		UID: r.API.NewUID(), Kind: KindData,

@@ -15,8 +15,6 @@ type invariantRouter struct {
 	seen map[uint64]int
 }
 
-func (r *invariantRouter) Name() string { return "invariant" }
-
 func (r *invariantRouter) NeedsBeacons() bool { return false }
 
 func (r *invariantRouter) Originate(dst NodeID, size int) {

@@ -223,7 +223,7 @@ func TestLinkAuditDeterministic(t *testing.T) {
 		return w.Collector().Summarize("echo", "audit")
 	}
 	s1, s2 := run(), run()
-	if !reflect.DeepEqual(s1, s2) {
+	if s1 != s2 {
 		t.Fatalf("audit summaries diverged:\n%+v\n%+v", s1, s2)
 	}
 	if s1.LinkSamples == 0 {

@@ -33,8 +33,6 @@ type echoRouter struct {
 	failures []NodeID
 }
 
-func (e *echoRouter) Name() string { return "echo" }
-
 func (e *echoRouter) HandlePacket(pkt *Packet) {
 	e.got = append(e.got, pkt)
 	if pkt.Dst == e.API.Self() {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/vanetlab/relroute/internal/linkstate"
+	"github.com/vanetlab/relroute/internal/metrics"
 )
 
 // NodeID identifies a node (vehicle, RSU, or bus). IDs are dense from 0.
@@ -28,23 +29,35 @@ const (
 	BusNode = linkstate.BusNode
 )
 
-// Packet kinds: what a packet is. KindData is application data; every other
-// kind is control, from the survey's control packet vocabulary (Sec. III-A).
+// Kind is what a packet is. The type is owned by the collector
+// (internal/metrics), which counts control traffic per kind; this alias
+// keeps protocol code spelling netstack.KindRREQ.
+type Kind = metrics.Kind
+
+// Packet kinds, re-exported from the collector. KindData is application
+// data; every other kind is control, from the survey's control packet
+// vocabulary (Sec. III-A).
 const (
-	KindData   = "DATA"
-	KindHello  = "HELLO"
-	KindRREQ   = "RREQ"
-	KindRREP   = "RREP"
-	KindRERR   = "RERR"
-	KindProbe  = "PROBE"  // TBP-SS tickets
-	KindUpdate = "UPDATE" // proactive table dumps (DSDV)
+	KindData   = metrics.KindData
+	KindHello  = metrics.KindHello
+	KindRREQ   = metrics.KindRREQ
+	KindRREP   = metrics.KindRREP
+	KindRERR   = metrics.KindRERR
+	KindProbe  = metrics.KindProbe  // TBP-SS tickets
+	KindUpdate = metrics.KindUpdate // proactive table dumps (DSDV)
 )
 
 // Packet is the network-layer unit. From/To are link-layer addresses set
 // per transmission; Src/Dst are end-to-end.
 type Packet struct {
-	UID     uint64 // unique per originated packet; forwarded copies share it
-	Kind    string // what the packet is: KindData, or a control kind
+	UID  uint64 // unique per originated packet; forwarded copies share it
+	Kind Kind   // what the packet is: KindData, or a control kind
+	// final is set while the packet sits in the MAC after API.SendFinal:
+	// the stack recycles it when the frame is done. Send clears it and
+	// dispatch clears it on every per-receiver copy. It sits beside Kind
+	// so the two bytes share one word's padding.
+	final bool
+
 	Src     NodeID
 	Dst     NodeID // end-to-end destination; Broadcast for dissemination
 	From    NodeID // last-hop sender
@@ -54,11 +67,6 @@ type Packet struct {
 	Size    int     // bytes
 	Created float64 // origination time, seconds
 	Payload any     // protocol-private extension; treat as immutable
-
-	// final is set while the packet sits in the MAC after API.SendFinal:
-	// the stack recycles it when the frame is done. Send clears it and
-	// dispatch clears it on every per-receiver copy.
-	final bool
 }
 
 // Clone returns a shallow copy. The stack clones packets per receiver on

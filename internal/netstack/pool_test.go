@@ -2,6 +2,7 @@ package netstack
 
 import (
 	"testing"
+	"unsafe"
 
 	"github.com/vanetlab/relroute/internal/geom"
 	"github.com/vanetlab/relroute/internal/mac"
@@ -14,7 +15,6 @@ type countingRouter struct {
 	beacons int
 }
 
-func (r *countingRouter) Name() string              { return "counting" }
 func (r *countingRouter) HandlePacket(*Packet)      {}
 func (r *countingRouter) Originate(NodeID, int)     {}
 func (r *countingRouter) OnBeacon(NodeID, NodeKind) { r.beacons++ }
@@ -22,6 +22,15 @@ func (r *countingRouter) NeedsBeacons() bool        { return true }
 
 // A warmed packet pool round-trip must not allocate: getPacket reuses what
 // putPacket recycled.
+// TestPacketIs80Bytes pins the unit every send, clone and pooled copy moves:
+// the one-byte Kind and the final flag share the padding after UID, so a
+// field added or moved here is paid for on every frame.
+func TestPacketIs80Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Packet{}); got != 80 {
+		t.Fatalf("netstack.Packet is %d bytes, want 80", got)
+	}
+}
+
 func TestPacketPoolRoundTripAllocFree(t *testing.T) {
 	w := NewWorld(Config{Seed: 1}, mobility.NewPlayback(nil))
 	// warm: one packet in the free list
@@ -86,7 +95,6 @@ type poolFlooder struct {
 	handed map[*Packet]bool
 }
 
-func (r *poolFlooder) Name() string       { return "pool-flooder" }
 func (r *poolFlooder) NeedsBeacons() bool { return false }
 
 func (r *poolFlooder) Originate(dst NodeID, size int) {
@@ -124,7 +132,6 @@ type sinkRouter struct {
 	got int
 }
 
-func (r *sinkRouter) Name() string          { return "sink" }
 func (r *sinkRouter) NeedsBeacons() bool    { return false }
 func (r *sinkRouter) Originate(NodeID, int) {}
 func (r *sinkRouter) HandlePacket(pkt *Packet) {

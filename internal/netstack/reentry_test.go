@@ -40,7 +40,6 @@ type expiryRouter struct {
 	expired []NodeID
 }
 
-func (r *expiryRouter) Name() string               { return "expiry-test" }
 func (r *expiryRouter) HandlePacket(p *Packet)     { r.API.Release(p) }
 func (r *expiryRouter) Originate(NodeID, int)      {}
 func (r *expiryRouter) OnNeighborExpired(i NodeID) { r.expired = append(r.expired, i) }

@@ -11,9 +11,6 @@ import (
 // Router is the interface every protocol implements. One instance is
 // attached per node.
 type Router interface {
-	// Name returns the protocol name (stable, used in metrics and the
-	// taxonomy registry).
-	Name() string
 	// Attach hands the router its per-node API. Called once before the
 	// simulation starts.
 	Attach(api *API)

@@ -43,9 +43,6 @@ func New() netstack.RouterFactory {
 	}
 }
 
-// Name implements netstack.Router.
-func (r *Router) Name() string { return "Abedi" }
-
 func (r *Router) request(dst netstack.NodeID, reqID uint64) *netstack.Packet {
 	return r.Control(netstack.KindRREQ, netstack.Broadcast, 56,
 		rreq{Origin: r.API.Self(), ReqID: reqID, Target: dst, OriginVel: r.API.Vel()})

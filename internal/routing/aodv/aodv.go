@@ -58,9 +58,6 @@ func New() netstack.RouterFactory {
 	}
 }
 
-// Name implements netstack.Router.
-func (r *Router) Name() string { return "AODV" }
-
 // Originate implements netstack.Router: using a route extends it.
 func (r *Router) Originate(dst netstack.NodeID, size int) {
 	if dst != r.API.Self() {

@@ -13,7 +13,7 @@ func TestDiscoveryAndDelivery(t *testing.T) {
 	w, ids := routetest.World(t, 1, routetest.Chain(5, 150, 20), aodv.New())
 	routetest.MustDeliverAll(t, w, ids[0], ids[4], 5)
 	c := w.Collector()
-	if c.Control["RREQ"] == 0 || c.Control["RREP"] == 0 {
+	if c.Control[netstack.KindRREQ] == 0 || c.Control[netstack.KindRREP] == 0 {
 		t.Fatalf("control plane silent: %v", c.Control)
 	}
 	if c.RouteDiscoveries == 0 {

@@ -36,9 +36,6 @@ func New() netstack.RouterFactory {
 	return func() netstack.Router { return &Router{dup: routing.NewDupCache(60)} }
 }
 
-// Name implements netstack.Router.
-func (r *Router) Name() string { return "Bus" }
-
 // Attach implements netstack.Router. The core is bound here, not in New:
 // how long custody lasts depends on the node kind, which only api knows.
 func (r *Router) Attach(api *netstack.API) {

@@ -135,9 +135,6 @@ func New(dmap *DensityMap) netstack.RouterFactory {
 	}
 }
 
-// Name implements netstack.Router.
-func (r *Router) Name() string { return "CAR" }
-
 // Originate implements netstack.Router.
 func (r *Router) Originate(dst netstack.NodeID, size int) {
 	pkt := routing.NewData(r.API, dst, size)

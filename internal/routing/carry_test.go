@@ -19,8 +19,6 @@ type stubCarrier struct {
 	knewWatched     bool // HasNeighbor(watch) at the last route call
 }
 
-func (s *stubCarrier) Name() string { return "stub" }
-
 func always(h routing.Hop) func(*netstack.Packet) routing.Hop {
 	return func(*netstack.Packet) routing.Hop { return h }
 }

@@ -39,9 +39,6 @@ func New() netstack.RouterFactory {
 	return func() netstack.Router { return &Router{table: routing.NewTable()} }
 }
 
-// Name implements netstack.Router.
-func (r *Router) Name() string { return "DSDV" }
-
 // Attach implements netstack.Router and starts the periodic advertiser.
 func (r *Router) Attach(api *netstack.API) {
 	r.Base.Attach(api)
@@ -58,12 +55,13 @@ func (r *Router) advertise() {
 		rt, _ := r.table.Get(dst)
 		routes = append(routes, advert{Dst: dst, Seq: rt.Seq, Hops: rt.Hops})
 	}
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindUpdate,
-		Src: r.API.Self(), Dst: netstack.Broadcast, TTL: 1,
-		Size: 16 + 12*len(routes), Created: now,
-		Payload: update{Routes: routes},
-	}
+	r.broadcast(routes)
+}
+
+// broadcast sends routes to the one-hop neighbourhood as a table update.
+func (r *Router) broadcast(routes []advert) {
+	pkt := routing.NewPacket(r.API, netstack.KindUpdate, netstack.Broadcast, 16+12*len(routes), update{Routes: routes})
+	pkt.TTL = 1
 	r.API.Send(netstack.Broadcast, pkt)
 }
 
@@ -134,19 +132,12 @@ func (r *Router) OnNeighborExpired(id netstack.NodeID) {
 		return
 	}
 	r.API.Metrics().RouteBreaks += len(broken)
-	now := r.API.Now()
 	routes := make([]advert, 0, len(broken))
 	for _, dst := range broken {
 		rt, _ := r.table.Get(dst)
 		routes = append(routes, advert{Dst: dst, Seq: rt.Seq + 1, Hops: -1})
 	}
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindUpdate,
-		Src: r.API.Self(), Dst: netstack.Broadcast, TTL: 1,
-		Size: 16 + 12*len(routes), Created: now,
-		Payload: update{Routes: routes},
-	}
-	r.API.Send(netstack.Broadcast, pkt)
+	r.broadcast(routes)
 }
 
 // OnSendFailed implements netstack.Router: treat like a neighbor loss.

@@ -20,7 +20,7 @@ func TestConvergesAndDelivers(t *testing.T) {
 	if c.DataDelivered != 5 {
 		t.Fatalf("delivered = %d of 5 (drops=%d)", c.DataDelivered, c.DataDropped)
 	}
-	if c.Control["UPDATE"] == 0 {
+	if c.Control[netstack.KindUpdate] == 0 {
 		t.Fatal("no periodic updates")
 	}
 }
@@ -46,8 +46,8 @@ func TestUpdateIntervalOption(t *testing.T) {
 	c := w.Collector()
 	// one full dump every 2 s from a phase in (0, 2): twenty per node by
 	// t = 40, and no link breaks to add any
-	if c.Control["UPDATE"] != 60 {
-		t.Fatalf("updates = %d, want 3 nodes × 20 at a 2 s interval", c.Control["UPDATE"])
+	if c.Control[netstack.KindUpdate] != 60 {
+		t.Fatalf("updates = %d, want 3 nodes × 20 at a 2 s interval", c.Control[netstack.KindUpdate])
 	}
 	if c.DataDelivered != 3 {
 		t.Fatalf("delivered = %d", c.DataDelivered)

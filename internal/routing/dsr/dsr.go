@@ -53,9 +53,6 @@ func New() netstack.RouterFactory {
 	}
 }
 
-// Name implements netstack.Router.
-func (r *Router) Name() string { return "DSR" }
-
 // routed: a cached path always runs from this node to another one.
 func (r *Router) routed(dst netstack.NodeID) bool { return len(r.cache[dst]) >= 2 }
 

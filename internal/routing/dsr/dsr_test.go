@@ -13,7 +13,7 @@ func TestSourceRoutingDelivers(t *testing.T) {
 	w, ids := routetest.World(t, 1, routetest.Chain(5, 150, 20), dsr.New())
 	routetest.MustDeliverAll(t, w, ids[0], ids[4], 5)
 	c := w.Collector()
-	if c.Control["RREQ"] == 0 || c.Control["RREP"] == 0 {
+	if c.Control[netstack.KindRREQ] == 0 || c.Control[netstack.KindRREP] == 0 {
 		t.Fatalf("control = %v", c.Control)
 	}
 }
@@ -66,7 +66,7 @@ func TestBrokenSourceRouteReported(t *testing.T) {
 	if c.DataDelivered == 0 {
 		t.Fatal("nothing delivered before the break")
 	}
-	if c.RouteBreaks == 0 && c.Control["RERR"] == 0 {
+	if c.RouteBreaks == 0 && c.Control[netstack.KindRERR] == 0 {
 		t.Fatal("break neither counted nor reported")
 	}
 }
@@ -85,7 +85,7 @@ func TestLoopSuppression(t *testing.T) {
 	}
 	// each RREQ flood in a 6-clique is ≤ 6 transmissions if loops are
 	// suppressed (everyone forwards once)
-	if c.Control["RREQ"] > 12 {
-		t.Fatalf("RREQ transmissions = %d; loop suppression failed", c.Control["RREQ"])
+	if c.Control[netstack.KindRREQ] > 12 {
+		t.Fatalf("RREQ transmissions = %d; loop suppression failed", c.Control[netstack.KindRREQ])
 	}
 }

@@ -75,9 +75,6 @@ func (c *DupCache) Seen(k DupKey, now float64) bool {
 	return false
 }
 
-// Len returns the number of live entries (after lazily expiring on Seen).
-func (c *DupCache) Len() int { return int(c.n) }
-
 // home is the slot k hashes to: the top bits of a Fibonacci hash over both
 // halves of the key (flooders vary Seq, discovery floods vary Origin).
 func (c *DupCache) home(k DupKey) int {

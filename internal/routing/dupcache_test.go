@@ -50,8 +50,8 @@ func (p *dupPair) seen(k DupKey, now float64) bool {
 	if got != want {
 		p.t.Fatalf("step %d: Seen(%+v, %v) = %v, the map says %v", p.step, k, now, got, want)
 	}
-	if p.got.Len() != len(p.want.seen) {
-		p.t.Fatalf("step %d: Len() = %d after Seen(%+v, %v), the map holds %d", p.step, p.got.Len(), k, now, len(p.want.seen))
+	if int(p.got.n) != len(p.want.seen) {
+		p.t.Fatalf("step %d: n = %d after Seen(%+v, %v), the map holds %d", p.step, int(p.got.n), k, now, len(p.want.seen))
 	}
 	return got
 }
@@ -86,7 +86,7 @@ func TestDupCacheMatchesMap(t *testing.T) {
 			p.seen(k, now)
 		}
 		if len(p.got.tab) < 64 && keys >= 256 {
-			t.Fatalf("seed %d: table has %d slots for %d live keys; the stream was meant to grow it", seed, len(p.got.tab), p.got.Len())
+			t.Fatalf("seed %d: table has %d slots for %d live keys; the stream was meant to grow it", seed, len(p.got.tab), int(p.got.n))
 		}
 	}
 }
@@ -130,8 +130,8 @@ func TestDupCacheEdges(t *testing.T) {
 		}
 		fresh := DupKey{Origin: 3, Seq: 1000}
 		p.seen(fresh, 50)
-		if p.got.Len() != 1 {
-			t.Fatalf("Len() = %d after every entry expired, want the one new key", p.got.Len())
+		if int(p.got.n) != 1 {
+			t.Fatalf("n = %d after every entry expired, want the one new key", int(p.got.n))
 		}
 		for i := 0; i < 100; i++ {
 			p.seen(DupKey{Origin: netstack.NodeID(i % 7), Seq: uint64(i)}, 51)

@@ -27,9 +27,6 @@ func New() netstack.RouterFactory {
 	}
 }
 
-// Name implements netstack.Router.
-func (r *Router) Name() string { return "Flooding" }
-
 // Biswas is the acknowledged flooding router of Biswas et al. [9]: after
 // rebroadcasting, a node listens for the same packet from another node; if
 // no copy is overheard within ackTimeout it rebroadcasts again, up to
@@ -54,9 +51,6 @@ func NewBiswas() netstack.RouterFactory {
 		return b
 	}
 }
-
-// Name implements netstack.Router.
-func (b *Biswas) Name() string { return "Biswas" }
 
 // HandlePacket implements netstack.Router: any overheard copy, duplicate
 // or not, acknowledges our pending rebroadcast; the rest is the flood's.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/vanetlab/relroute/internal/geom"
+	"github.com/vanetlab/relroute/internal/netstack"
 	"github.com/vanetlab/relroute/internal/routing/flood"
 	"github.com/vanetlab/relroute/internal/routing/routetest"
 )
@@ -37,7 +38,7 @@ func TestFloodingDoesNotUseBeacons(t *testing.T) {
 	if err := w.Run(5); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.Collector().Control["HELLO"]; got != 0 {
+	if got := w.Collector().Control[netstack.KindHello]; got != 0 {
 		t.Fatalf("flooding charged %d beacons", got)
 	}
 }

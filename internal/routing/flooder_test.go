@@ -18,8 +18,6 @@ type stubFlooder struct {
 	origins         int // outbound calls with origin set
 }
 
-func (s *stubFlooder) Name() string { return "stub" }
-
 // floodWorld runs the stub on the node under test and one neighbor in
 // range, and has started: packets can be handed to the first stub directly.
 func floodWorld(t *testing.T) (*netstack.World, []netstack.NodeID, *stubFlooder) {
@@ -65,7 +63,7 @@ func TestFloodedPacketFate(t *testing.T) {
 	const elsewhere = netstack.NodeID(8)
 	cases := []struct {
 		name  string
-		kind  string
+		kind  netstack.Kind
 		dst   netstack.NodeID // 0 is the node under test
 		ttl   int
 		relay bool

@@ -31,9 +31,6 @@ func New() netstack.RouterFactory {
 	}
 }
 
-// Name implements netstack.Router.
-func (r *Router) Name() string { return "LORA-DCBF" }
-
 // NeedsBeacons implements netstack.Router: unlike the other flooders, the
 // gateway election reads the neighbor table.
 func (r *Router) NeedsBeacons() bool { return true }

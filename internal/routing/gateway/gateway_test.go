@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/vanetlab/relroute/internal/geom"
+	"github.com/vanetlab/relroute/internal/netstack"
 	"github.com/vanetlab/relroute/internal/routing/flood"
 	"github.com/vanetlab/relroute/internal/routing/gateway"
 	"github.com/vanetlab/relroute/internal/routing/routetest"
@@ -38,7 +39,7 @@ func TestSuppressesDuplicatesVsFlooding(t *testing.T) {
 		t.Fatal(err)
 	}
 	floodTx := wf.Collector().MACTransmits
-	gwTx := wg.Collector().MACTransmits - wg.Collector().Control["HELLO"]
+	gwTx := wg.Collector().MACTransmits - wg.Collector().Control[netstack.KindHello]
 	if wg.Collector().DataDelivered == 0 {
 		t.Fatal("gateway clustering delivered nothing")
 	}
@@ -66,7 +67,7 @@ func TestMembersReadWithoutForwarding(t *testing.T) {
 		t.Fatalf("delivered = %d", c.DataDelivered)
 	}
 	// src + one gateway relay ≤ 2 data transmissions
-	dataTx := c.MACTransmits - c.Control["HELLO"]
+	dataTx := c.MACTransmits - c.Control[netstack.KindHello]
 	if dataTx > 2 {
 		t.Fatalf("data transmissions = %d; a member must have forwarded", dataTx)
 	}

@@ -39,9 +39,6 @@ func New() netstack.RouterFactory {
 	}
 }
 
-// Name implements netstack.Router.
-func (r *Router) Name() string { return "Greedy" }
-
 // route forwards greedily; at a local maximum (no neighbor closer than
 // self) the packet is stored, carried and forwarded later. A destination
 // the location service cannot place is given up, carried or not.

@@ -42,9 +42,6 @@ func New() netstack.RouterFactory {
 	}
 }
 
-// Name implements netstack.Router.
-func (r *Router) Name() string { return "GVGrid" }
-
 // linkReliability returns P(link to the beaconed neighbor survives the
 // delay bound) under the protocol's probability model: relative speed
 // ~ N(observed Δv, σ²), gap and range from the reliability plane's link

@@ -45,5 +45,5 @@ func blended(aPos, aVel, bPos, bVel geom.Vec2, r, stability float64) float64 {
 // threshold applied to the blended score, under its own name, so metrics
 // and taxonomy listings distinguish it from plain TBP-SS.
 func New(tickets int) netstack.RouterFactory {
-	return core.NewTicketRouter(core.WithTickets(tickets), core.WithScorer("Hybrid", Score))
+	return core.NewTicketRouter(core.WithTickets(tickets), core.WithScorer(Score))
 }

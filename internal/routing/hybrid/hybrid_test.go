@@ -15,13 +15,6 @@ func TestDeliversAcrossChain(t *testing.T) {
 	routetest.MustDeliverAll(t, w, ids[0], ids[4], 5)
 }
 
-func TestNameDistinguishesFromTBPSS(t *testing.T) {
-	r := hybrid.New(3)()
-	if r.Name() != "Hybrid" {
-		t.Fatalf("name = %q", r.Name())
-	}
-}
-
 func TestScoreGatesOppositeDirectionLinks(t *testing.T) {
 	// capture an API by attaching a probe router to a two-node world
 	var api *netstack.API
@@ -90,8 +83,6 @@ type captureRouter struct {
 	netstack.Base
 	apiSink **netstack.API
 }
-
-func (c *captureRouter) Name() string { return "capture" }
 
 func (c *captureRouter) Attach(api *netstack.API) {
 	c.Base.Attach(api)

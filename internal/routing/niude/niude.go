@@ -65,9 +65,6 @@ func New() netstack.RouterFactory {
 	}
 }
 
-// Name implements netstack.Router.
-func (r *Router) Name() string { return "NiuDe" }
-
 // linkAvailability returns P(link to the beaconed neighbor survives the
 // reliability horizon) under the Sec. VII model, via the reliability
 // plane's shared survival helper.

@@ -37,12 +37,8 @@ func (d *Discovery) Init(timeout float64, routed func(netstack.NodeID) bool,
 }
 
 // Control builds a control packet of the given kind from this node.
-func (d *Discovery) Control(kind string, dst netstack.NodeID, size int, payload any) *netstack.Packet {
-	return &netstack.Packet{
-		UID: d.API.NewUID(), Kind: kind,
-		Src: d.API.Self(), Dst: dst, TTL: DefaultTTL, Size: size,
-		Created: d.API.Now(), Payload: payload,
-	}
+func (d *Discovery) Control(kind netstack.Kind, dst netstack.NodeID, size int, payload any) *netstack.Packet {
+	return NewPacket(d.API, kind, dst, size, payload)
 }
 
 // Originate implements netstack.Router: send on the route there is, or

@@ -48,9 +48,6 @@ func New() netstack.RouterFactory {
 	}
 }
 
-// Name implements netstack.Router.
-func (r *Router) Name() string { return "PBR" }
-
 func (r *Router) request(dst netstack.NodeID, reqID uint64) *netstack.Packet {
 	return r.Control(netstack.KindRREQ, netstack.Broadcast, 52,
 		rreq{Origin: r.API.Self(), ReqID: reqID, Target: dst, Lifetime: link.Forever})

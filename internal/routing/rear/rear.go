@@ -33,9 +33,6 @@ func New() netstack.RouterFactory {
 	}
 }
 
-// Name implements netstack.Router.
-func (r *Router) Name() string { return "REAR" }
-
 // reliable reports whether a frame sent to the neighbor is likely enough
 // to be received to consider it at all. ls must come from
 // API.LinkState/LinkStates: the receipt probability is the reliability

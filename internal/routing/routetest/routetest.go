@@ -91,7 +91,6 @@ type recorder struct {
 	log *[]Heard
 }
 
-func (r *recorder) Name() string                   { return "recorder" }
 func (r *recorder) Originate(netstack.NodeID, int) {}
 func (r *recorder) HandlePacket(pkt *netstack.Packet) {
 	*r.log = append(*r.log, Heard{At: r.API.Self(), Src: pkt.Src, Dst: pkt.Dst})

@@ -20,14 +20,20 @@ import (
 // VANET diameters in the experiments stay well below it.
 const DefaultTTL = 32
 
-// NewData builds the data packet a router originates for dst: a fresh UID,
-// the full hop budget, stamped with the node and the current time.
-func NewData(api *netstack.API, dst netstack.NodeID, size int) *netstack.Packet {
+// NewPacket builds a packet of the given kind a router originates for dst:
+// a fresh UID, the full hop budget, stamped with the node and the current
+// time.
+func NewPacket(api *netstack.API, kind netstack.Kind, dst netstack.NodeID, size int, payload any) *netstack.Packet {
 	return &netstack.Packet{
-		UID: api.NewUID(), Kind: netstack.KindData,
+		UID: api.NewUID(), Kind: kind,
 		Src: api.Self(), Dst: dst, TTL: DefaultTTL, Size: size,
-		Created: api.Now(),
+		Created: api.Now(), Payload: payload,
 	}
+}
+
+// NewData builds the data packet a router originates for dst.
+func NewData(api *netstack.API, dst netstack.NodeID, size int) *netstack.Packet {
+	return NewPacket(api, netstack.KindData, dst, size, nil)
 }
 
 // NeighborBuf sizes the stack array a per-packet loop reads the neighbor
@@ -184,10 +190,6 @@ func (t *Table) Destinations(now float64) []netstack.NodeID {
 	return out
 }
 
-// Len returns the number of stored entries — valid routes plus dead ones
-// still inside the retention window. Destinations lists the routable ones.
-func (t *Table) Len() int { return len(t.routes) }
-
 const (
 	// pendingCap is how many packets a PendingQueue holds per destination.
 	pendingCap = 16
@@ -244,12 +246,3 @@ func (q *PendingQueue) PopAll(dst netstack.NodeID, now float64) (fresh, expired 
 
 // Waiting reports whether packets are buffered for dst.
 func (q *PendingQueue) Waiting(dst netstack.NodeID) bool { return len(q.byDst[dst]) > 0 }
-
-// Len returns the total number of buffered packets.
-func (q *PendingQueue) Len() int {
-	n := 0
-	for _, l := range q.byDst {
-		n += len(l)
-	}
-	return n
-}

@@ -33,8 +33,8 @@ func TestDupCacheExpiry(t *testing.T) {
 	if c.Seen(DupKey{Origin: 1, Seq: 1}, 11.5) {
 		t.Fatal("expired key still present after sweep")
 	}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d", c.Len())
+	if c.n != 2 {
+		t.Fatalf("len = %d", c.n)
 	}
 }
 
@@ -151,8 +151,8 @@ func TestTableSweepBoundsGrowth(t *testing.T) {
 	// 1000 destinations died over 1000 s; with 30 s retention and a sweep
 	// per retention period, the table holds at most ~2 windows of dead
 	// entries at any moment
-	if tb.Len() > 100 {
-		t.Fatalf("table grew to %d entries; sweep not collecting", tb.Len())
+	if len(tb.routes) > 100 {
+		t.Fatalf("table grew to %d entries; sweep not collecting", len(tb.routes))
 	}
 	if got := tb.Destinations(now); len(got) != 0 {
 		t.Fatalf("Destinations = %v, want none (everything invalidated)", got)
@@ -172,8 +172,8 @@ func TestTableSweepSparesLiveAndRecentRoutes(t *testing.T) {
 		if now == 29.5 {
 			tb.InvalidateVia(3)
 		}
-		if now == 59.5 && tb.Len() != 3 {
-			t.Fatalf("entry dead for 30 s collected early: len=%d", tb.Len())
+		if now == 59.5 && len(tb.routes) != 3 {
+			t.Fatalf("entry dead for 30 s collected early: len=%d", len(tb.routes))
 		}
 	}
 	if _, ok := tb.Get(3); ok {
@@ -249,8 +249,8 @@ func TestTableInvalidate(t *testing.T) {
 	if len(dsts) != 1 || dsts[0] != 3 {
 		t.Fatalf("destinations = %v", dsts)
 	}
-	if tb.Len() != 3 {
-		t.Fatalf("len = %d", tb.Len())
+	if len(tb.routes) != 3 {
+		t.Fatalf("len = %d", len(tb.routes))
 	}
 }
 
@@ -271,8 +271,8 @@ func TestPendingQueue(t *testing.T) {
 	if !q.Waiting(1) || q.Waiting(2) {
 		t.Fatal("Waiting wrong")
 	}
-	if q.Len() != 16 {
-		t.Fatalf("len = %d", q.Len())
+	if n := len(q.byDst[1]); n != 16 {
+		t.Fatalf("len = %d", n)
 	}
 	// at 10.5 the packet created at 0.25 has waited past 10 s; the one
 	// created at 0.5 has waited exactly 10 s and is still fresh

@@ -118,9 +118,6 @@ func NewUnit(b *Backbone) *UnitRouter {
 	return &UnitRouter{backbone: b, buffered: make(map[netstack.NodeID][]*netstack.Packet)}
 }
 
-// Name implements netstack.Router.
-func (u *UnitRouter) Name() string { return "DRR-RSU" }
-
 // Attach implements netstack.Router and arms the 0.25 s buffer flush.
 func (u *UnitRouter) Attach(api *netstack.API) {
 	u.Base.Attach(api)
@@ -271,9 +268,6 @@ func NewVehicle() netstack.RouterFactory {
 		return v
 	}
 }
-
-// Name implements netstack.Router.
-func (v *VehicleRouter) Name() string { return "DRR" }
 
 func (v *VehicleRouter) route(pkt *netstack.Packet) routing.Hop {
 	if v.API.HasNeighbor(pkt.Dst) {

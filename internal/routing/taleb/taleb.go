@@ -47,9 +47,6 @@ func New() netstack.RouterFactory {
 	}
 }
 
-// Name implements netstack.Router.
-func (r *Router) Name() string { return "Taleb" }
-
 // group returns this node's velocity group.
 func (r *Router) group() int { return link.HeadingGroup(r.API.Vel()) }
 

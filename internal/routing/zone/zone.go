@@ -33,9 +33,6 @@ func New() netstack.RouterFactory {
 	}
 }
 
-// Name implements netstack.Router.
-func (r *Router) Name() string { return "Zone" }
-
 // stamp gives the packet this node originates its zone; sending stays the
 // core's.
 func (r *Router) stamp(pkt *netstack.Packet, origin bool) bool {

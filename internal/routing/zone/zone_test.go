@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/vanetlab/relroute/internal/geom"
+	"github.com/vanetlab/relroute/internal/netstack"
 	"github.com/vanetlab/relroute/internal/routing/routetest"
 	"github.com/vanetlab/relroute/internal/routing/zone"
 )
@@ -50,7 +51,7 @@ func TestZoneNeedsNoBeacons(t *testing.T) {
 	if err := w.Run(4); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.Collector().Control["HELLO"]; got != 0 {
+	if got := w.Collector().Control[netstack.KindHello]; got != 0 {
 		t.Fatalf("zone flooding charged %d beacons", got)
 	}
 }

@@ -13,8 +13,10 @@ import (
 )
 
 // journalVersion is the manifest schema version; OpenJournal rejects
-// files written by an incompatible schema.
-const journalVersion = 1
+// files written by an incompatible schema. Version 2 writes a summary's
+// control counts as an array by packet kind, where version 1 wrote an
+// object by kind name that would no longer decode.
+const journalVersion = 2
 
 // journalHeader is the first line of a manifest: it pins the campaign the
 // journal belongs to, so a resume against a different run list is refused

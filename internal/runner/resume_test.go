@@ -2,11 +2,12 @@ package runner
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -90,7 +91,7 @@ func TestJournalResumeSkipsCompleted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("journal-reconstructed summaries diverged:\ngot  %+v\nwant %+v", got, want)
 	}
 }
@@ -155,7 +156,7 @@ func TestJournalResumeCompletesRemainder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("resumed campaign table diverged from clean run:\ngot  %+v\nwant %+v", got, want)
 	}
 }
@@ -200,7 +201,7 @@ func TestJournalWrittenWithShardsResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("Shards=4 journal resumed to a different table:\ngot  %+v\nwant %+v", got, want)
 	}
 }
@@ -219,6 +220,18 @@ func TestJournalRejectsForeignCampaign(t *testing.T) {
 	other.Add(Run{Protocol: "Greedy", Opts: quickOpts(99)})
 	if _, err := OpenJournal(path, other); err == nil {
 		t.Fatal("journal accepted a different campaign")
+	}
+
+	// a version 1 journal of this very campaign: its records hold the
+	// control counts as an object, which would not decode, so the whole
+	// file is refused rather than every run silently executed again
+	v1, _ := json.Marshal(journalHeader{Kind: "campaign", Version: 1, Campaign: CampaignHash(testCampaign()), Runs: len(testCampaign().Runs)})
+	v1 = append(v1, "\n"+`{"kind":"done","index":0,"label":"a","summary":{"Control":{"HELLO":3}}}`+"\n"...)
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenJournal(path, testCampaign()); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("version 1 journal: err = %v, want the version refused", err)
 	}
 
 	if err := os.WriteFile(path, []byte("not a journal\n"), 0o644); err != nil {

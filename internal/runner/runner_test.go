@@ -2,8 +2,8 @@ package runner
 
 import (
 	"errors"
-	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -63,7 +63,7 @@ func TestParallelExecutionDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(seq, par) {
+	if !slices.Equal(seq, par) {
 		t.Fatalf("parallel execution diverged from sequential:\nseq: %+v\npar: %+v", seq, par)
 	}
 	// sanity: the campaign actually simulated something

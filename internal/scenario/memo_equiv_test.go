@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"github.com/vanetlab/relroute/internal/core"
@@ -72,7 +71,7 @@ func TestTicketMemoChangesNothing(t *testing.T) {
 				unmemoized := core.NewTicketRouter(
 					core.WithMetric(ref.metric),
 					core.WithTickets(o.TicketBudget),
-					core.WithScorer(proto, func(api *netstack.API, nb netstack.Neighbor, _ float64) float64 {
+					core.WithScorer(func(api *netstack.API, nb netstack.Neighbor, _ float64) float64 {
 						return ref.score(api, nb)
 					}),
 				)
@@ -81,7 +80,7 @@ func TestTicketMemoChangesNothing(t *testing.T) {
 				if shipped.Discoveries == 0 || shipped.DataDelivered == 0 {
 					t.Fatalf("nothing probed or delivered: %+v", shipped)
 				}
-				if !reflect.DeepEqual(shipped, plain) {
+				if shipped != plain {
 					t.Errorf("summaries differ:\nmemo    %+v\nno memo %+v", shipped, plain)
 				}
 				if shippedDigest != plainDigest {

@@ -8,10 +8,9 @@ import (
 	"github.com/vanetlab/relroute/internal/core"
 )
 
-// A protocol's name is written in several places — Protocols, the router's
-// Name, the taxonomy — and nothing but this test makes them agree: every
-// runnable protocol builds a vehicle router that answers to that name and
-// is catalogued under a package directory that exists.
+// A protocol's name is written in two places — Protocols and the taxonomy —
+// and nothing but this test makes them agree: every runnable protocol
+// builds and is catalogued under a package directory that exists.
 func TestProtocolNamesAgree(t *testing.T) {
 	pkg := map[string]string{}
 	for _, e := range core.Taxonomy() {
@@ -20,16 +19,8 @@ func TestProtocolNamesAgree(t *testing.T) {
 	pkg["Yan-TBP"] = pkg["Yan"] // the survey's marker for it
 	for _, proto := range Protocols() {
 		t.Run(proto, func(t *testing.T) {
-			sc, err := Build(proto, quickOpts())
-			if err != nil {
+			if _, err := Build(proto, quickOpts()); err != nil {
 				t.Fatal(err)
-			}
-			factory, _, err := sc.protocolFactory(proto)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if name := factory().Name(); name != proto {
-				t.Fatalf("router is named %q", name)
 			}
 			if dir := pkg[proto]; dir == "" {
 				t.Fatal("not in core.Taxonomy, or without a package")

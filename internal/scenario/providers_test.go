@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"github.com/vanetlab/relroute/internal/geom"
@@ -58,7 +57,7 @@ func TestFacadeMatchesExplicitSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(viaFacade, viaSpec) {
+	if viaFacade != viaSpec {
 		t.Fatalf("facade and explicit spec diverged:\n%+v\n%+v", viaFacade, viaSpec)
 	}
 }
@@ -98,12 +97,12 @@ func TestOpenWorldChurn(t *testing.T) {
 			scA.World.Joins(), scA.World.Leaves(), a.Joins, a.Leaves)
 	}
 	b, _ := runChurn(t, opts)
-	if !reflect.DeepEqual(a, b) {
+	if a != b {
 		t.Fatalf("equal seeds diverged under churn:\n%+v\n%+v", a, b)
 	}
 	opts.Seed = 99
 	c, _ := runChurn(t, opts)
-	if reflect.DeepEqual(a, c) {
+	if a == c {
 		t.Fatal("different seeds produced identical churn runs")
 	}
 }
@@ -125,7 +124,7 @@ func TestCityRushScenario(t *testing.T) {
 		t.Errorf("scenario name = %q", sc.Name)
 	}
 	b, _ := runChurn(t, opts)
-	if !reflect.DeepEqual(a, b) {
+	if a != b {
 		t.Fatalf("city-rush not deterministic:\n%+v\n%+v", a, b)
 	}
 }
@@ -173,7 +172,7 @@ func TestTraceReplayScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a, b) {
+	if a != b {
 		t.Fatalf("trace replay not deterministic:\n%+v\n%+v", a, b)
 	}
 }
@@ -221,7 +220,7 @@ func TestStaggeredTraceGeneratesTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a, b) {
+	if a != b {
 		t.Fatalf("staggered trace not deterministic:\n%+v\n%+v", a, b)
 	}
 }

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -61,7 +60,7 @@ func TestDeterministicRuns(t *testing.T) {
 		return sum
 	}
 	a, b := run(), run()
-	if !reflect.DeepEqual(a, b) {
+	if a != b {
 		t.Fatalf("equal seeds diverged:\n%+v\n%+v", a, b)
 	}
 	opts := quickOpts()
@@ -70,7 +69,7 @@ func TestDeterministicRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reflect.DeepEqual(a, c) {
+	if a == c {
 		t.Fatal("different seeds produced identical summaries")
 	}
 }
@@ -220,7 +219,7 @@ func TestShardsOptionIsInert(t *testing.T) {
 				}
 				if got := (outcome{sum, sc.World.Digest()}); shards == 0 {
 					want = got
-				} else if !reflect.DeepEqual(got, want) {
+				} else if got != want {
 					t.Errorf("Shards=%d differs from Shards=0:\ngot  %+v\nwant %+v", shards, got, want)
 				}
 			}

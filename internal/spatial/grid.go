@@ -53,9 +53,6 @@ func (g *Grid) CellSize() float64 { return g.cell }
 // position) does not advance it.
 func (g *Grid) Epoch() uint64 { return g.epoch }
 
-// Len returns the number of indexed items.
-func (g *Grid) Len() int { return g.count }
-
 func (g *Grid) key(p geom.Vec2) cellKey {
 	return cellKey{
 		cx: int32(math.Floor(p.X / g.cell)),

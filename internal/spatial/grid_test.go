@@ -21,8 +21,8 @@ func TestUpdateAndPosition(t *testing.T) {
 	if p != geom.V(500, 500) {
 		t.Fatalf("moved position = %v", p)
 	}
-	if g.Len() != 1 {
-		t.Fatalf("len = %d", g.Len())
+	if g.count != 1 {
+		t.Fatalf("len = %d", g.count)
 	}
 }
 
@@ -34,8 +34,8 @@ func TestRemove(t *testing.T) {
 	if _, ok := g.Position(1); ok {
 		t.Fatal("removed item still present")
 	}
-	if g.Len() != 1 {
-		t.Fatalf("len = %d", g.Len())
+	if g.count != 1 {
+		t.Fatalf("len = %d", g.count)
 	}
 	g.Remove(99) // unknown: no-op
 	got := g.Within(geom.V(0, 0), 10, nil)
@@ -114,7 +114,7 @@ func TestGridInvariantLenConsistent(t *testing.T) {
 				live[id] = true
 			}
 		}
-		return g.Len() == len(live)
+		return g.count == len(live)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -70,8 +70,8 @@ func TestSnapshotMirrorsGrid(t *testing.T) {
 		}
 		total += len(got)
 	}
-	if total != g.Len() || len(s.IDs) != g.Len() || len(s.Pos) != g.Len() {
-		t.Fatalf("snapshot holds %d ids / %d pos over %d spans, grid has %d items", len(s.IDs), len(s.Pos), total, g.Len())
+	if total != g.count || len(s.IDs) != g.count || len(s.Pos) != g.count {
+		t.Fatalf("snapshot holds %d ids / %d pos over %d spans, grid has %d items", len(s.IDs), len(s.Pos), total, g.count)
 	}
 	// memoized: same epoch hands back the same value without a rebuild
 	if again := g.Snapshot(); again != s {

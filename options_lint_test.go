@@ -45,9 +45,11 @@ var testOnlyReached = map[string]string{
 // of the module or of bench/ from its roots: the main and init functions,
 // and the exported declarations of package relroute. A reference is a use
 // the type checker records; a blank assertion var _ I = T{} is not one. A
-// method is also reached when its receiver type is, if its name is a method
-// of some interface type in a loaded package (the standard library
-// included), since a call through that interface may land on it.
+// method is also reached when a type whose method set holds it, declared or
+// promoted, is reached and satisfies an interface type of a loaded package
+// (the standard library included) that has a method of that name, since a
+// call through that interface may land on it. The name alone is not enough:
+// a router's Name is not kept alive by scenario.Topology's.
 // internal/routing/routetest, a helper package for tests, is exempt.
 //
 // What only tests reach is either dead or a test's hook: delete it, or let
@@ -61,12 +63,14 @@ func TestEveryDeclarationIsReached(t *testing.T) {
 		dir  string
 	}
 	decls := map[types.Object]decl{}
-	methods := map[*types.TypeName][]*types.Func{} // by receiver type
-	ifaceMethods := map[string]bool{}              // names of interface methods
+	ifaces := map[string][]*types.Interface{} // by the names of their methods
+	seenIface := map[*types.Interface]bool{}
 	addInterface := func(typ types.Type) {
-		if it, ok := typ.Underlying().(*types.Interface); ok {
+		if it, ok := typ.Underlying().(*types.Interface); ok && it.IsMethodSet() && !seenIface[it] {
+			seenIface[it] = true
 			for i := 0; i < it.NumMethods(); i++ {
-				ifaceMethods[it.Method(i).Name()] = true
+				name := it.Method(i).Name()
+				ifaces[name] = append(ifaces[name], it)
 			}
 		}
 	}
@@ -81,9 +85,7 @@ func TestEveryDeclarationIsReached(t *testing.T) {
 					fn := c.info.Defs[d.Name].(*types.Func)
 					decls[fn] = decl{d, c, dir}
 					if d.Recv != nil {
-						recv := receiverOf(fn)
-						methods[recv] = append(methods[recv], fn)
-						if dir == "." && fn.Exported() && recv.Exported() {
+						if dir == "." && fn.Exported() && receiverOf(fn).Exported() {
 							roots = append(roots, fn)
 						}
 					} else if d.Name.Name == "init" || (main && d.Name.Name == "main") || (dir == "." && fn.Exported()) {
@@ -177,9 +179,17 @@ func TestEveryDeclarationIsReached(t *testing.T) {
 				reach(n.Obj())
 			}
 		case *types.TypeName:
-			for _, m := range methods[o] {
-				if ifaceMethods[m.Name()] {
-					reach(m)
+			// a call through an interface the type satisfies may land on
+			// any method of that interface, declared or promoted
+			ptr := types.NewPointer(o.Type())
+			ms := types.NewMethodSet(ptr)
+			for i := 0; i < ms.Len(); i++ {
+				m := ms.At(i).Obj()
+				for _, it := range ifaces[m.Name()] {
+					if types.Implements(ptr, it) {
+						reach(m)
+						break
+					}
 				}
 			}
 		}
