@@ -46,11 +46,11 @@ func ExamplePathLifetime() {
 	// Output: 7.5
 }
 
-// ExampleRunBatch fans a protocol × seed grid out across the worker pool
-// and folds the per-seed summaries into cross-seed statistics. Results
-// come back in submission order, so output is deterministic for any
-// worker count.
-func ExampleRunBatch() {
+// ExampleRunCampaign fans a protocol × seed grid out across the worker
+// pool and folds the per-seed summaries into cross-seed statistics.
+// Results come back in submission order, so output is deterministic for
+// any worker count.
+func ExampleRunCampaign() {
 	spec := relroute.BatchSpec{
 		Protocols: []string{"Greedy", "TBP-SS"},
 		Grid: []relroute.Options{{
@@ -59,7 +59,10 @@ func ExampleRunBatch() {
 		}},
 		Seeds: []int64{1, 2, 3},
 	}
-	results := relroute.RunBatch(relroute.Campaign{Runs: spec.Runs()}, 0)
+	results, err := relroute.RunCampaign(relroute.ExperimentConfig{}, relroute.Campaign{Runs: spec.Runs()})
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, block := range relroute.Replications(results, len(spec.Seeds)) {
 		sums, err := relroute.Summaries(block)
 		if err != nil {

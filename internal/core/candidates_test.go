@@ -47,7 +47,7 @@ func TestCandidatesScoreOnlyWhatCanBeChosen(t *testing.T) {
 	vehicles := append(routetest.Chain(5, 100, 20), routetest.Vehicle{Pos: geom.V(200, 0), Vel: geom.V(20, 0)})
 	sw := newScoredWorld(t, vehicles)
 	r := sw.routers[2]
-	if n := len(r.API.LinkStates()); n != 5 {
+	if n := len(r.API.AppendLinkStates(nil)); n != 5 {
 		t.Fatalf("observer has %d links, want 5", n)
 	}
 	for id := range vehicles {
@@ -85,7 +85,7 @@ func scoreEverything(r *TicketRouter, score func(netstack.LinkState) float64, ds
 	if havePos {
 		selfD = r.API.Pos().Dist(dstPos)
 	}
-	for _, nb := range r.API.LinkStates() {
+	for _, nb := range r.API.AppendLinkStates(nil) {
 		if slices.Contains(path, nb.ID) {
 			continue
 		}

@@ -57,7 +57,7 @@ func TestStabilityMemoInvalidation(t *testing.T) {
 	// the memo holds one entry per neighbor scored since the observer moved.
 	scoreAll := func(when string, links, entries int) {
 		t.Helper()
-		states := r.API.LinkStates()
+		states := r.API.AppendLinkStates(nil)
 		if len(states) != links {
 			t.Fatalf("%s: %d links, want %d", when, len(states), links)
 		}
@@ -79,7 +79,7 @@ func TestStabilityMemoInvalidation(t *testing.T) {
 	}
 	advance(t, w, 2.05)
 	scoreAll("first read", 2, 2)
-	for _, ls := range r.API.LinkStates() {
+	for _, ls := range r.API.AppendLinkStates(nil) {
 		if got := r.stability(ls); got != poison {
 			t.Fatalf("unchanged link %d was recomputed: %v", ls.ID, got)
 		}

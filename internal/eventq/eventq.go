@@ -4,15 +4,20 @@
 // scheduled (FIFO), which keeps runs deterministic.
 //
 // Storage is a two-level structure. Near-future events — beacon ticks,
-// end-of-airtime, step ticks, the bulk of the workload — live in a calendar
-// of power-of-two time buckets (a timer wheel keyed by absolute bucket
-// index), giving O(1) amortized Schedule/Pop/Cancel. Far-future events
-// overflow into a binary heap and migrate into the calendar as the cursor
-// advances. Small queues run heap-only; the calendar switches on once the
-// queue is big enough for the bucket math to pay for itself, with the
-// bucket width adapted from the observed inter-pop gap. The split is
-// invisible to callers: pop order is exactly (time, seq) regardless of
-// which side an event sits on.
+// end-of-airtime, backoffs, discovery timers, the bulk of the workload —
+// live in a calendar of power-of-two time buckets (a timer wheel keyed by
+// absolute bucket index), giving O(1) amortized Schedule/Pop/Cancel.
+// Far-future events overflow into a binary heap and migrate into the
+// calendar as the cursor advances. A new queue runs heap-only until it
+// first holds calMinLive events and has seen calMinGaps inter-pop gaps; it
+// then builds the calendar once and keeps it. After that the ring is only
+// rebuilt when the observed inter-pop gap drifts an order of magnitude from
+// the bucket width, or when an insert leaves more than two events per
+// bucket. Each pop scans the cursor bucket once, dropping the cancelled
+// entries it meets and keeping the (time, seq) minimum; the peek cache lets
+// the Pop that follows a PeekTime skip that scan. The split is invisible to
+// callers: pop order is exactly (time, seq) regardless of which side an
+// event sits on.
 //
 // The queue is allocation-free in steady state: callbacks live in a slab of
 // slots recycled through a free list, calendar and heap entries carry their
@@ -25,7 +30,6 @@ package eventq
 import (
 	"math/bits"
 	"slices"
-	"sort"
 
 	"github.com/vanetlab/relroute/internal/digest"
 )
@@ -84,12 +88,6 @@ const (
 	// widthCheckEvery is how many pops pass between bucket-width drift
 	// checks once the calendar is live.
 	widthCheckEvery = 4096
-	// sortAbove is the bucket depth beyond which the cursor bucket is
-	// sorted once and consumed from the tail instead of min-scanned per
-	// pop. Contention bursts (MAC backoff storms) pile hundreds of
-	// events into one bucket; sorting turns that from O(k) per pop into
-	// O(log k) amortized.
-	sortAbove = 12
 )
 
 // Queue is a time-ordered event queue. The zero value is ready to use.
@@ -117,12 +115,13 @@ type Queue struct {
 	buckets  [][]ent
 	occ      []uint64 // occupancy bitmap, one bit per bucket
 	calCount int
-	sortedBI int // physical index of the one descending-sorted bucket, -1 if none
 
 	// Inter-pop gap statistics feeding the width policy (decayed sums).
 	// Zero gaps (same-instant events) count toward the mean: they are
 	// real bucket occupancy, and ignoring them would widen buckets by
-	// exactly the same-time multiplicity.
+	// exactly the same-time multiplicity. gapCnt never falls below
+	// calMinGaps once the calendar is built (the decay halves it only
+	// from 256), so every rebuild has a width to work with.
 	lastPop float64
 	havePop bool
 	gapSum  float64
@@ -133,11 +132,6 @@ type Queue struct {
 	// Only this package's tests set it (newHeapOnly), as the reference
 	// side of the layout-invariance and before/after comparisons.
 	heapOnly bool
-
-	// cancelPending counts cancelled entries still sitting in a bucket
-	// or the heap. While zero — the overwhelmingly common case — bucket
-	// scans skip the per-entry slot dereference entirely.
-	cancelPending int
 
 	// Peek cache: the engine calls PeekTime then Pop back to back; the
 	// min found by the first call is reused by the second. Any Schedule
@@ -192,20 +186,9 @@ func (q *Queue) insert(e ent) {
 	q.siftUp(len(q.heap) - 1)
 }
 
-// putBucket appends e to physical bucket p — or, when p is the sorted
-// cursor bucket, splices it in at its (at, seq) rank so the descending
-// order (minimum at the tail) survives.
+// putBucket appends e to physical bucket p.
 func (q *Queue) putBucket(p int, e ent) {
-	bkt := q.buckets[p]
-	if p == q.sortedBI {
-		pos := sort.Search(len(bkt), func(i int) bool { return bkt[i].before(e) })
-		bkt = append(bkt, ent{})
-		copy(bkt[pos+1:], bkt[pos:])
-		bkt[pos] = e
-	} else {
-		bkt = append(bkt, e)
-	}
-	q.buckets[p] = bkt
+	q.buckets[p] = append(q.buckets[p], e)
 	q.occ[p>>6] |= 1 << uint(p&63)
 	q.calCount++
 }
@@ -245,7 +228,6 @@ func (q *Queue) Cancel(id ID) bool {
 	s.fn = nil // release the closure immediately
 	s.gen++    // stale handles (including double cancels) now mismatch
 	q.live--
-	q.cancelPending++
 	q.pkValid = false
 	return true
 }
@@ -281,9 +263,6 @@ func (q *Queue) Pop() (at float64, fn func(), ok bool) {
 		q.buckets[bi] = bkt[:last]
 		if last == 0 {
 			q.occ[bi>>6] &^= 1 << uint(bi&63)
-			if bi == q.sortedBI {
-				q.sortedBI = -1
-			}
 		}
 		q.calCount--
 	}
@@ -343,59 +322,24 @@ restart:
 		q.cur = q.nextOcc(q.cur)
 		bi := int(q.cur & q.mask)
 		bkt := q.buckets[bi]
+		// One pass: drop cancelled entries (swap-remove) and keep the
+		// (at, seq) minimum of the rest.
 		best := -1
-		if q.cancelPending == 0 {
-			switch {
-			case bi == q.sortedBI:
-				// Sorted cursor bucket: the minimum is at the tail.
-				best = len(bkt) - 1
-			case len(bkt) > sortAbove:
-				// Deep bucket (a contention burst): sort it once,
-				// descending, and consume from the tail from now on.
-				slices.SortFunc(bkt, func(a, b ent) int {
-					if a.before(b) {
-						return 1
-					}
-					if b.before(a) {
-						return -1
-					}
-					return 0
-				})
-				q.sortedBI = bi
-				best = len(bkt) - 1
-			default:
-				// Shallow bucket: a pure (at, seq) min scan over a
-				// contiguous slice.
-				var bestE ent
-				for i, e := range bkt {
-					if best < 0 || e.before(bestE) {
-						best, bestE = i, e
-					}
-				}
+		for i := 0; i < len(bkt); {
+			if q.slots[bkt[i].slot].cancelled {
+				q.reclaim(bkt[i].slot)
+				last := len(bkt) - 1
+				bkt[i] = bkt[last]
+				bkt = bkt[:last]
+				q.calCount--
+				continue
 			}
-		} else {
-			if bi == q.sortedBI {
-				q.sortedBI = -1 // compaction below breaks the order
+			if best < 0 || bkt[i].before(bkt[best]) {
+				best = i
 			}
-			for i := 0; i < len(bkt); {
-				s := &q.slots[bkt[i].slot]
-				if s.cancelled {
-					s.cancelled = false
-					q.free = append(q.free, bkt[i].slot)
-					q.cancelPending--
-					last := len(bkt) - 1
-					bkt[i] = bkt[last]
-					bkt = bkt[:last]
-					q.calCount--
-					continue
-				}
-				if best < 0 || bkt[i].before(bkt[best]) {
-					best = i
-				}
-				i++
-			}
-			q.buckets[bi] = bkt
+			i++
 		}
+		q.buckets[bi] = bkt
 		if best < 0 {
 			q.occ[bi>>6] &^= 1 << uint(bi&63)
 			if q.calCount == 0 {
@@ -417,11 +361,8 @@ func (q *Queue) migrate() {
 	for len(q.heap) > 0 && q.heap[0].at < limit {
 		e := q.heap[0]
 		q.removeRoot()
-		s := &q.slots[e.slot]
-		if s.cancelled {
-			s.cancelled = false
-			q.free = append(q.free, e.slot)
-			q.cancelPending--
+		if q.slots[e.slot].cancelled {
+			q.reclaim(e.slot)
 			continue
 		}
 		b, ok := q.bucketFor(e.at)
@@ -479,11 +420,9 @@ func (q *Queue) notePop(at float64) {
 }
 
 // targetWidth is the bucket width the gap statistics currently suggest:
-// twice the mean inter-pop gap, i.e. ~2 events per bucket.
+// twice the mean inter-pop gap, i.e. ~2 events per bucket. It needs
+// gapCnt > 0, which the first build's calMinGaps guarantees for good.
 func (q *Queue) targetWidth() float64 {
-	if q.gapCnt == 0 {
-		return 0
-	}
 	w := 2 * q.gapSum / float64(q.gapCnt)
 	if w < 1e-9 {
 		w = 1e-9
@@ -491,10 +430,10 @@ func (q *Queue) targetWidth() float64 {
 	return w
 }
 
-// maintain runs the calendar policy after each pop: first build once the
-// queue is big enough and the gap estimate has settled, shrink back to
-// heap-only when the queue empties out, and rebuild when the bucket width
-// has drifted an order of magnitude from target.
+// maintain runs the calendar policy after each pop: build once the queue
+// is big enough and the gap estimate has settled, then rebuild when the
+// bucket width has drifted an order of magnitude from target. (Ring growth
+// happens at insert time, in insert.)
 func (q *Queue) maintain() {
 	if q.heapOnly {
 		return
@@ -505,18 +444,10 @@ func (q *Queue) maintain() {
 		}
 		return
 	}
-	if q.live < calMinLive/2 {
-		q.teardown()
-		return
-	}
 	q.sincChk++
 	if q.sincChk >= widthCheckEvery {
 		q.sincChk = 0
-		if w := q.targetWidth(); w > 0 && (w > q.width*8 || w < q.width/8) {
-			q.rebuild()
-		} else if q.live > 2*q.nb*bucketCap && q.nb < maxBuckets {
-			q.rebuild()
-		} else if q.nb > calMinLive && q.live < q.nb/8 {
+		if w := q.targetWidth(); w > q.width*8 || w < q.width/8 {
 			q.rebuild()
 		}
 	}
@@ -527,35 +458,25 @@ func (q *Queue) maintain() {
 func (q *Queue) collectLive() {
 	q.pkValid = false
 	q.scratch = q.scratch[:0]
-	for _, e := range q.heap {
-		s := &q.slots[e.slot]
-		if s.cancelled {
-			s.cancelled = false
-			q.free = append(q.free, e.slot)
-			q.cancelPending--
-			continue
+	keep := func(e ent) {
+		if q.slots[e.slot].cancelled {
+			q.reclaim(e.slot)
+		} else {
+			q.scratch = append(q.scratch, e)
 		}
-		q.scratch = append(q.scratch, e)
+	}
+	for _, e := range q.heap {
+		keep(e)
 	}
 	q.heap = q.heap[:0]
 	for bi := range q.buckets {
 		for _, e := range q.buckets[bi] {
-			s := &q.slots[e.slot]
-			if s.cancelled {
-				s.cancelled = false
-				q.free = append(q.free, e.slot)
-				q.cancelPending--
-				continue
-			}
-			q.scratch = append(q.scratch, e)
+			keep(e)
 		}
 		q.buckets[bi] = q.buckets[bi][:0]
 	}
-	for i := range q.occ {
-		q.occ[i] = 0
-	}
+	clear(q.occ)
 	q.calCount = 0
-	q.sortedBI = -1
 }
 
 // rebuild re-derives the calendar geometry from the live count and gap
@@ -564,14 +485,6 @@ func (q *Queue) collectLive() {
 func (q *Queue) rebuild() {
 	q.collectLive()
 	w := q.targetWidth()
-	if w <= 0 {
-		w = q.width
-	}
-	if w <= 0 {
-		// No gap data at all; leave everything on the heap.
-		q.reheap()
-		return
-	}
 	nb := calMinLive
 	for nb < len(q.scratch) && nb < maxBuckets {
 		nb <<= 1
@@ -617,22 +530,6 @@ func (q *Queue) rebuild() {
 			q.calCount++
 			continue
 		}
-		q.heap = append(q.heap, e)
-		q.siftUp(len(q.heap) - 1)
-	}
-	q.scratch = q.scratch[:0]
-}
-
-// teardown switches back to heap-only storage (small queues).
-func (q *Queue) teardown() {
-	q.collectLive()
-	q.width = 0
-	q.reheap()
-}
-
-// reheap pushes everything in scratch back onto the heap.
-func (q *Queue) reheap() {
-	for _, e := range q.scratch {
 		q.heap = append(q.heap, e)
 		q.siftUp(len(q.heap) - 1)
 	}
@@ -689,11 +586,16 @@ func (q *Queue) drainHeapHead() {
 		if !q.slots[idx].cancelled {
 			return
 		}
-		q.slots[idx].cancelled = false
 		q.removeRoot()
-		q.free = append(q.free, idx)
-		q.cancelPending--
+		q.reclaim(idx)
 	}
+}
+
+// reclaim returns the slot of a cancelled entry, now unlinked from the
+// calendar or heap, to the free list.
+func (q *Queue) reclaim(idx int32) {
+	q.slots[idx].cancelled = false
+	q.free = append(q.free, idx)
 }
 
 // removeRoot removes the heap root and restores the heap property.

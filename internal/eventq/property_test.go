@@ -77,7 +77,12 @@ func (r *refQueue) len() int {
 // narrow range so equal-time FIFO ties are exercised constantly, and the
 // op mix keeps the queue large enough to cross the calendar build
 // threshold (and, with drift phases, to migrate heap overflow back in).
-func runInterleaving(t *testing.T, seed int64, ops int) {
+//
+// With burst > 0, halfway through the ops it schedules burst events at one
+// instant, mixed with spread and far-future ones, and cancels every third
+// event of that burst phase before going on. It returns the deepest bucket
+// seen right after the burst phase (0 without one).
+func runInterleaving(t *testing.T, seed int64, ops, burst int) (deepest int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	var q Queue
@@ -87,8 +92,41 @@ func runInterleaving(t *testing.T, seed int64, ops int) {
 	fired := make(map[int]bool)
 	var order []int // ref ids in real pop order (via closure capture)
 	now := 0.0
+	schedule := func(at float64) int {
+		rid := ref.schedule(at)
+		ids[rid] = q.Schedule(at, func() {
+			if fired[rid] {
+				t.Fatalf("ref id %d fired twice", rid)
+			}
+			fired[rid] = true
+			order = append(order, rid)
+		})
+		return rid
+	}
 
 	for op := 0; op < ops; op++ {
+		if burst > 0 && op == ops/2 {
+			var phase []int
+			at := now + 1
+			for i := 0; i < burst; i++ {
+				phase = append(phase, schedule(at))
+				switch i % 8 {
+				case 3:
+					phase = append(phase, schedule(now+rng.Float64()*50))
+				case 7:
+					phase = append(phase, schedule(now+1e6+rng.Float64()*1e6))
+				}
+			}
+			for i := 2; i < len(phase); i += 3 {
+				if q.Cancel(ids[phase[i]]) != ref.cancel(phase[i]) {
+					t.Fatalf("burst: Cancel(%d) disagrees with ref", phase[i])
+				}
+				delete(ids, phase[i])
+			}
+			for _, bkt := range q.buckets {
+				deepest = max(deepest, len(bkt))
+			}
+		}
 		switch r := rng.Float64(); {
 		case r < 0.55 || q.Len() == 0:
 			// Mix of near-future (dense, collision-heavy), same-time
@@ -104,14 +142,7 @@ func runInterleaving(t *testing.T, seed int64, ops int) {
 			default:
 				at = now - rng.Float64()*5 // past: clamps to cursor
 			}
-			rid := ref.schedule(at)
-			ids[rid] = q.Schedule(at, func() {
-				if fired[rid] {
-					t.Fatalf("ref id %d fired twice", rid)
-				}
-				fired[rid] = true
-				order = append(order, rid)
-			})
+			schedule(at)
 		case r < 0.75:
 			// Cancel a random pending event — or a stale/fired ID,
 			// which must report false.
@@ -183,22 +214,45 @@ func runInterleaving(t *testing.T, seed int64, ops int) {
 	if q.Len() != 0 {
 		t.Fatalf("drained queue reports Len=%d", q.Len())
 	}
+	return deepest
 }
 
 func TestInterleavingsVsReferenceHeap(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		runInterleaving(t, seed, 3000)
+		runInterleaving(t, seed, 3000, 0)
 	}
+}
+
+// burstSeed, burstOps and burstSize are the deep-bucket trace: 600 events
+// at one instant in a calendar already built, which no workload comes near
+// (the deepest bucket seen in a benchmark run held 101 entries).
+const (
+	burstSeed = 5
+	burstOps  = 3000
+	burstSize = 600
+)
+
+// TestDeepBucketBurst checks pop order against the reference when one
+// bucket holds hundreds of entries, a third of them cancelled, so the
+// single compacting scan is exercised at a depth far beyond the ~2 events
+// per bucket the width policy targets.
+func TestDeepBucketBurst(t *testing.T) {
+	d := runInterleaving(t, burstSeed, burstOps, burstSize)
+	if d < 500 {
+		t.Fatalf("deepest bucket after the burst held %d entries, want >= 500", d)
+	}
+	t.Logf("deepest bucket after the burst: %d entries", d)
 }
 
 // FuzzInterleavings lets the fuzzer hunt for op sequences (via the seed)
 // where the calendar layout diverges from the reference. Run with
 // go test -fuzz=FuzzInterleavings ./internal/eventq.
 func FuzzInterleavings(f *testing.F) {
-	f.Add(int64(42), uint16(500))
-	f.Add(int64(7), uint16(2000))
-	f.Fuzz(func(t *testing.T, seed int64, ops uint16) {
-		runInterleaving(t, seed, int(ops)%4096)
+	f.Add(int64(42), uint16(500), uint16(0))
+	f.Add(int64(7), uint16(2000), uint16(0))
+	f.Add(int64(burstSeed), uint16(burstOps), uint16(burstSize))
+	f.Fuzz(func(t *testing.T, seed int64, ops, burst uint16) {
+		runInterleaving(t, seed, int(ops)%4096, int(burst)%1024)
 	})
 }
 

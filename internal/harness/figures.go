@@ -182,8 +182,9 @@ func Fig4Direction(cfg Config) (*Table, error) {
 	classify := func(sa, sb mobility.State) link.DirectionClass {
 		return link.Classify(sa.Pos, sa.Vel, sb.Pos, sb.Vel)
 	}
+	var states []mobility.State
 	for now := 0.0; now < duration; now += dt {
-		states := model.States()
+		states = model.StatesInto(states[:0])
 		index := make(map[pairKey]bool)
 		for i := 0; i < len(states); i++ {
 			for j := i + 1; j < len(states); j++ {

@@ -74,7 +74,7 @@ func Execute(cfg Config, camp runner.Campaign) ([]runner.Result, error) {
 		ctx = context.Background()
 	}
 	if cfg.ManifestDir == "" {
-		return pool.ExecuteContext(ctx, camp), nil
+		return pool.ExecuteResumable(ctx, camp, nil), nil
 	}
 	if err := os.MkdirAll(cfg.ManifestDir, 0o755); err != nil {
 		return nil, fmt.Errorf("campaign manifest: %w", err)

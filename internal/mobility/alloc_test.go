@@ -2,6 +2,7 @@ package mobility
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/vanetlab/relroute/internal/roadnet"
@@ -35,8 +36,9 @@ func TestStatesIntoAllocFree(t *testing.T) {
 	}
 }
 
-// StatesInto must agree exactly with States.
-func TestStatesIntoMatchesStates(t *testing.T) {
+// StatesInto appends: it keeps what dst already holds, and a buffer reused
+// across ticks reads exactly what a fresh one does.
+func TestStatesIntoAppends(t *testing.T) {
 	net, eb, _, err := roadnet.Highway(1000, 2, 30)
 	if err != nil {
 		t.Fatal(err)
@@ -45,17 +47,17 @@ func TestStatesIntoMatchesStates(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		m.AddVehicle(eb, i%2, float64(i)*30, DefaultIDM(28), Car)
 	}
+	prefix := State{ID: 999}
+	var reused []State
 	for tick := 0; tick < 5; tick++ {
 		m.Advance(0.1)
-		a := m.States()
-		b := m.StatesInto(nil)
-		if len(a) != len(b) {
-			t.Fatalf("tick %d: States %d entries, StatesInto %d", tick, len(a), len(b))
+		fresh := m.StatesInto(nil)
+		reused = m.StatesInto(reused[:0])
+		if len(fresh) != 20 || !slices.Equal(reused, fresh) {
+			t.Fatalf("tick %d: reused buffer read %+v, fresh %+v", tick, reused, fresh)
 		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("tick %d entry %d: States %+v != StatesInto %+v", tick, i, a[i], b[i])
-			}
+		if got := m.StatesInto([]State{prefix}); got[0] != prefix || !slices.Equal(got[1:], fresh) {
+			t.Fatalf("tick %d: StatesInto after a prefix read %+v", tick, got)
 		}
 	}
 }

@@ -42,7 +42,7 @@ func BenchmarkStates(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		if len(m.States()) == 0 {
+		if len(m.StatesInto(nil)) == 0 {
 			b.Fatal("no states")
 		}
 	}

@@ -50,13 +50,11 @@ const (
 )
 
 // Model is the interface the simulation polls. Advance moves every vehicle
-// by dt seconds; States returns the current state of every active vehicle.
-// StatesInto appends the same states to dst and returns the extended slice,
-// so per-tick pollers can reuse one buffer instead of allocating a fresh
-// snapshot every tick.
+// by dt seconds; StatesInto appends the current state of every active
+// vehicle to dst and returns the extended slice, so per-tick pollers reuse
+// one buffer instead of allocating a fresh snapshot every tick.
 type Model interface {
 	Advance(dt float64)
-	States() []State
 	StatesInto(dst []State) []State
 	// Len returns the number of active vehicles.
 	Len() int
@@ -726,11 +724,6 @@ func (m *RoadModel) laneChangeOK(v *vehicle, cand int, curGap float64) bool {
 		}
 	}
 	return true
-}
-
-// States implements Model.
-func (m *RoadModel) States() []State {
-	return m.StatesInto(make([]State, 0, len(m.vs)))
 }
 
 // StatesInto implements Model: it appends every active vehicle's state to

@@ -57,7 +57,7 @@ func TestNoNegativeSpeeds(t *testing.T) {
 	m.AddVehicle(eb, 0, 95, DefaultIDM(30), Car)
 	for i := 0; i < 600; i++ {
 		m.Advance(0.1)
-		for _, s := range m.States() {
+		for _, s := range m.StatesInto(nil) {
 			if s.Speed < 0 {
 				t.Fatalf("negative speed %v at step %d", s.Speed, i)
 			}
@@ -84,7 +84,7 @@ func TestNoRearEndPassThrough(t *testing.T) {
 	for i := 0; i < 1200; i++ {
 		m.Advance(0.1)
 		var lo, fo float64
-		for _, s := range m.States() {
+		for _, s := range m.StatesInto(nil) {
 			switch s.ID {
 			case leader:
 				lo = s.Offset
@@ -110,7 +110,7 @@ func TestVehiclesProgress(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		m.Advance(0.1)
 	}
-	for _, s := range m.States() {
+	for _, s := range m.StatesInto(nil) {
 		if s.ID == id && s.Offset < 200 {
 			t.Fatalf("vehicle moved only %.1f m in 10 s", s.Offset)
 		}
@@ -125,10 +125,10 @@ func TestJunctionTransitionKeepsMoving(t *testing.T) {
 	m := NewRoadModel(net, rand.New(rand.NewSource(4)))
 	m.AddVehicle(0, 0, 0, DefaultIDM(25), Car)
 	total := 0.0
-	prev := m.States()[0]
+	prev := m.StatesInto(nil)[0]
 	for i := 0; i < 2000; i++ {
 		m.Advance(0.1)
-		cur := m.States()[0]
+		cur := m.StatesInto(nil)[0]
 		total += prev.Pos.Dist(cur.Pos)
 		prev = cur
 	}
@@ -143,7 +143,7 @@ func TestStatesFields(t *testing.T) {
 	net, eb := testNet(t)
 	m := NewRoadModel(net, rand.New(rand.NewSource(5)))
 	m.AddVehicle(eb, 1, 100, DefaultIDM(25), Bus)
-	s := m.States()[0]
+	s := m.StatesInto(nil)[0]
 	if s.Class != Bus {
 		t.Fatalf("class = %v", s.Class)
 	}
@@ -163,7 +163,7 @@ func TestAddVehicleClamping(t *testing.T) {
 	m := NewRoadModel(net, rand.New(rand.NewSource(6)))
 	m.AddVehicle(eb, 99, 100, DefaultIDM(25), Car) // lane clamped
 	m.AddVehicle(eb, -1, 100, DefaultIDM(25), Car)
-	for _, s := range m.States() {
+	for _, s := range m.StatesInto(nil) {
 		if s.Lane < 0 || s.Lane >= net.Segment(eb).Lanes {
 			t.Fatalf("lane %d out of range", s.Lane)
 		}
@@ -177,7 +177,7 @@ func TestPopulateUniformAndDeterministic(t *testing.T) {
 		Populate(m, rand.New(rand.NewSource(seed)), PopulateOptions{
 			Count: 40, SpeedMean: 30, SpeedStd: 5,
 		})
-		return m.States()
+		return m.StatesInto(nil)
 	}
 	a, b := build(7), build(7)
 	if len(a) != 40 {
@@ -215,7 +215,7 @@ func TestAddBusLine(t *testing.T) {
 	if len(ids) != 3 {
 		t.Fatalf("bus count = %d", len(ids))
 	}
-	for _, s := range m.States() {
+	for _, s := range m.StatesInto(nil) {
 		if s.Class != Bus {
 			t.Fatalf("class = %v", s.Class)
 		}
@@ -260,7 +260,7 @@ func TestRemoveVehicleMidRun(t *testing.T) {
 	// the model keeps advancing and the removed ID never reappears
 	for i := 0; i < 50; i++ {
 		m.Advance(0.1)
-		for _, s := range m.States() {
+		for _, s := range m.StatesInto(nil) {
 			if s.ID == a {
 				t.Fatal("removed vehicle reappeared in States")
 			}

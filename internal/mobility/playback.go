@@ -85,11 +85,6 @@ func (m *PlaybackModel) DigestInto(d *digest.Writer) {
 	d.Int(len(m.tracks))
 }
 
-// States implements Model.
-func (m *PlaybackModel) States() []State {
-	return m.StatesInto(make([]State, 0, len(m.tracks)))
-}
-
 // StatesInto implements Model: it appends the state of every track whose
 // active window contains the current playback time. Vehicles before their
 // first or after their last waypoint are absent, not parked.
@@ -145,8 +140,10 @@ func interpolate(wps []Waypoint, t float64) (pos, vel geom.Vec2, speed float64) 
 func Record(m Model, interval, duration float64) []Track {
 	byID := make(map[VehicleID]*Track)
 	var order []VehicleID
+	var states []State
 	for t := 0.0; t <= duration+1e-9; t += interval {
-		for _, s := range m.States() {
+		states = m.StatesInto(states[:0])
+		for _, s := range states {
 			tr, ok := byID[s.ID]
 			if !ok {
 				tr = &Track{ID: s.ID, Class: s.Class}

@@ -19,7 +19,7 @@ func TestPlaybackInterpolation(t *testing.T) {
 	}}
 	m := NewPlayback(tracks)
 	m.Advance(5)
-	s := m.States()[0]
+	s := m.StatesInto(nil)[0]
 	if math.Abs(s.Pos.X-50) > 1e-9 {
 		t.Fatalf("interpolated pos = %v", s.Pos)
 	}
@@ -44,22 +44,22 @@ func TestPlaybackActiveWindows(t *testing.T) {
 		},
 	}}
 	m := NewPlayback(tracks)
-	if got := m.States(); len(got) != 0 {
+	if got := m.StatesInto(nil); len(got) != 0 {
 		t.Fatalf("pre-span states = %+v, want vehicle absent", got)
 	}
 	if m.Len() != 0 {
 		t.Fatalf("pre-span Len = %d", m.Len())
 	}
 	m.Advance(5) // t = 5: window opens at the first waypoint
-	if got := m.States(); len(got) != 1 || got[0].Pos != geom.V(10, 10) {
+	if got := m.StatesInto(nil); len(got) != 1 || got[0].Pos != geom.V(10, 10) {
 		t.Fatalf("window-open states = %+v", got)
 	}
 	m.Advance(10) // t = 15: last waypoint is still inside the window
-	if got := m.States(); len(got) != 1 || got[0].Pos != geom.V(20, 10) {
+	if got := m.StatesInto(nil); len(got) != 1 || got[0].Pos != geom.V(20, 10) {
 		t.Fatalf("window-close states = %+v", got)
 	}
 	m.Advance(0.1) // t > 15: the vehicle has left the world
-	if got := m.States(); len(got) != 0 {
+	if got := m.StatesInto(nil); len(got) != 0 {
 		t.Fatalf("post-span states = %+v, want vehicle absent", got)
 	}
 	if m.Len() != 0 {
@@ -88,21 +88,21 @@ func TestPlaybackSortsWaypoints(t *testing.T) {
 	}}
 	m := NewPlayback(tracks)
 	m.Advance(5)
-	if s := m.States()[0]; math.Abs(s.Pos.X-50) > 1e-9 {
+	if s := m.StatesInto(nil)[0]; math.Abs(s.Pos.X-50) > 1e-9 {
 		t.Fatalf("pos with unsorted input = %v", s.Pos)
 	}
 }
 
 func TestPlaybackDefaultsClassCar(t *testing.T) {
 	m := NewPlayback([]Track{{ID: 0, Waypoints: []Waypoint{{T: 0, Pos: geom.V(0, 0)}}}})
-	if got := m.States()[0].Class; got != Car {
+	if got := m.StatesInto(nil)[0].Class; got != Car {
 		t.Fatalf("class = %v", got)
 	}
 }
 
 func TestPlaybackEmptyTrackSkipped(t *testing.T) {
 	m := NewPlayback([]Track{{ID: 0}, {ID: 1, Waypoints: []Waypoint{{T: 0, Pos: geom.V(1, 1)}}}})
-	if got := len(m.States()); got != 1 {
+	if got := len(m.StatesInto(nil)); got != 1 {
 		t.Fatalf("states = %d, want empty track skipped", got)
 	}
 	if m.Len() != 1 {
@@ -130,10 +130,10 @@ func TestRecordRoundTripsThroughPlayback(t *testing.T) {
 	}
 	// replay and verify motion is monotone eastbound like the source
 	pb := NewPlayback(tracks)
-	prevX := pb.States()[0].Pos.X
+	prevX := pb.StatesInto(nil)[0].Pos.X
 	for i := 0; i < 40; i++ {
 		pb.Advance(0.5)
-		x := pb.States()[0].Pos.X
+		x := pb.StatesInto(nil)[0].Pos.X
 		if x < prevX-1e-6 {
 			t.Fatalf("playback moved backwards at step %d", i)
 		}

@@ -142,7 +142,7 @@ func TestCrashWithBeaconsUnreadRecoversEmpty(t *testing.T) {
 	if err := w.Run(3.5); err != nil {
 		t.Fatal(err)
 	}
-	nbs := routers[1].API.Neighbors()
+	nbs := routers[1].API.AppendNeighbors(nil)
 	if len(nbs) != 2 {
 		t.Fatalf("recovered node re-learned %d neighbours, want 2", len(nbs))
 	}

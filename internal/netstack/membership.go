@@ -20,7 +20,7 @@ func kindOf(c mobility.Class) NodeKind {
 // model, attaching a fresh router from the factory. Buses become BusNode
 // kind. It returns the created node IDs in vehicle order.
 func (w *World) AddVehicleNodes(factory RouterFactory) []NodeID {
-	states := w.model.States()
+	states := w.model.StatesInto(make([]mobility.State, 0, w.model.Len()))
 	ids := make([]NodeID, 0, len(states))
 	for _, s := range states {
 		ids = append(ids, w.addNode(kindOf(s.Class), s.Pos, s.Vel, factory(), s.ID))

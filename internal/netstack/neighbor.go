@@ -11,12 +11,12 @@ import "github.com/vanetlab/relroute/internal/linkstate"
 // The table itself is the per-node linkstate.Monitor: the stack feeds it
 // beacons, MAC ARQ failure upcalls, and successful receptions, and the
 // configured Estimator derives residual-lifetime and receipt-probability
-// predictions from that evidence. Entries read through the raw accessors
-// (API.Neighbors, API.AppendNeighbors) carry observed fields only;
-// API.LinkState and API.LinkStates fill the derived predictions.
+// predictions from that evidence. Entries read through the raw accessor
+// API.AppendNeighbors carry observed fields only; API.LinkState and
+// API.AppendLinkStates fill the derived predictions.
 type Neighbor = linkstate.LinkState
 
 // LinkState is the same record under its reliability-plane name: use it
-// when reading through API.LinkState/API.LinkStates, where the derived
+// when reading through API.LinkState/API.AppendLinkStates, where the derived
 // Lifetime, ReceiptProb, and Age fields are filled by the estimator.
 type LinkState = linkstate.LinkState

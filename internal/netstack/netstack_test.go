@@ -72,7 +72,7 @@ func TestBeaconingPopulatesNeighborTables(t *testing.T) {
 	}
 	// node 1 must see both 0 and 2
 	api := routers[1].API
-	if got := len(api.Neighbors()); got != 2 {
+	if got := len(api.AppendNeighbors(nil)); got != 2 {
 		t.Fatalf("node 1 neighbors = %d, want 2", got)
 	}
 	nb, ok := api.LinkState(ids[0])

@@ -19,9 +19,7 @@ type gapModel struct {
 
 func (m *gapModel) Advance(dt float64) { m.t += dt }
 
-func (m *gapModel) Len() int { return len(m.States()) }
-
-func (m *gapModel) States() []mobility.State { return m.StatesInto(nil) }
+func (m *gapModel) Len() int { return len(m.StatesInto(nil)) }
 
 func (m *gapModel) StatesInto(dst []mobility.State) []mobility.State {
 	dst = append(dst, mobility.State{ID: 0, Class: mobility.Car})

@@ -86,15 +86,11 @@ func (a *API) Pos() geom.Vec2 { return a.node.pos }
 // Vel returns this node's current velocity.
 func (a *API) Vel() geom.Vec2 { return a.node.vel }
 
-// Neighbors returns a snapshot of the live neighbor table in ascending ID
-// order (from the table's layout), in a fresh slice the caller may keep
-// (observed fields only; use LinkStates for the reliability plane's
-// predictions).
-func (a *API) Neighbors() []Neighbor { return a.node.mon.Snapshot() }
-
-// AppendNeighbors appends what Neighbors returns to dst: the allocation-free
-// read for per-packet loops, into a buffer the caller owns (a stack array
-// of routing.NeighborBuf entries in the routers that use it).
+// AppendNeighbors appends a snapshot of the live neighbor table, in
+// ascending ID order (from the table's layout), to dst: observed fields
+// only; use AppendLinkStates for the reliability plane's predictions. It
+// is allocation-free into a buffer the caller owns (a stack array of
+// routing.NeighborBuf entries in the routers).
 func (a *API) AppendNeighbors(dst []Neighbor) []Neighbor { return a.node.mon.AppendSnapshot(dst) }
 
 // NeighborCount returns the number of live neighbors.
@@ -119,15 +115,9 @@ func (a *API) LinkState(id NodeID) (LinkState, bool) {
 	return a.node.mon.State(id, a.world.observer(a.node))
 }
 
-// LinkStates returns the estimate for every live neighbor in ascending ID
-// order (from the table's layout) — the same iteration order as Neighbors,
-// with predictions filled — in a fresh slice the caller may keep.
-func (a *API) LinkStates() []LinkState {
-	return a.node.mon.States(a.world.observer(a.node))
-}
-
-// AppendLinkStates appends what LinkStates returns to dst, allocation-free
-// like AppendNeighbors.
+// AppendLinkStates appends the estimate for every live neighbor to dst, in
+// the same order as AppendNeighbors and with predictions filled,
+// allocation-free like AppendNeighbors.
 func (a *API) AppendLinkStates(dst []LinkState) []LinkState {
 	return a.node.mon.AppendStates(dst, a.world.observer(a.node))
 }

@@ -86,7 +86,8 @@ func (r *Router) accept(pkt *netstack.Packet) routing.Hop {
 
 // toBus hands off to the first bus in range.
 func (r *Router) toBus() routing.Hop {
-	for _, nb := range r.API.Neighbors() {
+	var buf [routing.NeighborBuf]netstack.Neighbor
+	for _, nb := range r.API.AppendNeighbors(buf[:0]) {
 		if nb.Kind == netstack.BusNode {
 			return routing.Forward(nb.ID)
 		}
@@ -108,7 +109,8 @@ func (r *Router) handOff(pkt *netstack.Packet) routing.Hop {
 		return routing.Carry()
 	}
 	selfD := r.API.Pos().Dist(dstPos)
-	for _, nb := range r.API.Neighbors() {
+	var buf [routing.NeighborBuf]netstack.Neighbor
+	for _, nb := range r.API.AppendNeighbors(buf[:0]) {
 		if nb.Kind == netstack.BusNode && nb.Pos.Dist(dstPos) < selfD*0.8 {
 			return routing.Forward(nb.ID)
 		}

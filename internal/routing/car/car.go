@@ -199,7 +199,8 @@ func (r *Router) route(pkt *netstack.Packet) routing.Hop {
 	selfD := r.API.Pos().Dist(target)
 	best := netstack.Broadcast
 	bestD := selfD
-	for _, nb := range r.API.Neighbors() {
+	var buf [routing.NeighborBuf]netstack.Neighbor
+	for _, nb := range r.API.AppendNeighbors(buf[:0]) {
 		if d := nb.Pos.Dist(target); d < bestD {
 			bestD = d
 			best = nb.ID

@@ -135,7 +135,7 @@ func TestMonteCarloAgreesWithModelUnderTraffic(t *testing.T) {
 	})
 	dmap := car.NewDensityMap(net, 250)
 	var positions []geom.Vec2
-	for _, s := range model.States() {
+	for _, s := range model.StatesInto(nil) {
 		positions = append(positions, s.Pos)
 	}
 	// several refreshes to pass the EWMA warm-up

@@ -164,7 +164,8 @@ func (c *Carrier) sweep() {
 // strictly closer to target than this node; carry on if there is none.
 func FirstCloser(api *netstack.API, target geom.Vec2) Hop {
 	self := api.Pos().Dist(target)
-	for _, nb := range api.Neighbors() {
+	var buf [NeighborBuf]netstack.Neighbor
+	for _, nb := range api.AppendNeighbors(buf[:0]) {
 		if nb.Pos.Dist(target) < self {
 			return Forward(nb.ID)
 		}

@@ -53,7 +53,8 @@ func (r *Router) isGateway(*netstack.Packet) bool {
 	center := r.cellCenter(self)
 	myDist := self.Dist(center)
 	myID := r.API.Self()
-	for _, nb := range r.API.Neighbors() {
+	var buf [routing.NeighborBuf]netstack.Neighbor
+	for _, nb := range r.API.AppendNeighbors(buf[:0]) {
 		if r.cellCenter(nb.Pos) != center {
 			continue // different cell
 		}

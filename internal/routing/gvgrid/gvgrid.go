@@ -96,7 +96,8 @@ func (r *Router) route(pkt *netstack.Packet) routing.Hop {
 	// raw snapshot: linkReliability runs GVGrid's own model over the
 	// observed fields, so paying the estimator derivation per packet
 	// would buy nothing
-	nbs := r.API.Neighbors()
+	var buf [routing.NeighborBuf]netstack.Neighbor
+	nbs := r.API.AppendNeighbors(buf[:0])
 	most := 0 // the cell walk must advance
 	for _, nb := range nbs {
 		most = max(most, advance(nb))

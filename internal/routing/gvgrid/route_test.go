@@ -26,7 +26,7 @@ func scoreEveryNeighbor(r *Router, pkt *netstack.Packet, integrals *int) routing
 	cellDist := func(x, y int) int { return max(x-dx, dx-x, y-dy, dy-y) }
 	myCellD := cellDist(r.cellOf(r.API.Pos()))
 	best, bestScore := netstack.Broadcast, -1.0
-	for _, nb := range r.API.Neighbors() {
+	for _, nb := range r.API.AppendNeighbors(nil) {
 		cd := cellDist(r.cellOf(nb.Pos))
 		if cd >= myCellD {
 			continue
@@ -105,7 +105,7 @@ func countAtBestAdvance(r *Router, dst netstack.NodeID) int {
 	cellDist := func(x, y int) int { return max(x-dx, dx-x, y-dy, dy-y) }
 	my := cellDist(r.cellOf(r.API.Pos()))
 	most, n := 0, 0
-	for _, nb := range r.API.Neighbors() {
+	for _, nb := range r.API.AppendNeighbors(nil) {
 		switch a := my - cellDist(r.cellOf(nb.Pos)); {
 		case a > most:
 			most, n = a, 1

@@ -32,7 +32,7 @@ func TestScoreGatesOppositeDirectionLinks(t *testing.T) {
 	if api == nil {
 		t.Fatal("api not captured")
 	}
-	nbs := api.Neighbors()
+	nbs := api.AppendNeighbors(nil)
 	if len(nbs) != 1 {
 		t.Fatalf("neighbors = %d", len(nbs))
 	}
@@ -59,7 +59,7 @@ func TestScorePrefersCoMovingNeighbor(t *testing.T) {
 		t.Fatal(err)
 	}
 	var co, opp float64
-	for _, nb := range api.Neighbors() {
+	for _, nb := range api.AppendNeighbors(nil) {
 		s := hybrid.Score(api, nb, meanDuration(api, nb))
 		if nb.ID == ids[1] {
 			co = s

@@ -53,7 +53,8 @@ func (r *Router) route(pkt *netstack.Packet) routing.Hop {
 	selfD := r.API.Pos().Dist(dstPos)
 	best := netstack.Broadcast
 	bestP := -1.0
-	for _, nb := range r.API.LinkStates() {
+	var buf [routing.NeighborBuf]netstack.LinkState
+	for _, nb := range r.API.AppendLinkStates(buf[:0]) {
 		if nb.Pos.Dist(dstPos) >= selfD {
 			continue // no progress
 		}
@@ -79,7 +80,8 @@ func (r *Router) retry(pkt *netstack.Packet) routing.Hop {
 		return routing.Carry()
 	}
 	selfD := r.API.Pos().Dist(dstPos)
-	for _, nb := range r.API.LinkStates() {
+	var buf [routing.NeighborBuf]netstack.LinkState
+	for _, nb := range r.API.AppendLinkStates(buf[:0]) {
 		if nb.Pos.Dist(dstPos) < selfD && reliable(nb) {
 			return routing.Forward(nb.ID)
 		}

@@ -273,13 +273,15 @@ func (v *VehicleRouter) route(pkt *netstack.Packet) routing.Hop {
 	if v.API.HasNeighbor(pkt.Dst) {
 		return routing.Forward(pkt.Dst)
 	}
+	var buf [routing.NeighborBuf]netstack.Neighbor
+	nbs := v.API.AppendNeighbors(buf[:0])
 	// greedy V2V progress through vehicles only
 	if dstPos, _, ok := v.API.LookupPosition(pkt.Dst); ok {
 		self := v.API.Pos().Dist(dstPos)
 		var best netstack.NodeID
 		bestD := self
 		found := false
-		for _, nb := range v.API.Neighbors() {
+		for _, nb := range nbs {
 			if nb.Kind == netstack.RSU {
 				continue
 			}
@@ -297,7 +299,7 @@ func (v *VehicleRouter) route(pkt *netstack.Packet) routing.Hop {
 	var rsuID netstack.NodeID
 	rsuFound := false
 	rsuDist := math.Inf(1)
-	for _, nb := range v.API.Neighbors() {
+	for _, nb := range nbs {
 		if nb.Kind != netstack.RSU {
 			continue
 		}
@@ -320,7 +322,8 @@ func (v *VehicleRouter) retry(pkt *netstack.Packet) routing.Hop {
 	if v.API.HasNeighbor(pkt.Dst) {
 		return routing.Forward(pkt.Dst)
 	}
-	for _, nb := range v.API.Neighbors() {
+	var buf [routing.NeighborBuf]netstack.Neighbor
+	for _, nb := range v.API.AppendNeighbors(buf[:0]) {
 		if nb.Kind == netstack.RSU {
 			return routing.Forward(nb.ID)
 		}

@@ -243,11 +243,12 @@ func TestJournalRejectsForeignCampaign(t *testing.T) {
 }
 
 // TestExecuteContextCancellation: a cancelled context fails pending runs
-// immediately and interrupts in-flight ones.
+// immediately and interrupts in-flight ones (no journal, as harness.Execute
+// runs a campaign without a manifest).
 func TestExecuteContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	results := Pool{Workers: 2}.ExecuteContext(ctx, testCampaign())
+	results := Pool{Workers: 2}.ExecuteResumable(ctx, testCampaign(), nil)
 	for i, r := range results {
 		if r.Err == nil {
 			t.Fatalf("run %d executed under a cancelled context", i)
@@ -271,7 +272,7 @@ func TestExecuteContextCancellation(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 		cancel2()
 	}()
-	results = Pool{Workers: 1}.ExecuteContext(ctx2, c)
+	results = Pool{Workers: 1}.ExecuteResumable(ctx2, c, nil)
 	if !errors.Is(results[0].Err, sim.ErrInterrupted) {
 		t.Fatalf("err = %v, want wrapped sim.ErrInterrupted", results[0].Err)
 	}

@@ -135,22 +135,17 @@ func (p Pool) Execute(c Campaign) []Result {
 	return p.ExecuteResumable(context.Background(), c, nil)
 }
 
-// ExecuteContext is Execute under a cancellable context: when ctx is
-// cancelled, in-flight runs are interrupted at their next event boundary
-// and record a cancellation error, and no further runs start. Results
-// still come back in submission order, one per run.
-func (p Pool) ExecuteContext(ctx context.Context, c Campaign) []Result {
-	return p.ExecuteResumable(ctx, c, nil)
-}
-
-// ExecuteResumable is ExecuteContext against a durable campaign journal:
-// runs the journal already records as completed are skipped — their
-// recorded summaries are returned in place, byte-identical to the
-// original execution — and every newly completed run is appended to the
-// journal before its worker moves on. A nil journal degrades to
-// ExecuteContext. Killing the process and re-running the same campaign
-// against the same journal therefore completes exactly the unfinished
-// remainder.
+// ExecuteResumable is Execute under a cancellable context and against a
+// durable campaign journal. When ctx is cancelled, in-flight runs are
+// interrupted at their next event boundary and record a cancellation
+// error, and no further runs start. Runs the journal already records as
+// completed are skipped — their recorded summaries are returned in place,
+// byte-identical to the original execution — and every newly completed
+// run is appended to the journal before its worker moves on; a nil
+// journal journals nothing. Killing the process and re-running the same
+// campaign against the same journal therefore completes exactly the
+// unfinished remainder. Results come back in submission order, one per
+// run.
 func (p Pool) ExecuteResumable(ctx context.Context, c Campaign, j *Journal) []Result {
 	n := len(c.Runs)
 	results := make([]Result, n)

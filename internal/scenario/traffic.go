@@ -152,7 +152,7 @@ func (t OpenTraffic) Install(sc *Scenario) {
 		})
 	}
 	// lifetime-bounded departures for the initial population
-	for _, s := range road.States() {
+	for _, s := range road.StatesInto(make([]mobility.State, 0, road.Len())) {
 		scheduleDeparture(s.ID)
 	}
 

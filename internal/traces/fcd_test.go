@@ -156,7 +156,7 @@ func TestRoundTripThroughPlayback(t *testing.T) {
 	}
 	pb := mobility.NewPlayback(tracks)
 	pb.Advance(0.5)
-	s := pb.States()
+	s := pb.StatesInto(nil)
 	if len(s) != 2 {
 		t.Fatalf("states = %d", len(s))
 	}

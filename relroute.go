@@ -275,20 +275,14 @@ type Aggregate = metrics.Aggregate
 // confidence half-width across replications.
 type Stat = metrics.Stat
 
-// RunBatch executes a campaign across a pool of workers (<= 0 means
-// GOMAXPROCS) and returns one result per run, in submission order. For a
-// fixed per-run seed the results are identical for any worker count: each
-// run is a self-contained single-threaded simulation.
-func RunBatch(c Campaign, workers int) []BatchResult {
-	return runner.Pool{Workers: workers}.Execute(c)
-}
-
 // RunCampaign executes a campaign the way the experiments do: on
-// cfg.Workers workers, cancelled by cfg.Context, and, when cfg.ManifestDir
-// is set, journaled to a durable campaign manifest there. Re-running the
-// same campaign against the same directory skips the runs the manifest
-// records, returning their summaries byte-identically. Results come back
-// one per run, in submission order.
+// cfg.Workers workers (<= 0 means GOMAXPROCS), cancelled by cfg.Context,
+// and, when cfg.ManifestDir is set, journaled to a durable campaign
+// manifest there. Re-running the same campaign against the same directory
+// skips the runs the manifest records, returning their summaries
+// byte-identically. Results come back one per run, in submission order,
+// and for a fixed per-run seed they are identical for any worker count:
+// each run is a self-contained single-threaded simulation.
 func RunCampaign(cfg ExperimentConfig, c Campaign) ([]BatchResult, error) {
 	return harness.Execute(cfg, c)
 }

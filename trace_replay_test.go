@@ -48,7 +48,11 @@ func replayTable(t *testing.T, tracks []relroute.Track, workers int) string {
 			Seed: 1, Duration: 20, Flows: 3, FlowPackets: 6, Tracks: tracks,
 		}},
 	})
-	sums, err := relroute.Summaries(relroute.RunBatch(camp, workers))
+	results, err := relroute.RunCampaign(relroute.ExperimentConfig{Workers: workers}, camp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums, err := relroute.Summaries(results)
 	if err != nil {
 		t.Fatal(err)
 	}
