@@ -17,12 +17,21 @@
 // stencil around the transmitter, so nodes that do not transmit in an
 // epoch never pay anything.
 //
-// RebuildSweep fills the same hoods eagerly, for bench/replay.go alone,
+// Every neighborhood of an epoch lives in one arena of links, which the
+// first build of a new grid epoch starts over; a node's hood is only an
+// offset and a length into it. No node holds links between epochs, so a
+// departed node holds nothing. A slice Links returns is valid until the
+// grid's next change: a later build in the same epoch appends past it (a
+// grown arena leaves it on the old backing array, unchanged), but the
+// first build after a change overwrites it with other nodes' links.
+//
+// RebuildSweep fills the same arena eagerly, for bench/replay.go alone,
 // which times it against the lazy build: every neighborhood in one
 // symmetric pass over the grid's CSR snapshot (spatial.Snapshot — occupied
 // cells sorted by (CX, CY), members packed contiguously). The sweep
 // enumerates each unordered in-range cell pair once, computes each
-// in-range pair's distance once, and writes the link into both endpoints'
+// in-range pair's distance once, counts each endpoint's links, lays the
+// hoods out by prefix sum, and writes every link into both endpoints'
 // hoods.
 //
 // Order reconstruction: Links must list candidates in exactly the order
@@ -60,6 +69,7 @@ package radio
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"github.com/vanetlab/relroute/internal/channel"
 	"github.com/vanetlab/relroute/internal/par"
@@ -81,6 +91,12 @@ type Cache struct {
 	model  channel.Model
 	hoods  []hood // dense, keyed by node ID
 	builds uint64 // rebuild counter (instrumentation/tests)
+
+	// arena holds every hood built in grid epoch arenaEpoch; the first
+	// build in a later epoch truncates it. Its backing array persists, so
+	// steady-state builds do not allocate.
+	arena      []Link
+	arenaEpoch uint64
 
 	// demand accounting behind PrevEpochUse: how many distinct transmitters
 	// requested their neighborhood during the current and the previous grid
@@ -107,13 +123,14 @@ type sweepShard struct {
 	d    []float64
 }
 
-// hood is one node's cached neighborhood. epoch 0 means never built
-// (grid epochs are 1-based); req is the last epoch the node requested it
-// (demand accounting, distinct from having it built by a sweep).
+// hood is one node's cached neighborhood: the window arena[off:off+n],
+// valid while epoch is the grid's. epoch 0 means never built (grid epochs
+// are 1-based); req is the last epoch the node requested it (demand
+// accounting, distinct from having it built by a sweep).
 type hood struct {
-	links []Link
-	epoch uint64
-	req   uint64
+	off, n int32
+	epoch  uint64
+	req    uint64
 }
 
 // NewCache returns a cache over the given index and propagation model.
@@ -124,9 +141,9 @@ func NewCache(grid *spatial.Grid, model channel.Model) *Cache {
 // Links returns the candidate receiver list for a transmission from id,
 // rebuilding it only if the grid changed since it was last built. A node
 // the grid does not track (left, failed, never joined) gets an empty list.
-// The returned slice is owned by the cache: it is valid until the next
-// Links call for the same id after a grid change, and must not be retained
-// or mutated.
+// The returned slice is owned by the cache and must not be mutated. It is
+// valid until the grid's next change: the first build after that reuses
+// its memory for other nodes' links, so it must not be kept across one.
 func (c *Cache) Links(id int32) []Link {
 	if id < 0 {
 		return nil
@@ -145,20 +162,29 @@ func (c *Cache) Links(id int32) []Link {
 	}
 	if h.epoch != e {
 		c.builds++
-		c.rebuildInto(id, h)
+		c.rebuildInto(id, h, c.arenaFor(e))
 		h.epoch = e
 	}
-	return h.links
+	return c.arena[h.off : h.off+h.n : h.off+h.n]
 }
 
-// rebuildInto recomputes one node's neighborhood by walking the same cell
-// stencil Grid.Within covers, in the same order. Each stencil cell is looked
-// up once: the counting pass keeps the non-empty member lists, which sizes
-// the link slice exactly (one allocation per growth instead of an
-// append-doubling chain on every cold rebuild), and the fill pass walks the
-// kept lists, reading each candidate's position once.
-func (c *Cache) rebuildInto(id int32, h *hood) {
-	h.links = h.links[:0]
+// arenaFor readies the arena for builds in grid epoch e: it starts over
+// once the grid has changed since its last build.
+func (c *Cache) arenaFor(e uint64) int32 {
+	if c.arenaEpoch != e {
+		c.arena, c.arenaEpoch = c.arena[:0], e
+	}
+	return int32(len(c.arena))
+}
+
+// rebuildInto recomputes one node's neighborhood at the arena's end, off,
+// by walking the same cell stencil Grid.Within covers, in the same order.
+// Each stencil cell is looked up once: the counting pass keeps the
+// non-empty member lists, which bounds the hood so the arena grows at most
+// once per build, and the fill pass walks the kept lists, reading each
+// candidate's position once.
+func (c *Cache) rebuildInto(id int32, h *hood, off int32) {
+	h.off, h.n = off, 0
 	pos, ok := c.grid.Position(id)
 	if !ok {
 		return
@@ -180,9 +206,9 @@ func (c *Cache) rebuildInto(id int32, h *hood) {
 		}
 	}
 	// total counts the transmitter itself and out-of-range candidates, so
-	// total-1 is a tight upper bound on the neighborhood size.
-	if total > 1 && cap(h.links) < total-1 {
-		h.links = make([]Link, 0, total-1)
+	// total-1 bounds the neighborhood size.
+	if total > 1 {
+		c.arena = slices.Grow(c.arena, total-1)
 	}
 	for _, l := range lists {
 		for _, rx := range l {
@@ -195,9 +221,10 @@ func (c *Cache) rebuildInto(id int32, h *hood) {
 			if rxPos.DistSq(pos) > r2 {
 				continue
 			}
-			h.links = append(h.links, Link{To: rx, Dist: rxPos.Dist(pos)})
+			c.arena = append(c.arena, Link{To: rx, Dist: rxPos.Dist(pos)})
 		}
 	}
+	h.n = int32(len(c.arena)) - off
 }
 
 // PrevEpochUse returns how many distinct transmitters requested their
@@ -208,12 +235,13 @@ func (c *Cache) PrevEpochUse() int { return c.prevReq }
 // RebuildSweep eagerly rebuilds every grid member's neighborhood for the
 // current epoch in one symmetric pass over the CSR snapshot: each
 // unordered pair of in-range cells is visited by exactly one shard (the
-// one owning the lower-ranked cell), each in-range node pair's distance
-// is computed once, and the serial scatter appends the
-// link into both endpoints' hoods. Scattering the per-shard buffers in
-// shard order replays the exact serial enumeration order, which in turn
-// reproduces Grid.Within's candidate order in every hood (see the package
-// comment), so the sweep is a pure prefetch: transmissions — and with
+// one owning the lower-ranked cell), and each in-range node pair's
+// distance is computed once. The serial scatter then counts each member's
+// links, lays the hoods out back to back in the arena by prefix sum, and
+// writes each link into both endpoints' hoods. Scattering the per-shard
+// buffers in shard order replays the exact serial enumeration order, which
+// in turn reproduces Grid.Within's candidate order in every hood (see the
+// package comment), so the sweep is a pure prefetch: transmissions — and with
 // them every golden output — are unaffected at any shard count. Nodes the
 // grid does not track are left to the lazy path, which rebuilds them
 // empty on first use.
@@ -242,9 +270,7 @@ func (c *Cache) RebuildSweep(pool *par.Pool) {
 		c.hoods = append(c.hoods, hood{})
 	}
 	for _, id := range snap.IDs {
-		h := &c.hoods[id]
-		h.links = h.links[:0]
-		h.epoch = e
+		c.hoods[id] = hood{epoch: e, req: c.hoods[id].req}
 	}
 	n := pool.Shards()
 	for len(c.sweep) < n {
@@ -283,14 +309,31 @@ func (c *Cache) RebuildSweep(pool *par.Pool) {
 			}
 		}
 	})
+	// count, then lay out: each member's window starts where the previous
+	// one's ends, and n is reset to serve as the fill cursor
+	for s := 0; s < n; s++ {
+		sh := &c.sweep[s]
+		for k := range sh.a {
+			c.hoods[sh.a[k]].n++
+			c.hoods[sh.b[k]].n++
+		}
+	}
+	off := c.arenaFor(e)
+	for _, id := range snap.IDs {
+		h := &c.hoods[id]
+		h.off, off, h.n = off, off+h.n, 0
+	}
+	c.arena = slices.Grow(c.arena, int(off)-len(c.arena))[:off]
 	for s := 0; s < n; s++ {
 		sh := &c.sweep[s]
 		for k := range sh.a {
 			i, j, d := sh.a[k], sh.b[k], sh.d[k]
 			hi := &c.hoods[i]
-			hi.links = append(hi.links, Link{To: j, Dist: d})
+			c.arena[hi.off+hi.n] = Link{To: j, Dist: d}
+			hi.n++
 			hj := &c.hoods[j]
-			hj.links = append(hj.links, Link{To: i, Dist: d})
+			c.arena[hj.off+hj.n] = Link{To: i, Dist: d}
+			hj.n++
 		}
 	}
 	c.builds += uint64(len(snap.IDs))

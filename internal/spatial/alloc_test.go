@@ -3,6 +3,7 @@ package spatial
 import (
 	"testing"
 
+	"github.com/vanetlab/relroute/internal/digest"
 	"github.com/vanetlab/relroute/internal/geom"
 )
 
@@ -22,8 +23,8 @@ func TestWithinAllocFree(t *testing.T) {
 	}
 }
 
-// Moving an already-indexed item must not allocate unless it enters a
-// brand-new cell of the sparse cell table.
+// Moving an already-indexed item must not allocate unless it enters a cell
+// outside the table's box or outgrows a cell list's capacity.
 func TestUpdateMoveAllocFree(t *testing.T) {
 	g := NewGrid(250)
 	for i := int32(0); i < 200; i++ {
@@ -39,5 +40,40 @@ func TestUpdateMoveAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("in-cell Update allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// DigestInto walks the table in storage order, which is the canonical
+// (cx, cy) order, so it needs no key list and no sort: a checkpoint trail
+// folds the grid at every point without allocating.
+func TestDigestAllocFree(t *testing.T) {
+	g := NewGrid(250)
+	for i := int32(0); i < 200; i++ {
+		g.Update(i, geom.V(float64(i)*37-2000, float64(i%5)*300-600))
+	}
+	d := digest.New()
+	allocs := testing.AllocsPerRun(100, func() { g.DigestInto(d) })
+	if allocs != 0 {
+		t.Fatalf("DigestInto allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// The box grows geometrically on the side a new cell falls outside: a
+// 100 km highway filled from one end, 400 columns of 250 m cells, re-lays
+// the table out once per doubling of its width — 1 → 2 → … → 512.
+func TestBoxGrowsGeometrically(t *testing.T) {
+	for _, dir := range []float64{1, -1} {
+		g := NewGrid(250)
+		growths := 0
+		for i := 0; i < 4000; i++ {
+			n := len(g.cells)
+			g.Update(int32(i), geom.V(dir*float64(i)*25, float64(i%4)*3.5))
+			if n > 0 && len(g.cells) != n {
+				growths++
+			}
+		}
+		if g.nx != 512 || g.ny != 1 || growths != 9 {
+			t.Fatalf("direction %v: box %d×%d after %d growths, want 512×1 after 9", dir, g.nx, g.ny, growths)
+		}
 	}
 }

@@ -1,29 +1,41 @@
-// Package spatial provides a uniform-grid index over node positions. The
-// MAC layer uses it to find candidate receivers of a broadcast without
-// scanning every node, and geographic routers use it for range queries.
+// Package spatial provides a uniform-grid index over node positions: a
+// dense table of cell member lists over a growing box of cells. The radio
+// cache walks it to find the candidate receivers of a broadcast without
+// scanning every node.
+//
+// The table is column-major, so storage order is (cx, cy) order, the
+// canonical order the checkpoint digest and the CSR snapshot walk it in.
+// The box only grows, and it grows geometrically on
+// the side a new cell falls outside, so a fleet sweeping along a highway
+// re-lays the table out O(log n) times. Its memory is one slice header per
+// cell of the box, occupied or not.
 package spatial
 
 import (
 	"math"
-	"slices"
-	"sort"
 
 	"github.com/vanetlab/relroute/internal/digest"
 	"github.com/vanetlab/relroute/internal/geom"
 )
 
-// Grid is a uniform spatial hash over int32 item IDs. IDs are expected to
-// be dense from zero (node IDs are), so positions live in a slice indexed
-// by ID — range queries do one bounds-checked load per candidate instead of
-// a map lookup. The zero value is not usable; construct with NewGrid.
+// Grid is a uniform grid over int32 item IDs, held as a dense table over a
+// growing box of cells. IDs are expected to be dense from zero (node IDs
+// are), so positions live in a slice indexed by ID — range queries do one
+// bounds-checked load per candidate, and a cell lookup is one index
+// computation. The zero value is not usable; construct with NewGrid.
 type Grid struct {
-	cell  float64
-	cells map[cellKey][]int32
-	pos   []geom.Vec2 // indexed by id; valid iff present[id]
-	in    []bool      // present[id]: id is indexed
-	count int
-	epoch uint64    // advances on every geometric change; see Epoch
-	snap  *Snapshot // per-epoch CSR view, built on demand; see Snapshot
+	cell float64
+	// cells is the table: the member list of cell (cx, cy) is
+	// cells[(cx-x0)*ny + cy-y0] for cx in [x0, x0+nx) and cy in
+	// [y0, y0+ny). An emptied cell keeps its backing array.
+	cells  [][]int32
+	x0, y0 int
+	nx, ny int
+	pos    []geom.Vec2 // indexed by id; valid iff present[id]
+	in     []bool      // present[id]: id is indexed
+	count  int
+	epoch  uint64    // advances on every geometric change; see Epoch
+	snap   *Snapshot // per-epoch CSR view, built on demand; see Snapshot
 }
 
 type cellKey struct{ cx, cy int32 }
@@ -37,7 +49,6 @@ func NewGrid(cellSize float64) *Grid {
 	}
 	return &Grid{
 		cell:  cellSize,
-		cells: make(map[cellKey][]int32),
 		epoch: 1, // 1-based so callers can use 0 as a "never seen" sentinel
 	}
 }
@@ -58,6 +69,49 @@ func (g *Grid) key(p geom.Vec2) cellKey {
 		cx: int32(math.Floor(p.X / g.cell)),
 		cy: int32(math.Floor(p.Y / g.cell)),
 	}
+}
+
+// slot returns the table index of cell (cx, cy), or -1 outside the box.
+func (g *Grid) slot(cx, cy int32) int {
+	i, j := int(cx)-g.x0, int(cy)-g.y0
+	if uint(i) >= uint(g.nx) || uint(j) >= uint(g.ny) {
+		return -1
+	}
+	return i*g.ny + j
+}
+
+// cover returns the table index of cell k, first growing the box to
+// cover it if it lies outside.
+func (g *Grid) cover(k cellKey) int {
+	if s := g.slot(k.cx, k.cy); s >= 0 {
+		return s
+	}
+	if g.nx == 0 {
+		g.cells = make([][]int32, 1)
+		g.x0, g.y0, g.nx, g.ny = int(k.cx), int(k.cy), 1, 1
+		return 0
+	}
+	x0, nx := widen(g.x0, g.nx, int(k.cx))
+	y0, ny := widen(g.y0, g.ny, int(k.cy))
+	cells := make([][]int32, nx*ny)
+	for i := 0; i < g.nx; i++ {
+		copy(cells[(g.x0-x0+i)*ny+g.y0-y0:], g.cells[i*g.ny:(i+1)*g.ny])
+	}
+	g.cells, g.x0, g.y0, g.nx, g.ny = cells, x0, y0, nx, ny
+	return g.slot(k.cx, k.cy)
+}
+
+// widen returns the axis range [lo, lo+n) extended to cover c, by at least
+// its own length on the side c falls outside.
+func widen(lo, n, c int) (int, int) {
+	switch {
+	case c < lo:
+		nlo := min(c, lo-n)
+		return nlo, lo + n - nlo
+	case c >= lo+n:
+		return lo, max(c+1-lo, 2*n)
+	}
+	return lo, n
 }
 
 // grow extends the dense arrays to cover id.
@@ -91,8 +145,8 @@ func (g *Grid) Update(id int32, p geom.Vec2) {
 		g.in[id] = true
 		g.count++
 	}
-	k := g.key(p)
-	g.cells[k] = append(g.cells[k], id)
+	s := g.cover(g.key(p))
+	g.cells[s] = append(g.cells[s], id)
 	g.pos[id] = p
 }
 
@@ -137,7 +191,8 @@ func (g *Grid) Stage(id int32, p geom.Vec2) (changed bool, mv Move, cross, ok bo
 // so callers must replay in a deterministic order.
 func (g *Grid) Commit(mv Move) {
 	g.removeFromCell(mv.from, mv.id)
-	g.cells[mv.to] = append(g.cells[mv.to], mv.id)
+	s := g.cover(mv.to)
+	g.cells[s] = append(g.cells[s], mv.id)
 }
 
 // AdvanceEpoch advances the epoch by one. It is the bulk-update
@@ -158,28 +213,25 @@ func (g *Grid) Remove(id int32) {
 	g.count--
 }
 
+// removeFromCell swaps id out of cell k's list. The cell holds id, so it
+// lies inside the box.
 func (g *Grid) removeFromCell(k cellKey, id int32) {
-	items := g.cells[k]
+	s := g.slot(k.cx, k.cy)
+	items := g.cells[s]
 	for i, v := range items {
 		if v == id {
 			items[i] = items[len(items)-1]
-			items = items[:len(items)-1]
-			break
+			g.cells[s] = items[:len(items)-1]
+			return
 		}
-	}
-	if len(items) == 0 {
-		delete(g.cells, k)
-	} else {
-		g.cells[k] = items
 	}
 }
 
 // DigestInto folds the index's logical state into d for checkpoint
 // verification: the epoch, the dense position/presence arrays in ID
-// order, and every cell's member list in list order (cell list order is
-// observable — it decides range-query candidate order). Cells are
-// visited in sorted key order so the map's iteration order never
-// reaches the digest.
+// order, and every occupied cell's member list in list order (cell list
+// order is observable — it decides range-query candidate order). Cells
+// are visited in (cx, cy) order, the table's storage order.
 func (g *Grid) DigestInto(d *digest.Writer) {
 	d.U64(g.epoch)
 	d.Int(g.count)
@@ -192,20 +244,12 @@ func (g *Grid) DigestInto(d *digest.Writer) {
 		d.F64(p.X)
 		d.F64(p.Y)
 	}
-	keys := make([]cellKey, 0, len(g.cells))
-	for k := range g.cells {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].cx != keys[j].cx {
-			return keys[i].cx < keys[j].cx
+	for s, items := range g.cells {
+		if len(items) == 0 {
+			continue
 		}
-		return keys[i].cy < keys[j].cy
-	})
-	for _, k := range keys {
-		d.U32(uint32(k.cx))
-		d.U32(uint32(k.cy))
-		items := g.cells[k]
+		d.U32(uint32(g.x0 + s/g.ny))
+		d.U32(uint32(g.y0 + s%g.ny))
 		d.Int(len(items))
 		for _, id := range items {
 			d.U32(uint32(id))
@@ -233,7 +277,7 @@ func (g *Grid) Within(p geom.Vec2, r float64, dst []int32) []int32 {
 	maxK := g.key(geom.V(p.X+r, p.Y+r))
 	for cx := minK.cx; cx <= maxK.cx; cx++ {
 		for cy := minK.cy; cy <= maxK.cy; cy++ {
-			for _, id := range g.cells[cellKey{cx, cy}] {
+			for _, id := range g.CellList(cx, cy) {
 				if g.pos[id].DistSq(p) <= r2 {
 					dst = append(dst, id)
 				}
@@ -255,8 +299,14 @@ func (g *Grid) CellBounds(p geom.Vec2, r float64) (minCX, minCY, maxCX, maxCY in
 
 // CellList returns one cell's member list in list order (the order Within
 // visits it). The slice is owned by the grid and valid only until the next
-// mutation; callers must not retain or modify it. An empty cell returns nil.
-func (g *Grid) CellList(cx, cy int32) []int32 { return g.cells[cellKey{cx, cy}] }
+// mutation; callers must not retain or modify it. An empty cell returns an
+// empty list.
+func (g *Grid) CellList(cx, cy int32) []int32 {
+	if s := g.slot(cx, cy); s >= 0 {
+		return g.cells[s]
+	}
+	return nil
+}
 
 // At returns the indexed position of an item known to be present — ids
 // obtained from CellList or a Snapshot. Unlike Position it skips the
@@ -274,8 +324,7 @@ type CellSpan struct {
 // Snapshot is a CSR (compressed sparse row) view of the grid frozen at one
 // epoch: every occupied cell sorted by (CX, CY), with member IDs and their
 // positions packed contiguously per cell. Bulk sweeps iterate it with
-// sequential loads instead of hashing cellKey maps per stencil cell, and
-// binary-search cell lookup replaces map probes.
+// sequential loads, and find a cell by binary search.
 //
 // The fields are owned by the grid and read-only to callers; they are valid
 // until the grid's next geometric change.
@@ -303,7 +352,7 @@ func (s *Snapshot) Search(cx, cy int32) int {
 }
 
 // Snapshot returns the CSR view of the grid at the current epoch, building
-// it on first use per epoch in O(n + cells·log cells) and memoizing it —
+// it on first use per epoch in one pass over the table and memoizing it —
 // repeat calls within an epoch are one comparison. The backing arrays are
 // reused across epochs, so steady-state rebuilds do not allocate.
 func (g *Grid) Snapshot() *Snapshot {
@@ -318,32 +367,17 @@ func (g *Grid) Snapshot() *Snapshot {
 	s.Cells = s.Cells[:0]
 	s.IDs = s.IDs[:0]
 	s.Pos = s.Pos[:0]
-	for k := range g.cells {
-		s.Cells = append(s.Cells, CellSpan{CX: k.cx, CY: k.cy})
-	}
-	slices.SortFunc(s.Cells, func(a, b CellSpan) int {
-		if a.CX != b.CX {
-			if a.CX < b.CX {
-				return -1
-			}
-			return 1
+	for k, items := range g.cells {
+		if len(items) == 0 {
+			continue
 		}
-		if a.CY != b.CY {
-			if a.CY < b.CY {
-				return -1
-			}
-			return 1
-		}
-		return 0
-	})
-	for i := range s.Cells {
-		c := &s.Cells[i]
-		c.Start = int32(len(s.IDs))
-		for _, id := range g.cells[cellKey{c.CX, c.CY}] {
+		c := CellSpan{CX: int32(g.x0 + k/g.ny), CY: int32(g.y0 + k%g.ny), Start: int32(len(s.IDs))}
+		for _, id := range items {
 			s.IDs = append(s.IDs, id)
 			s.Pos = append(s.Pos, g.pos[id])
 		}
 		c.End = int32(len(s.IDs))
+		s.Cells = append(s.Cells, c)
 	}
 	s.Epoch = g.epoch
 	return s

@@ -35,8 +35,8 @@ func churnGrid(rng *rand.Rand, n int, span float64) *Grid {
 }
 
 // TestSnapshotMirrorsGrid checks the CSR view cell by cell against the
-// grid's own map: sorted keys, members in cell list order, positions
-// aligned.
+// grid's own table: occupied cells only, sorted keys, members in cell list
+// order, positions aligned.
 func TestSnapshotMirrorsGrid(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := churnGrid(rng, 200, 2000)
@@ -44,8 +44,14 @@ func TestSnapshotMirrorsGrid(t *testing.T) {
 	if s.Epoch != g.Epoch() {
 		t.Fatalf("snapshot epoch %d != grid epoch %d", s.Epoch, g.Epoch())
 	}
-	if len(s.Cells) != len(g.cells) {
-		t.Fatalf("snapshot has %d cells, grid has %d", len(s.Cells), len(g.cells))
+	occupied := 0
+	for _, items := range g.cells {
+		if len(items) > 0 {
+			occupied++
+		}
+	}
+	if len(s.Cells) != occupied {
+		t.Fatalf("snapshot has %d cells, grid has %d occupied", len(s.Cells), occupied)
 	}
 	total := 0
 	for i, c := range s.Cells {
@@ -55,7 +61,7 @@ func TestSnapshotMirrorsGrid(t *testing.T) {
 				t.Fatalf("cells not strictly sorted at %d: %+v after %+v", i, c, prev)
 			}
 		}
-		want := g.cells[cellKey{c.CX, c.CY}]
+		want := g.CellList(c.CX, c.CY)
 		got := s.IDs[c.Start:c.End]
 		if len(got) != len(want) {
 			t.Fatalf("cell (%d,%d): %d members, want %d", c.CX, c.CY, len(got), len(want))
@@ -107,7 +113,7 @@ func TestSnapshotSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := churnGrid(rng, 300, 2500)
 	// Anchor two cells so the toggled item below never creates or empties a
-	// cell — the pin is about the snapshot's arenas, not the grid map.
+	// cell — the pin is about the snapshot's arenas, not the grid's table.
 	g.Update(300, geom.V(50, 50))
 	g.Update(301, geom.V(550, 550))
 	g.Snapshot() // warm the arenas
