@@ -189,7 +189,8 @@ func (r *TicketRouter) score(ls netstack.LinkState, s float64) float64 {
 }
 
 // metricStability evaluates the configured metric. The probability metrics
-// are 400-panel integrals and probes arrive in bursts, so their results
+// are expected durations, each two Erfc and up to eight 17-node
+// Gauss–Legendre panels, and probes arrive in bursts, so their results
 // are remembered for as long as both ends of the link stay as they are
 // (see stabilityMemo); the deterministic metric is a field of ls, so it
 // does not go through the memo.

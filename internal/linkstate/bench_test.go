@@ -131,8 +131,8 @@ var (
 	benchF64 float64
 )
 
-// BenchmarkExpectedDuration is one Sec. VII stability integral: the window
-// of the relative-speed normal plus a 400-panel Simpson sum.
+// BenchmarkExpectedDuration is one Sec. VII expected link duration: two
+// Erfc between the kinks and a Gauss–Legendre rule over each tail.
 func BenchmarkExpectedDuration(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -140,8 +140,8 @@ func BenchmarkExpectedDuration(b *testing.B) {
 	}
 }
 
-// BenchmarkSurvival is the NiuDe-style availability integral over the same
-// window.
+// BenchmarkSurvival is the NiuDe-style availability integral: the window
+// of the relative-speed normal plus a 400-panel Simpson sum.
 func BenchmarkSurvival(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -19,13 +19,14 @@ func boundGivesUp(m LinkDurationModel) (inf, zero bool) {
 		return false, true
 	}
 	h := m.horizon()
-	return sigma < 1e-10 || math.IsNaN(mu) || math.IsInf(mu, 0) || math.Abs(mu) > 1e6*sigma || math.Abs(mu)+5*sigma > 1e4 ||
+	return math.IsInf(sigma, 1) || math.IsNaN(mu) || math.IsInf(mu, 0) || math.Abs(mu) > 1e6*sigma ||
 		math.IsNaN(m.Range-m.Gap) || math.IsNaN(m.Range+m.Gap) || math.IsNaN(h), false
 }
 
 // checkBound requires ExpectedBound to be +Inf or 0 exactly where
 // boundGivesUp says, and everywhere else a number no smaller than Expected
-// by exact comparison. It returns the two.
+// by exact comparison; and Expected to lie in [0, H] wherever the mean, the
+// distances of Eqn (4) and the horizon are numbers. It returns the two.
 func checkBound(t testing.TB, m LinkDurationModel) (bound, expected float64) {
 	t.Helper()
 	bound, expected = m.ExpectedBound(), m.Expected()
@@ -42,6 +43,11 @@ func checkBound(t testing.TB, m LinkDurationModel) (bound, expected float64) {
 	case !(bound >= expected) || math.IsInf(bound, 1) && !math.IsInf(m.horizon(), 1):
 		t.Fatalf("%+v: bound %v (%#x) against Expected %v (%#x)", m, bound, math.Float64bits(bound),
 			expected, math.Float64bits(expected))
+	}
+	h := m.horizon()
+	numbers := !math.IsNaN(m.RelSpeed.Mu) && !math.IsNaN(m.Range-m.Gap) && !math.IsNaN(m.Range+m.Gap) && !math.IsNaN(h)
+	if numbers && !(expected >= 0 && expected <= h) {
+		t.Fatalf("%+v: Expected %v outside [0, %v]", m, expected, h)
 	}
 	return bound, expected
 }
@@ -102,7 +108,7 @@ func TestExpectedBoundNeverBelowExpected(t *testing.T) {
 func TestExpectedBoundCorners(t *testing.T) {
 	const r = 250
 	for _, sigma := range []float64{5e-324, 1e-300, 2, 4, 5, 1e3} {
-		for _, mu := range []float64{0, math.Copysign(0, -1), 80, -80, 1e7, -1e7, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, mu := range []float64{0, math.Copysign(0, -1), 4.8 * sigma, -4.8 * sigma, 80, -80, 1e7, -1e7, math.NaN(), math.Inf(1), math.Inf(-1)} {
 			for _, gap := range []float64{0, r, -r, 1.5 * r, -1.5 * r} {
 				for _, horizon := range []float64{1, 300, 3600} {
 					checkBound(t, LinkDurationModel{RelSpeed: Normal{Mu: mu, Sigma: sigma}, Gap: gap, Range: r, Horizon: horizon})
@@ -121,8 +127,7 @@ func TestExpectedBoundCorners(t *testing.T) {
 		{LinkDurationModel{RelSpeed: Normal{Mu: 1, Sigma: math.Inf(1)}, Gap: 2 * r, Range: r}, 0},
 		{LinkDurationModel{RelSpeed: Normal{Mu: 1, Sigma: 5e-324}, Gap: 2 * r, Range: r}, math.Inf(1)},
 		{LinkDurationModel{RelSpeed: Normal{Mu: 1, Sigma: 2}, Gap: 2 * r, Range: r}, 0},
-		{LinkDurationModel{RelSpeed: Normal{Mu: 9996, Sigma: 2}, Range: r}, math.Inf(1)},
-		{LinkDurationModel{RelSpeed: Normal{Sigma: 1e-11}, Range: r}, math.Inf(1)},
+		{LinkDurationModel{RelSpeed: Normal{Mu: 1e7, Sigma: 2}, Range: r}, math.Inf(1)},
 		{LinkDurationModel{RelSpeed: Normal{Mu: 1, Sigma: 2}, Gap: math.NaN(), Range: r}, math.Inf(1)},
 		{LinkDurationModel{RelSpeed: Normal{Mu: 1, Sigma: 2}, Range: math.NaN()}, math.Inf(1)},
 		{LinkDurationModel{RelSpeed: Normal{Mu: 1, Sigma: 2}, Range: r, Horizon: math.NaN()}, math.Inf(1)},
@@ -133,21 +138,37 @@ func TestExpectedBoundCorners(t *testing.T) {
 	}
 }
 
-// TestBoundBlocksTileTheWindow: the blocks follow one another from −tailZ
-// to tailZ, and their masses are integrate's normalised weights, which sum
-// to 1 within the rule's error.
-func TestBoundBlocksTileTheWindow(t *testing.T) {
+// TestExpectedBoundAboveAnExactZero is the model a bound over the old
+// Simpson window read 0 on: the gap on the range, so T = 0 for every
+// Δv > 0, and μ = 4.8σ, so the window saw no Δv < 0. The exact Expected is
+// not 0, and neither may the bound be.
+func TestExpectedBoundAboveAnExactZero(t *testing.T) {
+	for _, m := range []LinkDurationModel{
+		{RelSpeed: Normal{Mu: 9.6, Sigma: 2}, Gap: 250, Range: 250, Horizon: 300},
+		{RelSpeed: Normal{Mu: -9.6, Sigma: 2}, Gap: -250, Range: 250, Horizon: 300},
+	} {
+		if b, e := checkBound(t, m); !(e > 0) {
+			t.Fatalf("%+v: Expected %v, bound %v", m, e, b)
+		}
+	}
+}
+
+// TestBoundBlocksTileTheLine: the blocks follow one another from −Inf to
+// +Inf, through ±tailZ, and their masses are probabilities summing to 1.
+func TestBoundBlocksTileTheLine(t *testing.T) {
 	total := 0.0
 	for i, b := range boundBlocks {
-		if !(b.zLo < b.zHi) || i > 0 && !(boundBlocks[i-1].zHi < b.zLo) || !(b.mass > 0) {
+		if !(b.zLo < b.zHi) || i > 0 && boundBlocks[i-1].zHi != b.zLo || !(b.mass > 0) {
 			t.Fatalf("block %d: %+v after %+v", i, b, boundBlocks[max(i-1, 0)])
 		}
 		total += b.mass
 	}
-	if first, last := boundBlocks[0].zLo, boundBlocks[len(boundBlocks)-1].zHi; math.Abs(first+tailZ) > 1e-9 || math.Abs(last-tailZ) > 1e-9 {
-		t.Fatalf("blocks span [%v, %v], want ±%v", first, last, tailZ)
+	last := len(boundBlocks) - 1
+	if boundBlocks[0].zLo != math.Inf(-1) || boundBlocks[last].zHi != math.Inf(1) ||
+		boundBlocks[0].zHi != -tailZ || boundBlocks[last].zLo != tailZ {
+		t.Fatalf("blocks start %+v and end %+v", boundBlocks[0], boundBlocks[last])
 	}
-	if math.Abs(total-1) > 1e-9 {
+	if math.Abs(total-1) > 1e-15 {
 		t.Fatalf("block masses sum to %v", total)
 	}
 }
@@ -159,6 +180,7 @@ func FuzzExpectedBound(f *testing.F) {
 	f.Add(1e7, 1e3, -100.0, 500.0, 0.0)
 	f.Add(0.0, 1e-300, 10.0, 100.0, 600.0)
 	f.Add(0.0, 1e-10, 10.0, 100.0, 600.0)
+	f.Add(9.6, 2.0, 250.0, 250.0, 300.0)
 	f.Fuzz(func(t *testing.T, mu, sigma, gap, rangeM, horizon float64) {
 		checkBound(t, LinkDurationModel{RelSpeed: Normal{Mu: mu, Sigma: sigma}, Gap: gap, Range: rangeM, Horizon: horizon})
 	})

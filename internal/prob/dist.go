@@ -36,8 +36,8 @@ func (n Normal) CDF(x float64) float64 {
 // tailZ is the standard normal's 1e-6 tail quantile: Φ(−tailZ) = 1e-6.
 const tailZ = 4.753424308822899
 
-// tailWindow returns the 1e-6 and 1−1e-6 quantiles of n — the window the
-// link-duration statistics integrate over — each to the bit what 80
+// tailWindow returns the 1e-6 and 1−1e-6 quantiles of n — the window
+// SurvivalProb integrates over — each to the bit what 80
 // bisection steps of the CDF on [−1e4, 1e4] yield: every golden output
 // was recorded with those windows, so the closed-form quantile's last bits
 // will not do.

@@ -71,11 +71,142 @@ func (m LinkDurationModel) Duration(dv float64) float64 {
 }
 
 // Expected returns E[min(T, horizon)], the "expected link duration" routing
-// metric of the Yan ticket-probing protocol, integrating the deterministic
-// lifetime over the relative-speed distribution with Simpson's rule.
+// metric of the Yan ticket-probing protocol, over the whole relative-speed
+// normal. With a = r − d₀, b = r + d₀ and the horizon H, min(T, H) is H
+// between the kinks −b/H < Δv < a/H, a/Δv above them and b/−Δv below, so
+//
+//	E = H·P(−b/H < Δv < a/H) + a·∫_{a/H}^∞ φ(v)/v dv + b·∫_{b/H}^∞ φ₋(u)/u du,
+//
+// φ the density of Δv and φ₋ that of −Δv. The first term is two Erfc; each
+// tail is a fixed Gauss–Legendre rule in s = ln v (see tailIntegral). A
+// relative speed without spread (σ ≤ 0), or one so narrow its density
+// overflows, is a point mass at its mean; a link already down answers 0.
 func (m LinkDurationModel) Expected() float64 {
-	return m.integrate(false, 0)
+	return m.expected(glNodes[:], glWeights[:])
 }
+
+// expected is Expected under the Gauss–Legendre rule with the given
+// non-negative nodes and their weights (a node of 0 counted once).
+func (m LinkDurationModel) expected(nodes, weights []float64) float64 {
+	mu, sigma := m.RelSpeed.Mu, m.RelSpeed.Sigma
+	if m.down() {
+		return 0
+	}
+	if !(sigma > 0) || 1/(sigma*math.Sqrt(2*math.Pi)) > math.MaxFloat64 {
+		return m.Duration(mu)
+	}
+	ahead, behind, h := m.Range-m.Gap, m.Range+m.Gap, m.horizon()
+	if math.IsInf(h, 1) && ahead+behind > 0 {
+		return h // E[T] diverges: T → ∞ as Δv → 0
+	}
+	e := 0.0
+	if p := normalBetween(-behind/h, ahead/h, mu, sigma); p > 0 {
+		e = h * p
+	}
+	for _, tail := range [2]struct{ dist, mean float64 }{{ahead, mu}, {behind, -mu}} {
+		if tail.dist == 0 {
+			continue
+		}
+		// t > 0 also keeps an infinite distance with nothing beyond it out
+		if t := tailIntegral(tail.dist/h, tail.mean, sigma, nodes, weights); t > 0 {
+			e += tail.dist * t
+		}
+	}
+	return min(e, h)
+}
+
+// normalBetween returns P(lo < X < hi) under N(mu, sigma²) from Erfc of
+// the side each end lies on, so a narrow interval in one tail does not
+// cancel to 0 and one across the mean adds two positive terms.
+func normalBetween(lo, hi, mu, sigma float64) float64 {
+	zl, zh := (lo-mu)/(sigma*math.Sqrt2), (hi-mu)/(sigma*math.Sqrt2)
+	switch {
+	case zl >= 0:
+		return 0.5 * (math.Erfc(zl) - math.Erfc(zh))
+	case zh <= 0:
+		return 0.5 * (math.Erfc(-zh) - math.Erfc(-zl))
+	}
+	return 0.5 * (math.Erf(zh) - math.Erf(zl))
+}
+
+// tailIntegral returns ∫_c^∞ φ(v)/v dv for c ≥ 0 and φ the N(mu, sigma²)
+// density. After v = eˢ it is ∫ φ(eˢ) ds, smooth even where c is tiny
+// against σ. It runs over [max(c, μ − 9σ), μ + √(d² + 81σ²)], d = max(c − μ,
+// 0): beyond either end the density is below e^−40.5 of its peak on [c, ∞).
+// Panels end at v = σ, where ln v stops being the density's scale, and at
+// μ − 3σ and μ + √(d² + 9σ²), where it has fallen by e^−4.5, when those lie
+// inside; each panel is one Gauss–Legendre rule.
+func tailIntegral(c, mu, sigma float64, nodes, weights []float64) float64 {
+	d := max(c-mu, 0)
+	lo := max(c, mu-9*sigma, math.SmallestNonzeroFloat64)
+	hi := min(mu+math.Hypot(d, 9*sigma), math.MaxFloat64)
+	if !(lo < hi) {
+		return 0
+	}
+	// the panel ends: three cuts, sorted, then hi
+	e := [4]float64{sigma, mu - 3*sigma, mu + math.Hypot(d, 3*sigma), hi}
+	if e[0] > e[2] {
+		e[0], e[2] = e[2], e[0]
+	}
+	if e[0] > e[1] {
+		e[0], e[1] = e[1], e[0]
+	}
+	if e[1] > e[2] {
+		e[1], e[2] = e[2], e[1]
+	}
+	sum, s0 := 0.0, math.Log(lo)
+	for _, v := range e {
+		if !(v > lo && v <= hi) {
+			continue
+		}
+		s1 := math.Log(v)
+		sum += glPanel(s0, s1, mu, 1/sigma, nodes, weights)
+		s0, lo = s1, v
+	}
+	return sum / (sigma * math.Sqrt(2*math.Pi))
+}
+
+// glPanel is the Gauss–Legendre sum of exp(−z²/2), z = (eˢ − μ)/σ, over
+// [s0, s1], given 1/σ. The nodes come in pairs mid ± hw·x, so eˢ is e^mid
+// times and over e^(hw·x): one Exp for both.
+func glPanel(s0, s1, mu, invSigma float64, nodes, weights []float64) float64 {
+	mid, hw := 0.5*(s0+s1), 0.5*(s1-s0)
+	em := math.Exp(mid)
+	sum := 0.0
+	for i, x := range nodes {
+		if x == 0 {
+			z := (em - mu) * invSigma
+			sum += weights[i] * math.Exp(-0.5*z*z)
+			continue
+		}
+		ex := math.Exp(hw * x)
+		up, dn := (em*ex-mu)*invSigma, (em/ex-mu)*invSigma
+		sum += weights[i] * (math.Exp(-0.5*up*up) + math.Exp(-0.5*dn*dn))
+	}
+	return hw * sum
+}
+
+// glPoints is the node count of each tail panel's Gauss–Legendre rule: the
+// smallest that holds Expected within 1e-10 relative of a fine reference
+// on every model TestExpectedMatchesReference tries.
+const glPoints = 17
+
+// glNodes are that rule's non-negative nodes, descending to its middle node
+// 0, and glWeights their weights. They are literals, rounded from a 256-bit
+// Newton iteration, so Expected does not depend on the platform's math.Cos;
+// TestGaussLegendreTable recomputes them.
+var (
+	glNodes = [(glPoints + 1) / 2]float64{
+		0.9905754753144174, 0.9506755217687678, 0.8802391537269859,
+		0.7815140038968014, 0.6576711592166907, 0.5126905370864769,
+		0.3512317634538763, 0.17848418149584785, 0,
+	}
+	glWeights = [(glPoints + 1) / 2]float64{
+		0.02414830286854793, 0.0554595293739872, 0.08503614831717918,
+		0.11188384719340397, 0.13513636846852548, 0.15404576107681028,
+		0.16800410215645004, 0.17656270536699264, 0.17944647035620653,
+	}
+)
 
 // SurvivalProb returns P(T > t): the probability the link is still up after
 // t seconds, the quantity GVGrid and NiuDe-style protocols threshold on.
@@ -86,38 +217,29 @@ func (m LinkDurationModel) SurvivalProb(t float64) float64 {
 		}
 		return 1
 	}
-	return m.integrate(true, t)
+	return m.integrate(t)
 }
 
-// integrand is what the statistics integrate at relative speed dv: T(dv)
-// for the expectation, the indicator of T(dv) > at for the survival
-// probability.
-func (m LinkDurationModel) integrand(dv float64, survival bool, at float64) float64 {
-	return pick(m.Duration(dv), survival, at)
-}
-
-// pick is the integrand where the lifetime is t.
-func pick(t float64, survival bool, at float64) float64 {
-	if !survival {
-		return t
-	}
+// survives is the survival integrand where the lifetime is t: the
+// indicator of t > at.
+func survives(t, at float64) float64 {
 	if t > at {
 		return 1
 	}
 	return 0
 }
 
-// integrate computes E[T(Δv)] — with survival set, P(T(Δv) > at) — over the
-// relative-speed density with a composite Simpson rule between its 1e-6
-// tail quantiles, μ ± 4.75σ. A relative speed without spread (σ ≤ 0) is a
-// point mass at its mean. Every golden output holds these sums to the bit:
-// a term is rounded as Duration(x)·RelSpeed.PDF(x) is and added in node
-// order, and what does not depend on the node is read once.
-func (m LinkDurationModel) integrate(survival bool, at float64) float64 {
+// integrate computes P(T(Δv) > at) over the relative-speed density with a
+// composite Simpson rule between its 1e-6 tail quantiles, μ ± 4.75σ. A
+// relative speed without spread (σ ≤ 0) is a point mass at its mean. Every
+// golden output holds these sums to the bit: a term is rounded as
+// survives(Duration(x), at)·RelSpeed.PDF(x) is and added in node order, and
+// what does not depend on the node is read once.
+func (m LinkDurationModel) integrate(at float64) float64 {
 	d := m.RelSpeed
 	mu, sigma := d.Mu, d.Sigma
 	if !(sigma > 0) {
-		return m.integrand(mu, survival, at)
+		return survives(m.Duration(mu), at)
 	}
 	den := sigma * math.Sqrt(2*math.Pi)
 	// A node whose integrand is 0 adds w·0·pdf. That is +0, and leaves the
@@ -132,17 +254,16 @@ func (m LinkDurationModel) integrate(survival bool, at float64) float64 {
 	}
 	lo, hi := d.tailWindow()
 	if hi <= lo {
-		return m.integrand(mu, survival, at)
+		return survives(m.Duration(mu), at)
 	}
 	ahead, behind, horizon := m.Range-m.Gap, m.Range+m.Gap, m.horizon()
-	skipZeros := survival && finite
 	const n = simpsonPanels
 	h := (hi - lo) / n
-	sum := m.integrand(lo, survival, at)*d.PDF(lo) + m.integrand(hi, survival, at)*d.PDF(hi)
+	sum := survives(m.Duration(lo), at)*d.PDF(lo) + survives(m.Duration(hi), at)*d.PDF(hi)
 	for i := 1; i < n; i++ {
 		x := lo + float64(i)*h
-		v := pick(lifetime(down, ahead, behind, horizon, x), survival, at)
-		if skipZeros && v == 0 {
+		v := survives(lifetime(down, ahead, behind, horizon, x), at)
+		if finite && v == 0 {
 			continue
 		}
 		w := 2.0
@@ -154,10 +275,10 @@ func (m LinkDurationModel) integrate(survival bool, at float64) float64 {
 	}
 	val := sum * h / 3
 	// Normalise by the captured probability mass so truncation of the
-	// tails does not bias the expectation.
+	// tails does not bias the probability.
 	mass := d.CDF(hi) - d.CDF(lo)
 	if mass <= 0 {
-		return m.integrand(mu, survival, at)
+		return survives(m.Duration(mu), at)
 	}
 	return val / mass
 }
@@ -166,40 +287,26 @@ func (m LinkDurationModel) integrate(survival bool, at float64) float64 {
 // simpsonPanels+1 nodes, lo + i·h for i = 0 … simpsonPanels.
 const simpsonPanels = 400 // even
 
-// boundBlock is a run of consecutive Simpson nodes, read over N(0, 1):
-// the z of its first and last node, and the share of integrate's
-// normalised sum (Σ w·pdf·h/3 over the block, divided by the captured
-// mass) its nodes carry. A model's nodes lie at μ + σ·z up to the window
-// and rounding errors ExpectedBound's widening covers.
+// boundBlock is an interval [zLo, zHi] of z = (Δv − μ)/σ and its
+// probability under N(0, 1).
 type boundBlock struct{ zLo, zHi, mass float64 }
 
-// boundBlocks splits the Simpson nodes into runs of ten, the last one
-// eleven, built once through the window and node arithmetic integrate
-// uses.
-var boundBlocks = func() (t [simpsonPanels / 10]boundBlock) {
-	d := Normal{Sigma: 1}
-	lo, hi := d.tailWindow()
-	h := (hi - lo) / simpsonPanels
-	for i := 0; i <= simpsonPanels; i++ {
-		x, w := lo+float64(i)*h, 2.0
-		switch {
-		case i == 0:
-			w = 1
-		case i == simpsonPanels:
-			x, w = hi, 1
-		case i%2 == 1:
-			w = 4
+// boundBlocks tile the real line: the two 1e-6 tails beyond ±tailZ and 40
+// equal intervals between them, each mass from the Erfc of its own side of
+// 0 (the middle edge is 0 exactly), built once.
+var boundBlocks = func() (t [42]boundBlock) {
+	const n = len(t) - 2
+	edge := func(k int) float64 {
+		switch k {
+		case 0:
+			return math.Inf(-1)
+		case len(t):
+			return math.Inf(1)
 		}
-		b := &t[min(i/10, len(t)-1)]
-		if i%10 == 0 && i < simpsonPanels {
-			b.zLo = x
-		}
-		b.zHi = x
-		b.mass += w * d.PDF(x)
+		return tailZ * float64(2*(k-1)-n) / float64(n)
 	}
-	norm := h / 3 / (d.CDF(hi) - d.CDF(lo))
 	for i := range t {
-		t[i].mass *= norm
+		t[i] = boundBlock{edge(i), edge(i + 1), normalBetween(edge(i), edge(i+1), 0, 1)}
 	}
 	return t
 }()
@@ -209,37 +316,31 @@ var boundBlocks = func() (t [simpsonPanels / 10]boundBlock) {
 const boundWiden = 1e-6
 
 // ExpectedBound returns a number never below Expected(), in closed form:
-// about 40 divisions, and no Erfc or Exp. It is what a caller that keeps
-// only the best few links ranks them by before it integrates any.
+// 42 blocks, at most one division each, and no Erfc or Exp. It is what a
+// caller that keeps only the best few links ranks them by before it
+// integrates any.
 //
-// Expected is a normalised Simpson sum Σ w_i·T(x_i)·pdf(x_i)·h/3 / mass
-// over 401 nodes x_i; every weight and density is positive. Split the
-// nodes into blocks; on a block whose nodes lie in [a, c], T is at most its
-// value at the end nearer Δv = 0 — T(Δv) = ahead/Δv falls for Δv > 0 and
+// Expected is E[min(T(Δv), H)]. Cut the real line of Δv into the blocks
+// μ + σ·[zLo, zHi] of boundBlocks. On a block, T is at most its value at
+// the end nearer Δv = 0 — T(Δv) = ahead/Δv falls for Δv > 0 and
 // behind/−Δv rises for Δv < 0, a correctly rounded division is monotone in
 // its divisor, and so is the cap at the horizon — and at most the horizon
-// on a block that straddles 0. So Expected ≤ Σ_blocks T_block·mass_block,
-// where mass_block is the block's share of the normalised sum. Both the
-// block edges and the masses are read from boundBlocks, built over
-// N(0, 1), and the model's own differ from them only by:
-//   - the window: bisectTail never ends more than 1e-9·σ from μ ± tailZ·σ
-//     once its 80 halvings of [−1e4, 1e4], 1.7e-20 apart, resolve that, at
-//     σ ≥ 1e-10; so node i moves by at most 2e-9·σ;
-//   - rounding in lo + i·h and μ + σ·z: a few units in the last place of
-//     |μ| + 5σ, at most 1e-9·σ when |μ| ≤ 1e6·σ;
-//   - the masses' drift: z moves by under 1e-8, which changes each density
-//     by under 5e-8 of itself (|z| ≤ 4.76), h and the captured mass by
-//     less; the 401-term sums round by under 1e-13 of themselves.
+// on a block that holds 0. So Expected ≤ Σ_blocks T_block·mass_block. What
+// the floating-point numbers add to that:
+//   - rounding in μ + σ·z: a few units in the last place of |μ| + 5σ, under
+//     1e-9·σ when |μ| ≤ 1e6·σ; widening each block by boundWiden·σ on both
+//     sides covers it a thousandfold;
+//   - rounding in the masses and the sums, a few 1e-16 of the total, and
+//     the error of Expected's quadrature, within 1e-10 of it
+//     (TestExpectedMatchesReference): multiplying the total by
+//     1 + boundWiden covers both. (Expected leaves out the density beyond
+//     its tail windows, which only lowers it.)
 //
-// Widening each block by boundWiden·σ on both sides covers the first two a
-// hundredfold, and multiplying the total by 1 + boundWiden the third.
-//
-// The argument needs a window that is μ ± tailZ·σ inside integrate's
-// bisection bracket [−1e4, 1e4], a finite density and distances that are
-// numbers. Wherever one fails — σ not finite and positive, 1/(σ√2π)
-// overflowing, σ < 1e-10, μ not finite, |μ| > 1e6·σ, |μ| + 5σ > 1e4, a
-// horizon or a distance of Eqn (4) that is no number — the bound is +Inf.
-// A gap already outside the range answers 0, as Expected does.
+// Where the argument does not hold — σ not finite and positive, or so small
+// that 1/(σ√2π) overflows and Expected takes Δv for a point mass, μ not
+// finite or |μ| > 1e6·σ, a horizon or a distance of Eqn (4) that is no
+// number — the bound is +Inf. A gap already outside the range answers 0, as
+// Expected does.
 func (m LinkDurationModel) ExpectedBound() float64 {
 	mu, sigma := m.RelSpeed.Mu, m.RelSpeed.Sigma
 	if !(sigma > 0) || 1/(sigma*math.Sqrt(2*math.Pi)) > math.MaxFloat64 {
@@ -249,7 +350,7 @@ func (m LinkDurationModel) ExpectedBound() float64 {
 		return 0
 	}
 	ahead, behind, horizon := m.Range-m.Gap, m.Range+m.Gap, m.horizon()
-	if !(sigma >= 1e-10 && math.Abs(mu) <= 1e6*sigma && math.Abs(mu)+5*sigma <= 1e4) ||
+	if math.IsInf(sigma, 1) || !(math.Abs(mu) <= 1e6*sigma) ||
 		!(ahead >= 0 && behind >= 0) || horizon != horizon {
 		return math.Inf(1)
 	}
