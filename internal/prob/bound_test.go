@@ -107,8 +107,8 @@ func TestExpectedBoundNeverBelowExpected(t *testing.T) {
 // means, gaps and horizons.
 func TestExpectedBoundCorners(t *testing.T) {
 	const r = 250
-	for _, sigma := range []float64{5e-324, 1e-300, 2, 4, 5, 1e3} {
-		for _, mu := range []float64{0, math.Copysign(0, -1), 4.8 * sigma, -4.8 * sigma, 80, -80, 1e7, -1e7, math.NaN(), math.Inf(1), math.Inf(-1)} {
+	for _, sigma := range []float64{5e-324, 1e-300, 1e-11, 2, 4, 5, 1e3} {
+		for _, mu := range []float64{0, math.Copysign(0, -1), 4.8 * sigma, -4.8 * sigma, 80, -80, 9996, 1e7, -1e7, math.NaN(), math.Inf(1), math.Inf(-1)} {
 			for _, gap := range []float64{0, r, -r, 1.5 * r, -1.5 * r} {
 				for _, horizon := range []float64{1, 300, 3600} {
 					checkBound(t, LinkDurationModel{RelSpeed: Normal{Mu: mu, Sigma: sigma}, Gap: gap, Range: r, Horizon: horizon})

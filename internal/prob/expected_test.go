@@ -171,11 +171,7 @@ func TestExpectedMatchesReference(t *testing.T) {
 	} else {
 		t.Logf("%d models: worst relative error %.3g at %+v", len(models), worst, models[at])
 	}
-	fewer := 2 * len(glNodes)
-	if glNodes[len(glNodes)-1] == 0 {
-		fewer--
-	}
-	fewer--
+	fewer := glPoints - 1
 	if worst, at := worstRelativeError(expectedWith(models, fewer), want); !(worst > 1e-10) {
 		t.Fatalf("a %d-node rule holds 1e-10 too (worst %.3g at %+v): glNodes is not the smallest", fewer, worst, models[at])
 	} else {

@@ -1,6 +1,9 @@
 package prob
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // LinkDurationModel derives the distribution of a link's remaining lifetime
 // from a probabilistic relative-speed model, the construction the survey
@@ -107,7 +110,7 @@ func (m LinkDurationModel) expected(nodes, weights []float64) float64 {
 		if tail.dist == 0 {
 			continue
 		}
-		// t > 0 also keeps an infinite distance with nothing beyond it out
+		// t > 0 also keeps out ∞·0: an infinite distance has no tail
 		if t := tailIntegral(tail.dist/h, tail.mean, sigma, nodes, weights); t > 0 {
 			e += tail.dist * t
 		}
@@ -132,10 +135,11 @@ func normalBetween(lo, hi, mu, sigma float64) float64 {
 // tailIntegral returns ∫_c^∞ φ(v)/v dv for c ≥ 0 and φ the N(mu, sigma²)
 // density. After v = eˢ it is ∫ φ(eˢ) ds, smooth even where c is tiny
 // against σ. It runs over [max(c, μ − 9σ), μ + √(d² + 81σ²)], d = max(c − μ,
-// 0): beyond either end the density is below e^−40.5 of its peak on [c, ∞).
-// Panels end at v = σ, where ln v stops being the density's scale, and at
-// μ − 3σ and μ + √(d² + 9σ²), where it has fallen by e^−4.5, when those lie
-// inside; each panel is one Gauss–Legendre rule.
+// 0): beyond either end the density is below e^−40.5 of its peak on [c, ∞)
+// (for a kink at or below the mean, d = 0 and the window is μ ± 9σ).
+// Panels end at μ − 3σ and μ + √(d² + 9σ²), where that density has fallen
+// by e^−4.5, and at v = σ, below which it barely changes while ln v runs on
+// down to ln c; each panel is one Gauss–Legendre rule.
 func tailIntegral(c, mu, sigma float64, nodes, weights []float64) float64 {
 	d := max(c-mu, 0)
 	lo := max(c, mu-9*sigma, math.SmallestNonzeroFloat64)
@@ -145,15 +149,7 @@ func tailIntegral(c, mu, sigma float64, nodes, weights []float64) float64 {
 	}
 	// the panel ends: three cuts, sorted, then hi
 	e := [4]float64{sigma, mu - 3*sigma, mu + math.Hypot(d, 3*sigma), hi}
-	if e[0] > e[2] {
-		e[0], e[2] = e[2], e[0]
-	}
-	if e[0] > e[1] {
-		e[0], e[1] = e[1], e[0]
-	}
-	if e[1] > e[2] {
-		e[1], e[2] = e[2], e[1]
-	}
+	slices.Sort(e[:3])
 	sum, s0 := 0.0, math.Log(lo)
 	for _, v := range e {
 		if !(v > lo && v <= hi) {
