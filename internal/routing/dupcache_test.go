@@ -1,8 +1,12 @@
 package routing
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"github.com/vanetlab/relroute/internal/netstack"
 )
@@ -50,13 +54,16 @@ func (p *dupPair) seen(k DupKey, now float64) bool {
 	if got != want {
 		p.t.Fatalf("step %d: Seen(%+v, %v) = %v, the map says %v", p.step, k, now, got, want)
 	}
-	if int(p.got.n) != len(p.want.seen) {
-		p.t.Fatalf("step %d: n = %d after Seen(%+v, %v), the map holds %d", p.step, int(p.got.n), k, now, len(p.want.seen))
+	if len(p.got.ents) != len(p.want.seen) {
+		p.t.Fatalf("step %d: %d entries after Seen(%+v, %v), the map holds %d", p.step, len(p.got.ents), k, now, len(p.want.seen))
+	}
+	if !slices.IsSortedFunc(p.got.ents, func(a, b dupEntry) int { return cmp.Compare(a.key, b.key) }) {
+		p.t.Fatalf("step %d: entries out of order after Seen(%+v, %v)", p.step, k, now)
 	}
 	return got
 }
 
-// TestDupCacheMatchesMap: for random call streams the flat table answers
+// TestDupCacheMatchesMap: for random call streams the sorted store answers
 // and counts exactly as the map did — repeats of the last key, small key
 // spaces that collide and revisit, clocks that run backwards, sweeps that
 // land on their instant, growth and a table swept empty.
@@ -85,8 +92,8 @@ func TestDupCacheMatchesMap(t *testing.T) {
 			}
 			p.seen(k, now)
 		}
-		if len(p.got.tab) < 64 && keys >= 256 {
-			t.Fatalf("seed %d: table has %d slots for %d live keys; the stream was meant to grow it", seed, len(p.got.tab), int(p.got.n))
+		if cap(p.got.ents) < 64 && keys >= 256 {
+			t.Fatalf("seed %d: the store has room for %d entries with %d live; the stream was meant to grow it", seed, cap(p.got.ents), len(p.got.ents))
 		}
 	}
 }
@@ -120,8 +127,8 @@ func TestDupCacheEdges(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			p.seen(DupKey{Origin: netstack.NodeID(i % 7), Seq: uint64(i)}, 1)
 		}
-		if slots := len(p.got.tab); slots < 8<<3 {
-			t.Fatalf("100 keys sit in %d slots, want at least three doublings of 8", slots)
+		if room := cap(p.got.ents); room < 8<<3 {
+			t.Fatalf("100 keys sit in room for %d, want at least three doublings of 8", room)
 		}
 		for i := 0; i < 100; i++ {
 			if !p.seen(DupKey{Origin: netstack.NodeID(i % 7), Seq: uint64(i)}, 2) {
@@ -130,17 +137,15 @@ func TestDupCacheEdges(t *testing.T) {
 		}
 		fresh := DupKey{Origin: 3, Seq: 1000}
 		p.seen(fresh, 50)
-		if int(p.got.n) != 1 {
-			t.Fatalf("n = %d after every entry expired, want the one new key", int(p.got.n))
+		if len(p.got.ents) != 1 {
+			t.Fatalf("%d entries after every entry expired, want the one new key", len(p.got.ents))
 		}
 		for i := 0; i < 100; i++ {
 			p.seen(DupKey{Origin: netstack.NodeID(i % 7), Seq: uint64(i)}, 51)
 		}
 	})
-	t.Run("a sweep inside full probe runs keeps every survivor reachable", func(t *testing.T) {
+	t.Run("a sweep that drops every other entry keeps the survivors findable", func(t *testing.T) {
 		p := newDupPair(t, 10)
-		// alternate old and young entries so removals shift survivors, at a
-		// load just under the growth threshold where runs are longest
 		for i := 0; i < 95; i++ {
 			at := 0.0
 			if i%2 == 1 {
@@ -155,10 +160,69 @@ func TestDupCacheEdges(t *testing.T) {
 			}
 		}
 	})
+	t.Run("an out-of-order seq lands mid-slice", func(t *testing.T) {
+		p := newDupPair(t, 10)
+		for _, seq := range []uint64{10, 20, 30, 40} {
+			p.seen(DupKey{Origin: 2, Seq: seq}, 1)
+		}
+		p.seen(DupKey{Origin: 2, Seq: 25}, 1)
+		p.seen(DupKey{Origin: 1, Seq: 20}, 1) // same seq, lower origin: just before (2, 20)
+		p.seen(DupKey{Origin: 2, Seq: 5}, 1)  // below the minimum
+		want := []uint64{5<<32 | 2, 10<<32 | 2, 20<<32 | 1, 20<<32 | 2, 25<<32 | 2, 30<<32 | 2, 40<<32 | 2}
+		var got []uint64
+		for _, e := range p.got.ents {
+			got = append(got, e.key)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("keys %x, want %x", got, want)
+		}
+		for _, seq := range []uint64{5, 10, 20, 25, 30, 40} {
+			if !p.seen(DupKey{Origin: 2, Seq: seq}, 2) {
+				t.Fatalf("seq %d lost after the mid-slice inserts", seq)
+			}
+		}
+	})
+	t.Run("broadcast and the lowest origin are ordinary keys", func(t *testing.T) {
+		p := newDupPair(t, 10)
+		for _, o := range []netstack.NodeID{math.MinInt32, netstack.Broadcast, 0, math.MaxInt32} {
+			if p.seen(DupKey{Origin: o, Seq: 7}, 1) {
+				t.Fatalf("origin %d's first copy reported seen", o)
+			}
+		}
+		for _, o := range []netstack.NodeID{math.MinInt32, netstack.Broadcast, 0, math.MaxInt32} {
+			if !p.seen(DupKey{Origin: o, Seq: 7}, 2) {
+				t.Fatalf("origin %d's repeat reported fresh", o)
+			}
+		}
+	})
+	t.Run("seq 2^32-1 is accepted and 2^32 panics", func(t *testing.T) {
+		p := newDupPair(t, 10)
+		top := DupKey{Origin: netstack.Broadcast, Seq: math.MaxUint32}
+		p.seen(DupKey{Origin: 0, Seq: 0}, 1)
+		p.seen(top, 1)
+		if !p.seen(top, 2) {
+			t.Fatal("the largest seq was not remembered")
+		}
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Seq 2^32 was accepted")
+			}
+		}()
+		p.got.Seen(DupKey{Origin: 0, Seq: math.MaxUint32 + 1}, 3)
+	})
+}
+
+// TestDupEntryIs16Bytes pins the unit every live key costs: a packed key
+// and a time, where the hash table's slot was 24 bytes.
+func TestDupEntryIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(dupEntry{}); got != 16 {
+		t.Fatalf("dupEntry is %d bytes, want 16", got)
+	}
 }
 
 // A reception in a storm must not allocate: neither the repeat of the last
-// key nor a first copy that fits the table.
+// key nor a first copy that fits the slice's capacity, appended past the
+// maximum or inserted mid-slice.
 func TestDupCacheSeenDoesNotAllocate(t *testing.T) {
 	c := NewDupCache(30)
 	k := DupKey{Origin: 3, Seq: 9}
@@ -166,23 +230,56 @@ func TestDupCacheSeenDoesNotAllocate(t *testing.T) {
 	if a := testing.AllocsPerRun(1000, func() { c.Seen(k, 1) }); a != 0 {
 		t.Fatalf("a repeat key allocates %.1f objects per call", a)
 	}
-	for i := 0; i < 1000; i++ {
-		c.Seen(DupKey{Origin: 3, Seq: uint64(100 + i)}, 1)
+	for i := 0; i < 512; i++ {
+		c.Seen(DupKey{Origin: 3, Seq: uint64(10_000 + 2*i)}, 1)
 	}
-	// 1,001 entries in 2,048 slots: the next 500 inserts stay under ¾ load
-	slots, seq := len(c.tab), uint64(5000)
-	if a := testing.AllocsPerRun(400, func() { c.Seen(DupKey{Origin: 4, Seq: seq}, 1); seq++ }); a != 0 {
-		t.Fatalf("a first copy allocates %.1f objects per call", a)
+	// 513 entries: the growth past 512 left room for well over 2×101 more
+	room, odd, top := cap(c.ents), uint64(10_001), uint64(20_000)
+	if room-len(c.ents) < 2*101 {
+		t.Fatalf("%d entries in room for %d: the measurement would grow the slice", len(c.ents), room)
 	}
-	if len(c.tab) != slots {
-		t.Fatalf("the table grew from %d to %d slots during the measurement", slots, len(c.tab))
+	if a := testing.AllocsPerRun(100, func() { c.Seen(DupKey{Origin: 4, Seq: top}, 1); top++ }); a != 0 {
+		t.Fatalf("a first copy past the maximum allocates %.1f objects per call", a)
 	}
+	if a := testing.AllocsPerRun(100, func() { c.Seen(DupKey{Origin: 4, Seq: odd}, 1); odd += 2 }); a != 0 {
+		t.Fatalf("a first copy inserted mid-slice allocates %.1f objects per call", a)
+	}
+	if cap(c.ents) != room {
+		t.Fatalf("the slice grew from room for %d to %d during the measurement", room, cap(c.ents))
+	}
+}
+
+// FuzzDupCache drives the cache and the map it replaced with the same
+// stream: each op is three bytes, an origin (one of six, the extremes
+// included), a seq (0x80 repeats the key answered last; 0xff is the
+// largest seq there is) and a clock step of up to 2 s. The ttl is 0.25–16 s,
+// so streams sweep, expire and refill.
+func FuzzDupCache(f *testing.F) {
+	f.Add(uint8(3), []byte{0, 1, 0, 1, 2, 10, 0, 0x80, 10, 2, 3, 40, 4, 0xff, 0, 5, 0, 200})
+	f.Add(uint8(0), []byte{1, 9, 0, 1, 8, 0, 1, 7, 0, 2, 8, 255, 1, 9, 1, 1, 7, 255})
+	f.Add(uint8(63), []byte{3, 0, 0, 3, 0x80, 0, 0, 0, 255, 0, 0x80, 255, 5, 4, 0})
+	origins := [...]netstack.NodeID{math.MinInt32, netstack.Broadcast, 0, 1, 77, math.MaxInt32}
+	f.Fuzz(func(t *testing.T, ttl uint8, ops []byte) {
+		p := newDupPair(t, float64(ttl%64+1)/4)
+		var k DupKey
+		now := 0.0
+		for i := 0; i+3 <= len(ops) && i < 3*2000; i += 3 {
+			switch o, s := ops[i], ops[i+1]; {
+			case s == 0xff:
+				k = DupKey{Origin: origins[int(o)%len(origins)], Seq: math.MaxUint32}
+			case s&0x80 == 0:
+				k = DupKey{Origin: origins[int(o)%len(origins)], Seq: uint64(s)}
+			}
+			now += float64(ops[i+2]) / 128
+			p.seen(k, now)
+		}
+	})
 }
 
 // BenchmarkDupCacheSeen times the three receptions a flood produces: the
 // repeat of the key answered last (most of a storm), a first copy into a
-// warm table, and a first copy into one of 5,000 caches visited round-robin
-// — the highway world, where each lookup finds its table cold.
+// warm cache, and a first copy into one of 5,000 caches visited round-robin
+// — the highway world, where each lookup finds its cache cold.
 func BenchmarkDupCacheSeen(b *testing.B) {
 	b.Run("repeat", func(b *testing.B) {
 		c := NewDupCache(30)

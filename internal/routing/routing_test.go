@@ -33,8 +33,8 @@ func TestDupCacheExpiry(t *testing.T) {
 	if c.Seen(DupKey{Origin: 1, Seq: 1}, 11.5) {
 		t.Fatal("expired key still present after sweep")
 	}
-	if c.n != 2 {
-		t.Fatalf("len = %d", c.n)
+	if len(c.ents) != 2 {
+		t.Fatalf("len = %d", len(c.ents))
 	}
 }
 
