@@ -212,8 +212,8 @@ func TestDupCacheEdges(t *testing.T) {
 	})
 }
 
-// TestDupEntryIs16Bytes pins the unit every live key costs: a packed key
-// and a time, where the hash table's slot was 24 bytes.
+// TestDupEntryIs16Bytes pins the unit every live key costs, a packed key
+// and a time: a field added here is paid for by every cache of every node.
 func TestDupEntryIs16Bytes(t *testing.T) {
 	if got := unsafe.Sizeof(dupEntry{}); got != 16 {
 		t.Fatalf("dupEntry is %d bytes, want 16", got)
@@ -251,9 +251,9 @@ func TestDupCacheSeenDoesNotAllocate(t *testing.T) {
 
 // FuzzDupCache drives the cache and the map it replaced with the same
 // stream: each op is three bytes, an origin (one of six, the extremes
-// included), a seq (0x80 repeats the key answered last; 0xff is the
-// largest seq there is) and a clock step of up to 2 s. The ttl is 0.25–16 s,
-// so streams sweep, expire and refill.
+// included), a seq (below 0x80 as is, 0xff the largest seq there is, any
+// other value repeats the key answered last) and a clock step of up to 2 s.
+// The ttl is 0.25–16 s, so streams sweep, expire and refill.
 func FuzzDupCache(f *testing.F) {
 	f.Add(uint8(3), []byte{0, 1, 0, 1, 2, 10, 0, 0x80, 10, 2, 3, 40, 4, 0xff, 0, 5, 0, 200})
 	f.Add(uint8(0), []byte{1, 9, 0, 1, 8, 0, 1, 7, 0, 2, 8, 255, 1, 9, 1, 1, 7, 255})
@@ -263,7 +263,7 @@ func FuzzDupCache(f *testing.F) {
 		p := newDupPair(t, float64(ttl%64+1)/4)
 		var k DupKey
 		now := 0.0
-		for i := 0; i+3 <= len(ops) && i < 3*2000; i += 3 {
+		for i := 0; i+3 <= len(ops) && i < 3*1000; i += 3 {
 			switch o, s := ops[i], ops[i+1]; {
 			case s == 0xff:
 				k = DupKey{Origin: origins[int(o)%len(origins)], Seq: math.MaxUint32}

@@ -142,6 +142,20 @@ func (d *Discovery) Answered(dst netstack.NodeID) {
 	}
 }
 
+// Stranded counts the destinations whose data waits with no discovery in
+// flight, so that no deadline will release or drop it: what a deadline
+// that finds a route and only forgets the discovery leaves behind. It
+// draws nothing.
+func (d *Discovery) Stranded() int {
+	n := 0
+	for dst := range d.pending.byDst {
+		if _, inFlight := d.trying[dst]; !inFlight && d.Waiting(dst) {
+			n++
+		}
+	}
+	return n
+}
+
 // OnDemand is the AODV-shaped core of the table-driven on-demand
 // protocols (AODV, PBR, Taleb, Abedi, NiuDe): a Discovery whose route is a
 // next-hop table entry and whose request is a flooded RREQ. It owns the

@@ -1,11 +1,11 @@
 // Package routing holds the building blocks shared by every protocol
 // implementation: the duplicate cache every flooder and discovery flood
-// consults once per reception (dupcache.go: a last-key check in front of a
-// flat open-addressed table), distance-vector route tables, pending
-// data queues, sequence-number arithmetic, the on-demand discovery core the
-// reactive protocols embed (ondemand.go), the carry-and-forward core the
-// position-based ones embed (carry.go) and the flood core the flooders embed
-// (flooder.go). The concrete protocols live
+// consults once per reception (dupcache.go: a last-key check in front of
+// one slice of live keys sorted by packed key), distance-vector route
+// tables, pending data queues, sequence-number arithmetic, the on-demand
+// discovery core the reactive protocols embed (ondemand.go), the
+// carry-and-forward core the position-based ones embed (carry.go) and the
+// flood core the flooders embed (flooder.go). The concrete protocols live
 // in the subpackages (one per surveyed protocol family) and in
 // internal/core for the paper's own ticket-probing protocol.
 package routing
