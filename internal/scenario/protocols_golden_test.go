@@ -32,15 +32,19 @@ var updateProtocolGolden = flag.Bool("update-protocol-golden", false,
 // TBP-SS, Yan-TBP, NiuDe, GVGrid and Hybrid run the Sec. VII link-duration
 // integrals over them — a change to the channel or the radio cache that
 // moves one verdict or one RNG stream position moves these digests, and so
-// does a change to which integrals those routers skip. The three ticket
-// routers run again on the default highway with one ticket and with eight,
-// where the candidate ranking decides the most and the least. Last, AODV
+// does a change to which integrals those routers skip. The two road-graph
+// routers, CAR and GVGrid, run again on the same 400 m grid without
+// shadowing: a street there is longer than radio range, so CAR's Sec. VII-B
+// segment-connectivity metric decides its routes (30–46 % of packets
+// arrive). The three ticket routers run again on the default highway with
+// one ticket and with eight, where the candidate ranking decides the most
+// and the least. Last, AODV
 // runs on each named preset that brings its own topology, traffic or
 // workload (ring, highway-churn, city-rush, emergency, v2i), so a change to
 // a provider moves its rows; on city-rush, where predicted routes expire,
 // break under churn and are renewed, so do PBR, Taleb, NiuDe and TBP-SS. A
 // refactor of router scaffolding or of a provider must leave
-// testdata/golden_protocols.txt untouched. Not skipped in -short: 110 runs
+// testdata/golden_protocols.txt untouched. Not skipped in -short: 114 runs
 // take about 2 s, and they are the only place every router runs under the
 // race detector.
 func TestProtocolGolden(t *testing.T) {
@@ -77,6 +81,11 @@ func TestProtocolGolden(t *testing.T) {
 			label:  "shadow/",
 			protos: []string{"Flooding", "Greedy", "REAR", "PBR", "Taleb", "TBP-SS", "Yan-TBP", "NiuDe", "GVGrid", "Hybrid"},
 			opts:   Options{Kind: CityKind, Shadowing: true, Duration: 20},
+		},
+		{
+			label:  "city/",
+			protos: []string{"CAR", "GVGrid"},
+			opts:   Options{Kind: CityKind, Duration: 20},
 		},
 		{
 			label:  "tickets1/",
