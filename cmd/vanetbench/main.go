@@ -9,21 +9,13 @@
 //	vanetbench -list            # list experiment IDs
 //	vanetbench -quick           # smaller populations / shorter runs
 //	vanetbench -parallel 8      # bound the simulation worker pool
+//	vanetbench -exp chaos -json BENCH_chaos.json
+//	                            # also write every table it ran, with
+//	                            # typed cells, as one JSON report
 //
 //	vanetbench sweep -protocols Greedy,TBP-SS -vehicles 20,60 -seeds 5
 //	                            # protocol × density × seed grid with
 //	                            # mean ± 95% CI per cell
-//
-//	vanetbench linkacc -json BENCH_linkacc.json
-//	                            # reliability plane accuracy: every link
-//	                            # estimator × {highway, city-rush, trace},
-//	                            # prediction MAE/bias vs ground-truth
-//	                            # link breaks
-//
-//	vanetbench chaos -json BENCH_chaos.json
-//	                            # fault plane degradation: every chaos
-//	                            # profile × protocol, fault-window PDR,
-//	                            # time-to-reroute, recovery latency
 //
 // Profiling: every mode accepts -cpuprofile and -memprofile to capture
 // pprof profiles of the run, e.g.
@@ -79,7 +71,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (stop func(), err error) {
 		return nil, err
 	}
 	if fs.NArg() > 0 {
-		return nil, fmt.Errorf("unexpected argument %q: the subcommands are sweep, linkacc and chaos, and no mode takes positional arguments", fs.Arg(0))
+		return nil, fmt.Errorf("unexpected argument %q: the one subcommand is sweep, and no mode takes positional arguments", fs.Arg(0))
 	}
 	var cpuF *os.File
 	if *cpu != "" {
@@ -124,25 +116,12 @@ func stopProfiles(cpuF *os.File, memPath string) error {
 	return nil
 }
 
-// writeJSON writes v, indented, as the -json report at path.
-func writeJSON(path string, v any) error {
-	enc, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(enc, '\n'), 0o644)
-}
-
 func main() {
 	args := os.Args[1:]
 	var err error
 	switch {
 	case len(args) > 0 && args[0] == "sweep":
 		err = runSweep(args[1:])
-	case len(args) > 0 && args[0] == "linkacc":
-		err = runLinkAcc(args[1:])
-	case len(args) > 0 && args[0] == "chaos":
-		err = runChaos(args[1:])
 	default:
 		err = run(args)
 	}
@@ -161,6 +140,7 @@ func run(args []string) error {
 		quick    = fs.Bool("quick", false, "reduced populations and durations")
 		parallel = fs.Int("parallel", 0, "simulation workers (0 = GOMAXPROCS)")
 		manifest = fs.String("manifest", "", "durable campaign manifest directory: completed runs are journaled there, and an interrupted invocation re-run with the same -manifest resumes instead of re-executing them")
+		jsonOut  = fs.String("json", "", "also write every table run, with typed cells, to this file as JSON")
 	)
 	stop, err := parseFlags(fs, args)
 	if err != nil {
@@ -185,22 +165,42 @@ func run(args []string) error {
 		}
 		return err
 	}
-	if *exp != "all" {
-		tab, err := relroute.RunExperiment(*exp, cfg)
+	ids := []string{*exp}
+	if *exp == "all" {
+		ids = nil
+		for _, e := range relroute.Experiments() {
+			ids = append(ids, e.ID)
+		}
+	}
+	rep := report{Seed: *seed, Quick: *quick}
+	for _, id := range ids {
+		tab, err := relroute.RunExperiment(id, cfg)
 		if err != nil {
+			if *exp == "all" {
+				err = fmt.Errorf("experiment %s: %w", id, err)
+			}
 			return resumable(err)
 		}
 		tab.Render(os.Stdout)
+		rep.Tables = append(rep.Tables, tab)
+	}
+	if *jsonOut == "" {
 		return nil
 	}
-	for _, e := range relroute.Experiments() {
-		tab, err := e.Run(cfg)
-		if err != nil {
-			return resumable(fmt.Errorf("experiment %s: %w", e.ID, err))
-		}
-		tab.Render(os.Stdout)
+	enc, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
 	}
-	return nil
+	return os.WriteFile(*jsonOut, append(enc, '\n'), 0o644)
+}
+
+// report is the -json document: every table the invocation ran. CI
+// archives the chaos and link-accuracy ones as BENCH_chaos.json and
+// BENCH_linkacc.json.
+type report struct {
+	Seed   int64             `json:"seed"`
+	Quick  bool              `json:"quick"`
+	Tables []*relroute.Table `json:"tables"`
 }
 
 // runSweep executes a protocol × vehicles × seed grid on the batch runner
@@ -277,8 +277,9 @@ func runSweep(args []string) error {
 	tab := &relroute.Table{
 		ID:    "sweep",
 		Title: fmt.Sprintf("protocol × density sweep (%d seeds, mean ± 95%% CI)", *seeds),
-		Columns: []string{
-			"protocol", "vehicles", "PDR", "delay(s)", "overhead", "breaks",
+		Columns: []relroute.Column{
+			{Name: "protocol"}, {Name: "vehicles"}, {Name: "PDR"},
+			{Name: "delay(s)"}, {Name: "overhead"}, {Name: "breaks"},
 		},
 	}
 	for _, block := range relroute.Replications(results, *seeds) {
@@ -304,89 +305,6 @@ func runSweep(args []string) error {
 		fmt.Sprintf("seeds %d..%d; %g s per run on a %g m highway at %g m/s mean speed",
 			*seed0, *seed0+int64(*seeds)-1, *duration, *length, *speed))
 	tab.Render(os.Stdout)
-	return nil
-}
-
-// linkAccReport is the linkacc -json document CI archives as
-// BENCH_linkacc.json.
-type linkAccReport struct {
-	HorizonS float64                     `json:"audit_horizon_s"`
-	Seed     int64                       `json:"seed"`
-	Quick    bool                        `json:"quick"`
-	Results  []relroute.LinkAccuracyCell `json:"results"`
-}
-
-// runLinkAcc executes the reliability plane's prediction-accuracy grid:
-// every registered link estimator across the highway / city-rush / trace
-// scenarios, each run audited against ground-truth link breaks.
-func runLinkAcc(args []string) error {
-	fs := flag.NewFlagSet("vanetbench linkacc", flag.ContinueOnError)
-	var (
-		seed     = fs.Int64("seed", 1, "random seed")
-		quick    = fs.Bool("quick", false, "reduced populations and durations")
-		parallel = fs.Int("parallel", 0, "simulation workers (0 = GOMAXPROCS)")
-		jsonOut  = fs.String("json", "", "write a machine-readable report to this file")
-	)
-	stop, err := parseFlags(fs, args)
-	if err != nil {
-		return err
-	}
-	defer stop()
-	ctx, cancel := interruptContext()
-	defer cancel()
-	cfg := relroute.ExperimentConfig{Seed: *seed, Quick: *quick, Workers: *parallel, Context: ctx}
-	cells, err := relroute.LinkAccuracy(cfg)
-	if err != nil {
-		return fmt.Errorf("linkacc: %w", err)
-	}
-	relroute.LinkAccuracyTable(cells).Render(os.Stdout)
-	if *jsonOut != "" {
-		rep := linkAccReport{HorizonS: relroute.LinkAuditHorizon, Seed: *seed, Quick: *quick, Results: cells}
-		if err := writeJSON(*jsonOut, rep); err != nil {
-			return fmt.Errorf("linkacc: %w", err)
-		}
-	}
-	return nil
-}
-
-// chaosReport is the chaos -json document CI archives as BENCH_chaos.json.
-type chaosReport struct {
-	Seed     int64                `json:"seed"`
-	Quick    bool                 `json:"quick"`
-	Profiles []string             `json:"profiles"`
-	Results  []relroute.ChaosCell `json:"results"`
-}
-
-// runChaos executes the fault plane's degradation grid: every chaos
-// profile of the chaos experiment against its protocol set, reporting
-// fault-window PDR, time-to-reroute, and recovery latency per cell.
-func runChaos(args []string) error {
-	fs := flag.NewFlagSet("vanetbench chaos", flag.ContinueOnError)
-	var (
-		seed     = fs.Int64("seed", 1, "random seed")
-		quick    = fs.Bool("quick", false, "reduced populations and durations")
-		parallel = fs.Int("parallel", 0, "simulation workers (0 = GOMAXPROCS)")
-		jsonOut  = fs.String("json", "", "write a machine-readable report to this file")
-	)
-	stop, err := parseFlags(fs, args)
-	if err != nil {
-		return err
-	}
-	defer stop()
-	ctx, cancel := interruptContext()
-	defer cancel()
-	cfg := relroute.ExperimentConfig{Seed: *seed, Quick: *quick, Workers: *parallel, Context: ctx}
-	cells, err := relroute.Chaos(cfg)
-	if err != nil {
-		return fmt.Errorf("chaos: %w", err)
-	}
-	relroute.ChaosTable(cells).Render(os.Stdout)
-	if *jsonOut != "" {
-		rep := chaosReport{Seed: *seed, Quick: *quick, Profiles: relroute.FaultProfiles(), Results: cells}
-		if err := writeJSON(*jsonOut, rep); err != nil {
-			return fmt.Errorf("chaos: %w", err)
-		}
-	}
 	return nil
 }
 

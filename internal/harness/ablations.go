@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"fmt"
-
 	"github.com/vanetlab/relroute/internal/runner"
 	"github.com/vanetlab/relroute/internal/scenario"
 )
@@ -19,9 +17,10 @@ func AblationBroadcastStorm(cfg Config) (*Table, error) {
 		duration = 20
 	}
 	t := &Table{
-		ID:      "abl-storm",
-		Title:   "broadcast storm: flooding vs node count",
-		Columns: []string{"vehicles", "PDR", "MAC transmits", "tx per delivered", "dup ratio", "collision rate"},
+		ID:    "abl-storm",
+		Title: "broadcast storm: flooding vs node count",
+		Columns: []Column{{"vehicles", Int}, {"PDR", Pct}, {"MAC transmits", Int}, {"tx per delivered", Float},
+			{"dup ratio", Float}, {"collision rate", Pct}},
 	}
 	grid := make([]scenario.Options, 0, len(densities))
 	for _, v := range densities {
@@ -39,8 +38,7 @@ func AblationBroadcastStorm(cfg Config) (*Table, error) {
 		if sum.DataDelivered > 0 {
 			perDelivered /= float64(sum.DataDelivered)
 		}
-		t.AddRow(fmt.Sprint(densities[i]), fmtPct(sum.PDR), fmt.Sprint(sum.MACTransmits),
-			fmtF(perDelivered), fmtF(sum.DupRatio), fmtPct(sum.CollisionRate))
+		t.AddRow(densities[i], sum.PDR, sum.MACTransmits, perDelivered, sum.DupRatio, sum.CollisionRate)
 	}
 	t.Notes = append(t.Notes, "transmissions per delivered packet grow superlinearly with density — the broadcast storm [5]")
 	return t, nil
@@ -51,9 +49,10 @@ func AblationBroadcastStorm(cfg Config) (*Table, error) {
 // "not working in sparse/congested traffic").
 func AblationMobilityRegimes(cfg Config) (*Table, error) {
 	t := &Table{
-		ID:      "abl-regimes",
-		Title:   "PBR (mobility prediction) across traffic regimes",
-		Columns: []string{"regime", "PDR", "delay(s)", "discoveries", "breaks", "path lifetime(s)"},
+		ID:    "abl-regimes",
+		Title: "PBR (mobility prediction) across traffic regimes",
+		Columns: []Column{{"regime", Text}, {"PDR", Pct}, {"delay(s)", Float}, {"discoveries", Int},
+			{"breaks", Int}, {"path lifetime(s)", Float}},
 	}
 	rgs := regimes(cfg)
 	grid := make([]scenario.Options, 0, len(rgs))
@@ -65,8 +64,7 @@ func AblationMobilityRegimes(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	for i, sum := range sums {
-		t.AddRow(rgs[i].name, fmtPct(sum.PDR), fmtF(sum.MeanDelay),
-			fmt.Sprint(sum.Discoveries), fmt.Sprint(sum.Breaks), fmtF(sum.PathLifetime))
+		t.AddRow(rgs[i].name, sum.PDR, sum.MeanDelay, sum.Discoveries, sum.Breaks, sum.PathLifetime)
 	}
 	t.Notes = append(t.Notes,
 		"sparse: paths rarely exist so prediction has nothing to protect; congested: queueing and collisions dominate — prediction accuracy stops mattering")
@@ -85,9 +83,10 @@ func AblationPathLifetime(cfg Config) (*Table, error) {
 		duration = 30
 	}
 	t := &Table{
-		ID:      "abl-lifetime",
-		Title:   "lifetime-aware routing vs speed",
-		Columns: []string{"protocol", "speed(m/s)", "PDR", "breaks", "discoveries", "repairs"},
+		ID:    "abl-lifetime",
+		Title: "lifetime-aware routing vs speed",
+		Columns: []Column{{"protocol", Text}, {"speed(m/s)", Float}, {"PDR", Pct}, {"breaks", Int},
+			{"discoveries", Int}, {"repairs", Int}},
 	}
 	protos := []string{"AODV", "PBR", "TBP-SS"}
 	grid := make([]scenario.Options, 0, len(speeds))
@@ -103,8 +102,7 @@ func AblationPathLifetime(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	for i, sum := range sums {
-		t.AddRow(protos[i/len(speeds)], fmtF(speeds[i%len(speeds)]), fmtPct(sum.PDR),
-			fmt.Sprint(sum.Breaks), fmt.Sprint(sum.Discoveries), fmt.Sprint(sum.Repairs))
+		t.AddRow(protos[i/len(speeds)], speeds[i%len(speeds)], sum.PDR, sum.Breaks, sum.Discoveries, sum.Repairs)
 	}
 	t.Notes = append(t.Notes,
 		"as speed rises, AODV's breaks climb while the lifetime-aware protocols trade extra discoveries/repairs for sustained PDR")
@@ -126,9 +124,10 @@ func AblationProbVsGeo(cfg Config) (*Table, error) {
 	}
 	conds := []cond{{"homogeneous", 1}, {"heterogeneous", 9}}
 	t := &Table{
-		ID:      "abl-probvsgeo",
-		Title:   "probability vs geographic routing under speed heterogeneity",
-		Columns: []string{"protocol", "traffic", "PDR", "delay(s)", "overhead", "breaks"},
+		ID:    "abl-probvsgeo",
+		Title: "probability vs geographic routing under speed heterogeneity",
+		Columns: []Column{{"protocol", Text}, {"traffic", Text}, {"PDR", Pct}, {"delay(s)", Float},
+			{"overhead", Float}, {"breaks", Int}},
 	}
 	protos := []string{"Greedy", "TBP-SS"}
 	grid := make([]scenario.Options, 0, len(conds))
@@ -144,8 +143,7 @@ func AblationProbVsGeo(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	for i, sum := range sums {
-		t.AddRow(protos[i/len(conds)], conds[i%len(conds)].name, fmtPct(sum.PDR), fmtF(sum.MeanDelay),
-			fmtF(sum.Overhead), fmt.Sprint(sum.Breaks))
+		t.AddRow(protos[i/len(conds)], conds[i%len(conds)].name, sum.PDR, sum.MeanDelay, sum.Overhead, sum.Breaks)
 	}
 	t.Notes = append(t.Notes,
 		"with homogeneous speeds, geography is near-optimal; heterogeneity makes greedy's shortest links churn while stability-probing holds its paths")
@@ -165,7 +163,7 @@ func AblationTickets(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "abl-tickets",
 		Title:   "TBP-SS ticket budget trade-off",
-		Columns: []string{"tickets", "PDR", "probes sent", "overhead", "path lifetime(s)"},
+		Columns: []Column{{"tickets", Int}, {"PDR", Pct}, {"probes sent", Int}, {"overhead", Float}, {"path lifetime(s)", Float}},
 	}
 	grid := make([]scenario.Options, 0, len(budgets))
 	for _, l := range budgets {
@@ -180,8 +178,7 @@ func AblationTickets(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	for i, sum := range sums {
-		t.AddRow(fmt.Sprint(budgets[i]), fmtPct(sum.PDR), fmt.Sprint(sum.ControlTotal),
-			fmtF(sum.Overhead), fmtF(sum.PathLifetime))
+		t.AddRow(budgets[i], sum.PDR, sum.ControlTotal, sum.Overhead, sum.PathLifetime)
 	}
 	t.Notes = append(t.Notes,
 		"a handful of tickets buys most of the reachability of flooding-style discovery at a fraction of the probes; beyond L≈5 returns diminish")

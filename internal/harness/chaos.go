@@ -1,31 +1,9 @@
 package harness
 
 import (
-	"fmt"
-
 	"github.com/vanetlab/relroute/internal/runner"
 	"github.com/vanetlab/relroute/internal/scenario"
 )
-
-// ChaosCell is one (fault profile, protocol) cell of the chaos grid: how
-// gracefully the protocol degraded under that injected failure mode.
-type ChaosCell struct {
-	Profile  string `json:"profile"`
-	Protocol string `json:"protocol"`
-	// PDR is the whole-run delivery ratio; FaultPDR counts only packets
-	// originated inside fault windows.
-	PDR      float64 `json:"pdr"`
-	FaultPDR float64 `json:"fault_pdr"`
-	// Crashes and Recoveries are the fault events that actually landed.
-	Crashes    int `json:"crashes"`
-	Recoveries int `json:"recoveries"`
-	// Reroute is the mean crash-to-next-delivery latency; Recovery the
-	// mean recovery-to-first-beacon-heard latency; CtlSpike the ratio of
-	// control transmission rates inside vs outside fault windows.
-	Reroute  float64 `json:"time_to_reroute_s"`
-	Recovery float64 `json:"recovery_latency_s"`
-	CtlSpike float64 `json:"control_spike"`
-}
 
 // chaosGrid declares the fault-profile × protocol grid. The V2V
 // protocols face the mobile failure modes on a closed highway; DRR — the
@@ -70,64 +48,33 @@ func chaosGrid(cfg Config) []runner.Run {
 	return runs
 }
 
-// ChaosData runs the grid and returns one cell per (profile, protocol)
-// combination, in grid order.
-func ChaosData(cfg Config) ([]ChaosCell, error) {
-	var camp runner.Campaign
-	camp.Add(chaosGrid(cfg)...)
-	sums, err := cfg.submit(camp)
-	if err != nil {
-		return nil, err
-	}
-	cells := make([]ChaosCell, len(sums))
-	for i, sum := range sums {
-		run := camp.Runs[i]
-		cells[i] = ChaosCell{
-			Profile:    run.Opts.Faults,
-			Protocol:   run.Protocol,
-			PDR:        sum.PDR,
-			FaultPDR:   sum.FaultPDR,
-			Crashes:    sum.Crashes,
-			Recoveries: sum.Recoveries,
-			Reroute:    sum.TimeToReroute,
-			Recovery:   sum.RecoveryLatency,
-			CtlSpike:   sum.FaultCtlSpike,
-		}
-	}
-	return cells, nil
-}
-
-// ChaosTable renders chaos cells as the experiment table — the single
-// renderer shared by the chaos experiment and vanetbench's chaos
-// subcommand, so columns and caveats cannot diverge.
-func ChaosTable(cells []ChaosCell) *Table {
-	t := &Table{
-		ID:      "chaos",
-		Title:   "graceful degradation under injected faults, per profile and protocol",
-		Columns: []string{"profile", "protocol", "PDR", "faultPDR", "crash", "recov", "reroute(s)", "recovery(s)", "ctl-spike"},
-	}
-	for _, c := range cells {
-		t.AddRow(c.Profile, c.Protocol, fmtPct(c.PDR), fmtPct(c.FaultPDR),
-			fmt.Sprint(c.Crashes), fmt.Sprint(c.Recoveries),
-			fmtF(c.Reroute), fmtF(c.Recovery), fmtF(c.CtlSpike))
-	}
-	t.Notes = append(t.Notes,
-		"faultPDR counts only packets originated inside fault windows; whole-run PDR dilutes the damage with healthy-period traffic",
-		"reroute(s) is crash → next successful delivery; recovery(s) is node recovery → first beacon heard; ctl-spike > 1 means faults made the control plane chattier",
-		"schedules are seeded (scenario seed + 13) and fire on the event queue — same seed, same faults, byte-identical tables at any Workers/Shards",
-	)
-	return t
-}
-
 // Chaos (E-F1) measures graceful degradation: every fault profile in the
 // chaos grid — rolling vehicle crashes, a jammed corridor, a hard
 // partition for the V2V protocols; RSU blackout and energy depletion for
 // the infrastructure protocol — against the degradation metrics of the
 // fault plane.
 func Chaos(cfg Config) (*Table, error) {
-	cells, err := ChaosData(cfg)
+	var camp runner.Campaign
+	camp.Add(chaosGrid(cfg)...)
+	sums, err := cfg.submit(camp)
 	if err != nil {
 		return nil, err
 	}
-	return ChaosTable(cells), nil
+	t := &Table{
+		ID:    "chaos",
+		Title: "graceful degradation under injected faults, per profile and protocol",
+		Columns: []Column{{"profile", Text}, {"protocol", Text}, {"PDR", Pct}, {"faultPDR", Pct},
+			{"crash", Int}, {"recov", Int}, {"reroute(s)", Float}, {"recovery(s)", Float}, {"ctl-spike", Float}},
+	}
+	for i, sum := range sums {
+		run := camp.Runs[i]
+		t.AddRow(run.Opts.Faults, run.Protocol, sum.PDR, sum.FaultPDR, sum.Crashes, sum.Recoveries,
+			sum.TimeToReroute, sum.RecoveryLatency, sum.FaultCtlSpike)
+	}
+	t.Notes = append(t.Notes,
+		"faultPDR counts only packets originated inside fault windows; whole-run PDR dilutes the damage with healthy-period traffic",
+		"reroute(s) is crash → next successful delivery; recovery(s) is node recovery → first beacon heard; ctl-spike > 1 means faults made the control plane chattier",
+		"schedules are seeded (scenario seed + 13) and fire on the event queue — same seed, same faults, byte-identical tables at any Workers/Shards",
+	)
+	return t, nil
 }

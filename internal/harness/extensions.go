@@ -18,9 +18,10 @@ func AblationHybrid(cfg Config) (*Table, error) {
 		duration = 30
 	}
 	t := &Table{
-		ID:      "abl-hybrid",
-		Title:   "hybrid probability+mobility routing under changing motion",
-		Columns: []string{"protocol", "PDR", "delay(s)", "overhead", "breaks", "repairs"},
+		ID:    "abl-hybrid",
+		Title: "hybrid probability+mobility routing under changing motion",
+		Columns: []Column{{"protocol", Text}, {"PDR", Pct}, {"delay(s)", Float}, {"overhead", Float},
+			{"breaks", Int}, {"repairs", Int}},
 	}
 	protos := []string{"PBR", "TBP-SS", "Hybrid"}
 	sums, err := cfg.submit(runner.New(runner.Spec{
@@ -35,8 +36,7 @@ func AblationHybrid(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	for i, sum := range sums {
-		t.AddRow(protos[i], fmtPct(sum.PDR), fmtF(sum.MeanDelay), fmtF(sum.Overhead),
-			fmt.Sprint(sum.Breaks), fmt.Sprint(sum.Repairs))
+		t.AddRow(protos[i], sum.PDR, sum.MeanDelay, sum.Overhead, sum.Breaks, sum.Repairs)
 	}
 	t.Notes = append(t.Notes,
 		"the hybrid gates the probability metric with the Fig. 4 direction class and the deterministic Eqn (4) prediction — the combination Sec. VIII proposes")
@@ -62,7 +62,7 @@ func AblationDisaster(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "abl-disaster",
 		Title:   "infrastructure failure mid-run (sparse traffic)",
-		Columns: []string{"configuration", "PDR", "delivered/sent"},
+		Columns: []Column{{"configuration", Text}, {"PDR", Pct}, {"delivered/sent", Text}},
 	}
 	base := scenario.Options{
 		Seed: cfg.seed(), Vehicles: 12, HighwayLength: 3000,
@@ -91,8 +91,7 @@ func AblationDisaster(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	for i, sum := range sums {
-		t.AddRow(camp.Runs[i].Label, fmtPct(sum.PDR),
-			fmt.Sprintf("%d/%d", sum.DataDelivered, sum.DataSent))
+		t.AddRow(camp.Runs[i].Label, sum.PDR, fmt.Sprintf("%d/%d", sum.DataDelivered, sum.DataSent))
 	}
 	t.Notes = append(t.Notes,
 		"the damaged-infrastructure PDR must land between healthy DRR and pure V2V — Table I row 3's availability caveat, measured")

@@ -27,7 +27,7 @@ func Fig1Taxonomy(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "fig1",
 		Title:   "taxonomy of VANET routing techniques",
-		Columns: []string{"category", "protocol", "ref", "implementation", "idea"},
+		Columns: []Column{{"category", Text}, {"protocol", Text}, {"ref", Text}, {"implementation", Text}, {"idea", Text}},
 	}
 	for _, cat := range core.Categories() {
 		for _, e := range core.ByCategory(cat) {
@@ -55,9 +55,10 @@ func Fig2Discovery(cfg Config) (*Table, error) {
 		seeds = seeds[:2]
 	}
 	t := &Table{
-		ID:      "fig2",
-		Title:   "AODV discovery + short flow (per-seed runs)",
-		Columns: []string{"seed", "delivered/sent", "PDR", "discoveries", "RREQ tx", "RREP tx", "mean hops", "delay(s)"},
+		ID:    "fig2",
+		Title: "AODV discovery + short flow (per-seed runs)",
+		Columns: []Column{{"seed", Int}, {"delivered/sent", Text}, {"PDR", Pct}, {"discoveries", Int},
+			{"RREQ tx", Int}, {"RREP tx", Int}, {"mean hops", Float}, {"delay(s)", Float}},
 	}
 	sums, err := cfg.submit(runner.New(runner.Spec{
 		Protocols: []string{"AODV"},
@@ -74,11 +75,9 @@ func Fig2Discovery(cfg Config) (*Table, error) {
 	totalDelivered := 0
 	for i, sum := range sums {
 		totalDelivered += sum.DataDelivered
-		t.AddRow(fmt.Sprint(seeds[i]),
-			fmt.Sprintf("%d/%d", sum.DataDelivered, sum.DataSent),
-			fmtPct(sum.PDR), fmt.Sprint(sum.Discoveries),
-			fmt.Sprint(sum.Control[netstack.KindRREQ]), fmt.Sprint(sum.Control[netstack.KindRREP]),
-			fmtF(sum.MeanHops), fmtF(sum.MeanDelay))
+		t.AddRow(seeds[i], fmt.Sprintf("%d/%d", sum.DataDelivered, sum.DataSent),
+			sum.PDR, sum.Discoveries, sum.Control[netstack.KindRREQ], sum.Control[netstack.KindRREP],
+			sum.MeanHops, sum.MeanDelay)
 	}
 	t.Notes = append(t.Notes,
 		"RREQ spreads by flooding (tens of transmissions per discovery), the RREP unicasts back over the one selected path — the Fig. 2 asymmetry",
@@ -94,9 +93,10 @@ func Fig3LinkLifetime(cfg Config) (*Table, error) {
 	const r = 250.0 // communication range (m)
 	const vm = 40.0 // speed limit v_m (m/s)
 	t := &Table{
-		ID:      "fig3",
-		Title:   "link lifetime vs relative speed (r=250 m, v_m=40 m/s)",
-		Columns: []string{"case", "dv (m/s)", "accel (m/s^2)", "analytic (s)", "numeric (s)", "err"},
+		ID:    "fig3",
+		Title: "link lifetime vs relative speed (r=250 m, v_m=40 m/s)",
+		Columns: []Column{{"case", Text}, {"dv (m/s)", Float}, {"accel (m/s^2)", Float},
+			{"analytic (s)", Float}, {"numeric (s)", Float}, {"err", Pct2}},
 	}
 	type scen struct {
 		name   string
@@ -137,12 +137,11 @@ func Fig3LinkLifetime(cfg Config) (*Table, error) {
 			speedFn(s.vj, s.aj),
 			s.d0, r, 3600, 0.001,
 		)
-		errStr := "-"
+		var relErr any = "-"
 		if analytic != link.Forever && numeric != link.Forever {
-			errStr = fmt.Sprintf("%.2f%%", 100*math.Abs(analytic-numeric)/math.Max(numeric, 1e-9))
+			relErr = math.Abs(analytic-numeric) / math.Max(numeric, 1e-9)
 		}
-		dv := s.vi - s.vj
-		t.AddRow(s.name, fmtF(dv), fmtF(s.ai-s.aj), fmtLife(analytic), fmtLife(numeric), errStr)
+		t.AddRow(s.name, s.vi-s.vj, s.ai-s.aj, lifetime(analytic), lifetime(numeric), relErr)
 	}
 	t.Notes = append(t.Notes,
 		"lifetime shrinks as |dv| grows; opposite-direction links (case b) live ~an order of magnitude shorter — the Fig. 3 geometry")
@@ -212,10 +211,10 @@ func Fig4Direction(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "fig4",
 		Title:   "measured link duration by direction class (bidirectional highway)",
-		Columns: []string{"direction class", "links observed", "mean duration (s)", "max duration (s)"},
+		Columns: []Column{{"direction class", Text}, {"links observed", Int}, {"mean duration (s)", Float}, {"max duration (s)", Float}},
 	}
-	t.AddRow("same", fmt.Sprint(len(durSame)), fmtF(mean(durSame)), fmtF(maxF(durSame)))
-	t.AddRow("opposite", fmt.Sprint(len(durOpp)), fmtF(mean(durOpp)), fmtF(maxF(durOpp)))
+	t.AddRow("same", len(durSame), mean(durSame), maxF(durSame))
+	t.AddRow("opposite", len(durOpp), mean(durOpp), maxF(durOpp))
 	ratio := mean(durSame) / math.Max(mean(durOpp), 1e-9)
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"same-direction links live %.1f× longer — the Fig. 4 rule's payoff (projections with agreeing signs → stable links)", ratio))
@@ -237,7 +236,7 @@ func Fig5RSU(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "fig5",
 		Title:   "PDR vs density with road-side units (DRR protocol)",
-		Columns: []string{"vehicles", "RSUs", "PDR", "mean delay (s)", "delivered/sent"},
+		Columns: []Column{{"vehicles", Int}, {"RSUs", Int}, {"PDR", Pct}, {"mean delay (s)", Float}, {"delivered/sent", Text}},
 	}
 	type point struct{ vehicles, rsus int }
 	var points []point
@@ -261,8 +260,7 @@ func Fig5RSU(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	for i, sum := range sums {
-		t.AddRow(fmt.Sprint(points[i].vehicles), fmt.Sprint(points[i].rsus),
-			fmtPct(sum.PDR), fmtF(sum.MeanDelay),
+		t.AddRow(points[i].vehicles, points[i].rsus, sum.PDR, sum.MeanDelay,
 			fmt.Sprintf("%d/%d", sum.DataDelivered, sum.DataSent))
 	}
 	t.Notes = append(t.Notes,
@@ -284,7 +282,7 @@ func Fig6Zones(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "fig6",
 		Title:   "duplicate suppression: flooding vs zone vs gateway",
-		Columns: []string{"protocol", "PDR", "data transmits", "tx per delivered", "collision rate"},
+		Columns: []Column{{"protocol", Text}, {"PDR", Pct}, {"data transmits", Int}, {"tx per delivered", Float}, {"collision rate", Pct}},
 	}
 	protos := []string{"Flooding", "Zone", "LORA-DCBF"}
 	sums, err := cfg.submit(runner.New(runner.Spec{
@@ -305,19 +303,20 @@ func Fig6Zones(cfg Config) (*Table, error) {
 		if sum.DataDelivered > 0 {
 			perDelivered /= float64(sum.DataDelivered)
 		}
-		t.AddRow(protos[i], fmtPct(sum.PDR), fmt.Sprint(sum.DataForwarded),
-			fmtF(perDelivered), fmtPct(sum.CollisionRate))
+		t.AddRow(protos[i], sum.PDR, sum.DataForwarded, perDelivered, sum.CollisionRate)
 	}
 	t.Notes = append(t.Notes,
 		"zone flooding confines rebroadcasts to the src-dst corridor; gateway clustering leaves one relay per cell — both cut duplicates and collisions vs flooding (Fig. 6's groups/gateways)")
 	return t, nil
 }
 
-func fmtLife(v float64) string {
+// lifetime is a link lifetime cell: the seconds, or "inf" for a link that
+// never breaks.
+func lifetime(v float64) any {
 	if v == link.Forever {
 		return "inf"
 	}
-	return fmtF(v)
+	return v
 }
 
 func clampF(v, lo, hi float64) float64 {

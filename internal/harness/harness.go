@@ -1,8 +1,10 @@
 // Package harness defines the reproduction experiments: one per figure and
-// table of the paper, plus the ablations supporting Table I's qualitative
-// claims. Each experiment declares its scenario grid as data, submits it to
-// the runner's worker pool, and renders a plain-text table whose rows are
-// the series a plot of the corresponding figure would show.
+// table of the paper, the ablations supporting Table I's qualitative
+// claims, and the scenario, reliability-plane and fault-plane studies. Each
+// experiment declares its scenario grid as data, submits it to the runner's
+// worker pool, and returns a Table of typed cells whose rows are the series
+// a plot of the corresponding figure would show. Table.Render prints it as
+// plain text; encoding/json writes it as data.
 package harness
 
 import (
@@ -91,31 +93,102 @@ func Execute(cfg Config, camp runner.Campaign) ([]runner.Result, error) {
 	return results, nil
 }
 
-// Table is the render unit: experiment output as labelled rows.
-type Table struct {
-	ID      string
-	Title   string
-	Columns []string
-	Rows    [][]string
-	Notes   []string
+// Format is how a column prints its numeric cells. The zero value, Text,
+// is a column of labels.
+type Format string
+
+const (
+	Text   Format = ""       // labels, printed as they are
+	Int    Format = "int"    // an integer count
+	Float  Format = "float"  // fmtF: precision by magnitude
+	Pct    Format = "pct"    // a ratio as a percentage to 0.1
+	Pct2   Format = "pct2"   // a ratio as a percentage to 0.01
+	Signed Format = "signed" // %+.3f, for a signed error
+)
+
+// Column names a table column and the format of its numeric cells. The
+// name carries the unit, as in "delay(s)".
+type Column struct {
+	Name   string `json:"name"`
+	Format Format `json:"format,omitempty"`
 }
 
-// AddRow appends a formatted row.
-func (t *Table) AddRow(cells ...string) {
-	t.Rows = append(t.Rows, cells)
+// Cell is one table cell: a number, printed in its column's Format, or a
+// text label. In a numeric column a text cell is a placeholder for a value
+// with no meaning ("-", "inf"), so Num is always finite.
+type Cell struct {
+	Num  float64 `json:"num,omitempty"`
+	Text string  `json:"text,omitempty"`
+}
+
+// Table is one experiment's result: named, formatted columns and rows of
+// cells. Render prints it as aligned plain text; encoding/json writes it
+// as data.
+type Table struct {
+	ID      string   `json:"id"`
+	Title   string   `json:"title"`
+	Columns []Column `json:"columns"`
+	Rows    [][]Cell `json:"rows"`
+	Notes   []string `json:"notes,omitempty"`
+}
+
+// AddRow appends a row. Each value is a string (a label or placeholder),
+// an int, an int64 or a float64.
+func (t *Table) AddRow(values ...any) {
+	row := make([]Cell, len(values))
+	for i, v := range values {
+		switch v := v.(type) {
+		case string:
+			row[i].Text = v
+		case int:
+			row[i].Num = float64(v)
+		case int64:
+			row[i].Num = float64(v)
+		case float64:
+			row[i].Num = v
+		default:
+			panic(fmt.Sprintf("harness: table cell of type %T", v))
+		}
+	}
+	t.Rows = append(t.Rows, row)
+}
+
+// text prints cell c of column i.
+func (t *Table) text(i int, c Cell) string {
+	if c.Text != "" || i >= len(t.Columns) {
+		return c.Text
+	}
+	switch t.Columns[i].Format {
+	case Int:
+		return fmt.Sprint(int64(c.Num))
+	case Float:
+		return fmtF(c.Num)
+	case Pct:
+		return fmt.Sprintf("%.1f%%", c.Num*100)
+	case Pct2:
+		return fmt.Sprintf("%.2f%%", c.Num*100)
+	case Signed:
+		return fmt.Sprintf("%+.3f", c.Num)
+	}
+	return c.Text
 }
 
 // Render writes the table as aligned plain text.
 func (t *Table) Render(w io.Writer) {
 	fmt.Fprintf(w, "== %s: %s ==\n", t.ID, t.Title)
+	head := make([]string, len(t.Columns))
 	widths := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
-		widths[i] = len(c)
+		head[i] = c.Name
+		widths[i] = len(c.Name)
 	}
-	for _, row := range t.Rows {
-		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
+	rows := make([][]string, len(t.Rows))
+	for r, row := range t.Rows {
+		rows[r] = make([]string, len(row))
+		for i, c := range row {
+			rows[r][i] = t.text(i, c)
+			if i < len(widths) && len(rows[r][i]) > widths[i] {
+				widths[i] = len(rows[r][i])
 			}
 		}
 	}
@@ -130,13 +203,13 @@ func (t *Table) Render(w io.Writer) {
 		}
 		fmt.Fprintln(w, "  "+strings.Join(parts, "  "))
 	}
-	line(t.Columns)
+	line(head)
 	sep := make([]string, len(t.Columns))
 	for i := range sep {
 		sep[i] = strings.Repeat("-", widths[i])
 	}
 	line(sep)
-	for _, row := range t.Rows {
+	for _, row := range rows {
 		line(row)
 	}
 	for _, n := range t.Notes {
@@ -154,7 +227,8 @@ func (t *Table) String() string {
 
 // Experiment is one reproducible paper artifact.
 type Experiment struct {
-	// ID is the short handle (fig1..fig6, table1, abl-*).
+	// ID is the short handle: fig1..fig6, table1, abl-*, churn,
+	// trace-replay, link-accuracy or chaos.
 	ID string
 	// Title describes what is reproduced.
 	Title string
@@ -162,7 +236,8 @@ type Experiment struct {
 	Run func(cfg Config) (*Table, error)
 }
 
-// registry is populated by the experiment files' init order below.
+// registry lists every experiment: the figures, Table I, the ablations,
+// then the scenario, reliability and fault studies.
 func registry() []Experiment {
 	return []Experiment{
 		{ID: "fig1", Title: "taxonomy of VANET routing techniques (Fig. 1)", Run: Fig1Taxonomy},
@@ -204,7 +279,7 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// fmtF formats a float at sensible precision for tables.
+// fmtF prints a Float cell at a precision chosen by its magnitude.
 func fmtF(v float64) string {
 	switch {
 	case v == 0:
@@ -217,5 +292,3 @@ func fmtF(v float64) string {
 		return fmt.Sprintf("%.3f", v)
 	}
 }
-
-func fmtPct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }

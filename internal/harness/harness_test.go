@@ -1,11 +1,26 @@
 package harness
 
 import (
-	"strconv"
-	"strings"
+	"encoding/json"
 	"testing"
 )
 
+// col returns the index of tab's column called name.
+func col(t *testing.T, tab *Table, name string) int {
+	t.Helper()
+	for i, c := range tab.Columns {
+		if c.Name == name {
+			return i
+		}
+	}
+	t.Fatalf("%s has no column %q", tab.ID, name)
+	return -1
+}
+
+// TestAllExperimentsRegisteredAndRunnable runs every registered experiment
+// (quick, seed 1) and checks the shape of its table: a row holds one cell
+// per column, a text column holds only text, and the JSON encoding decodes
+// to a table that renders byte for byte as the original.
 func TestAllExperimentsRegisteredAndRunnable(t *testing.T) {
 	exps := All()
 	if len(exps) != 18 {
@@ -22,20 +37,59 @@ func TestAllExperimentsRegisteredAndRunnable(t *testing.T) {
 	if _, ok := ByID("nope"); ok {
 		t.Error("unknown experiment id resolved")
 	}
+	if testing.Short() {
+		t.Skip("every experiment is a set of full simulations; skipped in -short")
+	}
+	for _, exp := range exps {
+		t.Run(exp.ID, func(t *testing.T) {
+			tab, err := exp.Run(Config{Seed: 1, Quick: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tab.ID != exp.ID || len(tab.Rows) == 0 {
+				t.Fatalf("table %q with %d rows", tab.ID, len(tab.Rows))
+			}
+			for r, row := range tab.Rows {
+				if len(row) != len(tab.Columns) {
+					t.Fatalf("row %d has %d cells for %d columns", r, len(row), len(tab.Columns))
+				}
+				for i, c := range row {
+					if tab.Columns[i].Format == Text && (c.Text == "" || c.Num != 0) {
+						t.Errorf("row %d: text column %q holds %+v", r, tab.Columns[i].Name, c)
+					}
+				}
+			}
+			data, err := json.Marshal(tab)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var back Table
+			if err := json.Unmarshal(data, &back); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := back.String(), tab.String(); got != want {
+				t.Fatalf("JSON round trip renders\n%s\nwant\n%s", got, want)
+			}
+		})
+	}
 }
 
 func TestTableRender(t *testing.T) {
 	tab := &Table{
 		ID: "x", Title: "demo",
-		Columns: []string{"a", "bee"},
+		Columns: []Column{{"a", Text}, {"bee", Int}, {"c", Float}, {"d", Pct}, {"e", Pct2}, {"f", Signed}},
 		Notes:   []string{"a note"},
 	}
-	tab.AddRow("1", "2")
-	out := tab.String()
-	for _, want := range []string{"== x: demo ==", "a note", "bee"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q:\n%s", want, out)
-		}
+	tab.AddRow("1", 2, 12.34, 0.5, 0.000123, -0.25)
+	tab.AddRow("2", "-", 0.0, 1.0, 0.0, 0.0)
+	want := "== x: demo ==\n" +
+		"  a  bee  c     d       e      f     \n" +
+		"  -  ---  ----  ------  -----  ------\n" +
+		"  1  2    12.3  50.0%   0.01%  -0.250\n" +
+		"  2  -    0     100.0%  0.00%  +0.000\n" +
+		"  note: a note\n\n"
+	if got := tab.String(); got != want {
+		t.Errorf("render:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -49,7 +103,7 @@ func TestFig1TaxonomyComplete(t *testing.T) {
 	}
 	categories := map[string]bool{}
 	for _, row := range tab.Rows {
-		categories[row[0]] = true
+		categories[row[col(t, tab, "category")].Text] = true
 	}
 	if len(categories) != 5 {
 		t.Fatalf("categories rendered = %d, want 5", len(categories))
@@ -61,22 +115,18 @@ func TestFig2DiscoveryDelivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range tab.Rows {
-		if row[3] == "0" {
-			t.Fatalf("no discovery in run %v:\n%s", row, tab)
-		}
-		rreq, _ := strconv.Atoi(row[4])
-		rrep, _ := strconv.Atoi(row[5])
-		if rreq > 0 && rrep > 0 && rreq <= rrep {
-			t.Fatalf("RREQ flood %d not above RREP unicast %d — the Fig. 2 asymmetry", rreq, rrep)
-		}
-	}
-	// at least one run must deliver (all-partitioned would be a regression)
+	disc, rreqCol, rrepCol, pdr := col(t, tab, "discoveries"), col(t, tab, "RREQ tx"), col(t, tab, "RREP tx"), col(t, tab, "PDR")
 	delivered := false
 	for _, row := range tab.Rows {
-		if !strings.HasPrefix(row[1], "0/") {
-			delivered = true
+		if row[disc].Num == 0 {
+			t.Fatalf("no discovery in run %v:\n%s", row, tab)
 		}
+		rreq, rrep := row[rreqCol].Num, row[rrepCol].Num
+		if rreq > 0 && rrep > 0 && rreq <= rrep {
+			t.Fatalf("RREQ flood %v not above RREP unicast %v — the Fig. 2 asymmetry", rreq, rrep)
+		}
+		// at least one run must deliver (all-partitioned would be a regression)
+		delivered = delivered || row[pdr].Num > 0
 	}
 	if !delivered {
 		t.Fatalf("no run delivered anything:\n%s", tab)
@@ -91,17 +141,10 @@ func TestFig3AnalyticMatchesNumeric(t *testing.T) {
 	if len(tab.Rows) < 8 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
+	errCol := col(t, tab, "err")
 	for _, row := range tab.Rows {
-		errCol := row[5]
-		if errCol == "-" {
-			continue
-		}
-		pct, err := strconv.ParseFloat(strings.TrimSuffix(errCol, "%"), 64)
-		if err != nil {
-			t.Fatalf("bad err cell %q", errCol)
-		}
-		if pct > 1.0 {
-			t.Fatalf("analytic vs numeric error %v%% in row %v", pct, row)
+		if c := row[errCol]; c.Text == "" && c.Num > 0.01 {
+			t.Fatalf("analytic vs numeric error %v in row %v", c.Num, row)
 		}
 	}
 }
@@ -111,16 +154,11 @@ func TestFig4SameDirectionOutlivesOpposite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var same, opp float64
+	dur := map[string]float64{}
 	for _, row := range tab.Rows {
-		v, _ := strconv.ParseFloat(row[2], 64)
-		switch row[0] {
-		case "same":
-			same = v
-		case "opposite":
-			opp = v
-		}
+		dur[row[col(t, tab, "direction class")].Text] = row[col(t, tab, "mean duration (s)")].Num
 	}
+	same, opp := dur["same"], dur["opposite"]
 	if opp <= 0 || same <= 0 {
 		t.Fatalf("missing measurements:\n%s", tab)
 	}
@@ -135,20 +173,20 @@ func TestFig5RSUsHelpSparseTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	// at the sparsest density, PDR with RSUs must beat PDR without
+	vehicles, rsus, pdr := col(t, tab, "vehicles"), col(t, tab, "RSUs"), col(t, tab, "PDR")
 	var base, assisted float64
 	for _, row := range tab.Rows {
-		if row[0] != tab.Rows[0][0] {
+		if row[vehicles] != tab.Rows[0][vehicles] {
 			continue // only the sparsest density rows
 		}
-		pdr, _ := strconv.ParseFloat(strings.TrimSuffix(row[2], "%"), 64)
-		if row[1] == "0" {
-			base = pdr
-		} else if pdr > assisted {
-			assisted = pdr
+		if row[rsus].Num == 0 {
+			base = row[pdr].Num
+		} else {
+			assisted = max(assisted, row[pdr].Num)
 		}
 	}
 	if assisted <= base {
-		t.Fatalf("RSUs did not lift sparse PDR: %v%% → %v%%\n%s", base, assisted, tab)
+		t.Fatalf("RSUs did not lift sparse PDR: %v → %v\n%s", base, assisted, tab)
 	}
 }
 
@@ -159,14 +197,28 @@ func TestFig6ZonesSuppressDuplication(t *testing.T) {
 	}
 	tx := map[string]float64{}
 	for _, row := range tab.Rows {
-		v, _ := strconv.ParseFloat(row[2], 64)
-		tx[row[0]] = v
+		tx[row[col(t, tab, "protocol")].Text] = row[col(t, tab, "data transmits")].Num
 	}
 	if !(tx["Zone"] < tx["Flooding"]) {
 		t.Fatalf("zone transmissions %v not below flooding %v", tx["Zone"], tx["Flooding"])
 	}
 	if !(tx["LORA-DCBF"] < tx["Flooding"]) {
 		t.Fatalf("gateway transmissions %v not below flooding %v", tx["LORA-DCBF"], tx["Flooding"])
+	}
+}
+
+// E-A1's note: flooding's transmissions per delivered packet grow with
+// density.
+func TestBroadcastStormGrowsWithDensity(t *testing.T) {
+	tab, err := AblationBroadcastStorm(Config{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perDelivered := col(t, tab, "tx per delivered")
+	for r := 1; r < len(tab.Rows); r++ {
+		if prev, cur := tab.Rows[r-1][perDelivered].Num, tab.Rows[r][perDelivered].Num; cur <= prev {
+			t.Fatalf("tx per delivered %v at row %d does not exceed %v at the sparser row:\n%s", cur, r, prev, tab)
+		}
 	}
 }
 
@@ -180,7 +232,7 @@ func TestAblationHybridRuns(t *testing.T) {
 	}
 	protos := map[string]bool{}
 	for _, row := range tab.Rows {
-		protos[row[0]] = true
+		protos[row[col(t, tab, "protocol")].Text] = true
 	}
 	if !protos["Hybrid"] || !protos["TBP-SS"] || !protos["PBR"] {
 		t.Fatalf("missing protocols: %v", protos)
@@ -194,13 +246,12 @@ func TestAblationDisasterDegradesGracefully(t *testing.T) {
 	}
 	pdr := map[string]float64{}
 	for _, row := range tab.Rows {
-		v, _ := strconv.ParseFloat(strings.TrimSuffix(row[1], "%"), 64)
-		pdr[row[0]] = v
+		pdr[row[col(t, tab, "configuration")].Text] = row[col(t, tab, "PDR")].Num
 	}
 	healthy := pdr["DRR, RSUs healthy"]
 	damaged := pdr["DRR, RSUs destroyed at t/2"]
 	if damaged >= healthy {
-		t.Fatalf("destroying the RSUs did not hurt: %v%% vs healthy %v%%\n%s", damaged, healthy, tab)
+		t.Fatalf("destroying the RSUs did not hurt: %v vs healthy %v\n%s", damaged, healthy, tab)
 	}
 }
 
@@ -234,16 +285,6 @@ func TestParallelTablesByteIdentical(t *testing.T) {
 	}
 }
 
-func rowMap(t *Table) map[string]string {
-	out := map[string]string{}
-	for _, row := range t.Rows {
-		if len(row) >= 2 {
-			out[row[0]] = row[1]
-		}
-	}
-	return out
-}
-
 func TestScenarioChurnExperiment(t *testing.T) {
 	tab, err := ScenarioChurn(Config{Quick: true})
 	if err != nil {
@@ -252,17 +293,12 @@ func TestScenarioChurnExperiment(t *testing.T) {
 	if len(tab.Rows) != 6 {
 		t.Fatalf("rows = %d, want 3 protocols × 2 worlds", len(tab.Rows))
 	}
-	// columns: protocol, world, PDR, delay, breaks, joins, leaves
+	world, joins, leaves := col(t, tab, "world"), col(t, tab, "joins"), col(t, tab, "leaves")
 	for _, row := range tab.Rows {
-		joins, _ := strconv.Atoi(row[5])
-		leaves, _ := strconv.Atoi(row[6])
-		if row[1] == "closed" {
-			if joins != 0 || leaves != 0 {
-				t.Errorf("closed world churned: %v", row)
-			}
-			continue
-		}
-		if joins == 0 || leaves == 0 {
+		churned := row[joins].Num != 0 || row[leaves].Num != 0
+		if closed := row[world].Text == "closed"; closed && churned {
+			t.Errorf("closed world churned: %v", row)
+		} else if !closed && (row[joins].Num == 0 || row[leaves].Num == 0) {
 			t.Errorf("open world without churn: %v", row)
 		}
 	}
@@ -278,9 +314,7 @@ func TestScenarioTraceReplayExperiment(t *testing.T) {
 	}
 	delivered := false
 	for _, row := range tab.Rows {
-		if row[1] != "0.0%" {
-			delivered = true
-		}
+		delivered = delivered || row[col(t, tab, "PDR")].Num > 0
 	}
 	if !delivered {
 		t.Fatal("no protocol delivered anything over the replayed trace")

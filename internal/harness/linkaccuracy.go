@@ -9,24 +9,8 @@ import (
 	"github.com/vanetlab/relroute/internal/scenario"
 )
 
-// LinkAccCell is one (estimator, scenario) cell of the link-accuracy
-// grid: how well the estimator's residual-lifetime predictions matched
-// the link breaks the world actually observed.
-type LinkAccCell struct {
-	Estimator string  `json:"estimator"`
-	Scenario  string  `json:"scenario"`
-	Samples   int     `json:"samples"`
-	Censored  int     `json:"censored"`
-	MAE       float64 `json:"mae_s"`
-	Bias      float64 `json:"bias_s"`
-	PDR       float64 `json:"pdr"`
-	// Calibration carries the per-bucket mean predicted vs observed
-	// lifetimes, bucketed by predicted lifetime (metrics.LinkBucketEdges).
-	Calibration [len(metrics.LinkBucketEdges) + 1]metrics.CalBucket `json:"calibration"`
-}
-
-// LinkAccuracyHorizon caps audited predictions and observations, seconds.
-const LinkAccuracyHorizon = 30.0
+// linkAuditHorizon caps audited predictions and observations, seconds.
+const linkAuditHorizon = 30.0
 
 // linkAccScenario is one evaluation habitat of the accuracy grid.
 type linkAccScenario struct {
@@ -75,30 +59,30 @@ func linkAccScenarios(cfg Config) ([]linkAccScenario, error) {
 	}, nil
 }
 
-// LinkAccuracyData runs the estimator × scenario grid and returns one
-// cell per combination. Every run carries the same Greedy workload —
-// Greedy never consumes lifetime or receipt predictions, so routing
-// behaviour (and with it the beacon/feedback evidence stream) is
-// identical across estimators and the cells differ only in what the
-// estimators predicted from it.
-func LinkAccuracyData(cfg Config) ([]LinkAccCell, error) {
+// LinkAccuracy (link-accuracy) measures the reliability plane's central
+// claim: that residual link lifetimes can be predicted. Every estimator in
+// the registry runs the same scenarios while the world records ground-
+// truth link breaks from geometry; the table reports the prediction MAE,
+// the signed bias (positive = optimistic), and sample counts per cell.
+// Every run carries the same Greedy workload — Greedy never consumes
+// lifetime or receipt predictions, so routing behaviour (and with it the
+// beacon/feedback evidence stream) is identical across estimators and the
+// cells differ only in what the estimators predicted from it.
+func LinkAccuracy(cfg Config) (*Table, error) {
 	scens, err := linkAccScenarios(cfg)
 	if err != nil {
 		return nil, err
 	}
-	estimators := linkstate.Names()
 	var camp runner.Campaign
-	var cells []LinkAccCell
-	for _, est := range estimators {
+	for _, est := range linkstate.Names() {
 		for _, sc := range scens {
 			opts := sc.opts
 			opts.Estimator = est
-			cells = append(cells, LinkAccCell{Estimator: est, Scenario: sc.name})
 			camp.Add(runner.Run{
 				Protocol: "Greedy",
 				Opts:     opts,
 				Setup: func(s *scenario.Scenario) {
-					s.World.EnableLinkAudit(LinkAccuracyHorizon)
+					s.World.EnableLinkAudit(linkAuditHorizon)
 				},
 			})
 		}
@@ -107,74 +91,45 @@ func LinkAccuracyData(cfg Config) ([]LinkAccCell, error) {
 	if err != nil {
 		return nil, err
 	}
+	t := &Table{
+		ID:    "link-accuracy",
+		Title: "predicted vs observed link lifetime, per estimator and scenario",
+		Columns: []Column{{"estimator", Text}, {"scenario", Text}, {"samples", Int}, {"censored", Int},
+			{"MAE(s)", Float}, {"bias(s)", Signed}, {"PDR", Pct}},
+	}
+	calibration := "calibration: no kinematic/highway cell"
 	for i, res := range results {
+		est, sc := camp.Runs[i].Opts.Estimator, scens[i%len(scens)].name
 		if res.Err != nil {
-			return nil, fmt.Errorf("link-accuracy %s/%s: %w", cells[i].Estimator, cells[i].Scenario, res.Err)
+			return nil, fmt.Errorf("link-accuracy %s/%s: %w", est, sc, res.Err)
 		}
 		sum := res.Summary
-		cells[i].Samples = sum.LinkSamples
-		cells[i].Censored = sum.LinkCensored
-		cells[i].MAE = sum.LinkMAE
-		cells[i].Bias = sum.LinkBias
-		cells[i].PDR = sum.PDR
-		cells[i].Calibration = sum.LinkCalibration
-	}
-	return cells, nil
-}
-
-// LinkAccuracyTable renders accuracy cells as the experiment table — the
-// single renderer shared by the link-accuracy experiment and vanetbench's
-// linkacc subcommand, so columns and caveats cannot diverge.
-func LinkAccuracyTable(cells []LinkAccCell) *Table {
-	t := &Table{
-		ID:      "link-accuracy",
-		Title:   "predicted vs observed link lifetime, per estimator and scenario",
-		Columns: []string{"estimator", "scenario", "samples", "censored", "MAE(s)", "bias(s)", "PDR"},
-	}
-	for _, c := range cells {
-		t.AddRow(c.Estimator, c.Scenario, fmt.Sprint(c.Samples), fmt.Sprint(c.Censored),
-			fmtF(c.MAE), fmt.Sprintf("%+.3f", c.Bias), fmtPct(c.PDR))
+		t.AddRow(est, sc, sum.LinkSamples, sum.LinkCensored, sum.LinkMAE, sum.LinkBias, sum.PDR)
+		if est == "kinematic" && sc == "highway" {
+			calibration = calibrationNote(sum.LinkCalibration)
+		}
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("predictions and observations capped at the %g s audit horizon; bias > 0 means the estimator is optimistic", LinkAccuracyHorizon),
+		fmt.Sprintf("predictions and observations capped at the %g s audit horizon; bias > 0 means the estimator is optimistic", linkAuditHorizon),
 		"composite (the default plane configuration) predicts lifetime kinematically, so its lifetime error matches `kinematic`; they differ in receipt probability",
-		calibrationNote(cells),
+		calibration,
 	)
-	return t
-}
-
-// LinkAccuracy (link-accuracy) measures the reliability plane's central
-// claim: that residual link lifetimes can be predicted. Every estimator in
-// the registry runs the same scenarios while the world records ground-
-// truth link breaks from geometry; the table reports the prediction MAE,
-// the signed bias (positive = optimistic), and sample counts per cell.
-func LinkAccuracy(cfg Config) (*Table, error) {
-	cells, err := LinkAccuracyData(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return LinkAccuracyTable(cells), nil
+	return t, nil
 }
 
 // calibrationNote condenses the kinematic estimator's highway calibration
 // buckets into one line: mean predicted → mean observed per bucket.
-func calibrationNote(cells []LinkAccCell) string {
-	for _, c := range cells {
-		if c.Estimator != "kinematic" || c.Scenario != "highway" {
+func calibrationNote(buckets [len(metrics.LinkBucketEdges) + 1]metrics.CalBucket) string {
+	s := "kinematic/highway calibration (pred→obs s): "
+	for i, b := range buckets {
+		if i > 0 {
+			s += ", "
+		}
+		if b.N == 0 {
+			s += "–"
 			continue
 		}
-		s := "kinematic/highway calibration (pred→obs s): "
-		for i, b := range c.Calibration {
-			if i > 0 {
-				s += ", "
-			}
-			if b.N == 0 {
-				s += "–"
-				continue
-			}
-			s += fmt.Sprintf("%.1f→%.1f (n=%d)", b.MeanPred(), b.MeanObs(), b.N)
-		}
-		return s
+		s += fmt.Sprintf("%.1f→%.1f (n=%d)", b.MeanPred(), b.MeanObs(), b.N)
 	}
-	return "calibration: no kinematic/highway cell"
+	return s
 }

@@ -39,17 +39,15 @@ func ScenarioChurn(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	t := &Table{
-		ID:      "churn",
-		Title:   "open-world vehicle churn vs the closed-world assumption",
-		Columns: []string{"protocol", "world", "PDR", "delay(s)", "breaks", "joins", "leaves"},
+		ID:    "churn",
+		Title: "open-world vehicle churn vs the closed-world assumption",
+		Columns: []Column{{"protocol", Text}, {"world", Text}, {"PDR", Pct}, {"delay(s)", Float},
+			{"breaks", Int}, {"joins", Int}, {"leaves", Int}},
 	}
 	worlds := []string{"closed", "open (churn)"}
 	for i, sum := range sums {
-		t.AddRow(
-			protos[i/len(grid)], worlds[i%len(grid)],
-			fmtPct(sum.PDR), fmtF(sum.MeanDelay), fmt.Sprint(sum.Breaks),
-			fmt.Sprint(sum.Joins), fmt.Sprint(sum.Leaves),
-		)
+		t.AddRow(protos[i/len(grid)], worlds[i%len(grid)],
+			sum.PDR, sum.MeanDelay, sum.Breaks, sum.Joins, sum.Leaves)
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("open world: Poisson arrivals at %.2f veh/s, exponential lifetimes of mean %.0f s — every arrival joins and every expiry leaves the network mid-run", open.ArrivalRate, open.MeanLifetime))
@@ -87,11 +85,10 @@ func ScenarioTraceReplay(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "trace-replay",
 		Title:   "end-to-end FCD trace replay (recorded mobility, played back)",
-		Columns: []string{"protocol", "PDR", "delay(s)", "hops", "overhead"},
+		Columns: []Column{{"protocol", Text}, {"PDR", Pct}, {"delay(s)", Float}, {"hops", Float}, {"overhead", Float}},
 	}
 	for i, sum := range sums {
-		t.AddRow(protos[i], fmtPct(sum.PDR), fmtF(sum.MeanDelay),
-			fmtF(sum.MeanHops), fmtF(sum.Overhead))
+		t.AddRow(protos[i], sum.PDR, sum.MeanDelay, sum.MeanHops, sum.Overhead)
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("%d tracks recorded at 0.5 s sampling from the IDM highway model and replayed via mobility.PlaybackModel with per-track active windows", len(tracks)))

@@ -70,9 +70,9 @@ func Table1Summary(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:    "table1",
 		Title: "measured summary of the five routing categories",
-		Columns: []string{
-			"category", "protocol", "regime", "PDR", "delay(s)",
-			"overhead", "collisions", "breaks",
+		Columns: []Column{
+			{"category", Text}, {"protocol", Text}, {"regime", Text}, {"PDR", Pct}, {"delay(s)", Float},
+			{"overhead", Float}, {"collisions", Pct}, {"breaks", Int},
 		},
 	}
 	// declare the full representative × regime grid as labelled runs
@@ -100,8 +100,7 @@ func Table1Summary(cfg Config) (*Table, error) {
 		}
 		sum := res.Summary
 		t.AddRow(cells[i].category, camp.Runs[i].Protocol, cells[i].regime,
-			fmtPct(sum.PDR), fmtF(sum.MeanDelay), fmtF(sum.Overhead),
-			fmtPct(sum.CollisionRate), fmt.Sprint(sum.Breaks))
+			sum.PDR, sum.MeanDelay, sum.Overhead, sum.CollisionRate, sum.Breaks)
 	}
 	t.Notes = append(t.Notes,
 		"Table I row 1 (connectivity): simple but overhead/broadcast storm — see collisions grow with density",

@@ -76,8 +76,13 @@ type ExperimentConfig = harness.Config
 // Experiment is one reproducible paper artifact (figure or table).
 type Experiment = harness.Experiment
 
-// Table is the rendered result of an experiment.
+// Table is an experiment's result: named columns, each with the format
+// its numbers print in, and rows of typed cells. Render prints the text
+// table; encoding/json writes the cells as data.
 type Table = harness.Table
+
+// Column is one named, formatted column of a Table.
+type Column = harness.Column
 
 // TaxonomyEntry is one protocol of the paper's Fig. 1 catalogue.
 type TaxonomyEntry = core.Entry
@@ -121,27 +126,6 @@ func Scenarios() []string { return scenario.Names() }
 // default: kinematic lifetime + RSSI receipt probability).
 func Estimators() []string { return linkstate.Names() }
 
-// LinkAccuracyCell is one (estimator, scenario) cell of the link-accuracy
-// experiment: prediction MAE/bias against ground-truth link breaks.
-type LinkAccuracyCell = harness.LinkAccCell
-
-// LinkAccuracy runs the estimator × scenario prediction-accuracy grid and
-// returns its cells (the structured form of the "link-accuracy"
-// experiment, used by vanetbench's linkacc subcommand).
-func LinkAccuracy(cfg ExperimentConfig) ([]LinkAccuracyCell, error) {
-	return harness.LinkAccuracyData(cfg)
-}
-
-// LinkAccuracyTable renders accuracy cells as the experiment's table —
-// the same renderer RunExperiment("link-accuracy") uses.
-func LinkAccuracyTable(cells []LinkAccuracyCell) *Table {
-	return harness.LinkAccuracyTable(cells)
-}
-
-// LinkAuditHorizon is the cap, in seconds, applied to both predicted and
-// observed residual lifetimes by the link-accuracy audit.
-const LinkAuditHorizon = harness.LinkAccuracyHorizon
-
 // ScenarioDescriptions maps each named scenario to its one-line
 // description, for listings.
 func ScenarioDescriptions() map[string]string { return scenario.Descriptions() }
@@ -157,23 +141,6 @@ func FaultProfiles() []string { return faults.Names() }
 // FaultProfileDescriptions maps each fault profile to its one-line
 // description, for listings.
 func FaultProfileDescriptions() map[string]string { return faults.Descriptions() }
-
-// ChaosCell is one (fault profile, protocol) cell of the chaos
-// experiment: whole-run and fault-window PDR plus the recovery metrics.
-type ChaosCell = harness.ChaosCell
-
-// Chaos runs the fault-profile × protocol degradation grid and returns
-// its cells (the structured form of the "chaos" experiment, used by
-// vanetbench's chaos subcommand).
-func Chaos(cfg ExperimentConfig) ([]ChaosCell, error) {
-	return harness.ChaosData(cfg)
-}
-
-// ChaosTable renders chaos cells as the experiment's table — the same
-// renderer RunExperiment("chaos") uses.
-func ChaosTable(cells []ChaosCell) *Table {
-	return harness.ChaosTable(cells)
-}
 
 // Track is one vehicle's recorded trajectory, replayable through
 // Options.Tracks (or from a SUMO FCD file via Options.TracePath). The
@@ -311,8 +278,8 @@ func AggregateSummaries(sums []Summary) Aggregate {
 // Experiments lists every reproducible figure/table experiment.
 func Experiments() []Experiment { return harness.All() }
 
-// RunExperiment regenerates one paper artifact by ID (fig1..fig6, table1,
-// abl-*).
+// RunExperiment regenerates one paper artifact by ID: fig1..fig6, table1,
+// abl-*, churn, trace-replay, link-accuracy or chaos.
 func RunExperiment(id string, cfg ExperimentConfig) (*Table, error) {
 	exp, ok := harness.ByID(id)
 	if !ok {

@@ -57,9 +57,10 @@ func replayTable(t *testing.T, tracks []relroute.Track, workers int) string {
 		t.Fatal(err)
 	}
 	tab := &relroute.Table{
-		ID:      "trace-roundtrip",
-		Title:   "tracegen → FCD write → FCD read → playback scenario",
-		Columns: []string{"protocol", "scenario", "sent", "delivered", "hops", "control"},
+		ID:    "trace-roundtrip",
+		Title: "tracegen → FCD write → FCD read → playback scenario",
+		Columns: []relroute.Column{{Name: "protocol"}, {Name: "scenario"}, {Name: "sent"},
+			{Name: "delivered"}, {Name: "hops"}, {Name: "control"}},
 	}
 	for _, sum := range sums {
 		tab.AddRow(sum.Protocol, sum.Scenario,
