@@ -40,7 +40,7 @@ func AblationBroadcastStorm(cfg Config) (*Table, error) {
 		}
 		t.AddRow(densities[i], sum.PDR, sum.MACTransmits, perDelivered, sum.DupRatio, sum.CollisionRate)
 	}
-	t.Notes = append(t.Notes, "transmissions per delivered packet grow superlinearly with density — the broadcast storm [5]")
+	t.Notes = append(t.Notes, "transmissions per delivered packet grow with density — the broadcast storm [5]")
 	return t, nil
 }
 

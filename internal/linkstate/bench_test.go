@@ -140,8 +140,9 @@ func BenchmarkExpectedDuration(b *testing.B) {
 	}
 }
 
-// BenchmarkSurvival is the NiuDe-style availability integral: the window
-// of the relative-speed normal plus a 400-panel Simpson sum.
+// BenchmarkSurvival is the NiuDe-style availability: the relative-speed
+// normal's probability between the two speeds that break the link in time,
+// two Erfc.
 func BenchmarkSurvival(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -16,7 +16,7 @@ func TestNormalCDF(t *testing.T) {
 		{3, 0.99865},
 	}
 	for _, tc := range tests {
-		if got := n.CDF(tc.x); math.Abs(got-tc.want) > 1e-4 {
+		if got := normalCDF(n, tc.x); math.Abs(got-tc.want) > 1e-4 {
 			t.Errorf("CDF(%v) = %v, want %v", tc.x, got, tc.want)
 		}
 	}
@@ -27,7 +27,7 @@ func TestNormalPDFIntegratesToOne(t *testing.T) {
 	sum := 0.0
 	const dx = 0.01
 	for x := -20.0; x < 25; x += dx {
-		sum += n.PDF(x) * dx
+		sum += normalPDF(n, x) * dx
 	}
 	if math.Abs(sum-1) > 1e-3 {
 		t.Fatalf("PDF integral = %v", sum)
@@ -36,10 +36,10 @@ func TestNormalPDFIntegratesToOne(t *testing.T) {
 
 func TestNormalDegenerateSigma(t *testing.T) {
 	n := Normal{Mu: 3, Sigma: 0}
-	if n.CDF(2.9) != 0 || n.CDF(3.1) != 1 {
+	if normalCDF(n, 2.9) != 0 || normalCDF(n, 3.1) != 1 {
 		t.Error("degenerate normal CDF should be a step at mu")
 	}
-	if n.PDF(3) != 0 {
+	if normalPDF(n, 3) != 0 {
 		t.Error("degenerate normal PDF defined as 0")
 	}
 }
@@ -48,7 +48,7 @@ func TestCDFMonotoneAndBounded(t *testing.T) {
 	for _, d := range []Normal{{Mu: 0, Sigma: 3}, {Mu: 20, Sigma: 0.5}, {Mu: 5, Sigma: 0}} {
 		prev := -1.0
 		for x := -10.0; x <= 50; x += 0.25 {
-			c := d.CDF(x)
+			c := normalCDF(d, x)
 			if c < 0 || c > 1 {
 				t.Fatalf("%T CDF(%v) = %v out of [0,1]", d, x, c)
 			}

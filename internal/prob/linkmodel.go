@@ -20,8 +20,8 @@ import (
 //	T(0)  = ∞
 //
 // Uncertainty about Δv (estimation error, future speed changes) is
-// expressed by the RelSpeed distribution; all summary statistics integrate
-// T over it numerically.
+// expressed by the RelSpeed distribution: SurvivalProb is one normal
+// probability in closed form, Expected adds two Gauss–Legendre tails.
 type LinkDurationModel struct {
 	// RelSpeed is the distribution of the relative speed Δv in m/s.
 	RelSpeed Normal
@@ -44,33 +44,25 @@ func (m LinkDurationModel) horizon() float64 {
 // down reports a gap already outside the range: T ≡ 0.
 func (m LinkDurationModel) down() bool { return math.Abs(m.Gap) > m.Range }
 
-// lifetime is T(dv) truncated to the horizon, over what a model holds fixed:
-// whether the gap is already outside the range, and the two distances of
-// Eqn (4), ahead = r − d₀ for a sender pulling away and behind = r + d₀ for
-// one falling back.
-func lifetime(down bool, ahead, behind, horizon, dv float64) float64 {
-	if down {
+// Duration returns T(dv), the deterministic lifetime at relative speed dv,
+// truncated to the horizon. A gap already outside the range yields 0.
+func (m LinkDurationModel) Duration(dv float64) float64 {
+	if m.down() {
 		return 0
 	}
 	var t float64
 	switch {
 	case dv > 0:
-		t = ahead / dv
+		t = (m.Range - m.Gap) / dv
 	case dv < 0:
-		t = behind / -dv
+		t = (m.Range + m.Gap) / -dv
 	default:
-		return horizon
+		return m.horizon()
 	}
-	if t > horizon {
-		return horizon
+	if h := m.horizon(); t > h {
+		return h
 	}
 	return t
-}
-
-// Duration returns T(dv), the deterministic lifetime at relative speed dv,
-// truncated to the horizon. A gap already outside the range yields 0.
-func (m LinkDurationModel) Duration(dv float64) float64 {
-	return lifetime(m.down(), m.Range-m.Gap, m.Range+m.Gap, m.horizon(), dv)
 }
 
 // Expected returns E[min(T, horizon)], the "expected link duration" routing
@@ -206,82 +198,28 @@ var (
 
 // SurvivalProb returns P(T > t): the probability the link is still up after
 // t seconds, the quantity GVGrid and NiuDe-style protocols threshold on.
+// Below the horizon T > t exactly when −(r + d₀)/t < Δv < (r − d₀)/t, so it
+// is one normalBetween; a relative speed without spread (σ ≤ 0) is a point
+// mass at its mean. A link already down answers 0, t ≤ 0 answers 1, and t
+// at or past the horizon, which truncates T, answers 0.
 func (m LinkDurationModel) SurvivalProb(t float64) float64 {
-	if t <= 0 {
-		if m.down() {
-			return 0
-		}
+	switch {
+	case m.down():
+		return 0
+	case t <= 0:
 		return 1
-	}
-	return m.integrate(t)
-}
-
-// survives is the survival integrand where the lifetime is t: the
-// indicator of t > at.
-func survives(t, at float64) float64 {
-	if t > at {
-		return 1
-	}
-	return 0
-}
-
-// integrate computes P(T(Δv) > at) over the relative-speed density with a
-// composite Simpson rule between its 1e-6 tail quantiles, μ ± 4.75σ. A
-// relative speed without spread (σ ≤ 0) is a point mass at its mean. Every
-// golden output holds these sums to the bit: a term is rounded as
-// survives(Duration(x), at)·RelSpeed.PDF(x) is and added in node order, and
-// what does not depend on the node is read once.
-func (m LinkDurationModel) integrate(at float64) float64 {
-	d := m.RelSpeed
-	mu, sigma := d.Mu, d.Sigma
-	if !(sigma > 0) {
-		return survives(m.Duration(mu), at)
-	}
-	den := sigma * math.Sqrt(2*math.Pi)
-	// A node whose integrand is 0 adds w·0·pdf. That is +0, and leaves the
-	// sum (never −0) as it is, only where the density is finite: everywhere
-	// when 1/den is, since pdf ≤ 1/den — a subnormal σ overflows it at the
-	// mean, and the sum then holds 0·∞. (A mean that is no number would
-	// make z one, but it leaves no window to sum over.)
-	finite := 1/den <= math.MaxFloat64
-	down := m.down()
-	if down && finite {
+	case t >= m.horizon():
 		return 0
 	}
-	lo, hi := d.tailWindow()
-	if hi <= lo {
-		return survives(m.Duration(mu), at)
-	}
-	ahead, behind, horizon := m.Range-m.Gap, m.Range+m.Gap, m.horizon()
-	const n = simpsonPanels
-	h := (hi - lo) / n
-	sum := survives(m.Duration(lo), at)*d.PDF(lo) + survives(m.Duration(hi), at)*d.PDF(hi)
-	for i := 1; i < n; i++ {
-		x := lo + float64(i)*h
-		v := survives(lifetime(down, ahead, behind, horizon, x), at)
-		if finite && v == 0 {
-			continue
+	mu, sigma := m.RelSpeed.Mu, m.RelSpeed.Sigma
+	if !(sigma > 0) {
+		if m.Duration(mu) > t {
+			return 1
 		}
-		w := 2.0
-		if i%2 == 1 {
-			w = 4
-		}
-		z := (x - mu) / sigma
-		sum += w * v * (math.Exp(-0.5*z*z) / den)
+		return 0
 	}
-	val := sum * h / 3
-	// Normalise by the captured probability mass so truncation of the
-	// tails does not bias the probability.
-	mass := d.CDF(hi) - d.CDF(lo)
-	if mass <= 0 {
-		return survives(m.Duration(mu), at)
-	}
-	return val / mass
+	return normalBetween(-(m.Range+m.Gap)/t, (m.Range-m.Gap)/t, mu, sigma)
 }
-
-// simpsonPanels is the panel count of integrate's composite Simpson rule:
-// simpsonPanels+1 nodes, lo + i·h for i = 0 … simpsonPanels.
-const simpsonPanels = 400 // even
 
 // boundBlock is an interval [zLo, zHi] of z = (Δv − μ)/σ and its
 // probability under N(0, 1).

@@ -159,6 +159,16 @@ func (b *Builder) Build() (*Network, error) {
 // Segments returns the segment count.
 func (n *Network) Segments() int { return len(n.segments) }
 
+// LaneLength returns the summed length of every lane of every segment in
+// meters.
+func (n *Network) LaneLength() float64 {
+	total := 0.0
+	for _, s := range n.segments {
+		total += float64(s.Lanes) * s.len
+	}
+	return total
+}
+
 // Junction returns the junction with the given ID.
 func (n *Network) Junction(id JunctionID) Junction { return n.junctions[id] }
 

@@ -12,8 +12,8 @@ import (
 	"math"
 
 	"github.com/vanetlab/relroute/internal/geom"
+	"github.com/vanetlab/relroute/internal/linkstate"
 	"github.com/vanetlab/relroute/internal/netstack"
-	"github.com/vanetlab/relroute/internal/prob"
 	"github.com/vanetlab/relroute/internal/routing"
 )
 
@@ -43,21 +43,11 @@ func New() netstack.RouterFactory {
 }
 
 // linkReliability returns P(link to the beaconed neighbor survives the
-// delay bound) under the protocol's probability model: relative speed
-// ~ N(observed Δv, σ²), gap and range from the reliability plane's link
-// state. The model is GVGrid's own sign convention (self behind the
-// neighbor along the axis toward it), so it stays local rather than using
-// linkstate.Survival.
+// delay bound) under the Sec. VII model, relative speed ~ N(observed Δv,
+// σ²), via the reliability plane's shared survival helper.
 func (r *Router) linkReliability(ls netstack.LinkState) float64 {
-	axis := ls.Pos.Sub(r.API.Pos())
-	gap := axis.Len()
-	relSpeed := geom.Project(r.API.Vel().Sub(ls.Vel), axis)
-	model := prob.LinkDurationModel{
-		RelSpeed: prob.Normal{Mu: relSpeed, Sigma: speedStd},
-		Gap:      -gap, // self behind neighbor along the axis toward it
-		Range:    r.API.RangeEstimate(),
-	}
-	return model.SurvivalProb(delayBound)
+	obs := linkstate.Observer{Pos: r.API.Pos(), Vel: r.API.Vel(), Now: r.API.Now()}
+	return linkstate.Survival(obs, ls, speedStd, r.API.RangeEstimate(), 0, delayBound)
 }
 
 // cellOf returns the integer grid cell of p.
@@ -93,9 +83,9 @@ func (r *Router) route(pkt *netstack.Packet) routing.Hop {
 	}
 	myCellD := cellDist(cx, cy)
 	advance := func(nb netstack.Neighbor) int { return myCellD - cellDist(r.cellOf(nb.Pos)) }
-	// raw snapshot: linkReliability runs GVGrid's own model over the
-	// observed fields, so paying the estimator derivation per packet
-	// would buy nothing
+	// raw snapshot: linkReliability reads only the observed position and
+	// velocity, so paying the estimator derivation per packet would buy
+	// nothing
 	var buf [routing.NeighborBuf]netstack.Neighbor
 	nbs := r.API.AppendNeighbors(buf[:0])
 	most := 0 // the cell walk must advance
@@ -106,9 +96,9 @@ func (r *Router) route(pkt *netstack.Packet) routing.Hop {
 	bestScore := -1.0
 	for _, nb := range nbs {
 		// A score is 10 per cell advanced plus a probability, which is
-		// never NaN and at most 1 + 1e-9 after Simpson rounding: only a
-		// neighbor at the best advance can win, so only those are
-		// integrated, in table order, the first of equal scores winning.
+		// never NaN and at most 1: only a neighbor at the best advance can
+		// win, so only those are scored, in table order, the first of
+		// equal scores winning.
 		if a := advance(nb); a == most && a > 0 {
 			// prefer fewer remaining cells, then reliability
 			if score := float64(a)*10 + r.linkReliability(nb); score > bestScore {

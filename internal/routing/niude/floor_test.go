@@ -1,0 +1,63 @@
+package niude
+
+import (
+	"testing"
+
+	"github.com/vanetlab/relroute/internal/geom"
+	"github.com/vanetlab/relroute/internal/linkstate"
+	"github.com/vanetlab/relroute/internal/netstack"
+	"github.com/vanetlab/relroute/internal/routing/routetest"
+)
+
+// TestSurvivalFloorDropsTheCopy: two relays hear the same request from a
+// parked sender. One races away from it at 45 m/s, so its link is still up
+// but survives the 4 s horizon with a probability above 0 and below
+// minSurvival: it scores the link 0 and does not forward the copy. The
+// other is parked too, and forwards it.
+func TestSurvivalFloorDropsTheCopy(t *testing.T) {
+	vehicles := []routetest.Vehicle{
+		{Pos: geom.V(0, 0)},
+		{Pos: geom.V(100, 0), Vel: geom.V(45, 0)},
+		{Pos: geom.V(-100, 0)},
+	}
+	var routers []*Router
+	factory := New()
+	w, ids := routetest.World(t, 1, vehicles, func() netstack.Router {
+		r := factory().(*Router)
+		routers = append(routers, r)
+		return r
+	})
+	w.StartRun()
+	if err := w.AdvanceTo(2.05); err != nil { // everyone has beaconed twice
+		t.Fatal(err)
+	}
+	sender, racing, parked := ids[0], routers[1], routers[2]
+
+	ls, ok := racing.API.LinkState(sender)
+	if !ok {
+		t.Fatal("the racing relay has not heard the sender")
+	}
+	obs := linkstate.Observer{Pos: racing.API.Pos(), Vel: racing.API.Vel(), Now: racing.API.Now()}
+	p := linkstate.Survival(obs, ls, speedSigma, racing.API.RangeEstimate(), 600, horizon)
+	if !(p > 0 && p < minSurvival) {
+		t.Fatalf("survival %v: the world does not put the link under the floor", p)
+	}
+	if got := racing.linkAvailability(ls); got != 0 {
+		t.Fatalf("availability %v under the floor, want 0", got)
+	}
+
+	sent := func() int { return w.Collector().Control[netstack.KindRREQ] }
+	request := func() *netstack.Packet {
+		return &netstack.Packet{Kind: netstack.KindRREQ, Src: sender, Dst: netstack.Broadcast, From: sender,
+			TTL: 8, Hops: 1, Size: 56, Payload: rreq{Origin: sender, ReqID: 1, Target: ids[2] + 1, Reliability: 1}}
+	}
+	before := sent()
+	racing.HandlePacket(request())
+	if sent() != before {
+		t.Fatal("the racing relay forwarded a copy over a link under the floor")
+	}
+	parked.HandlePacket(request())
+	if sent() != before+1 {
+		t.Fatalf("the parked relay sent %d requests, want 1", sent()-before)
+	}
+}

@@ -38,6 +38,11 @@ const (
 	// delayBound is the QoS delay requirement in seconds a candidate path
 	// must meet.
 	delayBound = 0.5
+	// minSurvival is the availability below which a link counts as broken:
+	// a relay drops a copy that crossed one rather than forward it over a
+	// link almost certain to break. It is the tail mass, 1e-6, that the
+	// survival integral once left out of its window.
+	minSurvival = 1e-6
 )
 
 // Router is a per-node NiuDe/DeReQ instance.
@@ -67,10 +72,13 @@ func New() netstack.RouterFactory {
 
 // linkAvailability returns P(link to the beaconed neighbor survives the
 // reliability horizon) under the Sec. VII model, via the reliability
-// plane's shared survival helper.
+// plane's shared survival helper, and 0 below minSurvival.
 func (r *Router) linkAvailability(ls netstack.LinkState) float64 {
 	obs := linkstate.Observer{Pos: r.API.Pos(), Vel: r.API.Vel(), Now: r.API.Now()}
-	return linkstate.Survival(obs, ls, speedSigma, r.API.RangeEstimate(), 600, horizon)
+	if p := linkstate.Survival(obs, ls, speedSigma, r.API.RangeEstimate(), 600, horizon); p >= minSurvival {
+		return p
+	}
+	return 0
 }
 
 // hopDelay estimates this relay's forwarding delay: base transmission plus
@@ -115,7 +123,7 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	target := req.Target == r.API.Self()
 	// A relay never forwards a duplicate, and a reverse route with more hops
 	// than a valid one the table holds never replaces it: such a copy
-	// changes nothing, so its link's survival integral is not run.
+	// changes nothing, so its link's survival is not computed.
 	dup := !target && r.Duplicate(req.Origin, req.ReqID)
 	if dup && r.HoldsShorter(req.Origin, pkt.Hops) {
 		return

@@ -25,14 +25,10 @@ type ClosedTraffic struct{}
 // BuildModel implements Traffic. Draw order: one stream seed for the road
 // model, one for the population scatter.
 func (ClosedTraffic) BuildModel(net *roadnet.Network, segs []roadnet.SegmentID, rng *rand.Rand, opts *Options) (mobility.Model, error) {
-	model := mobility.NewRoadModelSeeded(net, rng.Int63())
-	scatter, _ := prng.Rand(rng.Int63())
-	mobility.Populate(model, scatter, mobility.PopulateOptions{
-		Count:     opts.Vehicles,
-		SpeedMean: opts.SpeedMean,
-		SpeedStd:  opts.spread(),
-		Segments:  segs,
-	})
+	model, err := populate(net, segs, rng, opts, opts.Vehicles)
+	if err != nil {
+		return nil, err
+	}
 	if opts.Buses > 0 {
 		var loop []roadnet.SegmentID
 		for i := 0; i < net.Segments(); i++ {
@@ -118,10 +114,28 @@ func (t OpenTraffic) initial(opts *Options) int {
 // BuildModel implements Traffic: the initial scatter mirrors
 // ClosedTraffic with the reduced count.
 func (t OpenTraffic) BuildModel(net *roadnet.Network, segs []roadnet.SegmentID, rng *rand.Rand, opts *Options) (mobility.Model, error) {
+	model, err := populate(net, segs, rng, opts, t.initial(opts))
+	if err != nil {
+		return nil, err
+	}
+	return model, nil
+}
+
+// populate builds the road model and scatters count cars over segs, the
+// first step of closed and open traffic alike, drawing one stream seed for
+// the model and one for the scatter. It refuses, as an *OptionError,
+// Options.Vehicles cars that would not fit the network's lanes end to end
+// at the IDM's minimum gap: such a world can only start overlapped.
+func populate(net *roadnet.Network, segs []roadnet.SegmentID, rng *rand.Rand, opts *Options, count int) (*mobility.RoadModel, error) {
+	car := mobility.DefaultIDM(0)
+	if need, have := float64(opts.Vehicles)*(car.Length+car.MinGap), net.LaneLength(); need > have {
+		return nil, &OptionError{"Vehicles", opts.Vehicles,
+			fmt.Sprintf("the cars need %g m of lane, the road network has %g m", need, have)}
+	}
 	model := mobility.NewRoadModelSeeded(net, rng.Int63())
 	scatter, _ := prng.Rand(rng.Int63())
 	mobility.Populate(model, scatter, mobility.PopulateOptions{
-		Count:     t.initial(opts),
+		Count:     count,
 		SpeedMean: opts.SpeedMean,
 		SpeedStd:  opts.spread(),
 		Segments:  segs,

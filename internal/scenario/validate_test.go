@@ -99,3 +99,31 @@ func TestOptionsExemptNegativesBuild(t *testing.T) {
 		t.Errorf("RSUs = -1 placed %d road-side units", len(sc.RSUs))
 	}
 }
+
+// A population whose cars cannot fit the lanes end to end, 7 m each (5 m
+// of car, 2 m of minimum gap), is refused as an *OptionError on Vehicles;
+// the largest that fits builds. The default highway has 2 × 2 lanes of
+// 2000 m and two one-lane crossovers of 10.5 m, 8021 m of lane; with one
+// lane each way, 700 m long, it has 2 × 700 m and two crossovers of 7 m; a
+// 2 × 2 grid has 8 one-lane segments of 400 m.
+func TestOptionsRejectMoreCarsThanLanes(t *testing.T) {
+	for _, c := range []struct {
+		what string
+		opts Options
+		fits int
+	}{
+		{"highway", Options{Seed: 1, Duration: 2}, 8021 / 7},
+		{"one-lane highway", Options{Seed: 1, Duration: 2, HighwayLength: 700, LanesPerDirection: 1}, 1414 / 7},
+		{"open highway", Options{Seed: 1, Duration: 2, ArrivalRate: 1, MeanLifetime: 60}, 8021 / 7},
+		{"city", Options{Seed: 1, Duration: 2, Kind: CityKind, GridN: 2}, 3200 / 7},
+	} {
+		c.opts.Vehicles = c.fits + 1
+		wantOptionError(t, fmt.Sprintf("%s, %d cars", c.what, c.opts.Vehicles), c.opts, "Vehicles")
+		c.opts.Vehicles = c.fits
+		for i, err := range buildBoth(c.opts) {
+			if err != nil {
+				t.Errorf("%s, %d cars, entry path %d: %v", c.what, c.fits, i, err)
+			}
+		}
+	}
+}
