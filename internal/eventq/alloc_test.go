@@ -136,3 +136,40 @@ func TestScheduleCancelAllocFree(t *testing.T) {
 		t.Fatalf("Schedule+Cancel allocates %.1f objects/op in steady state, want 0", allocs)
 	}
 }
+
+// TestCalendarBurstyScheduleAllocFree pins the calendar under bursty
+// traffic: every measured iteration lands a cluster of burst events, more
+// than the ~2 per bucket the width policy targets, in a physical bucket no
+// earlier iteration used, then pops as many. Storage that grows per bucket
+// allocates on each of those first visits; AllocsPerRun's integer division
+// still reads at least 1 when every iteration allocates once.
+func TestCalendarBurstyScheduleAllocFree(t *testing.T) {
+	const burst = 9
+	var q Queue
+	fn := func() {}
+	at := warmCalendar(t, &q, 512)
+	width, nb := q.width, q.nb
+	used := make([]bool, nb)
+	reused := false
+	allocs := testing.AllocsPerRun(100, func() {
+		p := int(int64(at/q.width) & q.mask)
+		reused = reused || used[p]
+		used[p] = true
+		for i := 0; i < burst; i++ {
+			q.Schedule(at, fn)
+		}
+		at += burst // keeps the mean inter-pop gap, and so the width
+		for i := 0; i < burst; i++ {
+			q.Pop()
+		}
+	})
+	if reused {
+		t.Fatal("two clusters shared a physical bucket; the test no longer measures first visits")
+	}
+	if q.width != width || q.nb != nb || len(q.heap) != 0 {
+		t.Fatalf("calendar changed mid-measurement: width %v→%v, nb %d→%d, %d in the heap", width, q.width, nb, q.nb, len(q.heap))
+	}
+	if allocs != 0 {
+		t.Fatalf("bursty calendar Schedule+Pop allocates %.1f objects/op, want 0", allocs)
+	}
+}
