@@ -13,18 +13,21 @@
 // then builds the calendar once and keeps it. After that the ring is only
 // rebuilt when the observed inter-pop gap drifts an order of magnitude from
 // the bucket width, or when an insert leaves more than two events per
-// bucket. Each pop scans the cursor bucket once, dropping the cancelled
-// entries it meets and keeping the (time, seq) minimum; the peek cache lets
-// the Pop that follows a PeekTime skip that scan. The split is invisible to
-// callers: pop order is exactly (time, seq) regardless of which side an
-// event sits on.
+// bucket. A bucket is an unordered singly linked list threaded through the
+// event slots themselves, so a burst of any depth costs no memory beyond the
+// slots. Each pop walks the cursor bucket once, unlinking the cancelled
+// entries it meets and keeping the (time, seq) minimum and its predecessor;
+// the peek cache lets the Pop that follows a PeekTime skip that walk and
+// unlink the minimum in O(1). The split is invisible to callers: pop order
+// is exactly (time, seq) regardless of which side an event sits on.
 //
-// The queue is allocation-free in steady state: callbacks live in a slab of
-// slots recycled through a free list, calendar and heap entries carry their
-// own (time, seq) sort key so comparisons never chase a pointer, and IDs
-// carry a generation stamp so a recycled slot cannot be cancelled through a
-// stale handle. After warm-up — including the one-time calendar build —
-// Schedule, Pop, and Cancel do not allocate.
+// The queue is allocation-free in steady state: events live in a slab of
+// slots recycled through a free list, each slot carries its (time, seq) key
+// and bucket link, heap entries carry a copy of the key so sifts never chase
+// a pointer, and IDs carry a generation stamp so a recycled slot cannot be
+// cancelled through a stale handle. After warm-up — including the one-time
+// calendar build — Schedule, Pop, and Cancel do not allocate, however
+// bursty the schedule.
 package eventq
 
 import (
@@ -45,12 +48,17 @@ func makeID(slot int32, gen uint32) ID { return ID(uint64(slot)<<32 | uint64(gen
 func (id ID) slot() int32 { return int32(id >> 32) }
 func (id ID) gen() uint32 { return uint32(id) }
 
-// slot holds the callback of one scheduled event. A slot is live (its
-// generation matches outstanding IDs), cancelled (still referenced by a
-// calendar or heap entry, lazily drained), or free (on the free list).
+// slot holds one scheduled event: its callback and (time, seq) key, and
+// the link to the next slot of its calendar bucket (-1 ends the list). A
+// slot is live (its generation matches outstanding IDs), cancelled (still
+// linked into a bucket or referenced by a heap entry, lazily drained), or
+// free (on the free list).
 type slot struct {
 	fn        func()
+	at        float64
+	seq       uint64
 	gen       uint32
+	next      int32
 	cancelled bool
 }
 
@@ -78,10 +86,6 @@ const (
 	// maxBuckets bounds the ring; beyond it, extra events simply deepen
 	// the buckets, which stays O(live/nb) per pop.
 	maxBuckets = 1 << 16
-	// bucketCap is the initial per-bucket capacity, sized for the ~2
-	// events/bucket the width policy targets, so steady-state appends
-	// never grow a bucket.
-	bucketCap = 4
 	// maxBucketFloat guards the float→int64 bucket-index conversion:
 	// indices at or beyond it (including +Inf and NaN) go to the heap.
 	maxBucketFloat = float64(1 << 62)
@@ -104,15 +108,15 @@ type Queue struct {
 
 	// Calendar ring. width == 0 means the calendar is off. cur is the
 	// cursor's absolute bucket index (at/width truncated); an event maps
-	// into the ring iff its index falls in [cur, cur+nb). Entries within
-	// a bucket are unordered; pops scan the cursor bucket for the
-	// (at, seq) minimum, which the ~2 events/bucket width policy keeps
-	// O(1) amortized.
+	// into the ring iff its index falls in [cur, cur+nb). Each bucket is
+	// an unordered list threaded through the slots' next links; pops scan
+	// the cursor bucket for the (at, seq) minimum, which the ~2
+	// events/bucket width policy keeps O(1) amortized.
 	width    float64
 	nb       int // power of two
 	mask     int64
 	cur      int64
-	buckets  [][]ent
+	heads    []int32  // first slot of each bucket, -1 when empty
 	occ      []uint64 // occupancy bitmap, one bit per bucket
 	calCount int
 
@@ -134,12 +138,14 @@ type Queue struct {
 	heapOnly bool
 
 	// Peek cache: the engine calls PeekTime then Pop back to back; the
-	// min found by the first call is reused by the second. Any Schedule
-	// or Cancel invalidates it.
+	// min found by the first call is reused by the second, which unlinks
+	// it from its bucket through its predecessor (-1: the bucket head).
+	// Any Schedule or Cancel invalidates it.
 	pkValid  bool
 	pkHeap   bool
 	pkBucket int
-	pkIdx    int
+	pkSlot   int32
+	pkPrev   int32
 
 	scratch []ent // rebuild + digest scratch
 }
@@ -162,9 +168,10 @@ func (q *Queue) Schedule(at float64, fn func()) ID {
 	q.seq++
 	s := &q.slots[idx]
 	s.fn = fn
+	s.at, s.seq = at, q.seq
 	s.cancelled = false
 	id := makeID(idx, s.gen)
-	q.insert(ent{at: at, seq: q.seq, slot: idx})
+	q.insert(q.ent(idx))
 	q.live++
 	return id
 }
@@ -175,7 +182,7 @@ func (q *Queue) insert(e ent) {
 	q.pkValid = false
 	if q.width > 0 {
 		if b, ok := q.bucketFor(e.at); ok {
-			q.putBucket(int(b&q.mask), e)
+			q.putBucket(int(b&q.mask), e.slot)
 			if q.calCount > 2*q.nb && q.nb < maxBuckets {
 				q.rebuild()
 			}
@@ -186,9 +193,10 @@ func (q *Queue) insert(e ent) {
 	q.siftUp(len(q.heap) - 1)
 }
 
-// putBucket appends e to physical bucket p.
-func (q *Queue) putBucket(p int, e ent) {
-	q.buckets[p] = append(q.buckets[p], e)
+// putBucket links slot idx at the head of physical bucket p.
+func (q *Queue) putBucket(p int, idx int32) {
+	q.slots[idx].next = q.heads[p]
+	q.heads[p] = idx
 	q.occ[p>>6] |= 1 << uint(p&63)
 	q.calCount++
 }
@@ -241,7 +249,7 @@ func (q *Queue) PeekTime() (at float64, ok bool) {
 	if q.pkHeap {
 		return q.heap[0].at, true
 	}
-	return q.buckets[q.pkBucket][q.pkIdx].at, true
+	return q.slots[q.pkSlot].at, true
 }
 
 // Pop removes and returns the next event's time and callback. ok is false
@@ -250,32 +258,23 @@ func (q *Queue) Pop() (at float64, fn func(), ok bool) {
 	if !q.findMin() {
 		return 0, nil, false
 	}
-	var e ent
+	idx := q.pkSlot
 	if q.pkHeap {
-		e = q.heap[0]
+		idx = q.heap[0].slot
 		q.removeRoot()
 	} else {
-		bi := q.pkBucket
-		bkt := q.buckets[bi]
-		e = bkt[q.pkIdx]
-		last := len(bkt) - 1
-		bkt[q.pkIdx] = bkt[last]
-		q.buckets[bi] = bkt[:last]
-		if last == 0 {
-			q.occ[bi>>6] &^= 1 << uint(bi&63)
-		}
-		q.calCount--
+		q.unlink(q.pkBucket, q.pkPrev, idx)
 	}
 	q.pkValid = false
-	s := &q.slots[e.slot]
-	fn = s.fn
+	s := &q.slots[idx]
+	at, fn = s.at, s.fn
 	s.fn = nil
 	s.gen++
-	q.free = append(q.free, e.slot)
+	q.free = append(q.free, idx)
 	q.live--
-	q.notePop(e.at)
+	q.notePop(at)
 	q.maintain()
-	return e.at, fn, true
+	return at, fn, true
 }
 
 // findMin locates the next live event and records its position in the peek
@@ -321,36 +320,49 @@ restart:
 	for {
 		q.cur = q.nextOcc(q.cur)
 		bi := int(q.cur & q.mask)
-		bkt := q.buckets[bi]
-		// One pass: drop cancelled entries (swap-remove) and keep the
-		// (at, seq) minimum of the rest.
-		best := -1
-		for i := 0; i < len(bkt); {
-			if q.slots[bkt[i].slot].cancelled {
-				q.reclaim(bkt[i].slot)
-				last := len(bkt) - 1
-				bkt[i] = bkt[last]
-				bkt = bkt[:last]
-				q.calCount--
-				continue
+		// One pass: unlink cancelled entries and keep the (at, seq)
+		// minimum of the rest with its predecessor.
+		best, bestPrev, prev := ent{slot: -1}, int32(-1), int32(-1)
+		for i := q.heads[bi]; i >= 0; {
+			s := &q.slots[i]
+			next := s.next
+			if s.cancelled {
+				q.unlink(bi, prev, i)
+				q.reclaim(i)
+			} else {
+				if e := q.ent(i); best.slot < 0 || e.before(best) {
+					best, bestPrev = e, prev
+				}
+				prev = i
 			}
-			if best < 0 || bkt[i].before(bkt[best]) {
-				best = i
-			}
-			i++
+			i = next
 		}
-		q.buckets[bi] = bkt
-		if best < 0 {
-			q.occ[bi>>6] &^= 1 << uint(bi&63)
+		if best.slot < 0 {
 			if q.calCount == 0 {
 				goto restart
 			}
 			continue
 		}
 		q.pkValid, q.pkHeap = true, false
-		q.pkBucket, q.pkIdx = bi, best
+		q.pkBucket, q.pkSlot, q.pkPrev = bi, best.slot, bestPrev
 		return true
 	}
+}
+
+// unlink removes slot idx, whose predecessor in bucket bi is prev (-1 for
+// the head), from the bucket's list, clearing its occupancy bit when it
+// empties.
+func (q *Queue) unlink(bi int, prev, idx int32) {
+	next := q.slots[idx].next
+	if prev < 0 {
+		q.heads[bi] = next
+	} else {
+		q.slots[prev].next = next
+	}
+	if q.heads[bi] < 0 {
+		q.occ[bi>>6] &^= 1 << uint(bi&63)
+	}
+	q.calCount--
 }
 
 // migrate moves heap-overflow events that now fall inside the calendar
@@ -373,7 +385,7 @@ func (q *Queue) migrate() {
 			q.siftUp(len(q.heap) - 1)
 			return
 		}
-		q.putBucket(int(b&q.mask), e)
+		q.putBucket(int(b&q.mask), e.slot)
 	}
 }
 
@@ -469,11 +481,11 @@ func (q *Queue) collectLive() {
 		keep(e)
 	}
 	q.heap = q.heap[:0]
-	for bi := range q.buckets {
-		for _, e := range q.buckets[bi] {
-			keep(e)
+	for bi, i := range q.heads {
+		for ; i >= 0; i = q.slots[i].next {
+			keep(q.ent(i))
 		}
-		q.buckets[bi] = q.buckets[bi][:0]
+		q.heads[bi] = -1
 	}
 	clear(q.occ)
 	q.calCount = 0
@@ -489,11 +501,10 @@ func (q *Queue) rebuild() {
 	for nb < len(q.scratch) && nb < maxBuckets {
 		nb <<= 1
 	}
-	if nb != q.nb || q.buckets == nil {
-		q.buckets = make([][]ent, nb)
-		back := make([]ent, nb*bucketCap)
-		for i := range q.buckets {
-			q.buckets[i] = back[i*bucketCap : i*bucketCap : (i+1)*bucketCap]
+	if nb != q.nb {
+		q.heads = make([]int32, nb)
+		for i := range q.heads {
+			q.heads[i] = -1
 		}
 		q.occ = make([]uint64, (nb+63)/64)
 		q.nb = nb
@@ -524,10 +535,7 @@ func (q *Queue) rebuild() {
 	}
 	for _, e := range q.scratch {
 		if b, ok := q.bucketFor(e.at); ok {
-			p := int(b & q.mask)
-			q.buckets[p] = append(q.buckets[p], e)
-			q.occ[p>>6] |= 1 << uint(p&63)
-			q.calCount++
+			q.putBucket(int(b&q.mask), e.slot)
 			continue
 		}
 		q.heap = append(q.heap, e)
@@ -554,10 +562,10 @@ func (q *Queue) DigestInto(d *digest.Writer) {
 			sc = append(sc, e)
 		}
 	}
-	for bi := range q.buckets {
-		for _, e := range q.buckets[bi] {
-			if !q.slots[e.slot].cancelled {
-				sc = append(sc, e)
+	for _, i := range q.heads {
+		for ; i >= 0; i = q.slots[i].next {
+			if !q.slots[i].cancelled {
+				sc = append(sc, q.ent(i))
 			}
 		}
 	}
@@ -577,6 +585,12 @@ func (q *Queue) DigestInto(d *digest.Writer) {
 		d.U64(e.seq)
 	}
 	q.scratch = sc[:0]
+}
+
+// ent returns the queue entry of slot idx.
+func (q *Queue) ent(idx int32) ent {
+	s := &q.slots[idx]
+	return ent{at: s.at, seq: s.seq, slot: idx}
 }
 
 // drainHeapHead lazily discards cancelled events sitting at the heap head.

@@ -123,8 +123,12 @@ func runInterleaving(t *testing.T, seed int64, ops, burst int) (deepest int) {
 				}
 				delete(ids, phase[i])
 			}
-			for _, bkt := range q.buckets {
-				deepest = max(deepest, len(bkt))
+			for _, i := range q.heads {
+				n := 0
+				for ; i >= 0; i = q.slots[i].next {
+					n++
+				}
+				deepest = max(deepest, n)
 			}
 		}
 		switch r := rng.Float64(); {
@@ -225,7 +229,8 @@ func TestInterleavingsVsReferenceHeap(t *testing.T) {
 
 // burstSeed, burstOps and burstSize are the deep-bucket trace: 600 events
 // at one instant in a calendar already built, which no workload comes near
-// (the deepest bucket seen in a benchmark run held 101 entries).
+// (the deepest bucket in the benchmark's four workloads held 226 entries,
+// on hwy-flood).
 const (
 	burstSeed = 5
 	burstOps  = 3000
@@ -234,7 +239,7 @@ const (
 
 // TestDeepBucketBurst checks pop order against the reference when one
 // bucket holds hundreds of entries, a third of them cancelled, so the
-// single compacting scan is exercised at a depth far beyond the ~2 events
+// single unlinking walk is exercised at a depth far beyond the ~2 events
 // per bucket the width policy targets.
 func TestDeepBucketBurst(t *testing.T) {
 	d := runInterleaving(t, burstSeed, burstOps, burstSize)
@@ -282,10 +287,10 @@ func TestDigestLayoutInvariant(t *testing.T) {
 				times = append(times, e.at)
 			}
 		}
-		for bi := range q.buckets {
-			for _, e := range q.buckets[bi] {
-				if !q.slots[e.slot].cancelled {
-					times = append(times, e.at)
+		for _, i := range q.heads {
+			for ; i >= 0; i = q.slots[i].next {
+				if !q.slots[i].cancelled {
+					times = append(times, q.slots[i].at)
 				}
 			}
 		}

@@ -20,6 +20,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -157,6 +158,9 @@ func Install(w *netstack.World, spec Spec, duration float64) (*Engine, error) {
 	eng := w.Engine()
 	for i, ev := range spec.Events {
 		ev := ev
+		if !(ev.At >= 0) || math.IsNaN(ev.Until) {
+			return nil, fmt.Errorf("faults: event %d: %v needs At >= 0 and a numeric Until, got [%v, %v)", i, ev.Kind, ev.At, ev.Until)
+		}
 		switch ev.Kind {
 		case NodeCrash:
 			e.addWindow(ev.At, ev.Until, duration)

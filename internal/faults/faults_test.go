@@ -5,6 +5,7 @@
 package faults_test
 
 import (
+	"math"
 	"testing"
 
 	"github.com/vanetlab/relroute/internal/faults"
@@ -150,6 +151,23 @@ func TestWindowsMerge(t *testing.T) {
 	for _, at := range []float64{1.99, 2, 5.5, 6, 8.99, 9} {
 		if got, want := eng.InWindow(at), at >= 2 && at < 9; got != want {
 			t.Errorf("InWindow(%v) = %v, want %v: the events merge into [2, 9)", at, got, want)
+		}
+	}
+}
+
+// TestInstallRefusesEventsOffTheClock: an event before the run starts
+// would count fault time the run never had (a crash over [-1, 1) counted
+// 2 s), and a NaN time opens or closes a window at no instant. Install
+// refuses both instead of running them.
+func TestInstallRefusesEventsOffTheClock(t *testing.T) {
+	for _, ev := range []faults.Event{
+		{Kind: faults.NodeCrash, At: -1, Until: 1},
+		{Kind: faults.Partition, At: math.NaN()},
+		{Kind: faults.JamZone, At: 1, Until: math.NaN(), Loss: 0.5},
+	} {
+		w, _, _ := staticPair(1, 2)
+		if _, err := faults.Install(w, faults.Spec{Events: []faults.Event{ev}}, 2); err == nil {
+			t.Errorf("%+v: accepted", ev)
 		}
 	}
 }

@@ -255,6 +255,22 @@ func TestAblationDisasterDegradesGracefully(t *testing.T) {
 	}
 }
 
+// TestLinkAccuracyQuickRowsDeliver: a quick row that delivers nothing
+// scores the receipt estimator without any data-plane MAC feedback, so
+// every quick row at seed 1 must carry some traffic.
+func TestLinkAccuracyQuickRowsDeliver(t *testing.T) {
+	tab, err := LinkAccuracy(Config{Quick: true, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, scen, pdr := col(t, tab, "estimator"), col(t, tab, "scenario"), col(t, tab, "PDR")
+	for _, row := range tab.Rows {
+		if row[pdr].Num <= 0 {
+			t.Errorf("%s on %s delivered nothing", row[est].Text, row[scen].Text)
+		}
+	}
+}
+
 // TestParallelTablesByteIdentical is the harness half of the determinism
 // contract: for a fixed seed, an experiment renders byte-identical tables
 // whether the runner pool uses one worker or many. It exercises a seed

@@ -22,7 +22,10 @@ type linkAccScenario struct {
 // in: a free-flow highway (kinematics honest, Eqn 4 at its best), the
 // open-world city-rush preset (turning at junctions and mid-run churn
 // violate the constant-velocity assumption), and trace replay (recorded
-// trajectories with per-track active windows).
+// trajectories with per-track active windows). city-rush keeps the full
+// run's 40 vehicles in quick mode too: with 24 its 250 m grid partitions
+// and the quick rows deliver nothing, so no receipt evidence reaches the
+// estimators.
 func linkAccScenarios(cfg Config) ([]linkAccScenario, error) {
 	duration := 40.0
 	vehicles := 40
@@ -45,7 +48,7 @@ func linkAccScenarios(cfg Config) ([]linkAccScenario, error) {
 		{
 			name: "city-rush",
 			opts: scenario.Options{
-				Seed: cfg.seed(), Scenario: "city-rush", Vehicles: vehicles,
+				Seed: cfg.seed(), Scenario: "city-rush", Vehicles: 40,
 				Duration: duration, Flows: 4, FlowPackets: 12,
 			},
 		},
