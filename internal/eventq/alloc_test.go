@@ -1,6 +1,9 @@
 package eventq
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // The queue must be allocation-free in steady state: slots and heap
 // entries are recycled, so once the slab has grown to the working-set
@@ -20,6 +23,16 @@ func TestSchedulePopAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Schedule+Pop allocates %.1f objects/op in steady state, want 0", allocs)
+	}
+}
+
+// TestSlotIs40Bytes pins the slot layout: the handler index and argument
+// live in what was the tail padding after cancelled. Every pending event
+// costs one slot, and each byte more shows in the set-up of a world that
+// schedules thousands of events before its calendar exists.
+func TestSlotIs40Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(slot{}); got != 40 {
+		t.Fatalf("slot is %d bytes, want 40", got)
 	}
 }
 

@@ -21,6 +21,12 @@
 // unlink the minimum in O(1). The split is invisible to callers: pop order
 // is exactly (time, seq) regardless of which side an event sits on.
 //
+// An event is either a closure (Schedule) or a handler event
+// (ScheduleCall): a small handler index and an int32 argument, which the
+// caller maps to a function registered once — so periodic per-node work
+// needs no closure per node. Both kinds share one slot layout and one
+// (time, seq) order.
+//
 // The queue is allocation-free in steady state: events live in a slab of
 // slots recycled through a free list, each slot carries its (time, seq) key
 // and bucket link, heap entries carry a copy of the key so sifts never chase
@@ -48,11 +54,13 @@ func makeID(slot int32, gen uint32) ID { return ID(uint64(slot)<<32 | uint64(gen
 func (id ID) slot() int32 { return int32(id >> 32) }
 func (id ID) gen() uint32 { return uint32(id) }
 
-// slot holds one scheduled event: its callback and (time, seq) key, and
-// the link to the next slot of its calendar bucket (-1 ends the list). A
-// slot is live (its generation matches outstanding IDs), cancelled (still
-// linked into a bucket or referenced by a heap entry, lazily drained), or
-// free (on the free list).
+// slot holds one scheduled event: what it runs — a closure fn, or a
+// handler index h (non-zero) with its argument — its (time, seq) key, and
+// the link to the next slot of its calendar bucket (-1 ends the list). h
+// and arg sit in what would otherwise be the struct's tail padding, so a
+// slot is 40 bytes either way. A slot is live (its generation matches
+// outstanding IDs), cancelled (still linked into a bucket or referenced by
+// a heap entry, lazily drained), or free (on the free list).
 type slot struct {
 	fn        func()
 	at        float64
@@ -60,6 +68,8 @@ type slot struct {
 	gen       uint32
 	next      int32
 	cancelled bool
+	h         uint16
+	arg       int32
 }
 
 // ent is one queue entry: the sort key inline plus the slot index.
@@ -156,7 +166,18 @@ func (q *Queue) Len() int { return q.live }
 // Schedule enqueues fn to run at time at and returns a handle that can be
 // passed to Cancel. It does not allocate once the slab has grown to the
 // queue's steady-state size.
-func (q *Queue) Schedule(at float64, fn func()) ID {
+func (q *Queue) Schedule(at float64, fn func()) ID { return q.schedule(at, fn, 0, 0) }
+
+// ScheduleCall enqueues a handler event: PopCall hands h and arg back at
+// time at, and the caller decides what they run (the engine keeps a table
+// of handlers indexed by h). h must be non-zero; zero marks a closure
+// event. A handler event carries no closure, so scheduling one never
+// allocates beyond the slab's growth.
+func (q *Queue) ScheduleCall(at float64, h uint16, arg int32) ID {
+	return q.schedule(at, nil, h, arg)
+}
+
+func (q *Queue) schedule(at float64, fn func(), h uint16, arg int32) ID {
 	var idx int32
 	if n := len(q.free); n > 0 {
 		idx = q.free[n-1]
@@ -167,7 +188,7 @@ func (q *Queue) Schedule(at float64, fn func()) ID {
 	}
 	q.seq++
 	s := &q.slots[idx]
-	s.fn = fn
+	s.fn, s.h, s.arg = fn, h, arg
 	s.at, s.seq = at, q.seq
 	s.cancelled = false
 	id := makeID(idx, s.gen)
@@ -253,10 +274,19 @@ func (q *Queue) PeekTime() (at float64, ok bool) {
 }
 
 // Pop removes and returns the next event's time and callback. ok is false
-// when the queue is empty.
+// when the queue is empty. A handler event pops with a nil fn; PopCall
+// returns its handler and argument.
 func (q *Queue) Pop() (at float64, fn func(), ok bool) {
+	at, fn, _, _, ok = q.PopCall()
+	return at, fn, ok
+}
+
+// PopCall removes the next event and returns its time and what it runs:
+// fn for a closure event (h == 0), else the handler index and argument it
+// was scheduled with. ok is false when the queue is empty.
+func (q *Queue) PopCall() (at float64, fn func(), h uint16, arg int32, ok bool) {
 	if !q.findMin() {
-		return 0, nil, false
+		return 0, nil, 0, 0, false
 	}
 	idx := q.pkSlot
 	if q.pkHeap {
@@ -267,14 +297,14 @@ func (q *Queue) Pop() (at float64, fn func(), ok bool) {
 	}
 	q.pkValid = false
 	s := &q.slots[idx]
-	at, fn = s.at, s.fn
+	at, fn, h, arg = s.at, s.fn, s.h, s.arg
 	s.fn = nil
 	s.gen++
 	q.free = append(q.free, idx)
 	q.live--
 	q.notePop(at)
 	q.maintain()
-	return at, fn, true
+	return at, fn, h, arg, true
 }
 
 // findMin locates the next live event and records its position in the peek
@@ -550,9 +580,11 @@ func (q *Queue) rebuild() {
 // order. The digest is layout-invariant by construction — it does not see
 // slot indices, generations, bucket geometry, or heap shape — so a
 // snapshot captured under one storage layout (heap-only vs calendar)
-// verifies under the other. The callbacks themselves are intentionally
-// excluded: closures are process-local and are re-derived on restore by
-// rebuilding the scenario and replaying to the checkpoint time.
+// verifies under the other. What an event runs is intentionally excluded:
+// closures are process-local, and a handler index names a registration
+// order, not a behaviour; both are re-derived on restore by rebuilding the
+// scenario and replaying to the checkpoint time. So a closure event and a
+// handler event at the same (time, seq) digest alike.
 func (q *Queue) DigestInto(d *digest.Writer) {
 	d.U64(q.seq)
 	d.Int(q.live)

@@ -1,6 +1,7 @@
 package eventq
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -12,7 +13,7 @@ import (
 // demand slice with (at, seq) keys and explicit ID bookkeeping. The real
 // queue — heap-only or calendar — must match its pop order and its
 // generation-stamp semantics exactly under arbitrary Schedule/Cancel/Pop
-// interleavings.
+// interleavings, and pop every event with what it was scheduled to run.
 type refQueue struct {
 	ents []refEnt
 	seq  uint64
@@ -23,13 +24,20 @@ type refEnt struct {
 	at        float64
 	seq       uint64
 	id        int
+	call      call
 	cancelled bool
 }
 
-func (r *refQueue) schedule(at float64) int {
+// call is what a handler event runs; the zero call marks a closure event.
+type call struct {
+	h   uint16
+	arg int32
+}
+
+func (r *refQueue) schedule(at float64, c call) int {
 	r.seq++
 	r.next++
-	r.ents = append(r.ents, refEnt{at: at, seq: r.seq, id: r.next})
+	r.ents = append(r.ents, refEnt{at: at, seq: r.seq, id: r.next, call: c})
 	return r.next
 }
 
@@ -43,7 +51,7 @@ func (r *refQueue) cancel(id int) bool {
 	return false
 }
 
-func (r *refQueue) pop() (float64, int, bool) {
+func (r *refQueue) pop() (float64, int, call, bool) {
 	best := -1
 	for i := range r.ents {
 		if r.ents[i].cancelled {
@@ -55,11 +63,11 @@ func (r *refQueue) pop() (float64, int, bool) {
 		}
 	}
 	if best < 0 {
-		return 0, 0, false
+		return 0, 0, call{}, false
 	}
 	e := r.ents[best]
 	r.ents = append(r.ents[:best], r.ents[best+1:]...)
-	return e.at, e.id, true
+	return e.at, e.id, e.call, true
 }
 
 func (r *refQueue) len() int {
@@ -77,6 +85,10 @@ func (r *refQueue) len() int {
 // narrow range so equal-time FIFO ties are exercised constantly, and the
 // op mix keeps the queue large enough to cross the calendar build
 // threshold (and, with drift phases, to migrate heap overflow back in).
+// About half the events are handler events (ScheduleCall) with a random
+// non-zero handler and argument, drawn from a stream of their own so the
+// op sequence of a seed does not depend on the mix; every pop must return
+// the closure or the (h, arg) its event was scheduled with.
 //
 // With burst > 0, halfway through the ops it schedules burst events at one
 // instant, mixed with spread and far-future ones, and cancels every third
@@ -85,23 +97,43 @@ func (r *refQueue) len() int {
 func runInterleaving(t *testing.T, seed int64, ops, burst int) (deepest int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
+	kinds := rand.New(rand.NewSource(^seed))
 	var q Queue
 	ref := &refQueue{}
 	ids := make(map[int]ID)  // ref id → real id, pending only
 	done := make(map[int]ID) // ref id → real id, fired: stale handles
 	fired := make(map[int]bool)
-	var order []int // ref ids in real pop order (via closure capture)
+	var order []int // ref ids in real pop order
+	fire := func(rid int) {
+		if fired[rid] {
+			t.Fatalf("ref id %d fired twice", rid)
+		}
+		fired[rid] = true
+		order = append(order, rid)
+	}
 	now := 0.0
 	schedule := func(at float64) int {
-		rid := ref.schedule(at)
-		ids[rid] = q.Schedule(at, func() {
-			if fired[rid] {
-				t.Fatalf("ref id %d fired twice", rid)
-			}
-			fired[rid] = true
-			order = append(order, rid)
-		})
+		if kinds.Intn(2) == 0 {
+			c := call{h: uint16(1 + kinds.Intn(65535)), arg: int32(kinds.Uint32())}
+			rid := ref.schedule(at, c)
+			ids[rid] = q.ScheduleCall(at, c.h, c.arg)
+			return rid
+		}
+		rid := ref.schedule(at, call{})
+		ids[rid] = q.Schedule(at, func() { fire(rid) })
 		return rid
+	}
+	// run executes what the queue popped as ref id rid, which the reference
+	// says was scheduled to run want.
+	run := func(where string, rid int, want call, fn func(), h uint16, arg int32) {
+		if (fn != nil) != (want.h == 0) || h != want.h || arg != want.arg {
+			t.Fatalf("%s: ref id %d popped (fn set %v, h %d, arg %d), scheduled with (h %d, arg %d)", where, rid, fn != nil, h, arg, want.h, want.arg)
+		}
+		if fn != nil {
+			fn()
+		} else {
+			fire(rid)
+		}
 	}
 
 	for op := 0; op < ops; op++ {
@@ -172,8 +204,8 @@ func runInterleaving(t *testing.T, seed int64, ops, burst int) (deepest int) {
 				}
 			}
 		default:
-			at, fn, ok := q.Pop()
-			rat, rid, rok := ref.pop()
+			at, fn, h, arg, ok := q.PopCall()
+			rat, rid, rc, rok := ref.pop()
 			if ok != rok {
 				t.Fatalf("op %d: Pop ok=%v, ref %v", op, ok, rok)
 			}
@@ -183,7 +215,7 @@ func runInterleaving(t *testing.T, seed int64, ops, burst int) (deepest int) {
 			if at != rat {
 				t.Fatalf("op %d: Pop at=%v, ref %v", op, at, rat)
 			}
-			fn()
+			run(fmt.Sprintf("op %d", op), rid, rc, fn, h, arg)
 			if n := len(order); n == 0 || order[n-1] != rid {
 				t.Fatalf("op %d: popped ref id %v, want %d", op, order, rid)
 			}
@@ -199,8 +231,8 @@ func runInterleaving(t *testing.T, seed int64, ops, burst int) (deepest int) {
 	}
 	// Drain both completely; tails must agree too.
 	for {
-		at, fn, ok := q.Pop()
-		rat, rid, rok := ref.pop()
+		at, fn, h, arg, ok := q.PopCall()
+		rat, rid, rc, rok := ref.pop()
 		if ok != rok {
 			t.Fatalf("drain: Pop ok=%v, ref %v", ok, rok)
 		}
@@ -210,7 +242,7 @@ func runInterleaving(t *testing.T, seed int64, ops, burst int) (deepest int) {
 		if at != rat {
 			t.Fatalf("drain: Pop at=%v, ref %v", at, rat)
 		}
-		fn()
+		run("drain", rid, rc, fn, h, arg)
 		if n := len(order); order[n-1] != rid {
 			t.Fatalf("drain: popped wrong event, want ref id %d", rid)
 		}

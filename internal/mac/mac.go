@@ -6,11 +6,14 @@
 // on, without modelling full 802.11p EDCA.
 //
 // The layer is allocation-free in steady state: reception records are
-// plain values in a reused per-sender slice, end-of-airtime events reuse
-// one pre-bound callback per node (instead of a fresh closure per receiver
-// per frame), per-node state lives in dense slices keyed by node ID, and
-// transmit queues are ring buffers. The simulation engine is
-// single-threaded, so none of it needs synchronisation.
+// plain values in buffers recycled through a layer-wide free list (one per
+// frame on the air, not one per node), backoff and end-of-airtime events
+// are two engine handlers registered once per layer and scheduled against
+// the node ID, per-node state lives in dense slices keyed by node ID, and
+// transmit queues are ring buffers. A node's sender state is carved from
+// chunks of many at a time and carries its first 8-frame queue buffer, so
+// a node's first Send costs a fraction of an allocation. The simulation
+// engine is single-threaded, so none of it needs synchronisation.
 //
 // The transmit path is amortized over mobility epochs: candidate
 // receivers and their distances come from the shared radio.Cache instead
@@ -122,8 +125,9 @@ func (c Config) linkRetries() int {
 // txRec is one in-flight reception of the sender's current frame, in
 // candidate (neighborhood) order. decoded carries the serial RNG lane's
 // channel verdict; collAtArr records whether anything was already on the
-// air at this receiver when the frame arrived. Plain values in a reused
-// per-sender slice — nothing is pooled or pointer-chased per frame.
+// air at this receiver when the frame arrived. Plain values in a buffer
+// the frame holds while it is on the air (Layer.recFree) — nothing is
+// pointer-chased per frame.
 type txRec struct {
 	rx        int32
 	decoded   bool // channel draw said the frame is decodable
@@ -198,7 +202,9 @@ type arrivals struct {
 	c1, c0 int32
 }
 
-// nodeState is the per-node sender-side MAC state.
+// nodeState is the per-node sender-side MAC state. It lives in a chunk
+// (Layer.spare) that never moves, so a *nodeState stays valid however the
+// layer's per-node slices grow.
 type nodeState struct {
 	queue   frameDeque
 	sending bool
@@ -209,14 +215,22 @@ type nodeState struct {
 	// (sending serialises), so it lives here instead of in a closure.
 	txFrame      Frame
 	txStart      float64 // arrival instant of the in-flight frame
-	txRecs       []txRec // this frame's receptions, in candidate order
+	txRecs       []txRec // this frame's receptions, in candidate order; nil off the air
 	txUnicastIdx int     // index into txRecs of the addressed receiver, or -1
 	txUnicastOK  bool    // outcome copied at reception resolution
 
-	// pre-bound engine callbacks, created once per node
-	attemptFn  func()
-	finishTxFn func()
+	// first is the queue's first ring buffer: most senders never hold more
+	// than 8 frames, and those that do grow out of it by doubling.
+	first [8]Frame
 }
+
+// Sender states are carved from chunks that double from minStateChunk to
+// maxStateChunk: a 60-vehicle world takes three small ones, a 5,000-vehicle
+// highway one allocation per 256 senders.
+const (
+	minStateChunk = 16
+	maxStateChunk = 256
+)
 
 // Layer is the shared MAC instance. All nodes transmit through it; it owns
 // the collision bookkeeping.
@@ -235,6 +249,20 @@ type Layer struct {
 	// touches arr alone.
 	nodes []*nodeState
 	arr   []arrivals
+	// spare is the unused tail of the newest sender-state chunk and carved
+	// the number of states taken from chunks so far. A chunk is never
+	// moved or reused, because the MAC holds a sender's state across calls
+	// that can grow nodes: transmit covers its receivers, and finishTx's
+	// deliver upcall may Send from a node the MAC has never seen.
+	spare  []nodeState
+	carved int
+	// recFree holds the reception-record buffers of frames no longer on
+	// the air: transmit takes one and finishTx gives it back, so there are
+	// only ever as many as frames were on the air at once.
+	recFree [][]txRec
+	// attemptH and finishTxH are attempt and finishTx as engine handlers,
+	// scheduled with the node ID.
+	attemptH, finishTxH sim.Handler
 	// linkFault, when set, returns an extra loss probability the fault
 	// plane imposes on the (from, to) link right now: 0 is a clean link,
 	// ≥1 severs it outright, anything between draws one extra uniform.
@@ -249,10 +277,13 @@ type Layer struct {
 // busy-medium (congestion) drop, the 802.11 "transmission failure"
 // indication upper layers key link-break detection on. fail may be nil.
 func NewLayer(eng *sim.Engine, rc *radio.Cache, cfg Config, col *metrics.Collector, deliver func(to int32, f Frame), fail func(from int32, f Frame)) *Layer {
-	return &Layer{
+	l := &Layer{
 		eng: eng, radio: rc, cfg: cfg,
 		rng: eng.Rand(), col: col, deliver: deliver, fail: fail,
 	}
+	l.attemptH = eng.Handle(l.attempt)
+	l.finishTxH = eng.Handle(l.finishTx)
+	return l
 }
 
 // SetLinkFault installs the fault plane's per-link loss hook. The RNG
@@ -305,15 +336,20 @@ func (l *Layer) cover(id int32) {
 	}
 }
 
-// state returns the per-node sender state, creating it (with its pre-bound
-// callbacks) on first use.
+// state returns the per-node sender state, carving it from the current
+// chunk on first use.
 func (l *Layer) state(id int32) *nodeState {
 	l.cover(id)
 	st := l.nodes[id]
 	if st == nil {
-		st = &nodeState{txUnicastIdx: -1}
-		st.attemptFn = func() { l.attempt(id) }
-		st.finishTxFn = func() { l.finishTx(id) }
+		if len(l.spare) == 0 {
+			l.spare = make([]nodeState, min(max(l.carved, minStateChunk), maxStateChunk))
+		}
+		st = &l.spare[0]
+		l.spare = l.spare[1:]
+		l.carved++
+		st.txUnicastIdx = -1
+		st.queue.buf = st.first[:]
 		l.nodes[id] = st
 	}
 	return st
@@ -331,14 +367,14 @@ func (l *Layer) Send(f Frame) {
 	st.queue.pushBack(f)
 	if !st.sending {
 		st.sending = true
-		l.scheduleAttempt(st)
+		l.scheduleAttempt(f.From)
 	}
 }
 
-// scheduleAttempt arms the backoff timer for the head-of-queue frame.
-func (l *Layer) scheduleAttempt(st *nodeState) {
+// scheduleAttempt arms node id's backoff timer for its head-of-queue frame.
+func (l *Layer) scheduleAttempt(id int32) {
 	backoff := l.rng.Float64() * l.cfg.maxBackoff()
-	l.eng.After(backoff, st.attemptFn)
+	l.eng.AfterCall(backoff, l.attemptH, id)
 }
 
 // attempt transmits the head-of-queue frame if the medium is idle at the
@@ -367,7 +403,7 @@ func (l *Layer) attempt(id int32) {
 				return
 			}
 		}
-		l.scheduleAttempt(st)
+		l.scheduleAttempt(id)
 		return
 	}
 	st.retries = 0
@@ -417,11 +453,16 @@ func (l *Layer) transmit(from int32, st *nodeState, f Frame) {
 	l.col.MACTransmits++
 
 	links := l.radio.Links(from)
+	var recs []txRec
+	if k := len(l.recFree); k > 0 {
+		recs = l.recFree[k-1]
+		l.recFree = l.recFree[:k-1]
+	}
 	// grown by append's rule, not to the exact size: an exact size is
-	// reallocated each time a sender's neighbourhood outgrows its largest
+	// reallocated each time a neighbourhood outgrows the buffer's largest
 	// one so far by even one receiver
-	st.txRecs = slices.Grow(st.txRecs[:0], len(links))[:len(links)]
-	recs := st.txRecs
+	recs = slices.Grow(recs, len(links))[:len(links)]
+	st.txRecs = recs
 	for i, lk := range links {
 		decoded := l.radio.Decodable(lk, l.rng)
 		if l.linkFault != nil {
@@ -458,7 +499,7 @@ func (l *Layer) transmit(from int32, st *nodeState, f Frame) {
 	// ran contiguously anyway — collapsing it into a single event preserves
 	// the exact upcall order while cutting K event-queue operations per
 	// frame.
-	l.eng.After(airtime, st.finishTxFn)
+	l.eng.AfterCall(airtime, l.finishTxH, from)
 }
 
 // finishTx runs at the sender when its transmission's airtime ends:
@@ -504,7 +545,10 @@ func (l *Layer) finishTx(from int32) {
 			st.txUnicastIdx = -1
 		}
 	}
-	st.txRecs = st.txRecs[:0]
+	if cap(st.txRecs) > 0 {
+		l.recFree = append(l.recFree, st.txRecs[:0])
+	}
+	st.txRecs = nil
 	if f.To != Broadcast && !st.txUnicastOK {
 		if f.attempts < l.cfg.linkRetries() {
 			retry := f
@@ -525,7 +569,7 @@ func (l *Layer) finishTx(from int32) {
 		st.sending = false
 		return
 	}
-	l.scheduleAttempt(st)
+	l.scheduleAttempt(from)
 }
 
 // DigestInto folds the MAC's checkpoint-relevant state into d: for every

@@ -31,9 +31,7 @@ func (w *World) needsBeacons() bool {
 // instead of clamping them all onto the join tick's timestamp.
 func (w *World) startBeacon(n *node) {
 	phase := n.random().Float64() * beaconInterval
-	w.eng.Ticker(w.eng.Now()+phase, beaconInterval, 0.1, n.random(), func() {
-		w.sendBeacon(n)
-	})
+	w.eng.Ticker(w.eng.Now()+phase, beaconInterval, 0.1, n.random(), w.beaconH, int32(n.id))
 }
 
 // sendBeacon broadcasts a HELLO for node n. Beacon packets (and their

@@ -149,7 +149,9 @@ func (a *API) After(d float64, fn func()) sim.TimerID { return a.world.eng.After
 // periodic router job (a carry sweep, a table dump, an RSU buffer flush)
 // ever ends early.
 func (a *API) Every(first, period float64, fn func()) {
-	a.world.eng.Ticker(a.world.eng.Now()+first, period, 0, nil, fn)
+	w := a.world
+	w.every = append(w.every, fn)
+	w.eng.Ticker(w.eng.Now()+first, period, 0, nil, w.everyH, int32(len(w.every)-1))
 }
 
 // Cancel cancels a pending timer.

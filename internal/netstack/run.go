@@ -23,7 +23,7 @@ func (w *World) StartRun() {
 		return
 	}
 	w.started = true
-	w.eng.Ticker(0, tickInterval, 0, nil, w.step)
+	w.eng.Ticker(0, tickInterval, 0, nil, w.stepH, 0)
 	// per-node beaconing with phase jitter
 	w.beaconing = w.needsBeacons()
 	if w.beaconing {
@@ -31,7 +31,7 @@ func (w *World) StartRun() {
 			w.startBeacon(n)
 		}
 	}
-	w.eng.Ticker(0, locationStaleness, 0, nil, w.refreshLocations)
+	w.eng.Ticker(0, locationStaleness, 0, nil, w.locationsH, 0)
 }
 
 // AdvanceTo runs the engine until the simulation clock reaches t (events

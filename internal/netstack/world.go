@@ -130,6 +130,13 @@ type World struct {
 	// it again.
 	extStreams []namedStream
 	started    bool
+
+	// The world's periodic work as engine handlers, registered once in
+	// NewWorld: the mobility tick and the location refresh (argument
+	// unused), a node's beacon (argument: the node ID), and API.Every's
+	// jobs (argument: the index into every).
+	stepH, locationsH, beaconH, everyH sim.Handler
+	every                              []func()
 }
 
 // NewWorld builds a world over the given mobility model. Call one of the
@@ -161,6 +168,10 @@ func NewWorld(cfg Config, model mobility.Model) *World {
 	w.links = radio.NewCache(w.grid, ch)
 	w.mac = mac.NewLayer(w.eng, w.links, mac.Config{}, w.col, w.dispatch, w.txFailed)
 	w.mac.OnFrameDone(w.frameDone)
+	w.stepH = w.eng.Handle(func(int32) { w.step() })
+	w.locationsH = w.eng.Handle(func(int32) { w.refreshLocations() })
+	w.beaconH = w.eng.Handle(func(id int32) { w.sendBeacon(w.nodes[id]) })
+	w.everyH = w.eng.Handle(func(i int32) { w.every[i]() })
 	return w
 }
 

@@ -7,6 +7,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync/atomic"
 
@@ -21,6 +22,25 @@ var ErrInterrupted = errors.New("sim: engine interrupted")
 
 // TimerID identifies a scheduled callback so it can be cancelled.
 type TimerID = eventq.ID
+
+// Handler names a func(int32) registered once with Handle. AtCall,
+// AfterCall and Ticker schedule it against an argument — a node index, in
+// practice — so per-node events need no closure per node.
+type Handler uint16
+
+// tickH is the engine's own handler behind every Ticker; Handle hands out
+// the indices after it. Index 0 marks a closure event in the queue.
+const tickH Handler = 1
+
+// ticker is one periodic job of Ticker: the handler and argument it runs,
+// and how the next period is drawn.
+type ticker struct {
+	h        Handler
+	arg      int32
+	interval float64
+	jitter   float64
+	rng      *rand.Rand
+}
 
 // Engine is the discrete-event simulator core. It is single-threaded by
 // design: all callbacks run on the goroutine that called Run, which removes
@@ -37,6 +57,11 @@ type Engine struct {
 	// stream serializes as (seed, draw position).
 	streams []*prng.Source
 	events  uint64
+	// handlers is indexed by Handler: nil at 0 (closure events), the
+	// engine's tick at tickH, then every registration in order. tickers is
+	// the slab of Ticker jobs, indexed by the argument of their tick events.
+	handlers []func(int32)
+	tickers  []ticker
 	// interrupted is the only cross-goroutine signal into the engine: a
 	// watchdog (the runner's per-run timeout) may flip it while Run is
 	// executing events on another goroutine. It is sticky — once set, Run
@@ -47,7 +72,20 @@ type Engine struct {
 // NewEngine returns an engine whose random streams derive from seed.
 func NewEngine(seed int64) *Engine {
 	src := prng.New(seed)
-	return &Engine{root: rand.New(src), rootSrc: src}
+	e := &Engine{root: rand.New(src), rootSrc: src}
+	e.handlers = []func(int32){nil, e.tick}
+	return e
+}
+
+// Handle registers fn for the life of the engine and returns the handler
+// that schedules it. Register once, at construction: each call keeps fn
+// for good.
+func (e *Engine) Handle(fn func(int32)) Handler {
+	if len(e.handlers) > math.MaxUint16 {
+		panic("sim: more than 65535 handlers registered")
+	}
+	e.handlers = append(e.handlers, fn)
+	return Handler(len(e.handlers) - 1)
 }
 
 // Now returns the current simulation time in seconds.
@@ -127,6 +165,23 @@ func (e *Engine) After(d float64, fn func()) TimerID {
 	return e.q.Schedule(e.now+d, fn)
 }
 
+// AtCall schedules handler h with argument arg at absolute time at,
+// clamped to now like At.
+func (e *Engine) AtCall(at float64, h Handler, arg int32) TimerID {
+	if at < e.now {
+		at = e.now
+	}
+	return e.q.ScheduleCall(at, uint16(h), arg)
+}
+
+// AfterCall schedules handler h with argument arg d seconds from now.
+func (e *Engine) AfterCall(d float64, h Handler, arg int32) TimerID {
+	if d < 0 {
+		d = 0
+	}
+	return e.q.ScheduleCall(e.now+d, uint16(h), arg)
+}
+
 // Cancel removes a pending timer. It reports whether a pending event was
 // actually cancelled.
 func (e *Engine) Cancel(id TimerID) bool { return e.q.Cancel(id) }
@@ -152,28 +207,38 @@ func (e *Engine) Run(until float64) error {
 			e.now = until
 			return nil
 		}
-		_, fn, _ := e.q.Pop()
+		_, fn, h, arg, _ := e.q.PopCall()
 		e.now = at
 		e.events++
-		fn()
+		if h == 0 {
+			fn()
+		} else {
+			e.handlers[h](arg)
+		}
 	}
 }
 
-// Ticker invokes fn at start and then every interval seconds for the rest
-// of the run, rescheduling each period at now + interval once fn returns.
-// A jitter fraction in [0,1) randomises each period by ±jitter/2·interval
-// to avoid global phase locking (real beacon implementations do the same).
-// No periodic job of the simulator ends early, so there is no stop handle.
-func (e *Engine) Ticker(start, interval, jitter float64, rng *rand.Rand, fn func()) {
-	// One closure rescheduling itself keeps periodic work allocation-free.
-	var tick func()
-	tick = func() {
-		fn()
-		next := e.now + interval
-		if jitter > 0 && rng != nil {
-			next += interval * jitter * (rng.Float64() - 0.5)
-		}
-		e.At(next, tick)
+// Ticker runs handler h with argument arg at start and then every interval
+// seconds for the rest of the run, rescheduling each period at now +
+// interval once the handler returns. A jitter fraction in [0,1) randomises
+// each period by ±jitter/2·interval to avoid global phase locking (real
+// beacon implementations do the same). No periodic job of the simulator
+// ends early, so there is no stop handle. The job's settings go into the
+// engine's ticker slab, which grows by append; each period is one handler
+// event, so a running ticker allocates nothing.
+func (e *Engine) Ticker(start, interval, jitter float64, rng *rand.Rand, h Handler, arg int32) {
+	e.tickers = append(e.tickers, ticker{h: h, arg: arg, interval: interval, jitter: jitter, rng: rng})
+	e.AtCall(start, tickH, int32(len(e.tickers)-1))
+}
+
+// tick is one period of ticker i. The job is copied out first: the handler
+// may start another ticker and move the slab.
+func (e *Engine) tick(i int32) {
+	t := e.tickers[i]
+	e.handlers[t.h](t.arg)
+	next := e.now + t.interval
+	if t.jitter > 0 && t.rng != nil {
+		next += t.interval * t.jitter * (t.rng.Float64() - 0.5)
 	}
-	e.At(start, tick)
+	e.AtCall(next, tickH, i)
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -121,7 +123,8 @@ func TestRandStreamsIndependent(t *testing.T) {
 func TestTicker(t *testing.T) {
 	e := NewEngine(1)
 	var at []float64
-	e.Ticker(1, 2, 0, nil, func() { at = append(at, e.Now()) })
+	h := e.Handle(func(int32) { at = append(at, e.Now()) })
+	e.Ticker(1, 2, 0, nil, h, 0)
 	if err := e.Run(9); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +143,7 @@ func TestTickerJitterStaysPeriodicOnAverage(t *testing.T) {
 	e := NewEngine(3)
 	rng := e.Rand()
 	count := 0
-	e.Ticker(0, 1, 0.5, rng, func() { count++ })
+	e.Ticker(0, 1, 0.5, rng, e.Handle(func(int32) { count++ }), 0)
 	if err := e.Run(1000); err != nil {
 		t.Fatal(err)
 	}
@@ -164,5 +167,86 @@ func TestEventCountAndPending(t *testing.T) {
 	}
 	if e.Pending() != 0 {
 		t.Fatalf("pending after run = %d", e.Pending())
+	}
+}
+
+// Handler events and closure events share one (time, scheduling order):
+// same-instant events fire FIFO whichever kind they are, and each handler
+// gets the argument it was scheduled with.
+func TestHandlerEventsInterleaveWithClosures(t *testing.T) {
+	e := NewEngine(1)
+	var got []int32
+	h := e.Handle(func(arg int32) { got = append(got, arg) })
+	e.AfterCall(1, h, 10)
+	e.After(1, func() { got = append(got, -1) })
+	e.AtCall(1, h, 11)
+	e.AtCall(0.5, h, 5)
+	e.After(2, func() { e.AfterCall(-1, h, 20) }) // negative delay clamps to now
+	if err := e.Run(3); err != nil {
+		t.Fatal(err)
+	}
+	want := []int32{5, 10, -1, 11, 20}
+	if !slices.Equal(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+}
+
+// A ticker's handler may start another ticker, which grows the slab under
+// the running one; each keeps its own argument and period.
+func TestTickerStartedFromATicker(t *testing.T) {
+	e := NewEngine(1)
+	var got []string
+	var h Handler
+	h = e.Handle(func(arg int32) {
+		got = append(got, fmt.Sprintf("%g:%d", e.Now(), arg))
+		if arg == 0 && e.Now() == 0 {
+			e.Ticker(0.5, 10, 0, nil, h, 1)
+			e.Ticker(0.25, 10, 0, nil, h, 2)
+		}
+	})
+	e.Ticker(0, 10, 0, nil, h, 0)
+	if err := e.Run(11); err != nil {
+		t.Fatal(err)
+	}
+	want := "[0:0 0.25:2 0.5:1 10:0 10.25:2 10.5:1]"
+	if fmt.Sprint(got) != want {
+		t.Fatalf("ticks %v, want %v", got, want)
+	}
+}
+
+// Handler events are what makes per-node timers cheap: once the queue's
+// slab has grown, AfterCall, AtCall and every period of a running Ticker
+// schedule without allocating.
+func TestHandlerEventsAllocFree(t *testing.T) {
+	e := NewEngine(1)
+	fired := 0
+	h := e.Handle(func(int32) { fired++ })
+	for i := int32(0); i < 64; i++ {
+		e.Ticker(float64(i)/64, 1, 0.1, e.Rand(), h, i)
+	}
+	until := 10.0
+	if err := e.Run(until); err != nil { // warm-up: the slab and the tickers settle
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		until++
+		if err := e.Run(until); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Fatalf("a running Ticker allocates %.1f objects per sim-s, want 0", a)
+	}
+	if a := testing.AllocsPerRun(1000, func() {
+		e.AfterCall(0.25, h, 1)
+		e.AtCall(until+0.5, h, 2)
+		until++
+		if err := e.Run(until); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Fatalf("AfterCall+AtCall allocate %.1f objects per event, want 0", a)
+	}
+	if fired == 0 {
+		t.Fatal("no handler event fired")
 	}
 }
