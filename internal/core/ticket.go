@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"github.com/vanetlab/relroute/internal/geom"
-	"github.com/vanetlab/relroute/internal/link"
 	"github.com/vanetlab/relroute/internal/netstack"
 	"github.com/vanetlab/relroute/internal/routing"
 )
@@ -127,7 +126,8 @@ func NewTicketRouter(opts ...TicketOption) netstack.RouterFactory {
 		for _, o := range opts {
 			o(r)
 		}
-		r.Init(1.0, r.routed, r.forward, r.sendProbes)
+		// a renewal re-probes from scratch: the old path is dropped
+		r.Init(1.0, r.routed, r.forward, r.sendProbes, func(dst netstack.NodeID) { delete(r.paths, dst) })
 		r.sel = routing.NewSelection(selectionWindow, r.answer)
 		return r
 	}
@@ -454,14 +454,7 @@ func (r *TicketRouter) handleReply(pkt *netstack.Packet) {
 		r.API.Metrics().OnPathLifetime(routing.CapLife(stab))
 		r.Answered(rep.Target)
 		// stability-driven preemptive rebuild
-		if stab != link.Forever {
-			target := rep.Target
-			r.API.After(math.Max(routing.CapLife(stab)-rebuildMargin, 0.1), func() {
-				if r.Renew(target) {
-					delete(r.paths, target)
-				}
-			})
-		}
+		r.RenewBefore(rep.Target, stab, rebuildMargin)
 		return
 	}
 	routing.RelayBack(r.API, pkt, rep.Path, idx)

@@ -82,25 +82,17 @@ func (r *Router) route(pkt *netstack.Packet) routing.Hop {
 		return ay
 	}
 	myCellD := cellDist(cx, cy)
-	advance := func(nb netstack.Neighbor) int { return myCellD - cellDist(r.cellOf(nb.Pos)) }
 	// raw snapshot: linkReliability reads only the observed position and
 	// velocity, so paying the estimator derivation per packet would buy
 	// nothing
 	var buf [routing.NeighborBuf]netstack.Neighbor
-	nbs := r.API.AppendNeighbors(buf[:0])
-	most := 0 // the cell walk must advance
-	for _, nb := range nbs {
-		most = max(most, advance(nb))
-	}
 	best := netstack.Broadcast
 	bestScore := -1.0
-	for _, nb := range nbs {
-		// A score is 10 per cell advanced plus a probability, which is
-		// never NaN and at most 1: only a neighbor at the best advance can
-		// win, so only those are scored, in table order, the first of
-		// equal scores winning.
-		if a := advance(nb); a == most && a > 0 {
-			// prefer fewer remaining cells, then reliability
+	for _, nb := range r.API.AppendNeighbors(buf[:0]) {
+		// the cell walk must advance; fewer remaining cells win, then
+		// reliability, a probability of at most 1, and the first of equal
+		// scores
+		if a := myCellD - cellDist(r.cellOf(nb.Pos)); a > 0 {
 			if score := float64(a)*10 + r.linkReliability(nb); score > bestScore {
 				bestScore = score
 				best = nb.ID

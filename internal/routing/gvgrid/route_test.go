@@ -10,11 +10,10 @@ import (
 	"github.com/vanetlab/relroute/internal/routing/routetest"
 )
 
-// scoreEveryNeighbor is route as it was before it integrated only the
-// neighbors at the best cell advance: every neighbor that advances the
-// walk is scored 10 per cell plus its reliability, the first best wins.
-// integrals counts the reliabilities it computes.
-func scoreEveryNeighbor(r *Router, pkt *netstack.Packet, integrals *int) routing.Hop {
+// scoreEveryNeighbor is route written out from the protocol's rule: every
+// neighbor that advances the walk is scored 10 per cell plus its
+// reliability, the first best wins.
+func scoreEveryNeighbor(r *Router, pkt *netstack.Packet) routing.Hop {
 	if r.API.HasNeighbor(pkt.Dst) {
 		return routing.Forward(pkt.Dst)
 	}
@@ -31,7 +30,6 @@ func scoreEveryNeighbor(r *Router, pkt *netstack.Packet, integrals *int) routing
 		if cd >= myCellD {
 			continue
 		}
-		*integrals++
 		if score := float64(myCellD-cd)*10 + r.linkReliability(nb); score > bestScore {
 			bestScore, best = score, nb.ID
 		}
@@ -50,7 +48,7 @@ func scoreEveryNeighbor(r *Router, pkt *netstack.Packet, integrals *int) routing
 // often the more reliable.
 func TestRouteMatchesScoringEveryNeighbor(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	var asked, forwards, integrals, refIntegrals int
+	var asked, forwards int
 	for world := 0; world < 24; world++ {
 		vehicles := make([]routetest.Vehicle, 15+rng.Intn(20))
 		for i := range vehicles {
@@ -76,7 +74,7 @@ func TestRouteMatchesScoringEveryNeighbor(t *testing.T) {
 					continue
 				}
 				pkt := &netstack.Packet{Dst: dst}
-				want := scoreEveryNeighbor(r, pkt, &refIntegrals)
+				want := scoreEveryNeighbor(r, pkt)
 				got := r.route(pkt)
 				if got != want {
 					t.Fatalf("world %d: node %d to %d: route %+v, scoring every neighbor %+v", world, ids[i], dst, got, want)
@@ -85,33 +83,11 @@ func TestRouteMatchesScoringEveryNeighbor(t *testing.T) {
 				if got != routing.Carry() && got != routing.Drop() && got != routing.Forward(dst) {
 					forwards++
 				}
-				integrals += countAtBestAdvance(r, dst)
 			}
 		}
 	}
 	if forwards < asked/4 {
 		t.Fatalf("only %d of %d asks chose a relay: the worlds test little", forwards, asked)
 	}
-	t.Logf("%d asks, %d relayed: %d reliabilities integrated, %d scoring every neighbor", asked, forwards, integrals, refIntegrals)
-}
-
-// countAtBestAdvance is how many neighbors route integrates for dst.
-func countAtBestAdvance(r *Router, dst netstack.NodeID) int {
-	dstPos, _, ok := r.API.LookupPosition(dst)
-	if !ok || r.API.HasNeighbor(dst) {
-		return 0
-	}
-	dx, dy := r.cellOf(dstPos)
-	cellDist := func(x, y int) int { return max(x-dx, dx-x, y-dy, dy-y) }
-	my := cellDist(r.cellOf(r.API.Pos()))
-	most, n := 0, 0
-	for _, nb := range r.API.AppendNeighbors(nil) {
-		switch a := my - cellDist(r.cellOf(nb.Pos)); {
-		case a > most:
-			most, n = a, 1
-		case a == most && a > 0:
-			n++
-		}
-	}
-	return n
+	t.Logf("%d asks, %d relayed", asked, forwards)
 }

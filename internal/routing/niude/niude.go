@@ -103,9 +103,10 @@ func (r *Router) HandlePacket(pkt *netstack.Packet) {
 	case netstack.KindRREP:
 		if target, reliability, ok := r.HandleReply(pkt, r.route); ok {
 			r.API.Metrics().OnPathLifetime(horizon * math.Max(reliability, 0.01))
-			// proactive maintenance: rebuild before the reliability horizon
-			// elapses ("the route will be rebuilt before the link breaks")
-			r.API.After(math.Max(horizon-1, 0.5), func() { r.Renew(target) })
+			// proactive maintenance: rebuild a second before the reliability
+			// horizon elapses ("the route will be rebuilt before the link
+			// breaks")
+			r.RenewBefore(target, horizon, 1)
 		}
 	case netstack.KindData:
 		r.HandleData(pkt)
@@ -117,36 +118,23 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	if !ok || req.Origin == r.API.Self() {
 		return
 	}
-	// the read counts in the link table's memo statistics, which the world
-	// digest holds, so it is made for every copy
-	ls, okLs := r.API.LinkState(pkt.From)
-	target := req.Target == r.API.Self()
-	// A relay never forwards a duplicate, and a reverse route with more hops
-	// than a valid one the table holds never replaces it: such a copy
-	// changes nothing, so its link's survival is not computed.
-	dup := !target && r.Duplicate(req.Origin, req.ReqID)
-	if dup && r.HoldsShorter(req.Origin, pkt.Hops) {
-		return
-	}
 	// fold in the link just traversed
 	avail := 0.0
-	if okLs {
+	if ls, okLs := r.API.LinkState(pkt.From); okLs {
 		avail = r.linkAvailability(ls)
 	}
 	reliability := req.Reliability * avail
 	delay := req.Delay + r.hopDelay()
 	// reverse route: keep the most reliable, loop-free by hop monotonicity
 	r.MergeReverse(r.route(req.Origin, pkt.From, pkt.Hops, reliability))
-	if target {
+	if req.Target == r.API.Self() {
 		r.sel.Offer(r.API, routing.DupKey{Origin: req.Origin, Seq: req.ReqID}, admit(delay, reliability),
 			routing.Candidate{From: pkt.From, Hops: pkt.Hops, Metric: reliability})
 		return
 	}
-	if dup {
-		return
-	}
-	// relays with zero availability in would only poison the product
-	if reliability <= 0 {
+	// relays forward the first copy only, and one with zero availability
+	// in would only poison the product
+	if r.Duplicate(req.Origin, req.ReqID) || reliability <= 0 {
 		return
 	}
 	cp := req

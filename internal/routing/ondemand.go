@@ -1,6 +1,11 @@
 package routing
 
-import "github.com/vanetlab/relroute/internal/netstack"
+import (
+	"math"
+
+	"github.com/vanetlab/relroute/internal/link"
+	"github.com/vanetlab/relroute/internal/netstack"
+)
 
 // Discovery is the source half every on-demand protocol shares, embedded
 // the way netstack.Base is: data for a destination without a route waits
@@ -20,6 +25,7 @@ type Discovery struct {
 	routed  func(dst netstack.NodeID) bool
 	forward func(pkt *netstack.Packet)
 	request func(dst netstack.NodeID, reqID uint64) bool
+	renewed func(dst netstack.NodeID)
 }
 
 // Init binds the protocol half. routed reports whether data for dst can
@@ -27,13 +33,15 @@ type Discovery struct {
 // a packet whose destination routed just accepted; request sends one
 // discovery round for dst under the given request number and reports false
 // when there was nobody to ask, which ends the discovery at once. A silent
-// round is repeated timeout seconds later.
+// round is repeated timeout seconds later. renewed, if not nil, runs after
+// each renewal RenewBefore armed that found the route still in use.
 func (d *Discovery) Init(timeout float64, routed func(netstack.NodeID) bool,
-	forward func(*netstack.Packet), request func(netstack.NodeID, uint64) bool) {
+	forward func(*netstack.Packet), request func(netstack.NodeID, uint64) bool,
+	renewed func(netstack.NodeID)) {
 	d.pending = NewPendingQueue()
 	d.trying = make(map[netstack.NodeID]int)
 	d.timeout = timeout
-	d.routed, d.forward, d.request = routed, forward, request
+	d.routed, d.forward, d.request, d.renewed = routed, forward, request, renewed
 }
 
 // Control builds a control packet of the given kind from this node.
@@ -112,16 +120,30 @@ func (d *Discovery) giveUp(dst netstack.NodeID) {
 	}
 }
 
-// Renew starts a discovery for dst ahead of a predicted route break while
+// RenewBefore is the route maintenance of the protocols that predict how
+// long a route lives: margin seconds before a route to dst predicted to
+// live life seconds — capped as its table entry is (CapLife) — runs out,
+// but no sooner than 0.1 s from now, it renews the route. A route that
+// never breaks (link.Forever) is never renewed.
+func (d *Discovery) RenewBefore(dst netstack.NodeID, life, margin float64) {
+	if life == link.Forever {
+		return
+	}
+	d.API.After(math.Max(CapLife(life)-margin, 0.1), func() { d.renew(dst) })
+}
+
+// renew starts a discovery for dst ahead of a predicted route break while
 // the route is still in use — data can leave on it or waits for it —
-// counting a route repair, and reports whether it did.
-func (d *Discovery) Renew(dst netstack.NodeID) bool {
+// counting a route repair and then running the protocol's renewed hook.
+func (d *Discovery) renew(dst netstack.NodeID) {
 	if !d.routed(dst) && !d.Waiting(dst) {
-		return false
+		return
 	}
 	d.API.Metrics().RouteRepairs++
 	d.Start(dst)
-	return true
+	if d.renewed != nil {
+		d.renewed(dst)
+	}
 }
 
 // Answered ends the discovery for dst and releases its queue onto the
@@ -165,7 +187,8 @@ func (d *Discovery) Stranded() int {
 // handling. A protocol embeds it and keeps what the survey says
 // distinguishes it: its request payload, the link metric it folds into the
 // RREQ at each hop, how the destination chooses, the route a reply
-// installs, any relay delay, and when it renews a route (Renew).
+// installs, any relay delay, and how long before a predicted break it
+// renews a route (RenewBefore).
 type OnDemand struct {
 	Discovery
 	table *Table
@@ -177,7 +200,7 @@ type OnDemand struct {
 // (Control does most of it) the RREQ to flood for dst.
 func (c *OnDemand) Init(timeout float64, rreq func(netstack.NodeID, uint64) *netstack.Packet) {
 	c.table, c.dup, c.rreq = NewTable(), NewDupCache(15), rreq
-	c.Discovery.Init(timeout, c.routed, c.forward, c.flood)
+	c.Discovery.Init(timeout, c.routed, c.forward, c.flood, nil)
 }
 
 // Table exposes the route table.
@@ -246,25 +269,15 @@ func (c *OnDemand) Relay(pkt *netstack.Packet, dst netstack.NodeID) {
 }
 
 // MergeReverse installs a reverse route learned from an RREQ copy unless
-// the table holds a better one: fewer hops win (HoldsShorter), and among
-// equal hop counts the longer Lifetime. Never accepting more hops keeps the
-// reverse forwarding graph loop-free.
+// the table holds a better valid one: fewer hops win, and among equal hop
+// counts the longer Lifetime. Never accepting more hops keeps the reverse
+// forwarding graph loop-free.
 func (c *OnDemand) MergeReverse(nr Route) {
-	if c.HoldsShorter(nr.Dst, nr.Hops) {
-		return
-	}
-	if cur, ok := c.table.Get(nr.Dst); ok && cur.Valid && cur.Hops == nr.Hops && !(nr.Lifetime > cur.Lifetime) {
+	if cur, ok := c.table.Get(nr.Dst); ok && cur.Valid &&
+		(cur.Hops < nr.Hops || cur.Hops == nr.Hops && !(nr.Lifetime > cur.Lifetime)) {
 		return
 	}
 	c.table.Upsert(nr)
-}
-
-// HoldsShorter reports whether the table holds a valid route to dst with
-// fewer hops than hops: MergeReverse never replaces it with a route of hops
-// hops, whatever that route's Lifetime, so a caller may skip computing one.
-func (c *OnDemand) HoldsShorter(dst netstack.NodeID, hops int) bool {
-	cur, ok := c.table.Get(dst)
-	return ok && cur.Valid && cur.Hops < hops
 }
 
 // OnNeighborExpired implements netstack.Router: losing a neighbor breaks

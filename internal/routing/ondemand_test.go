@@ -7,6 +7,7 @@ import (
 
 	"github.com/vanetlab/relroute/internal/core"
 	"github.com/vanetlab/relroute/internal/geom"
+	"github.com/vanetlab/relroute/internal/link"
 	"github.com/vanetlab/relroute/internal/mobility"
 	"github.com/vanetlab/relroute/internal/netstack"
 	"github.com/vanetlab/relroute/internal/routing"
@@ -36,7 +37,6 @@ type onDemand interface {
 	netstack.Router
 	Table() *routing.Table
 	MergeReverse(routing.Route)
-	HoldsShorter(netstack.NodeID, int) bool
 }
 
 // capture wraps a factory so the test can reach the routers a world built.
@@ -169,18 +169,16 @@ func TestWorseReverseRouteNeverReplacesBetter(t *testing.T) {
 	}
 }
 
-// TestHoldsShorterIsMergeReverseHopRule draws table states — no entry, an
-// invalid one, a valid one — and reverse routes of hop counts within one of
-// the entry's and lifetimes including NaN and ±Inf. Whenever HoldsShorter
-// says the route cannot replace the table's, MergeReverse must leave the
-// entry as it is; otherwise it replaces it exactly when the rule it
-// documents says so.
-func TestHoldsShorterIsMergeReverseHopRule(t *testing.T) {
+// TestMergeReverseFollowsHopRule draws table states — no entry, an invalid
+// one, a valid one — and reverse routes of hop counts within one of the
+// entry's and lifetimes including NaN and ±Inf. MergeReverse must replace
+// the entry exactly when the rule it documents says so.
+func TestMergeReverseFollowsHopRule(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	lifetimes := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 0, 5, 10, 99}
 	life := func() float64 { return lifetimes[rng.Intn(len(lifetimes))] }
 	r := aodv.New()().(onDemand)
-	var kept int
+	var fewer int
 	for i := 0; i < 20000; i++ {
 		dst := netstack.NodeID(i) // a fresh entry each draw
 		hops := 1 + rng.Intn(4)
@@ -188,24 +186,83 @@ func TestHoldsShorterIsMergeReverseHopRule(t *testing.T) {
 			r.Table().Upsert(routing.Route{Dst: dst, NextHop: 1, Hops: hops, Lifetime: life(), Valid: state == 2})
 		}
 		cur, had := r.Table().Get(dst)
+		var before routing.Route
+		if had {
+			before = *cur
+		}
 		nr := routing.Route{Dst: dst, NextHop: 2, Hops: max(hops+rng.Intn(3)-1, 0), Lifetime: life(), Valid: true}
-		shorter := r.HoldsShorter(dst, nr.Hops)
 		r.MergeReverse(nr)
 		after, _ := r.Table().Get(dst)
-		replace := !had || !cur.Valid || nr.Hops < cur.Hops || nr.Hops == cur.Hops && nr.Lifetime > cur.Lifetime
-		switch {
-		case shorter && after != cur:
-			t.Fatalf("draw %d: HoldsShorter(%d) over %+v, yet MergeReverse installed %+v", i, nr.Hops, *cur, *after)
-		case replace != (after.NextHop == nr.NextHop):
-			t.Fatalf("draw %d: table had %+v (%v); offered %+v; now %+v, want replaced = %v", i, cur, had, nr, *after, replace)
+		// the entry came via 1, the offer via 2
+		replace := !had || !before.Valid || nr.Hops < before.Hops || nr.Hops == before.Hops && nr.Lifetime > before.Lifetime
+		if replace != (after.NextHop == nr.NextHop) {
+			t.Fatalf("draw %d: table had %+v (%v); offered %+v; now %+v, want replaced = %v", i, before, had, nr, *after, replace)
 		}
-		if shorter {
-			kept++
+		if had && before.Valid && before.Hops < nr.Hops {
+			fewer++
 		}
 	}
-	if kept < 2000 {
-		t.Fatalf("HoldsShorter held on %d draws of 20000: the draws test little", kept)
+	if fewer < 2000 {
+		t.Fatalf("the table held fewer hops on %d draws of 20000: the draws test little", fewer)
 	}
+}
+
+// renewer is the smallest Discovery user: its route is a flag the test
+// sets, its request asks nobody, and it counts requests and renewed hooks.
+type renewer struct {
+	routing.Discovery
+	route          bool
+	asked, renewed int
+}
+
+func (r *renewer) HandlePacket(*netstack.Packet) {}
+
+// TestRenewBefore arms renewals on a route that is a flag: a route that
+// never breaks arms no timer, a life shorter than the margin renews 0.1 s
+// on, a long life is capped as a table entry is, and the renewed hook runs
+// only when the renewal found the route in use and started a discovery.
+func TestRenewBefore(t *testing.T) {
+	r := &renewer{}
+	r.Init(1, func(netstack.NodeID) bool { return r.route }, func(*netstack.Packet) {},
+		func(netstack.NodeID, uint64) bool { r.asked++; return true },
+		func(netstack.NodeID) { r.renewed++ })
+	built := 0
+	w, ids := routetest.World(t, 1, outOfReach(), func() netstack.Router {
+		if built++; built == 1 {
+			return r
+		}
+		return &renewer{}
+	})
+	w.StartRun()
+	c, dst := w.Collector(), ids[1]
+	step := func(at float64, repairs, asked, renewed int) {
+		t.Helper()
+		if err := w.AdvanceTo(at); err != nil {
+			t.Fatal(err)
+		}
+		if int(c.RouteRepairs) != repairs || r.asked != asked || r.renewed != renewed {
+			t.Fatalf("at %g s: %d repairs, %d requests, %d hooks; want %d, %d, %d",
+				at, c.RouteRepairs, r.asked, r.renewed, repairs, asked, renewed)
+		}
+	}
+	step(1, 0, 0, 0)
+	r.route = true
+	pending := w.Engine().Pending()
+	r.RenewBefore(dst, link.Forever, 1)
+	if w.Engine().Pending() != pending {
+		t.Fatal("a route that never breaks armed a renewal")
+	}
+	r.RenewBefore(dst, 0.05, 1) // at 1.1 s
+	step(1.099, 0, 0, 0)
+	step(1.101, 1, 1, 1)
+	step(2.2, 1, 1, 1)         // the route holds: the discovery ends at its deadline
+	r.RenewBefore(dst, 500, 1) // capped at 120 s: at 121.2 s
+	step(121.199, 1, 1, 1)
+	step(121.201, 2, 2, 2)
+	step(122.3, 2, 2, 2)
+	r.route = false
+	r.RenewBefore(dst, 2, 1) // at 123.3 s, no route and no data: nothing
+	step(130, 2, 2, 2)
 }
 
 // TestRenewStopsWhenRouteOutOfUse drives a destination away from its source

@@ -8,8 +8,6 @@
 package pbr
 
 import (
-	"math"
-
 	"github.com/vanetlab/relroute/internal/link"
 	"github.com/vanetlab/relroute/internal/netstack"
 	"github.com/vanetlab/relroute/internal/routing"
@@ -62,9 +60,7 @@ func (r *Router) HandlePacket(pkt *netstack.Packet) {
 		if target, lt, ok := r.HandleReply(pkt, r.LifetimeRoute); ok {
 			r.API.Metrics().OnPathLifetime(routing.CapLife(lt))
 			// Preemptive rebuild before predicted expiry: the PBR idea.
-			if lt != link.Forever {
-				r.API.After(math.Max(lt-rebuildMargin, 0.1), func() { r.Renew(target) })
-			}
+			r.RenewBefore(target, lt, rebuildMargin)
 		}
 	case netstack.KindData:
 		r.HandleData(pkt)

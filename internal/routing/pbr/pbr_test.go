@@ -76,3 +76,44 @@ func TestPreemptiveRebuildBeforeExpiry(t *testing.T) {
 		t.Fatal("no path-lifetime predictions recorded")
 	}
 }
+
+// TestRenewsCappedRouteBeforeItsEntryExpires runs a flow for 140 s to a
+// destination drifting away at 0.5 m/s from 50 m, so the path is predicted
+// to live for minutes. The route entry is held for 120 s at most, and the
+// renewal must come before that entry expires: each discovery after the
+// first is a renewal, never a rediscovery for data that found no route.
+func TestRenewsCappedRouteBeforeItsEntryExpires(t *testing.T) {
+	vehicles := []routetest.Vehicle{
+		{Pos: geom.V(0, 0)},
+		{Pos: geom.V(50, 0), Vel: geom.V(0.5, 0)},
+	}
+	var src *pbr.Router
+	factory := pbr.New()
+	w, ids := routetest.World(t, 1, vehicles, func() netstack.Router {
+		r := factory().(*pbr.Router)
+		if src == nil {
+			src = r
+		}
+		return r
+	})
+	w.AddFlow(ids[0], ids[1], 3, 1, 140, 256)
+	w.StartRun()
+	if err := w.AdvanceTo(5); err != nil {
+		t.Fatal(err)
+	}
+	rt, ok := src.Table().Get(ids[1])
+	if !ok || rt.Lifetime <= 121 {
+		t.Fatalf("route %+v (%v): want one predicted to live past 121 s", rt, ok)
+	}
+	if err := w.AdvanceTo(150); err != nil {
+		t.Fatal(err)
+	}
+	c := w.Collector()
+	if c.RouteRepairs == 0 || c.RouteDiscoveries != 1+c.RouteRepairs {
+		t.Errorf("%d discoveries, %d of them renewals: want the first discovery and renewals only",
+			c.RouteDiscoveries, c.RouteRepairs)
+	}
+	if c.DataDelivered != 140 {
+		t.Errorf("delivered %d of 140", c.DataDelivered)
+	}
+}

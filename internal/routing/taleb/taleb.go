@@ -66,9 +66,7 @@ func (r *Router) HandlePacket(pkt *netstack.Packet) {
 		if target, lt, ok := r.HandleReply(pkt, r.LifetimeRoute); ok {
 			r.API.Metrics().OnPathLifetime(routing.CapLife(lt))
 			// Re-discover prior to the shortest link duration elapsing.
-			if lt != link.Forever {
-				r.API.After(math.Max(routing.CapLife(lt)-0.8, 0.1), func() { r.Renew(target) })
-			}
+			r.RenewBefore(target, lt, 0.8)
 		}
 	case netstack.KindData:
 		r.HandleData(pkt)
