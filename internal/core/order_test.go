@@ -1,11 +1,14 @@
 package core
 
 import (
+	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"github.com/vanetlab/relroute/internal/geom"
 	"github.com/vanetlab/relroute/internal/netstack"
+	"github.com/vanetlab/relroute/internal/routing"
 	"github.com/vanetlab/relroute/internal/routing/routetest"
 )
 
@@ -38,10 +41,11 @@ func TestNeighborExpiryRediscoversInDestinationOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		// data waits for each destination while a route through the relay
-		// appears by other means: the discovery ends, the queue stays
+		// appears by other means, and the discovery is forgotten
 		for i := len(dsts) - 1; i >= 0; i-- {
 			src.Originate(dsts[i], 64)
 			src.paths[dsts[i]] = &activePath{hops: []netstack.NodeID{ids[0], relay, dsts[i]}}
+			forgetDiscovery(&src.Discovery, dsts[i])
 		}
 		if err := w.AdvanceTo(3.5); err != nil {
 			t.Fatal(err)
@@ -63,4 +67,14 @@ func TestNeighborExpiryRediscoversInDestinationOrder(t *testing.T) {
 			t.Fatalf("round %d: probing rounds started for %v, want ascending destination IDs %v", round, got, dsts)
 		}
 	}
+}
+
+// forgetDiscovery ends d's discovery for dst and leaves its queue: data
+// waits with no discovery in flight. Every way Discovery ends a discovery
+// also releases or drops the queue, so no run reaches this state; the test
+// writes it into the unexported in-flight map.
+func forgetDiscovery(d *routing.Discovery, dst netstack.NodeID) {
+	f := reflect.ValueOf(d).Elem().FieldByName("trying")
+	trying := reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+	trying.SetMapIndex(reflect.ValueOf(dst), reflect.Value{})
 }

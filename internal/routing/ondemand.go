@@ -101,7 +101,7 @@ func (d *Discovery) deadline(dst netstack.NodeID) {
 		return // answered
 	}
 	if d.routed(dst) {
-		delete(d.trying, dst)
+		d.Answered(dst)
 		return
 	}
 	if retries <= 0 {
@@ -165,9 +165,9 @@ func (d *Discovery) Answered(dst netstack.NodeID) {
 }
 
 // Stranded counts the destinations whose data waits with no discovery in
-// flight, so that no deadline will release or drop it: what a deadline
-// that finds a route and only forgets the discovery leaves behind. It
-// draws nothing.
+// flight, so that no deadline will release or drop it. Every way a
+// discovery ends releases or drops its queue, so it reads 0. It draws
+// nothing.
 func (d *Discovery) Stranded() int {
 	n := 0
 	for dst := range d.pending.byDst {
