@@ -126,7 +126,7 @@ func NewTicketRouter(opts ...TicketOption) netstack.RouterFactory {
 		for _, o := range opts {
 			o(r)
 		}
-		// a renewal re-probes from scratch: the old path is dropped
+		// a renewal probes anew, so the old path is dropped
 		r.Init(1.0, r.routed, r.forward, r.sendProbes, func(dst netstack.NodeID) { delete(r.paths, dst) })
 		r.sel = routing.NewSelection(selectionWindow, r.answer)
 		return r
