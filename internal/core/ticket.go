@@ -126,8 +126,7 @@ func NewTicketRouter(opts ...TicketOption) netstack.RouterFactory {
 		for _, o := range opts {
 			o(r)
 		}
-		// a renewal probes anew, so the old path is dropped
-		r.Init(1.0, r.routed, r.forward, r.sendProbes, func(dst netstack.NodeID) { delete(r.paths, dst) })
+		r.Init(1.0, r.routed, r.forward, r.sendProbes)
 		r.sel = routing.NewSelection(selectionWindow, r.answer)
 		return r
 	}
@@ -146,8 +145,10 @@ func (r *TicketRouter) forward(pkt *netstack.Packet) {
 // sendProbes performs the source's ticket split: rank neighbors by link
 // stability (filtered by the threshold and, when the destination position
 // is known, by forward progress), then distribute the L tickets over the
-// best L candidates.
+// best L candidates. A round starts while a path is held only when a
+// renewal starts it, and a renewal probes anew, so the old path is dropped.
 func (r *TicketRouter) sendProbes(dst netstack.NodeID, reqID uint64) bool {
+	delete(r.paths, dst)
 	cands := r.candidates(dst, []netstack.NodeID{r.API.Self()}, r.tickets)
 	if len(cands) == 0 {
 		return false

@@ -48,7 +48,7 @@ func New() netstack.RouterFactory {
 			cache: make(map[netstack.NodeID][]netstack.NodeID),
 			dup:   routing.NewDupCache(15),
 		}
-		r.Init(1.0, r.routed, r.forward, r.request, nil)
+		r.Init(1.0, r.routed, r.forward, r.request)
 		return r
 	}
 }

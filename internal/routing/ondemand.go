@@ -25,7 +25,6 @@ type Discovery struct {
 	routed  func(dst netstack.NodeID) bool
 	forward func(pkt *netstack.Packet)
 	request func(dst netstack.NodeID, reqID uint64) bool
-	renewed func(dst netstack.NodeID)
 }
 
 // Init binds the protocol half. routed reports whether data for dst can
@@ -33,15 +32,13 @@ type Discovery struct {
 // a packet whose destination routed just accepted; request sends one
 // discovery round for dst under the given request number and reports false
 // when there was nobody to ask, which ends the discovery at once. A silent
-// round is repeated timeout seconds later. renewed, if not nil, runs after
-// each renewal RenewBefore armed that found the route still in use.
+// round is repeated timeout seconds later.
 func (d *Discovery) Init(timeout float64, routed func(netstack.NodeID) bool,
-	forward func(*netstack.Packet), request func(netstack.NodeID, uint64) bool,
-	renewed func(netstack.NodeID)) {
+	forward func(*netstack.Packet), request func(netstack.NodeID, uint64) bool) {
 	d.pending = NewPendingQueue()
 	d.trying = make(map[netstack.NodeID]int)
 	d.timeout = timeout
-	d.routed, d.forward, d.request, d.renewed = routed, forward, request, renewed
+	d.routed, d.forward, d.request = routed, forward, request
 }
 
 // Control builds a control packet of the given kind from this node.
@@ -134,16 +131,13 @@ func (d *Discovery) RenewBefore(dst netstack.NodeID, life, margin float64) {
 
 // renew starts a discovery for dst ahead of a predicted route break while
 // the route is still in use — data can leave on it or waits for it —
-// counting a route repair and then running the protocol's renewed hook.
+// counting a route repair.
 func (d *Discovery) renew(dst netstack.NodeID) {
 	if !d.routed(dst) && !d.Waiting(dst) {
 		return
 	}
 	d.API.Metrics().RouteRepairs++
 	d.Start(dst)
-	if d.renewed != nil {
-		d.renewed(dst)
-	}
 }
 
 // Answered ends the discovery for dst and releases its queue onto the
@@ -200,7 +194,7 @@ type OnDemand struct {
 // (Control does most of it) the RREQ to flood for dst.
 func (c *OnDemand) Init(timeout float64, rreq func(netstack.NodeID, uint64) *netstack.Packet) {
 	c.table, c.dup, c.rreq = NewTable(), NewDupCache(15), rreq
-	c.Discovery.Init(timeout, c.routed, c.forward, c.flood, nil)
+	c.Discovery.Init(timeout, c.routed, c.forward, c.flood)
 }
 
 // Table exposes the route table.

@@ -208,24 +208,31 @@ func TestMergeReverseFollowsHopRule(t *testing.T) {
 }
 
 // renewer is the smallest Discovery user: its route is a flag the test
-// sets, its request asks nobody, and it counts requests and renewed hooks.
+// sets, its request asks nobody, and it counts requests.
 type renewer struct {
 	routing.Discovery
-	route          bool
-	asked, renewed int
+	route bool
+	asked int
 }
 
 func (r *renewer) HandlePacket(*netstack.Packet) {}
 
 // TestRenewBefore arms renewals on a route that is a flag: a route that
 // never breaks arms no timer, a life shorter than the margin renews 0.1 s
-// on, a long life is capped as a table entry is, and the renewed hook runs
-// only when the renewal found the route in use and started a discovery.
+// on, a long life is capped as a table entry is, and a renewal counts a
+// repair and sends a request for its destination only when it found the
+// route in use.
 func TestRenewBefore(t *testing.T) {
 	r := &renewer{}
+	var dst netstack.NodeID
 	r.Init(1, func(netstack.NodeID) bool { return r.route }, func(*netstack.Packet) {},
-		func(netstack.NodeID, uint64) bool { r.asked++; return true },
-		func(netstack.NodeID) { r.renewed++ })
+		func(to netstack.NodeID, _ uint64) bool {
+			if to != dst {
+				t.Fatalf("a renewal asked for %d, want %d", to, dst)
+			}
+			r.asked++
+			return true
+		})
 	built := 0
 	w, ids := routetest.World(t, 1, outOfReach(), func() netstack.Router {
 		if built++; built == 1 {
@@ -234,18 +241,19 @@ func TestRenewBefore(t *testing.T) {
 		return &renewer{}
 	})
 	w.StartRun()
-	c, dst := w.Collector(), ids[1]
-	step := func(at float64, repairs, asked, renewed int) {
+	c := w.Collector()
+	dst = ids[1]
+	step := func(at float64, repairs, asked int) {
 		t.Helper()
 		if err := w.AdvanceTo(at); err != nil {
 			t.Fatal(err)
 		}
-		if int(c.RouteRepairs) != repairs || r.asked != asked || r.renewed != renewed {
-			t.Fatalf("at %g s: %d repairs, %d requests, %d hooks; want %d, %d, %d",
-				at, c.RouteRepairs, r.asked, r.renewed, repairs, asked, renewed)
+		if int(c.RouteRepairs) != repairs || r.asked != asked {
+			t.Fatalf("at %g s: %d repairs, %d requests; want %d and %d",
+				at, c.RouteRepairs, r.asked, repairs, asked)
 		}
 	}
-	step(1, 0, 0, 0)
+	step(1, 0, 0)
 	r.route = true
 	pending := w.Engine().Pending()
 	r.RenewBefore(dst, link.Forever, 1)
@@ -253,16 +261,16 @@ func TestRenewBefore(t *testing.T) {
 		t.Fatal("a route that never breaks armed a renewal")
 	}
 	r.RenewBefore(dst, 0.05, 1) // at 1.1 s
-	step(1.099, 0, 0, 0)
-	step(1.101, 1, 1, 1)
-	step(2.2, 1, 1, 1)         // the route holds: the discovery ends at its deadline
+	step(1.099, 0, 0)
+	step(1.101, 1, 1)
+	step(2.2, 1, 1)            // the route holds: the discovery ends at its deadline
 	r.RenewBefore(dst, 500, 1) // capped at 120 s: at 121.2 s
-	step(121.199, 1, 1, 1)
-	step(121.201, 2, 2, 2)
-	step(122.3, 2, 2, 2)
+	step(121.199, 1, 1)
+	step(121.201, 2, 2)
+	step(122.3, 2, 2)
 	r.route = false
 	r.RenewBefore(dst, 2, 1) // at 123.3 s, no route and no data: nothing
-	step(130, 2, 2, 2)
+	step(130, 2, 2)
 }
 
 // TestRenewStopsWhenRouteOutOfUse drives a destination away from its source
