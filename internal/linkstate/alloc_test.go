@@ -72,10 +72,14 @@ func TestFeedbackAllocFree(t *testing.T) {
 // caller owns.
 
 // TestTableRecordSizes pins what a fold pulls through the cache: two lines
-// per link, one per unread beacon.
+// per link, one per unread beacon, and four keys to a line on the
+// bisection's path.
 func TestTableRecordSizes(t *testing.T) {
 	if got := unsafe.Sizeof(entry{}); got > 128 {
 		t.Errorf("entry is %d bytes, want at most 128", got)
+	}
+	if got := unsafe.Sizeof(key{}); got > 16 {
+		t.Errorf("a key is %d bytes, want at most 16", got)
 	}
 	if got := unsafe.Sizeof(heard{}); got > 64 {
 		t.Errorf("an inbox record is %d bytes, want at most 64", got)
@@ -133,7 +137,7 @@ func TestExpireAllocs(t *testing.T) {
 	if allocs != 0 || m.FullSweeps() != sweeps+101 {
 		t.Fatalf("empty-handed sweep: %v allocs, %d sweeps; want 0 and 101", allocs, m.FullSweeps()-sweeps)
 	}
-	// one link goes stale per run and is heard again into its freed slot:
+	// one link goes stale per run and is heard again into its freed entry:
 	// the only allocation is the slice of expired IDs handed to the caller
 	now := 2.4
 	allocs = testing.AllocsPerRun(100, func() {
@@ -169,22 +173,159 @@ func TestExpireAllocs(t *testing.T) {
 
 // TestTableGrowsFromInboxes hears 40 distinct neighbours, folded an
 // inbox at a time, the way a node entering a dense road fills its table:
-// the table grows at most twice and ends with room for at most 48 links.
-// One fold can grow the table more than once, so growths are counted as
-// allocations: the monitor, its inbox, and keys and slots per growth.
+// the keys grow at most twice and end with room for at most 48 links, and
+// those growths are all the table allocates — each link takes one entry
+// from the store, and no entry is copied. Each run's store is handed
+// exactly the chunks the table needs beforehand, so the store allocates
+// nothing.
 func TestTableGrowsFromInboxes(t *testing.T) {
+	const links, runs = 40, 10
 	est := MustNew("", Config{Range: 250})
-	var m *Monitor
-	allocs := testing.AllocsPerRun(10, func() {
-		m = NewMonitor(2.5, 250, est)
-		for id := NodeID(0); id < 40; id++ {
+	stores := make([]Store, runs+1) // AllocsPerRun runs once more to warm up
+	for i := range stores {
+		stores[i].entries = make([]entry, links)
+		stores[i].records = make([]heard, inboxCap)
+	}
+	var s *Store
+	var m Monitor
+	growths := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		s, stores = &stores[0], stores[1:]
+		m, growths = s.Monitor(2.5, 250, est), 0
+		for id := NodeID(0); id < links; id++ {
+			c := cap(m.keys)
 			m.Update(id, Vehicle, geom.V(float64(id)*20, 0), geom.V(5, 0), -60, 0.01*float64(id))
+			if cap(m.keys) != c {
+				growths++
+			}
 		}
-		m.Len()
+		c := cap(m.keys)
+		if m.Len(); cap(m.keys) != c {
+			growths++
+		}
 	})
-	if growths := (allocs - 2) / 2; m.n != 40 || growths > 2 || cap(m.slots) > 48 || cap(m.keys) != cap(m.slots) {
-		t.Fatalf("40 links in %v growths to %d slots and %d keys, want at most 2 growths and 48 of each",
-			growths, cap(m.slots), cap(m.keys))
+	if m.n != links || growths > 2 || cap(m.keys) > 48 || allocs != float64(growths) {
+		t.Fatalf("%d links in %d key growths to %d keys with %v allocations, want %d links and at most 2 growths to 48, and nothing else allocated",
+			m.n, growths, cap(m.keys), allocs, links)
+	}
+	if len(s.entries) != 0 || s.carvedEntries != links || s.carvedRecords != inboxCap {
+		t.Fatalf("the store carved %d entries and %d inbox records with %d entries left, want %d, %d and none",
+			s.carvedEntries, s.carvedRecords, len(s.entries), links, inboxCap)
+	}
+}
+
+// TestManyTablesAllocateKeysAndChunks fills 100 tables on one store with
+// 40 links each, their beacons interleaved as a road's are: the only
+// allocations are each table's key growths and the store's chunks, as
+// many as its rule makes for 4,000 entries and 100 inboxes.
+func TestManyTablesAllocateKeysAndChunks(t *testing.T) {
+	const tables, links = 100, 40
+	est := MustNew("", Config{Range: 250})
+	stores := make([]Store, 2) // AllocsPerRun runs once more to warm up
+	mons := make([]Monitor, 2*tables)
+	var s *Store
+	growths := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		s, stores = &stores[0], stores[1:]
+		ms := mons[:tables]
+		mons, growths = mons[tables:], 0
+		for i := range ms {
+			ms[i] = s.Monitor(2.5, 250, est)
+		}
+		for id := NodeID(0); id < links; id++ {
+			for i := range ms {
+				c := cap(ms[i].keys)
+				ms[i].Update(id+NodeID(i), Vehicle, geom.V(float64(id)*20, 0), geom.V(5, 0), -60, 0.01*float64(id))
+				if cap(ms[i].keys) != c {
+					growths++
+				}
+			}
+		}
+		for i := range ms {
+			c := cap(ms[i].keys)
+			if ms[i].Len(); cap(ms[i].keys) != c {
+				growths++
+			}
+		}
+	})
+	chunks := chunksFor(tables*links, 1, minEntryChunk, maxEntryChunk) + chunksFor(tables*inboxCap, inboxCap, minRecordChunk, maxRecordChunk)
+	t.Logf("%d tables of %d links: %v allocations, %d key growths and %d chunks", tables, links, allocs, growths, chunks)
+	if growths > 2*tables || allocs != float64(growths+chunks) {
+		t.Fatalf("%d tables of %d links: %v allocations, want %d key growths (at most %d) and %d chunks",
+			tables, links, allocs, growths, 2*tables, chunks)
+	}
+	if s.carvedEntries != tables*links {
+		t.Fatalf("the store carved %d entries for %d links", s.carvedEntries, tables*links)
+	}
+}
+
+// chunksFor is how many chunks carve makes to hand out items values, n at
+// a time, from chunks of min(max(carved, lo), hi).
+func chunksFor(items, n, lo, hi int) int {
+	chunks, spare := 0, 0
+	for carved := 0; carved < items; carved += n {
+		if spare < n {
+			spare = min(max(carved, lo), hi)
+			chunks++
+		}
+		spare -= n
+	}
+	return chunks
+}
+
+// TestEntryKeepsItsAddress grows a table's keys twice under one link and
+// requires that link's entry to stay where it was carved: keys point into
+// the store, and a growth copies only the keys.
+func TestEntryKeepsItsAddress(t *testing.T) {
+	m := NewMonitor(2.5, 250, nil)
+	m.Update(5, Vehicle, geom.V(100, 0), geom.V(5, 0), -60, 0)
+	m.Len()
+	_, e := m.find(5)
+	keys := cap(m.keys)
+	for id := NodeID(100); id < 130; id++ {
+		m.Update(id, Vehicle, geom.V(float64(id), 0), geom.V(5, 0), -60, 0.5)
+	}
+	m.Update(5, Vehicle, geom.V(110, 0), geom.V(5, 0), -61, 1)
+	m.Len()
+	if cap(m.keys) == keys {
+		t.Fatalf("the keys did not grow from %d", keys)
+	}
+	if _, after := m.find(5); after != e || e.id != 5 || e.beacons != 2 || e.pos.X != 110 {
+		t.Fatalf("link 5 moved from %p to %p across a keys growth, or its entry %+v missed the refresh", e, after, *e)
+	}
+}
+
+// TestExpiryReusesEntries expires a 32-link table and hears 32 strangers
+// in its place, 50 times over, then half of it: every stranger reuses an
+// entry the sweep freed, so the store carves nothing new.
+func TestExpiryReusesEntries(t *testing.T) {
+	m := warmMonitor()
+	carved, now := m.store.carvedEntries, 0.0
+	var gone []NodeID
+	for cycle := 1; cycle <= 50; cycle++ {
+		now += 10
+		if gone = m.AppendExpired(gone[:0], now); len(gone) != 32 {
+			t.Fatalf("cycle %d: %d links expired, want 32", cycle, len(gone))
+		}
+		for k := NodeID(0); k < 32; k++ {
+			m.Update(NodeID(cycle)*32+k, Vehicle, geom.V(float64(k)*20, 0), geom.V(5, 0), -60, now)
+		}
+		if m.Len() != 32 || m.store.carvedEntries != carved {
+			t.Fatalf("cycle %d: %d links, %d entries carved beyond the first %d; want 32 and none",
+				cycle, m.Len(), m.store.carvedEntries-carved, carved)
+		}
+	}
+	for k := NodeID(0); k < 16; k++ { // half refreshed, half gone, 16 strangers in their place
+		m.Update(50*32+k, Vehicle, geom.V(float64(k)*20, 0), geom.V(5, 0), -60, now+5)
+	}
+	if gone = m.AppendExpired(gone[:0], now+5); len(gone) != 16 {
+		t.Fatalf("%d links expired, want 16", len(gone))
+	}
+	for k := NodeID(0); k < 16; k++ {
+		m.Update(5000+k, Vehicle, geom.V(float64(k)*20, 0), geom.V(5, 0), -60, now+5)
+	}
+	if m.Len() != 32 || m.store.carvedEntries != carved {
+		t.Fatalf("%d links, %d entries carved beyond the first %d; want 32 and none", m.Len(), m.store.carvedEntries-carved, carved)
 	}
 }
 

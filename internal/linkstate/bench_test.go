@@ -18,16 +18,19 @@ const (
 
 // benchWorld fills monitor i with the 25 neighbours i … i+24 of a 50 veh/km
 // highway, entry k last heard at 0.1·k s — staggered like real beacons, all
-// inside one TTL — and returns the order to visit them in. Every monitor
-// hears its k-th neighbour before any hears its (k+1)-th, as a world's
-// first second goes, so the tables grow interleaved on the heap; and the
-// visiting order is shuffled: in index order over tables allocated back to
-// back, the stride prefetcher hides the miss a reception pays.
+// inside one TTL — and returns the order to visit them in. The monitors
+// share one store, as a world's do. Every monitor hears its k-th neighbour
+// before any hears its (k+1)-th, as a world's first second goes, so the
+// tables' entries are carved interleaved; and the visiting order is
+// shuffled: in index order over tables carved back to back, the stride
+// prefetcher hides the miss a reception pays.
 func benchWorld() (mons []*Monitor, order []int) {
 	est := MustNew("", Config{Range: 250})
+	store := new(Store)
 	mons = make([]*Monitor, benchMonitors)
 	for i := range mons {
-		mons[i] = NewMonitor(benchTTL, 250, est)
+		m := store.Monitor(benchTTL, 250, est)
+		mons[i] = &m
 	}
 	for k := 0; k < benchEntries; k++ {
 		for i, m := range mons {

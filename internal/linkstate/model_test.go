@@ -190,9 +190,11 @@ var sweptPrefix = []NodeID{47, 0, 47}
 
 const modelTTL, modelRange = 2.5, 250
 
-func newModelPair(t testing.TB) *modelPair {
+// newModelPair builds the pair's monitor on s.
+func newModelPair(t testing.TB, s *Store) *modelPair {
 	est := MustNew("", Config{Range: modelRange})
-	return &modelPair{t: t, m: NewMonitor(modelTTL, modelRange, est), ref: newRefMonitor(modelTTL, modelRange, est)}
+	m := s.Monitor(modelTTL, modelRange, est)
+	return &modelPair{t: t, m: &m, ref: newRefMonitor(modelTTL, modelRange, est)}
 }
 
 // hear is one beacon from id at p.now. It reads nothing back: the beacon
@@ -253,15 +255,21 @@ func (p *modelPair) check(id NodeID, obs Observer) {
 }
 
 // runMonitorTrace decodes data into a trace of monitor operations — three
-// bytes each: opcode, neighbour, argument — applies it to a Monitor and to
-// the reference, and requires every observable to agree after every step
-// that is not a beacon: a check reads, and so folds, and beacons must pile
-// up unread for the inbox to fill. IDs come from a space of 48 so traces
-// collide, refill freed slots and grow the table several times; the clock
-// only moves forward.
+// bytes each: opcode, neighbour, argument — and applies it to two Monitors
+// on one Store, each against a reference of its own: the opcode byte
+// picks the monitor, so the two carve from the store's chunks interleaved.
+// It requires every observable of the chosen monitor to agree after every
+// step that is not a beacon: a check reads, and so folds, and beacons must
+// pile up unread for the inbox to fill. IDs come from a space of 48 so
+// traces collide, refill freed entries and grow the table several times;
+// each monitor's clock only moves forward. An entry the store handed to
+// both monitors shows as one monitor's beacon in the other's table.
 func runMonitorTrace(t testing.TB, data []byte) {
-	p := newModelPair(t)
-	for ; len(data) >= 3; p.step++ {
+	store := new(Store)
+	pairs := [2]*modelPair{newModelPair(t, store), newModelPair(t, store)}
+	for step := 0; len(data) >= 3; step++ {
+		p := pairs[data[0]/13%2]
+		p.step = step
 		op, id, arg := data[0]%13, NodeID(data[1]%48), float64(data[2])
 		data = data[3:]
 		p.now += arg / 256
@@ -302,7 +310,9 @@ func runMonitorTrace(t testing.TB, data []byte) {
 		}
 		p.check(id, obs)
 	}
-	p.check(0, Observer{Now: p.now})
+	for _, p := range pairs {
+		p.check(0, Observer{Now: p.now})
+	}
 }
 
 // TestMonitorFoldsAtEveryInboxLevel leaves 0, 1, 15, 16 and 17 beacons
@@ -406,7 +416,7 @@ func TestMonitorFoldsAtEveryInboxLevel(t *testing.T) {
 	for _, level := range []int{0, 1, inboxCap - 1, inboxCap, inboxCap + 1} {
 		for name, op := range ops {
 			t.Run(fmt.Sprintf("%d unread/%s", level, name), func(t *testing.T) {
-				p := newModelPair(t)
+				p := newModelPair(t, new(Store))
 				for id := NodeID(0); id < 6; id++ { // a table to refresh
 					p.hear(id, float64(id))
 				}
@@ -478,12 +488,13 @@ func FuzzMonitorOps(f *testing.F) {
 	f.Add([]byte{0, 1, 10, 0, 2, 10, 9, 0, 255, 0, 3, 1})
 	f.Add([]byte{0, 5, 0, 8, 5, 0, 0, 6, 0, 11, 0, 0, 0, 7, 0})
 	f.Add([]byte{12, 3, 33, 6, 3, 0, 9, 0, 200, 12, 7, 17, 11, 0, 1, 0, 4, 9})
+	f.Add([]byte{0, 1, 10, 13, 1, 10, 25, 2, 40, 12, 2, 40, 23, 1, 0, 21, 1, 255, 19, 1, 0, 8, 9, 0})
 	f.Fuzz(func(t *testing.T, data []byte) { runMonitorTrace(t, data) })
 }
 
 // TestNeighborOrderContract pins the ordering every reader relies on at
 // the table sizes where the layout changes shape: empty, one entry, either
-// side of the first growth step (8 slots), a dense city table that has
+// side of the first growth step (8 keys), a dense city table that has
 // grown twice (33), and a table no road produces. IDs arrive in a
 // scrambled order and come back ascending from every ordered read, with
 // lookups agreeing.

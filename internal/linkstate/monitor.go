@@ -33,22 +33,22 @@ const feedbackAlpha = 0.25
 // A beacon is recorded, not applied: Update appends it to inbox, and fold
 // applies the inbox in reception order when it is full and before the
 // table is next read, edited or swept. Every method that looks at keys or
-// slots calls sync first, so the deferral is invisible — but a world of
+// entries calls sync first, so the deferral is invisible — but a world of
 // thousands of tables pulls each into cache once per batch of beacons
 // instead of once per beacon.
 //
-// Layout: keys[:n] is a small array of (ID, slot) pairs kept in ascending
-// ID order and bisected without hashing; slots holds the entries
-// themselves, which stay where they are — an insert or expiry shifts 8
-// bytes per neighbor — and every ordered read (Snapshot, States,
-// AppendIDs, DigestInto, AppendExpired's result) gets its ascending-ID
-// order from the layout. keys[n:] name the slots that are free, so the two
-// arrays are equally long: they grow together as links are heard (never
-// pre-sized: a world holds thousands of monitors), only when no slot is
-// free, and at most once per fold: to the capacity growing by half from 8
-// would reach, but in one step sized from the strangers among the beacons
-// being folded. A table filled an inbox at a time grows twice on its way
-// to 40 links (18, 40), not five times, and ends exactly as large.
+// Layout: keys[:n] is a small array of (ID, entry) pairs kept in
+// ascending ID order and bisected without hashing. The entries themselves
+// are carved from the monitor's Store and never move — an insert or
+// expiry shifts 16 bytes per neighbor — and every ordered read (Snapshot,
+// States, AppendIDs, DigestInto, AppendExpired's result) gets its
+// ascending-ID order from the layout. keys[n:] name the entries that are
+// free, which are reused before the store carves another. Only the keys
+// grow, as links are heard (never pre-sized: a world holds thousands of
+// monitors), only when no entry is free, and at most once per fold: to the
+// capacity growing by half from 8 would reach, but in one step sized from
+// the strangers among the beacons being folded. A table filled an inbox at
+// a time grows twice on its way to 40 links (18, 40), not five times.
 type Monitor struct {
 	inbox []heard // beacons recorded since the last fold; nil until the first
 	// oldest is a lower bound on the minimum LastSeen of any entry, pending
@@ -61,8 +61,8 @@ type Monitor struct {
 	oldest float64
 	ttl    float64
 	keys   []key
-	n      int // live links
-	slots  []entry
+	n      int     // live links
+	store  *Store  // where entries and the inbox are carved
 	rangeM float64 // communication range r for Eqn (4)
 	est    Estimator
 	// instrumentation: kinematic-memo effectiveness and how often the
@@ -74,7 +74,8 @@ type Monitor struct {
 
 // inboxCap is how many beacons a monitor records before it folds them: 8,
 // 16 and 32 measured alike on the 5,000-table highway, and 16 records are
-// under 1 KB per beaconing node.
+// under 1 KB per beaconing node. The inbox is carved from the store on a
+// node's first beacon.
 const inboxCap = 16
 
 // heard is one recorded beacon.
@@ -85,10 +86,10 @@ type heard struct {
 	rssi, now float64
 }
 
-// key addresses one entry: keys are sorted by id, slot indexes Monitor.slots.
+// key addresses one entry: keys are sorted by id.
 type key struct {
-	id   NodeID
-	slot int32
+	id NodeID
+	e  *entry
 }
 
 // entry is one stored link: the observed fields of LinkState, packed — a
@@ -126,14 +127,11 @@ func (e *entry) put(ls *LinkState) {
 	ls.Age, ls.Lifetime, ls.ReceiptProb = 0, 0, 0
 }
 
-// NewMonitor returns a monitor whose links expire ttl seconds after the
-// last beacon, predicting with the given estimator (nil means the default
-// composite estimator) over communication range rangeM.
+// NewMonitor returns a monitor over a store of its own (see
+// Store.Monitor), for a table that lives outside a world.
 func NewMonitor(ttl, rangeM float64, est Estimator) *Monitor {
-	if est == nil {
-		est = MustNew("", Config{Range: rangeM})
-	}
-	return &Monitor{ttl: ttl, rangeM: rangeM, est: est, oldest: math.Inf(1)}
+	m := new(Store).Monitor(ttl, rangeM, est)
+	return &m
 }
 
 // find returns the position of id among the live keys — where it is, or
@@ -152,38 +150,35 @@ func (m *Monitor) find(id NodeID) (int, *entry) {
 		}
 	}
 	if lo < len(keys) && keys[lo].id == id {
-		return lo, &m.slots[keys[lo].slot]
+		return lo, keys[lo].e
 	}
 	return lo, nil
 }
 
 // insert files a key for left[0].id, a stranger, at position i and returns
-// its slot: a free one, or a new one when none is left. left is what fold
-// has still to apply, this beacon first.
+// its entry: a free one, or one carved from the store when none is left.
+// left is what fold has still to apply, this beacon first.
 func (m *Monitor) insert(i int, left []heard) *entry {
-	id := left[0].id
 	if m.n == len(m.keys) {
-		if n := len(m.slots); n == cap(m.slots) {
+		if n := len(m.keys); n == cap(m.keys) {
 			// by half, from 8 — append's doubling would leave a 33-link
-			// table holding 64 entries, in every table of a dense world —
+			// table with room for 64 keys, in every table of a dense world —
 			// but as many steps at once as the fold's strangers need: one
-			// step per insert copies a table three times in a fold of 16
+			// step per insert copies the keys three times in a fold of 16
 			// strangers (8→12→18)
 			c, need := max(8, n+n/2), n+m.strangers(left)
 			for c < need {
 				c += c / 2
 			}
-			m.slots = append(make([]entry, 0, c), m.slots...)
 			m.keys = append(make([]key, 0, c), m.keys...)
 		}
-		m.keys = append(m.keys, key{slot: int32(len(m.slots))})
-		m.slots = append(m.slots, entry{})
+		m.keys = append(m.keys, key{e: m.store.entry()})
 	}
-	slot := m.keys[m.n].slot
+	e := m.keys[m.n].e
 	copy(m.keys[i+1:m.n+1], m.keys[i:m.n])
-	m.keys[i] = key{id: id, slot: slot}
+	m.keys[i] = key{id: left[0].id, e: e}
 	m.n++
-	return &m.slots[slot]
+	return e
 }
 
 // strangers counts the distinct IDs among beacons that the table lacks.
@@ -207,7 +202,7 @@ func (m *Monitor) strangers(beacons []heard) int {
 func (m *Monitor) Update(id NodeID, kind NodeKind, pos, vel geom.Vec2, rssi, now float64) {
 	if len(m.inbox) == cap(m.inbox) {
 		if m.inbox == nil {
-			m.inbox = make([]heard, 0, inboxCap)
+			m.inbox = m.store.inbox()
 		} else {
 			m.fold()
 		}
@@ -296,7 +291,7 @@ func (m *Monitor) Remove(id NodeID) {
 		k := m.keys[i]
 		copy(m.keys[i:], m.keys[i+1:m.n])
 		m.n--
-		m.keys[m.n] = k // its slot is free again
+		m.keys[m.n] = k // its entry is free again
 	}
 }
 
@@ -331,7 +326,7 @@ func (m *Monitor) AppendSnapshot(dst []LinkState) []LinkState {
 	at := len(dst)
 	dst = slices.Grow(dst, m.n)[:at+m.n]
 	for i, k := range m.keys[:m.n] {
-		m.slots[k.slot].put(&dst[at+i])
+		k.e.put(&dst[at+i])
 	}
 	return dst
 }
@@ -361,7 +356,7 @@ func (m *Monitor) AppendStates(dst []LinkState, obs Observer) []LinkState {
 	at := len(dst)
 	dst = slices.Grow(dst, m.n)[:at+m.n]
 	for i, k := range m.keys[:m.n] {
-		m.derive(&m.slots[k.slot], obs, &dst[at+i])
+		m.derive(k.e, obs, &dst[at+i])
 	}
 	return dst
 }
@@ -411,7 +406,7 @@ func (m *Monitor) DigestInto(d *digest.Writer) {
 	m.sync()
 	d.Int(m.n)
 	for _, k := range m.keys[:m.n] {
-		e := &m.slots[k.slot]
+		e := k.e
 		d.U32(uint32(e.id))
 		d.Int(int(e.kind))
 		d.F64(e.pos.X)
@@ -440,7 +435,7 @@ func (m *Monitor) Expire(now float64) []NodeID { return m.AppendExpired(nil, now
 // AppendExpired removes entries not refreshed since now−ttl, appends their
 // IDs to dst in ascending order and returns it; it allocates only to grow
 // dst. One pass moves the keys kept to the front, in order, and so the
-// keys of the freed slots behind them.
+// keys of the freed entries behind them.
 func (m *Monitor) AppendExpired(dst []NodeID, now float64) []NodeID {
 	if now-m.oldest <= m.ttl {
 		return dst // even the oldest possible entry is still fresh
@@ -450,7 +445,7 @@ func (m *Monitor) AppendExpired(dst []NodeID, now float64) []NodeID {
 	min := math.Inf(1)
 	kept := 0
 	for i, k := range m.keys[:m.n] {
-		seen := m.slots[k.slot].lastSeen
+		seen := k.e.lastSeen
 		if now-seen > m.ttl {
 			dst = append(dst, k.id)
 			continue

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"github.com/vanetlab/relroute/internal/geom"
-	"github.com/vanetlab/relroute/internal/linkstate"
 	"github.com/vanetlab/relroute/internal/mobility"
 )
 
@@ -37,7 +36,7 @@ func (w *World) addNode(kind NodeKind, pos, vel geom.Vec2, r Router, vehID mobil
 	id := NodeID(len(w.nodes))
 	n := &node{
 		id: id, kind: kind, router: r,
-		mon: *linkstate.NewMonitor(neighborTTL, w.ch.MeanRange(), w.est),
+		mon: w.tables.Monitor(neighborTTL, w.ch.MeanRange(), w.est),
 		pos: pos, vel: vel,
 		rngSeed: w.eng.RandSeed(),
 		vehID:   vehID,

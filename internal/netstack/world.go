@@ -87,9 +87,12 @@ type World struct {
 	actives []*node
 
 	// est is the estimator every node's Monitor predicts with
-	// (Config.Estimator); audit is the opt-in ground-truth link tracker.
-	est   linkstate.Estimator
-	audit *linkAudit
+	// (Config.Estimator); tables is the store every node's Monitor carves
+	// its entries and inbox from; audit is the opt-in ground-truth link
+	// tracker.
+	est    linkstate.Estimator
+	tables linkstate.Store
+	audit  *linkAudit
 
 	// open-world membership (see SetJoinFactory): a non-nil joinFactory
 	// makes the world open. stepSeq stamps each mobility step so leave
