@@ -1,6 +1,7 @@
 package linkstate
 
 import (
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -173,62 +174,57 @@ func TestExpireAllocs(t *testing.T) {
 
 // TestTableGrowsFromInboxes hears 40 distinct neighbours, folded an
 // inbox at a time, the way a node entering a dense road fills its table:
-// the keys grow at most twice and end with room for at most 48 links, and
-// those growths are all the table allocates — each link takes one entry
-// from the store, and no entry is copied. Each run's store is handed
-// exactly the chunks the table needs beforehand, so the store allocates
-// nothing.
+// the keys grow at most twice and end with room for at most 48 links, each
+// link takes one entry from the store, and no entry is copied. The table
+// allocates nothing itself: every allocation is a chunk of its store — of
+// entries, of inbox records, of key arrays and of free-list nodes, as many
+// as the carve rule makes for what the table took.
 func TestTableGrowsFromInboxes(t *testing.T) {
 	const links, runs = 40, 10
 	est := MustNew("", Config{Range: 250})
 	stores := make([]Store, runs+1) // AllocsPerRun runs once more to warm up
-	for i := range stores {
-		stores[i].entries = make([]entry, links)
-		stores[i].records = make([]heard, inboxCap)
-	}
 	var s *Store
 	var m Monitor
-	growths := 0
+	var g growths
 	allocs := testing.AllocsPerRun(runs, func() {
 		s, stores = &stores[0], stores[1:]
-		m, growths = s.Monitor(2.5, 250, est), 0
+		m, g = s.Monitor(2.5, 250, est), growths{caps: g.caps[:0]}
 		for id := NodeID(0); id < links; id++ {
 			c := cap(m.keys)
 			m.Update(id, Vehicle, geom.V(float64(id)*20, 0), geom.V(5, 0), -60, 0.01*float64(id))
-			if cap(m.keys) != c {
-				growths++
-			}
+			g.note(c, &m)
 		}
 		c := cap(m.keys)
-		if m.Len(); cap(m.keys) != c {
-			growths++
-		}
+		m.Len()
+		g.note(c, &m)
 	})
-	if m.n != links || growths > 2 || cap(m.keys) > 48 || allocs != float64(growths) {
-		t.Fatalf("%d links in %d key growths to %d keys with %v allocations, want %d links and at most 2 growths to 48, and nothing else allocated",
-			m.n, growths, cap(m.keys), allocs, links)
+	grown, chunks := g.caps, storeChunks(links, 1, g)
+	if m.n != links || len(grown) > 2 || cap(m.keys) > 48 || allocs != float64(chunks) {
+		t.Fatalf("%d links in key growths to %v with %v allocations, want %d links, at most 2 growths to 48 and %d chunks",
+			m.n, grown, allocs, links, chunks)
 	}
-	if len(s.entries) != 0 || s.carvedEntries != links || s.carvedRecords != inboxCap {
-		t.Fatalf("the store carved %d entries and %d inbox records with %d entries left, want %d, %d and none",
-			s.carvedEntries, s.carvedRecords, len(s.entries), links, inboxCap)
+	if s.carvedEntries != links || s.carvedRecords != inboxCap || s.carvedKeys != sum(grown) {
+		t.Fatalf("the store carved %d entries, %d inbox records and %d keys, want %d, %d and %d",
+			s.carvedEntries, s.carvedRecords, s.carvedKeys, links, inboxCap, sum(grown))
 	}
 }
 
 // TestManyTablesAllocateKeysAndChunks fills 100 tables on one store with
 // 40 links each, their beacons interleaved as a road's are: the only
-// allocations are each table's key growths and the store's chunks, as
-// many as its rule makes for 4,000 entries and 100 inboxes.
+// allocations are the store's chunks, as many as its rule makes for 4,000
+// entries, 100 inboxes, every key array the growths carved and a free-list
+// node for every array they outgrew.
 func TestManyTablesAllocateKeysAndChunks(t *testing.T) {
 	const tables, links = 100, 40
 	est := MustNew("", Config{Range: 250})
 	stores := make([]Store, 2) // AllocsPerRun runs once more to warm up
 	mons := make([]Monitor, 2*tables)
 	var s *Store
-	growths := 0
+	var g growths
 	allocs := testing.AllocsPerRun(1, func() {
 		s, stores = &stores[0], stores[1:]
 		ms := mons[:tables]
-		mons, growths = mons[tables:], 0
+		mons, g = mons[tables:], growths{caps: g.caps[:0]}
 		for i := range ms {
 			ms[i] = s.Monitor(2.5, 250, est)
 		}
@@ -236,41 +232,113 @@ func TestManyTablesAllocateKeysAndChunks(t *testing.T) {
 			for i := range ms {
 				c := cap(ms[i].keys)
 				ms[i].Update(id+NodeID(i), Vehicle, geom.V(float64(id)*20, 0), geom.V(5, 0), -60, 0.01*float64(id))
-				if cap(ms[i].keys) != c {
-					growths++
-				}
+				g.note(c, &ms[i])
 			}
 		}
 		for i := range ms {
 			c := cap(ms[i].keys)
-			if ms[i].Len(); cap(ms[i].keys) != c {
-				growths++
-			}
+			ms[i].Len()
+			g.note(c, &ms[i])
 		}
 	})
-	chunks := chunksFor(tables*links, 1, minEntryChunk, maxEntryChunk) + chunksFor(tables*inboxCap, inboxCap, minRecordChunk, maxRecordChunk)
-	t.Logf("%d tables of %d links: %v allocations, %d key growths and %d chunks", tables, links, allocs, growths, chunks)
-	if growths > 2*tables || allocs != float64(growths+chunks) {
-		t.Fatalf("%d tables of %d links: %v allocations, want %d key growths (at most %d) and %d chunks",
-			tables, links, allocs, growths, 2*tables, chunks)
+	grown, chunks := g.caps, storeChunks(tables*links, tables, g)
+	t.Logf("%d tables of %d links: %v allocations, %d key growths and %d chunks", tables, links, allocs, len(grown), chunks)
+	if len(grown) > 2*tables || allocs != float64(chunks) {
+		t.Fatalf("%d tables of %d links: %v allocations and %d key growths, want %d chunks and at most %d growths",
+			tables, links, allocs, len(grown), chunks, 2*tables)
 	}
-	if s.carvedEntries != tables*links {
-		t.Fatalf("the store carved %d entries for %d links", s.carvedEntries, tables*links)
+	if s.carvedEntries != tables*links || s.carvedKeys != sum(grown) {
+		t.Fatalf("the store carved %d entries for %d links and %d keys for growths to %d", s.carvedEntries, tables*links, s.carvedKeys, sum(grown))
 	}
 }
 
-// chunksFor is how many chunks carve makes to hand out items values, n at
-// a time, from chunks of min(max(carved, lo), hi).
-func chunksFor(items, n, lo, hi int) int {
-	chunks, spare := 0, 0
-	for carved := 0; carved < items; carved += n {
+// TestOutgrownKeysAreReused grows one table to 18 keys and then past them,
+// and a second table on the same store to 18: the second takes the array
+// the first outgrew, and the store carves no key for it.
+func TestOutgrownKeysAreReused(t *testing.T) {
+	s := new(Store)
+	a, b := s.Monitor(2.5, 250, nil), s.Monitor(2.5, 250, nil)
+	hear := func(m *Monitor, from, to NodeID) {
+		for id := from; id < to; id++ {
+			m.Update(id, Vehicle, geom.V(float64(id)*20, 0), geom.V(5, 0), -60, 0)
+		}
+		m.Len()
+	}
+	hear(&a, 0, inboxCap)
+	outgrown := &a.keys[:1][0]
+	if cap(a.keys) != 18 {
+		t.Fatalf("16 strangers grew the keys to %d, want 18", cap(a.keys))
+	}
+	hear(&a, inboxCap, 2*inboxCap)
+	carved := s.carvedKeys
+	if cap(a.keys) != 40 || s.freeKeys[keyClass(18)] == nil {
+		t.Fatalf("32 links in %d keys with the 18 on no free list; want 40 keys and the 18 free", cap(a.keys))
+	}
+	hear(&b, 100, 100+inboxCap)
+	if cap(b.keys) != 18 || &b.keys[:1][0] != outgrown || s.carvedKeys != carved {
+		t.Fatalf("the second table grew to %d keys, carving %d; want the 18 the first outgrew and none carved", cap(b.keys), s.carvedKeys-carved)
+	}
+	if s.freeKeys[keyClass(18)] != nil || s.spareLists == nil {
+		t.Fatal("the array taken is still on its free list, or its node was not kept for the next")
+	}
+	for i, id := range a.AppendIDs(nil) {
+		if id != NodeID(i) {
+			t.Fatalf("the first table holds %v after the second took its outgrown keys", a.AppendIDs(nil))
+		}
+	}
+}
+
+// growths records the key growths of a run: the capacity each grew to,
+// and how many left an array behind.
+type growths struct {
+	caps     []int
+	outgrown int
+}
+
+// note records a growth of m if its keys are no longer of capacity was.
+func (g *growths) note(was int, m *Monitor) {
+	if c := cap(m.keys); c != was {
+		g.caps = append(g.caps, c)
+		if was > 0 {
+			g.outgrown++
+		}
+	}
+}
+
+// storeChunks is how many chunks a store's carve rule makes for a run that
+// carves entries one at a time, an inbox for each of tables and a key array
+// for every growth, and puts every array a growth outgrew on a free list,
+// one node each: a run in which no growth finds a free array.
+func storeChunks(entries, tables int, g growths) int {
+	ones := func(n int) []int { return slices.Repeat([]int{1}, n) }
+	return chunksFor(minEntryChunk, maxEntryChunk, ones(entries)) +
+		chunksFor(minRecordChunk, maxRecordChunk, slices.Repeat([]int{inboxCap}, tables)) +
+		chunksFor(minKeyChunk, maxKeyChunk, g.caps) +
+		chunksFor(minListChunk, maxListChunk, ones(g.outgrown))
+}
+
+// chunksFor is how many chunks carve makes to hand out the given requests
+// in order, from chunks of min(max(carved, lo), hi), or of the request
+// when that is larger.
+func chunksFor(lo, hi int, requests []int) int {
+	chunks, spare, carved := 0, 0, 0
+	for _, n := range requests {
 		if spare < n {
-			spare = min(max(carved, lo), hi)
+			spare = max(n, min(max(carved, lo), hi))
 			chunks++
 		}
 		spare -= n
+		carved += n
 	}
 	return chunks
+}
+
+func sum(xs []int) int {
+	s := 0
+	for _, x := range xs {
+		s += x
+	}
+	return s
 }
 
 // TestEntryKeepsItsAddress grows a table's keys twice under one link and

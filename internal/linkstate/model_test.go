@@ -489,6 +489,9 @@ func FuzzMonitorOps(f *testing.F) {
 	f.Add([]byte{0, 5, 0, 8, 5, 0, 0, 6, 0, 11, 0, 0, 0, 7, 0})
 	f.Add([]byte{12, 3, 33, 6, 3, 0, 9, 0, 200, 12, 7, 17, 11, 0, 1, 0, 4, 9})
 	f.Add([]byte{0, 1, 10, 13, 1, 10, 25, 2, 40, 12, 2, 40, 23, 1, 0, 21, 1, 255, 19, 1, 0, 8, 9, 0})
+	// 33 strangers to each monitor in turn, different ones, read: both grow
+	// through 18 keys to 40, the second into the 18 the first outgrew
+	f.Add([]byte{12, 0, 33, 10, 0, 0, 25, 1, 67, 23, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) { runMonitorTrace(t, data) })
 }
 

@@ -48,7 +48,9 @@ const feedbackAlpha = 0.25
 // monitors), only when no entry is free, and at most once per fold: to the
 // capacity growing by half from 8 would reach, but in one step sized from
 // the strangers among the beacons being folded. A table filled an inbox at
-// a time grows twice on its way to 40 links (18, 40), not five times.
+// a time grows twice on its way to 40 links (18, 40), not five times. The
+// key arrays come from the store too, and the one a growth leaves goes
+// back to it for the next table that grows to that capacity.
 type Monitor struct {
 	inbox []heard // beacons recorded since the last fold; nil until the first
 	// oldest is a lower bound on the minimum LastSeen of any entry, pending
@@ -157,7 +159,8 @@ func (m *Monitor) find(id NodeID) (int, *entry) {
 
 // insert files a key for left[0].id, a stranger, at position i and returns
 // its entry: a free one, or one carved from the store when none is left.
-// left is what fold has still to apply, this beacon first.
+// left is what fold has still to apply, this beacon first. A growth takes
+// its key array from the store and hands the outgrown one back.
 func (m *Monitor) insert(i int, left []heard) *entry {
 	if m.n == len(m.keys) {
 		if n := len(m.keys); n == cap(m.keys) {
@@ -170,7 +173,11 @@ func (m *Monitor) insert(i int, left []heard) *entry {
 			for c < need {
 				c += c / 2
 			}
-			m.keys = append(make([]key, 0, c), m.keys...)
+			keys := append(m.store.getKeys(c), m.keys...)
+			if n > 0 {
+				m.store.putKeys(m.keys)
+			}
+			m.keys = keys
 		}
 		m.keys = append(m.keys, key{e: m.store.entry()})
 	}
