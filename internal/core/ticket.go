@@ -420,10 +420,11 @@ func (r *TicketRouter) handleProbe(pkt *netstack.Packet) {
 		cp.Tickets = split[i]
 		cp.Path = path
 		cp.Stability = stab
-		fwd := pkt.Clone()
+		fwd := r.API.NewPacket() // a copy per ticket share; nothing keeps it
+		*fwd = *pkt
 		fwd.Payload = cp
 		fwd.Size = 48 + 4*len(path)
-		r.API.Send(cands[i].id, fwd)
+		r.API.SendFinal(cands[i].id, fwd)
 	}
 }
 

@@ -2,8 +2,8 @@ package netstack
 
 import "github.com/vanetlab/relroute/internal/mac"
 
-// getPacket takes a packet from the pool (or allocates one). Callers own
-// the result until they pass it to Send or Release.
+// getPacket takes a zeroed packet from the pool (or allocates one). Callers
+// own the result until they pass it to Send, SendFinal or Release.
 func (w *World) getPacket() *Packet {
 	if n := len(w.pktFree); n > 0 {
 		p := w.pktFree[n-1]
@@ -11,6 +11,15 @@ func (w *World) getPacket() *Packet {
 		return p
 	}
 	return &Packet{}
+}
+
+// copyPacket is a pooled copy of pkt for a router to own. The mark
+// SendFinal set belongs to pkt, the frame's payload, not to the copy.
+func (w *World) copyPacket(pkt *Packet) *Packet {
+	cp := w.getPacket()
+	*cp = *pkt
+	cp.final = false
+	return cp
 }
 
 // putPacket recycles a packet. The caller asserts no reference to it
@@ -52,7 +61,7 @@ func (w *World) sendFrame(n *node, to NodeID, pkt *Packet, final bool) {
 }
 
 // dispatch is the MAC upcall: filter by link destination, consume beacons,
-// clone per receiver, and hand to the router.
+// copy per receiver, and hand to the router.
 func (w *World) dispatch(to int32, f mac.Frame) {
 	n := w.nodeByID(NodeID(to))
 	if n == nil || !n.active {
@@ -74,9 +83,7 @@ func (w *World) dispatch(to int32, f mac.Frame) {
 	n.mon.RecordReceived(pkt.From)
 	// the router owns its copy, drawn from the pool, and may hand it back
 	// via API.Release when the packet's journey provably ends
-	cp := w.getPacket()
-	*cp = *pkt
-	cp.final = false // the mark belongs to the sender's packet, not the copies
+	cp := w.copyPacket(pkt)
 	cp.Hops++
 	n.router.HandlePacket(cp)
 }
@@ -95,7 +102,9 @@ func (w *World) txFailed(from int32, f mac.Frame) {
 	// feed the reliability plane before the router reacts (the router may
 	// ForgetNeighbor, discarding the entry the evidence belongs to)
 	n.mon.RecordSendFailed(NodeID(f.To))
-	n.router.OnSendFailed(pkt.Clone(), NodeID(f.To))
+	// the router owns a pooled copy, as a receiver does: the MAC calls
+	// frameDone, which recycles a SendFinal packet, after this upcall
+	n.router.OnSendFailed(w.copyPacket(pkt), NodeID(f.To))
 }
 
 // frameDone is the MAC's frame-lifecycle hook: by the time it fires, every

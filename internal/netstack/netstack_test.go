@@ -313,17 +313,9 @@ func TestLookupPositionStaleness(t *testing.T) {
 	}
 }
 
-func TestPacketCloneAndExpired(t *testing.T) {
-	p := &Packet{UID: 1, TTL: 1, Payload: "shared"}
-	c := p.Clone()
-	if c == p || c.UID != 1 {
-		t.Fatal("clone wrong")
-	}
-	c.TTL = 0
-	if p.TTL != 1 {
-		t.Fatal("clone shares header")
-	}
-	if !c.Expired() || p.Expired() {
+func TestPacketExpiredAndString(t *testing.T) {
+	p, spent := &Packet{UID: 1, TTL: 1}, &Packet{UID: 1}
+	if !spent.Expired() || p.Expired() {
 		t.Fatal("Expired wrong")
 	}
 	if p.String() == "" {

@@ -69,18 +69,6 @@ type Packet struct {
 	Payload any     // protocol-private extension; treat as immutable
 }
 
-// Clone returns a shallow copy. The stack clones packets per receiver on
-// broadcast so routers can mutate header fields freely; Payload is shared
-// and must be treated as immutable (copy-on-write in the protocol).
-//
-// Clone always heap-allocates. The per-receiver copies the stack hands to
-// Router.HandlePacket come from the World's free list instead; see the
-// ownership rules on API.Release.
-func (p *Packet) Clone() *Packet {
-	cp := *p
-	return &cp
-}
-
 // Expired reports whether the TTL is exhausted.
 func (p *Packet) Expired() bool { return p.TTL <= 0 }
 

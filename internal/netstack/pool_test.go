@@ -22,7 +22,7 @@ func (r *countingRouter) NeedsBeacons() bool        { return true }
 
 // A warmed packet pool round-trip must not allocate: getPacket reuses what
 // putPacket recycled.
-// TestPacketIs80Bytes pins the unit every send, clone and pooled copy moves:
+// TestPacketIs80Bytes pins the unit every send and pooled copy moves:
 // the one-byte Kind and the final flag share the padding after UID, so a
 // field added or moved here is paid for on every frame.
 func TestPacketIs80Bytes(t *testing.T) {

@@ -190,6 +190,12 @@ func (a *API) Drop(pkt *Packet) {
 	}
 }
 
+// NewPacket takes a zeroed packet from the stack's free list (or allocates
+// one). The caller owns it until it passes it to Send, SendFinal or
+// Release; routing.NewPacket builds every originated packet on it, and a
+// router that sends a copy of a packet fills one (*cp = *pkt).
+func (a *API) NewPacket() *Packet { return a.world.getPacket() }
+
 // Release hands a packet back to the stack's free list. Only the packet's
 // owner may call it, and only when the packet's journey provably ends at
 // this node (duplicate discard, delivery at the destination, terminal

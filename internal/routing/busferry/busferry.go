@@ -50,10 +50,11 @@ func (r *Router) Attach(api *netstack.API) {
 func (r *Router) isBus() bool { return r.API.Kind() == netstack.BusNode }
 
 // HandlePacket implements netstack.Router: a packet this node already had
-// in custody once is not taken again.
+// in custody once is not taken again, and goes back to the stack's pool.
 func (r *Router) HandlePacket(pkt *netstack.Packet) {
 	if pkt.Kind == netstack.KindData && pkt.Dst != r.API.Self() &&
 		r.dup.Seen(routing.DupKey{Origin: pkt.Src, Seq: pkt.UID}, r.API.Now()) {
+		r.API.Release(pkt)
 		return
 	}
 	r.Carrier.HandlePacket(pkt)
@@ -123,11 +124,12 @@ func (r *Router) handOff(pkt *netstack.Packet) routing.Hop {
 func (r *Router) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
 	r.API.ForgetNeighbor(to)
 	if pkt.Kind != netstack.KindData {
+		r.API.Release(pkt)
 		return
 	}
 	pkt.TTL--
 	if pkt.Expired() {
-		r.API.Drop(pkt)
+		r.Abandon(pkt)
 		return
 	}
 	r.makeRoom()

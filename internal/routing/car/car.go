@@ -140,11 +140,12 @@ func (r *Router) Originate(dst netstack.NodeID, size int) {
 	pkt := routing.NewData(r.API, dst, size)
 	if dst == r.API.Self() {
 		r.API.Deliver(pkt)
+		r.API.Release(pkt)
 		return
 	}
 	dstPos, _, ok := r.API.LookupPosition(dst)
 	if !ok {
-		r.API.Drop(pkt)
+		r.Abandon(pkt)
 		return
 	}
 	// Anchor the packet along the most-connected road path; with no road

@@ -37,6 +37,11 @@ func Drop() Hop { return Hop{verdict: drop} }
 // timeout drops it. Which neighbor a packet goes to is the protocol's,
 // bound once in Init: one choice for a packet that just arrived and one for
 // a packet being carried.
+//
+// A packet has one holder at a time, so the core recycles it: a forward is
+// SendFinal, since no verdict keeps a packet it forwards, and a delivery or
+// drop hands the packet back to the stack's pool with API.Release. A
+// protocol on the core keeps no reference to a packet past its verdict.
 type Carrier struct {
 	netstack.Base
 	timeout float64
@@ -68,6 +73,7 @@ func (c *Carrier) Originate(dst netstack.NodeID, size int) {
 	pkt := NewData(c.API, dst, size)
 	if dst == c.API.Self() {
 		c.API.Deliver(pkt)
+		c.API.Release(pkt)
 		return
 	}
 	c.Route(pkt)
@@ -76,10 +82,12 @@ func (c *Carrier) Originate(dst netstack.NodeID, size int) {
 // HandlePacket implements netstack.Router.
 func (c *Carrier) HandlePacket(pkt *netstack.Packet) {
 	if pkt.Kind != netstack.KindData {
+		c.API.Release(pkt)
 		return
 	}
 	if pkt.Dst == c.API.Self() {
 		c.API.Deliver(pkt)
+		c.API.Release(pkt)
 		return
 	}
 	c.hop(pkt)
@@ -90,6 +98,7 @@ func (c *Carrier) HandlePacket(pkt *netstack.Packet) {
 func (c *Carrier) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
 	c.API.ForgetNeighbor(to)
 	if pkt.Kind != netstack.KindData {
+		c.API.Release(pkt)
 		return
 	}
 	c.hop(pkt)
@@ -98,10 +107,18 @@ func (c *Carrier) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
 func (c *Carrier) hop(pkt *netstack.Packet) {
 	pkt.TTL--
 	if pkt.Expired() {
-		c.API.Drop(pkt)
+		c.Abandon(pkt)
 		return
 	}
 	c.Route(pkt)
+}
+
+// Abandon gives the packet up: it counts the drop and hands the packet
+// back to the stack's pool, so the caller must hold no other reference to
+// it.
+func (c *Carrier) Abandon(pkt *netstack.Packet) {
+	c.API.Drop(pkt)
+	c.API.Release(pkt)
 }
 
 // Route acts on the protocol's choice for a fresh packet.
@@ -115,9 +132,9 @@ func (c *Carrier) Route(pkt *netstack.Packet) {
 func (c *Carrier) send(h Hop, pkt *netstack.Packet) bool {
 	switch h.verdict {
 	case forward:
-		c.API.Send(h.to, pkt)
+		c.API.SendFinal(h.to, pkt)
 	case drop:
-		c.API.Drop(pkt)
+		c.Abandon(pkt)
 	default:
 		return false
 	}
@@ -132,8 +149,9 @@ func (c *Carrier) Hold(pkt *netstack.Packet) {
 // DropOldest drops the packet carried longest, for protocols that bound
 // their buffer.
 func (c *Carrier) DropOldest() {
-	c.API.Drop(c.carried[0].pkt)
+	pkt := c.carried[0].pkt
 	c.carried = c.carried[1:]
+	c.Abandon(pkt)
 }
 
 // Carried reports how many packets are buffered.
@@ -149,7 +167,7 @@ func (c *Carrier) sweep() {
 	keep := c.carried[:0]
 	for _, e := range c.carried {
 		if now-e.since > c.timeout {
-			c.API.Drop(e.pkt)
+			c.Abandon(e.pkt)
 			continue
 		}
 		if !c.send(c.retry(e.pkt), e.pkt) {

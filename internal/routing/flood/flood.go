@@ -65,7 +65,8 @@ func (b *Biswas) HandlePacket(pkt *netstack.Packet) {
 // sendWithAck transmits and arms the implicit-ack retry timer. It takes
 // custody (see routing.Flooder.Init): the retry keeps the packet, whose first
 // transmission may still be queued when the ack arrives, so it is sent with
-// Send and never released.
+// Send and never released. Each retransmission is a pooled copy that
+// nothing keeps, sent with SendFinal.
 func (b *Biswas) sendWithAck(pkt *netstack.Packet, _ bool) bool {
 	b.API.Send(netstack.Broadcast, pkt)
 	tries := 0
@@ -76,7 +77,9 @@ func (b *Biswas) sendWithAck(pkt *netstack.Packet, _ bool) bool {
 			return
 		}
 		tries++
-		b.API.Send(netstack.Broadcast, pkt.Clone())
+		cp := b.API.NewPacket()
+		*cp = *pkt
+		b.API.SendFinal(netstack.Broadcast, cp)
 		b.retry[pkt.UID] = b.API.After(ackTimeout, retry)
 	}
 	b.retry[pkt.UID] = b.API.After(ackTimeout, retry)

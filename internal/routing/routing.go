@@ -20,15 +20,17 @@ import (
 // VANET diameters in the experiments stay well below it.
 const DefaultTTL = 32
 
-// NewPacket builds a packet of the given kind a router originates for dst:
-// a fresh UID, the full hop budget, stamped with the node and the current
-// time.
+// NewPacket builds a packet of the given kind a router originates for dst,
+// on a packet from the stack's pool: a fresh UID, the full hop budget,
+// stamped with the node and the current time.
 func NewPacket(api *netstack.API, kind netstack.Kind, dst netstack.NodeID, size int, payload any) *netstack.Packet {
-	return &netstack.Packet{
+	pkt := api.NewPacket()
+	*pkt = netstack.Packet{
 		UID: api.NewUID(), Kind: kind,
 		Src: api.Self(), Dst: dst, TTL: DefaultTTL, Size: size,
 		Created: api.Now(), Payload: payload,
 	}
+	return pkt
 }
 
 // NewData builds the data packet a router originates for dst.
