@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -80,6 +81,16 @@ func TestMeanMetricWiderUncertainty(t *testing.T) {
 	}
 }
 
+// splitTickets is the whole split ticketShare makes of l tickets over n
+// ranked candidates.
+func splitTickets(l, n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = ticketShare(l, n, i)
+	}
+	return out
+}
+
 func TestSplitTickets(t *testing.T) {
 	tests := []struct {
 		l, n int
@@ -91,51 +102,35 @@ func TestSplitTickets(t *testing.T) {
 		{5, 2, []int{3, 2}},
 		{0, 2, []int{0, 0}},
 		{8, 3, []int{3, 3, 2}},
+		{3, 0, []int{}},
 	}
 	for _, tc := range tests {
-		got := splitTickets(tc.l, tc.n)
-		if len(got) != len(tc.want) {
-			t.Fatalf("splitTickets(%d,%d) = %v", tc.l, tc.n, got)
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Fatalf("splitTickets(%d,%d) = %v, want %v", tc.l, tc.n, got, tc.want)
-			}
+		if got := splitTickets(tc.l, tc.n); !slices.Equal(got, tc.want) {
+			t.Fatalf("ticketShare over (%d,%d) = %v, want %v", tc.l, tc.n, got, tc.want)
 		}
 	}
-	if got := splitTickets(3, 0); got != nil {
-		t.Fatalf("splitTickets with no candidates = %v", got)
+	if got := ticketShare(3, 2, 5); got != 0 {
+		t.Fatalf("ticketShare(3, 2, 5) = %d for a candidate past the list, want 0", got)
 	}
 }
 
 func TestSplitTicketsProperties(t *testing.T) {
 	f := func(l8, n8 uint8) bool {
 		l, n := int(l8%32), int(n8%16)
-		out := splitTickets(l, n)
-		if n == 0 {
-			return out == nil
-		}
 		sum := 0
 		prev := 1 << 30
-		for _, v := range out {
+		for _, v := range splitTickets(l, n) {
 			if v < 0 || v > prev {
 				return false // must be non-increasing, the best candidate first
 			}
 			prev = v
 			sum += v
 		}
-		return sum == min(l, sum) && sum <= l && (l == 0 || sum == l)
+		return sum <= l && (l == 0 || n == 0 || sum == l)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func TestMetricString(t *testing.T) {

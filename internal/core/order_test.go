@@ -44,7 +44,7 @@ func TestNeighborExpiryRediscoversInDestinationOrder(t *testing.T) {
 		// appears by other means, and the discovery is forgotten
 		for i := len(dsts) - 1; i >= 0; i-- {
 			src.Originate(dsts[i], 64)
-			src.paths[dsts[i]] = &activePath{hops: []netstack.NodeID{ids[0], relay, dsts[i]}}
+			src.paths[dsts[i]] = &activePath{route: routing.SourceRoute{Path: []netstack.NodeID{ids[0], relay, dsts[i]}}}
 			forgetDiscovery(&src.Discovery, dsts[i])
 		}
 		if err := w.AdvanceTo(3.5); err != nil {

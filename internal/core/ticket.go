@@ -54,6 +54,14 @@ const (
 // TicketRouter is the Yan/TBP-SS probability-model-based router: selective
 // ticket probing on a link-stability metric, source-routed data, and
 // stability-driven preemptive maintenance.
+//
+// A packet has one holder at a time: every probe share, reply, break notice
+// and data hop leaves with SendFinal, and every packet whose journey ends
+// here goes back to the stack's pool — a probe absorbed at its target,
+// out of hops, without a candidate or once its shares are sent, a reply at
+// its origin, a break notice, and the control copy a failed send hands
+// back. The one packet kept is the data copy a failed first hop hands the
+// origin, which waits in the discovery queue for the next path.
 type TicketRouter struct {
 	routing.Discovery
 	tickets int
@@ -64,6 +72,9 @@ type TicketRouter struct {
 	paths map[netstack.NodeID]*activePath
 	// destination-side probe collection: the most stable path wins
 	sel routing.Selection[bestPath]
+
+	// ranked is the buffer candidates ranks into, reused from call to call.
+	ranked []candidate
 
 	// memo holds what the probability metrics returned while this node was
 	// at memoPos moving at memoVel, one entry per neighbor scored; it grows
@@ -87,8 +98,10 @@ type stabilityMemo struct {
 	val      float64
 }
 
+// activePath is a probed route in use: route is the header every data
+// packet sent on it carries.
 type activePath struct {
-	hops      []netstack.NodeID // self ... dst inclusive
+	route     routing.SourceRoute // self ... dst inclusive
 	stability float64
 }
 
@@ -134,12 +147,12 @@ func NewTicketRouter(opts ...TicketOption) netstack.RouterFactory {
 
 func (r *TicketRouter) routed(dst netstack.NodeID) bool {
 	ap, ok := r.paths[dst]
-	return ok && len(ap.hops) >= 2
+	return ok && len(ap.route.Path) >= 2
 }
 
 // forward stamps the active source route on a data packet and sends it.
 func (r *TicketRouter) forward(pkt *netstack.Packet) {
-	routing.SendSourceRouted(r.API, pkt, r.paths[pkt.Dst].hops)
+	routing.SendSourceRouted(r.API, pkt, &r.paths[pkt.Dst].route)
 }
 
 // sendProbes performs the source's ticket split: rank neighbors by link
@@ -153,18 +166,18 @@ func (r *TicketRouter) sendProbes(dst netstack.NodeID, reqID uint64) bool {
 	if len(cands) == 0 {
 		return false
 	}
-	split := splitTickets(r.tickets, len(cands))
 	for i, c := range cands {
-		if split[i] == 0 {
+		share := ticketShare(r.tickets, len(cands), i)
+		if share == 0 {
 			continue
 		}
 		pl := probe{
 			Origin: r.API.Self(), ReqID: reqID, Target: dst,
-			Tickets:   split[i],
+			Tickets:   share,
 			Path:      []netstack.NodeID{r.API.Self()},
 			Stability: c.stability,
 		}
-		r.API.Send(c.id, r.Control(netstack.KindProbe, dst, 48+4*len(pl.Path), pl))
+		r.API.SendFinal(c.id, r.Control(netstack.KindProbe, dst, 48+4*len(pl.Path), pl))
 	}
 	return true
 }
@@ -265,7 +278,8 @@ type bounded struct {
 // threshold — and the rest are scored best bound first until k are
 // admitted and the next bound is below the k-th best stability: no
 // neighbor left can then enter the top k. For the probability metrics
-// that is an integral saved per neighbor skipped.
+// that is an integral saved per neighbor skipped. The list is the router's
+// buffer, valid until the next call.
 func (r *TicketRouter) candidates(dst netstack.NodeID, path []netstack.NodeID, k int) []candidate {
 	k = max(k, 1)
 	dstPos, _, havePos := r.API.LookupPosition(dst)
@@ -298,7 +312,10 @@ func (r *TicketRouter) candidates(dst netstack.NodeID, path []netstack.NodeID, k
 	// stable: equal bounds — every one, for the deterministic metric — score
 	// in table order
 	slices.SortStableFunc(admissible, func(a, b bounded) int { return cmp.Compare(b.bound, a.bound) })
-	var out []candidate
+	if n := min(k, len(states)) + 1; cap(r.ranked) < n {
+		r.ranked = make([]candidate, 0, n) // room for an insert before the cut to k
+	}
+	out := r.ranked[:0]
 	for _, a := range admissible {
 		if len(out) == k && a.bound < out[k-1].stability {
 			break
@@ -334,30 +351,20 @@ func rankCandidates(a, b candidate) int {
 	return cmp.Compare(a.id, b.id)
 }
 
-// splitTickets distributes l tickets over n ranked candidates: the best
-// candidate gets the ceiling share, every funded candidate gets at least
-// one, and no more candidates are funded than tickets exist.
-func splitTickets(l, n int) []int {
-	if n == 0 {
-		return nil
+// ticketShare is the share of l tickets that the i-th of n ranked
+// candidates gets: the best candidates get the ceiling share, every funded
+// candidate gets at least one, and no more candidates are funded than
+// tickets exist.
+func ticketShare(l, n, i int) int {
+	funded := min(l, n)
+	if i >= funded {
+		return 0
 	}
-	out := make([]int, n)
-	if l <= 0 {
-		return out
+	share := l / funded
+	if i < l%funded {
+		share++
 	}
-	funded := n
-	if l < n {
-		funded = l
-	}
-	base := l / funded
-	rem := l % funded
-	for i := 0; i < funded; i++ {
-		out[i] = base
-		if i < rem {
-			out[i]++
-		}
-	}
-	return out
+	return share
 }
 
 // HandlePacket implements netstack.Router.
@@ -377,6 +384,7 @@ func (r *TicketRouter) HandlePacket(pkt *netstack.Packet) {
 func (r *TicketRouter) handleProbe(pkt *netstack.Packet) {
 	pr, ok := pkt.Payload.(probe)
 	if !ok || pr.Origin == r.API.Self() {
+		r.API.Release(pkt)
 		return
 	}
 	// Fold in the stability of the link just traversed, as measured at
@@ -393,23 +401,19 @@ func (r *TicketRouter) handleProbe(pkt *netstack.Packet) {
 	if pr.Target == r.API.Self() {
 		r.sel.Offer(r.API, routing.DupKey{Origin: pr.Origin, Seq: pr.ReqID}, inStab,
 			bestPath{hops: path, stability: inStab})
+		r.API.Release(pkt)
 		return
 	}
 	pkt.TTL--
 	if pkt.Expired() {
+		r.API.Release(pkt)
 		return
 	}
 	cands := r.candidates(pr.Target, path, pr.Tickets)
-	if len(cands) == 0 {
-		return // ticket dies here
-	}
-	limit := pr.Tickets
-	if limit > len(cands) {
-		limit = len(cands)
-	}
-	split := splitTickets(pr.Tickets, limit)
+	limit := min(pr.Tickets, len(cands))
 	for i := 0; i < limit; i++ {
-		if split[i] == 0 {
+		share := ticketShare(pr.Tickets, limit, i)
+		if share == 0 {
 			continue
 		}
 		stab := inStab
@@ -417,7 +421,7 @@ func (r *TicketRouter) handleProbe(pkt *netstack.Packet) {
 			stab = cands[i].stability
 		}
 		cp := pr
-		cp.Tickets = split[i]
+		cp.Tickets = share
 		cp.Path = path
 		cp.Stability = stab
 		fwd := r.API.NewPacket() // a copy per ticket share; nothing keeps it
@@ -426,6 +430,7 @@ func (r *TicketRouter) handleProbe(pkt *netstack.Packet) {
 		fwd.Size = 48 + 4*len(path)
 		r.API.SendFinal(cands[i].id, fwd)
 	}
+	r.API.Release(pkt) // the shares are sent, or the ticket dies here without a candidate
 }
 
 // answer returns the best probed path to the origin.
@@ -434,29 +439,27 @@ func (r *TicketRouter) answer(origin netstack.NodeID, best bestPath) {
 	if len(path) < 2 {
 		return
 	}
-	r.API.Send(path[len(path)-2], r.Control(netstack.KindRREP, origin, 32+4*len(path),
+	r.API.SendFinal(path[len(path)-2], r.Control(netstack.KindRREP, origin, 32+4*len(path),
 		reply{Origin: origin, Target: r.API.Self(), Path: path, Stability: best.stability}))
 }
 
 func (r *TicketRouter) handleReply(pkt *netstack.Packet) {
-	rep, ok := pkt.Payload.(reply)
-	if !ok {
-		return
-	}
-	self := r.API.Self()
-	idx := slices.Index(rep.Path, self)
+	rep, _ := pkt.Payload.(reply) // another payload has no path, so no index
+	idx := slices.Index(rep.Path, r.API.Self())
 	if idx < 0 {
+		r.API.Release(pkt)
 		return
 	}
-	if self == rep.Origin {
+	if r.API.Self() == rep.Origin {
 		stab := rep.Stability
 		r.paths[rep.Target] = &activePath{
-			hops: append([]netstack.NodeID(nil), rep.Path...), stability: stab,
+			route: routing.SourceRoute{Path: append([]netstack.NodeID(nil), rep.Path...)}, stability: stab,
 		}
 		r.API.Metrics().OnPathLifetime(routing.CapLife(stab))
 		r.Answered(rep.Target)
 		// stability-driven preemptive rebuild
 		r.RenewBefore(rep.Target, stab, rebuildMargin)
+		r.API.Release(pkt)
 		return
 	}
 	routing.RelayBack(r.API, pkt, rep.Path, idx)
@@ -470,6 +473,7 @@ type breakNotice struct {
 
 func (r *TicketRouter) handleBreak(pkt *netstack.Packet) {
 	bn, ok := pkt.Payload.(breakNotice)
+	r.API.Release(pkt)
 	if !ok || bn.Origin != r.API.Self() {
 		return
 	}
@@ -484,9 +488,10 @@ func (r *TicketRouter) handleData(pkt *netstack.Packet) {
 	routing.ForwardSourceRouted(r.API, pkt, r.brokenHop)
 }
 
-// brokenHop reports a source route whose link out of this node broke.
-func (r *TicketRouter) brokenHop(hdr routing.SourceRoute, _ netstack.NodeID) {
-	r.reportBreak(hdr.Path, hdr.Next)
+// brokenHop reports a source route whose link out of this node, at index
+// idx, broke.
+func (r *TicketRouter) brokenHop(hdr *routing.SourceRoute, idx int) {
+	r.reportBreak(hdr.Path, idx)
 }
 
 // reportBreak unicasts a break notice back toward the origin along the
@@ -497,7 +502,7 @@ func (r *TicketRouter) reportBreak(path []netstack.NodeID, selfIdx int) {
 	}
 	origin := path[0]
 	target := path[len(path)-1]
-	r.API.Send(path[selfIdx-1], r.Control(netstack.KindRERR, origin, 24,
+	r.API.SendFinal(path[selfIdx-1], r.Control(netstack.KindRERR, origin, 24,
 		breakNotice{Origin: origin, Target: target}))
 }
 
@@ -506,8 +511,9 @@ func (r *TicketRouter) reportBreak(path []netstack.NodeID, selfIdx int) {
 // count the break.
 func (r *TicketRouter) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
 	r.API.ForgetNeighbor(to)
-	hdr, ok := pkt.Payload.(routing.SourceRoute)
+	hdr, ok := pkt.Payload.(*routing.SourceRoute)
 	if !ok || pkt.Kind != netstack.KindData {
+		r.API.Release(pkt)
 		return
 	}
 	if r.API.Self() == hdr.Path[0] {
@@ -523,7 +529,11 @@ func (r *TicketRouter) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
 	}
 	r.API.Metrics().RouteBreaks++
 	r.API.Drop(pkt)
-	r.reportBreak(hdr.Path, hdr.Next)
+	r.API.Release(pkt)
+	// reportBreak wants this relay's index; the failed hop's sends the
+	// notice to this node itself. Correcting it moves the protocol goldens
+	// (ROADMAP 1(b)).
+	r.reportBreak(hdr.Path, slices.Index(hdr.Path, to))
 }
 
 // OnNeighborExpired implements netstack.Router: source-side paths whose
@@ -531,7 +541,7 @@ func (r *TicketRouter) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
 func (r *TicketRouter) OnNeighborExpired(id netstack.NodeID) {
 	var broken []netstack.NodeID
 	for dst, ap := range r.paths {
-		if len(ap.hops) >= 2 && ap.hops[1] == id {
+		if len(ap.route.Path) >= 2 && ap.route.Path[1] == id {
 			broken = append(broken, dst)
 		}
 	}
@@ -552,5 +562,5 @@ func (r *TicketRouter) ActivePath(dst netstack.NodeID) ([]netstack.NodeID, float
 	if !ok {
 		return nil, 0, false
 	}
-	return append([]netstack.NodeID(nil), ap.hops...), ap.stability, true
+	return append([]netstack.NodeID(nil), ap.route.Path...), ap.stability, true
 }

@@ -116,10 +116,7 @@ func (c *Carrier) hop(pkt *netstack.Packet) {
 // Abandon gives the packet up: it counts the drop and hands the packet
 // back to the stack's pool, so the caller must hold no other reference to
 // it.
-func (c *Carrier) Abandon(pkt *netstack.Packet) {
-	c.API.Drop(pkt)
-	c.API.Release(pkt)
-}
+func (c *Carrier) Abandon(pkt *netstack.Packet) { dropPacket(c.API, pkt) }
 
 // Route acts on the protocol's choice for a fresh packet.
 func (c *Carrier) Route(pkt *netstack.Packet) {

@@ -4,6 +4,11 @@
 // the complete route in an RREP, and data packets carry their full route
 // in the header. Route caches answer later discoveries, and RERRs truncate
 // caches when a listed link dies.
+//
+// A packet has one holder at a time: every packet leaves with SendFinal,
+// and every packet whose journey ends here — a request already seen or
+// looping, a reply at its origin, an error once read, a delivery or drop —
+// goes back to the stack's pool.
 package dsr
 
 import (
@@ -16,7 +21,7 @@ import (
 // Router is a per-node DSR instance.
 type Router struct {
 	routing.Discovery
-	cache map[netstack.NodeID][]netstack.NodeID // dst → full path self→...→dst
+	cache map[netstack.NodeID]*routing.SourceRoute // dst → full path self→...→dst, the header data carries
 	dup   *routing.DupCache
 }
 
@@ -45,7 +50,7 @@ type rerr struct {
 func New() netstack.RouterFactory {
 	return func() netstack.Router {
 		r := &Router{
-			cache: make(map[netstack.NodeID][]netstack.NodeID),
+			cache: make(map[netstack.NodeID]*routing.SourceRoute),
 			dup:   routing.NewDupCache(15),
 		}
 		r.Init(1.0, r.routed, r.forward, r.request)
@@ -54,7 +59,10 @@ func New() netstack.RouterFactory {
 }
 
 // routed: a cached path always runs from this node to another one.
-func (r *Router) routed(dst netstack.NodeID) bool { return len(r.cache[dst]) >= 2 }
+func (r *Router) routed(dst netstack.NodeID) bool {
+	hdr, ok := r.cache[dst]
+	return ok && len(hdr.Path) >= 2
+}
 
 // forward stamps the cached source route on a data packet and sends it.
 func (r *Router) forward(pkt *netstack.Packet) {
@@ -67,7 +75,7 @@ func (r *Router) request(dst netstack.NodeID, reqID uint64) bool {
 		Path: []netstack.NodeID{r.API.Self()},
 	})
 	r.dup.Seen(routing.DupKey{Origin: pkt.Src, Seq: reqID}, r.API.Now())
-	r.API.Send(netstack.Broadcast, pkt)
+	r.API.SendFinal(netstack.Broadcast, pkt)
 	return true
 }
 
@@ -87,13 +95,10 @@ func (r *Router) HandlePacket(pkt *netstack.Packet) {
 
 func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	req, ok := pkt.Payload.(rreq)
-	if !ok || req.Origin == r.API.Self() {
-		return
-	}
-	if slices.Contains(req.Path, r.API.Self()) {
-		return // loop
-	}
-	if r.dup.Seen(routing.DupKey{Origin: req.Origin, Seq: req.ReqID}, r.API.Now()) {
+	if !ok || req.Origin == r.API.Self() ||
+		slices.Contains(req.Path, r.API.Self()) || // loop
+		r.dup.Seen(routing.DupKey{Origin: req.Origin, Seq: req.ReqID}, r.API.Now()) {
+		r.API.Release(pkt)
 		return
 	}
 	// copy-on-write path extension
@@ -105,9 +110,10 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 		// back along it
 		back := slices.Clone(path)
 		slices.Reverse(back)
-		r.cache[req.Origin] = back
-		r.API.Send(path[len(path)-2], r.Control(netstack.KindRREP, req.Origin, 24+4*len(path),
+		r.cache[req.Origin] = &routing.SourceRoute{Path: back}
+		r.API.SendFinal(path[len(path)-2], r.Control(netstack.KindRREP, req.Origin, 24+4*len(path),
 			rrep{Origin: req.Origin, Target: req.Target, Path: path}))
+		r.API.Release(pkt)
 		return
 	}
 	cp := req
@@ -115,42 +121,41 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	pkt.Payload = cp
 	pkt.TTL--
 	if pkt.Expired() {
+		r.API.Release(pkt)
 		return
 	}
 	pkt.Size += 4
-	r.API.Send(netstack.Broadcast, pkt)
+	r.API.SendFinal(netstack.Broadcast, pkt)
 }
 
 func (r *Router) handleRREP(pkt *netstack.Packet) {
-	rep, ok := pkt.Payload.(rrep)
-	if !ok {
-		return
-	}
-	self := r.API.Self()
-	idx := slices.Index(rep.Path, self)
+	rep, _ := pkt.Payload.(rrep) // another payload has no path, so no index
+	idx := slices.Index(rep.Path, r.API.Self())
 	if idx < 0 {
+		r.API.Release(pkt)
 		return
 	}
 	// learn the downstream sub-path
-	r.cache[rep.Target] = append([]netstack.NodeID(nil), rep.Path[idx:]...)
-	if self == rep.Origin {
+	r.cache[rep.Target] = &routing.SourceRoute{Path: rep.Path[idx:]}
+	if r.API.Self() == rep.Origin {
 		r.Answered(rep.Target)
+		r.API.Release(pkt)
 		return
 	}
 	routing.RelayBack(r.API, pkt, rep.Path, idx)
 }
 
 func (r *Router) handleRERR(pkt *netstack.Packet) {
-	er, ok := pkt.Payload.(rerr)
-	if !ok {
-		return
+	if er, ok := pkt.Payload.(rerr); ok {
+		r.truncateCaches(er.From, er.To)
 	}
-	r.truncateCaches(er.From, er.To)
+	r.API.Release(pkt)
 }
 
 // truncateCaches removes every cached path that uses the dead link.
 func (r *Router) truncateCaches(from, to netstack.NodeID) {
-	for dst, path := range r.cache {
+	for dst, hdr := range r.cache {
+		path := hdr.Path
 		for i := 0; i+1 < len(path); i++ {
 			if path[i] == from && path[i+1] == to {
 				delete(r.cache, dst)
@@ -164,23 +169,23 @@ func (r *Router) handleData(pkt *netstack.Packet) {
 	routing.ForwardSourceRouted(r.API, pkt, r.brokenHop)
 }
 
-// brokenHop reports a source route that broke here, on the way to lost.
-func (r *Router) brokenHop(hdr routing.SourceRoute, lost netstack.NodeID) {
-	r.reportBreak(hdr.Path[0], r.API.Self(), lost)
+// brokenHop reports a source route that broke here, at index idx, on the
+// way to the next hop.
+func (r *Router) brokenHop(hdr *routing.SourceRoute, idx int) {
+	r.reportBreak(hdr.Path[0], r.API.Self(), hdr.Path[idx+1])
 }
 
 // reportBreak unicasts an RERR toward the origin and truncates own caches.
 func (r *Router) reportBreak(origin, from, to netstack.NodeID) {
 	r.truncateCaches(from, to)
-	path, ok := r.cache[origin]
 	pkt := r.Control(netstack.KindRERR, origin, 28, rerr{From: from, To: to, Origin: origin})
-	if ok && len(path) >= 2 {
-		r.API.Send(path[1], pkt)
+	if r.routed(origin) {
+		r.API.SendFinal(r.cache[origin].Path[1], pkt)
 		return
 	}
 	// fall back to a 1-hop broadcast so at least upstream neighbors learn
 	pkt.TTL = 1
-	r.API.Send(netstack.Broadcast, pkt)
+	r.API.SendFinal(netstack.Broadcast, pkt)
 }
 
 // OnNeighborExpired implements netstack.Router.
@@ -189,16 +194,18 @@ func (r *Router) OnNeighborExpired(id netstack.NodeID) {
 }
 
 // OnSendFailed implements netstack.Router: truncate caches over the dead
-// link and send the RERR the in-band salvage check would have sent.
+// link and send the RERR the in-band salvage check would have sent. The
+// packet, data or control, ends here.
 func (r *Router) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
 	r.API.ForgetNeighbor(to)
-	if hdr, ok := pkt.Payload.(routing.SourceRoute); ok && pkt.Kind == netstack.KindData && len(hdr.Path) > 0 {
+	if hdr, ok := pkt.Payload.(*routing.SourceRoute); ok && pkt.Kind == netstack.KindData {
 		r.API.Metrics().RouteBreaks++
 		r.reportBreak(hdr.Path[0], r.API.Self(), to)
 	} else {
 		r.truncateCaches(r.API.Self(), to)
 	}
 	r.API.Drop(pkt)
+	r.API.Release(pkt)
 }
 
 // CacheLen exposes the cache size for tests.

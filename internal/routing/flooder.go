@@ -7,10 +7,11 @@ import "github.com/vanetlab/relroute/internal/netstack"
 // news, and broadcast it; hand non-data and duplicates straight back to the
 // stack's pool; deliver a first copy addressed to this node (which then
 // never rebroadcasts) or to everyone; spend one TTL per hop, the only Drop a
-// flood counts; rebroadcast with SendFinal, so a reception allocates
-// nothing. A packet addressed to its own source is delivered locally and
-// never sent, Carrier.Originate's rule; no workload draws dst == src, so
-// no golden shows it.
+// flood counts; originate and rebroadcast with SendFinal, so neither an
+// origination nor a reception allocates once the pool is warm. A packet
+// addressed to its own source is delivered locally and never sent,
+// Carrier.Originate's rule; no workload draws dst == src, so no golden
+// shows it.
 type Flooder struct {
 	netstack.Base
 	dup      *DupCache
@@ -35,16 +36,18 @@ func (f *Flooder) Init(relay func(*netstack.Packet) bool, outbound func(pkt *net
 func (f *Flooder) NeedsBeacons() bool { return false }
 
 // Originate implements netstack.Router. The source always transmits,
-// whatever relay would say.
+// whatever relay would say, with SendFinal unless outbound took custody:
+// the duplicate cache keys the packet by its UID, not by the packet.
 func (f *Flooder) Originate(dst netstack.NodeID, size int) {
 	pkt := NewData(f.API, dst, size)
 	if dst == f.API.Self() {
 		f.API.Deliver(pkt)
+		f.API.Release(pkt)
 		return
 	}
 	f.dup.Seen(DupKey{Origin: pkt.Src, Seq: pkt.UID}, f.API.Now())
 	if f.outbound == nil || !f.outbound(pkt, true) {
-		f.API.Send(netstack.Broadcast, pkt)
+		f.API.SendFinal(netstack.Broadcast, pkt)
 	}
 }
 

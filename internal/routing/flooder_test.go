@@ -183,3 +183,29 @@ func TestFloodPathsAllocFree(t *testing.T) {
 		t.Fatalf("%d transmissions for %d first copies, want each rebroadcast here and once by the neighbor", c.DataForwarded, firsts)
 	}
 }
+
+// An origination costs no packet once the pool is warm: the source sends
+// with SendFinal, so its packet comes back when the frame is done, and the
+// neighbor hands its copy back once it is delivered; a packet addressed to
+// its own source comes back at its delivery. Sent with Send, every
+// origination would keep its packet.
+func TestFloodOriginationAllocFree(t *testing.T) {
+	w, ids, s := floodWorld(t)
+	now := 0.5
+	originate := func() {
+		s.Originate(ids[1], 64)
+		s.Originate(ids[0], 64)
+		now += 0.05
+		if err := w.AdvanceTo(now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	originate()
+	const runs = 200
+	if got := testing.AllocsPerRun(runs, originate); got != 0 {
+		t.Fatalf("an origination allocates %.1f objects, want 0", got)
+	}
+	if c := w.Collector(); c.DataDelivered != 2*(runs+2) || c.DataForwarded != runs+2 {
+		t.Fatalf("delivered %d, sent %d; want every packet delivered and only those for the neighbor sent", c.DataDelivered, c.DataForwarded)
+	}
+}

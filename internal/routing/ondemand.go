@@ -15,6 +15,11 @@ import (
 // and what a request looks like are the protocol's, bound once in Init: a
 // route table (OnDemand), a path cache (DSR), a probed source route (the
 // ticket router).
+//
+// A queued packet is the queue's alone, so Discovery hands back to the
+// stack's pool every packet it drops — evicted from a full queue, expired,
+// unrouted when the answer comes, or queued for a discovery given up — and
+// one delivered at its own source; forward takes the packet for good.
 type Discovery struct {
 	netstack.Base
 	pending *PendingQueue
@@ -52,6 +57,7 @@ func (d *Discovery) Originate(dst netstack.NodeID, size int) {
 	pkt := NewData(d.API, dst, size)
 	if dst == d.API.Self() {
 		d.API.Deliver(pkt)
+		d.API.Release(pkt)
 		return
 	}
 	if d.routed(dst) {
@@ -65,7 +71,7 @@ func (d *Discovery) Originate(dst netstack.NodeID, size int) {
 // discovery for it; the packet a full queue evicts is dropped.
 func (d *Discovery) Queue(pkt *netstack.Packet) {
 	if ev := d.pending.Push(pkt.Dst, pkt); ev != nil {
-		d.API.Drop(ev)
+		dropPacket(d.API, ev)
 	}
 	d.Start(pkt.Dst)
 }
@@ -113,7 +119,7 @@ func (d *Discovery) giveUp(dst netstack.NodeID) {
 	delete(d.trying, dst)
 	fresh, expired := d.pending.PopAll(dst, d.API.Now())
 	for _, p := range append(fresh, expired...) {
-		d.API.Drop(p)
+		dropPacket(d.API, p)
 	}
 }
 
@@ -146,14 +152,14 @@ func (d *Discovery) Answered(dst netstack.NodeID) {
 	delete(d.trying, dst)
 	fresh, expired := d.pending.PopAll(dst, d.API.Now())
 	for _, p := range expired {
-		d.API.Drop(p)
+		dropPacket(d.API, p)
 	}
 	routed := d.routed(dst)
 	for _, p := range fresh {
 		if routed {
 			d.forward(p)
 		} else {
-			d.API.Drop(p)
+			dropPacket(d.API, p)
 		}
 	}
 }

@@ -38,6 +38,14 @@ func NewData(api *netstack.API, dst netstack.NodeID, size int) *netstack.Packet 
 	return NewPacket(api, netstack.KindData, dst, size, nil)
 }
 
+// dropPacket gives a packet up for good: it counts the drop and hands the
+// packet back to the stack's pool, so the caller must hold no other
+// reference to it.
+func dropPacket(api *netstack.API, pkt *netstack.Packet) {
+	api.Drop(pkt)
+	api.Release(pkt)
+}
+
 // NeighborBuf sizes the stack array a per-packet loop reads the neighbor
 // table into (var buf [NeighborBuf]netstack.Neighbor, then
 // API.AppendNeighbors(buf[:0])): 25 neighbors is a 50 veh/km highway, and a

@@ -1,71 +1,84 @@
 package routing
 
-import "github.com/vanetlab/relroute/internal/netstack"
+import (
+	"slices"
+
+	"github.com/vanetlab/relroute/internal/netstack"
+)
 
 // SourceRoute is the header of a source-routed data packet (DSR and the
-// ticket-probing routers): the whole route, and where along it the packet
-// is.
+// ticket-probing routers): the whole route, origin ... destination
+// inclusive. A router builds one when it installs a route, and every packet
+// sent on that route carries a pointer to it, so the header is immutable:
+// nothing writes Path once a packet may carry it. A hop finds its place by
+// looking itself up in Path, which both route builders keep loop-free (DSR's
+// RREQ rejects a node already on its path, and a ticket probe's candidates
+// skip every node on theirs).
 type SourceRoute struct {
-	Path []netstack.NodeID // origin ... destination inclusive
-	Next int               // index in Path of the hop the packet was sent to
+	Path []netstack.NodeID
 }
 
-// SendSourceRouted stamps a copy of path, which starts at this node, on a
-// data packet and sends the packet to path[1]. The route inflates the
+// SendSourceRouted stamps hdr, whose route starts at this node, on a data
+// packet and sends the packet to the route's second node with SendFinal:
+// the sender keeps no reference to the packet. The route inflates the
 // header by four bytes a hop.
-func SendSourceRouted(api *netstack.API, pkt *netstack.Packet, path []netstack.NodeID) {
-	pkt.Payload = SourceRoute{Path: append([]netstack.NodeID(nil), path...), Next: 1}
-	pkt.Size += 4 * len(path)
-	api.Send(path[1], pkt)
+func SendSourceRouted(api *netstack.API, pkt *netstack.Packet, hdr *SourceRoute) {
+	pkt.Payload = hdr
+	pkt.Size += 4 * len(hdr.Path)
+	api.SendFinal(hdr.Path[1], pkt)
 }
 
 // ForwardSourceRouted delivers a source-routed data packet addressed here,
-// or sends it on to the next hop of its route while its TTL lasts. A packet
-// without a route, or past the route's end, is dropped. When the next hop is
-// no longer a neighbour, the packet is dropped as a route break and broken
-// receives the route and the lost hop, for the protocol's break report.
-func ForwardSourceRouted(api *netstack.API, pkt *netstack.Packet, broken func(hdr SourceRoute, lost netstack.NodeID)) {
+// or sends it on with SendFinal to the next hop of its route while its TTL
+// lasts. A packet without a route, or at the route's end, is dropped. When
+// the next hop is no longer a neighbour, the packet is dropped as a route
+// break and broken receives the route and this node's index on it, for the
+// protocol's break report. A delivered or dropped packet goes back to the
+// stack's pool.
+func ForwardSourceRouted(api *netstack.API, pkt *netstack.Packet, broken func(hdr *SourceRoute, idx int)) {
 	if pkt.Dst == api.Self() {
 		api.Deliver(pkt)
+		api.Release(pkt)
 		return
 	}
-	hdr, ok := pkt.Payload.(SourceRoute)
+	hdr, ok := pkt.Payload.(*SourceRoute)
 	if !ok {
-		api.Drop(pkt)
+		dropPacket(api, pkt)
 		return
 	}
-	next := hdr.Next + 1
-	if next >= len(hdr.Path) {
-		api.Drop(pkt)
+	idx := slices.Index(hdr.Path, api.Self())
+	if idx < 0 || idx+1 >= len(hdr.Path) {
+		dropPacket(api, pkt)
 		return
 	}
-	nextHop := hdr.Path[next]
+	nextHop := hdr.Path[idx+1]
 	if !api.HasNeighbor(nextHop) {
 		api.Metrics().RouteBreaks++
-		api.Drop(pkt)
-		broken(hdr, nextHop)
+		dropPacket(api, pkt)
+		broken(hdr, idx)
 		return
 	}
 	pkt.TTL--
 	if pkt.Expired() {
-		api.Drop(pkt)
+		dropPacket(api, pkt)
 		return
 	}
-	hdr.Next = next
-	pkt.Payload = hdr
-	api.Send(nextHop, pkt)
+	api.SendFinal(nextHop, pkt)
 }
 
 // RelayBack passes a route reply one hop back toward the origin along path,
-// on which this node sits at index idx. The origin (idx 0) ends the relay,
-// and so does the reply's TTL running out.
+// on which this node sits at index idx, with SendFinal. The origin (idx 0)
+// ends the relay, and so does the reply's TTL running out; either hands
+// the reply back to the stack's pool.
 func RelayBack(api *netstack.API, pkt *netstack.Packet, path []netstack.NodeID, idx int) {
 	if idx == 0 {
+		api.Release(pkt)
 		return
 	}
 	pkt.TTL--
 	if pkt.Expired() {
+		api.Release(pkt)
 		return
 	}
-	api.Send(path[idx-1], pkt)
+	api.SendFinal(path[idx-1], pkt)
 }

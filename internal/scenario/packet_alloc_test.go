@@ -6,70 +6,104 @@ import (
 	"testing"
 )
 
-// packetPathObjects runs a quick Greedy highway with packets per flow and
-// counts the objects its run allocates on the packet path: under a router
-// or the stack's packet pool, but not in the collector, which records each
-// delivery by design. It reads the runtime's allocation profile at a
-// sampling rate of one, so every object is seen with its stack.
-func packetPathObjects(t *testing.T, packets int) (objects int64, delivered int) {
+// packetPathObjects runs a quick highway of proto with packets per flow and
+// counts the objects its run allocates on the packet path, in the stacks
+// onPath accepts: function names, the allocating function first. It reads
+// the runtime's allocation profile at a sampling rate of one, so every
+// object is seen with its stack.
+func packetPathObjects(t *testing.T, proto string, packets int, onPath func(stack []string) bool) (objects int64, delivered int) {
 	t.Helper()
-	sc, err := Build("Greedy", Options{Seed: 1, Vehicles: 60, HighwayLength: 1500, Duration: 30, Flows: 4, FlowPackets: packets})
+	sc, err := Build(proto, Options{Seed: 1, Vehicles: 60, HighwayLength: 1500, Duration: 30, Flows: 4, FlowPackets: packets})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
 	runtime.GC()
-	before := packetPathProfile()
+	before := packetPathProfile(onPath)
 	if _, err := sc.Run(); err != nil {
 		t.Fatal(err)
 	}
 	runtime.GC()
-	for stack, n := range packetPathProfile() {
+	for stack, n := range packetPathProfile(onPath) {
 		objects += n - before[stack]
 	}
 	return objects, sc.World.Collector().DataDelivered
 }
 
 // packetPathProfile reads the allocation profile's packet-path stacks.
-func packetPathProfile() map[string]int64 {
+func packetPathProfile(onPath func(stack []string) bool) map[string]int64 {
 	n, _ := runtime.MemProfile(nil, true)
 	recs := make([]runtime.MemProfileRecord, n+256)
 	n, _ = runtime.MemProfile(recs, true)
 	out := make(map[string]int64)
 	for i := range recs[:n] {
-		var key strings.Builder
+		var stack []string
 		frames := runtime.CallersFrames(recs[i].Stack())
 		for {
 			fr, more := frames.Next()
-			key.WriteString(fr.Function)
-			key.WriteByte(';')
+			stack = append(stack, fr.Function)
 			if !more {
 				break
 			}
 		}
-		s := key.String()
-		if (strings.Contains(s, "/internal/routing.") || strings.Contains(s, "netstack.(*World).getPacket")) &&
-			!strings.Contains(s, "/internal/metrics.") {
-			out[s] += recs[i].AllocObjects
+		if onPath(stack) {
+			out[strings.Join(stack, ";")] += recs[i].AllocObjects
 		}
 	}
 	return out
 }
 
+// fromThePool reports whether the stack allocates a packet for the pool.
+func fromThePool(stack []string) bool {
+	return strings.HasSuffix(stack[0], "netstack.(*World).getPacket")
+}
+
 // TestCarrierPacketsComeFromThePool pins the store-carry-forward data
 // path: Greedy originates on a pooled packet, forwards with SendFinal and
 // releases at delivery, so ten times the packets allocate no more objects
-// on the packet path than the pool's warm-up. Greedy sending with Send, or
-// building packets with new, costs objects per packet and hop.
+// under its routers and the packet pool than the pool's warm-up — the
+// collector, which records each delivery by design, left out. Greedy
+// sending with Send, or building packets with new, costs objects per
+// packet and hop.
 func TestCarrierPacketsComeFromThePool(t *testing.T) {
-	few, fewDelivered := packetPathObjects(t, 4)
-	many, manyDelivered := packetPathObjects(t, 40)
+	underRouting := func(stack []string) bool {
+		s := strings.Join(stack, ";")
+		return (strings.Contains(s, "/internal/routing.") || fromThePool(stack)) &&
+			!strings.Contains(s, "/internal/metrics.")
+	}
+	few, fewDelivered := packetPathObjects(t, "Greedy", 4, underRouting)
+	many, manyDelivered := packetPathObjects(t, "Greedy", 40, underRouting)
 	t.Logf("packet-path objects: %d for %d deliveries, %d for %d", few, fewDelivered, many, manyDelivered)
 	if fewDelivered == 0 || manyDelivered < 8*fewDelivered {
 		t.Fatalf("delivered %d and %d packets: the highway does not carry the flows", fewDelivered, manyDelivered)
 	}
 	if many != few {
 		t.Fatalf("40 packets per flow allocate %d objects on the packet path and 4 allocate %d; want the same", many, few)
+	}
+}
+
+// TestSourceRoutedPacketsComeFromThePool pins TBP-SS's data path: every
+// packet comes from the stack's pool — data, and the probes, replies and
+// break notices of the discoveries beside it — and a data packet hops on
+// the header its route shares, sent with SendFinal and handed back at
+// delivery or drop. So 40 packets per flow allocate the same packets, and
+// the same objects in the source-route data plane, as 4 do. (Discoveries
+// are not pinned: longer flows renew their routes more often.) A boxed
+// header per hop, a copied route per packet, or a forward with Send costs
+// objects per packet and hop.
+func TestSourceRoutedPacketsComeFromThePool(t *testing.T) {
+	dataPath := func(stack []string) bool {
+		return fromThePool(stack) || strings.HasSuffix(stack[0], "routing.SendSourceRouted") ||
+			strings.HasSuffix(stack[0], "routing.ForwardSourceRouted")
+	}
+	few, fewDelivered := packetPathObjects(t, "TBP-SS", 4, dataPath)
+	many, manyDelivered := packetPathObjects(t, "TBP-SS", 40, dataPath)
+	t.Logf("data-path objects: %d for %d deliveries, %d for %d", few, fewDelivered, many, manyDelivered)
+	if fewDelivered == 0 || manyDelivered < 8*fewDelivered {
+		t.Fatalf("delivered %d and %d packets: the highway does not carry the flows", fewDelivered, manyDelivered)
+	}
+	if many != few {
+		t.Fatalf("40 packets per flow allocate %d objects on the data path and 4 allocate %d; want the same", many, few)
 	}
 }
