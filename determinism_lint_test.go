@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"strings"
@@ -29,25 +30,7 @@ var lintedTrees = []string{
 // linted function of that bare name does". That can only over-report;
 // rename the offender's namesake if it ever does.
 func TestNoMapRangeOnTheEventPath(t *testing.T) {
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, tree := range lintedTrees {
-		err := filepath.WalkDir(tree, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return err
-			}
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-			files = append(files, f)
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(files) < 40 {
-		t.Fatalf("parsed only %d files — run from the repository root", len(files))
-	}
-
+	fset, files := parseLinted(t)
 	l := newLint(files)
 	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -67,6 +50,102 @@ func TestNoMapRangeOnTheEventPath(t *testing.T) {
 			return true
 		})
 	}
+}
+
+// TestNoPacketUseAfterSend parses every non-test file under lintedTrees
+// and fails when a statement after X.Send(to, p), in the same block,
+// mentions p, in a closure or not. Send takes the packet: the stack
+// recycles it once the MAC is done with the frame, so a later read or
+// write reaches whatever packet the pool hands out next, and no golden
+// shows it. A router that needs the packet again keeps a copy of its own
+// (NewPacket, then *cp = *pkt) and sends the packet it was handed.
+//
+// It works on syntax alone: p is the argument's text (a name, or a path
+// such as h.pkt), and a mention is that text again. A call argument, such
+// as a packet built in place, is nobody's to mention. That can only
+// over-report; copy the packet first if it ever does.
+func TestNoPacketUseAfterSend(t *testing.T) {
+	fset, files := parseLinted(t)
+	sends := 0
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			var list []ast.Stmt
+			switch b := n.(type) {
+			case *ast.BlockStmt:
+				list = b.List
+			case *ast.CaseClause:
+				list = b.Body
+			case *ast.CommClause:
+				list = b.Body
+			}
+			for i, stmt := range list {
+				p := sentPacket(stmt)
+				if p == "" {
+					continue
+				}
+				sends++
+				for _, later := range list[i+1:] {
+					ast.Inspect(later, func(n ast.Node) bool {
+						if e, ok := n.(ast.Expr); ok && types.ExprString(e) == p {
+							t.Errorf("%s: %s is used after it was sent (at %s): send a copy, or send it last",
+								fset.Position(e.Pos()), p, fset.Position(stmt.Pos()))
+							return false
+						}
+						return true
+					})
+				}
+			}
+			return true
+		})
+	}
+	if sends < 20 {
+		t.Fatalf("found only %d sends of a named packet — is Send still API.Send(to, pkt)?", sends)
+	}
+}
+
+// sentPacket is p's text when stmt is X.Send(to, p) with p a name or a path
+// of names, and "" otherwise.
+func sentPacket(stmt ast.Stmt) string {
+	es, ok := stmt.(*ast.ExprStmt)
+	if !ok {
+		return ""
+	}
+	call, ok := es.X.(*ast.CallExpr)
+	if !ok || len(call.Args) != 2 {
+		return ""
+	}
+	if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || sel.Sel.Name != "Send" {
+		return ""
+	}
+	switch p := call.Args[1].(type) {
+	case *ast.Ident, *ast.SelectorExpr:
+		return types.ExprString(p)
+	}
+	return ""
+}
+
+// parseLinted parses every non-test file under lintedTrees.
+func parseLinted(t *testing.T) (*token.FileSet, []*ast.File) {
+	t.Helper()
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for _, tree := range lintedTrees {
+		err := filepath.WalkDir(tree, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			files = append(files, f)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(files) < 40 {
+		t.Fatalf("parsed only %d files — run from the repository root", len(files))
+	}
+	return fset, files
 }
 
 // TestOneGenerator fails on a call to rand.NewSource in any non-test file

@@ -55,13 +55,12 @@ const (
 // ticket probing on a link-stability metric, source-routed data, and
 // stability-driven preemptive maintenance.
 //
-// A packet has one holder at a time: every probe share, reply, break notice
-// and data hop leaves with SendFinal, and every packet whose journey ends
-// here goes back to the stack's pool — a probe absorbed at its target,
-// out of hops, without a candidate or once its shares are sent, a reply at
-// its origin, a break notice, and the control copy a failed send hands
-// back. The one packet kept is the data copy a failed first hop hands the
-// origin, which waits in the discovery queue for the next path.
+// A packet has one holder at a time: every packet whose journey ends here
+// goes back to the stack's pool — a probe absorbed at its target, out of
+// hops, without a candidate or once its shares are sent, a reply at its
+// origin, a break notice, and the control copy a failed send hands back.
+// The one packet kept is the data copy a failed first hop hands the origin,
+// which waits in the discovery queue for the next path.
 type TicketRouter struct {
 	routing.Discovery
 	tickets int
@@ -177,7 +176,7 @@ func (r *TicketRouter) sendProbes(dst netstack.NodeID, reqID uint64) bool {
 			Path:      []netstack.NodeID{r.API.Self()},
 			Stability: c.stability,
 		}
-		r.API.SendFinal(c.id, r.Control(netstack.KindProbe, dst, 48+4*len(pl.Path), pl))
+		r.API.Send(c.id, r.Control(netstack.KindProbe, dst, 48+4*len(pl.Path), pl))
 	}
 	return true
 }
@@ -428,7 +427,7 @@ func (r *TicketRouter) handleProbe(pkt *netstack.Packet) {
 		*fwd = *pkt
 		fwd.Payload = cp
 		fwd.Size = 48 + 4*len(path)
-		r.API.SendFinal(cands[i].id, fwd)
+		r.API.Send(cands[i].id, fwd)
 	}
 	r.API.Release(pkt) // the shares are sent, or the ticket dies here without a candidate
 }
@@ -439,7 +438,7 @@ func (r *TicketRouter) answer(origin netstack.NodeID, best bestPath) {
 	if len(path) < 2 {
 		return
 	}
-	r.API.SendFinal(path[len(path)-2], r.Control(netstack.KindRREP, origin, 32+4*len(path),
+	r.API.Send(path[len(path)-2], r.Control(netstack.KindRREP, origin, 32+4*len(path),
 		reply{Origin: origin, Target: r.API.Self(), Path: path, Stability: best.stability}))
 }
 
@@ -502,7 +501,7 @@ func (r *TicketRouter) reportBreak(path []netstack.NodeID, selfIdx int) {
 	}
 	origin := path[0]
 	target := path[len(path)-1]
-	r.API.SendFinal(path[selfIdx-1], r.Control(netstack.KindRERR, origin, 24,
+	r.API.Send(path[selfIdx-1], r.Control(netstack.KindRERR, origin, 24,
 		breakNotice{Origin: origin, Target: target}))
 }
 

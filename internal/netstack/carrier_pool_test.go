@@ -26,7 +26,8 @@ func (f failCounter) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
 // every 0.74 s (out of step with the 1 s beacons), so that a unicast sent
 // into a cut spends its whole ARQ budget and the send-failure path runs
 // dozens of times. Every packet must come back to the stack's pool exactly
-// once: the forwarded one through SendFinal, the rest at delivery or drop.
+// once: the forwarded one when its frame is done, the rest at delivery or
+// drop.
 // A second wave of flows then finds the pool warm and allocates no packet:
 // the free list holds the same packets after it as before.
 func TestCarrierPacketsRecycled(t *testing.T) {

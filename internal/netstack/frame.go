@@ -3,7 +3,7 @@ package netstack
 import "github.com/vanetlab/relroute/internal/mac"
 
 // getPacket takes a zeroed packet from the pool (or allocates one). Callers
-// own the result until they pass it to Send, SendFinal or Release.
+// own the result until they pass it to Send or Release.
 func (w *World) getPacket() *Packet {
 	if n := len(w.pktFree); n > 0 {
 		p := w.pktFree[n-1]
@@ -13,12 +13,10 @@ func (w *World) getPacket() *Packet {
 	return &Packet{}
 }
 
-// copyPacket is a pooled copy of pkt for a router to own. The mark
-// SendFinal set belongs to pkt, the frame's payload, not to the copy.
+// copyPacket is a pooled copy of pkt for a router to own.
 func (w *World) copyPacket(pkt *Packet) *Packet {
 	cp := w.getPacket()
 	*cp = *pkt
-	cp.final = false
 	return cp
 }
 
@@ -30,18 +28,15 @@ func (w *World) putPacket(p *Packet) {
 	w.pktFree = append(w.pktFree, p)
 }
 
-// sendFrame is API.Send and API.SendFinal: it stamps link addresses,
-// charges metrics, and hands the packet to the MAC. final marks a packet
-// the router gave up for good: frameDone recycles it when the MAC is done
-// with the frame, and a sender that cannot transmit recycles it here.
-func (w *World) sendFrame(n *node, to NodeID, pkt *Packet, final bool) {
+// sendFrame is API.Send: it stamps link addresses, charges metrics, and
+// hands the packet to the MAC, which owns it from here on: frameDone
+// recycles it when the MAC is done with the frame, and a sender that cannot
+// transmit recycles it here.
+func (w *World) sendFrame(n *node, to NodeID, pkt *Packet) {
 	if !n.active {
-		if final {
-			w.putPacket(pkt)
-		}
+		w.putPacket(pkt)
 		return
 	}
-	pkt.final = final
 	pkt.From = n.id
 	pkt.To = to
 	if pkt.Kind == KindData {
@@ -103,14 +98,14 @@ func (w *World) txFailed(from int32, f mac.Frame) {
 	// ForgetNeighbor, discarding the entry the evidence belongs to)
 	n.mon.RecordSendFailed(NodeID(f.To))
 	// the router owns a pooled copy, as a receiver does: the MAC calls
-	// frameDone, which recycles a SendFinal packet, after this upcall
+	// frameDone, which recycles the sent packet, after this upcall
 	n.router.OnSendFailed(w.copyPacket(pkt), NodeID(f.To))
 }
 
 // frameDone is the MAC's frame-lifecycle hook: by the time it fires, every
-// receiver upcall for the frame has run, so the packets nobody but the
-// stack still holds — beacons, and what a router sent with SendFinal — can
-// be recycled.
+// receiver upcall for the frame has run, so the frame's packet, which only
+// the stack holds, is recycled: a beacon to its own free list, anything
+// else to the pool.
 func (w *World) frameDone(f mac.Frame) {
 	pkt, ok := f.Payload.(*Packet)
 	if !ok {
@@ -118,7 +113,7 @@ func (w *World) frameDone(f mac.Frame) {
 	}
 	if pkt.Kind == KindHello {
 		w.helloFree = append(w.helloFree, pkt)
-	} else if pkt.final {
+	} else {
 		w.putPacket(pkt)
 	}
 }

@@ -141,8 +141,9 @@ func TestFlowDeliveryAndMetrics(t *testing.T) {
 // TestSendChargesByKind pins the stack's data/control split: a sent data
 // packet is charged to the data columns and any other kind to its control
 // counter, and API.Drop counts a dropped data packet but not a dropped
-// control one.
+// control one. Send takes its packets, so the sizes are constants here.
 func TestSendChargesByKind(t *testing.T) {
+	const dataSize, rreqSize = 256, 48
 	w := NewWorld(Config{Seed: 1}, mobility.NewPlayback(lineTracks(2, 100, 0)))
 	var routers []*quietRouter
 	ids := w.AddVehicleNodes(func() Router {
@@ -150,24 +151,22 @@ func TestSendChargesByKind(t *testing.T) {
 		routers = append(routers, r)
 		return r
 	})
-	data := &Packet{UID: 1, Kind: KindData, Src: ids[0], Dst: ids[1], TTL: 8, Size: 256}
-	rreq := &Packet{UID: 2, Kind: KindRREQ, Src: ids[0], Dst: ids[1], TTL: 8, Size: 48}
 	w.Engine().At(1, func() {
 		api := routers[0].API
-		api.Send(Broadcast, data)
-		api.Send(Broadcast, rreq)
-		api.Drop(data)
-		api.Drop(rreq)
+		api.Send(Broadcast, &Packet{UID: 1, Kind: KindData, Src: ids[0], Dst: ids[1], TTL: 8, Size: dataSize})
+		api.Send(Broadcast, &Packet{UID: 2, Kind: KindRREQ, Src: ids[0], Dst: ids[1], TTL: 8, Size: rreqSize})
+		api.Drop(&Packet{UID: 3, Kind: KindData})
+		api.Drop(&Packet{UID: 4, Kind: KindRREQ})
 	})
 	if err := w.Run(2); err != nil {
 		t.Fatal(err)
 	}
 	c := w.Collector()
-	if c.DataForwarded != 1 || c.DataBytes != data.Size {
-		t.Errorf("data charged %d packets, %d bytes; want 1, %d", c.DataForwarded, c.DataBytes, data.Size)
+	if c.DataForwarded != 1 || c.DataBytes != dataSize {
+		t.Errorf("data charged %d packets, %d bytes; want 1, %d", c.DataForwarded, c.DataBytes, dataSize)
 	}
-	if c.Control[KindRREQ] != 1 || c.ControlBytes != rreq.Size {
-		t.Errorf("control charged %v, %d bytes; want RREQ 1, %d", c.Control, c.ControlBytes, rreq.Size)
+	if c.Control[KindRREQ] != 1 || c.ControlBytes != rreqSize {
+		t.Errorf("control charged %v, %d bytes; want RREQ 1, %d", c.Control, c.ControlBytes, rreqSize)
 	}
 	if c.DataDropped != 1 {
 		t.Errorf("dropped = %d, want 1: only the data packet's drop counts", c.DataDropped)
@@ -200,7 +199,7 @@ func TestDispatchClonesPerReceiver(t *testing.T) {
 			UID: 99, Kind: KindData,
 			Src: ids[0], Dst: Broadcast, TTL: 8, Size: 64, Created: w.eng.Now(),
 		}
-		w.sendFrame(n, Broadcast, pkt, false)
+		w.sendFrame(n, Broadcast, pkt)
 	})
 	if err := w.Run(2); err != nil {
 		t.Fatal(err)
@@ -278,7 +277,7 @@ func TestSendFailedPropagates(t *testing.T) {
 			UID: 5, Kind: KindData,
 			Src: ids[0], Dst: far, TTL: 8, Size: 64, Created: 1,
 		}
-		w.sendFrame(n, far, pkt, false)
+		w.sendFrame(n, far, pkt)
 	})
 	if err := w.Run(3); err != nil {
 		t.Fatal(err)

@@ -50,14 +50,8 @@ const (
 // Packet is the network-layer unit. From/To are link-layer addresses set
 // per transmission; Src/Dst are end-to-end.
 type Packet struct {
-	UID  uint64 // unique per originated packet; forwarded copies share it
-	Kind Kind   // what the packet is: KindData, or a control kind
-	// final is set while the packet sits in the MAC after API.SendFinal:
-	// the stack recycles it when the frame is done. Send clears it and
-	// dispatch clears it on every per-receiver copy. It sits beside Kind
-	// so the two bytes share one word's padding.
-	final bool
-
+	UID     uint64 // unique per originated packet; forwarded copies share it
+	Kind    Kind   // what the packet is: KindData, or a control kind
 	Src     NodeID
 	Dst     NodeID // end-to-end destination; Broadcast for dissemination
 	From    NodeID // last-hop sender

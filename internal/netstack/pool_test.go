@@ -20,17 +20,17 @@ func (r *countingRouter) Originate(NodeID, int)     {}
 func (r *countingRouter) OnBeacon(NodeID, NodeKind) { r.beacons++ }
 func (r *countingRouter) NeedsBeacons() bool        { return true }
 
-// A warmed packet pool round-trip must not allocate: getPacket reuses what
-// putPacket recycled.
-// TestPacketIs80Bytes pins the unit every send and pooled copy moves:
-// the one-byte Kind and the final flag share the padding after UID, so a
-// field added or moved here is paid for on every frame.
+// TestPacketIs80Bytes pins the unit every send and pooled copy moves: the
+// one-byte Kind sits in the padding between UID and Src, so a field added
+// or moved here is paid for on every frame.
 func TestPacketIs80Bytes(t *testing.T) {
 	if got := unsafe.Sizeof(Packet{}); got != 80 {
 		t.Fatalf("netstack.Packet is %d bytes, want 80", got)
 	}
 }
 
+// A warmed packet pool round-trip must not allocate: getPacket reuses what
+// putPacket recycled.
 func TestPacketPoolRoundTripAllocFree(t *testing.T) {
 	w := NewWorld(Config{Seed: 1}, mobility.NewPlayback(nil))
 	// warm: one packet in the free list
@@ -86,9 +86,9 @@ func TestBeaconFramesRecycled(t *testing.T) {
 }
 
 // poolFlooder is flood.Router's ownership discipline without the import
-// cycle: originate with Send, Release every copy that ends here, rebroadcast
-// the first copy with SendFinal. handed, shared by the world's routers,
-// collects every packet the stack's pool has handed out.
+// cycle: originate on a pooled packet, Release every copy that ends here and
+// send the first copy on. handed, shared by the world's routers, collects
+// every packet the stack's pool has handed out.
 type poolFlooder struct {
 	Base
 	seen   map[uint64]bool
@@ -98,10 +98,12 @@ type poolFlooder struct {
 func (r *poolFlooder) NeedsBeacons() bool { return false }
 
 func (r *poolFlooder) Originate(dst NodeID, size int) {
-	pkt := &Packet{
+	pkt := r.API.NewPacket()
+	*pkt = Packet{
 		UID: r.API.NewUID(), Kind: KindData,
 		Src: r.API.Self(), Dst: dst, TTL: 16, Size: size, Created: r.API.Now(),
 	}
+	r.handed[pkt] = true
 	r.seen[pkt.UID] = true
 	r.API.Send(Broadcast, pkt)
 }
@@ -122,7 +124,7 @@ func (r *poolFlooder) HandlePacket(pkt *Packet) {
 		r.API.Release(pkt)
 		return
 	}
-	r.API.SendFinal(Broadcast, pkt)
+	r.API.Send(Broadcast, pkt)
 }
 
 // sinkRouter counts the packets it receives and releases every copy, so
@@ -159,11 +161,12 @@ func checkFreeList(t *testing.T, w *World, want ...*Packet) {
 	}
 }
 
-// A flood in steady state must stop allocating packets: the rebroadcast
-// copy comes back through SendFinal, every other copy through Release, so a
+// A flood in steady state must stop allocating packets: a sent packet comes
+// back when its frame is done, every other copy through Release, so a
 // second identical wave of originations finds the pool warm and makes it
-// allocate fewer new packets than the wave originates. (Sent with Send,
-// every rebroadcast would keep its copy: ten per origination on this line.)
+// allocate fewer new packets than the wave originates. (A rebroadcast the
+// stack did not recycle would cost ten packets per origination on this
+// line.)
 func TestFloodRebroadcastRecycled(t *testing.T) {
 	const nodes, perWave = 12, 10
 	w := NewWorld(Config{Seed: 1}, mobility.NewPlayback(lineTracks(nodes, 100, 0)))
@@ -197,10 +200,10 @@ func TestFloodRebroadcastRecycled(t *testing.T) {
 	}
 }
 
-// finalWorld is two static sinks in range of each other, with a source of
-// pool packets to SendFinal, on a MAC layer with cfg in place of the
-// world's own.
-func finalWorld(t *testing.T, cfg mac.Config) (*World, []*sinkRouter, func() *Packet) {
+// sinkWorld is two static sinks in range of each other, with a source of
+// pool packets to send, on a MAC layer with cfg in place of the world's
+// own.
+func sinkWorld(t *testing.T, cfg mac.Config) (*World, []*sinkRouter, func() *Packet) {
 	t.Helper()
 	w := NewWorld(Config{Seed: 1}, mobility.NewPlayback(nil))
 	w.mac = mac.NewLayer(w.eng, w.links, cfg, w.col, w.dispatch, w.txFailed)
@@ -218,15 +221,15 @@ func finalWorld(t *testing.T, cfg mac.Config) (*World, []*sinkRouter, func() *Pa
 	return w, routers, newPkt
 }
 
-// A SendFinal packet must come back to the free list exactly once whichever
-// way the frame leaves the MAC.
-func TestSendFinalRecycledOncePerExit(t *testing.T) {
+// A sent packet must come back to the free list exactly once whichever way
+// the frame leaves the MAC.
+func TestSendRecycledOncePerExit(t *testing.T) {
 	t.Run("transmitted", func(t *testing.T) {
-		w, routers, newPkt := finalWorld(t, mac.Config{})
+		w, routers, newPkt := sinkWorld(t, mac.Config{})
 		var pkt *Packet
 		w.eng.At(1, func() {
 			pkt = newPkt()
-			routers[0].API.SendFinal(Broadcast, pkt)
+			routers[0].API.Send(Broadcast, pkt)
 			checkFreeList(t, w) // still queued: not recycled yet
 		})
 		if err := w.Run(2); err != nil {
@@ -238,12 +241,12 @@ func TestSendFinalRecycledOncePerExit(t *testing.T) {
 		checkFreeList(t, w, pkt)
 	})
 	t.Run("queue overflow", func(t *testing.T) {
-		w, routers, newPkt := finalWorld(t, mac.Config{QueueCap: 1})
+		w, routers, newPkt := sinkWorld(t, mac.Config{QueueCap: 1})
 		var first, second *Packet
 		w.eng.At(1, func() {
 			first, second = newPkt(), newPkt()
-			routers[0].API.SendFinal(Broadcast, first)
-			routers[0].API.SendFinal(Broadcast, second)
+			routers[0].API.Send(Broadcast, first)
+			routers[0].API.Send(Broadcast, second)
 			checkFreeList(t, w, second) // refused by the full queue, recycled inside Send
 		})
 		if err := w.Run(2); err != nil {
@@ -255,17 +258,17 @@ func TestSendFinalRecycledOncePerExit(t *testing.T) {
 		checkFreeList(t, w, first, second)
 	})
 	t.Run("busy-medium drop", func(t *testing.T) {
-		w, routers, newPkt := finalWorld(t, mac.Config{MaxRetries: 1})
-		var pkt *Packet
+		w, routers, newPkt := sinkWorld(t, mac.Config{MaxRetries: 1})
+		var long, pkt *Packet
 		w.eng.At(1, func() {
 			// a second of airtime from node 1 keeps node 0 deferring
-			long := newPkt()
+			long = newPkt()
 			long.Size = 750_000
 			routers[1].API.Send(Broadcast, long)
 		})
 		w.eng.At(1.1, func() {
 			pkt = newPkt()
-			routers[0].API.SendFinal(Broadcast, pkt)
+			routers[0].API.Send(Broadcast, pkt)
 		})
 		w.eng.At(1.5, func() {
 			if w.col.MACChannelLoss != 1 {
@@ -279,16 +282,16 @@ func TestSendFinalRecycledOncePerExit(t *testing.T) {
 		if routers[1].got != 0 || routers[0].got != 1 {
 			t.Fatalf("receptions %d at node 1 and %d at node 0, want only the long frame at node 0", routers[1].got, routers[0].got)
 		}
-		checkFreeList(t, w, pkt)
+		checkFreeList(t, w, long, pkt)
 	})
 	t.Run("crash flushes the queue", func(t *testing.T) {
-		w, routers, newPkt := finalWorld(t, mac.Config{})
+		w, routers, newPkt := sinkWorld(t, mac.Config{})
 		var onAir, queued *Packet
 		w.eng.At(1, func() {
 			onAir, queued = newPkt(), newPkt()
 			onAir.Size = 75_000 // 0.1 s of airtime
-			routers[0].API.SendFinal(Broadcast, onAir)
-			routers[0].API.SendFinal(Broadcast, queued)
+			routers[0].API.Send(Broadcast, onAir)
+			routers[0].API.Send(Broadcast, queued)
 		})
 		w.eng.At(1.05, func() {
 			w.CrashNode(0)
@@ -303,12 +306,12 @@ func TestSendFinalRecycledOncePerExit(t *testing.T) {
 		checkFreeList(t, w, onAir, queued)
 	})
 	t.Run("inactive sender", func(t *testing.T) {
-		w, routers, newPkt := finalWorld(t, mac.Config{})
+		w, routers, newPkt := sinkWorld(t, mac.Config{})
 		var pkt *Packet
 		w.eng.At(1, func() {
 			w.setActive(w.nodeByID(0), false)
 			pkt = newPkt()
-			routers[0].API.SendFinal(Broadcast, pkt)
+			routers[0].API.Send(Broadcast, pkt)
 			checkFreeList(t, w, pkt)
 		})
 		if err := w.Run(2); err != nil {
@@ -321,44 +324,26 @@ func TestSendFinalRecycledOncePerExit(t *testing.T) {
 	})
 }
 
-// resendRouter keeps every copy it receives and forwards it with plain Send,
-// as a router with a retry buffer does.
-type resendRouter struct {
-	echoRouter
-}
-
-func (r *resendRouter) NeedsBeacons() bool { return false }
-
-func (r *resendRouter) HandlePacket(pkt *Packet) {
-	r.got = append(r.got, pkt)
-	if pkt.TTL--; !pkt.Expired() {
-		r.API.Send(Broadcast, pkt)
-	}
-}
-
-// The mark SendFinal sets belongs to the sender's packet alone: a receiver's
-// copy of that frame, sent on with Send, must stay the receiver's.
-func TestSendFinalMarkStaysWithTheSender(t *testing.T) {
+// A dispatch copy its router holds, neither sent nor released, stays the
+// router's: the frame it came in on is recycled, the copy never is.
+func TestHeldCopyStaysOutOfThePool(t *testing.T) {
 	w := NewWorld(Config{Seed: 1}, mobility.NewPlayback(nil))
-	sender, keeper := &sinkRouter{}, &resendRouter{}
+	sender, keeper := &sinkRouter{}, &echoRouter{}
 	w.AddStaticNode(RSU, geom.V(0, 0), sender)
 	w.AddStaticNode(RSU, geom.V(100, 0), keeper)
 	var sent *Packet
 	w.eng.At(1, func() {
 		sent = w.getPacket()
 		*sent = Packet{UID: 7, Kind: KindData, Src: 0, Dst: Broadcast, TTL: 2, Size: 200}
-		sender.API.SendFinal(Broadcast, sent)
+		sender.API.Send(Broadcast, sent)
 	})
 	if err := w.Run(2); err != nil {
 		t.Fatal(err)
 	}
-	if len(keeper.got) != 1 || sender.got != 1 {
-		t.Fatalf("keeper got %d packets and the sender %d echoes, want one each", len(keeper.got), sender.got)
+	if len(keeper.got) != 1 {
+		t.Fatalf("keeper got %d packets, want one", len(keeper.got))
 	}
 	kept := keeper.got[0]
-	if kept.final {
-		t.Fatal("the dispatch copy carries the sender's mark")
-	}
 	if kept.UID != 7 || kept.Hops != 1 {
 		t.Fatalf("the kept copy was recycled under its owner: %+v", *kept)
 	}

@@ -1,0 +1,133 @@
+package netstack_test
+
+import (
+	"slices"
+	"testing"
+
+	"github.com/vanetlab/relroute/internal/core"
+	"github.com/vanetlab/relroute/internal/geom"
+	"github.com/vanetlab/relroute/internal/netstack"
+	"github.com/vanetlab/relroute/internal/roadnet"
+	"github.com/vanetlab/relroute/internal/routing/abedi"
+	"github.com/vanetlab/relroute/internal/routing/aodv"
+	"github.com/vanetlab/relroute/internal/routing/busferry"
+	"github.com/vanetlab/relroute/internal/routing/car"
+	"github.com/vanetlab/relroute/internal/routing/dsdv"
+	"github.com/vanetlab/relroute/internal/routing/dsr"
+	"github.com/vanetlab/relroute/internal/routing/flood"
+	"github.com/vanetlab/relroute/internal/routing/gateway"
+	"github.com/vanetlab/relroute/internal/routing/greedy"
+	"github.com/vanetlab/relroute/internal/routing/gvgrid"
+	"github.com/vanetlab/relroute/internal/routing/hybrid"
+	"github.com/vanetlab/relroute/internal/routing/niude"
+	"github.com/vanetlab/relroute/internal/routing/pbr"
+	"github.com/vanetlab/relroute/internal/routing/rear"
+	"github.com/vanetlab/relroute/internal/routing/routetest"
+	"github.com/vanetlab/relroute/internal/routing/rsu"
+	"github.com/vanetlab/relroute/internal/routing/taleb"
+	"github.com/vanetlab/relroute/internal/routing/zone"
+	"github.com/vanetlab/relroute/internal/scenario"
+)
+
+// TestEveryProtocolKeepsThePoolClean runs every protocol of the scenario
+// registry on the faulted chain of TestSourceRoutedPacketsRecycled, where
+// sends fail and routes break, and looks at the stack's pool every 0.1 s:
+// no packet may sit in the free list twice, and every packet in it must
+// still be the zero Packet. A router that sent or released a packet and
+// then touched it again — a retry, a timer, a buffer — fails one of the
+// two, which no golden would show.
+func TestEveryProtocolKeepsThePoolClean(t *testing.T) {
+	cases := []struct {
+		name    string
+		factory func() netstack.RouterFactory
+		bus     bool                    // the chain's inner vehicles are buses
+		statics func(w *netstack.World) // static nodes the protocol needs
+	}{
+		{name: "Flooding", factory: flood.New},
+		{name: "Biswas", factory: flood.NewBiswas},
+		{name: "AODV", factory: aodv.New},
+		{name: "DSDV", factory: dsdv.New},
+		{name: "DSR", factory: dsr.New},
+		{name: "PBR", factory: pbr.New},
+		{name: "Taleb", factory: taleb.New},
+		{name: "Abedi", factory: abedi.New},
+		{name: "DRR", factory: rsu.NewVehicle, statics: func(w *netstack.World) {
+			backbone := rsu.NewBackbone()
+			for _, x := range []float64{150, 550} {
+				w.AddStaticNode(netstack.RSU, geom.V(x, 50), rsu.NewUnit(backbone))
+			}
+		}},
+		{name: "Bus", factory: busferry.New, bus: true},
+		{name: "Greedy", factory: greedy.New},
+		{name: "Zone", factory: zone.New},
+		{name: "LORA-DCBF", factory: gateway.New},
+		{name: "REAR", factory: rear.New},
+		{name: "CAR", factory: func() netstack.RouterFactory {
+			net, _, _, err := roadnet.Highway(2000, 2, 33)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return car.New(car.NewDensityMap(net, 250))
+		}},
+		{name: "GVGrid", factory: gvgrid.New},
+		{name: "Yan-TBP", factory: func() netstack.RouterFactory {
+			return core.NewTicketRouter(core.WithMetric(core.MetricExpectedDuration))
+		}},
+		{name: "TBP-SS", factory: func() netstack.RouterFactory {
+			return core.NewTicketRouter(core.WithMetric(core.MetricMeanDuration))
+		}},
+		{name: "NiuDe", factory: niude.New},
+		{name: "Hybrid", factory: func() netstack.RouterFactory { return hybrid.New(3) }},
+	}
+	var names []string
+	for _, tc := range cases {
+		names = append(names, tc.name)
+	}
+	if want := scenario.Protocols(); !slices.Equal(names, want) {
+		t.Fatalf("cases %v, registry %v: give every registered protocol a case", names, want)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			chain := routetest.Chain(8, 100, 20)
+			for i := 1; i < len(chain)-1; i++ {
+				chain[i].Bus = tc.bus
+			}
+			fails, handed := 0, map[*netstack.Packet]bool{}
+			factory := tc.factory()
+			w, ids := routetest.World(t, 1, chain, func() netstack.Router {
+				return handedOut{failCounter{factory(), &fails}, handed}
+			})
+			if tc.statics != nil {
+				tc.statics(w)
+			}
+			w.SetLinkFault(func(from, to int32) float64 {
+				if int(w.Engine().Now()*2.7)%4 == 1 {
+					return 1
+				}
+				return 0
+			})
+			n := len(ids)
+			w.AddFlow(ids[0], ids[n-1], 2, 0.2, 10, 256)
+			w.AddFlow(ids[0], ids[n-1], 2.1, 0.2, 10, 256)
+			w.AddFlow(ids[0], ids[n-1], 42, 0.2, 10, 256)
+			w.StartRun()
+			for step := 1; step <= 800; step++ {
+				if err := w.AdvanceTo(float64(step) / 10); err != nil {
+					t.Fatal(err)
+				}
+				netstack.CheckFreeList(t, w)
+				for _, p := range netstack.FreeList(w) {
+					if *p != (netstack.Packet{}) {
+						t.Fatalf("t=%.1f: a recycled packet was written after it came back: %v", w.Engine().Now(), p)
+					}
+				}
+			}
+			c := w.Collector()
+			t.Logf("%d delivered, %d dropped, %d send failures, %d packets handed out, %d in the pool",
+				c.DataDelivered, c.DataDropped, fails, len(handed), len(netstack.FreeList(w)))
+			if len(handed) == 0 || len(netstack.FreeList(w)) == 0 {
+				t.Fatal("no packet went through the pool: the run tested nothing")
+			}
+		})
+	}
+}

@@ -124,20 +124,15 @@ func (a *API) AppendLinkStates(dst []LinkState) []LinkState {
 
 // Send transmits pkt on the link layer. to is a node ID or Broadcast. The
 // stack fills From/To, charges metrics by packet type, and hands the frame
-// to the MAC.
+// to the MAC. It takes the packet: a router owns the packet HandlePacket,
+// OnSendFailed or NewPacket gives it until it passes it to Send or Release,
+// and touches it no more after that, not in a retry buffer and not in a
+// timer closure. The stack recycles the packet through the free list once
+// the MAC reports the frame done — after every receiver has been handed its
+// own copy — or at once when this node cannot transmit. A router that needs
+// the packet again keeps a copy of its own (NewPacket, then *cp = *pkt).
 func (a *API) Send(to NodeID, pkt *Packet) {
-	a.world.sendFrame(a.node, to, pkt, false)
-}
-
-// SendFinal is Send for a packet the router keeps no reference to: not in
-// a retry or carry buffer, not in a timer closure, not already queued by an
-// earlier Send. The stack takes ownership and recycles the packet through
-// the free list once the MAC reports the frame done — after every receiver
-// has been handed its own copy — or at once when this node cannot transmit.
-// The caller must not touch pkt after the call. A flooder's rebroadcast of
-// the copy HandlePacket gave it is the intended use.
-func (a *API) SendFinal(to NodeID, pkt *Packet) {
-	a.world.sendFrame(a.node, to, pkt, true)
+	a.world.sendFrame(a.node, to, pkt)
 }
 
 // After schedules fn after d seconds; the returned timer can be cancelled.
@@ -191,8 +186,8 @@ func (a *API) Drop(pkt *Packet) {
 }
 
 // NewPacket takes a zeroed packet from the stack's free list (or allocates
-// one). The caller owns it until it passes it to Send, SendFinal or
-// Release; routing.NewPacket builds every originated packet on it, and a
+// one). The caller owns it until it passes it to Send or Release;
+// routing.NewPacket builds every originated packet on it, and a
 // router that sends a copy of a packet fills one (*cp = *pkt).
 func (a *API) NewPacket() *Packet { return a.world.getPacket() }
 
@@ -200,9 +195,9 @@ func (a *API) NewPacket() *Packet { return a.world.getPacket() }
 // owner may call it, and only when the packet's journey provably ends at
 // this node (duplicate discard, delivery at the destination, terminal
 // drop). The caller must hold no other reference: in particular a packet
-// that was passed to Send or SendFinal, stored in a retry buffer, or shared
-// with a timer callback must NOT be released. Releasing is optional — packets
-// that are never released are simply garbage collected. The engine is
+// that was passed to Send, stored in a retry buffer, or shared with a timer
+// callback must NOT be released. Releasing is optional — packets that are
+// never released are simply garbage collected. The engine is
 // single-threaded, so the free list needs no synchronisation.
 func (a *API) Release(pkt *Packet) { a.world.putPacket(pkt) }
 

@@ -104,13 +104,7 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 		r.Reply(rt.NextHop, req.Origin, 44, 0)
 		return
 	}
-	pkt.TTL--
-	if pkt.Expired() {
-		return
-	}
-	delay := r.relayDelay(req)
-	fwd := pkt
-	r.API.After(delay, func() { r.API.Send(netstack.Broadcast, fwd) })
+	r.Rebroadcast(pkt, true, r.relayDelay(req))
 }
 
 // route is a 6-second table entry through via, annotated with the

@@ -123,11 +123,7 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 		r.sendRREP(req.Origin, req.Target, rt.Seq, rt.Hops)
 		return
 	}
-	pkt.TTL--
-	if pkt.Expired() {
-		return
-	}
-	r.API.Send(netstack.Broadcast, pkt)
+	r.Rebroadcast(pkt, false, 0)
 }
 
 // sendRREP unicasts a reply toward origin along the reverse route.

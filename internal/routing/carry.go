@@ -38,10 +38,9 @@ func Drop() Hop { return Hop{verdict: drop} }
 // bound once in Init: one choice for a packet that just arrived and one for
 // a packet being carried.
 //
-// A packet has one holder at a time, so the core recycles it: a forward is
-// SendFinal, since no verdict keeps a packet it forwards, and a delivery or
-// drop hands the packet back to the stack's pool with API.Release. A
-// protocol on the core keeps no reference to a packet past its verdict.
+// A packet has one holder at a time: a delivery or drop hands the packet
+// back to the stack's pool with API.Release. A protocol on the core keeps
+// no reference to a packet past its verdict.
 type Carrier struct {
 	netstack.Base
 	timeout float64
@@ -129,7 +128,7 @@ func (c *Carrier) Route(pkt *netstack.Packet) {
 func (c *Carrier) send(h Hop, pkt *netstack.Packet) bool {
 	switch h.verdict {
 	case forward:
-		c.API.SendFinal(h.to, pkt)
+		c.API.Send(h.to, pkt)
 	case drop:
 		c.Abandon(pkt)
 	default:

@@ -5,10 +5,9 @@
 // in the header. Route caches answer later discoveries, and RERRs truncate
 // caches when a listed link dies.
 //
-// A packet has one holder at a time: every packet leaves with SendFinal,
-// and every packet whose journey ends here — a request already seen or
-// looping, a reply at its origin, an error once read, a delivery or drop —
-// goes back to the stack's pool.
+// A packet has one holder at a time: every packet whose journey ends here —
+// a request already seen or looping, a reply at its origin, an error once
+// read, a delivery or drop — goes back to the stack's pool.
 package dsr
 
 import (
@@ -75,7 +74,7 @@ func (r *Router) request(dst netstack.NodeID, reqID uint64) bool {
 		Path: []netstack.NodeID{r.API.Self()},
 	})
 	r.dup.Seen(routing.DupKey{Origin: pkt.Src, Seq: reqID}, r.API.Now())
-	r.API.SendFinal(netstack.Broadcast, pkt)
+	r.API.Send(netstack.Broadcast, pkt)
 	return true
 }
 
@@ -111,7 +110,7 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 		back := slices.Clone(path)
 		slices.Reverse(back)
 		r.cache[req.Origin] = &routing.SourceRoute{Path: back}
-		r.API.SendFinal(path[len(path)-2], r.Control(netstack.KindRREP, req.Origin, 24+4*len(path),
+		r.API.Send(path[len(path)-2], r.Control(netstack.KindRREP, req.Origin, 24+4*len(path),
 			rrep{Origin: req.Origin, Target: req.Target, Path: path}))
 		r.API.Release(pkt)
 		return
@@ -125,7 +124,7 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 		return
 	}
 	pkt.Size += 4
-	r.API.SendFinal(netstack.Broadcast, pkt)
+	r.API.Send(netstack.Broadcast, pkt)
 }
 
 func (r *Router) handleRREP(pkt *netstack.Packet) {
@@ -180,12 +179,12 @@ func (r *Router) reportBreak(origin, from, to netstack.NodeID) {
 	r.truncateCaches(from, to)
 	pkt := r.Control(netstack.KindRERR, origin, 28, rerr{From: from, To: to, Origin: origin})
 	if r.routed(origin) {
-		r.API.SendFinal(r.cache[origin].Path[1], pkt)
+		r.API.Send(r.cache[origin].Path[1], pkt)
 		return
 	}
 	// fall back to a 1-hop broadcast so at least upstream neighbors learn
 	pkt.TTL = 1
-	r.API.SendFinal(netstack.Broadcast, pkt)
+	r.API.Send(netstack.Broadcast, pkt)
 }
 
 // OnNeighborExpired implements netstack.Router.

@@ -35,7 +35,14 @@ func New() netstack.RouterFactory {
 // received.")
 type Biswas struct {
 	routing.Flooder
-	retry map[uint64]sim.TimerID // packet UID → pending retransmission
+	retry map[uint64]pending // packet UID → pending retransmission
+}
+
+// pending is a rebroadcast waiting for its implicit ack: the retry timer
+// and the copy of the packet the retry sends copies of.
+type pending struct {
+	timer sim.TimerID
+	kept  *netstack.Packet
 }
 
 const (
@@ -46,42 +53,46 @@ const (
 // NewBiswas returns a factory for the acknowledged flooding router.
 func NewBiswas() netstack.RouterFactory {
 	return func() netstack.Router {
-		b := &Biswas{retry: make(map[uint64]sim.TimerID)}
+		b := &Biswas{retry: make(map[uint64]pending)}
 		b.Init(nil, b.sendWithAck)
 		return b
 	}
 }
 
 // HandlePacket implements netstack.Router: any overheard copy, duplicate
-// or not, acknowledges our pending rebroadcast; the rest is the flood's.
+// or not, acknowledges our pending rebroadcast, whose kept copy goes back
+// to the pool; the rest is the flood's.
 func (b *Biswas) HandlePacket(pkt *netstack.Packet) {
-	if timer, ok := b.retry[pkt.UID]; ok {
-		b.API.Cancel(timer)
+	if p, ok := b.retry[pkt.UID]; ok {
+		b.API.Cancel(p.timer)
+		b.API.Release(p.kept)
 		delete(b.retry, pkt.UID)
 	}
 	b.Flooder.HandlePacket(pkt)
 }
 
-// sendWithAck transmits and arms the implicit-ack retry timer. It takes
-// custody (see routing.Flooder.Init): the retry keeps the packet, whose first
-// transmission may still be queued when the ack arrives, so it is sent with
-// Send and never released. Each retransmission is a pooled copy that
-// nothing keeps, sent with SendFinal.
+// sendWithAck transmits and arms the implicit-ack retry timer. The retry
+// keeps a pooled copy of the packet and sends a fresh copy of that each
+// time; the kept copy goes back to the pool at the ack, or once the retries
+// run out.
 func (b *Biswas) sendWithAck(pkt *netstack.Packet, _ bool) bool {
+	kept := b.API.NewPacket()
+	*kept = *pkt
 	b.API.Send(netstack.Broadcast, pkt)
 	tries := 0
 	var retry func()
 	retry = func() {
 		if tries >= maxRetries {
-			delete(b.retry, pkt.UID)
+			delete(b.retry, kept.UID)
+			b.API.Release(kept)
 			return
 		}
 		tries++
 		cp := b.API.NewPacket()
-		*cp = *pkt
-		b.API.SendFinal(netstack.Broadcast, cp)
-		b.retry[pkt.UID] = b.API.After(ackTimeout, retry)
+		*cp = *kept
+		b.API.Send(netstack.Broadcast, cp)
+		b.retry[kept.UID] = pending{b.API.After(ackTimeout, retry), kept}
 	}
-	b.retry[pkt.UID] = b.API.After(ackTimeout, retry)
+	b.retry[kept.UID] = pending{b.API.After(ackTimeout, retry), kept}
 	return true
 }

@@ -7,16 +7,15 @@ import "github.com/vanetlab/relroute/internal/netstack"
 // news, and broadcast it; hand non-data and duplicates straight back to the
 // stack's pool; deliver a first copy addressed to this node (which then
 // never rebroadcasts) or to everyone; spend one TTL per hop, the only Drop a
-// flood counts; originate and rebroadcast with SendFinal, so neither an
-// origination nor a reception allocates once the pool is warm. A packet
-// addressed to its own source is delivered locally and never sent,
-// Carrier.Originate's rule; no workload draws dst == src, so no golden
-// shows it.
+// flood counts. Neither an origination nor a reception allocates once the
+// pool is warm. A packet addressed to its own source is delivered locally
+// and never sent, Carrier.Originate's rule; no workload draws dst == src,
+// so no golden shows it.
 type Flooder struct {
 	netstack.Base
 	dup      *DupCache
 	relay    func(*netstack.Packet) bool
-	outbound func(pkt *netstack.Packet, origin bool) (kept bool)
+	outbound func(pkt *netstack.Packet, origin bool) (sent bool)
 }
 
 // Init binds the protocol half. relay answers whether this node
@@ -24,10 +23,8 @@ type Flooder struct {
 // silent release, not a Drop. outbound, if not nil, sees every packet this
 // node is about to put on the air, its own (origin) or a rebroadcast. It
 // may amend the packet and report false, leaving the sending to the core,
-// or take custody: transmit it with API.Send, keep it, and report true. The
-// core never releases a packet in custody, and neither may the protocol
-// while a transmission of it can still sit in the MAC queue.
-func (f *Flooder) Init(relay func(*netstack.Packet) bool, outbound func(pkt *netstack.Packet, origin bool) (kept bool)) {
+// or send it itself and report true.
+func (f *Flooder) Init(relay func(*netstack.Packet) bool, outbound func(pkt *netstack.Packet, origin bool) (sent bool)) {
 	f.relay, f.outbound = relay, outbound
 	f.dup = NewDupCache(30)
 }
@@ -36,8 +33,8 @@ func (f *Flooder) Init(relay func(*netstack.Packet) bool, outbound func(pkt *net
 func (f *Flooder) NeedsBeacons() bool { return false }
 
 // Originate implements netstack.Router. The source always transmits,
-// whatever relay would say, with SendFinal unless outbound took custody:
-// the duplicate cache keys the packet by its UID, not by the packet.
+// whatever relay would say; the duplicate cache keys the packet by its UID,
+// not by the packet.
 func (f *Flooder) Originate(dst netstack.NodeID, size int) {
 	pkt := NewData(f.API, dst, size)
 	if dst == f.API.Self() {
@@ -47,7 +44,7 @@ func (f *Flooder) Originate(dst netstack.NodeID, size int) {
 	}
 	f.dup.Seen(DupKey{Origin: pkt.Src, Seq: pkt.UID}, f.API.Now())
 	if f.outbound == nil || !f.outbound(pkt, true) {
-		f.API.SendFinal(netstack.Broadcast, pkt)
+		f.API.Send(netstack.Broadcast, pkt)
 	}
 }
 
@@ -72,6 +69,6 @@ func (f *Flooder) HandlePacket(pkt *netstack.Packet) {
 		return
 	}
 	if f.outbound == nil || !f.outbound(pkt, false) {
-		f.API.SendFinal(netstack.Broadcast, pkt)
+		f.API.Send(netstack.Broadcast, pkt)
 	}
 }

@@ -184,11 +184,10 @@ func TestFloodPathsAllocFree(t *testing.T) {
 	}
 }
 
-// An origination costs no packet once the pool is warm: the source sends
-// with SendFinal, so its packet comes back when the frame is done, and the
-// neighbor hands its copy back once it is delivered; a packet addressed to
-// its own source comes back at its delivery. Sent with Send, every
-// origination would keep its packet.
+// An origination costs no packet once the pool is warm: the source's packet
+// comes back when its frame is done, and the neighbor hands its copy back
+// once it is delivered; a packet addressed to its own source comes back at
+// its delivery.
 func TestFloodOriginationAllocFree(t *testing.T) {
 	w, ids, s := floodWorld(t)
 	now := 0.5

@@ -141,11 +141,7 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	cp.Reliability = reliability
 	cp.Delay = delay
 	pkt.Payload = cp
-	pkt.TTL--
-	if pkt.Expired() {
-		return
-	}
-	r.API.Send(netstack.Broadcast, pkt)
+	r.Rebroadcast(pkt, false, 0)
 }
 
 // admit is the destination's QoS admission: delay bound first, then

@@ -268,6 +268,21 @@ func (c *OnDemand) Relay(pkt *netstack.Packet, dst netstack.NodeID) {
 	c.API.Send(rt.NextHop, pkt)
 }
 
+// Rebroadcast passes a flooded request on: it spends one TTL and, unless
+// that was the last, broadcasts the request now or, when delayed, delay
+// seconds later, through a timer event even when delay is 0.
+func (c *OnDemand) Rebroadcast(pkt *netstack.Packet, delayed bool, delay float64) {
+	pkt.TTL--
+	if pkt.Expired() {
+		return
+	}
+	if !delayed {
+		c.API.Send(netstack.Broadcast, pkt)
+		return
+	}
+	c.API.After(delay, func() { c.API.Send(netstack.Broadcast, pkt) })
+}
+
 // MergeReverse installs a reverse route learned from an RREQ copy unless
 // the table holds a better valid one: fewer hops win, and among equal hop
 // counts the longer Lifetime. Never accepting more hops keeps the reverse

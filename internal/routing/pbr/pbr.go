@@ -90,11 +90,7 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	cp := req
 	cp.Lifetime = lt
 	pkt.Payload = cp
-	pkt.TTL--
-	if pkt.Expired() {
-		return
-	}
-	r.API.Send(netstack.Broadcast, pkt)
+	r.Rebroadcast(pkt, false, 0)
 }
 
 // answer sends the RREP for the best collected candidate, back through

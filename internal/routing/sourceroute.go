@@ -19,17 +19,16 @@ type SourceRoute struct {
 }
 
 // SendSourceRouted stamps hdr, whose route starts at this node, on a data
-// packet and sends the packet to the route's second node with SendFinal:
-// the sender keeps no reference to the packet. The route inflates the
-// header by four bytes a hop.
+// packet and sends the packet to the route's second node. The route
+// inflates the header by four bytes a hop.
 func SendSourceRouted(api *netstack.API, pkt *netstack.Packet, hdr *SourceRoute) {
 	pkt.Payload = hdr
 	pkt.Size += 4 * len(hdr.Path)
-	api.SendFinal(hdr.Path[1], pkt)
+	api.Send(hdr.Path[1], pkt)
 }
 
 // ForwardSourceRouted delivers a source-routed data packet addressed here,
-// or sends it on with SendFinal to the next hop of its route while its TTL
+// or sends it on to the next hop of its route while its TTL
 // lasts. A packet without a route, or at the route's end, is dropped. When
 // the next hop is no longer a neighbour, the packet is dropped as a route
 // break and broken receives the route and this node's index on it, for the
@@ -63,13 +62,13 @@ func ForwardSourceRouted(api *netstack.API, pkt *netstack.Packet, broken func(hd
 		dropPacket(api, pkt)
 		return
 	}
-	api.SendFinal(nextHop, pkt)
+	api.Send(nextHop, pkt)
 }
 
 // RelayBack passes a route reply one hop back toward the origin along path,
-// on which this node sits at index idx, with SendFinal. The origin (idx 0)
-// ends the relay, and so does the reply's TTL running out; either hands
-// the reply back to the stack's pool.
+// on which this node sits at index idx. The origin (idx 0) ends the relay,
+// and so does the reply's TTL running out; either hands the reply back to
+// the stack's pool.
 func RelayBack(api *netstack.API, pkt *netstack.Packet, path []netstack.NodeID, idx int) {
 	if idx == 0 {
 		api.Release(pkt)
@@ -80,5 +79,5 @@ func RelayBack(api *netstack.API, pkt *netstack.Packet, path []netstack.NodeID, 
 		api.Release(pkt)
 		return
 	}
-	api.SendFinal(path[idx-1], pkt)
+	api.Send(path[idx-1], pkt)
 }

@@ -107,18 +107,9 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	cp.SameGroup += sameGroup
 	cp.Links++
 	pkt.Payload = cp
-	pkt.TTL--
-	if pkt.Expired() {
-		return
-	}
 	// Same-group relays forward immediately; cross-group relays wait,
 	// letting stable paths win the dup-suppression race downstream.
-	if sameGroup == 1 {
-		r.API.Send(netstack.Broadcast, pkt)
-		return
-	}
-	fwd := pkt
-	r.API.After(crossGroupDelay, func() { r.API.Send(netstack.Broadcast, fwd) })
+	r.Rebroadcast(pkt, sameGroup == 0, crossGroupDelay)
 }
 
 func (r *Router) answer(origin netstack.NodeID, c routing.Candidate) {

@@ -60,12 +60,11 @@ func fromThePool(stack []string) bool {
 }
 
 // TestCarrierPacketsComeFromThePool pins the store-carry-forward data
-// path: Greedy originates on a pooled packet, forwards with SendFinal and
-// releases at delivery, so ten times the packets allocate no more objects
+// path: Greedy originates on a pooled packet, forwards it and releases it
+// at delivery, so ten times the packets allocate no more objects
 // under its routers and the packet pool than the pool's warm-up — the
 // collector, which records each delivery by design, left out. Greedy
-// sending with Send, or building packets with new, costs objects per
-// packet and hop.
+// building packets with new costs objects per packet and hop.
 func TestCarrierPacketsComeFromThePool(t *testing.T) {
 	underRouting := func(stack []string) bool {
 		s := strings.Join(stack, ";")
@@ -86,12 +85,12 @@ func TestCarrierPacketsComeFromThePool(t *testing.T) {
 // TestSourceRoutedPacketsComeFromThePool pins TBP-SS's data path: every
 // packet comes from the stack's pool — data, and the probes, replies and
 // break notices of the discoveries beside it — and a data packet hops on
-// the header its route shares, sent with SendFinal and handed back at
-// delivery or drop. So 40 packets per flow allocate the same packets, and
-// the same objects in the source-route data plane, as 4 do. (Discoveries
-// are not pinned: longer flows renew their routes more often.) A boxed
-// header per hop, a copied route per packet, or a forward with Send costs
-// objects per packet and hop.
+// the header its route shares, and is handed back at delivery or drop. So
+// 40 packets per flow allocate the same packets, and the same objects in
+// the source-route data plane, as 4 do. (Discoveries are not pinned: longer
+// flows renew their routes more often.) A boxed header per hop, a copied
+// route per packet, or a packet kept after its forward costs objects per
+// packet and hop.
 func TestSourceRoutedPacketsComeFromThePool(t *testing.T) {
 	dataPath := func(stack []string) bool {
 		return fromThePool(stack) || strings.HasSuffix(stack[0], "routing.SendSourceRouted") ||
