@@ -53,12 +53,14 @@ func TestNoMapRangeOnTheEventPath(t *testing.T) {
 }
 
 // TestNoPacketUseAfterSend parses every non-test file under lintedTrees
-// and fails when a statement after X.Send(to, p), in the same block,
-// mentions p, in a closure or not. Send takes the packet: the stack
-// recycles it once the MAC is done with the frame, so a later read or
-// write reaches whatever packet the pool hands out next, and no golden
+// and fails when a statement after X.Send(to, p), X.Drop(p) or
+// X.Release(p), in the same block, mentions p, in a closure or not. All
+// three take the packet: Drop and Release hand it back to the stack's pool
+// at once, and Send once the MAC is done with the frame, so a later read
+// or write reaches whatever packet the pool hands out next, and no golden
 // shows it. A router that needs the packet again keeps a copy of its own
-// (NewPacket, then *cp = *pkt) and sends the packet it was handed.
+// (NewPacket, then *cp = *pkt) and sends the packet it was handed; one
+// that needs a field of a packet it drops reads the field first.
 //
 // It works on syntax alone: p is the argument's text (a name, or a path
 // such as h.pkt), and a mention is that text again. A call argument, such
@@ -66,7 +68,7 @@ func TestNoMapRangeOnTheEventPath(t *testing.T) {
 // over-report; copy the packet first if it ever does.
 func TestNoPacketUseAfterSend(t *testing.T) {
 	fset, files := parseLinted(t)
-	sends := 0
+	taken := map[string]int{}
 	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			var list []ast.Stmt
@@ -79,16 +81,16 @@ func TestNoPacketUseAfterSend(t *testing.T) {
 				list = b.Body
 			}
 			for i, stmt := range list {
-				p := sentPacket(stmt)
+				p, verb := takenPacket(stmt)
 				if p == "" {
 					continue
 				}
-				sends++
+				taken[verb]++
 				for _, later := range list[i+1:] {
 					ast.Inspect(later, func(n ast.Node) bool {
 						if e, ok := n.(ast.Expr); ok && types.ExprString(e) == p {
-							t.Errorf("%s: %s is used after it was sent (at %s): send a copy, or send it last",
-								fset.Position(e.Pos()), p, fset.Position(stmt.Pos()))
+							t.Errorf("%s: %s is used after %s took it (at %s): copy what you need first, or hand it over last",
+								fset.Position(e.Pos()), p, verb, fset.Position(stmt.Pos()))
 							return false
 						}
 						return true
@@ -98,30 +100,35 @@ func TestNoPacketUseAfterSend(t *testing.T) {
 			return true
 		})
 	}
-	if sends < 20 {
-		t.Fatalf("found only %d sends of a named packet — is Send still API.Send(to, pkt)?", sends)
+	if taken["Send"] < 20 || taken["Drop"] < 20 || taken["Release"] < 20 {
+		t.Fatalf("found only %v named packets taken — are they still API.Send(to, pkt), API.Drop(pkt) and API.Release(pkt)?", taken)
 	}
 }
 
-// sentPacket is p's text when stmt is X.Send(to, p) with p a name or a path
-// of names, and "" otherwise.
-func sentPacket(stmt ast.Stmt) string {
+// takenPacket is p's text and the call's name when stmt is X.Send(to, p),
+// X.Drop(p) or X.Release(p) with p a name or a path of names, and "", ""
+// otherwise.
+func takenPacket(stmt ast.Stmt) (p, verb string) {
 	es, ok := stmt.(*ast.ExprStmt)
 	if !ok {
-		return ""
+		return "", ""
 	}
 	call, ok := es.X.(*ast.CallExpr)
-	if !ok || len(call.Args) != 2 {
-		return ""
+	if !ok {
+		return "", ""
 	}
-	if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || sel.Sel.Name != "Send" {
-		return ""
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", ""
 	}
-	switch p := call.Args[1].(type) {
-	case *ast.Ident, *ast.SelectorExpr:
-		return types.ExprString(p)
+	switch verb, args := sel.Sel.Name, len(call.Args); {
+	case verb == "Send" && args == 2, (verb == "Drop" || verb == "Release") && args == 1:
+		switch arg := call.Args[args-1].(type) {
+		case *ast.Ident, *ast.SelectorExpr:
+			return types.ExprString(arg), verb
+		}
 	}
-	return ""
+	return "", ""
 }
 
 // parseLinted parses every non-test file under lintedTrees.

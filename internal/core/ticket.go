@@ -528,7 +528,6 @@ func (r *TicketRouter) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
 	}
 	r.API.Metrics().RouteBreaks++
 	r.API.Drop(pkt)
-	r.API.Release(pkt)
 	// reportBreak wants this relay's index; the failed hop's sends the
 	// notice to this node itself. Correcting it moves the protocol goldens
 	// (ROADMAP 1(b)).
@@ -536,21 +535,13 @@ func (r *TicketRouter) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
 }
 
 // OnNeighborExpired implements netstack.Router: source-side paths whose
-// first hop died are rebuilt immediately.
+// first hop died are forgotten, each a route break. Data that waits for a
+// destination always has a discovery in flight, so none is started here.
 func (r *TicketRouter) OnNeighborExpired(id netstack.NodeID) {
-	var broken []netstack.NodeID
 	for dst, ap := range r.paths {
 		if len(ap.route.Path) >= 2 && ap.route.Path[1] == id {
-			broken = append(broken, dst)
-		}
-	}
-	// Start draws a UID and broadcasts probes: map order would reach the MAC
-	slices.Sort(broken)
-	for _, dst := range broken {
-		delete(r.paths, dst)
-		r.API.Metrics().RouteBreaks++
-		if r.Waiting(dst) {
-			r.Start(dst)
+			delete(r.paths, dst)
+			r.API.Metrics().RouteBreaks++
 		}
 	}
 }

@@ -3,7 +3,7 @@ package netstack
 import "github.com/vanetlab/relroute/internal/mac"
 
 // getPacket takes a zeroed packet from the pool (or allocates one). Callers
-// own the result until they pass it to Send or Release.
+// own the result until they pass it to Send, Drop or Release.
 func (w *World) getPacket() *Packet {
 	if n := len(w.pktFree); n > 0 {
 		p := w.pktFree[n-1]
@@ -77,7 +77,7 @@ func (w *World) dispatch(to int32, f mac.Frame) {
 	// reliability plane (no-op until the sender has been heard beaconing)
 	n.mon.RecordReceived(pkt.From)
 	// the router owns its copy, drawn from the pool, and may hand it back
-	// via API.Release when the packet's journey provably ends
+	// via API.Drop or API.Release when the packet's journey provably ends
 	cp := w.copyPacket(pkt)
 	cp.Hops++
 	n.router.HandlePacket(cp)

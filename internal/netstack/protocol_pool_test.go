@@ -131,3 +131,52 @@ func TestEveryProtocolKeepsThePoolClean(t *testing.T) {
 		})
 	}
 }
+
+// TestTableDrivenPacketsRecycled runs DSDV on a line of co-moving
+// vehicles. Its periodic table dumps reach every neighbour, and a first
+// wave of data starts before the tables converge, so the origin drops some
+// of it and the rest is forwarded and delivered. Every packet DSDV is
+// handed comes back to the stack's pool, a dump once it is read and data
+// at delivery or drop. So once the first wave has run out, a second wave
+// and the dumps beside it allocate no packet: the free list holds the same
+// packets after them as before.
+func TestTableDrivenPacketsRecycled(t *testing.T) {
+	const perWave = 10
+	w, ids := routetest.World(t, 1, routetest.Chain(8, 100, 20), dsdv.New())
+	n := len(ids)
+	w.AddFlow(ids[0], ids[n-1], 0.5, 0.5, perWave, 256)
+	w.AddFlow(ids[0], ids[n-1], 30, 0.5, perWave, 256)
+	w.StartRun()
+	if err := w.AdvanceTo(20); err != nil {
+		t.Fatal(err)
+	}
+	c := w.Collector()
+	t.Logf("first wave: %d delivered, %d dropped, %d dumps", c.DataDelivered, c.DataDropped, c.Control[netstack.KindUpdate])
+	if c.DataDelivered == 0 || c.DataDropped == 0 || c.DataDelivered+c.DataDropped != perWave {
+		t.Fatalf("the first wave must end with drops and deliveries: %d delivered and %d dropped of %d",
+			c.DataDelivered, c.DataDropped, perWave)
+	}
+	netstack.CheckFreeList(t, w)
+	warm := map[*netstack.Packet]bool{}
+	for _, p := range netstack.FreeList(w) {
+		warm[p] = true
+	}
+	dumps := c.Control[netstack.KindUpdate]
+	if err := w.AdvanceTo(60); err != nil {
+		t.Fatal(err)
+	}
+	if c.DataDelivered+c.DataDropped != 2*perWave || c.Control[netstack.KindUpdate] == dumps {
+		t.Fatalf("the second wave ended with %d delivered and %d dropped of %d, beside %d dumps",
+			c.DataDelivered, c.DataDropped, 2*perWave, c.Control[netstack.KindUpdate]-dumps)
+	}
+	netstack.CheckFreeList(t, w)
+	free := netstack.FreeList(w)
+	for _, p := range free {
+		if !warm[p] {
+			t.Fatalf("the second wave allocated packet %p: the first left %d in the pool", p, len(warm))
+		}
+	}
+	if len(free) != len(warm) {
+		t.Fatalf("the pool held %d packets after the first wave and %d after the second", len(warm), len(free))
+	}
+}

@@ -125,12 +125,13 @@ func (a *API) AppendLinkStates(dst []LinkState) []LinkState {
 // Send transmits pkt on the link layer. to is a node ID or Broadcast. The
 // stack fills From/To, charges metrics by packet type, and hands the frame
 // to the MAC. It takes the packet: a router owns the packet HandlePacket,
-// OnSendFailed or NewPacket gives it until it passes it to Send or Release,
-// and touches it no more after that, not in a retry buffer and not in a
-// timer closure. The stack recycles the packet through the free list once
-// the MAC reports the frame done — after every receiver has been handed its
-// own copy — or at once when this node cannot transmit. A router that needs
-// the packet again keeps a copy of its own (NewPacket, then *cp = *pkt).
+// OnSendFailed or NewPacket gives it until it passes it to Send, Drop or
+// Release, and touches it no more after that, not in a retry buffer and
+// not in a timer closure. The stack recycles the packet through the free
+// list once the MAC reports the frame done — after every receiver has been
+// handed its own copy — or at once when this node cannot transmit. A router
+// that needs the packet again keeps a copy of its own (NewPacket, then
+// *cp = *pkt).
 func (a *API) Send(to NodeID, pkt *Packet) {
 	a.world.sendFrame(a.node, to, pkt)
 }
@@ -176,29 +177,34 @@ func (a *API) Deliver(pkt *Packet) bool {
 	return first
 }
 
-// Drop reports that a packet was abandoned (no route, TTL, queue
-// overflow). Only data drops are counted, so a router may call it on any
-// packet it gives up.
+// Drop gives a packet up for good (no route, TTL, queue overflow) and
+// takes it, the way Send and Release do: it counts the drop if the packet
+// is data, so a router may call it on any packet it gives up, and hands
+// the packet back to the stack's free list. Only the packet's owner may
+// call it, and it must hold no other reference to the packet and touch it
+// no more.
 func (a *API) Drop(pkt *Packet) {
 	if pkt.Kind == KindData {
 		a.world.col.DataDropped++
 	}
+	a.world.putPacket(pkt)
 }
 
 // NewPacket takes a zeroed packet from the stack's free list (or allocates
-// one). The caller owns it until it passes it to Send or Release;
+// one). The caller owns it until it passes it to Send, Drop or Release;
 // routing.NewPacket builds every originated packet on it, and a
 // router that sends a copy of a packet fills one (*cp = *pkt).
 func (a *API) NewPacket() *Packet { return a.world.getPacket() }
 
 // Release hands a packet back to the stack's free list. Only the packet's
 // owner may call it, and only when the packet's journey provably ends at
-// this node (duplicate discard, delivery at the destination, terminal
-// drop). The caller must hold no other reference: in particular a packet
-// that was passed to Send, stored in a retry buffer, or shared with a timer
-// callback must NOT be released. Releasing is optional — packets that are
-// never released are simply garbage collected. The engine is
-// single-threaded, so the free list needs no synchronisation.
+// this node (duplicate discard, delivery at the destination; a packet
+// given up goes to Drop instead). The caller must hold no other
+// reference: in particular a packet that was passed to Send, stored in a
+// retry buffer, or shared with a timer callback must NOT be released.
+// Releasing is optional — packets that are never released are simply
+// garbage collected. The engine is single-threaded, so the free list needs
+// no synchronisation.
 func (a *API) Release(pkt *Packet) { a.world.putPacket(pkt) }
 
 // RangeEstimate returns the channel's 50% reception range: the r every

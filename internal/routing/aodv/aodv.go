@@ -191,8 +191,9 @@ func (r *Router) handleData(pkt *netstack.Packet) {
 		return
 	}
 	// No route at an intermediate node: RFC behaviour is to RERR.
+	dst := pkt.Dst
 	r.API.Drop(pkt)
-	r.broadcastRERR([]netstack.NodeID{pkt.Dst})
+	r.broadcastRERR([]netstack.NodeID{dst})
 }
 
 func (r *Router) broadcastRERR(unreachable []netstack.NodeID) {

@@ -129,7 +129,7 @@ func (r *Router) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
 	}
 	pkt.TTL--
 	if pkt.Expired() {
-		r.Abandon(pkt)
+		r.API.Drop(pkt)
 		return
 	}
 	r.makeRoom()

@@ -145,7 +145,7 @@ func (r *Router) Originate(dst netstack.NodeID, size int) {
 	}
 	dstPos, _, ok := r.API.LookupPosition(dst)
 	if !ok {
-		r.Abandon(pkt)
+		r.API.Drop(pkt)
 		return
 	}
 	// Anchor the packet along the most-connected road path; with no road

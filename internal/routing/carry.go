@@ -38,9 +38,9 @@ func Drop() Hop { return Hop{verdict: drop} }
 // bound once in Init: one choice for a packet that just arrived and one for
 // a packet being carried.
 //
-// A packet has one holder at a time: a delivery or drop hands the packet
-// back to the stack's pool with API.Release. A protocol on the core keeps
-// no reference to a packet past its verdict.
+// A packet has one holder at a time: a delivery hands the packet back to
+// the stack's pool with API.Release, and a drop with API.Drop. A protocol
+// on the core keeps no reference to a packet past its verdict.
 type Carrier struct {
 	netstack.Base
 	timeout float64
@@ -106,16 +106,11 @@ func (c *Carrier) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
 func (c *Carrier) hop(pkt *netstack.Packet) {
 	pkt.TTL--
 	if pkt.Expired() {
-		c.Abandon(pkt)
+		c.API.Drop(pkt)
 		return
 	}
 	c.Route(pkt)
 }
-
-// Abandon gives the packet up: it counts the drop and hands the packet
-// back to the stack's pool, so the caller must hold no other reference to
-// it.
-func (c *Carrier) Abandon(pkt *netstack.Packet) { dropPacket(c.API, pkt) }
 
 // Route acts on the protocol's choice for a fresh packet.
 func (c *Carrier) Route(pkt *netstack.Packet) {
@@ -130,7 +125,7 @@ func (c *Carrier) send(h Hop, pkt *netstack.Packet) bool {
 	case forward:
 		c.API.Send(h.to, pkt)
 	case drop:
-		c.Abandon(pkt)
+		c.API.Drop(pkt)
 	default:
 		return false
 	}
@@ -147,7 +142,7 @@ func (c *Carrier) Hold(pkt *netstack.Packet) {
 func (c *Carrier) DropOldest() {
 	pkt := c.carried[0].pkt
 	c.carried = c.carried[1:]
-	c.Abandon(pkt)
+	c.API.Drop(pkt)
 }
 
 // Carried reports how many packets are buffered.
@@ -163,7 +158,7 @@ func (c *Carrier) sweep() {
 	keep := c.carried[:0]
 	for _, e := range c.carried {
 		if now-e.since > c.timeout {
-			c.Abandon(e.pkt)
+			c.API.Drop(e.pkt)
 			continue
 		}
 		if !c.send(c.retry(e.pkt), e.pkt) {

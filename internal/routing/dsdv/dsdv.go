@@ -70,6 +70,7 @@ func (r *Router) HandlePacket(pkt *netstack.Packet) {
 	switch pkt.Kind {
 	case netstack.KindUpdate:
 		r.handleUpdate(pkt)
+		r.API.Release(pkt)
 	case netstack.KindData:
 		routing.ForwardData(r.API, r.table, pkt)
 	}
@@ -114,6 +115,7 @@ func (r *Router) Originate(dst netstack.NodeID, size int) {
 	pkt := routing.NewData(r.API, dst, size)
 	if dst == r.API.Self() {
 		r.API.Deliver(pkt)
+		r.API.Release(pkt)
 		return
 	}
 	if rt, ok := r.table.Lookup(dst, r.API.Now()); ok {

@@ -204,7 +204,6 @@ func (r *Router) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
 		r.truncateCaches(r.API.Self(), to)
 	}
 	r.API.Drop(pkt)
-	r.API.Release(pkt)
 }
 
 // CacheLen exposes the cache size for tests.

@@ -65,7 +65,6 @@ func (f *Flooder) HandlePacket(pkt *netstack.Packet) {
 	pkt.TTL--
 	if pkt.Expired() {
 		f.API.Drop(pkt)
-		f.API.Release(pkt)
 		return
 	}
 	if f.outbound == nil || !f.outbound(pkt, false) {

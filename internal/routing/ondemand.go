@@ -71,7 +71,7 @@ func (d *Discovery) Originate(dst netstack.NodeID, size int) {
 // discovery for it; the packet a full queue evicts is dropped.
 func (d *Discovery) Queue(pkt *netstack.Packet) {
 	if ev := d.pending.Push(pkt.Dst, pkt); ev != nil {
-		dropPacket(d.API, ev)
+		d.API.Drop(ev)
 	}
 	d.Start(pkt.Dst)
 }
@@ -119,7 +119,7 @@ func (d *Discovery) giveUp(dst netstack.NodeID) {
 	delete(d.trying, dst)
 	fresh, expired := d.pending.PopAll(dst, d.API.Now())
 	for _, p := range append(fresh, expired...) {
-		dropPacket(d.API, p)
+		d.API.Drop(p)
 	}
 }
 
@@ -152,14 +152,14 @@ func (d *Discovery) Answered(dst netstack.NodeID) {
 	delete(d.trying, dst)
 	fresh, expired := d.pending.PopAll(dst, d.API.Now())
 	for _, p := range expired {
-		dropPacket(d.API, p)
+		d.API.Drop(p)
 	}
 	routed := d.routed(dst)
 	for _, p := range fresh {
 		if routed {
 			d.forward(p)
 		} else {
-			dropPacket(d.API, p)
+			d.API.Drop(p)
 		}
 	}
 }
@@ -236,10 +236,12 @@ func (c *OnDemand) HandleData(pkt *netstack.Packet) { ForwardData(c.API, c.table
 // ForwardData is hop-by-hop table forwarding, for every router that keeps a
 // Table (OnDemand's, DSDV): deliver a data packet addressed to this node,
 // otherwise spend one TTL and send it to the next hop t holds for its
-// destination; out of hops or without a route it is dropped.
+// destination; out of hops or without a route it is dropped. It takes the
+// packet.
 func ForwardData(api *netstack.API, t *Table, pkt *netstack.Packet) {
 	if pkt.Dst == api.Self() {
 		api.Deliver(pkt)
+		api.Release(pkt)
 		return
 	}
 	pkt.TTL--

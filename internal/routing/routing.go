@@ -38,14 +38,6 @@ func NewData(api *netstack.API, dst netstack.NodeID, size int) *netstack.Packet 
 	return NewPacket(api, netstack.KindData, dst, size, nil)
 }
 
-// dropPacket gives a packet up for good: it counts the drop and hands the
-// packet back to the stack's pool, so the caller must hold no other
-// reference to it.
-func dropPacket(api *netstack.API, pkt *netstack.Packet) {
-	api.Drop(pkt)
-	api.Release(pkt)
-}
-
 // NeighborBuf sizes the stack array a per-packet loop reads the neighbor
 // table into (var buf [NeighborBuf]netstack.Neighbor, then
 // API.AppendNeighbors(buf[:0])): 25 neighbors is a 50 veh/km highway, and a
@@ -224,11 +216,10 @@ func NewPendingQueue() *PendingQueue {
 // reference to it.
 //
 // Contract: the caller owns the evicted packet and must terminate its
-// journey — Drop it (so the loss is counted) and, if the caller owns it
-// exclusively, optionally Release it back to the pool. Ignoring the
-// return value leaks the packet from the accounting: it was accepted from
-// the application but silently vanishes from both the delivered and
-// dropped columns.
+// journey with API.Drop, which counts the loss and takes the packet.
+// Ignoring the return value leaks the packet from the accounting: it was
+// accepted from the application but silently vanishes from both the
+// delivered and dropped columns.
 func (q *PendingQueue) Push(dst netstack.NodeID, pkt *netstack.Packet) (evicted *netstack.Packet) {
 	list := q.byDst[dst]
 	if len(list) >= pendingCap {

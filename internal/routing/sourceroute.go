@@ -42,24 +42,24 @@ func ForwardSourceRouted(api *netstack.API, pkt *netstack.Packet, broken func(hd
 	}
 	hdr, ok := pkt.Payload.(*SourceRoute)
 	if !ok {
-		dropPacket(api, pkt)
+		api.Drop(pkt)
 		return
 	}
 	idx := slices.Index(hdr.Path, api.Self())
 	if idx < 0 || idx+1 >= len(hdr.Path) {
-		dropPacket(api, pkt)
+		api.Drop(pkt)
 		return
 	}
 	nextHop := hdr.Path[idx+1]
 	if !api.HasNeighbor(nextHop) {
 		api.Metrics().RouteBreaks++
-		dropPacket(api, pkt)
+		api.Drop(pkt)
 		broken(hdr, idx)
 		return
 	}
 	pkt.TTL--
 	if pkt.Expired() {
-		dropPacket(api, pkt)
+		api.Drop(pkt)
 		return
 	}
 	api.Send(nextHop, pkt)
