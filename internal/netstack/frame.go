@@ -76,8 +76,8 @@ func (w *World) dispatch(to int32, f mac.Frame) {
 	// a decoded non-beacon frame is positive link feedback for the
 	// reliability plane (no-op until the sender has been heard beaconing)
 	n.mon.RecordReceived(pkt.From)
-	// the router owns its copy, drawn from the pool, and may hand it back
-	// via API.Drop or API.Release when the packet's journey provably ends
+	// the router owns its copy, drawn from the pool, until it passes it
+	// to API.Send, API.Drop or API.Release
 	cp := w.copyPacket(pkt)
 	cp.Hops++
 	n.router.HandlePacket(cp)

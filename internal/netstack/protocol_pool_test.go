@@ -132,51 +132,87 @@ func TestEveryProtocolKeepsThePoolClean(t *testing.T) {
 	}
 }
 
-// TestTableDrivenPacketsRecycled runs DSDV on a line of co-moving
-// vehicles. Its periodic table dumps reach every neighbour, and a first
-// wave of data starts before the tables converge, so the origin drops some
-// of it and the rest is forwarded and delivered. Every packet DSDV is
-// handed comes back to the stack's pool, a dump once it is read and data
-// at delivery or drop. So once the first wave has run out, a second wave
-// and the dumps beside it allocate no packet: the free list holds the same
-// packets after them as before.
+// TestTableDrivenPacketsRecycled runs the six table-driven routers on a
+// line of co-moving vehicles: DSDV, whose periodic table dumps reach every
+// neighbour and whose first wave of data starts before the tables
+// converge, so the origin drops some of it, and the five on-demand
+// routers, whose request floods reach every vehicle, are answered by the
+// last and leave duplicates and dead ends at every hop. Every packet such
+// a router is handed comes back to the stack's pool: a dump once it is
+// read, a request copy once it is rebroadcast or dies, a reply once it is
+// relayed or reaches the origin, data at delivery or drop. So once the
+// first wave has run out, every packet handed to a router is back in the
+// pool, and a second wave, its discoveries or dumps included, allocates no
+// packet: the free list holds the same packets after it as before. The
+// second wave starts at 150 s, once the longest route a first wave installs
+// (PBR's, held at most 120 s) has expired, so that it discovers again. A
+// router whose second wave peaks above its first gets a first wave of two
+// flows.
 func TestTableDrivenPacketsRecycled(t *testing.T) {
 	const perWave = 10
-	w, ids := routetest.World(t, 1, routetest.Chain(8, 100, 20), dsdv.New())
-	n := len(ids)
-	w.AddFlow(ids[0], ids[n-1], 0.5, 0.5, perWave, 256)
-	w.AddFlow(ids[0], ids[n-1], 30, 0.5, perWave, 256)
-	w.StartRun()
-	if err := w.AdvanceTo(20); err != nil {
-		t.Fatal(err)
-	}
-	c := w.Collector()
-	t.Logf("first wave: %d delivered, %d dropped, %d dumps", c.DataDelivered, c.DataDropped, c.Control[netstack.KindUpdate])
-	if c.DataDelivered == 0 || c.DataDropped == 0 || c.DataDelivered+c.DataDropped != perWave {
-		t.Fatalf("the first wave must end with drops and deliveries: %d delivered and %d dropped of %d",
-			c.DataDelivered, c.DataDropped, perWave)
-	}
-	netstack.CheckFreeList(t, w)
-	warm := map[*netstack.Packet]bool{}
-	for _, p := range netstack.FreeList(w) {
-		warm[p] = true
-	}
-	dumps := c.Control[netstack.KindUpdate]
-	if err := w.AdvanceTo(60); err != nil {
-		t.Fatal(err)
-	}
-	if c.DataDelivered+c.DataDropped != 2*perWave || c.Control[netstack.KindUpdate] == dumps {
-		t.Fatalf("the second wave ended with %d delivered and %d dropped of %d, beside %d dumps",
-			c.DataDelivered, c.DataDropped, 2*perWave, c.Control[netstack.KindUpdate]-dumps)
-	}
-	netstack.CheckFreeList(t, w)
-	free := netstack.FreeList(w)
-	for _, p := range free {
-		if !warm[p] {
-			t.Fatalf("the second wave allocated packet %p: the first left %d in the pool", p, len(warm))
-		}
-	}
-	if len(free) != len(warm) {
-		t.Fatalf("the pool held %d packets after the first wave and %d after the second", len(warm), len(free))
+	for _, tc := range []struct {
+		name    string
+		factory netstack.RouterFactory
+		control netstack.Kind // the control packet each wave sends
+		flows   int           // flows in the first wave
+		drops   bool          // the first wave drops data at the origin
+	}{
+		{"DSDV", dsdv.New(), netstack.KindUpdate, 1, true},
+		{"AODV", aodv.New(), netstack.KindRREQ, 1, false},
+		{"PBR", pbr.New(), netstack.KindRREQ, 2, false},
+		{"Taleb", taleb.New(), netstack.KindRREQ, 2, false},
+		{"Abedi", abedi.New(), netstack.KindRREQ, 1, false},
+		{"NiuDe", niude.New(), netstack.KindRREQ, 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			handed := map[*netstack.Packet]bool{}
+			w, ids := routetest.World(t, 1, routetest.Chain(8, 100, 20), func() netstack.Router {
+				return handedOut{tc.factory(), handed}
+			})
+			n := len(ids)
+			for f := 0; f < tc.flows; f++ {
+				w.AddFlow(ids[0], ids[n-1], 0.5+0.1*float64(f), 0.5, perWave, 256)
+			}
+			w.AddFlow(ids[0], ids[n-1], 150, 0.5, perWave, 256)
+			w.StartRun()
+			if err := w.AdvanceTo(140); err != nil {
+				t.Fatal(err)
+			}
+			c := w.Collector()
+			first := tc.flows * perWave
+			t.Logf("first wave: %d delivered, %d dropped, %d control, %d handed", c.DataDelivered, c.DataDropped, c.Control[tc.control], len(handed))
+			if c.DataDelivered == 0 || (c.DataDropped > 0) != tc.drops || c.DataDelivered+c.DataDropped != first {
+				t.Fatalf("the first wave ended with %d delivered and %d dropped of %d, want drops %v",
+					c.DataDelivered, c.DataDropped, first, tc.drops)
+			}
+			netstack.CheckFreeList(t, w)
+			warm := map[*netstack.Packet]bool{}
+			for _, p := range netstack.FreeList(w) {
+				warm[p] = true
+			}
+			for p := range handed {
+				if !warm[p] {
+					t.Fatalf("packet %p, handed to a router, is not back in the pool", p)
+				}
+			}
+			sent := c.Control[tc.control]
+			if err := w.AdvanceTo(180); err != nil {
+				t.Fatal(err)
+			}
+			if c.DataDelivered+c.DataDropped != first+perWave || c.Control[tc.control] == sent {
+				t.Fatalf("the second wave ended with %d delivered and %d dropped of %d, beside %d control packets",
+					c.DataDelivered, c.DataDropped, first+perWave, c.Control[tc.control]-sent)
+			}
+			netstack.CheckFreeList(t, w)
+			free := netstack.FreeList(w)
+			for _, p := range free {
+				if !warm[p] {
+					t.Fatalf("the second wave allocated packet %p: the first left %d in the pool", p, len(warm))
+				}
+			}
+			if len(free) != len(warm) {
+				t.Fatalf("the pool held %d packets after the first wave and %d after the second", len(warm), len(free))
+			}
+		})
 	}
 }

@@ -202,9 +202,10 @@ func (a *API) NewPacket() *Packet { return a.world.getPacket() }
 // given up goes to Drop instead). The caller must hold no other
 // reference: in particular a packet that was passed to Send, stored in a
 // retry buffer, or shared with a timer callback must NOT be released.
-// Releasing is optional — packets that are never released are simply
-// garbage collected. The engine is single-threaded, so the free list needs
-// no synchronisation.
+// Every packet a router is handed or makes ends in Send, Drop or Release,
+// or sits in a named holder until it does: a MAC queue, a discovery
+// queue, a carry buffer or retry custody. The engine is single-threaded,
+// so the free list needs no synchronisation.
 func (a *API) Release(pkt *Packet) { a.world.putPacket(pkt) }
 
 // RangeEstimate returns the channel's 50% reception range: the r every

@@ -88,15 +88,18 @@ func (r *Router) HandlePacket(pkt *netstack.Packet) {
 func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	req, ok := pkt.Payload.(rreq)
 	if !ok || req.Origin == r.API.Self() {
+		r.API.Release(pkt)
 		return
 	}
 	// Reverse route; among equal-hop alternatives the longer-lived link
 	// wins, which prefers stable same-direction previous hops.
 	r.MergeReverse(r.route(req.Origin, pkt.From, pkt.Hops, 0))
 	if r.Duplicate(req.Origin, req.ReqID) {
+		r.API.Release(pkt)
 		return
 	}
 	if req.Target == r.API.Self() {
+		r.API.Release(pkt)
 		rt, okRt := r.Table().Lookup(req.Origin, r.API.Now())
 		if !okRt {
 			return

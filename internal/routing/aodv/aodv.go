@@ -99,6 +99,7 @@ func (r *Router) HandlePacket(pkt *netstack.Packet) {
 func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	req, ok := pkt.Payload.(rreq)
 	if !ok || req.Origin == r.API.Self() {
+		r.API.Release(pkt)
 		return
 	}
 	now := r.API.Now()
@@ -108,10 +109,12 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 		Seq: req.OriginSeq, Expiry: now + routeLifetime, Valid: true,
 	})
 	if r.Duplicate(req.Origin, req.ReqID) {
+		r.API.Release(pkt)
 		return
 	}
 	// Can we answer? Destination itself, or fresh-enough cached route.
 	if req.Target == r.API.Self() {
+		r.API.Release(pkt)
 		if routing.SeqNewer(req.TargetSeq, r.seq) {
 			r.seq = req.TargetSeq
 		}
@@ -120,6 +123,7 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 		return
 	}
 	if rt, okRt := r.Table().Lookup(req.Target, now); okRt && req.HasTSeq && routing.SeqNewer(rt.Seq+1, req.TargetSeq) {
+		r.API.Release(pkt)
 		r.sendRREP(req.Origin, req.Target, rt.Seq, rt.Hops)
 		return
 	}
@@ -139,6 +143,7 @@ func (r *Router) sendRREP(origin, target netstack.NodeID, targetSeq uint32, hops
 func (r *Router) handleRREP(pkt *netstack.Packet) {
 	rep, ok := pkt.Payload.(rrep)
 	if !ok {
+		r.API.Release(pkt)
 		return
 	}
 	// Forward route to the target through the previous hop; the hops the
@@ -148,6 +153,7 @@ func (r *Router) handleRREP(pkt *netstack.Packet) {
 		Seq: rep.TargetSeq, Expiry: r.API.Now() + routeLifetime, Valid: true,
 	})
 	if rep.Origin == r.API.Self() {
+		r.API.Release(pkt)
 		r.Answered(rep.Target)
 		return
 	}
@@ -156,12 +162,14 @@ func (r *Router) handleRREP(pkt *netstack.Packet) {
 
 func (r *Router) handleRERR(pkt *netstack.Packet) {
 	er, ok := pkt.Payload.(rerr)
+	from := pkt.From
+	r.API.Release(pkt)
 	if !ok {
 		return
 	}
 	var cascade []netstack.NodeID
 	for _, dst := range er.Unreachable {
-		if rt, okRt := r.Table().Get(dst); okRt && rt.Valid && rt.NextHop == pkt.From {
+		if rt, okRt := r.Table().Get(dst); okRt && rt.Valid && rt.NextHop == from {
 			rt.Valid = false
 			cascade = append(cascade, dst)
 		}
@@ -178,6 +186,7 @@ func (r *Router) handleRERR(pkt *netstack.Packet) {
 func (r *Router) handleData(pkt *netstack.Packet) {
 	if pkt.Dst == r.API.Self() {
 		r.API.Deliver(pkt)
+		r.API.Release(pkt)
 		return
 	}
 	pkt.TTL--

@@ -116,6 +116,7 @@ func (r *Router) HandlePacket(pkt *netstack.Packet) {
 func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	req, ok := pkt.Payload.(rreq)
 	if !ok || req.Origin == r.API.Self() {
+		r.API.Release(pkt)
 		return
 	}
 	// fold in the link just traversed
@@ -130,11 +131,13 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	if req.Target == r.API.Self() {
 		r.sel.Offer(r.API, routing.DupKey{Origin: req.Origin, Seq: req.ReqID}, admit(delay, reliability),
 			routing.Candidate{From: pkt.From, Hops: pkt.Hops, Metric: reliability})
+		r.API.Release(pkt)
 		return
 	}
 	// relays forward the first copy only, and one with zero availability
 	// in would only poison the product
 	if r.Duplicate(req.Origin, req.ReqID) || reliability <= 0 {
+		r.API.Release(pkt)
 		return
 	}
 	cp := req

@@ -257,14 +257,17 @@ func ForwardData(api *netstack.API, t *Table, pkt *netstack.Packet) {
 }
 
 // Relay passes a unicast control packet one hop toward dst along the
-// table; without a route, or out of TTL, it dies here.
+// table; without a route, or out of TTL, it is dropped here. It takes the
+// packet.
 func (c *OnDemand) Relay(pkt *netstack.Packet, dst netstack.NodeID) {
 	rt, ok := c.table.Lookup(dst, c.API.Now())
 	if !ok {
+		c.API.Drop(pkt)
 		return
 	}
 	pkt.TTL--
 	if pkt.Expired() {
+		c.API.Drop(pkt)
 		return
 	}
 	c.API.Send(rt.NextHop, pkt)
@@ -272,10 +275,12 @@ func (c *OnDemand) Relay(pkt *netstack.Packet, dst netstack.NodeID) {
 
 // Rebroadcast passes a flooded request on: it spends one TTL and, unless
 // that was the last, broadcasts the request now or, when delayed, delay
-// seconds later, through a timer event even when delay is 0.
+// seconds later, through a timer event even when delay is 0. It takes the
+// packet; out of TTL, the request is dropped here.
 func (c *OnDemand) Rebroadcast(pkt *netstack.Packet, delayed bool, delay float64) {
 	pkt.TTL--
 	if pkt.Expired() {
+		c.API.Drop(pkt)
 		return
 	}
 	if !delayed {
@@ -336,10 +341,12 @@ func (c *OnDemand) Reply(via, origin netstack.NodeID, size int, metric float64) 
 // route from the target, the hop it came from, the hops it travelled and
 // its metric. Away from the origin it relays the reply and reports false;
 // at the origin it ends the discovery and reports the target and metric.
+// It takes the packet.
 func (c *OnDemand) HandleReply(pkt *netstack.Packet,
 	route func(dst, via netstack.NodeID, hops int, metric float64) Route) (netstack.NodeID, float64, bool) {
 	rep, ok := pkt.Payload.(reply)
 	if !ok {
+		c.API.Release(pkt)
 		return 0, 0, false
 	}
 	c.table.Upsert(route(rep.Target, pkt.From, pkt.Hops, rep.Metric))
@@ -347,6 +354,7 @@ func (c *OnDemand) HandleReply(pkt *netstack.Packet,
 		c.Relay(pkt, rep.Origin)
 		return 0, 0, false
 	}
+	c.API.Release(pkt)
 	c.Answered(rep.Target)
 	return rep.Target, rep.Metric, true
 }

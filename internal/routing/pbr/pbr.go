@@ -70,6 +70,7 @@ func (r *Router) HandlePacket(pkt *netstack.Packet) {
 func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	req, ok := pkt.Payload.(rreq)
 	if !ok || req.Origin == r.API.Self() {
+		r.API.Release(pkt)
 		return
 	}
 	// Fold in the lifetime of the link we just traversed (From → self),
@@ -81,10 +82,12 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 		// Collect candidates for a window, then answer the longest-lived.
 		r.sel.Offer(r.API, routing.DupKey{Origin: req.Origin, Seq: req.ReqID}, lt,
 			routing.Candidate{From: pkt.From, Hops: pkt.Hops, Metric: lt})
+		r.API.Release(pkt)
 		return
 	}
 	// Intermediate: forward the first copy only.
 	if r.Duplicate(req.Origin, req.ReqID) {
+		r.API.Release(pkt)
 		return
 	}
 	cp := req

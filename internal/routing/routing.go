@@ -11,7 +11,7 @@
 package routing
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/vanetlab/relroute/internal/netstack"
 )
@@ -153,15 +153,22 @@ func (t *Table) Lookup(dst netstack.NodeID, now float64) (*Route, bool) {
 	return r, true
 }
 
-// Upsert inserts or replaces the entry for r.Dst and returns it.
+// Upsert inserts or replaces the entry for r.Dst and returns it. A
+// replacement overwrites the existing entry in place, so the pointer Get
+// and Lookup returned for r.Dst now reads r; only a new destination
+// allocates an entry.
 func (t *Table) Upsert(r Route) *Route {
-	cp := r
-	cp.deadAt = 0
-	if !cp.Valid {
-		cp.deadAt = t.lastNow // inserted already-dead: grace starts now
+	r.deadAt = 0
+	if !r.Valid {
+		r.deadAt = t.lastNow // inserted already-dead: grace starts now
 	}
-	t.routes[r.Dst] = &cp
-	return &cp
+	cur, ok := t.routes[r.Dst]
+	if !ok {
+		cur = new(Route)
+		t.routes[r.Dst] = cur
+	}
+	*cur = r
+	return cur
 }
 
 // InvalidateVia invalidates every valid route whose next hop is via and
@@ -175,7 +182,7 @@ func (t *Table) InvalidateVia(via netstack.NodeID) []netstack.NodeID {
 			out = append(out, dst)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -188,7 +195,7 @@ func (t *Table) Destinations(now float64) []netstack.NodeID {
 			out = append(out, dst)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -233,6 +233,58 @@ func TestTableSweepGraceAfterDirectMutation(t *testing.T) {
 	}
 }
 
+// TestTableUpsertInPlace pins Upsert's overwrite: a replacement writes
+// the existing entry, allocating nothing and keeping the pointer Get
+// returns, and it restamps the entry's death as an insert would. A dead
+// route written over a live one dies at the table's last observed time,
+// so the sweep collects it 30 s after that; a live route written over a
+// dead one is alive, and the sweep that would have collected the dead one
+// keeps it.
+func TestTableUpsertInPlace(t *testing.T) {
+	t.Run("replace", func(t *testing.T) {
+		tb := NewTable()
+		first := tb.Upsert(Route{Dst: 1, NextHop: 2, Hops: 3, Valid: true})
+		var got *Route
+		hop := netstack.NodeID(3)
+		if allocs := testing.AllocsPerRun(100, func() {
+			got = tb.Upsert(Route{Dst: 1, NextHop: hop, Hops: 2, Valid: true})
+			hop++
+		}); allocs != 0 {
+			t.Fatalf("replacing an entry allocates %v objects", allocs)
+		}
+		if got != first {
+			t.Fatal("the replacement moved the entry")
+		}
+		if rt, _ := tb.Get(1); rt != first || rt.NextHop != hop-1 || rt.Hops != 2 {
+			t.Fatalf("Get = %p %+v, want %p written in place", rt, rt, first)
+		}
+	})
+	t.Run("dead-over-live", func(t *testing.T) {
+		tb := NewTable()
+		tb.Lookup(0, 10) // sweeps at 10, next at 40
+		tb.Upsert(Route{Dst: 1, NextHop: 2, Seq: 4, Valid: true})
+		tb.Upsert(Route{Dst: 1, NextHop: 2, Seq: 5, Valid: false}) // dead at 10
+		tb.Lookup(0, 40)                                           // dead 30 s: kept
+		if rt, ok := tb.Get(1); !ok || rt.Seq != 5 {
+			t.Fatal("dead route collected within its grace window")
+		}
+		tb.Lookup(0, 70) // dead 60 s
+		if _, ok := tb.Get(1); ok {
+			t.Fatal("dead route outlived 30 s from the time it was written")
+		}
+	})
+	t.Run("live-over-dead", func(t *testing.T) {
+		tb := NewTable()
+		tb.Lookup(0, 10)                                           // sweeps at 10, next at 40
+		tb.Upsert(Route{Dst: 1, NextHop: 2, Seq: 4, Valid: false}) // dead at 10
+		tb.Upsert(Route{Dst: 1, NextHop: 3, Seq: 6, Valid: true})
+		tb.Lookup(0, 41) // the dead route's grace ran out at 40
+		if rt, ok := tb.Lookup(1, 41); !ok || rt.NextHop != 3 || rt.Seq != 6 {
+			t.Fatal("live route written over a dead one was collected")
+		}
+	})
+}
+
 func TestTableInvalidate(t *testing.T) {
 	tb := NewTable()
 	tb.Upsert(Route{Dst: 1, NextHop: 10, Valid: true})
@@ -283,4 +335,32 @@ func TestPendingQueue(t *testing.T) {
 	if q.Waiting(1) {
 		t.Fatal("queue not drained")
 	}
+}
+
+// BenchmarkTableUpsert times the two writes a table-driven router makes:
+// a fresher route to a destination the table holds, written in place, and
+// a route to a new destination, which allocates its entry (the map keeps
+// its buckets across the clear every 1,024 inserts).
+func BenchmarkTableUpsert(b *testing.B) {
+	b.Run("replace", func(b *testing.B) {
+		tb := NewTable()
+		tb.Upsert(Route{Dst: 1, NextHop: 2, Valid: true})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tb.Upsert(Route{Dst: 1, NextHop: 2, Hops: i % 8, Seq: uint32(i), Valid: true})
+		}
+	})
+	b.Run("insert", func(b *testing.B) {
+		const dsts = 1024
+		tb := NewTable()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%dsts == 0 {
+				clear(tb.routes)
+			}
+			tb.Upsert(Route{Dst: netstack.NodeID(i % dsts), NextHop: 2, Valid: true})
+		}
+	})
 }

@@ -142,6 +142,7 @@ func (u *UnitRouter) Originate(dst netstack.NodeID, size int) {
 // HandlePacket implements netstack.Router.
 func (u *UnitRouter) HandlePacket(pkt *netstack.Packet) {
 	if pkt.Kind != netstack.KindData {
+		u.API.Release(pkt)
 		return
 	}
 	u.handleData(pkt)
@@ -150,6 +151,7 @@ func (u *UnitRouter) HandlePacket(pkt *netstack.Packet) {
 func (u *UnitRouter) handleData(pkt *netstack.Packet) {
 	if pkt.Dst == u.API.Self() {
 		u.API.Deliver(pkt)
+		u.API.Release(pkt)
 		return
 	}
 	// direct delivery if the destination is under our coverage

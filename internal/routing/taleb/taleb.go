@@ -76,6 +76,7 @@ func (r *Router) HandlePacket(pkt *netstack.Packet) {
 func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	req, ok := pkt.Payload.(rreq)
 	if !ok || req.Origin == r.API.Self() {
+		r.API.Release(pkt)
 		return
 	}
 	// one reliability-plane read serves both the lifetime fold and the
@@ -97,9 +98,11 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 		score := float64(req.SameGroup+sameGroup)/links*1e6 + math.Min(routing.CapLife(lt), 1e5)
 		r.sel.Offer(r.API, routing.DupKey{Origin: req.Origin, Seq: req.ReqID}, score,
 			routing.Candidate{From: pkt.From, Hops: pkt.Hops, Metric: lt})
+		r.API.Release(pkt)
 		return
 	}
 	if r.Duplicate(req.Origin, req.ReqID) {
+		r.API.Release(pkt)
 		return
 	}
 	cp := req
