@@ -7,6 +7,7 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -62,6 +63,10 @@ func TestNoMapRangeOnTheEventPath(t *testing.T) {
 // (NewPacket, then *cp = *pkt) and sends the packet it was handed; one
 // that needs a field of a packet it drops reads the field first.
 //
+// A variable the function binds from p.Payload.(*T) counts as a mention
+// of p: a unicast payload has one holder, so once p is sent its payload is
+// the next holder's to extend, as the ticket router's probe record is.
+//
 // It works on syntax alone: p is the argument's text (a name, or a path
 // such as h.pkt), and a mention is that text again. A call argument, such
 // as a packet built in place, is nobody's to mention. That can only
@@ -70,7 +75,54 @@ func TestNoPacketUseAfterSend(t *testing.T) {
 	fset, files := parseLinted(t)
 	taken := map[string]int{}
 	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
+		usesAfterTake(f, taken, func(use ast.Expr, p, verb string, take ast.Stmt) {
+			t.Errorf("%s: %s is used after %s took %s (at %s): copy what you need first, or hand it over last",
+				fset.Position(use.Pos()), types.ExprString(use), verb, p, fset.Position(take.Pos()))
+		})
+	}
+	if taken["Send"] < 20 || taken["Drop"] < 20 || taken["Release"] < 20 {
+		t.Fatalf("found only %v named packets taken — are they still API.Send(to, pkt), API.Drop(pkt) and API.Release(pkt)?", taken)
+	}
+}
+
+// TestNoPacketUseAfterSendSeesThePayload runs the lint on a relay that
+// writes the probe record it was handed after sending the packet on.
+func TestNoPacketUseAfterSendSeesThePayload(t *testing.T) {
+	const src = `package core
+
+func (r *TicketRouter) handleProbe(pkt *netstack.Packet) {
+	pr, ok := pkt.Payload.(*probe)
+	if !ok {
+		return
+	}
+	r.API.Send(next, pkt)
+	pr.Tickets = 1
+}`
+	f, err := parser.ParseFile(token.NewFileSet(), "relay.go", src, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var uses []string
+	usesAfterTake(f, map[string]int{}, func(use ast.Expr, p, verb string, _ ast.Stmt) {
+		uses = append(uses, types.ExprString(use)+" after "+verb+" took "+p)
+	})
+	if len(uses) != 1 || uses[0] != "pr after Send took pkt" {
+		t.Fatalf("found %q, want the one write of pr after Send took pkt", uses)
+	}
+}
+
+// usesAfterTake calls use for every mention of a taken packet in f: a
+// statement after X.Send(to, p), X.Drop(p) or X.Release(p) in the same
+// block that mentions p, or a variable its function binds from
+// p.Payload.(*T). It counts the takes by verb into taken.
+func usesAfterTake(f *ast.File, taken map[string]int, use func(mention ast.Expr, p, verb string, take ast.Stmt)) {
+	for _, d := range f.Decls {
+		fn, ok := d.(*ast.FuncDecl)
+		if !ok || fn.Body == nil {
+			continue
+		}
+		aliases := payloadAliases(fn.Body)
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
 			var list []ast.Stmt
 			switch b := n.(type) {
 			case *ast.BlockStmt:
@@ -86,11 +138,11 @@ func TestNoPacketUseAfterSend(t *testing.T) {
 					continue
 				}
 				taken[verb]++
+				mentions := append([]string{p}, aliases[p]...)
 				for _, later := range list[i+1:] {
 					ast.Inspect(later, func(n ast.Node) bool {
-						if e, ok := n.(ast.Expr); ok && types.ExprString(e) == p {
-							t.Errorf("%s: %s is used after %s took it (at %s): copy what you need first, or hand it over last",
-								fset.Position(e.Pos()), p, verb, fset.Position(stmt.Pos()))
+						if e, ok := n.(ast.Expr); ok && slices.Contains(mentions, types.ExprString(e)) {
+							use(e, p, verb, stmt)
 							return false
 						}
 						return true
@@ -100,9 +152,32 @@ func TestNoPacketUseAfterSend(t *testing.T) {
 			return true
 		})
 	}
-	if taken["Send"] < 20 || taken["Drop"] < 20 || taken["Release"] < 20 {
-		t.Fatalf("found only %v named packets taken — are they still API.Send(to, pkt), API.Drop(pkt) and API.Release(pkt)?", taken)
-	}
+}
+
+// payloadAliases maps a packet's text to the names body binds from its
+// payload as a pointer, v := p.Payload.(*T) or v, ok := p.Payload.(*T).
+func payloadAliases(body *ast.BlockStmt) map[string][]string {
+	aliases := map[string][]string{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || len(as.Rhs) != 1 {
+			return true
+		}
+		ta, ok := as.Rhs[0].(*ast.TypeAssertExpr)
+		if !ok {
+			return true
+		}
+		payload, ok := ta.X.(*ast.SelectorExpr)
+		if _, ptr := ta.Type.(*ast.StarExpr); !ok || !ptr || payload.Sel.Name != "Payload" {
+			return true
+		}
+		if v, ok := as.Lhs[0].(*ast.Ident); ok && v.Name != "_" {
+			p := types.ExprString(payload.X)
+			aliases[p] = append(aliases[p], v.Name)
+		}
+		return true
+	})
+	return aliases
 }
 
 // takenPacket is p's text and the call's name when stmt is X.Send(to, p),

@@ -65,7 +65,7 @@ func TestCandidatesScoreOnlyWhatCanBeChosen(t *testing.T) {
 		{"position unknown: everyone off the path", 99, []netstack.NodeID{2, 1}, []netstack.NodeID{0, 3, 4, 5}},
 	} {
 		sw.scored = sw.scored[:0]
-		cands := r.candidates(tc.dst, tc.path, len(vehicles))
+		cands := r.candidates(tc.dst, tc.path, len(vehicles), nil)
 		slices.Sort(sw.scored)
 		if sw.scored = slices.Compact(sw.scored); !slices.Equal(sw.scored, tc.scored) {
 			t.Errorf("%s: scored %v, want %v", tc.name, sw.scored, tc.scored)
@@ -147,7 +147,7 @@ func TestCandidatesMatchScoreEverything(t *testing.T) {
 			want, all := scoreEverything(r, score, dst, path)
 			for _, k := range []int{1, 3, len(vehicles)} {
 				sw.scored, r.memo = sw.scored[:0], r.memo[:0]
-				got := r.candidates(dst, path, k)
+				got := r.candidates(dst, path, k, nil)
 				if !slices.Equal(got, want[:min(k, len(want))]) {
 					t.Fatalf("world %d draw %d k %d (dst %d, path %v):\n got %v\nwant %v", world, draw, k, dst, path, got, want)
 				}
@@ -240,7 +240,7 @@ func TestCandidatesTopKWithTheMetrics(t *testing.T) {
 				want, all := scoreEverything(r, score, dst, path)
 				for i, k := range ks {
 					r.memo = r.memo[:0]
-					got := r.candidates(dst, path, k)
+					got := r.candidates(dst, path, k, nil)
 					if !slices.Equal(got, want[:min(k, len(want))]) {
 						t.Fatalf("%s world %d draw %d k %d (dst %d, path %v):\n got %v\nwant %v", tc.name, world, draw, k, dst, path, got, want)
 					}

@@ -36,6 +36,10 @@ func TestNeighborExpiryDeletesThePathsThroughTheLostHop(t *testing.T) {
 		dsts[4]: {self, lost, dsts[4]},
 		dsts[5]: {self, kept, dsts[5]},
 	}
+	if src.paths != nil {
+		t.Fatal("paths made before the first reply")
+	}
+	src.paths = make(map[netstack.NodeID]*activePath)
 	for dst, path := range via {
 		src.paths[dst] = &activePath{route: routing.SourceRoute{Path: path}}
 	}

@@ -123,6 +123,21 @@ func TestStabilityMemoInvalidation(t *testing.T) {
 		t.Fatalf("memo reallocated on an observer move: cap %d → %d", held, cap(r.memo))
 	}
 
+	// one tick on, the observer has moved and nobody has beaconed: only
+	// the move makes the remembered values stale
+	heard := r.API.AppendLinkStates(nil)
+	pos = r.API.Pos()
+	advance(t, w, 12.45)
+	if r.API.Pos() == pos {
+		t.Fatal("observer did not move in a tick")
+	}
+	for _, ls := range heard {
+		if now, ok := r.API.LinkState(ls.ID); !ok || now.Beacons != ls.Beacons || now.LastSeen != ls.LastSeen {
+			t.Fatalf("neighbor %d beaconed within the tick: the step tests nothing", ls.ID)
+		}
+	}
+	scoreAll("observer moved, no beacon", 2, 2)
+
 	// routers that never scored a link hold nothing
 	if routers[1].memo != nil || routers[2].memo != nil {
 		t.Fatal("memo allocated in a router that never scored")
@@ -174,7 +189,8 @@ func BenchmarkTicketCandidates(b *testing.B) {
 	advance(b, w, 2.05)
 	r := routers[0]
 	path := []netstack.NodeID{r.API.Self()}
-	if n := len(r.candidates(31, path, len(others))); n < 25 {
+	var ranked [rankBuf]candidate
+	if n := len(r.candidates(31, path, len(others), nil)); n < 25 {
 		b.Fatalf("%d candidates of 30 neighbors", n)
 	}
 	for _, k := range []int{1, 3} {
@@ -182,7 +198,7 @@ func BenchmarkTicketCandidates(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				r.memo = r.memo[:0]
-				r.candidates(31, path, k)
+				r.candidates(31, path, k, ranked[:0])
 			}
 		})
 	}
@@ -190,13 +206,13 @@ func BenchmarkTicketCandidates(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			r.memo = r.memo[:0]
-			r.candidates(31, path, len(others))
+			r.candidates(31, path, len(others), ranked[:0])
 		}
 	})
 	b.Run("repeat", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			r.candidates(31, path, len(others))
+			r.candidates(31, path, len(others), ranked[:0])
 		}
 	})
 }

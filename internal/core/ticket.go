@@ -57,29 +57,29 @@ const (
 //
 // A packet has one holder at a time: every packet whose journey ends here
 // goes back to the stack's pool — a probe absorbed at its target, out of
-// hops, without a candidate or once its shares are sent, a reply at its
-// origin, a break notice, and the control copy a failed send hands back.
-// The one packet kept is the data copy a failed first hop hands the origin,
-// which waits in the discovery queue for the next path.
+// hops or without a candidate, a reply at its origin, a break notice, and
+// the control copy a failed send hands back. A relay sends the probe it
+// received on to its last funded candidate. The one packet kept is the data
+// copy a failed first hop hands the origin, which waits in the discovery
+// queue for the next path.
 type TicketRouter struct {
 	routing.Discovery
 	tickets int
 	metric  Metric
 	scorer  func(api *netstack.API, nb netstack.Neighbor, stability float64) float64
 
-	// source-side active paths: dst → source route + predicted stability
+	// source-side active paths: dst → source route + predicted stability;
+	// made at the first reply
 	paths map[netstack.NodeID]*activePath
 	// destination-side probe collection: the most stable path wins
 	sel routing.Selection[bestPath]
 
-	// ranked is the buffer candidates ranks into, reused from call to call.
-	ranked []candidate
-
 	// memo holds what the probability metrics returned while this node was
-	// at memoPos moving at memoVel, one entry per neighbor scored; it grows
-	// on the first probe a router scores for and is emptied, not freed,
-	// when the node moves. A cache only: no Summary, digest or checkpoint
-	// sees it.
+	// at memoPos moving at memoVel, one entry per neighbor scored. It is
+	// emptied, not freed, when the node moves, so it holds one entry per
+	// neighbor at most, and it is made at its first entry with room for
+	// every neighbor and one more. A cache only: no Summary, digest or
+	// checkpoint sees it.
 	memo             []stabilityMemo
 	memoPos, memoVel geom.Vec2
 }
@@ -109,14 +109,20 @@ type bestPath struct {
 	stability float64
 }
 
-// probe is the ticket-carrying control payload.
+// probe is the ticket-carrying control payload: one record per ticket
+// share, its path stored inline. A unicast payload has one holder at a
+// time, so a hop appends itself to the record it was handed and sends the
+// record on; only the extra shares of a ticket split are copies.
 type probe struct {
 	Origin    netstack.NodeID
 	ReqID     uint64
 	Target    netstack.NodeID
 	Tickets   int
-	Path      []netstack.NodeID // origin ... current holder inclusive
+	Path      []netstack.NodeID // origin ... current holder inclusive, in buf
 	Stability float64           // min link stability along Path
+	// buf holds the longest path a probe's TTL lets it travel: the origin
+	// and one node per hop.
+	buf [routing.DefaultTTL + 2]netstack.NodeID
 }
 
 // reply returns the selected path.
@@ -130,11 +136,7 @@ type reply struct {
 // NewTicketRouter returns a TBP-SS router factory.
 func NewTicketRouter(opts ...TicketOption) netstack.RouterFactory {
 	return func() netstack.Router {
-		r := &TicketRouter{
-			tickets: 3,
-			metric:  MetricMeanDuration,
-			paths:   make(map[netstack.NodeID]*activePath),
-		}
+		r := &TicketRouter{tickets: 3, metric: MetricMeanDuration}
 		for _, o := range opts {
 			o(r)
 		}
@@ -161,7 +163,9 @@ func (r *TicketRouter) forward(pkt *netstack.Packet) {
 // renewal starts it, and a renewal probes anew, so the old path is dropped.
 func (r *TicketRouter) sendProbes(dst netstack.NodeID, reqID uint64) bool {
 	delete(r.paths, dst)
-	cands := r.candidates(dst, []netstack.NodeID{r.API.Self()}, r.tickets)
+	self := r.API.Self()
+	var ranked [rankBuf]candidate
+	cands := r.candidates(dst, []netstack.NodeID{self}, r.tickets, ranked[:0])
 	if len(cands) == 0 {
 		return false
 	}
@@ -170,13 +174,9 @@ func (r *TicketRouter) sendProbes(dst netstack.NodeID, reqID uint64) bool {
 		if share == 0 {
 			continue
 		}
-		pl := probe{
-			Origin: r.API.Self(), ReqID: reqID, Target: dst,
-			Tickets:   share,
-			Path:      []netstack.NodeID{r.API.Self()},
-			Stability: c.stability,
-		}
-		r.API.Send(c.id, r.Control(netstack.KindProbe, dst, 48+4*len(pl.Path), pl))
+		pr := &probe{Origin: self, ReqID: reqID, Target: dst, Tickets: share, Stability: c.stability}
+		pr.Path = append(pr.buf[:0], self)
+		r.API.Send(c.id, r.Control(netstack.KindProbe, dst, 48+4*len(pr.Path), pr))
 	}
 	return true
 }
@@ -186,6 +186,11 @@ type candidate struct {
 	stability float64
 	progress  float64
 }
+
+// rankBuf is the length of the array a caller of candidates ranks into:
+// every neighbor a link-state read holds without growing, and an insert
+// before the cut to k.
+const rankBuf = routing.NeighborBuf + 1
 
 // stability evaluates one reliability-plane link state with the
 // configured metric, and the scorer over it if there is one.
@@ -216,9 +221,12 @@ func (r *TicketRouter) metricStability(ls netstack.LinkState) float64 {
 		return m.val
 	}
 	e := stabilityMemo{ls.ID, int32(ls.Beacons), ls.LastSeen, linkStateStability(r.API, r.metric, ls)}
-	if m != nil {
+	switch {
+	case m != nil:
 		*m = e
-	} else {
+	case r.memo == nil:
+		r.memo = append(make([]stabilityMemo, 0, r.API.NeighborCount()+1), e)
+	default:
 		r.memo = append(r.memo, e)
 	}
 	return e.val
@@ -277,9 +285,10 @@ type bounded struct {
 // threshold — and the rest are scored best bound first until k are
 // admitted and the next bound is below the k-th best stability: no
 // neighbor left can then enter the top k. For the probability metrics
-// that is an integral saved per neighbor skipped. The list is the router's
-// buffer, valid until the next call.
-func (r *TicketRouter) candidates(dst netstack.NodeID, path []netstack.NodeID, k int) []candidate {
+// that is an integral saved per neighbor skipped. The list is ranked into
+// out, which needs room for k+1 (a rankBuf array on the caller's stack
+// holds it); a shorter out grows by append.
+func (r *TicketRouter) candidates(dst netstack.NodeID, path []netstack.NodeID, k int, out []candidate) []candidate {
 	k = max(k, 1)
 	dstPos, _, havePos := r.API.LookupPosition(dst)
 	selfD := 0.0
@@ -311,10 +320,7 @@ func (r *TicketRouter) candidates(dst netstack.NodeID, path []netstack.NodeID, k
 	// stable: equal bounds — every one, for the deterministic metric — score
 	// in table order
 	slices.SortStableFunc(admissible, func(a, b bounded) int { return cmp.Compare(b.bound, a.bound) })
-	if n := min(k, len(states)) + 1; cap(r.ranked) < n {
-		r.ranked = make([]candidate, 0, n) // room for an insert before the cut to k
-	}
-	out := r.ranked[:0]
+	out = out[:0]
 	for _, a := range admissible {
 		if len(out) == k && a.bound < out[k-1].stability {
 			break
@@ -381,7 +387,7 @@ func (r *TicketRouter) HandlePacket(pkt *netstack.Packet) {
 }
 
 func (r *TicketRouter) handleProbe(pkt *netstack.Packet) {
-	pr, ok := pkt.Payload.(probe)
+	pr, ok := pkt.Payload.(*probe)
 	if !ok || pr.Origin == r.API.Self() {
 		r.API.Release(pkt)
 		return
@@ -391,15 +397,12 @@ func (r *TicketRouter) handleProbe(pkt *netstack.Packet) {
 	// the beacons).
 	inStab := pr.Stability
 	if ls, okLs := r.API.LinkState(pkt.From); okLs {
-		s := r.stability(ls)
-		if s < inStab {
-			inStab = s
-		}
+		inStab = linkMin(inStab, r.stability(ls))
 	}
-	path := append(append([]netstack.NodeID(nil), pr.Path...), r.API.Self())
+	pr.Path = append(pr.Path, r.API.Self()) // the record is this node's alone
 	if pr.Target == r.API.Self() {
 		r.sel.Offer(r.API, routing.DupKey{Origin: pr.Origin, Seq: pr.ReqID}, inStab,
-			bestPath{hops: path, stability: inStab})
+			bestPath{hops: pr.Path, stability: inStab})
 		r.API.Release(pkt)
 		return
 	}
@@ -408,28 +411,38 @@ func (r *TicketRouter) handleProbe(pkt *netstack.Packet) {
 		r.API.Release(pkt)
 		return
 	}
-	cands := r.candidates(pr.Target, path, pr.Tickets)
-	limit := min(pr.Tickets, len(cands))
-	for i := 0; i < limit; i++ {
-		share := ticketShare(pr.Tickets, limit, i)
-		if share == 0 {
-			continue
-		}
-		stab := inStab
-		if cands[i].stability < stab {
-			stab = cands[i].stability
-		}
-		cp := pr
-		cp.Tickets = share
-		cp.Path = path
-		cp.Stability = stab
-		fwd := r.API.NewPacket() // a copy per ticket share; nothing keeps it
+	var ranked [rankBuf]candidate
+	cands := r.candidates(pr.Target, pr.Path, pr.Tickets, ranked[:0])
+	// every funded candidate gets at least one ticket
+	funded := cands[:min(pr.Tickets, len(cands))]
+	if len(funded) == 0 {
+		r.API.Release(pkt) // the ticket dies here without a candidate
+		return
+	}
+	pkt.Size = 48 + 4*len(pr.Path)
+	last := len(funded) - 1
+	for i, c := range funded[:last] {
+		// an extra share: a packet and a record of its own
+		cp := new(probe)
+		*cp = *pr
+		cp.Path = append(cp.buf[:0], pr.Path...)
+		cp.Tickets, cp.Stability = ticketShare(pr.Tickets, len(funded), i), linkMin(inStab, c.stability)
+		fwd := r.API.NewPacket()
 		*fwd = *pkt
 		fwd.Payload = cp
-		fwd.Size = 48 + 4*len(path)
-		r.API.Send(cands[i].id, fwd)
+		r.API.Send(c.id, fwd)
 	}
-	r.API.Release(pkt) // the shares are sent, or the ticket dies here without a candidate
+	pr.Tickets, pr.Stability = ticketShare(pr.Tickets, len(funded), last), linkMin(inStab, funded[last].stability)
+	r.API.Send(funded[last].id, pkt)
+}
+
+// linkMin is the stability of a path of stability path extended by a link
+// of stability link.
+func linkMin(path, link float64) float64 {
+	if link < path {
+		return link
+	}
+	return path
 }
 
 // answer returns the best probed path to the origin.
@@ -451,6 +464,9 @@ func (r *TicketRouter) handleReply(pkt *netstack.Packet) {
 	}
 	if r.API.Self() == rep.Origin {
 		stab := rep.Stability
+		if r.paths == nil {
+			r.paths = make(map[netstack.NodeID]*activePath)
+		}
 		r.paths[rep.Target] = &activePath{
 			route: routing.SourceRoute{Path: append([]netstack.NodeID(nil), rep.Path...)}, stability: stab,
 		}
@@ -527,11 +543,11 @@ func (r *TicketRouter) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
 		return
 	}
 	r.API.Metrics().RouteBreaks++
-	r.API.Drop(pkt)
 	// reportBreak wants this relay's index; the failed hop's sends the
 	// notice to this node itself. Correcting it moves the protocol goldens
 	// (ROADMAP 1(b)).
 	r.reportBreak(hdr.Path, slices.Index(hdr.Path, to))
+	r.API.Drop(pkt)
 }
 
 // OnNeighborExpired implements netstack.Router: source-side paths whose

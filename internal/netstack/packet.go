@@ -60,7 +60,16 @@ type Packet struct {
 	Hops    int
 	Size    int     // bytes
 	Created float64 // origination time, seconds
-	Payload any     // protocol-private extension; treat as immutable
+	// Payload is the protocol-private extension, shared by every copy of
+	// the packet. A broadcast payload reaches every receiver, so it is
+	// shared and immutable. A unicast payload has one holder at a time:
+	// the addressee, once the frame got through (the MAC then retries
+	// nothing), or the sender again through OnSendFailed, once every
+	// attempt failed. So a router that sends a payload once may extend
+	// the unicast payload it was handed before sending it on; one sent
+	// more than once, such as a route header many data packets share,
+	// stays immutable.
+	Payload any
 }
 
 // Expired reports whether the TTL is exhausted.

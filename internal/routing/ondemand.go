@@ -22,8 +22,8 @@ import (
 // one delivered at its own source; forward takes the packet for good.
 type Discovery struct {
 	netstack.Base
-	pending *PendingQueue
-	trying  map[netstack.NodeID]int // dst → requests left while a discovery is in flight
+	pending PendingQueue
+	trying  map[netstack.NodeID]int // dst → requests left while a discovery is in flight; made at the first Start
 	reqID   uint64
 
 	timeout float64
@@ -40,8 +40,6 @@ type Discovery struct {
 // round is repeated timeout seconds later.
 func (d *Discovery) Init(timeout float64, routed func(netstack.NodeID) bool,
 	forward func(*netstack.Packet), request func(netstack.NodeID, uint64) bool) {
-	d.pending = NewPendingQueue()
-	d.trying = make(map[netstack.NodeID]int)
 	d.timeout = timeout
 	d.routed, d.forward, d.request = routed, forward, request
 }
@@ -83,6 +81,9 @@ func (d *Discovery) Waiting(dst netstack.NodeID) bool { return d.pending.Waiting
 func (d *Discovery) Start(dst netstack.NodeID) {
 	if _, inFlight := d.trying[dst]; inFlight {
 		return
+	}
+	if d.trying == nil {
+		d.trying = make(map[netstack.NodeID]int)
 	}
 	d.trying[dst] = 2
 	d.ask(dst)
@@ -393,7 +394,7 @@ type Candidate struct {
 type Selection[T any] struct {
 	window float64
 	answer func(origin netstack.NodeID, best T)
-	open   map[DupKey]*bid[T]
+	open   map[DupKey]*bid[T] // made at the first Offer
 }
 
 type bid[T any] struct {
@@ -404,7 +405,7 @@ type bid[T any] struct {
 // NewSelection returns a Selection that collects for window seconds and
 // hands the winner to answer.
 func NewSelection[T any](window float64, answer func(origin netstack.NodeID, best T)) Selection[T] {
-	return Selection[T]{window: window, answer: answer, open: make(map[DupKey]*bid[T])}
+	return Selection[T]{window: window, answer: answer}
 }
 
 // Offer enters val, scored score, for the discovery key (origin, request).
@@ -413,6 +414,9 @@ func NewSelection[T any](window float64, answer func(origin netstack.NodeID, bes
 func (s *Selection[T]) Offer(api *netstack.API, key DupKey, score float64, val T) {
 	b, ok := s.open[key]
 	if !ok {
+		if s.open == nil {
+			s.open = make(map[DupKey]*bid[T])
+		}
 		b = &bid[T]{score: -1}
 		s.open[key] = b
 		api.After(s.window, func() {

@@ -208,14 +208,9 @@ const (
 
 // PendingQueue buffers data packets awaiting a route, per destination,
 // dropping the oldest beyond pendingCap and expiring packets after
-// pendingWait.
+// pendingWait. The zero queue is empty and ready to use.
 type PendingQueue struct {
-	byDst map[netstack.NodeID][]*netstack.Packet
-}
-
-// NewPendingQueue returns an empty queue.
-func NewPendingQueue() *PendingQueue {
-	return &PendingQueue{byDst: make(map[netstack.NodeID][]*netstack.Packet)}
+	byDst map[netstack.NodeID][]*netstack.Packet // made at the first Push
 }
 
 // Push buffers pkt for dst. When the per-destination cap is reached the
@@ -228,6 +223,9 @@ func NewPendingQueue() *PendingQueue {
 // accepted from the application but silently vanishes from both the
 // delivered and dropped columns.
 func (q *PendingQueue) Push(dst netstack.NodeID, pkt *netstack.Packet) (evicted *netstack.Packet) {
+	if q.byDst == nil {
+		q.byDst = make(map[netstack.NodeID][]*netstack.Packet)
+	}
 	list := q.byDst[dst]
 	if len(list) >= pendingCap {
 		evicted = list[0]

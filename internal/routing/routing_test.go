@@ -307,7 +307,13 @@ func TestTableInvalidate(t *testing.T) {
 }
 
 func TestPendingQueue(t *testing.T) {
-	q := NewPendingQueue()
+	var q PendingQueue // the zero queue is ready to use
+	if q.Waiting(1) {
+		t.Fatal("the zero queue waits")
+	}
+	if fresh, expired := q.PopAll(1, 0); fresh != nil || expired != nil {
+		t.Fatalf("the zero queue popped %v and %v", fresh, expired)
+	}
 	mk := func(created float64) *netstack.Packet {
 		return &netstack.Packet{Created: created}
 	}

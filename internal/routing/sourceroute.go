@@ -53,8 +53,8 @@ func ForwardSourceRouted(api *netstack.API, pkt *netstack.Packet, broken func(hd
 	nextHop := hdr.Path[idx+1]
 	if !api.HasNeighbor(nextHop) {
 		api.Metrics().RouteBreaks++
-		api.Drop(pkt)
 		broken(hdr, idx)
+		api.Drop(pkt)
 		return
 	}
 	pkt.TTL--
