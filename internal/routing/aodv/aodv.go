@@ -212,9 +212,10 @@ func (r *Router) broadcastRERR(unreachable []netstack.NodeID) {
 }
 
 // OnNeighborExpired implements netstack.Router: losing a neighbor breaks
-// every route through it, and the breaks are reported.
+// every route through it, and the breaks are reported. The broken
+// destinations become the RERR's payload, so they get a slice of their own.
 func (r *Router) OnNeighborExpired(id netstack.NodeID) {
-	broken := r.Table().InvalidateVia(id)
+	broken := r.Table().InvalidateVia(id, nil)
 	if len(broken) == 0 {
 		return
 	}

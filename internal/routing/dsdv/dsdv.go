@@ -20,6 +20,9 @@ type Router struct {
 	netstack.Base
 	table *routing.Table
 	seq   uint32 // own even sequence number
+	// dsts is the destinations one dump or one break reads, reused from
+	// call to call; the routes they become are never reused.
+	dsts []netstack.NodeID
 }
 
 // advert is one advertised route.
@@ -46,12 +49,15 @@ func (r *Router) Attach(api *netstack.API) {
 	api.Every(api.Rand().Float64()*updateInterval, updateInterval, r.advertise)
 }
 
-// advertise broadcasts the full route table.
+// advertise broadcasts the full route table. Every dump gets an array of
+// its own, made at its exact size: its receivers share the payload, and the
+// last dump's frame may still wait in the MAC queue.
 func (r *Router) advertise() {
 	r.seq += 2 // own sequence numbers stay even while alive
-	now := r.API.Now()
-	routes := []advert{{Dst: r.API.Self(), Seq: r.seq, Hops: 0}}
-	for _, dst := range r.table.Destinations(now) {
+	r.dsts = r.table.AppendDestinations(r.dsts[:0], r.API.Now())
+	routes := make([]advert, 1, 1+len(r.dsts))
+	routes[0] = advert{Dst: r.API.Self(), Seq: r.seq, Hops: 0}
+	for _, dst := range r.dsts {
 		rt, _ := r.table.Get(dst)
 		routes = append(routes, advert{Dst: dst, Seq: rt.Seq, Hops: rt.Hops})
 	}
@@ -129,7 +135,8 @@ func (r *Router) Originate(dst netstack.NodeID, size int) {
 // lost neighbor unreachable and advertise the break with odd sequence
 // numbers (the DSDV link-break rule).
 func (r *Router) OnNeighborExpired(id netstack.NodeID) {
-	broken := r.table.InvalidateVia(id)
+	r.dsts = r.table.InvalidateVia(id, r.dsts[:0])
+	broken := r.dsts
 	if len(broken) == 0 {
 		return
 	}

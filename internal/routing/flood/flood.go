@@ -38,11 +38,14 @@ type Biswas struct {
 	retry map[uint64]pending // packet UID → pending retransmission
 }
 
-// pending is a rebroadcast waiting for its implicit ack: the retry timer
-// and the copy of the packet the retry sends copies of.
+// pending is a rebroadcast waiting for its implicit ack: the retry timer,
+// the copy of the packet the retries send copies of, how many retries have
+// gone out, and the one closure every retry timer of this send fires.
 type pending struct {
 	timer sim.TimerID
 	kept  *netstack.Packet
+	tries int
+	fire  func()
 }
 
 const (
@@ -74,25 +77,35 @@ func (b *Biswas) HandlePacket(pkt *netstack.Packet) {
 // sendWithAck transmits and arms the implicit-ack retry timer. The retry
 // keeps a pooled copy of the packet and sends a fresh copy of that each
 // time; the kept copy goes back to the pool at the ack, or once the retries
-// run out.
+// run out. The send's one allocation is the closure its retry timers fire;
+// the retry state lives in the map entry, keyed by the UID alone, which
+// never comes back here while it is pending: the flooder's duplicate cache
+// holds a UID far longer than its retries last.
 func (b *Biswas) sendWithAck(pkt *netstack.Packet, _ bool) bool {
 	kept := b.API.NewPacket()
 	*kept = *pkt
 	b.API.Send(netstack.Broadcast, pkt)
-	tries := 0
-	var retry func()
-	retry = func() {
-		if tries >= maxRetries {
-			delete(b.retry, kept.UID)
-			b.API.Release(kept)
-			return
-		}
-		tries++
-		cp := b.API.NewPacket()
-		*cp = *kept
-		b.API.Send(netstack.Broadcast, cp)
-		b.retry[kept.UID] = pending{b.API.After(ackTimeout, retry), kept}
-	}
-	b.retry[kept.UID] = pending{b.API.After(ackTimeout, retry), kept}
+	uid := kept.UID
+	fire := func() { b.resend(uid) }
+	b.retry[uid] = pending{timer: b.API.After(ackTimeout, fire), kept: kept, fire: fire}
 	return true
+}
+
+// resend fires when uid's rebroadcast has gone ackTimeout unacknowledged:
+// it sends another copy and re-arms with the stored closure, so a retry
+// allocates nothing, or, once the retries are spent, gives the kept copy
+// back.
+func (b *Biswas) resend(uid uint64) {
+	p := b.retry[uid]
+	if p.tries >= maxRetries {
+		delete(b.retry, uid)
+		b.API.Release(p.kept)
+		return
+	}
+	p.tries++
+	cp := b.API.NewPacket()
+	*cp = *p.kept
+	b.API.Send(netstack.Broadcast, cp)
+	p.timer = b.API.After(ackTimeout, p.fire)
+	b.retry[uid] = p
 }

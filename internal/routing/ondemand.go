@@ -195,6 +195,9 @@ type OnDemand struct {
 	table *Table
 	dup   *DupCache
 	rreq  func(dst netstack.NodeID, reqID uint64) *netstack.Packet
+	// broken is InvalidateVia's scratch: a neighbor loss reads only the
+	// count of the routes it broke.
+	broken []netstack.NodeID
 }
 
 // Init binds the protocol's discovery timeout and rreq, which builds
@@ -306,7 +309,8 @@ func (c *OnDemand) MergeReverse(nr Route) {
 // OnNeighborExpired implements netstack.Router: losing a neighbor breaks
 // every route through it.
 func (c *OnDemand) OnNeighborExpired(id netstack.NodeID) {
-	c.API.Metrics().RouteBreaks += len(c.table.InvalidateVia(id))
+	c.broken = c.table.InvalidateVia(id, c.broken[:0])
+	c.API.Metrics().RouteBreaks += len(c.broken)
 }
 
 // OnSendFailed implements netstack.Router.

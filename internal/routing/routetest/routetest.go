@@ -30,7 +30,7 @@ func Chain(n int, gap, speed float64) []Vehicle {
 
 // World builds a netstack world over the given vehicles with one router
 // per vehicle from the factory. The playback horizon is 1000 s.
-func World(t *testing.T, seed int64, vehicles []Vehicle, factory netstack.RouterFactory) (*netstack.World, []netstack.NodeID) {
+func World(t testing.TB, seed int64, vehicles []Vehicle, factory netstack.RouterFactory) (*netstack.World, []netstack.NodeID) {
 	t.Helper()
 	tracks := make([]mobility.Track, len(vehicles))
 	for i, v := range vehicles {

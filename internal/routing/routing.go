@@ -80,8 +80,8 @@ const routeRetention = 30.0
 
 // Table is a per-node route table. Dead entries (invalidated or expired)
 // are garbage-collected by a lazy sweep driven off the time-bearing
-// accessors (Lookup, Destinations): once an entry has been dead for the
-// retention period it is deleted, bounding table growth under churn.
+// accessors (Lookup, AppendDestinations): once an entry has been dead for
+// the retention period it is deleted, bounding table growth under churn.
 type Table struct {
 	routes map[netstack.NodeID]*Route
 	// lastNow is the latest sim time observed through any accessor;
@@ -172,9 +172,11 @@ func (t *Table) Upsert(r Route) *Route {
 }
 
 // InvalidateVia invalidates every valid route whose next hop is via and
-// returns the affected destinations (sorted, deterministic).
-func (t *Table) InvalidateVia(via netstack.NodeID) []netstack.NodeID {
-	var out []netstack.NodeID
+// appends the affected destinations to out, sorted (deterministic). Only
+// the appended part is sorted; a caller that reads just the count passes a
+// scratch slice it keeps, a caller that hands the result on passes nil.
+func (t *Table) InvalidateVia(via netstack.NodeID, out []netstack.NodeID) []netstack.NodeID {
+	n := len(out)
 	for dst, r := range t.routes {
 		if r.Valid && r.NextHop == via {
 			r.Valid = false
@@ -182,20 +184,21 @@ func (t *Table) InvalidateVia(via netstack.NodeID) []netstack.NodeID {
 			out = append(out, dst)
 		}
 	}
-	slices.Sort(out)
+	slices.Sort(out[n:])
 	return out
 }
 
-// Destinations returns all destinations with valid routes (sorted).
-func (t *Table) Destinations(now float64) []netstack.NodeID {
+// AppendDestinations appends every destination with a valid route at now
+// to out and returns it; only the appended part is sorted.
+func (t *Table) AppendDestinations(out []netstack.NodeID, now float64) []netstack.NodeID {
 	t.observe(now)
-	var out []netstack.NodeID
+	n := len(out)
 	for dst, r := range t.routes {
 		if r.Valid && (r.Expiry == 0 || now <= r.Expiry) {
 			out = append(out, dst)
 		}
 	}
-	slices.Sort(out)
+	slices.Sort(out[n:])
 	return out
 }
 

@@ -144,7 +144,7 @@ func TestTableSweepBoundsGrowth(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		dst := netstack.NodeID(i)
 		tb.Upsert(Route{Dst: dst, NextHop: 1, Expiry: now + 5, Valid: true})
-		tb.InvalidateVia(1) // the destination departed
+		tb.InvalidateVia(1, nil) // the destination departed
 		now += 1
 		tb.Lookup(dst, now) // any time-bearing access drives the sweep
 	}
@@ -154,8 +154,8 @@ func TestTableSweepBoundsGrowth(t *testing.T) {
 	if len(tb.routes) > 100 {
 		t.Fatalf("table grew to %d entries; sweep not collecting", len(tb.routes))
 	}
-	if got := tb.Destinations(now); len(got) != 0 {
-		t.Fatalf("Destinations = %v, want none (everything invalidated)", got)
+	if got := tb.AppendDestinations(nil, now); len(got) != 0 {
+		t.Fatalf("AppendDestinations = %v, want none (everything invalidated)", got)
 	}
 }
 
@@ -170,7 +170,7 @@ func TestTableSweepSparesLiveAndRecentRoutes(t *testing.T) {
 	for now := 0.0; now <= 60; now += 0.5 {
 		tb.Lookup(0, now)
 		if now == 29.5 {
-			tb.InvalidateVia(3)
+			tb.InvalidateVia(3, nil)
 		}
 		if now == 59.5 && len(tb.routes) != 3 {
 			t.Fatalf("entry dead for 30 s collected early: len=%d", len(tb.routes))
@@ -290,16 +290,19 @@ func TestTableInvalidate(t *testing.T) {
 	tb.Upsert(Route{Dst: 1, NextHop: 10, Valid: true})
 	tb.Upsert(Route{Dst: 2, NextHop: 10, Valid: true})
 	tb.Upsert(Route{Dst: 3, NextHop: 11, Valid: true})
-	broken := tb.InvalidateVia(10)
-	if len(broken) != 2 || broken[0] != 1 || broken[1] != 2 {
-		t.Fatalf("InvalidateVia = %v", broken)
+	// both append after what the caller's buffer holds, and sort only that
+	buf := make([]netstack.NodeID, 1, 8)
+	buf[0] = 99
+	broken := tb.InvalidateVia(10, buf)
+	if len(broken) != 3 || broken[0] != 99 || broken[1] != 1 || broken[2] != 2 || &broken[0] != &buf[0] {
+		t.Fatalf("InvalidateVia = %v, want [99 1 2] in the caller's buffer", broken)
 	}
-	if again := tb.InvalidateVia(10); len(again) != 0 {
+	if again := tb.InvalidateVia(10, buf[:0]); len(again) != 0 {
 		t.Fatalf("second InvalidateVia = %v, want none", again)
 	}
-	dsts := tb.Destinations(0)
-	if len(dsts) != 1 || dsts[0] != 3 {
-		t.Fatalf("destinations = %v", dsts)
+	dsts := tb.AppendDestinations(buf[:1], 0)
+	if len(dsts) != 2 || dsts[0] != 99 || dsts[1] != 3 {
+		t.Fatalf("destinations = %v, want [99 3]", dsts)
 	}
 	if len(tb.routes) != 3 {
 		t.Fatalf("len = %d", len(tb.routes))
