@@ -79,7 +79,7 @@ func (r *Router) HandlePacket(pkt *netstack.Packet) {
 	case netstack.KindRREQ:
 		r.handleRREQ(pkt)
 	case netstack.KindRREP:
-		r.HandleReply(pkt, r.route)
+		r.HandleReply(pkt, route)
 	case netstack.KindData:
 		r.HandleData(pkt)
 	}
@@ -93,7 +93,7 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	}
 	// Reverse route; among equal-hop alternatives the longer-lived link
 	// wins, which prefers stable same-direction previous hops.
-	r.MergeReverse(r.route(req.Origin, pkt.From, pkt.Hops, 0))
+	r.MergeReverse(route(r.API, req.Origin, pkt.From, pkt.Hops, 0))
 	if r.Duplicate(req.Origin, req.ReqID) {
 		r.API.Release(pkt)
 		return
@@ -112,9 +112,9 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 
 // route is a 6-second table entry through via, annotated with the
 // predicted lifetime of the link to it; Abedi carries no path metric.
-func (r *Router) route(dst, via netstack.NodeID, hops int, _ float64) routing.Route {
+func route(api *netstack.API, dst, via netstack.NodeID, hops int, _ float64) routing.Route {
 	return routing.Route{
 		Dst: dst, NextHop: via, Hops: hops,
-		Expiry: r.API.Now() + 6, Valid: true, Lifetime: routing.LinkLifetime(r.API, via),
+		Expiry: api.Now() + 6, Valid: true, Lifetime: routing.LinkLifetime(api, via),
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"github.com/vanetlab/relroute/internal/geom"
 	"github.com/vanetlab/relroute/internal/linkstate"
 	"github.com/vanetlab/relroute/internal/netstack"
+	"github.com/vanetlab/relroute/internal/routing"
 	"github.com/vanetlab/relroute/internal/routing/routetest"
 )
 
@@ -42,14 +43,14 @@ func TestSurvivalFloorDropsTheCopy(t *testing.T) {
 	if !(p > 0 && p < minSurvival) {
 		t.Fatalf("survival %v: the world does not put the link under the floor", p)
 	}
-	if got := racing.linkAvailability(ls); got != 0 {
+	if got := linkAvailability(racing.API, ls); got != 0 {
 		t.Fatalf("availability %v under the floor, want 0", got)
 	}
 
 	sent := func() int { return w.Collector().Control[netstack.KindRREQ] }
 	request := func() *netstack.Packet {
 		return &netstack.Packet{Kind: netstack.KindRREQ, Src: sender, Dst: netstack.Broadcast, From: sender,
-			TTL: 8, Hops: 1, Size: 56, Payload: rreq{Origin: sender, ReqID: 1, Target: ids[2] + 1, Reliability: 1}}
+			TTL: 8, Hops: 1, Size: 56, Payload: routing.Request[path]{Origin: sender, ReqID: 1, Target: ids[2] + 1, Path: rule.Start}}
 	}
 	before := sent()
 	racing.HandlePacket(request())
@@ -59,5 +60,55 @@ func TestSurvivalFloorDropsTheCopy(t *testing.T) {
 	parked.HandlePacket(request())
 	if sent() != before+1 {
 		t.Fatalf("the parked relay sent %d requests, want 1", sent()-before)
+	}
+}
+
+// TestGatedCopyStillCountsAsSeen: a relay records a request copy as seen
+// before its survival floor drops it. The racing relay gets the first copy
+// of a discovery over the link under the floor, then a second copy of the
+// same discovery from a companion driving beside it: that copy is a
+// duplicate, and is not forwarded either. A copy of a new discovery from
+// the companion is.
+func TestGatedCopyStillCountsAsSeen(t *testing.T) {
+	vehicles := []routetest.Vehicle{
+		{Pos: geom.V(0, 0)},
+		{Pos: geom.V(100, 0), Vel: geom.V(45, 0)},
+		{Pos: geom.V(60, 5), Vel: geom.V(45, 0)},
+	}
+	var routers []*Router
+	factory := New()
+	w, ids := routetest.World(t, 1, vehicles, func() netstack.Router {
+		r := factory().(*Router)
+		routers = append(routers, r)
+		return r
+	})
+	w.StartRun()
+	if err := w.AdvanceTo(2.05); err != nil { // everyone has beaconed twice
+		t.Fatal(err)
+	}
+	sender, racing, companion := ids[0], routers[1], ids[2]
+	for _, id := range []netstack.NodeID{sender, companion} {
+		if _, ok := racing.API.LinkState(id); !ok {
+			t.Fatalf("the racing relay has not heard node %d", id)
+		}
+	}
+
+	sent := func() int { return w.Collector().Control[netstack.KindRREQ] }
+	request := func(from netstack.NodeID, hops int, reqID uint64) *netstack.Packet {
+		return &netstack.Packet{Kind: netstack.KindRREQ, Src: from, Dst: netstack.Broadcast, From: from,
+			TTL: 8, Hops: hops, Size: 56, Payload: routing.Request[path]{Origin: sender, ReqID: reqID, Target: ids[2] + 1, Path: rule.Start}}
+	}
+	before := sent()
+	racing.HandlePacket(request(sender, 1, 1))
+	if sent() != before {
+		t.Fatal("the racing relay forwarded a copy over a link under the floor")
+	}
+	racing.HandlePacket(request(companion, 2, 1))
+	if sent() != before {
+		t.Fatal("the racing relay forwarded a second copy of a discovery it had dropped")
+	}
+	racing.HandlePacket(request(companion, 2, 2))
+	if sent() != before+1 {
+		t.Fatalf("the racing relay sent %d copies of a new discovery from its companion, want 1", sent()-before)
 	}
 }

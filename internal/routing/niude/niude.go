@@ -47,25 +47,25 @@ const (
 
 // Router is a per-node NiuDe/DeReQ instance.
 type Router struct {
-	routing.OnDemand
-	sel routing.Selection[routing.Candidate] // Metric: path reliability
+	routing.Selective[path]
 }
 
-// rreq accumulates the QoS path metrics.
-type rreq struct {
-	Origin      netstack.NodeID
-	ReqID       uint64
-	Target      netstack.NodeID
+// path accumulates a request's QoS path metrics.
+type path struct {
 	Reliability float64 // product of per-link availability so far
 	Delay       float64 // expected forwarding delay so far, seconds
+}
+
+var rule = routing.Rule[path]{
+	Timeout: 1.0, Window: 0.3, RequestSize: 56, ReplySize: 48,
+	Start: path{Reliability: 1}, Fold: fold, Route: route, Renew: renew,
 }
 
 // New returns a NiuDe router factory.
 func New() netstack.RouterFactory {
 	return func() netstack.Router {
 		r := &Router{}
-		r.Init(1.0, r.request)
-		r.sel = routing.NewSelection(0.3, r.answer)
+		r.Init(&rule)
 		return r
 	}
 }
@@ -73,9 +73,9 @@ func New() netstack.RouterFactory {
 // linkAvailability returns P(link to the beaconed neighbor survives the
 // reliability horizon) under the Sec. VII model, via the reliability
 // plane's shared survival helper, and 0 below minSurvival.
-func (r *Router) linkAvailability(ls netstack.LinkState) float64 {
-	obs := linkstate.Observer{Pos: r.API.Pos(), Vel: r.API.Vel(), Now: r.API.Now()}
-	if p := linkstate.Survival(obs, ls, speedSigma, r.API.RangeEstimate(), 600, horizon); p >= minSurvival {
+func linkAvailability(api *netstack.API, ls netstack.LinkState) float64 {
+	obs := linkstate.Observer{Pos: api.Pos(), Vel: api.Vel(), Now: api.Now()}
+	if p := linkstate.Survival(obs, ls, speedSigma, api.RangeEstimate(), 600, horizon); p >= minSurvival {
 		return p
 	}
 	return 0
@@ -84,67 +84,22 @@ func (r *Router) linkAvailability(ls netstack.LinkState) float64 {
 // hopDelay estimates this relay's forwarding delay: base transmission plus
 // a contention penalty growing with local density (the traffic-density
 // input of the NiuDe model).
-func (r *Router) hopDelay() float64 {
+func hopDelay(api *netstack.API) float64 {
 	const base = 2e-3 // airtime + processing
-	n := float64(r.API.NeighborCount())
+	n := float64(api.NeighborCount())
 	return base * (1 + n/8)
 }
 
-func (r *Router) request(dst netstack.NodeID, reqID uint64) *netstack.Packet {
-	return r.Control(netstack.KindRREQ, netstack.Broadcast, 56,
-		rreq{Origin: r.API.Self(), ReqID: reqID, Target: dst, Reliability: 1})
-}
-
-// HandlePacket implements netstack.Router.
-func (r *Router) HandlePacket(pkt *netstack.Packet) {
-	switch pkt.Kind {
-	case netstack.KindRREQ:
-		r.handleRREQ(pkt)
-	case netstack.KindRREP:
-		if target, reliability, ok := r.HandleReply(pkt, r.route); ok {
-			r.API.Metrics().OnPathLifetime(horizon * math.Max(reliability, 0.01))
-			// proactive maintenance: rebuild a second before the reliability
-			// horizon elapses ("the route will be rebuilt before the link
-			// breaks")
-			r.RenewBefore(target, horizon, 1)
-		}
-	case netstack.KindData:
-		r.HandleData(pkt)
-	}
-}
-
-func (r *Router) handleRREQ(pkt *netstack.Packet) {
-	req, ok := pkt.Payload.(rreq)
-	if !ok || req.Origin == r.API.Self() {
-		r.API.Release(pkt)
-		return
-	}
-	// fold in the link just traversed
+// fold takes in the link just traversed; the destination selects the most
+// reliable copy that meets the delay bound. A relay does not forward a copy
+// with zero availability in: it would only poison the product.
+func fold(api *netstack.API, from netstack.NodeID, p path) (path, float64, float64, bool, float64) {
 	avail := 0.0
-	if ls, okLs := r.API.LinkState(pkt.From); okLs {
-		avail = r.linkAvailability(ls)
+	if ls, ok := api.LinkState(from); ok {
+		avail = linkAvailability(api, ls)
 	}
-	reliability := req.Reliability * avail
-	delay := req.Delay + r.hopDelay()
-	// reverse route: keep the most reliable, loop-free by hop monotonicity
-	r.MergeReverse(r.route(req.Origin, pkt.From, pkt.Hops, reliability))
-	if req.Target == r.API.Self() {
-		r.sel.Offer(r.API, routing.DupKey{Origin: req.Origin, Seq: req.ReqID}, admit(delay, reliability),
-			routing.Candidate{From: pkt.From, Hops: pkt.Hops, Metric: reliability})
-		r.API.Release(pkt)
-		return
-	}
-	// relays forward the first copy only, and one with zero availability
-	// in would only poison the product
-	if r.Duplicate(req.Origin, req.ReqID) || reliability <= 0 {
-		r.API.Release(pkt)
-		return
-	}
-	cp := req
-	cp.Reliability = reliability
-	cp.Delay = delay
-	pkt.Payload = cp
-	r.Rebroadcast(pkt, false, 0)
+	next := path{Reliability: p.Reliability * avail, Delay: p.Delay + hopDelay(api)}
+	return next, next.Reliability, admit(next.Delay, next.Reliability), next.Reliability > 0, 0
 }
 
 // admit is the destination's QoS admission: delay bound first, then
@@ -159,14 +114,17 @@ func admit(delay, reliability float64) float64 {
 }
 
 // route is a 6-second table entry ranked by path reliability.
-func (r *Router) route(dst, via netstack.NodeID, hops int, reliability float64) routing.Route {
+func route(api *netstack.API, dst, via netstack.NodeID, hops int, reliability float64) routing.Route {
 	return routing.Route{
 		Dst: dst, NextHop: via, Hops: hops,
-		Expiry: r.API.Now() + 6, Valid: true, Lifetime: reliability * 100,
+		Expiry: api.Now() + 6, Valid: true, Lifetime: reliability * 100,
 	}
 }
 
-func (r *Router) answer(origin netstack.NodeID, c routing.Candidate) {
-	r.Table().Upsert(r.route(origin, c.From, c.Hops, c.Metric))
-	r.Reply(c.From, origin, 48, c.Metric)
+// renew records the predicted path lifetime at the origin and rebuilds
+// the route a second before the reliability horizon elapses ("the route
+// will be rebuilt before the link breaks").
+func renew(d *routing.Discovery, target netstack.NodeID, reliability float64) {
+	d.API.Metrics().OnPathLifetime(horizon * math.Max(reliability, 0.01))
+	d.RenewBefore(target, horizon, 1)
 }

@@ -185,11 +185,9 @@ func (d *Discovery) Stranded() int {
 // route table and the duplicate cache and implements, once, flooding the
 // request, hop-by-hop data forwarding, the route reply and how each hop
 // installs and relays it, the reverse-route merge rule and link-break
-// handling. A protocol embeds it and keeps what the survey says
-// distinguishes it: its request payload, the link metric it folds into the
-// RREQ at each hop, how the destination chooses, the route a reply
-// installs, any relay delay, and how long before a predicted break it
-// renews a route (RenewBefore).
+// handling. A protocol embeds it and keeps its request payload and how it
+// handles a copy; the protocols that fold a link metric into the RREQ and
+// let the destination choose embed it through Selective.
 type OnDemand struct {
 	Discovery
 	table *Table
@@ -343,18 +341,18 @@ func (c *OnDemand) Reply(via, origin netstack.NodeID, size int, metric float64) 
 }
 
 // HandleReply installs the forward route a route reply carries, built by
-// route from the target, the hop it came from, the hops it travelled and
-// its metric. Away from the origin it relays the reply and reports false;
-// at the origin it ends the discovery and reports the target and metric.
-// It takes the packet.
+// route from this node's API, the target, the hop it came from, the hops
+// it travelled and its metric. Away from the origin it relays the reply
+// and reports false; at the origin it ends the discovery and reports the
+// target and metric. It takes the packet.
 func (c *OnDemand) HandleReply(pkt *netstack.Packet,
-	route func(dst, via netstack.NodeID, hops int, metric float64) Route) (netstack.NodeID, float64, bool) {
+	route func(api *netstack.API, dst, via netstack.NodeID, hops int, metric float64) Route) (netstack.NodeID, float64, bool) {
 	rep, ok := pkt.Payload.(reply)
 	if !ok {
 		c.API.Release(pkt)
 		return 0, 0, false
 	}
-	c.table.Upsert(route(rep.Target, pkt.From, pkt.Hops, rep.Metric))
+	c.table.Upsert(route(c.API, rep.Target, pkt.From, pkt.Hops, rep.Metric))
 	if rep.Origin != c.API.Self() {
 		c.Relay(pkt, rep.Origin)
 		return 0, 0, false
@@ -366,10 +364,10 @@ func (c *OnDemand) HandleReply(pkt *netstack.Packet,
 
 // LifetimeRoute is a table entry that expires when its predicted lifetime
 // has run out, for the protocols that carry one (PBR, Taleb).
-func (c *OnDemand) LifetimeRoute(dst, via netstack.NodeID, hops int, lifetime float64) Route {
+func LifetimeRoute(api *netstack.API, dst, via netstack.NodeID, hops int, lifetime float64) Route {
 	return Route{
 		Dst: dst, NextHop: via, Hops: hops,
-		Expiry: c.API.Now() + CapLife(lifetime), Valid: true, Lifetime: lifetime,
+		Expiry: api.Now() + CapLife(lifetime), Valid: true, Lifetime: lifetime,
 	}
 }
 
@@ -381,56 +379,4 @@ func CapLife(lifetime float64) float64 {
 		return maxHold
 	}
 	return lifetime
-}
-
-// Candidate is a path offered to a table-driven destination: the previous
-// hop the RREQ copy arrived through, its hop count, and the path metric
-// the protocol carries back (a lifetime, a reliability).
-type Candidate struct {
-	From   netstack.NodeID
-	Hops   int
-	Metric float64
-}
-
-// Selection is the destination side of a discovery that compares paths:
-// the first request copy of a discovery opens a window, every copy that
-// arrives inside it is scored, and when it closes the best is answered.
-type Selection[T any] struct {
-	window float64
-	answer func(origin netstack.NodeID, best T)
-	open   map[DupKey]*bid[T] // made at the first Offer
-}
-
-type bid[T any] struct {
-	score float64
-	val   T
-}
-
-// NewSelection returns a Selection that collects for window seconds and
-// hands the winner to answer.
-func NewSelection[T any](window float64, answer func(origin netstack.NodeID, best T)) Selection[T] {
-	return Selection[T]{window: window, answer: answer}
-}
-
-// Offer enters val, scored score, for the discovery key (origin, request).
-// A negative score opens the window but can never win it; a window that
-// closes on nothing else answers nobody.
-func (s *Selection[T]) Offer(api *netstack.API, key DupKey, score float64, val T) {
-	b, ok := s.open[key]
-	if !ok {
-		if s.open == nil {
-			s.open = make(map[DupKey]*bid[T])
-		}
-		b = &bid[T]{score: -1}
-		s.open[key] = b
-		api.After(s.window, func() {
-			delete(s.open, key)
-			if b.score >= 0 {
-				s.answer(key.Origin, b.val)
-			}
-		})
-	}
-	if score > b.score {
-		b.score, b.val = score, val
-	}
 }

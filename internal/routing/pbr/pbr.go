@@ -22,83 +22,38 @@ const (
 	rebuildMargin = 1.0
 )
 
-// Router is a per-node PBR instance.
+// Router is a per-node PBR instance. A request's path is its predicted
+// lifetime so far.
 type Router struct {
-	routing.OnDemand
-	sel routing.Selection[routing.Candidate] // Metric: predicted path lifetime
+	routing.Selective[float64]
 }
 
-// rreq carries the accumulated path lifetime.
-type rreq struct {
-	Origin   netstack.NodeID
-	ReqID    uint64
-	Target   netstack.NodeID
-	Lifetime float64 // min link lifetime so far
+var rule = routing.Rule[float64]{
+	Timeout: 1.0, Window: selectionWindow, RequestSize: 52, ReplySize: 48,
+	Start: link.Forever, Fold: fold, Route: routing.LifetimeRoute, Renew: renew,
 }
 
 // New returns a PBR router factory.
 func New() netstack.RouterFactory {
 	return func() netstack.Router {
 		r := &Router{}
-		r.Init(1.0, r.request)
-		r.sel = routing.NewSelection(selectionWindow, r.answer)
+		r.Init(&rule)
 		return r
 	}
 }
 
-func (r *Router) request(dst netstack.NodeID, reqID uint64) *netstack.Packet {
-	return r.Control(netstack.KindRREQ, netstack.Broadcast, 52,
-		rreq{Origin: r.API.Self(), ReqID: reqID, Target: dst, Lifetime: link.Forever})
+// fold takes in the lifetime of the link just traversed (from → self), as
+// predicted by the reliability plane (absent neighbor = dead link): a path
+// lives as long as its shortest link, and the destination answers the
+// longest-lived copy. Every relay forwards its first copy at once.
+func fold(api *netstack.API, from netstack.NodeID, lifetime float64) (float64, float64, float64, bool, float64) {
+	lt := routing.MinLifetime(lifetime, routing.LinkLifetime(api, from))
+	return lt, lt, lt, true, 0
 }
 
-// HandlePacket implements netstack.Router.
-func (r *Router) HandlePacket(pkt *netstack.Packet) {
-	switch pkt.Kind {
-	case netstack.KindRREQ:
-		r.handleRREQ(pkt)
-	case netstack.KindRREP:
-		if target, lt, ok := r.HandleReply(pkt, r.LifetimeRoute); ok {
-			r.API.Metrics().OnPathLifetime(routing.CapLife(lt))
-			// Preemptive rebuild before predicted expiry: the PBR idea.
-			r.RenewBefore(target, lt, rebuildMargin)
-		}
-	case netstack.KindData:
-		r.HandleData(pkt)
-	}
-}
-
-func (r *Router) handleRREQ(pkt *netstack.Packet) {
-	req, ok := pkt.Payload.(rreq)
-	if !ok || req.Origin == r.API.Self() {
-		r.API.Release(pkt)
-		return
-	}
-	// Fold in the lifetime of the link we just traversed (From → self),
-	// as predicted by the reliability plane (absent neighbor = dead link).
-	lt := routing.MinLifetime(req.Lifetime, routing.LinkLifetime(r.API, pkt.From))
-	// Reverse route to origin, annotated with the predicted lifetime.
-	r.MergeReverse(r.LifetimeRoute(req.Origin, pkt.From, pkt.Hops, lt))
-	if req.Target == r.API.Self() {
-		// Collect candidates for a window, then answer the longest-lived.
-		r.sel.Offer(r.API, routing.DupKey{Origin: req.Origin, Seq: req.ReqID}, lt,
-			routing.Candidate{From: pkt.From, Hops: pkt.Hops, Metric: lt})
-		r.API.Release(pkt)
-		return
-	}
-	// Intermediate: forward the first copy only.
-	if r.Duplicate(req.Origin, req.ReqID) {
-		r.API.Release(pkt)
-		return
-	}
-	cp := req
-	cp.Lifetime = lt
-	pkt.Payload = cp
-	r.Rebroadcast(pkt, false, 0)
-}
-
-// answer sends the RREP for the best collected candidate, back through
-// the hop it arrived by.
-func (r *Router) answer(origin netstack.NodeID, c routing.Candidate) {
-	r.Table().Upsert(r.LifetimeRoute(origin, c.From, c.Hops, c.Metric))
-	r.Reply(c.From, origin, 48, c.Metric)
+// renew records the predicted path lifetime at the origin and rebuilds the
+// route before it runs out: the PBR idea.
+func renew(d *routing.Discovery, target netstack.NodeID, lifetime float64) {
+	d.API.Metrics().OnPathLifetime(routing.CapLife(lifetime))
+	d.RenewBefore(target, lifetime, rebuildMargin)
 }

@@ -3,7 +3,8 @@
 // consults once per reception (dupcache.go: a last-key check in front of
 // one slice of live keys sorted by packed key), distance-vector route
 // tables, pending data queues, sequence-number arithmetic, the on-demand
-// discovery core the reactive protocols embed (ondemand.go), the
+// discovery core the reactive protocols embed (ondemand.go, and
+// selective.go for the ones whose destination compares paths), the
 // carry-and-forward core the position-based ones embed (carry.go) and the
 // flood core the flooders embed (flooder.go). The concrete protocols live
 // in the subpackages (one per surveyed protocol family) and in

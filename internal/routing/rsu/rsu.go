@@ -10,7 +10,6 @@
 package rsu
 
 import (
-	"maps"
 	"math"
 	"slices"
 
@@ -23,6 +22,7 @@ import (
 // scenario, including the synchronized vehicle location registry.
 type Backbone struct {
 	rsus map[netstack.NodeID]*UnitRouter
+	ids  []netstack.NodeID // the keys of rsus, ascending
 	// lastSeen maps a vehicle to the RSU that most recently heard its
 	// beacon — the "position synchronized to all related RSU" registry.
 	lastSeen map[netstack.NodeID]netstack.NodeID
@@ -37,12 +37,16 @@ func NewBackbone() *Backbone {
 }
 
 // register adds an RSU router to the backbone.
-func (b *Backbone) register(u *UnitRouter) { b.rsus[u.API.Self()] = u }
+func (b *Backbone) register(u *UnitRouter) {
+	b.rsus[u.API.Self()] = u
+	b.ids = append(b.ids, u.API.Self())
+	slices.Sort(b.ids)
+}
 
 // ordered lists the RSUs by ascending node ID. What a loop over them
 // schedules or prefers reaches the event queue, so it may not follow map
-// order.
-func (b *Backbone) ordered() []netstack.NodeID { return slices.Sorted(maps.Keys(b.rsus)) }
+// order. An RSU registers once, when attached, never inside such a loop.
+func (b *Backbone) ordered() []netstack.NodeID { return b.ids }
 
 // noteVehicle updates the location registry. On a handover (the vehicle
 // surfaced under a different RSU) every packet buffered for it elsewhere
@@ -111,6 +115,7 @@ type UnitRouter struct {
 	netstack.Base
 	backbone *Backbone
 	buffered map[netstack.NodeID][]*netstack.Packet
+	dsts     []netstack.NodeID // flushBuffers' sorted keys of buffered
 }
 
 // NewUnit returns a router for one RSU attached to the backbone.
@@ -203,10 +208,16 @@ func (u *UnitRouter) takeBuffered(dst netstack.NodeID) []*netstack.Packet {
 
 // flushBuffers delivers buffered packets whose destinations have arrived
 // and expires stale ones, destination by destination in ID order: the
-// sends reach the MAC queue in the order of this loop.
+// sends reach the MAC queue in the order of this loop. It reuses dsts, as
+// nothing in the loop comes back here: a failed send returns as an event.
 func (u *UnitRouter) flushBuffers() {
 	now := u.API.Now()
-	for _, dst := range slices.Sorted(maps.Keys(u.buffered)) {
+	u.dsts = u.dsts[:0]
+	for dst := range u.buffered {
+		u.dsts = append(u.dsts, dst)
+	}
+	slices.Sort(u.dsts)
+	for _, dst := range u.dsts {
 		list := u.buffered[dst]
 		if u.API.HasNeighbor(dst) {
 			for _, pkt := range list {

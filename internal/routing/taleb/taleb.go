@@ -22,100 +22,58 @@ const crossGroupDelay = 0.08
 
 // Router is a per-node Taleb instance.
 type Router struct {
-	routing.OnDemand
-	sel routing.Selection[routing.Candidate] // Metric: shortest link duration
+	routing.Selective[path]
 }
 
-// rreq carries the origin's velocity group and accumulated path stability.
-type rreq struct {
-	Origin      netstack.NodeID
-	ReqID       uint64
-	Target      netstack.NodeID
-	OriginGroup int
-	MinLife     float64 // shortest link duration on the path so far
-	SameGroup   int     // count of same-group links traversed
-	Links       int
+// path is a request's stability so far.
+type path struct {
+	MinLife   float64 // shortest link duration on the path so far
+	SameGroup int     // count of same-group links traversed
+	Links     int
+}
+
+var rule = routing.Rule[path]{
+	Timeout: 1.2, Window: 0.3, RequestSize: 56, ReplySize: 44,
+	Start: path{MinLife: link.Forever}, Fold: fold, Route: routing.LifetimeRoute, Renew: renew,
 }
 
 // New returns a Taleb router factory.
 func New() netstack.RouterFactory {
 	return func() netstack.Router {
 		r := &Router{}
-		r.Init(1.2, r.request)
-		r.sel = routing.NewSelection(0.3, r.answer)
+		r.Init(&rule)
 		return r
 	}
 }
 
-// group returns this node's velocity group.
-func (r *Router) group() int { return link.HeadingGroup(r.API.Vel()) }
-
-func (r *Router) request(dst netstack.NodeID, reqID uint64) *netstack.Packet {
-	return r.Control(netstack.KindRREQ, netstack.Broadcast, 56, rreq{
-		Origin: r.API.Self(), ReqID: reqID, Target: dst,
-		OriginGroup: r.group(), MinLife: link.Forever,
-	})
-}
-
-// HandlePacket implements netstack.Router.
-func (r *Router) HandlePacket(pkt *netstack.Packet) {
-	switch pkt.Kind {
-	case netstack.KindRREQ:
-		r.handleRREQ(pkt)
-	case netstack.KindRREP:
-		if target, lt, ok := r.HandleReply(pkt, r.LifetimeRoute); ok {
-			r.API.Metrics().OnPathLifetime(routing.CapLife(lt))
-			// Re-discover prior to the shortest link duration elapsing.
-			r.RenewBefore(target, lt, 0.8)
-		}
-	case netstack.KindData:
-		r.HandleData(pkt)
-	}
-}
-
-func (r *Router) handleRREQ(pkt *netstack.Packet) {
-	req, ok := pkt.Payload.(rreq)
-	if !ok || req.Origin == r.API.Self() {
-		r.API.Release(pkt)
-		return
-	}
-	// one reliability-plane read serves both the lifetime fold and the
-	// velocity-group comparison of the previous hop
-	lifeFrom := 0.0
-	sameGroup := 0
-	if ls, okLs := r.API.LinkState(pkt.From); okLs {
+// fold takes in the link just traversed: one reliability-plane read serves
+// both the lifetime fold and the comparison of the previous hop's velocity
+// group with this node's. The stability score the destination selects on
+// is dominated by the same-group fraction, and the predicted lifetime
+// breaks ties (the protocol's velocity-vector heuristic). Same-group relays
+// forward at once; cross-group relays wait, letting stable paths win the
+// dup-suppression race downstream.
+func fold(api *netstack.API, from netstack.NodeID, p path) (path, float64, float64, bool, float64) {
+	lifeFrom, sameGroup := 0.0, 0
+	if ls, ok := api.LinkState(from); ok {
 		lifeFrom = ls.Lifetime
-		if link.HeadingGroup(ls.Vel) == r.group() {
+		if link.HeadingGroup(ls.Vel) == link.HeadingGroup(api.Vel()) {
 			sameGroup = 1
 		}
 	}
-	lt := routing.MinLifetime(req.MinLife, lifeFrom)
-	r.MergeReverse(r.LifetimeRoute(req.Origin, pkt.From, pkt.Hops, lt))
-	if req.Target == r.API.Self() {
-		// Stability score: same-group fraction dominates, predicted
-		// lifetime breaks ties (the protocol's velocity-vector heuristic).
-		links := float64(req.Links + 1)
-		score := float64(req.SameGroup+sameGroup)/links*1e6 + math.Min(routing.CapLife(lt), 1e5)
-		r.sel.Offer(r.API, routing.DupKey{Origin: req.Origin, Seq: req.ReqID}, score,
-			routing.Candidate{From: pkt.From, Hops: pkt.Hops, Metric: lt})
-		r.API.Release(pkt)
-		return
+	next := path{MinLife: routing.MinLifetime(p.MinLife, lifeFrom),
+		SameGroup: p.SameGroup + sameGroup, Links: p.Links + 1}
+	score := float64(next.SameGroup)/float64(next.Links)*1e6 + math.Min(routing.CapLife(next.MinLife), 1e5)
+	delay := 0.0
+	if sameGroup == 0 {
+		delay = crossGroupDelay
 	}
-	if r.Duplicate(req.Origin, req.ReqID) {
-		r.API.Release(pkt)
-		return
-	}
-	cp := req
-	cp.MinLife = lt
-	cp.SameGroup += sameGroup
-	cp.Links++
-	pkt.Payload = cp
-	// Same-group relays forward immediately; cross-group relays wait,
-	// letting stable paths win the dup-suppression race downstream.
-	r.Rebroadcast(pkt, sameGroup == 0, crossGroupDelay)
+	return next, next.MinLife, score, true, delay
 }
 
-func (r *Router) answer(origin netstack.NodeID, c routing.Candidate) {
-	r.Table().Upsert(r.LifetimeRoute(origin, c.From, c.Hops, c.Metric))
-	r.Reply(c.From, origin, 44, c.Metric)
+// renew records the path duration at the origin and re-discovers prior to
+// the shortest link duration elapsing.
+func renew(d *routing.Discovery, target netstack.NodeID, lifetime float64) {
+	d.API.Metrics().OnPathLifetime(routing.CapLife(lifetime))
+	d.RenewBefore(target, lifetime, 0.8)
 }
