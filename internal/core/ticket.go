@@ -387,8 +387,8 @@ func (r *TicketRouter) HandlePacket(pkt *netstack.Packet) {
 }
 
 func (r *TicketRouter) handleProbe(pkt *netstack.Packet) {
-	pr, ok := pkt.Payload.(*probe)
-	if !ok || pr.Origin == r.API.Self() {
+	pr := pkt.Payload.(*probe)
+	if pr.Origin == r.API.Self() {
 		r.API.Release(pkt)
 		return
 	}
@@ -456,12 +456,7 @@ func (r *TicketRouter) answer(origin netstack.NodeID, best bestPath) {
 }
 
 func (r *TicketRouter) handleReply(pkt *netstack.Packet) {
-	rep, _ := pkt.Payload.(reply) // another payload has no path, so no index
-	idx := slices.Index(rep.Path, r.API.Self())
-	if idx < 0 {
-		r.API.Release(pkt)
-		return
-	}
+	rep := pkt.Payload.(reply)
 	if r.API.Self() == rep.Origin {
 		stab := rep.Stability
 		if r.paths == nil {
@@ -477,7 +472,8 @@ func (r *TicketRouter) handleReply(pkt *netstack.Packet) {
 		r.API.Release(pkt)
 		return
 	}
-	routing.RelayBack(r.API, pkt, rep.Path, idx)
+	// a reply is unicast along its path, so this relay is on it
+	routing.RelayBack(r.API, pkt, rep.Path, slices.Index(rep.Path, r.API.Self()))
 }
 
 // breakNotice reports a dead source route back to the origin.
@@ -487,9 +483,9 @@ type breakNotice struct {
 }
 
 func (r *TicketRouter) handleBreak(pkt *netstack.Packet) {
-	bn, ok := pkt.Payload.(breakNotice)
+	bn := pkt.Payload.(breakNotice)
 	r.API.Release(pkt)
-	if !ok || bn.Origin != r.API.Self() {
+	if bn.Origin != r.API.Self() {
 		return
 	}
 	if _, okP := r.paths[bn.Target]; okP {

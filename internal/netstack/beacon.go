@@ -70,10 +70,7 @@ func (w *World) sendBeacon(n *node) {
 // goes into n's link table with an RSSI drawn on n's own stream, then to
 // the router if it listens, and never further.
 func (w *World) hearBeacon(n *node, pkt *Packet) {
-	b, ok := pkt.Payload.(*beacon)
-	if !ok {
-		return
-	}
+	b := pkt.Payload.(*beacon)
 	rssi := w.ch.RSSI(n.pos.Dist(b.pos), n.random())
 	n.mon.Update(pkt.From, b.kind, b.pos, b.vel, rssi, w.eng.Now())
 	if n.heard != nil {

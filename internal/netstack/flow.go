@@ -4,7 +4,12 @@ import "github.com/vanetlab/relroute/internal/mobility"
 
 // AddFlow schedules a constant-bit-rate application flow: count packets of
 // size bytes from src to dst, one every interval seconds starting at start.
+// A flow's endpoints differ: it panics when src == dst, so no router ever
+// originates a packet addressed to its own node.
 func (w *World) AddFlow(src, dst NodeID, start, interval float64, count, size int) {
+	if src == dst {
+		panic("netstack: flow from a node to itself")
+	}
 	w.scheduleFlow(start, interval, count, size, func() (*node, NodeID) { return w.nodeByID(src), dst })
 }
 
@@ -12,8 +17,12 @@ func (w *World) AddFlow(src, dst NodeID, start, interval float64, count, size in
 // nodes at each packet's send time — the flow primitive for open worlds,
 // where the endpoints may not have joined yet when the flow is wired (a
 // trace whose tracks start mid-run). Packets are only originated while the
-// source is an active member and the destination has a known node.
+// source is an active member and the destination has a known node. Like
+// AddFlow, it panics when src == dst.
 func (w *World) AddVehicleFlow(src, dst mobility.VehicleID, start, interval float64, count, size int) {
+	if src == dst {
+		panic("netstack: flow from a vehicle to itself")
+	}
 	w.scheduleFlow(start, interval, count, size, func() (*node, NodeID) {
 		dn := w.vehicleNode(dst)
 		if dn == nil {

@@ -56,16 +56,14 @@ func (w *World) sendFrame(n *node, to NodeID, pkt *Packet) {
 }
 
 // dispatch is the MAC upcall: filter by link destination, consume beacons,
-// copy per receiver, and hand to the router.
+// copy per receiver, and hand to the router. Every frame the MAC carries
+// was built by sendFrame or sendBeacon around a *Packet.
 func (w *World) dispatch(to int32, f mac.Frame) {
 	n := w.nodeByID(NodeID(to))
 	if n == nil || !n.active {
 		return
 	}
-	pkt, ok := f.Payload.(*Packet)
-	if !ok {
-		return
-	}
+	pkt := f.Payload.(*Packet)
 	if pkt.To != Broadcast && pkt.To != n.id {
 		return // unicast not for us; no promiscuous data path
 	}
@@ -84,14 +82,11 @@ func (w *World) dispatch(to int32, f mac.Frame) {
 }
 
 // txFailed is the MAC failure upcall: surface exhausted unicast ARQ to the
-// sending router as a link-failure indication.
+// sending router as a link-failure indication. Only a unicast fails, so
+// the packet is never a HELLO.
 func (w *World) txFailed(from int32, f mac.Frame) {
 	n := w.nodeByID(NodeID(from))
 	if n == nil || !n.active {
-		return
-	}
-	pkt, ok := f.Payload.(*Packet)
-	if !ok || pkt.Kind == KindHello {
 		return
 	}
 	// feed the reliability plane before the router reacts (the router may
@@ -99,7 +94,7 @@ func (w *World) txFailed(from int32, f mac.Frame) {
 	n.mon.RecordSendFailed(NodeID(f.To))
 	// the router owns a pooled copy, as a receiver does: the MAC calls
 	// frameDone, which recycles the sent packet, after this upcall
-	n.router.OnSendFailed(w.copyPacket(pkt), NodeID(f.To))
+	n.router.OnSendFailed(w.copyPacket(f.Payload.(*Packet)), NodeID(f.To))
 }
 
 // frameDone is the MAC's frame-lifecycle hook: by the time it fires, every
@@ -107,10 +102,7 @@ func (w *World) txFailed(from int32, f mac.Frame) {
 // the stack holds, is recycled: a beacon to its own free list, anything
 // else to the pool.
 func (w *World) frameDone(f mac.Frame) {
-	pkt, ok := f.Payload.(*Packet)
-	if !ok {
-		return
-	}
+	pkt := f.Payload.(*Packet)
 	if pkt.Kind == KindHello {
 		w.helloFree = append(w.helloFree, pkt)
 	} else {

@@ -331,3 +331,28 @@ func TestNodeKindString(t *testing.T) {
 		}
 	}
 }
+
+// A flow's endpoints differ: wiring a node's flow to itself panics at once,
+// by node and by vehicle, and schedules nothing.
+func TestSelfAddressedFlowPanics(t *testing.T) {
+	w, _, ids := newTestWorld(t, 2, 100)
+	for _, c := range []struct {
+		name string
+		wire func()
+	}{
+		{"AddFlow", func() { w.AddFlow(ids[0], ids[0], 1, 1, 3, 64) }},
+		{"AddVehicleFlow", func() { w.AddVehicleFlow(1, 1, 1, 1, 3, 64) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s from a node to itself did not panic", c.name)
+				}
+			}()
+			c.wire()
+		}()
+	}
+	if n := w.Engine().Pending(); n != 0 {
+		t.Fatalf("%d events pending after the refused flows, want 0", n)
+	}
+}

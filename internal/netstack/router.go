@@ -18,7 +18,8 @@ type Router interface {
 	// this node or broadcast). Beacons are consumed by the stack and do
 	// not reach HandlePacket.
 	HandlePacket(pkt *Packet)
-	// Originate injects application data for dst. The router owns
+	// Originate injects application data for dst, which is never this
+	// router's own node (AddFlow refuses such a flow). The router owns
 	// queueing and discovery; undeliverable data is dropped by the
 	// router.
 	Originate(dst NodeID, size int)

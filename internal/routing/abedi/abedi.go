@@ -86,8 +86,8 @@ func (r *Router) HandlePacket(pkt *netstack.Packet) {
 }
 
 func (r *Router) handleRREQ(pkt *netstack.Packet) {
-	req, ok := pkt.Payload.(rreq)
-	if !ok || req.Origin == r.API.Self() {
+	req := pkt.Payload.(rreq)
+	if req.Origin == r.API.Self() {
 		r.API.Release(pkt)
 		return
 	}

@@ -60,10 +60,8 @@ func New() netstack.RouterFactory {
 
 // Originate implements netstack.Router: using a route extends it.
 func (r *Router) Originate(dst netstack.NodeID, size int) {
-	if dst != r.API.Self() {
-		if rt, ok := r.Table().Lookup(dst, r.API.Now()); ok {
-			r.refresh(rt)
-		}
+	if rt, ok := r.Table().Lookup(dst, r.API.Now()); ok {
+		r.refresh(rt)
 	}
 	r.OnDemand.Originate(dst, size)
 }
@@ -97,8 +95,8 @@ func (r *Router) HandlePacket(pkt *netstack.Packet) {
 }
 
 func (r *Router) handleRREQ(pkt *netstack.Packet) {
-	req, ok := pkt.Payload.(rreq)
-	if !ok || req.Origin == r.API.Self() {
+	req := pkt.Payload.(rreq)
+	if req.Origin == r.API.Self() {
 		r.API.Release(pkt)
 		return
 	}
@@ -141,11 +139,7 @@ func (r *Router) sendRREP(origin, target netstack.NodeID, targetSeq uint32, hops
 }
 
 func (r *Router) handleRREP(pkt *netstack.Packet) {
-	rep, ok := pkt.Payload.(rrep)
-	if !ok {
-		r.API.Release(pkt)
-		return
-	}
+	rep := pkt.Payload.(rrep)
 	// Forward route to the target through the previous hop; the hops the
 	// reply has travelled are in pkt.Hops.
 	r.mergeRoute(routing.Route{
@@ -161,12 +155,9 @@ func (r *Router) handleRREP(pkt *netstack.Packet) {
 }
 
 func (r *Router) handleRERR(pkt *netstack.Packet) {
-	er, ok := pkt.Payload.(rerr)
+	er := pkt.Payload.(rerr)
 	from := pkt.From
 	r.API.Release(pkt)
-	if !ok {
-		return
-	}
 	var cascade []netstack.NodeID
 	for _, dst := range er.Unreachable {
 		if rt, okRt := r.Table().Get(dst); okRt && rt.Valid && rt.NextHop == from {

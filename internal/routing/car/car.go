@@ -138,11 +138,6 @@ func New(dmap *DensityMap) netstack.RouterFactory {
 // Originate implements netstack.Router.
 func (r *Router) Originate(dst netstack.NodeID, size int) {
 	pkt := routing.NewData(r.API, dst, size)
-	if dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		r.API.Release(pkt)
-		return
-	}
 	dstPos, _, ok := r.API.LookupPosition(dst)
 	if !ok {
 		r.API.Drop(pkt)

@@ -69,13 +69,7 @@ func (c *Carrier) Attach(api *netstack.API) {
 
 // Originate implements netstack.Router.
 func (c *Carrier) Originate(dst netstack.NodeID, size int) {
-	pkt := NewData(c.API, dst, size)
-	if dst == c.API.Self() {
-		c.API.Deliver(pkt)
-		c.API.Release(pkt)
-		return
-	}
-	c.Route(pkt)
+	c.Route(NewData(c.API, dst, size))
 }
 
 // HandlePacket implements netstack.Router.

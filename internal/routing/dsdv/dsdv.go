@@ -83,11 +83,7 @@ func (r *Router) HandlePacket(pkt *netstack.Packet) {
 }
 
 func (r *Router) handleUpdate(pkt *netstack.Packet) {
-	up, ok := pkt.Payload.(update)
-	if !ok {
-		return
-	}
-	for _, ad := range up.Routes {
+	for _, ad := range pkt.Payload.(update).Routes {
 		if ad.Dst == r.API.Self() {
 			continue
 		}
@@ -119,11 +115,6 @@ func (r *Router) handleUpdate(pkt *netstack.Packet) {
 // route or drops (no discovery latency, no buffering).
 func (r *Router) Originate(dst netstack.NodeID, size int) {
 	pkt := routing.NewData(r.API, dst, size)
-	if dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		r.API.Release(pkt)
-		return
-	}
 	if rt, ok := r.table.Lookup(dst, r.API.Now()); ok {
 		r.API.Send(rt.NextHop, pkt)
 		return

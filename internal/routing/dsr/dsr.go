@@ -93,8 +93,8 @@ func (r *Router) HandlePacket(pkt *netstack.Packet) {
 }
 
 func (r *Router) handleRREQ(pkt *netstack.Packet) {
-	req, ok := pkt.Payload.(rreq)
-	if !ok || req.Origin == r.API.Self() ||
+	req := pkt.Payload.(rreq)
+	if req.Origin == r.API.Self() ||
 		slices.Contains(req.Path, r.API.Self()) || // loop
 		r.dup.Seen(routing.DupKey{Origin: req.Origin, Seq: req.ReqID}, r.API.Now()) {
 		r.API.Release(pkt)
@@ -128,12 +128,8 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 }
 
 func (r *Router) handleRREP(pkt *netstack.Packet) {
-	rep, _ := pkt.Payload.(rrep) // another payload has no path, so no index
-	idx := slices.Index(rep.Path, r.API.Self())
-	if idx < 0 {
-		r.API.Release(pkt)
-		return
-	}
+	rep := pkt.Payload.(rrep)
+	idx := slices.Index(rep.Path, r.API.Self()) // a reply is unicast along its path
 	// learn the downstream sub-path
 	r.cache[rep.Target] = &routing.SourceRoute{Path: rep.Path[idx:]}
 	if r.API.Self() == rep.Origin {
@@ -145,9 +141,8 @@ func (r *Router) handleRREP(pkt *netstack.Packet) {
 }
 
 func (r *Router) handleRERR(pkt *netstack.Packet) {
-	if er, ok := pkt.Payload.(rerr); ok {
-		r.truncateCaches(er.From, er.To)
-	}
+	er := pkt.Payload.(rerr)
+	r.truncateCaches(er.From, er.To)
 	r.API.Release(pkt)
 }
 

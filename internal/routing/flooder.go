@@ -8,9 +8,7 @@ import "github.com/vanetlab/relroute/internal/netstack"
 // stack's pool; deliver a first copy addressed to this node (which then
 // never rebroadcasts) or to everyone; spend one TTL per hop, the only Drop a
 // flood counts. Neither an origination nor a reception allocates once the
-// pool is warm. A packet addressed to its own source is delivered locally
-// and never sent, Carrier.Originate's rule; no workload draws dst == src,
-// so no golden shows it.
+// pool is warm.
 type Flooder struct {
 	netstack.Base
 	dup      *DupCache
@@ -37,11 +35,6 @@ func (f *Flooder) NeedsBeacons() bool { return false }
 // not by the packet.
 func (f *Flooder) Originate(dst netstack.NodeID, size int) {
 	pkt := NewData(f.API, dst, size)
-	if dst == f.API.Self() {
-		f.API.Deliver(pkt)
-		f.API.Release(pkt)
-		return
-	}
 	f.dup.Seen(DupKey{Origin: pkt.Src, Seq: pkt.UID}, f.API.Now())
 	if f.outbound == nil || !f.outbound(pkt, true) {
 		f.API.Send(netstack.Broadcast, pkt)

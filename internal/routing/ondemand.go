@@ -18,8 +18,8 @@ import (
 //
 // A queued packet is the queue's alone, so Discovery hands back to the
 // stack's pool every packet it drops — evicted from a full queue, expired,
-// unrouted when the answer comes, or queued for a discovery given up — and
-// one delivered at its own source; forward takes the packet for good.
+// unrouted when the answer comes, or queued for a discovery given up;
+// forward takes the packet for good.
 type Discovery struct {
 	netstack.Base
 	pending PendingQueue
@@ -53,11 +53,6 @@ func (d *Discovery) Control(kind netstack.Kind, dst netstack.NodeID, size int, p
 // queue and discover.
 func (d *Discovery) Originate(dst netstack.NodeID, size int) {
 	pkt := NewData(d.API, dst, size)
-	if dst == d.API.Self() {
-		d.API.Deliver(pkt)
-		d.API.Release(pkt)
-		return
-	}
 	if d.routed(dst) {
 		d.forward(pkt)
 		return
@@ -347,11 +342,7 @@ func (c *OnDemand) Reply(via, origin netstack.NodeID, size int, metric float64) 
 // target and metric. It takes the packet.
 func (c *OnDemand) HandleReply(pkt *netstack.Packet,
 	route func(api *netstack.API, dst, via netstack.NodeID, hops int, metric float64) Route) (netstack.NodeID, float64, bool) {
-	rep, ok := pkt.Payload.(reply)
-	if !ok {
-		c.API.Release(pkt)
-		return 0, 0, false
-	}
+	rep := pkt.Payload.(reply)
 	c.table.Upsert(route(c.API, rep.Target, pkt.From, pkt.Hops, rep.Metric))
 	if rep.Origin != c.API.Self() {
 		c.Relay(pkt, rep.Origin)

@@ -37,6 +37,8 @@ type onDemand interface {
 	netstack.Router
 	Table() *routing.Table
 	MergeReverse(routing.Route)
+	Relay(pkt *netstack.Packet, dst netstack.NodeID)
+	Rebroadcast(pkt *netstack.Packet, delayed bool, delay float64)
 }
 
 // capture wraps a factory so the test can reach the routers a world built.
@@ -204,6 +206,98 @@ func TestMergeReverseFollowsHopRule(t *testing.T) {
 	}
 	if fewer < 2000 {
 		t.Fatalf("the table held fewer hops on %d draws of 20000: the draws test little", fewer)
+	}
+}
+
+// A control packet that cannot go on ends here: a relayed reply without a
+// route or with its last hop spent, and a request rebroadcast, now or
+// delayed, with its last hop spent. Each goes back to the stack's pool at
+// once, and nothing is sent, then or later.
+func TestRelayAndRebroadcastDropAtTTL(t *testing.T) {
+	for _, tc := range tableDriven {
+		t.Run(tc.name, func(t *testing.T) {
+			var rs []onDemand
+			w, ids := routetest.World(t, 1, routetest.Chain(2, 100, 0), capture(tc.factory, &rs))
+			w.StartRun()
+			if err := w.AdvanceTo(2); err != nil {
+				t.Fatal(err)
+			}
+			r, c := rs[0], w.Collector()
+			r.Table().Upsert(routing.Route{Dst: ids[1], NextHop: ids[1], Hops: 1, Expiry: 100, Valid: true})
+			// what the four steps could send: beacons go on meanwhile
+			sent := func() int { return c.Control[netstack.KindRREQ] + c.Control[netstack.KindRREP] }
+			before := sent()
+			for _, step := range []struct {
+				name string
+				pkt  *netstack.Packet
+				pass func(*netstack.Packet)
+			}{
+				{"relay, last hop spent", &netstack.Packet{Kind: netstack.KindRREP, Dst: ids[1], TTL: 1},
+					func(p *netstack.Packet) { r.Relay(p, ids[1]) }},
+				{"relay without a route", &netstack.Packet{Kind: netstack.KindRREP, Dst: 7, TTL: 4},
+					func(p *netstack.Packet) { r.Relay(p, 7) }},
+				{"rebroadcast, last hop spent", &netstack.Packet{Kind: netstack.KindRREQ, Dst: netstack.Broadcast, TTL: 1},
+					func(p *netstack.Packet) { r.Rebroadcast(p, false, 0) }},
+				{"delayed rebroadcast, last hop spent", &netstack.Packet{Kind: netstack.KindRREQ, Dst: netstack.Broadcast, TTL: 1},
+					func(p *netstack.Packet) { r.Rebroadcast(p, true, 0.1) }},
+			} {
+				step.pass(step.pkt)
+				if !released(step.pkt) || sent() != before {
+					t.Fatalf("%s: back in the pool %v, %d requests and replies sent; want it back and none",
+						step.name, released(step.pkt), sent()-before)
+				}
+			}
+			if err := w.AdvanceTo(3); err != nil {
+				t.Fatal(err)
+			}
+			if sent() != before {
+				t.Fatalf("%d requests and replies sent later; want none", sent()-before)
+			}
+		})
+	}
+}
+
+// Data that waited in a discovery's queue longer than the queue holds it
+// is dropped when the answer comes, and goes back to the stack's pool;
+// fresher data leaves on the route the answer installed. An answer that
+// installed no route drops the whole queue.
+func TestAnsweredDropsExpiredData(t *testing.T) {
+	r := &renewer{}
+	var forwarded []*netstack.Packet
+	r.Init(100, func(netstack.NodeID) bool { return r.route },
+		func(p *netstack.Packet) { forwarded = append(forwarded, p) },
+		func(netstack.NodeID, uint64) bool { r.asked++; return true })
+	built := 0
+	w, ids := routetest.World(t, 1, outOfReach(), func() netstack.Router {
+		if built++; built == 1 {
+			return r
+		}
+		return &renewer{}
+	})
+	w.StartRun()
+	stale := &netstack.Packet{UID: 1, Kind: netstack.KindData, Dst: ids[1], TTL: 8, Created: 1}
+	fresh := &netstack.Packet{UID: 2, Kind: netstack.KindData, Dst: ids[1], TTL: 8, Created: 5}
+	r.Queue(stale)
+	r.Queue(fresh)
+	if err := w.AdvanceTo(12); err != nil { // the stale packet has waited 11 s, the fresh one 7 s
+		t.Fatal(err)
+	}
+	c := w.Collector()
+	if r.asked != 1 || c.DataDropped != 0 {
+		t.Fatalf("%d requests, %d drops before the answer; want one request and no drop", r.asked, c.DataDropped)
+	}
+	r.route = true
+	r.Answered(ids[1])
+	if c.DataDropped != 1 || !released(stale) || len(forwarded) != 1 || forwarded[0] != fresh || released(fresh) {
+		t.Fatalf("dropped %d, stale packet back in the pool %v, forwarded %d; want the stale one dropped and only the fresh one forwarded",
+			c.DataDropped, released(stale), len(forwarded))
+	}
+	r.route = false
+	unrouted := &netstack.Packet{UID: 3, Kind: netstack.KindData, Dst: ids[1], TTL: 8, Created: 12}
+	r.Queue(unrouted)
+	r.Answered(ids[1])
+	if c.DataDropped != 2 || !released(unrouted) || len(forwarded) != 1 {
+		t.Fatalf("without a route: dropped %d, back in the pool %v, forwarded %d; want it dropped", c.DataDropped, released(unrouted), len(forwarded))
 	}
 }
 

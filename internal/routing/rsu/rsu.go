@@ -138,8 +138,8 @@ func (u *UnitRouter) OnBeacon(from netstack.NodeID, kind netstack.NodeKind) {
 	}
 }
 
-// Originate implements netstack.Router: RSUs do not originate app data in
-// the experiments; treat as deliver-to-self or drop.
+// Originate implements netstack.Router: RSUs originate no app data in the
+// experiments; an RSU would route its own as it relays a vehicle's.
 func (u *UnitRouter) Originate(dst netstack.NodeID, size int) {
 	u.handleData(routing.NewData(u.API, dst, size))
 }

@@ -78,8 +78,8 @@ func (s *Selective[P]) HandlePacket(pkt *netstack.Packet) {
 // The copy is recorded as seen before that gate, so one the gate drops
 // still makes later copies of its discovery duplicates.
 func (s *Selective[P]) handleRequest(pkt *netstack.Packet) {
-	req, ok := pkt.Payload.(Request[P])
-	if !ok || req.Origin == s.API.Self() {
+	req := pkt.Payload.(Request[P])
+	if req.Origin == s.API.Self() {
 		s.API.Release(pkt)
 		return
 	}

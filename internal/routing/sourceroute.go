@@ -29,7 +29,7 @@ func SendSourceRouted(api *netstack.API, pkt *netstack.Packet, hdr *SourceRoute)
 
 // ForwardSourceRouted delivers a source-routed data packet addressed here,
 // or sends it on to the next hop of its route while its TTL
-// lasts. A packet without a route, or at the route's end, is dropped. When
+// lasts. A packet whose route does not lead on from here is dropped. When
 // the next hop is no longer a neighbour, the packet is dropped as a route
 // break and broken receives the route and this node's index on it, for the
 // protocol's break report. A delivered or dropped packet goes back to the
@@ -40,11 +40,7 @@ func ForwardSourceRouted(api *netstack.API, pkt *netstack.Packet, broken func(hd
 		api.Release(pkt)
 		return
 	}
-	hdr, ok := pkt.Payload.(*SourceRoute)
-	if !ok {
-		api.Drop(pkt)
-		return
-	}
+	hdr := pkt.Payload.(*SourceRoute)
 	idx := slices.Index(hdr.Path, api.Self())
 	if idx < 0 || idx+1 >= len(hdr.Path) {
 		api.Drop(pkt)

@@ -48,8 +48,7 @@ func (r *Router) stamp(pkt *netstack.Packet, origin bool) bool {
 }
 
 // inZone is the rebroadcast rule: nodes outside the packet's zone stay
-// silent.
+// silent. Every data packet was stamped by its origin.
 func (r *Router) inZone(pkt *netstack.Packet) bool {
-	pl, ok := pkt.Payload.(payload)
-	return ok && pl.Zone.Contains(r.API.Pos())
+	return pkt.Payload.(payload).Zone.Contains(r.API.Pos())
 }

@@ -48,16 +48,65 @@ var testOnlyReached = map[string]string{
 // the type checker records; a blank assertion var _ I = T{} is not one. A
 // method is also reached when a type whose method set holds it, declared or
 // promoted, is reached and satisfies an interface type of a loaded package
-// (the standard library included) that has a method of that name, since a
-// call through that interface may land on it. The name alone is not enough:
-// a router's Name is not kept alive by scenario.Topology's.
-// internal/routing/routetest, a helper package for tests, is exempt.
+// (the standard library included), or an instantiation of a generic one,
+// that has a method of that name, since a call through that interface may
+// land on it. The name alone is not enough: a router's Name is not kept
+// alive by scenario.Topology's. internal/routing/routetest, a helper
+// package for tests, is exempt.
 //
 // What only tests reach is either dead or a test's hook: delete it, or let
 // the test read the same value another way. The few accessors that tests
 // in other packages read are listed in testOnlyReached.
 func TestEveryDeclarationIsReached(t *testing.T) {
 	tree := loadTree(t)
+	unreached := unreachedDecls(tree)
+	var report []string
+	for name, s := range unreached {
+		test, ok := testOnlyReached[name]
+		if !ok {
+			report = append(report, fmt.Sprintf("%s: %s is reached by no run: delete it, or list it in testOnlyReached with the test outside its package that reads it", s.where, name))
+			continue
+		}
+		if !readsFromOutside(tree.root, test, s.dir, name) {
+			report = append(report, fmt.Sprintf("%s: testOnlyReached names %s for %s, which does not read it from outside its package", s.where, test, name))
+		}
+	}
+	for name := range testOnlyReached {
+		if _, ok := unreached[name]; !ok {
+			report = append(report, fmt.Sprintf("testOnlyReached lists %s, which is gone or now reached: drop the entry", name))
+		}
+	}
+	slices.Sort(report)
+	for _, r := range report {
+		t.Error(r)
+	}
+}
+
+// A method reached only through one instantiation of a generic interface
+// is reached: the fixture's core takes its hooks as a Hooks[P], which no
+// source line names with its type argument, and its one dead function is
+// all the lint reports.
+func TestReachedThroughGenericInstance(t *testing.T) {
+	tree, err := loadSourceTree(filepath.Join("testdata", "reachlint"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for name := range unreachedDecls(tree) {
+		names = append(names, name)
+	}
+	if want := []string{"hooks.unused"}; !slices.Equal(names, want) {
+		t.Fatalf("unreached %v, want %v", names, want)
+	}
+}
+
+// site is where an unreached declaration is: its file:line and package
+// directory.
+type site struct{ where, dir string }
+
+// unreachedDecls is TestEveryDeclarationIsReached's reachability walk over
+// tree: every declaration it finds unreached, by qualified name.
+func unreachedDecls(tree *sourceTree) map[string]site {
 	type decl struct {
 		node ast.Node // the FuncDecl, TypeSpec or ValueSpec
 		pkg  *checkedPkg
@@ -78,6 +127,22 @@ func TestEveryDeclarationIsReached(t *testing.T) {
 	var roots []types.Object
 	for _, dir := range tree.dirs {
 		c := tree.pkgs[dir]
+		// an instantiation of a generic interface is one of its own, and
+		// so is each that a method of a generic type's instance takes (a
+		// core's Init(Hooks[P]) bound to a protocol)
+		for _, inst := range c.info.Instances {
+			n, ok := inst.Type.(*types.Named)
+			if !ok {
+				continue
+			}
+			addInterface(n)
+			for i := 0; i < n.NumMethods(); i++ {
+				params := n.Method(i).Type().(*types.Signature).Params()
+				for j := 0; j < params.Len(); j++ {
+					addInterface(params.At(j).Type())
+				}
+			}
+		}
 		main := c.pkg.Name() == "main"
 		for _, f := range c.files {
 			for _, d := range f.Decls {
@@ -195,8 +260,7 @@ func TestEveryDeclarationIsReached(t *testing.T) {
 			}
 		}
 	}
-	type site struct{ where, dir string }
-	unreached := map[string]site{} // by qualified name
+	unreached := map[string]site{}
 	for o, d := range decls {
 		if reached[o] || d.dir == "internal/routing/routetest" {
 			continue
@@ -209,26 +273,7 @@ func TestEveryDeclarationIsReached(t *testing.T) {
 		file, _ := filepath.Rel(tree.root, at.Filename)
 		unreached[name] = site{fmt.Sprintf("%s:%d", filepath.ToSlash(file), at.Line), d.dir}
 	}
-	var report []string
-	for name, s := range unreached {
-		test, ok := testOnlyReached[name]
-		if !ok {
-			report = append(report, fmt.Sprintf("%s: %s is reached by no run: delete it, or list it in testOnlyReached with the test outside its package that reads it", s.where, name))
-			continue
-		}
-		if !readsFromOutside(tree.root, test, s.dir, name) {
-			report = append(report, fmt.Sprintf("%s: testOnlyReached names %s for %s, which does not read it from outside its package", s.where, test, name))
-		}
-	}
-	for name := range testOnlyReached {
-		if _, ok := unreached[name]; !ok {
-			report = append(report, fmt.Sprintf("testOnlyReached lists %s, which is gone or now reached: drop the entry", name))
-		}
-	}
-	slices.Sort(report)
-	for _, r := range report {
-		t.Error(r)
-	}
+	return unreached
 }
 
 // readsFromOutside reports whether the test file names the declaration
@@ -379,7 +424,17 @@ func loadTree(t *testing.T) *sourceTree {
 }
 
 var checkedTree = sync.OnceValues(func() (*sourceTree, error) {
-	root, err := filepath.Abs(".")
+	tree, err := loadSourceTree(".")
+	if err == nil && tree.pkgs["internal/scenario"] == nil {
+		err = fmt.Errorf("found no internal/scenario under %s — run from the repository root", tree.root)
+	}
+	return tree, err
+})
+
+// loadSourceTree type-checks every package under dir, whose import paths
+// are modulePath followed by their directory below dir.
+func loadSourceTree(dir string) (*sourceTree, error) {
+	root, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -399,11 +454,8 @@ var checkedTree = sync.OnceValues(func() (*sourceTree, error) {
 		}
 		return err
 	})
-	if err == nil && tree.pkgs["internal/scenario"] == nil {
-		err = fmt.Errorf("found no internal/scenario under %s — run from the repository root", root)
-	}
 	return tree, err
-})
+}
 
 // sourceTree type-checks the packages of the module and of bench/ from
 // source, each once, and serves them as imports; the standard library comes
@@ -453,9 +505,10 @@ func (s *sourceTree) check(dir string) (*checkedPkg, error) {
 		return nil, err
 	}
 	c := &checkedPkg{info: &types.Info{
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
-		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:      map[*ast.Ident]types.Object{},
+		Uses:      map[*ast.Ident]types.Object{},
+		Types:     map[ast.Expr]types.TypeAndValue{},
+		Instances: map[*ast.Ident]types.Instance{},
 	}}
 	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(s.fset, filepath.Join(bp.Dir, name), nil, parser.SkipObjectResolution)
