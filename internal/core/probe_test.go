@@ -10,14 +10,14 @@ import (
 )
 
 // TestTicketRouterFactoryObjects pins what a router costs its arriving
-// vehicle: the router and the four method values Discovery and Selection
-// are bound with. The maps of paths, pending data, discoveries in flight
-// and open selections are made on first use, so a router that never
-// discovers makes none of them.
+// vehicle: the router alone, which is its Discovery's and its Selection's
+// hooks itself. The maps of paths, pending data, discoveries in flight and
+// open selections are made on first use, so a router that never discovers
+// makes none of them.
 func TestTicketRouterFactoryObjects(t *testing.T) {
 	factory := NewTicketRouter()
-	if n := testing.AllocsPerRun(100, func() { factory() }); n != 5 {
-		t.Fatalf("a TBP-SS router is %v objects, want 5", n)
+	if n := testing.AllocsPerRun(100, func() { factory() }); n != 1 {
+		t.Fatalf("a TBP-SS router is %v objects, want 1", n)
 	}
 }
 

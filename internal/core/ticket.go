@@ -140,28 +140,28 @@ func NewTicketRouter(opts ...TicketOption) netstack.RouterFactory {
 		for _, o := range opts {
 			o(r)
 		}
-		r.Init(1.0, r.routed, r.forward, r.sendProbes)
-		r.sel = routing.NewSelection(selectionWindow, r.answer)
+		r.Init(1.0, r)
+		r.sel = routing.NewSelection[bestPath](selectionWindow, r)
 		return r
 	}
 }
 
-func (r *TicketRouter) routed(dst netstack.NodeID) bool {
+func (r *TicketRouter) Routed(dst netstack.NodeID) bool {
 	ap, ok := r.paths[dst]
 	return ok && len(ap.route.Path) >= 2
 }
 
-// forward stamps the active source route on a data packet and sends it.
-func (r *TicketRouter) forward(pkt *netstack.Packet) {
+// Forward stamps the active source route on a data packet and sends it.
+func (r *TicketRouter) Forward(pkt *netstack.Packet) {
 	routing.SendSourceRouted(r.API, pkt, &r.paths[pkt.Dst].route)
 }
 
-// sendProbes performs the source's ticket split: rank neighbors by link
+// Request performs the source's ticket split: rank neighbors by link
 // stability (filtered by the threshold and, when the destination position
 // is known, by forward progress), then distribute the L tickets over the
 // best L candidates. A round starts while a path is held only when a
 // renewal starts it, and a renewal probes anew, so the old path is dropped.
-func (r *TicketRouter) sendProbes(dst netstack.NodeID, reqID uint64) bool {
+func (r *TicketRouter) Request(dst netstack.NodeID, reqID uint64) bool {
 	delete(r.paths, dst)
 	self := r.API.Self()
 	var ranked [rankBuf]candidate
@@ -176,7 +176,7 @@ func (r *TicketRouter) sendProbes(dst netstack.NodeID, reqID uint64) bool {
 		}
 		pr := &probe{Origin: self, ReqID: reqID, Target: dst, Tickets: share, Stability: c.stability}
 		pr.Path = append(pr.buf[:0], self)
-		r.API.Send(c.id, r.Control(netstack.KindProbe, dst, 48+4*len(pr.Path), pr))
+		r.API.Send(c.id, routing.NewPacket(r.API, netstack.KindProbe, dst, 48+4*len(pr.Path), pr))
 	}
 	return true
 }
@@ -382,7 +382,7 @@ func (r *TicketRouter) HandlePacket(pkt *netstack.Packet) {
 	case netstack.KindRERR:
 		r.handleBreak(pkt)
 	case netstack.KindData:
-		r.handleData(pkt)
+		routing.ForwardSourceRouted(r.API, pkt, r.reportBreak)
 	}
 }
 
@@ -397,7 +397,7 @@ func (r *TicketRouter) handleProbe(pkt *netstack.Packet) {
 	// the beacons).
 	inStab := pr.Stability
 	if ls, okLs := r.API.LinkState(pkt.From); okLs {
-		inStab = linkMin(inStab, r.stability(ls))
+		inStab = routing.MinLifetime(inStab, r.stability(ls))
 	}
 	pr.Path = append(pr.Path, r.API.Self()) // the record is this node's alone
 	if pr.Target == r.API.Self() {
@@ -426,32 +426,23 @@ func (r *TicketRouter) handleProbe(pkt *netstack.Packet) {
 		cp := new(probe)
 		*cp = *pr
 		cp.Path = append(cp.buf[:0], pr.Path...)
-		cp.Tickets, cp.Stability = ticketShare(pr.Tickets, len(funded), i), linkMin(inStab, c.stability)
+		cp.Tickets, cp.Stability = ticketShare(pr.Tickets, len(funded), i), routing.MinLifetime(inStab, c.stability)
 		fwd := r.API.NewPacket()
 		*fwd = *pkt
 		fwd.Payload = cp
 		r.API.Send(c.id, fwd)
 	}
-	pr.Tickets, pr.Stability = ticketShare(pr.Tickets, len(funded), last), linkMin(inStab, funded[last].stability)
+	pr.Tickets, pr.Stability = ticketShare(pr.Tickets, len(funded), last), routing.MinLifetime(inStab, funded[last].stability)
 	r.API.Send(funded[last].id, pkt)
 }
 
-// linkMin is the stability of a path of stability path extended by a link
-// of stability link.
-func linkMin(path, link float64) float64 {
-	if link < path {
-		return link
-	}
-	return path
-}
-
-// answer returns the best probed path to the origin.
-func (r *TicketRouter) answer(origin netstack.NodeID, best bestPath) {
+// Answer returns the best probed path to the origin.
+func (r *TicketRouter) Answer(origin netstack.NodeID, best bestPath) {
 	path := best.hops
 	if len(path) < 2 {
 		return
 	}
-	r.API.Send(path[len(path)-2], r.Control(netstack.KindRREP, origin, 32+4*len(path),
+	r.API.Send(path[len(path)-2], routing.NewPacket(r.API, netstack.KindRREP, origin, 32+4*len(path),
 		reply{Origin: origin, Target: r.API.Self(), Path: path, Stability: best.stability}))
 }
 
@@ -495,25 +486,16 @@ func (r *TicketRouter) handleBreak(pkt *netstack.Packet) {
 	}
 }
 
-func (r *TicketRouter) handleData(pkt *netstack.Packet) {
-	routing.ForwardSourceRouted(r.API, pkt, r.brokenHop)
-}
-
-// brokenHop reports a source route whose link out of this node, at index
-// idx, broke.
-func (r *TicketRouter) brokenHop(hdr *routing.SourceRoute, idx int) {
-	r.reportBreak(hdr.Path, idx)
-}
-
 // reportBreak unicasts a break notice back toward the origin along the
-// upstream part of the source route.
-func (r *TicketRouter) reportBreak(path []netstack.NodeID, selfIdx int) {
+// upstream part of the source route, whose link out of this node, at index
+// selfIdx, broke.
+func (r *TicketRouter) reportBreak(hdr *routing.SourceRoute, selfIdx int) {
+	path := hdr.Path
 	if selfIdx <= 0 || selfIdx >= len(path) {
 		return
 	}
-	origin := path[0]
-	target := path[len(path)-1]
-	r.API.Send(path[selfIdx-1], r.Control(netstack.KindRERR, origin, 24,
+	origin, target := path[0], path[len(path)-1]
+	r.API.Send(path[selfIdx-1], routing.NewPacket(r.API, netstack.KindRERR, origin, 24,
 		breakNotice{Origin: origin, Target: target}))
 }
 
@@ -542,7 +524,7 @@ func (r *TicketRouter) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
 	// reportBreak wants this relay's index; the failed hop's sends the
 	// notice to this node itself. Correcting it moves the protocol goldens
 	// (ROADMAP 1(b)).
-	r.reportBreak(hdr.Path, slices.Index(hdr.Path, to))
+	r.reportBreak(hdr, slices.Index(hdr.Path, to))
 	r.API.Drop(pkt)
 }
 

@@ -2,7 +2,9 @@ package eventq
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -183,11 +185,10 @@ func runInterleaving(t *testing.T, seed int64, ops, burst int) (deepest int) {
 			// Cancel a random pending event — or a stale/fired ID,
 			// which must report false.
 			if len(ids) > 0 && rng.Intn(4) > 0 {
-				var rid int
-				for k := range ids {
-					rid = k
-					break
-				}
+				// drawn from the seeded stream over the ids in order, so
+				// that a sequence replays from its seed
+				pending := slices.Sorted(maps.Keys(ids))
+				rid := pending[rng.Intn(len(pending))]
 				gotReal := q.Cancel(ids[rid])
 				gotRef := ref.cancel(rid)
 				if gotReal != gotRef {

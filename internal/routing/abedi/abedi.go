@@ -38,13 +38,13 @@ type rreq struct {
 func New() netstack.RouterFactory {
 	return func() netstack.Router {
 		r := &Router{}
-		r.Init(1.0, r.request)
+		r.Init(1.0, r)
 		return r
 	}
 }
 
-func (r *Router) request(dst netstack.NodeID, reqID uint64) *netstack.Packet {
-	return r.Control(netstack.KindRREQ, netstack.Broadcast, 56,
+func (r *Router) NewRequest(dst netstack.NodeID, reqID uint64) *netstack.Packet {
+	return routing.NewPacket(r.API, netstack.KindRREQ, netstack.Broadcast, 56,
 		rreq{Origin: r.API.Self(), ReqID: reqID, Target: dst, OriginVel: r.API.Vel()})
 }
 
@@ -81,7 +81,7 @@ func (r *Router) HandlePacket(pkt *netstack.Packet) {
 	case netstack.KindRREP:
 		r.HandleReply(pkt, route)
 	case netstack.KindData:
-		r.HandleData(pkt)
+		routing.ForwardData(r.API, r.Table(), pkt)
 	}
 }
 

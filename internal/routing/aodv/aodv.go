@@ -53,7 +53,7 @@ type rerr struct {
 func New() netstack.RouterFactory {
 	return func() netstack.Router {
 		r := &Router{}
-		r.Init(1, r.request)
+		r.Init(1, r)
 		return r
 	}
 }
@@ -66,7 +66,7 @@ func (r *Router) Originate(dst netstack.NodeID, size int) {
 	r.OnDemand.Originate(dst, size)
 }
 
-func (r *Router) request(dst netstack.NodeID, reqID uint64) *netstack.Packet {
+func (r *Router) NewRequest(dst netstack.NodeID, reqID uint64) *netstack.Packet {
 	r.seq++
 	var tseq uint32
 	hasTSeq := false
@@ -74,7 +74,7 @@ func (r *Router) request(dst netstack.NodeID, reqID uint64) *netstack.Packet {
 		tseq = rt.Seq
 		hasTSeq = true
 	}
-	return r.Control(netstack.KindRREQ, netstack.Broadcast, 48, rreq{
+	return routing.NewPacket(r.API, netstack.KindRREQ, netstack.Broadcast, 48, rreq{
 		Origin: r.API.Self(), OriginSeq: r.seq, ReqID: reqID,
 		Target: dst, TargetSeq: tseq, HasTSeq: hasTSeq,
 	})
@@ -128,13 +128,12 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	r.Rebroadcast(pkt, false, 0)
 }
 
-// sendRREP unicasts a reply toward origin along the reverse route.
+// sendRREP unicasts a reply toward origin along the reverse route, which
+// is live: the request's origin sequence number is newer than any the
+// table holds for origin, so handleRREQ's merge has just installed it.
 func (r *Router) sendRREP(origin, target netstack.NodeID, targetSeq uint32, hopsToDst int) {
-	rt, ok := r.Table().Lookup(origin, r.API.Now())
-	if !ok {
-		return
-	}
-	r.API.Send(rt.NextHop, r.Control(netstack.KindRREP, origin, 44,
+	rt, _ := r.Table().Lookup(origin, r.API.Now())
+	r.API.Send(rt.NextHop, routing.NewPacket(r.API, netstack.KindRREP, origin, 44,
 		rrep{Origin: origin, Target: target, TargetSeq: targetSeq, HopsToDst: hopsToDst}))
 }
 
@@ -197,7 +196,7 @@ func (r *Router) handleData(pkt *netstack.Packet) {
 }
 
 func (r *Router) broadcastRERR(unreachable []netstack.NodeID) {
-	pkt := r.Control(netstack.KindRERR, netstack.Broadcast, 20+4*len(unreachable), rerr{Unreachable: unreachable})
+	pkt := routing.NewPacket(r.API, netstack.KindRERR, netstack.Broadcast, 20+4*len(unreachable), rerr{Unreachable: unreachable})
 	pkt.TTL = 1
 	r.API.Send(netstack.Broadcast, pkt)
 }

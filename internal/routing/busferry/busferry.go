@@ -28,12 +28,12 @@ const (
 // carry-and-forward core's buffer, bounded here, behind a duplicate cache.
 type Router struct {
 	routing.Carrier
-	dup *routing.DupCache
+	dup routing.DupCache
 }
 
 // New returns a bus-ferry router factory.
 func New() netstack.RouterFactory {
-	return func() netstack.Router { return &Router{dup: routing.NewDupCache(60)} }
+	return func() netstack.Router { return &Router{dup: *routing.NewDupCache(60)} }
 }
 
 // Attach implements netstack.Router. The core is bound here, not in New:
@@ -43,7 +43,7 @@ func (r *Router) Attach(api *netstack.API) {
 	if api.Kind() == netstack.BusNode {
 		ttl = busBufferTTL
 	}
-	r.Init(ttl, r.accept, r.handOff)
+	r.Init(ttl, r)
 	r.Carrier.Attach(api)
 }
 
@@ -71,10 +71,10 @@ func (r *Router) makeRoom() {
 	}
 }
 
-// accept takes custody of a fresh packet unless it can leave at once: to
+// NextHop takes custody of a fresh packet unless it can leave at once: to
 // its destination or, from a car, to a bus ("buses collect as much traffic
 // information as possible from cars in the communication region").
-func (r *Router) accept(pkt *netstack.Packet) routing.Hop {
+func (r *Router) NextHop(pkt *netstack.Packet) routing.Hop {
 	r.makeRoom()
 	if r.API.HasNeighbor(pkt.Dst) {
 		return routing.Forward(pkt.Dst)
@@ -96,9 +96,9 @@ func (r *Router) toBus() routing.Hop {
 	return routing.Carry()
 }
 
-// handOff retries a packet in custody; a bus also exchanges it with a bus
+// Retry hands off a packet in custody; a bus also exchanges it with a bus
 // clearly closer to the destination's last known position.
-func (r *Router) handOff(pkt *netstack.Packet) routing.Hop {
+func (r *Router) Retry(pkt *netstack.Packet) routing.Hop {
 	if r.API.HasNeighbor(pkt.Dst) {
 		return routing.Forward(pkt.Dst)
 	}

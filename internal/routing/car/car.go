@@ -130,7 +130,7 @@ type Router struct {
 func New(dmap *DensityMap) netstack.RouterFactory {
 	return func() netstack.Router {
 		r := &Router{dmap: dmap}
-		r.Init(8, r.route, r.retry)
+		r.Init(8, r)
 		return r
 	}
 }
@@ -183,8 +183,8 @@ func (r *Router) currentTarget(pkt *netstack.Packet) (geom.Vec2, bool) {
 	return dstPos, okD
 }
 
-// route geo-forwards to the neighbor closest to the current target.
-func (r *Router) route(pkt *netstack.Packet) routing.Hop {
+// NextHop geo-forwards to the neighbor closest to the current target.
+func (r *Router) NextHop(pkt *netstack.Packet) routing.Hop {
 	if r.API.HasNeighbor(pkt.Dst) {
 		return routing.Forward(pkt.Dst)
 	}
@@ -208,8 +208,8 @@ func (r *Router) route(pkt *netstack.Packet) routing.Hop {
 	return routing.Carry()
 }
 
-// retry settles for any neighbor closer to the current target.
-func (r *Router) retry(pkt *netstack.Packet) routing.Hop {
+// Retry settles for any neighbor closer to the current target.
+func (r *Router) Retry(pkt *netstack.Packet) routing.Hop {
 	if r.API.HasNeighbor(pkt.Dst) {
 		return routing.Forward(pkt.Dst)
 	}

@@ -44,8 +44,7 @@ func Drop() Hop { return Hop{verdict: drop} }
 type Carrier struct {
 	netstack.Base
 	timeout float64
-	route   func(*netstack.Packet) Hop
-	retry   func(*netstack.Packet) Hop
+	hooks   CarryHooks
 	carried []carried
 }
 
@@ -54,11 +53,17 @@ type carried struct {
 	since float64
 }
 
-// Init binds the protocol half. route decides for a packet that was just
-// originated, received or handed back by the MAC; retry decides, at each
-// sweep, for a packet carried for at most timeout seconds.
-func (c *Carrier) Init(timeout float64, route, retry func(*netstack.Packet) Hop) {
-	c.timeout, c.route, c.retry = timeout, route, retry
+// CarryHooks is the protocol half of a Carrier. NextHop decides for a packet
+// just originated, received or handed back by the MAC; Retry decides, at
+// each sweep, for a packet carried for at most Init's timeout seconds.
+type CarryHooks interface {
+	NextHop(pkt *netstack.Packet) Hop
+	Retry(pkt *netstack.Packet) Hop
+}
+
+// Init binds the protocol half.
+func (c *Carrier) Init(timeout float64, hooks CarryHooks) {
+	c.timeout, c.hooks = timeout, hooks
 }
 
 // Attach implements netstack.Router and arms the sweep at a per-node phase.
@@ -108,7 +113,7 @@ func (c *Carrier) hop(pkt *netstack.Packet) {
 
 // Route acts on the protocol's choice for a fresh packet.
 func (c *Carrier) Route(pkt *netstack.Packet) {
-	if !c.send(c.route(pkt), pkt) {
+	if !c.send(c.hooks.NextHop(pkt), pkt) {
 		c.Hold(pkt)
 	}
 }
@@ -155,7 +160,7 @@ func (c *Carrier) sweep() {
 			c.API.Drop(e.pkt)
 			continue
 		}
-		if !c.send(c.retry(e.pkt), e.pkt) {
+		if !c.send(c.hooks.Retry(e.pkt), e.pkt) {
 			keep = append(keep, e)
 		}
 	}

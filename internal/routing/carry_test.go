@@ -31,18 +31,22 @@ func stubWorld(t *testing.T, vehicles []routetest.Vehicle, timeout float64,
 	var stubs []*stubCarrier
 	w, ids := routetest.World(t, 1, vehicles, func() netstack.Router {
 		s := &stubCarrier{route: route, retry: retry}
-		s.Init(timeout, func(pkt *netstack.Packet) routing.Hop {
-			s.routed++
-			s.knewWatched = s.API.HasNeighbor(s.watch)
-			return s.route(pkt)
-		}, func(pkt *netstack.Packet) routing.Hop {
-			s.retried++
-			return s.retry(pkt)
-		})
+		s.Init(timeout, s)
 		stubs = append(stubs, s)
 		return s
 	})
 	return w, ids, stubs[0]
+}
+
+func (s *stubCarrier) NextHop(pkt *netstack.Packet) routing.Hop {
+	s.routed++
+	s.knewWatched = s.API.HasNeighbor(s.watch)
+	return s.route(pkt)
+}
+
+func (s *stubCarrier) Retry(pkt *netstack.Packet) routing.Hop {
+	s.retried++
+	return s.retry(pkt)
 }
 
 // pair is the node under test and one neighbor in range.

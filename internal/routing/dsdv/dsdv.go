@@ -18,7 +18,7 @@ const updateInterval = 2.0
 // Router is a per-node DSDV instance.
 type Router struct {
 	netstack.Base
-	table *routing.Table
+	table routing.Table
 	seq   uint32 // own even sequence number
 	// dsts is the destinations one dump or one break reads, reused from
 	// call to call; the routes they become are never reused.
@@ -39,7 +39,7 @@ type update struct {
 
 // New returns a DSDV router factory.
 func New() netstack.RouterFactory {
-	return func() netstack.Router { return &Router{table: routing.NewTable()} }
+	return func() netstack.Router { return &Router{} }
 }
 
 // Attach implements netstack.Router and starts the periodic advertiser.
@@ -78,7 +78,7 @@ func (r *Router) HandlePacket(pkt *netstack.Packet) {
 		r.handleUpdate(pkt)
 		r.API.Release(pkt)
 	case netstack.KindData:
-		routing.ForwardData(r.API, r.table, pkt)
+		routing.ForwardData(r.API, &r.table, pkt)
 	}
 }
 
@@ -146,4 +146,4 @@ func (r *Router) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
 }
 
 // Table exposes the route table for tests.
-func (r *Router) Table() *routing.Table { return r.table }
+func (r *Router) Table() *routing.Table { return &r.table }

@@ -20,8 +20,8 @@ import (
 // Router is a per-node DSR instance.
 type Router struct {
 	routing.Discovery
-	cache map[netstack.NodeID]*routing.SourceRoute // dst → full path self→...→dst, the header data carries
-	dup   *routing.DupCache
+	cache map[netstack.NodeID]*routing.SourceRoute // dst → full path self→...→dst, the header data carries; made at the first path
+	dup   routing.DupCache
 }
 
 // rreq accumulates the traversed route.
@@ -48,28 +48,25 @@ type rerr struct {
 // New returns a DSR router factory.
 func New() netstack.RouterFactory {
 	return func() netstack.Router {
-		r := &Router{
-			cache: make(map[netstack.NodeID]*routing.SourceRoute),
-			dup:   routing.NewDupCache(15),
-		}
-		r.Init(1.0, r.routed, r.forward, r.request)
+		r := &Router{dup: *routing.NewDupCache(15)}
+		r.Init(1.0, r)
 		return r
 	}
 }
 
-// routed: a cached path always runs from this node to another one.
-func (r *Router) routed(dst netstack.NodeID) bool {
+// Routed: a cached path always runs from this node to another one.
+func (r *Router) Routed(dst netstack.NodeID) bool {
 	hdr, ok := r.cache[dst]
 	return ok && len(hdr.Path) >= 2
 }
 
-// forward stamps the cached source route on a data packet and sends it.
-func (r *Router) forward(pkt *netstack.Packet) {
+// Forward stamps the cached source route on a data packet and sends it.
+func (r *Router) Forward(pkt *netstack.Packet) {
 	routing.SendSourceRouted(r.API, pkt, r.cache[pkt.Dst])
 }
 
-func (r *Router) request(dst netstack.NodeID, reqID uint64) bool {
-	pkt := r.Control(netstack.KindRREQ, netstack.Broadcast, 40, rreq{
+func (r *Router) Request(dst netstack.NodeID, reqID uint64) bool {
+	pkt := routing.NewPacket(r.API, netstack.KindRREQ, netstack.Broadcast, 40, rreq{
 		Origin: r.API.Self(), ReqID: reqID, Target: dst,
 		Path: []netstack.NodeID{r.API.Self()},
 	})
@@ -88,7 +85,7 @@ func (r *Router) HandlePacket(pkt *netstack.Packet) {
 	case netstack.KindRERR:
 		r.handleRERR(pkt)
 	case netstack.KindData:
-		r.handleData(pkt)
+		routing.ForwardSourceRouted(r.API, pkt, r.brokenHop)
 	}
 }
 
@@ -109,8 +106,8 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 		// back along it
 		back := slices.Clone(path)
 		slices.Reverse(back)
-		r.cache[req.Origin] = &routing.SourceRoute{Path: back}
-		r.API.Send(path[len(path)-2], r.Control(netstack.KindRREP, req.Origin, 24+4*len(path),
+		r.learn(req.Origin, back)
+		r.API.Send(path[len(path)-2], routing.NewPacket(r.API, netstack.KindRREP, req.Origin, 24+4*len(path),
 			rrep{Origin: req.Origin, Target: req.Target, Path: path}))
 		r.API.Release(pkt)
 		return
@@ -131,13 +128,21 @@ func (r *Router) handleRREP(pkt *netstack.Packet) {
 	rep := pkt.Payload.(rrep)
 	idx := slices.Index(rep.Path, r.API.Self()) // a reply is unicast along its path
 	// learn the downstream sub-path
-	r.cache[rep.Target] = &routing.SourceRoute{Path: rep.Path[idx:]}
+	r.learn(rep.Target, rep.Path[idx:])
 	if r.API.Self() == rep.Origin {
 		r.Answered(rep.Target)
 		r.API.Release(pkt)
 		return
 	}
 	routing.RelayBack(r.API, pkt, rep.Path, idx)
+}
+
+// learn caches path, from this node to dst, as the route to dst.
+func (r *Router) learn(dst netstack.NodeID, path []netstack.NodeID) {
+	if r.cache == nil {
+		r.cache = make(map[netstack.NodeID]*routing.SourceRoute)
+	}
+	r.cache[dst] = &routing.SourceRoute{Path: path}
 }
 
 func (r *Router) handleRERR(pkt *netstack.Packet) {
@@ -159,10 +164,6 @@ func (r *Router) truncateCaches(from, to netstack.NodeID) {
 	}
 }
 
-func (r *Router) handleData(pkt *netstack.Packet) {
-	routing.ForwardSourceRouted(r.API, pkt, r.brokenHop)
-}
-
 // brokenHop reports a source route that broke here, at index idx, on the
 // way to the next hop.
 func (r *Router) brokenHop(hdr *routing.SourceRoute, idx int) {
@@ -172,8 +173,8 @@ func (r *Router) brokenHop(hdr *routing.SourceRoute, idx int) {
 // reportBreak unicasts an RERR toward the origin and truncates own caches.
 func (r *Router) reportBreak(origin, from, to netstack.NodeID) {
 	r.truncateCaches(from, to)
-	pkt := r.Control(netstack.KindRERR, origin, 28, rerr{From: from, To: to, Origin: origin})
-	if r.routed(origin) {
+	pkt := routing.NewPacket(r.API, netstack.KindRERR, origin, 28, rerr{From: from, To: to, Origin: origin})
+	if r.Routed(origin) {
 		r.API.Send(r.cache[origin].Path[1], pkt)
 		return
 	}

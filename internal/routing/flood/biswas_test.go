@@ -28,7 +28,7 @@ func lonely(tb testing.TB) (*netstack.World, *Biswas) {
 }
 
 // The retry state is keyed by UID alone, which holds only if a UID never
-// reaches sendWithAck again while it is pending: the flood's duplicate
+// reaches Outbound again while it is pending: the flood's duplicate
 // cache must still hold a rebroadcast UID when its retries end.
 func TestDuplicateCacheOutlivesRetries(t *testing.T) {
 	w, b := lonely(t)

@@ -14,7 +14,7 @@ import (
 	"github.com/vanetlab/relroute/internal/sim"
 )
 
-// Router is the pure flooding router: routing.Flooder with nothing bound.
+// Router is the pure flooding router: routing.Flooder with no hook.
 // Needing no neighbor state is exactly why Table I calls it "simple".
 type Router struct{ routing.Flooder }
 
@@ -22,7 +22,7 @@ type Router struct{ routing.Flooder }
 func New() netstack.RouterFactory {
 	return func() netstack.Router {
 		r := &Router{}
-		r.Init(nil, nil)
+		r.Init(r)
 		return r
 	}
 }
@@ -35,7 +35,7 @@ func New() netstack.RouterFactory {
 // received.")
 type Biswas struct {
 	routing.Flooder
-	retry map[uint64]pending // packet UID → pending retransmission
+	retry map[uint64]pending // packet UID → pending retransmission; made at the first send
 }
 
 // pending is a rebroadcast waiting for its implicit ack: the retry timer,
@@ -56,8 +56,8 @@ const (
 // NewBiswas returns a factory for the acknowledged flooding router.
 func NewBiswas() netstack.RouterFactory {
 	return func() netstack.Router {
-		b := &Biswas{retry: make(map[uint64]pending)}
-		b.Init(nil, b.sendWithAck)
+		b := &Biswas{}
+		b.Init(b)
 		return b
 	}
 }
@@ -74,14 +74,17 @@ func (b *Biswas) HandlePacket(pkt *netstack.Packet) {
 	b.Flooder.HandlePacket(pkt)
 }
 
-// sendWithAck transmits and arms the implicit-ack retry timer. The retry
+// Outbound transmits and arms the implicit-ack retry timer. The retry
 // keeps a pooled copy of the packet and sends a fresh copy of that each
 // time; the kept copy goes back to the pool at the ack, or once the retries
 // run out. The send's one allocation is the closure its retry timers fire;
 // the retry state lives in the map entry, keyed by the UID alone, which
 // never comes back here while it is pending: the flooder's duplicate cache
 // holds a UID far longer than its retries last.
-func (b *Biswas) sendWithAck(pkt *netstack.Packet, _ bool) bool {
+func (b *Biswas) Outbound(pkt *netstack.Packet, _ bool) bool {
+	if b.retry == nil {
+		b.retry = make(map[uint64]pending)
+	}
 	kept := b.API.NewPacket()
 	*kept = *pkt
 	b.API.Send(netstack.Broadcast, pkt)

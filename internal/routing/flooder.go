@@ -11,20 +11,31 @@ import "github.com/vanetlab/relroute/internal/netstack"
 // pool is warm.
 type Flooder struct {
 	netstack.Base
-	dup      *DupCache
-	relay    func(*netstack.Packet) bool
-	outbound func(pkt *netstack.Packet, origin bool) (sent bool)
+	dup      DupCache
+	relay    Relayer    // nil: always rebroadcast
+	outbound Outbounder // nil: the core sends
 }
 
-// Init binds the protocol half. relay answers whether this node
-// rebroadcasts a first copy still in flight (nil: always); a false is a
-// silent release, not a Drop. outbound, if not nil, sees every packet this
-// node is about to put on the air, its own (origin) or a rebroadcast. It
-// may amend the packet and report false, leaving the sending to the core,
-// or send it itself and report true.
-func (f *Flooder) Init(relay func(*netstack.Packet) bool, outbound func(pkt *netstack.Packet, origin bool) (sent bool)) {
-	f.relay, f.outbound = relay, outbound
-	f.dup = NewDupCache(30)
+// The hooks a flooding protocol may implement. Relays answers whether this
+// node rebroadcasts a first copy still in flight; a false is a silent
+// release, not a Drop. Outbound sees every packet this node is about to put
+// on the air, its own (origin) or a rebroadcast. It may amend the packet
+// and report false, leaving the sending to the core, or send it itself and
+// report true.
+type (
+	Relayer interface {
+		Relays(pkt *netstack.Packet) bool
+	}
+	Outbounder interface {
+		Outbound(pkt *netstack.Packet, origin bool) (sent bool)
+	}
+)
+
+// Init binds the protocol half: whichever hooks r, the router, implements.
+func (f *Flooder) Init(r netstack.Router) {
+	f.relay, _ = r.(Relayer)
+	f.outbound, _ = r.(Outbounder)
+	f.dup = *NewDupCache(30)
 }
 
 // NeedsBeacons implements netstack.Router: a flood keeps no neighbor state.
@@ -36,7 +47,7 @@ func (f *Flooder) NeedsBeacons() bool { return false }
 func (f *Flooder) Originate(dst netstack.NodeID, size int) {
 	pkt := NewData(f.API, dst, size)
 	f.dup.Seen(DupKey{Origin: pkt.Src, Seq: pkt.UID}, f.API.Now())
-	if f.outbound == nil || !f.outbound(pkt, true) {
+	if f.outbound == nil || !f.outbound.Outbound(pkt, true) {
 		f.API.Send(netstack.Broadcast, pkt)
 	}
 }
@@ -51,7 +62,7 @@ func (f *Flooder) HandlePacket(pkt *netstack.Packet) {
 	if mine || pkt.Dst == netstack.Broadcast {
 		f.API.Deliver(pkt)
 	}
-	if mine || (f.relay != nil && !f.relay(pkt)) {
+	if mine || (f.relay != nil && !f.relay.Relays(pkt)) {
 		f.API.Release(pkt)
 		return
 	}
@@ -60,7 +71,7 @@ func (f *Flooder) HandlePacket(pkt *netstack.Packet) {
 		f.API.Drop(pkt)
 		return
 	}
-	if f.outbound == nil || !f.outbound(pkt, false) {
+	if f.outbound == nil || !f.outbound.Outbound(pkt, false) {
 		f.API.Send(netstack.Broadcast, pkt)
 	}
 }

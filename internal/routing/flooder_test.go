@@ -25,16 +25,7 @@ func floodWorld(t *testing.T) (*netstack.World, []netstack.NodeID, *stubFlooder)
 	var stubs []*stubFlooder
 	w, ids := routetest.World(t, 1, pair(), func() netstack.Router {
 		s := &stubFlooder{relay: true}
-		s.Init(func(*netstack.Packet) bool {
-			s.asked++
-			return s.relay
-		}, func(_ *netstack.Packet, origin bool) bool {
-			s.outbound++
-			if origin {
-				s.origins++
-			}
-			return s.keep
-		})
+		s.Init(s)
 		stubs = append(stubs, s)
 		return s
 	})
@@ -43,6 +34,19 @@ func floodWorld(t *testing.T) (*netstack.World, []netstack.NodeID, *stubFlooder)
 		t.Fatal(err)
 	}
 	return w, ids, stubs[0]
+}
+
+func (s *stubFlooder) Relays(*netstack.Packet) bool {
+	s.asked++
+	return s.relay
+}
+
+func (s *stubFlooder) Outbound(_ *netstack.Packet, origin bool) bool {
+	s.outbound++
+	if origin {
+		s.origins++
+	}
+	return s.keep
 }
 
 // flooded is a copy of a flooded packet from a node outside the world.

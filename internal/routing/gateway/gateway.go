@@ -26,7 +26,7 @@ type Router struct {
 func New() netstack.RouterFactory {
 	return func() netstack.Router {
 		r := &Router{}
-		r.Init(r.isGateway, nil)
+		r.Init(r)
 		return r
 	}
 }
@@ -43,12 +43,12 @@ func (r *Router) cellCenter(p geom.Vec2) geom.Vec2 {
 	return geom.V((math.Floor(p.X/c)+0.5)*c, (math.Floor(p.Y/c)+0.5)*c)
 }
 
-// isGateway is the rebroadcast rule (members read, only gateways retransmit;
+// Relays is the rebroadcast rule (members read, only gateways retransmit;
 // a source always transmits). It elects this node the gateway of its cell:
 // closest to the cell center among itself and its same-cell neighbors, ties
 // broken by lowest ID. The election is recomputed per packet from fresh
 // beacon state, so gateways rotate naturally as vehicles move.
-func (r *Router) isGateway(*netstack.Packet) bool {
+func (r *Router) Relays(*netstack.Packet) bool {
 	self := r.API.Pos()
 	center := r.cellCenter(self)
 	myDist := self.Dist(center)

@@ -33,16 +33,18 @@ type Router struct {
 func New() netstack.RouterFactory {
 	return func() netstack.Router {
 		r := &Router{}
-		// a carried packet is retried by the rule it was routed by
-		r.Init(carryTimeout, r.route, r.route)
+		r.Init(carryTimeout, r)
 		return r
 	}
 }
 
-// route forwards greedily; at a local maximum (no neighbor closer than
+// Retry routes a carried packet by the rule it was routed by.
+func (r *Router) Retry(pkt *netstack.Packet) routing.Hop { return r.NextHop(pkt) }
+
+// NextHop forwards greedily; at a local maximum (no neighbor closer than
 // self) the packet is stored, carried and forwarded later. A destination
 // the location service cannot place is given up, carried or not.
-func (r *Router) route(pkt *netstack.Packet) routing.Hop {
+func (r *Router) NextHop(pkt *netstack.Packet) routing.Hop {
 	if r.API.HasNeighbor(pkt.Dst) {
 		return routing.Forward(pkt.Dst)
 	}

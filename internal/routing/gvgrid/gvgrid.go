@@ -37,7 +37,7 @@ type Router struct {
 func New() netstack.RouterFactory {
 	return func() netstack.Router {
 		r := &Router{}
-		r.Init(8, r.route, r.retry)
+		r.Init(8, r)
 		return r
 	}
 }
@@ -55,10 +55,10 @@ func (r *Router) cellOf(p geom.Vec2) (int, int) {
 	return int(math.Floor(p.X / cellSize)), int(math.Floor(p.Y / cellSize))
 }
 
-// route forwards to the most reliable neighbor that advances the grid-cell
+// NextHop forwards to the most reliable neighbor that advances the grid-cell
 // walk toward the destination; with none, route repair from the break
 // point is to carry briefly, then retry.
-func (r *Router) route(pkt *netstack.Packet) routing.Hop {
+func (r *Router) NextHop(pkt *netstack.Packet) routing.Hop {
 	if r.API.HasNeighbor(pkt.Dst) {
 		return routing.Forward(pkt.Dst)
 	}
@@ -105,8 +105,8 @@ func (r *Router) route(pkt *netstack.Packet) routing.Hop {
 	return routing.Carry()
 }
 
-// retry settles for any neighbor geographically closer to the destination.
-func (r *Router) retry(pkt *netstack.Packet) routing.Hop {
+// Retry settles for any neighbor geographically closer to the destination.
+func (r *Router) Retry(pkt *netstack.Packet) routing.Hop {
 	if r.API.HasNeighbor(pkt.Dst) {
 		return routing.Forward(pkt.Dst)
 	}

@@ -75,7 +75,7 @@ func TestRouteMatchesScoringEveryNeighbor(t *testing.T) {
 				}
 				pkt := &netstack.Packet{Dst: dst}
 				want := scoreEveryNeighbor(r, pkt)
-				got := r.route(pkt)
+				got := r.NextHop(pkt)
 				if got != want {
 					t.Fatalf("world %d: node %d to %d: route %+v, scoring every neighbor %+v", world, ids[i], dst, got, want)
 				}

@@ -12,9 +12,9 @@ import (
 // in a bounded queue while a request goes out, the request is repeated
 // twice if nothing answers within the timeout, and after the third silence
 // the queue is dropped. What "has a route" means, how data leaves on one,
-// and what a request looks like are the protocol's, bound once in Init: a
-// route table (OnDemand), a path cache (DSR), a probed source route (the
-// ticket router).
+// and what a request looks like are the protocol's DiscoveryHooks, bound
+// once in Init: a route table (OnDemand), a path cache (DSR), a probed
+// source route (the ticket router).
 //
 // A queued packet is the queue's alone, so Discovery hands back to the
 // stack's pool every packet it drops — evicted from a full queue, expired,
@@ -27,34 +27,31 @@ type Discovery struct {
 	reqID   uint64
 
 	timeout float64
-	routed  func(dst netstack.NodeID) bool
-	forward func(pkt *netstack.Packet)
-	request func(dst netstack.NodeID, reqID uint64) bool
+	hooks   DiscoveryHooks
 }
 
-// Init binds the protocol half. routed reports whether data for dst can
-// leave now; forward sends
-// a packet whose destination routed just accepted; request sends one
-// discovery round for dst under the given request number and reports false
-// when there was nobody to ask, which ends the discovery at once. A silent
-// round is repeated timeout seconds later.
-func (d *Discovery) Init(timeout float64, routed func(netstack.NodeID) bool,
-	forward func(*netstack.Packet), request func(netstack.NodeID, uint64) bool) {
-	d.timeout = timeout
-	d.routed, d.forward, d.request = routed, forward, request
+// DiscoveryHooks is the protocol half of a Discovery. Routed reports
+// whether data for dst can leave now; Forward sends a packet whose
+// destination Routed just accepted; Request sends round reqID of dst's
+// discovery and reports false when there was nobody to ask, which ends the
+// discovery at once. A silent round is repeated after Init's timeout.
+type DiscoveryHooks interface {
+	Routed(dst netstack.NodeID) bool
+	Forward(pkt *netstack.Packet)
+	Request(dst netstack.NodeID, reqID uint64) bool
 }
 
-// Control builds a control packet of the given kind from this node.
-func (d *Discovery) Control(kind netstack.Kind, dst netstack.NodeID, size int, payload any) *netstack.Packet {
-	return NewPacket(d.API, kind, dst, size, payload)
+// Init binds the protocol half.
+func (d *Discovery) Init(timeout float64, hooks DiscoveryHooks) {
+	d.timeout, d.hooks = timeout, hooks
 }
 
 // Originate implements netstack.Router: send on the route there is, or
 // queue and discover.
 func (d *Discovery) Originate(dst netstack.NodeID, size int) {
 	pkt := NewData(d.API, dst, size)
-	if d.routed(dst) {
-		d.forward(pkt)
+	if d.hooks.Routed(dst) {
+		d.hooks.Forward(pkt)
 		return
 	}
 	d.Queue(pkt)
@@ -87,7 +84,7 @@ func (d *Discovery) Start(dst netstack.NodeID) {
 func (d *Discovery) ask(dst netstack.NodeID) {
 	d.API.Metrics().RouteDiscoveries++
 	d.reqID++
-	if !d.request(dst, d.reqID) {
+	if !d.hooks.Request(dst, d.reqID) {
 		d.giveUp(dst)
 		return
 	}
@@ -99,7 +96,7 @@ func (d *Discovery) deadline(dst netstack.NodeID) {
 	if !inFlight {
 		return // answered
 	}
-	if d.routed(dst) {
+	if d.hooks.Routed(dst) {
 		d.Answered(dst)
 		return
 	}
@@ -135,7 +132,7 @@ func (d *Discovery) RenewBefore(dst netstack.NodeID, life, margin float64) {
 // the route is still in use — data can leave on it or waits for it —
 // counting a route repair.
 func (d *Discovery) renew(dst netstack.NodeID) {
-	if !d.routed(dst) && !d.Waiting(dst) {
+	if !d.hooks.Routed(dst) && !d.Waiting(dst) {
 		return
 	}
 	d.API.Metrics().RouteRepairs++
@@ -150,10 +147,10 @@ func (d *Discovery) Answered(dst netstack.NodeID) {
 	for _, p := range expired {
 		d.API.Drop(p)
 	}
-	routed := d.routed(dst)
+	routed := d.hooks.Routed(dst)
 	for _, p := range fresh {
 		if routed {
-			d.forward(p)
+			d.hooks.Forward(p)
 		} else {
 			d.API.Drop(p)
 		}
@@ -185,36 +182,40 @@ func (d *Discovery) Stranded() int {
 // let the destination choose embed it through Selective.
 type OnDemand struct {
 	Discovery
-	table *Table
-	dup   *DupCache
-	rreq  func(dst netstack.NodeID, reqID uint64) *netstack.Packet
+	table Table
+	dup   DupCache
+	rreq  Requester
 	// broken is InvalidateVia's scratch: a neighbor loss reads only the
 	// count of the routes it broke.
 	broken []netstack.NodeID
 }
 
-// Init binds the protocol's discovery timeout and rreq, which builds
-// (Control does most of it) the RREQ to flood for dst.
-func (c *OnDemand) Init(timeout float64, rreq func(netstack.NodeID, uint64) *netstack.Packet) {
-	c.table, c.dup, c.rreq = NewTable(), NewDupCache(15), rreq
-	c.Discovery.Init(timeout, c.routed, c.forward, c.flood)
+// Requester builds (NewPacket does most of it) the RREQ an OnDemand floods.
+type Requester interface {
+	NewRequest(dst netstack.NodeID, reqID uint64) *netstack.Packet
+}
+
+// Init binds the protocol's discovery timeout and its Requester.
+func (c *OnDemand) Init(timeout float64, rreq Requester) {
+	c.dup, c.rreq = *NewDupCache(15), rreq
+	c.Discovery.Init(timeout, c)
 }
 
 // Table exposes the route table.
-func (c *OnDemand) Table() *Table { return c.table }
+func (c *OnDemand) Table() *Table { return &c.table }
 
-func (c *OnDemand) routed(dst netstack.NodeID) bool {
+func (c *OnDemand) Routed(dst netstack.NodeID) bool {
 	_, ok := c.table.Lookup(dst, c.API.Now())
 	return ok
 }
 
-func (c *OnDemand) forward(pkt *netstack.Packet) {
+func (c *OnDemand) Forward(pkt *netstack.Packet) {
 	rt, _ := c.table.Get(pkt.Dst)
 	c.API.Send(rt.NextHop, pkt)
 }
 
-func (c *OnDemand) flood(dst netstack.NodeID, reqID uint64) bool {
-	pkt := c.rreq(dst, reqID)
+func (c *OnDemand) Request(dst netstack.NodeID, reqID uint64) bool {
+	pkt := c.rreq.NewRequest(dst, reqID)
 	c.Duplicate(pkt.Src, reqID)
 	c.API.Send(netstack.Broadcast, pkt)
 	return true
@@ -225,10 +226,6 @@ func (c *OnDemand) flood(dst netstack.NodeID, reqID uint64) bool {
 func (c *OnDemand) Duplicate(origin netstack.NodeID, reqID uint64) bool {
 	return c.dup.Seen(DupKey{Origin: origin, Seq: reqID}, c.API.Now())
 }
-
-// HandleData forwards a data packet one hop along the table, or delivers
-// it here.
-func (c *OnDemand) HandleData(pkt *netstack.Packet) { ForwardData(c.API, c.table, pkt) }
 
 // ForwardData is hop-by-hop table forwarding, for every router that keeps a
 // Table (OnDemand's, DSDV): deliver a data packet addressed to this node,
@@ -331,7 +328,7 @@ type reply struct {
 // Reply answers origin's discovery of this node with a route reply of
 // size bytes carrying metric, sent to via, the first hop back.
 func (c *OnDemand) Reply(via, origin netstack.NodeID, size int, metric float64) {
-	c.API.Send(via, c.Control(netstack.KindRREP, origin, size,
+	c.API.Send(via, NewPacket(c.API, netstack.KindRREP, origin, size,
 		reply{Origin: origin, Target: c.API.Self(), Metric: metric}))
 }
 

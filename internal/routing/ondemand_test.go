@@ -263,10 +263,7 @@ func TestRelayAndRebroadcastDropAtTTL(t *testing.T) {
 // installed no route drops the whole queue.
 func TestAnsweredDropsExpiredData(t *testing.T) {
 	r := &renewer{}
-	var forwarded []*netstack.Packet
-	r.Init(100, func(netstack.NodeID) bool { return r.route },
-		func(p *netstack.Packet) { forwarded = append(forwarded, p) },
-		func(netstack.NodeID, uint64) bool { r.asked++; return true })
+	r.Init(100, r)
 	built := 0
 	w, ids := routetest.World(t, 1, outOfReach(), func() netstack.Router {
 		if built++; built == 1 {
@@ -288,28 +285,45 @@ func TestAnsweredDropsExpiredData(t *testing.T) {
 	}
 	r.route = true
 	r.Answered(ids[1])
-	if c.DataDropped != 1 || !released(stale) || len(forwarded) != 1 || forwarded[0] != fresh || released(fresh) {
+	if c.DataDropped != 1 || !released(stale) || len(r.forwarded) != 1 || r.forwarded[0] != fresh || released(fresh) {
 		t.Fatalf("dropped %d, stale packet back in the pool %v, forwarded %d; want the stale one dropped and only the fresh one forwarded",
-			c.DataDropped, released(stale), len(forwarded))
+			c.DataDropped, released(stale), len(r.forwarded))
 	}
 	r.route = false
 	unrouted := &netstack.Packet{UID: 3, Kind: netstack.KindData, Dst: ids[1], TTL: 8, Created: 12}
 	r.Queue(unrouted)
 	r.Answered(ids[1])
-	if c.DataDropped != 2 || !released(unrouted) || len(forwarded) != 1 {
-		t.Fatalf("without a route: dropped %d, back in the pool %v, forwarded %d; want it dropped", c.DataDropped, released(unrouted), len(forwarded))
+	if c.DataDropped != 2 || !released(unrouted) || len(r.forwarded) != 1 {
+		t.Fatalf("without a route: dropped %d, back in the pool %v, forwarded %d; want it dropped", c.DataDropped, released(unrouted), len(r.forwarded))
 	}
 }
 
 // renewer is the smallest Discovery user: its route is a flag the test
-// sets, its request asks nobody, and it counts requests.
+// sets, its request asks nobody, and it counts requests and keeps what it
+// forwarded. A request for another destination than ask, once set, fails
+// the test.
 type renewer struct {
 	routing.Discovery
-	route bool
-	asked int
+	route     bool
+	asked     int
+	forwarded []*netstack.Packet
+	t         *testing.T
+	ask       netstack.NodeID
 }
 
 func (r *renewer) HandlePacket(*netstack.Packet) {}
+
+func (r *renewer) Routed(netstack.NodeID) bool { return r.route }
+
+func (r *renewer) Forward(p *netstack.Packet) { r.forwarded = append(r.forwarded, p) }
+
+func (r *renewer) Request(to netstack.NodeID, _ uint64) bool {
+	if r.t != nil && to != r.ask {
+		r.t.Fatalf("a renewal asked for %d, want %d", to, r.ask)
+	}
+	r.asked++
+	return true
+}
 
 // TestRenewBefore arms renewals on a route that is a flag: a route that
 // never breaks arms no timer, a life shorter than the margin renews 0.1 s
@@ -317,16 +331,8 @@ func (r *renewer) HandlePacket(*netstack.Packet) {}
 // repair and sends a request for its destination only when it found the
 // route in use.
 func TestRenewBefore(t *testing.T) {
-	r := &renewer{}
-	var dst netstack.NodeID
-	r.Init(1, func(netstack.NodeID) bool { return r.route }, func(*netstack.Packet) {},
-		func(to netstack.NodeID, _ uint64) bool {
-			if to != dst {
-				t.Fatalf("a renewal asked for %d, want %d", to, dst)
-			}
-			r.asked++
-			return true
-		})
+	r := &renewer{t: t}
+	r.Init(1, r)
 	built := 0
 	w, ids := routetest.World(t, 1, outOfReach(), func() netstack.Router {
 		if built++; built == 1 {
@@ -336,7 +342,8 @@ func TestRenewBefore(t *testing.T) {
 	})
 	w.StartRun()
 	c := w.Collector()
-	dst = ids[1]
+	dst := ids[1]
+	r.ask = dst
 	step := func(at float64, repairs, asked int) {
 		t.Helper()
 		if err := w.AdvanceTo(at); err != nil {

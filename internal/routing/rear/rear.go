@@ -28,7 +28,7 @@ func New() netstack.RouterFactory {
 	return func() netstack.Router {
 		r := &Router{}
 		// alarm messages must survive short voids: carry for up to 6 s
-		r.Init(6, r.route, r.retry)
+		r.Init(6, r)
 		return r
 	}
 }
@@ -40,9 +40,9 @@ func New() netstack.RouterFactory {
 // prob.DefaultReceiptModel mapping of the smoothed RSSI.
 func reliable(ls netstack.LinkState) bool { return ls.ReceiptProb >= minReceipt }
 
-// route picks the progress-making neighbor with the highest receipt
+// NextHop picks the progress-making neighbor with the highest receipt
 // probability; with no candidate the packet is carried.
-func (r *Router) route(pkt *netstack.Packet) routing.Hop {
+func (r *Router) NextHop(pkt *netstack.Packet) routing.Hop {
 	if ls, ok := r.API.LinkState(pkt.Dst); ok && reliable(ls) {
 		return routing.Forward(pkt.Dst)
 	}
@@ -69,9 +69,9 @@ func (r *Router) route(pkt *netstack.Packet) routing.Hop {
 	return routing.Carry()
 }
 
-// retry takes the first progress-making neighbor that is reliable enough
+// Retry takes the first progress-making neighbor that is reliable enough
 // rather than the best one: a carried packet is already late.
-func (r *Router) retry(pkt *netstack.Packet) routing.Hop {
+func (r *Router) Retry(pkt *netstack.Packet) routing.Hop {
 	if r.API.HasNeighbor(pkt.Dst) {
 		return routing.Forward(pkt.Dst)
 	}

@@ -52,14 +52,14 @@ func SeqNewer(a, b uint32) bool {
 	return int32(a-b) > 0
 }
 
-// Route is one distance-vector route entry.
+// Route is one distance-vector route entry, 48 bytes.
 type Route struct {
 	Dst      netstack.NodeID
 	NextHop  netstack.NodeID
 	Hops     int
 	Seq      uint32
-	Expiry   float64 // sim time after which the route is stale; 0 = none
 	Valid    bool
+	Expiry   float64 // sim time after which the route is stale; 0 = none
 	Lifetime float64 // predicted remaining path lifetime (mobility protocols)
 
 	// deadAt is the sim time the route died (0 while alive); the lazy
@@ -79,23 +79,22 @@ type Route struct {
 // otherwise linger forever.
 const routeRetention = 30.0
 
-// Table is a per-node route table. Dead entries (invalidated or expired)
-// are garbage-collected by a lazy sweep driven off the time-bearing
-// accessors (Lookup, AppendDestinations): once an entry has been dead for
-// the retention period it is deleted, bounding table growth under churn.
+// Table is a per-node route table; the zero table is empty. Dead entries
+// (invalidated or expired) are garbage-collected by a lazy sweep driven off
+// the time-bearing accessors (Lookup, AppendDestinations): once an entry has
+// been dead for the retention period it is deleted, bounding table growth
+// under churn. New entries are carved from chunks of half as many entries
+// as the table then holds, 4 to 32, and never move or are reused: a *Route
+// that Get or Lookup handed out stays valid while its holder keeps it.
 type Table struct {
-	routes map[netstack.NodeID]*Route
+	routes map[netstack.NodeID]*Route // made at the first Upsert
+	free   []Route                    // the last chunk's entries not yet carved
 	// lastNow is the latest sim time observed through any accessor;
 	// Invalidate (which takes no time argument) stamps death with it —
 	// exact whenever the protocol consults the table at the same event
 	// (they all do) and a safe under-estimate otherwise.
 	lastNow float64
 	sweepAt float64
-}
-
-// NewTable returns an empty route table.
-func NewTable() *Table {
-	return &Table{routes: make(map[netstack.NodeID]*Route)}
 }
 
 // observe advances the table's time bound and runs the lazy sweep at most
@@ -157,7 +156,7 @@ func (t *Table) Lookup(dst netstack.NodeID, now float64) (*Route, bool) {
 // Upsert inserts or replaces the entry for r.Dst and returns it. A
 // replacement overwrites the existing entry in place, so the pointer Get
 // and Lookup returned for r.Dst now reads r; only a new destination
-// allocates an entry.
+// carves an entry.
 func (t *Table) Upsert(r Route) *Route {
 	r.deadAt = 0
 	if !r.Valid {
@@ -165,7 +164,13 @@ func (t *Table) Upsert(r Route) *Route {
 	}
 	cur, ok := t.routes[r.Dst]
 	if !ok {
-		cur = new(Route)
+		if len(t.free) == 0 {
+			if t.routes == nil {
+				t.routes = make(map[netstack.NodeID]*Route)
+			}
+			t.free = make([]Route, min(max(len(t.routes)/2, 4), 32))
+		}
+		cur, t.free = &t.free[0], t.free[1:]
 		t.routes[r.Dst] = cur
 	}
 	*cur = r

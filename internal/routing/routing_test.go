@@ -79,7 +79,7 @@ func TestSeqNewer(t *testing.T) {
 }
 
 func TestTableLookup(t *testing.T) {
-	tb := NewTable()
+	tb := new(Table)
 	if _, ok := tb.Lookup(5, 0); ok {
 		t.Fatal("lookup on empty table")
 	}
@@ -103,7 +103,7 @@ func TestTableLookup(t *testing.T) {
 }
 
 func TestTableLookupExpiryEdges(t *testing.T) {
-	tb := NewTable()
+	tb := new(Table)
 	tb.Upsert(Route{Dst: 1, NextHop: 2, Expiry: 10, Valid: true})
 	// Expiry == now is inclusive: the route is still usable at the instant
 	// it expires (Lookup invalidates only strictly past it)
@@ -139,7 +139,7 @@ func TestTableLookupExpiryEdges(t *testing.T) {
 // linger as invalidated routes) must not grow the table forever. The lazy
 // sweep driven by Lookup deletes entries dead longer than the retention.
 func TestTableSweepBoundsGrowth(t *testing.T) {
-	tb := NewTable()
+	tb := new(Table)
 	now := 0.0
 	for i := 0; i < 1000; i++ {
 		dst := netstack.NodeID(i)
@@ -160,7 +160,7 @@ func TestTableSweepBoundsGrowth(t *testing.T) {
 }
 
 func TestTableSweepSparesLiveAndRecentRoutes(t *testing.T) {
-	tb := NewTable()
+	tb := new(Table)
 	tb.Upsert(Route{Dst: 1, NextHop: 2, Valid: true})              // alive forever
 	tb.Upsert(Route{Dst: 2, NextHop: 2, Expiry: 200, Valid: true}) // alive until 200
 	tb.Upsert(Route{Dst: 3, NextHop: 3, Valid: true})
@@ -192,7 +192,7 @@ func TestTableSweepSparesLiveAndRecentRoutes(t *testing.T) {
 // moment it died), not from its last table write — an entry that sat
 // untouched while alive still gets the full grace window dead.
 func TestTableSweepGraceFromDeath(t *testing.T) {
-	tb := NewTable()
+	tb := new(Table)
 	tb.Lookup(0, 0)                                               // arm the sweep clock
 	tb.Upsert(Route{Dst: 1, NextHop: 2, Expiry: 40, Valid: true}) // touched at 0
 	// dead only 5 s at the t=45 sweep: must survive
@@ -212,7 +212,7 @@ func TestTableSweepGraceFromDeath(t *testing.T) {
 // is stamped by the first sweep that observes it, so the entry still gets
 // a full grace window measured from that observation.
 func TestTableSweepGraceAfterDirectMutation(t *testing.T) {
-	tb := NewTable()
+	tb := new(Table)
 	tb.Lookup(0, 0) // arm the sweep clock
 	tb.Upsert(Route{Dst: 1, NextHop: 2, Seq: 7, Valid: true})
 	rt, _ := tb.Get(1)
@@ -242,7 +242,7 @@ func TestTableSweepGraceAfterDirectMutation(t *testing.T) {
 // keeps it.
 func TestTableUpsertInPlace(t *testing.T) {
 	t.Run("replace", func(t *testing.T) {
-		tb := NewTable()
+		tb := new(Table)
 		first := tb.Upsert(Route{Dst: 1, NextHop: 2, Hops: 3, Valid: true})
 		var got *Route
 		hop := netstack.NodeID(3)
@@ -260,7 +260,7 @@ func TestTableUpsertInPlace(t *testing.T) {
 		}
 	})
 	t.Run("dead-over-live", func(t *testing.T) {
-		tb := NewTable()
+		tb := new(Table)
 		tb.Lookup(0, 10) // sweeps at 10, next at 40
 		tb.Upsert(Route{Dst: 1, NextHop: 2, Seq: 4, Valid: true})
 		tb.Upsert(Route{Dst: 1, NextHop: 2, Seq: 5, Valid: false}) // dead at 10
@@ -274,7 +274,7 @@ func TestTableUpsertInPlace(t *testing.T) {
 		}
 	})
 	t.Run("live-over-dead", func(t *testing.T) {
-		tb := NewTable()
+		tb := new(Table)
 		tb.Lookup(0, 10)                                           // sweeps at 10, next at 40
 		tb.Upsert(Route{Dst: 1, NextHop: 2, Seq: 4, Valid: false}) // dead at 10
 		tb.Upsert(Route{Dst: 1, NextHop: 3, Seq: 6, Valid: true})
@@ -285,8 +285,58 @@ func TestTableUpsertInPlace(t *testing.T) {
 	})
 }
 
+// TestTableEntriesStayPut: new entries are carved from chunks the table
+// allocates, and an entry never moves and is never reused. So a pointer Get
+// handed out still reads its own destination after 100 more inserts and a
+// retention sweep, whether the sweep kept its entry or collected it, and 64
+// new destinations cost a handful of objects, not one each.
+func TestTableEntriesStayPut(t *testing.T) {
+	tb := new(Table)
+	tb.Lookup(0, 1)
+	var held []*Route
+	for d := netstack.NodeID(0); d < 10; d++ {
+		// the odd destinations are inserted dead at 1: the sweep at 40
+		// collects them
+		rt := tb.Upsert(Route{Dst: d, NextHop: 100 + d, Hops: int(d), Valid: d%2 == 0})
+		if got, _ := tb.Get(d); got != rt {
+			t.Fatalf("Get(%d) is not the entry Upsert wrote", d)
+		}
+		held = append(held, rt)
+	}
+	for d := netstack.NodeID(10); d < 110; d++ {
+		tb.Upsert(Route{Dst: d, NextHop: 1, Valid: true})
+	}
+	tb.Lookup(0, 40)
+	for d, rt := range held {
+		if rt.Dst != netstack.NodeID(d) || rt.NextHop != 100+netstack.NodeID(d) || rt.Hops != d {
+			t.Fatalf("the entry handed out for %d now reads %+v", d, *rt)
+		}
+		if got, ok := tb.Get(netstack.NodeID(d)); ok != (d%2 == 0) || ok && got != rt {
+			t.Fatalf("after the sweep Get(%d) = %p, %v; want the entry handed out while it lives", d, got, ok)
+		}
+	}
+	// what the index alone costs: the map growing to 64 keys
+	var same Route
+	index := testing.AllocsPerRun(10, func() {
+		m := make(map[netstack.NodeID]*Route)
+		for d := netstack.NodeID(0); d < 64; d++ {
+			m[d] = &same
+		}
+	})
+	n := testing.AllocsPerRun(10, func() {
+		tb := new(Table)
+		for d := netstack.NodeID(0); d < 64; d++ {
+			tb.Upsert(Route{Dst: d, NextHop: 1, Valid: true})
+		}
+	}) - index
+	t.Logf("64 new destinations: %v objects besides the map's", n)
+	if n > 10 {
+		t.Fatalf("64 new destinations cost %v objects besides the map's, want at most 10", n)
+	}
+}
+
 func TestTableInvalidate(t *testing.T) {
-	tb := NewTable()
+	tb := new(Table)
 	tb.Upsert(Route{Dst: 1, NextHop: 10, Valid: true})
 	tb.Upsert(Route{Dst: 2, NextHop: 10, Valid: true})
 	tb.Upsert(Route{Dst: 3, NextHop: 11, Valid: true})
@@ -348,11 +398,11 @@ func TestPendingQueue(t *testing.T) {
 
 // BenchmarkTableUpsert times the two writes a table-driven router makes:
 // a fresher route to a destination the table holds, written in place, and
-// a route to a new destination, which allocates its entry (the map keeps
-// its buckets across the clear every 1,024 inserts).
+// a route to a new destination, which carves its entry from the table's
+// chunk (the map keeps its buckets across the clear every 1,024 inserts).
 func BenchmarkTableUpsert(b *testing.B) {
 	b.Run("replace", func(b *testing.B) {
-		tb := NewTable()
+		tb := new(Table)
 		tb.Upsert(Route{Dst: 1, NextHop: 2, Valid: true})
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -362,7 +412,7 @@ func BenchmarkTableUpsert(b *testing.B) {
 	})
 	b.Run("insert", func(b *testing.B) {
 		const dsts = 1024
-		tb := NewTable()
+		tb := new(Table)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

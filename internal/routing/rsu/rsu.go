@@ -161,12 +161,7 @@ func (u *UnitRouter) handleData(pkt *netstack.Packet) {
 	}
 	// direct delivery if the destination is under our coverage
 	if u.API.HasNeighbor(pkt.Dst) {
-		pkt.TTL--
-		if pkt.Expired() {
-			u.API.Drop(pkt)
-			return
-		}
-		u.API.Send(pkt.Dst, pkt)
+		u.handOver(pkt)
 		return
 	}
 	// backbone transfer toward the RSU that owns the destination
@@ -183,15 +178,21 @@ func (u *UnitRouter) handleData(pkt *netstack.Packet) {
 // receiveFromBackbone accepts a packet transferred over the wire.
 func (u *UnitRouter) receiveFromBackbone(pkt *netstack.Packet) {
 	if u.API.HasNeighbor(pkt.Dst) {
-		pkt.TTL--
-		if pkt.Expired() {
-			u.API.Drop(pkt)
-			return
-		}
-		u.API.Send(pkt.Dst, pkt)
+		u.handOver(pkt)
 		return
 	}
 	u.buffer(pkt)
+}
+
+// handOver sends a packet to its destination, a neighbor, spending one TTL;
+// out of hops, it is dropped.
+func (u *UnitRouter) handOver(pkt *netstack.Packet) {
+	pkt.TTL--
+	if pkt.Expired() {
+		u.API.Drop(pkt)
+		return
+	}
+	u.API.Send(pkt.Dst, pkt)
 }
 
 func (u *UnitRouter) buffer(pkt *netstack.Packet) {
@@ -221,12 +222,7 @@ func (u *UnitRouter) flushBuffers() {
 		list := u.buffered[dst]
 		if u.API.HasNeighbor(dst) {
 			for _, pkt := range list {
-				pkt.TTL--
-				if pkt.Expired() {
-					u.API.Drop(pkt)
-					continue
-				}
-				u.API.Send(dst, pkt)
+				u.handOver(pkt)
 			}
 			delete(u.buffered, dst)
 			continue
@@ -277,12 +273,12 @@ type VehicleRouter struct {
 func NewVehicle() netstack.RouterFactory {
 	return func() netstack.Router {
 		v := &VehicleRouter{}
-		v.Init(5, v.route, v.retry)
+		v.Init(5, v)
 		return v
 	}
 }
 
-func (v *VehicleRouter) route(pkt *netstack.Packet) routing.Hop {
+func (v *VehicleRouter) NextHop(pkt *netstack.Packet) routing.Hop {
 	if v.API.HasNeighbor(pkt.Dst) {
 		return routing.Forward(pkt.Dst)
 	}
@@ -328,10 +324,10 @@ func (v *VehicleRouter) route(pkt *netstack.Packet) routing.Hop {
 	return routing.Carry()
 }
 
-// retry climbs the ladder the other way round for a packet V2V progress
+// Retry climbs the ladder the other way round for a packet V2V progress
 // already failed once: any RSU in range first, then any vehicle closer to
 // the destination.
-func (v *VehicleRouter) retry(pkt *netstack.Packet) routing.Hop {
+func (v *VehicleRouter) Retry(pkt *netstack.Packet) routing.Hop {
 	if v.API.HasNeighbor(pkt.Dst) {
 		return routing.Forward(pkt.Dst)
 	}

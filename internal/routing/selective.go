@@ -49,12 +49,12 @@ type Selective[P any] struct {
 // Init binds the protocol's rule.
 func (s *Selective[P]) Init(rule *Rule[P]) {
 	s.rule = rule
-	s.OnDemand.Init(rule.Timeout, s.request)
-	s.sel = NewSelection(rule.Window, s.answer)
+	s.OnDemand.Init(rule.Timeout, s)
+	s.sel = NewSelection[candidate](rule.Window, s)
 }
 
-func (s *Selective[P]) request(dst netstack.NodeID, reqID uint64) *netstack.Packet {
-	return s.Control(netstack.KindRREQ, netstack.Broadcast, s.rule.RequestSize,
+func (s *Selective[P]) NewRequest(dst netstack.NodeID, reqID uint64) *netstack.Packet {
+	return NewPacket(s.API, netstack.KindRREQ, netstack.Broadcast, s.rule.RequestSize,
 		Request[P]{Origin: s.API.Self(), ReqID: reqID, Target: dst, Path: s.rule.Start})
 }
 
@@ -68,7 +68,7 @@ func (s *Selective[P]) HandlePacket(pkt *netstack.Packet) {
 			s.rule.Renew(&s.Discovery, target, metric)
 		}
 	case netstack.KindData:
-		s.HandleData(pkt)
+		ForwardData(s.API, &s.table, pkt)
 	}
 }
 
@@ -100,9 +100,9 @@ func (s *Selective[P]) handleRequest(pkt *netstack.Packet) {
 	s.Rebroadcast(pkt, delay > 0, delay)
 }
 
-// answer installs the route back through the best candidate and replies
+// Answer installs the route back through the best candidate and replies
 // along it.
-func (s *Selective[P]) answer(origin netstack.NodeID, c candidate) {
+func (s *Selective[P]) Answer(origin netstack.NodeID, c candidate) {
 	s.Table().Upsert(s.rule.Route(s.API, origin, c.From, c.Hops, c.Metric))
 	s.Reply(c.From, origin, s.rule.ReplySize, c.Metric)
 }
@@ -121,8 +121,13 @@ type candidate struct {
 // arrives inside it is scored, and when it closes the best is answered.
 type Selection[T any] struct {
 	window float64
-	answer func(origin netstack.NodeID, best T)
+	answer Answerer[T]
 	open   map[DupKey]*bid[T] // made at the first Offer
+}
+
+// Answerer takes the winner of a Selection's window: the router.
+type Answerer[T any] interface {
+	Answer(origin netstack.NodeID, best T)
 }
 
 type bid[T any] struct {
@@ -132,7 +137,7 @@ type bid[T any] struct {
 
 // NewSelection returns a Selection that collects for window seconds and
 // hands the winner to answer.
-func NewSelection[T any](window float64, answer func(origin netstack.NodeID, best T)) Selection[T] {
+func NewSelection[T any](window float64, answer Answerer[T]) Selection[T] {
 	return Selection[T]{window: window, answer: answer}
 }
 
@@ -150,7 +155,7 @@ func (s *Selection[T]) Offer(api *netstack.API, key DupKey, score float64, val T
 		api.After(s.window, func() {
 			delete(s.open, key)
 			if b.score >= 0 {
-				s.answer(key.Origin, b.val)
+				s.answer.Answer(key.Origin, b.val)
 			}
 		})
 	}

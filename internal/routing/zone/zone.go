@@ -28,14 +28,14 @@ type Router struct {
 func New() netstack.RouterFactory {
 	return func() netstack.Router {
 		r := &Router{}
-		r.Init(r.inZone, r.stamp)
+		r.Init(r)
 		return r
 	}
 }
 
-// stamp gives the packet this node originates its zone; sending stays the
-// core's.
-func (r *Router) stamp(pkt *netstack.Packet, origin bool) bool {
+// Outbound gives the packet this node originates its zone; sending stays
+// the core's.
+func (r *Router) Outbound(pkt *netstack.Packet, origin bool) bool {
 	if origin {
 		src := r.API.Pos()
 		dst, _, ok := r.API.LookupPosition(pkt.Dst)
@@ -47,8 +47,8 @@ func (r *Router) stamp(pkt *netstack.Packet, origin bool) bool {
 	return false
 }
 
-// inZone is the rebroadcast rule: nodes outside the packet's zone stay
+// Relays is the rebroadcast rule: nodes outside the packet's zone stay
 // silent. Every data packet was stamped by its origin.
-func (r *Router) inZone(pkt *netstack.Packet) bool {
+func (r *Router) Relays(pkt *netstack.Packet) bool {
 	return pkt.Payload.(payload).Zone.Contains(r.API.Pos())
 }

@@ -116,14 +116,14 @@ func TestSourceRoutedPacketsComeFromThePool(t *testing.T) {
 // origin makes one probe record per ticket share, and a relay appends
 // itself to the record it was handed and sends packet and record on, so
 // only the extra shares of a ticket split make another. The objects
-// handleProbe and sendProbes allocate are those records: fewer than the
+// handleProbe and Request allocate are those records: fewer than the
 // probes sent, since most probes are sent on by a relay, and as many with
 // 40 packets per flow as with 4. A path copied or a payload boxed per hop
 // costs objects per probe sent.
 func TestProbeRecordsComeFromOriginsAndSplits(t *testing.T) {
 	probePlane := func(stack []string) bool {
 		return strings.HasSuffix(stack[0], "core.(*TicketRouter).handleProbe") ||
-			strings.HasSuffix(stack[0], "core.(*TicketRouter).sendProbes")
+			strings.HasSuffix(stack[0], "core.(*TicketRouter).Request")
 	}
 	few, fewRun := packetPathObjects(t, "TBP-SS", 4, probePlane)
 	many, manyRun := packetPathObjects(t, "TBP-SS", 40, probePlane)

@@ -83,9 +83,9 @@ func TestEveryDeclarationIsReached(t *testing.T) {
 }
 
 // A method reached only through one instantiation of a generic interface
-// is reached: the fixture's core takes its hooks as a Hooks[P], which no
-// source line names with its type argument, and its one dead function is
-// all the lint reports.
+// is reached: the fixture's core takes its hooks as a Hooks[P], and its
+// generic function Pick an Answerer[T], which no source line names with
+// their type arguments, and its one dead function is all the lint reports.
 func TestReachedThroughGenericInstance(t *testing.T) {
 	tree, err := loadSourceTree(filepath.Join("testdata", "reachlint"))
 	if err != nil {
@@ -128,19 +128,26 @@ func unreachedDecls(tree *sourceTree) map[string]site {
 	for _, dir := range tree.dirs {
 		c := tree.pkgs[dir]
 		// an instantiation of a generic interface is one of its own, and
-		// so is each that a method of a generic type's instance takes (a
-		// core's Init(Hooks[P]) bound to a protocol)
+		// so is each that a generic function's instance or a method of a
+		// generic type's instance takes (a core's Init(Hooks[P]) bound to
+		// a protocol, NewSelection[T](w, Answerer[T]))
+		addParams := func(sig *types.Signature) {
+			for j := 0; j < sig.Params().Len(); j++ {
+				addInterface(sig.Params().At(j).Type())
+			}
+		}
 		for _, inst := range c.info.Instances {
+			if sig, ok := inst.Type.(*types.Signature); ok {
+				addParams(sig)
+				continue
+			}
 			n, ok := inst.Type.(*types.Named)
 			if !ok {
 				continue
 			}
 			addInterface(n)
 			for i := 0; i < n.NumMethods(); i++ {
-				params := n.Method(i).Type().(*types.Signature).Params()
-				for j := 0; j < params.Len(); j++ {
-					addInterface(params.At(j).Type())
-				}
+				addParams(n.Method(i).Type().(*types.Signature))
 			}
 		}
 		main := c.pkg.Name() == "main"

@@ -25,3 +25,18 @@ func (Doubler) Fold(p int) int { return 2 * p }
 
 // unused is the fixture's one dead declaration.
 func unused() {}
+
+// Answerer is what a generic function hands its result to.
+type Answerer[T any] interface {
+	Answer(best T)
+}
+
+// Pick hands x to a.
+func Pick[T any](a Answerer[T], x T) { a.Answer(x) }
+
+// Keeper's Answer is reached only through the Answerer[int] that Pick[int]
+// takes.
+type Keeper struct{ Last *int }
+
+// Answer implements Answerer[int].
+func (k Keeper) Answer(best int) { *k.Last = best }
