@@ -1,12 +1,10 @@
 package core
 
 import (
-	"maps"
 	"slices"
 	"testing"
 
 	"github.com/vanetlab/relroute/internal/netstack"
-	"github.com/vanetlab/relroute/internal/routing"
 	"github.com/vanetlab/relroute/internal/routing/routetest"
 )
 
@@ -36,25 +34,56 @@ func TestNeighborExpiryDeletesThePathsThroughTheLostHop(t *testing.T) {
 		dsts[4]: {self, lost, dsts[4]},
 		dsts[5]: {self, kept, dsts[5]},
 	}
-	if src.paths != nil {
-		t.Fatal("paths made before the first reply")
-	}
-	src.paths = make(map[netstack.NodeID]*activePath)
 	for dst, path := range via {
-		src.paths[dst] = &activePath{route: routing.SourceRoute{Path: path}}
+		src.Learn(dst, path)
 	}
 	breaks := w.Collector().RouteBreaks
 	src.OnNeighborExpired(lost)
 	if got := w.Collector().RouteBreaks - breaks; got != 3 {
 		t.Fatalf("%d route breaks counted, want 3", got)
 	}
-	got := slices.Sorted(maps.Keys(src.paths))
-	if want := []netstack.NodeID{dsts[1], dsts[3], dsts[5]}; !slices.Equal(got, want) {
-		t.Fatalf("paths left to %v, want %v", got, want)
-	}
-	for _, dst := range got {
-		if p := src.paths[dst].route.Path; !slices.Equal(p, via[dst]) {
-			t.Fatalf("path to %d became %v, want %v", dst, p, via[dst])
+	for _, dst := range dsts {
+		path, ok := src.Route(dst)
+		if keep := via[dst][1] != lost; ok != keep {
+			t.Fatalf("route to %d held = %v, want %v", dst, ok, keep)
 		}
+		if ok && !slices.Equal(path, via[dst]) {
+			t.Fatalf("path to %d became %v, want %v", dst, path, via[dst])
+		}
+	}
+}
+
+// TestBreakNoticeCountsAHeldRoute: a break notice at its origin forgets the
+// route it names and counts one route break. A second notice for the route
+// already forgotten counts none, and neither does a notice at a relay.
+func TestBreakNoticeCountsAHeldRoute(t *testing.T) {
+	var routers []*TicketRouter
+	tickets := NewTicketRouter()
+	w, ids := routetest.World(t, 1, routetest.Chain(3, 100, 0), func() netstack.Router {
+		r := tickets().(*TicketRouter)
+		routers = append(routers, r)
+		return r
+	})
+	src, relay, dst := routers[0], routers[1], ids[2]
+	src.Learn(dst, slices.Clone(ids))
+	notice := func(at *TicketRouter) int {
+		breaks := w.Collector().RouteBreaks
+		pkt := at.API.NewPacket()
+		*pkt = netstack.Packet{Kind: netstack.KindRERR, Src: ids[1], Dst: ids[0], From: ids[1], To: at.API.Self(),
+			TTL: 32, Hops: 1, Size: 24, Payload: breakNotice{Origin: ids[0], Target: dst}}
+		at.HandlePacket(pkt)
+		return w.Collector().RouteBreaks - breaks
+	}
+	if n := notice(relay); n != 0 {
+		t.Fatalf("a notice at a relay counted %d route breaks, want 0", n)
+	}
+	if n := notice(src); n != 1 {
+		t.Fatalf("a notice at the origin counted %d route breaks, want 1", n)
+	}
+	if path, ok := src.Route(dst); ok {
+		t.Fatalf("the origin still holds %v after the notice", path)
+	}
+	if n := notice(src); n != 0 {
+		t.Fatalf("a notice for a forgotten route counted %d route breaks, want 0", n)
 	}
 }

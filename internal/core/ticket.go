@@ -63,14 +63,12 @@ const (
 // copy a failed first hop hands the origin, which waits in the discovery
 // queue for the next path.
 type TicketRouter struct {
-	routing.Discovery
+	// the source-side active paths: dst → self ... dst
+	routing.SourceRouted
 	tickets int
 	metric  Metric
 	scorer  func(api *netstack.API, nb netstack.Neighbor, stability float64) float64
 
-	// source-side active paths: dst → source route + predicted stability;
-	// made at the first reply
-	paths map[netstack.NodeID]*activePath
 	// destination-side probe collection: the most stable path wins
 	sel routing.Selection[bestPath]
 
@@ -95,13 +93,6 @@ type stabilityMemo struct {
 	beacons  int32
 	lastSeen float64
 	val      float64
-}
-
-// activePath is a probed route in use: route is the header every data
-// packet sent on it carries.
-type activePath struct {
-	route     routing.SourceRoute // self ... dst inclusive
-	stability float64
 }
 
 type bestPath struct {
@@ -146,23 +137,13 @@ func NewTicketRouter(opts ...TicketOption) netstack.RouterFactory {
 	}
 }
 
-func (r *TicketRouter) Routed(dst netstack.NodeID) bool {
-	ap, ok := r.paths[dst]
-	return ok && len(ap.route.Path) >= 2
-}
-
-// Forward stamps the active source route on a data packet and sends it.
-func (r *TicketRouter) Forward(pkt *netstack.Packet) {
-	routing.SendSourceRouted(r.API, pkt, &r.paths[pkt.Dst].route)
-}
-
 // Request performs the source's ticket split: rank neighbors by link
 // stability (filtered by the threshold and, when the destination position
 // is known, by forward progress), then distribute the L tickets over the
 // best L candidates. A round starts while a path is held only when a
 // renewal starts it, and a renewal probes anew, so the old path is dropped.
 func (r *TicketRouter) Request(dst netstack.NodeID, reqID uint64) bool {
-	delete(r.paths, dst)
+	r.Forget(dst)
 	self := r.API.Self()
 	var ranked [rankBuf]candidate
 	cands := r.candidates(dst, []netstack.NodeID{self}, r.tickets, ranked[:0])
@@ -386,12 +367,10 @@ func (r *TicketRouter) HandlePacket(pkt *netstack.Packet) {
 	}
 }
 
+// handleProbe takes a probe at a relay or its target. candidates skip every
+// node on a probe's path, which its origin heads, so the origin gets none.
 func (r *TicketRouter) handleProbe(pkt *netstack.Packet) {
 	pr := pkt.Payload.(*probe)
-	if pr.Origin == r.API.Self() {
-		r.API.Release(pkt)
-		return
-	}
 	// Fold in the stability of the link just traversed, as measured at
 	// the receiving end (the survey's probing is per-link, both ends see
 	// the beacons).
@@ -436,12 +415,10 @@ func (r *TicketRouter) handleProbe(pkt *netstack.Packet) {
 	r.API.Send(funded[last].id, pkt)
 }
 
-// Answer returns the best probed path to the origin.
+// Answer returns the best probed path to the origin. A probe's path holds
+// its origin and its target, this node, so it has a hop back.
 func (r *TicketRouter) Answer(origin netstack.NodeID, best bestPath) {
 	path := best.hops
-	if len(path) < 2 {
-		return
-	}
 	r.API.Send(path[len(path)-2], routing.NewPacket(r.API, netstack.KindRREP, origin, 32+4*len(path),
 		reply{Origin: origin, Target: r.API.Self(), Path: path, Stability: best.stability}))
 }
@@ -450,12 +427,7 @@ func (r *TicketRouter) handleReply(pkt *netstack.Packet) {
 	rep := pkt.Payload.(reply)
 	if r.API.Self() == rep.Origin {
 		stab := rep.Stability
-		if r.paths == nil {
-			r.paths = make(map[netstack.NodeID]*activePath)
-		}
-		r.paths[rep.Target] = &activePath{
-			route: routing.SourceRoute{Path: append([]netstack.NodeID(nil), rep.Path...)}, stability: stab,
-		}
+		r.Learn(rep.Target, append([]netstack.NodeID(nil), rep.Path...))
 		r.API.Metrics().OnPathLifetime(routing.CapLife(stab))
 		r.Answered(rep.Target)
 		// stability-driven preemptive rebuild
@@ -476,24 +448,17 @@ type breakNotice struct {
 func (r *TicketRouter) handleBreak(pkt *netstack.Packet) {
 	bn := pkt.Payload.(breakNotice)
 	r.API.Release(pkt)
-	if bn.Origin != r.API.Self() {
-		return
-	}
-	if _, okP := r.paths[bn.Target]; okP {
-		delete(r.paths, bn.Target)
+	if bn.Origin == r.API.Self() && r.Forget(bn.Target) {
 		r.API.Metrics().RouteBreaks++
 		r.Start(bn.Target)
 	}
 }
 
-// reportBreak unicasts a break notice back toward the origin along the
-// upstream part of the source route, whose link out of this node, at index
-// selfIdx, broke.
+// reportBreak unicasts a break notice to the node before index selfIdx > 0
+// on the source route. The receiver relays it no further, so it reaches
+// the origin only from a break one hop away.
 func (r *TicketRouter) reportBreak(hdr *routing.SourceRoute, selfIdx int) {
 	path := hdr.Path
-	if selfIdx <= 0 || selfIdx >= len(path) {
-		return
-	}
 	origin, target := path[0], path[len(path)-1]
 	r.API.Send(path[selfIdx-1], routing.NewPacket(r.API, netstack.KindRERR, origin, 24,
 		breakNotice{Origin: origin, Target: target}))
@@ -511,9 +476,7 @@ func (r *TicketRouter) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
 	}
 	if r.API.Self() == hdr.Path[0] {
 		// origin: rebuild and requeue this packet
-		target := pkt.Dst
-		if _, okP := r.paths[target]; okP {
-			delete(r.paths, target)
+		if r.Forget(pkt.Dst) {
 			r.API.Metrics().RouteBreaks++
 		}
 		pkt.Payload = nil
@@ -532,19 +495,5 @@ func (r *TicketRouter) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
 // first hop died are forgotten, each a route break. Data that waits for a
 // destination always has a discovery in flight, so none is started here.
 func (r *TicketRouter) OnNeighborExpired(id netstack.NodeID) {
-	for dst, ap := range r.paths {
-		if len(ap.route.Path) >= 2 && ap.route.Path[1] == id {
-			delete(r.paths, dst)
-			r.API.Metrics().RouteBreaks++
-		}
-	}
-}
-
-// ActivePath exposes the current source route for tests.
-func (r *TicketRouter) ActivePath(dst netstack.NodeID) ([]netstack.NodeID, float64, bool) {
-	ap, ok := r.paths[dst]
-	if !ok {
-		return nil, 0, false
-	}
-	return append([]netstack.NodeID(nil), ap.route.Path...), ap.stability, true
+	r.API.Metrics().RouteBreaks += r.ForgetLink(r.API.Self(), id)
 }

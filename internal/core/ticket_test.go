@@ -116,14 +116,14 @@ func TestPicksStablePathAmongCandidates(t *testing.T) {
 	if err := w.Run(7); err != nil {
 		t.Fatal(err)
 	}
-	path, stability, ok := routers[0].ActivePath(ids[3])
+	path, ok := routers[0].Route(ids[3])
 	if !ok {
 		t.Fatal("source holds no active path")
 	}
 	if len(path) != 3 || path[1] != ids[1] {
 		t.Fatalf("active path = %v, want via stable relay %d", path, ids[1])
 	}
-	if stability <= 0 {
+	if stability := w.Collector().MeanPathLifetime(); stability <= 0 {
 		t.Fatalf("path stability = %v", stability)
 	}
 }

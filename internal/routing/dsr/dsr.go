@@ -2,8 +2,8 @@
 // source-routed member of the survey's connectivity category: RREQs flood
 // outward accumulating the traversed node list, the destination returns
 // the complete route in an RREP, and data packets carry their full route
-// in the header. Route caches answer later discoveries, and RERRs truncate
-// caches when a listed link dies.
+// in the header. Routes are cached in routing.SourceRouted, as the ticket
+// routers' are, and RERRs truncate the cache when a listed link dies.
 //
 // A packet has one holder at a time: every packet whose journey ends here —
 // a request already seen or looping, a reply at its origin, an error once
@@ -19,9 +19,9 @@ import (
 
 // Router is a per-node DSR instance.
 type Router struct {
-	routing.Discovery
-	cache map[netstack.NodeID]*routing.SourceRoute // dst → full path self→...→dst, the header data carries; made at the first path
-	dup   routing.DupCache
+	// the route cache: dst → self ... dst
+	routing.SourceRouted
+	dup routing.DupCache
 }
 
 // rreq accumulates the traversed route.
@@ -54,17 +54,6 @@ func New() netstack.RouterFactory {
 	}
 }
 
-// Routed: a cached path always runs from this node to another one.
-func (r *Router) Routed(dst netstack.NodeID) bool {
-	hdr, ok := r.cache[dst]
-	return ok && len(hdr.Path) >= 2
-}
-
-// Forward stamps the cached source route on a data packet and sends it.
-func (r *Router) Forward(pkt *netstack.Packet) {
-	routing.SendSourceRouted(r.API, pkt, r.cache[pkt.Dst])
-}
-
 func (r *Router) Request(dst netstack.NodeID, reqID uint64) bool {
 	pkt := routing.NewPacket(r.API, netstack.KindRREQ, netstack.Broadcast, 40, rreq{
 		Origin: r.API.Self(), ReqID: reqID, Target: dst,
@@ -91,8 +80,7 @@ func (r *Router) HandlePacket(pkt *netstack.Packet) {
 
 func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	req := pkt.Payload.(rreq)
-	if req.Origin == r.API.Self() ||
-		slices.Contains(req.Path, r.API.Self()) || // loop
+	if slices.Contains(req.Path, r.API.Self()) || // a loop, or back at its origin, which heads the path
 		r.dup.Seen(routing.DupKey{Origin: req.Origin, Seq: req.ReqID}, r.API.Now()) {
 		r.API.Release(pkt)
 		return
@@ -106,7 +94,7 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 		// back along it
 		back := slices.Clone(path)
 		slices.Reverse(back)
-		r.learn(req.Origin, back)
+		r.Learn(req.Origin, back)
 		r.API.Send(path[len(path)-2], routing.NewPacket(r.API, netstack.KindRREP, req.Origin, 24+4*len(path),
 			rrep{Origin: req.Origin, Target: req.Target, Path: path}))
 		r.API.Release(pkt)
@@ -128,7 +116,7 @@ func (r *Router) handleRREP(pkt *netstack.Packet) {
 	rep := pkt.Payload.(rrep)
 	idx := slices.Index(rep.Path, r.API.Self()) // a reply is unicast along its path
 	// learn the downstream sub-path
-	r.learn(rep.Target, rep.Path[idx:])
+	r.Learn(rep.Target, rep.Path[idx:])
 	if r.API.Self() == rep.Origin {
 		r.Answered(rep.Target)
 		r.API.Release(pkt)
@@ -137,31 +125,10 @@ func (r *Router) handleRREP(pkt *netstack.Packet) {
 	routing.RelayBack(r.API, pkt, rep.Path, idx)
 }
 
-// learn caches path, from this node to dst, as the route to dst.
-func (r *Router) learn(dst netstack.NodeID, path []netstack.NodeID) {
-	if r.cache == nil {
-		r.cache = make(map[netstack.NodeID]*routing.SourceRoute)
-	}
-	r.cache[dst] = &routing.SourceRoute{Path: path}
-}
-
 func (r *Router) handleRERR(pkt *netstack.Packet) {
 	er := pkt.Payload.(rerr)
-	r.truncateCaches(er.From, er.To)
+	r.ForgetLink(er.From, er.To)
 	r.API.Release(pkt)
-}
-
-// truncateCaches removes every cached path that uses the dead link.
-func (r *Router) truncateCaches(from, to netstack.NodeID) {
-	for dst, hdr := range r.cache {
-		path := hdr.Path
-		for i := 0; i+1 < len(path); i++ {
-			if path[i] == from && path[i+1] == to {
-				delete(r.cache, dst)
-				break
-			}
-		}
-	}
 }
 
 // brokenHop reports a source route that broke here, at index idx, on the
@@ -170,12 +137,15 @@ func (r *Router) brokenHop(hdr *routing.SourceRoute, idx int) {
 	r.reportBreak(hdr.Path[0], r.API.Self(), hdr.Path[idx+1])
 }
 
-// reportBreak unicasts an RERR toward the origin and truncates own caches.
+// reportBreak forgets the routes over the dead link from → to and sends an
+// RERR naming it to the first hop of this node's route to origin, or, with
+// no route, broadcasts it one hop. A receiver relays it no further, so it
+// reaches the origin only from a break one hop away.
 func (r *Router) reportBreak(origin, from, to netstack.NodeID) {
-	r.truncateCaches(from, to)
+	r.ForgetLink(from, to)
 	pkt := routing.NewPacket(r.API, netstack.KindRERR, origin, 28, rerr{From: from, To: to, Origin: origin})
-	if r.Routed(origin) {
-		r.API.Send(r.cache[origin].Path[1], pkt)
+	if path, ok := r.Route(origin); ok {
+		r.API.Send(path[1], pkt)
 		return
 	}
 	// fall back to a 1-hop broadcast so at least upstream neighbors learn
@@ -185,10 +155,10 @@ func (r *Router) reportBreak(origin, from, to netstack.NodeID) {
 
 // OnNeighborExpired implements netstack.Router.
 func (r *Router) OnNeighborExpired(id netstack.NodeID) {
-	r.truncateCaches(r.API.Self(), id)
+	r.ForgetLink(r.API.Self(), id)
 }
 
-// OnSendFailed implements netstack.Router: truncate caches over the dead
+// OnSendFailed implements netstack.Router: forget the routes over the dead
 // link and send the RERR the in-band salvage check would have sent. The
 // packet, data or control, ends here.
 func (r *Router) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
@@ -197,10 +167,7 @@ func (r *Router) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
 		r.API.Metrics().RouteBreaks++
 		r.reportBreak(hdr.Path[0], r.API.Self(), to)
 	} else {
-		r.truncateCaches(r.API.Self(), to)
+		r.ForgetLink(r.API.Self(), to)
 	}
 	r.API.Drop(pkt)
 }
-
-// CacheLen exposes the cache size for tests.
-func (r *Router) CacheLen() int { return len(r.cache) }

@@ -1,6 +1,7 @@
 package dsr_test
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/vanetlab/relroute/internal/geom"
@@ -46,8 +47,8 @@ func TestCachePopulatedAtIntermediates(t *testing.T) {
 	if err := w.Run(6); err != nil {
 		t.Fatal(err)
 	}
-	if routers[1].CacheLen() == 0 {
-		t.Fatal("relay cache empty after forwarding an RREP")
+	if path, ok := routers[1].Route(ids[3]); !ok || !slices.Equal(path, ids[1:]) {
+		t.Fatalf("relay's route to the target = %v, %v after forwarding an RREP; want %v", path, ok, ids[1:])
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 // twice if nothing answers within the timeout, and after the third silence
 // the queue is dropped. What "has a route" means, how data leaves on one,
 // and what a request looks like are the protocol's DiscoveryHooks, bound
-// once in Init: a route table (OnDemand), a path cache (DSR), a probed
-// source route (the ticket router).
+// once in Init: a route table (OnDemand), or a whole path (SourceRouted,
+// for DSR's cache and the ticket router's probed routes).
 //
 // A queued packet is the queue's alone, so Discovery hands back to the
 // stack's pool every packet it drops — evicted from a full queue, expired,

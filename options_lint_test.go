@@ -27,9 +27,7 @@ const modulePath = "github.com/vanetlab/relroute"
 // relative to the repository root, that needs it. An entry whose
 // declaration is gone, or is now reached, fails the lint.
 var testOnlyReached = map[string]string{
-	"core.TicketRouter.ActivePath": "internal/core/ticket_test.go",
 	"rsu.UnitRouter.Buffered":      "internal/routing/rsu/rsu_test.go",
-	"dsr.Router.CacheLen":          "internal/routing/dsr/dsr_test.go",
 	"dsdv.Router.Table":            "internal/routing/dsdv/dsdv_test.go",
 	"car.DensityMap.Density":       "internal/routing/car/car_test.go",
 	"linkstate.Monitor.MemoStats":  "internal/netstack/actives_test.go",
