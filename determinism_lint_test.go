@@ -54,10 +54,11 @@ func TestNoMapRangeOnTheEventPath(t *testing.T) {
 }
 
 // TestNoPacketUseAfterSend parses every non-test file under lintedTrees
-// and fails when a statement after X.Send(to, p), X.Drop(p) or
-// X.Release(p), in the same block, mentions p, in a closure or not. All
-// three take the packet: Drop and Release hand it back to the stack's pool
-// at once, and Send once the MAC is done with the frame, so a later read
+// and fails when a statement after X.Send(to, p), X.SendAfter(d, to, p),
+// X.Drop(p) or X.Release(p), in the same block, mentions p, in a closure or
+// not. All four take the packet: Drop and Release hand it back to the
+// stack's pool at once, and Send and SendAfter once the MAC is done with
+// the frame, so a later read
 // or write reaches whatever packet the pool hands out next, and no golden
 // shows it. A router that needs the packet again keeps a copy of its own
 // (NewPacket, then *cp = *pkt) and sends the packet it was handed; one
@@ -181,8 +182,8 @@ func payloadAliases(body *ast.BlockStmt) map[string][]string {
 }
 
 // takenPacket is p's text and the call's name when stmt is X.Send(to, p),
-// X.Drop(p) or X.Release(p) with p a name or a path of names, and "", ""
-// otherwise.
+// X.SendAfter(d, to, p), X.Drop(p) or X.Release(p) with p a name or a path
+// of names, and "", "" otherwise.
 func takenPacket(stmt ast.Stmt) (p, verb string) {
 	es, ok := stmt.(*ast.ExprStmt)
 	if !ok {
@@ -197,7 +198,8 @@ func takenPacket(stmt ast.Stmt) (p, verb string) {
 		return "", ""
 	}
 	switch verb, args := sel.Sel.Name, len(call.Args); {
-	case verb == "Send" && args == 2, (verb == "Drop" || verb == "Release") && args == 1:
+	case verb == "Send" && args == 2, verb == "SendAfter" && args == 3,
+		(verb == "Drop" || verb == "Release") && args == 1:
 		switch arg := call.Args[args-1].(type) {
 		case *ast.Ident, *ast.SelectorExpr:
 			return types.ExprString(arg), verb

@@ -11,7 +11,7 @@
 //	run.go         Run / StartRun / AdvanceTo / CompleteRun and step, the per-tick phases
 //	beacon.go      the HELLO plane: ticker, send (with its packet pool), reception
 //	flow.go        CBR application flows, by node ID or by vehicle ID
-//	frame.go       Send → MAC → dispatch / txFailed / frameDone, and the packet pool
+//	frame.go       Send → MAC → dispatch / txFailed / frameDone, delayed sends, the packet pool
 //	location.go    the idealised location service
 //	digest.go      DigestInto by layer and the RNG stream table
 //	audit.go       ground-truth link audit (opt-in)

@@ -17,10 +17,12 @@ type everyRouter struct {
 
 func (r *everyRouter) Attach(api *API) {
 	r.Base.Attach(api)
-	api.Every(0.3, 0.5, func() {
-		r.log = append(r.log, fmt.Sprintf("tick %.1f", api.Now()))
-		api.After(0.5, func() { r.log = append(r.log, fmt.Sprintf("after %.1f", api.Now())) })
-	})
+	api.Every(0.3, 0.5, r)
+}
+
+func (r *everyRouter) Tick() {
+	r.log = append(r.log, fmt.Sprintf("tick %.1f", r.API.Now()))
+	r.API.After(0.5, func() { r.log = append(r.log, fmt.Sprintf("after %.1f", r.API.Now())) })
 }
 
 // TestEveryRunsFnThenReschedules pins the order Every keeps: the first run

@@ -34,7 +34,7 @@ func (w *World) putPacket(p *Packet) {
 // transmit recycles it here.
 func (w *World) sendFrame(n *node, to NodeID, pkt *Packet) {
 	if !n.active {
-		w.putPacket(pkt)
+		w.sent(pkt)
 		return
 	}
 	pkt.From = n.id
@@ -53,6 +53,38 @@ func (w *World) sendFrame(n *node, to NodeID, pkt *Packet) {
 		macTo = int32(to)
 	}
 	w.mac.Send(mac.Frame{From: int32(n.id), To: macTo, Size: pkt.Size, Payload: pkt})
+}
+
+// delayedSend is a packet API.SendAfter holds until its send: the node
+// that sends it and the link destination.
+type delayedSend struct {
+	n   *node
+	to  NodeID
+	pkt *Packet
+}
+
+// sendAfter holds (n, to, pkt) in a free slot of the delayed slab and
+// schedules its send d seconds from now.
+func (w *World) sendAfter(d float64, n *node, to NodeID, pkt *Packet) {
+	var i int32
+	if k := len(w.delayedFree); k > 0 {
+		i = w.delayedFree[k-1]
+		w.delayedFree = w.delayedFree[:k-1]
+	} else {
+		i = int32(len(w.delayed))
+		w.delayed = append(w.delayed, delayedSend{})
+	}
+	w.delayed[i] = delayedSend{n: n, to: to, pkt: pkt}
+	w.eng.AfterCall(d, w.delayedH, i)
+}
+
+// sendDelayed is the delayed send in slot i: the slot is read and freed
+// before the packet is sent.
+func (w *World) sendDelayed(i int32) {
+	d := w.delayed[i]
+	w.delayed[i] = delayedSend{}
+	w.delayedFree = append(w.delayedFree, i)
+	w.sendFrame(d.n, d.to, d.pkt)
 }
 
 // dispatch is the MAC upcall: filter by link destination, consume beacons,
@@ -100,12 +132,32 @@ func (w *World) txFailed(from int32, f mac.Frame) {
 // frameDone is the MAC's frame-lifecycle hook: by the time it fires, every
 // receiver upcall for the frame has run, so the frame's packet, which only
 // the stack holds, is recycled: a beacon to its own free list, anything
-// else to the pool.
+// else, with its payload, through sent.
 func (w *World) frameDone(f mac.Frame) {
 	pkt := f.Payload.(*Packet)
 	if pkt.Kind == KindHello {
 		w.helloFree = append(w.helloFree, pkt)
 	} else {
-		w.putPacket(pkt)
+		w.sent(pkt)
 	}
+}
+
+// Recycler is a payload that goes back to its maker's free list once the
+// packet it was sent in is done with: the stack calls Recycle on the
+// payload of a packet a router passed to Send, when the MAC is done with
+// its frame (after every receiver has read it) or at once when the sender
+// cannot transmit. A receiver's copy, a dropped or a released packet never
+// recycles its payload: only the sender's own packet does. Only a
+// broadcast payload may implement it, since a unicast one outlives its
+// frame at the addressee (or at the sender, through OnSendFailed).
+type Recycler interface {
+	Recycle()
+}
+
+// sent recycles a packet a router passed to Send, its payload first.
+func (w *World) sent(pkt *Packet) {
+	if r, ok := pkt.Payload.(Recycler); ok {
+		r.Recycle()
+	}
+	w.putPacket(pkt)
 }

@@ -62,12 +62,16 @@ type Packet struct {
 	Created float64 // origination time, seconds
 	// Payload is the protocol-private extension, shared by every copy of
 	// the packet. A broadcast payload reaches every receiver, so it is
-	// shared and immutable. A unicast payload has one holder at a time:
-	// the addressee, once the frame got through (the MAC then retries
-	// nothing), or the sender again through OnSendFailed, once every
-	// attempt failed. So a router that sends a payload once may extend
-	// the unicast payload it was handed before sending it on; one sent
-	// more than once, such as a route header many data packets share,
+	// shared and immutable, and no receiver keeps it past HandlePacket: a
+	// relay sends a payload of its own, and a router that needs a value
+	// from it copies the value. So a sender may take the payload back once
+	// the frame is done: a payload that implements Recycler is handed back
+	// then (a selective RREQ, a DSDV dump). A unicast payload has one
+	// holder at a time: the addressee, once the frame got through (the MAC
+	// then retries nothing), or the sender again through OnSendFailed,
+	// once every attempt failed. So a router that sends a payload once may
+	// extend the unicast payload it was handed before sending it on; one
+	// sent more than once, such as a route header many data packets share,
 	// stays immutable.
 	Payload any
 }

@@ -1,6 +1,7 @@
 package netstack
 
 import (
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -131,13 +132,15 @@ func (r *poolFlooder) HandlePacket(pkt *Packet) {
 // once a run has drained every pool packet is back in the free list.
 type sinkRouter struct {
 	Base
-	got int
+	got  int
+	uids []uint64
 }
 
 func (r *sinkRouter) NeedsBeacons() bool    { return false }
 func (r *sinkRouter) Originate(NodeID, int) {}
 func (r *sinkRouter) HandlePacket(pkt *Packet) {
 	r.got++
+	r.uids = append(r.uids, pkt.UID)
 	r.API.Release(pkt)
 }
 
@@ -353,4 +356,90 @@ func TestHeldCopyStaysOutOfThePool(t *testing.T) {
 			t.Fatal("the kept copy is in the free list")
 		}
 	}
+}
+
+// counted is a payload that counts how often it was handed back.
+type counted struct{ recycled int }
+
+func (c *counted) Recycle() { c.recycled++ }
+
+// A sent payload is handed back once, when its frame is done, after the
+// receiver has read and released its copy, or at once when the sender
+// cannot transmit; a receiver's copy, a dropped and a released packet
+// never hand theirs back.
+func TestSentPayloadRecycledAtFrameDone(t *testing.T) {
+	w, routers, newPkt := sinkWorld(t, mac.Config{})
+	var sent, kept counted
+	w.eng.At(1, func() {
+		pkt := newPkt()
+		pkt.Payload = &sent
+		routers[0].API.Send(Broadcast, pkt)
+		if sent.recycled != 0 {
+			t.Error("a payload still queued was handed back")
+		}
+	})
+	if err := w.Run(2); err != nil {
+		t.Fatal(err)
+	}
+	if routers[1].got != 1 || sent.recycled != 1 {
+		t.Fatalf("%d receptions, payload handed back %d times; want 1 and once", routers[1].got, sent.recycled)
+	}
+	dropped, released := newPkt(), newPkt()
+	dropped.Payload, released.Payload = &kept, &kept
+	routers[0].API.Drop(dropped)
+	routers[0].API.Release(released)
+	if kept.recycled != 0 {
+		t.Fatalf("a dropped and a released packet handed their payload back %d times", kept.recycled)
+	}
+	if !w.CrashNode(routers[0].API.Self()) {
+		t.Fatal("the sender did not crash")
+	}
+	pkt := newPkt()
+	pkt.Payload = &sent
+	routers[0].API.Send(Broadcast, pkt)
+	if sent.recycled != 2 {
+		t.Fatalf("a crashed sender's payload was handed back %d times in all, want 2", sent.recycled)
+	}
+	checkFreeList(t, w, pkt)
+}
+
+// Delayed sends in flight at once each keep their own packet until its
+// time, whatever order they were made in; each packet comes back once, and
+// a second round reuses the slots of the first. A crashed sender's delayed
+// packet comes back at its time, unsent.
+func TestSendAfterHoldsEachPacket(t *testing.T) {
+	w, routers, newPkt := sinkWorld(t, mac.Config{})
+	api := routers[0].API
+	var pkts []*Packet
+	round := func(at float64) {
+		w.eng.At(at, func() {
+			for _, d := range []float64{0.3, 0.1, 0.2} {
+				pkt := newPkt()
+				pkts = append(pkts, pkt)
+				api.SendAfter(d, Broadcast, pkt)
+			}
+		})
+		if err := w.Run(at + 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round(1)
+	round(2)
+	if want := []uint64{2, 3, 1, 5, 6, 4}; !slices.Equal(routers[1].uids, want) {
+		t.Fatalf("the receiver got UIDs %v, want %v", routers[1].uids, want)
+	}
+	checkFreeList(t, w, pkts...)
+	if len(w.delayed) != 3 || len(w.delayedFree) != 3 {
+		t.Fatalf("%d slots, %d free after two rounds of three; want 3 and 3", len(w.delayed), len(w.delayedFree))
+	}
+	pkt := newPkt()
+	api.SendAfter(0.1, Broadcast, pkt)
+	w.CrashNode(api.Self())
+	if err := w.Run(3); err != nil {
+		t.Fatal(err)
+	}
+	if routers[1].got != 6 {
+		t.Fatalf("the receiver got %d packets, want none from the crashed sender", routers[1].got-6)
+	}
+	checkFreeList(t, w, pkt)
 }

@@ -130,24 +130,39 @@ func (a *API) AppendLinkStates(dst []LinkState) []LinkState {
 // Release, and touches it no more after that, not in a retry buffer and
 // not in a timer closure. The stack recycles the packet through the free
 // list once the MAC reports the frame done — after every receiver has been
-// handed its own copy — or at once when this node cannot transmit. A router
-// that needs the packet again keeps a copy of its own (NewPacket, then
-// *cp = *pkt).
+// handed its own copy — or at once when this node cannot transmit, and
+// hands back its payload then if that is a Recycler. A router that needs
+// the packet again keeps a copy of its own (NewPacket, then *cp = *pkt).
 func (a *API) Send(to NodeID, pkt *Packet) {
 	a.world.sendFrame(a.node, to, pkt)
+}
+
+// SendAfter is Send, d seconds from now: the stack holds the packet until
+// then, in a slot of its own, and sends it through one handler event, so a
+// delayed send allocates nothing. It takes the packet as Send does, and a
+// node that cannot transmit by then has it recycled. The send is not
+// cancellable.
+func (a *API) SendAfter(d float64, to NodeID, pkt *Packet) {
+	a.world.sendAfter(d, a.node, to, pkt)
 }
 
 // After schedules fn after d seconds; the returned timer can be cancelled.
 func (a *API) After(d float64, fn func()) sim.TimerID { return a.world.eng.After(d, fn) }
 
-// Every runs fn first seconds from now and then every period seconds for
-// the rest of the run: sim.Engine.Ticker without jitter, which reschedules
-// at now + period once fn returns. There is no stop handle, because no
-// periodic router job (a carry sweep, a table dump, an RSU buffer flush)
-// ever ends early.
-func (a *API) Every(first, period float64, fn func()) {
+// Periodic is a job for API.Every. A router passes itself, or the core it
+// embeds, so arming the job allocates nothing.
+type Periodic interface {
+	Tick()
+}
+
+// Every runs job.Tick first seconds from now and then every period
+// seconds for the rest of the run: sim.Engine.Ticker without jitter, which
+// reschedules at now + period once Tick returns. There is no stop handle,
+// because no periodic router job (a carry sweep, a table dump, an RSU
+// buffer flush) ever ends early.
+func (a *API) Every(first, period float64, job Periodic) {
 	w := a.world
-	w.every = append(w.every, fn)
+	w.every = append(w.every, job)
 	w.eng.Ticker(w.eng.Now()+first, period, 0, nil, w.everyH, int32(len(w.every)-1))
 }
 

@@ -134,12 +134,16 @@ type World struct {
 	extStreams []namedStream
 	started    bool
 
-	// The world's periodic work as engine handlers, registered once in
-	// NewWorld: the mobility tick and the location refresh (argument
-	// unused), a node's beacon (argument: the node ID), and API.Every's
-	// jobs (argument: the index into every).
-	stepH, locationsH, beaconH, everyH sim.Handler
-	every                              []func()
+	// The world's periodic and delayed work as engine handlers, registered
+	// once in NewWorld: the mobility tick and the location refresh
+	// (argument unused), a node's beacon (argument: the node ID),
+	// API.Every's jobs (argument: the index into every) and API.SendAfter's
+	// sends (argument: the slot in delayed, whose free slots delayedFree
+	// lists).
+	stepH, locationsH, beaconH, everyH, delayedH sim.Handler
+	every                                        []Periodic
+	delayed                                      []delayedSend
+	delayedFree                                  []int32
 }
 
 // NewWorld builds a world over the given mobility model. Call one of the
@@ -174,7 +178,8 @@ func NewWorld(cfg Config, model mobility.Model) *World {
 	w.stepH = w.eng.Handle(func(int32) { w.step() })
 	w.locationsH = w.eng.Handle(func(int32) { w.refreshLocations() })
 	w.beaconH = w.eng.Handle(func(id int32) { w.sendBeacon(w.nodes[id]) })
-	w.everyH = w.eng.Handle(func(i int32) { w.every[i]() })
+	w.everyH = w.eng.Handle(func(i int32) { w.every[i].Tick() })
+	w.delayedH = w.eng.Handle(w.sendDelayed)
 	return w
 }
 

@@ -69,7 +69,7 @@ func (c *Carrier) Init(timeout float64, hooks CarryHooks) {
 // Attach implements netstack.Router and arms the sweep at a per-node phase.
 func (c *Carrier) Attach(api *netstack.API) {
 	c.Base.Attach(api)
-	api.Every(0.5+api.Rand().Float64()*0.1, 0.5, c.sweep)
+	api.Every(0.5+api.Rand().Float64()*0.1, 0.5, c)
 }
 
 // Originate implements netstack.Router.
@@ -147,9 +147,10 @@ func (c *Carrier) DropOldest() {
 // Carried reports how many packets are buffered.
 func (c *Carrier) Carried() int { return len(c.carried) }
 
-// sweep expires packets carried past the timeout and retries the rest, in
-// the order they were buffered.
-func (c *Carrier) sweep() {
+// Tick implements netstack.Periodic, the carry sweep: it expires packets
+// carried past the timeout and retries the rest, in the order they were
+// buffered.
+func (c *Carrier) Tick() {
 	if len(c.carried) == 0 {
 		return
 	}

@@ -140,3 +140,12 @@ func TestNonDataIsIgnored(t *testing.T) {
 		t.Fatal("a failed unicast of any kind must forget the neighbor")
 	}
 }
+
+// Attaching a carrier arms its sweep with the core itself as the job, so it
+// allocates nothing.
+func TestCarrierAttachAllocs(t *testing.T) {
+	_, _, s := stubWorld(t, pair(), 10, always(routing.Carry()), always(routing.Carry()))
+	if got := testing.AllocsPerRun(100, func() { s.Attach(s.API) }); got != 0 {
+		t.Fatalf("an attach allocates %.1f objects, want 0", got)
+	}
+}

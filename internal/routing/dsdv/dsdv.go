@@ -21,8 +21,9 @@ type Router struct {
 	table routing.Table
 	seq   uint32 // own even sequence number
 	// dsts is the destinations one dump or one break reads, reused from
-	// call to call; the routes they become are never reused.
+	// call to call; free is the dump records whose frames are done.
 	dsts []netstack.NodeID
+	free []*update
 }
 
 // advert is one advertised route.
@@ -32,9 +33,28 @@ type advert struct {
 	Hops int // hops from the advertiser; -1 marks unreachable
 }
 
-// update is the periodic table dump payload.
+// update is a table dump payload, periodic or a break's: the routes it
+// advertises, and the router whose free list it goes back to.
 type update struct {
 	Routes []advert
+	owner  *Router
+}
+
+// Recycle implements netstack.Recycler: the dump's frame is done, so every
+// receiver has read it, and the record goes back to its router's free list
+// with the capacity of its array.
+func (u *update) Recycle() { u.owner.free = append(u.owner.free, u) }
+
+// record is an empty dump record: the last one whose frame is done, or a
+// new one.
+func (r *Router) record() *update {
+	if k := len(r.free); k > 0 {
+		u := r.free[k-1]
+		r.free = r.free[:k-1]
+		u.Routes = u.Routes[:0]
+		return u
+	}
+	return &update{owner: r}
 }
 
 // New returns a DSDV router factory.
@@ -46,27 +66,30 @@ func New() netstack.RouterFactory {
 func (r *Router) Attach(api *netstack.API) {
 	r.Base.Attach(api)
 	// Phase-shift the first dump so nodes don't synchronise.
-	api.Every(api.Rand().Float64()*updateInterval, updateInterval, r.advertise)
+	api.Every(api.Rand().Float64()*updateInterval, updateInterval, r)
 }
 
-// advertise broadcasts the full route table. Every dump gets an array of
-// its own, made at its exact size: its receivers share the payload, and the
-// last dump's frame may still wait in the MAC queue.
-func (r *Router) advertise() {
+// Tick implements netstack.Periodic: it broadcasts the full route table.
+// Every dump is a record of its own, not the last dump's: its receivers
+// share the payload, and the last dump's frame may still wait in the MAC
+// queue. A record comes back to the free list when its frame is done, and
+// keeps its array, so a dump allocates nothing once the list is warm.
+func (r *Router) Tick() {
 	r.seq += 2 // own sequence numbers stay even while alive
 	r.dsts = r.table.AppendDestinations(r.dsts[:0], r.API.Now())
-	routes := make([]advert, 1, 1+len(r.dsts))
-	routes[0] = advert{Dst: r.API.Self(), Seq: r.seq, Hops: 0}
+	u := r.record()
+	u.Routes = append(u.Routes, advert{Dst: r.API.Self(), Seq: r.seq, Hops: 0})
 	for _, dst := range r.dsts {
 		rt, _ := r.table.Get(dst)
-		routes = append(routes, advert{Dst: dst, Seq: rt.Seq, Hops: rt.Hops})
+		u.Routes = append(u.Routes, advert{Dst: dst, Seq: rt.Seq, Hops: rt.Hops})
 	}
-	r.broadcast(routes)
+	r.broadcast(u)
 }
 
-// broadcast sends routes to the one-hop neighbourhood as a table update.
-func (r *Router) broadcast(routes []advert) {
-	pkt := routing.NewPacket(r.API, netstack.KindUpdate, netstack.Broadcast, 16+12*len(routes), update{Routes: routes})
+// broadcast sends the dump u to the one-hop neighbourhood as a table
+// update.
+func (r *Router) broadcast(u *update) {
+	pkt := routing.NewPacket(r.API, netstack.KindUpdate, netstack.Broadcast, 16+12*len(u.Routes), u)
 	pkt.TTL = 1
 	r.API.Send(netstack.Broadcast, pkt)
 }
@@ -83,7 +106,7 @@ func (r *Router) HandlePacket(pkt *netstack.Packet) {
 }
 
 func (r *Router) handleUpdate(pkt *netstack.Packet) {
-	for _, ad := range pkt.Payload.(update).Routes {
+	for _, ad := range pkt.Payload.(*update).Routes {
 		if ad.Dst == r.API.Self() {
 			continue
 		}
@@ -132,12 +155,12 @@ func (r *Router) OnNeighborExpired(id netstack.NodeID) {
 		return
 	}
 	r.API.Metrics().RouteBreaks += len(broken)
-	routes := make([]advert, 0, len(broken))
+	u := r.record()
 	for _, dst := range broken {
 		rt, _ := r.table.Get(dst)
-		routes = append(routes, advert{Dst: dst, Seq: rt.Seq + 1, Hops: -1})
+		u.Routes = append(u.Routes, advert{Dst: dst, Seq: rt.Seq + 1, Hops: -1})
 	}
-	r.broadcast(routes)
+	r.broadcast(u)
 }
 
 // OnSendFailed implements netstack.Router: treat like a neighbor loss.

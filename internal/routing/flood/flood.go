@@ -36,16 +36,28 @@ func New() netstack.RouterFactory {
 type Biswas struct {
 	routing.Flooder
 	retry map[uint64]pending // packet UID → pending retransmission; made at the first send
+	// armed is every retry timer not yet fired, in the order it was armed
+	// (from head on), and fire the one func they all run, made at the
+	// first send. Every timer waits ackTimeout, so they fire in that
+	// order; an entry whose send was acked since is skipped.
+	armed []armed
+	head  int
+	fire  func()
 }
 
 // pending is a rebroadcast waiting for its implicit ack: the retry timer,
-// the copy of the packet the retries send copies of, how many retries have
-// gone out, and the one closure every retry timer of this send fires.
+// the copy of the packet the retries send copies of, and how many retries
+// have gone out.
 type pending struct {
 	timer sim.TimerID
 	kept  *netstack.Packet
 	tries int
-	fire  func()
+}
+
+// armed is one retry timer: the send it retries and the timer.
+type armed struct {
+	uid   uint64
+	timer sim.TimerID
 }
 
 const (
@@ -77,31 +89,55 @@ func (b *Biswas) HandlePacket(pkt *netstack.Packet) {
 // Outbound transmits and arms the implicit-ack retry timer. The retry
 // keeps a pooled copy of the packet and sends a fresh copy of that each
 // time; the kept copy goes back to the pool at the ack, or once the retries
-// run out. The send's one allocation is the closure its retry timers fire;
-// the retry state lives in the map entry, keyed by the UID alone, which
-// never comes back here while it is pending: the flooder's duplicate cache
-// holds a UID far longer than its retries last.
+// run out. A warm send allocates nothing: every retry timer runs the one
+// stored func, and the retry state lives in the map entry, keyed by the
+// UID alone, which never comes back here while it is pending: the
+// flooder's duplicate cache holds a UID far longer than its retries last.
 func (b *Biswas) Outbound(pkt *netstack.Packet, _ bool) bool {
 	if b.retry == nil {
 		b.retry = make(map[uint64]pending)
+		b.fire = b.resend
 	}
 	kept := b.API.NewPacket()
 	*kept = *pkt
 	b.API.Send(netstack.Broadcast, pkt)
-	uid := kept.UID
-	fire := func() { b.resend(uid) }
-	b.retry[uid] = pending{timer: b.API.After(ackTimeout, fire), kept: kept, fire: fire}
+	b.retry[kept.UID] = pending{timer: b.arm(kept.UID), kept: kept}
 	return true
 }
 
-// resend fires when uid's rebroadcast has gone ackTimeout unacknowledged:
-// it sends another copy and re-arms with the stored closure, so a retry
-// allocates nothing, or, once the retries are spent, gives the kept copy
+// arm starts a retry timer for uid and queues it behind every timer armed
+// before it, reusing the queue's array once the head has moved on.
+func (b *Biswas) arm(uid uint64) sim.TimerID {
+	id := b.API.After(ackTimeout, b.fire)
+	if b.head > 0 && len(b.armed) == cap(b.armed) {
+		n := copy(b.armed, b.armed[b.head:])
+		b.armed, b.head = b.armed[:n], 0
+	}
+	b.armed = append(b.armed, armed{uid: uid, timer: id})
+	return id
+}
+
+// resend fires when the oldest live retry timer has gone ackTimeout
+// unacknowledged: the queue's head, once the entries of sends acked since
+// (no map entry, or one with another timer) are skipped. It sends another
+// copy and re-arms, or, once the retries are spent, gives the kept copy
 // back.
-func (b *Biswas) resend(uid uint64) {
-	p := b.retry[uid]
+func (b *Biswas) resend() {
+	var a armed
+	var p pending
+	for {
+		a = b.armed[b.head]
+		b.head++
+		var ok bool
+		if p, ok = b.retry[a.uid]; ok && p.timer == a.timer {
+			break
+		}
+	}
+	if b.head == len(b.armed) {
+		b.armed, b.head = b.armed[:0], 0
+	}
 	if p.tries >= maxRetries {
-		delete(b.retry, uid)
+		delete(b.retry, a.uid)
 		b.API.Release(p.kept)
 		return
 	}
@@ -109,6 +145,6 @@ func (b *Biswas) resend(uid uint64) {
 	cp := b.API.NewPacket()
 	*cp = *p.kept
 	b.API.Send(netstack.Broadcast, cp)
-	p.timer = b.API.After(ackTimeout, p.fire)
-	b.retry[uid] = p
+	p.timer = b.arm(a.uid)
+	b.retry[a.uid] = p
 }

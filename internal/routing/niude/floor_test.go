@@ -50,7 +50,7 @@ func TestSurvivalFloorDropsTheCopy(t *testing.T) {
 	sent := func() int { return w.Collector().Control[netstack.KindRREQ] }
 	request := func() *netstack.Packet {
 		return &netstack.Packet{Kind: netstack.KindRREQ, Src: sender, Dst: netstack.Broadcast, From: sender,
-			TTL: 8, Hops: 1, Size: 56, Payload: routing.Request[path]{Origin: sender, ReqID: 1, Target: ids[2] + 1, Path: rule.Start}}
+			TTL: 8, Hops: 1, Size: 56, Payload: &routing.Request[path]{Origin: sender, ReqID: 1, Target: ids[2] + 1, Path: rule.Start}}
 	}
 	before := sent()
 	racing.HandlePacket(request())
@@ -96,7 +96,7 @@ func TestGatedCopyStillCountsAsSeen(t *testing.T) {
 	sent := func() int { return w.Collector().Control[netstack.KindRREQ] }
 	request := func(from netstack.NodeID, hops int, reqID uint64) *netstack.Packet {
 		return &netstack.Packet{Kind: netstack.KindRREQ, Src: from, Dst: netstack.Broadcast, From: from,
-			TTL: 8, Hops: hops, Size: 56, Payload: routing.Request[path]{Origin: sender, ReqID: reqID, Target: ids[2] + 1, Path: rule.Start}}
+			TTL: 8, Hops: hops, Size: 56, Payload: &routing.Request[path]{Origin: sender, ReqID: reqID, Target: ids[2] + 1, Path: rule.Start}}
 	}
 	before := sent()
 	racing.HandlePacket(request(sender, 1, 1))
@@ -110,5 +110,27 @@ func TestGatedCopyStillCountsAsSeen(t *testing.T) {
 	racing.HandlePacket(request(companion, 2, 2))
 	if sent() != before+1 {
 		t.Fatalf("the racing relay sent %d copies of a new discovery from its companion, want 1", sent()-before)
+	}
+}
+
+// A warm relay allocates nothing: the record it sends comes back from its
+// frame, and a copy dropped at the TTL takes no record.
+func TestWarmRelayAllocs(t *testing.T) {
+	var routers []*Router
+	factory := New()
+	w, ids := routetest.World(t, 1, routetest.Chain(2, 100, 0), func() netstack.Router {
+		r := factory().(*Router)
+		routers = append(routers, r)
+		return r
+	})
+	w.StartRun()
+	if err := w.AdvanceTo(2.05); err != nil {
+		t.Fatal(err)
+	}
+	relay := routers[1]
+	c := routetest.RelayAllocs(w, relay, relay.API, ids[0],
+		routing.Request[path]{Origin: ids[0], Target: ids[1] + 1, Path: rule.Start})
+	if c.Allocs != 0 || c.Sent != 101 || c.Astray != 0 || c.Err != nil {
+		t.Fatalf("%+v: want 0 objects, all 101 requests sent, every dropped copy back in the pool", c)
 	}
 }

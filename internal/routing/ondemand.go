@@ -269,19 +269,33 @@ func (c *OnDemand) Relay(pkt *netstack.Packet, dst netstack.NodeID) {
 
 // Rebroadcast passes a flooded request on: it spends one TTL and, unless
 // that was the last, broadcasts the request now or, when delayed, delay
-// seconds later, through a timer event even when delay is 0. It takes the
-// packet; out of TTL, the request is dropped here.
+// seconds later, through the stack's delayed send even when delay is 0. It
+// takes the packet; out of TTL, the request is dropped here.
 func (c *OnDemand) Rebroadcast(pkt *netstack.Packet, delayed bool, delay float64) {
+	if c.spend(pkt) {
+		c.broadcast(pkt, delayed, delay)
+	}
+}
+
+// spend is Rebroadcast's TTL step: it spends one TTL and reports whether
+// the request may go on; if not, it drops the request.
+func (c *OnDemand) spend(pkt *netstack.Packet) bool {
 	pkt.TTL--
 	if pkt.Expired() {
 		c.API.Drop(pkt)
+		return false
+	}
+	return true
+}
+
+// broadcast is Rebroadcast's send: now or, when delayed, through the
+// stack's delayed send.
+func (c *OnDemand) broadcast(pkt *netstack.Packet, delayed bool, delay float64) {
+	if delayed {
+		c.API.SendAfter(delay, netstack.Broadcast, pkt)
 		return
 	}
-	if !delayed {
-		c.API.Send(netstack.Broadcast, pkt)
-		return
-	}
-	c.API.After(delay, func() { c.API.Send(netstack.Broadcast, pkt) })
+	c.API.Send(netstack.Broadcast, pkt)
 }
 
 // MergeReverse installs a reverse route learned from an RREQ copy unless

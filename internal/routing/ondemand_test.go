@@ -41,6 +41,23 @@ type onDemand interface {
 	Rebroadcast(pkt *netstack.Packet, delayed bool, delay float64)
 }
 
+// apiOf is the API a table-driven router was attached to.
+func apiOf(r onDemand) *netstack.API {
+	switch r := r.(type) {
+	case *aodv.Router:
+		return r.API
+	case *pbr.Router:
+		return r.API
+	case *taleb.Router:
+		return r.API
+	case *abedi.Router:
+		return r.API
+	case *niude.Router:
+		return r.API
+	}
+	panic("not a table-driven router")
+}
+
 // capture wraps a factory so the test can reach the routers a world built.
 func capture(factory netstack.RouterFactory, into *[]onDemand) netstack.RouterFactory {
 	return func() netstack.Router {
@@ -212,7 +229,8 @@ func TestMergeReverseFollowsHopRule(t *testing.T) {
 // A control packet that cannot go on ends here: a relayed reply without a
 // route or with its last hop spent, and a request rebroadcast, now or
 // delayed, with its last hop spent. Each goes back to the stack's pool at
-// once, and nothing is sent, then or later.
+// once, exactly once (the pool hands it out once, then another packet),
+// no data drop is counted for it, and nothing is sent, then or later.
 func TestRelayAndRebroadcastDropAtTTL(t *testing.T) {
 	for _, tc := range tableDriven {
 		t.Run(tc.name, func(t *testing.T) {
@@ -223,6 +241,7 @@ func TestRelayAndRebroadcastDropAtTTL(t *testing.T) {
 				t.Fatal(err)
 			}
 			r, c := rs[0], w.Collector()
+			api := apiOf(r)
 			r.Table().Upsert(routing.Route{Dst: ids[1], NextHop: ids[1], Hops: 1, Expiry: 100, Valid: true})
 			// what the four steps could send: beacons go on meanwhile
 			sent := func() int { return c.Control[netstack.KindRREQ] + c.Control[netstack.KindRREP] }
@@ -242,9 +261,15 @@ func TestRelayAndRebroadcastDropAtTTL(t *testing.T) {
 					func(p *netstack.Packet) { r.Rebroadcast(p, true, 0.1) }},
 			} {
 				step.pass(step.pkt)
-				if !released(step.pkt) || sent() != before {
-					t.Fatalf("%s: back in the pool %v, %d requests and replies sent; want it back and none",
-						step.name, released(step.pkt), sent()-before)
+				if !released(step.pkt) || sent() != before || c.DataDropped != 0 {
+					t.Fatalf("%s: back in the pool %v, %d requests and replies sent, %d data drops; want it back, none and none",
+						step.name, released(step.pkt), sent()-before, c.DataDropped)
+				}
+				if first, second := api.NewPacket(), api.NewPacket(); first != step.pkt || second == step.pkt {
+					t.Fatalf("%s: the pool did not hand the dropped packet out exactly once", step.name)
+				} else {
+					api.Release(first)
+					api.Release(second)
 				}
 			}
 			if err := w.AdvanceTo(3); err != nil {
@@ -254,6 +279,36 @@ func TestRelayAndRebroadcastDropAtTTL(t *testing.T) {
 				t.Fatalf("%d requests and replies sent later; want none", sent()-before)
 			}
 		})
+	}
+}
+
+// A delayed rebroadcast allocates nothing: the stack holds the packet until
+// its send, in a slot it reuses.
+func TestDelayedRebroadcastAllocs(t *testing.T) {
+	var rs []onDemand
+	w, _ := routetest.World(t, 1, routetest.Chain(1, 0, 0), capture(aodv.New(), &rs))
+	w.StartRun()
+	now := 1.0
+	if err := w.AdvanceTo(now); err != nil {
+		t.Fatal(err)
+	}
+	r := rs[0]
+	api := apiOf(r)
+	rebroadcast := func() {
+		pkt := api.NewPacket()
+		*pkt = netstack.Packet{Kind: netstack.KindRREQ, Dst: netstack.Broadcast, TTL: 4, Size: 48}
+		r.Rebroadcast(pkt, true, 0.05)
+		now += 0.1
+		if err := w.AdvanceTo(now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rebroadcast()
+	if got := testing.AllocsPerRun(100, rebroadcast); got != 0 {
+		t.Fatalf("a delayed rebroadcast allocates %.1f objects, want 0", got)
+	}
+	if got := w.Collector().Control[netstack.KindRREQ]; got != 102 {
+		t.Fatalf("%d requests sent, want the 102 rebroadcast", got)
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"github.com/vanetlab/relroute/internal/geom"
+	"github.com/vanetlab/relroute/internal/link"
 	"github.com/vanetlab/relroute/internal/netstack"
+	"github.com/vanetlab/relroute/internal/routing"
 	"github.com/vanetlab/relroute/internal/routing/pbr"
 	"github.com/vanetlab/relroute/internal/routing/routetest"
 )
@@ -115,5 +117,27 @@ func TestRenewsCappedRouteBeforeItsEntryExpires(t *testing.T) {
 	}
 	if c.DataDelivered != 140 {
 		t.Errorf("delivered %d of 140", c.DataDelivered)
+	}
+}
+
+// A warm relay allocates nothing: the record it sends its request in comes
+// back from its frame, and a copy it drops at the TTL takes no record.
+func TestWarmRelayAllocs(t *testing.T) {
+	var routers []*pbr.Router
+	factory := pbr.New()
+	w, ids := routetest.World(t, 1, routetest.Chain(2, 100, 0), func() netstack.Router {
+		r := factory().(*pbr.Router)
+		routers = append(routers, r)
+		return r
+	})
+	w.StartRun()
+	if err := w.AdvanceTo(2.05); err != nil { // everyone has beaconed twice
+		t.Fatal(err)
+	}
+	relay := routers[1]
+	c := routetest.RelayAllocs(w, relay, relay.API, ids[0],
+		routing.Request[float64]{Origin: ids[0], Target: ids[1] + 1, Path: link.Forever})
+	if c.Allocs != 0 || c.Sent != 101 || c.Astray != 0 || c.Err != nil {
+		t.Fatalf("%+v: want 0 objects, all 101 requests sent, every dropped copy back in the pool", c)
 	}
 }

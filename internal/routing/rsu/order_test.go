@@ -53,7 +53,7 @@ func TestFlushBuffersSendsInDestinationOrder(t *testing.T) {
 		for i := len(ids) - 1; i >= 0; i-- {
 			u.buffer(data(u.API.Self(), ids[i]))
 		}
-		u.flushBuffers()
+		u.Tick()
 		if err := w.AdvanceTo(2.2); err != nil { // before the RSU's own next sweep
 			t.Fatal(err)
 		}
@@ -108,5 +108,15 @@ func TestNearestRSUTieGoesToLowestID(t *testing.T) {
 		if got, ok := b.rsuFor(99, geom.V(0, 0), true); !ok || got != units[0] {
 			t.Fatalf("round %d: tie went to RSU node %d, want the lowest ID %d", round, got.API.Self(), units[0].API.Self())
 		}
+	}
+}
+
+// Attaching an RSU arms its buffer flush with the router itself as the
+// job, so it allocates nothing.
+func TestUnitAttachAllocs(t *testing.T) {
+	_, _, units, _ := rsuWorld(t, nil, []geom.Vec2{geom.V(0, 0)})
+	u := units[0]
+	if got := testing.AllocsPerRun(100, func() { u.Attach(u.API) }); got != 0 {
+		t.Fatalf("an attach allocates %.1f objects, want 0", got)
 	}
 }

@@ -115,7 +115,7 @@ type UnitRouter struct {
 	netstack.Base
 	backbone *Backbone
 	buffered map[netstack.NodeID][]*netstack.Packet
-	dsts     []netstack.NodeID // flushBuffers' sorted keys of buffered
+	dsts     []netstack.NodeID // Tick's sorted keys of buffered
 }
 
 // NewUnit returns a router for one RSU attached to the backbone.
@@ -127,7 +127,7 @@ func NewUnit(b *Backbone) *UnitRouter {
 func (u *UnitRouter) Attach(api *netstack.API) {
 	u.Base.Attach(api)
 	u.backbone.register(u)
-	api.Every(0.25, 0.25, u.flushBuffers)
+	api.Every(0.25, 0.25, u)
 }
 
 // OnBeacon implements netstack.BeaconListener: every vehicle beacon an RSU
@@ -207,11 +207,12 @@ func (u *UnitRouter) takeBuffered(dst netstack.NodeID) []*netstack.Packet {
 	return list
 }
 
-// flushBuffers delivers buffered packets whose destinations have arrived
-// and expires stale ones, destination by destination in ID order: the
-// sends reach the MAC queue in the order of this loop. It reuses dsts, as
-// nothing in the loop comes back here: a failed send returns as an event.
-func (u *UnitRouter) flushBuffers() {
+// Tick implements netstack.Periodic, the buffer flush: it delivers
+// buffered packets whose destinations have arrived and expires stale ones,
+// destination by destination in ID order: the sends reach the MAC queue in
+// the order of this loop. It reuses dsts, as nothing in the loop comes back
+// here: a failed send returns as an event.
+func (u *UnitRouter) Tick() {
 	now := u.API.Now()
 	u.dsts = u.dsts[:0]
 	for dst := range u.buffered {

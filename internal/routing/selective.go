@@ -3,13 +3,20 @@ package routing
 import "github.com/vanetlab/relroute/internal/netstack"
 
 // Request is the RREQ of a selective discovery: the discovery it belongs
-// to and the path it has travelled so far, folded into P hop by hop.
+// to and the path it has travelled so far, folded into P hop by hop. Each
+// hop sends a record of its own, taken from its router's free list, and
+// the record goes back there once its frame is done.
 type Request[P any] struct {
 	Origin netstack.NodeID
 	ReqID  uint64
 	Target netstack.NodeID
 	Path   P
+	owner  *Selective[P]
 }
+
+// Recycle implements netstack.Recycler: the request's frame is done, so
+// every receiver has read it.
+func (r *Request[P]) Recycle() { r.owner.free = append(r.owner.free, r) }
 
 // Rule is what a selective protocol supplies, once, as a package-level
 // value of plain functions and constants.
@@ -44,6 +51,7 @@ type Selective[P any] struct {
 	OnDemand
 	rule *Rule[P]
 	sel  Selection[candidate]
+	free []*Request[P] // request records whose frames are done
 }
 
 // Init binds the protocol's rule.
@@ -55,7 +63,21 @@ func (s *Selective[P]) Init(rule *Rule[P]) {
 
 func (s *Selective[P]) NewRequest(dst netstack.NodeID, reqID uint64) *netstack.Packet {
 	return NewPacket(s.API, netstack.KindRREQ, netstack.Broadcast, s.rule.RequestSize,
-		Request[P]{Origin: s.API.Self(), ReqID: reqID, Target: dst, Path: s.rule.Start})
+		s.request(Request[P]{Origin: s.API.Self(), ReqID: reqID, Target: dst, Path: s.rule.Start}))
+}
+
+// request is a record of this router's holding req: the last one whose
+// frame is done, or a new one.
+func (s *Selective[P]) request(req Request[P]) *Request[P] {
+	var r *Request[P]
+	if k := len(s.free); k > 0 {
+		r, s.free = s.free[k-1], s.free[:k-1]
+	} else {
+		r = new(Request[P])
+	}
+	*r = req
+	r.owner = s
+	return r
 }
 
 // HandlePacket implements netstack.Router.
@@ -76,9 +98,11 @@ func (s *Selective[P]) HandlePacket(pkt *netstack.Packet) {
 // reverse route. The target offers every copy to its selection; a relay
 // passes on the first copy of a discovery, if the rule lets it through.
 // The copy is recorded as seen before that gate, so one the gate drops
-// still makes later copies of its discovery duplicates.
+// still makes later copies of its discovery duplicates. The copy's record
+// is its sender's, read here and never kept: a relay sends a record of its
+// own, taken once the request has TTL left to spend.
 func (s *Selective[P]) handleRequest(pkt *netstack.Packet) {
-	req := pkt.Payload.(Request[P])
+	req := *pkt.Payload.(*Request[P])
 	if req.Origin == s.API.Self() {
 		s.API.Release(pkt)
 		return
@@ -95,9 +119,12 @@ func (s *Selective[P]) handleRequest(pkt *netstack.Packet) {
 		s.API.Release(pkt)
 		return
 	}
+	if !s.spend(pkt) {
+		return
+	}
 	req.Path = path
-	pkt.Payload = req
-	s.Rebroadcast(pkt, delay > 0, delay)
+	pkt.Payload = s.request(req)
+	s.broadcast(pkt, delay > 0, delay)
 }
 
 // Answer installs the route back through the best candidate and replies
