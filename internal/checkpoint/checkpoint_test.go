@@ -122,7 +122,7 @@ func TestNegativeSpeedStdIsZeroSpread(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		states := sc.Road.StatesInto(nil)
+		states := sc.Model.StatesInto(nil)
 		if len(states) != o.Vehicles {
 			t.Fatalf("%s: %d vehicles scattered, want %d", build.name, len(states), o.Vehicles)
 		}

@@ -132,7 +132,9 @@ func solvePiece(i, j Kinematics1D, t0, t1, r, vmax float64) (float64, bool) {
 	span := t1 - t0
 	best := math.Inf(1)
 	for _, target := range [2]float64{r, -r} {
-		for _, s := range quadRoots(0.5*da, dv, d0-target) {
+		r1, r2, n := quadRoots(0.5*da, dv, d0-target)
+		roots := [2]float64{r1, r2}
+		for _, s := range roots[:n] {
 			if s >= 0 && s <= span && s < best {
 				best = s
 			}
@@ -186,25 +188,11 @@ func saturationTimes(k Kinematics1D, vmax float64) []float64 {
 	return []float64{t}
 }
 
-// quadRoots returns the real roots of a·x² + b·x + c = 0. Degenerate
-// (linear, constant) cases are handled.
-func quadRoots(a, b, c float64) []float64 {
-	r1, r2, n := quadRoots2(a, b, c)
-	switch n {
-	case 1:
-		return []float64{r1}
-	case 2:
-		return []float64{r1, r2}
-	default:
-		return nil
-	}
-}
-
-// quadRoots2 is the allocation-free form of quadRoots, for hot paths (the
-// per-decision LifetimeVec behind the reliability plane's memo): it
-// returns up to two real roots and their count, computed with the exact
-// arithmetic of quadRoots so results stay bit-identical.
-func quadRoots2(a, b, c float64) (r1, r2 float64, n int) {
+// quadRoots returns the real roots of a·x² + b·x + c = 0 and their
+// count, without allocating (LifetimeVec runs per decision behind the
+// reliability plane's memo). Degenerate (linear, constant) cases are
+// handled.
+func quadRoots(a, b, c float64) (r1, r2 float64, n int) {
 	const eps = 1e-12
 	if math.Abs(a) < eps {
 		if math.Abs(b) < eps {
@@ -266,7 +254,7 @@ func LifetimeVec(pi, vi, pj, vj geom.Vec2, r float64) float64 {
 	}
 	b := 2 * dp.Dot(dv)
 	c := dp.LenSq() - r*r
-	r1, r2, n := quadRoots2(a, b, c)
+	r1, r2, n := quadRoots(a, b, c)
 	best := math.Inf(1)
 	if n >= 1 && r1 >= 0 && r1 < best {
 		best = r1

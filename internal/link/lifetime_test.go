@@ -225,25 +225,24 @@ func TestLifetimeNumericImmediateBreak(t *testing.T) {
 
 func TestQuadRoots(t *testing.T) {
 	// x² - 3x + 2 = 0 → 1, 2
-	roots := quadRoots(1, -3, 2)
-	if len(roots) != 2 {
-		t.Fatalf("roots = %v", roots)
+	r1, r2, n := quadRoots(1, -3, 2)
+	if n != 2 {
+		t.Fatalf("%d roots, want 2", n)
 	}
-	lo, hi := math.Min(roots[0], roots[1]), math.Max(roots[0], roots[1])
+	lo, hi := math.Min(r1, r2), math.Max(r1, r2)
 	if math.Abs(lo-1) > 1e-12 || math.Abs(hi-2) > 1e-12 {
-		t.Fatalf("roots = %v", roots)
+		t.Fatalf("roots = %v, %v", r1, r2)
 	}
 	// linear: 2x - 4 = 0
-	roots = quadRoots(0, 2, -4)
-	if len(roots) != 1 || roots[0] != 2 {
-		t.Fatalf("linear roots = %v", roots)
+	if r1, _, n = quadRoots(0, 2, -4); n != 1 || r1 != 2 {
+		t.Fatalf("linear: %d roots, first %v", n, r1)
 	}
 	// no real roots
-	if roots = quadRoots(1, 0, 1); roots != nil {
-		t.Fatalf("complex roots = %v", roots)
+	if _, _, n = quadRoots(1, 0, 1); n != 0 {
+		t.Fatalf("complex: %d roots", n)
 	}
 	// constant
-	if roots = quadRoots(0, 0, 3); roots != nil {
-		t.Fatalf("constant roots = %v", roots)
+	if _, _, n = quadRoots(0, 0, 3); n != 0 {
+		t.Fatalf("constant: %d roots", n)
 	}
 }

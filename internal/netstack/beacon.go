@@ -5,7 +5,8 @@ import (
 	"github.com/vanetlab/relroute/internal/mac"
 )
 
-// beacon is the HELLO payload.
+// beacon is a HELLO: the payload of a beacon frame, which is never a
+// Packet.
 type beacon struct {
 	kind NodeKind
 	pos  geom.Vec2
@@ -34,10 +35,10 @@ func (w *World) startBeacon(n *node) {
 	w.eng.Ticker(w.eng.Now()+phase, beaconInterval, 0.1, n.random(), w.beaconH, int32(n.id))
 }
 
-// sendBeacon broadcasts a HELLO for node n. Beacon packets (and their
-// boxed payload) are recycled through helloFree once the MAC reports the
-// frame's lifecycle complete — beacons never reach routers, so the stack
-// is their only owner.
+// sendBeacon broadcasts a HELLO for node n. The beacon record is the
+// frame's payload and the sender is the frame's From; records are recycled
+// through beaconFree once the MAC reports the frame's lifecycle complete —
+// beacons never reach routers, so the stack is their only owner.
 func (w *World) sendBeacon(n *node) {
 	if !n.active {
 		return
@@ -45,40 +46,33 @@ func (w *World) sendBeacon(n *node) {
 	if w.beaconFilter != nil && w.beaconFilter(n.id, n.random()) {
 		return // suppressed by a fault window; the draw stays on n's stream
 	}
-	var pkt *Packet
-	if k := len(w.helloFree); k > 0 {
-		pkt = w.helloFree[k-1]
-		w.helloFree = w.helloFree[:k-1]
+	var b *beacon
+	if k := len(w.beaconFree); k > 0 {
+		b = w.beaconFree[k-1]
+		w.beaconFree = w.beaconFree[:k-1]
 	} else {
-		pkt = &Packet{Payload: new(beacon)}
+		b = new(beacon)
 	}
-	b := pkt.Payload.(*beacon)
-	b.kind, b.pos, b.vel = n.kind, n.pos, n.vel
-	*pkt = Packet{ // unnumbered: UID stays 0
-		Kind: KindHello, Src: n.id, Dst: Broadcast, From: n.id, To: Broadcast,
-		TTL: 1, Size: beaconSize, Created: w.eng.Now(),
-		Payload: b,
-	}
-	w.col.OnControl(KindHello, pkt.Size)
+	*b = beacon{kind: n.kind, pos: n.pos, vel: n.vel}
+	w.col.OnControl(KindHello, beaconSize)
 	if w.inFaultWindow() {
 		w.col.ControlFault++
 	}
-	w.mac.Send(mac.Frame{From: int32(n.id), To: mac.Broadcast, Size: pkt.Size, Payload: pkt})
+	w.mac.Send(mac.Frame{From: int32(n.id), To: mac.Broadcast, Size: beaconSize, Payload: b})
 }
 
-// hearBeacon is dispatch's beacon half: node n decoded a HELLO. The beacon
-// goes into n's link table with an RSSI drawn on n's own stream, then to
-// the router if it listens, and never further.
-func (w *World) hearBeacon(n *node, pkt *Packet) {
-	b := pkt.Payload.(*beacon)
+// hearBeacon is dispatch's beacon half: node n decoded from's HELLO b. The
+// beacon goes into n's link table with an RSSI drawn on n's own stream,
+// then to the router if it listens, and never further.
+func (w *World) hearBeacon(n *node, from NodeID, b *beacon) {
 	rssi := w.ch.RSSI(n.pos.Dist(b.pos), n.random())
-	n.mon.Update(pkt.From, b.kind, b.pos, b.vel, rssi, w.eng.Now())
+	n.mon.Update(from, b.kind, b.pos, b.vel, rssi, w.eng.Now())
 	if n.heard != nil {
-		n.heard.OnBeacon(pkt.From, b.kind)
+		n.heard.OnBeacon(from, b.kind)
 	}
 	if w.faultBeaconHeard != nil {
-		// someone heard pkt.From beaconing — the fault plane closes
-		// its recovery-latency clock for that node, if one is open
-		w.faultBeaconHeard(pkt.From)
+		// someone heard from beaconing — the fault plane closes its
+		// recovery-latency clock for that node, if one is open
+		w.faultBeaconHeard(from)
 	}
 }

@@ -87,21 +87,22 @@ func (w *World) sendDelayed(i int32) {
 	w.sendFrame(d.n, d.to, d.pkt)
 }
 
-// dispatch is the MAC upcall: filter by link destination, consume beacons,
-// copy per receiver, and hand to the router. Every frame the MAC carries
-// was built by sendFrame or sendBeacon around a *Packet.
+// dispatch is the MAC upcall: consume beacons, filter by link
+// destination, copy per receiver, and hand to the router. Every frame the
+// MAC carries was built by sendBeacon around a *beacon or by sendFrame
+// around a *Packet.
 func (w *World) dispatch(to int32, f mac.Frame) {
 	n := w.nodeByID(NodeID(to))
 	if n == nil || !n.active {
 		return
 	}
+	if b, ok := f.Payload.(*beacon); ok {
+		w.hearBeacon(n, NodeID(f.From), b)
+		return
+	}
 	pkt := f.Payload.(*Packet)
 	if pkt.To != Broadcast && pkt.To != n.id {
 		return // unicast not for us; no promiscuous data path
-	}
-	if pkt.Kind == KindHello {
-		w.hearBeacon(n, pkt)
-		return
 	}
 	// a decoded non-beacon frame is positive link feedback for the
 	// reliability plane (no-op until the sender has been heard beaconing)
@@ -115,7 +116,7 @@ func (w *World) dispatch(to int32, f mac.Frame) {
 
 // txFailed is the MAC failure upcall: surface exhausted unicast ARQ to the
 // sending router as a link-failure indication. Only a unicast fails, so
-// the packet is never a HELLO.
+// the payload is never a beacon.
 func (w *World) txFailed(from int32, f mac.Frame) {
 	n := w.nodeByID(NodeID(from))
 	if n == nil || !n.active {
@@ -130,15 +131,14 @@ func (w *World) txFailed(from int32, f mac.Frame) {
 }
 
 // frameDone is the MAC's frame-lifecycle hook: by the time it fires, every
-// receiver upcall for the frame has run, so the frame's packet, which only
-// the stack holds, is recycled: a beacon to its own free list, anything
-// else, with its payload, through sent.
+// receiver upcall for the frame has run, so the frame's payload, which
+// only the stack holds, is recycled: a beacon to its own free list, a
+// packet, with its payload, through sent.
 func (w *World) frameDone(f mac.Frame) {
-	pkt := f.Payload.(*Packet)
-	if pkt.Kind == KindHello {
-		w.helloFree = append(w.helloFree, pkt)
+	if b, ok := f.Payload.(*beacon); ok {
+		w.beaconFree = append(w.beaconFree, b)
 	} else {
-		w.sent(pkt)
+		w.sent(f.Payload.(*Packet))
 	}
 }
 

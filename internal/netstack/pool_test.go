@@ -62,9 +62,9 @@ func TestPacketPoolScrubs(t *testing.T) {
 	}
 }
 
-// Beacon frames must be recycled through the hello free list once the MAC
-// reports the frame done, so steady-state beaconing stops allocating
-// packets. This exercises the full loop: sendBeacon → MAC → receiver
+// Beacon records must be recycled through the beacon free list once the
+// MAC reports the frame done, so steady-state beaconing stops allocating
+// them. This exercises the full loop: sendBeacon → MAC → receiver
 // dispatch → frame-done hook.
 func TestBeaconFramesRecycled(t *testing.T) {
 	w := NewWorld(Config{Seed: 1}, mobility.NewPlayback(nil))
@@ -80,9 +80,50 @@ func TestBeaconFramesRecycled(t *testing.T) {
 		t.Fatalf("beaconing broken: %d/%d beacons seen", r1.beacons, r2.beacons)
 	}
 	// Each node has at most one beacon in flight at a time, so the free
-	// list bounds the total beacon packets ever allocated to ~one per node.
-	if got := len(w.helloFree); got == 0 || got > 4 {
-		t.Fatalf("hello free list has %d packets after the run, want 1..4 (recycling broken?)", got)
+	// list bounds the total beacon records ever allocated to ~one per node.
+	if got := len(w.beaconFree); got == 0 || got > 4 {
+		t.Fatalf("beacon free list has %d records after the run, want 1..4 (recycling broken?)", got)
+	}
+}
+
+// silentRouter listens to nothing and sends nothing, so a world of them
+// arms no beacon tickers: the test sends every beacon itself.
+type silentRouter struct{ Base }
+
+func (r *silentRouter) HandlePacket(*Packet)  {}
+func (r *silentRouter) Originate(NodeID, int) {}
+func (r *silentRouter) NeedsBeacons() bool    { return false }
+
+// Two beacons sent at the same instant are in flight at once, each its own
+// record until its frame is done: every receiver holds each sender's own
+// kind and position, not the later send's.
+func TestBeaconsInFlightStayApart(t *testing.T) {
+	w := NewWorld(Config{Seed: 1}, mobility.NewPlayback(nil))
+	kinds := []NodeKind{RSU, BusNode, Vehicle}
+	pos := []geom.Vec2{geom.V(0, 0), geom.V(100, 0), geom.V(50, 0)}
+	routers := make([]*silentRouter, len(kinds))
+	for i := range kinds {
+		routers[i] = &silentRouter{}
+		w.AddStaticNode(kinds[i], pos[i], routers[i])
+	}
+	w.StartRun()
+	w.sendBeacon(w.nodes[0])
+	w.sendBeacon(w.nodes[1])
+	if err := w.AdvanceTo(0.1); err != nil {
+		t.Fatal(err)
+	}
+	heard := []int{1, 1, 2} // the senders hear each other, the third node both
+	for i, r := range routers {
+		nbs := r.API.AppendNeighbors(nil)
+		if len(nbs) != heard[i] {
+			t.Fatalf("node %d heard %d beacons, want %d", i, len(nbs), heard[i])
+		}
+		for _, nb := range nbs {
+			if nb.Kind != kinds[nb.ID] || nb.Pos != pos[nb.ID] {
+				t.Errorf("node %d holds %d as a %v at %v, want a %v at %v",
+					i, nb.ID, nb.Kind, nb.Pos, kinds[nb.ID], pos[nb.ID])
+			}
+		}
 	}
 }
 

@@ -123,10 +123,9 @@ type World struct {
 
 	// free lists, unsynchronised because the engine is single-threaded:
 	// pktFree holds the per-receiver copies dispatch hands to routers
-	// (frame.go), helloFree beacon packets with their *beacon payload
-	// (beacon.go)
-	pktFree   []*Packet
-	helloFree []*Packet
+	// (frame.go), beaconFree the beacon records (beacon.go)
+	pktFree    []*Packet
+	beaconFree []*beacon
 
 	// extStreams: see RegisterStream. started: StartRun has armed the
 	// tickers; the segmented drivers (the checkpoint plane and bench/) call

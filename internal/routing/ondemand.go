@@ -22,12 +22,27 @@ import (
 // forward takes the packet for good.
 type Discovery struct {
 	netstack.Base
-	pending PendingQueue
-	trying  map[netstack.NodeID]int // dst → requests left while a discovery is in flight; made at the first Start
-	reqID   uint64
+	open  map[netstack.NodeID]discovery // made at the first discovery
+	reqID uint64
 
 	timeout float64
 	hooks   DiscoveryHooks
+}
+
+const (
+	// queueCap is how many packets a discovery holds for its destination.
+	queueCap = 16
+	// queueWait is how long, in seconds, a queued packet stays fresh.
+	queueWait = 10.0
+)
+
+// discovery is one destination's discovery in flight: the requests left
+// after the one out and the data waiting for the answer, oldest first. It
+// exists exactly while the discovery does, so data never waits without a
+// deadline that will release or drop it.
+type discovery struct {
+	left  int
+	queue []*netstack.Packet
 }
 
 // DiscoveryHooks is the protocol half of a Discovery. Routed reports
@@ -57,27 +72,37 @@ func (d *Discovery) Originate(dst netstack.NodeID, size int) {
 	d.Queue(pkt)
 }
 
-// Queue parks a data packet until its destination is routed and starts a
-// discovery for it; the packet a full queue evicts is dropped.
+// Queue parks a data packet until its destination is routed, starting a
+// discovery for it unless one is in flight; a full queue drops its oldest
+// packet.
 func (d *Discovery) Queue(pkt *netstack.Packet) {
-	if ev := d.pending.Push(pkt.Dst, pkt); ev != nil {
-		d.API.Drop(ev)
+	o, inFlight := d.open[pkt.Dst]
+	if !inFlight {
+		d.start(pkt.Dst, []*netstack.Packet{pkt})
+		return
 	}
-	d.Start(pkt.Dst)
+	if len(o.queue) >= queueCap {
+		d.API.Drop(o.queue[0])
+		o.queue = o.queue[1:]
+	}
+	o.queue = append(o.queue, pkt)
+	d.open[pkt.Dst] = o
 }
-
-// Waiting reports whether data is queued for dst.
-func (d *Discovery) Waiting(dst netstack.NodeID) bool { return d.pending.Waiting(dst) }
 
 // Start begins a discovery for dst unless one is in flight.
 func (d *Discovery) Start(dst netstack.NodeID) {
-	if _, inFlight := d.trying[dst]; inFlight {
-		return
+	if _, inFlight := d.open[dst]; !inFlight {
+		d.start(dst, nil)
 	}
-	if d.trying == nil {
-		d.trying = make(map[netstack.NodeID]int)
+}
+
+// start opens dst's discovery, holding queue, and sends its first of
+// three requests.
+func (d *Discovery) start(dst netstack.NodeID, queue []*netstack.Packet) {
+	if d.open == nil {
+		d.open = make(map[netstack.NodeID]discovery)
 	}
-	d.trying[dst] = 2
+	d.open[dst] = discovery{left: 2, queue: queue}
 	d.ask(dst)
 }
 
@@ -92,7 +117,7 @@ func (d *Discovery) ask(dst netstack.NodeID) {
 }
 
 func (d *Discovery) deadline(dst netstack.NodeID) {
-	retries, inFlight := d.trying[dst]
+	o, inFlight := d.open[dst]
 	if !inFlight {
 		return // answered
 	}
@@ -100,18 +125,19 @@ func (d *Discovery) deadline(dst netstack.NodeID) {
 		d.Answered(dst)
 		return
 	}
-	if retries <= 0 {
+	if o.left <= 0 {
 		d.giveUp(dst)
 		return
 	}
-	d.trying[dst] = retries - 1
+	o.left--
+	d.open[dst] = o
 	d.ask(dst)
 }
 
 func (d *Discovery) giveUp(dst netstack.NodeID) {
-	delete(d.trying, dst)
-	fresh, expired := d.pending.PopAll(dst, d.API.Now())
-	for _, p := range append(fresh, expired...) {
+	queue := d.open[dst].queue
+	delete(d.open, dst)
+	for _, p := range queue {
 		d.API.Drop(p)
 	}
 }
@@ -132,7 +158,7 @@ func (d *Discovery) RenewBefore(dst netstack.NodeID, life, margin float64) {
 // the route is still in use — data can leave on it or waits for it —
 // counting a route repair.
 func (d *Discovery) renew(dst netstack.NodeID) {
-	if !d.hooks.Routed(dst) && !d.Waiting(dst) {
+	if !d.hooks.Routed(dst) && len(d.open[dst].queue) == 0 {
 		return
 	}
 	d.API.Metrics().RouteRepairs++
@@ -140,35 +166,19 @@ func (d *Discovery) renew(dst netstack.NodeID) {
 }
 
 // Answered ends the discovery for dst and releases its queue onto the
-// route the answer installed.
+// route the answer installed: a packet that waited longer than queueWait,
+// or that finds no route, is dropped.
 func (d *Discovery) Answered(dst netstack.NodeID) {
-	delete(d.trying, dst)
-	fresh, expired := d.pending.PopAll(dst, d.API.Now())
-	for _, p := range expired {
-		d.API.Drop(p)
-	}
-	routed := d.hooks.Routed(dst)
-	for _, p := range fresh {
-		if routed {
+	queue := d.open[dst].queue
+	delete(d.open, dst)
+	now, routed := d.API.Now(), d.hooks.Routed(dst)
+	for _, p := range queue {
+		if routed && now-p.Created <= queueWait {
 			d.hooks.Forward(p)
 		} else {
 			d.API.Drop(p)
 		}
 	}
-}
-
-// Stranded counts the destinations whose data waits with no discovery in
-// flight, so that no deadline will release or drop it. Every way a
-// discovery ends releases or drops its queue, so it reads 0. It draws
-// nothing.
-func (d *Discovery) Stranded() int {
-	n := 0
-	for dst := range d.pending.byDst {
-		if _, inFlight := d.trying[dst]; !inFlight && d.Waiting(dst) {
-			n++
-		}
-	}
-	return n
 }
 
 // OnDemand is the AODV-shaped core of the table-driven on-demand

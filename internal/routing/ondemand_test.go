@@ -3,6 +3,7 @@ package routing_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/vanetlab/relroute/internal/core"
@@ -313,9 +314,10 @@ func TestDelayedRebroadcastAllocs(t *testing.T) {
 }
 
 // Data that waited in a discovery's queue longer than the queue holds it
-// is dropped when the answer comes, and goes back to the stack's pool;
-// fresher data leaves on the route the answer installed. An answer that
-// installed no route drops the whole queue.
+// (10 s) is dropped when the answer comes, and goes back to the stack's
+// pool; fresher data, and data that waited exactly 10 s, leaves on the
+// route the answer installed. An answer that installed no route drops the
+// whole queue.
 func TestAnsweredDropsExpiredData(t *testing.T) {
 	r := &renewer{}
 	r.Init(100, r)
@@ -328,10 +330,12 @@ func TestAnsweredDropsExpiredData(t *testing.T) {
 	})
 	w.StartRun()
 	stale := &netstack.Packet{UID: 1, Kind: netstack.KindData, Dst: ids[1], TTL: 8, Created: 1}
-	fresh := &netstack.Packet{UID: 2, Kind: netstack.KindData, Dst: ids[1], TTL: 8, Created: 5}
+	edge := &netstack.Packet{UID: 2, Kind: netstack.KindData, Dst: ids[1], TTL: 8, Created: 2}
+	fresh := &netstack.Packet{UID: 3, Kind: netstack.KindData, Dst: ids[1], TTL: 8, Created: 5}
 	r.Queue(stale)
+	r.Queue(edge)
 	r.Queue(fresh)
-	if err := w.AdvanceTo(12); err != nil { // the stale packet has waited 11 s, the fresh one 7 s
+	if err := w.AdvanceTo(12); err != nil { // the stale packet has waited 11 s, the edge one 10 s, the fresh one 7 s
 		t.Fatal(err)
 	}
 	c := w.Collector()
@@ -340,16 +344,46 @@ func TestAnsweredDropsExpiredData(t *testing.T) {
 	}
 	r.route = true
 	r.Answered(ids[1])
-	if c.DataDropped != 1 || !released(stale) || len(r.forwarded) != 1 || r.forwarded[0] != fresh || released(fresh) {
-		t.Fatalf("dropped %d, stale packet back in the pool %v, forwarded %d; want the stale one dropped and only the fresh one forwarded",
+	if c.DataDropped != 1 || !released(stale) || !slices.Equal(r.forwarded, []*netstack.Packet{edge, fresh}) || released(edge) || released(fresh) {
+		t.Fatalf("dropped %d, stale packet back in the pool %v, forwarded %d; want the stale one dropped and the other two forwarded in order",
 			c.DataDropped, released(stale), len(r.forwarded))
 	}
 	r.route = false
-	unrouted := &netstack.Packet{UID: 3, Kind: netstack.KindData, Dst: ids[1], TTL: 8, Created: 12}
+	unrouted := &netstack.Packet{UID: 4, Kind: netstack.KindData, Dst: ids[1], TTL: 8, Created: 12}
 	r.Queue(unrouted)
 	r.Answered(ids[1])
-	if c.DataDropped != 2 || !released(unrouted) || len(r.forwarded) != 1 {
+	if c.DataDropped != 2 || !released(unrouted) || len(r.forwarded) != 2 {
 		t.Fatalf("without a route: dropped %d, back in the pool %v, forwarded %d; want it dropped", c.DataDropped, released(unrouted), len(r.forwarded))
+	}
+}
+
+// A deadline that finds a route, one installed without an answer reaching
+// Answered, ends the discovery and sends the queued data on that route in
+// queue order; the discovery it ended asks nothing more.
+func TestDeadlineSendsQueuedData(t *testing.T) {
+	r := &renewer{}
+	r.Init(1, r)
+	built := 0
+	w, ids := routetest.World(t, 1, outOfReach(), func() netstack.Router {
+		if built++; built == 1 {
+			return r
+		}
+		return &renewer{}
+	})
+	w.StartRun()
+	first := &netstack.Packet{UID: 1, Kind: netstack.KindData, Dst: ids[1], TTL: 8}
+	second := &netstack.Packet{UID: 2, Kind: netstack.KindData, Dst: ids[1], TTL: 8}
+	r.Queue(first)
+	r.Queue(second)
+	r.route = true // before the deadline at 1 s
+	if err := w.AdvanceTo(5); err != nil {
+		t.Fatal(err)
+	}
+	if r.asked != 1 || !slices.Equal(r.forwarded, []*netstack.Packet{first, second}) {
+		t.Fatalf("%d requests, forwarded %d; want the one request and both packets sent at its deadline", r.asked, len(r.forwarded))
+	}
+	if c := w.Collector(); c.DataDropped != 0 || c.RouteDiscoveries != 1 {
+		t.Fatalf("dropped %d, discoveries %d; want none dropped and the one discovery", c.DataDropped, c.RouteDiscoveries)
 	}
 }
 

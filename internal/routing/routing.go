@@ -207,57 +207,3 @@ func (t *Table) AppendDestinations(out []netstack.NodeID, now float64) []netstac
 	slices.Sort(out[n:])
 	return out
 }
-
-const (
-	// pendingCap is how many packets a PendingQueue holds per destination.
-	pendingCap = 16
-	// pendingWait is how long, in seconds, a queued packet stays fresh.
-	pendingWait = 10.0
-)
-
-// PendingQueue buffers data packets awaiting a route, per destination,
-// dropping the oldest beyond pendingCap and expiring packets after
-// pendingWait. The zero queue is empty and ready to use.
-type PendingQueue struct {
-	byDst map[netstack.NodeID][]*netstack.Packet // made at the first Push
-}
-
-// Push buffers pkt for dst. When the per-destination cap is reached the
-// oldest buffered packet is evicted and returned; the queue keeps no
-// reference to it.
-//
-// Contract: the caller owns the evicted packet and must terminate its
-// journey with API.Drop, which counts the loss and takes the packet.
-// Ignoring the return value leaks the packet from the accounting: it was
-// accepted from the application but silently vanishes from both the
-// delivered and dropped columns.
-func (q *PendingQueue) Push(dst netstack.NodeID, pkt *netstack.Packet) (evicted *netstack.Packet) {
-	if q.byDst == nil {
-		q.byDst = make(map[netstack.NodeID][]*netstack.Packet)
-	}
-	list := q.byDst[dst]
-	if len(list) >= pendingCap {
-		evicted = list[0]
-		list = list[1:]
-	}
-	q.byDst[dst] = append(list, pkt)
-	return evicted
-}
-
-// PopAll removes and returns every buffered packet for dst that has not
-// exceeded pendingWait by now; expired ones are returned separately.
-func (q *PendingQueue) PopAll(dst netstack.NodeID, now float64) (fresh, expired []*netstack.Packet) {
-	list := q.byDst[dst]
-	delete(q.byDst, dst)
-	for _, p := range list {
-		if now-p.Created > pendingWait {
-			expired = append(expired, p)
-		} else {
-			fresh = append(fresh, p)
-		}
-	}
-	return fresh, expired
-}
-
-// Waiting reports whether packets are buffered for dst.
-func (q *PendingQueue) Waiting(dst netstack.NodeID) bool { return len(q.byDst[dst]) > 0 }

@@ -359,43 +359,6 @@ func TestTableInvalidate(t *testing.T) {
 	}
 }
 
-func TestPendingQueue(t *testing.T) {
-	var q PendingQueue // the zero queue is ready to use
-	if q.Waiting(1) {
-		t.Fatal("the zero queue waits")
-	}
-	if fresh, expired := q.PopAll(1, 0); fresh != nil || expired != nil {
-		t.Fatalf("the zero queue popped %v and %v", fresh, expired)
-	}
-	mk := func(created float64) *netstack.Packet {
-		return &netstack.Packet{Created: created}
-	}
-	for i := 0; i < 16; i++ { // created every 0.25 s from 0
-		if ev := q.Push(1, mk(float64(i)/4)); ev != nil {
-			t.Fatalf("eviction at push %d, below the cap of 16", i+1)
-		}
-	}
-	ev := q.Push(1, mk(4)) // cap 16: oldest evicted
-	if ev == nil || ev.Created != 0 {
-		t.Fatalf("evicted = %+v", ev)
-	}
-	if !q.Waiting(1) || q.Waiting(2) {
-		t.Fatal("Waiting wrong")
-	}
-	if n := len(q.byDst[1]); n != 16 {
-		t.Fatalf("len = %d", n)
-	}
-	// at 10.5 the packet created at 0.25 has waited past 10 s; the one
-	// created at 0.5 has waited exactly 10 s and is still fresh
-	fresh, expired := q.PopAll(1, 10.5)
-	if len(fresh) != 15 || len(expired) != 1 || expired[0].Created != 0.25 {
-		t.Fatalf("fresh=%d expired=%d", len(fresh), len(expired))
-	}
-	if q.Waiting(1) {
-		t.Fatal("queue not drained")
-	}
-}
-
 // BenchmarkTableUpsert times the two writes a table-driven router makes:
 // a fresher route to a destination the table holds, written in place, and
 // a route to a new destination, which carves its entry from the table's

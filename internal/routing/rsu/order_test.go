@@ -10,8 +10,10 @@ import (
 )
 
 // Each test below builds a case in which one call has several qualifying
-// map keys, and repeats it: Go draws a fresh map iteration order per range,
-// so an order that leaks into the event queue shows within a few rounds.
+// destinations or RSUs. The buffer flush ranges over a map and repeats its
+// case: Go draws a fresh map iteration order per range, so an order that
+// leaks into the event queue shows within a few rounds. The backbone's
+// loops follow its RSU list, so one pass pins their order.
 const rounds = 50
 
 // rsuWorld parks recording vehicles at vehPos and RSUs at rsuPos, all on
@@ -68,32 +70,30 @@ func TestFlushBuffersSendsInDestinationOrder(t *testing.T) {
 }
 
 func TestHandoverTransfersInRSUOrder(t *testing.T) {
-	for round := 0; round < rounds; round++ {
-		// one vehicle under the last of seven RSUs; the other six, far
-		// away, each hold a packet for it
-		rsuPos := make([]geom.Vec2, 7)
-		for i := range rsuPos {
-			rsuPos[i] = geom.V(float64(1000*(6-i)), 0)
-		}
-		w, ids, units, log := rsuWorld(t, []geom.Vec2{geom.V(10, 10)}, rsuPos)
-		veh, owner := ids[0], units[6]
-		var want []netstack.NodeID
-		for _, u := range units[:6] {
-			u.buffer(data(u.API.Self(), veh))
-			want = append(want, u.API.Self())
-		}
-		owner.backbone.lastSeen[veh] = units[0].API.Self()
-		owner.backbone.noteVehicle(veh, owner.API.Self())
-		if err := w.AdvanceTo(2.2); err != nil {
-			t.Fatal(err)
-		}
-		var got []netstack.NodeID
-		for _, h := range *log {
-			got = append(got, h.Src)
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("round %d: handed-over packets arrived from RSUs %v, want ascending %v", round, got, want)
-		}
+	// one vehicle under the last of seven RSUs; the other six, far away,
+	// each hold a packet for it
+	rsuPos := make([]geom.Vec2, 7)
+	for i := range rsuPos {
+		rsuPos[i] = geom.V(float64(1000*(6-i)), 0)
+	}
+	w, ids, units, log := rsuWorld(t, []geom.Vec2{geom.V(10, 10)}, rsuPos)
+	veh, owner := ids[0], units[6]
+	var want []netstack.NodeID
+	for _, u := range units[:6] {
+		u.buffer(data(u.API.Self(), veh))
+		want = append(want, u.API.Self())
+	}
+	owner.backbone.lastSeen[veh] = units[0]
+	owner.backbone.noteVehicle(veh, owner)
+	if err := w.AdvanceTo(2.2); err != nil {
+		t.Fatal(err)
+	}
+	var got []netstack.NodeID
+	for _, h := range *log {
+		got = append(got, h.Src)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("handed-over packets arrived from RSUs %v, want ascending %v", got, want)
 	}
 }
 
@@ -103,11 +103,8 @@ func TestNearestRSUTieGoesToLowestID(t *testing.T) {
 		geom.V(300, 0), geom.V(-300, 0), geom.V(0, 300), geom.V(0, -300), geom.V(180, 240), geom.V(-180, -240),
 	}
 	_, _, units, _ := rsuWorld(t, nil, rsuPos)
-	b := units[0].backbone
-	for round := 0; round < rounds; round++ {
-		if got, ok := b.rsuFor(99, geom.V(0, 0), true); !ok || got != units[0] {
-			t.Fatalf("round %d: tie went to RSU node %d, want the lowest ID %d", round, got.API.Self(), units[0].API.Self())
-		}
+	if got, ok := units[0].backbone.rsuFor(99, geom.V(0, 0), true); !ok || got != units[0] {
+		t.Fatalf("tie went to RSU node %d, want the lowest ID %d", got.API.Self(), units[0].API.Self())
 	}
 }
 

@@ -21,52 +21,35 @@ import (
 // Backbone is the wired interconnect shared by all RSU routers of a
 // scenario, including the synchronized vehicle location registry.
 type Backbone struct {
-	rsus map[netstack.NodeID]*UnitRouter
-	ids  []netstack.NodeID // the keys of rsus, ascending
+	// units lists the RSUs in attach order, which is ascending node ID:
+	// the world numbers a static node as it attaches it. What a loop over
+	// them schedules or prefers reaches the event queue, so it follows
+	// this order.
+	units []*UnitRouter
 	// lastSeen maps a vehicle to the RSU that most recently heard its
 	// beacon — the "position synchronized to all related RSU" registry.
-	lastSeen map[netstack.NodeID]netstack.NodeID
+	lastSeen map[netstack.NodeID]*UnitRouter
 }
 
 // NewBackbone returns an empty backbone.
 func NewBackbone() *Backbone {
-	return &Backbone{
-		rsus:     make(map[netstack.NodeID]*UnitRouter),
-		lastSeen: make(map[netstack.NodeID]netstack.NodeID),
-	}
+	return &Backbone{lastSeen: make(map[netstack.NodeID]*UnitRouter)}
 }
-
-// register adds an RSU router to the backbone.
-func (b *Backbone) register(u *UnitRouter) {
-	b.rsus[u.API.Self()] = u
-	b.ids = append(b.ids, u.API.Self())
-	slices.Sort(b.ids)
-}
-
-// ordered lists the RSUs by ascending node ID. What a loop over them
-// schedules or prefers reaches the event queue, so it may not follow map
-// order. An RSU registers once, when attached, never inside such a loop.
-func (b *Backbone) ordered() []netstack.NodeID { return b.ids }
 
 // noteVehicle updates the location registry. On a handover (the vehicle
 // surfaced under a different RSU) every packet buffered for it elsewhere
 // is re-transferred to the new owner — the "position information is
 // synchronized to all related RSU instantly" behaviour of DRR.
-func (b *Backbone) noteVehicle(vehicle, rsu netstack.NodeID) {
+func (b *Backbone) noteVehicle(vehicle netstack.NodeID, owner *UnitRouter) {
 	prev, had := b.lastSeen[vehicle]
-	b.lastSeen[vehicle] = rsu
-	if had && prev == rsu {
+	b.lastSeen[vehicle] = owner
+	if had && prev == owner {
 		return
 	}
-	owner, ok := b.rsus[rsu]
-	if !ok {
-		return
-	}
-	for _, id := range b.ordered() {
-		if id == rsu {
+	for _, u := range b.units {
+		if u == owner {
 			continue
 		}
-		u := b.rsus[id]
 		for _, pkt := range u.takeBuffered(vehicle) {
 			b.transfer(u, owner, pkt)
 		}
@@ -77,18 +60,15 @@ func (b *Backbone) noteVehicle(vehicle, rsu netstack.NodeID) {
 // to the vehicle's registered position (the lowest ID among equally close
 // ones).
 func (b *Backbone) rsuFor(vehicle netstack.NodeID, fallbackPos geom.Vec2, hasPos bool) (*UnitRouter, bool) {
-	if id, ok := b.lastSeen[vehicle]; ok {
-		if u, okU := b.rsus[id]; okU {
-			return u, true
-		}
+	if u, ok := b.lastSeen[vehicle]; ok {
+		return u, true
 	}
 	if !hasPos {
 		return nil, false
 	}
 	var best *UnitRouter
 	bd := math.Inf(1)
-	for _, id := range b.ordered() {
-		u := b.rsus[id]
+	for _, u := range b.units {
 		if d := u.API.Pos().DistSq(fallbackPos); d < bd {
 			bd = d
 			best = u
@@ -126,7 +106,7 @@ func NewUnit(b *Backbone) *UnitRouter {
 // Attach implements netstack.Router and arms the 0.25 s buffer flush.
 func (u *UnitRouter) Attach(api *netstack.API) {
 	u.Base.Attach(api)
-	u.backbone.register(u)
+	u.backbone.units = append(u.backbone.units, u)
 	api.Every(0.25, 0.25, u)
 }
 
@@ -134,26 +114,19 @@ func (u *UnitRouter) Attach(api *netstack.API) {
 // hears synchronizes the location registry.
 func (u *UnitRouter) OnBeacon(from netstack.NodeID, kind netstack.NodeKind) {
 	if kind == netstack.Vehicle || kind == netstack.BusNode {
-		u.backbone.noteVehicle(from, u.API.Self())
+		u.backbone.noteVehicle(from, u)
 	}
 }
 
 // Originate implements netstack.Router: RSUs originate no app data in the
-// experiments; an RSU would route its own as it relays a vehicle's.
+// experiments; an RSU routes its own as it relays a vehicle's.
 func (u *UnitRouter) Originate(dst netstack.NodeID, size int) {
-	u.handleData(routing.NewData(u.API, dst, size))
+	u.HandlePacket(routing.NewData(u.API, dst, size))
 }
 
-// HandlePacket implements netstack.Router.
+// HandlePacket implements netstack.Router. Every packet an RSU hears is
+// data: DRR's vehicles and RSUs send nothing else.
 func (u *UnitRouter) HandlePacket(pkt *netstack.Packet) {
-	if pkt.Kind != netstack.KindData {
-		u.API.Release(pkt)
-		return
-	}
-	u.handleData(pkt)
-}
-
-func (u *UnitRouter) handleData(pkt *netstack.Packet) {
 	if pkt.Dst == u.API.Self() {
 		u.API.Deliver(pkt)
 		u.API.Release(pkt)
@@ -245,12 +218,11 @@ func (u *UnitRouter) Tick() {
 }
 
 // OnSendFailed implements netstack.Router: the vehicle left coverage
-// mid-delivery — re-buffer and retry on the sweep.
+// mid-delivery — re-buffer and retry on the sweep. An RSU sends only data
+// to its destination (handOver), so the packet is that.
 func (u *UnitRouter) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
 	u.API.ForgetNeighbor(to)
-	if pkt.Kind == netstack.KindData && pkt.Dst == to {
-		u.buffer(pkt)
-	}
+	u.buffer(pkt)
 }
 
 // Buffered exposes the buffer depth for tests.

@@ -5,6 +5,7 @@ import (
 
 	"github.com/vanetlab/relroute/internal/geom"
 	"github.com/vanetlab/relroute/internal/netstack"
+	"github.com/vanetlab/relroute/internal/routing"
 	"github.com/vanetlab/relroute/internal/routing/routetest"
 	"github.com/vanetlab/relroute/internal/routing/rsu"
 )
@@ -126,5 +127,58 @@ func TestLocationRegistryTracksBeacons(t *testing.T) {
 	}
 	if got := w.Collector().DataDelivered; got != 4 {
 		t.Fatalf("delivered = %d of 4 after handover", got)
+	}
+}
+
+// An RSU is a flow endpoint like a vehicle: data addressed to it is
+// delivered there, and data it originates is handed to its destination in
+// range.
+func TestRSUFlowEndpoints(t *testing.T) {
+	w, ids, rsuIDs, _ := drrWorld(t, []routetest.Vehicle{{Pos: geom.V(0, 0)}}, []geom.Vec2{geom.V(100, 0)})
+	w.AddFlow(ids[0], rsuIDs[0], 2, 0.5, 3, 256)
+	w.AddFlow(rsuIDs[0], ids[0], 2, 0.5, 3, 256)
+	if err := w.Run(6); err != nil {
+		t.Fatal(err)
+	}
+	if c := w.Collector(); c.DataDelivered != 6 || c.DataDropped != 0 {
+		t.Fatalf("delivered %d, dropped %d; want all 6 delivered", c.DataDelivered, c.DataDropped)
+	}
+}
+
+// An RSU hands a packet to a destination in range only with a hop left, and
+// buffers where it is a packet for a destination the registry never saw
+// and the location service cannot place (one that left or crashed).
+func TestUnitDropsAtTTLAndBuffersTheUnplaced(t *testing.T) {
+	backbone := rsu.NewBackbone()
+	w, ids := routetest.World(t, 1, []routetest.Vehicle{{Pos: geom.V(10, 0)}}, rsu.NewVehicle())
+	unit := rsu.NewUnit(backbone)
+	self := w.AddStaticNode(netstack.RSU, geom.V(0, 0), unit)
+	w.StartRun()
+	if err := w.AdvanceTo(2); err != nil { // the vehicle's beacons have been heard
+		t.Fatal(err)
+	}
+	last := &netstack.Packet{Kind: netstack.KindData, Src: self, Dst: ids[0], TTL: 1, Size: 64}
+	unit.HandlePacket(last)
+	if got := w.Collector().DataDropped; got != 1 {
+		t.Fatalf("a packet out of hops for a neighbor: %d dropped, want 1", got)
+	}
+	unit.HandlePacket(&netstack.Packet{Kind: netstack.KindData, Src: self, Dst: 99, TTL: 8, Size: 64})
+	if unit.Buffered() != 1 {
+		t.Fatalf("a packet for an unplaced destination: %d buffered, want it held here", unit.Buffered())
+	}
+}
+
+// With no RSU in range, no neighbor the destination and no position for it,
+// a DRR vehicle's retry carries the packet on.
+func TestVehicleRetryCarriesTheUnplaced(t *testing.T) {
+	var v *rsu.VehicleRouter
+	factory := rsu.NewVehicle()
+	routetest.World(t, 1, []routetest.Vehicle{{Pos: geom.V(0, 0)}}, func() netstack.Router {
+		r := factory()
+		v = r.(*rsu.VehicleRouter)
+		return r
+	})
+	if got := v.Retry(&netstack.Packet{Kind: netstack.KindData, Dst: 99, TTL: 8}); got != routing.Carry() {
+		t.Fatalf("retry = %+v, want a carry", got)
 	}
 }

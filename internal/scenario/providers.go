@@ -136,9 +136,6 @@ func buildSpec(protocol string, spec Spec, opts Options, vehicles netstack.Route
 		Protocol: protocol,
 		World:    world, Net: net, Model: model, Segments: segs, Opts: opts,
 	}
-	if road, ok := model.(*mobility.RoadModel); ok {
-		sc.Road = road
-	}
 
 	factory, static, err := sc.protocolFactory(protocol)
 	if err != nil {

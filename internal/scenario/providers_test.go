@@ -148,7 +148,7 @@ func TestTraceReplayScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Road != nil {
+	if _, ok := sc.Model.(*mobility.RoadModel); ok {
 		t.Error("trace scenario exposed a RoadModel")
 	}
 	if sc.Net == nil {

@@ -258,9 +258,6 @@ type Scenario struct {
 	Net      *roadnet.Network
 	// Model is the mobility model driving the run.
 	Model mobility.Model
-	// Road is the model as a RoadModel when the traffic source is
-	// synthetic (nil for trace playback).
-	Road *mobility.RoadModel
 	// Segments are the topology's traffic segments (nil means all).
 	Segments []roadnet.SegmentID
 	// Tracks are the replayed trajectories of a trace scenario (nil

@@ -147,10 +147,7 @@ func populate(net *roadnet.Network, segs []roadnet.SegmentID, rng *rand.Rand, op
 // and schedule the arrival/departure processes on the engine, all driven
 // by one private stream at Seed+churnSeedOffset.
 func (t OpenTraffic) Install(sc *Scenario) {
-	road := sc.Road
-	if road == nil {
-		return
-	}
+	road := sc.Model.(*mobility.RoadModel) // made by BuildModel
 	opts := &sc.Opts
 	rng, churnSrc := prng.Rand(opts.Seed + churnSeedOffset)
 	sc.World.RegisterStream("scenario/churn", churnSrc)

@@ -35,7 +35,6 @@ var testOnlyReached = map[string]string{
 	"channel.Shadowing.Receipt":    "internal/mac/rngorder_test.go",
 	"netstack.World.Joins":         "internal/scenario/providers_test.go",
 	"netstack.World.Leaves":        "internal/scenario/providers_test.go",
-	"routing.Discovery.Stranded":   "internal/scenario/stranded_test.go",
 }
 
 // TestEveryDeclarationIsReached keeps code that no run calls out of the
